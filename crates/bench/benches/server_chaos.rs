@@ -155,7 +155,7 @@ fn run_population(specs: Vec<SessionSpec>, config: ServerConfig) -> ServerReport
 }
 
 thread_local! {
-    /// One serving registry for the whole bench (the ~2 MiB table is
+    /// One serving registry for the whole bench (the ~6 MiB table is
     /// shared state; rebuilding it per cell would dominate the wall time).
     static REGISTRY: Arc<ModelRegistry> = serving_registry(24);
 }

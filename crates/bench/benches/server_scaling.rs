@@ -2,7 +2,7 @@
 //! shared content registry, driven over the work-stealing pool.
 //!
 //! For each session count N the bench admits N churned sessions (every one a
-//! distinct seed against the same ~2 MiB dense serving LUT), runs them to
+//! distinct seed against the same ~6 MiB dense serving LUT), runs them to
 //! retirement and records the aggregate throughput, the frame-time
 //! percentiles from the server's streaming sketch, deadline misses,
 //! admission rejections and the QoE distribution. A second sweep measures
@@ -281,7 +281,7 @@ fn bench_server_scaling(c: &mut Criterion) {
             host_cores: detected_cores(),
             workload: format!(
                 "{POINTS}-point sphere sessions, {CHURN} churn/frame, x2 SR, dense \
-                 Compact LUT (bins=24, ~2 MiB) shared via ModelRegistry, 30 FPS \
+                 Compact LUT (bins=24, 32^4 packed keys, ~6 MiB) shared via ModelRegistry, 30 FPS \
                  deadline, default degradation ladder, LPT dispatch over the \
                  work-stealing pool"
             ),

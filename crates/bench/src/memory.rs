@@ -7,7 +7,7 @@ use std::sync::Arc;
 use crate::report::Report;
 use crate::setup::TrainedArtifacts;
 use volut_core::device::DeviceProfile;
-use volut_core::encoding::KeyScheme;
+use volut_core::encoding::{KeyScheme, PositionEncoder};
 use volut_core::lut::dense::DenseLut;
 use volut_core::lut::memory::MemoryModel;
 use volut_core::lut::Lut as _;
@@ -19,16 +19,21 @@ use volut_stream::server::{ServerConfig, ServerMemoryStats, SessionSpec, SrServe
 pub const SERVING_CONTENT: &str = "serving-demo";
 
 /// One deployment-scale content item: a Compact-scheme dense LUT (the
-/// paper's runtime-table configuration) sized by `bins^receptive_field`,
-/// one-third populated so probes exercise both hit and miss paths. At the
-/// default `bins = 24` the table is ~2 MiB — the quantity a per-session
-/// clone multiplies by the session count.
+/// paper's runtime-table configuration) sized by the encoder's packed key
+/// space — [`PositionEncoder::key_space`], `(2^ceil(log2 bins))^n`, *not*
+/// `bins^n`: keys are packed a whole number of bits per slot, so a table
+/// sized `bins^n` misses every probe whose high slots are set — one-third
+/// populated so probes exercise both hit and miss paths. At the default
+/// `bins = 24` that is 32⁴ keys, ~6 MiB — the quantity a per-session clone
+/// multiplies by the session count.
 pub fn serving_registry(bins: usize) -> Arc<ModelRegistry> {
     let config = SrConfig {
         bins,
         ..SrConfig::default()
     };
-    let key_space = (bins as u128).pow(config.receptive_field as u32);
+    let key_space = PositionEncoder::new(&config, KeyScheme::Compact)
+        .expect("valid serving config")
+        .key_space();
     let mut lut = DenseLut::new(key_space).expect("serving table within budget");
     for key in (0..key_space).step_by(3) {
         lut.set(key, [0.01, -0.004, 0.002]).expect("in-range key");
@@ -235,6 +240,27 @@ mod tests {
             "derived {derived} vs measured {}",
             cloned.bytes_per_session
         );
+    }
+
+    #[test]
+    fn served_frames_hit_the_serving_table() {
+        // The table must cover the encoder's packed key space: sized
+        // `bins^n` it sat below every Compact key the pipeline produces and
+        // the server benches never applied a LUT offset.
+        use volut_pointcloud::synthetic;
+        use volut_stream::client::SrSession;
+        let registry = serving_registry(24);
+        let model = registry.get(SERVING_CONTENT).expect("published above");
+        let mut session = SrSession::from_model(&model).unwrap();
+        let served = session
+            .upsample_frame(&synthetic::humanoid(512, 0.3, 1), 2.0)
+            .unwrap();
+        let stats = served.lookup_stats.expect("table-based refiner");
+        assert!(stats.hits > 0, "no probe hit the serving table: {stats:?}");
+        // Every third key is populated; anything far from that means keys
+        // and table disagree about the key space again.
+        let hit_rate = stats.hits as f64 / (stats.hits + stats.misses) as f64;
+        assert!((0.2..0.5).contains(&hit_rate), "hit rate {hit_rate}");
     }
 
     #[test]

@@ -120,7 +120,10 @@ impl GradPuUpsampler {
         ratio: f64,
         scratch: &mut FrameScratch,
     ) -> Result<SrResult> {
-        let interp = naive_interpolate_with(low, &self.config, ratio, scratch)?;
+        scratch.begin_frame();
+        let interp = naive_interpolate_with(low, &self.config, ratio, scratch);
+        let mut arena = scratch.finish_frame();
+        let interp = interp?;
         let mut timings = StageTimings {
             index_build: interp.timings.index_build,
             knn: interp.timings.knn,
@@ -143,10 +146,10 @@ impl GradPuUpsampler {
             original_len,
             &interp.neighborhoods,
             low.positions(),
-            &mut scratch.centers,
+            &mut arena.centers,
         );
         timings.refinement = t0.elapsed();
-        scratch.recycle_neighborhoods(interp.neighborhoods);
+        arena.recycle(interp.neighborhoods, interp.parents);
 
         Ok(SrResult {
             cloud,

@@ -156,7 +156,10 @@ impl YuzuUpsampler {
         // Yuzu's generator: interpolation to the discrete ratio followed by a
         // single heavyweight network pass per generated point, routed through
         // the shared batch refinement helper.
-        let interp = naive_interpolate_with(low, &self.config, f64::from(ratio), scratch)?;
+        scratch.begin_frame();
+        let interp = naive_interpolate_with(low, &self.config, f64::from(ratio), scratch);
+        let mut arena = scratch.finish_frame();
+        let interp = interp?;
         let mut timings = StageTimings {
             index_build: interp.timings.index_build,
             knn: interp.timings.knn,
@@ -178,10 +181,10 @@ impl YuzuUpsampler {
             original_len,
             &interp.neighborhoods,
             low.positions(),
-            &mut scratch.centers,
+            &mut arena.centers,
         );
         timings.refinement = t0.elapsed();
-        scratch.recycle_neighborhoods(interp.neighborhoods);
+        arena.recycle(interp.neighborhoods, interp.parents);
 
         Ok(SrResult {
             cloud,

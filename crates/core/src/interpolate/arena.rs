@@ -1,0 +1,526 @@
+//! The per-worker frame arena: every buffer a frame clears, fills and
+//! forgets.
+//!
+//! A frame needs two kinds of memory. *Session state* — the spatial index,
+//! the cached self-join rows, the previous frame's outputs — is read by the
+//! next frame and lives on the session's [`FrameScratch`](super::FrameScratch).
+//! Everything else is *transient*: raw kNN rows, the dilated lists, the
+//! reuse plan, the dual-tree slab, the kd-tree patch lists, the fresh-row
+//! batch, the refinement gather buffers. A frame clears each of those
+//! before writing it and nothing reads them afterwards, so `workers` copies
+//! serve a process as well as `tenants` copies would. They live here.
+//!
+//! # Checkout and the re-entrancy rule
+//!
+//! Each thread keeps a short free-list of idle arenas. A frame *takes* one
+//! out of the list for its whole duration (creating one when the list is
+//! empty) and parks it again when it ends — the arena is moved, never
+//! borrowed from the thread-local. That matters because a frame is
+//! re-entrant on its own thread: a worker blocked in a nested
+//! `runtime::run_range` executes other tenants' server steps while it
+//! waits, each of which starts a frame of its own. Such a frame finds the
+//! outer frame's arena gone from the list and takes, or creates, another;
+//! the two can never alias. The list keeps at most [`KEPT_PER_THREAD`]
+//! arenas and drops any further one handed back, so a deep nest (a cold
+//! tick of large tenants) cannot leave one arena per tenant pinned to a
+//! worker.
+//!
+//! Nothing in an arena may be trusted across a checkout: it last served an
+//! arbitrary frame of an arbitrary session. Every buffer is cleared before
+//! use, and the two flags a later stage keys off — the plan's `active` bit
+//! and the join outcome — are reset when the arena is taken.
+
+use super::temporal::{FramePlan, JoinScratch};
+use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use volut_pointcloud::dualtree::DualTreeScratch;
+use volut_pointcloud::kdtree::PatchScratch;
+use volut_pointcloud::soa::SoaPositions;
+use volut_pointcloud::{Neighborhoods, Point3};
+
+/// Idle arenas a thread keeps between frames; further ones are dropped when
+/// handed back. Two covers a frame plus one nested frame, the steady shape
+/// of a server worker; deeper nests only occur on cold ticks, which pay
+/// their allocations anyway.
+pub const KEPT_PER_THREAD: usize = 2;
+
+/// This thread's idle arenas, most recently parked last. Boxed on purpose:
+/// an arena is ~1 KB of buffer headers, and checkout/park then move a
+/// pointer between this list and the frame's lease instead of the struct.
+#[allow(clippy::vec_box)]
+struct IdleList(RefCell<Vec<Box<FrameArena>>>);
+
+impl Drop for IdleList {
+    fn drop(&mut self) {
+        let bytes: usize = self.0.get_mut().iter().map(|a| a.parked_bytes).sum();
+        IDLE_BYTES.fetch_sub(bytes, Ordering::Relaxed);
+    }
+}
+
+thread_local! {
+    static IDLE: IdleList = const { IdleList(RefCell::new(Vec::new())) };
+}
+
+/// Bytes reserved by the idle arenas of every thread (a statistic: relaxed
+/// updates, no data is published through it).
+static IDLE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// The outputs of one fresh-row batch of an interpolator (see
+/// [`super::dilated::dilated_interpolate_rows_into`]): generated positions,
+/// their parent pairs and, optionally, their neighborhoods.
+#[derive(Debug, Default)]
+pub struct RowBatch {
+    /// Generated positions, in row order.
+    pub points: Vec<Point3>,
+    /// One neighborhood row per generated point (empty when the batch was
+    /// asked for none).
+    pub hoods: Neighborhoods,
+    /// Parent pair of every generated point: `(pair_a[i], pair_b[i])`, the
+    /// index lists the pair-midpoint kernel consumes.
+    pub(crate) pair_a: Vec<u32>,
+    pub(crate) pair_b: Vec<u32>,
+    /// Partner candidates of the row being drawn.
+    pub(crate) partners: Vec<u32>,
+}
+
+impl RowBatch {
+    /// The parent pair of every generated point, in row order.
+    pub fn parents(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + Clone + '_ {
+        self.parents_of(0..self.pair_a.len())
+    }
+
+    /// The parent pairs of the generated points `range`.
+    pub(crate) fn parents_of(
+        &self,
+        range: std::ops::Range<usize>,
+    ) -> impl ExactSizeIterator<Item = (usize, usize)> + Clone + '_ {
+        zip_pairs(&self.pair_a[range.clone()], &self.pair_b[range])
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.points.clear();
+        self.hoods.clear();
+        self.pair_a.clear();
+        self.pair_b.clear();
+    }
+
+    /// Appends another batch's outputs (chunk partials, in chunk order).
+    pub(crate) fn append(&mut self, part: &RowBatch) {
+        self.points.extend_from_slice(&part.points);
+        self.hoods.append(&part.hoods);
+        self.pair_a.extend_from_slice(&part.pair_a);
+        self.pair_b.extend_from_slice(&part.pair_b);
+    }
+
+    fn reserved_bytes(&self) -> usize {
+        self.points.capacity() * std::mem::size_of::<Point3>()
+            + self.hoods.reserved_bytes()
+            + (self.pair_a.capacity() + self.pair_b.capacity() + self.partners.capacity())
+                * std::mem::size_of::<u32>()
+    }
+}
+
+/// Parent pairs `(a[i], b[i])` from the two index lists of a batch.
+pub(crate) fn zip_pairs<'a>(
+    a: &'a [u32],
+    b: &'a [u32],
+) -> impl ExactSizeIterator<Item = (usize, usize)> + Clone + 'a {
+    a.iter().zip(b).map(|(&a, &b)| (a as usize, b as usize))
+}
+
+/// What `batched_knn_into` needs besides the tree: the dual-tree slab and
+/// the per-chunk partial rows of the chunked single-tree sweep.
+#[derive(Debug, Default)]
+pub(crate) struct KnnScratch {
+    pub(crate) dual: DualTreeScratch,
+    pub(crate) parts: Vec<Neighborhoods>,
+}
+
+/// The transient buffers of one frame (see the module docs). Frames check
+/// one out themselves; the type is public only for its byte accounting.
+#[derive(Debug, Default)]
+pub struct FrameArena {
+    /// Handed out as `InterpolationResult::neighborhoods`, handed back by
+    /// the pipeline (or `FrameScratch::recycle_neighborhoods`); `None`
+    /// while it is out.
+    pub(crate) neighborhoods: Option<Neighborhoods>,
+    /// Handed out as `InterpolationResult::parents`, likewise.
+    pub(crate) parents: Vec<(usize, usize)>,
+    /// Raw (self-match-included) kNN rows of the source points — what the
+    /// frame's self-join produced.
+    pub(crate) raw_hoods: Neighborhoods,
+    /// Self-match-stripped dilated lists, one row per source point.
+    pub(crate) dilated: Neighborhoods,
+    /// Per-source-point generation counts.
+    pub(crate) counts: Vec<usize>,
+    /// SoA mirror of the frame positions for the pair-midpoint kernel.
+    pub(crate) soa: SoaPositions,
+    /// The frame's freshly generated rows: one batch per worker chunk while
+    /// they are generated, then all appended to the first.
+    pub(crate) batches: Vec<RowBatch>,
+    pub(crate) knn: KnnScratch,
+    /// Traversal lists of `KdTree::patch_with`.
+    pub(crate) patch: PatchScratch,
+    /// What the frame's self-join left for its plan and assembly.
+    pub(crate) join: JoinScratch,
+    /// The frame's reuse plan.
+    pub(crate) plan: FramePlan,
+    /// Copy of the pre-refinement tail (see [`crate::refine::refine_in_place`]).
+    pub(crate) centers: Vec<Point3>,
+    /// Compacted CSR over the fresh ordinals handed to
+    /// [`crate::refine::refine_rows_in_place`].
+    pub(crate) subset_hoods: Neighborhoods,
+    /// Refined positions of the fresh subset before scatter-back.
+    pub(crate) subset_out: Vec<Point3>,
+    /// `reserved_bytes()` when this arena was last parked (what
+    /// `IDLE_BYTES` holds on its behalf).
+    parked_bytes: usize,
+}
+
+impl FrameArena {
+    /// Takes an arena out of this thread's free-list for one frame, or
+    /// creates one when the list is empty (first frame on the thread, or
+    /// every idle arena is held by an enclosing frame).
+    pub(crate) fn checkout() -> ArenaLease {
+        let idle = IDLE
+            .try_with(|list| list.0.borrow_mut().pop())
+            .ok()
+            .flatten();
+        let mut arena = idle.unwrap_or_default();
+        IDLE_BYTES.fetch_sub(arena.parked_bytes, Ordering::Relaxed);
+        arena.parked_bytes = 0;
+        arena.plan.deactivate();
+        arena.join.reset();
+        ArenaLease(Some(arena))
+    }
+
+    /// Parks an arena on this thread's free-list, or drops it when the list
+    /// is full (or the thread is exiting).
+    fn park(mut arena: Box<FrameArena>) {
+        let _ = IDLE.try_with(|list| {
+            let mut idle = list.0.borrow_mut();
+            if idle.len() < KEPT_PER_THREAD {
+                arena.parked_bytes = arena.reserved_bytes();
+                IDLE_BYTES.fetch_add(arena.parked_bytes, Ordering::Relaxed);
+                idle.push(arena);
+            }
+        });
+    }
+
+    /// Hands a neighborhood container to the arena this thread will take
+    /// next, if that one's is out (a bare `interpolate` call parks its arena
+    /// before the caller is done with the result); otherwise, or with no
+    /// idle arena, the container is dropped.
+    pub(crate) fn adopt_neighborhoods(neighborhoods: Neighborhoods) {
+        let _ = IDLE.try_with(|list| {
+            if let Some(arena) = list.0.borrow_mut().last_mut() {
+                if arena.neighborhoods.is_none() {
+                    let bytes = neighborhoods.reserved_bytes();
+                    arena.neighborhoods = Some(neighborhoods);
+                    arena.parked_bytes += bytes;
+                    IDLE_BYTES.fetch_add(bytes, Ordering::Relaxed);
+                }
+            }
+        });
+    }
+
+    /// The recycled result container, cleared (a new one when it was never
+    /// handed back).
+    pub(crate) fn take_neighborhoods(&mut self) -> Neighborhoods {
+        let mut n = self.neighborhoods.take().unwrap_or_default();
+        n.clear();
+        n
+    }
+
+    /// The recycled parent-pair list, cleared.
+    pub(crate) fn take_parents(&mut self) -> Vec<(usize, usize)> {
+        let mut p = std::mem::take(&mut self.parents);
+        p.clear();
+        p
+    }
+
+    /// Takes back the containers a frame handed out in its
+    /// `InterpolationResult`.
+    pub(crate) fn recycle(&mut self, neighborhoods: Neighborhoods, parents: Vec<(usize, usize)>) {
+        self.neighborhoods = Some(neighborhoods);
+        self.parents = parents;
+    }
+
+    /// Capacity (bytes) currently reserved by every buffer of this arena.
+    pub fn reserved_bytes(&self) -> usize {
+        const P3: usize = std::mem::size_of::<Point3>();
+        self.neighborhoods
+            .as_ref()
+            .map_or(0, Neighborhoods::reserved_bytes)
+            + self.parents.capacity() * std::mem::size_of::<(usize, usize)>()
+            + self.dilated.reserved_bytes()
+            + self.raw_hoods.reserved_bytes()
+            + self.counts.capacity() * std::mem::size_of::<usize>()
+            + self.soa.reserved_bytes()
+            + self
+                .batches
+                .iter()
+                .map(RowBatch::reserved_bytes)
+                .sum::<usize>()
+            + self.knn.dual.reserved_bytes()
+            + self
+                .knn
+                .parts
+                .iter()
+                .map(Neighborhoods::reserved_bytes)
+                .sum::<usize>()
+            + self.patch.reserved_bytes()
+            + self.join.reserved_bytes()
+            + self.plan.reserved_bytes()
+            + (self.centers.capacity() + self.subset_out.capacity()) * P3
+            + self.subset_hoods.reserved_bytes()
+    }
+
+    /// Bytes reserved by the idle arenas of **every** thread — what the
+    /// process holds for frame scratch between frames, however many
+    /// sessions it serves. Arenas checked out by a frame in flight are not
+    /// counted until they are parked again.
+    pub fn idle_bytes() -> usize {
+        IDLE_BYTES.load(Ordering::Relaxed)
+    }
+
+    /// Bytes reserved by the calling thread's idle arenas.
+    pub fn thread_idle_bytes() -> usize {
+        IDLE.try_with(|list| list.0.borrow().iter().map(|a| a.parked_bytes).sum())
+            .unwrap_or(0)
+    }
+
+    /// Number of idle arenas on the calling thread's free-list.
+    #[cfg(test)]
+    fn thread_idle_count() -> usize {
+        IDLE.try_with(|list| list.0.borrow().len()).unwrap_or(0)
+    }
+}
+
+/// An arena checked out for one frame; parks it again on drop, so early
+/// returns and unwinding hand it back too.
+#[derive(Debug)]
+pub(crate) struct ArenaLease(Option<Box<FrameArena>>);
+
+impl Deref for ArenaLease {
+    type Target = FrameArena;
+    fn deref(&self) -> &FrameArena {
+        self.0.as_deref().expect("held until drop")
+    }
+}
+
+impl DerefMut for ArenaLease {
+    fn deref_mut(&mut self) -> &mut FrameArena {
+        self.0.as_deref_mut().expect("held until drop")
+    }
+}
+
+impl Drop for ArenaLease {
+    fn drop(&mut self) {
+        if let Some(arena) = self.0.take() {
+            FrameArena::park(arena);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SrConfig;
+    use crate::encoding::KeyScheme;
+    use crate::interpolate::{
+        DilatedInterpolator, FrameScratch, InterpolationResult, Interpolator,
+    };
+    use crate::nn::mlp::Mlp;
+    use crate::pipeline::{InterpolationMode, SrPipeline};
+    use crate::refine::{IdentityRefiner, NnRefiner};
+    use std::sync::{Arc, Mutex};
+    use volut_pointcloud::synthetic::{self, DeltaStreamConfig};
+    use volut_pointcloud::PointCloud;
+
+    /// Dilated interpolation that records which arena its frame runs on
+    /// and, when given one, runs a whole other frame first — what a worker
+    /// does when it helps out from inside a nested `run_range`.
+    struct Nesting {
+        seen: Arc<Mutex<Vec<usize>>>,
+        nested: Option<(SrPipeline, PointCloud)>,
+        nested_out: Arc<Mutex<Option<PointCloud>>>,
+    }
+
+    impl Interpolator for Nesting {
+        fn name(&self) -> &'static str {
+            "nesting"
+        }
+
+        fn interpolate(
+            &self,
+            low: &PointCloud,
+            config: &SrConfig,
+            ratio: f64,
+            scratch: &mut FrameScratch,
+        ) -> crate::Result<InterpolationResult> {
+            let arena: &FrameArena = scratch.frame.as_ref().expect("inside a pipeline frame");
+            self.seen
+                .lock()
+                .unwrap()
+                .push(arena as *const FrameArena as usize);
+            if let Some((pipeline, cloud)) = &self.nested {
+                let out = pipeline.upsample_with(cloud, ratio, &mut FrameScratch::new())?;
+                *self.nested_out.lock().unwrap() = Some(out.cloud);
+            }
+            DilatedInterpolator.interpolate(low, config, ratio, scratch)
+        }
+    }
+
+    #[test]
+    fn a_frame_nested_in_another_gets_its_own_arena() {
+        let config = SrConfig::default();
+        let outer_cloud = synthetic::humanoid(900, 0.3, 5);
+        let inner_cloud = synthetic::sphere(300, 1.0, 6);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let nested_out = Arc::new(Mutex::new(None));
+        let pipeline_nesting = |nested| {
+            SrPipeline::with_interpolator(
+                config,
+                InterpolationMode::Dilated,
+                Box::new(Nesting {
+                    seen: Arc::clone(&seen),
+                    nested,
+                    nested_out: Arc::clone(&nested_out),
+                }),
+                Box::new(IdentityRefiner),
+            )
+        };
+        let inner = pipeline_nesting(None);
+        let outer = pipeline_nesting(Some((inner, inner_cloud.clone())));
+
+        let idle_before = FrameArena::thread_idle_count();
+        let outer_out = outer
+            .upsample_with(&outer_cloud, 2.0, &mut FrameScratch::new())
+            .unwrap();
+        let inner_out = nested_out.lock().unwrap().take().unwrap();
+
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 2, "outer frame, then the frame nested in it");
+        assert_ne!(seen[0], seen[1], "the nested frame ran on the outer arena");
+        // Both arenas are parked afterwards (none was idle before: a test
+        // thread starts with an empty list).
+        assert_eq!(idle_before, 0);
+        assert_eq!(FrameArena::thread_idle_count(), 2);
+
+        let reference = SrPipeline::new(config, Box::new(IdentityRefiner));
+        assert_eq!(
+            outer_out.cloud,
+            reference.upsample(&outer_cloud, 2.0).unwrap().cloud
+        );
+        assert_eq!(
+            inner_out,
+            reference.upsample(&inner_cloud, 2.0).unwrap().cloud
+        );
+    }
+
+    #[test]
+    fn free_list_keeps_a_fixed_number_of_arenas() {
+        let leases: Vec<ArenaLease> = (0..KEPT_PER_THREAD + 3)
+            .map(|_| FrameArena::checkout())
+            .collect();
+        assert_eq!(FrameArena::thread_idle_count(), 0);
+        drop(leases);
+        assert_eq!(FrameArena::thread_idle_count(), KEPT_PER_THREAD);
+    }
+
+    /// One churned session per entry of `sessions`, every frame's output
+    /// collected. `interleaved` runs them round-robin on one thread (one
+    /// shared arena free-list); otherwise each session runs start to finish
+    /// on a thread of its own, where no other session ever touches its
+    /// arena.
+    fn run_sessions(
+        sessions: &[(usize, InterpolationMode, f64)],
+        interleaved: bool,
+    ) -> Vec<Vec<PointCloud>> {
+        const FRAMES: usize = 5;
+        let make = |&(points, mode, churn): &(usize, InterpolationMode, f64)| {
+            let config = match mode {
+                InterpolationMode::Naive => SrConfig::k4d1(),
+                InterpolationMode::Dilated => SrConfig::default(),
+            };
+            let refiner =
+                NnRefiner::from_config(&config, KeyScheme::Full, Mlp::new(&[12, 16, 3], 41))
+                    .unwrap();
+            let frames = synthetic::delta_frame_sequence(
+                &synthetic::humanoid(points, 0.3, points as u64),
+                FRAMES,
+                DeltaStreamConfig {
+                    churn,
+                    drift: 0.05,
+                    jitter: 0.008,
+                    seed: 7,
+                },
+            );
+            (
+                SrPipeline::with_mode(config, mode, Box::new(refiner)),
+                FrameScratch::new(),
+                frames,
+            )
+        };
+        if interleaved {
+            let mut live: Vec<_> = sessions.iter().map(make).collect();
+            let mut outs = vec![Vec::new(); sessions.len()];
+            for f in 0..FRAMES {
+                for (s, (pipeline, scratch, frames)) in live.iter_mut().enumerate() {
+                    let out = pipeline.upsample_with(&frames[f], 2.0, scratch).unwrap();
+                    outs[s].push(out.cloud);
+                }
+            }
+            outs
+        } else {
+            sessions
+                .iter()
+                .map(|session| {
+                    std::thread::scope(|scope| {
+                        scope
+                            .spawn(|| {
+                                let (pipeline, mut scratch, frames) = make(session);
+                                frames
+                                    .iter()
+                                    .map(|frame| {
+                                        pipeline
+                                            .upsample_with(frame, 2.0, &mut scratch)
+                                            .unwrap()
+                                            .cloud
+                                    })
+                                    .collect::<Vec<_>>()
+                            })
+                            .join()
+                            .expect("private session thread")
+                    })
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn interleaved_sessions_of_different_sizes_match_private_runs() {
+        // Large, small, medium — a naive session, which keeps rows of a
+        // different stride in the same arena buffers — and a static one,
+        // whose frames after the first generate nothing fresh and so leave
+        // most of the arena as the previous session filled it. Whatever a
+        // bigger or differently shaped frame left in the arena must never
+        // reach another session's output.
+        let sessions = [
+            (1_500, InterpolationMode::Dilated, 0.1),
+            (300, InterpolationMode::Dilated, 0.1),
+            (700, InterpolationMode::Naive, 0.1),
+            (400, InterpolationMode::Dilated, 0.0),
+            (520, InterpolationMode::Dilated, 0.3),
+        ];
+        let private = run_sessions(&sessions, false);
+        let shared = run_sessions(&sessions, true);
+        for (s, (a, b)) in private.iter().zip(&shared).enumerate() {
+            for (f, (a, b)) in a.iter().zip(b).enumerate() {
+                assert_eq!(a, b, "session {s} frame {f} diverged on a shared arena");
+            }
+        }
+    }
+}

@@ -5,23 +5,20 @@
 //!   (Eq. 1) and samples interpolation partners from the *dilated* set,
 //!   which breaks the density-reinforcement artifact of vanilla kNN;
 //! * issues exactly one kNN query per *original* point instead of one per
-//!   generated point (the octree of [`volut_pointcloud::octree`] is the
-//!   paper's spatial structure; on CPU the k-d tree answers the same
-//!   queries faster, so it backs the per-point search here while the
-//!   octree's self-contained-leaf fast path remains available — the
-//!   `knn_backends` bench compares all backends). The tree is
-//!   scratch-resident (see [`super::IndexCache`]): frames whose geometry is
-//!   unchanged skip the rebuild entirely, and the queries go through the
-//!   allocation-free `super::batched_knn_into` path — a *self-join* of
-//!   the frame cloud against itself, which the batch layer answers with the
-//!   dual-tree leaf-pair kernel of [`volut_pointcloud::dualtree`] at
-//!   production sizes;
+//!   generated point, against a k-d tree (the paper's spatial structure is
+//!   an octree; on CPU the k-d tree answers the same queries faster and is
+//!   the only index the production path builds). The tree is session state
+//!   (see [`super::IndexCache`]): frames whose geometry is unchanged skip
+//!   the rebuild entirely, and the queries go through the allocation-free
+//!   `super::batched_knn_into` path — a *self-join* of the frame cloud
+//!   against itself, which the batch layer answers with the dual-tree
+//!   leaf-pair kernel of [`volut_pointcloud::dualtree`] at production sizes;
 //! * derives each new point's neighborhood via neighbor-relationship reuse
 //!   (Eq. 2 / [`super::reuse::merge_and_prune`]);
 //! * runs the per-point work in parallel across CPU threads (the stand-in
 //!   for the paper's CUDA kernels), storing all neighbor lists in flat CSR
-//!   [`Neighborhoods`] buffers that the caller's
-//!   [`super::FrameScratch`] recycles across frames;
+//!   [`volut_pointcloud::Neighborhoods`] buffers of the frame's [`super::FrameArena`], which
+//!   the next frame on the same worker reuses;
 //! * on delta frames, generates only the rows the churn invalidated: the
 //!   temporal layer classifies every source row against the previous
 //!   frame's cached outputs (`super::temporal::plan_outputs`), the fresh
@@ -35,10 +32,11 @@
 //! is bit-identical regardless of worker count, chunking, or how rows moved
 //! between frames — the invariance the copy-forward path relies on.
 
-use super::temporal::{FreshOutputs, OutputKind};
+use super::arena::zip_pairs;
+use super::temporal::OutputKind;
 use super::{
-    colorize, distribute_new_points_into, FrameScratch, InterpolationResult, InterpolationTimings,
-    OpCounts,
+    colorize, distribute_new_points_into, FrameArena, FrameScratch, InterpolationResult,
+    InterpolationTimings, OpCounts, RowBatch,
 };
 use crate::config::SrConfig;
 use crate::error::Error;
@@ -49,7 +47,7 @@ use std::time::Instant;
 use volut_pointcloud::kernels;
 use volut_pointcloud::knn::NeighborSearch;
 use volut_pointcloud::soa::SoaPositions;
-use volut_pointcloud::{par, Neighborhoods, NeighborhoodsView, Point3, PointCloud};
+use volut_pointcloud::{par, NeighborhoodsView, Point3, PointCloud};
 
 /// Upsamples `low` to roughly `ratio ×` its point count using dilated
 /// interpolation with neighbor reuse.
@@ -79,10 +77,9 @@ pub fn dilated_interpolate(
     dilated_interpolate_with(low, config, ratio, &mut FrameScratch::new())
 }
 
-/// Generates the interpolated outputs of a *subset* of source rows, appending
-/// to `out_points` / `out_parents` (and, when neighbor reuse is on, one
-/// Eq. 2 merged-and-pruned neighborhood row per generated point to
-/// `out_hoods`).
+/// Generates the interpolated outputs of a *subset* of source rows into
+/// `out` (cleared first): positions, parent pairs and — when `with_hoods` —
+/// one Eq. 2 merged-and-pruned neighborhood row per generated point.
 ///
 /// `rows` lists the source rows to generate, ascending; `counts[i]` is the
 /// per-row generation count (see `super::distribute_new_points_into`);
@@ -90,7 +87,8 @@ pub fn dilated_interpolate(
 /// the full row set is bit-identical to the legacy whole-frame batch — the
 /// partial-batch entry exists so the temporal layer can recompute *only*
 /// churn-invalidated rows. Midpoints are computed by the SIMD SoA kernel
-/// [`kernels::pair_midpoints_into`] (scalar fallback bit-identical).
+/// [`kernels::pair_midpoints_into`] (scalar fallback bit-identical). A
+/// reused `out` makes the call allocation-free.
 #[allow(clippy::too_many_arguments)]
 pub fn dilated_interpolate_rows_into(
     positions: &[Point3],
@@ -99,17 +97,20 @@ pub fn dilated_interpolate_rows_into(
     config: &SrConfig,
     counts: &[usize],
     rows: &[u32],
-    out_points: &mut Vec<Point3>,
-    out_parents: &mut Vec<(usize, usize)>,
-    out_hoods: Option<&mut Neighborhoods>,
+    with_hoods: bool,
+    out: &mut RowBatch,
 ) {
-    debug_assert_eq!(soa.len(), positions.len());
-    let start = out_points.len();
-    let pstart = out_parents.len();
-    let total: usize = rows.iter().map(|&r| counts[r as usize]).sum();
-    let mut pair_a: Vec<u32> = Vec::with_capacity(total);
-    let mut pair_b: Vec<u32> = Vec::with_capacity(total);
-    let mut used: Vec<u32> = Vec::new();
+    // (An empty batch never reads `soa`: the caller skips the mirror fill,
+    // and on a shared arena it then still describes some other frame.)
+    debug_assert!(rows.is_empty() || soa.len() == positions.len());
+    out.clear();
+    let RowBatch {
+        points,
+        hoods,
+        pair_a,
+        pair_b,
+        partners: used,
+    } = out;
     for &row in rows {
         let i = row as usize;
         let count = counts[i];
@@ -140,27 +141,26 @@ pub fn dilated_interpolate_rows_into(
             used.push(j);
             pair_a.push(row);
             pair_b.push(j);
-            out_parents.push((i, j as usize));
         }
     }
-    out_points.resize(start + pair_a.len(), Point3::ZERO);
-    kernels::pair_midpoints_into(soa, &pair_a, &pair_b, &mut out_points[start..]);
-    if let Some(out_hoods) = out_hoods {
+    points.resize(pair_a.len(), Point3::ZERO);
+    kernels::pair_midpoints_into(soa, pair_a, pair_b, points);
+    if with_hoods {
         // Derive every generated point's neighborhood in one batched
         // merge-and-prune pass (Eq. 2): the k-nearest subsets (heads of the
         // dilated lists) serve as the parents' neighbor lists for reuse.
         super::reuse::merge_and_prune_rows(
-            &out_points[start..],
-            &out_parents[pstart..],
+            points,
+            zip_pairs(pair_a, pair_b),
             dilated,
             positions,
             config.k,
-            out_hoods,
+            hoods,
         );
     }
 }
 
-/// [`dilated_interpolate`] with caller-provided scratch buffers (reused
+/// [`dilated_interpolate`] with caller-provided session state (reused
 /// across frames of a streaming session).
 ///
 /// # Errors
@@ -179,47 +179,53 @@ pub fn dilated_interpolate_with(
             available: low.len(),
         });
     }
+    Ok(scratch.with_arena(|session, arena| dilated_frame(low, config, ratio, session, arena)))
+}
 
+/// One validated dilated frame: `session` is what the next frame will read,
+/// `arena` everything this frame clears, fills and forgets. Apart from the
+/// output cloud, a steady-state frame allocates nothing.
+fn dilated_frame(
+    low: &PointCloud,
+    config: &SrConfig,
+    ratio: f64,
+    session: &mut FrameScratch,
+    arena: &mut FrameArena,
+) -> InterpolationResult {
     let mut timings = InterpolationTimings::default();
     let positions = low.positions();
     let dilated_k = config.dilated_neighborhood();
-    let mut neighborhoods = scratch.take_neighborhoods();
+    let mut neighborhoods = arena.take_neighborhoods();
+    let mut parents = arena.take_parents();
 
     // --- Index + kNN stage: one dilated query per original point — the
     // self-join that dominates frame time (§4.1). The temporal layer owns
-    // the whole pass: the scratch-resident k-d tree is reused, patched or
-    // rebuilt depending on how the frame relates to the previous one, and
-    // rows whose kNN ball the churn cannot touch are copied forward from
-    // the previous frame instead of recomputed (bit-identical either way —
-    // see [`super::temporal`]). Cold frames run the full dual-tree /
+    // the whole pass: the session's k-d tree is reused, patched or rebuilt
+    // depending on how the frame relates to the previous one, and rows
+    // whose kNN ball the churn cannot touch are copied forward from the
+    // previous frame instead of recomputed (bit-identical either way — see
+    // [`super::temporal`]). Cold frames run the full dual-tree /
     // single-tree batch machinery exactly as before.
-    // (The container is taken out of the scratch for the call so the
-    // temporal layer can borrow the rest of the scratch mutably.)
-    let mut raw_hoods = std::mem::take(&mut scratch.raw_hoods);
-    super::temporal::self_join(low, dilated_k + 1, scratch, &mut raw_hoods, &mut timings);
+    super::temporal::self_join(low, dilated_k + 1, session, arena, &mut timings);
 
     // Strip the self-match from each row and cap at the dilated size (a
     // linear copy, negligible next to the queries themselves).
     let t0 = Instant::now();
-    scratch.dilated.clear();
-    scratch
-        .dilated
-        .reserve_rows(low.len(), low.len() * dilated_k);
-    for (i, row) in raw_hoods.iter().enumerate() {
-        scratch.dilated.push_row_u32_iter(
+    arena.dilated.clear();
+    arena.dilated.reserve_rows(low.len(), low.len() * dilated_k);
+    for (i, row) in arena.raw_hoods.iter().enumerate() {
+        arena.dilated.push_row_u32_iter(
             row.iter()
                 .copied()
                 .filter(|&j| j as usize != i)
                 .take(dilated_k),
         );
     }
-    raw_hoods.clear();
-    scratch.raw_hoods = raw_hoods;
     timings.knn += t0.elapsed();
 
     let mut ops = OpCounts {
         knn_queries: low.len() as u64,
-        candidates_examined: scratch.dilated.total_indices() as u64 * 4,
+        candidates_examined: arena.dilated.total_indices() as u64 * 4,
         points_generated: 0,
         reused_neighborhoods: 0,
     };
@@ -227,10 +233,10 @@ pub fn dilated_interpolate_with(
     // --- Plan: classify every row as copy-forward or recompute against the
     // previous frame's cached outputs (Cold plans recompute everything).
     let t1 = Instant::now();
-    distribute_new_points_into(low.len(), ratio, &mut scratch.counts);
+    distribute_new_points_into(low.len(), ratio, &mut arena.counts);
     super::temporal::plan_outputs(
-        &mut scratch.temporal,
-        &scratch.counts,
+        &mut session.temporal,
+        arena,
         low,
         config,
         ratio,
@@ -238,71 +244,61 @@ pub fn dilated_interpolate_with(
     );
 
     // --- Interpolation stage: generate only the fresh rows, as one
-    // compacted batch (parallel across chunks of the fresh-row list).
-    let counts = scratch.counts.as_slice();
-    let dilated = &scratch.dilated;
-    let fresh_rows = scratch.temporal.plan.fresh_rows.as_slice();
+    // compacted batch — one arena batch per worker chunk of the fresh-row
+    // list (a single one on one worker), the later ones appended to the
+    // first in chunk order.
+    let FrameArena {
+        counts,
+        dilated,
+        soa,
+        batches,
+        join,
+        plan,
+        ..
+    } = arena;
+    let counts = counts.as_slice();
+    let fresh_rows = plan.fresh_rows.as_slice();
     if !fresh_rows.is_empty() {
-        scratch.soa.fill(positions);
+        soa.fill(positions);
     }
-    let soa = &scratch.soa;
-    let cfg = *config;
-    let mut fresh_points: Vec<Point3> = Vec::new();
-    let mut fresh_parents: Vec<(usize, usize)> = Vec::new();
-    let mut fresh_hoods = cfg.reuse_neighbors.then(Neighborhoods::new);
+    let soa = &*soa;
+    let with_hoods = config.reuse_neighbors;
     let workers = par::worker_count(fresh_rows.len(), 2_000);
-    if workers <= 1 {
+    let chunk = fresh_rows.len().div_ceil(workers).max(1);
+    let n_chunks = fresh_rows.len().div_ceil(chunk).max(1);
+    if batches.len() < n_chunks {
+        batches.resize_with(n_chunks, RowBatch::default);
+    }
+    par::for_each_chunk_mut(&mut batches[..n_chunks], 1, |c, _, batch| {
+        let range = (c * chunk).min(fresh_rows.len())..((c + 1) * chunk).min(fresh_rows.len());
         dilated_interpolate_rows_into(
             positions,
             soa,
             dilated.view(),
-            &cfg,
+            config,
             counts,
-            fresh_rows,
-            &mut fresh_points,
-            &mut fresh_parents,
-            fresh_hoods.as_mut(),
+            &fresh_rows[range],
+            with_hoods,
+            &mut batch[0],
         );
-    } else {
-        let chunk = fresh_rows.len().div_ceil(workers).max(1);
-        let partials = par::map_chunks(fresh_rows.len(), chunk, |_, range| {
-            let mut pts = Vec::new();
-            let mut prs = Vec::new();
-            let mut hds = cfg.reuse_neighbors.then(Neighborhoods::new);
-            dilated_interpolate_rows_into(
-                positions,
-                soa,
-                dilated.view(),
-                &cfg,
-                counts,
-                &fresh_rows[range],
-                &mut pts,
-                &mut prs,
-                hds.as_mut(),
-            );
-            (pts, prs, hds)
-        });
-        for (pts, prs, hds) in &partials {
-            fresh_points.extend_from_slice(pts);
-            fresh_parents.extend_from_slice(prs);
-            if let (Some(all), Some(part)) = (fresh_hoods.as_mut(), hds.as_ref()) {
-                all.append(part);
-            }
-        }
+    });
+    let (fresh, rest) = batches[..n_chunks]
+        .split_first_mut()
+        .expect("at least one batch");
+    for part in rest.iter() {
+        fresh.append(part);
     }
+    let fresh = &*fresh;
 
     // --- Assemble: interleave copied-forward (index-remapped) and fresh
     // outputs into final frame order.
     let mut cloud = low.clone();
-    let mut parents = Vec::new();
     super::temporal::assemble_outputs(
-        &scratch.temporal,
+        &session.temporal.outputs,
+        plan,
+        &join.old_to_new,
         counts,
-        FreshOutputs {
-            points: &fresh_points,
-            parents: &fresh_parents,
-            hoods: fresh_hoods.as_ref(),
-        },
+        fresh,
         &mut cloud,
         &mut parents,
         config.reuse_neighbors.then_some(&mut neighborhoods),
@@ -314,28 +310,33 @@ pub fn dilated_interpolate_with(
     timings.interpolation += t1.elapsed();
     if !config.reuse_neighbors {
         // No-reuse ablation: exact batched queries for every generated point
-        // (the plan is always Cold here, so `fresh_points` is all of them).
+        // (the plan is always Cold here, so `fresh.points` is all of them).
         let t = Instant::now();
-        scratch
+        session
             .index
             .cached_tree()
-            .knn_batch(&fresh_points, config.k, &mut neighborhoods);
+            .knn_batch(&fresh.points, config.k, &mut neighborhoods);
         timings.knn += t.elapsed();
-        ops.knn_queries += fresh_points.len() as u64;
-        ops.candidates_examined += fresh_points.len() as u64 * config.k as u64 * 4;
+        ops.knn_queries += fresh.points.len() as u64;
+        ops.candidates_examined += fresh.points.len() as u64 * config.k as u64 * 4;
     }
 
     // --- Colorization stage: copy cached tail colors forward when every
     // source color is unchanged, blending only the fresh ordinals.
     let t2 = Instant::now();
-    if super::temporal::scatter_cached_colors(&scratch.temporal, &mut cloud, low.len()) {
+    if super::temporal::scatter_cached_colors(
+        &session.temporal.outputs,
+        plan,
+        &mut cloud,
+        low.len(),
+    ) {
         colorize::colorize_rows(
             &mut cloud,
             low,
             low.len(),
             neighborhoods.view(),
             &parents,
-            &scratch.temporal.plan.fresh_ordinals,
+            &plan.fresh_ordinals,
         );
     } else {
         colorize::colorize_new_points(&mut cloud, low, low.len(), neighborhoods.view(), &parents);
@@ -345,7 +346,8 @@ pub fn dilated_interpolate_with(
     // --- Capture this frame's outputs as the next frame's reuse source.
     let t3 = Instant::now();
     super::temporal::capture_outputs(
-        &mut scratch.temporal,
+        &mut session.temporal,
+        plan,
         counts,
         low,
         config,
@@ -357,14 +359,14 @@ pub fn dilated_interpolate_with(
     );
     timings.interpolation += t3.elapsed();
 
-    Ok(InterpolationResult {
+    InterpolationResult {
         cloud,
         original_len: low.len(),
         parents,
         neighborhoods,
         timings,
         ops,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -490,33 +492,47 @@ mod tests {
         let ratio = 2.4;
         let full = dilated_interpolate(&low, &cfg, ratio).unwrap();
 
-        let mut scratch = FrameScratch::new();
-        let warm = dilated_interpolate_with(&low, &cfg, ratio, &mut scratch).unwrap();
-        assert_eq!(warm.cloud, full.cloud);
-        // Rebuild the inputs the partial entry needs from the scratch state.
+        // Rebuild the inputs the partial entry needs: the self-join rows,
+        // self-match stripped and capped at the dilated size.
         let positions = low.positions();
+        let dilated_k = cfg.dilated_neighborhood();
+        let mut raw = volut_pointcloud::Neighborhoods::new();
+        volut_pointcloud::kdtree::KdTree::build(positions).knn_batch(
+            positions,
+            dilated_k + 1,
+            &mut raw,
+        );
+        let mut dilated = volut_pointcloud::Neighborhoods::new();
+        for (i, row) in raw.iter().enumerate() {
+            dilated.push_row_u32_iter(
+                row.iter()
+                    .copied()
+                    .filter(|&j| j as usize != i)
+                    .take(dilated_k),
+            );
+        }
         let mut soa = SoaPositions::default();
         soa.fill(positions);
         let mut counts = Vec::new();
         distribute_new_points_into(low.len(), ratio, &mut counts);
         let rows: Vec<u32> = (0..low.len() as u32).collect();
-        let mut pts = Vec::new();
-        let mut prs = Vec::new();
-        let mut hds = Neighborhoods::new();
+        let mut batch = RowBatch::default();
         dilated_interpolate_rows_into(
             positions,
             &soa,
-            scratch.dilated.view(),
+            dilated.view(),
             &cfg,
             &counts,
             &rows,
-            &mut pts,
-            &mut prs,
-            Some(&mut hds),
+            true,
+            &mut batch,
         );
-        assert_eq!(pts.as_slice(), &full.cloud.positions()[low.len()..]);
-        assert_eq!(prs, full.parents);
-        assert_eq!(hds, full.neighborhoods);
+        assert_eq!(
+            batch.points.as_slice(),
+            &full.cloud.positions()[low.len()..]
+        );
+        assert_eq!(batch.parents().collect::<Vec<_>>(), full.parents);
+        assert_eq!(batch.hoods, full.neighborhoods);
     }
 
     #[test]

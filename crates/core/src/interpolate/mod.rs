@@ -12,11 +12,25 @@
 //! Both return an [`InterpolationResult`] that carries the upsampled cloud,
 //! the parent/neighborhood bookkeeping that later stages reuse (as a flat
 //! CSR [`Neighborhoods`] — one allocation for the whole frame instead of
-//! one per generated point), and stage timings. [`FrameScratch`] is the
-//! per-session arena: passing the same scratch to every `upsample` call of
-//! a streaming session lets the engine reuse the index and neighborhood
-//! buffers across frames.
+//! one per generated point), and stage timings.
+//!
+//! # Session state vs frame arena
+//!
+//! A frame's memory is split by lifetime. [`FrameScratch`] is **session
+//! state**: what the *next* frame of the same session reads — the cached
+//! spatial index, the previous frame's self-join rows, interpolation outputs
+//! and refined tail, the counters and serials, a pending declared delta.
+//! Passing the same scratch to every `upsample` call of a streaming session
+//! is what makes delta frames cost `O(churn)`. Everything a frame clears,
+//! fills and forgets — raw and dilated neighbor lists, the reuse plan, the
+//! dual-tree slab, kd-tree patch lists, fresh-row batches, refinement gather
+//! buffers — lives on a [`FrameArena`] instead, checked out from a
+//! per-thread free-list for the duration of one frame, so a process holds
+//! about one arena per worker however many sessions it serves. The
+//! re-entrancy rule (a frame nested inside another on the same thread gets
+//! its own arena) is spelled out in [`arena`].
 
+pub mod arena;
 pub mod colorize;
 pub mod dilated;
 pub mod naive;
@@ -25,12 +39,14 @@ pub mod temporal;
 
 use crate::config::SrConfig;
 use crate::Result;
+use arena::{ArenaLease, KnnScratch};
+pub use arena::{FrameArena, RowBatch};
+use serde::Serialize;
 use std::time::Duration;
 pub use temporal::TemporalStats;
 use volut_pointcloud::delta::FrameDelta;
-use volut_pointcloud::dualtree::{BatchStrategy, DualTreeScratch};
-use volut_pointcloud::kdtree::KdTree;
-use volut_pointcloud::soa::SoaPositions;
+use volut_pointcloud::dualtree::BatchStrategy;
+use volut_pointcloud::kdtree::{KdTree, PatchScratch};
 use volut_pointcloud::{par, Neighborhoods, Point3, PointCloud};
 
 /// Output of an interpolation pass.
@@ -140,9 +156,9 @@ pub struct IndexCacheStats {
     /// kNN self-join rows recomputed by the incremental path (inserted
     /// queries plus rows invalidated by the churn).
     pub rows_recomputed: u64,
-    /// Batches answered by the dual-tree (leaf-pair) all-kNN kernel through
-    /// the scratch-resident [`DualTreeScratch`] — the self-join fast path
-    /// the interpolators hit once per frame at production sizes.
+    /// Batches answered by the dual-tree (leaf-pair) all-kNN kernel — the
+    /// self-join fast path the interpolators hit once per cold frame at
+    /// production sizes.
     pub dual_tree_batches: u64,
 }
 
@@ -180,6 +196,10 @@ pub struct IndexCache {
     built_digest: u64,
     /// Cumulative churn absorbed by patches since the last full build.
     patched_churn: usize,
+    /// Bumped whenever the indexed points change (rebuild or patch), so the
+    /// temporal layer can tell whether the tree still holds the frame its
+    /// cached rows were joined against.
+    version: u64,
     stats: IndexCacheStats,
 }
 
@@ -205,10 +225,14 @@ impl IndexCache {
         trusted || (self.built_digest == digest && self.tree.points() == positions)
     }
 
-    /// `true` when the cached tree indexes exactly `points` (element-wise;
-    /// used by the temporal layer to decide patch vs rebuild).
-    pub(crate) fn indexes(&self, points: &[Point3]) -> bool {
-        self.built && self.tree.points() == points
+    /// Identifies the current content of the tree (see the field docs).
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// `true` when the tree is live and unchanged since `version`.
+    pub(crate) fn holds(&self, version: u64) -> bool {
+        self.built && self.version == version
     }
 
     /// Counts a cache hit, records the caller's generation declaration for
@@ -231,6 +255,7 @@ impl IndexCache {
         self.built_generation = generation;
         self.built_digest = digest;
         self.patched_churn = 0;
+        self.version += 1;
         self.stats.rebuilds += 1;
         &self.tree
     }
@@ -246,6 +271,7 @@ impl IndexCache {
         generation: Option<u64>,
         digest: u64,
         delta: &FrameDelta,
+        scratch: &mut PatchScratch,
     ) -> &KdTree {
         if !self.built || self.tree.points().len() != delta.old_len() {
             return self.rebuild(positions, generation, digest);
@@ -255,9 +281,10 @@ impl IndexCache {
         if self.patched_churn > budget {
             return self.rebuild(positions, generation, digest);
         }
-        self.tree.patch(delta, positions);
+        self.tree.patch_with(delta, positions, scratch);
         self.built_generation = generation;
         self.built_digest = digest;
+        self.version += 1;
         self.stats.patches += 1;
         &self.tree
     }
@@ -298,76 +325,110 @@ impl IndexCache {
     }
 }
 
-/// Reusable per-session buffers shared by the interpolation and refinement
-/// stages.
+/// Bytes of cross-frame state a session holds, by component (capacities,
+/// not lengths — what the allocator was asked for).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct SessionStateBytes {
+    /// The cached spatial index (points, permutation, SoA lanes, nodes).
+    pub index: usize,
+    /// The previous frame's self-join rows.
+    pub rows: usize,
+    /// The previous frame's interpolation outputs (generated positions,
+    /// parents, neighborhoods, colors).
+    pub outputs: usize,
+    /// The previous frame's refined tail.
+    pub refined: usize,
+}
+
+impl SessionStateBytes {
+    /// Sum over the components.
+    pub fn total(&self) -> usize {
+        self.index + self.rows + self.outputs + self.refined
+    }
+}
+
+/// The cross-frame state of one streaming session (see the module docs:
+/// *session state vs frame arena*).
 ///
-/// A streaming client upsamples tens of frames per second with near-identical
-/// point counts; allocating the neighborhood CSR, the dilated neighbor lists,
-/// the spatial index and the refinement center buffer from scratch every
-/// frame wastes both time and allocator locality. A `FrameScratch` owned by
-/// the session (see `volut_stream::client::SrSession`) is threaded through
-/// [`crate::SrPipeline::upsample_with`]; buffers grow to the steady-state
-/// size during the first frame and are reused afterwards, and the spatial
-/// index is cached across frames (see [`IndexCache`]).
+/// A streaming client upsamples tens of frames per second whose geometry
+/// mostly repeats. A `FrameScratch` owned by the session (see
+/// `volut_stream::client::SrSession`) is threaded through
+/// [`crate::SrPipeline::upsample_with`] and carries exactly what the next
+/// frame reads: the spatial index ([`IndexCache`]), the previous frame's
+/// self-join rows, interpolation outputs and refined tail ([`temporal`]),
+/// the reuse counters, and a declared delta waiting for its frame. It owns
+/// no buffer that a frame clears before use — those live on the
+/// [`FrameArena`] a frame checks out — so its footprint is what a resident
+/// tenant costs between frames.
 #[derive(Debug, Default)]
 pub struct FrameScratch {
-    /// Recycled CSR container handed to the interpolator each frame.
-    neighborhoods: Option<Neighborhoods>,
-    /// Recycled dilated-neighbor CSR (one row per *original* point).
-    pub(crate) dilated: Neighborhoods,
-    /// Per-source-point generation counts.
-    pub(crate) counts: Vec<usize>,
-    /// Copy of the pre-refinement generated tail (see
-    /// [`crate::refine::refine_in_place`]).
-    pub(crate) centers: Vec<Point3>,
-    /// Reused query-position buffer (batched kNN over generated points).
-    pub(crate) queries: Vec<Point3>,
-    /// Recycled raw (self-match-included) kNN rows of the dilated stage.
-    pub(crate) raw_hoods: Neighborhoods,
     /// Cached spatial index, revalidated per frame.
     pub(crate) index: IndexCache,
-    /// Dual-tree all-kNN state (query-side tree, result-row slab, node
-    /// bounds), reused across frames so the frame-dominating kNN self-join
-    /// performs no steady-state allocation (see
-    /// [`volut_pointcloud::dualtree`]).
-    pub(crate) dualtree: DualTreeScratch,
-    /// The previous frame's self-join rows plus the incremental-update
-    /// scratch — the temporal-coherence layer that turns delta frames into
-    /// `O(churn)` kNN work (see [`temporal`]).
+    /// The previous frame's self-join rows and downstream outputs — the
+    /// temporal-coherence layer that turns delta frames into `O(churn)`
+    /// work (see [`temporal`]).
     pub(crate) temporal: temporal::TemporalCache,
     /// Caller-declared geometry generation for the next frame(s); `None`
     /// means "unknown", which falls back to content verification.
     pub(crate) geometry_generation: Option<u64>,
-    /// SoA mirror of the frame positions, feeding the SIMD pair-midpoint
-    /// kernel of the interpolators' fresh-row path.
-    pub(crate) soa: SoaPositions,
-    /// Compacted CSR over the fresh-subset rows handed to
-    /// [`crate::refine::refine_rows_in_place`].
-    pub(crate) subset_hoods: Neighborhoods,
-    /// Refined positions of the fresh subset before scatter-back.
-    pub(crate) subset_out: Vec<Point3>,
+    /// The arena of the pipeline frame in flight, parked here between its
+    /// stages so the interpolator (reached through the arena-blind
+    /// [`Interpolator`] signature) and the refinement stage share it.
+    /// `None` between frames.
+    frame: Option<ArenaLease>,
 }
 
 impl FrameScratch {
-    /// Creates an empty scratch arena.
+    /// Creates an empty session state.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Takes the recycled neighborhood container (cleared, allocation kept).
-    pub(crate) fn take_neighborhoods(&mut self) -> Neighborhoods {
-        match self.neighborhoods.take() {
-            Some(mut n) => {
-                n.clear();
-                n
-            }
-            None => Neighborhoods::new(),
-        }
+    /// Starts a multi-stage frame (interpolate, then refine): checks an
+    /// arena out and parks it where [`Self::with_arena`] finds it. Pair
+    /// with [`Self::finish_frame`].
+    pub(crate) fn begin_frame(&mut self) {
+        self.frame = Some(FrameArena::checkout());
     }
 
-    /// Returns a neighborhood container for reuse by the next frame.
+    /// Takes the frame's arena back for the stages after interpolation; it
+    /// returns to the thread's free-list when the lease drops.
+    pub(crate) fn finish_frame(&mut self) -> ArenaLease {
+        self.frame
+            .take()
+            .expect("finish_frame follows begin_frame on the same scratch")
+    }
+
+    /// Runs one interpolation with the frame's arena: the one
+    /// [`Self::begin_frame`] parked (handed back afterwards for the later
+    /// stages), or — for a bare `interpolate` call — one checked out for
+    /// just this call. The arena is *moved* out for the duration, so a
+    /// frame re-entered on this thread meanwhile can only ever take a
+    /// different one.
+    pub(crate) fn with_arena<R>(
+        &mut self,
+        f: impl FnOnce(&mut FrameScratch, &mut FrameArena) -> R,
+    ) -> R {
+        let parked = self.frame.take();
+        let in_pipeline_frame = parked.is_some();
+        let mut arena = parked.unwrap_or_else(FrameArena::checkout);
+        let dual_before = arena.knn.dual.invocations();
+        let result = f(self, &mut arena);
+        self.temporal.dual_tree_batches += arena.knn.dual.invocations() - dual_before;
+        if in_pipeline_frame {
+            self.frame = Some(arena);
+        }
+        result
+    }
+
+    /// Returns a result's neighborhood container for reuse: to the frame in
+    /// flight if there is one, else to the arena this thread's next frame
+    /// will check out.
     pub fn recycle_neighborhoods(&mut self, neighborhoods: Neighborhoods) {
-        self.neighborhoods = Some(neighborhoods);
+        match &mut self.frame {
+            Some(arena) => arena.neighborhoods = Some(neighborhoods),
+            None => FrameArena::adopt_neighborhoods(neighborhoods),
+        }
     }
 
     /// Declares the geometry generation of the frames that follow. When it
@@ -385,12 +446,12 @@ impl FrameScratch {
         self.geometry_generation = None;
     }
 
-    /// Usage counters of the scratch-resident index cache, including the
-    /// incremental row-reuse counters of the temporal layer and how many
-    /// batches ran through the scratch-resident dual-tree kernel.
+    /// Usage counters of the session's index cache, including the
+    /// incremental row-reuse counters of the temporal layer and how many of
+    /// this session's batches ran through the dual-tree kernel.
     pub fn index_stats(&self) -> IndexCacheStats {
         let mut stats = self.index.stats();
-        stats.dual_tree_batches = self.dualtree.invocations();
+        stats.dual_tree_batches = self.temporal.dual_tree_batches;
         stats.rows_reused = self.temporal.stats.rows_reused;
         stats.rows_recomputed = self.temporal.stats.rows_recomputed;
         stats
@@ -429,11 +490,11 @@ impl FrameScratch {
     }
 
     /// Flushes every cross-frame cache: the temporal layer (cached rows,
-    /// interpolation outputs, refined tail, reuse plan, any pending delta)
-    /// and the spatial-index cache, together. The next frame recomputes
-    /// cold, so its output depends only on that frame's bits — the resync
-    /// primitive of fault-tolerant streaming sessions whose cached state
-    /// may no longer describe a frame that was actually processed (see the
+    /// interpolation outputs, refined tail, any pending delta) and the
+    /// spatial-index cache, together. The next frame recomputes cold, so
+    /// its output depends only on that frame's bits — the resync primitive
+    /// of fault-tolerant streaming sessions whose cached state may no
+    /// longer describe a frame that was actually processed (see the
     /// cache-flush invariants in [`temporal`]'s module docs). Buffers keep
     /// their capacity; incremental reuse re-arms on the following frame.
     pub fn flush_temporal(&mut self) {
@@ -451,32 +512,23 @@ impl FrameScratch {
         self.temporal.last_delta_error
     }
 
-    /// Capacity (bytes) currently reserved by the dual-tree scratch;
-    /// steady-state frames of one session must not grow it (asserted by the
-    /// streaming-session tests).
-    pub fn dual_tree_reserved_bytes(&self) -> usize {
-        self.dualtree.reserved_bytes()
+    /// Capacity (bytes) reserved by the session state, by component.
+    pub fn state_bytes(&self) -> SessionStateBytes {
+        SessionStateBytes {
+            index: self.index.tree.reserved_bytes(),
+            rows: self.temporal.rows_bytes(),
+            outputs: self.temporal.outputs_bytes(),
+            refined: self.temporal.refined_bytes(),
+        }
     }
 
-    /// Capacity (bytes) currently reserved by every persistent buffer of
-    /// this scratch: the neighborhood CSRs, the cached spatial index, the
-    /// dual-tree scratch and the temporal cache. Steady-state frames of a
+    /// Capacity (bytes) reserved by the session state — everything this
+    /// scratch keeps between frames. Frame transients are accounted on the
+    /// arena ([`FrameArena::idle_bytes`]). Steady-state frames of a
     /// stable-size churned session must not grow it (asserted by the
     /// streaming-session tests).
     pub fn reserved_bytes(&self) -> usize {
-        self.neighborhoods
-            .as_ref()
-            .map_or(0, Neighborhoods::reserved_bytes)
-            + self.dilated.reserved_bytes()
-            + self.raw_hoods.reserved_bytes()
-            + self.counts.capacity() * std::mem::size_of::<usize>()
-            + (self.centers.capacity() + self.queries.capacity() + self.subset_out.capacity())
-                * std::mem::size_of::<Point3>()
-            + self.index.tree.reserved_bytes()
-            + self.dualtree.reserved_bytes()
-            + self.temporal.reserved_bytes()
-            + self.soa.reserved_bytes()
-            + self.subset_hoods.reserved_bytes()
+        self.state_bytes().total()
     }
 }
 
@@ -486,37 +538,43 @@ impl FrameScratch {
 /// Batches the dual-tree auto policy would claim — the large self-joins
 /// that dominate frame time — always go through [`KdTree::knn_batch_with`]
 /// whole: the leaf-pair traversal parallelizes *internally* by sharding the
-/// query-leaf set across the pool (and uses the engine-owned
-/// [`DualTreeScratch`], so steady-state frames allocate nothing). Chunking
-/// those here would be strictly worse: each chunk is a bichromatic subset
-/// (breaking self-join detection and the diagonal-first bound seeding) and
-/// the chunks would fight the traversal's own shards for workers.
+/// query-leaf set across the pool (and uses the arena's dual-tree scratch,
+/// so steady-state frames allocate nothing). Chunking those here would be
+/// strictly worse: each chunk is a bichromatic subset (breaking self-join
+/// detection and the diagonal-first bound seeding) and the chunks would
+/// fight the traversal's own shards for workers.
 ///
 /// Everything else — bichromatic batches, small self-joins, large `k` —
 /// runs the warm single-tree sweep, pre-chunked across the pool when more
-/// than one worker is available, exactly as before. Either way rows are
+/// than one worker is available (per-chunk rows land in the arena's
+/// `parts` and are appended in chunk order). Either way rows are
 /// bit-identical at every worker count: chunk boundaries only partition the
 /// query list, and row contents are per-query.
 pub(crate) fn batched_knn_into(
     tree: &KdTree,
     queries: &[Point3],
     k: usize,
-    dual: &mut DualTreeScratch,
+    knn: &mut KnnScratch,
     out: &mut Neighborhoods,
 ) {
     let workers = par::worker_count(queries.len(), 2_000);
     if workers <= 1 || tree.auto_selects_dual_tree(queries, k) {
-        tree.knn_batch_with(queries, k, out, BatchStrategy::Auto, dual);
+        tree.knn_batch_with(queries, k, out, BatchStrategy::Auto, &mut knn.dual);
         return;
     }
     use volut_pointcloud::knn::NeighborSearch;
     let chunk = queries.len().div_ceil(workers).max(1);
-    let partials = par::map_chunks(queries.len(), chunk, |_, range| {
-        let mut local = Neighborhoods::with_capacity(range.len(), range.len() * k);
-        tree.knn_batch(&queries[range], k, &mut local);
-        local
+    let chunks = queries.len().div_ceil(chunk);
+    if knn.parts.len() < chunks {
+        knn.parts.resize_with(chunks, Neighborhoods::new);
+    }
+    let parts = &mut knn.parts[..chunks];
+    par::for_each_chunk_mut(parts, 1, |c, _, part| {
+        let range = c * chunk..((c + 1) * chunk).min(queries.len());
+        part[0].clear();
+        tree.knn_batch(&queries[range], k, &mut part[0]);
     });
-    for part in &partials {
+    for part in parts.iter() {
         out.append(part);
     }
 }
@@ -682,13 +740,19 @@ mod tests {
     }
 
     #[test]
-    fn frame_scratch_recycles_neighborhoods() {
+    fn recycled_neighborhoods_reach_the_next_frame_cleared() {
+        // Outside a frame the container goes to the thread's idle arena —
+        // there is one after the first frame — and comes back cleared.
         let mut scratch = FrameScratch::new();
-        let mut n = scratch.take_neighborhoods();
+        drop(FrameArena::checkout());
+        let mut n = Neighborhoods::new();
         n.push_row([1usize, 2]);
+        let reserved = n.reserved_bytes();
         scratch.recycle_neighborhoods(n);
-        let n2 = scratch.take_neighborhoods();
+        let mut arena = FrameArena::checkout();
+        let n2 = arena.take_neighborhoods();
         assert!(n2.is_empty(), "recycled container must come back cleared");
+        assert_eq!(n2.reserved_bytes(), reserved, "and keep its allocation");
     }
 
     #[test]

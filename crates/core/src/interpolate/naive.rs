@@ -9,7 +9,7 @@
 //! the dilated path's query budget.
 //!
 //! The queries themselves run through the same batch machinery as the rest
-//! of the engine: the spatial index is the scratch-resident cached k-d tree
+//! of the engine: the spatial index is the session's cached k-d tree
 //! (rebuilt only when the frame geometry changes) and both query passes go
 //! through `super::batched_knn_into` — the source pass is a self-join the
 //! batch layer answers with the dual-tree leaf-pair kernel
@@ -24,10 +24,10 @@
 //! ([`naive_interpolate_rows_into`]) whose midpoints run through the SIMD
 //! SoA kernel [`volut_pointcloud::kernels::pair_midpoints_into`].
 
-use super::temporal::{FreshOutputs, OutputKind};
+use super::temporal::OutputKind;
 use super::{
-    colorize, distribute_new_points_into, FrameScratch, InterpolationResult, InterpolationTimings,
-    OpCounts,
+    colorize, distribute_new_points_into, FrameArena, FrameScratch, InterpolationResult,
+    InterpolationTimings, OpCounts, RowBatch,
 };
 use crate::config::SrConfig;
 use crate::error::Error;
@@ -67,8 +67,8 @@ pub fn naive_interpolate(
     naive_interpolate_with(low, config, ratio, &mut FrameScratch::new())
 }
 
-/// Generates the midpoints of a *subset* of source rows, appending to
-/// `out_points` / `out_parents`.
+/// Generates the midpoints of a *subset* of source rows into `out` (cleared
+/// first; its `hoods` stay empty — the caller derives them with a kNN pass).
 ///
 /// `source_hoods.row(i)` is the batched `(k+1)`-NN row of source point `i`
 /// *including* its self-match (stripped here); `counts[i]` is the per-row
@@ -77,8 +77,7 @@ pub fn naive_interpolate(
 /// pass — the partial-batch entry exists so the temporal layer can
 /// regenerate *only* churn-invalidated rows. Midpoints are computed by the
 /// SIMD SoA kernel [`kernels::pair_midpoints_into`] (scalar fallback
-/// bit-identical).
-#[allow(clippy::too_many_arguments)]
+/// bit-identical). A reused `out` makes the call allocation-free.
 pub fn naive_interpolate_rows_into(
     positions: &[Point3],
     soa: &SoaPositions,
@@ -86,15 +85,16 @@ pub fn naive_interpolate_rows_into(
     config: &SrConfig,
     counts: &[usize],
     rows: &[u32],
-    out_points: &mut Vec<Point3>,
-    out_parents: &mut Vec<(usize, usize)>,
+    out: &mut RowBatch,
 ) {
-    let start = out_points.len();
-    let total: usize = rows.iter().map(|&r| counts[r as usize]).sum();
-    debug_assert!(total == 0 || soa.len() == positions.len());
-    let mut pair_a: Vec<u32> = Vec::with_capacity(total);
-    let mut pair_b: Vec<u32> = Vec::with_capacity(total);
-    let mut neighbor_ids: Vec<u32> = Vec::with_capacity(config.k + 1);
+    out.clear();
+    let RowBatch {
+        points,
+        pair_a,
+        pair_b,
+        partners: neighbor_ids,
+        ..
+    } = out;
     for &row in rows {
         let i = row as usize;
         let count = counts[i];
@@ -121,14 +121,14 @@ pub fn naive_interpolate_rows_into(
             let j = neighbor_ids[rng.random_range(0..neighbor_ids.len())];
             pair_a.push(row);
             pair_b.push(j);
-            out_parents.push((i, j as usize));
         }
     }
-    out_points.resize(start + pair_a.len(), Point3::ZERO);
-    kernels::pair_midpoints_into(soa, &pair_a, &pair_b, &mut out_points[start..]);
+    debug_assert!(pair_a.is_empty() || soa.len() == positions.len());
+    points.resize(pair_a.len(), Point3::ZERO);
+    kernels::pair_midpoints_into(soa, pair_a, pair_b, points);
 }
 
-/// [`naive_interpolate`] with caller-provided scratch buffers (reused across
+/// [`naive_interpolate`] with caller-provided session state (reused across
 /// frames of a streaming session).
 ///
 /// # Errors
@@ -147,20 +147,32 @@ pub fn naive_interpolate_with(
             available: low.len(),
         });
     }
+    Ok(scratch.with_arena(|session, arena| naive_frame(low, config, ratio, session, arena)))
+}
 
+/// One validated naive frame: `session` is what the next frame will read,
+/// `arena` everything this frame clears, fills and forgets.
+fn naive_frame(
+    low: &PointCloud,
+    config: &SrConfig,
+    ratio: f64,
+    session: &mut FrameScratch,
+    arena: &mut FrameArena,
+) -> InterpolationResult {
     let mut ops = OpCounts::default();
     let mut timings = InterpolationTimings::default();
     let positions = low.positions();
 
-    distribute_new_points_into(low.len(), ratio, &mut scratch.counts);
+    distribute_new_points_into(low.len(), ratio, &mut arena.counts);
     // Counts are distributed round-robin with the remainder on the earliest
     // points, so the sources that generate anything form a prefix.
-    let active = scratch
+    let active = arena
         .counts
         .iter()
         .rposition(|&c| c > 0)
         .map_or(0, |i| i + 1);
-    let mut neighborhoods = scratch.take_neighborhoods();
+    let mut neighborhoods = arena.take_neighborhoods();
+    let mut parents = arena.take_parents();
 
     // --- Source queries: one batched (k+1)-NN pass over the active prefix.
     // With a full prefix this is the frame's kNN self-join, which the
@@ -172,28 +184,24 @@ pub fn naive_interpolate_with(
     // frame so no cross-frame output reuse spans them.
     let full_prefix = active == low.len();
     if full_prefix {
-        // (Taken out of the scratch for the call so the temporal layer can
-        // borrow the rest of the scratch mutably.)
-        let mut hoods = std::mem::take(&mut scratch.dilated);
-        super::temporal::self_join(low, config.k + 1, scratch, &mut hoods, &mut timings);
-        scratch.dilated = hoods;
+        super::temporal::self_join(low, config.k + 1, session, arena, &mut timings);
     } else {
-        super::temporal::note_unplanned_frame(&mut scratch.temporal);
+        super::temporal::note_unplanned_frame(&mut session.temporal, arena, active);
         let t0 = Instant::now();
-        let (tree, _rebuilt) = scratch.index.get_or_build(
+        let (tree, _rebuilt) = session.index.get_or_build(
             positions,
-            scratch.geometry_generation,
+            session.geometry_generation,
             low.geometry_digest(),
         );
         timings.index_build += t0.elapsed();
         let tq = Instant::now();
-        scratch.dilated.clear();
+        arena.raw_hoods.clear();
         super::batched_knn_into(
             tree,
             &positions[..active],
             config.k + 1,
-            &mut scratch.dualtree,
-            &mut scratch.dilated,
+            &mut arena.knn,
+            &mut arena.raw_hoods,
         );
         timings.knn += tq.elapsed();
     }
@@ -202,45 +210,49 @@ pub fn naive_interpolate_with(
 
     // --- Plan: classify every row as copy-forward or recompute against the
     // previous frame's cached outputs (partial prefixes already registered a
-    // Cold plan above).
+    // Cold plan over their active rows above).
     let ti = Instant::now();
     if full_prefix {
         super::temporal::plan_outputs(
-            &mut scratch.temporal,
-            &scratch.counts,
+            &mut session.temporal,
+            arena,
             low,
             config,
             ratio,
             OutputKind::Naive,
         );
     } else {
-        let total: usize = scratch.counts.iter().sum();
-        scratch.temporal.stats.gen_points_recomputed += total as u64;
+        let total: usize = arena.counts.iter().sum();
+        session.temporal.stats.gen_points_recomputed += total as u64;
     }
 
     // --- Midpoint generation: only the fresh rows, as one compacted batch.
     // On a Cold plan this is every active row — the whole-frame baseline.
-    let partial_rows: Vec<u32>;
-    let fresh_rows: &[u32] = if full_prefix {
-        &scratch.temporal.plan.fresh_rows
-    } else {
-        partial_rows = (0..active as u32).collect();
-        &partial_rows
-    };
-    if !fresh_rows.is_empty() {
-        scratch.soa.fill(positions);
+    let FrameArena {
+        counts,
+        raw_hoods,
+        soa,
+        batches,
+        knn,
+        join,
+        plan,
+        ..
+    } = arena;
+    if !plan.fresh_rows.is_empty() {
+        soa.fill(positions);
     }
-    let mut fresh_points: Vec<Point3> = Vec::new();
-    let mut fresh_parents: Vec<(usize, usize)> = Vec::new();
+    if batches.is_empty() {
+        batches.push(RowBatch::default());
+    }
+    let fresh = &mut batches[0];
     naive_interpolate_rows_into(
         positions,
-        &scratch.soa,
-        scratch.dilated.view(),
+        soa,
+        raw_hoods.view(),
         config,
-        &scratch.counts,
-        fresh_rows,
-        &mut fresh_points,
-        &mut fresh_parents,
+        counts,
+        &plan.fresh_rows,
+        fresh,
     );
     timings.interpolation += ti.elapsed();
 
@@ -252,31 +264,27 @@ pub fn naive_interpolate_with(
     // leaf-pair traversal plus a query-tree build (see
     // `volut_pointcloud::dualtree`).
     let tq = Instant::now();
-    scratch.subset_hoods.clear();
     super::batched_knn_into(
-        scratch.index.cached_tree(),
-        &fresh_points,
+        session.index.cached_tree(),
+        &fresh.points,
         config.k,
-        &mut scratch.dualtree,
-        &mut scratch.subset_hoods,
+        knn,
+        &mut fresh.hoods,
     );
     timings.knn += tq.elapsed();
-    ops.knn_queries += fresh_points.len() as u64;
-    ops.candidates_examined += fresh_points.len() as u64 * (low.len().min(64)) as u64;
+    ops.knn_queries += fresh.points.len() as u64;
+    ops.candidates_examined += fresh.points.len() as u64 * (low.len().min(64)) as u64;
 
     // --- Assemble: interleave copied-forward (index-remapped) and fresh
     // outputs into final frame order.
     let ta = Instant::now();
     let mut cloud = low.clone();
-    let mut parents = Vec::new();
     super::temporal::assemble_outputs(
-        &scratch.temporal,
-        &scratch.counts,
-        FreshOutputs {
-            points: &fresh_points,
-            parents: &fresh_parents,
-            hoods: Some(&scratch.subset_hoods),
-        },
+        &session.temporal.outputs,
+        plan,
+        &join.old_to_new,
+        counts,
+        fresh,
         &mut cloud,
         &mut parents,
         Some(&mut neighborhoods),
@@ -287,14 +295,19 @@ pub fn naive_interpolate_with(
     // --- Colorization: copy cached tail colors forward when every source
     // color is unchanged, blending only the fresh ordinals.
     let tc = Instant::now();
-    if super::temporal::scatter_cached_colors(&scratch.temporal, &mut cloud, low.len()) {
+    if super::temporal::scatter_cached_colors(
+        &session.temporal.outputs,
+        plan,
+        &mut cloud,
+        low.len(),
+    ) {
         colorize::colorize_rows(
             &mut cloud,
             low,
             low.len(),
             neighborhoods.view(),
             &parents,
-            &scratch.temporal.plan.fresh_ordinals,
+            &plan.fresh_ordinals,
         );
     } else {
         colorize::colorize_new_points(&mut cloud, low, low.len(), neighborhoods.view(), &parents);
@@ -307,8 +320,9 @@ pub fn naive_interpolate_with(
     if full_prefix {
         let t3 = Instant::now();
         super::temporal::capture_outputs(
-            &mut scratch.temporal,
-            &scratch.counts,
+            &mut session.temporal,
+            plan,
+            counts,
             low,
             config,
             ratio,
@@ -320,14 +334,14 @@ pub fn naive_interpolate_with(
         timings.interpolation += t3.elapsed();
     }
 
-    Ok(InterpolationResult {
+    InterpolationResult {
         cloud,
         original_len: low.len(),
         parents,
         neighborhoods,
         timings,
         ops,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -444,28 +458,35 @@ mod tests {
         let ratio = 2.0;
         let full = naive_interpolate(&low, &cfg, ratio).unwrap();
 
-        let mut scratch = FrameScratch::new();
-        let warm = naive_interpolate_with(&low, &cfg, ratio, &mut scratch).unwrap();
-        assert_eq!(warm.cloud, full.cloud);
         let positions = low.positions();
+        let mut source_hoods = volut_pointcloud::Neighborhoods::new();
+        {
+            use volut_pointcloud::knn::NeighborSearch;
+            volut_pointcloud::kdtree::KdTree::build(positions).knn_batch(
+                positions,
+                cfg.k + 1,
+                &mut source_hoods,
+            );
+        }
         let mut soa = SoaPositions::default();
         soa.fill(positions);
         let mut counts = Vec::new();
         distribute_new_points_into(low.len(), ratio, &mut counts);
         let rows: Vec<u32> = (0..low.len() as u32).collect();
-        let mut pts = Vec::new();
-        let mut prs = Vec::new();
+        let mut batch = RowBatch::default();
         naive_interpolate_rows_into(
             positions,
             &soa,
-            scratch.dilated.view(),
+            source_hoods.view(),
             &cfg,
             &counts,
             &rows,
-            &mut pts,
-            &mut prs,
+            &mut batch,
         );
-        assert_eq!(pts.as_slice(), &full.cloud.positions()[low.len()..]);
-        assert_eq!(prs, full.parents);
+        assert_eq!(
+            batch.points.as_slice(),
+            &full.cloud.positions()[low.len()..]
+        );
+        assert_eq!(batch.parents().collect::<Vec<_>>(), full.parents);
     }
 }

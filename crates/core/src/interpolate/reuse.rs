@@ -61,6 +61,56 @@ pub fn merge_and_prune(
     ranked.into_iter().map(|(_, i)| i).collect()
 }
 
+/// Capacity of the candidate buffer: both parents' `k`-head lists at the
+/// largest supported `k` (32).
+const MAX_CANDIDATES: usize = 64;
+
+/// Ranks the deduplicated, in-range union of the two lists by
+/// `(distance to p_new, index)` in `ranked` and appends the closest `k` to
+/// `out` as a new row.
+///
+/// Candidates are packed `(d².to_bits() << 32) | index` keys: a squared
+/// distance is never negative, so its bit pattern orders like its value and
+/// one `u64` compare ranks by distance with ties broken by index — the
+/// order [`merge_and_prune`] sorts into. Insertion shifts by hand: the
+/// lists hold a handful of entries, where a `memmove` call per candidate
+/// costs more than the moves. `ranked` is caller-owned so a batch pays for
+/// the buffer once, not per generated point.
+#[inline]
+fn push_pruned_row(
+    p_new: Point3,
+    neighbors_p: &[u32],
+    neighbors_q: &[u32],
+    positions: &[Point3],
+    k: usize,
+    ranked: &mut [u64; MAX_CANDIDATES],
+    out: &mut volut_pointcloud::Neighborhoods,
+) {
+    debug_assert!(
+        k <= 32,
+        "receptive fields beyond k=32 are out of the supported domain"
+    );
+    let mut len = 0usize;
+    for &i in neighbors_p.iter().chain(neighbors_q) {
+        if (i as usize) >= positions.len() || len == MAX_CANDIDATES {
+            continue;
+        }
+        if ranked[..len].iter().any(|&key| key as u32 == i) {
+            continue;
+        }
+        let d2 = positions[i as usize].distance_squared(p_new);
+        let key = (u64::from(d2.to_bits()) << 32) | u64::from(i);
+        let mut slot = len;
+        while slot > 0 && ranked[slot - 1] > key {
+            ranked[slot] = ranked[slot - 1];
+            slot -= 1;
+        }
+        ranked[slot] = key;
+        len += 1;
+    }
+    out.push_row_u32_iter(ranked[..len.min(k)].iter().map(|&key| key as u32));
+}
+
 /// Allocation-free variant of [`merge_and_prune`] used by the batched
 /// interpolation hot path: candidates arrive as CSR `u32` rows and the
 /// pruned result is appended directly to `out` as a new row.
@@ -80,32 +130,16 @@ pub fn merge_and_prune_into(
     k: usize,
     out: &mut volut_pointcloud::Neighborhoods,
 ) {
-    debug_assert!(
-        k <= 32,
-        "receptive fields beyond k=32 are out of the supported domain"
+    let mut ranked = [0u64; MAX_CANDIDATES];
+    push_pruned_row(
+        p_new,
+        neighbors_p,
+        neighbors_q,
+        positions,
+        k,
+        &mut ranked,
+        out,
     );
-    if k == 0 {
-        out.push_row(std::iter::empty());
-        return;
-    }
-    // Merged candidates, deduplicated and ranked by (distance, index).
-    let mut ranked: [(f32, u32); 64] = [(f32::INFINITY, u32::MAX); 64];
-    let mut len = 0usize;
-    for &i in neighbors_p.iter().chain(neighbors_q.iter()) {
-        if (i as usize) >= positions.len() || len == ranked.len() {
-            continue;
-        }
-        if ranked[..len].iter().any(|&(_, j)| j == i) {
-            continue;
-        }
-        let d = positions[i as usize].distance_squared(p_new);
-        // Insertion sort: candidate sets are tiny (≤ 2k).
-        let pos = ranked[..len].partition_point(|&(rd, rj)| (rd, rj) < (d, i));
-        ranked.copy_within(pos..len, pos + 1);
-        ranked[pos] = (d, i);
-        len += 1;
-    }
-    out.push_row_u32_iter(ranked[..len.min(k)].iter().map(|&(_, i)| i));
 }
 
 /// Batched neighbor-relationship reuse: derives one neighborhood row per
@@ -116,15 +150,16 @@ pub fn merge_and_prune_into(
 /// head_k(hoods[parents[i].1]), positions, k)` — the `k`-nearest heads of
 /// the parents' dilated rows merged, re-ranked by distance to the new point
 /// and pruned to `k` (Eq. 2). One call processes a whole worker chunk
-/// through the fixed-capacity [`merge_and_prune_into`] kernel, so the hot
-/// path performs zero heap allocations per generated point.
+/// through the same fixed-capacity kernel as [`merge_and_prune_into`], with
+/// one candidate buffer for the whole batch, so the hot path performs zero
+/// heap allocations per generated point.
 ///
 /// # Panics
 /// Panics when `new_points` and `parents` disagree in length, or when a
 /// parent index has no row in `hoods`.
 pub fn merge_and_prune_rows(
     new_points: &[Point3],
-    parents: &[(usize, usize)],
+    parents: impl ExactSizeIterator<Item = (usize, usize)>,
     hoods: volut_pointcloud::NeighborhoodsView<'_>,
     positions: &[Point3],
     k: usize,
@@ -136,12 +171,13 @@ pub fn merge_and_prune_rows(
         "one parent pair per generated point"
     );
     out.reserve_rows(new_points.len(), new_points.len() * k);
-    for (&p_new, &(i, j)) in new_points.iter().zip(parents.iter()) {
+    let mut ranked = [0u64; MAX_CANDIDATES];
+    for (&p_new, (i, j)) in new_points.iter().zip(parents) {
         let np_full = hoods.row(i);
         let np = &np_full[..np_full.len().min(k)];
         let nq_full = hoods.row(j);
         let nq = &nq_full[..nq_full.len().min(k)];
-        merge_and_prune_into(p_new, np, nq, positions, k, out);
+        push_pruned_row(p_new, np, nq, positions, k, &mut ranked, out);
     }
 }
 
@@ -277,7 +313,7 @@ mod tests {
         let mut batched = volut_pointcloud::Neighborhoods::new();
         merge_and_prune_rows(
             &new_points,
-            &parents,
+            parents.iter().copied(),
             hoods.view(),
             cloud.positions(),
             k,

@@ -6,10 +6,35 @@
 //! cloud wholesale: consecutive frames share most of their geometry, with
 //! churn arriving as spatially coherent removals and insertions (chunked
 //! delivery, moving subjects). This module exploits that coherence: the
-//! session's [`FrameScratch`] keeps the previous frame's raw self-join rows
-//! and each row's k-th-distance radius, and a new frame only recomputes the
-//! rows the churn can actually affect. Everything else is copied forward —
-//! and the result is **bit-identical to a full recompute**.
+//! session's [`FrameScratch`] keeps the previous frame's raw self-join rows,
+//! and a new frame only recomputes the rows the churn can actually affect.
+//! Everything else is copied forward — and the result is **bit-identical to
+//! a full recompute**.
+//!
+//! # What survives a frame, and what does not
+//!
+//! The layer's memory is split by lifetime (see *session state vs frame
+//! arena* in the [parent module](super)):
+//!
+//! * **Session state** (`TemporalCache`, on [`FrameScratch`]) is what the
+//!   *next* frame reads: the self-join rows, the interpolation outputs
+//!   (`OutputCache`), the refined tail (`RefinedCache`), the digest and
+//!   serials that correlate them, the counters, and a declared delta
+//!   waiting for its frame. The previous frame's *positions* are not
+//!   duplicated here — while the rows are usable the session's index tree
+//!   still holds exactly those points (`IndexCache::version` says so), and
+//!   the diff/verify pass reads them from the tree **before** patching it.
+//! * **Frame transients** (`JoinScratch`, `FramePlan`, on the
+//!   [`FrameArena`]) are written and consumed inside one frame: the
+//!   removed-neighbor bitmap, the kd-tree over inserted points, the
+//!   recompute list and its fresh rows, the old→new map and per-row
+//!   verdicts `plan_outputs` reads, and the plan itself. An arena serves
+//!   whatever session's frame its worker runs next, so nothing here is
+//!   trusted across a checkout: the plan's `active` bit and the join
+//!   outcome are reset when an arena is taken, and every list is cleared
+//!   before it is filled. A frame nested inside another on the same thread
+//!   (a worker helping out from inside `run_range`) holds a different arena
+//!   — the re-entrancy rule of [`super::arena`].
 //!
 //! # The invalidation rule
 //!
@@ -21,8 +46,10 @@
 //! 1. the row references a removed neighbor (a member of its k-set is gone);
 //! 2. an inserted point lies within the row's kNN ball: squared distance
 //!    `<=` the row's k-th (worst) distance, the `<=` covering distance ties,
-//!    tested exactly against a scratch-resident kd-tree over the inserted
-//!    points ([`KdTree::any_within`]).
+//!    tested exactly against an arena-resident kd-tree over the inserted
+//!    points ([`KdTree::any_within`]). The radius is taken from the new
+//!    frame through the survivor map — query and k-th entry both survived,
+//!    so their positions are bitwise the cached frame's.
 //!
 //! Rows for inserted query points are always computed fresh. Everything
 //! else is copied forward with its neighbor indices remapped through the
@@ -46,8 +73,9 @@
 //!
 //! The engine falls back to the untouched full-recompute path whenever the
 //! cache cannot help: the first frame of a session, a changed `k`, clouds
-//! smaller than `k` (every row holds the whole cloud), survivor fractions
-//! below [`MIN_SURVIVOR_FRACTION`] (at 100% churn the only cost over the
+//! smaller than `k` (every row holds the whole cloud), an index that was
+//! re-built over other geometry since the rows were captured (an unplanned
+//! frame in between), survivor fractions below [`MIN_SURVIVOR_FRACTION`] (at 100% churn the only cost over the
 //! cold path is the failed diff — one linear pass), or when incremental
 //! reuse is disabled via [`FrameScratch::set_incremental`].
 //!
@@ -94,11 +122,11 @@
 //! that provenance; when it cannot — a gap it could not splice, a checksum
 //! mismatch, any doubt about what the previous frame really was — it flushes
 //! via [`FrameScratch::flush_temporal`], which drops the temporal cache
-//! (rows, outputs, refined tail, plan, any pending delta) *and* the spatial
-//! index cache together. The two must fall together: the index patch path
-//! trusts `temporal.positions` as the old frame, so a flushed temporal cache
-//! with a live index (or vice versa) would re-correlate state across the
-//! discontinuity. After a flush the next frame takes the cold full-recompute
+//! (rows, outputs, refined tail, any pending delta) *and* the spatial index
+//! cache together. The two must fall together: the index tree *is* the
+//! cached frame's positions (the old side of every delta), so a flushed
+//! temporal cache with a live index (or vice versa) would re-correlate
+//! state across the discontinuity. After a flush the next frame takes the cold full-recompute
 //! path, whose output depends only on that frame's bits (the interpolators
 //! seed per-row RNG from position bits, `super::row_seed`) — which is what
 //! makes post-resync output bit-identical to a never-faulted session.
@@ -109,8 +137,10 @@
 //! [`FrameDelta::diff`]: volut_pointcloud::delta::FrameDelta::diff
 //! [`KdTree::any_within`]: volut_pointcloud::kdtree::KdTree::any_within
 //! [`FrameScratch`]: super::FrameScratch
+//! [`FrameArena`]: super::FrameArena
 //! [`FrameScratch::set_incremental`]: super::FrameScratch::set_incremental
 
+use super::arena::{FrameArena, KnnScratch, RowBatch};
 use super::{batched_knn_into, FrameScratch, InterpolationTimings};
 use crate::config::SrConfig;
 use std::time::Instant;
@@ -232,7 +262,9 @@ pub(crate) enum PlanMode {
 
 /// The per-frame reuse plan produced by [`plan_outputs`] and consumed by the
 /// interpolator's assembly, the colorizer and the pipeline's refinement
-/// stage. Buffers are scratch-resident and cleared per frame.
+/// stage. Frame-scoped: it lives on the [`FrameArena`] and is deactivated
+/// whenever an arena is checked out, so a plan is only ever consulted by the
+/// frame that wrote it.
 #[derive(Debug, Default)]
 pub(crate) struct FramePlan {
     /// `true` between [`plan_outputs`] / [`note_unplanned_frame`] and the end
@@ -258,39 +290,104 @@ pub(crate) struct FramePlan {
     old_tail_len: usize,
 }
 
-/// The previous frame's self-join state plus the scratch the incremental
-/// update needs, owned by [`FrameScratch`]. All buffers are reused across
-/// frames: a steady-state churned sequence performs no allocation here.
+impl FramePlan {
+    /// Forgets whatever frame last planned with these buffers.
+    pub(crate) fn deactivate(&mut self) {
+        self.active = false;
+    }
+
+    /// Starts a `Cold` plan for the join numbered `serial`.
+    fn begin(&mut self, serial: u64) {
+        self.active = true;
+        self.serial = serial;
+        self.mode = PlanMode::Cold;
+        self.row_src.clear();
+        self.ordinal_src.clear();
+        self.fresh_rows.clear();
+        self.fresh_ordinals.clear();
+        self.colors_ok = false;
+        self.old_tail_len = 0;
+    }
+
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        (self.row_src.capacity()
+            + self.ordinal_src.capacity()
+            + self.fresh_rows.capacity()
+            + self.fresh_ordinals.capacity())
+            * std::mem::size_of::<u32>()
+    }
+}
+
+/// What a frame's [`self_join`] leaves behind for the same frame's
+/// [`plan_outputs`] / [`assemble_outputs`], plus the buffers the incremental
+/// update works in. Frame-scoped: it lives on the [`FrameArena`].
+#[derive(Debug, Default)]
+pub(crate) struct JoinScratch {
+    /// How the current frame's self-join was answered.
+    outcome: JoinOutcome,
+    /// Removed-id membership bitmap over old indices.
+    removed_mark: Vec<bool>,
+    /// Gathered positions of the inserted points.
+    insert_positions: Vec<Point3>,
+    /// kd-tree over the inserted points (ball-intersection tests).
+    insert_tree: KdTree,
+    /// Whether the current incremental frame had any inserted points (the
+    /// `insert_tree` is only meaningful then).
+    has_inserts: bool,
+    /// New-frame indices whose rows must be recomputed.
+    recompute: Vec<u32>,
+    /// Query positions of `recompute`.
+    queries: Vec<Point3>,
+    /// Freshly computed rows for `recompute`, scattered into the output
+    /// slab afterwards.
+    fresh_rows: Neighborhoods,
+    /// Copy of the frame delta's old→new survivor map (`Incremental`
+    /// frames only; old-indexed, [`REMOVED`] for removals).
+    pub(crate) old_to_new: Vec<u32>,
+    /// Old-indexed: `true` when that row was copied forward this frame.
+    row_valid: Vec<bool>,
+}
+
+impl JoinScratch {
+    /// Forgets whatever frame last joined with these buffers.
+    pub(crate) fn reset(&mut self) {
+        self.outcome = JoinOutcome::Cold;
+    }
+
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        (self.insert_positions.capacity() + self.queries.capacity()) * std::mem::size_of::<Point3>()
+            + self.removed_mark.capacity()
+            + self.row_valid.capacity()
+            + (self.recompute.capacity() + self.old_to_new.capacity()) * std::mem::size_of::<u32>()
+            + self.insert_tree.reserved_bytes()
+            + self.fresh_rows.reserved_bytes()
+    }
+}
+
+/// The previous frame's self-join rows and downstream outputs — the
+/// cross-frame half of the temporal layer, owned by [`FrameScratch`]. The
+/// previous frame's *positions* are not kept here: whenever the rows are
+/// usable the session's index tree still holds them (`index_version`
+/// records which build or patch of the tree the rows belong to).
 #[derive(Debug)]
 pub(crate) struct TemporalCache {
     /// `false` forces the engine onto the full-recompute path (and stops
     /// capturing) — the ablation/bench switch.
     pub(crate) enabled: bool,
-    /// `true` when `positions`/`rows` describe the last processed frame.
+    /// `true` when `rows` describe the last processed frame.
     valid: bool,
     /// Row stride of the cached self-join (`k + 1` of the interpolator that
     /// captured it); a changed stride invalidates the cache.
     kq: usize,
     /// Geometry digest of the cached frame (first-pass identity check).
     digest: u64,
-    /// Positions of the cached frame (the diff's "old" side).
-    positions: Vec<Point3>,
+    /// [`IndexCache::version`](super::IndexCache) of the tree when the rows
+    /// were captured: while it still matches, the tree's points *are* the
+    /// cached frame (the delta's old side, the identity check's reference).
+    index_version: u64,
     /// The cached raw self-join rows (uniform stride `kq`, ascending
     /// `(distance, index)` within each row).
     rows: Neighborhoods,
-    /// Scratch: removed-id membership bitmap over old indices.
-    removed_mark: Vec<bool>,
-    /// Scratch: gathered positions of the inserted points.
-    insert_positions: Vec<Point3>,
-    /// Scratch: kd-tree over the inserted points (ball-intersection tests).
-    insert_tree: KdTree,
-    /// Scratch: new-frame indices whose rows must be recomputed.
-    recompute: Vec<u32>,
-    /// Scratch: query positions of `recompute`.
-    queries: Vec<Point3>,
-    /// Scratch: freshly computed rows for `recompute`, scattered into the
-    /// output slab afterwards.
-    fresh_rows: Neighborhoods,
     /// Delta supplied explicitly by the streaming layer for the next frame
     /// (verified before use; wrong deltas fall back to the bitwise diff).
     pub(crate) pending_delta: Option<FrameDelta>,
@@ -300,25 +397,15 @@ pub(crate) struct TemporalCache {
     /// frame whose delta it did not trust.
     pub(crate) last_delta_error: Option<DeltaError>,
     pub(crate) stats: TemporalStats,
+    /// Batches the dual-tree kernel answered for this session.
+    pub(crate) dual_tree_batches: u64,
     /// Bumped at every [`self_join`] / [`note_unplanned_frame`]; correlates
     /// the caches with the frame they were captured on.
     join_serial: u64,
-    /// How the current frame's self-join was answered.
-    last_outcome: JoinOutcome,
-    /// Persisted copy of the frame delta's old→new survivor map
-    /// (`Incremental` frames only; old-indexed, [`REMOVED`] for removals).
-    pub(crate) old_to_new_buf: Vec<u32>,
-    /// Old-indexed: `true` when that row was copied forward this frame.
-    row_valid: Vec<bool>,
-    /// Whether the current incremental frame had any inserted points (the
-    /// `insert_tree` is only meaningful then).
-    has_inserts: bool,
     /// The previous frame's interpolation outputs.
     pub(crate) outputs: OutputCache,
     /// The previous frame's refined tail.
     refined: RefinedCache,
-    /// The current frame's reuse plan.
-    pub(crate) plan: FramePlan,
 }
 
 impl Default for TemporalCache {
@@ -328,25 +415,15 @@ impl Default for TemporalCache {
             valid: false,
             kq: 0,
             digest: 0,
-            positions: Vec::new(),
+            index_version: 0,
             rows: Neighborhoods::new(),
-            removed_mark: Vec::new(),
-            insert_positions: Vec::new(),
-            insert_tree: KdTree::default(),
-            recompute: Vec::new(),
-            queries: Vec::new(),
-            fresh_rows: Neighborhoods::new(),
             pending_delta: None,
             last_delta_error: None,
             stats: TemporalStats::default(),
+            dual_tree_batches: 0,
             join_serial: 0,
-            last_outcome: JoinOutcome::Cold,
-            old_to_new_buf: Vec::new(),
-            row_valid: Vec::new(),
-            has_inserts: false,
             outputs: OutputCache::default(),
             refined: RefinedCache::default(),
-            plan: FramePlan::default(),
         }
     }
 }
@@ -359,38 +436,32 @@ impl TemporalCache {
         self.pending_delta = None;
         self.outputs.valid = false;
         self.refined.valid = false;
-        self.plan.active = false;
     }
 
-    /// Capacity (bytes) currently reserved by the cache and its scratch.
-    pub(crate) fn reserved_bytes(&self) -> usize {
-        const U32: usize = std::mem::size_of::<u32>();
-        const P3: usize = std::mem::size_of::<Point3>();
-        (self.positions.capacity() + self.insert_positions.capacity() + self.queries.capacity())
-            * P3
-            + self.rows.reserved_bytes()
-            + self.fresh_rows.reserved_bytes()
-            + self.removed_mark.capacity()
-            + self.row_valid.capacity()
-            + (self.recompute.capacity() + self.old_to_new_buf.capacity()) * U32
-            + self.insert_tree.reserved_bytes()
-            + self.outputs.offsets.capacity() * U32
-            + (self.outputs.points.capacity() + self.refined.points.capacity()) * P3
-            + self.outputs.parents.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.outputs.hoods.reserved_bytes()
-            + (self.outputs.colors.capacity() + self.outputs.low_colors.capacity())
-                * std::mem::size_of::<Color>()
-            + (self.plan.row_src.capacity()
-                + self.plan.ordinal_src.capacity()
-                + self.plan.fresh_rows.capacity()
-                + self.plan.fresh_ordinals.capacity())
-                * U32
+    /// Capacity (bytes) reserved by the cached self-join rows.
+    pub(crate) fn rows_bytes(&self) -> usize {
+        self.rows.reserved_bytes()
+    }
+
+    /// Capacity (bytes) reserved by the cached interpolation outputs.
+    pub(crate) fn outputs_bytes(&self) -> usize {
+        let o = &self.outputs;
+        o.offsets.capacity() * std::mem::size_of::<u32>()
+            + o.points.capacity() * std::mem::size_of::<Point3>()
+            + o.parents.capacity() * std::mem::size_of::<(u32, u32)>()
+            + o.hoods.reserved_bytes()
+            + (o.colors.capacity() + o.low_colors.capacity()) * std::mem::size_of::<Color>()
+    }
+
+    /// Capacity (bytes) reserved by the cached refined tail.
+    pub(crate) fn refined_bytes(&self) -> usize {
+        self.refined.points.capacity() * std::mem::size_of::<Point3>()
     }
 }
 
-/// The self-join kNN pass of both interpolators: appends one `kq`-wide row
-/// per point of `low` to `out` (cleared first), bit-identical to
-/// `batched_knn_into` over a fresh index, while reusing the scratch's
+/// The self-join kNN pass of both interpolators: fills `arena.raw_hoods`
+/// with one `kq`-wide row per point of `low`, bit-identical to
+/// `batched_knn_into` over a fresh index, while reusing the session's
 /// spatial index and — when the previous frame is coherent with this one —
 /// the previous frame's rows. Updates `timings.index_build` (index
 /// validation, patch or rebuild) and `timings.knn` (diff, invalidation,
@@ -399,157 +470,153 @@ pub(crate) fn self_join(
     low: &PointCloud,
     kq: usize,
     scratch: &mut FrameScratch,
-    out: &mut Neighborhoods,
+    arena: &mut FrameArena,
     timings: &mut InterpolationTimings,
 ) {
+    let FrameArena {
+        raw_hoods: out,
+        knn,
+        patch,
+        join,
+        ..
+    } = arena;
     out.clear();
     let positions = low.positions();
     let n = positions.len();
     let digest = low.geometry_digest();
     let generation = scratch.geometry_generation;
-    let pending = scratch.temporal.pending_delta.take();
+    let FrameScratch {
+        index, temporal: t, ..
+    } = scratch;
+    let pending = t.pending_delta.take();
     if pending.is_some() {
         // A fresh external delta resets the rejection record; a rejection
         // below re-arms it for the streaming layer to inspect.
-        scratch.temporal.last_delta_error = None;
+        t.last_delta_error = None;
     }
-    scratch.temporal.join_serial += 1;
-    scratch.temporal.last_outcome = JoinOutcome::Cold;
+    t.join_serial += 1;
+    join.outcome = JoinOutcome::Cold;
 
-    // Eligibility of the cached rows (not yet of this specific frame).
-    let cache_ready = scratch.temporal.enabled
-        && scratch.temporal.valid
-        && scratch.temporal.kq == kq
-        && scratch.temporal.positions.len() > kq
+    // Eligibility of the cached rows (not yet of this specific frame). They
+    // are only usable while the tree they were joined against is still the
+    // session's index — its points are then the cached frame, which is what
+    // the identity check and the delta's old side read below. Anything that
+    // re-indexed in between (an unplanned frame over other geometry) sends
+    // this frame down the cold path.
+    let cache_ready = t.enabled
+        && t.valid
+        && t.kq == kq
+        && index.holds(t.index_version)
+        && t.rows.len() > kq
         && n > kq;
 
     // --- Unchanged frame: cached index, and (when available) every cached
     // row reused wholesale.
     let t0 = Instant::now();
-    if scratch.index.is_fresh(positions, generation, digest) {
-        scratch.index.reuse(generation);
+    if index.is_fresh(positions, generation, digest) {
+        index.reuse(generation);
         timings.index_build += t0.elapsed();
         let t1 = Instant::now();
-        if cache_ready
-            && scratch.temporal.digest == digest
-            && scratch.temporal.positions.as_slice() == positions
-        {
+        if cache_ready && t.digest == digest && index.cached_tree().points() == positions {
             let slab = out.push_uniform_rows(n, kq);
-            slab.copy_from_slice(scratch.temporal.rows.indices());
-            scratch.temporal.stats.rows_reused += n as u64;
-            scratch.temporal.stats.incremental_frames += 1;
-            scratch.temporal.last_outcome = JoinOutcome::Identical;
+            slab.copy_from_slice(t.rows.indices());
+            t.stats.rows_reused += n as u64;
+            t.stats.incremental_frames += 1;
+            join.outcome = JoinOutcome::Identical;
             timings.knn += t1.elapsed();
             return;
         }
-        batched_knn_into(
-            scratch.index.cached_tree(),
-            positions,
-            kq,
-            &mut scratch.dualtree,
-            out,
-        );
+        batched_knn_into(index.cached_tree(), positions, kq, knn, out);
         timings.knn += t1.elapsed();
-        capture(scratch, positions, digest, kq, out);
-        scratch.temporal.stats.full_frames += 1;
+        capture(t, index.version(), positions.len(), digest, kq, out);
+        t.stats.full_frames += 1;
         return;
     }
     timings.index_build += t0.elapsed();
 
-    // --- Changed frame: relate it to the cached one. The diff aborts as
-    // soon as the survivor threshold is unreachable, so a scene cut pays
-    // about half a diff walk on top of the cold path it then takes.
+    // --- Changed frame: relate it to the cached one, read from the tree
+    // before anything re-indexes it. The diff aborts as soon as the
+    // survivor threshold is unreachable, so a scene cut pays about half a
+    // diff walk on top of the cold path it then takes.
     let t1 = Instant::now();
     let delta = if cache_ready {
-        let min_survivors = (scratch.temporal.positions.len().max(n) as f64 * MIN_SURVIVOR_FRACTION)
-            .ceil() as usize;
-        let external = pending.and_then(|d| {
-            match d.verify(&scratch.temporal.positions, positions) {
-                Ok(()) => Some(d),
-                Err(e) => {
-                    // A wrong external delta is recorded (streaming layers
-                    // read the reason as their cache-poisoning signal) and
-                    // the engine falls back to its own diff.
-                    scratch.temporal.last_delta_error = Some(e);
-                    None
-                }
+        let old = index.cached_tree().points();
+        let min_survivors = (old.len().max(n) as f64 * MIN_SURVIVOR_FRACTION).ceil() as usize;
+        let external = pending.and_then(|d| match d.verify(old, positions) {
+            Ok(()) => Some(d),
+            Err(e) => {
+                // A wrong external delta is recorded (streaming layers read
+                // the reason as their cache-poisoning signal) and the
+                // engine falls back to its own diff.
+                t.last_delta_error = Some(e);
+                None
             }
         });
-        match external {
-            Some(d) => Some(d),
-            None => FrameDelta::diff_bounded(&scratch.temporal.positions, positions, min_survivors),
-        }
+        external.or_else(|| FrameDelta::diff_bounded(old, positions, min_survivors))
     } else {
         None
     };
-    let incremental = delta.as_ref().is_some_and(|d| {
+    let delta = delta.filter(|d| {
         d.new_len() == n
             && d.survivors() as f64 >= d.old_len().max(n) as f64 * MIN_SURVIVOR_FRACTION
     });
     timings.knn += t1.elapsed();
 
-    if !incremental {
+    let Some(delta) = delta else {
         // The untouched cold path: full rebuild, full sweep.
         let t2 = Instant::now();
-        scratch.index.rebuild(positions, generation, digest);
+        index.rebuild(positions, generation, digest);
         timings.index_build += t2.elapsed();
         let t3 = Instant::now();
-        batched_knn_into(
-            scratch.index.cached_tree(),
-            positions,
-            kq,
-            &mut scratch.dualtree,
-            out,
-        );
+        batched_knn_into(index.cached_tree(), positions, kq, knn, out);
         timings.knn += t3.elapsed();
-        capture(scratch, positions, digest, kq, out);
-        scratch.temporal.stats.full_frames += 1;
+        capture(t, index.version(), positions.len(), digest, kq, out);
+        t.stats.full_frames += 1;
         return;
-    }
-    let delta = delta.expect("incremental implies a delta");
+    };
 
-    // Patch the index — but only when it indexes exactly the cached old
-    // frame (a stale index, e.g. after an ineligible in-between frame,
-    // rebuilds instead).
     let t2 = Instant::now();
-    if scratch.index.indexes(&scratch.temporal.positions) {
-        scratch.index.patch(positions, generation, digest, &delta);
-    } else {
-        scratch.index.rebuild(positions, generation, digest);
-    }
+    index.patch(positions, generation, digest, &delta, patch);
     timings.index_build += t2.elapsed();
 
     let t3 = Instant::now();
-    incremental_rows(scratch, positions, kq, &delta, out);
+    incremental_rows(
+        index.cached_tree(),
+        t,
+        join,
+        knn,
+        positions,
+        kq,
+        &delta,
+        out,
+    );
     timings.knn += t3.elapsed();
-    capture(scratch, positions, digest, kq, out);
-    scratch.temporal.stats.incremental_frames += 1;
-    scratch.temporal.last_outcome = JoinOutcome::Incremental;
+    capture(t, index.version(), positions.len(), digest, kq, out);
+    t.stats.incremental_frames += 1;
+    join.outcome = JoinOutcome::Incremental;
 }
 
-/// Registers a frame that bypassed [`self_join`] (e.g. the naive
-/// interpolator's partial-prefix path): the serial bump and a `Cold` plan
-/// keep every cache from being correlated across the discontinuity.
-pub(crate) fn note_unplanned_frame(t: &mut TemporalCache) {
+/// Registers a frame that bypassed [`self_join`] (the naive interpolator's
+/// partial-prefix path): the serial bump and a `Cold` plan over the first
+/// `active` rows keep every cache from being correlated across the
+/// discontinuity.
+pub(crate) fn note_unplanned_frame(t: &mut TemporalCache, arena: &mut FrameArena, active: usize) {
     t.join_serial += 1;
-    t.last_outcome = JoinOutcome::Cold;
-    let p = &mut t.plan;
-    p.active = true;
-    p.serial = t.join_serial;
-    p.mode = PlanMode::Cold;
-    p.row_src.clear();
-    p.ordinal_src.clear();
-    p.fresh_rows.clear();
-    p.fresh_ordinals.clear();
-    p.colors_ok = false;
-    p.old_tail_len = 0;
+    arena.join.outcome = JoinOutcome::Cold;
+    arena.plan.begin(t.join_serial);
+    arena.plan.fresh_rows.extend(0..active as u32);
 }
 
 /// Produces the new frame's rows from the cached ones: copy-forward with
 /// index remap for rows the churn cannot affect, a bichromatic batch
-/// recompute for the rest (see the module docs for the invalidation rule).
+/// recompute against `tree` (the already patched index over `positions`)
+/// for the rest (see the module docs for the invalidation rule).
+#[allow(clippy::too_many_arguments)]
 fn incremental_rows(
-    scratch: &mut FrameScratch,
+    tree: &KdTree,
+    t: &mut TemporalCache,
+    join: &mut JoinScratch,
+    knn: &mut KnnScratch,
     positions: &[Point3],
     kq: usize,
     delta: &FrameDelta,
@@ -557,117 +624,103 @@ fn incremental_rows(
 ) {
     let n = positions.len();
     let old_n = delta.old_len();
-    debug_assert_eq!(scratch.temporal.rows.total_indices(), old_n * kq);
+    debug_assert_eq!(t.rows.total_indices(), old_n * kq);
 
     // Removed-neighbor membership bitmap.
-    scratch.temporal.removed_mark.clear();
-    scratch.temporal.removed_mark.resize(old_n, false);
+    join.removed_mark.clear();
+    join.removed_mark.resize(old_n, false);
     for &i in delta.removed() {
-        scratch.temporal.removed_mark[i as usize] = true;
+        join.removed_mark[i as usize] = true;
     }
     // Ball-intersection index over the inserted points.
-    let has_inserts = !delta.inserted().is_empty();
-    scratch.temporal.insert_positions.clear();
-    scratch
-        .temporal
-        .insert_positions
+    join.has_inserts = !delta.inserted().is_empty();
+    join.insert_positions.clear();
+    join.insert_positions
         .extend(delta.inserted().iter().map(|&i| positions[i as usize]));
-    {
-        let t = &mut scratch.temporal;
-        t.insert_tree.build_in(&t.insert_positions);
-    }
+    join.insert_tree.build_in(&join.insert_positions);
 
     // Classify every surviving row; copy the valid ones forward. The
-    // old→new map and the per-row validity verdicts persist on the cache:
+    // old→new map and the per-row validity verdicts stay on the arena:
     // [`plan_outputs`] reuses them to classify the downstream outputs.
-    scratch.temporal.recompute.clear();
+    join.recompute.clear();
     let slab = out.push_uniform_rows(n, kq);
-    {
-        let t = &mut scratch.temporal;
-        let old_to_new = delta.old_to_new();
-        t.old_to_new_buf.clear();
-        t.old_to_new_buf.extend_from_slice(old_to_new);
-        t.row_valid.clear();
-        t.row_valid.resize(old_n, false);
-        t.has_inserts = has_inserts;
-        for old_i in 0..old_n {
-            let new_i = old_to_new[old_i];
-            if new_i == REMOVED {
-                continue;
-            }
-            let row = t.rows.row(old_i);
-            let mut invalid = row.iter().any(|&j| t.removed_mark[j as usize]);
-            if !invalid && has_inserts {
-                // The row's kNN ball: squared distance to its k-th (worst)
-                // entry, recomputed lazily from the cached frame with
-                // [`Point3::distance_squared`] — the scan kernels' exact
-                // arithmetic, so the `<=` intersection test below covers
-                // distance ties precisely.
-                let r2 = t.positions[old_i].distance_squared(t.positions[row[kq - 1] as usize]);
-                invalid = t.insert_tree.any_within(t.positions[old_i], r2);
-            }
-            if invalid {
-                t.recompute.push(new_i);
-            } else {
-                t.row_valid[old_i] = true;
-                let dst = &mut slab[new_i as usize * kq..(new_i as usize + 1) * kq];
-                for (d, &j) in dst.iter_mut().zip(row) {
-                    *d = old_to_new[j as usize];
-                }
+    let old_to_new = delta.old_to_new();
+    join.old_to_new.clear();
+    join.old_to_new.extend_from_slice(old_to_new);
+    join.row_valid.clear();
+    join.row_valid.resize(old_n, false);
+    for old_i in 0..old_n {
+        let new_i = old_to_new[old_i];
+        if new_i == REMOVED {
+            continue;
+        }
+        let row = t.rows.row(old_i);
+        let mut invalid = row.iter().any(|&j| join.removed_mark[j as usize]);
+        if !invalid && join.has_inserts {
+            // The row's kNN ball: squared distance to its k-th (worst)
+            // entry, recomputed lazily with [`Point3::distance_squared`] —
+            // the scan kernels' exact arithmetic, so the `<=` intersection
+            // test below covers distance ties precisely. Query and entry
+            // both survive (no member was removed), so the new frame holds
+            // their unchanged positions under the remapped indices.
+            let query = positions[new_i as usize];
+            let worst = positions[old_to_new[row[kq - 1] as usize] as usize];
+            invalid = join
+                .insert_tree
+                .any_within(query, query.distance_squared(worst));
+        }
+        if invalid {
+            join.recompute.push(new_i);
+        } else {
+            join.row_valid[old_i] = true;
+            let dst = &mut slab[new_i as usize * kq..(new_i as usize + 1) * kq];
+            for (d, &j) in dst.iter_mut().zip(row) {
+                *d = old_to_new[j as usize];
             }
         }
-        t.recompute.extend_from_slice(delta.inserted());
-        t.stats.rows_reused += (n - t.recompute.len()) as u64;
-        t.stats.rows_recomputed += t.recompute.len() as u64;
     }
+    join.recompute.extend_from_slice(delta.inserted());
+    t.stats.rows_reused += (n - join.recompute.len()) as u64;
+    t.stats.rows_recomputed += join.recompute.len() as u64;
 
     // Recompute the dirty rows as one bichromatic batch against the patched
     // index (the auto policy keeps it on the warm single-tree sweep) and
     // scatter them into their final slots.
-    scratch.temporal.queries.clear();
-    {
-        let t = &mut scratch.temporal;
-        t.queries
-            .extend(t.recompute.iter().map(|&i| positions[i as usize]));
-    }
-    scratch.temporal.fresh_rows.clear();
-    batched_knn_into(
-        scratch.index.cached_tree(),
-        &scratch.temporal.queries,
-        kq,
-        &mut scratch.dualtree,
-        &mut scratch.temporal.fresh_rows,
-    );
-    for (r, &new_i) in scratch.temporal.recompute.iter().enumerate() {
-        let src = scratch.temporal.fresh_rows.row(r);
+    join.queries.clear();
+    join.queries
+        .extend(join.recompute.iter().map(|&i| positions[i as usize]));
+    join.fresh_rows.clear();
+    batched_knn_into(tree, &join.queries, kq, knn, &mut join.fresh_rows);
+    for (r, &new_i) in join.recompute.iter().enumerate() {
+        let src = join.fresh_rows.row(r);
         slab[new_i as usize * kq..(new_i as usize + 1) * kq].copy_from_slice(src);
     }
 }
 
-/// Snapshots this frame's rows as the next frame's reuse source. Frames the
-/// cache cannot describe (tiny clouds whose rows are shorter than `kq`)
-/// invalidate it instead.
+/// Snapshots this frame's rows as the next frame's reuse source, tagged
+/// with the index version they were joined against. Frames the cache cannot
+/// describe (tiny clouds whose rows are shorter than `kq`) invalidate it
+/// instead.
 fn capture(
-    scratch: &mut FrameScratch,
-    positions: &[Point3],
+    t: &mut TemporalCache,
+    index_version: u64,
+    n: usize,
     digest: u64,
     kq: usize,
     out: &Neighborhoods,
 ) {
-    let t = &mut scratch.temporal;
     if !t.enabled {
         return;
     }
-    if kq == 0 || positions.len() <= kq {
+    if kq == 0 || n <= kq {
         t.valid = false;
         return;
     }
-    debug_assert_eq!(out.len(), positions.len());
-    debug_assert_eq!(out.total_indices(), positions.len() * kq);
+    debug_assert_eq!(out.len(), n);
+    debug_assert_eq!(out.total_indices(), n * kq);
     t.kq = kq;
     t.digest = digest;
-    t.positions.clear();
-    t.positions.extend_from_slice(positions);
+    t.index_version = index_version;
     t.rows.clear();
     t.rows.append(out);
     t.valid = true;
@@ -698,34 +751,30 @@ fn colors_match(
 }
 
 /// Classifies every new source row as copy-forward or recompute against the
-/// cached outputs, filling [`FramePlan`]. Must run directly after the
-/// frame's [`self_join`] (it keys off `last_outcome` and the row-validity
-/// scratch that join left behind). `counts[i]` is the number of points the
-/// interpolator will generate for row `i`. Any doubt degrades the plan to
-/// `Cold` — wrong reuse is never an outcome, only missed reuse.
+/// cached outputs, filling the arena's [`FramePlan`]. Must run directly after
+/// the frame's [`self_join`] on the same arena (it keys off the join outcome
+/// and the row-validity scratch that join left there). `arena.counts[i]` is
+/// the number of points the interpolator will generate for row `i`. Any
+/// doubt degrades the plan to `Cold` — wrong reuse is never an outcome, only
+/// missed reuse.
 pub(crate) fn plan_outputs(
     t: &mut TemporalCache,
-    counts: &[usize],
+    arena: &mut FrameArena,
     low: &PointCloud,
     config: &SrConfig,
     ratio: f64,
     kind: OutputKind,
 ) -> PlanMode {
+    let FrameArena {
+        counts,
+        join,
+        plan: p,
+        ..
+    } = arena;
     let n = counts.len();
     let total: usize = counts.iter().sum();
     let serial = t.join_serial;
-    {
-        let p = &mut t.plan;
-        p.active = true;
-        p.serial = serial;
-        p.mode = PlanMode::Cold;
-        p.row_src.clear();
-        p.ordinal_src.clear();
-        p.fresh_rows.clear();
-        p.fresh_ordinals.clear();
-        p.colors_ok = false;
-        p.old_tail_len = 0;
-    }
+    p.begin(serial);
     let key = OutputKey {
         config: *config,
         ratio_bits: ratio.to_bits(),
@@ -739,15 +788,15 @@ pub(crate) fn plan_outputs(
         && t.outputs.valid
         && t.outputs.serial + 1 == serial
         && t.outputs.key == Some(key);
+    let o = &t.outputs;
 
     let mode = 'plan: {
         if !eligible {
             break 'plan PlanMode::Cold;
         }
-        match t.last_outcome {
+        match join.outcome {
             JoinOutcome::Cold => PlanMode::Cold,
             JoinOutcome::Identical => {
-                let o = &t.outputs;
                 if o.offsets.len() != n + 1 || o.offsets[n] as usize != total {
                     break 'plan PlanMode::Cold;
                 }
@@ -755,33 +804,29 @@ pub(crate) fn plan_outputs(
                     (0..n).all(|i| (o.offsets[i + 1] - o.offsets[i]) as usize == counts[i]),
                     "identical frame must reproduce the cached per-row counts"
                 );
-                t.plan.colors_ok = colors_match(&t.outputs, low, JoinOutcome::Identical, &[]);
-                t.plan.old_tail_len = t.outputs.points.len();
+                p.colors_ok = colors_match(o, low, JoinOutcome::Identical, &[]);
+                p.old_tail_len = o.points.len();
                 t.stats.gen_points_reused += total as u64;
                 PlanMode::Identical
             }
             JoinOutcome::Incremental => {
-                let TemporalCache {
-                    outputs: o,
-                    plan: p,
+                let JoinScratch {
                     row_valid,
                     removed_mark,
-                    old_to_new_buf,
+                    old_to_new,
                     insert_tree,
                     has_inserts,
-                    stats,
                     ..
-                } = &mut *t;
-                let o = &*o;
+                } = &*join;
                 let old_n = row_valid.len();
-                if o.offsets.len() != old_n + 1 || old_to_new_buf.len() != old_n {
+                if o.offsets.len() != old_n + 1 || old_to_new.len() != old_n {
                     break 'plan PlanMode::Cold;
                 }
                 // Invert the survivor map over rows: new row -> cached row.
                 p.row_src.resize(n, u32::MAX);
                 for old_i in 0..old_n {
                     if row_valid[old_i] {
-                        p.row_src[old_to_new_buf[old_i] as usize] = old_i as u32;
+                        p.row_src[old_to_new[old_i] as usize] = old_i as u32;
                     }
                 }
                 let positions = low.positions();
@@ -811,7 +856,7 @@ pub(crate) fn plan_outputs(
                                             let mid = o.points[ord];
                                             let last = *hood.last().unwrap() as usize;
                                             let r2 = mid.distance_squared(
-                                                positions[old_to_new_buf[last] as usize],
+                                                positions[old_to_new[last] as usize],
                                             );
                                             !insert_tree.any_within(mid, r2)
                                         })
@@ -832,51 +877,47 @@ pub(crate) fn plan_outputs(
                     new_off += count as u32;
                 }
                 debug_assert_eq!(new_off as usize, total);
-                p.colors_ok = colors_match(o, low, JoinOutcome::Incremental, old_to_new_buf);
+                p.colors_ok = colors_match(o, low, JoinOutcome::Incremental, old_to_new);
                 p.old_tail_len = o.points.len();
-                stats.gen_points_reused += reused;
-                stats.gen_points_recomputed += total as u64 - reused;
+                t.stats.gen_points_reused += reused;
+                t.stats.gen_points_recomputed += total as u64 - reused;
                 PlanMode::Incremental
             }
         }
     };
     if mode == PlanMode::Cold {
-        t.plan.fresh_rows.extend(0..n as u32);
+        p.fresh_rows.extend(0..n as u32);
         t.stats.gen_points_recomputed += total as u64;
     }
-    t.plan.mode = mode;
+    p.mode = mode;
     mode
-}
-
-/// The freshly computed outputs for the plan's `fresh_rows`, compacted in
-/// row order (`points[fc]` is the fc-th fresh point across all fresh rows).
-pub(crate) struct FreshOutputs<'a> {
-    pub(crate) points: &'a [Point3],
-    pub(crate) parents: &'a [(usize, usize)],
-    pub(crate) hoods: Option<&'a Neighborhoods>,
 }
 
 /// Interleaves cached (index-remapped) and fresh outputs into the final
 /// frame order dictated by `counts`, appending to `cloud`/`parents` and —
-/// when requested — `hoods_out`.
+/// when requested — `hoods_out`. `fresh` holds the outputs of the plan's
+/// `fresh_rows`, compacted in row order; `old_to_new` is the join's survivor
+/// map.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_outputs(
-    t: &TemporalCache,
+    o: &OutputCache,
+    p: &FramePlan,
+    old_to_new: &[u32],
     counts: &[usize],
-    fresh: FreshOutputs<'_>,
+    fresh: &RowBatch,
     cloud: &mut PointCloud,
     parents: &mut Vec<(usize, usize)>,
     mut hoods_out: Option<&mut Neighborhoods>,
 ) {
-    match t.plan.mode {
+    match p.mode {
         PlanMode::Cold => {
-            cloud.extend_positions(fresh.points);
-            parents.extend_from_slice(fresh.parents);
-            if let (Some(out), Some(fh)) = (hoods_out.as_deref_mut(), fresh.hoods) {
-                out.append(fh);
+            cloud.extend_positions(&fresh.points);
+            parents.extend(fresh.parents());
+            if let Some(out) = hoods_out.as_deref_mut() {
+                out.append(&fresh.hoods);
             }
         }
         PlanMode::Identical => {
-            let o = &t.outputs;
             cloud.extend_positions(&o.points);
             parents.extend(o.parents.iter().map(|&(a, b)| (a as usize, b as usize)));
             if let Some(out) = hoods_out.as_deref_mut() {
@@ -884,25 +925,20 @@ pub(crate) fn assemble_outputs(
             }
         }
         PlanMode::Incremental => {
-            let o = &t.outputs;
-            let p = &t.plan;
-            let map = t.old_to_new_buf.as_slice();
             let total: usize = counts.iter().sum();
             parents.reserve(total);
             if let Some(out) = hoods_out.as_deref_mut() {
-                let indices =
-                    o.hoods.total_indices() + fresh.hoods.map_or(0, Neighborhoods::total_indices);
-                out.reserve_rows(total, indices);
+                out.reserve_rows(total, o.hoods.total_indices() + fresh.hoods.total_indices());
             }
             let mut fc = 0usize;
             for (new_i, &count) in counts.iter().enumerate() {
                 let src = p.row_src[new_i];
                 if src == u32::MAX {
                     cloud.extend_positions(&fresh.points[fc..fc + count]);
-                    parents.extend_from_slice(&fresh.parents[fc..fc + count]);
-                    if let (Some(out), Some(fh)) = (hoods_out.as_deref_mut(), fresh.hoods) {
+                    parents.extend(fresh.parents_of(fc..fc + count));
+                    if let Some(out) = hoods_out.as_deref_mut() {
                         for r in 0..count {
-                            out.push_row_u32(fh.row(fc + r));
+                            out.push_row_u32(fresh.hoods.row(fc + r));
                         }
                     }
                     fc += count;
@@ -910,15 +946,16 @@ pub(crate) fn assemble_outputs(
                     let o0 = o.offsets[src as usize] as usize;
                     let o1 = o.offsets[src as usize + 1] as usize;
                     cloud.extend_positions(&o.points[o0..o1]);
-                    parents.extend(
-                        o.parents[o0..o1]
-                            .iter()
-                            .map(|&(a, b)| (map[a as usize] as usize, map[b as usize] as usize)),
-                    );
+                    parents.extend(o.parents[o0..o1].iter().map(|&(a, b)| {
+                        (
+                            old_to_new[a as usize] as usize,
+                            old_to_new[b as usize] as usize,
+                        )
+                    }));
                     if let Some(out) = hoods_out.as_deref_mut() {
                         for ord in o0..o1 {
                             out.push_row_u32_iter(
-                                o.hoods.row(ord).iter().map(|&j| map[j as usize]),
+                                o.hoods.row(ord).iter().map(|&j| old_to_new[j as usize]),
                             );
                         }
                     }
@@ -934,12 +971,11 @@ pub(crate) fn assemble_outputs(
 /// Returns `false` — leaving the cloud untouched — unless the plan vouched
 /// for the source colors (`colors_ok`) and every length lines up.
 pub(crate) fn scatter_cached_colors(
-    t: &TemporalCache,
+    o: &OutputCache,
+    p: &FramePlan,
     cloud: &mut PointCloud,
     original_len: usize,
 ) -> bool {
-    let p = &t.plan;
-    let o = &t.outputs;
     if !p.colors_ok || p.mode == PlanMode::Cold || !o.has_colors || !cloud.has_colors() {
         return false;
     }
@@ -976,6 +1012,7 @@ pub(crate) fn scatter_cached_colors(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn capture_outputs(
     t: &mut TemporalCache,
+    plan: &FramePlan,
     counts: &[usize],
     low: &PointCloud,
     config: &SrConfig,
@@ -993,13 +1030,13 @@ pub(crate) fn capture_outputs(
     let original_len = low.len();
     // Identical frames already have this tail captured bit-exactly: refresh
     // the serial (and colors, if those drifted) without the bulk copies.
-    if t.plan.active
-        && t.plan.serial == t.join_serial
-        && t.plan.mode == PlanMode::Identical
+    if plan.active
+        && plan.serial == t.join_serial
+        && plan.mode == PlanMode::Identical
         && t.outputs.valid
     {
         t.outputs.serial = t.join_serial;
-        if !t.plan.colors_ok {
+        if !plan.colors_ok {
             capture_colors(&mut t.outputs, low, cloud, original_len);
         }
         return;
@@ -1060,49 +1097,42 @@ fn capture_colors(o: &mut OutputCache, low: &PointCloud, cloud: &PointCloud, ori
 /// the caller must still refine `plan.fresh_ordinals`.
 pub(crate) fn reuse_refined_into(
     t: &mut TemporalCache,
+    p: &FramePlan,
     owner: u64,
     cloud: &mut PointCloud,
     original_len: usize,
 ) -> bool {
     let tail_len = cloud.len() - original_len;
-    let ok = {
-        let p = &t.plan;
-        let r = &t.refined;
-        t.enabled
-            && p.active
-            && p.serial == t.join_serial
-            && r.valid
-            && r.owner == owner
-            && r.serial + 1 == t.join_serial
-            && r.points.len() == p.old_tail_len
-            && match p.mode {
-                PlanMode::Identical => tail_len == p.old_tail_len,
-                PlanMode::Incremental => p.ordinal_src.len() == tail_len,
-                PlanMode::Cold => false,
-            }
-    };
+    let r = &t.refined;
+    let ok = t.enabled
+        && p.active
+        && p.serial == t.join_serial
+        && r.valid
+        && r.owner == owner
+        && r.serial + 1 == t.join_serial
+        && r.points.len() == p.old_tail_len
+        && match p.mode {
+            PlanMode::Identical => tail_len == p.old_tail_len,
+            PlanMode::Incremental => p.ordinal_src.len() == tail_len,
+            PlanMode::Cold => false,
+        };
     if !ok {
         t.stats.refined_points_recomputed += tail_len as u64;
         return false;
     }
-    {
-        let tail = &mut cloud.positions_mut()[original_len..];
-        match t.plan.mode {
-            PlanMode::Identical => tail.copy_from_slice(&t.refined.points),
-            PlanMode::Incremental => {
-                for (i, &src) in t.plan.ordinal_src.iter().enumerate() {
-                    if src != u32::MAX {
-                        tail[i] = t.refined.points[src as usize];
-                    }
+    let tail = &mut cloud.positions_mut()[original_len..];
+    match p.mode {
+        PlanMode::Identical => {
+            tail.copy_from_slice(&r.points);
+            t.stats.refined_points_reused += tail_len as u64;
+        }
+        PlanMode::Incremental => {
+            for (i, &src) in p.ordinal_src.iter().enumerate() {
+                if src != u32::MAX {
+                    tail[i] = r.points[src as usize];
                 }
             }
-            PlanMode::Cold => unreachable!(),
-        }
-    }
-    match t.plan.mode {
-        PlanMode::Identical => t.stats.refined_points_reused += tail_len as u64,
-        PlanMode::Incremental => {
-            let fresh = t.plan.fresh_ordinals.len() as u64;
+            let fresh = p.fresh_ordinals.len() as u64;
             t.stats.refined_points_reused += tail_len as u64 - fresh;
             t.stats.refined_points_recomputed += fresh;
         }
@@ -1117,12 +1147,13 @@ pub(crate) fn reuse_refined_into(
 /// invalidate the refined cache instead.
 pub(crate) fn capture_refined(
     t: &mut TemporalCache,
+    plan: &mut FramePlan,
     owner: u64,
     cloud: &PointCloud,
     original_len: usize,
 ) {
-    let plan_ok = t.plan.active && t.plan.serial == t.join_serial;
-    t.plan.active = false;
+    let plan_ok = plan.active && plan.serial == t.join_serial;
+    plan.active = false;
     if !t.enabled || !plan_ok {
         t.refined.valid = false;
         return;

@@ -7,8 +7,8 @@
 
 use crate::config::SrConfig;
 use crate::interpolate::{
-    DilatedInterpolator, FrameScratch, InterpolationResult, Interpolator, NaiveInterpolator,
-    OpCounts,
+    DilatedInterpolator, FrameArena, FrameScratch, InterpolationResult, Interpolator,
+    NaiveInterpolator, OpCounts,
 };
 use crate::lut::LookupStats;
 use crate::refine::{refine_in_place, refine_rows_in_place, Refiner, RefinerCost};
@@ -29,7 +29,7 @@ static NEXT_PIPELINE_ID: AtomicU64 = AtomicU64::new(1);
 pub enum InterpolationMode {
     /// Vanilla kNN midpoint interpolation (baseline).
     Naive,
-    /// VoLUT's dilated, octree-accelerated, reuse-enabled interpolation.
+    /// VoLUT's dilated, k-d-tree-accelerated, reuse-enabled interpolation.
     #[default]
     Dilated,
 }
@@ -38,14 +38,14 @@ pub enum InterpolationMode {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Spatial-index (re)build / validation time. Amortized to ~zero on
-    /// frames whose geometry matches the scratch-resident cached index.
+    /// frames whose geometry matches the session's cached index.
     pub index_build: Duration,
     /// Neighbor-search query time. This is the frame-dominating kNN
     /// self-join (§4.1); when the batch runs on one worker (single-core
     /// hosts, or the `parallel` feature disabled) the batch layer answers
     /// it with the dual-tree leaf-pair kernel
-    /// ([`volut_pointcloud::dualtree`]) through the scratch-resident
-    /// [`crate::interpolate::FrameScratch`]; multi-worker batches are
+    /// ([`volut_pointcloud::dualtree`]) over the frame arena's scratch
+    /// ([`crate::interpolate::FrameArena`]); multi-worker batches are
     /// chunked across the single-tree sweep instead (see
     /// `interpolate::batched_knn_into`). The `sr_stage_breakdown` bench
     /// tracks this stage's share release-over-release.
@@ -223,12 +223,14 @@ impl SrPipeline {
         self.upsample_with(low, ratio, &mut FrameScratch::new())
     }
 
-    /// Upsamples `low` by `ratio`, reusing `scratch`'s buffers for the
-    /// neighborhood CSR, the dilated neighbor lists and the refinement
-    /// center copy. Repeated calls with the same scratch (one frame after
-    /// another in a streaming session) perform no per-point allocations in
-    /// the refinement stage and no per-frame re-allocation of the index
-    /// bookkeeping once buffers reach steady-state size.
+    /// Upsamples `low` by `ratio` as the next frame of the session whose
+    /// state `scratch` holds: the cached index, rows and outputs of the
+    /// previous frame are reused where the geometry allows, and refreshed
+    /// for the frame after. The frame's transient buffers (neighborhood
+    /// CSRs, dilated lists, refinement center copy, …) come from the
+    /// calling thread's [`crate::interpolate::FrameArena`], so repeated
+    /// calls allocate nothing but the output cloud once buffers reach
+    /// steady-state size.
     ///
     /// # Errors
     /// Propagates interpolation failures (invalid configuration/ratio,
@@ -239,9 +241,14 @@ impl SrPipeline {
         ratio: f64,
         scratch: &mut FrameScratch,
     ) -> Result<SrResult> {
-        let interp: InterpolationResult =
-            self.interpolator
-                .interpolate(low, &self.config, ratio, scratch)?;
+        // One arena serves the whole frame: the interpolator finds it
+        // parked on the scratch, refinement takes it from there.
+        scratch.begin_frame();
+        let interp = self
+            .interpolator
+            .interpolate(low, &self.config, ratio, scratch);
+        let mut arena = scratch.finish_frame();
+        let interp: InterpolationResult = interp?;
 
         let mut timings = StageTimings {
             index_build: interp.timings.index_build,
@@ -266,15 +273,17 @@ impl SrPipeline {
         let t0 = Instant::now();
         let original_len = interp.original_len;
         let mut cloud = interp.cloud;
-        let FrameScratch {
-            temporal,
+        let temporal = &mut scratch.temporal;
+        let FrameArena {
+            plan,
             centers,
             subset_hoods,
             subset_out,
             ..
-        } = scratch;
+        } = &mut *arena;
         if crate::interpolate::temporal::reuse_refined_into(
             temporal,
+            plan,
             self.id,
             &mut cloud,
             original_len,
@@ -285,7 +294,7 @@ impl SrPipeline {
                 original_len,
                 &interp.neighborhoods,
                 low.positions(),
-                &temporal.plan.fresh_ordinals,
+                &plan.fresh_ordinals,
                 centers,
                 subset_hoods,
                 subset_out,
@@ -300,11 +309,18 @@ impl SrPipeline {
                 centers,
             );
         }
-        crate::interpolate::temporal::capture_refined(temporal, self.id, &cloud, original_len);
+        crate::interpolate::temporal::capture_refined(
+            temporal,
+            plan,
+            self.id,
+            &cloud,
+            original_len,
+        );
         timings.refinement = t0.elapsed();
 
-        // Hand the CSR buffer back so the next frame reuses its allocation.
-        scratch.recycle_neighborhoods(interp.neighborhoods);
+        // Hand the result containers back so the arena's next frame reuses
+        // their allocations.
+        arena.recycle(interp.neighborhoods, interp.parents);
 
         Ok(SrResult {
             cloud,

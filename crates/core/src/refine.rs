@@ -92,8 +92,9 @@ pub trait Refiner: Send + Sync {
 ///
 /// `centers_scratch` receives a copy of the pre-refinement tail so the
 /// batch kernel can read stable centers while writing results; reusing the
-/// same buffer across frames (see `FrameScratch` in the pipeline) means
-/// steady-state refinement performs no per-frame allocation either. Chunks
+/// same buffer across frames (the pipeline passes its frame arena's, see
+/// `interpolate::FrameArena`) means steady-state refinement performs no
+/// per-frame allocation either. Chunks
 /// of the tail are processed in parallel when the `parallel` feature is on.
 ///
 /// # Panics
@@ -147,7 +148,8 @@ pub fn refine_in_place(
 /// would have produced for those rows, bit for bit.
 ///
 /// All three scratch buffers are caller-owned and reused across frames
-/// (see `FrameScratch`), keeping the steady state allocation-free.
+/// (the pipeline passes its frame arena's), keeping the steady state
+/// allocation-free.
 ///
 /// # Panics
 /// Panics when `neighborhoods.len()` differs from the generated tail length

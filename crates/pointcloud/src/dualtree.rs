@@ -139,8 +139,10 @@ const DUAL_MIN_QUERIES_PER_SHARD: usize = 2048;
 /// Reusable state of the dual-tree all-kNN: the query-side tree (built only
 /// for bichromatic joins, storage reused via [`KdTree::build_in`]), the flat
 /// per-query result rows and the per-node pruning bounds. Owned by the
-/// caller — the SR engine keeps one inside its `FrameScratch` so repeated
-/// frames perform **zero** allocations here at steady state.
+/// caller and tied to no particular tree: nothing in it outlives a batch,
+/// so the SR engine keeps one per worker (on its frame arena), not one per
+/// session, and repeated frames perform **zero** allocations here at steady
+/// state.
 #[derive(Debug, Default)]
 pub struct DualTreeScratch {
     /// Query-side tree for bichromatic joins (self-joins reuse the

@@ -111,15 +111,29 @@ pub struct KdTree {
     /// `leaf_aabbs` array. ~24 bytes per node — a few tens of KB even at
     /// 100k points.
     node_aabbs: Vec<Aabb>,
-    /// Reusable buffers for [`KdTree::patch`]: the order-rewrite
-    /// permutation (swapped with `order` each patch), the routed-insertion
-    /// pairs, the leaf list and the dirty-leaf list — so steady-state
-    /// patches allocate nothing.
-    scratch_order: Vec<u32>,
-    scratch_routed: Vec<(u32, u32)>,
-    scratch_leaves: Vec<u32>,
-    scratch_dirty: Vec<u32>,
     root: usize,
+}
+
+/// Reusable buffers of [`KdTree::patch_with`]: the rewritten slot
+/// permutation, the routed-insertion pairs, the leaf list and the
+/// dirty-leaf list. Nothing in here outlives a patch, so one scratch serves
+/// any number of trees (the engine keeps it on its per-worker frame arena,
+/// not on every session's tree) and steady-state patches allocate nothing.
+#[derive(Debug, Default)]
+pub struct PatchScratch {
+    order: Vec<u32>,
+    routed: Vec<(u32, u32)>,
+    leaves: Vec<u32>,
+    dirty: Vec<u32>,
+}
+
+impl PatchScratch {
+    /// Capacity (in bytes) currently reserved by the scratch's buffers.
+    pub fn reserved_bytes(&self) -> usize {
+        (self.order.capacity() + self.leaves.capacity() + self.dirty.capacity())
+            * std::mem::size_of::<u32>()
+            + self.routed.capacity() * std::mem::size_of::<(u32, u32)>()
+    }
 }
 
 /// The bounding box of an emptied leaf: inverted extremes, so any distance
@@ -148,10 +162,6 @@ impl KdTree {
             nodes: Vec::new(),
             leaf_aabbs: Vec::new(),
             node_aabbs: Vec::new(),
-            scratch_order: Vec::new(),
-            scratch_routed: Vec::new(),
-            scratch_leaves: Vec::new(),
-            scratch_dirty: Vec::new(),
             root: 0,
         };
         tree.build_in(points);
@@ -335,12 +345,7 @@ impl KdTree {
     /// same-size clouds must not grow it).
     pub fn reserved_bytes(&self) -> usize {
         self.points.capacity() * std::mem::size_of::<Point3>()
-            + (self.order.capacity()
-                + self.scratch_order.capacity()
-                + self.scratch_leaves.capacity()
-                + self.scratch_dirty.capacity())
-                * std::mem::size_of::<u32>()
-            + self.scratch_routed.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.order.capacity() * std::mem::size_of::<u32>()
             + self.nodes.capacity() * std::mem::size_of::<Node>()
             + (self.leaf_aabbs.capacity() + self.node_aabbs.capacity())
                 * std::mem::size_of::<Aabb>()
@@ -372,7 +377,20 @@ impl KdTree {
     /// points to `new_points` (see [`FrameDelta::verify`]); mismatched
     /// inputs fall back to a full rebuild when detectable by length, and are
     /// the caller's contract otherwise.
+    ///
+    /// Convenience form of [`KdTree::patch_with`] with a call-local scratch.
     pub fn patch(&mut self, delta: &FrameDelta, new_points: &[Point3]) {
+        self.patch_with(delta, new_points, &mut PatchScratch::default());
+    }
+
+    /// [`KdTree::patch`] with caller-owned traversal buffers, so repeated
+    /// patches — of this tree or any other — allocate nothing.
+    pub fn patch_with(
+        &mut self,
+        delta: &FrameDelta,
+        new_points: &[Point3],
+        scratch: &mut PatchScratch,
+    ) {
         if self.points.len() != delta.old_len()
             || new_points.len() != delta.new_len()
             || self.points.is_empty()
@@ -385,13 +403,16 @@ impl KdTree {
             // Bitwise-identical geometry: the index is already exact.
             return;
         }
+        let PatchScratch {
+            order,
+            routed,
+            leaves,
+            dirty,
+        } = scratch;
 
         // Route every inserted point down the split planes to its home
         // leaf, with the same comparison the query descent uses (so the
-        // plane invariant holds for the routed points too). The traversal
-        // lists live in tree-owned scratch (taken out while borrowed), so
-        // steady-state patches allocate nothing.
-        let mut routed = std::mem::take(&mut self.scratch_routed);
+        // plane invariant holds for the routed points too).
         routed.clear();
         routed.reserve(delta.inserted().len());
         for &ni in delta.inserted() {
@@ -416,44 +437,45 @@ impl KdTree {
         // survivors renumbered (relative order, and therefore the Morton
         // slot order of clean leaves, is preserved), removed slots dropped,
         // routed insertions appended to their leaf.
-        // Sized to the node table's *capacity* (leaf and dirty counts are
-        // bounded by the node count), so these lists only ever grow when the
-        // node table itself does — one fewer source of late capacity bumps
-        // for the steady-state zero-growth assertions.
-        let mut leaves = std::mem::take(&mut self.scratch_leaves);
+        // The leaf and dirty lists are sized to the node table's *capacity*
+        // (both counts are bounded by the node count), so they only ever
+        // grow when a node table does — no late capacity bumps for the
+        // steady-state zero-growth assertions.
         leaves.clear();
         leaves.reserve(self.nodes.capacity());
         leaves.extend((0..self.nodes.len() as u32).filter(|&id| self.nodes[id as usize].is_leaf()));
         leaves.sort_unstable_by_key(|&id| self.nodes[id as usize].a);
         let old_to_new = delta.old_to_new();
-        self.scratch_order.clear();
-        let mut dirty = std::mem::take(&mut self.scratch_dirty);
+        order.clear();
         dirty.clear();
         dirty.reserve(self.nodes.capacity());
-        for &leaf_id in &leaves {
+        for &leaf_id in leaves.iter() {
             let (s, e) = self.nodes[leaf_id as usize].leaf_range();
-            let new_start = self.scratch_order.len();
+            let new_start = order.len();
             let mut leaf_dirty = false;
             for slot in s..e {
                 match old_to_new[self.order[slot] as usize] {
                     REMOVED => leaf_dirty = true,
-                    ni => self.scratch_order.push(ni),
+                    ni => order.push(ni),
                 }
             }
             let lo = routed.partition_point(|&(id, _)| id < leaf_id);
             let hi = routed.partition_point(|&(id, _)| id <= leaf_id);
             for &(_, ni) in &routed[lo..hi] {
-                self.scratch_order.push(ni);
+                order.push(ni);
                 leaf_dirty = true;
             }
             self.nodes[leaf_id as usize].a = new_start as u32;
-            self.nodes[leaf_id as usize].b = self.scratch_order.len() as u32;
+            self.nodes[leaf_id as usize].b = order.len() as u32;
             if leaf_dirty {
                 dirty.push(leaf_id);
             }
         }
-        debug_assert_eq!(self.scratch_order.len(), new_points.len());
-        std::mem::swap(&mut self.order, &mut self.scratch_order);
+        debug_assert_eq!(order.len(), new_points.len());
+        // Copied, not swapped: a swap would trade buffers (and capacities)
+        // between this tree and a scratch shared with trees of other sizes.
+        self.order.clear();
+        self.order.extend_from_slice(order);
         self.points.clear();
         self.points.extend_from_slice(new_points);
 
@@ -461,7 +483,7 @@ impl KdTree {
         // re-sort for dirty leaves, a local median-split rebuild for leaves
         // that overflowed (the rebuilt subtree's root is copied over the old
         // leaf node, so ancestors keep their child ids).
-        for &leaf_id in &dirty {
+        for &leaf_id in dirty.iter() {
             let (s, e) = self.nodes[leaf_id as usize].leaf_range();
             if e - s > LEAF_SIZE {
                 let sub = self.build_range(s, e, 0);
@@ -488,9 +510,6 @@ impl KdTree {
         // Internal boxes: bottom-up union refresh over the whole (shallow)
         // node tree — a few thousand nodes even at 100k points.
         self.refresh_node_aabbs(self.root as u32);
-        self.scratch_routed = routed;
-        self.scratch_leaves = leaves;
-        self.scratch_dirty = dirty;
     }
 
     /// Recomputes every internal node's box as the union of its children's
@@ -724,8 +743,8 @@ impl KdTree {
     /// [`NeighborSearch::knn_batch`] with an explicit algorithm choice and a
     /// caller-owned [`DualTreeScratch`] (reused across batches, so the
     /// dual-tree path performs no steady-state allocation). This is the
-    /// entry point the SR engine's `FrameScratch` routes every frame batch
-    /// through; the plain trait method is equivalent to calling this with
+    /// entry point the SR engine routes every frame batch through (with its
+    /// frame arena's scratch); the plain trait method is equivalent to calling this with
     /// [`BatchStrategy::Auto`] and a fresh scratch.
     ///
     /// Rows are **bit-identical** across strategies (and to the per-query

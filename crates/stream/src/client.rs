@@ -1,9 +1,11 @@
 //! Client-side compute: the live SR session and the analytic compute model.
 //!
-//! [`SrSession`] wraps a [`volut_core::SrPipeline`] together with a
-//! [`FrameScratch`] arena so that consecutive frames of one streaming
-//! session reuse the engine's index and neighborhood buffers instead of
-//! re-allocating them 30 times per second.
+//! [`SrSession`] wraps a [`volut_core::SrPipeline`] together with the
+//! session's cross-frame state ([`FrameScratch`]: cached index, previous
+//! frame's rows and outputs), so consecutive frames of one streaming
+//! session reuse what the geometry lets them. Per-frame working buffers are
+//! not the session's: they come from the calling thread's
+//! [`volut_core::interpolate::FrameArena`].
 //!
 //! The streaming simulator additionally needs to know how long the client
 //! spends upsampling each chunk without actually running super-resolution on
@@ -21,7 +23,7 @@ use volut_pointcloud::{FrameDelta, PointCloud};
 use crate::chunk::Chunk;
 
 /// A live client-side super-resolution session: one pipeline plus the
-/// frame-scratch arena shared by all frames it upsamples.
+/// cross-frame state shared by all frames it upsamples.
 ///
 /// # Example
 ///
@@ -61,7 +63,7 @@ impl SrSession {
 
     /// Creates a session serving a published [`volut_core::registry::ContentModel`]:
     /// the pipeline probes the registry's shared table through an `Arc`, so
-    /// constructing a session allocates per-session scratch only — never a
+    /// constructing a session allocates per-session state only — never a
     /// copy of the content item's LUT or network. This is the constructor
     /// the multi-tenant server uses at admission.
     ///
@@ -78,7 +80,7 @@ impl SrSession {
     }
 
     /// Upsamples one frame through a **different** pipeline while reusing
-    /// this session's scratch arena — the degraded-path entry point: a
+    /// this session's state — the degraded-path entry point: a
     /// server under deadline pressure swaps a session to a cheaper pipeline
     /// (e.g. interpolation-only) for some frames without losing the warm
     /// spatial index and temporal row store. Cross-frame caches are keyed
@@ -111,7 +113,7 @@ impl SrSession {
         self.frames
     }
 
-    /// Upsamples one received frame, reusing the session's scratch buffers.
+    /// Upsamples one received frame as the session's next frame.
     ///
     /// The session's spatial index is cached across frames: when the frame
     /// geometry is unchanged (static chunks, repeated frames) the index
@@ -167,9 +169,9 @@ impl SrSession {
         self.upsample_frame(low, ratio)
     }
 
-    /// Rebuild/reuse counters of the session's scratch-resident index,
-    /// including the temporal layer's row-reuse counters and how many frame
-    /// batches ran through the scratch-resident dual-tree all-kNN kernel.
+    /// Rebuild/reuse counters of the session's cached index, including the
+    /// temporal layer's row-reuse counters and how many of the session's
+    /// batches ran through the dual-tree all-kNN kernel.
     pub fn index_stats(&self) -> volut_core::interpolate::IndexCacheStats {
         self.scratch.index_stats()
     }
@@ -204,8 +206,8 @@ impl SrSession {
         self.scratch.flush_temporal();
     }
 
-    /// The session's frame-scratch arena (index cache, dual-tree scratch,
-    /// neighborhood buffers) — read-only, for capacity/stats inspection.
+    /// The session's cross-frame state (index cache, previous frame's rows
+    /// and outputs) — read-only, for capacity/stats inspection.
     pub fn scratch(&self) -> &FrameScratch {
         &self.scratch
     }
@@ -293,7 +295,7 @@ pub struct SrComputeModel {
 }
 
 impl SrComputeModel {
-    /// VoLUT's pipeline: octree kNN + dilated interpolation + LUT lookup.
+    /// VoLUT's pipeline: k-d tree kNN + dilated interpolation + LUT lookup.
     /// Defaults calibrated from host micro-benchmarks of `volut-core`.
     pub fn volut_lut() -> Self {
         Self {
@@ -553,6 +555,7 @@ mod tests {
 
     #[test]
     fn repeated_frames_hit_dual_tree_without_rebuilds_or_allocs() {
+        use volut_core::interpolate::FrameArena;
         use volut_core::{refine::IdentityRefiner, SrConfig, SrPipeline};
         use volut_pointcloud::synthetic;
         // Production-scale frame: large enough that the batch layer's auto
@@ -568,7 +571,10 @@ mod tests {
         ));
         let frame = synthetic::sphere(n, 1.0, 17);
         let first = session.upsample_frame(&frame, 2.0).unwrap();
-        let reserved = session.scratch().dual_tree_reserved_bytes();
+        // The dual-tree slab lives on this thread's frame arena; the
+        // session itself must hold nothing a frame clears before use.
+        let reserved = FrameArena::thread_idle_bytes();
+        let state = session.scratch().reserved_bytes();
         for _ in 1..frames {
             let r = session.upsample_frame(&frame, 2.0).unwrap();
             assert_eq!(r.cloud, first.cloud);
@@ -588,12 +594,14 @@ mod tests {
             "stats {stats:?}"
         );
         assert!(reserved > 0);
-        // ...and steady-state frames grow no dual-tree scratch capacity.
+        // ...and steady-state frames grow neither the arena (dual-tree slab
+        // included) nor the session state.
         assert_eq!(
-            session.scratch().dual_tree_reserved_bytes(),
+            FrameArena::thread_idle_bytes(),
             reserved,
-            "repeated identical frames must not allocate dual-tree scratch"
+            "repeated identical frames must not allocate frame scratch"
         );
+        assert_eq!(session.scratch().reserved_bytes(), state);
     }
 
     #[test]
@@ -665,40 +673,65 @@ mod tests {
 
     #[test]
     fn churned_session_has_zero_steady_state_scratch_growth() {
+        use volut_core::interpolate::FrameArena;
         use volut_core::{refine::IdentityRefiner, SrConfig, SrPipeline};
         use volut_pointcloud::synthetic::{DeltaStream, DeltaStreamConfig};
-        let mut session = SrSession::new(SrPipeline::new(
-            SrConfig::default(),
-            Box::new(IdentityRefiner),
-        ));
-        let base = volut_pointcloud::synthetic::humanoid(4_000, 0.2, 29);
-        let mut stream = DeltaStream::new(
-            base,
-            DeltaStreamConfig {
-                churn: 0.1,
-                drift: 0.04,
-                jitter: 0.01,
-                seed: 13,
-            },
-        );
-        // Warm up past the first full rebuild cycle (patch budget crossing
-        // included) so every buffer reaches its steady-state high-water
-        // mark...
-        for _ in 0..8 {
-            session.upsample_frame(stream.frame(), 2.0).unwrap();
-            stream.advance();
-        }
-        let reserved = session.scratch().reserved_bytes();
-        assert!(reserved > 0);
-        // ...then assert the churned steady state allocates nothing new.
-        for frame_no in 8..16 {
-            session.upsample_frame(stream.frame(), 2.0).unwrap();
-            stream.advance();
-            assert_eq!(
-                session.scratch().reserved_bytes(),
-                reserved,
-                "frame {frame_no} grew the scratch"
-            );
+        // `FrameScratch::reserved_bytes()` of this exact sequence before the
+        // per-frame buffers moved to the frame arena (commit f862a8e, 2
+        // workers): the session-state diet must at least halve it.
+        for (points, pre_change_bytes) in [(512, 178_372), (4_096, 1_702_576)] {
+            // A thread of its own: the arena free-list is per thread, and
+            // the larger size must not pre-grow the smaller one's arena.
+            std::thread::spawn(move || {
+                let mut session = SrSession::new(SrPipeline::new(
+                    SrConfig::default(),
+                    Box::new(IdentityRefiner),
+                ));
+                let base = volut_pointcloud::synthetic::humanoid(points, 0.2, 29);
+                let mut stream = DeltaStream::new(
+                    base,
+                    DeltaStreamConfig {
+                        churn: 0.1,
+                        drift: 0.04,
+                        jitter: 0.01,
+                        seed: 13,
+                    },
+                );
+                // Warm up past the first full rebuild cycle (patch budget
+                // crossing included) so every buffer reaches its
+                // steady-state high-water mark...
+                for _ in 0..8 {
+                    session.upsample_frame(stream.frame(), 2.0).unwrap();
+                    stream.advance();
+                }
+                let state = session.scratch().reserved_bytes();
+                let arena = FrameArena::thread_idle_bytes();
+                assert!(state > 0 && arena > 0);
+                assert!(
+                    state * 2 <= pre_change_bytes,
+                    "{points} points: session state {state} B is more than half of \
+                     the pre-arena {pre_change_bytes} B"
+                );
+                // ...then assert the churned steady state allocates nothing
+                // new, neither in the session nor in the arena its frames
+                // check out.
+                for frame_no in 8..16 {
+                    session.upsample_frame(stream.frame(), 2.0).unwrap();
+                    stream.advance();
+                    assert_eq!(
+                        session.scratch().reserved_bytes(),
+                        state,
+                        "{points} points: frame {frame_no} grew the session state"
+                    );
+                    assert_eq!(
+                        FrameArena::thread_idle_bytes(),
+                        arena,
+                        "{points} points: frame {frame_no} grew the frame arena"
+                    );
+                }
+            })
+            .join()
+            .expect("sizing thread");
         }
     }
 

@@ -638,21 +638,26 @@ impl Tenant {
         self.remaining -= 1;
     }
 
-    fn memory_bytes(&self, config: &ServerConfig) -> usize {
+    /// What this tenant keeps resident between frames, by component.
+    fn memory(&self, config: &ServerConfig) -> SessionMemory {
         let table = if config.share_registry {
             0 // counted once, registry-side
         } else {
             self.session.pipeline().refiner_memory_bytes()
         };
-        let retained = self
-            .ingest
-            .as_ref()
-            .map_or(0, |i| i.delta_server.retained_bytes() as usize);
-        std::mem::size_of::<Self>()
-            + self.session.scratch().reserved_bytes()
-            + cloud_bytes(self.stream.frame())
-            + table
-            + retained
+        let state = self.session.scratch().state_bytes();
+        SessionMemory {
+            index: state.index,
+            rows: state.rows,
+            outputs: state.outputs,
+            refined: state.refined,
+            frame_cloud: cloud_bytes(self.stream.frame()),
+            retention: self
+                .ingest
+                .as_ref()
+                .map_or(0, |i| i.delta_server.retained_bytes() as usize),
+            fixed: std::mem::size_of::<Self>() + table,
+        }
     }
 }
 
@@ -687,6 +692,51 @@ pub struct SessionReport {
     pub ingest: Option<RobustnessStats>,
 }
 
+/// Per-session resident bytes by component, summed over the sessions
+/// measured. The components add up to
+/// [`ServerMemoryStats::session_bytes_total`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct SessionMemory {
+    /// Cached spatial index of the previous frame.
+    pub index: usize,
+    /// Cached kNN self-join rows of the previous frame.
+    pub rows: usize,
+    /// Cached interpolation outputs of the previous frame.
+    pub outputs: usize,
+    /// Cached refined tail of the previous frame.
+    pub refined: usize,
+    /// The session's current input frame.
+    pub frame_cloud: usize,
+    /// Frames a resilient-ingest origin retains for catch-up deltas.
+    pub retention: usize,
+    /// The tenant record itself, plus — in the cloned baseline — its
+    /// private copy of the table.
+    pub fixed: usize,
+}
+
+impl SessionMemory {
+    /// Sum over the components.
+    pub fn total(&self) -> usize {
+        self.index
+            + self.rows
+            + self.outputs
+            + self.refined
+            + self.frame_cloud
+            + self.retention
+            + self.fixed
+    }
+
+    fn add(&mut self, other: &SessionMemory) {
+        self.index += other.index;
+        self.rows += other.rows;
+        self.outputs += other.outputs;
+        self.refined += other.refined;
+        self.frame_cloud += other.frame_cloud;
+        self.retention += other.retention;
+        self.fixed += other.fixed;
+    }
+}
+
 /// Memory accounting of a running server (see the `server_scaling` bench).
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct ServerMemoryStats {
@@ -694,11 +744,18 @@ pub struct ServerMemoryStats {
     pub sessions: usize,
     /// Bytes held once for all sessions (registry tables + networks).
     pub registry_bytes: usize,
-    /// Total bytes across per-session state (scratch arenas, frame clouds,
-    /// and — in the cloned baseline — per-session table copies).
+    /// Total bytes across per-session state (cached index/rows/outputs,
+    /// frame clouds, retention, and — in the cloned baseline — per-session
+    /// table copies).
     pub session_bytes_total: usize,
     /// `session_bytes_total / sessions` (0 when idle).
     pub bytes_per_session: f64,
+    /// `session_bytes_total` by component.
+    pub session_bytes: SessionMemory,
+    /// Frame scratch held once per worker, not per session: the idle frame
+    /// arenas of every thread of the process
+    /// ([`volut_core::interpolate::FrameArena::idle_bytes`]).
+    pub arena_bytes: usize,
 }
 
 /// Aggregate report of a full [`SrServer::run`].
@@ -1056,14 +1113,15 @@ impl SrServer {
     }
 
     /// Memory accounting across the currently active sessions: what is held
-    /// once (registry) vs per session (scratch, frame clouds, and per-session
-    /// table copies in the cloned baseline).
+    /// once (registry), once per worker (frame arenas) and per session
+    /// (cached previous-frame state, frame clouds, retention, and
+    /// per-session table copies in the cloned baseline).
     pub fn memory_stats(&self) -> ServerMemoryStats {
-        let session_bytes_total: usize = self
-            .tenants
-            .iter()
-            .map(|t| t.memory_bytes(&self.config))
-            .sum();
+        let mut session_bytes = SessionMemory::default();
+        for tenant in &self.tenants {
+            session_bytes.add(&tenant.memory(&self.config));
+        }
+        let session_bytes_total = session_bytes.total();
         ServerMemoryStats {
             sessions: self.tenants.len(),
             registry_bytes: self.registry.shared_bytes(),
@@ -1073,6 +1131,8 @@ impl SrServer {
             } else {
                 session_bytes_total as f64 / self.tenants.len() as f64
             },
+            session_bytes,
+            arena_bytes: volut_core::interpolate::FrameArena::idle_bytes(),
         }
     }
 }

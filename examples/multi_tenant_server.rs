@@ -153,6 +153,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             table_bytes,
             if share { "once" } else { "per session" },
         );
+        if share {
+            // What a resident tenant keeps between frames, by component —
+            // and what it does not: per-frame scratch is held per worker.
+            let per = |bytes: usize| bytes / m.sessions.max(1);
+            let b = &m.session_bytes;
+            println!(
+                "           per session: index {} | rows {} | outputs {} | refined {} | \
+                 frame cloud {} | retention {} | fixed {}",
+                per(b.index),
+                per(b.rows),
+                per(b.outputs),
+                per(b.refined),
+                per(b.frame_cloud),
+                per(b.retention),
+                per(b.fixed),
+            );
+            println!(
+                "           frame arenas: {} bytes, held once per worker ({} workers), \
+                 not per session",
+                m.arena_bytes,
+                volut::pointcloud::runtime::current_workers(),
+            );
+        }
     }
 
     // --- 3. The deadline ladder under an impossible budget. ---------------

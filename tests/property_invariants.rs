@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use volut::core::config::SrConfig;
 use volut::core::encoding::{KeyScheme, PositionEncoder};
 use volut::core::interpolate::dilated::dilated_interpolate;
+use volut::core::interpolate::reuse::{merge_and_prune, merge_and_prune_into};
 use volut::pointcloud::dualtree::{BatchStrategy, DualTreeScratch};
 use volut::pointcloud::kdtree::KdTree;
 use volut::pointcloud::knn::{BruteForce, NeighborSearch};
@@ -376,5 +377,39 @@ proptest! {
         doubled.append(&csr);
         prop_assert_eq!(doubled.len(), rows.len() * 2);
         prop_assert_eq!(doubled.total_indices(), csr.total_indices() * 2);
+    }
+
+    #[test]
+    fn merge_and_prune_into_is_bit_identical_to_the_reference(
+        raw in prop::collection::vec(arb_point(), 4..60),
+        p_new in arb_point(),
+        // Parent lists drawn from a range wider than the cloud (out-of-range
+        // entries must be skipped) and narrower than their length suggests
+        // (duplicates within and across the two lists).
+        list_p in prop::collection::vec(0u32..80, 0..33),
+        list_q in prop::collection::vec(0u32..80, 0..33),
+        k in 0usize..33,
+        grid in 0usize..3,
+    ) {
+        // grid 0: raw floats; 1 and 2: quantized to 1.0 / 4.0 steps, so
+        // many candidates sit at exactly the same distance and only the
+        // index tie-break orders them.
+        let step = [0.0f32, 1.0, 4.0][grid];
+        let quantize = |p: Point3| if step > 0.0 {
+            Point3::new(
+                (p.x / step).round() * step,
+                (p.y / step).round() * step,
+                (p.z / step).round() * step,
+            )
+        } else {
+            p
+        };
+        let positions: Vec<Point3> = raw.iter().copied().map(quantize).collect();
+        let p_new = quantize(p_new);
+        let as_usize = |l: &[u32]| l.iter().map(|&i| i as usize).collect::<Vec<_>>();
+        let expected = merge_and_prune(p_new, &as_usize(&list_p), &as_usize(&list_q), &positions, k);
+        let mut out = Neighborhoods::new();
+        merge_and_prune_into(p_new, &list_p, &list_q, &positions, k, &mut out);
+        prop_assert_eq!(out.to_nested(), vec![expected]);
     }
 }
