@@ -16,13 +16,12 @@
 //!   refinement) with temporal reuse off: every pool-routed stage of the
 //!   pipeline at once.
 //!
-//! The `self_join` pair is the measurement behind `BatchStrategy::Auto`'s
-//! crossover: on a host with real cores, compare `chunked_single_tree` vs
-//! `dual_tree` at each worker count and set `VOLUT_DUAL_MIN_QUERIES`
-//! accordingly (the committed default was measured on the single-core build
-//! host, where the dual tree wins at every count — see
-//! `BENCH_knn.json`'s `thread_scaling` section). Runs in CI's `--test`
-//! smoke mode with a downscaled workload.
+//! The `self_join` pair is the multi-worker half of the measurement behind
+//! `BatchStrategy::Auto`: `chunked_single_tree` vs `dual_tree` at each
+//! worker count (the size sweep is recorded on
+//! `dualtree::DUAL_MIN_QUERIES_MONO`; `BENCH_knn.json`'s `thread_scaling`
+//! section holds the 1-core host's numbers). Runs in CI's `--test` smoke
+//! mode with a downscaled workload.
 
 use criterion::{criterion_group, criterion_main, is_quick_mode, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -31,7 +30,6 @@ use volut_core::refine::IdentityRefiner;
 use volut_core::{SrConfig, SrPipeline};
 use volut_pointcloud::dualtree::{BatchStrategy, DualTreeScratch};
 use volut_pointcloud::kdtree::KdTree;
-use volut_pointcloud::knn::NeighborSearch;
 use volut_pointcloud::{par, runtime, synthetic, Neighborhoods};
 
 /// Worker counts the scaling sweep pins. The build host may have fewer
@@ -56,12 +54,20 @@ fn bench_self_join_scaling(c: &mut Criterion) {
             runtime::with_workers(workers, || {
                 b.iter(|| {
                     out.clear();
-                    // The engine's pre-chunk route: one bichromatic
-                    // `knn_batch` per chunk, partials appended in order.
+                    // The engine's pre-chunk route: one single-tree sweep
+                    // per chunk, partials appended in order. Forced, because
+                    // at one worker the only chunk is the whole cloud — a
+                    // self-join `Auto` would hand to the dual tree.
                     let chunk = queries.len().div_ceil(workers).max(1);
                     let partials = par::map_chunks(queries.len(), chunk, |_, range| {
                         let mut local = Neighborhoods::with_capacity(range.len(), range.len() * k);
-                        tree.knn_batch(&queries[range], k, &mut local);
+                        tree.knn_batch_with(
+                            &queries[range],
+                            k,
+                            &mut local,
+                            BatchStrategy::SingleTree,
+                            &mut DualTreeScratch::new(),
+                        );
                         local
                     });
                     for part in &partials {

@@ -43,9 +43,10 @@ pub fn log_runtime_once() {
         );
         if cores > 1 {
             eprintln!(
-                "host: multicore detected — re-run `cargo bench -p volut-bench --bench \
-                 thread_scaling` and re-check the dual-tree crossover note in BENCH_knn.json \
-                 (VOLUT_DUAL_MIN_QUERIES), which was last recorded on a 1-core host"
+                "host: multicore detected — BENCH_knn.json's `thread_scaling` section was \
+                 recorded on a 1-core host; re-run `cargo bench -p volut-bench --bench \
+                 thread_scaling` before quoting it (the dual-tree crossover itself is the \
+                 measured constant `dualtree::DUAL_MIN_QUERIES_MONO`)"
             );
         }
     });

@@ -49,6 +49,10 @@ use volut_pointcloud::knn::NeighborSearch;
 use volut_pointcloud::soa::SoaPositions;
 use volut_pointcloud::{par, NeighborhoodsView, Point3, PointCloud};
 
+/// Rows per task of the self-strip copy in `dilated_frame`: a few
+/// thousand 8-entry rows, tens of microseconds of work each.
+const STRIP_ROWS_PER_TASK: usize = 4096;
+
 /// Upsamples `low` to roughly `ratio ×` its point count using dilated
 /// interpolation with neighbor reuse.
 ///
@@ -208,19 +212,31 @@ fn dilated_frame(
     // single-tree batch machinery exactly as before.
     super::temporal::self_join(low, dilated_k + 1, session, arena, &mut timings);
 
-    // Strip the self-match from each row and cap at the dilated size (a
-    // linear copy, negligible next to the queries themselves).
+    // Strip the self-match from each row and cap at the dilated size. Raw
+    // rows are uniform — `min(dilated_k + 1, n)` entries — and a row either
+    // holds its own point or (behind that many lower-indexed duplicates of
+    // it) is cut by the cap, so every stripped row is exactly one shorter:
+    // the output slab is sized up front and filled as range tasks, leaving
+    // no serial pass behind the join.
     let t0 = Instant::now();
+    let raw = arena.raw_hoods.indices();
+    let raw_width = raw.len() / low.len();
+    debug_assert!(arena.raw_hoods.iter().all(|row| row.len() == raw_width));
+    let width = raw_width - 1;
     arena.dilated.clear();
-    arena.dilated.reserve_rows(low.len(), low.len() * dilated_k);
-    for (i, row) in arena.raw_hoods.iter().enumerate() {
-        arena.dilated.push_row_u32_iter(
-            row.iter()
-                .copied()
-                .filter(|&j| j as usize != i)
-                .take(dilated_k),
-        );
-    }
+    let stripped = arena.dilated.push_uniform_rows(low.len(), width);
+    par::for_each_chunk_mut(stripped, STRIP_ROWS_PER_TASK * width, |_, start, chunk| {
+        let first = start / width;
+        for (r, dst) in chunk.chunks_exact_mut(width).enumerate() {
+            let i = first + r;
+            let kept = raw[i * raw_width..(i + 1) * raw_width]
+                .iter()
+                .filter(|&&j| j as usize != i);
+            for (d, &j) in dst.iter_mut().zip(kept) {
+                *d = j;
+            }
+        }
+    });
     timings.knn += t0.elapsed();
 
     let mut ops = OpCounts {

@@ -5,9 +5,10 @@
 //!   midpoint interpolation the paper uses as its baseline (`K4d1`, no
 //!   dilation, no reuse, fresh neighbor query per generated point);
 //! * [`DilatedInterpolator`] / [`dilated::dilated_interpolate`] — VoLUT's
-//!   enhanced interpolation with dilation (Eq. 1), a two-layer octree for
-//!   spatial pruning, neighbor relationship reuse (Eq. 2) and
-//!   multi-threaded execution.
+//!   enhanced interpolation with dilation (Eq. 1), a k-d tree self-join
+//!   for the neighbor search (the paper's structure is an octree; the k-d
+//!   tree is the only index this path builds), neighbor relationship reuse
+//!   (Eq. 2) and multi-threaded execution.
 //!
 //! Both return an [`InterpolationResult`] that carries the upsampled cloud,
 //! the parent/neighborhood bookkeeping that later stages reuse (as a flat
@@ -535,21 +536,21 @@ impl FrameScratch {
 /// One batched kNN pass over `queries` against the cached `tree`, appending
 /// CSR rows to `out` — the shared kNN entry of both interpolators.
 ///
-/// Batches the dual-tree auto policy would claim — the large self-joins
-/// that dominate frame time — always go through [`KdTree::knn_batch_with`]
-/// whole: the leaf-pair traversal parallelizes *internally* by sharding the
-/// query-leaf set across the pool (and uses the arena's dual-tree scratch,
-/// so steady-state frames allocate nothing). Chunking those here would be
+/// Batches the dual-tree auto policy claims — the self-joins that dominate
+/// frame time — always go through [`KdTree::knn_batch_with`] whole: the
+/// leaf-pair traversal parallelizes *internally* by sharding the query-leaf
+/// set across the pool (and uses the arena's dual-tree scratch, so
+/// steady-state frames allocate nothing). Chunking those here would be
 /// strictly worse: each chunk is a bichromatic subset (breaking self-join
 /// detection and the diagonal-first bound seeding) and the chunks would
 /// fight the traversal's own shards for workers.
 ///
-/// Everything else — bichromatic batches, small self-joins, large `k` —
-/// runs the warm single-tree sweep, pre-chunked across the pool when more
-/// than one worker is available (per-chunk rows land in the arena's
-/// `parts` and are appended in chunk order). Either way rows are
-/// bit-identical at every worker count: chunk boundaries only partition the
-/// query list, and row contents are per-query.
+/// Everything else — bichromatic batches, large `k` — runs the warm
+/// single-tree sweep, pre-chunked across the pool when more than one worker
+/// is available (per-chunk rows land in the arena's `parts` and are
+/// appended in chunk order). Either way rows are bit-identical at every
+/// worker count: chunk boundaries only partition the query list, and row
+/// contents are per-query.
 pub(crate) fn batched_knn_into(
     tree: &KdTree,
     queries: &[Point3],

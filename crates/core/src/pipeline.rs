@@ -41,14 +41,15 @@ pub struct StageTimings {
     /// frames whose geometry matches the session's cached index.
     pub index_build: Duration,
     /// Neighbor-search query time. This is the frame-dominating kNN
-    /// self-join (§4.1); when the batch runs on one worker (single-core
-    /// hosts, or the `parallel` feature disabled) the batch layer answers
-    /// it with the dual-tree leaf-pair kernel
-    /// ([`volut_pointcloud::dualtree`]) over the frame arena's scratch
-    /// ([`crate::interpolate::FrameArena`]); multi-worker batches are
-    /// chunked across the single-tree sweep instead (see
-    /// `interpolate::batched_knn_into`). The `sr_stage_breakdown` bench
-    /// tracks this stage's share release-over-release.
+    /// self-join (§4.1): on a cold frame the batch layer answers it with the
+    /// dual-tree leaf-pair kernel ([`volut_pointcloud::dualtree`]) over the
+    /// frame arena's scratch ([`crate::interpolate::FrameArena`]), sharded
+    /// across the pool's workers from inside the traversal; on a delta frame
+    /// it is the diff, the copy-forward of rows the churn cannot touch and a
+    /// single-tree sweep over the rest, chunked across workers (see
+    /// `interpolate::batched_knn_into`). The self-strip copy that feeds the
+    /// dilated interpolator is charged here too. The `sr_stage_breakdown`
+    /// bench tracks this stage's share release-over-release.
     pub knn: Duration,
     /// Midpoint generation and bookkeeping.
     pub interpolation: Duration,

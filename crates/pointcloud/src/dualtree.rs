@@ -3,29 +3,34 @@
 //! The SR engine's frame time is dominated by kNN *self-joins*: every point
 //! of the frame cloud queries the index built over that same cloud (§4.1 —
 //! interpolation is ≥70% of upsampling time, and nearly all of it is these
-//! queries). The single-tree batch sweep answers them one query at a time;
-//! after heavy tuning it is instruction-bound on per-query traversal
-//! bookkeeping (~600 ns/query at 100k points) rather than on distance
-//! arithmetic. This module removes that per-query bookkeeping
-//! *algorithmically*: a k-d tree over the **queries** is traversed against
-//! the k-d tree over the **reference points**, so traversal decisions are
-//! made once per *node pair* instead of once per query:
+//! queries). The single-tree batch sweep answers them one query at a time
+//! and pays a root-to-leaf descent, a deferred-subtree stack and a fresh
+//! accumulator for each (≈ 600 ns/query on a 50k-point frame, one thread).
+//! This module removes that per-query bookkeeping *algorithmically*: a k-d
+//! tree over the **queries** is traversed against the k-d tree over the
+//! **reference points**, so traversal decisions are made once per *node
+//! pair* instead of once per query (≈ 360 ns/query on the same frame, and
+//! the traversal shards across workers):
 //!
 //! * every query leaf carries a shared pruning bound — the max over its
 //!   queries' current k-th-best distances (and internal query nodes the max
 //!   over their children), so one AABB–AABB distance test
 //!   ([`crate::Aabb::distance_squared_to_aabb`]) rejects a whole
 //!   (query-subtree, reference-subtree) pair before any point work;
-//! * surviving leaf pairs run tile-vs-tile candidate scans through the same
-//!   SoA/AVX2/AVX-512 kernels as the per-query path
-//!   (`crate::kernels::scan_ids`, generic over the accumulator), with a
-//!   per-row reference-leaf box pre-check mirroring the single-tree path's
-//!   leaf arrival test;
+//! * a surviving leaf pair is one call of `crate::kernels::join_leaf_pair`:
+//!   the up-to-64 rows of the query leaf are tested against the reference
+//!   leaf's tight box 16 at a time — each row's own bound sits in an `f32`
+//!   array beside the row slab, and the test is
+//!   [`crate::Aabb::distance_squared_to`]'s arithmetic term for term, the
+//!   same arrival test the single-tree path applies — and only the rows that
+//!   pass sweep the reference tile, through the same SoA scan kernel
+//!   (scalar / AVX2 / AVX-512, resolved once per batch) as every other
+//!   traversal;
 //! * per-query results accumulate in a flat slab of packed
-//!   `(distance-bits, index)` `u64` keys with exactly `BestK`'s
-//!   replace-worst / rank-insert semantics, so survivors — and index-broken
-//!   distance ties — are **bit-identical** to per-query [`KdTree::knn`] for
-//!   any traversal order.
+//!   `(distance-bits, index)` `u64` keys, kept sorted by the branch-free
+//!   insert network `BestK`'s full list uses (`crate::knn::insert_sorted`),
+//!   so survivors — and index-broken distance ties — are **bit-identical**
+//!   to per-query [`KdTree::knn`] for any traversal order.
 //!
 //! The join is **bichromatic**: queries may be any point set (e.g. the
 //! generated midpoints of the naive interpolator, or training-set
@@ -41,47 +46,49 @@
 //! [`KdTree`]'s `NeighborSearch::knn_batch` picks the algorithm per batch:
 //! dual-tree for **self-joins** of at least [`DUAL_MIN_QUERIES_MONO`]
 //! queries with `k ≤` [`DUAL_MAX_K`]; the single-tree sweep otherwise —
-//! including all bichromatic batches, where the dual tree measured slower
+//! including all bichromatic batches, where the dual tree does not win
 //! (see [`DUAL_MIN_QUERIES_MONO`] for the numbers).
 //! [`KdTree::knn_batch_with`] accepts an explicit [`BatchStrategy`] to
 //! force either algorithm, plus a persistent [`DualTreeScratch`] so
 //! steady-state frames allocate nothing.
 //!
-//! # Parallel traversal (query-leaf sharding)
+//! # Sharding (query-leaf partition)
 //!
-//! Under the `parallel` feature the traversal shards across the
-//! work-stealing pool ([`crate::runtime`]) by partitioning the **query
-//! tree**: a frontier of roughly `2 × workers` subtree roots covering the
-//! leaf-slot space end to end (greedily splitting the widest shard) is
-//! planned per batch, and each shard runs the ordinary pair traversal —
-//! its query subtree against the whole reference tree — as one stealable
-//! task. Shards are independent because all mutable traversal state is
-//! per-shard: each owns the sub-slab of the flat row arena its leaf slots
-//! map to (rebased via the traversal's slot base) and a private pruning-
-//! bound vector drawn from a pool in [`DualTreeScratch`], so steady-state
-//! frames still allocate nothing. Monochromatic shards schedule their
-//! diagonal (self) pair first and the remaining reference subtrees
-//! nearest-first, preserving the bound-seeding property within the shard.
-//! Because bounds only *prune* pairs that provably cannot contribute and
-//! row contents are decided by the packed key semantics alone, sharded
-//! results are **bit-identical** to the sequential traversal at every
-//! worker count (property-tested, including duplicate-heavy tie cases).
-//! Batches smaller than a couple thousand queries per worker stay on the
-//! single-shard sequential path.
+//! A batch is cut along the **query tree**: under the `parallel` feature a
+//! frontier of roughly `2 × workers` subtree roots covering the leaf-slot
+//! space end to end (greedily splitting the widest shard) is planned per
+//! batch — a single whole-tree shard when the pool has one executor or the
+//! batch holds under a couple thousand queries per worker — and each shard
+//! runs as one stealable task of the work-stealing pool
+//! ([`crate::runtime`]). A shard does everything its rows need: it fills its
+//! sub-slab of the row arena with sentinels, runs the ordinary pair
+//! traversal — its query subtree against the whole reference tree — and
+//! scatters its finished rows from leaf-slot order to the caller's query
+//! order, so no serial pass over the rows runs before or after the tasks.
+//! Shards are independent because all mutable state is per-shard: the row
+//! and row-bound sub-slabs of its leaf slots and a private node-bound vector
+//! drawn from a pool in [`DualTreeScratch`], so steady-state frames still
+//! allocate nothing. Monochromatic shards schedule their diagonal (self)
+//! pair first and the remaining reference subtrees nearest-first,
+//! preserving the bound-seeding property within the shard. Because bounds
+//! only *prune* pairs that provably cannot contribute and row contents are
+//! decided by the packed key semantics alone, results are **bit-identical**
+//! at every worker count (property-tested, including duplicate-heavy tie
+//! cases).
 //!
 //! [`KdTree::knn`]: crate::knn::NeighborSearch::knn
 
 use crate::kdtree::KdTree;
-use crate::kernels::{self, ScanSink};
-use crate::knn::pack_key;
+use crate::kernels::{self, JoinRows, RefLeaf, Tier, SENTINEL};
 use crate::neighborhoods::Neighborhoods;
+use crate::par::SendPtr;
 use crate::point::Point3;
 
 /// Which batch algorithm [`KdTree::knn_batch_with`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchStrategy {
-    /// Pick per batch: dual-tree for large batches (see the module docs for
-    /// the thresholds), single-tree otherwise.
+    /// Pick per batch: dual-tree for self-joins (see the module docs for the
+    /// thresholds), single-tree otherwise.
     #[default]
     Auto,
     /// Always the single-tree (per-query, warm-started, Morton-ordered)
@@ -91,44 +98,45 @@ pub enum BatchStrategy {
     DualTree,
 }
 
-/// Default for the smallest self-join batch the auto policy sends to the
-/// dual tree (override with the `VOLUT_DUAL_MIN_QUERIES` environment
-/// variable — see [`dual_min_queries_mono`]). The traversal amortizes
-/// per-node work over whole leaves, which needs enough queries per leaf
-/// region to pay for the pair bookkeeping; below this the warm-started
-/// single-tree sweep wins.
+/// The smallest self-join batch the auto policy sends to the dual tree: the
+/// bottom of the range the crossover was measured over, because no crossover
+/// turned up inside it. Humanoid clouds, self-join, medians of 20–2000
+/// batches on the 2-vCPU reference host (AVX-512), single-tree time over
+/// dual-tree time:
 ///
-/// Bichromatic batches are **never** auto-selected: measured on the build
-/// host (100k jittered queries over a 100k humanoid cloud, k=5), the dual
-/// tree ran ~1.7× the candidate volume of the self-join case — without the
+/// | points | k = 5 | k = 9 | k = 9, 2 workers |
+/// |-------:|------:|------:|-----------------:|
+/// |     16 |  1.18 |  1.14 |                — |
+/// |     64 |  1.48 |  1.44 |                — |
+/// |    128 |  1.73 |  1.56 |             1.69 |
+/// |    512 |  1.96 |  1.75 |             1.76 |
+/// |  1 024 |  1.72 |  1.53 |             1.51 |
+/// |  4 096 |  1.71 |  1.55 |             2.03 |
+/// |  8 192 |  1.71 |  1.55 |             2.65 |
+///
+/// (512 points at k = 9: 161 µs against 282 µs. The 2-worker column leaves
+/// the sweep on one thread; chunked across both, as the engine runs it from
+/// about 4 000 queries up, it roughly halves and still trails.) Clouds
+/// smaller than the table's first row were not measured and stay on the
+/// sweep.
+///
+/// Bichromatic batches are **never** auto-selected. Jittered copies of a
+/// humanoid cloud as queries, one thread: at equal sizes (50k or 100k
+/// queries over as many points) the dual tree, query-tree build included,
+/// runs 0.95× (k = 9) to 1.02× (k = 5) the sweep's speed — without the
 /// diagonal self-pair, query leaves fill their first rows from whichever
 /// offset reference leaf happens to be box-nearest, so the pruning bounds
-/// start loose — and the batch additionally pays an `O(m log m)` query-tree
-/// build (~16 ms at 100k). Net ≈ 0.75× vs the single-tree sweep, so Auto
-/// keeps bichromatic batches on the single tree; [`BatchStrategy::DualTree`]
-/// still forces the leaf-pair path for either shape.
-pub const DUAL_MIN_QUERIES_MONO: usize = 4096;
+/// start loose — and on the engine's own bichromatic shape, a sparse tenth
+/// of the cloud recomputed on a delta frame (5k queries over 50k points), it
+/// runs 0.55–0.59×. Auto keeps bichromatic batches on the single tree;
+/// [`BatchStrategy::DualTree`] still forces the leaf-pair path for either
+/// shape.
+pub const DUAL_MIN_QUERIES_MONO: usize = 16;
 
-/// Largest `k` the auto policy sends to the dual tree (the flat row slab
-/// does an `O(k)` rank scan per accepted candidate, same as `BestK`, but
+/// Largest `k` the auto policy sends to the dual tree (the row insert is an
+/// `O(k)` fixed-trip network per offered candidate, same as `BestK`, but
 /// large-`k` rows blow past the slab's cache-friendly regime).
 pub const DUAL_MAX_K: usize = 32;
-
-/// The auto policy's self-join crossover, resolved once per process:
-/// `VOLUT_DUAL_MIN_QUERIES` when set to a parseable value, else
-/// [`DUAL_MIN_QUERIES_MONO`]. The env override exists so the crossover can
-/// be re-tuned per deployment without a rebuild — the committed default was
-/// measured on the single-core build host, and multicore hosts (where the
-/// sharded traversal has real workers) may profitably set it lower.
-pub fn dual_min_queries_mono() -> usize {
-    static RESOLVED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *RESOLVED.get_or_init(|| {
-        std::env::var("VOLUT_DUAL_MIN_QUERIES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DUAL_MIN_QUERIES_MONO)
-    })
-}
 
 /// Fewest queries a parallel shard is worth: below this per shard, the
 /// leaf-pair traversal is too short to repay task scheduling and the
@@ -138,11 +146,10 @@ const DUAL_MIN_QUERIES_PER_SHARD: usize = 2048;
 
 /// Reusable state of the dual-tree all-kNN: the query-side tree (built only
 /// for bichromatic joins, storage reused via [`KdTree::build_in`]), the flat
-/// per-query result rows and the per-node pruning bounds. Owned by the
-/// caller and tied to no particular tree: nothing in it outlives a batch,
-/// so the SR engine keeps one per worker (on its frame arena), not one per
-/// session, and repeated frames perform **zero** allocations here at steady
-/// state.
+/// per-query result rows and the pruning bounds. Owned by the caller and
+/// tied to no particular tree: nothing in it outlives a batch, so the SR
+/// engine keeps one per worker (on its frame arena), not one per session,
+/// and repeated frames perform **zero** allocations here at steady state.
 #[derive(Debug, Default)]
 pub struct DualTreeScratch {
     /// Query-side tree for bichromatic joins (self-joins reuse the
@@ -150,16 +157,16 @@ pub struct DualTreeScratch {
     qtree: KdTree,
     /// `stride` packed `(d2-bits, index)` keys per query, ascending, laid
     /// out in query-tree *leaf-slot* order so a leaf-pair scan touches one
-    /// small contiguous run of rows (see [`RowSink`]); one scatter pass at
-    /// emission restores caller order.
+    /// small contiguous run of rows (see [`JoinRows`]); each shard scatters
+    /// its rows back to caller order when its traversal ends.
     rows: Vec<u64>,
-    /// Per-query-node pruning bound (max k-th-best distance over the
-    /// node's queries), indexed by query-tree node id.
-    bounds: Vec<f32>,
-    /// Per-shard pruning-bound vectors for the parallel traversal (each
-    /// shard owns a full node-indexed vector so shards never alias; a shard
-    /// only ever reads/writes bounds of query nodes inside its own
-    /// subtree). Pooled here so steady-state parallel batches allocate
+    /// Per-slot pruning bound beside the row slab (see
+    /// [`JoinRows::bounds`]).
+    row_bounds: Vec<f32>,
+    /// Per-shard node-indexed pruning bounds (max k-th-best distance over a
+    /// query node's rows). Every shard owns a full vector so shards never
+    /// alias; a shard only ever reads/writes bounds of query nodes inside
+    /// its own subtree. Pooled here so steady-state batches allocate
     /// nothing.
     shard_bounds: Vec<Vec<f32>>,
     /// How many batches ran through the dual-tree kernel with this scratch.
@@ -178,73 +185,18 @@ impl DualTreeScratch {
     }
 
     /// Total capacity (in bytes) of the scratch's buffers — the row slab,
-    /// the node bounds **and** the query-side tree — observable by tests
+    /// the bounds **and** the query-side tree — observable by tests
     /// asserting steady-state reuse (repeated same-shape batches must not
     /// grow it).
     pub fn reserved_bytes(&self) -> usize {
         self.rows.capacity() * std::mem::size_of::<u64>()
-            + self.bounds.capacity() * std::mem::size_of::<f32>()
+            + self.row_bounds.capacity() * std::mem::size_of::<f32>()
             + self
                 .shard_bounds
                 .iter()
                 .map(|b| b.capacity() * std::mem::size_of::<f32>())
                 .sum::<usize>()
             + self.qtree.reserved_bytes()
-    }
-}
-
-/// Sentinel key padding not-yet-filled row slots: squared distance `+inf`
-/// with the largest index. Any real candidate's packed key compares below
-/// it (real indices are `< u32::MAX` and real distances either `< +inf` or
-/// tie at `+inf` with a smaller index), so a sentinel-padded row behaves
-/// exactly like a [`BestK`] that is not yet full — its worst distance is
-/// `+inf`, every candidate is accepted, and the sentinel is shifted out.
-///
-/// [`BestK`]: crate::knn::BestK
-const SENTINEL: u64 = (f32::INFINITY.to_bits() as u64) << 32 | u32::MAX as u64;
-
-/// One query's result row: `stride` packed keys kept sorted ascending at
-/// all times, initially all [`SENTINEL`]. `push` replicates
-/// [`BestK::push`]'s full-list branch (reject at-or-above the worst, rank
-/// scan, shift, insert), which is the *only* branch a sentinel-full row
-/// ever needs — so the surviving key set, and therefore every index-broken
-/// tie, matches the per-query accumulator exactly.
-///
-/// `cap` is the dual-tree counterpart of [`BestK::begin_warm`]'s pruning
-/// cap: a proven upper bound on the row's *final* k-th distance (or
-/// `INFINITY`), folded into [`ScanSink::worst_d2`] so the vector compare
-/// pre-filter and the box tests prune tightly before the row has filled
-/// with real entries. Like the warm start, it cannot change results: a
-/// candidate or region is only skipped when strictly beyond an upper bound
-/// of the final k-th distance, and ties at the cap still pass through.
-///
-/// [`BestK::push`]: crate::knn::BestK::push
-/// [`BestK::begin_warm`]: crate::knn::BestK::begin_warm
-struct RowSink<'a> {
-    keys: &'a mut [u64],
-    cap: f32,
-}
-
-impl ScanSink for RowSink<'_> {
-    #[inline(always)]
-    fn worst_d2(&self) -> f32 {
-        // Sentinel slots read as +inf, so this is the cap until the row is
-        // full and the tighter of the two afterwards (both are valid upper
-        // bounds on the final k-th distance).
-        f32::from_bits((self.keys[self.keys.len() - 1] >> 32) as u32).min(self.cap)
-    }
-
-    #[inline(always)]
-    fn push(&mut self, index: usize, d2: f32, _pos: Point3) {
-        let key = pack_key(index, d2);
-        let len = self.keys.len();
-        if key >= self.keys[len - 1] {
-            return;
-        }
-        // Branchless fixed-trip rank scan, as in `BestK::rank_of`.
-        let rank: usize = self.keys.iter().map(|&a| usize::from(a < key)).sum();
-        self.keys.copy_within(rank..len - 1, rank + 1);
-        self.keys[rank] = key;
     }
 }
 
@@ -260,7 +212,7 @@ pub(crate) fn select_dual_tree(
         BatchStrategy::DualTree => true,
         BatchStrategy::Auto => {
             k <= DUAL_MAX_K
-                && queries.len() >= dual_min_queries_mono()
+                && queries.len() >= DUAL_MIN_QUERIES_MONO
                 && is_self_join(queries, rtree)
         }
     }
@@ -277,6 +229,12 @@ fn is_self_join(queries: &[Point3], rtree: &KdTree) -> bool {
 /// `out`, in query order, bit-identical to the per-query path. The caller
 /// ([`KdTree::knn_batch_with`]) has already handled `k == 0`, an empty
 /// reference cloud and row reservation; `stride = k.min(reference len)`.
+///
+/// The batch is cut into shards of the query tree (one, when the pool has a
+/// single executor or the batch is small) and everything per-row happens
+/// inside the shard tasks — sentinel fill, traversal, and the scatter from
+/// leaf-slot order back to the caller's query order — so no serial pass
+/// over the rows brackets the parallel part.
 pub(crate) fn all_knn(
     rtree: &KdTree,
     queries: &[Point3],
@@ -289,65 +247,113 @@ pub(crate) fn all_knn(
     }
     scratch.invocations += 1;
     let mono = is_self_join(queries, rtree);
+    let DualTreeScratch {
+        qtree,
+        rows,
+        row_bounds,
+        shard_bounds,
+        ..
+    } = scratch;
     let qtree: &KdTree = if mono {
         rtree
     } else {
-        scratch.qtree.build_in(queries);
-        &scratch.qtree
+        qtree.build_in(queries);
+        qtree
     };
-    // Sentinel-fill the row slab; it keeps its allocation across batches.
-    scratch.rows.clear();
-    scratch.rows.resize(queries.len() * stride, SENTINEL);
-    // Shard the query-leaf set across pool workers when the batch is big
-    // enough to repay it; otherwise run the classic sequential traversal.
     let shards = plan_shards(qtree, queries.len());
-    if shards.len() > 1 {
-        run_sharded(
-            rtree,
-            qtree,
-            mono,
-            stride,
-            &shards,
-            &mut scratch.rows,
-            &mut scratch.shard_bounds,
-        );
-    } else {
-        scratch.bounds.clear();
-        scratch.bounds.resize(qtree.node_count(), f32::INFINITY);
-        Traversal {
-            qtree,
-            rtree,
-            rows: &mut scratch.rows,
-            bounds: &mut scratch.bounds,
-            stride,
-            mono,
-            slot_base: 0,
-            prev_slot: usize::MAX,
-        }
-        .pair(qtree.root_id(), rtree.root_id(), 0.0);
+    // Sized here, initialized by the shards (each fills its own share).
+    rows.resize(queries.len() * stride, SENTINEL);
+    row_bounds.resize(queries.len(), f32::INFINITY);
+    if shard_bounds.len() < shards.len() {
+        shard_bounds.resize_with(shards.len(), Vec::new);
     }
-    // Every row is full (nothing prunes against a sentinel's infinite
-    // bound) and already sorted by (distance, index); the low 32 bits of a
-    // packed key are the neighbor index. Rows live in leaf-slot order, so
-    // one scatter pass through the query tree's permutation restores the
-    // caller's query order — the same emission shape as the single-tree
-    // sweep's Morton un-permutation.
+    // Every row ends full (nothing prunes against a sentinel's infinite
+    // bound) and sorted by (distance, index), and exact kNN rows are
+    // stride-uniform, so each row's final location is known up front.
     let slab = out.push_uniform_rows(queries.len(), stride);
-    for (slot, &qi) in qtree.order().iter().enumerate() {
-        let src = &scratch.rows[slot * stride..(slot + 1) * stride];
-        let dst = &mut slab[qi as usize * stride..(qi as usize + 1) * stride];
-        for (d, &key) in dst.iter_mut().zip(src) {
-            debug_assert_ne!(key, SENTINEL, "dual-tree rows end full");
-            *d = key as u32;
+    // One ISA resolution per batch; the shards inherit it.
+    let tier = Tier::detect();
+    let keys_ptr = SendPtr::new(rows.as_mut_ptr());
+    let row_bounds_ptr = SendPtr::new(row_bounds.as_mut_ptr());
+    let node_bounds_ptr = SendPtr::new(shard_bounds.as_mut_ptr());
+    let slab_ptr = SendPtr::new(slab.as_mut_ptr());
+    let run_shard = |i: usize| {
+        let shard = shards[i];
+        let len = shard.hi - shard.lo;
+        // SAFETY: shard `i` is visited by exactly one task. The shards
+        // partition the leaf-slot space, so the key and bound sub-slabs of
+        // `lo..hi` and the pooled node-bounds vector `i` are exclusively
+        // this task's; all four buffers outlive the blocking dispatch below.
+        let (keys, bounds, node_bounds) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(keys_ptr.get().add(shard.lo * stride), len * stride),
+                std::slice::from_raw_parts_mut(row_bounds_ptr.get().add(shard.lo), len),
+                &mut *node_bounds_ptr.get().add(i),
+            )
+        };
+        keys.fill(SENTINEL);
+        bounds.fill(f32::INFINITY);
+        node_bounds.clear();
+        node_bounds.resize(qtree.node_count(), f32::INFINITY);
+        let mut t = Traversal {
+            qtree,
+            rtree,
+            rows: JoinRows {
+                keys,
+                bounds,
+                stride,
+                base: shard.lo,
+                prev: usize::MAX,
+            },
+            node_bounds,
+            mono,
+            tier,
+        };
+        if mono && shards.len() > 1 {
+            // Diagonal first — the shard's queries meet their own points,
+            // seeding tight pruning bounds (the very property that makes
+            // self-joins the dual tree's winning case) — then the other
+            // shards' subtrees as reference sides, nearest box first.
+            t.pair(shard.root, shard.root, 0.0);
+            let mut others: Vec<(u32, f32)> = shards
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, s)| (s.root, t.child_dist(shard.root, s.root)))
+                .collect();
+            others.sort_by(|a, b| a.1.total_cmp(&b.1));
+            for (rn, d) in others {
+                t.pair(shard.root, rn, d);
+            }
+        } else {
+            t.pair(shard.root, rtree.root_id(), 0.0);
         }
-    }
+        // Rows live in leaf-slot order; the query tree's permutation maps
+        // each back to the caller's query index. The low 32 bits of a packed
+        // key are the neighbor index.
+        for (slot, &qi) in qtree.order()[shard.lo..shard.hi].iter().enumerate() {
+            let src = &t.rows.keys[slot * stride..(slot + 1) * stride];
+            // SAFETY: `order` is a permutation of the query indices, so row
+            // `qi` of the output slab is written by this iteration alone.
+            let dst = unsafe {
+                std::slice::from_raw_parts_mut(slab_ptr.get().add(qi as usize * stride), stride)
+            };
+            for (d, &key) in dst.iter_mut().zip(src) {
+                debug_assert_ne!(key, SENTINEL, "dual-tree rows end full");
+                *d = key as u32;
+            }
+        }
+    };
+    #[cfg(feature = "parallel")]
+    crate::runtime::run_range(shards.len(), 1, |r| r.for_each(&run_shard));
+    #[cfg(not(feature = "parallel"))]
+    (0..shards.len()).for_each(run_shard);
 }
 
-/// One parallel shard of the query side: a query-tree node whose subtree
-/// covers the contiguous leaf-slot range `lo..hi`. The shard set partitions
-/// the whole leaf-slot space, so shards own disjoint row sub-slabs and can
-/// traverse concurrently.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
+/// One shard of the query side: a query-tree node whose subtree covers the
+/// contiguous leaf-slot range `lo..hi`. The shard set partitions the whole
+/// leaf-slot space, so shards own disjoint row sub-slabs and can traverse
+/// concurrently.
 #[derive(Clone, Copy)]
 struct Shard {
     root: u32,
@@ -379,23 +385,22 @@ fn subtree_span(tree: &KdTree, n: u32) -> (usize, usize) {
     (lo, hi)
 }
 
-/// Decides the parallel decomposition of a batch: a frontier of query-tree
-/// nodes partitioning the leaf-slot space, sized to about twice the current
+/// Decides the decomposition of a batch: a frontier of query-tree nodes
+/// partitioning the leaf-slot space, sized to about twice the current
 /// pool's worker count (slack for stealing to balance uneven shards).
-/// Returns a single whole-tree shard — i.e. "stay sequential" — when the
-/// pool has one executor or the batch is too small to repay sharding.
+/// Returns a single whole-tree shard when the pool has one executor or the
+/// batch is too small to repay sharding.
 fn plan_shards(qtree: &KdTree, queries: usize) -> Vec<Shard> {
     let whole = || {
-        let (lo, hi) = (0usize, queries);
         vec![Shard {
             root: qtree.root_id(),
-            lo,
-            hi,
+            lo: 0,
+            hi: queries,
         }]
     };
     #[cfg(not(feature = "parallel"))]
     {
-        return whole();
+        whole()
     }
     #[cfg(feature = "parallel")]
     {
@@ -441,136 +446,27 @@ fn plan_shards(qtree: &KdTree, queries: usize) -> Vec<Shard> {
     }
 }
 
-/// Sequential-build stub: [`plan_shards`] never returns more than one shard
-/// without the `parallel` feature, so the sharded branch is unreachable.
-#[cfg(not(feature = "parallel"))]
-#[allow(clippy::too_many_arguments)]
-fn run_sharded(
-    _rtree: &KdTree,
-    _qtree: &KdTree,
-    _mono: bool,
-    _stride: usize,
-    _shards: &[Shard],
-    _all_rows: &mut [u64],
-    _bounds_pool: &mut Vec<Vec<f32>>,
-) {
-    unreachable!("plan_shards stays sequential without the parallel feature");
-}
-
-/// Runs the traversal sharded across the pool. Each shard task owns the
-/// row sub-slab of its leaf-slot range and a full node-indexed bounds
-/// vector (pooled in the scratch), so tasks share nothing mutable; results
-/// are bit-identical to the sequential traversal because bounds only prune
-/// provably irrelevant work and row contents are decided by packed
-/// `(distance, index)` keys alone (see the module docs).
-///
-/// Scheduling inside a shard mirrors the sequential order's intent: in the
-/// monochromatic case the shard scans its *diagonal* pair first (its
-/// queries meet their own points, seeding tight pruning bounds — the very
-/// property that makes self-joins the dual tree's winning case), then the
-/// other shards' reference subtrees nearest-first. Bichromatic shards
-/// descend the whole reference tree exactly like the sequential `(split,
-/// split)` arm.
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn run_sharded(
-    rtree: &KdTree,
-    qtree: &KdTree,
-    mono: bool,
-    stride: usize,
-    shards: &[Shard],
-    all_rows: &mut [u64],
-    bounds_pool: &mut Vec<Vec<f32>>,
-) {
-    use crate::par::SendPtr;
-    // Pooled per-shard bounds: grow the pool to the shard count, then reset
-    // each vector to node-count ∞ entries (allocation-free at steady state).
-    if bounds_pool.len() < shards.len() {
-        bounds_pool.resize_with(shards.len(), Vec::new);
-    }
-    for b in &mut bounds_pool[..shards.len()] {
-        b.clear();
-        b.resize(qtree.node_count(), f32::INFINITY);
-    }
-    let mut shard_bounds: Vec<&mut [f32]> = bounds_pool[..shards.len()]
-        .iter_mut()
-        .map(|b| b.as_mut_slice())
-        .collect();
-    let bounds_ptr = SendPtr::new(shard_bounds.as_mut_ptr());
-    let rows_ptr = SendPtr::new(all_rows.as_mut_ptr());
-    crate::runtime::run_range(shards.len(), 1, |r| {
-        for i in r {
-            let shard = shards[i];
-            // SAFETY: shard index `i` is visited by exactly one task, and
-            // shard slot ranges are disjoint, so the bounds slot and the
-            // rows sub-slab are exclusively this task's; both borrows end
-            // before `run_range` returns.
-            let bounds: &mut [f32] = unsafe { &mut *bounds_ptr.get().add(i) };
-            let rows = unsafe {
-                std::slice::from_raw_parts_mut(
-                    rows_ptr.get().add(shard.lo * stride),
-                    (shard.hi - shard.lo) * stride,
-                )
-            };
-            let mut t = Traversal {
-                qtree,
-                rtree,
-                rows,
-                bounds,
-                stride,
-                mono,
-                slot_base: shard.lo,
-                prev_slot: usize::MAX,
-            };
-            if mono {
-                // Diagonal first, then the other shards' subtrees as
-                // reference sides, nearest box first.
-                t.pair(shard.root, shard.root, 0.0);
-                let mut others: Vec<(u32, f32)> = shards
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, s)| (s.root, t.child_dist(shard.root, s.root)))
-                    .collect();
-                others.sort_by(|a, b| a.1.total_cmp(&b.1));
-                for (rn, d) in others {
-                    t.pair(shard.root, rn, d);
-                }
-            } else {
-                t.pair(shard.root, rtree.root_id(), 0.0);
-            }
-        }
-    });
-}
-
-/// The recursive (query-node, reference-node) pair walk. Each pair is
-/// visited at most once (the decomposition of a pair is a function of the
-/// pair, so the call graph is a tree), descends the reference side
+/// The recursive (query-node, reference-node) pair walk of one shard. Each
+/// pair is visited at most once (the decomposition of a pair is a function
+/// of the pair, so the call graph is a tree), descends the reference side
 /// nearest-child-first so bounds tighten before far pairs are tested, and —
 /// in the monochromatic case — descends diagonal pairs first so every query
 /// leaf scans its own tile (which contains the queries themselves) before
 /// anything else.
 ///
-/// NOTE: the manual `work_count_probe` test below mirrors `pair` and
-/// `scan_pair` with counters (the numbers behind the selection-policy
-/// docs); keep it in sync when changing the traversal or scan logic.
+/// Shards are independent because everything mutable here is the shard's
+/// own, and their results are bit-identical to a whole-tree traversal
+/// because bounds only prune provably irrelevant work and row contents are
+/// decided by packed `(distance, index)` keys alone (see the module docs).
 struct Traversal<'a> {
     qtree: &'a KdTree,
     rtree: &'a KdTree,
-    rows: &'a mut [u64],
-    bounds: &'a mut [f32],
-    stride: usize,
+    /// The shard's result rows and per-row bounds.
+    rows: JoinRows<'a>,
+    /// Per-query-node pruning bound, indexed by query-tree node id.
+    node_bounds: &'a mut [f32],
     mono: bool,
-    /// First leaf slot covered by `rows` — zero for the sequential
-    /// whole-tree traversal; a shard's range start for the parallel one
-    /// (shards own the sub-slab of their own leaf-slot range, so absolute
-    /// slots are rebased before indexing `rows`).
-    slot_base: usize,
-    /// Slot of the most recently scanned query row — the warm-start seed
-    /// for the next cold row (usually the previous slot of the same leaf;
-    /// across leaf boundaries, the last row of the previously scanned
-    /// leaf). `usize::MAX` until the first row has been scanned.
-    prev_slot: usize,
+    tier: Tier,
 }
 
 impl Traversal<'_> {
@@ -583,7 +479,7 @@ impl Traversal<'_> {
         // `rn` can enter any of those rows. Equality passes through —
         // boundary ties are resolved by the row insert, like everywhere
         // else.
-        if d > self.bounds[qn as usize] {
+        if d > self.node_bounds[qn as usize] {
             return;
         }
         let qnode = self.qtree.node(qn);
@@ -655,92 +551,49 @@ impl Traversal<'_> {
     /// every row below `qn` between refreshes.
     #[inline(always)]
     fn refresh_bound(&mut self, qn: u32, qa: u32, qb: u32) {
-        self.bounds[qn as usize] = self.bounds[qa as usize].max(self.bounds[qb as usize]);
+        self.node_bounds[qn as usize] =
+            self.node_bounds[qa as usize].max(self.node_bounds[qb as usize]);
     }
 
-    /// Leaf-pair scan: every query row of leaf `qn` sweeps reference leaf
-    /// `rn`'s SoA tile, guarded by the same tight-leaf-box test the
-    /// single-tree path applies on leaf arrival. Afterwards the query
-    /// leaf's shared bound is recomputed exactly (max over its rows'
-    /// worsts).
+    /// Leaf-pair base case: hands query leaf `qn` and reference leaf `rn`
+    /// to [`kernels::join_leaf_pair`] — the leaf's rows are tested against
+    /// `rn`'s tight box a block at a time (the same test the single-tree
+    /// path applies on leaf arrival) and the survivors sweep its SoA tile —
+    /// and records the query leaf's new shared bound.
     ///
     /// Rows that have not yet filled (their first scan — for the interior
     /// of the traversal that is the leaf's first surviving pair, which in
     /// the monochromatic case is the diagonal self-pair) are warm-started
-    /// exactly like [`BestK::begin_warm`]: the previously scanned row's
-    /// `stride` entries are that many *distinct* reference points, so the
-    /// largest of their distances to this query is a true upper bound on
-    /// this row's final k-th distance and becomes the initial pruning cap.
-    /// Leaf slots are Morton-sorted at build time, making consecutive rows
-    /// spatial neighbors and the cap tight from the first block of the very
-    /// first tile scan; results are unaffected (candidates are only skipped
-    /// when strictly beyond the bound, ties still pass).
+    /// there exactly like [`BestK::begin_warm`]. Leaf slots are
+    /// Morton-sorted at build time, making consecutive rows spatial
+    /// neighbors and the cap tight from the first block of the very first
+    /// tile scan; results are unaffected (candidates are only skipped when
+    /// strictly beyond the bound, ties still pass).
     ///
     /// [`BestK::begin_warm`]: crate::knn::BestK::begin_warm
     fn scan_pair(&mut self, qn: u32, rn: u32) {
         let (qs, qe) = self.qtree.node(qn).leaf_range();
         let (rs, re) = self.rtree.node(rn).leaf_range();
-        let rbox = self.rtree.node_aabb(rn);
-        let (qxs, qys, qzs) = (
-            self.qtree.soa().xs(),
-            self.qtree.soa().ys(),
-            self.qtree.soa().zs(),
-        );
-        // The reference tile is about to be streamed `qe - qs` times; pull
-        // its lanes in behind the first row's scan.
-        kernels::prefetch_read(&self.rtree.soa().xs()[rs]);
-        kernels::prefetch_read(&self.rtree.soa().ys()[rs]);
-        kernels::prefetch_read(&self.rtree.soa().zs()[rs]);
-        let mut bound = 0.0f32;
-        for slot in qs..qe {
-            let q = Point3::new(qxs[slot], qys[slot], qzs[slot]);
-            let local = slot - self.slot_base;
-            let filled = {
-                let row = &self.rows[local * self.stride..(local + 1) * self.stride];
-                f32::from_bits((row[row.len() - 1] >> 32) as u32).is_finite()
-            };
-            let cap = if filled {
-                f32::INFINITY
-            } else {
-                self.warm_cap(q)
-            };
-            let row = &mut self.rows[local * self.stride..(local + 1) * self.stride];
-            let mut sink = RowSink { keys: row, cap };
-            if rbox.distance_squared_to(q) <= sink.worst_d2() {
-                kernels::scan_ids(self.rtree.soa(), self.rtree.order(), rs, re, q, &mut sink);
-            }
-            bound = bound.max(sink.worst_d2());
-            self.prev_slot = slot;
+        if rs == re {
+            // A leaf a patch emptied: nothing to offer.
+            return;
         }
-        self.bounds[qn as usize] = bound;
-    }
-
-    /// [`BestK::begin_warm`]'s bound for the dual tree: the largest squared
-    /// distance from `q` to the entries of the previously scanned row (they
-    /// are `stride` distinct reference points, or the whole cloud when it is
-    /// smaller than `k`, so `q`'s final k-th distance cannot exceed it).
-    /// Returns `INFINITY` when no previous row exists or it is not yet
-    /// complete. Exact distances to real candidates — the same arithmetic
-    /// the scan kernels use — so no rounding slack is needed.
-    ///
-    /// [`BestK::begin_warm`]: crate::knn::BestK::begin_warm
-    #[inline]
-    fn warm_cap(&self, q: Point3) -> f32 {
-        if self.prev_slot == usize::MAX {
-            return f32::INFINITY;
-        }
-        let local = self.prev_slot - self.slot_base;
-        let prow = &self.rows[local * self.stride..(local + 1) * self.stride];
-        if *prow.last().expect("stride > 0") == SENTINEL {
-            return f32::INFINITY;
-        }
-        let points = self.rtree.points();
-        let mut cap = 0.0f32;
-        for &key in prow {
-            let p = points[key as u32 as usize];
-            cap = cap.max(q.distance_squared(p));
-        }
-        cap
+        let rsoa = self.rtree.soa();
+        // The reference tile is about to be streamed up to `qe - qs` times;
+        // pull its lanes in behind the first row's scan.
+        kernels::prefetch_read(&rsoa.xs()[rs]);
+        kernels::prefetch_read(&rsoa.ys()[rs]);
+        kernels::prefetch_read(&rsoa.zs()[rs]);
+        let leaf = RefLeaf {
+            soa: rsoa,
+            ids: self.rtree.order(),
+            points: self.rtree.points(),
+            start: rs,
+            end: re,
+            aabb: self.rtree.node_aabb(rn),
+        };
+        self.node_bounds[qn as usize] =
+            kernels::join_leaf_pair(self.tier, &mut self.rows, self.qtree.soa(), qs, qe, &leaf);
     }
 }
 
@@ -943,7 +796,7 @@ mod tests {
                     tree.knn_batch_with(&pts, k, &mut mono, BatchStrategy::DualTree, &mut scratch);
                     assert_eq!(mono, seq_mono, "mono k {k} workers {workers}");
                     assert!(
-                        !scratch.shard_bounds.is_empty(),
+                        scratch.shard_bounds.len() > 1,
                         "parallel path must engage under a {workers}-worker pool"
                     );
                     let mut bi = Neighborhoods::new();
@@ -1006,14 +859,21 @@ mod tests {
 
     #[test]
     fn auto_policy_selects_as_documented() {
-        let pts = random_points(DUAL_MIN_QUERIES_MONO + 10, 11);
+        let pts = random_points(600, 11);
         let tree = KdTree::build(&pts);
-        // Self-join at the mono threshold: dual.
+        // A self-join, fleet-tenant sized: dual.
         assert!(select_dual_tree(BatchStrategy::Auto, &pts, 5, &tree));
         // Same size but bichromatic: single (measured slower; see the
-        // DUAL_MIN_QUERIES_MONO docs).
-        let other = random_points(DUAL_MIN_QUERIES_MONO + 10, 12);
+        // DUAL_MIN_QUERIES_MONO docs) — and a prefix of the cloud is
+        // bichromatic too.
+        let other = random_points(600, 12);
         assert!(!select_dual_tree(BatchStrategy::Auto, &other, 5, &tree));
+        assert!(!select_dual_tree(
+            BatchStrategy::Auto,
+            &pts[..100],
+            5,
+            &tree
+        ));
         // Large k: single.
         assert!(!select_dual_tree(
             BatchStrategy::Auto,
@@ -1021,12 +881,13 @@ mod tests {
             DUAL_MAX_K + 1,
             &tree
         ));
-        // Small batch: single.
+        // A self-join below the measured range: single.
+        let tiny = &pts[..DUAL_MIN_QUERIES_MONO - 1];
         assert!(!select_dual_tree(
             BatchStrategy::Auto,
-            &pts[..100],
+            tiny,
             5,
-            &tree
+            &KdTree::build(tiny)
         ));
         // Forcing wins over everything.
         assert!(select_dual_tree(
@@ -1039,11 +900,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_knn_batch_crosses_the_dual_threshold_transparently() {
-        // A self-join big enough for Auto to pick the dual tree must still
-        // be bit-identical to the per-query loop (this is the configuration
-        // the SR interpolators hit every frame).
-        let pts = random_points(DUAL_MIN_QUERIES_MONO + 500, 13);
+    fn auto_knn_batch_selects_the_dual_tree_transparently() {
+        // A self-join Auto sends to the dual tree must still be
+        // bit-identical to the per-query loop (this is the configuration
+        // the SR interpolators hit every cold frame).
+        let pts = random_points(4_600, 13);
         let tree = KdTree::build(&pts);
         let mut auto_rows = Neighborhoods::new();
         tree.knn_batch(&pts, 5, &mut auto_rows);
@@ -1059,186 +920,57 @@ mod tests {
         assert_eq!(auto_rows, forced_single);
     }
 
-    /// Counting replica of [`Traversal::pair`]/[`Traversal::scan_pair`]
-    /// (box tests, prunes, leaf scans, per-row skips, candidate volume,
-    /// push traffic) — these numbers justify the auto-selection policy.
-    /// It MUST be updated alongside any change to the real traversal; the
-    /// parity property tests catch result drift, this probe only reports
-    /// work counts.
+    /// Every kernel tier this host can execute — scalar, AVX2, AVX-512 —
+    /// must emit the scalar tier's rows, for both join shapes, across
+    /// strides on both sides of a 16-row pre-filter block and a 16-lane
+    /// scan block, on a cloud with a duplicate cluster and (after a patch)
+    /// emptied leaves, at one worker and sharded.
     #[test]
-    #[ignore = "manual instrumentation probe"]
-    fn work_count_probe() {
-        let pts = crate::synthetic::humanoid(100_000, 0.5, 3);
-        for bichromatic in [false, true] {
-            work_count_case(&pts, bichromatic);
-        }
-    }
-
-    fn work_count_case(pts: &crate::PointCloud, bichromatic: bool) {
-        let tree = KdTree::build(pts.positions());
-        let jittered: Vec<Point3>;
-        let (queries, qtree_owned): (&[Point3], Option<KdTree>) = if bichromatic {
-            jittered = pts
-                .positions()
-                .iter()
-                .map(|&p| p + Point3::new(0.013, -0.009, 0.011))
-                .collect();
-            let q = KdTree::build(&jittered);
-            (&jittered, Some(q))
-        } else {
-            (pts.positions(), None)
+    fn every_kernel_tier_matches_the_scalar_tier() {
+        use crate::kernels::tier_override::{available, with_tier};
+        let mut pts = random_points(5_000, 30);
+        pts.extend(vec![Point3::ONE; 40]);
+        let mut tree = KdTree::build(&pts);
+        // Empty a spatial corner so the self-join meets emptied leaves.
+        let removed: Vec<u32> = (0..pts.len() as u32)
+            .filter(|&i| pts[i as usize].x > 6.0 && pts[i as usize].y > 0.0)
+            .collect();
+        let survivors = pts.len() - removed.len();
+        let delta = crate::FrameDelta::from_parts(pts.len(), survivors, removed, Vec::new())
+            .expect("valid delta");
+        let pts: Vec<Point3> = (0..pts.len())
+            .filter(|&i| delta.map_old(i).is_some())
+            .map(|i| pts[i])
+            .collect();
+        tree.patch(&delta, &pts);
+        let queries = random_points(900, 31);
+        let join = |workers: usize, k: usize| {
+            crate::runtime::with_workers(workers, || {
+                let mut scratch = DualTreeScratch::new();
+                let (mut mono, mut bi) = (Neighborhoods::new(), Neighborhoods::new());
+                tree.knn_batch_with(&pts, k, &mut mono, BatchStrategy::DualTree, &mut scratch);
+                tree.knn_batch_with(&queries, k, &mut bi, BatchStrategy::DualTree, &mut scratch);
+                (mono, bi)
+            })
         };
-        let qtree = qtree_owned.as_ref().unwrap_or(&tree);
-        let k = 5;
-        let stride = k;
-        let mut rows = vec![SENTINEL; queries.len() * stride];
-        let mut bounds = vec![f32::INFINITY; qtree.node_count()];
-        struct Probe<'a> {
-            t: Traversal<'a>,
-            pairs: u64,
-            pruned: u64,
-            scans: u64,
-            rows_scanned: u64,
-            rows_skipped: u64,
-            cands: u64,
-            offers: u64,
-            accepts: u64,
-        }
-        struct CountingSink<'a> {
-            inner: RowSink<'a>,
-            offers: u64,
-            accepts: u64,
-        }
-        impl ScanSink for CountingSink<'_> {
-            fn worst_d2(&self) -> f32 {
-                self.inner.worst_d2()
+        let tiers = available();
+        for k in [1usize, 7, 9, 16, 17, 33] {
+            let scalar = with_tier(tiers[0], || join(1, k));
+            for (i, &q) in queries.iter().enumerate().step_by(37) {
+                let expected: Vec<u32> = tree.knn(q, k).iter().map(|n| n.index as u32).collect();
+                assert_eq!(
+                    scalar.1.row(i),
+                    expected.as_slice(),
+                    "scalar tier k {k} query {i}"
+                );
             }
-            fn push(&mut self, index: usize, d2: f32, pos: Point3) {
-                self.offers += 1;
-                let len = self.inner.keys.len();
-                if pack_key(index, d2) < self.inner.keys[len - 1] {
-                    self.accepts += 1;
-                }
-                self.inner.push(index, d2, pos);
-            }
-        }
-        impl Probe<'_> {
-            fn pair(&mut self, qn: u32, rn: u32, d: f32) {
-                self.pairs += 1;
-                if d > self.t.bounds[qn as usize] {
-                    self.pruned += 1;
-                    return;
-                }
-                let qnode = self.t.qtree.node(qn);
-                let rnode = self.t.rtree.node(rn);
-                match (qnode.is_leaf(), rnode.is_leaf()) {
-                    (true, true) => {
-                        self.scans += 1;
-                        let (qs, qe) = qnode.leaf_range();
-                        let (rs, re) = rnode.leaf_range();
-                        let rbox = self.t.rtree.node_aabb(rn);
-                        let mut bound = 0.0f32;
-                        for slot in qs..qe {
-                            let q = self.t.qtree.soa().get(slot);
-                            let filled = {
-                                let row =
-                                    &self.t.rows[slot * self.t.stride..(slot + 1) * self.t.stride];
-                                f32::from_bits((row[row.len() - 1] >> 32) as u32).is_finite()
-                            };
-                            let cap = if filled {
-                                f32::INFINITY
-                            } else {
-                                self.t.warm_cap(q)
-                            };
-                            let row =
-                                &mut self.t.rows[slot * self.t.stride..(slot + 1) * self.t.stride];
-                            let mut sink = CountingSink {
-                                inner: RowSink { keys: row, cap },
-                                offers: 0,
-                                accepts: 0,
-                            };
-                            if rbox.distance_squared_to(q) <= sink.worst_d2() {
-                                self.rows_scanned += 1;
-                                self.cands += (re - rs) as u64;
-                                kernels::scan_ids(
-                                    self.t.rtree.soa(),
-                                    self.t.rtree.order(),
-                                    rs,
-                                    re,
-                                    q,
-                                    &mut sink,
-                                );
-                            } else {
-                                self.rows_skipped += 1;
-                            }
-                            self.offers += sink.offers;
-                            self.accepts += sink.accepts;
-                            bound = bound.max(sink.worst_d2());
-                            self.t.prev_slot = slot;
-                        }
-                        self.t.bounds[qn as usize] = bound;
-                    }
-                    (true, false) => {
-                        let ((near, dn), (far, df)) = self.t.order_children(qn, rnode.children());
-                        self.pair(qn, near, dn);
-                        self.pair(qn, far, df);
-                    }
-                    (false, true) => {
-                        let (qa, qb) = qnode.children();
-                        self.pair(qa, rn, self.t.child_dist(qa, rn));
-                        self.pair(qb, rn, self.t.child_dist(qb, rn));
-                        self.t.refresh_bound(qn, qa, qb);
-                    }
-                    (false, false) => {
-                        let (qa, qb) = qnode.children();
-                        if self.t.mono && qn == rn {
-                            let (ra, rb) = rnode.children();
-                            self.pair(qa, ra, 0.0);
-                            self.pair(qb, rb, 0.0);
-                            self.pair(qa, rb, self.t.child_dist(qa, rb));
-                            self.pair(qb, ra, self.t.child_dist(qb, ra));
-                        } else {
-                            self.pair(qa, rn, self.t.child_dist(qa, rn));
-                            self.pair(qb, rn, self.t.child_dist(qb, rn));
-                        }
-                        self.t.refresh_bound(qn, qa, qb);
-                    }
+            for &tier in &tiers {
+                for workers in [1usize, 2] {
+                    let got = with_tier(tier, || join(workers, k));
+                    assert_eq!(got, scalar, "{tier:?} k {k} workers {workers}");
                 }
             }
         }
-        let mut probe = Probe {
-            t: Traversal {
-                qtree,
-                rtree: &tree,
-                rows: &mut rows,
-                bounds: &mut bounds,
-                stride,
-                mono: !bichromatic,
-                slot_base: 0,
-                prev_slot: usize::MAX,
-            },
-            pairs: 0,
-            pruned: 0,
-            scans: 0,
-            rows_scanned: 0,
-            rows_skipped: 0,
-            cands: 0,
-            offers: 0,
-            accepts: 0,
-        };
-        probe.pair(qtree.root_id(), tree.root_id(), 0.0);
-        let nq = queries.len() as f64;
-        println!(
-            "bichromatic {bichromatic}: pairs {} pruned {} leaf-scans {} | per query: rows_scanned {:.2} rows_skipped {:.2} cands {:.1} offers {:.2} accepts {:.2}",
-            probe.pairs,
-            probe.pruned,
-            probe.scans,
-            probe.rows_scanned as f64 / nq,
-            probe.rows_skipped as f64 / nq,
-            probe.cands as f64 / nq,
-            probe.offers as f64 / nq,
-            probe.accepts as f64 / nq,
-        );
     }
 
     #[test]

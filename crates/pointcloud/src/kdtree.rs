@@ -2,9 +2,23 @@
 //!
 //! This stands in for the cuKDTree GPU k-d tree used by the paper's CUDA
 //! client: an exact, cache-friendly, array-backed k-d tree with median
-//! splits. It is the default backend for the Yuzu/GradPU baselines, while
-//! the VoLUT pipeline itself prefers the two-layer octree of
-//! [`crate::octree`].
+//! splits. It is the one index the SR pipeline builds — every frame's
+//! self-join runs against it (see [`crate::dualtree`]) — and the default
+//! backend of the Yuzu/GradPU baselines; the two-layer octree of
+//! [`crate::octree`] remains as an alternative [`NeighborSearch`] backend.
+//!
+//! # Parallel build
+//!
+//! With median splits and a fixed leaf size, the node and leaf counts of a
+//! subtree are a pure function of how many points it covers
+//! (`subtree_counts`). [`KdTree::build_in`] therefore sizes the node, box
+//! and leaf-box arrays up front and hands every subtree the disjoint slices
+//! it will fill, in the post-order layout a sequential build produces. Above
+//! `BUILD_TASK_GRAIN` points the two halves of a split run as a two-way
+//! [`crate::runtime::run_range`] job (nested jobs split recursively and are
+//! stolen like any other range task); at or below it a subtree builds
+//! inline. Either way the tree is field-for-field the same at every worker
+//! count.
 
 use crate::aabb::Aabb;
 use crate::delta::{FrameDelta, REMOVED};
@@ -26,6 +40,14 @@ const LEAF_SIZE: usize = 64;
 
 /// `Node::tag` value marking a leaf (split nodes store their axis, 0-2).
 const LEAF_TAG: u32 = 3;
+
+/// Largest subtree (in points) built inline; a bigger one forks its two
+/// halves as pool tasks. A 4096-point cloud — the largest fleet tenant —
+/// builds in ≈ 0.4 ms on one thread, which is the scale at which a fork
+/// (two task submissions and a wake, ≈ 15 µs) stops mattering; everything at
+/// or below it submits nothing.
+#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
+const BUILD_TASK_GRAIN: usize = 4096;
 
 /// One packed tree node (16 bytes, down from a 40-byte enum): keeping the
 /// node array small matters because kNN traversals chase it randomly — at
@@ -62,6 +84,201 @@ impl Node {
         debug_assert!(self.is_leaf());
         (self.a as usize, self.b as usize)
     }
+
+    /// Placeholder of a node slot the build has sized but not yet written.
+    const UNSET: Node = Node {
+        tag: LEAF_TAG,
+        value: 0.0,
+        a: 0,
+        b: 0,
+    };
+}
+
+/// `(nodes, leaves)` of the subtree a build produces over `count` points.
+/// Splits put `count / 2` points left and the rest right, and a range of at
+/// most [`LEAF_SIZE`] points is a leaf, so both numbers depend on `count`
+/// alone — which is what lets a build assign every subtree its slice of the
+/// node arrays before any of them exists.
+fn subtree_counts(count: usize) -> (usize, usize) {
+    if count <= LEAF_SIZE {
+        return (1, 1);
+    }
+    let (ln, ll) = subtree_counts(count / 2);
+    let (rn, rl) = subtree_counts(count - count / 2);
+    (ln + rn + 1, ll + rl)
+}
+
+/// Morton-sorts one leaf's slots over its box `aabb` so consecutive slots
+/// are spatial neighbors: that is what makes the dual-tree leaf scan's
+/// row-to-row warm-start chain tight (see `crate::dualtree`). Visit order
+/// cannot change results — survivors and ties are decided by the packed
+/// `(distance, index)` keys — and the scan kernels stream the SoA lanes the
+/// same either way.
+fn sort_leaf_slots(points: &[Point3], slots: &mut [u32], aabb: &Aabb) {
+    let ext = aabb.extent();
+    let inv = Point3::new(
+        if ext.x > 0.0 { 1024.0 / ext.x } else { 0.0 },
+        if ext.y > 0.0 { 1024.0 / ext.y } else { 0.0 },
+        if ext.z > 0.0 { 1024.0 / ext.z } else { 0.0 },
+    );
+    // Fixed-size key buffer: leaves hold at most LEAF_SIZE points.
+    let mut keyed = [(0u32, 0u32); LEAF_SIZE];
+    let keyed = &mut keyed[..slots.len()];
+    for (slot, &i) in keyed.iter_mut().zip(slots.iter()) {
+        *slot = (
+            crate::knn::morton_code(points[i as usize], aabb.min, inv),
+            i,
+        );
+    }
+    keyed.sort_unstable();
+    for (dst, &(_, i)) in slots.iter_mut().zip(keyed.iter()) {
+        *dst = i;
+    }
+}
+
+/// One subtree of a build in progress: the slot range it partitions and the
+/// slices of the tree's arrays its nodes will occupy — exactly
+/// [`subtree_counts`]`(order.len())` of each — with the absolute offsets of
+/// those slices, since nodes name children, slots and leaf boxes by absolute
+/// index. Sibling subtrees hold disjoint slices, so they can build on
+/// different workers without sharing anything mutable.
+struct Subtree<'a> {
+    points: &'a [Point3],
+    order: &'a mut [u32],
+    nodes: &'a mut [Node],
+    node_aabbs: &'a mut [Aabb],
+    leaf_aabbs: &'a mut [Aabb],
+    slot_base: usize,
+    node_base: usize,
+    leaf_base: usize,
+}
+
+impl Subtree<'_> {
+    /// Builds the subtree in post-order: the left subtree's nodes, the
+    /// right subtree's, then the root — which is therefore the last node of
+    /// the slice, with its box in the last slot of `node_aabbs`.
+    fn build(self) {
+        let count = self.order.len();
+        if count <= LEAF_SIZE {
+            return self.build_leaf();
+        }
+        let Subtree {
+            points,
+            order,
+            nodes,
+            node_aabbs,
+            leaf_aabbs,
+            slot_base,
+            node_base,
+            leaf_base,
+        } = self;
+        // Pick the axis with the largest spread for better balance than
+        // round-robin on skewed data.
+        let axis = {
+            let mut min = Point3::splat(f32::INFINITY);
+            let mut max = Point3::splat(f32::NEG_INFINITY);
+            for &i in order.iter() {
+                min = min.min(points[i as usize]);
+                max = max.max(points[i as usize]);
+            }
+            let ext = max - min;
+            if ext.x >= ext.y && ext.x >= ext.z {
+                0
+            } else if ext.y >= ext.z {
+                1
+            } else {
+                2
+            }
+        };
+        let half = count / 2;
+        order.select_nth_unstable_by(half, |&a, &b| {
+            points[a as usize][axis].total_cmp(&points[b as usize][axis])
+        });
+        let value = points[order[half] as usize][axis];
+
+        let (left_nodes, left_leaves) = subtree_counts(half);
+        let child_nodes = nodes.len() - 1;
+        let (left_order, right_order) = order.split_at_mut(half);
+        let (children, root) = nodes.split_at_mut(child_nodes);
+        let (child_aabbs, root_aabb) = node_aabbs.split_at_mut(child_nodes);
+        let (ln, rn) = children.split_at_mut(left_nodes);
+        let (la, ra) = child_aabbs.split_at_mut(left_nodes);
+        let (ll, rl) = leaf_aabbs.split_at_mut(left_leaves);
+        fork(
+            count,
+            Subtree {
+                points,
+                order: left_order,
+                nodes: ln,
+                node_aabbs: la,
+                leaf_aabbs: ll,
+                slot_base,
+                node_base,
+                leaf_base,
+            },
+            Subtree {
+                points,
+                order: right_order,
+                nodes: rn,
+                node_aabbs: ra,
+                leaf_aabbs: rl,
+                slot_base: slot_base + half,
+                node_base: node_base + left_nodes,
+                leaf_base: leaf_base + left_leaves,
+            },
+        );
+        // Tight internal box: the union of the children's, which they have
+        // just written behind their own nodes.
+        let (left_box, right_box) = (child_aabbs[left_nodes - 1], child_aabbs[child_nodes - 1]);
+        root_aabb[0] = Aabb {
+            min: left_box.min.min(right_box.min),
+            max: left_box.max.max(right_box.max),
+        };
+        root[0] = Node {
+            tag: axis as u32,
+            value,
+            a: (node_base + left_nodes - 1) as u32,
+            b: (node_base + child_nodes - 1) as u32,
+        };
+    }
+
+    /// Writes the single leaf node covering this subtree's slots, recording
+    /// the tight bounding box of its points and freezing the slots in Morton
+    /// order (see [`sort_leaf_slots`]).
+    fn build_leaf(self) {
+        let aabb = Aabb::from_points(self.order.iter().map(|&i| self.points[i as usize]))
+            .unwrap_or(Aabb::new(Point3::ZERO, Point3::ZERO));
+        sort_leaf_slots(self.points, self.order, &aabb);
+        self.leaf_aabbs[0] = aabb;
+        self.node_aabbs[0] = aabb;
+        self.nodes[0] = Node {
+            tag: LEAF_TAG,
+            value: f32::from_bits(self.leaf_base as u32),
+            a: self.slot_base as u32,
+            b: (self.slot_base + self.order.len()) as u32,
+        };
+    }
+}
+
+/// Builds the two halves of a split over `count` points — as a two-way pool
+/// job when the split is big enough to repay it, inline otherwise.
+fn fork(count: usize, left: Subtree<'_>, right: Subtree<'_>) {
+    #[cfg(feature = "parallel")]
+    if count > BUILD_TASK_GRAIN && crate::runtime::current_workers() > 1 {
+        // `run_range` takes a shared closure, so each half travels to
+        // whichever worker picks it up through a take-once slot.
+        let halves = [left, right].map(|half| std::sync::Mutex::new(Some(half)));
+        crate::runtime::run_range(2, 1, |sides| {
+            for side in sides {
+                let half = halves[side].lock().expect("half slot").take();
+                half.expect("each half is built once").build();
+            }
+        });
+        return;
+    }
+    let _ = count;
+    left.build();
+    right.build();
 }
 
 /// A far subtree deferred during kNN traversal, tagged with the squared
@@ -139,7 +356,7 @@ impl PatchScratch {
 /// The bounding box of an emptied leaf: inverted extremes, so any distance
 /// test against it returns `+inf` (the leaf attracts no traversal) and a
 /// union with it is the identity.
-const EMPTY_LEAF_AABB: Aabb = Aabb {
+pub(crate) const EMPTY_LEAF_AABB: Aabb = Aabb {
     min: Point3::splat(f32::INFINITY),
     max: Point3::splat(f32::NEG_INFINITY),
 };
@@ -172,23 +389,34 @@ impl KdTree {
     /// node storage already owned by `self`. This is the streaming-session
     /// entry point: a scratch-resident tree is rebuilt in place when the
     /// frame geometry actually changes, so steady-state frames pay no
-    /// allocation for index (re)construction.
+    /// allocation for index (re)construction. Large clouds build their
+    /// subtrees as pool tasks (see the module docs); the result does not
+    /// depend on the worker count.
     pub fn build_in(&mut self, points: &[Point3]) {
         self.points.clear();
         self.points.extend_from_slice(points);
         self.order.clear();
         self.order.extend(0..points.len() as u32);
+        let (nodes, leaves) = subtree_counts(points.len());
         self.nodes.clear();
-        self.leaf_aabbs.clear();
+        self.nodes.resize(nodes, Node::UNSET);
         self.node_aabbs.clear();
-        self.root = 0;
-        if points.is_empty() {
-            self.push_leaf(0, 0);
-            self.soa.fill_permuted(points, &self.order);
-            return;
+        self.node_aabbs.resize(nodes, EMPTY_LEAF_AABB);
+        self.leaf_aabbs.clear();
+        self.leaf_aabbs.resize(leaves, EMPTY_LEAF_AABB);
+        // Post-order layout: a subtree's root is its last node.
+        self.root = nodes - 1;
+        Subtree {
+            points: &self.points,
+            order: &mut self.order,
+            nodes: &mut self.nodes,
+            node_aabbs: &mut self.node_aabbs,
+            leaf_aabbs: &mut self.leaf_aabbs,
+            slot_base: 0,
+            node_base: 0,
+            leaf_base: 0,
         }
-        let n = points.len();
-        self.root = self.build_range(0, n, 0);
+        .build();
         // One contiguous reordered copy: leaf ranges now address three
         // streaming coordinate lanes instead of a permuted `Point3` gather.
         self.soa.fill_permuted(points, &self.order);
@@ -197,109 +425,6 @@ impl KdTree {
     /// The indexed points, in their original order.
     pub fn points(&self) -> &[Point3] {
         &self.points
-    }
-
-    /// Appends a leaf node covering `order[start..end]`, recording the
-    /// tight bounding box of the leaf's points.
-    ///
-    /// The leaf's slots are sorted by Morton code over the leaf box before
-    /// being frozen: consecutive slots become spatial neighbors, which is
-    /// what makes the dual-tree leaf scan's row-to-row warm-start chain
-    /// tight (see `crate::dualtree`). Visit order cannot change results —
-    /// survivors and ties are decided by the packed `(distance, index)`
-    /// keys — and the scan kernels stream the SoA lanes the same either
-    /// way.
-    fn push_leaf(&mut self, start: usize, end: usize) -> usize {
-        let aabb = Aabb::from_points(
-            self.order[start..end]
-                .iter()
-                .map(|&i| self.points[i as usize]),
-        )
-        .unwrap_or(Aabb::new(Point3::ZERO, Point3::ZERO));
-        self.sort_leaf_slots(start, end, &aabb);
-        let ordinal = self.leaf_aabbs.len() as u32;
-        self.leaf_aabbs.push(aabb);
-        self.node_aabbs.push(aabb);
-        self.nodes.push(Node {
-            tag: LEAF_TAG,
-            value: f32::from_bits(ordinal),
-            a: start as u32,
-            b: end as u32,
-        });
-        self.nodes.len() - 1
-    }
-
-    /// Morton-sorts the leaf slots `order[start..end]` over `aabb` so
-    /// consecutive slots are spatial neighbors (the dual-tree warm-start
-    /// chain relies on this; see [`Self::push_leaf`]).
-    fn sort_leaf_slots(&mut self, start: usize, end: usize, aabb: &Aabb) {
-        let ext = aabb.extent();
-        let inv = Point3::new(
-            if ext.x > 0.0 { 1024.0 / ext.x } else { 0.0 },
-            if ext.y > 0.0 { 1024.0 / ext.y } else { 0.0 },
-            if ext.z > 0.0 { 1024.0 / ext.z } else { 0.0 },
-        );
-        // Fixed-size key buffer: leaves hold at most LEAF_SIZE points.
-        let mut keyed = [(0u32, 0u32); LEAF_SIZE];
-        let count = end - start;
-        for (slot, &i) in keyed[..count].iter_mut().zip(&self.order[start..end]) {
-            *slot = (
-                crate::knn::morton_code(self.points[i as usize], aabb.min, inv),
-                i,
-            );
-        }
-        keyed[..count].sort_unstable();
-        for (dst, &(_, i)) in self.order[start..end].iter_mut().zip(&keyed[..count]) {
-            *dst = i;
-        }
-    }
-
-    #[allow(clippy::only_used_in_recursion)] // depth is the conventional k-d recursion parameter
-    fn build_range(&mut self, start: usize, end: usize, depth: usize) -> usize {
-        let count = end - start;
-        if count <= LEAF_SIZE {
-            return self.push_leaf(start, end);
-        }
-        // Pick the axis with the largest spread for better balance than
-        // round-robin on skewed data.
-        let axis = {
-            let mut min = Point3::splat(f32::INFINITY);
-            let mut max = Point3::splat(f32::NEG_INFINITY);
-            for &i in &self.order[start..end] {
-                min = min.min(self.points[i as usize]);
-                max = max.max(self.points[i as usize]);
-            }
-            let ext = max - min;
-            if ext.x >= ext.y && ext.x >= ext.z {
-                0
-            } else if ext.y >= ext.z {
-                1
-            } else {
-                2
-            }
-        };
-        let mid = start + count / 2;
-        let points = &self.points;
-        self.order[start..end].select_nth_unstable_by(count / 2, |&a, &b| {
-            points[a as usize][axis].total_cmp(&points[b as usize][axis])
-        });
-        let value = self.points[self.order[mid] as usize][axis];
-        let left = self.build_range(start, mid, depth + 1);
-        let right = self.build_range(mid, end, depth + 1);
-        // Tight internal box: the union of the children's (the children were
-        // just built, so their boxes are final).
-        let aabb = Aabb {
-            min: self.node_aabbs[left].min.min(self.node_aabbs[right].min),
-            max: self.node_aabbs[left].max.max(self.node_aabbs[right].max),
-        };
-        self.node_aabbs.push(aabb);
-        self.nodes.push(Node {
-            tag: axis as u32,
-            value,
-            a: left as u32,
-            b: right as u32,
-        });
-        self.nodes.len() - 1
     }
 
     // --- Internals shared with the dual-tree traversal (`crate::dualtree`).
@@ -486,7 +611,25 @@ impl KdTree {
         for &leaf_id in dirty.iter() {
             let (s, e) = self.nodes[leaf_id as usize].leaf_range();
             if e - s > LEAF_SIZE {
-                let sub = self.build_range(s, e, 0);
+                // Appended behind the existing nodes, in the same layout a
+                // full build gives a subtree of this size.
+                let (node_base, leaf_base) = (self.nodes.len(), self.leaf_aabbs.len());
+                let (nodes, leaves) = subtree_counts(e - s);
+                self.nodes.resize(node_base + nodes, Node::UNSET);
+                self.node_aabbs.resize(node_base + nodes, EMPTY_LEAF_AABB);
+                self.leaf_aabbs.resize(leaf_base + leaves, EMPTY_LEAF_AABB);
+                Subtree {
+                    points: &self.points,
+                    order: &mut self.order[s..e],
+                    nodes: &mut self.nodes[node_base..],
+                    node_aabbs: &mut self.node_aabbs[node_base..],
+                    leaf_aabbs: &mut self.leaf_aabbs[leaf_base..],
+                    slot_base: s,
+                    node_base,
+                    leaf_base,
+                }
+                .build();
+                let sub = self.nodes.len() - 1;
                 self.nodes[leaf_id as usize] = self.nodes[sub];
                 self.node_aabbs[leaf_id as usize] = self.node_aabbs[sub];
                 continue;
@@ -498,7 +641,7 @@ impl KdTree {
                 let aabb =
                     Aabb::from_points(self.order[s..e].iter().map(|&i| self.points[i as usize]))
                         .expect("non-empty slot range");
-                self.sort_leaf_slots(s, e, &aabb);
+                sort_leaf_slots(&self.points, &mut self.order[s..e], &aabb);
                 aabb
             };
             self.leaf_aabbs[ordinal] = aabb;
@@ -629,7 +772,7 @@ impl KdTree {
                 }
             }
         }
-        best.begin_warm(k, query);
+        best.begin_warm(k, query, &self.points);
         if k == 0 || self.points.is_empty() {
             return;
         }
@@ -783,8 +926,8 @@ impl KdTree {
     }
 
     /// Whether [`BatchStrategy::Auto`] would route this batch through the
-    /// dual-tree all-kNN (a large enough self-join with small `k`; see the
-    /// [`dualtree`] selection-policy docs). Exposed so
+    /// dual-tree all-kNN (a self-join with small `k`; see the [`dualtree`]
+    /// selection-policy docs). Exposed so
     /// callers that would otherwise pre-chunk a batch across workers — the
     /// SR engine's frame driver — can leave dual-tree batches whole: the
     /// traversal parallelizes internally by sharding the query-leaf set,
@@ -943,6 +1086,118 @@ mod tests {
         assert!(tree.knn(Point3::ZERO, 3).is_empty());
     }
 
+    /// Field-for-field equality of two trees (bit patterns where a field
+    /// is a float that may carry a bit-cast ordinal).
+    fn assert_same_tree(a: &KdTree, b: &KdTree, what: &str) {
+        assert_eq!(a.points, b.points, "{what}: points");
+        assert_eq!(a.order, b.order, "{what}: order");
+        assert_eq!(a.root, b.root, "{what}: root");
+        let bits = |n: &Node| (n.tag, n.value.to_bits(), n.a, n.b);
+        assert!(
+            a.nodes.iter().map(bits).eq(b.nodes.iter().map(bits)),
+            "{what}: nodes"
+        );
+        assert_eq!(a.node_aabbs, b.node_aabbs, "{what}: node boxes");
+        assert_eq!(a.leaf_aabbs, b.leaf_aabbs, "{what}: leaf boxes");
+        let n = a.points.len();
+        assert_eq!(a.soa.len(), b.soa.len(), "{what}: soa length");
+        assert_eq!(a.soa.xs()[..n], b.soa.xs()[..n], "{what}: soa x");
+        assert_eq!(a.soa.ys()[..n], b.soa.ys()[..n], "{what}: soa y");
+        assert_eq!(a.soa.zs()[..n], b.soa.zs()[..n], "{what}: soa z");
+    }
+
+    /// A churn delta over `pts` — a tenth removed, a tenth inserted at the
+    /// tail, a third of the insertions piled onto one existing point so a
+    /// leaf overflows — and the frame it leads to.
+    fn churn(pts: &[Point3], seed: u64) -> (crate::FrameDelta, Vec<Point3>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = pts.len();
+        let removed: Vec<u32> = (0..n as u32)
+            .filter(|_| rng.random_range(0..10) == 0)
+            .collect();
+        let insert_count = n / 10 + 70;
+        let center = pts[rng.random_range(0..n)];
+        let inserted_pts: Vec<Point3> = (0..insert_count)
+            .map(|i| {
+                if i % 3 == 0 {
+                    center
+                } else {
+                    random_points(1, seed * 1000 + i as u64)[0]
+                }
+            })
+            .collect();
+        let new_len = n - removed.len() + insert_count;
+        let inserted: Vec<u32> = ((new_len - insert_count) as u32..new_len as u32).collect();
+        let delta = crate::FrameDelta::from_parts(n, new_len, removed, inserted).unwrap();
+        let new_pts = apply_delta(pts, &delta, &inserted_pts);
+        (delta, new_pts)
+    }
+
+    /// The task-parallel build writes the tree a one-worker build writes,
+    /// field for field: sizes around multiples of the leaf size (where the
+    /// shape of the last levels changes) and around the task grain (where
+    /// forking starts), on distinct and duplicate-heavy clouds, at every
+    /// worker count — and a patch on top keeps them equal, including the
+    /// subtree a leaf overflow appends.
+    #[test]
+    fn parallel_build_matches_one_worker_build_field_by_field() {
+        let mut sizes = vec![0usize, 1, 2];
+        for around in [
+            LEAF_SIZE,
+            2 * LEAF_SIZE,
+            3 * LEAF_SIZE,
+            BUILD_TASK_GRAIN,
+            2 * BUILD_TASK_GRAIN,
+            4 * BUILD_TASK_GRAIN + LEAF_SIZE,
+        ] {
+            sizes.extend([around - 1, around, around + 1]);
+        }
+        sizes.push(20_011);
+        for (case, &n) in sizes.iter().enumerate() {
+            for duplicate_heavy in [false, true] {
+                let pts: Vec<Point3> = if duplicate_heavy {
+                    // Forty distinct positions: every split is full of ties.
+                    let pool = random_points(40, 900 + case as u64);
+                    let mut rng = StdRng::seed_from_u64(case as u64);
+                    (0..n)
+                        .map(|_| pool[rng.random_range(0..pool.len())])
+                        .collect()
+                } else {
+                    random_points(n, 700 + case as u64)
+                };
+                let what = format!("n {n} duplicates {duplicate_heavy}");
+                let serial = crate::runtime::with_workers(1, || KdTree::build(&pts));
+                let (nodes, leaves) = subtree_counts(n);
+                assert_eq!(
+                    (serial.nodes.len(), serial.leaf_aabbs.len()),
+                    (nodes, leaves)
+                );
+                assert_eq!(serial.nodes.iter().filter(|n| n.is_leaf()).count(), leaves);
+                let patch = (n >= 2).then(|| {
+                    let (delta, new_pts) = churn(&pts, case as u64 + 1);
+                    let mut patched = serial.clone();
+                    crate::runtime::with_workers(1, || patched.patch(&delta, &new_pts));
+                    (delta, new_pts, patched)
+                });
+                for workers in [2usize, 4, 8] {
+                    crate::runtime::with_workers(workers, || {
+                        let mut tree = KdTree::default();
+                        tree.build_in(&pts);
+                        assert_same_tree(&tree, &serial, &format!("{what} workers {workers}"));
+                        if let Some((delta, new_pts, patched)) = &patch {
+                            tree.patch(delta, new_pts);
+                            assert_same_tree(
+                                &tree,
+                                patched,
+                                &format!("{what} workers {workers} patched"),
+                            );
+                        }
+                    });
+                }
+            }
+        }
+    }
+
     #[test]
     fn knn_batch_matches_per_query_loop() {
         let pts = random_points(700, 21);
@@ -1023,7 +1278,7 @@ mod tests {
             (0u64, 0u64, 0u64, 0u64, 0u64);
         for &qi in &visit {
             let query = queries[qi as usize];
-            best.begin_warm(k, query);
+            best.begin_warm(k, query, queries);
             stack.clear();
             stack.push(DeferredSubtree {
                 node: tree.root as u32,
@@ -1121,7 +1376,7 @@ mod tests {
                 let diff = query[n.tag as usize] - n.value;
                 node = if diff < 0.0 { n.a } else { n.b } as usize;
             };
-            best.begin_warm(k, query);
+            best.begin_warm(k, query, queries);
             crate::kernels::scan_ids(&tree.soa, &tree.order, a, b, query, &mut best);
             scanned += best.sorted_keys().len() as u64;
         }
@@ -1143,7 +1398,7 @@ mod tests {
                 let diff = query[n.tag as usize] - n.value;
                 node = if diff < 0.0 { n.a } else { n.b } as usize;
             }
-            best.begin_warm(k, query);
+            best.begin_warm(k, query, queries);
             scanned += best.sorted_keys().len() as u64;
         }
         println!(
@@ -1156,11 +1411,11 @@ mod tests {
         let mut acc2 = 0usize;
         for &qi in &visit {
             let query = queries[qi as usize];
-            best.begin_warm(k, query);
+            best.begin_warm(k, query, queries);
             for j in 0..8usize {
                 let d = (j as f32) * 0.125 + query.x.abs() * 1e-6;
                 if d <= best.worst_d2() {
-                    best.push(qi as usize + j, d, query);
+                    best.push((qi as usize + j) % queries.len(), d);
                 }
             }
             acc2 += best.sorted_keys().len();
@@ -1182,7 +1437,7 @@ mod tests {
         let mut acc3 = 0usize;
         for &qi in &visit {
             let query = queries[qi as usize];
-            best.begin_warm(k, query);
+            best.begin_warm(k, query, queries);
             crate::kernels::scan_ids(&tree.soa, &tree.order, ha, hb, query, &mut best);
             acc3 += best.sorted_keys().len();
         }

@@ -19,14 +19,14 @@
 //! details and how to force either):
 //! * the *single-tree* sweep — one warm-started traversal per query, in
 //!   Morton order with shared scratch (this module's `batch_queries`
-//!   driver); chosen for small batches and large `k`;
+//!   driver); chosen for bichromatic batches and large `k`;
 //! * the *dual-tree* leaf-pair traversal — a tree over the queries is
 //!   walked against the reference tree so whole (query-leaf,
 //!   reference-node) pairs are pruned with one AABB–AABB distance test,
 //!   and surviving leaf pairs run tile-vs-tile candidate scans; chosen
-//!   automatically for large batches (and for free on *self-joins*, where
-//!   the query tree **is** the reference tree), the regime where the SR
-//!   interpolators issue their frame-dominating kNN self-queries.
+//!   automatically for *self-joins* (where the query tree **is** the
+//!   reference tree), the shape of the SR interpolators' frame-dominating
+//!   kNN queries.
 //!
 //! Both algorithms produce bit-identical rows — the same packed
 //! `(distance, index)` key ordering decides survivors and ties everywhere —
@@ -108,13 +108,13 @@ pub(crate) fn finalize_candidates(mut cands: Vec<Neighbor>, k: usize) -> Vec<Nei
 /// Bounded best-`k` accumulator shared by every backend's kNN kernel.
 ///
 /// The candidate list is a sorted array of packed `u64` keys (see the
-/// `keys` field): at the SR pipeline's single-digit `k` a branchless rank
-/// scan plus a sub-cache-line shift beats both a heap and a replace-max
-/// rescan, and it leaves the result ready to emit with **no per-query
-/// sort**. Ordering by the packed key is ordering by `(distance, index)`,
-/// so distance ties are broken by smaller index exactly like the seed's
-/// sorted formulation, and the surviving set — and emitted order — is
-/// identical for every traversal order.
+/// `keys` field): at the SR pipeline's single-digit `k` a fixed-trip
+/// branch-free insert beats both a heap and a replace-max rescan, and it
+/// leaves the result ready to emit with **no per-query sort**. Ordering by
+/// the packed key is ordering by `(distance, index)`, so distance ties are
+/// broken by smaller index exactly like the seed's sorted formulation, and
+/// the surviving set — and emitted order — is identical for every traversal
+/// order.
 #[derive(Debug)]
 pub(crate) struct BestK {
     /// Packed candidates: high 32 bits are the squared distance's IEEE bits,
@@ -122,29 +122,22 @@ pub(crate) struct BestK {
     /// term is a square, `-0.0 * -0.0 == +0.0`), so the unsigned `u64`
     /// ordering is *exactly* the `(distance, index)` ordering — one compare
     /// replaces the two-field tie-break chain, and NaN distances sort after
-    /// `+inf` just like `f32::total_cmp`. Unsorted while a query runs.
+    /// `+inf` just like `f32::total_cmp`. Sorted ascending at all times.
     keys: Vec<u64>,
-    /// Position of entry `i` in the indexed point set, parallel to `keys`
-    /// while a query runs (out of date after [`BestK::sorted_keys`], which
-    /// only reorders `keys`); a fixed array so cold queries pay no
-    /// allocation for it. Entries beyond [`WARM_TRACK`] are untracked —
-    /// [`BestK::begin_warm`] then simply starts cold.
-    positions: [Point3; WARM_TRACK],
     k: usize,
     /// Pruning cap: a proven upper bound on the final k-th squared distance
     /// (see [`BestK::begin_warm`]); `INFINITY` for unseeded queries.
     cap: f32,
 }
 
-/// How many result positions [`BestK`] tracks for warm starts; queries with
-/// `k` beyond this run cold (the SR pipeline's `k` is single-digit).
+/// Longest previous result [`BestK::begin_warm`] derives a cap from; queries
+/// with `k` beyond this run cold (the SR pipeline's `k` is single-digit).
 const WARM_TRACK: usize = 32;
 
 impl Default for BestK {
     fn default() -> Self {
         Self {
             keys: Vec::new(),
-            positions: [Point3::ZERO; WARM_TRACK],
             k: 0,
             cap: f32::INFINITY,
         }
@@ -166,6 +159,27 @@ fn unpack_key(key: u64) -> Neighbor {
     }
 }
 
+/// Inserts `key` into the ascending list `keys`, dropping the largest of the
+/// `len + 1` values: the fixed-trip network
+/// `new[i] = max(old[i - 1], min(old[i], key))` with `old[-1] = 0`. Entries
+/// below `key` keep their place (`min` picks them, and they are at least
+/// their left neighbour), the first entry above it receives `key` (`min`
+/// picks `key`, which is at least the left neighbour), and every later entry
+/// receives its left neighbour — no rank scan, no `memmove`, no branch on
+/// the data. A key at or above the last entry changes nothing, so callers
+/// need no separate reject test. This is the one sorted insert of
+/// [`BestK::push`]'s full-list branch and of the dual-tree join's rows, which
+/// is what keeps their survivors — and index-broken ties — identical.
+#[inline(always)]
+pub(crate) fn insert_sorted(keys: &mut [u64], key: u64) {
+    let mut left = 0u64;
+    for slot in keys.iter_mut() {
+        let old = *slot;
+        *slot = left.max(old.min(key));
+        left = old;
+    }
+}
+
 impl BestK {
     /// Starts a new query wanting `k` neighbors (allocation reused).
     #[inline]
@@ -176,13 +190,14 @@ impl BestK {
     }
 
     /// Starts a new query wanting `k` neighbors, warm-started from the
-    /// accumulator's *previous* query: the largest squared distance from
-    /// `query` to the previous result's points is a true upper bound on this
-    /// query's final k-th distance (they are `k` distinct indexed points —
-    /// or the entire cloud when it holds fewer than `k`), so it becomes the
-    /// initial pruning cap. The batched sweeps visit queries in Morton
-    /// order, making consecutive queries spatial neighbors and the cap
-    /// tight from the very first node.
+    /// accumulator's *previous* query against the same index, whose points
+    /// are `points`: the largest squared distance from `query` to the
+    /// previous result's points is a true upper bound on this query's final
+    /// k-th distance (they are `k` distinct indexed points — or the entire
+    /// cloud when it holds fewer than `k`), so it becomes the initial
+    /// pruning cap. The batched sweeps visit queries in Morton order, making
+    /// consecutive queries spatial neighbors and the cap tight from the very
+    /// first node.
     ///
     /// The cap makes [`BestK::worst_d2`] — and therefore every traversal
     /// prune and scan filter built on it — tight before `k` candidates have
@@ -193,13 +208,13 @@ impl BestK {
     /// [`BestK::push`] as usual). Callers must reuse one accumulator per
     /// (index, `k`) sweep — a fresh [`BestK`] starts cold.
     #[inline]
-    pub(crate) fn begin_warm(&mut self, k: usize, query: Point3) {
+    pub(crate) fn begin_warm(&mut self, k: usize, query: Point3, points: &[Point3]) {
         let mut cap = f32::NEG_INFINITY;
         // The previous entries are a valid bound source only if they were a
-        // complete result row for the same `k` with every position tracked.
+        // complete result row for the same `k`.
         if self.k == k && self.keys.len() <= WARM_TRACK {
-            for p in &self.positions[..self.keys.len()] {
-                cap = cap.max(p.distance_squared(query));
+            for &key in &self.keys {
+                cap = cap.max(points[key as u32 as usize].distance_squared(query));
             }
         }
         self.begin(k);
@@ -231,51 +246,23 @@ impl BestK {
         self.keys.len() == self.k
     }
 
-    /// Offers a candidate at position `pos`.
+    /// Offers a candidate.
     ///
-    /// The key list is kept *sorted* at all times: an accepted candidate is
-    /// placed by a branchless fixed-trip rank scan (count of smaller keys —
-    /// the trip count is the predictable `len`, not the data) plus one tiny
-    /// `copy_within` shift. Keeping the list sorted makes the worst entry
-    /// `keys[len - 1]`, removes the replace-max rescan, and turns result
-    /// emission into a plain borrow — there is no per-query sort at all.
+    /// The key list is kept *sorted* at all times, so the worst entry is
+    /// `keys[len - 1]` and result emission is a plain borrow — there is no
+    /// per-query sort at all. A full list takes the candidate through the
+    /// branch-free [`insert_sorted`] network; while the list is still
+    /// filling (the first `k` offers of a query) a rank count places it.
     #[inline(always)]
-    pub(crate) fn push(&mut self, index: usize, d2: f32, pos: Point3) {
+    pub(crate) fn push(&mut self, index: usize, d2: f32) {
         debug_assert!(self.k > 0, "callers early-out on k == 0");
         let key = pack_key(index, d2);
-        let len = self.keys.len();
-        if len == self.k {
-            if key >= self.keys[len - 1] {
-                return;
-            }
-            let rank = self.rank_of(key);
-            self.keys.copy_within(rank..len - 1, rank + 1);
-            self.keys[rank] = key;
-            self.insert_position(rank, len, pos);
+        if self.keys.len() == self.k {
+            insert_sorted(&mut self.keys, key);
             return;
         }
-        let rank = self.rank_of(key);
+        let rank: usize = self.keys.iter().map(|&a| usize::from(a < key)).sum();
         self.keys.insert(rank, key);
-        self.insert_position(rank, len + 1, pos);
-    }
-
-    /// Number of stored keys strictly smaller than `key` (the insertion
-    /// rank). A fixed-trip sum of compares — no data-dependent branches.
-    #[inline(always)]
-    fn rank_of(&self, key: u64) -> usize {
-        self.keys.iter().map(|&a| usize::from(a < key)).sum()
-    }
-
-    /// Mirrors an insertion of `pos` at `rank` into the parallel positions
-    /// array (`new_len` tracked entries after the insertion, capped at
-    /// [`WARM_TRACK`]).
-    #[inline(always)]
-    fn insert_position(&mut self, rank: usize, new_len: usize, pos: Point3) {
-        if rank < WARM_TRACK {
-            let upto = new_len.min(WARM_TRACK);
-            self.positions.copy_within(rank..upto - 1, rank + 1);
-            self.positions[rank] = pos;
-        }
     }
 
     /// The packed keys, sorted by `(distance, index)`; the low 32 bits of
@@ -298,8 +285,8 @@ impl crate::kernels::ScanSink for BestK {
     }
 
     #[inline(always)]
-    fn push(&mut self, index: usize, d2: f32, pos: Point3) {
-        BestK::push(self, index, d2, pos);
+    fn push(&mut self, index: usize, d2: f32) {
+        BestK::push(self, index, d2);
     }
 }
 
@@ -393,9 +380,9 @@ pub(crate) fn morton_buckets(queries: &[Point3], bucket_bits: u32) -> (Vec<u32>,
 ///
 /// Backends start each query with [`BestK::begin_warm`], and the driver
 /// hands every query of a sweep the *same* accumulator: the previous,
-/// Morton-adjacent query's surviving positions give a tight warm-start
-/// pruning cap at zero gather cost — a batch-only advantage (the cold
-/// per-query path has no previous query) with bit-identical results.
+/// Morton-adjacent query's survivors give a tight warm-start pruning cap
+/// for `k` point loads — a batch-only advantage (the cold per-query path
+/// has no previous query) with bit-identical results.
 pub(crate) fn batch_queries(
     queries: &[Point3],
     stride: usize,
@@ -617,6 +604,51 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert!(out.row(0).is_empty());
         assert_eq!(out.row(1), &[0, 1]);
+    }
+
+    /// The insert network against sort-and-truncate, for every stride up to
+    /// one past `DUAL_MAX_K`: random offers, duplicate-heavy offers (few
+    /// distinct distances, few distinct indices — repeated keys included),
+    /// offers tying the current worst distance on either side of its index,
+    /// and rows still padded with the join's `+inf` sentinel.
+    #[test]
+    fn insert_sorted_matches_sort_and_truncate() {
+        use crate::kernels::SENTINEL;
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        let mut rng = StdRng::seed_from_u64(5);
+        for stride in 1..=33usize {
+            for shape in 0..4 {
+                // Start from a sentinel-padded row (shape 3 keeps offering
+                // fewer candidates than the row holds, so padding survives).
+                let mut row = vec![SENTINEL; stride];
+                let mut reference = row.clone();
+                let offers = if shape == 3 {
+                    stride / 2
+                } else {
+                    4 * stride + 7
+                };
+                for _ in 0..offers {
+                    let key = match shape {
+                        0 | 3 => pack_key(rng.random_range(0..1000), rng.random_range(0.0..10.0)),
+                        1 => pack_key(rng.random_range(0..3), rng.random_range(0..3) as f32),
+                        _ => {
+                            // Tie the worst distance, index one above, at or
+                            // one below the worst's.
+                            let worst = row[stride - 1];
+                            let index =
+                                (worst & 0xFFFF_FFFF).saturating_sub(1) + rng.random_range(0..3u64);
+                            (worst >> 32 << 32) | index.min(u64::from(u32::MAX - 1))
+                        }
+                    };
+                    insert_sorted(&mut row, key);
+                    reference.push(key);
+                    reference.sort_unstable();
+                    reference.truncate(stride);
+                    assert_eq!(row, reference, "stride {stride} shape {shape}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -229,7 +229,7 @@ impl TwoLayerOctree {
         best: &mut BestK,
         order: &mut Vec<(f32, usize)>,
     ) {
-        best.begin_warm(k, query);
+        best.begin_warm(k, query, &self.points);
         if k == 0 || self.points.is_empty() {
             return;
         }

@@ -23,11 +23,9 @@
 /// Raw-pointer wrapper that lets range tasks write disjoint slots of one
 /// buffer from multiple workers. Safety rests on the callers: every index is
 /// written by exactly one task.
-#[cfg(feature = "parallel")]
 #[derive(Clone, Copy)]
 pub(crate) struct SendPtr<T>(*mut T);
 
-#[cfg(feature = "parallel")]
 impl<T> SendPtr<T> {
     /// Wraps a base pointer whose disjoint-slot discipline the caller
     /// guarantees.
@@ -45,9 +43,7 @@ impl<T> SendPtr<T> {
     }
 }
 
-#[cfg(feature = "parallel")]
 unsafe impl<T: Send> Send for SendPtr<T> {}
-#[cfg(feature = "parallel")]
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Upper bound on concurrent workers for a workload of `items` elements.

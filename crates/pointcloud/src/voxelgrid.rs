@@ -234,7 +234,7 @@ impl VoxelGrid {
     /// bound from the previous one's result (see [`BestK::begin_warm`];
     /// results are unaffected, a fresh accumulator simply starts cold).
     pub(crate) fn knn_into(&self, query: Point3, k: usize, best: &mut BestK) {
-        best.begin_warm(k, query);
+        best.begin_warm(k, query, &self.points);
         if k == 0 || self.points.is_empty() {
             return;
         }
