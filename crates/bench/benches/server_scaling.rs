@@ -6,8 +6,8 @@
 //! retirement and records the aggregate throughput, the frame-time
 //! percentiles from the server's streaming sketch, deadline misses,
 //! admission rejections and the QoE distribution. A second sweep measures
-//! bytes/session with the registry shared vs the pre-registry behavior of
-//! cloning the table into every session. Quick mode (`--test`) runs the CI
+//! bytes/session with the registry shared vs what cloning the table into
+//! every session would cost (shared + one table). Quick mode (`--test`) runs the CI
 //! smoke cell (N = 64) and asserts zero deadline misses and zero rejections;
 //! the full run adds N = 1 000 and N = 10 000 and commits
 //! `results/server_scaling.json`.
@@ -60,7 +60,6 @@ struct MemoryRow {
     bytes_per_session: f64,
     registry_bytes: usize,
     shared_over_cloned: f64,
-    materialized: bool,
 }
 
 #[derive(Serialize)]
@@ -148,19 +147,14 @@ fn scale_point(registry: &Arc<ModelRegistry>, n: usize, frames: u64) -> ScalePoi
     }
 }
 
-fn memory_rows(registry: &Arc<ModelRegistry>, counts: &[usize], cap: usize) -> Vec<MemoryRow> {
+fn memory_rows(registry: &Arc<ModelRegistry>, counts: &[usize]) -> Vec<MemoryRow> {
     let table_bytes = registry.shared_bytes();
     let mut rows = Vec::new();
     for &n in counts {
-        let shared = measure_server_memory(registry, n, true, POINTS, 2);
-        let materialized = n.saturating_mul(table_bytes) <= cap;
-        let cloned_per_session = if materialized {
-            measure_server_memory(registry, n, false, POINTS, 2).bytes_per_session
-        } else {
-            // Exact, not estimated: cloning adds exactly one table per
-            // session and changes nothing else.
-            shared.bytes_per_session + table_bytes as f64
-        };
+        let shared = measure_server_memory(registry, n, POINTS, 2);
+        // Exact, not estimated: cloning adds exactly one table per session
+        // and changes nothing else.
+        let cloned_per_session = shared.bytes_per_session + table_bytes as f64;
         let ratio = shared.bytes_per_session / cloned_per_session.max(1.0);
         rows.push(MemoryRow {
             sessions: n,
@@ -168,7 +162,6 @@ fn memory_rows(registry: &Arc<ModelRegistry>, counts: &[usize], cap: usize) -> V
             bytes_per_session: shared.bytes_per_session,
             registry_bytes: shared.registry_bytes,
             shared_over_cloned: ratio,
-            materialized: true,
         });
         rows.push(MemoryRow {
             sessions: n,
@@ -176,7 +169,6 @@ fn memory_rows(registry: &Arc<ModelRegistry>, counts: &[usize], cap: usize) -> V
             bytes_per_session: cloned_per_session,
             registry_bytes: shared.registry_bytes,
             shared_over_cloned: ratio,
-            materialized,
         });
     }
     rows
@@ -244,18 +236,11 @@ fn bench_server_scaling(c: &mut Criterion) {
     );
 
     if !is_quick_mode() {
-        // Materialize the cloned baseline up to ~4 GiB of table copies
-        // (covers N=1k at ~2 GiB); beyond that the exact derivation is used.
-        let cap = 4usize << 30;
-        let memory = memory_rows(&registry, &[1_000, 10_000], cap);
+        let memory = memory_rows(&registry, &[1_000, 10_000]);
         for row in &memory {
             println!(
-                "  memory N={:>6} {:<6}: {:>12.0} bytes/session (ratio {:.3}{})",
-                row.sessions,
-                row.mode,
-                row.bytes_per_session,
-                row.shared_over_cloned,
-                if row.materialized { "" } else { ", derived" }
+                "  memory N={:>6} {:<6}: {:>12.0} bytes/session (ratio {:.3})",
+                row.sessions, row.mode, row.bytes_per_session, row.shared_over_cloned,
             );
         }
         let at_1k: Vec<&MemoryRow> = memory.iter().filter(|r| r.sessions == 1_000).collect();
@@ -292,9 +277,8 @@ fn bench_server_scaling(c: &mut Criterion) {
                    table-to-scratch ratio (>= 4x at N=1k, growing with table size). \
                    Frame-time percentiles are wall-clock per session step on this \
                    host; digests and QoE are deterministic (see \
-                   tests/property_server.rs), the timings are not. The cloned N=10k \
-                   row is derived exactly (one table copy per session) rather than \
-                   materialized."
+                   tests/property_server.rs), the timings are not. The cloned rows \
+                   are derived exactly: shared bytes/session plus one table copy."
                 .into(),
         };
         let path = concat!(

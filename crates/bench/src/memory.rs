@@ -1,6 +1,6 @@
 //! Figure 15: GPU/client memory usage of the SR back-ends, plus the
-//! multi-tenant server's bytes/session accounting (shared registry vs
-//! per-session table clones).
+//! multi-tenant server's bytes/session accounting (shared registry vs what
+//! per-session table clones would cost).
 
 use std::sync::Arc;
 
@@ -51,19 +51,16 @@ pub fn serving_registry(bins: usize) -> Arc<ModelRegistry> {
 
 /// Admits `sessions` churned sessions against the serving registry, runs
 /// `warm_frames` ticks so every scratch arena reaches its steady-state
-/// high-water mark, and returns the measured memory split. `share = false`
-/// is the pre-registry baseline: every session deep-copies the table.
+/// high-water mark, and returns the measured memory split.
 pub fn measure_server_memory(
     registry: &Arc<ModelRegistry>,
     sessions: usize,
-    share: bool,
     points: usize,
     warm_frames: u64,
 ) -> ServerMemoryStats {
     let config = ServerConfig {
         capacity: sessions,
         queue_limit: sessions,
-        share_registry: share,
         ..ServerConfig::default()
     };
     let mut server = SrServer::new(Arc::clone(registry), config);
@@ -84,15 +81,9 @@ pub fn measure_server_memory(
 }
 
 /// Server bytes/session at each requested session count, shared registry vs
-/// per-session clones. The cloned baseline is materialized only while its
-/// total table cost stays under `clone_materialize_cap` bytes; beyond that
-/// it is derived exactly (a clone adds exactly the table size per session —
-/// [`SrServer::memory_stats`] counts it from the live refiner either way).
-pub fn server_memory_report(
-    session_counts: &[usize],
-    points: usize,
-    clone_materialize_cap: usize,
-) -> Report {
+/// per-session clones. The cloned row is the measured shared row plus one
+/// table per session — exactly what a per-session copy adds.
+pub fn server_memory_report(session_counts: &[usize], points: usize) -> Report {
     let mut report = Report::new(
         "server_memory",
         "Multi-tenant server bytes/session: shared registry vs per-session clones",
@@ -108,14 +99,8 @@ pub fn server_memory_report(
     let registry = serving_registry(24);
     let table_bytes = registry.shared_bytes();
     for &n in session_counts {
-        let shared = measure_server_memory(&registry, n, true, points, 2);
-        let cloned_per_session = if n.saturating_mul(table_bytes) <= clone_materialize_cap {
-            measure_server_memory(&registry, n, false, points, 2).bytes_per_session
-        } else {
-            // Exact arithmetic, not an estimate: the only difference between
-            // the modes is one table copy per session.
-            shared.bytes_per_session + table_bytes as f64
-        };
+        let shared = measure_server_memory(&registry, n, points, 2);
+        let cloned_per_session = shared.bytes_per_session + table_bytes as f64;
         let ratio = shared.bytes_per_session / cloned_per_session.max(1.0);
         for (mode, per_session) in [
             ("shared", shared.bytes_per_session),
@@ -133,7 +118,7 @@ pub fn server_memory_report(
     }
     report.push_note(
         "shared mode maps the registry's one dense LUT read-only into every session; \
-         cloned mode is the pre-registry behavior (one table copy per session). \
+         cloned is what one table copy per session would cost (shared + table). \
          Acceptance: shared bytes/session at N=1k must be <= 25% of the cloned baseline.",
     );
     report
@@ -222,23 +207,14 @@ mod tests {
         let registry = serving_registry(24);
         let table = registry.shared_bytes();
         assert!(table > 1_000_000, "deployment-scale table, got {table}");
-        let shared = measure_server_memory(&registry, 6, true, 400, 2);
-        let cloned = measure_server_memory(&registry, 6, false, 400, 2);
+        let shared = measure_server_memory(&registry, 6, 400, 2);
         assert_eq!(shared.sessions, 6);
-        assert_eq!(cloned.sessions, 6);
+        assert_eq!(shared.registry_bytes, table, "the table is held once");
+        let cloned = shared.bytes_per_session + table as f64;
         assert!(
-            shared.bytes_per_session <= 0.25 * cloned.bytes_per_session,
-            "shared {} must be <= 25% of cloned {}",
+            shared.bytes_per_session <= 0.25 * cloned,
+            "shared {} must be <= 25% of cloned {cloned}",
             shared.bytes_per_session,
-            cloned.bytes_per_session
-        );
-        // The derived-clone arithmetic matches the materialized measurement.
-        let derived = shared.bytes_per_session + table as f64;
-        let rel = (derived - cloned.bytes_per_session).abs() / cloned.bytes_per_session;
-        assert!(
-            rel < 0.05,
-            "derived {derived} vs measured {}",
-            cloned.bytes_per_session
         );
     }
 
@@ -265,7 +241,7 @@ mod tests {
 
     #[test]
     fn server_memory_report_has_both_modes() {
-        let r = server_memory_report(&[4], 300, usize::MAX);
+        let r = server_memory_report(&[4], 300);
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[0][1], "shared");
         assert_eq!(r.rows[1][1], "cloned");

@@ -31,7 +31,7 @@ pub fn experiment_points() -> usize {
 /// Logs the resolved worker-pool configuration (count and whether it came
 /// from `VOLUT_WORKERS` or hardware detection) once per process, so every
 /// recorded measurement names the parallelism it ran under. Called from
-/// [`experiment_points`] and the thread-scaling bench; safe to call from
+/// [`experiment_points`] and the server-scaling bench; safe to call from
 /// anywhere else that wants the line earlier.
 pub fn log_runtime_once() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -41,21 +41,10 @@ pub fn log_runtime_once() {
             "host: {cores} detected core(s) (std::thread::available_parallelism); {}",
             volut_pointcloud::runtime::describe()
         );
-        if cores > 1 {
-            eprintln!(
-                "host: multicore detected — BENCH_knn.json's `thread_scaling` section was \
-                 recorded on a 1-core host; re-run `cargo bench -p volut-bench --bench \
-                 thread_scaling` before quoting it (the dual-tree crossover itself is the \
-                 measured constant `dualtree::DUAL_MIN_QUERIES_MONO`)"
-            );
-        }
     });
 }
 
-/// The host's detected core count (1 when detection fails). The committed
-/// `thread_scaling` numbers in `BENCH_knn.json` were recorded on a 1-core
-/// host; [`log_runtime_once`] prints a re-measure reminder whenever this
-/// exceeds 1.
+/// The host's detected core count (1 when detection fails).
 pub fn detected_cores() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)

@@ -129,14 +129,6 @@ pub(crate) fn zip_pairs<'a>(
     a.iter().zip(b).map(|(&a, &b)| (a as usize, b as usize))
 }
 
-/// What `batched_knn_into` needs besides the tree: the dual-tree slab and
-/// the per-chunk partial rows of the chunked single-tree sweep.
-#[derive(Debug, Default)]
-pub(crate) struct KnnScratch {
-    pub(crate) dual: DualTreeScratch,
-    pub(crate) parts: Vec<Neighborhoods>,
-}
-
 /// The transient buffers of one frame (see the module docs). Frames check
 /// one out themselves; the type is public only for its byte accounting.
 #[derive(Debug, Default)]
@@ -159,7 +151,8 @@ pub struct FrameArena {
     /// The frame's freshly generated rows: one batch per worker chunk while
     /// they are generated, then all appended to the first.
     pub(crate) batches: Vec<RowBatch>,
-    pub(crate) knn: KnnScratch,
+    /// Row slab and pruning bounds of the frame's dual-tree self-join.
+    pub(crate) knn: DualTreeScratch,
     /// Traversal lists of `KdTree::patch_with`.
     pub(crate) patch: PatchScratch,
     /// What the frame's self-join left for its plan and assembly.
@@ -263,13 +256,7 @@ impl FrameArena {
                 .iter()
                 .map(RowBatch::reserved_bytes)
                 .sum::<usize>()
-            + self.knn.dual.reserved_bytes()
-            + self
-                .knn
-                .parts
-                .iter()
-                .map(Neighborhoods::reserved_bytes)
-                .sum::<usize>()
+            + self.knn.reserved_bytes()
             + self.patch.reserved_bytes()
             + self.join.reserved_bytes()
             + self.plan.reserved_bytes()

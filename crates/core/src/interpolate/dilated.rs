@@ -9,10 +9,11 @@
 //!   an octree; on CPU the k-d tree answers the same queries faster and is
 //!   the only index the production path builds). The tree is session state
 //!   (see [`super::IndexCache`]): frames whose geometry is unchanged skip
-//!   the rebuild entirely, and the queries go through the allocation-free
-//!   `super::batched_knn_into` path — a *self-join* of the frame cloud
-//!   against itself, which the batch layer answers with the dual-tree
-//!   leaf-pair kernel of [`volut_pointcloud::dualtree`] at production sizes;
+//!   the rebuild entirely, and the queries go through
+//!   `KdTree::knn_batch_with` with the frame arena's scratch — a *self-join*
+//!   of the frame cloud against itself, which the tree answers with the
+//!   dual-tree leaf-pair kernel of [`volut_pointcloud::dualtree`] at
+//!   production sizes;
 //! * derives each new point's neighborhood via neighbor-relationship reuse
 //!   (Eq. 2 / [`super::reuse::merge_and_prune`]);
 //! * runs the per-point work in parallel across CPU threads (the stand-in

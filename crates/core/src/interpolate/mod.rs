@@ -40,15 +40,14 @@ pub mod temporal;
 
 use crate::config::SrConfig;
 use crate::Result;
-use arena::{ArenaLease, KnnScratch};
+use arena::ArenaLease;
 pub use arena::{FrameArena, RowBatch};
 use serde::Serialize;
 use std::time::Duration;
 pub use temporal::TemporalStats;
 use volut_pointcloud::delta::FrameDelta;
-use volut_pointcloud::dualtree::BatchStrategy;
 use volut_pointcloud::kdtree::{KdTree, PatchScratch};
-use volut_pointcloud::{par, Neighborhoods, Point3, PointCloud};
+use volut_pointcloud::{Neighborhoods, Point3, PointCloud};
 
 /// Output of an interpolation pass.
 ///
@@ -413,9 +412,9 @@ impl FrameScratch {
         let parked = self.frame.take();
         let in_pipeline_frame = parked.is_some();
         let mut arena = parked.unwrap_or_else(FrameArena::checkout);
-        let dual_before = arena.knn.dual.invocations();
+        let dual_before = arena.knn.invocations();
         let result = f(self, &mut arena);
-        self.temporal.dual_tree_batches += arena.knn.dual.invocations() - dual_before;
+        self.temporal.dual_tree_batches += arena.knn.invocations() - dual_before;
         if in_pipeline_frame {
             self.frame = Some(arena);
         }
@@ -530,53 +529,6 @@ impl FrameScratch {
     /// streaming-session tests).
     pub fn reserved_bytes(&self) -> usize {
         self.state_bytes().total()
-    }
-}
-
-/// One batched kNN pass over `queries` against the cached `tree`, appending
-/// CSR rows to `out` — the shared kNN entry of both interpolators.
-///
-/// Batches the dual-tree auto policy claims — the self-joins that dominate
-/// frame time — always go through [`KdTree::knn_batch_with`] whole: the
-/// leaf-pair traversal parallelizes *internally* by sharding the query-leaf
-/// set across the pool (and uses the arena's dual-tree scratch, so
-/// steady-state frames allocate nothing). Chunking those here would be
-/// strictly worse: each chunk is a bichromatic subset (breaking self-join
-/// detection and the diagonal-first bound seeding) and the chunks would
-/// fight the traversal's own shards for workers.
-///
-/// Everything else — bichromatic batches, large `k` — runs the warm
-/// single-tree sweep, pre-chunked across the pool when more than one worker
-/// is available (per-chunk rows land in the arena's `parts` and are
-/// appended in chunk order). Either way rows are bit-identical at every
-/// worker count: chunk boundaries only partition the query list, and row
-/// contents are per-query.
-pub(crate) fn batched_knn_into(
-    tree: &KdTree,
-    queries: &[Point3],
-    k: usize,
-    knn: &mut KnnScratch,
-    out: &mut Neighborhoods,
-) {
-    let workers = par::worker_count(queries.len(), 2_000);
-    if workers <= 1 || tree.auto_selects_dual_tree(queries, k) {
-        tree.knn_batch_with(queries, k, out, BatchStrategy::Auto, &mut knn.dual);
-        return;
-    }
-    use volut_pointcloud::knn::NeighborSearch;
-    let chunk = queries.len().div_ceil(workers).max(1);
-    let chunks = queries.len().div_ceil(chunk);
-    if knn.parts.len() < chunks {
-        knn.parts.resize_with(chunks, Neighborhoods::new);
-    }
-    let parts = &mut knn.parts[..chunks];
-    par::for_each_chunk_mut(parts, 1, |c, _, part| {
-        let range = c * chunk..((c + 1) * chunk).min(queries.len());
-        part[0].clear();
-        tree.knn_batch(&queries[range], k, &mut part[0]);
-    });
-    for part in parts.iter() {
-        out.append(part);
     }
 }
 

@@ -11,10 +11,10 @@
 //! The queries themselves run through the same batch machinery as the rest
 //! of the engine: the spatial index is the session's cached k-d tree
 //! (rebuilt only when the frame geometry changes) and both query passes go
-//! through `super::batched_knn_into` — the source pass is a self-join the
-//! batch layer answers with the dual-tree leaf-pair kernel
-//! ([`volut_pointcloud::dualtree`]) at production sizes, the new-point pass
-//! a bichromatic batch on the warm single-tree sweep. Partner selection
+//! through `KdTree::knn_batch_with` with the frame arena's scratch — the
+//! source pass is a self-join, which the tree answers with the dual-tree
+//! leaf-pair kernel ([`volut_pointcloud::dualtree`]) at production sizes, the
+//! new-point pass a batch of midpoints on the warm single-tree sweep. Partner selection
 //! draws from a small RNG seeded per *source point* by the point's position
 //! bits (`super::row_seed`), which keeps the output independent of row
 //! order — the invariance that lets the temporal layer copy a surviving
@@ -196,12 +196,11 @@ fn naive_frame(
         timings.index_build += t0.elapsed();
         let tq = Instant::now();
         arena.raw_hoods.clear();
-        super::batched_knn_into(
-            tree,
+        tree.knn_batch_with(
             &positions[..active],
             config.k + 1,
-            &mut arena.knn,
             &mut arena.raw_hoods,
+            &mut arena.knn,
         );
         timings.knn += tq.elapsed();
     }
@@ -259,18 +258,14 @@ fn naive_frame(
     // --- New-point queries: the naive pipeline re-derives every *fresh*
     // generated point's own neighborhood with a batched kNN pass; reused
     // points copy their cached rows forward index-remapped. The queries are
-    // bichromatic (midpoints against the original cloud), which the auto
-    // policy keeps on the warm single-tree sweep — measured faster than a
-    // leaf-pair traversal plus a query-tree build (see
-    // `volut_pointcloud::dualtree`).
+    // midpoints, not the indexed cloud, so they run the warm single-tree
+    // sweep (see `volut_pointcloud::dualtree` for why no join is built over
+    // them).
     let tq = Instant::now();
-    super::batched_knn_into(
-        session.index.cached_tree(),
-        &fresh.points,
-        config.k,
-        knn,
-        &mut fresh.hoods,
-    );
+    session
+        .index
+        .cached_tree()
+        .knn_batch_with(&fresh.points, config.k, &mut fresh.hoods, knn);
     timings.knn += tq.elapsed();
     ops.knn_queries += fresh.points.len() as u64;
     ops.candidates_examined += fresh.points.len() as u64 * (low.len().min(64)) as u64;

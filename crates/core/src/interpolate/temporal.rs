@@ -68,8 +68,9 @@
 //! unchanged (survivor positions are bitwise identical), so remapping the
 //! indices preserves the row's `(distance, index)` sort exactly. Rows that
 //! fail either test are recomputed through the very same batch machinery a
-//! cold frame uses (`super::batched_knn_into` — a bichromatic batch on
-//! the warm single-tree sweep), so recomputed rows match by construction.
+//! cold frame uses ([`KdTree::knn_batch_with`] — a batch that is not the
+//! indexed cloud, so it runs the warm single-tree sweep), so recomputed rows
+//! match by construction.
 //!
 //! The engine falls back to the untouched full-recompute path whenever the
 //! cache cannot help: the first frame of a session, a changed `k`, clouds
@@ -140,11 +141,12 @@
 //! [`FrameArena`]: super::FrameArena
 //! [`FrameScratch::set_incremental`]: super::FrameScratch::set_incremental
 
-use super::arena::{FrameArena, KnnScratch, RowBatch};
-use super::{batched_knn_into, FrameScratch, InterpolationTimings};
+use super::arena::{FrameArena, RowBatch};
+use super::{FrameScratch, InterpolationTimings};
 use crate::config::SrConfig;
 use std::time::Instant;
 use volut_pointcloud::delta::{DeltaError, FrameDelta, REMOVED};
+use volut_pointcloud::dualtree::DualTreeScratch;
 use volut_pointcloud::kdtree::KdTree;
 use volut_pointcloud::{Color, Neighborhoods, Point3, PointCloud};
 
@@ -461,7 +463,7 @@ impl TemporalCache {
 
 /// The self-join kNN pass of both interpolators: fills `arena.raw_hoods`
 /// with one `kq`-wide row per point of `low`, bit-identical to
-/// `batched_knn_into` over a fresh index, while reusing the session's
+/// [`KdTree::knn_batch_with`] over a fresh index, while reusing the session's
 /// spatial index and — when the previous frame is coherent with this one —
 /// the previous frame's rows. Updates `timings.index_build` (index
 /// validation, patch or rebuild) and `timings.knn` (diff, invalidation,
@@ -526,7 +528,7 @@ pub(crate) fn self_join(
             timings.knn += t1.elapsed();
             return;
         }
-        batched_knn_into(index.cached_tree(), positions, kq, knn, out);
+        index.cached_tree().knn_batch_with(positions, kq, out, knn);
         timings.knn += t1.elapsed();
         capture(t, index.version(), positions.len(), digest, kq, out);
         t.stats.full_frames += 1;
@@ -568,7 +570,7 @@ pub(crate) fn self_join(
         index.rebuild(positions, generation, digest);
         timings.index_build += t2.elapsed();
         let t3 = Instant::now();
-        batched_knn_into(index.cached_tree(), positions, kq, knn, out);
+        index.cached_tree().knn_batch_with(positions, kq, out, knn);
         timings.knn += t3.elapsed();
         capture(t, index.version(), positions.len(), digest, kq, out);
         t.stats.full_frames += 1;
@@ -616,7 +618,7 @@ fn incremental_rows(
     tree: &KdTree,
     t: &mut TemporalCache,
     join: &mut JoinScratch,
-    knn: &mut KnnScratch,
+    knn: &mut DualTreeScratch,
     positions: &[Point3],
     kq: usize,
     delta: &FrameDelta,
@@ -683,14 +685,14 @@ fn incremental_rows(
     t.stats.rows_reused += (n - join.recompute.len()) as u64;
     t.stats.rows_recomputed += join.recompute.len() as u64;
 
-    // Recompute the dirty rows as one bichromatic batch against the patched
-    // index (the auto policy keeps it on the warm single-tree sweep) and
-    // scatter them into their final slots.
+    // Recompute the dirty rows as one batch against the patched index (a
+    // subset of the cloud, so it runs the warm single-tree sweep, cut across
+    // the workers) and scatter them into their final slots.
     join.queries.clear();
     join.queries
         .extend(join.recompute.iter().map(|&i| positions[i as usize]));
     join.fresh_rows.clear();
-    batched_knn_into(tree, &join.queries, kq, knn, &mut join.fresh_rows);
+    tree.knn_batch_with(&join.queries, kq, &mut join.fresh_rows, knn);
     for (r, &new_i) in join.recompute.iter().enumerate() {
         let src = join.fresh_rows.row(r);
         slab[new_i as usize * kq..(new_i as usize + 1) * kq].copy_from_slice(src);

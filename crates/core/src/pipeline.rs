@@ -41,13 +41,13 @@ pub struct StageTimings {
     /// frames whose geometry matches the session's cached index.
     pub index_build: Duration,
     /// Neighbor-search query time. This is the frame-dominating kNN
-    /// self-join (§4.1): on a cold frame the batch layer answers it with the
+    /// self-join (§4.1): on a cold frame the k-d tree answers it with the
     /// dual-tree leaf-pair kernel ([`volut_pointcloud::dualtree`]) over the
     /// frame arena's scratch ([`crate::interpolate::FrameArena`]), sharded
     /// across the pool's workers from inside the traversal; on a delta frame
     /// it is the diff, the copy-forward of rows the churn cannot touch and a
-    /// single-tree sweep over the rest, chunked across workers (see
-    /// `interpolate::batched_knn_into`). The self-strip copy that feeds the
+    /// single-tree sweep over the rest, cut across workers (both inside
+    /// `KdTree::knn_batch_with`). The self-strip copy that feeds the
     /// dilated interpolator is charged here too. The `sr_stage_breakdown`
     /// bench tracks this stage's share release-over-release.
     pub knn: Duration,

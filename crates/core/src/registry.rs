@@ -17,10 +17,10 @@
 //!   immutable afterwards. One allocation serves every session.
 //! * [`ContentModel`] — one content item's immutable artifacts (SR config,
 //!   key scheme, LUT, optional refinement MLP) behind `Arc`s, with
-//!   constructors for per-session pipelines: [`ContentModel::pipeline`]
-//!   probes the shared table (bytes/session ≈ scratch only), while
-//!   [`ContentModel::cloned_pipeline`] deep-copies the table — kept solely
-//!   as the memory baseline the `server_scaling` bench compares against.
+//!   the per-session pipeline constructor [`ContentModel::pipeline`], which
+//!   probes the shared table (bytes/session ≈ scratch only). What a
+//!   per-session copy would cost is `bytes_per_session +`
+//!   [`ContentModel::shared_bytes`] — arithmetic, not a second code path.
 //! * [`ModelRegistry`] — the name → [`ContentModel`] table a server maps
 //!   read-only into every session at admission.
 //!
@@ -107,10 +107,7 @@ impl Lut for SharedLut {
     }
 }
 
-/// The concrete table behind a [`ContentModel`]. Kept as an enum (rather
-/// than `Arc<dyn Lut>` alone) so the clone-baseline constructor can
-/// deep-copy the table without the `Lut` trait needing a `clone_boxed`
-/// method.
+/// The concrete table behind a [`ContentModel`].
 #[derive(Debug, Clone)]
 enum Table {
     Sparse(Arc<SparseLut>),
@@ -122,13 +119,6 @@ impl Table {
         match self {
             Table::Sparse(t) => Arc::clone(t) as Arc<dyn Lut>,
             Table::Dense(t) => Arc::clone(t) as Arc<dyn Lut>,
-        }
-    }
-
-    fn clone_boxed(&self) -> Box<dyn Lut> {
-        match self {
-            Table::Sparse(t) => Box::new(SparseLut::clone(t)),
-            Table::Dense(t) => Box::new(DenseLut::clone(t)),
         }
     }
 
@@ -241,18 +231,6 @@ impl ContentModel {
         SrPipeline::new(self.config, Box::new(IdentityRefiner))
     }
 
-    /// The pre-registry behavior: a pipeline over a **deep copy** of the
-    /// table. Kept as the bytes/session baseline the `server_scaling`
-    /// bench measures sharing against; serving code should always use
-    /// [`Self::pipeline`].
-    ///
-    /// # Errors
-    /// Returns an error when the stored configuration is invalid.
-    pub fn cloned_pipeline(&self) -> Result<SrPipeline> {
-        let refiner = LutRefiner::from_config(&self.config, self.scheme, self.table.clone_boxed())?;
-        Ok(SrPipeline::new(self.config, Box::new(refiner)))
-    }
-
     /// Probe statistics accumulated by shared-table refiners cannot be read
     /// back through the table (stats live in each session's refiner); this
     /// helper documents that the *table itself* is stateless. Returns the
@@ -320,7 +298,8 @@ mod tests {
     use super::*;
     use volut_pointcloud::synthetic;
 
-    fn toy_model() -> ContentModel {
+    /// A small content model and a private copy of its table.
+    fn toy_model_and_table() -> (ContentModel, SparseLut) {
         let config = SrConfig::default();
         let encoder = crate::encoding::PositionEncoder::new(&config, KeyScheme::Full).unwrap();
         let mut lut = SparseLut::new();
@@ -334,17 +313,26 @@ mod tests {
                 let _ = lut.set(encoded.key, [0.05, -0.02, 0.01]);
             }
         }
-        ContentModel::from_sparse("toy", config, KeyScheme::Full, lut, None)
+        let model = ContentModel::from_sparse("toy", config, KeyScheme::Full, lut.clone(), None);
+        (model, lut)
     }
 
+    fn toy_model() -> ContentModel {
+        toy_model_and_table().0
+    }
+
+    /// The registry's shared pipeline against the single-session
+    /// construction over a private table: same bits.
     #[test]
-    fn shared_pipeline_matches_cloned_pipeline_bitwise() {
-        let model = toy_model();
+    fn shared_pipeline_matches_private_table_pipeline_bitwise() {
+        let (model, table) = toy_model_and_table();
         let shared = model.pipeline().unwrap();
-        let cloned = model.cloned_pipeline().unwrap();
+        let refiner =
+            LutRefiner::from_config(model.config(), model.scheme(), Box::new(table)).unwrap();
+        let private = SrPipeline::new(*model.config(), Box::new(refiner));
         let low = synthetic::sphere(400, 1.0, 3);
         let a = shared.upsample(&low, 2.0).unwrap();
-        let b = cloned.upsample(&low, 2.0).unwrap();
+        let b = private.upsample(&low, 2.0).unwrap();
         assert_eq!(a.cloud, b.cloud, "sharing must be bit-transparent");
         // Some probes actually hit so the parity covers the offset path.
         let stats = a.lookup_stats.unwrap();

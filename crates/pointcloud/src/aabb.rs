@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 /// An axis-aligned bounding box in 3D.
 ///
-/// Used by the spatial indices (octree, voxel grid) and by the position
+/// Used by the k-d tree (tight leaf and node boxes) and by the position
 /// encoding stage of the LUT pipeline to normalize neighborhoods.
 ///
 /// # Example
@@ -93,20 +93,8 @@ impl Aabb {
         self.max = self.max.max(p);
     }
 
-    /// Returns a box inflated by `margin` on every side.
-    ///
-    /// # Panics
-    /// Panics in debug builds if `margin` is negative.
-    pub fn inflated(&self, margin: f32) -> Aabb {
-        debug_assert!(margin >= 0.0, "margin must be non-negative");
-        Aabb {
-            min: self.min - Point3::splat(margin),
-            max: self.max + Point3::splat(margin),
-        }
-    }
-
     /// Squared distance from `p` to the closest point of the box
-    /// (zero when `p` is inside). Used for k-d tree / octree pruning.
+    /// (zero when `p` is inside). Used for k-d tree pruning.
     #[inline]
     pub fn distance_squared_to(&self, p: Point3) -> f32 {
         let mut d2 = 0.0f32;
@@ -141,42 +129,6 @@ impl Aabb {
             }
         }
         d2
-    }
-
-    /// Splits the box into 8 octants around its center, ordered by octant
-    /// index `(x_hi << 2) | (y_hi << 1) | z_hi`.
-    pub fn octants(&self) -> [Aabb; 8] {
-        let c = self.center();
-        let mut out = [*self; 8];
-        for (i, o) in out.iter_mut().enumerate() {
-            let xs = if i & 0b100 != 0 {
-                (c.x, self.max.x)
-            } else {
-                (self.min.x, c.x)
-            };
-            let ys = if i & 0b010 != 0 {
-                (c.y, self.max.y)
-            } else {
-                (self.min.y, c.y)
-            };
-            let zs = if i & 0b001 != 0 {
-                (c.z, self.max.z)
-            } else {
-                (self.min.z, c.z)
-            };
-            *o = Aabb {
-                min: Point3::new(xs.0, ys.0, zs.0),
-                max: Point3::new(xs.1, ys.1, zs.1),
-            };
-        }
-        out
-    }
-
-    /// Octant index of `p` relative to the box center.
-    #[inline]
-    pub fn octant_of(&self, p: Point3) -> usize {
-        let c = self.center();
-        (usize::from(p.x >= c.x) << 2) | (usize::from(p.y >= c.y) << 1) | usize::from(p.z >= c.z)
     }
 }
 
@@ -236,28 +188,6 @@ mod tests {
             a.distance_squared_to_aabb(&degenerate),
             a.distance_squared_to(p)
         );
-    }
-
-    #[test]
-    fn octants_partition_the_box() {
-        let b = Aabb::new(Point3::ZERO, Point3::splat(2.0));
-        let octs = b.octants();
-        // Every octant has half the edge length and is contained in the parent.
-        for o in &octs {
-            assert!((o.extent().x - 1.0).abs() < 1e-6);
-            assert!(b.contains(o.center()));
-        }
-        // The octant index agrees with octant_of for the octant center.
-        for (i, o) in octs.iter().enumerate() {
-            assert_eq!(b.octant_of(o.center()), i);
-        }
-    }
-
-    #[test]
-    fn inflated_grows_symmetrically() {
-        let b = Aabb::new(Point3::ZERO, Point3::ONE).inflated(0.5);
-        assert_eq!(b.min, Point3::splat(-0.5));
-        assert_eq!(b.max, Point3::splat(1.5));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Dual-tree (leaf-pair) exact all-kNN over the k-d tree.
+//! Dual-tree (leaf-pair) exact all-kNN self-join over the k-d tree.
 //!
 //! The SR engine's frame time is dominated by kNN *self-joins*: every point
 //! of the frame cloud queries the index built over that same cloud (§4.1 —
@@ -6,9 +6,9 @@
 //! queries). The single-tree batch sweep answers them one query at a time
 //! and pays a root-to-leaf descent, a deferred-subtree stack and a fresh
 //! accumulator for each (≈ 600 ns/query on a 50k-point frame, one thread).
-//! This module removes that per-query bookkeeping *algorithmically*: a k-d
-//! tree over the **queries** is traversed against the k-d tree over the
-//! **reference points**, so traversal decisions are made once per *node
+//! This module removes that per-query bookkeeping *algorithmically*: the
+//! queries are the indexed points, so the tree is its own query tree and is
+//! traversed **against itself**, making traversal decisions once per *node
 //! pair* instead of once per query (≈ 360 ns/query on the same frame, and
 //! the traversal shards across workers):
 //!
@@ -17,6 +17,9 @@
 //!   over their children), so one AABB–AABB distance test
 //!   ([`crate::Aabb::distance_squared_to_aabb`]) rejects a whole
 //!   (query-subtree, reference-subtree) pair before any point work;
+//! * diagonal (self) pairs are visited first, so every query's home leaf —
+//!   which contains the query itself and its nearest neighbors — seeds a
+//!   tight bound before any off-diagonal pair is scanned;
 //! * a surviving leaf pair is one call of `crate::kernels::join_leaf_pair`:
 //!   the up-to-64 rows of the query leaf are tested against the reference
 //!   leaf's tight box 16 at a time — each row's own bound sits in an `f32`
@@ -32,49 +35,38 @@
 //!   so survivors — and index-broken distance ties — are **bit-identical**
 //!   to per-query [`KdTree::knn`] for any traversal order.
 //!
-//! The join is **bichromatic**: queries may be any point set (e.g. the
-//! generated midpoints of the naive interpolator, or training-set
-//! ground-truth lookups), in which case a query tree is built into the
-//! caller's [`DualTreeScratch`]; when the query slice *is* the reference
-//! cloud (the self-join case), the reference tree doubles as the query tree
-//! and the build is skipped entirely. In the monochromatic case the
-//! traversal visits diagonal (self) pairs first so every query's home leaf
-//! seeds its pruning bound before any off-diagonal pair is scanned.
+//! # Which batches come here
 //!
-//! # Selection policy
-//!
-//! [`KdTree`]'s `NeighborSearch::knn_batch` picks the algorithm per batch:
-//! dual-tree for **self-joins** of at least [`DUAL_MIN_QUERIES_MONO`]
-//! queries with `k ≤` [`DUAL_MAX_K`]; the single-tree sweep otherwise —
-//! including all bichromatic batches, where the dual tree does not win
-//! (see [`DUAL_MIN_QUERIES_MONO`] for the numbers).
-//! [`KdTree::knn_batch_with`] accepts an explicit [`BatchStrategy`] to
-//! force either algorithm, plus a persistent [`DualTreeScratch`] so
-//! steady-state frames allocate nothing.
+//! [`KdTree::knn_batch_with`] decides once per batch: a **self-join** (the
+//! query slice equals the indexed cloud) of at least
+//! [`DUAL_MIN_QUERIES_MONO`] points with `k ≤` [`DUAL_MAX_K`] runs here;
+//! every other batch runs the single-tree sweep. There is no way to force
+//! either: the join is self-join-only by construction, and a join over a
+//! separate query tree was measured and removed (see
+//! [`DUAL_MIN_QUERIES_MONO`] for the numbers).
 //!
 //! # Sharding (query-leaf partition)
 //!
-//! A batch is cut along the **query tree**: under the `parallel` feature a
-//! frontier of roughly `2 × workers` subtree roots covering the leaf-slot
-//! space end to end (greedily splitting the widest shard) is planned per
-//! batch — a single whole-tree shard when the pool has one executor or the
-//! batch holds under a couple thousand queries per worker — and each shard
-//! runs as one stealable task of the work-stealing pool
+//! A batch is cut along the query side of the tree: under the `parallel`
+//! feature a frontier of roughly `2 × workers` subtree roots covering the
+//! leaf-slot space end to end (greedily splitting the widest shard) is
+//! planned per batch — a single whole-tree shard when the pool has one
+//! executor or the batch holds under a couple thousand queries per worker —
+//! and each shard runs as one stealable task of the work-stealing pool
 //! ([`crate::runtime`]). A shard does everything its rows need: it fills its
 //! sub-slab of the row arena with sentinels, runs the ordinary pair
-//! traversal — its query subtree against the whole reference tree — and
-//! scatters its finished rows from leaf-slot order to the caller's query
-//! order, so no serial pass over the rows runs before or after the tasks.
-//! Shards are independent because all mutable state is per-shard: the row
-//! and row-bound sub-slabs of its leaf slots and a private node-bound vector
-//! drawn from a pool in [`DualTreeScratch`], so steady-state frames still
-//! allocate nothing. Monochromatic shards schedule their diagonal (self)
-//! pair first and the remaining reference subtrees nearest-first,
-//! preserving the bound-seeding property within the shard. Because bounds
-//! only *prune* pairs that provably cannot contribute and row contents are
-//! decided by the packed key semantics alone, results are **bit-identical**
-//! at every worker count (property-tested, including duplicate-heavy tie
-//! cases).
+//! traversal — its query subtree against the whole tree — and scatters its
+//! finished rows from leaf-slot order to the caller's query order, so no
+//! serial pass over the rows runs before or after the tasks. Shards are
+//! independent because all mutable state is per-shard: the row and row-bound
+//! sub-slabs of its leaf slots and a private node-bound vector drawn from a
+//! pool in [`DualTreeScratch`], so steady-state frames still allocate
+//! nothing. A shard schedules its diagonal (self) pair first and the other
+//! shards' subtrees nearest-first, preserving the bound-seeding property
+//! within the shard. Because bounds only *prune* pairs that provably cannot
+//! contribute and row contents are decided by the packed key semantics
+//! alone, results are **bit-identical** at every worker count
+//! (property-tested, including duplicate-heavy tie cases).
 //!
 //! [`KdTree::knn`]: crate::knn::NeighborSearch::knn
 
@@ -82,23 +74,8 @@ use crate::kdtree::KdTree;
 use crate::kernels::{self, JoinRows, RefLeaf, Tier, SENTINEL};
 use crate::neighborhoods::Neighborhoods;
 use crate::par::SendPtr;
-use crate::point::Point3;
 
-/// Which batch algorithm [`KdTree::knn_batch_with`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchStrategy {
-    /// Pick per batch: dual-tree for self-joins (see the module docs for the
-    /// thresholds), single-tree otherwise.
-    #[default]
-    Auto,
-    /// Always the single-tree (per-query, warm-started, Morton-ordered)
-    /// sweep.
-    SingleTree,
-    /// Always the dual-tree leaf-pair traversal.
-    DualTree,
-}
-
-/// The smallest self-join batch the auto policy sends to the dual tree: the
+/// The smallest self-join batch the batch policy sends to the dual tree: the
 /// bottom of the range the crossover was measured over, because no crossover
 /// turned up inside it. Humanoid clouds, self-join, medians of 20–2000
 /// batches on the 2-vCPU reference host (AVX-512), single-tree time over
@@ -120,20 +97,20 @@ pub enum BatchStrategy {
 /// smaller than the table's first row were not measured and stay on the
 /// sweep.
 ///
-/// Bichromatic batches are **never** auto-selected. Jittered copies of a
-/// humanoid cloud as queries, one thread: at equal sizes (50k or 100k
-/// queries over as many points) the dual tree, query-tree build included,
-/// runs 0.95× (k = 9) to 1.02× (k = 5) the sweep's speed — without the
-/// diagonal self-pair, query leaves fill their first rows from whichever
-/// offset reference leaf happens to be box-nearest, so the pruning bounds
-/// start loose — and on the engine's own bichromatic shape, a sparse tenth
-/// of the cloud recomputed on a delta frame (5k queries over 50k points), it
-/// runs 0.55–0.59×. Auto keeps bichromatic batches on the single tree;
-/// [`BatchStrategy::DualTree`] still forces the leaf-pair path for either
-/// shape.
+/// Only self-joins come here. A *bichromatic* join — a second k-d tree built
+/// over an arbitrary query set and walked against this one — existed until
+/// PR 21 and never won. Jittered copies of a humanoid cloud as queries, one
+/// thread: at equal sizes (50k or 100k queries over as many points) it ran,
+/// query-tree build included, 0.95× (k = 9) to 1.02× (k = 5) the sweep's
+/// speed — without the diagonal self-pair, query leaves fill their first
+/// rows from whichever offset reference leaf happens to be box-nearest, so
+/// the pruning bounds start loose — and on the engine's own bichromatic
+/// shape, a sparse tenth of the cloud recomputed on a delta frame (5k
+/// queries over 50k points), 0.55–0.59×. Those batches run the single-tree
+/// sweep.
 pub const DUAL_MIN_QUERIES_MONO: usize = 16;
 
-/// Largest `k` the auto policy sends to the dual tree (the row insert is an
+/// Largest `k` the batch policy sends to the dual tree (the row insert is an
 /// `O(k)` fixed-trip network per offered candidate, same as `BestK`, but
 /// large-`k` rows blow past the slab's cache-friendly regime).
 pub const DUAL_MAX_K: usize = 32;
@@ -144,19 +121,15 @@ pub const DUAL_MAX_K: usize = 32;
 #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 const DUAL_MIN_QUERIES_PER_SHARD: usize = 2048;
 
-/// Reusable state of the dual-tree all-kNN: the query-side tree (built only
-/// for bichromatic joins, storage reused via [`KdTree::build_in`]), the flat
-/// per-query result rows and the pruning bounds. Owned by the caller and
-/// tied to no particular tree: nothing in it outlives a batch, so the SR
-/// engine keeps one per worker (on its frame arena), not one per session,
-/// and repeated frames perform **zero** allocations here at steady state.
+/// Reusable state of the dual-tree self-join: the flat per-query result rows
+/// and the pruning bounds. Owned by the caller and tied to no particular
+/// tree: nothing in it outlives a batch, so the SR engine keeps one per
+/// worker (on its frame arena), not one per session, and repeated frames
+/// perform **zero** allocations here at steady state.
 #[derive(Debug, Default)]
 pub struct DualTreeScratch {
-    /// Query-side tree for bichromatic joins (self-joins reuse the
-    /// reference tree and leave this untouched).
-    qtree: KdTree,
     /// `stride` packed `(d2-bits, index)` keys per query, ascending, laid
-    /// out in query-tree *leaf-slot* order so a leaf-pair scan touches one
+    /// out in the tree's *leaf-slot* order so a leaf-pair scan touches one
     /// small contiguous run of rows (see [`JoinRows`]); each shard scatters
     /// its rows back to caller order when its traversal ends.
     rows: Vec<u64>,
@@ -184,10 +157,9 @@ impl DualTreeScratch {
         self.invocations
     }
 
-    /// Total capacity (in bytes) of the scratch's buffers — the row slab,
-    /// the bounds **and** the query-side tree — observable by tests
-    /// asserting steady-state reuse (repeated same-shape batches must not
-    /// grow it).
+    /// Total capacity (in bytes) of the scratch's buffers — the row slab and
+    /// the bounds — observable by tests asserting steady-state reuse
+    /// (repeated same-shape batches must not grow it).
     pub fn reserved_bytes(&self) -> usize {
         self.rows.capacity() * std::mem::size_of::<u64>()
             + self.row_bounds.capacity() * std::mem::size_of::<f32>()
@@ -196,81 +168,45 @@ impl DualTreeScratch {
                 .iter()
                 .map(|b| b.capacity() * std::mem::size_of::<f32>())
                 .sum::<usize>()
-            + self.qtree.reserved_bytes()
     }
 }
 
-/// Auto policy: should this batch run through the dual tree?
-pub(crate) fn select_dual_tree(
-    strategy: BatchStrategy,
-    queries: &[Point3],
-    k: usize,
-    rtree: &KdTree,
-) -> bool {
-    match strategy {
-        BatchStrategy::SingleTree => false,
-        BatchStrategy::DualTree => true,
-        BatchStrategy::Auto => {
-            k <= DUAL_MAX_K
-                && queries.len() >= DUAL_MIN_QUERIES_MONO
-                && is_self_join(queries, rtree)
-        }
-    }
-}
-
-/// `true` when the query slice is exactly the indexed cloud (one linear
-/// compare — two orders of magnitude cheaper than the traversal it tunes).
-#[inline]
-fn is_self_join(queries: &[Point3], rtree: &KdTree) -> bool {
-    queries.len() == rtree.points().len() && queries == rtree.points()
-}
-
-/// Runs the dual-tree all-kNN: appends one `stride`-wide row per query to
-/// `out`, in query order, bit-identical to the per-query path. The caller
-/// ([`KdTree::knn_batch_with`]) has already handled `k == 0`, an empty
-/// reference cloud and row reservation; `stride = k.min(reference len)`.
+/// Runs the dual-tree self-join: appends one `stride`-wide row per indexed
+/// point to `out`, in point order, bit-identical to the per-query path. The
+/// caller ([`KdTree::knn_batch_with`]) has already handled `k == 0`, an
+/// empty cloud and row reservation; `stride = k.min(tree len)`.
 ///
-/// The batch is cut into shards of the query tree (one, when the pool has a
-/// single executor or the batch is small) and everything per-row happens
-/// inside the shard tasks — sentinel fill, traversal, and the scatter from
-/// leaf-slot order back to the caller's query order — so no serial pass
+/// The batch is cut into shards of the tree's query side (one, when the pool
+/// has a single executor or the batch is small) and everything per-row
+/// happens inside the shard tasks — sentinel fill, traversal, and the
+/// scatter from leaf-slot order back to point order — so no serial pass
 /// over the rows brackets the parallel part.
-pub(crate) fn all_knn(
-    rtree: &KdTree,
-    queries: &[Point3],
+pub(crate) fn self_join(
+    tree: &KdTree,
     stride: usize,
     out: &mut Neighborhoods,
     scratch: &mut DualTreeScratch,
 ) {
-    if queries.is_empty() {
-        return;
-    }
+    let n = tree.points().len();
+    debug_assert!(stride > 0 && stride <= n);
     scratch.invocations += 1;
-    let mono = is_self_join(queries, rtree);
     let DualTreeScratch {
-        qtree,
         rows,
         row_bounds,
         shard_bounds,
         ..
     } = scratch;
-    let qtree: &KdTree = if mono {
-        rtree
-    } else {
-        qtree.build_in(queries);
-        qtree
-    };
-    let shards = plan_shards(qtree, queries.len());
+    let shards = plan_shards(tree, n);
     // Sized here, initialized by the shards (each fills its own share).
-    rows.resize(queries.len() * stride, SENTINEL);
-    row_bounds.resize(queries.len(), f32::INFINITY);
+    rows.resize(n * stride, SENTINEL);
+    row_bounds.resize(n, f32::INFINITY);
     if shard_bounds.len() < shards.len() {
         shard_bounds.resize_with(shards.len(), Vec::new);
     }
     // Every row ends full (nothing prunes against a sentinel's infinite
     // bound) and sorted by (distance, index), and exact kNN rows are
     // stride-uniform, so each row's final location is known up front.
-    let slab = out.push_uniform_rows(queries.len(), stride);
+    let slab = out.push_uniform_rows(n, stride);
     // One ISA resolution per batch; the shards inherit it.
     let tier = Tier::detect();
     let keys_ptr = SendPtr::new(rows.as_mut_ptr());
@@ -294,10 +230,9 @@ pub(crate) fn all_knn(
         keys.fill(SENTINEL);
         bounds.fill(f32::INFINITY);
         node_bounds.clear();
-        node_bounds.resize(qtree.node_count(), f32::INFINITY);
+        node_bounds.resize(tree.node_count(), f32::INFINITY);
         let mut t = Traversal {
-            qtree,
-            rtree,
+            tree,
             rows: JoinRows {
                 keys,
                 bounds,
@@ -306,34 +241,30 @@ pub(crate) fn all_knn(
                 prev: usize::MAX,
             },
             node_bounds,
-            mono,
             tier,
         };
-        if mono && shards.len() > 1 {
-            // Diagonal first — the shard's queries meet their own points,
-            // seeding tight pruning bounds (the very property that makes
-            // self-joins the dual tree's winning case) — then the other
-            // shards' subtrees as reference sides, nearest box first.
-            t.pair(shard.root, shard.root, 0.0);
-            let mut others: Vec<(u32, f32)> = shards
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, s)| (s.root, t.child_dist(shard.root, s.root)))
-                .collect();
-            others.sort_by(|a, b| a.1.total_cmp(&b.1));
-            for (rn, d) in others {
-                t.pair(shard.root, rn, d);
-            }
-        } else {
-            t.pair(shard.root, rtree.root_id(), 0.0);
+        // Diagonal first — the shard's queries meet their own points,
+        // seeding tight pruning bounds (the very property that makes
+        // self-joins the dual tree's winning case) — then the other shards'
+        // subtrees (none, for a whole-tree shard) as reference sides,
+        // nearest box first.
+        t.pair(shard.root, shard.root, 0.0);
+        let mut others: Vec<(u32, f32)> = shards
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != i)
+            .map(|(_, s)| (s.root, t.child_dist(shard.root, s.root)))
+            .collect();
+        others.sort_by(|a, b| a.1.total_cmp(&b.1));
+        for (rn, d) in others {
+            t.pair(shard.root, rn, d);
         }
-        // Rows live in leaf-slot order; the query tree's permutation maps
-        // each back to the caller's query index. The low 32 bits of a packed
-        // key are the neighbor index.
-        for (slot, &qi) in qtree.order()[shard.lo..shard.hi].iter().enumerate() {
+        // Rows live in leaf-slot order; the tree's permutation maps each
+        // back to its point index. The low 32 bits of a packed key are the
+        // neighbor index.
+        for (slot, &qi) in tree.order()[shard.lo..shard.hi].iter().enumerate() {
             let src = &t.rows.keys[slot * stride..(slot + 1) * stride];
-            // SAFETY: `order` is a permutation of the query indices, so row
+            // SAFETY: `order` is a permutation of the point indices, so row
             // `qi` of the output slab is written by this iteration alone.
             let dst = unsafe {
                 std::slice::from_raw_parts_mut(slab_ptr.get().add(qi as usize * stride), stride)
@@ -350,7 +281,7 @@ pub(crate) fn all_knn(
     (0..shards.len()).for_each(run_shard);
 }
 
-/// One shard of the query side: a query-tree node whose subtree covers the
+/// One shard of the query side: a tree node whose subtree covers the
 /// contiguous leaf-slot range `lo..hi`. The shard set partitions the whole
 /// leaf-slot space, so shards own disjoint row sub-slabs and can traverse
 /// concurrently.
@@ -385,15 +316,15 @@ fn subtree_span(tree: &KdTree, n: u32) -> (usize, usize) {
     (lo, hi)
 }
 
-/// Decides the decomposition of a batch: a frontier of query-tree nodes
+/// Decides the decomposition of a batch: a frontier of tree nodes
 /// partitioning the leaf-slot space, sized to about twice the current
 /// pool's worker count (slack for stealing to balance uneven shards).
 /// Returns a single whole-tree shard when the pool has one executor or the
 /// batch is too small to repay sharding.
-fn plan_shards(qtree: &KdTree, queries: usize) -> Vec<Shard> {
+fn plan_shards(tree: &KdTree, queries: usize) -> Vec<Shard> {
     let whole = || {
         vec![Shard {
-            root: qtree.root_id(),
+            root: tree.root_id(),
             lo: 0,
             hi: queries,
         }]
@@ -414,12 +345,12 @@ fn plan_shards(qtree: &KdTree, queries: usize) -> Vec<Shard> {
             // Split the widest shard; stop when only leaves remain.
             let Some(widest) = frontier
                 .iter()
-                .position(|s| !qtree.node(s.root).is_leaf())
+                .position(|s| !tree.node(s.root).is_leaf())
                 .map(|first| {
                     frontier
                         .iter()
                         .enumerate()
-                        .filter(|(_, s)| !qtree.node(s.root).is_leaf())
+                        .filter(|(_, s)| !tree.node(s.root).is_leaf())
                         .max_by_key(|(_, s)| s.hi - s.lo)
                         .map_or(first, |(i, _)| i)
                 })
@@ -427,9 +358,9 @@ fn plan_shards(qtree: &KdTree, queries: usize) -> Vec<Shard> {
                 break;
             };
             let shard = frontier.swap_remove(widest);
-            let (a, b) = qtree.node(shard.root).children();
-            let (alo, ahi) = subtree_span(qtree, a);
-            let (blo, bhi) = subtree_span(qtree, b);
+            let (a, b) = tree.node(shard.root).children();
+            let (alo, ahi) = subtree_span(tree, a);
+            let (blo, bhi) = subtree_span(tree, b);
             frontier.push(Shard {
                 root: a,
                 lo: alo,
@@ -449,23 +380,22 @@ fn plan_shards(qtree: &KdTree, queries: usize) -> Vec<Shard> {
 /// The recursive (query-node, reference-node) pair walk of one shard. Each
 /// pair is visited at most once (the decomposition of a pair is a function
 /// of the pair, so the call graph is a tree), descends the reference side
-/// nearest-child-first so bounds tighten before far pairs are tested, and —
-/// in the monochromatic case — descends diagonal pairs first so every query
-/// leaf scans its own tile (which contains the queries themselves) before
-/// anything else.
+/// nearest-child-first so bounds tighten before far pairs are tested, and
+/// descends diagonal pairs first so every query leaf scans its own tile
+/// (which contains the queries themselves) before anything else.
 ///
 /// Shards are independent because everything mutable here is the shard's
 /// own, and their results are bit-identical to a whole-tree traversal
 /// because bounds only prune provably irrelevant work and row contents are
 /// decided by packed `(distance, index)` keys alone (see the module docs).
 struct Traversal<'a> {
-    qtree: &'a KdTree,
-    rtree: &'a KdTree,
+    /// Both sides of every pair: the query node and the reference node are
+    /// nodes of this one tree.
+    tree: &'a KdTree,
     /// The shard's result rows and per-row bounds.
     rows: JoinRows<'a>,
-    /// Per-query-node pruning bound, indexed by query-tree node id.
+    /// Per-query-node pruning bound, indexed by node id.
     node_bounds: &'a mut [f32],
-    mono: bool,
     tier: Tier,
 }
 
@@ -482,8 +412,8 @@ impl Traversal<'_> {
         if d > self.node_bounds[qn as usize] {
             return;
         }
-        let qnode = self.qtree.node(qn);
-        let rnode = self.rtree.node(rn);
+        let qnode = self.tree.node(qn);
+        let rnode = self.tree.node(rn);
         match (qnode.is_leaf(), rnode.is_leaf()) {
             (true, true) => self.scan_pair(qn, rn),
             (true, false) => {
@@ -499,7 +429,7 @@ impl Traversal<'_> {
             }
             (false, false) => {
                 let (qa, qb) = qnode.children();
-                if self.mono && qn == rn {
+                if qn == rn {
                     // Diagonal pairs first: each query subtree meets its own
                     // points before any sibling's, seeding tight bounds.
                     let (ra, rb) = rnode.children();
@@ -527,9 +457,9 @@ impl Traversal<'_> {
     /// Box distance between query node `qn` and reference node `rn`.
     #[inline(always)]
     fn child_dist(&self, qn: u32, rn: u32) -> f32 {
-        self.qtree
+        self.tree
             .node_aabb(qn)
-            .distance_squared_to_aabb(&self.rtree.node_aabb(rn))
+            .distance_squared_to_aabb(&self.tree.node_aabb(rn))
     }
 
     /// Orders a reference node's children by box distance to query node
@@ -561,9 +491,8 @@ impl Traversal<'_> {
     /// path applies on leaf arrival) and the survivors sweep its SoA tile —
     /// and records the query leaf's new shared bound.
     ///
-    /// Rows that have not yet filled (their first scan — for the interior
-    /// of the traversal that is the leaf's first surviving pair, which in
-    /// the monochromatic case is the diagonal self-pair) are warm-started
+    /// Rows that have not yet filled (their first scan — the leaf's first
+    /// surviving pair, which is its diagonal self-pair) are warm-started
     /// there exactly like [`BestK::begin_warm`]. Leaf slots are
     /// Morton-sorted at build time, making consecutive rows spatial
     /// neighbors and the cap tight from the first block of the very first
@@ -572,28 +501,28 @@ impl Traversal<'_> {
     ///
     /// [`BestK::begin_warm`]: crate::knn::BestK::begin_warm
     fn scan_pair(&mut self, qn: u32, rn: u32) {
-        let (qs, qe) = self.qtree.node(qn).leaf_range();
-        let (rs, re) = self.rtree.node(rn).leaf_range();
+        let (qs, qe) = self.tree.node(qn).leaf_range();
+        let (rs, re) = self.tree.node(rn).leaf_range();
         if rs == re {
             // A leaf a patch emptied: nothing to offer.
             return;
         }
-        let rsoa = self.rtree.soa();
+        let soa = self.tree.soa();
         // The reference tile is about to be streamed up to `qe - qs` times;
         // pull its lanes in behind the first row's scan.
-        kernels::prefetch_read(&rsoa.xs()[rs]);
-        kernels::prefetch_read(&rsoa.ys()[rs]);
-        kernels::prefetch_read(&rsoa.zs()[rs]);
+        kernels::prefetch_read(&soa.xs()[rs]);
+        kernels::prefetch_read(&soa.ys()[rs]);
+        kernels::prefetch_read(&soa.zs()[rs]);
         let leaf = RefLeaf {
-            soa: rsoa,
-            ids: self.rtree.order(),
-            points: self.rtree.points(),
+            soa,
+            ids: self.tree.order(),
+            points: self.tree.points(),
             start: rs,
             end: re,
-            aabb: self.rtree.node_aabb(rn),
+            aabb: self.tree.node_aabb(rn),
         };
         self.node_bounds[qn as usize] =
-            kernels::join_leaf_pair(self.tier, &mut self.rows, self.qtree.soa(), qs, qe, &leaf);
+            kernels::join_leaf_pair(self.tier, &mut self.rows, soa, qs, qe, &leaf);
     }
 }
 
@@ -601,6 +530,7 @@ impl Traversal<'_> {
 mod tests {
     use super::*;
     use crate::knn::NeighborSearch;
+    use crate::point::Point3;
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
@@ -617,33 +547,53 @@ mod tests {
             .collect()
     }
 
-    /// Forced dual-tree rows must equal the per-query oracle rows exactly.
-    fn assert_dual_matches_per_query(points: &[Point3], queries: &[Point3], k: usize) {
+    /// The join, called directly (the facade only routes a batch here when
+    /// the policy says so): rows of the self-join of `tree` at `k`.
+    fn join_rows(tree: &KdTree, k: usize, scratch: &mut DualTreeScratch) -> Neighborhoods {
+        let mut out = Neighborhoods::new();
+        self_join(tree, k.min(tree.points().len()), &mut out, scratch);
+        out
+    }
+
+    /// The crate-private join and the crate-private sweep, each called
+    /// directly on the self-join of `points`, must both equal the per-query
+    /// oracle rows exactly — whatever the policy would have picked.
+    fn assert_join_and_sweep_match_per_query(points: &[Point3], k: usize) {
         let tree = KdTree::build(points);
-        let mut scratch = DualTreeScratch::new();
-        let mut dual = Neighborhoods::new();
-        tree.knn_batch_with(queries, k, &mut dual, BatchStrategy::DualTree, &mut scratch);
-        assert_eq!(dual.len(), queries.len());
-        for (i, &q) in queries.iter().enumerate() {
+        let joined = join_rows(&tree, k, &mut DualTreeScratch::new());
+        let mut swept = Neighborhoods::new();
+        tree.sweep(points, k, &mut swept);
+        assert_eq!(joined.len(), points.len());
+        assert_eq!(swept.len(), points.len());
+        for (i, &q) in points.iter().enumerate() {
             let expected: Vec<u32> = tree.knn(q, k).iter().map(|n| n.index as u32).collect();
-            assert_eq!(dual.row(i), expected.as_slice(), "k {k} query {i}");
+            assert_eq!(joined.row(i), expected.as_slice(), "join k {k} query {i}");
+            assert_eq!(swept.row(i), expected.as_slice(), "sweep k {k} query {i}");
         }
     }
 
     #[test]
-    fn monochromatic_matches_per_query() {
+    fn join_and_sweep_match_per_query() {
         let pts = random_points(700, 1);
         for k in [1usize, 4, 9, 32] {
-            assert_dual_matches_per_query(&pts, &pts, k);
+            assert_join_and_sweep_match_per_query(&pts, k);
         }
     }
 
+    /// Both algorithms on both sides of each policy threshold: clouds of
+    /// 1..=15 points (below `DUAL_MIN_QUERIES_MONO`, where the facade
+    /// sweeps) and just above, and `k` 33..=40 (above `DUAL_MAX_K`).
     #[test]
-    fn bichromatic_matches_per_query() {
-        let pts = random_points(600, 2);
-        let queries = random_points(450, 3);
-        for k in [1usize, 5, 9] {
-            assert_dual_matches_per_query(&pts, &queries, k);
+    fn join_and_sweep_match_per_query_across_the_policy_thresholds() {
+        for n in (1..=DUAL_MIN_QUERIES_MONO + 1).chain([63, 64, 65, 130]) {
+            let pts = random_points(n, 40 + n as u64);
+            for k in [1usize, 5, DUAL_MAX_K, 1000] {
+                assert_join_and_sweep_match_per_query(&pts, k);
+            }
+        }
+        let pts = random_points(300, 2);
+        for k in DUAL_MAX_K - 1..=DUAL_MAX_K + 8 {
+            assert_join_and_sweep_match_per_query(&pts, k);
         }
     }
 
@@ -652,102 +602,106 @@ mod tests {
         let mut pts = vec![Point3::ONE; 30];
         pts.extend(random_points(200, 4));
         pts.extend(vec![Point3::ONE; 30]);
-        let queries = pts.clone();
-        assert_dual_matches_per_query(&pts, &queries, 8);
-        // A bichromatic query landing exactly on the duplicates must get
-        // the lowest indices.
-        let tree = KdTree::build(&pts);
-        let mut scratch = DualTreeScratch::new();
-        let mut out = Neighborhoods::new();
-        tree.knn_batch_with(
-            &[Point3::ONE],
-            6,
-            &mut out,
-            BatchStrategy::DualTree,
-            &mut scratch,
-        );
-        assert_eq!(out.row(0), &[0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn k_exceeding_cloud_and_small_clouds() {
-        let pts = random_points(10, 5);
-        assert_dual_matches_per_query(&pts, &pts, 25);
-        let queries = random_points(5, 6);
-        assert_dual_matches_per_query(&pts, &queries, 1000);
-        // Two-point cloud, one query.
-        let two = vec![Point3::ZERO, Point3::ONE];
-        assert_dual_matches_per_query(&two, &[Point3::new(0.4, 0.0, 0.0)], 2);
+        assert_join_and_sweep_match_per_query(&pts, 8);
+        // Every copy of the duplicated point gets the lowest indices.
+        let rows = join_rows(&KdTree::build(&pts), 6, &mut DualTreeScratch::new());
+        assert_eq!(rows.row(0), &[0, 1, 2, 3, 4, 5]);
+        assert_eq!(rows.row(pts.len() - 1), &[0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn degenerate_clouds_match_per_query() {
-        // Identical points, collinear points, planar grid.
+        // Identical points, collinear points, planar grid, two points.
         let identical = vec![Point3::splat(2.5); 150];
-        assert_dual_matches_per_query(&identical, &identical, 7);
+        assert_join_and_sweep_match_per_query(&identical, 7);
         let collinear: Vec<Point3> = (0..200)
             .map(|i| Point3::new((i / 3) as f32, 0.0, 0.0))
             .collect();
-        assert_dual_matches_per_query(&collinear, &collinear, 5);
+        assert_join_and_sweep_match_per_query(&collinear, 5);
         let planar: Vec<Point3> = (0..240)
             .map(|i| Point3::new((i % 16) as f32, (i / 16) as f32, 0.0))
             .collect();
-        assert_dual_matches_per_query(&planar, &planar, 9);
-        // Bichromatic over degenerate references.
-        let queries = random_points(80, 7);
-        assert_dual_matches_per_query(&collinear, &queries, 4);
+        assert_join_and_sweep_match_per_query(&planar, 9);
+        assert_join_and_sweep_match_per_query(&[Point3::ZERO, Point3::ONE], 2);
+    }
+
+    /// The policy as documented, and the facade acting on it: the scratch's
+    /// invocation count advances exactly when `auto_selects_dual_tree` says
+    /// the join runs, and rows match the per-query oracle either way.
+    #[test]
+    fn facade_runs_the_join_iff_the_policy_selects_it() {
+        let pts = random_points(600, 11);
+        let tree = KdTree::build(&pts);
+        let other = random_points(600, 12);
+        let tiny = &pts[..DUAL_MIN_QUERIES_MONO - 1];
+        let tiny_tree = KdTree::build(tiny);
+        let cases: [(&KdTree, &[Point3], usize, bool); 7] = [
+            // A self-join, fleet-tenant sized: join.
+            (&tree, &pts, 5, true),
+            (&tree, &pts, DUAL_MAX_K, true),
+            // Same size but another point set, and a prefix of the cloud:
+            // sweep (measured slower on a join; see DUAL_MIN_QUERIES_MONO).
+            (&tree, &other, 5, false),
+            (&tree, &pts[..100], 5, false),
+            // Large k: sweep.
+            (&tree, &pts, DUAL_MAX_K + 1, false),
+            // A self-join below the measured range: sweep.
+            (&tiny_tree, tiny, 5, false),
+            // Nothing to answer.
+            (&tree, &[], 5, false),
+        ];
+        let mut scratch = DualTreeScratch::new();
+        for (case, &(tree, queries, k, joins)) in cases.iter().enumerate() {
+            assert_eq!(
+                tree.auto_selects_dual_tree(queries, k),
+                joins,
+                "case {case}"
+            );
+            let before = scratch.invocations();
+            let mut out = Neighborhoods::new();
+            tree.knn_batch_with(queries, k, &mut out, &mut scratch);
+            assert_eq!(
+                scratch.invocations() - before,
+                u64::from(joins),
+                "case {case}"
+            );
+            assert_eq!(out.len(), queries.len(), "case {case}");
+            for (i, &q) in queries.iter().enumerate().step_by(7) {
+                let expected: Vec<u32> = tree.knn(q, k).iter().map(|n| n.index as u32).collect();
+                assert_eq!(out.row(i), expected.as_slice(), "case {case} query {i}");
+            }
+        }
     }
 
     #[test]
     fn empty_inputs_produce_empty_rows() {
-        let tree = KdTree::build(&[]);
         let mut scratch = DualTreeScratch::new();
         let mut out = Neighborhoods::new();
-        tree.knn_batch_with(
-            &[Point3::ZERO, Point3::ONE],
-            3,
-            &mut out,
-            BatchStrategy::DualTree,
-            &mut scratch,
-        );
+        // An empty index, then k == 0 on a self-join: one empty row per
+        // query; an empty query slice appends nothing.
+        KdTree::build(&[]).knn_batch_with(&[Point3::ZERO, Point3::ONE], 3, &mut out, &mut scratch);
         assert_eq!(out.len(), 2);
         assert!(out.row(0).is_empty() && out.row(1).is_empty());
-        // k == 0 likewise; and an empty query slice appends nothing.
-        let tree = KdTree::build(&random_points(50, 8));
-        tree.knn_batch_with(
-            &[Point3::ZERO],
-            0,
-            &mut out,
-            BatchStrategy::DualTree,
-            &mut scratch,
-        );
-        assert_eq!(out.len(), 3);
+        let pts = random_points(50, 8);
+        let tree = KdTree::build(&pts);
+        tree.knn_batch_with(&pts, 0, &mut out, &mut scratch);
+        assert_eq!(out.len(), 2 + pts.len());
         assert!(out.row(2).is_empty());
-        tree.knn_batch_with(&[], 4, &mut out, BatchStrategy::DualTree, &mut scratch);
-        assert_eq!(out.len(), 3);
+        tree.knn_batch_with(&[], 4, &mut out, &mut scratch);
+        assert_eq!(out.len(), 2 + pts.len());
         assert_eq!(scratch.invocations(), 0, "empty batches bypass the kernel");
     }
 
     #[test]
     fn scratch_is_reused_without_growth() {
         let pts = random_points(3000, 9);
-        let queries = random_points(2000, 10);
         let tree = KdTree::build(&pts);
         let mut scratch = DualTreeScratch::new();
-        let mut out = Neighborhoods::new();
-        tree.knn_batch_with(&queries, 8, &mut out, BatchStrategy::DualTree, &mut scratch);
+        let out = join_rows(&tree, 8, &mut scratch);
         let reserved = scratch.reserved_bytes();
         assert!(reserved > 0);
         for round in 0..3 {
-            let mut again = Neighborhoods::new();
-            tree.knn_batch_with(
-                &queries,
-                8,
-                &mut again,
-                BatchStrategy::DualTree,
-                &mut scratch,
-            );
-            assert_eq!(again, out, "round {round}");
+            assert_eq!(join_rows(&tree, 8, &mut scratch), out, "round {round}");
             assert_eq!(
                 scratch.reserved_bytes(),
                 reserved,
@@ -758,70 +712,32 @@ mod tests {
     }
 
     /// The sharded parallel traversal must produce byte-for-byte the same
-    /// rows as the sequential one, for every worker count, both join
-    /// shapes, and duplicate-heavy ties — and its per-shard bounds pool
-    /// must reach a steady state (no growth on repeated same-shape
-    /// batches).
+    /// rows as the sequential one, for every worker count, with
+    /// duplicate-heavy ties — and its per-shard bounds pool must reach a
+    /// steady state (no growth on repeated same-shape batches).
     #[cfg(feature = "parallel")]
     #[test]
     fn sharded_traversal_matches_sequential() {
         let mut pts = random_points(6_000, 20);
         pts.extend(vec![Point3::ONE; 40]); // duplicate cluster: tie-breaking
         let tree = KdTree::build(&pts);
-        let queries = random_points(5_000, 21);
         for k in [1usize, 5, 9] {
-            let mut seq_mono = Neighborhoods::new();
-            let mut seq_bi = Neighborhoods::new();
-            let mut scratch = DualTreeScratch::new();
-            crate::runtime::with_workers(1, || {
-                tree.knn_batch_with(
-                    &pts,
-                    k,
-                    &mut seq_mono,
-                    BatchStrategy::DualTree,
-                    &mut scratch,
-                );
-                tree.knn_batch_with(
-                    &queries,
-                    k,
-                    &mut seq_bi,
-                    BatchStrategy::DualTree,
-                    &mut scratch,
-                );
+            let sequential = crate::runtime::with_workers(1, || {
+                join_rows(&tree, k, &mut DualTreeScratch::new())
             });
             for workers in [2usize, 4, 8] {
                 let mut scratch = DualTreeScratch::new();
                 crate::runtime::with_workers(workers, || {
-                    let mut mono = Neighborhoods::new();
-                    tree.knn_batch_with(&pts, k, &mut mono, BatchStrategy::DualTree, &mut scratch);
-                    assert_eq!(mono, seq_mono, "mono k {k} workers {workers}");
+                    let sharded = join_rows(&tree, k, &mut scratch);
+                    assert_eq!(sharded, sequential, "k {k} workers {workers}");
                     assert!(
                         scratch.shard_bounds.len() > 1,
                         "parallel path must engage under a {workers}-worker pool"
                     );
-                    let mut bi = Neighborhoods::new();
-                    tree.knn_batch_with(
-                        &queries,
-                        k,
-                        &mut bi,
-                        BatchStrategy::DualTree,
-                        &mut scratch,
-                    );
-                    assert_eq!(bi, seq_bi, "bichromatic k {k} workers {workers}");
-                    // Both batch shapes have now sized every pooled buffer
-                    // (row slab, shard bounds, query tree); repeats must
-                    // reuse them without growth.
+                    // The first batch sized every pooled buffer (row slab,
+                    // shard bounds); a repeat must reuse them without growth.
                     let reserved = scratch.reserved_bytes();
-                    let mut again = Neighborhoods::new();
-                    tree.knn_batch_with(&pts, k, &mut again, BatchStrategy::DualTree, &mut scratch);
-                    assert_eq!(again, seq_mono);
-                    tree.knn_batch_with(
-                        &queries,
-                        k,
-                        &mut Neighborhoods::new(),
-                        BatchStrategy::DualTree,
-                        &mut scratch,
-                    );
+                    assert_eq!(join_rows(&tree, k, &mut scratch), sequential);
                     assert_eq!(
                         scratch.reserved_bytes(),
                         reserved,
@@ -857,74 +773,11 @@ mod tests {
         });
     }
 
-    #[test]
-    fn auto_policy_selects_as_documented() {
-        let pts = random_points(600, 11);
-        let tree = KdTree::build(&pts);
-        // A self-join, fleet-tenant sized: dual.
-        assert!(select_dual_tree(BatchStrategy::Auto, &pts, 5, &tree));
-        // Same size but bichromatic: single (measured slower; see the
-        // DUAL_MIN_QUERIES_MONO docs) — and a prefix of the cloud is
-        // bichromatic too.
-        let other = random_points(600, 12);
-        assert!(!select_dual_tree(BatchStrategy::Auto, &other, 5, &tree));
-        assert!(!select_dual_tree(
-            BatchStrategy::Auto,
-            &pts[..100],
-            5,
-            &tree
-        ));
-        // Large k: single.
-        assert!(!select_dual_tree(
-            BatchStrategy::Auto,
-            &pts,
-            DUAL_MAX_K + 1,
-            &tree
-        ));
-        // A self-join below the measured range: single.
-        let tiny = &pts[..DUAL_MIN_QUERIES_MONO - 1];
-        assert!(!select_dual_tree(
-            BatchStrategy::Auto,
-            tiny,
-            5,
-            &KdTree::build(tiny)
-        ));
-        // Forcing wins over everything.
-        assert!(select_dual_tree(
-            BatchStrategy::DualTree,
-            &pts[..2],
-            5,
-            &tree
-        ));
-        assert!(!select_dual_tree(BatchStrategy::SingleTree, &pts, 5, &tree));
-    }
-
-    #[test]
-    fn auto_knn_batch_selects_the_dual_tree_transparently() {
-        // A self-join Auto sends to the dual tree must still be
-        // bit-identical to the per-query loop (this is the configuration
-        // the SR interpolators hit every cold frame).
-        let pts = random_points(4_600, 13);
-        let tree = KdTree::build(&pts);
-        let mut auto_rows = Neighborhoods::new();
-        tree.knn_batch(&pts, 5, &mut auto_rows);
-        let mut forced_single = Neighborhoods::new();
-        let mut scratch = DualTreeScratch::new();
-        tree.knn_batch_with(
-            &pts,
-            5,
-            &mut forced_single,
-            BatchStrategy::SingleTree,
-            &mut scratch,
-        );
-        assert_eq!(auto_rows, forced_single);
-    }
-
     /// Every kernel tier this host can execute — scalar, AVX2, AVX-512 —
-    /// must emit the scalar tier's rows, for both join shapes, across
-    /// strides on both sides of a 16-row pre-filter block and a 16-lane
-    /// scan block, on a cloud with a duplicate cluster and (after a patch)
-    /// emptied leaves, at one worker and sharded.
+    /// must emit the scalar tier's rows, across strides on both sides of a
+    /// 16-row pre-filter block and a 16-lane scan block, on a cloud with a
+    /// duplicate cluster and (after a patch) emptied leaves, at one worker
+    /// and sharded.
     #[test]
     fn every_kernel_tier_matches_the_scalar_tier() {
         use crate::kernels::tier_override::{available, with_tier};
@@ -943,23 +796,18 @@ mod tests {
             .map(|i| pts[i])
             .collect();
         tree.patch(&delta, &pts);
-        let queries = random_points(900, 31);
         let join = |workers: usize, k: usize| {
             crate::runtime::with_workers(workers, || {
-                let mut scratch = DualTreeScratch::new();
-                let (mut mono, mut bi) = (Neighborhoods::new(), Neighborhoods::new());
-                tree.knn_batch_with(&pts, k, &mut mono, BatchStrategy::DualTree, &mut scratch);
-                tree.knn_batch_with(&queries, k, &mut bi, BatchStrategy::DualTree, &mut scratch);
-                (mono, bi)
+                join_rows(&tree, k, &mut DualTreeScratch::new())
             })
         };
         let tiers = available();
         for k in [1usize, 7, 9, 16, 17, 33] {
             let scalar = with_tier(tiers[0], || join(1, k));
-            for (i, &q) in queries.iter().enumerate().step_by(37) {
+            for (i, &q) in pts.iter().enumerate().step_by(37) {
                 let expected: Vec<u32> = tree.knn(q, k).iter().map(|n| n.index as u32).collect();
                 assert_eq!(
-                    scalar.1.row(i),
+                    scalar.row(i),
                     expected.as_slice(),
                     "scalar tier k {k} query {i}"
                 );
@@ -970,90 +818,6 @@ mod tests {
                     assert_eq!(got, scalar, "{tier:?} k {k} workers {workers}");
                 }
             }
-        }
-    }
-
-    #[test]
-    #[ignore = "manual timing probe"]
-    fn self_join_timing_probe() {
-        use std::time::Instant;
-        for n in [10_000usize, 100_000] {
-            let pts = crate::synthetic::humanoid(n, 0.5, 3);
-            let queries = pts.positions();
-            let tree = KdTree::build(queries);
-            for k in [5usize, 9] {
-                let mut scratch = DualTreeScratch::new();
-                let mut out = Neighborhoods::with_capacity(queries.len(), queries.len() * k);
-                for round in 0..3 {
-                    let t = Instant::now();
-                    out.clear();
-                    tree.knn_batch_with(
-                        queries,
-                        k,
-                        &mut out,
-                        BatchStrategy::SingleTree,
-                        &mut scratch,
-                    );
-                    let single = t.elapsed();
-                    let t = Instant::now();
-                    out.clear();
-                    tree.knn_batch_with(
-                        queries,
-                        k,
-                        &mut out,
-                        BatchStrategy::DualTree,
-                        &mut scratch,
-                    );
-                    let dual = t.elapsed();
-                    println!(
-                        "n {n} k {k} round {round}: single {single:?} dual {dual:?} ratio {:.2}",
-                        single.as_secs_f64() / dual.as_secs_f64()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[ignore = "manual timing probe"]
-    fn bichromatic_timing_probe() {
-        use std::time::Instant;
-        // Generated-midpoint-style queries: jittered copies of the cloud
-        // (what the naive interpolator's new-point pass looks like).
-        let pts = crate::synthetic::humanoid(100_000, 0.5, 3);
-        let tree = KdTree::build(pts.positions());
-        let queries: Vec<Point3> = pts
-            .positions()
-            .iter()
-            .map(|&p| p + Point3::new(0.013, -0.009, 0.011))
-            .collect();
-        let k = 5;
-        let mut scratch = DualTreeScratch::new();
-        let mut out = Neighborhoods::with_capacity(queries.len(), queries.len() * k);
-        for round in 0..3 {
-            let t = Instant::now();
-            let mut qtree = KdTree::default();
-            qtree.build_in(&queries);
-            let build = t.elapsed();
-            std::hint::black_box(&qtree);
-            let t = Instant::now();
-            out.clear();
-            tree.knn_batch_with(
-                &queries,
-                k,
-                &mut out,
-                BatchStrategy::SingleTree,
-                &mut scratch,
-            );
-            let single = t.elapsed();
-            let t = Instant::now();
-            out.clear();
-            tree.knn_batch_with(&queries, k, &mut out, BatchStrategy::DualTree, &mut scratch);
-            let dual = t.elapsed();
-            println!(
-                "round {round}: single {single:?} dual(+qtree build) {dual:?} qtree_build alone {build:?} ratio {:.2}",
-                single.as_secs_f64() / dual.as_secs_f64()
-            );
         }
     }
 }

@@ -1,11 +1,11 @@
-//! A k-d tree neighbor-search backend.
+//! The k-d tree: this crate's one spatial index.
 //!
 //! This stands in for the cuKDTree GPU k-d tree used by the paper's CUDA
 //! client: an exact, cache-friendly, array-backed k-d tree with median
-//! splits. It is the one index the SR pipeline builds — every frame's
-//! self-join runs against it (see [`crate::dualtree`]) — and the default
-//! backend of the Yuzu/GradPU baselines; the two-layer octree of
-//! [`crate::octree`] remains as an alternative [`NeighborSearch`] backend.
+//! splits. Every frame's self-join runs against it (see
+//! [`crate::dualtree`]), every other batch sweeps it query by query, and the
+//! Yuzu/GradPU baselines query it too; [`crate::knn::BruteForce`] is the
+//! oracle it is tested against.
 //!
 //! # Parallel build
 //!
@@ -22,10 +22,11 @@
 
 use crate::aabb::Aabb;
 use crate::delta::{FrameDelta, REMOVED};
-use crate::dualtree::{self, BatchStrategy, DualTreeScratch};
+use crate::dualtree::{self, DualTreeScratch};
 use crate::kernels;
 use crate::knn::{batch_queries, finalize_candidates, BestK, Neighbor, NeighborSearch};
 use crate::neighborhoods::Neighborhoods;
+use crate::par;
 use crate::point::Point3;
 use crate::soa::SoaPositions;
 
@@ -40,6 +41,11 @@ const LEAF_SIZE: usize = 64;
 
 /// `Node::tag` value marking a leaf (split nodes store their axis, 0-2).
 const LEAF_TAG: u32 = 3;
+
+/// Fewest queries per worker the single-tree sweep is cut into: below this a
+/// chunk is too short to repay a task submission and the cold start of its
+/// warm-start chain, so smaller batches sweep on the calling thread.
+const SWEEP_MIN_QUERIES_PER_WORKER: usize = 2_000;
 
 /// Largest subtree (in points) built inline; a bigger one forks its two
 /// halves as pool tasks. A 4096-point cloud — the largest fleet tenant —
@@ -883,58 +889,77 @@ impl KdTree {
         near
     }
 
-    /// [`NeighborSearch::knn_batch`] with an explicit algorithm choice and a
-    /// caller-owned [`DualTreeScratch`] (reused across batches, so the
-    /// dual-tree path performs no steady-state allocation). This is the
-    /// entry point the SR engine routes every frame batch through (with its
-    /// frame arena's scratch); the plain trait method is equivalent to calling this with
-    /// [`BatchStrategy::Auto`] and a fresh scratch.
+    /// [`NeighborSearch::knn_batch`] with a caller-owned [`DualTreeScratch`]
+    /// (reused across batches, so the dual-tree path performs no
+    /// steady-state allocation) — the entry point the SR engine routes every
+    /// frame batch through, with its frame arena's scratch.
     ///
-    /// Rows are **bit-identical** across strategies (and to the per-query
-    /// [`NeighborSearch::knn`] loop): both batch algorithms decide survivors
-    /// and distance ties with the same packed `(distance, index)` keys.
+    /// This is where a batch's algorithm is decided, once: a self-join
+    /// inside the measured range ([`KdTree::auto_selects_dual_tree`]) runs
+    /// the dual-tree join, everything else the single-tree sweep. Each
+    /// parallelizes itself — the join by sharding its query leaves, the
+    /// sweep by cutting the query list into one run per worker — so callers
+    /// hand batches over whole. Rows are **bit-identical** either way, at
+    /// every worker count, and to the per-query [`NeighborSearch::knn`]
+    /// loop: both algorithms decide survivors and distance ties with the
+    /// same packed `(distance, index)` keys.
     pub fn knn_batch_with(
         &self,
         queries: &[Point3],
         k: usize,
         out: &mut Neighborhoods,
-        strategy: BatchStrategy,
         scratch: &mut DualTreeScratch,
     ) {
         let stride = k.min(self.points.len());
         out.reserve_rows(queries.len(), queries.len() * stride);
-        if k == 0 || self.points.is_empty() {
+        if stride == 0 {
             for _ in queries {
                 out.push_row(std::iter::empty());
             }
-            return;
+        } else if self.auto_selects_dual_tree(queries, k) {
+            dualtree::self_join(self, stride, out, scratch);
+        } else {
+            self.sweep(queries, k, out);
         }
-        if dualtree::select_dual_tree(strategy, queries, k, self) {
-            dualtree::all_knn(self, queries, stride, out, scratch);
-            return;
-        }
-        // Single-tree batch sweep: one traversal stack and one cached
-        // descent path shared by the whole batch (the best list lives in
-        // the driver) — zero allocations per query at steady state; large
-        // batches run in Morton order for cache locality, tight warm-start
-        // caps and near-total descent-path reuse.
-        let mut stack: Vec<DeferredSubtree> = Vec::with_capacity(64);
-        let mut path: Vec<(u32, Node)> = Vec::with_capacity(32);
-        batch_queries(queries, stride, out, |q, best| {
-            self.knn_into_with_path(q, k, best, &mut stack, Some(&mut path));
+    }
+
+    /// The single-tree batch sweep: one warm-started traversal per query,
+    /// appending one `k.min(len)`-wide row per query to `out`. Exact kNN
+    /// rows are stride-uniform, so the whole CSR block is reserved up front
+    /// and the query list is cut into one contiguous run per worker, each
+    /// writing its rows straight into place. A run shares one traversal
+    /// stack, one cached descent path and one best list across its queries
+    /// (zero allocations per query) and visits them in Morton order when it
+    /// is long enough to repay the sort (see `batch_queries`). The caller
+    /// has handled `k == 0` and the empty cloud.
+    pub(crate) fn sweep(&self, queries: &[Point3], k: usize, out: &mut Neighborhoods) {
+        let stride = k.min(self.points.len());
+        debug_assert!(stride > 0);
+        let slab = out.push_uniform_rows(queries.len(), stride);
+        let workers = par::worker_count(queries.len(), SWEEP_MIN_QUERIES_PER_WORKER);
+        let run_len = queries.len().div_ceil(workers).max(1);
+        par::for_each_chunk_mut(slab, run_len * stride, |_, start, rows| {
+            let first = start / stride;
+            let run = &queries[first..first + rows.len() / stride];
+            let mut stack: Vec<DeferredSubtree> = Vec::with_capacity(64);
+            let mut path: Vec<(u32, Node)> = Vec::with_capacity(32);
+            batch_queries(run, stride, rows, |q, best| {
+                self.knn_into_with_path(q, k, best, &mut stack, Some(&mut path));
+            });
         });
     }
 
-    /// Whether [`BatchStrategy::Auto`] would route this batch through the
-    /// dual-tree all-kNN (a self-join with small `k`; see the [`dualtree`]
-    /// selection-policy docs). Exposed so
-    /// callers that would otherwise pre-chunk a batch across workers — the
-    /// SR engine's frame driver — can leave dual-tree batches whole: the
-    /// traversal parallelizes internally by sharding the query-leaf set,
-    /// and pre-chunking would both break self-join detection and fight the
-    /// pool for workers.
+    /// Whether [`KdTree::knn_batch_with`] answers this batch with the
+    /// dual-tree join: `queries` is exactly the indexed cloud, of at least
+    /// [`dualtree::DUAL_MIN_QUERIES_MONO`] points, with `k ≤`
+    /// [`dualtree::DUAL_MAX_K`]. This is the whole policy; the thresholds'
+    /// doc comments carry the measurements behind it. The self-join test is
+    /// one linear compare, two orders of magnitude cheaper than the
+    /// traversal it routes.
     pub fn auto_selects_dual_tree(&self, queries: &[Point3], k: usize) -> bool {
-        dualtree::select_dual_tree(BatchStrategy::Auto, queries, k, self)
+        k <= dualtree::DUAL_MAX_K
+            && queries.len() >= dualtree::DUAL_MIN_QUERIES_MONO
+            && queries == self.points
     }
 
     fn radius_recurse(&self, node: usize, query: Point3, r2: f32, out: &mut Vec<Neighbor>) {
@@ -987,14 +1012,11 @@ impl NeighborSearch for KdTree {
     }
 
     fn knn_batch(&self, queries: &[Point3], k: usize, out: &mut Neighborhoods) {
-        // Auto-selection with a batch-local scratch: empty `Vec`s cost
-        // nothing when the single-tree path is chosen, and a dual-tree
-        // batch large enough to be selected amortizes the one-off scratch
-        // growth over its (many thousand) queries. Callers with per-frame
+        // A batch-local scratch: empty `Vec`s cost nothing when the sweep is
+        // chosen, and a join pays its one-off growth. Callers with per-frame
         // batches should prefer [`KdTree::knn_batch_with`] and a persistent
         // scratch.
-        let mut scratch = DualTreeScratch::default();
-        self.knn_batch_with(queries, k, out, BatchStrategy::Auto, &mut scratch);
+        self.knn_batch_with(queries, k, out, &mut DualTreeScratch::default());
     }
 }
 
@@ -1214,6 +1236,38 @@ mod tests {
         }
     }
 
+    /// The sweep cuts a long batch into one run per worker, each writing
+    /// its rows straight into the output block: rows must not depend on the
+    /// cut — runs short of and past the Morton-reorder size included — and
+    /// a batch appended behind existing rows must leave them alone.
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn sweep_rows_do_not_depend_on_the_worker_count() {
+        let pts = random_points(3_000, 23);
+        let tree = KdTree::build(&pts);
+        let queries = random_points(9_001, 24);
+        for k in [1usize, 5] {
+            let sweep = |workers: usize| {
+                crate::runtime::with_workers(workers, || {
+                    let mut out = crate::Neighborhoods::new();
+                    out.push_row([7usize, 8, 9]);
+                    tree.knn_batch(&queries, k, &mut out);
+                    out
+                })
+            };
+            let one = sweep(1);
+            assert_eq!(one.len(), queries.len() + 1);
+            assert_eq!(one.row(0), &[7, 8, 9]);
+            for (i, &q) in queries.iter().enumerate().step_by(101) {
+                let expected: Vec<u32> = tree.knn(q, k).iter().map(|n| n.index as u32).collect();
+                assert_eq!(one.row(i + 1), expected.as_slice(), "k {k} query {i}");
+            }
+            for workers in [2usize, 4, 8] {
+                assert_eq!(sweep(workers), one, "k {k} workers {workers}");
+            }
+        }
+    }
+
     #[test]
     fn knn_batch_handles_duplicate_points_ties() {
         // Duplicate positions force exact distance ties; batched and
@@ -1230,263 +1284,6 @@ mod tests {
         let mut batch = crate::Neighborhoods::new();
         tree.knn_batch(&[Point3::ONE], 8, &mut batch);
         assert_eq!(batch.row(0), (0..8u32).collect::<Vec<_>>().as_slice());
-    }
-
-    #[test]
-    #[ignore = "manual timing probe"]
-    fn timing_probe() {
-        use std::time::Instant;
-        let pts = crate::synthetic::humanoid(100_000, 0.5, 3);
-        let queries = pts.positions();
-        let tree = KdTree::build(queries);
-        for k in [1usize, 4, 9, 16] {
-            let mut best = crate::knn::BestK::default();
-            let mut stack = Vec::new();
-            let (visit, _) = crate::knn::morton_buckets(queries, 18);
-            let t = Instant::now();
-            let mut acc = 0usize;
-            for &qi in &visit {
-                tree.knn_into(queries[qi as usize], k, &mut best, &mut stack);
-                acc += best.sorted_keys().len();
-            }
-            println!("k={k} morton-order sweep: {:?} acc {acc}", t.elapsed());
-            let t = Instant::now();
-            let mut acc = 0usize;
-            for &q in queries.iter() {
-                tree.knn_into(q, k, &mut best, &mut stack);
-                acc += best.sorted_keys().len();
-            }
-            println!("k={k} random-order sweep: {:?} acc {acc}", t.elapsed());
-        }
-        // morton_buckets cost alone
-        let t = Instant::now();
-        let (visit, _) = crate::knn::morton_buckets(queries, 18);
-        println!("morton_buckets: {:?} ({} visits)", t.elapsed(), visit.len());
-    }
-
-    #[test]
-    #[ignore = "manual instrumentation probe"]
-    fn work_count_probe() {
-        let pts = crate::synthetic::humanoid(100_000, 0.5, 3);
-        let queries = pts.positions();
-        let tree = KdTree::build(queries);
-        let k = 5;
-        let (visit, _) = crate::knn::morton_buckets(queries, 18);
-        let mut best = BestK::default();
-        let mut stack: Vec<DeferredSubtree> = Vec::new();
-        let (mut nodes, mut leaves, mut cands, mut pops, mut pushes) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
-        for &qi in &visit {
-            let query = queries[qi as usize];
-            best.begin_warm(k, query, queries);
-            stack.clear();
-            stack.push(DeferredSubtree {
-                node: tree.root as u32,
-                bound: 0.0,
-                off: Point3::ZERO,
-            });
-            while let Some(DeferredSubtree {
-                node: deferred,
-                bound,
-                off,
-            }) = stack.pop()
-            {
-                pops += 1;
-                if bound > best.worst_d2() {
-                    continue;
-                }
-                let mut node = deferred as usize;
-                loop {
-                    nodes += 1;
-                    let n = tree.nodes[node];
-                    if n.tag == LEAF_TAG {
-                        let lb = tree.leaf_aabbs[n.value.to_bits() as usize];
-                        if lb.distance_squared_to(query) <= best.worst_d2() {
-                            leaves += 1;
-                            cands += (n.b - n.a) as u64;
-                            crate::kernels::scan_ids(
-                                &tree.soa,
-                                &tree.order,
-                                n.a as usize,
-                                n.b as usize,
-                                query,
-                                &mut best,
-                            );
-                        }
-                        break;
-                    }
-                    let axis = n.tag as usize;
-                    let diff = query[axis] - n.value;
-                    let (near, far) = if diff < 0.0 { (n.a, n.b) } else { (n.b, n.a) };
-                    let mut far_off = off;
-                    far_off[axis] = diff.abs();
-                    let far_bound = far_off.norm_squared();
-                    if far_bound <= best.worst_d2() {
-                        pushes += 1;
-                        stack.push(DeferredSubtree {
-                            node: far,
-                            bound: far_bound,
-                            off: far_off,
-                        });
-                    }
-                    node = near as usize;
-                }
-            }
-            let _ = best.sorted_keys();
-        }
-        let nq = queries.len() as u64;
-        println!(
-            "per query: nodes {:.1} leaves {:.1} cands {:.1} pops {:.1} pushes {:.1}",
-            nodes as f64 / nq as f64,
-            leaves as f64 / nq as f64,
-            cands as f64 / nq as f64,
-            pops as f64 / nq as f64,
-            pushes as f64 / nq as f64,
-        );
-        // Timed warm vs cold morton sweeps through the real kernel.
-        use std::time::Instant;
-        // Descent-only: walk to the home leaf, no scanning or backtracking.
-        let t = Instant::now();
-        let mut acc = 0u32;
-        for &qi in &visit {
-            let query = queries[qi as usize];
-            let mut node = tree.root;
-            loop {
-                let n = tree.nodes[node];
-                if n.tag == LEAF_TAG {
-                    acc ^= n.a;
-                    break;
-                }
-                let diff = query[n.tag as usize] - n.value;
-                node = if diff < 0.0 { n.a } else { n.b } as usize;
-            }
-        }
-        println!("descent-only sweep: {:?} acc {acc}", t.elapsed());
-        // Scan-only: scan each query's home leaf once (reusing acc ranges).
-        let t = Instant::now();
-        let mut scanned = 0u64;
-        for &qi in &visit {
-            let query = queries[qi as usize];
-            let mut node = tree.root;
-            let (a, b) = loop {
-                let n = tree.nodes[node];
-                if n.tag == LEAF_TAG {
-                    break (n.a as usize, n.b as usize);
-                }
-                let diff = query[n.tag as usize] - n.value;
-                node = if diff < 0.0 { n.a } else { n.b } as usize;
-            };
-            best.begin_warm(k, query, queries);
-            crate::kernels::scan_ids(&tree.soa, &tree.order, a, b, query, &mut best);
-            scanned += best.sorted_keys().len() as u64;
-        }
-        println!(
-            "descent+home-scan sweep: {:?} scanned {scanned}",
-            t.elapsed()
-        );
-        // Bookkeeping-only: descent + begin_warm + sorted, no scan.
-        let t = Instant::now();
-        let mut scanned = 0u64;
-        for &qi in &visit {
-            let query = queries[qi as usize];
-            let mut node = tree.root;
-            loop {
-                let n = tree.nodes[node];
-                if n.tag == LEAF_TAG {
-                    break;
-                }
-                let diff = query[n.tag as usize] - n.value;
-                node = if diff < 0.0 { n.a } else { n.b } as usize;
-            }
-            best.begin_warm(k, query, queries);
-            scanned += best.sorted_keys().len() as u64;
-        }
-        println!(
-            "descent+bookkeeping sweep: {:?} scanned {scanned}",
-            t.elapsed()
-        );
-        // Pure BestK churn: begin_warm + k appends + a few replacements +
-        // sorted, no tree at all.
-        let t = Instant::now();
-        let mut acc2 = 0usize;
-        for &qi in &visit {
-            let query = queries[qi as usize];
-            best.begin_warm(k, query, queries);
-            for j in 0..8usize {
-                let d = (j as f32) * 0.125 + query.x.abs() * 1e-6;
-                if d <= best.worst_d2() {
-                    best.push((qi as usize + j) % queries.len(), d);
-                }
-            }
-            acc2 += best.sorted_keys().len();
-        }
-        println!("bestk-churn sweep: {:?} acc {acc2}", t.elapsed());
-        // Home-leaf scan with a *hot* leaf: same leaf range scanned for all
-        // queries (isolates kernel + push cost from cache effects).
-        let (ha, hb) = {
-            let mut node = tree.root;
-            loop {
-                let n = tree.nodes[node];
-                if n.tag == LEAF_TAG {
-                    break (n.a as usize, n.b as usize);
-                }
-                node = n.a as usize;
-            }
-        };
-        let t = Instant::now();
-        let mut acc3 = 0usize;
-        for &qi in &visit {
-            let query = queries[qi as usize];
-            best.begin_warm(k, query, queries);
-            crate::kernels::scan_ids(&tree.soa, &tree.order, ha, hb, query, &mut best);
-            acc3 += best.sorted_keys().len();
-        }
-        println!("hot-leaf scan sweep: {:?} acc {acc3}", t.elapsed());
-        for round in 0..2 {
-            let t = Instant::now();
-            let mut acc = 0usize;
-            for &qi in &visit {
-                tree.knn_into(queries[qi as usize], k, &mut best, &mut stack);
-                acc += best.sorted_keys().len();
-            }
-            println!("round {round} warm sweep: {:?} acc {acc}", t.elapsed());
-            let t = Instant::now();
-            let mut acc = 0usize;
-            for &qi in &visit {
-                let mut cold = BestK::default();
-                tree.knn_into(queries[qi as usize], k, &mut cold, &mut stack);
-                acc += cold.sorted_keys().len();
-            }
-            println!("round {round} cold sweep: {:?} acc {acc}", t.elapsed());
-        }
-    }
-
-    #[test]
-    #[ignore = "manual timing probe"]
-    fn batch_vs_per_query_probe() {
-        use std::time::Instant;
-        let pts = crate::synthetic::humanoid(100_000, 0.5, 3);
-        let queries = pts.positions();
-        let tree = KdTree::build(queries);
-        let k = 5;
-        let mut out = crate::Neighborhoods::with_capacity(queries.len(), queries.len() * k);
-        for round in 0..3 {
-            let t = Instant::now();
-            out.clear();
-            for &q in queries {
-                let nn = tree.knn(q, k);
-                out.push_row(nn.into_iter().map(|n| n.index));
-            }
-            let per_query = t.elapsed();
-            let t = Instant::now();
-            out.clear();
-            tree.knn_batch(queries, k, &mut out);
-            let batch = t.elapsed();
-            println!(
-                "round {round}: per_query {per_query:?} batch {batch:?} ratio {:.2}",
-                per_query.as_secs_f64() / batch.as_secs_f64()
-            );
-        }
     }
 
     /// Applies a delta to a point vector the way a streaming layer would:
@@ -1547,7 +1344,7 @@ mod tests {
             tree.patch(&delta, &new_pts);
             let fresh = KdTree::build(&new_pts);
             assert_eq!(tree.points(), fresh.points());
-            // Exact parity on per-query, batch (single + dual) paths.
+            // Exact parity on the per-query path and the dual-tree join.
             for k in [1usize, 5, 70] {
                 let queries = random_points(40, round * 7 + 3);
                 for q in queries.iter().chain(new_pts.iter().step_by(97)) {
@@ -1558,9 +1355,10 @@ mod tests {
             }
             let mut scratch = DualTreeScratch::default();
             let mut a = crate::Neighborhoods::new();
-            tree.knn_batch_with(&new_pts, 5, &mut a, BatchStrategy::DualTree, &mut scratch);
+            tree.knn_batch_with(&new_pts, 5, &mut a, &mut scratch);
             let mut b = crate::Neighborhoods::new();
-            fresh.knn_batch_with(&new_pts, 5, &mut b, BatchStrategy::DualTree, &mut scratch);
+            fresh.knn_batch_with(&new_pts, 5, &mut b, &mut scratch);
+            assert_eq!(scratch.invocations(), 2, "both batches are self-joins");
             assert_eq!(a, b, "round {round} dual-tree self-join");
             pts = new_pts;
         }

@@ -1,12 +1,12 @@
-//! The one squared-distance kernel every spatial backend scans with.
+//! The one squared-distance kernel every candidate scan runs through.
 //!
-//! Before this module each backend carried its own leaf-scan loop around
-//! [`Point3::distance_squared`]; besides the duplication, the
-//! array-of-structs loads kept the compiler from vectorizing the hot loop.
-//! All candidate scans now run through here, over [`SoaPositions`] lanes:
+//! The k-d tree's leaf scans, the dual-tree join's tile scans and the
+//! brute-force oracle's full pass all stream [`SoaPositions`] lanes through
+//! here (array-of-structs loads keep the compiler from vectorizing the hot
+//! loop):
 //!
 //! * `scan_ids` — kNN candidate scan into a `BestK` accumulator (the
-//!   kernel behind every backend's `knn`/`knn_batch`);
+//!   kernel behind `knn`/`knn_batch`);
 //! * `join_leaf_pair` — the dual-tree self-join's base case: the rows of one
 //!   query leaf box-tested 16 at a time against one reference leaf, the
 //!   survivors scanned through the same candidate kernel (see
@@ -180,8 +180,8 @@ pub(crate) fn prefetch_read<T>(p: *const T) {
 
 /// Scans slots `start..end` of `soa`, offering every candidate whose squared
 /// distance can still matter to `best`; `ids[slot]` maps a slot back to the
-/// original point index. This is the shared leaf/cell scan of the kd-tree,
-/// octree, voxel grid and brute-force backends.
+/// original point index. This is the shared scan of the k-d tree's leaves
+/// and the brute-force oracle's whole cloud.
 ///
 /// Candidates are pre-filtered with `d2 <= best.worst_d2()` (equality passes
 /// through so index-broken ties behave exactly like [`BestK::push`] alone);
@@ -827,8 +827,8 @@ mod tests {
 
     /// At every tier this host can execute, the scan must agree bit-for-bit
     /// with a plain `distance_squared` loop through the same `BestK` — the
-    /// contract that makes the `simd` feature invisible to every backend
-    /// built on this kernel.
+    /// contract that makes the `simd` feature invisible to everything built
+    /// on this kernel.
     #[test]
     fn scan_matches_scalar_reference_bitwise_at_every_tier() {
         let pts = random_points(100, 9);

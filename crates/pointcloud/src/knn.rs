@@ -1,36 +1,30 @@
-//! Nearest-neighbor search abstractions and the brute-force baseline.
+//! Nearest-neighbor search: the [`NeighborSearch`] interface, the shared
+//! best-`k` accumulator and the brute-force oracle.
 //!
-//! All spatial indices in this crate ([`crate::kdtree::KdTree`],
-//! [`crate::octree::TwoLayerOctree`], [`crate::voxelgrid::VoxelGrid`])
-//! implement the [`NeighborSearch`] trait so the super-resolution pipeline
-//! can swap backends; the brute-force implementation here is the reference
-//! oracle the property tests compare against.
+//! The crate has one spatial index, [`crate::kdtree::KdTree`], and one
+//! reference implementation, [`BruteForce`], which the property tests compare
+//! it against. Both implement [`NeighborSearch`].
 //!
 //! The trait is **batch-first**: [`NeighborSearch::knn_batch`] answers a
 //! whole slice of queries into a flat CSR [`Neighborhoods`] container with
-//! zero per-query allocation. The tuned backends share candidate/best-list
-//! scratch and traversal stacks across the queries of one batch, which is
-//! what the SR interpolation hot path consumes; the per-query
-//! [`NeighborSearch::knn`] remains for one-off lookups and as the oracle
-//! the batch parity tests compare against.
+//! zero per-query allocation, which is what the SR interpolation hot path
+//! consumes; the per-query [`NeighborSearch::knn`] remains for one-off
+//! lookups and as the oracle the batch parity tests compare against.
 //!
-//! The k-d tree backend additionally selects between **two batch
-//! algorithms** inside `knn_batch` (see [`crate::dualtree`] for the policy
-//! details and how to force either):
-//! * the *single-tree* sweep — one warm-started traversal per query, in
+//! The k-d tree answers a batch with one of **two algorithms**, chosen once
+//! per batch by a measured policy (see [`crate::dualtree`]):
+//! * the *dual-tree self-join* — when the queries **are** the indexed cloud
+//!   (the shape of the SR interpolators' frame-dominating kNN pass), the tree
+//!   is walked against itself so whole (query-leaf, reference-node) pairs
+//!   are pruned with one AABB–AABB distance test, and surviving leaf pairs
+//!   run tile-vs-tile candidate scans;
+//! * the *single-tree sweep* — one warm-started traversal per query, in
 //!   Morton order with shared scratch (this module's `batch_queries`
-//!   driver); chosen for bichromatic batches and large `k`;
-//! * the *dual-tree* leaf-pair traversal — a tree over the queries is
-//!   walked against the reference tree so whole (query-leaf,
-//!   reference-node) pairs are pruned with one AABB–AABB distance test,
-//!   and surviving leaf pairs run tile-vs-tile candidate scans; chosen
-//!   automatically for *self-joins* (where the query tree **is** the
-//!   reference tree), the shape of the SR interpolators' frame-dominating
-//!   kNN queries.
+//!   driver), for every other batch: any other query set, and large `k`.
 //!
-//! Both algorithms produce bit-identical rows — the same packed
-//! `(distance, index)` key ordering decides survivors and ties everywhere —
-//! so the selection is invisible in the output.
+//! Both produce bit-identical rows — the same packed `(distance, index)` key
+//! ordering decides survivors and ties everywhere — so the choice is
+//! invisible in the output.
 
 use crate::neighborhoods::Neighborhoods;
 use crate::point::Point3;
@@ -52,11 +46,12 @@ impl Neighbor {
     }
 }
 
-/// Common interface for k-nearest-neighbor backends.
+/// Common interface of the k-d tree and its brute-force oracle.
 ///
 /// Implementations index a fixed point set at construction time and answer
 /// `knn` / `radius` queries against it. Results are sorted by increasing
-/// distance and ties are broken by index so all backends agree exactly.
+/// distance and ties are broken by index so the index and the oracle agree
+/// exactly.
 pub trait NeighborSearch: Send + Sync {
     /// Number of points indexed by this structure.
     fn len(&self) -> usize;
@@ -83,8 +78,8 @@ pub trait NeighborSearch: Send + Sync {
     /// indices, in the same order, as `self.knn(queries[i], k)` — including
     /// the shorter-than-`k` rows of small clouds and the empty rows of
     /// `k == 0` or an empty index. The default implementation delegates to
-    /// the per-query path; the tuned backends override it with
-    /// shared-scratch implementations that allocate nothing per query.
+    /// the per-query path; the k-d tree overrides it with shared-scratch
+    /// implementations that allocate nothing per query.
     fn knn_batch(&self, queries: &[Point3], k: usize, out: &mut Neighborhoods) {
         out.reserve_rows(queries.len(), queries.len() * k.min(self.len()));
         for &q in queries {
@@ -105,7 +100,7 @@ pub(crate) fn finalize_candidates(mut cands: Vec<Neighbor>, k: usize) -> Vec<Nei
     cands
 }
 
-/// Bounded best-`k` accumulator shared by every backend's kNN kernel.
+/// Bounded best-`k` accumulator behind every per-query kNN scan.
 ///
 /// The candidate list is a sorted array of packed `u64` keys (see the
 /// `keys` field): at the SR pipeline's single-digit `k` a fixed-trip
@@ -236,16 +231,6 @@ impl BestK {
         }
     }
 
-    /// `true` once `k` entries are held. Termination tests that *stop a
-    /// search* (rather than prune a region) must check this alongside
-    /// [`BestK::worst_d2`]: before the list is full, `worst_d2` is the
-    /// warm-start cap, which bounds the final result but does not promise
-    /// the remaining entries have been seen yet.
-    #[inline]
-    pub(crate) fn is_full(&self) -> bool {
-        self.keys.len() == self.k
-    }
-
     /// Offers a candidate.
     ///
     /// The key list is kept *sorted* at all times, so the worst entry is
@@ -268,7 +253,7 @@ impl BestK {
     /// The packed keys, sorted by `(distance, index)`; the low 32 bits of
     /// each key are the neighbor index, which is all the batched CSR
     /// emission needs (no unpacking, no sort — the list is always sorted).
-    pub(crate) fn sorted_keys(&mut self) -> &[u64] {
+    pub(crate) fn sorted_keys(&self) -> &[u64] {
         &self.keys
     }
 
@@ -290,9 +275,9 @@ impl crate::kernels::ScanSink for BestK {
     }
 }
 
-/// Batches below this size skip the Morton reorder: the locality win cannot
+/// Runs below this size skip the Morton reorder: the locality win cannot
 /// amortize the sort.
-pub(crate) const REORDER_MIN_QUERIES: usize = 1024;
+const REORDER_MIN_QUERIES: usize = 1024;
 
 /// Expands the low 10 bits of `v` so they occupy every third bit.
 #[inline]
@@ -325,13 +310,12 @@ pub(crate) fn morton_code(p: Point3, min: Point3, inv_extent: Point3) -> u32 {
         | (expand_bits_10(q(p.z, min.z, inv_extent.z)) << 2)
 }
 
-/// Morton-bucket ordering of a query batch: returns `(visit, codes)` where
-/// `visit` lists query indices grouped by spatial bucket (one linear
-/// counting sort over the top `bucket_bits` of each query's Morton code)
-/// and `codes[i]` is query `i`'s bucket id. Grouping at this granularity
-/// captures the locality that matters (buckets are finer than the index
-/// regions whose cache reuse pays) at a fraction of a full sort's cost.
-pub(crate) fn morton_buckets(queries: &[Point3], bucket_bits: u32) -> (Vec<u32>, Vec<u32>) {
+/// Morton-bucket ordering of a query batch: the query indices grouped by
+/// spatial bucket (one linear counting sort over the top `bucket_bits` of
+/// each query's Morton code). Grouping at this granularity captures the
+/// locality that matters (buckets are finer than the index regions whose
+/// cache reuse pays) at a fraction of a full sort's cost.
+fn morton_buckets(queries: &[Point3], bucket_bits: u32) -> Vec<u32> {
     debug_assert!((1..=24).contains(&bucket_bits));
     let mut min = Point3::splat(f32::INFINITY);
     let mut max = Point3::splat(f32::NEG_INFINITY);
@@ -362,66 +346,63 @@ pub(crate) fn morton_buckets(queries: &[Point3], bucket_bits: u32) -> (Vec<u32>,
         visit[*slot as usize] = i as u32;
         *slot += 1;
     }
-    (visit, codes)
+    visit
 }
 
-/// Drives a batched kNN sweep: runs `query_fn` once per query (filling a
-/// best list of exactly `stride = k.min(indexed_len)` entries) and appends
-/// one CSR row per query to `out`, in query order.
+/// Drives the single-tree sweep over one run of queries: calls `query_fn`
+/// once per query (filling a best list of exactly `stride =
+/// k.min(indexed_len)` entries) and writes query `i`'s neighbor indices to
+/// `rows[i * stride..][..stride]` — the caller's slice of the output CSR
+/// block, whose layout is known up front because exact kNN rows are
+/// stride-uniform.
 ///
-/// Large batches are processed in Morton order — spatially adjacent queries
-/// walk near-identical index regions, so the index's working set stays
+/// Large runs are visited in Morton order — spatially adjacent queries walk
+/// near-identical index regions, so the index's working set stays
 /// cache-resident between consecutive queries instead of being re-fetched
-/// for every random-order query. Results land in a fixed-stride scratch
-/// (exact kNN rows all have `stride` entries) and are emitted in the
-/// caller's original order, so the reordering is invisible in the output:
-/// every backend's candidates flow through [`push_best`], making results
-/// independent of visit order even under distance ties.
+/// for every random-order query. Rows land in the caller's order either way,
+/// and their contents are decided by the packed `(distance, index)` keys
+/// alone, so the reordering is invisible in the output even under distance
+/// ties.
 ///
-/// Backends start each query with [`BestK::begin_warm`], and the driver
-/// hands every query of a sweep the *same* accumulator: the previous,
+/// `query_fn` starts each query with [`BestK::begin_warm`], and the driver
+/// hands every query of a run the *same* accumulator: the previous,
 /// Morton-adjacent query's survivors give a tight warm-start pruning cap
 /// for `k` point loads — a batch-only advantage (the cold per-query path
 /// has no previous query) with bit-identical results.
 pub(crate) fn batch_queries(
     queries: &[Point3],
     stride: usize,
-    out: &mut Neighborhoods,
+    rows: &mut [u32],
     mut query_fn: impl FnMut(Point3, &mut BestK),
 ) {
+    debug_assert_eq!(rows.len(), queries.len() * stride);
     let mut best = BestK::default();
-    if queries.len() < REORDER_MIN_QUERIES {
-        for &q in queries {
-            query_fn(q, &mut best);
-            out.push_row_u32_iter(best.sorted_keys().iter().map(|&key| key as u32));
+    let mut answer = |qi: usize, rows: &mut [u32]| {
+        query_fn(queries[qi], &mut best);
+        let row = best.sorted_keys();
+        debug_assert_eq!(row.len(), stride, "exact kNN rows are stride-uniform");
+        // The low 32 bits of a packed key ARE the neighbor index.
+        for (d, &key) in rows[qi * stride..(qi + 1) * stride].iter_mut().zip(row) {
+            *d = key as u32;
         }
+    };
+    if queries.len() < REORDER_MIN_QUERIES {
+        (0..queries.len()).for_each(|qi| answer(qi, rows));
         return;
     }
-    // Bucket granularity scales with the batch so the counting table stays
+    // Bucket granularity scales with the run so the counting table stays
     // proportionate (roughly one bucket per query — effectively a full
     // spatial sort), capped at 18 bits: a 1 MB table amortizes fine at
-    // 100k+ queries but would dominate the smallest reordered batches.
+    // 100k+ queries but would dominate the smallest reordered runs.
     let bits = (usize::BITS - queries.len().leading_zeros() + 1).min(18);
-    let (visit, _codes) = morton_buckets(queries, bits);
-    debug_assert_eq!(visit.len(), queries.len());
-    // Exact kNN rows are stride-uniform, so every row's final location is
-    // known up front: reserve the whole CSR block once and scatter each
-    // row straight into place — no intermediate buffer, no gather pass.
-    let slab = out.push_uniform_rows(queries.len(), stride);
+    let visit = morton_buckets(queries, bits);
     for (pos, &qi) in visit.iter().enumerate() {
         // Pull the upcoming queries' cache lines in while this one runs —
         // the visit permutation makes them non-sequential loads.
         if let Some(&next) = visit.get(pos + 8) {
             crate::kernels::prefetch_read(&queries[next as usize]);
         }
-        query_fn(queries[qi as usize], &mut best);
-        let row = best.sorted_keys();
-        debug_assert_eq!(row.len(), stride, "exact kNN rows are stride-uniform");
-        let dst = &mut slab[qi as usize * stride..qi as usize * stride + stride];
-        // The low 32 bits of a packed key ARE the neighbor index.
-        for (d, &key) in dst.iter_mut().zip(row) {
-            *d = key as u32;
-        }
+        answer(qi as usize, rows);
     }
 }
 

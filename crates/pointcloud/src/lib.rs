@@ -4,10 +4,11 @@
 //!
 //! This crate provides everything below the super-resolution algorithm:
 //! geometric primitives ([`Point3`], [`Aabb`]), the [`PointCloud`] container,
-//! neighbor-search backends (brute force, k-d tree, two-layer octree, voxel
-//! grid), sampling operators (random, voxel, farthest-point), quality metrics
-//! (Chamfer distance, PSNR), procedural synthetic content generators used in
-//! place of the paper's captured videos, and a small binary/PLY I/O layer.
+//! neighbor search (the k-d tree index with its dual-tree self-join, and the
+//! brute-force oracle the tests compare it against), sampling operators
+//! (random, voxel, farthest-point), quality metrics (Chamfer distance, PSNR),
+//! procedural synthetic content generators used in place of the paper's
+//! captured videos, and a small binary/PLY I/O layer.
 //!
 //! # Example
 //!
@@ -44,14 +45,12 @@ pub mod kernels;
 pub mod knn;
 pub mod metrics;
 pub mod neighborhoods;
-pub mod octree;
 pub mod par;
 pub mod point;
 pub mod runtime;
 pub mod sampling;
 pub mod soa;
 pub mod synthetic;
-pub mod voxelgrid;
 
 pub use aabb::Aabb;
 pub use cloud::PointCloud;

@@ -1,16 +1,11 @@
-//! Data-parallel helpers, now thin adapters over [`crate::runtime`].
+//! Data-parallel helpers: thin adapters over [`crate::runtime`], and the one
+//! place the disjoint-slot `unsafe` of chunked writes lives.
 //!
-//! Historically these helpers fanned chunks out over `std::thread::scope`,
-//! spawning one OS thread *per chunk* — a 1000-chunk job oversubscribed the
-//! machine a thousandfold. They now submit recursively-splittable range
-//! tasks to the work-stealing pool: the number of concurrent executors is
-//! bounded by the pool size regardless of chunk count, idle workers steal
-//! from busy ones, and repeated parallel stages reuse pooled threads instead
-//! of paying spawn/join per call.
-//!
-//! The chunk-shaped API is unchanged, so call sites keep their exact output
-//! layout (and therefore bit-identical results — every caller writes
-//! disjoint slots whose values depend only on the slot index). The worker
+//! Each helper submits recursively-splittable range tasks to the
+//! work-stealing pool: the number of concurrent executors is bounded by the
+//! pool size regardless of chunk count, and idle workers steal from busy
+//! ones. Every caller writes disjoint slots whose values depend only on the
+//! slot index, so results are bit-identical at every worker count. The worker
 //! count is resolved by the runtime: a [`crate::runtime::with_workers`]
 //! scope if one is active on this thread, else the global pool sized from
 //! `VOLUT_WORKERS` / [`std::thread::available_parallelism`].
@@ -105,39 +100,6 @@ where
     }
 }
 
-/// Maps `f(chunk_index, range)` over contiguous sub-ranges of `0..len` and
-/// returns the per-chunk outputs in chunk order. The workhorse for
-/// fork/join-style stages that produce per-worker partial results.
-pub fn map_chunks<R, F>(len: usize, chunk_len: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, std::ops::Range<usize>) -> R + Sync,
-{
-    let chunk_len = chunk_len.max(1);
-    let chunks = len.div_ceil(chunk_len).max(1);
-    let chunk_range = |c: usize| (c * chunk_len).min(len)..((c + 1) * chunk_len).min(len);
-    #[cfg(feature = "parallel")]
-    {
-        if chunks > 1 && crate::runtime::current_workers() > 1 {
-            let mut slots: Vec<Option<R>> = (0..chunks).map(|_| None).collect();
-            let base = SendPtr(slots.as_mut_ptr());
-            crate::runtime::run_range(chunks, 1, |r| {
-                for c in r {
-                    // SAFETY: each slot index is written by exactly one
-                    // task (ranges are disjoint); `slots` outlives the
-                    // blocking `run_range` call.
-                    unsafe { *base.get().add(c) = Some(f(c, chunk_range(c))) };
-                }
-            });
-            return slots
-                .into_iter()
-                .map(|s| s.expect("worker completed"))
-                .collect();
-        }
-    }
-    (0..chunks).map(|c| f(c, chunk_range(c))).collect()
-}
-
 /// Fills `out[i] = f(i)` for every element, split across the pool with
 /// roughly `min_items_per_worker` elements per task.
 pub fn fill_with<T, F>(out: &mut [T], min_items_per_worker: usize, f: F)
@@ -201,18 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_covers_range_in_order() {
-        let out = map_chunks(250, 64, |c, range| (c, range.clone()));
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[0].1, 0..64);
-        assert_eq!(out[3].1, 192..250);
-        assert!(out.iter().enumerate().all(|(i, (c, _))| *c == i));
-        // Degenerate: empty input still yields one (empty) chunk.
-        let empty = map_chunks(0, 64, |_, range| range.len());
-        assert_eq!(empty, vec![0]);
-    }
-
-    #[test]
     fn fill_with_computes_every_slot() {
         let mut data = vec![0u64; 4097];
         fill_with(&mut data, 256, |i| (i as u64) * 3);
@@ -250,28 +200,5 @@ mod tests {
             "peak concurrency {} exceeded pool size {workers}",
             peak.load(SeqCst)
         );
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn map_chunks_concurrency_is_bounded_by_pool() {
-        use std::sync::atomic::{AtomicIsize, Ordering::SeqCst};
-        // Private pool for the same reason as the test above.
-        let workers = 3;
-        let live = AtomicIsize::new(0);
-        let peak = AtomicIsize::new(0);
-        let pool = crate::runtime::Pool::new(workers);
-        let sums = pool.install(|| {
-            map_chunks(1000, 1, |c, range| {
-                let now = live.fetch_add(1, SeqCst) + 1;
-                peak.fetch_max(now, SeqCst);
-                std::thread::sleep(std::time::Duration::from_micros(20));
-                live.fetch_sub(1, SeqCst);
-                c + range.len()
-            })
-        });
-        assert_eq!(sums.len(), 1000);
-        assert!(sums.iter().enumerate().all(|(i, &s)| s == i + 1));
-        assert!(peak.load(SeqCst) <= workers as isize);
     }
 }

@@ -1,18 +1,16 @@
 //! Structure-of-arrays position storage for the neighbor-search hot loops.
 //!
-//! Every spatial backend in this crate answers kNN queries by scanning small
-//! contiguous runs of points (a kd-tree leaf, a voxel cell, an octree cell).
-//! With `&[Point3]` those scans are strided 12-byte loads that the compiler
+//! The k-d tree answers kNN queries by scanning small contiguous runs of
+//! points (its leaves); the brute-force oracle scans the whole cloud. With `&[Point3]` those scans are strided 12-byte loads that the compiler
 //! cannot turn into full-width vector arithmetic. [`SoaPositions`] stores the
 //! same points as three separate coordinate lanes (`x[]`, `y[]`, `z[]`), each
 //! 32-byte aligned and padded past the end, so a leaf scan becomes a
 //! streaming 8-wide squared-distance kernel (see [`crate::kernels`]) with no
 //! shuffle or gather work.
 //!
-//! Backends store their points here in *visit order* (kd-tree leaf order,
-//! voxel/octree cell-slab order) next to a `u32` id array mapping each slot
-//! back to the original point index, so a scan touches two perfectly
-//! sequential streams.
+//! The tree stores its points here in *visit order* (leaf order) next to a
+//! `u32` id array mapping each slot back to the original point index, so a
+//! scan touches two perfectly sequential streams.
 
 use crate::point::Point3;
 
@@ -140,8 +138,8 @@ impl SoaPositions {
     }
 
     /// Rebuilds the lanes as the permutation `points[order[i]]` — the
-    /// "one contiguous reordered copy" backends use to store their points in
-    /// leaf-visit / cell-slab order.
+    /// "one contiguous reordered copy" the k-d tree uses to store its points
+    /// in leaf-visit order.
     ///
     /// # Panics
     /// Panics when an entry of `order` is out of bounds for `points`.

@@ -8,9 +8,9 @@
 //!
 //! * **state is shared, never copied** — every session of a content item
 //!   probes the registry's one `Arc`'d LUT through
-//!   [`volut_core::registry::SharedLut`] (see [`ServerConfig::share_registry`]
-//!   for the measured-baseline escape hatch), so bytes/session is dominated
-//!   by per-session scratch, not by the model;
+//!   [`volut_core::registry::SharedLut`], so bytes/session is dominated by
+//!   per-session scratch, not by the model (a per-session copy would add
+//!   [`ServerMemoryStats::registry_bytes`] to every session);
 //! * **admission is controlled** — a bounded run queue in front of a fixed
 //!   active-session capacity; overflow is *rejected and counted*, never
 //!   silently queued without bound;
@@ -85,11 +85,6 @@ pub struct ServerConfig {
     /// Deterministic analytic model used for deadline planning (never
     /// wall-clock — see the module docs).
     pub planning_model: SrComputeModel,
-    /// `true` (default): sessions probe the registry's shared table.
-    /// `false`: every session deep-copies its content model's LUT — the
-    /// pre-registry behavior, kept as the measured bytes/session baseline
-    /// for the `server_scaling` bench.
-    pub share_registry: bool,
     /// Keyframe-resync slots granted per tick across all resilient-ingest
     /// tenants (recovery-storm control): tenants needing a full resync
     /// park in a deterministic queue and at most this many are released
@@ -111,7 +106,6 @@ impl Default for ServerConfig {
             ratio: 2.0,
             degradation: Some(DegradationConfig::default()),
             planning_model: SrComputeModel::volut_lut(),
-            share_registry: true,
             resync_budget_per_tick: 8,
             overload: None,
         }
@@ -354,11 +348,7 @@ impl Tenant {
         model: &Arc<ContentModel>,
         config: &ServerConfig,
     ) -> volut_core::Result<Self> {
-        let session = if config.share_registry {
-            SrSession::from_model(model)?
-        } else {
-            SrSession::new(model.cloned_pipeline()?)
-        };
+        let session = SrSession::from_model(model)?;
         let degraded = model.identity_pipeline();
         let base = synthetic::sphere(spec.points.max(16), 1.0, spec.seed);
         let spacing = base.mean_spacing(64).unwrap_or(0.01);
@@ -639,12 +629,8 @@ impl Tenant {
     }
 
     /// What this tenant keeps resident between frames, by component.
-    fn memory(&self, config: &ServerConfig) -> SessionMemory {
-        let table = if config.share_registry {
-            0 // counted once, registry-side
-        } else {
-            self.session.pipeline().refiner_memory_bytes()
-        };
+    /// The shared table is not in here: it is counted once, registry-side.
+    fn memory(&self) -> SessionMemory {
         let state = self.session.scratch().state_bytes();
         SessionMemory {
             index: state.index,
@@ -656,7 +642,7 @@ impl Tenant {
                 .ingest
                 .as_ref()
                 .map_or(0, |i| i.delta_server.retained_bytes() as usize),
-            fixed: std::mem::size_of::<Self>() + table,
+            fixed: std::mem::size_of::<Self>(),
         }
     }
 }
@@ -709,8 +695,7 @@ pub struct SessionMemory {
     pub frame_cloud: usize,
     /// Frames a resilient-ingest origin retains for catch-up deltas.
     pub retention: usize,
-    /// The tenant record itself, plus — in the cloned baseline — its
-    /// private copy of the table.
+    /// The tenant record itself.
     pub fixed: usize,
 }
 
@@ -1114,12 +1099,11 @@ impl SrServer {
 
     /// Memory accounting across the currently active sessions: what is held
     /// once (registry), once per worker (frame arenas) and per session
-    /// (cached previous-frame state, frame clouds, retention, and
-    /// per-session table copies in the cloned baseline).
+    /// (cached previous-frame state, frame clouds, retention).
     pub fn memory_stats(&self) -> ServerMemoryStats {
         let mut session_bytes = SessionMemory::default();
         for tenant in &self.tenants {
-            session_bytes.add(&tenant.memory(&self.config));
+            session_bytes.add(&tenant.memory());
         }
         let session_bytes_total = session_bytes.total();
         ServerMemoryStats {
@@ -1455,34 +1439,5 @@ mod tests {
         // sheds the next one.
         assert!(!server.enqueue(spec(100)));
         assert!(server.telemetry().sessions_shed >= 1);
-    }
-
-    #[test]
-    fn cloned_baseline_pays_the_table_per_session() {
-        let registry = test_registry();
-        let mk = |share| {
-            let config = ServerConfig {
-                share_registry: share,
-                ..ServerConfig::default()
-            };
-            let mut server = SrServer::new(Arc::clone(&registry), config);
-            for seed in 0..4 {
-                server.enqueue(spec(seed));
-            }
-            server.tick(); // admit + first frame so scratch is warm
-            server.memory_stats()
-        };
-        let shared = mk(true);
-        let cloned = mk(false);
-        assert_eq!(shared.sessions, 4);
-        let table = registry.shared_bytes() as f64;
-        assert!(table > 0.0);
-        assert!(
-            cloned.bytes_per_session >= shared.bytes_per_session + table,
-            "cloned {} vs shared {} + table {}",
-            cloned.bytes_per_session,
-            shared.bytes_per_session,
-            table
-        );
     }
 }

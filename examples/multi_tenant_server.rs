@@ -128,55 +128,49 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 2. What sharing the registry buys. ------------------------------
     println!("\n== bytes/session: shared registry vs per-session clones ==");
-    let table_bytes = registry.shared_bytes();
-    for share in [true, false] {
-        let mut s = SrServer::new(
-            Arc::clone(&registry),
-            ServerConfig {
-                capacity: 32,
-                queue_limit: 32,
-                share_registry: share,
-                ..ServerConfig::default()
-            },
-        );
-        for spec in specs(32) {
-            s.enqueue(spec);
-        }
-        s.tick();
-        s.tick();
-        let m = s.memory_stats();
-        println!(
-            "  {:<7}: {:>10.0} bytes/session ({} sessions; table {} bytes held {})",
-            if share { "shared" } else { "cloned" },
-            m.bytes_per_session,
-            m.sessions,
-            table_bytes,
-            if share { "once" } else { "per session" },
-        );
-        if share {
-            // What a resident tenant keeps between frames, by component —
-            // and what it does not: per-frame scratch is held per worker.
-            let per = |bytes: usize| bytes / m.sessions.max(1);
-            let b = &m.session_bytes;
-            println!(
-                "           per session: index {} | rows {} | outputs {} | refined {} | \
-                 frame cloud {} | retention {} | fixed {}",
-                per(b.index),
-                per(b.rows),
-                per(b.outputs),
-                per(b.refined),
-                per(b.frame_cloud),
-                per(b.retention),
-                per(b.fixed),
-            );
-            println!(
-                "           frame arenas: {} bytes, held once per worker ({} workers), \
-                 not per session",
-                m.arena_bytes,
-                volut::pointcloud::runtime::current_workers(),
-            );
-        }
+    let mut s = SrServer::new(
+        Arc::clone(&registry),
+        ServerConfig {
+            capacity: 32,
+            queue_limit: 32,
+            ..ServerConfig::default()
+        },
+    );
+    for spec in specs(32) {
+        s.enqueue(spec);
     }
+    s.tick();
+    s.tick();
+    let m = s.memory_stats();
+    println!(
+        "  shared : {:>10.0} bytes/session ({} sessions; table {} bytes held once)",
+        m.bytes_per_session, m.sessions, m.registry_bytes,
+    );
+    println!(
+        "  cloned : {:>10.0} bytes/session (shared + one table copy per session)",
+        m.bytes_per_session + m.registry_bytes as f64,
+    );
+    // What a resident tenant keeps between frames, by component — and what
+    // it does not: per-frame scratch is held per worker.
+    let per = |bytes: usize| bytes / m.sessions.max(1);
+    let b = &m.session_bytes;
+    println!(
+        "           per session: index {} | rows {} | outputs {} | refined {} | \
+         frame cloud {} | retention {} | fixed {}",
+        per(b.index),
+        per(b.rows),
+        per(b.outputs),
+        per(b.refined),
+        per(b.frame_cloud),
+        per(b.retention),
+        per(b.fixed),
+    );
+    println!(
+        "           frame arenas: {} bytes, held once per worker ({} workers), \
+         not per session",
+        m.arena_bytes,
+        volut::pointcloud::runtime::current_workers(),
+    );
 
     // --- 3. The deadline ladder under an impossible budget. ---------------
     println!("\n== same workload, 50 us frame deadline: explicit degradation ==");

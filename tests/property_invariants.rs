@@ -1,6 +1,6 @@
 //! Cross-crate property-based tests on the core invariants of the system:
-//! encoding stays inside its key space, sampling respects ratios, spatial
-//! indices agree with the brute-force oracle, and the SR pipeline always
+//! encoding stays inside its key space, sampling respects ratios, the k-d
+//! tree agrees with the brute-force oracle, and the SR pipeline always
 //! honors the requested ratio.
 
 use proptest::prelude::*;
@@ -8,10 +8,9 @@ use volut::core::config::SrConfig;
 use volut::core::encoding::{KeyScheme, PositionEncoder};
 use volut::core::interpolate::dilated::dilated_interpolate;
 use volut::core::interpolate::reuse::{merge_and_prune, merge_and_prune_into};
-use volut::pointcloud::dualtree::{BatchStrategy, DualTreeScratch};
+use volut::pointcloud::dualtree::DualTreeScratch;
 use volut::pointcloud::kdtree::KdTree;
 use volut::pointcloud::knn::{BruteForce, NeighborSearch};
-use volut::pointcloud::octree::TwoLayerOctree;
 use volut::pointcloud::{metrics, sampling, synthetic, Neighborhoods, Point3, PointCloud};
 
 fn arb_point() -> impl Strategy<Value = Point3> {
@@ -72,12 +71,9 @@ proptest! {
     ) {
         let brute = BruteForce::new(&points);
         let kdtree = KdTree::build(&points);
-        let octree = TwoLayerOctree::build(&points);
         let expected: Vec<usize> = brute.knn(query, k).iter().map(|n| n.index).collect();
         let kd: Vec<usize> = kdtree.knn(query, k).iter().map(|n| n.index).collect();
-        let oc: Vec<usize> = octree.knn(query, k).iter().map(|n| n.index).collect();
         prop_assert_eq!(&kd, &expected);
-        prop_assert_eq!(&oc, &expected);
     }
 
     #[test]
@@ -89,7 +85,7 @@ proptest! {
     ) {
         // Inject exact duplicates (and quantized coordinates) so distance
         // ties are common: batched and per-query paths must break them
-        // identically (by ascending index) for every backend.
+        // identically (by ascending index) on the oracle and the index.
         let mut points = points;
         let n = points.len();
         for i in (0..n).step_by(duplicate_every) {
@@ -105,8 +101,6 @@ proptest! {
         let backends: Vec<(&str, Box<dyn NeighborSearch>)> = vec![
             ("brute", Box::new(BruteForce::new(&points))),
             ("kdtree", Box::new(KdTree::build(&points))),
-            ("octree", Box::new(TwoLayerOctree::build(&points))),
-            ("voxelgrid", Box::new(volut::pointcloud::voxelgrid::VoxelGrid::build(&points, 1.5))),
         ];
         for (name, backend) in &backends {
             let mut batch = Neighborhoods::new();
@@ -128,38 +122,38 @@ proptest! {
     #[test]
     fn dual_tree_all_knn_is_bit_identical_to_per_query(
         points in prop::collection::vec(arb_point(), 0..220),
-        extra_queries in prop::collection::vec(arb_point(), 0..40),
         k in 0usize..40,
         duplicate_every in 1usize..5,
-        monochromatic in 0usize..2,
     ) {
-        // The dual-tree leaf-pair traversal (forced, so every batch size
-        // takes it) must reproduce the per-query rows exactly — including
-        // index-broken exact-distance ties from injected duplicates,
-        // k >= cloud size, the empty cloud, and both join shapes: the
-        // monochromatic self-join (query slice == indexed cloud, query
-        // tree reused) and the bichromatic case (separate query tree over
-        // a different point set). CI's feature matrix runs this under the
-        // SIMD and scalar kernels alike.
+        // A self-join (query slice == indexed cloud) through the public
+        // batch entry must reproduce the per-query rows, and the oracle's,
+        // exactly — including index-broken exact-distance ties from
+        // injected duplicates, k >= cloud size and the empty cloud. Cloud
+        // sizes and `k` straddle both policy thresholds, so the dual-tree
+        // join and the sweep are both reached; the scratch's invocation
+        // count says which ran and must agree with the published policy.
+        // CI's feature matrix runs this under the SIMD and scalar kernels
+        // alike.
         let mut points = points;
         let n = points.len();
         for i in (0..n).step_by(duplicate_every) {
             points.push(points[i]);
         }
         let tree = KdTree::build(&points);
-        let queries: Vec<Point3> = if monochromatic == 1 {
-            points.clone()
-        } else {
-            let mut q = extra_queries;
-            q.extend(points.iter().step_by(3)); // exact landings on indexed points
-            q
-        };
+        let brute = BruteForce::new(&points);
         let mut scratch = DualTreeScratch::new();
         let mut batch = Neighborhoods::new();
-        tree.knn_batch_with(&queries, k, &mut batch, BatchStrategy::DualTree, &mut scratch);
-        prop_assert_eq!(batch.len(), queries.len());
-        for (i, &q) in queries.iter().enumerate() {
-            let expected: Vec<u32> = tree.knn(q, k).iter().map(|n| n.index as u32).collect();
+        tree.knn_batch_with(&points, k, &mut batch, &mut scratch);
+        let joined = k > 0 && tree.auto_selects_dual_tree(&points, k);
+        prop_assert_eq!(scratch.invocations(), u64::from(joined));
+        let mut plain = Neighborhoods::new();
+        tree.knn_batch(&points, k, &mut plain);
+        prop_assert_eq!(&plain, &batch, "a caller-owned scratch changes no row");
+        prop_assert_eq!(batch.len(), points.len());
+        for (i, &q) in points.iter().enumerate() {
+            let expected: Vec<u32> = brute.knn(q, k).iter().map(|n| n.index as u32).collect();
+            let per_query: Vec<u32> = tree.knn(q, k).iter().map(|n| n.index as u32).collect();
+            prop_assert_eq!(&per_query, &expected, "k {} query {}", k, i);
             prop_assert_eq!(batch.row(i), expected.as_slice(), "k {} query {}", k, i);
         }
     }
@@ -170,14 +164,13 @@ proptest! {
         n in 20usize..300,
         k in 1usize..10,
         seed in 0u64..100,
-        monochromatic in 0usize..2,
     ) {
         // The same degenerate geometries the batch parity suite covers —
         // all-identical points, collinear, planar grid, alternating-sign
-        // spread — through the forced dual-tree path, monochromatic and
-        // bichromatic. Zero-extent leaf/node boxes make every AABB–AABB
-        // pair distance a tie, so this exercises the "equality still
-        // visits" side of the pruning rule.
+        // spread — as self-joins, which the batch entry answers with the
+        // dual-tree join at these sizes. Zero-extent leaf/node boxes make
+        // every AABB–AABB pair distance a tie, so this exercises the
+        // "equality still visits" side of the pruning rule.
         let points: Vec<Point3> = match shape {
             0 => vec![Point3::splat(seed as f32 * 0.25); n],
             1 => (0..n).map(|i| Point3::new((i / 3) as f32, 0.0, 0.0)).collect(),
@@ -188,18 +181,14 @@ proptest! {
                 .map(|i| Point3::splat(if i % 2 == 0 { 0.5 } else { -0.5 } * (i as f32)))
                 .collect(),
         };
-        let queries: Vec<Point3> = if monochromatic == 1 {
-            points.clone()
-        } else {
-            points.iter().copied().step_by(3).collect()
-        };
         let tree = KdTree::build(&points);
-        let mut scratch = DualTreeScratch::new();
+        prop_assert!(tree.auto_selects_dual_tree(&points, k));
+        let brute = BruteForce::new(&points);
         let mut batch = Neighborhoods::new();
-        tree.knn_batch_with(&queries, k, &mut batch, BatchStrategy::DualTree, &mut scratch);
-        prop_assert_eq!(batch.len(), queries.len());
-        for (i, &q) in queries.iter().enumerate() {
-            let expected: Vec<u32> = tree.knn(q, k).iter().map(|n| n.index as u32).collect();
+        tree.knn_batch(&points, k, &mut batch);
+        prop_assert_eq!(batch.len(), points.len());
+        for (i, &q) in points.iter().enumerate() {
+            let expected: Vec<u32> = brute.knn(q, k).iter().map(|n| n.index as u32).collect();
             prop_assert_eq!(batch.row(i), expected.as_slice(), "shape {} query {}", shape, i);
         }
     }
@@ -210,27 +199,23 @@ proptest! {
         k in 1usize..12,
     ) {
         // Quantized coordinates force many exact ties across a structured
-        // cloud; with (distance, index) ordering every backend must return
-        // the same rows for the same batch.
+        // cloud; with (distance, index) ordering the k-d tree must return
+        // the oracle's rows for the same batch — a subset of the cloud
+        // (the sweep) and the whole cloud (the dual-tree self-join).
         let cloud = synthetic::sphere(300, 1.0, seed);
         let points: Vec<Point3> = cloud
             .positions()
             .iter()
             .map(|p| Point3::new((p.x * 4.0).round() / 4.0, (p.y * 4.0).round() / 4.0, (p.z * 4.0).round() / 4.0))
             .collect();
-        let queries = &points[..40];
         let brute = BruteForce::new(&points);
-        let mut expected = Neighborhoods::new();
-        brute.knn_batch(queries, k, &mut expected);
-        let backends: Vec<(&str, Box<dyn NeighborSearch>)> = vec![
-            ("kdtree", Box::new(KdTree::build(&points))),
-            ("octree", Box::new(TwoLayerOctree::build(&points))),
-            ("voxelgrid", Box::new(volut::pointcloud::voxelgrid::VoxelGrid::build(&points, 0.5))),
-        ];
-        for (name, backend) in &backends {
+        let kdtree = KdTree::build(&points);
+        for queries in [&points[..40], &points[..]] {
+            let mut expected = Neighborhoods::new();
+            brute.knn_batch(queries, k, &mut expected);
             let mut batch = Neighborhoods::new();
-            backend.knn_batch(queries, k, &mut batch);
-            prop_assert_eq!(&batch, &expected, "{} disagrees with brute force", name);
+            kdtree.knn_batch(queries, k, &mut batch);
+            prop_assert_eq!(&batch, &expected, "{} queries", queries.len());
         }
     }
 
@@ -244,12 +229,10 @@ proptest! {
         // Degenerate geometry stresses the SoA-leaf layout and the shared
         // distance kernel where ties and zero extents are the rule, not the
         // exception: all-identical points, a collinear cloud, a planar grid
-        // (massive exact ties) and a sparse alternating-sign spread (kept
-        // moderate — dozens of voxels, not millions — so the voxel ring
-        // search stays off its exhaustive-scan bail-out in debug builds).
+        // (massive exact ties) and a sparse alternating-sign spread.
         // Batched rows must still equal the per-query path bit-for-bit on
-        // every backend, under both the SIMD and scalar kernels (CI runs
-        // this suite with the `simd` feature on and off).
+        // the oracle and the index, under both the SIMD and scalar kernels
+        // (CI runs this suite with the `simd` feature on and off).
         let points: Vec<Point3> = match shape {
             0 => vec![Point3::splat(seed as f32 * 0.25); n],
             1 => (0..n).map(|i| Point3::new((i / 3) as f32, 0.0, 0.0)).collect(),
@@ -264,8 +247,6 @@ proptest! {
         let backends: Vec<(&str, Box<dyn NeighborSearch>)> = vec![
             ("brute", Box::new(BruteForce::new(&points))),
             ("kdtree", Box::new(KdTree::build(&points))),
-            ("octree", Box::new(TwoLayerOctree::build(&points))),
-            ("voxelgrid", Box::new(volut::pointcloud::voxelgrid::VoxelGrid::build(&points, 2.0))),
         ];
         for (name, backend) in &backends {
             let mut batch = Neighborhoods::new();
