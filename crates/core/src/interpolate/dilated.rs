@@ -15,7 +15,11 @@
 //!   dual-tree leaf-pair kernel of [`volut_pointcloud::dualtree`] at
 //!   production sizes;
 //! * derives each new point's neighborhood via neighbor-relationship reuse
-//!   (Eq. 2 / [`super::reuse::merge_and_prune`]);
+//!   (Eq. 2): [`super::reuse::merge_and_prune_rows`] runs every generated
+//!   point of a batch through the branch-free kernel
+//!   [`volut_pointcloud::kernels::merge_prune_row`] — `2k` distances, `2k`
+//!   sorted inserts, no tree query. At `ratio` 8 this loop, not the
+//!   self-join, is the largest block of the frame;
 //! * runs the per-point work in parallel across CPU threads (the stand-in
 //!   for the paper's CUDA kernels), storing all neighbor lists in flat CSR
 //!   [`volut_pointcloud::Neighborhoods`] buffers of the frame's [`super::FrameArena`], which

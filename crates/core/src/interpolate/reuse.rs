@@ -6,8 +6,14 @@
 //! and truncated to `k`, is an excellent approximation of a fresh kNN query
 //! — and it costs only `O(k)` distance evaluations instead of a tree
 //! traversal.
+//!
+//! [`merge_and_prune`] is the allocating reference; production rows come
+//! from [`merge_and_prune_rows`], the batch entry over the branch-free kernel
+//! [`volut_pointcloud::kernels::merge_prune_row`], and
+//! [`merge_and_prune_into`] is that kernel's one-row call.
 
-use volut_pointcloud::Point3;
+use volut_pointcloud::kernels::{merge_prune_row, MERGE_MAX_K};
+use volut_pointcloud::{Neighborhoods, NeighborhoodsView, Point3};
 
 /// Merges the neighbor index lists of the two parent points, re-ranks them
 /// by distance to the interpolated point `p_new`, removes duplicates and
@@ -61,85 +67,46 @@ pub fn merge_and_prune(
     ranked.into_iter().map(|(_, i)| i).collect()
 }
 
-/// Capacity of the candidate buffer: both parents' `k`-head lists at the
-/// largest supported `k` (32).
-const MAX_CANDIDATES: usize = 64;
+/// The `k` of every paper configuration (K4d1, K4d2): rows of this width
+/// run the kernel with compile-time trip counts.
+const FIXED_K: usize = 4;
 
-/// Ranks the deduplicated, in-range union of the two lists by
-/// `(distance to p_new, index)` in `ranked` and appends the closest `k` to
-/// `out` as a new row.
+/// Allocation-free [`merge_and_prune`] of one generated point: the one-row
+/// call of the production kernel,
+/// [`volut_pointcloud::kernels::merge_prune_row`], appending the pruned
+/// result to `out` as a new row.
 ///
-/// Candidates are packed `(d².to_bits() << 32) | index` keys: a squared
-/// distance is never negative, so its bit pattern orders like its value and
-/// one `u64` compare ranks by distance with ties broken by index — the
-/// order [`merge_and_prune`] sorts into. Insertion shifts by hand: the
-/// lists hold a handful of entries, where a `memmove` call per candidate
-/// costs more than the moves. `ranked` is caller-owned so a batch pays for
-/// the buffer once, not per generated point.
-#[inline]
-fn push_pruned_row(
-    p_new: Point3,
-    neighbors_p: &[u32],
-    neighbors_q: &[u32],
-    positions: &[Point3],
-    k: usize,
-    ranked: &mut [u64; MAX_CANDIDATES],
-    out: &mut volut_pointcloud::Neighborhoods,
-) {
-    debug_assert!(
-        k <= 32,
-        "receptive fields beyond k=32 are out of the supported domain"
-    );
-    let mut len = 0usize;
-    for &i in neighbors_p.iter().chain(neighbors_q) {
-        if (i as usize) >= positions.len() || len == MAX_CANDIDATES {
-            continue;
-        }
-        if ranked[..len].iter().any(|&key| key as u32 == i) {
-            continue;
-        }
-        let d2 = positions[i as usize].distance_squared(p_new);
-        let key = (u64::from(d2.to_bits()) << 32) | u64::from(i);
-        let mut slot = len;
-        while slot > 0 && ranked[slot - 1] > key {
-            ranked[slot] = ranked[slot - 1];
-            slot -= 1;
-        }
-        ranked[slot] = key;
-        len += 1;
-    }
-    out.push_row_u32_iter(ranked[..len.min(k)].iter().map(|&key| key as u32));
-}
-
-/// Allocation-free variant of [`merge_and_prune`] used by the batched
-/// interpolation hot path: candidates arrive as CSR `u32` rows and the
-/// pruned result is appended directly to `out` as a new row.
-///
-/// The merged candidate set is at most `2k` entries (the parents' `k`-head
-/// lists), so a fixed-capacity stack buffer replaces the heap allocations of
-/// the nested-`Vec` formulation. Results are identical to
-/// [`merge_and_prune`] for `k ≤ 32` (the pipeline's documented domain).
+/// The kernel looks for duplicates only *across* its two heads (kNN rows
+/// are distinct by construction), so this entry — which takes arbitrary
+/// lists — first drops the repeats within each. Results are identical to
+/// [`merge_and_prune`] for lists of at most 32 entries and `k ≤ 32` (the
+/// pipeline's documented domain).
 ///
 /// # Panics
-/// Debug-panics when `k > 32`; release builds truncate the candidate set.
+/// Debug-panics when `k > 32`; release builds cut `k` and each list at 32
+/// entries.
 pub fn merge_and_prune_into(
     p_new: Point3,
     neighbors_p: &[u32],
     neighbors_q: &[u32],
     positions: &[Point3],
     k: usize,
-    out: &mut volut_pointcloud::Neighborhoods,
+    out: &mut Neighborhoods,
 ) {
-    let mut ranked = [0u64; MAX_CANDIDATES];
-    push_pruned_row(
-        p_new,
-        neighbors_p,
-        neighbors_q,
-        positions,
-        k,
-        &mut ranked,
-        out,
-    );
+    let distinct = |list: &[u32]| {
+        let (mut kept, mut len) = ([0u32; MERGE_MAX_K], 0);
+        for &i in list.iter().take(MERGE_MAX_K) {
+            if !kept[..len].contains(&i) {
+                kept[len] = i;
+                len += 1;
+            }
+        }
+        (kept, len)
+    };
+    let ((p, p_len), (q, q_len)) = (distinct(neighbors_p), distinct(neighbors_q));
+    out.push_bounded_rows(1, k, |_, dst| {
+        merge_prune_row(p_new, &p[..p_len], &q[..q_len], positions, dst)
+    });
 }
 
 /// Batched neighbor-relationship reuse: derives one neighborhood row per
@@ -149,36 +116,46 @@ pub fn merge_and_prune_into(
 /// `merge_and_prune(new_points[i], head_k(hoods[parents[i].0]),
 /// head_k(hoods[parents[i].1]), positions, k)` — the `k`-nearest heads of
 /// the parents' dilated rows merged, re-ranked by distance to the new point
-/// and pruned to `k` (Eq. 2). One call processes a whole worker chunk
-/// through the same fixed-capacity kernel as [`merge_and_prune_into`], with
-/// one candidate buffer for the whole batch, so the hot path performs zero
-/// heap allocations per generated point.
+/// and pruned to `k` (Eq. 2) — by the fixed-trip, branch-free kernel
+/// [`volut_pointcloud::kernels::merge_prune_row`], written straight into
+/// the row's final CSR slot: no heap allocation, push or data-dependent
+/// branch per generated point. Each row of `hoods` must hold distinct
+/// indices, as kNN rows do.
 ///
 /// # Panics
 /// Panics when `new_points` and `parents` disagree in length, or when a
-/// parent index has no row in `hoods`.
+/// parent index has no row in `hoods`. Debug-panics when `k > 32`; release
+/// builds cut `k` at 32.
 pub fn merge_and_prune_rows(
     new_points: &[Point3],
-    parents: impl ExactSizeIterator<Item = (usize, usize)>,
-    hoods: volut_pointcloud::NeighborhoodsView<'_>,
+    mut parents: impl ExactSizeIterator<Item = (usize, usize)>,
+    hoods: NeighborhoodsView<'_>,
     positions: &[Point3],
     k: usize,
-    out: &mut volut_pointcloud::Neighborhoods,
+    out: &mut Neighborhoods,
 ) {
     assert_eq!(
         new_points.len(),
         parents.len(),
         "one parent pair per generated point"
     );
-    out.reserve_rows(new_points.len(), new_points.len() * k);
-    let mut ranked = [0u64; MAX_CANDIDATES];
-    for (&p_new, (i, j)) in new_points.iter().zip(parents) {
-        let np_full = hoods.row(i);
-        let np = &np_full[..np_full.len().min(k)];
-        let nq_full = hoods.row(j);
-        let nq = &nq_full[..nq_full.len().min(k)];
-        push_pruned_row(p_new, np, nq, positions, k, &mut ranked, out);
-    }
+    let head = |i: usize| {
+        let list = hoods.row(i);
+        &list[..list.len().min(k)]
+    };
+    out.push_bounded_rows(new_points.len(), k, |i, dst| {
+        let (a, b) = parents.next().expect("length checked above");
+        let (a, b) = (head(a), head(b));
+        // Same kernel, constant width: full heads of the pipeline's `k`.
+        match (
+            <&[u32; FIXED_K]>::try_from(a),
+            <&[u32; FIXED_K]>::try_from(b),
+            <&mut [u32; FIXED_K]>::try_from(&mut *dst),
+        ) {
+            (Ok(a), Ok(b), Ok(dst)) => merge_prune_row(new_points[i], a, b, positions, dst),
+            _ => merge_prune_row(new_points[i], a, b, positions, dst),
+        }
+    });
 }
 
 /// Measures how well [`merge_and_prune`] approximates an exact kNN result:

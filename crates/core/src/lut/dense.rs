@@ -184,14 +184,6 @@ impl Lut for DenseLut {
         DenseLut::get_batch(self, keys, out);
     }
 
-    fn prefetch(&self, key: u128) {
-        if key < self.key_space {
-            let idx = key as usize;
-            prefetch_read(&self.occupancy[idx / 64]);
-            prefetch_read(&self.offsets[idx * 3]);
-        }
-    }
-
     fn populated(&self) -> usize {
         self.populated
     }

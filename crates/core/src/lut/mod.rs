@@ -94,15 +94,6 @@ pub trait Lut: Send + Sync {
         }
     }
 
-    /// Hints that `key` will be probed soon. Backends with a flat layout
-    /// issue a hardware prefetch for the key's home slot; the default is a
-    /// no-op. Callers interleave this with other per-point work (e.g. key
-    /// encoding) so the memory latency of an upcoming [`Self::get_batch`]
-    /// overlaps with computation.
-    fn prefetch(&self, key: u128) {
-        let _ = key;
-    }
-
     /// Stores (or overwrites) the offset for `key`.
     ///
     /// # Errors

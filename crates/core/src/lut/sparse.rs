@@ -211,10 +211,6 @@ impl Lut for SparseLut {
         SparseLut::get_batch(self, keys, out);
     }
 
-    fn prefetch(&self, key: u128) {
-        prefetch(&self.entries[self.slot_of(key)]);
-    }
-
     fn set(&mut self, key: u128, offset: Offset) -> Result<()> {
         // Grow at 7/8 load to keep probe chains short.
         if (self.len + 1) * 8 > self.entries.len() * 7 {

@@ -11,7 +11,9 @@
 //!
 //! Three implementations are provided:
 //! * [`LutRefiner`] — VoLUT's contribution: a table lookup keyed by the
-//!   quantized neighborhood (§4.2);
+//!   quantized neighborhood (§4.2). Per block of 64 rows: the lane-wise
+//!   [`PositionEncoder::encode_keys_block`], one [`Lut::get_batch`], then
+//!   the offsets applied — in fixed stack arrays, so nothing is allocated;
 //! * [`NnRefiner`] — runs the refinement network directly (the GradPU-style
 //!   path the LUT replaces);
 //! * [`IdentityRefiner`] — no refinement; isolates the interpolation stage
@@ -318,10 +320,11 @@ impl Refiner for LutRefiner {
     ) {
         debug_assert_eq!(centers.len(), neighborhoods.len());
         debug_assert_eq!(centers.len(), out.len());
-        // Block-structured: the SoA-lane encoder turns a block of CSR rows
-        // into keys and radii in one vectorized pass (gather → lane-wide
-        // squared norms → quantize), every probe target is prefetched, then
-        // one `get_batch` resolves the block before the offsets are applied.
+        // Block-structured: the lane-wise encoder turns a block of CSR rows
+        // into keys and radii (gather → normalize → quantize over whole slot
+        // lanes), one `get_batch` resolves the block — prefetching its own
+        // probe targets — and the offsets are applied. Every buffer, the
+        // encoder's lanes included, is a fixed array on this stack.
         const BLOCK: usize = 64;
         let mut keys = [0u128; BLOCK];
         // radius < 0 marks rows that skip refinement (empty / unencodable).
@@ -340,30 +343,18 @@ impl Refiner for LutRefiner {
                 &mut radii[..block_len],
                 &mut encode_scratch,
             );
-            // Start pulling every probe target in before the batch probe.
-            for b in 0..block_len {
-                if radii[b] >= 0.0 {
-                    self.lut.prefetch(keys[b]);
-                }
-            }
             self.lut
                 .get_batch(&keys[..block_len], &mut results[..block_len]);
             for b in 0..block_len {
                 let i = block_start + b;
-                let center = centers[i];
-                if radii[b] < 0.0 {
-                    out[i] = center;
-                    continue;
-                }
+                out[i] = centers[i];
                 match results[b] {
-                    Some(offset) => {
+                    _ if radii[b] < 0.0 => {}
+                    Some([x, y, z]) => {
                         hits += 1;
-                        out[i] = center + Point3::new(offset[0], offset[1], offset[2]) * radii[b];
+                        out[i] = centers[i] + Point3::new(x, y, z) * radii[b];
                     }
-                    None => {
-                        misses += 1;
-                        out[i] = center;
-                    }
+                    None => misses += 1,
                 }
             }
         }

@@ -43,8 +43,8 @@ use crate::{Error, Result};
 
 /// Read-only [`Lut`] adapter over a shared table.
 ///
-/// Probes (`get`, `get_batch`, `prefetch`) delegate straight to the shared
-/// table; mutation is refused — registries publish finished tables. The
+/// Probes (`get`, `get_batch`) delegate straight to the shared table;
+/// mutation is refused — registries publish finished tables. The
 /// adapter is what lets one `Arc`'d allocation back the `Box<dyn Lut>`
 /// slot of every session's [`LutRefiner`].
 pub struct SharedLut {
@@ -80,10 +80,6 @@ impl Lut for SharedLut {
 
     fn get_batch(&self, keys: &[u128], out: &mut [Option<Offset>]) {
         self.inner.get_batch(keys, out);
-    }
-
-    fn prefetch(&self, key: u128) {
-        self.inner.prefetch(key);
     }
 
     fn set(&mut self, _key: u128, _offset: Offset) -> Result<()> {

@@ -126,6 +126,35 @@ impl Neighborhoods {
         &mut self.indices[base..]
     }
 
+    /// Appends `rows` rows of at most `stride` entries each, written in place
+    /// by `fill`: it receives the row's ordinal and a `stride`-wide slot at
+    /// the row's final location and returns how many leading entries it kept.
+    /// The next row starts right behind them, so ragged rows need no second
+    /// pass and uniform ones cost what [`Self::push_uniform_rows`] costs —
+    /// one resize for the whole batch, no per-row capacity check.
+    ///
+    /// # Panics
+    /// Panics when `fill` returns more than `stride`, or when the index
+    /// count overflows `u32`.
+    pub fn push_bounded_rows(
+        &mut self,
+        rows: usize,
+        stride: usize,
+        mut fill: impl FnMut(usize, &mut [u32]) -> usize,
+    ) {
+        let mut at = self.indices.len();
+        u32::try_from(at + rows * stride).expect("index count fits in u32");
+        self.indices.resize(at + rows * stride, 0);
+        self.offsets.reserve(rows);
+        for row in 0..rows {
+            let kept = fill(row, &mut self.indices[at..at + stride]);
+            assert!(kept <= stride, "a row keeps at most its slot");
+            at += kept;
+            self.offsets.push(at as u32);
+        }
+        self.indices.truncate(at);
+    }
+
     /// Appends all rows of `other` (used to merge per-worker partial CSRs
     /// after a parallel build — two `extend`s plus an offset rebase).
     pub fn append(&mut self, other: &Neighborhoods) {
@@ -428,5 +457,28 @@ mod tests {
         let mut b = Neighborhoods::new();
         b.push_row_u32(&[1, 2, 3]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn bounded_rows_match_row_by_row_pushes() {
+        // Full, short and empty rows behind an existing row: each lands
+        // right after the entries the previous one kept.
+        let kept = [3usize, 1, 0, 3, 2];
+        let mut a = sample();
+        a.push_bounded_rows(kept.len(), 3, |row, slot| {
+            assert_eq!(slot.len(), 3);
+            for (s, v) in slot.iter_mut().enumerate() {
+                *v = (10 * row + s) as u32;
+            }
+            kept[row]
+        });
+        let mut b = sample();
+        for (row, &len) in kept.iter().enumerate() {
+            b.push_row((0..len).map(|s| 10 * row + s));
+        }
+        assert_eq!(a, b);
+        a.push_bounded_rows(2, 0, |_, slot| slot.len());
+        assert_eq!(a.len(), b.len() + 2);
+        assert_eq!(a.total_indices(), b.total_indices());
     }
 }

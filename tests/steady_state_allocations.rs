@@ -3,11 +3,14 @@
 //! interpolator or the pipeline: every working buffer of theirs comes from
 //! the frame arena (grown by earlier frames) or the session state. Counted
 //! with a per-thread counting allocator, on one worker so the whole frame
-//! runs on the counting thread.
+//! runs on the counting thread. The LUT refiner adds nothing to the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use volut::core::{refine::IdentityRefiner, SrConfig, SrPipeline};
+use volut::core::encoding::{KeyScheme, PositionEncoder};
+use volut::core::lut::{DenseLut, Lut};
+use volut::core::refine::{IdentityRefiner, LutRefiner};
+use volut::core::{SrConfig, SrPipeline};
 use volut::pointcloud::runtime;
 use volut::pointcloud::synthetic::{self, DeltaStream, DeltaStreamConfig};
 use volut::stream::client::SrSession;
@@ -51,13 +54,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-#[test]
-fn steady_state_delta_frames_allocate_only_their_output() {
+/// Allocations of each measured steady-state delta frame of `pipeline` over
+/// the test's 10 %-churn stream, on one worker so the whole frame runs on
+/// the counting thread.
+fn steady_state_allocations(pipeline: SrPipeline) -> Vec<u64> {
     runtime::with_workers(1, || {
-        let mut session = SrSession::new(SrPipeline::new(
-            SrConfig::default(),
-            Box::new(IdentityRefiner),
-        ));
+        let mut session = SrSession::new(pipeline);
         let mut stream = DeltaStream::new(
             synthetic::humanoid(2_000, 0.2, 29),
             DeltaStreamConfig {
@@ -82,19 +84,52 @@ fn steady_state_delta_frames_allocate_only_their_output() {
                 per_frame.push(after - before);
             }
         }
-        // Ten, none of them in the interpolator or the pipeline: five for
-        // the output (the input cloned — positions, colors — one growth step
-        // for each when the generated tail is appended, and the result's
-        // refiner-name string) and five batch-local lists inside the
-        // single-tree kNN sweep that recomputes the invalidated rows
-        // (`KdTree::knn_batch_with`: traversal stack, descent path, best-k
-        // accumulator). Before the frame arena the fresh point/parent/hood
-        // lists, the pair lists and the parent table were allocated — and
-        // grown push by push — on top of those, on every frame.
-        let worst = per_frame.iter().max().unwrap();
-        assert!(
-            *worst <= 10,
-            "steady-state frames allocated {per_frame:?} times"
-        );
-    });
+        per_frame
+    })
+}
+
+#[test]
+fn steady_state_delta_frames_allocate_only_their_output() {
+    let per_frame = steady_state_allocations(SrPipeline::new(
+        SrConfig::default(),
+        Box::new(IdentityRefiner),
+    ));
+    // Ten, none of them in the interpolator or the pipeline: five for
+    // the output (the input cloned — positions, colors — one growth step
+    // for each when the generated tail is appended, and the result's
+    // refiner-name string) and five batch-local lists inside the
+    // single-tree kNN sweep that recomputes the invalidated rows
+    // (`KdTree::knn_batch_with`: traversal stack, descent path, best-k
+    // accumulator). Before the frame arena the fresh point/parent/hood
+    // lists, the pair lists and the parent table were allocated — and
+    // grown push by push — on top of those, on every frame.
+    let worst = per_frame.iter().max().unwrap();
+    assert!(
+        *worst <= 10,
+        "steady-state frames allocated {per_frame:?} times"
+    );
+}
+
+#[test]
+fn steady_state_lut_refinement_allocates_nothing_more() {
+    // The same stream refined through a dense Compact table: the refiner's
+    // key lanes, keys, radii and probe results are fixed arrays on its
+    // stack, so the LUT path holds the identity path's bound.
+    let config = SrConfig {
+        bins: 32,
+        ..SrConfig::default()
+    };
+    let encoder = PositionEncoder::new(&config, KeyScheme::Compact).unwrap();
+    let mut table = DenseLut::new(encoder.key_space()).unwrap();
+    for key in 0..encoder.key_space() {
+        let tiny = (key % 17) as f32 * 1e-3;
+        table.set(key, [tiny, -tiny, 0.5 * tiny]).unwrap();
+    }
+    let refiner = LutRefiner::new(encoder, Box::new(table));
+    let per_frame = steady_state_allocations(SrPipeline::new(config, Box::new(refiner)));
+    let worst = per_frame.iter().max().unwrap();
+    assert!(
+        *worst <= 10,
+        "steady-state LUT-refined frames allocated {per_frame:?} times"
+    );
 }
