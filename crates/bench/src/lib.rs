@@ -13,8 +13,8 @@
 //! ```
 //!
 //! or a single experiment with e.g. `-- table1`, `-- fig12`, `-- fig17`.
-//! Criterion micro-benchmarks for the individual pipeline stages live in
-//! `benches/`.
+//! Speed is measured end to end and per layer by the benchmark ledger in
+//! `src/bin/e2e` (`BENCHMARK.json` at the repository root), not here.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -31,9 +31,8 @@ pub fn experiment_points() -> usize {
 /// Logs the resolved worker-pool configuration (count and whether it came
 /// from `VOLUT_WORKERS` or hardware detection) once per process, so every
 /// recorded measurement names the parallelism it ran under. Called from
-/// [`experiment_points`] and the server-scaling bench; safe to call from
-/// anywhere else that wants the line earlier.
-pub fn log_runtime_once() {
+/// [`experiment_points`].
+fn log_runtime_once() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let cores = detected_cores();
@@ -45,7 +44,7 @@ pub fn log_runtime_once() {
 }
 
 /// The host's detected core count (1 when detection fails).
-pub fn detected_cores() -> usize {
+fn detected_cores() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

@@ -87,7 +87,8 @@ impl SrConfig {
         if self.bins < 2 {
             return Err(Error::InvalidConfig("bins must be at least 2".into()));
         }
-        if self.bins > 65_536 {
+        // The encoder and the LUT file header store the count as a `u16`.
+        if self.bins > usize::from(u16::MAX) {
             return Err(Error::InvalidConfig("bins must fit in 16 bits".into()));
         }
         Ok(())
@@ -152,12 +153,14 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(SrConfig {
-            bins: 1 << 17,
-            ..SrConfig::default()
+        for (bins, ok) in [(1 << 17, false), (65_536, false), (65_535, true)] {
+            let result = SrConfig {
+                bins,
+                ..SrConfig::default()
+            }
+            .validate();
+            assert_eq!(result.is_ok(), ok, "bins {bins}");
         }
-        .validate()
-        .is_err());
         assert!(SrConfig::default().validate().is_ok());
     }
 

@@ -676,10 +676,10 @@ mod tests {
 
     #[test]
     fn rejects_configs_whose_keys_overflow() {
-        // Full scheme with n = 8, b = 65536 would need 8*3*16 = 384 bits.
+        // Full scheme with n = 8, b = 65535 would need 8*3*16 = 384 bits.
         let cfg = SrConfig {
             receptive_field: 8,
-            bins: 65_536,
+            bins: 65_535,
             ..SrConfig::default()
         };
         assert!(PositionEncoder::new(&cfg, KeyScheme::Full).is_err());

@@ -6,8 +6,7 @@
 //! against a flat CSR [`NeighborhoodsView`], so implementations gather
 //! neighbor positions into reusable buffers instead of allocating a
 //! `Vec<Point3>` per point, and statistics are accumulated once per batch
-//! instead of behind a per-point lock. The per-point [`Refiner::refine`]
-//! survives as a convenience shim implemented in terms of the batch path.
+//! instead of behind a per-point lock.
 //!
 //! Three implementations are provided:
 //! * [`LutRefiner`] — VoLUT's contribution: a table lookup keyed by the
@@ -64,17 +63,6 @@ pub trait Refiner: Send + Sync {
         source: &[Point3],
         out: &mut [Point3],
     );
-
-    /// Per-point convenience shim over [`Self::refine_batch`]: refines one
-    /// center whose neighborhood is given directly as positions.
-    fn refine(&self, center: Point3, neighbors: &[Point3]) -> Point3 {
-        let indices: Vec<u32> = (0..neighbors.len() as u32).collect();
-        let offsets = [0u32, neighbors.len() as u32];
-        let view = NeighborhoodsView::from_raw(&indices, &offsets);
-        let mut out = [center];
-        self.refine_batch(&[center], view, neighbors, &mut out);
-        out[0]
-    }
 
     /// Per-point cost description.
     fn cost(&self) -> RefinerCost;
@@ -488,6 +476,17 @@ mod tests {
         PositionEncoder::new(&SrConfig::default(), KeyScheme::Full).unwrap()
     }
 
+    /// Refines one center whose neighborhood is given directly as
+    /// positions: a one-row [`Refiner::refine_batch`].
+    fn refine_one(refiner: &dyn Refiner, center: Point3, neighbors: &[Point3]) -> Point3 {
+        let indices: Vec<u32> = (0..neighbors.len() as u32).collect();
+        let offsets = [0u32, neighbors.len() as u32];
+        let view = NeighborhoodsView::from_raw(&indices, &offsets);
+        let mut out = [center];
+        refiner.refine_batch(&[center], view, neighbors, &mut out);
+        out[0]
+    }
+
     fn neighborhood() -> (Point3, Vec<Point3>) {
         (
             Point3::new(0.0, 0.0, 0.0),
@@ -502,7 +501,7 @@ mod tests {
     #[test]
     fn identity_refiner_is_a_noop() {
         let (c, n) = neighborhood();
-        assert_eq!(IdentityRefiner.refine(c, &n), c);
+        assert_eq!(refine_one(&IdentityRefiner, c, &n), c);
         assert_eq!(IdentityRefiner.memory_bytes(), 0);
         assert_eq!(IdentityRefiner.cost(), RefinerCost::default());
         assert!(IdentityRefiner.lookup_stats().is_none());
@@ -517,7 +516,7 @@ mod tests {
         let mut lut = SparseLut::new();
         lut.set(key, [0.5, 0.0, 0.0]).unwrap();
         let refiner = LutRefiner::new(enc, Box::new(lut));
-        let refined = refiner.refine(c, &n);
+        let refined = refine_one(&refiner, c, &n);
         assert!((refined.x - 0.5 * radius).abs() < 1e-3);
         let stats = refiner.lookup_stats().unwrap();
         assert_eq!(stats.hits, 1);
@@ -528,8 +527,8 @@ mod tests {
     fn lut_refiner_miss_returns_center_and_counts() {
         let (c, n) = neighborhood();
         let refiner = LutRefiner::new(encoder(), Box::new(SparseLut::new()));
-        assert_eq!(refiner.refine(c, &n), c);
-        assert_eq!(refiner.refine(c, &[]), c);
+        assert_eq!(refine_one(&refiner, c, &n), c);
+        assert_eq!(refine_one(&refiner, c, &[]), c);
         let stats = refiner.lookup_stats().unwrap();
         assert_eq!(stats.misses, 1);
         assert_eq!(refiner.cost().lut_lookups_per_point, 1);
@@ -540,10 +539,10 @@ mod tests {
         let (c, n) = neighborhood();
         let mlp = Mlp::new(&[12, 16, 3], 5);
         let refiner = NnRefiner::new(encoder(), mlp);
-        let refined = refiner.refine(c, &n);
+        let refined = refine_one(&refiner, c, &n);
         // A randomly initialized network almost surely produces a non-zero offset.
         assert_ne!(refined, c);
-        assert_eq!(refiner.refine(c, &[]), c);
+        assert_eq!(refine_one(&refiner, c, &[]), c);
         assert!(refiner.cost().nn_flops_per_point > 0);
         assert!(refiner.memory_bytes() > 0);
     }
@@ -559,8 +558,8 @@ mod tests {
         assert_eq!(boxed.len(), 2);
     }
 
-    /// A batch call over N points must agree bit-for-bit with N per-point
-    /// shim calls (the parity contract of the batched trait redesign).
+    /// A batch call over N points must agree bit-for-bit with N one-row
+    /// calls (the parity contract of the batched trait redesign).
     fn batch_matches_per_point(refiner: &dyn Refiner) {
         // Source cloud: points on a jittered grid.
         let source: Vec<Point3> = (0..64)
@@ -582,7 +581,7 @@ mod tests {
         refiner.refine_batch(&centers, hoods.view(), &source, &mut batch_out);
         for (i, &expected) in batch_out.iter().enumerate() {
             let neighbors: Vec<Point3> = hoods.row(i).iter().map(|&j| source[j as usize]).collect();
-            let single = refiner.refine(centers[i], &neighbors);
+            let single = refine_one(refiner, centers[i], &neighbors);
             assert_eq!(single, expected, "row {i} diverged");
         }
     }

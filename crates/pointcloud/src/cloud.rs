@@ -523,7 +523,8 @@ mod tests {
     /// this list.
     #[test]
     fn every_position_mutator_invalidates_the_digest() {
-        let mutators: Vec<(&str, fn(&mut PointCloud))> = vec![
+        type Mutator = (&'static str, fn(&mut PointCloud));
+        let mutators: Vec<Mutator> = vec![
             ("push", |c| c.push(Point3::splat(9.0), None)),
             ("extend_positions", |c| {
                 c.extend_positions(&[Point3::splat(7.0), Point3::splat(8.0)]);

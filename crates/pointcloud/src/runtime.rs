@@ -873,7 +873,7 @@ mod tests {
             // Locate the slice inside `order` by pointer arithmetic.
             let base = order.as_ptr() as usize;
             let off = items.as_ptr() as usize - base;
-            if off % std::mem::size_of::<u32>() != 0 {
+            if !off.is_multiple_of(std::mem::size_of::<u32>()) {
                 ok.store(false, SeqCst);
             }
         });

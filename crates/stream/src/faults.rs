@@ -577,14 +577,9 @@ mod tests {
     fn trace_driven_chain_tracks_outage_seconds() {
         // A trace that alternates long good stretches with short outages.
         let mut samples = Vec::new();
-        for block in 0..20 {
-            for _ in 0..8 {
-                samples.push(60.0);
-            }
-            let _ = block;
-            for _ in 0..2 {
-                samples.push(5.0);
-            }
+        for _ in 0..20 {
+            samples.extend([60.0; 8]);
+            samples.extend([5.0; 2]);
         }
         let trace = NetworkTrace::from_samples("bursty", samples, 0.01).unwrap();
         let ge = GilbertElliott::from_trace(&trace, 0.05);

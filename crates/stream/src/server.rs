@@ -1304,36 +1304,52 @@ mod tests {
 
     #[test]
     fn lossy_ingest_stays_bit_identical_to_clean() {
-        let lossy = IngestConfig {
+        // Heavy independent loss on the default retry budget, and the
+        // evaluation's 2 % Gilbert–Elliott burst loss on a deep, jittered
+        // one: a recoverable link, so every tenant serves its clean twin's
+        // bits and none is quarantined.
+        let independent = IngestConfig {
             faults: FaultConfig {
                 drop: 0.3,
                 ..FaultConfig::default()
             },
             ..IngestConfig::default()
         };
-        let mut clean = SrServer::new(test_registry(), undegraded());
-        let mut faulted = SrServer::new(test_registry(), undegraded());
-        for seed in [5, 13, 21] {
-            clean.enqueue(SessionSpec {
-                frames: 8,
-                ..resilient_spec(seed, IngestConfig::default())
-            });
-            faulted.enqueue(SessionSpec {
-                frames: 8,
-                ..resilient_spec(seed, lossy.clone())
-            });
+        let bursty = IngestConfig {
+            faults: FaultConfig::bursty_loss(0.02),
+            retry: RetryPolicy {
+                max_retries: 12,
+                jitter: 0.25,
+                ..RetryPolicy::default()
+            },
+            ..IngestConfig::default()
+        };
+        for (lossy, seeds) in [(independent, vec![5, 13, 21]), (bursty, (0..64).collect())] {
+            let mut clean = SrServer::new(test_registry(), undegraded());
+            let mut faulted = SrServer::new(test_registry(), undegraded());
+            for &seed in &seeds {
+                clean.enqueue(SessionSpec {
+                    frames: 8,
+                    ..resilient_spec(seed, IngestConfig::default())
+                });
+                faulted.enqueue(SessionSpec {
+                    frames: 8,
+                    ..resilient_spec(seed, lossy.clone())
+                });
+            }
+            let clean_report = clean.run(256);
+            let report = faulted.run(256);
+            assert_eq!(digests_by_seed(&report), digests_by_seed(&clean_report));
+            let recovered: u64 = report
+                .sessions
+                .iter()
+                .filter_map(|s| s.ingest)
+                .map(|st| st.recovered_retransmit + st.recovered_compose + st.recovered_keyframe)
+                .sum();
+            assert!(recovered > 0, "the lossy run must exercise the ladder");
+            assert_eq!(report.telemetry.sessions_quarantined, 0);
+            assert_eq!(report.telemetry.ingest.frames, seeds.len() as u64 * 8);
         }
-        let clean_report = clean.run(256);
-        let report = faulted.run(256);
-        assert_eq!(digests_by_seed(&report), digests_by_seed(&clean_report));
-        let recovered: u64 = report
-            .sessions
-            .iter()
-            .filter_map(|s| s.ingest)
-            .map(|st| st.recovered_retransmit + st.recovered_compose + st.recovered_keyframe)
-            .sum();
-        assert!(recovered > 0, "the lossy run must exercise the ladder");
-        assert_eq!(report.telemetry.ingest.frames, 3 * 8);
     }
 
     #[test]
