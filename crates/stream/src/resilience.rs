@@ -372,7 +372,8 @@ impl FrameMessage {
 pub struct RetentionPolicy {
     /// Maximum number of retained frames (at least 1 is always kept).
     pub max_frames: usize,
-    /// Maximum retained payload bytes (positions + colors + delta parts).
+    /// Maximum retained bytes ([`DeltaServer::retained_bytes`]: the newest
+    /// frame's positions + colors plus every undo step).
     pub max_bytes: u64,
 }
 
@@ -400,32 +401,133 @@ impl Default for RetentionPolicy {
     }
 }
 
-/// Estimated wire-side bytes of one retained frame (positions + colors).
+/// Bytes of one retained frame's payload (positions + colors).
 fn frame_bytes(frame: &PointCloud) -> u64 {
     let n = frame.len() as u64;
     n * 12 + if frame.colors().is_some() { n * 3 } else { 0 }
 }
 
-/// Estimated bytes of one retained delta (removal + insertion indices).
-fn delta_bytes(delta: &FrameDelta) -> u64 {
-    (delta.removed().len() as u64 + delta.inserted().len() as u64) * 4 + 16
+/// `values` at each of `ids`, allocated to exactly `ids.len()`; `None` when
+/// an index is out of range.
+fn gather<T: Copy>(values: &[T], ids: &[u32]) -> Option<Vec<T>> {
+    let mut out = Vec::with_capacity(ids.len());
+    for &i in ids {
+        out.push(*values.get(i as usize)?);
+    }
+    Some(out)
 }
 
-/// The sender side of the delta-stream protocol: holds a frame sequence and
-/// serves keyframes, single-step deltas, and gap-spanning deltas spliced
-/// with [`FrameDelta::compose`]. History is bounded by a
+/// Positions and optional colors of one rebuilt frame.
+type Frame = (Vec<Point3>, Option<Vec<Color>>);
+
+/// One retained transition, frame `s` → frame `s + 1`, kept as what it
+/// takes to undo it: the delta's parts and the values of the points it
+/// removed. The survivor map is not kept — [`FrameDelta::from_parts`]
+/// rebuilds it in `O(n)` whenever a message needs it.
+#[derive(Debug, Clone)]
+struct Step {
+    old_len: usize,
+    new_len: usize,
+    /// Old-frame indices of the removed points, ascending.
+    removed: Vec<u32>,
+    /// New-frame indices of the inserted points, ascending.
+    inserted: Vec<u32>,
+    /// Positions of the removed points, in `removed` order.
+    removed_positions: Vec<Point3>,
+    /// Colors that restore the older frame: the removed points' colors, or
+    /// the older frame's whole color array when the newer frame carries
+    /// none (then survivors have no colors to ride back on). `None` when
+    /// the older frame is colorless. The two cases have the same length
+    /// only when every point was removed, and then they are equal.
+    old_colors: Option<Vec<Color>>,
+    /// [`geometry_digest`] of the newer frame, recorded when it was pushed.
+    digest: u64,
+}
+
+impl Step {
+    /// Records the transition `old` → `new` described by `delta`.
+    fn new(old: &PointCloud, new: &PointCloud, delta: &FrameDelta, digest: u64) -> Self {
+        // A trusted delta may not fit `old`: out-of-range removals leave the
+        // vectors empty, so the step fails to undo instead of panicking.
+        let old_colors = old.colors().map(|cs| match new.colors() {
+            Some(_) => gather(cs, delta.removed()).unwrap_or_default(),
+            None => cs.to_vec(),
+        });
+        Self {
+            old_len: delta.old_len(),
+            new_len: delta.new_len(),
+            removed: delta.removed().to_vec(),
+            inserted: delta.inserted().to_vec(),
+            removed_positions: gather(old.positions(), delta.removed()).unwrap_or_default(),
+            old_colors,
+            digest,
+        }
+    }
+
+    /// Bytes this step holds: the record itself plus its four vectors
+    /// (each allocated to its exact length).
+    fn bytes(&self) -> u64 {
+        let vecs = (self.removed.len() + self.inserted.len()) * 4
+            + self.removed_positions.len() * 12
+            + self.old_colors.as_ref().map_or(0, |c| c.len() * 3);
+        (vecs + std::mem::size_of::<Self>()) as u64
+    }
+
+    /// The forward delta, older frame → newer frame.
+    fn forward(&self) -> Option<FrameDelta> {
+        FrameDelta::from_parts(
+            self.old_len,
+            self.new_len,
+            self.removed.clone(),
+            self.inserted.clone(),
+        )
+    }
+
+    /// Rebuilds the older frame from the newer one. `None` when the step
+    /// does not fit `frame` (only possible after a wrong trusted delta).
+    fn undo(&self, frame: Frame) -> Option<Frame> {
+        let inverse = FrameDelta::from_parts(
+            self.new_len,
+            self.old_len,
+            self.inserted.clone(),
+            self.removed.clone(),
+        )?;
+        let positions = inverse.apply(&frame.0, &self.removed_positions)?;
+        let colors = match &self.old_colors {
+            None => None,
+            Some(all) if all.len() == self.old_len => Some(all.clone()),
+            Some(removed) => Some(inverse.apply(frame.1.as_deref()?, removed)?),
+        };
+        Some((positions, colors))
+    }
+}
+
+/// The sender side of the delta-stream protocol: serves keyframes,
+/// single-step deltas, and gap-spanning deltas spliced with
+/// [`FrameDelta::compose`].
+///
+/// Only the newest frame is held whole. Each older retained frame is one
+/// [`Step`] behind it: the transition's delta parts plus the positions and
+/// colors of the points it removed, so undoing steps back from the head
+/// rebuilds any retained frame bit for bit. Paced callers only ever ask
+/// for the head, which is served directly. Every frame's digest is
+/// recorded when it is pushed and carried by every message for it, never
+/// recomputed from a rebuilt frame. History is bounded by a
 /// [`RetentionPolicy`]: frames older than the window are dropped and any
 /// delta request based on them falls back to a keyframe.
 #[derive(Debug, Clone)]
 pub struct DeltaServer {
-    frames: VecDeque<PointCloud>,
-    /// `deltas[i]`: frame `base_seq + i` → frame `base_seq + i + 1`.
-    deltas: VecDeque<FrameDelta>,
+    /// The newest frame, whole (`None` until the first push).
+    head: Option<PointCloud>,
+    /// `steps[i]`: frame `base_seq + i` → frame `base_seq + i + 1`.
+    steps: VecDeque<Step>,
+    /// Digest of the oldest retained frame, recorded when it was pushed.
+    base_digest: u64,
     /// Sequence number of the oldest retained frame.
     base_seq: u64,
     retention: RetentionPolicy,
-    /// Running estimate of retained payload bytes (frames + deltas).
-    retained_bytes: u64,
+    /// Running sum of [`Step::bytes`] over `steps`.
+    step_bytes: u64,
 }
 
 impl DeltaServer {
@@ -436,69 +538,71 @@ impl DeltaServer {
     }
 
     /// Builds a server over a frame sequence with a retention bound
-    /// (enforced immediately, so an over-bound seed sequence is trimmed to
-    /// its newest frames).
+    /// (enforced as the frames are pushed, so an over-bound seed sequence
+    /// is trimmed to its newest frames).
     pub fn with_retention(frames: Vec<PointCloud>, retention: RetentionPolicy) -> Self {
-        let deltas: VecDeque<FrameDelta> = frames
-            .windows(2)
-            .map(|w| FrameDelta::diff(w[0].positions(), w[1].positions()))
-            .collect();
-        let retained_bytes = frames.iter().map(frame_bytes).sum::<u64>()
-            + deltas.iter().map(delta_bytes).sum::<u64>();
         let mut server = Self {
-            frames: frames.into(),
-            deltas,
+            head: None,
+            steps: VecDeque::new(),
+            base_digest: 0,
             base_seq: 0,
             retention,
-            retained_bytes,
+            step_bytes: 0,
         };
-        server.enforce_retention();
+        for frame in frames {
+            server.push_frame(frame);
+        }
         server
     }
 
-    /// Appends the next frame, diffing it against the newest retained one,
+    /// Appends the next frame, diffing it against the current newest one,
     /// then enforces the retention bound.
     pub fn push_frame(&mut self, frame: PointCloud) {
         let delta = self
-            .frames
-            .back()
-            .map(|last| FrameDelta::diff(last.positions(), frame.positions()));
+            .head
+            .as_ref()
+            .map(|head| FrameDelta::diff(head.positions(), frame.positions()));
         self.push_frame_inner(frame, delta);
     }
 
     /// Appends the next frame with a precomputed delta from the current
     /// newest frame (e.g. straight from the capture pipeline), skipping the
-    /// diff. The delta is trusted — receivers re-verify every reconstructed
-    /// frame against its digest anyway, so a wrong delta is detected at the
-    /// edge, not here.
+    /// diff. The delta is trusted, not checked: receivers re-verify every
+    /// reconstructed frame against its digest, so a wrong delta is detected
+    /// at the edge. That only holds because the digest is taken from the
+    /// pushed frame here, at push time — older frames are rebuilt through
+    /// the stored deltas, and a digest recomputed from such a rebuild would
+    /// vouch for whatever the wrong delta produced.
     pub fn push_frame_with_delta(&mut self, frame: PointCloud, delta: FrameDelta) {
-        let delta = self.frames.back().map(|_| delta);
+        let delta = self.head.as_ref().map(|_| delta);
         self.push_frame_inner(frame, delta);
     }
 
     fn push_frame_inner(&mut self, frame: PointCloud, delta: Option<FrameDelta>) {
-        if let Some(delta) = delta {
-            self.retained_bytes += delta_bytes(&delta);
-            self.deltas.push_back(delta);
+        let digest = frame.geometry_digest();
+        match (self.head.take(), delta) {
+            (Some(old), Some(delta)) => {
+                let step = Step::new(&old, &frame, &delta, digest);
+                self.step_bytes += step.bytes();
+                self.steps.push_back(step);
+            }
+            _ => self.base_digest = digest,
         }
-        self.retained_bytes += frame_bytes(&frame);
-        self.frames.push_back(frame);
+        self.head = Some(frame);
         self.enforce_retention();
     }
 
-    /// Drops oldest frames until both retention bounds hold (always keeps
-    /// at least one frame so the stream head stays servable).
+    /// Drops the oldest steps until both retention bounds hold (the head
+    /// always stays, so the stream head stays servable).
     fn enforce_retention(&mut self) {
-        while self.frames.len() > 1
-            && (self.frames.len() > self.retention.max_frames
-                || self.retained_bytes > self.retention.max_bytes)
+        while self.retained_frames() > self.retention.max_frames
+            || (!self.steps.is_empty() && self.retained_bytes() > self.retention.max_bytes)
         {
-            if let Some(frame) = self.frames.pop_front() {
-                self.retained_bytes -= frame_bytes(&frame);
-            }
-            if let Some(delta) = self.deltas.pop_front() {
-                self.retained_bytes -= delta_bytes(&delta);
-            }
+            let Some(step) = self.steps.pop_front() else {
+                break;
+            };
+            self.step_bytes -= step.bytes();
+            self.base_digest = step.digest;
             self.base_seq += 1;
         }
     }
@@ -506,7 +610,7 @@ impl DeltaServer {
     /// Total frames the stream has produced (retained or dropped): the
     /// next pushed frame gets sequence number `frame_count()`.
     pub fn frame_count(&self) -> usize {
-        self.base_seq as usize + self.frames.len()
+        self.base_seq as usize + self.retained_frames()
     }
 
     /// Sequence number of the oldest frame still retained.
@@ -514,36 +618,66 @@ impl DeltaServer {
         self.base_seq
     }
 
-    /// Number of frames currently retained.
+    /// Number of frames currently retained (the head plus one per step).
     pub fn retained_frames(&self) -> usize {
-        self.frames.len()
+        self.head.as_ref().map_or(0, |_| 1 + self.steps.len())
     }
 
-    /// Estimated bytes of retained history (frame payloads + delta parts).
+    /// Bytes the origin holds: the head frame's positions and colors plus
+    /// every step's record and vectors. This is what
+    /// [`RetentionPolicy::max_bytes`] caps.
     pub fn retained_bytes(&self) -> u64 {
-        self.retained_bytes
+        self.head.as_ref().map_or(0, frame_bytes) + self.step_bytes
     }
 
-    /// The true frame at `seq` (ground truth for bit-identity checks).
-    /// `None` once it has aged out of the retention window.
-    pub fn frame(&self, seq: u64) -> Option<&PointCloud> {
-        self.frames.get(seq.checked_sub(self.base_seq)? as usize)
+    /// Offset of `seq` into the window, `None` outside it.
+    fn offset(&self, seq: u64) -> Option<usize> {
+        let offset = seq.checked_sub(self.base_seq)? as usize;
+        (offset < self.retained_frames()).then_some(offset)
+    }
+
+    /// Digest of the frame at window offset `offset`, as recorded at push.
+    fn digest_at(&self, offset: usize) -> u64 {
+        match offset {
+            0 => self.base_digest,
+            i => self.steps[i - 1].digest,
+        }
+    }
+
+    /// Rebuilds the frame at window offset `offset` by undoing the steps
+    /// after it, newest first.
+    fn rebuild(&self, offset: usize) -> Option<Frame> {
+        let head = self.head.as_ref()?;
+        let frame = (
+            head.positions().to_vec(),
+            head.colors().map(<[Color]>::to_vec),
+        );
+        self.steps
+            .range(offset..)
+            .rev()
+            .try_fold(frame, |frame, step| step.undo(frame))
+    }
+
+    /// The frame at `seq` (ground truth for bit-identity checks), rebuilt
+    /// from the head when it is older. `None` once it has aged out of the
+    /// retention window.
+    pub fn frame(&self, seq: u64) -> Option<PointCloud> {
+        let (positions, colors) = self.rebuild(self.offset(seq)?)?;
+        Some(build_cloud(positions, colors))
     }
 
     /// Encodes the keyframe message for `seq`. Returns `None` past the end
     /// of the sequence or behind the retention window.
     pub fn keyframe_message(&self, seq: u64) -> Option<Vec<u8>> {
-        let frame = self.frame(seq)?;
-        let positions = frame.positions().to_vec();
-        let colors = frame.colors().map(<[Color]>::to_vec);
-        let digest = geometry_digest(&positions);
+        let offset = self.offset(seq)?;
+        let (positions, colors) = self.rebuild(offset)?;
         Some(
             FrameMessage {
                 seq,
                 body: MessageBody::Keyframe {
                     positions,
                     colors,
-                    digest,
+                    digest: self.digest_at(offset),
                 },
             }
             .encode(),
@@ -556,29 +690,28 @@ impl DeltaServer {
     /// out of bounds, inverted, or starts before the retention window (the
     /// caller falls back to [`Self::keyframe_message`]).
     pub fn delta_message(&self, base_seq: u64, seq: u64) -> Option<Vec<u8>> {
-        let from = base_seq.checked_sub(self.base_seq)? as usize;
-        let to = seq.checked_sub(self.base_seq)? as usize;
-        if from >= to || to >= self.frames.len() {
+        let from = self.offset(base_seq)?;
+        let to = self.offset(seq)?;
+        if from >= to {
             return None;
         }
-        let mut delta = self.deltas[from].clone();
-        for step in self.deltas.iter().skip(from + 1).take(to - from - 1) {
-            delta = delta.compose(step)?;
+        let mut delta = self.steps[from].forward()?;
+        for step in self.steps.range(from + 1..to) {
+            delta = delta.compose(&step.forward()?)?;
         }
-        let target = self.frames[to].positions();
-        let inserted: Vec<Point3> = delta
-            .inserted()
-            .iter()
-            .map(|&i| target[i as usize])
-            .collect();
-        let inserted_colors = self.frames[to].colors().map(|cs| {
-            delta
-                .inserted()
-                .iter()
-                .map(|&i| cs[i as usize])
-                .collect::<Vec<Color>>()
-        });
-        let digest = geometry_digest(target);
+        let rebuilt;
+        let (positions, colors) = if to + 1 == self.retained_frames() {
+            let head = self.head.as_ref()?;
+            (head.positions(), head.colors())
+        } else {
+            rebuilt = self.rebuild(to)?;
+            (&rebuilt.0[..], rebuilt.1.as_deref())
+        };
+        let inserted = gather(positions, delta.inserted())?;
+        let inserted_colors = match colors {
+            Some(cs) => Some(gather(cs, delta.inserted())?),
+            None => None,
+        };
         Some(
             FrameMessage {
                 seq,
@@ -587,7 +720,7 @@ impl DeltaServer {
                     delta,
                     inserted,
                     inserted_colors,
-                    digest,
+                    digest: self.digest_at(to),
                 },
             }
             .encode(),
@@ -1594,6 +1727,108 @@ mod tests {
         // one inside the window still splices.
         assert!(server.delta_message(0, head).is_none());
         assert!(server.delta_message(server.base_seq(), head).is_some());
+    }
+
+    #[test]
+    fn retained_bytes_counts_the_head_and_every_step_vector() {
+        let f = frames(400, 6, 0.2, 29);
+        let server = DeltaServer::new(f.clone());
+        let head = &f[5];
+        let mut expected = head.len() as u64 * (12 + 3);
+        for w in f.windows(2) {
+            let d = FrameDelta::diff(w[0].positions(), w[1].positions());
+            let (r, i) = (d.removed().len() as u64, d.inserted().len() as u64);
+            // Indices (4 B each), removed positions (12 B) and colors (3 B),
+            // plus the step record holding them.
+            expected += (r + i) * 4 + r * 12 + r * 3 + std::mem::size_of::<Step>() as u64;
+        }
+        assert_eq!(server.retained_frames(), 6);
+        assert_eq!(server.retained_bytes(), expected);
+    }
+
+    #[test]
+    fn origin_footprint_stays_a_fraction_of_its_frames() {
+        let f = frames(4096, 29, 0.1, 31);
+        assert!(f[0].colors().is_some());
+        let mut server =
+            DeltaServer::with_retention(f[..1].to_vec(), RetentionPolicy::last_frames(32));
+        for frame in &f[1..] {
+            server.push_frame(frame.clone());
+        }
+        assert_eq!(server.retained_frames(), 29);
+        let budget = 28 * frame_bytes(&f[0]) / 4;
+        assert!(
+            server.retained_bytes() <= budget,
+            "origin holds {} bytes, budget {budget}",
+            server.retained_bytes()
+        );
+        for (seq, frame) in f.iter().enumerate() {
+            assert_eq!(server.frame(seq as u64).as_ref(), Some(frame), "seq {seq}");
+        }
+    }
+
+    #[test]
+    fn wrong_trusted_delta_is_caught_by_the_pushed_digest() {
+        let f = frames(300, 4, 0.2, 37);
+        let truth = FrameDelta::diff(f[1].positions(), f[2].positions());
+        // Stale but structurally valid: frame 0 → 1 declared for 1 → 2.
+        let wrong = FrameDelta::diff(f[0].positions(), f[1].positions());
+        assert_eq!(
+            (wrong.old_len(), wrong.new_len()),
+            (truth.old_len(), truth.new_len())
+        );
+        assert_ne!(wrong, truth);
+        let digest_of = |msg: Vec<u8>| match FrameMessage::decode(&msg).unwrap().body {
+            MessageBody::Keyframe { digest, .. } | MessageBody::Delta { digest, .. } => digest,
+        };
+        let trace = NetworkTrace::stable(80.0, 120.0);
+        let mut link = FaultyLink::new(SimulatedLink::new(&trace), FaultConfig::lossless(), 1);
+
+        // A paced receiver: frames 0 and 1 arrive clean, frame 2 only
+        // through the keyframe rung, frame 3 clean again.
+        let mut server = DeltaServer::new(f[..2].to_vec());
+        let mut receiver = ResilientReceiver::new(RetryPolicy::default(), 0);
+        let mut deliver = |server: &DeltaServer, receiver: &mut ResilientReceiver, seq: u64| {
+            let frame = receiver.recover(server, &mut link, seq).unwrap();
+            assert_eq!(frame.positions, f[seq as usize].positions(), "seq {seq}");
+            receiver.commit(frame, seq);
+        };
+        deliver(&server, &mut receiver, 0);
+        deliver(&server, &mut receiver, 1);
+        server.push_frame_with_delta(f[2].clone(), wrong);
+        assert_eq!(
+            digest_of(server.keyframe_message(2).unwrap()),
+            f[2].geometry_digest()
+        );
+        assert_eq!(
+            digest_of(server.delta_message(1, 2).unwrap()),
+            f[2].geometry_digest()
+        );
+        deliver(&server, &mut receiver, 2);
+        let stats = receiver.stats();
+        assert!(stats.integrity_failures > 0, "{stats:?}");
+        assert_eq!(stats.recovered_keyframe, 1, "{stats:?}");
+        server.push_frame(f[3].clone());
+        deliver(&server, &mut receiver, 3);
+
+        // Every retained seq, head or rebuilt through the wrong step,
+        // carries the digest of the frame that was pushed.
+        for seq in 0..4u64 {
+            let pushed = f[seq as usize].geometry_digest();
+            assert_eq!(digest_of(server.keyframe_message(seq).unwrap()), pushed);
+            for base in 0..seq {
+                assert_eq!(digest_of(server.delta_message(base, seq).unwrap()), pushed);
+            }
+        }
+        // A cold receiver asking for an older seq either gets the pushed
+        // frame or counts the corruption; it never gets another frame.
+        for seq in 0..4u64 {
+            let mut cold = ResilientReceiver::new(RetryPolicy::default(), 0);
+            match cold.recover(&server, &mut link, seq) {
+                Ok(frame) => assert_eq!(frame.positions, f[seq as usize].positions()),
+                Err(_) => assert!(cold.stats().integrity_failures > 0, "seq {seq}"),
+            }
+        }
     }
 
     #[test]

@@ -693,7 +693,9 @@ pub struct SessionMemory {
     pub refined: usize,
     /// The session's current input frame.
     pub frame_cloud: usize,
-    /// Frames a resilient-ingest origin retains for catch-up deltas.
+    /// What a resilient-ingest origin holds for catch-up deltas: its
+    /// newest frame plus one undo step per older retained frame
+    /// ([`DeltaServer::retained_bytes`]).
     pub retention: usize,
     /// The tenant record itself.
     pub fixed: usize,
@@ -722,7 +724,10 @@ impl SessionMemory {
     }
 }
 
-/// Memory accounting of a running server (see the `server_scaling` bench).
+/// Memory accounting of a running server, from [`SrServer::memory_stats`].
+/// The benchmark ledger reports `bytes_per_session` as
+/// `server.bytes_per_session`; `examples/multi_tenant_server.rs` prints the
+/// split by component.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct ServerMemoryStats {
     /// Active sessions measured.
@@ -730,8 +735,7 @@ pub struct ServerMemoryStats {
     /// Bytes held once for all sessions (registry tables + networks).
     pub registry_bytes: usize,
     /// Total bytes across per-session state (cached index/rows/outputs,
-    /// frame clouds, retention, and — in the cloned baseline — per-session
-    /// table copies).
+    /// frame clouds, origin retention).
     pub session_bytes_total: usize,
     /// `session_bytes_total / sessions` (0 when idle).
     pub bytes_per_session: f64,

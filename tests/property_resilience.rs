@@ -3,20 +3,25 @@
 //! corruption — bursty or independent) the resilient session's output must
 //! be **bit-identical** to an always-clean session for every delivered
 //! frame, and a wrong (cache-poisoning) delta declaration must always be
-//! detected before it can influence any output. The CI chaos job runs this
-//! file with a pinned seed set plus one rotating `CHAOS_SEED` (logged on
-//! failure); the feature matrix runs it under both scalar and SIMD kernels.
+//! detected before it can influence any output. The origin itself is held
+//! to an oracle: every frame it still retains, and every delta between
+//! two of them, must rebuild the frame that was pushed, bit for bit. The
+//! CI chaos job runs this file with a pinned seed set plus one rotating
+//! `CHAOS_SEED` (logged on failure); the feature matrix runs it under both
+//! scalar and SIMD kernels.
 
 use proptest::prelude::*;
 use volut::core::refine::IdentityRefiner;
 use volut::core::{SrConfig, SrPipeline};
 use volut::pointcloud::delta::FrameDelta;
 use volut::pointcloud::synthetic::{self, DeltaStreamConfig};
-use volut::pointcloud::PointCloud;
+use volut::pointcloud::{Color, Point3, PointCloud};
 use volut::stream::client::SrSession;
 use volut::stream::faults::{FaultConfig, FaultyLink};
 use volut::stream::link::SimulatedLink;
-use volut::stream::resilience::{DeltaServer, ResilientSession, RetryPolicy};
+use volut::stream::resilience::{
+    DeltaServer, FrameMessage, MessageBody, ResilientSession, RetentionPolicy, RetryPolicy,
+};
 use volut::stream::trace::NetworkTrace;
 
 /// Extra seed rotated by CI (`CHAOS_SEED=<run id>`); 0 when unset so local
@@ -41,6 +46,122 @@ fn churned_frames(n: usize, frames: usize, churn: f64, seed: u64) -> Vec<PointCl
             seed,
         },
     )
+}
+
+/// splitmix64 finalizer: a cheap deterministic hash for per-frame choices.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Colour handling of an origin oracle stream.
+#[derive(Debug, Clone, Copy)]
+enum Colors {
+    Kept,
+    Dropped,
+    /// Present on some frames and absent on others.
+    Mixed,
+}
+
+/// Reshapes a churned sequence for the origin oracle: optionally drops a
+/// few trailing points and appends a few fresh ones per frame (so frame
+/// sizes change), and keeps, drops or alternates the colours.
+fn reshaped(frames: Vec<PointCloud>, resize: bool, colors: Colors, seed: u64) -> Vec<PointCloud> {
+    frames
+        .into_iter()
+        .enumerate()
+        .map(|(i, frame)| {
+            let h = mix(seed ^ (i as u64) << 32);
+            let mut positions = frame.positions().to_vec();
+            let mut palette = frame.colors().map(<[Color]>::to_vec);
+            if resize {
+                let span = positions.len() / 5 + 1;
+                let keep = positions.len() - (h as usize % span);
+                let extra = (h >> 20) as usize % span;
+                positions.truncate(keep);
+                let fresh: Vec<Point3> = positions[..extra.min(keep)]
+                    .iter()
+                    .map(|p| Point3::new(p.x + 2.0 + i as f32, p.y, p.z))
+                    .collect();
+                let added = fresh.len();
+                positions.extend(fresh);
+                if let Some(cs) = palette.as_mut() {
+                    cs.truncate(keep);
+                    cs.extend((0..added).map(|j| Color::new(i as u8, j as u8, 7)));
+                }
+            }
+            let colored = match colors {
+                Colors::Kept => true,
+                Colors::Dropped => false,
+                Colors::Mixed => (h >> 40) & 1 == 0,
+            };
+            match palette.filter(|_| colored) {
+                Some(cs) => PointCloud::from_positions_and_colors(positions, cs).unwrap(),
+                None => PointCloud::from_positions(positions),
+            }
+        })
+        .collect()
+}
+
+/// Checks everything `server` serves against the frames that were pushed.
+fn check_origin(server: &DeltaServer, pushed: &[PointCloud]) {
+    let window = server.base_seq()..server.frame_count() as u64;
+    assert_eq!(server.frame_count(), pushed.len());
+    for seq in 0..window.start {
+        assert!(
+            server.frame(seq).is_none(),
+            "evicted seq {seq} still served"
+        );
+        assert!(server.keyframe_message(seq).is_none());
+        assert!(server.delta_message(seq, window.end - 1).is_none());
+    }
+    for seq in window.clone() {
+        let truth = &pushed[seq as usize];
+        assert_eq!(server.frame(seq).as_ref(), Some(truth), "frame({seq})");
+        let msg = FrameMessage::decode(&server.keyframe_message(seq).unwrap()).unwrap();
+        assert_eq!(msg.seq, seq);
+        let MessageBody::Keyframe {
+            positions,
+            colors,
+            digest,
+        } = msg.body
+        else {
+            panic!("keyframe {seq} is a delta");
+        };
+        assert_eq!(&positions[..], truth.positions(), "keyframe {seq}");
+        assert_eq!(colors.as_deref(), truth.colors(), "keyframe {seq}");
+        assert_eq!(digest, truth.geometry_digest());
+        for base in window.start..seq {
+            let from = &pushed[base as usize];
+            let msg = FrameMessage::decode(&server.delta_message(base, seq).unwrap()).unwrap();
+            assert_eq!(msg.seq, seq);
+            let MessageBody::Delta {
+                base_seq,
+                delta,
+                inserted,
+                inserted_colors,
+                digest,
+            } = msg.body
+            else {
+                panic!("delta {base}->{seq} is a keyframe");
+            };
+            assert_eq!(base_seq, base);
+            assert_eq!(digest, truth.geometry_digest());
+            let positions = delta.apply(from.positions(), &inserted);
+            assert_eq!(
+                positions.as_deref(),
+                Some(truth.positions()),
+                "delta {base}->{seq}"
+            );
+            assert_eq!(inserted_colors.is_some(), truth.colors().is_some());
+            if let (Some(old), Some(ins)) = (from.colors(), inserted_colors.as_deref()) {
+                let colors = delta.apply(old, ins);
+                assert_eq!(colors.as_deref(), truth.colors(), "delta {base}->{seq}");
+            }
+        }
+    }
 }
 
 fn session(naive: bool) -> SrSession {
@@ -136,5 +257,58 @@ proptest! {
         let again = poisoned.upsample_frame(&frames[2], 2.0).unwrap();
         let fresh = session(use_naive).upsample_frame(&frames[2], 2.0).unwrap();
         prop_assert_eq!(&again.cloud, &fresh.cloud);
+    }
+
+    /// The pushed frames are the oracle: after every push, every retained
+    /// seq and every in-window (base, target) pair must rebuild them bit
+    /// for bit. Each case runs every churn × colour × resize × bound
+    /// combination at one random size, window and seed.
+    #[test]
+    fn origin_serves_every_retained_frame_bit_for_bit(
+        n in 30usize..260,
+        window in 1usize..7,
+        seed in 0u64..10_000,
+    ) {
+        let seed = seed ^ chaos_seed();
+        println!("origin oracle case: n {n}, window {window}, seed {seed} (CHAOS_SEED {})", chaos_seed());
+        for churn in [0.0, 0.05, 0.2, 0.6] {
+            for colors in [Colors::Kept, Colors::Dropped, Colors::Mixed] {
+                for resize in [false, true] {
+                    let frames = reshaped(churned_frames(n, 10, churn, seed), resize, colors, seed);
+                    for byte_cap in [false, true] {
+                        // The byte cap fits the head plus roughly `window`
+                        // steps at 10 % churn, so it evicts at different
+                        // depths as the churn varies.
+                        let retention = if byte_cap {
+                            RetentionPolicy {
+                                max_frames: usize::MAX,
+                                max_bytes: (n * 15 + window * n * 4) as u64,
+                            }
+                        } else {
+                            RetentionPolicy::last_frames(window)
+                        };
+                        let mut server = DeltaServer::with_retention(Vec::new(), retention);
+                        for (i, frame) in frames.iter().enumerate() {
+                            server.push_frame(frame.clone());
+                            check_origin(&server, &frames[..=i]);
+                            if byte_cap {
+                                prop_assert!(
+                                    server.retained_bytes() <= retention.max_bytes
+                                        || server.retained_frames() == 1
+                                );
+                            } else {
+                                prop_assert_eq!(server.retained_frames(), window.min(i + 1));
+                            }
+                        }
+                        // Both bounds really evict (the byte cap once steps
+                        // outweigh the slack it leaves).
+                        prop_assert!(
+                            server.base_seq() > 0 || (byte_cap && churn < 0.2),
+                            "nothing evicted"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
