@@ -145,7 +145,7 @@ impl OpCounts {
 pub struct IndexCacheStats {
     /// Frames that paid a full index rebuild.
     pub rebuilds: u64,
-    /// Frames served from the cached index (matched generation or content).
+    /// Frames served from the cached index (matched content).
     pub reuses: u64,
     /// Frames whose index was incrementally patched for a frame delta
     /// ([`KdTree::patch`]) instead of rebuilt.
@@ -168,16 +168,12 @@ pub struct IndexCacheStats {
 /// Streaming sessions repeatedly upsample frames whose geometry is often
 /// unchanged (static chunks, paused playback, repeated calibration frames).
 /// The cache keeps the k-d tree built for the previous frame and revalidates
-/// it per frame, in one of two ways:
-/// * **generation match** — when the caller declared a geometry generation
-///   (see [`FrameScratch::set_geometry_generation`]) and it equals the one
-///   the tree was built from, the tree is trusted outright (O(1));
-/// * **content match** — otherwise the cached tree's own point copy is
-///   compared against the frame positions (a linear memcmp-speed scan, two
-///   orders of magnitude cheaper than the O(n log n) rebuild it avoids).
+/// it per frame by content: the cached tree's own point copy is compared
+/// against the frame positions (a linear memcmp-speed scan, two orders of
+/// magnitude cheaper than the O(n log n) rebuild it avoids).
 ///
-/// Either way a hit skips both the `positions().to_vec()` clone and the
-/// rebuild. The content check itself is two-tier: a memoized 64-bit
+/// A hit skips both the `positions().to_vec()` clone and the rebuild. The
+/// content check is two-tier: a memoized 64-bit
 /// geometry digest ([`PointCloud::geometry_digest`]) is compared first, so
 /// mismatched frames short-circuit without scanning the cloud, and only a
 /// digest match pays the element-wise verify (which also guards against
@@ -192,7 +188,6 @@ pub struct IndexCacheStats {
 pub struct IndexCache {
     tree: KdTree,
     built: bool,
-    built_generation: Option<u64>,
     built_digest: u64,
     /// Cumulative churn absorbed by patches since the last full build.
     patched_churn: usize,
@@ -208,21 +203,10 @@ pub struct IndexCache {
 pub const PATCH_REBUILD_FRACTION: f64 = 0.5;
 
 impl IndexCache {
-    /// `true` when the cached tree already indexes `positions` — by
-    /// declared generation (O(1)) or by digest-then-content comparison.
-    pub(crate) fn is_fresh(
-        &self,
-        positions: &[Point3],
-        generation: Option<u64>,
-        digest: u64,
-    ) -> bool {
-        if !self.built {
-            return false;
-        }
-        let trusted = generation.is_some()
-            && generation == self.built_generation
-            && self.tree.points().len() == positions.len();
-        trusted || (self.built_digest == digest && self.tree.points() == positions)
+    /// `true` when the cached tree already indexes `positions`, by
+    /// digest-then-content comparison.
+    pub(crate) fn is_fresh(&self, positions: &[Point3], digest: u64) -> bool {
+        self.built && self.built_digest == digest && self.tree.points() == positions
     }
 
     /// Identifies the current content of the tree (see the field docs).
@@ -235,24 +219,16 @@ impl IndexCache {
         self.built && self.version == version
     }
 
-    /// Counts a cache hit, records the caller's generation declaration for
-    /// the next frame's O(1) check, and returns the cached tree.
-    pub(crate) fn reuse(&mut self, generation: Option<u64>) -> &KdTree {
-        self.built_generation = generation;
+    /// Counts a cache hit and returns the cached tree.
+    pub(crate) fn reuse(&mut self) -> &KdTree {
         self.stats.reuses += 1;
         &self.tree
     }
 
     /// Rebuilds the index over `positions` in place.
-    pub(crate) fn rebuild(
-        &mut self,
-        positions: &[Point3],
-        generation: Option<u64>,
-        digest: u64,
-    ) -> &KdTree {
+    pub(crate) fn rebuild(&mut self, positions: &[Point3], digest: u64) -> &KdTree {
         self.tree.build_in(positions);
         self.built = true;
-        self.built_generation = generation;
         self.built_digest = digest;
         self.patched_churn = 0;
         self.version += 1;
@@ -268,21 +244,19 @@ impl IndexCache {
     pub(crate) fn patch(
         &mut self,
         positions: &[Point3],
-        generation: Option<u64>,
         digest: u64,
         delta: &FrameDelta,
         scratch: &mut PatchScratch,
     ) -> &KdTree {
         if !self.built || self.tree.points().len() != delta.old_len() {
-            return self.rebuild(positions, generation, digest);
+            return self.rebuild(positions, digest);
         }
         self.patched_churn += delta.removed().len().max(delta.inserted().len());
         let budget = (positions.len().max(1) as f64 * PATCH_REBUILD_FRACTION) as usize;
         if self.patched_churn > budget {
-            return self.rebuild(positions, generation, digest);
+            return self.rebuild(positions, digest);
         }
         self.tree.patch_with(delta, positions, scratch);
-        self.built_generation = generation;
         self.built_digest = digest;
         self.version += 1;
         self.stats.patches += 1;
@@ -296,20 +270,14 @@ impl IndexCache {
         &self.tree
     }
 
-    /// Returns the cached tree for `positions`, rebuilding it only when
-    /// neither the declared `generation` nor the indexed content (digest
-    /// first, then element-wise) matches. The second element reports
-    /// whether a rebuild happened.
-    pub(crate) fn get_or_build(
-        &mut self,
-        positions: &[Point3],
-        generation: Option<u64>,
-        digest: u64,
-    ) -> (&KdTree, bool) {
-        if self.is_fresh(positions, generation, digest) {
-            (self.reuse(generation), false)
+    /// Returns the cached tree for `positions`, rebuilding it only when the
+    /// indexed content (digest first, then element-wise) does not match.
+    /// The second element reports whether a rebuild happened.
+    pub(crate) fn get_or_build(&mut self, positions: &[Point3], digest: u64) -> (&KdTree, bool) {
+        if self.is_fresh(positions, digest) {
+            (self.reuse(), false)
         } else {
-            (self.rebuild(positions, generation, digest), true)
+            (self.rebuild(positions, digest), true)
         }
     }
 
@@ -321,7 +289,6 @@ impl IndexCache {
     /// Drops the cached index (the next frame rebuilds unconditionally).
     pub fn invalidate(&mut self) {
         self.built = false;
-        self.built_generation = None;
     }
 }
 
@@ -368,9 +335,6 @@ pub struct FrameScratch {
     /// temporal-coherence layer that turns delta frames into `O(churn)`
     /// work (see [`temporal`]).
     pub(crate) temporal: temporal::TemporalCache,
-    /// Caller-declared geometry generation for the next frame(s); `None`
-    /// means "unknown", which falls back to content verification.
-    pub(crate) geometry_generation: Option<u64>,
     /// The arena of the pipeline frame in flight, parked here between its
     /// stages so the interpolator (reached through the arena-blind
     /// [`Interpolator`] signature) and the refinement stage share it.
@@ -429,21 +393,6 @@ impl FrameScratch {
             Some(arena) => arena.neighborhoods = Some(neighborhoods),
             None => FrameArena::adopt_neighborhoods(neighborhoods),
         }
-    }
-
-    /// Declares the geometry generation of the frames that follow. When it
-    /// matches the generation the cached index was built from, the per-frame
-    /// content check is skipped entirely; bump the value (or call
-    /// [`Self::clear_geometry_generation`]) whenever the frame geometry
-    /// changes. Stale declarations are the caller's responsibility — an
-    /// unchanged generation over changed geometry reuses the old index.
-    pub fn set_geometry_generation(&mut self, generation: u64) {
-        self.geometry_generation = Some(generation);
-    }
-
-    /// Reverts to content-verified index caching (the safe default).
-    pub fn clear_geometry_generation(&mut self) {
-        self.geometry_generation = None;
     }
 
     /// Usage counters of the session's index cache, including the

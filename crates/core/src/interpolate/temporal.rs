@@ -486,7 +486,6 @@ pub(crate) fn self_join(
     let positions = low.positions();
     let n = positions.len();
     let digest = low.geometry_digest();
-    let generation = scratch.geometry_generation;
     let FrameScratch {
         index, temporal: t, ..
     } = scratch;
@@ -515,8 +514,8 @@ pub(crate) fn self_join(
     // --- Unchanged frame: cached index, and (when available) every cached
     // row reused wholesale.
     let t0 = Instant::now();
-    if index.is_fresh(positions, generation, digest) {
-        index.reuse(generation);
+    if index.is_fresh(positions, digest) {
+        index.reuse();
         timings.index_build += t0.elapsed();
         let t1 = Instant::now();
         if cache_ready && t.digest == digest && index.cached_tree().points() == positions {
@@ -567,7 +566,7 @@ pub(crate) fn self_join(
     let Some(delta) = delta else {
         // The untouched cold path: full rebuild, full sweep.
         let t2 = Instant::now();
-        index.rebuild(positions, generation, digest);
+        index.rebuild(positions, digest);
         timings.index_build += t2.elapsed();
         let t3 = Instant::now();
         index.cached_tree().knn_batch_with(positions, kq, out, knn);
@@ -578,7 +577,7 @@ pub(crate) fn self_join(
     };
 
     let t2 = Instant::now();
-    index.patch(positions, generation, digest, &delta, patch);
+    index.patch(positions, digest, &delta, patch);
     timings.index_build += t2.elapsed();
 
     let t3 = Instant::now();
@@ -1366,14 +1365,14 @@ mod tests {
         let a = synthetic::sphere(500, 1.0, 29);
         let b = synthetic::sphere(500, 1.0, 31);
         let mut cache = IndexCache::default();
-        let (_, rebuilt) = cache.get_or_build(a.positions(), None, a.geometry_digest());
+        let (_, rebuilt) = cache.get_or_build(a.positions(), a.geometry_digest());
         assert!(rebuilt);
         // Same digest + content: reuse.
-        let (_, rebuilt) = cache.get_or_build(a.positions(), None, a.geometry_digest());
+        let (_, rebuilt) = cache.get_or_build(a.positions(), a.geometry_digest());
         assert!(!rebuilt);
         // Different digest: rebuild without a content scan (observable only
         // as a rebuild; the digest gate is what makes it cheap).
-        let (_, rebuilt) = cache.get_or_build(b.positions(), None, b.geometry_digest());
+        let (_, rebuilt) = cache.get_or_build(b.positions(), b.geometry_digest());
         assert!(rebuilt);
         assert_eq!(cache.stats().rebuilds, 2);
         assert_eq!(cache.stats().reuses, 1);

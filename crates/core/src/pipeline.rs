@@ -486,25 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn declared_geometry_generation_skips_content_checks() {
-        let pipeline = SrPipeline::new(SrConfig::default(), Box::new(IdentityRefiner));
-        let frame = synthetic::sphere(400, 1.0, 33);
-        let mut scratch = crate::interpolate::FrameScratch::new();
-        scratch.set_geometry_generation(7);
-        let a = pipeline.upsample_with(&frame, 2.0, &mut scratch).unwrap();
-        let b = pipeline.upsample_with(&frame, 2.0, &mut scratch).unwrap();
-        assert_eq!(a.cloud, b.cloud);
-        assert_eq!(scratch.index_stats().rebuilds, 1);
-        assert_eq!(scratch.index_stats().reuses, 1);
-        // Bumping the generation forces revalidation (content still equal,
-        // so the rebuild is skipped via the content path).
-        scratch.set_geometry_generation(8);
-        let c = pipeline.upsample_with(&frame, 2.0, &mut scratch).unwrap();
-        assert_eq!(a.cloud, c.cloud);
-        assert_eq!(scratch.index_stats().reuses, 2);
-    }
-
-    #[test]
     fn scratch_reuse_across_frames_is_transparent() {
         // A streaming session reuses one FrameScratch for every frame; the
         // results must be bit-identical to fresh-allocation upsampling.

@@ -128,26 +128,6 @@ impl SrSession {
         Ok(result)
     }
 
-    /// [`Self::upsample_frame`] with a caller-declared geometry generation:
-    /// frames sharing a generation with the cached index skip even the
-    /// content check (the O(1) fast path for static chunks whose identity
-    /// the streaming layer already knows). The caller must change the
-    /// generation whenever the frame geometry changes.
-    ///
-    /// # Errors
-    /// Propagates pipeline failures (invalid ratio, insufficient points).
-    pub fn upsample_frame_keyed(
-        &mut self,
-        low: &PointCloud,
-        ratio: f64,
-        geometry_generation: u64,
-    ) -> volut_core::Result<SrResult> {
-        self.scratch.set_geometry_generation(geometry_generation);
-        let result = self.upsample_frame(low, ratio);
-        self.scratch.clear_geometry_generation();
-        result
-    }
-
     /// [`Self::upsample_frame`] for a delta-frame whose change from the
     /// previous frame the streaming layer already knows (chunk scheduling,
     /// delta-encoded transport): the declared [`FrameDelta`] spares the
@@ -544,13 +524,6 @@ mod tests {
             "validation {later_builds:?} vs first build {:?}",
             first.timings.index_build
         );
-
-        // The keyed path trusts the generation without content checks.
-        let keyed = session.upsample_frame_keyed(&frame, 2.0, 42).unwrap();
-        assert_eq!(keyed.cloud, first.cloud);
-        let _ = session.upsample_frame_keyed(&frame, 2.0, 42).unwrap();
-        assert_eq!(session.index_stats().reuses, 6);
-        assert_eq!(session.index_stats().rebuilds, 1);
     }
 
     #[test]

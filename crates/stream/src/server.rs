@@ -50,15 +50,15 @@ use std::time::Instant;
 use serde::Serialize;
 use volut_core::registry::{ContentModel, ModelRegistry};
 use volut_core::SrPipeline;
+use volut_pointcloud::runtime;
 use volut_pointcloud::synthetic::{self, DeltaStream, DeltaStreamConfig};
-use volut_pointcloud::{runtime, Color, Point3, PointCloud};
 
 use crate::client::{SrComputeModel, SrSession};
 use crate::faults::{FaultConfig, OwnedFaultyLink};
 use crate::qoe::{ChunkQoe, QoeAccumulator, QoeParams, QoeSummary};
 use crate::resilience::{
-    DegradationConfig, DegradationController, DegradationLevel, DeltaServer, ResilientReceiver,
-    RetentionPolicy, RetryPolicy, RobustnessStats,
+    fnv1a, DegradationConfig, DegradationController, DegradationLevel, DeltaServer,
+    ResilientReceiver, RetentionPolicy, RetryPolicy, RobustnessStats, Rung, Upsampler, FNV_OFFSET,
 };
 use crate::telemetry::{ServerTelemetry, SessionCounters, TelemetrySnapshot};
 use crate::trace::NetworkTrace;
@@ -260,8 +260,6 @@ struct ResilientIngest {
     receiver: ResilientReceiver,
     link: OwnedFaultyLink,
     config: IngestConfig,
-    /// Next sequence number to fetch.
-    next_seq: u64,
     /// Parked awaiting a keyframe-resync grant (recovery-storm control).
     parked: bool,
     /// Grant from the coordinator's per-tick resync budget.
@@ -281,7 +279,7 @@ struct ResilientIngest {
 struct Tenant {
     id: u64,
     spec: SessionSpec,
-    session: SrSession,
+    sr: Upsampler,
     /// Refinement-free pipeline sharing the session's scratch for degraded
     /// frames (temporal caches are keyed per pipeline/ratio, so swapping is
     /// bit-safe — see [`SrSession::upsample_frame_via`]).
@@ -293,12 +291,6 @@ struct Tenant {
     /// Level planned for the current tick (written by the coordinator).
     planned: DegradationLevel,
     remaining: u64,
-    /// Whether the session's temporal cache chain matches the stream's
-    /// previous frame (false after Passthrough frames, which skip the
-    /// engine entirely); gates *declared* deltas only — the engine's own
-    /// diff fallback keeps undeclared frames correct regardless.
-    synced: bool,
-    started: bool,
     counters: SessionCounters,
     qoe: QoeAccumulator,
     prev_quality: Option<f64>,
@@ -321,24 +313,6 @@ struct Tenant {
     stepped: bool,
     /// Ingest stats already rolled into the aggregate telemetry.
     rolled_stats: RobustnessStats,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(mut acc: u64, value: u64) -> u64 {
-    for byte in value.to_le_bytes() {
-        acc ^= u64::from(byte);
-        acc = acc.wrapping_mul(FNV_PRIME);
-    }
-    acc
-}
-
-fn cloud_bytes(cloud: &PointCloud) -> usize {
-    cloud.len() * std::mem::size_of::<Point3>()
-        + cloud
-            .colors()
-            .map_or(0, |c: &[Color]| std::mem::size_of_val(c))
 }
 
 impl Tenant {
@@ -375,7 +349,6 @@ impl Tenant {
                     receiver: ResilientReceiver::new(cfg.retry, spec.seed ^ 0x6a09_e667_f3bc_c908),
                     link: OwnedFaultyLink::new(trace, cfg.faults.clone(), fault_seed),
                     config: cfg.clone(),
-                    next_seq: 0,
                     parked: false,
                     granted: false,
                     park_tick: 0,
@@ -388,15 +361,13 @@ impl Tenant {
         Ok(Self {
             id,
             spec,
-            session,
+            sr: Upsampler::new(session),
             degraded,
             stream,
             ingest,
             controller: config.degradation.map(DegradationController::new),
             planned: DegradationLevel::Full,
             remaining,
-            synced: false,
-            started: false,
             counters: SessionCounters::default(),
             qoe: QoeAccumulator::new(),
             prev_quality: None,
@@ -427,7 +398,10 @@ impl Tenant {
     /// ingest schedule — never on wall-clock or worker interleaving.
     ///
     /// A resilient-ingest tenant first pulls the frame through the recovery
-    /// ladder. Three frameless outcomes exist: the tenant is parked
+    /// ladder and then runs it through the receive loop
+    /// ([`ResilientReceiver::deliver`]); what stays here is server policy:
+    /// pacing the origin, parking for a resync grant, and quarantine
+    /// streaks. Three frameless outcomes exist: the tenant is parked
     /// awaiting a resync grant (pure stall), the ladder exhausted every
     /// rung (stall, possibly quarantine), or the tenant was already
     /// quarantined. Frameless ticks charge stall time into the next
@@ -440,16 +414,18 @@ impl Tenant {
         }
         let started = Instant::now();
         let level = self.planned;
-        let (frame, delta, ingest_s, recovered) = match &mut self.ingest {
+        let rung = match level {
+            DegradationLevel::Full => Rung::Full,
+            DegradationLevel::Passthrough => Rung::Passthrough,
+            _ => Rung::Degraded(&self.degraded),
+        };
+        let ratio = level.effective_ratio(config.ratio);
+        let (frame, output, ingest_s) = match &mut self.ingest {
             None => {
-                let (frame, delta) = if self.started {
-                    let delta = self.stream.advance();
-                    (self.stream.frame().clone(), Some(delta))
-                } else {
-                    self.started = true;
-                    (self.stream.frame().clone(), None)
-                };
-                (frame, delta, 0.0, None)
+                let delta = (self.counters.frames > 0).then(|| self.stream.advance());
+                let frame = self.stream.frame().clone();
+                let (output, _) = self.sr.upsample(&frame, delta, rung, ratio);
+                (frame, output, 0.0)
             }
             Some(ingest) => {
                 if ingest.parked && !ingest.granted {
@@ -461,129 +437,84 @@ impl Tenant {
                 // Pace the origin: produce exactly the frames the client
                 // consumes, so the served sequence — and therefore the
                 // digest — is identical to a clean-link run's.
-                while (ingest.delta_server.frame_count() as u64) <= ingest.next_seq {
-                    if self.started {
+                let seq = ingest.receiver.last_seq().map_or(0, |s| s + 1);
+                while ingest.delta_server.frame_count() as u64 <= seq {
+                    if ingest.delta_server.frame_count() == 0 {
+                        ingest.delta_server.push_frame(self.stream.frame().clone());
+                    } else {
                         let d = self.stream.advance();
                         ingest
                             .delta_server
                             .push_frame_with_delta(self.stream.frame().clone(), d);
-                    } else {
-                        self.started = true;
-                        ingest.delta_server.push_frame(self.stream.frame().clone());
                     }
                 }
                 let clock0 = ingest.receiver.clock_s();
-                match ingest.receiver.recover(
-                    &ingest.delta_server,
-                    &mut ingest.link,
-                    ingest.next_seq,
-                ) {
-                    Ok(rec) => {
-                        let resync = rec.delta.is_none() && ingest.receiver.last_seq().is_some();
-                        if resync && !ingest.granted {
-                            // A full keyframe resync costs a cold recompute;
-                            // park until the coordinator grants a slot from
-                            // the per-tick budget (recovery-storm control).
-                            // Cold starts never reach here (`last_seq` is
-                            // still `None`), so startup is budget-exempt.
-                            ingest.parked = true;
-                            ingest.park_tick = tick;
-                            self.pending_stall_s += config.frame_interval_s;
-                            return;
-                        }
-                        if resync {
-                            ingest.parked = false;
-                            ingest.granted = false;
-                        }
-                        ingest.transport_streak = 0;
-                        let ingest_s = ingest.receiver.clock_s() - clock0;
-                        (rec.cloud(), rec.delta.clone(), ingest_s, Some(rec))
+                let recovered =
+                    ingest
+                        .receiver
+                        .recover(&ingest.delta_server, &mut ingest.link, seq);
+                let Ok(frame) = recovered else {
+                    // Every rung and retry failed: stall the interval and
+                    // quarantine once the streak is long enough. The tick —
+                    // and every co-tenant — keeps going.
+                    ingest.transport_streak += 1;
+                    self.pending_stall_s += config.frame_interval_s;
+                    if ingest.transport_streak >= ingest.config.quarantine_after_exhaustions.max(1)
+                    {
+                        self.failure = Some(QuarantineCause::RetryExhausted);
                     }
-                    Err(_) => {
-                        // Every rung and retry failed: stall the interval
-                        // and quarantine once the streak is long enough.
-                        // The tick — and every co-tenant — keeps going.
-                        ingest.transport_streak += 1;
-                        self.pending_stall_s += config.frame_interval_s;
-                        if ingest.transport_streak
-                            >= ingest.config.quarantine_after_exhaustions.max(1)
-                        {
-                            self.failure = Some(QuarantineCause::RetryExhausted);
-                        }
-                        return;
-                    }
+                    return;
+                };
+                let resync = frame.delta.is_none() && ingest.receiver.last_seq().is_some();
+                if resync && !ingest.granted {
+                    // A full keyframe resync costs a cold recompute; park
+                    // until the coordinator grants a slot from the per-tick
+                    // budget (recovery-storm control). Cold starts never
+                    // reach here (`last_seq` is still `None`), so startup
+                    // is budget-exempt.
+                    ingest.parked = true;
+                    ingest.park_tick = tick;
+                    self.pending_stall_s += config.frame_interval_s;
+                    return;
                 }
+                if resync {
+                    ingest.parked = false;
+                    ingest.granted = false;
+                }
+                ingest.transport_streak = 0;
+                let ingest_s = ingest.receiver.clock_s() - clock0;
+                let (frame, output) =
+                    ingest
+                        .receiver
+                        .deliver(frame, seq, &mut self.sr, rung, ratio);
+                let stats = ingest.receiver.stats();
+                let integrity = stats.integrity_failures + stats.poisonings_detected;
+                if integrity > ingest.prev_integrity {
+                    ingest.integrity_streak += 1;
+                    if ingest.integrity_streak >= ingest.config.quarantine_after_integrity.max(1) {
+                        self.failure = Some(QuarantineCause::IntegrityFailure);
+                    }
+                } else {
+                    ingest.integrity_streak = 0;
+                }
+                ingest.prev_integrity = integrity;
+                (frame, output, ingest_s)
             }
         };
-        // A keyframe resync (or cold start) recomputes cold: flush the
-        // cross-frame caches so the output depends only on this frame's
-        // own bits — the invariant that makes recovery bit-identical.
-        if recovered.is_some() && delta.is_none() {
-            self.session.flush_caches();
-            self.synced = false;
-        }
-        let declared = if self.synced { delta } else { None };
-        let declared_was_some = declared.is_some();
-        let ratio = level.effective_ratio(config.ratio);
-        let outcome = match level {
-            DegradationLevel::Passthrough => None,
-            DegradationLevel::Full => Some(match declared {
-                Some(d) => self.session.upsample_frame_delta(&frame, ratio, d),
-                None => self.session.upsample_frame(&frame, ratio),
-            }),
-            _ => Some(
-                self.session
-                    .upsample_frame_via(&self.degraded, &frame, ratio, declared),
-            ),
-        };
-        let output_digest = match outcome {
-            None => {
-                // Passthrough: the received points are served untouched and
-                // the engine never sees the frame, so the session's cached
-                // previous frame goes stale.
-                self.synced = false;
-                frame.geometry_digest()
-            }
-            Some(Ok(result)) => {
-                self.synced = true;
-                result.cloud.geometry_digest()
-            }
+        let output_digest = match output {
+            Some(Ok(result)) => result.cloud.geometry_digest(),
+            // Passthrough serves the received points untouched.
+            None => frame.geometry_digest(),
             Some(Err(_)) => {
                 // Degenerate frame (e.g. churned below the neighborhood
                 // minimum): serve the input untouched, count it, keep going.
                 self.frame_errors += 1;
-                self.synced = false;
                 frame.geometry_digest()
             }
         };
-        self.digest = fnv1a(self.digest, self.counters.frames);
-        self.digest = fnv1a(self.digest, output_digest);
-        self.digest = fnv1a(self.digest, frame.len() as u64);
-
-        if let (Some(rec), Some(ingest)) = (recovered, &mut self.ingest) {
-            // The engine verifies every declared delta against its cached
-            // state; a rejection is an attempted cache poisoning — count it
-            // and flush so the next frame recomputes cold (the served frame
-            // itself is already correct via the engine's own diff fallback).
-            if declared_was_some && self.session.last_delta_error().is_some() {
-                ingest.receiver.note_poisoning();
-                self.session.flush_caches();
-                self.synced = false;
-            }
-            ingest.receiver.commit(rec, ingest.next_seq);
-            ingest.next_seq += 1;
-            let stats = ingest.receiver.stats();
-            let integrity = stats.integrity_failures + stats.poisonings_detected;
-            if integrity > ingest.prev_integrity {
-                ingest.integrity_streak += 1;
-                if ingest.integrity_streak >= ingest.config.quarantine_after_integrity.max(1) {
-                    self.failure = Some(QuarantineCause::IntegrityFailure);
-                }
-            } else {
-                ingest.integrity_streak = 0;
-            }
-            ingest.prev_integrity = integrity;
-        }
+        self.digest = fnv1a(self.digest, &self.counters.frames.to_le_bytes());
+        self.digest = fnv1a(self.digest, &output_digest.to_le_bytes());
+        self.digest = fnv1a(self.digest, &(frame.len() as u64).to_le_bytes());
 
         let elapsed = started.elapsed().as_secs_f64();
         let quality = level.quality_factor();
@@ -600,7 +531,7 @@ impl Tenant {
         if let Some(controller) = &mut self.controller {
             controller.observe(elapsed + ingest_s, config.deadline_s);
         }
-        let t = self.session.temporal_stats();
+        let t = self.sr.session().temporal_stats();
         let frame_reused = t.rows_reused - self.prev_rows_reused;
         let frame_recomputed = t.rows_recomputed - self.prev_rows_recomputed;
         self.prev_rows_reused = t.rows_reused;
@@ -631,13 +562,13 @@ impl Tenant {
     /// What this tenant keeps resident between frames, by component.
     /// The shared table is not in here: it is counted once, registry-side.
     fn memory(&self) -> SessionMemory {
-        let state = self.session.scratch().state_bytes();
+        let state = self.sr.session().scratch().state_bytes();
         SessionMemory {
             index: state.index,
             rows: state.rows,
             outputs: state.outputs,
             refined: state.refined,
-            frame_cloud: cloud_bytes(self.stream.frame()),
+            frame_cloud: self.stream.frame().byte_size(),
             retention: self
                 .ingest
                 .as_ref()

@@ -6,6 +6,8 @@
 //! detected before it can influence any output. The origin itself is held
 //! to an oracle: every frame it still retains, and every delta between
 //! two of them, must rebuild the frame that was pushed, bit for bit. The
+//! decoder must survive arbitrary and mutated bytes and round-trip every
+//! message it accepts. The
 //! CI chaos job runs this file with a pinned seed set plus one rotating
 //! `CHAOS_SEED` (logged on failure); the feature matrix runs it under both
 //! scalar and SIMD kernels.
@@ -149,6 +151,7 @@ fn check_origin(server: &DeltaServer, pushed: &[PointCloud]) {
             };
             assert_eq!(base_seq, base);
             assert_eq!(digest, truth.geometry_digest());
+            let delta = delta.against(from.len()).expect("the delta fits its base");
             let positions = delta.apply(from.positions(), &inserted);
             assert_eq!(
                 positions.as_deref(),
@@ -160,6 +163,33 @@ fn check_origin(server: &DeltaServer, pushed: &[PointCloud]) {
                 let colors = delta.apply(old, ins);
                 assert_eq!(colors.as_deref(), truth.colors(), "delta {base}->{seq}");
             }
+        }
+    }
+}
+
+/// `body` with the wire checksum (64-bit FNV-1a) appended, recomputed here
+/// so that mutated messages get past the checksum to the structural checks.
+fn checksummed(mut body: Vec<u8>) -> Vec<u8> {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in &body {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01B3);
+    }
+    body.extend_from_slice(&h.to_le_bytes());
+    body
+}
+
+/// Decodes `bytes`, which may be anything: decoding must not panic, an
+/// accepted payload must be the one encoding of what it decodes to, and a
+/// delta's parts must fit no base whose length they do not claim.
+fn decode_or_reject(bytes: &[u8], base_len: usize) {
+    let Ok(msg) = FrameMessage::decode(bytes) else {
+        return;
+    };
+    assert_eq!(msg.encode(), bytes, "accepted bytes are not canonical");
+    if let MessageBody::Delta { delta, .. } = msg.body {
+        if delta.old_len != base_len {
+            assert!(delta.against(base_len).is_none());
         }
     }
 }
@@ -199,9 +229,10 @@ proptest! {
         );
         // Deep retry budget: the property is about correctness under any
         // schedule the injector emits, not about giving up gracefully.
-        let mut resilient = ResilientSession::with_policy(
+        let mut resilient = ResilientSession::with_policy_seeded(
             session(use_naive),
             RetryPolicy { max_retries: 12, ..RetryPolicy::default() },
+            0,
         );
         let mut clean = session(use_naive);
         for (i, frame) in frames.iter().enumerate() {
@@ -309,6 +340,67 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// The decoder against arbitrary input: random bytes, and bit flips,
+    /// byte overwrites and truncations of every message an origin sends,
+    /// with the checksum recomputed. Nothing panics, accepted payloads
+    /// re-encode to themselves, and `decode(encode(m)) == m` for every
+    /// message built from the frames or served by the origin.
+    #[test]
+    fn decode_never_panics_and_roundtrips(
+        n in 30usize..160,
+        seed in 0u64..10_000,
+    ) {
+        let seed = seed ^ chaos_seed();
+        println!("decoder case: n {n}, seed {seed} (CHAOS_SEED {})", chaos_seed());
+        let frames = reshaped(churned_frames(n, 4, 0.2, seed), true, Colors::Mixed, seed);
+        let server = DeltaServer::new(frames.clone());
+        let mut messages = Vec::new();
+        for (seq, frame) in frames.iter().enumerate() {
+            let seq = seq as u64;
+            let built = FrameMessage {
+                seq,
+                body: MessageBody::Keyframe {
+                    positions: frame.positions().to_vec(),
+                    colors: frame.colors().map(<[Color]>::to_vec),
+                    digest: frame.geometry_digest(),
+                },
+            };
+            prop_assert_eq!(FrameMessage::decode(&built.encode()).as_ref(), Ok(&built));
+            messages.push(server.keyframe_message(seq).unwrap());
+            for base in 0..seq {
+                messages.push(server.delta_message(base, seq).unwrap());
+            }
+        }
+        for bytes in &messages {
+            let msg = FrameMessage::decode(bytes).expect("the origin's bytes decode");
+            prop_assert_eq!(&msg.encode(), bytes);
+            prop_assert_eq!(FrameMessage::decode(&msg.encode()), Ok(msg));
+        }
+        let base_len = frames[0].len();
+        let mut h = mix(seed);
+        for (i, bytes) in messages.iter().enumerate() {
+            let body = &bytes[..bytes.len() - 8];
+            for round in 0..16u64 {
+                h = mix(h ^ ((i as u64) << 8) ^ round);
+                let at = (h >> 8) as usize % body.len();
+                let mut mutated = body.to_vec();
+                match h % 3 {
+                    0 => mutated[at] ^= 1 << ((h >> 40) % 8),
+                    1 => mutated[at] = (h >> 32) as u8,
+                    _ => mutated.truncate(at),
+                }
+                decode_or_reject(&checksummed(mutated), base_len);
+            }
+        }
+        for round in 0..64u64 {
+            h = mix(h ^ round);
+            let len = (h % 96) as usize;
+            let bytes: Vec<u8> = (0..len).map(|j| mix(h ^ j as u64) as u8).collect();
+            decode_or_reject(&bytes, base_len);
+            decode_or_reject(&checksummed(bytes), base_len);
         }
     }
 }
