@@ -7,29 +7,33 @@
 //! ```text
 //! magic "VLUT"            4 bytes
 //! version                 u8  (currently 1)
-//! backend                 u8  (0 = sparse, 1 = dense)
+//! backend                 u8  (0 = sparse, the only backend)
 //! scheme                  u8  (0 = full, 1 = compact)
 //! receptive_field         u8
 //! bins                    u16 LE
-//! key_space               u128 LE   (dense only; 0 for sparse)
+//! key_space               u128 LE   (reserved; written as 0, ignored)
 //! entry_count             u64 LE
 //! entries                 entry_count × (key u128 LE, 3 × f16 LE)
 //! ```
+//!
+//! [`decode`] is bounded by its input: the entries must fill the buffer
+//! exactly, so a header can never ask for more table than its bytes hold.
 
-use super::dense::DenseLut;
-use super::f16::f32_to_f16_bits;
+use super::f16::{f16_bits_to_f32, f32_to_f16_bits};
 use super::sparse::SparseLut;
 use super::Lut;
 use crate::encoding::KeyScheme;
 use crate::error::Error;
 use crate::Result;
-use bytes::{Buf, Bytes, BytesMut};
-use std::fs::File;
-use std::io::{Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"VLUT";
 const VERSION: u8 = 1;
+const BACKEND_SPARSE: u8 = 0;
+/// Magic, four header bytes, bins, key space and entry count.
+const HEADER_BYTES: usize = 4 + 4 + 2 + 16 + 8;
+/// One serialized entry: a `u128` key and three `f16` offset components.
+const ENTRY_BYTES: usize = 16 + 3 * 2;
 
 /// Metadata describing how a serialized LUT was built; stored in the file
 /// header so the client can reconstruct a compatible [`crate::encoding::PositionEncoder`].
@@ -45,46 +49,11 @@ pub struct LutHeader {
 
 /// A deserialized LUT plus its header.
 #[derive(Debug, Clone)]
-pub enum LoadedLut {
-    /// A sparse LUT.
-    Sparse {
-        /// Header metadata.
-        header: LutHeader,
-        /// The table itself.
-        lut: SparseLut,
-    },
-    /// A dense LUT.
-    Dense {
-        /// Header metadata.
-        header: LutHeader,
-        /// The table itself.
-        lut: DenseLut,
-    },
-}
-
-impl LoadedLut {
-    /// The header regardless of backend.
-    pub fn header(&self) -> LutHeader {
-        match self {
-            LoadedLut::Sparse { header, .. } | LoadedLut::Dense { header, .. } => *header,
-        }
-    }
-
-    /// The LUT as a trait object.
-    pub fn as_lut(&self) -> &dyn Lut {
-        match self {
-            LoadedLut::Sparse { lut, .. } => lut,
-            LoadedLut::Dense { lut, .. } => lut,
-        }
-    }
-
-    /// Consumes the loaded value and boxes the LUT.
-    pub fn into_boxed_lut(self) -> Box<dyn Lut> {
-        match self {
-            LoadedLut::Sparse { lut, .. } => Box::new(lut),
-            LoadedLut::Dense { lut, .. } => Box::new(lut),
-        }
-    }
+pub struct LoadedLut {
+    /// Header metadata.
+    pub header: LutHeader,
+    /// The table itself.
+    pub lut: SparseLut,
 }
 
 fn scheme_byte(s: KeyScheme) -> u8 {
@@ -102,114 +71,94 @@ fn scheme_from_byte(b: u8) -> Result<KeyScheme> {
     }
 }
 
-fn put_entries<'a, I>(buf: &mut BytesMut, entries: I, count: u64)
-where
-    I: Iterator<Item = (u128, [f32; 3])> + 'a,
-{
-    buf.put_u64_le(count);
-    for (key, offset) in entries {
-        buf.put_u128_le(key);
-        for c in offset {
-            buf.put_u16_le(f32_to_f16_bits(c));
+/// Cursor over a received buffer; a read past the end is a format error.
+struct Reader<'a> {
+    data: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if self.data.len() < n {
+            return Err(Error::LutFormat(format!(
+                "truncated: needed {n} more bytes, found {}",
+                self.data.len()
+            )));
         }
+        let (head, tail) = self.data.split_at(n);
+        self.data = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let bytes = self.take(N)?;
+        Ok(bytes.try_into().expect("take returns N bytes"))
     }
 }
 
 /// Serializes a sparse LUT.
-pub fn encode_sparse(lut: &SparseLut, header: LutHeader) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + lut.populated() * 22);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(0);
-    buf.put_u8(scheme_byte(header.scheme));
-    buf.put_u8(header.receptive_field as u8);
-    buf.put_u16_le(header.bins as u16);
-    buf.put_u128_le(0);
-    put_entries(&mut buf, lut.iter(), lut.populated() as u64);
-    buf.freeze()
+pub fn encode_sparse(lut: &SparseLut, header: LutHeader) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_BYTES + lut.populated() * ENTRY_BYTES);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&[
+        VERSION,
+        BACKEND_SPARSE,
+        scheme_byte(header.scheme),
+        header.receptive_field as u8,
+    ]);
+    buf.extend_from_slice(&(header.bins as u16).to_le_bytes());
+    buf.extend_from_slice(&0u128.to_le_bytes());
+    buf.extend_from_slice(&(lut.populated() as u64).to_le_bytes());
+    for (key, offset) in lut.iter() {
+        buf.extend_from_slice(&key.to_le_bytes());
+        for c in offset {
+            buf.extend_from_slice(&f32_to_f16_bits(c).to_le_bytes());
+        }
+    }
+    buf
 }
 
-/// Serializes a dense LUT (only populated entries are written).
-pub fn encode_dense(lut: &DenseLut, header: LutHeader) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + lut.populated() * 22);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(1);
-    buf.put_u8(scheme_byte(header.scheme));
-    buf.put_u8(header.receptive_field as u8);
-    buf.put_u16_le(header.bins as u16);
-    buf.put_u128_le(lut.key_space());
-    put_entries(&mut buf, lut.iter(), lut.populated() as u64);
-    buf.freeze()
-}
-
-/// Deserializes a LUT produced by [`encode_sparse`] or [`encode_dense`].
+/// Deserializes a LUT produced by [`encode_sparse`].
 ///
 /// # Errors
-/// Returns [`Error::LutFormat`] for truncated or malformed input.
-pub fn decode(mut data: &[u8]) -> Result<LoadedLut> {
-    if data.len() < 4 + 1 + 1 + 1 + 1 + 2 + 16 + 8 {
-        return Err(Error::LutFormat("buffer shorter than header".into()));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+/// Returns [`Error::LutFormat`] for truncated or malformed input, an
+/// unknown backend, or an entry count that does not fill the buffer
+/// exactly.
+pub fn decode(data: &[u8]) -> Result<LoadedLut> {
+    let mut r = Reader { data };
+    let magic = r.take(MAGIC.len())?;
+    if magic != MAGIC {
         return Err(Error::LutFormat(format!("bad magic {magic:?}")));
     }
-    let version = data.get_u8();
+    let [version, backend, scheme, receptive_field] = r.array()?;
     if version != VERSION {
         return Err(Error::LutFormat(format!("unsupported version {version}")));
     }
-    let backend = data.get_u8();
-    let scheme = scheme_from_byte(data.get_u8())?;
-    let receptive_field = usize::from(data.get_u8());
-    let bins = usize::from(data.get_u16_le());
-    let key_space = data.get_u128_le();
-    let count = data.get_u64_le() as usize;
-    if data.remaining() < count * 22 {
-        return Err(Error::LutFormat(format!(
-            "expected {} entry bytes, found {}",
-            count * 22,
-            data.remaining()
-        )));
+    if backend != BACKEND_SPARSE {
+        return Err(Error::LutFormat(format!("unknown backend byte {backend}")));
     }
     let header = LutHeader {
-        scheme,
-        receptive_field,
-        bins,
+        scheme: scheme_from_byte(scheme)?,
+        receptive_field: usize::from(receptive_field),
+        bins: usize::from(u16::from_le_bytes(r.array()?)),
     };
-    match backend {
-        0 => {
-            let mut lut = SparseLut::with_capacity(count);
-            for _ in 0..count {
-                let key = data.get_u128_le();
-                let offset = read_offset(&mut data);
-                lut.set(key, offset)?;
-            }
-            Ok(LoadedLut::Sparse { header, lut })
-        }
-        1 => {
-            if key_space == 0 {
-                return Err(Error::LutFormat("dense lut with zero key space".into()));
-            }
-            let mut lut = DenseLut::with_budget(key_space, u128::MAX)?;
-            for _ in 0..count {
-                let key = data.get_u128_le();
-                let offset = read_offset(&mut data);
-                lut.set(key, offset)?;
-            }
-            Ok(LoadedLut::Dense { header, lut })
-        }
-        other => Err(Error::LutFormat(format!("unknown backend byte {other}"))),
+    r.take(16)?; // key_space, reserved
+    let count = u64::from_le_bytes(r.array()?);
+    if count.checked_mul(ENTRY_BYTES as u64) != Some(r.data.len() as u64) {
+        return Err(Error::LutFormat(format!(
+            "{count} entries of {ENTRY_BYTES} bytes do not fill the {} bytes left",
+            r.data.len()
+        )));
     }
-}
-
-fn read_offset(data: &mut &[u8]) -> [f32; 3] {
-    [
-        super::f16::f16_bits_to_f32(data.get_u16_le()),
-        super::f16::f16_bits_to_f32(data.get_u16_le()),
-        super::f16::f16_bits_to_f32(data.get_u16_le()),
-    ]
+    let mut lut = SparseLut::with_capacity(count as usize);
+    for _ in 0..count {
+        let key = u128::from_le_bytes(r.array()?);
+        let mut offset = [0.0; 3];
+        for c in &mut offset {
+            *c = f16_bits_to_f32(u16::from_le_bytes(r.array()?));
+        }
+        lut.set(key, offset)?;
+    }
+    Ok(LoadedLut { header, lut })
 }
 
 /// Writes a sparse LUT to a `.vlut` file.
@@ -217,29 +166,16 @@ fn read_offset(data: &mut &[u8]) -> [f32; 3] {
 /// # Errors
 /// Propagates any underlying I/O error.
 pub fn write_sparse<P: AsRef<Path>>(lut: &SparseLut, header: LutHeader, path: P) -> Result<()> {
-    let mut file = File::create(path)?;
-    file.write_all(&encode_sparse(lut, header))?;
+    std::fs::write(path, encode_sparse(lut, header))?;
     Ok(())
 }
 
-/// Writes a dense LUT to a `.vlut` file.
-///
-/// # Errors
-/// Propagates any underlying I/O error.
-pub fn write_dense<P: AsRef<Path>>(lut: &DenseLut, header: LutHeader, path: P) -> Result<()> {
-    let mut file = File::create(path)?;
-    file.write_all(&encode_dense(lut, header))?;
-    Ok(())
-}
-
-/// Reads a `.vlut` file written by [`write_sparse`] or [`write_dense`].
+/// Reads a `.vlut` file written by [`write_sparse`].
 ///
 /// # Errors
 /// Propagates I/O errors and format errors.
 pub fn read_lut<P: AsRef<Path>>(path: P) -> Result<LoadedLut> {
-    let mut data = Vec::new();
-    File::open(path)?.read_to_end(&mut data)?;
-    decode(&data)
+    decode(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -254,36 +190,28 @@ mod tests {
         }
     }
 
+    /// A header of the given backend, key space and entry count, followed
+    /// by `tail` bytes of entry data.
+    fn crafted(backend: u8, key_space: u128, count: u64, tail: usize) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&[VERSION, backend, 0, 4]);
+        bytes.extend_from_slice(&128u16.to_le_bytes());
+        bytes.extend_from_slice(&key_space.to_le_bytes());
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.resize(bytes.len() + tail, 0);
+        bytes
+    }
+
     #[test]
     fn sparse_roundtrip() {
         let mut lut = SparseLut::new();
         lut.set(1, [0.5, -0.5, 0.25]).unwrap();
         lut.set(u128::MAX / 2, [0.0, 1.0, 0.0]).unwrap();
-        let bytes = encode_sparse(&lut, header());
-        let loaded = decode(&bytes).unwrap();
-        assert_eq!(loaded.header(), header());
-        let back = loaded.as_lut();
-        assert_eq!(back.populated(), 2);
-        assert_eq!(back.get(1), Some([0.5, -0.5, 0.25]));
-        assert_eq!(back.backend_name(), "sparse");
-    }
-
-    #[test]
-    fn dense_roundtrip() {
-        let mut lut = DenseLut::new(256).unwrap();
-        lut.set(3, [0.125, 0.25, -1.0]).unwrap();
-        lut.set(255, [1.0, 1.0, 1.0]).unwrap();
-        let h = LutHeader {
-            scheme: KeyScheme::Compact,
-            receptive_field: 4,
-            bins: 4,
-        };
-        let bytes = encode_dense(&lut, h);
-        let loaded = decode(&bytes).unwrap();
-        assert_eq!(loaded.header(), h);
-        assert_eq!(loaded.as_lut().populated(), 2);
-        assert_eq!(loaded.as_lut().get(3), Some([0.125, 0.25, -1.0]));
-        assert_eq!(loaded.as_lut().backend_name(), "dense");
+        let loaded = decode(&encode_sparse(&lut, header())).unwrap();
+        assert_eq!(loaded.header, header());
+        assert_eq!(loaded.lut.populated(), 2);
+        assert_eq!(loaded.lut.get(1), Some([0.5, -0.5, 0.25]));
+        assert_eq!(loaded.lut.get(u128::MAX / 2), Some([0.0, 1.0, 0.0]));
     }
 
     #[test]
@@ -297,7 +225,7 @@ mod tests {
         let path = dir.join("table.vlut");
         write_sparse(&lut, header(), &path).unwrap();
         let loaded = read_lut(&path).unwrap();
-        assert_eq!(loaded.as_lut().populated(), 50);
+        assert_eq!(loaded.lut.populated(), 50);
         std::fs::remove_file(&path).ok();
     }
 
@@ -308,24 +236,42 @@ mod tests {
         lut.set(1, [0.0; 3]).unwrap();
         let bytes = encode_sparse(&lut, header());
         // Corrupt the magic.
-        let mut bad = bytes.to_vec();
+        let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(decode(&bad).is_err());
         // Truncate the entries.
         assert!(decode(&bytes[..bytes.len() - 4]).is_err());
-        // Corrupt the backend byte.
-        let mut bad = bytes.to_vec();
-        bad[5] = 9;
+        // Trailing bytes.
+        let mut bad = bytes.clone();
+        bad.push(0);
         assert!(decode(&bad).is_err());
+        // Corrupt the backend byte; 1 was the retired dense backend.
+        for backend in [1, 9] {
+            let mut bad = bytes.clone();
+            bad[5] = backend;
+            assert!(decode(&bad).is_err());
+        }
     }
 
+    /// A 40-byte file whose entry count times 22 wraps to the 6 bytes that
+    /// follow the header: rejected before any table is allocated. An
+    /// unchecked multiply would pass the length check and size a 2^60-slot
+    /// table.
     #[test]
-    fn into_boxed_lut_preserves_contents() {
-        let mut lut = SparseLut::new();
-        lut.set(77, [0.5, 0.5, 0.5]).unwrap();
-        let boxed = decode(&encode_sparse(&lut, header()))
-            .unwrap()
-            .into_boxed_lut();
-        assert_eq!(boxed.get(77), Some([0.5, 0.5, 0.5]));
+    fn decode_rejects_an_entry_count_that_overflows() {
+        let count = u64::MAX / ENTRY_BYTES as u64 + 1;
+        assert_eq!(count.wrapping_mul(ENTRY_BYTES as u64), 6);
+        let bytes = crafted(BACKEND_SPARSE, 0, count, 6);
+        assert_eq!(bytes.len(), HEADER_BYTES + 6);
+        assert!(decode(&bytes).is_err());
+    }
+
+    /// A 34-byte file in the retired dense backend claiming a 2^40-key
+    /// space: rejected as an unknown backend, not sized as a 6 TiB table.
+    #[test]
+    fn decode_rejects_a_dense_header_without_allocating_its_key_space() {
+        let bytes = crafted(1, 1 << 40, 0, 0);
+        assert_eq!(bytes.len(), HEADER_BYTES);
+        assert!(decode(&bytes).is_err());
     }
 }

@@ -318,9 +318,8 @@ impl PointCloud {
         *self.digest.get_or_init(|| geometry_digest(&self.positions))
     }
 
-    /// Approximate wire size in bytes of this cloud when transmitted with the
-    /// repo's binary encoding: 12 bytes per position plus 3 per color.
-    /// This is the quantity the streaming simulator charges to the network.
+    /// Raw size in bytes of this cloud's attributes: 12 bytes per position
+    /// plus 3 per color, the payload of a keyframe before its framing.
     pub fn byte_size(&self) -> usize {
         let pos = self.positions.len() * 12;
         let col = self.colors.as_ref().map_or(0, |c| c.len() * 3);

@@ -1,7 +1,6 @@
 //! Error type shared by the point-cloud substrate.
 
 use std::fmt;
-use std::io;
 
 /// Errors returned by the point-cloud substrate.
 #[derive(Debug)]
@@ -18,10 +17,6 @@ pub enum Error {
         /// Number of attribute entries found.
         attributes: usize,
     },
-    /// An underlying I/O failure while reading or writing cloud data.
-    Io(io::Error),
-    /// The input file or buffer is not a valid serialized point cloud.
-    Format(String),
 }
 
 impl fmt::Display for Error {
@@ -33,31 +28,15 @@ impl fmt::Display for Error {
                 f,
                 "attribute length mismatch: {positions} positions but {attributes} attribute entries"
             ),
-            Error::Io(e) => write!(f, "i/o error: {e}"),
-            Error::Format(msg) => write!(f, "malformed point cloud data: {msg}"),
         }
     }
 }
 
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for Error {
-    fn from(e: io::Error) -> Self {
-        Error::Io(e)
-    }
-}
+impl std::error::Error for Error {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::error::Error as _;
 
     #[test]
     fn display_messages_are_lowercase_and_nonempty() {
@@ -68,21 +47,12 @@ mod tests {
                 positions: 3,
                 attributes: 2,
             },
-            Error::Io(io::Error::new(io::ErrorKind::NotFound, "missing")),
-            Error::Format("truncated header".into()),
         ];
         for e in errs {
             let msg = e.to_string();
             assert!(!msg.is_empty());
             assert!(msg.chars().next().unwrap().is_lowercase());
         }
-    }
-
-    #[test]
-    fn io_error_has_source() {
-        let e = Error::from(io::Error::other("boom"));
-        assert!(e.source().is_some());
-        assert!(Error::Format("x".into()).source().is_none());
     }
 
     #[test]

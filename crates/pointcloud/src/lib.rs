@@ -7,8 +7,8 @@
 //! neighbor search (the k-d tree index with its dual-tree self-join, and the
 //! brute-force oracle the tests compare it against), sampling operators
 //! (random, voxel, farthest-point), quality metrics (Chamfer distance, PSNR),
-//! procedural synthetic content generators used in place of the paper's
-//! captured videos, and a small binary/PLY I/O layer.
+//! and procedural synthetic content generators used in place of the paper's
+//! captured videos.
 //!
 //! # Example
 //!
@@ -39,7 +39,6 @@ pub mod cloud;
 pub mod delta;
 pub mod dualtree;
 pub mod error;
-pub mod io;
 pub mod kdtree;
 pub mod kernels;
 pub mod knn;

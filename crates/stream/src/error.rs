@@ -18,8 +18,6 @@ pub enum Error {
     Core(volut_core::Error),
     /// An error bubbled up from the point-cloud substrate.
     PointCloud(volut_pointcloud::Error),
-    /// An underlying I/O failure.
-    Io(std::io::Error),
 }
 
 impl fmt::Display for Error {
@@ -31,7 +29,6 @@ impl fmt::Display for Error {
             Error::Transport(msg) => write!(f, "transport failure: {msg}"),
             Error::Core(e) => write!(f, "super-resolution error: {e}"),
             Error::PointCloud(e) => write!(f, "point cloud error: {e}"),
-            Error::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
 }
@@ -41,7 +38,6 @@ impl std::error::Error for Error {
         match self {
             Error::Core(e) => Some(e),
             Error::PointCloud(e) => Some(e),
-            Error::Io(e) => Some(e),
             _ => None,
         }
     }
@@ -56,12 +52,6 @@ impl From<volut_core::Error> for Error {
 impl From<volut_pointcloud::Error> for Error {
     fn from(e: volut_pointcloud::Error) -> Self {
         Error::PointCloud(e)
-    }
-}
-
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Self {
-        Error::Io(e)
     }
 }
 
@@ -87,8 +77,6 @@ mod tests {
         assert!(matches!(e, Error::Core(_)));
         let e: Error = volut_pointcloud::Error::EmptyCloud("m".into()).into();
         assert!(matches!(e, Error::PointCloud(_)));
-        let e: Error = std::io::Error::other("x").into();
-        assert!(matches!(e, Error::Io(_)));
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod abr;
 pub mod buffer;
 pub mod chunk;
 pub mod client;
-pub mod encoder;
 pub mod error;
 pub mod faults;
 pub mod link;

@@ -382,7 +382,6 @@ mod tests {
             frame_count: 1800,
             fps: 30.0,
             points_per_frame: 100_000,
-            content: crate::video::ContentKind::Humanoid,
         }
     }
 

@@ -1,14 +1,9 @@
-//! The volumetric-video model.
-//!
-//! Two representations are used:
-//! * [`VideoMeta`] — lightweight per-video metadata (frame count, FPS,
-//!   points per frame) that the streaming simulator consumes; stand-ins for
-//!   the paper's four test videos are provided as constructors.
-//! * [`VolumetricVideo`] — actual frame geometry (procedurally generated)
-//!   used by the SR-quality experiments (Figures 7–10).
+//! The volumetric-video model the streaming simulator consumes: per-video
+//! metadata ([`VideoMeta`]: frame count, FPS, points per frame) with
+//! stand-ins for the paper's four test videos, and the byte model that
+//! prices a frame on the wire.
 
 use serde::{Deserialize, Serialize};
-use volut_pointcloud::{synthetic, PointCloud};
 
 /// Average bytes per point before compression (12 B position + 3 B color).
 pub const BYTES_PER_POINT: f64 = 15.0;
@@ -36,19 +31,6 @@ pub struct VideoMeta {
     pub fps: f64,
     /// Full-density point count per frame.
     pub points_per_frame: usize,
-    /// Content category used by the synthetic frame generator.
-    pub content: ContentKind,
-}
-
-/// Which procedural generator stands in for the captured content.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ContentKind {
-    /// Single animated humanoid (Long Dress / Loot stand-in).
-    Humanoid,
-    /// Multi-person room scene (Haggle / Lab stand-in).
-    RoomScene,
-    /// Simple geometric object (unit tests / micro-benchmarks).
-    Geometric,
 }
 
 impl VideoMeta {
@@ -60,7 +42,6 @@ impl VideoMeta {
             frame_count: 3000,
             fps: 30.0,
             points_per_frame: 100_000,
-            content: ContentKind::Humanoid,
         }
     }
 
@@ -71,7 +52,6 @@ impl VideoMeta {
             frame_count: 3000,
             fps: 30.0,
             points_per_frame: 100_000,
-            content: ContentKind::Humanoid,
         }
     }
 
@@ -82,7 +62,6 @@ impl VideoMeta {
             frame_count: 7800,
             fps: 30.0,
             points_per_frame: 100_000,
-            content: ContentKind::RoomScene,
         }
     }
 
@@ -93,7 +72,6 @@ impl VideoMeta {
             frame_count: 3622,
             fps: 30.0,
             points_per_frame: 100_000,
-            content: ContentKind::RoomScene,
         }
     }
 
@@ -114,7 +92,6 @@ impl VideoMeta {
             frame_count: frames,
             fps: 30.0,
             points_per_frame,
-            content: ContentKind::Geometric,
         }
     }
 
@@ -142,63 +119,6 @@ impl VideoMeta {
     }
 }
 
-/// A volumetric video with actual frame geometry.
-#[derive(Debug, Clone)]
-pub struct VolumetricVideo {
-    /// Metadata for this video.
-    pub meta: VideoMeta,
-    frames: Vec<PointCloud>,
-}
-
-impl VolumetricVideo {
-    /// Generates `frame_count` procedural frames of `points_per_frame`
-    /// points for the given content kind. Frame-to-frame animation is driven
-    /// by a phase parameter so consecutive frames differ smoothly.
-    pub fn generate(
-        meta: &VideoMeta,
-        frame_count: usize,
-        points_per_frame: usize,
-        seed: u64,
-    ) -> Self {
-        let frames = (0..frame_count)
-            .map(|i| {
-                let phase = i as f32 * 0.21;
-                match meta.content {
-                    ContentKind::Humanoid => synthetic::humanoid(points_per_frame, phase, seed),
-                    ContentKind::RoomScene => synthetic::room_scene(points_per_frame, phase, seed),
-                    ContentKind::Geometric => {
-                        synthetic::torus(points_per_frame, 1.0, 0.3, seed.wrapping_add(i as u64))
-                    }
-                }
-            })
-            .collect();
-        let mut meta = meta.clone();
-        meta.frame_count = frame_count;
-        meta.points_per_frame = points_per_frame;
-        Self { meta, frames }
-    }
-
-    /// Number of materialized frames.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Returns `true` when no frames are materialized.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Frame `i`, or `None` when out of range.
-    pub fn frame(&self, i: usize) -> Option<&PointCloud> {
-        self.frames.get(i)
-    }
-
-    /// Iterator over the frames.
-    pub fn frames(&self) -> impl Iterator<Item = &PointCloud> {
-        self.frames.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,26 +142,5 @@ mod tests {
         let v = VideoMeta::long_dress();
         let mbps = v.raw_bitrate_mbps();
         assert!(mbps > 300.0 && mbps < 400.0, "got {mbps}");
-    }
-
-    #[test]
-    fn generated_video_has_smoothly_varying_frames() {
-        let meta = VideoMeta::tiny(5, 400);
-        let video = VolumetricVideo::generate(&meta, 5, 400, 1);
-        assert_eq!(video.len(), 5);
-        assert!(video.frame(0).is_some());
-        assert!(video.frame(5).is_none());
-        // Consecutive frames differ (animation) but have the same size.
-        assert_ne!(video.frame(0), video.frame(1));
-        assert_eq!(video.frame(0).unwrap().len(), video.frame(1).unwrap().len());
-        assert_eq!(video.frames().count(), 5);
-    }
-
-    #[test]
-    fn humanoid_and_room_content_generate() {
-        let v = VolumetricVideo::generate(&VideoMeta::long_dress(), 2, 500, 3);
-        assert_eq!(v.frame(0).unwrap().len(), 500);
-        let v = VolumetricVideo::generate(&VideoMeta::haggle(), 2, 500, 3);
-        assert_eq!(v.frame(0).unwrap().len(), 500);
     }
 }

@@ -84,11 +84,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let loaded = read_lut(&path)?;
     println!(
         "reloaded LUT: {} entries, scheme {:?}",
-        loaded.as_lut().populated(),
-        loaded.header().scheme
+        loaded.lut.populated(),
+        loaded.header.scheme
     );
-    let refiner =
-        LutRefiner::from_config(&config, loaded.header().scheme, loaded.into_boxed_lut())?;
+    let refiner = LutRefiner::from_config(&config, loaded.header.scheme, Box::new(loaded.lut))?;
     let pipeline = SrPipeline::new(config, Box::new(refiner));
 
     let unseen = synthetic::humanoid(8_000, 2.0, 99);

@@ -6,8 +6,8 @@
 //! This crate re-exports the three library layers so applications can depend
 //! on a single crate:
 //!
-//! * [`pointcloud`] — geometry, neighbor search, sampling, metrics,
-//!   synthetic content and I/O ([`volut_pointcloud`]);
+//! * [`pointcloud`] — geometry, neighbor search, sampling, metrics and
+//!   synthetic content ([`volut_pointcloud`]);
 //! * [`core`] — the two-stage SR pipeline: dilated interpolation plus
 //!   LUT-based refinement, the offline training/distillation path and the
 //!   GradPU / Yuzu baselines ([`volut_core`]);

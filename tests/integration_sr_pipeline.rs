@@ -57,12 +57,13 @@ fn offline_to_online_roundtrip_through_disk() {
     };
     write_sparse(&lut, header, &path).unwrap();
     let loaded = read_lut(&path).unwrap();
-    assert_eq!(loaded.as_lut().populated(), lut.populated());
+    assert_eq!(loaded.header, header);
+    assert_eq!(loaded.lut.populated(), lut.populated());
     std::fs::remove_file(&path).ok();
 
     // Use the reloaded LUT for SR on unseen content.
     let refiner =
-        LutRefiner::from_config(&config, loaded.header().scheme, loaded.into_boxed_lut()).unwrap();
+        LutRefiner::from_config(&config, loaded.header.scheme, Box::new(loaded.lut)).unwrap();
     let pipeline = SrPipeline::new(config, Box::new(refiner));
     let unseen = synthetic::humanoid(5_000, 1.5, 77);
     let low = sampling::random_downsample(&unseen, 0.5, 9).unwrap();

@@ -1,16 +1,19 @@
 //! Integration tests spanning the streaming substrate and the SR core: full
-//! sessions for every system variant, the server encoder feeding the SR
-//! pipeline, and the paper's headline orderings.
+//! sessions for every system variant, the delta origin feeding the SR
+//! pipeline over the resilient wire, and the paper's headline orderings.
 
+use std::sync::Arc;
 use volut::core::refine::IdentityRefiner;
 use volut::core::{SrConfig, SrPipeline};
-use volut::pointcloud::metrics;
+use volut::pointcloud::{metrics, sampling, synthetic, PointCloud};
 use volut::stream::chunk::chunk_video;
-use volut::stream::encoder::ServerEncoder;
+use volut::stream::client::SrSession;
+use volut::stream::faults::{FaultConfig, OwnedFaultyLink};
+use volut::stream::resilience::{DeltaServer, ResilientSession};
 use volut::stream::simulator::{SessionConfig, StreamingSimulator};
 use volut::stream::systems::SystemKind;
 use volut::stream::trace::NetworkTrace;
-use volut::stream::video::{VideoMeta, VolumetricVideo};
+use volut::stream::video::VideoMeta;
 
 #[test]
 fn every_system_variant_completes_a_session() {
@@ -62,24 +65,32 @@ fn headline_claims_hold_in_shape() {
 }
 
 #[test]
-fn server_encoder_feeds_the_sr_pipeline() {
-    // Materialize a tiny video, encode a downsampled frame server-side,
-    // decode it client-side and upsample it back — the full data path of
-    // Figure 2 minus the network.
-    let meta = VideoMeta::tiny(3, 2_000);
-    let video = VolumetricVideo::generate(&meta, 3, 2_000, 9);
-    let encoder = ServerEncoder::new(&video);
+fn delta_server_feeds_the_sr_pipeline() {
+    // The origin holds downsampled frames; the client fetches one over the
+    // resilient wire and upsamples it back toward full density — the data
+    // path of Figure 2 minus the network.
+    let density = 0.5;
+    let full: Vec<PointCloud> = (0..3)
+        .map(|i| synthetic::humanoid(2_000, i as f32 * 0.21, 9))
+        .collect();
+    let mut server = DeltaServer::new(Vec::new());
+    let mut shipped = Vec::new();
+    for (i, frame) in full.iter().enumerate() {
+        let low = sampling::random_downsample(frame, density, 4 + i as u64).unwrap();
+        shipped.push(low.clone());
+        server.push_frame(low);
+    }
+    assert!(server.keyframe_message(1).unwrap().len() < full[1].byte_size());
 
-    let requested_density = 0.5;
-    let encoded = encoder.encode_frame(1, requested_density, 4).unwrap();
-    assert!(encoded.byte_len() < video.frame(1).unwrap().byte_size());
-
-    let received = encoded.decode().unwrap();
+    let trace = Arc::new(NetworkTrace::stable(80.0, 120.0));
+    let mut link = OwnedFaultyLink::new(trace, FaultConfig::lossless(), 1);
     let pipeline = SrPipeline::new(SrConfig::default(), Box::new(IdentityRefiner));
-    let sr_ratio = 1.0 / requested_density;
-    let reconstructed = pipeline.upsample(&received, sr_ratio).unwrap();
+    let mut session = ResilientSession::new(SrSession::new(pipeline));
+    let reconstructed = session
+        .advance(&server, &mut link, 1, 1.0 / density)
+        .unwrap();
 
-    let gt = video.frame(1).unwrap();
+    let (gt, received) = (&full[1], &shipped[1]);
     let relative_gap = (reconstructed.cloud.len() as f64 - gt.len() as f64).abs() / gt.len() as f64;
     assert!(
         relative_gap < 0.1,
@@ -87,7 +98,7 @@ fn server_encoder_feeds_the_sr_pipeline() {
     );
     assert!(
         metrics::one_sided_chamfer(gt, &reconstructed.cloud)
-            < metrics::one_sided_chamfer(gt, &received)
+            < metrics::one_sided_chamfer(gt, received)
     );
 }
 

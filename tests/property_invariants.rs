@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests on the core invariants of the system:
 //! encoding stays inside its key space, sampling respects ratios, the k-d
-//! tree agrees with the brute-force oracle, and the SR pipeline always
-//! honors the requested ratio.
+//! tree agrees with the brute-force oracle, the SR pipeline always honors
+//! the requested ratio, and the `.vlut` decoder survives arbitrary bytes.
 
 use proptest::prelude::*;
 use volut::core::config::SrConfig;
@@ -10,6 +10,9 @@ use volut::core::interpolate::dilated::dilated_interpolate;
 use volut::core::interpolate::reuse::{
     merge_and_prune, merge_and_prune_into, merge_and_prune_rows,
 };
+use volut::core::lut::io::{decode, encode_sparse, LutHeader};
+use volut::core::lut::sparse::SparseLut;
+use volut::core::lut::Lut;
 use volut::pointcloud::dualtree::DualTreeScratch;
 use volut::pointcloud::kdtree::KdTree;
 use volut::pointcloud::knn::{BruteForce, NeighborSearch};
@@ -19,9 +22,9 @@ fn arb_point() -> impl Strategy<Value = Point3> {
     (-10.0f32..10.0, -10.0f32..10.0, -10.0f32..10.0).prop_map(|(x, y, z)| Point3::new(x, y, z))
 }
 
-/// Extra seed rotated by CI (`CHAOS_SEED=<run id>`) into the two kernel
-/// oracle properties at the end of this file; 0 when unset, so local runs
-/// stay reproducible. Printed per case so a failing rotating run can be
+/// Extra seed rotated by CI (`CHAOS_SEED=<run id>`) into the kernel oracle
+/// and decoder properties at the end of this file; 0 when unset, so local
+/// runs stay reproducible. Printed per case so a failing rotating run can be
 /// replayed by pinning the value.
 fn chaos_seed() -> u64 {
     std::env::var("CHAOS_SEED")
@@ -630,6 +633,65 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn lut_decode_never_panics_and_roundtrips(
+        seed in 0u64..10_000,
+        entries in 0usize..40,
+    ) {
+        // `.vlut` decoding against arbitrary input: random bytes, and bit
+        // flips, byte overwrites and truncations of encoded random tables.
+        // Nothing panics, and an unmutated encoding decodes to its header
+        // and its exact (key, offset) set — the offsets already carry their
+        // one f16 rounding, taken when the table stored them.
+        let seed = seed ^ chaos_seed();
+        println!("lut decoder case: seed {seed} entries {entries} (CHAOS_SEED {})", chaos_seed());
+        let mut mix = Mix(seed);
+        let header = LutHeader {
+            scheme: [KeyScheme::Full, KeyScheme::Compact][mix.below(2)],
+            receptive_field: mix.below(256),
+            bins: mix.below(1 << 16),
+        };
+        let mut lut = SparseLut::new();
+        let mut offsets = Vec::new();
+        for _ in 0..entries {
+            let key = u128::from(mix.next()) << 64 | u128::from(mix.next());
+            let offset = [mix.unit() * 4.0, mix.unit(), mix.unit() * 1e-3];
+            lut.set(key, offset).unwrap();
+            offsets.push((key, offset));
+        }
+        let sorted = |lut: &SparseLut| {
+            let mut set: Vec<(u128, [u32; 3])> =
+                lut.iter().map(|(k, o)| (k, o.map(f32::to_bits))).collect();
+            set.sort_unstable();
+            set
+        };
+        let bytes = encode_sparse(&lut, header);
+        let loaded = decode(&bytes).unwrap();
+        prop_assert_eq!(loaded.header, header);
+        prop_assert_eq!(sorted(&loaded.lut), sorted(&lut));
+        for (key, offset) in offsets {
+            let back = loaded.lut.get(key).unwrap();
+            for (b, o) in back.iter().zip(offset) {
+                prop_assert!((b - o).abs() <= o.abs() * 1e-3 + 1e-4, "{} vs {}", b, o);
+            }
+        }
+        for _ in 0..64 {
+            let at = mix.below(bytes.len());
+            let mut mutated = bytes.clone();
+            match mix.below(3) {
+                0 => mutated[at] ^= 1 << mix.below(8),
+                1 => mutated[at] = mix.next() as u8,
+                _ => mutated.truncate(at),
+            }
+            let _ = decode(&mutated);
+        }
+        for _ in 0..64 {
+            let len = mix.below(96);
+            let random: Vec<u8> = (0..len).map(|_| mix.next() as u8).collect();
+            prop_assert!(decode(&random).is_err() || random.starts_with(b"VLUT"));
         }
     }
 }
