@@ -3,10 +3,46 @@
 //! New points inherit the color of the nearest *original* point, reusing the
 //! spatial relationships already computed during geometric interpolation so
 //! that no additional neighbor searches are required. The per-point color
-//! assignment is embarrassingly parallel and runs across worker threads
-//! when the `parallel` feature is enabled.
+//! assignment is embarrassingly parallel and runs in chunks across the
+//! worker pool.
 
-use volut_pointcloud::{par, Color, NeighborhoodsView, PointCloud};
+use volut_pointcloud::{runtime, Color, NeighborhoodsView, Point3, PointCloud};
+
+/// Points per colorization task.
+const COLOR_CHUNK: usize = 8_192;
+
+/// The color of new point `original_len + i` at `pos`: its neighborhood
+/// head's (rows are distance-ordered), else the closer of its two parents',
+/// else black. The one source choice both [`colorize_new_points`] and
+/// [`colorize_rows`] make.
+fn source_color(
+    i: usize,
+    pos: Point3,
+    low: &PointCloud,
+    low_colors: &[Color],
+    neighborhoods: NeighborhoodsView<'_>,
+    parents: &[(usize, usize)],
+) -> Color {
+    let head = if i < neighborhoods.len() {
+        neighborhoods.row(i).first().map(|&j| j as usize)
+    } else {
+        None
+    };
+    let source = head.or_else(|| {
+        parents.get(i).map(|&(a, b)| {
+            let da = low.position(a).distance_squared(pos);
+            let db = low.position(b).distance_squared(pos);
+            if da <= db {
+                a
+            } else {
+                b
+            }
+        })
+    });
+    source
+        .and_then(|s| low_colors.get(s).copied())
+        .unwrap_or(Color::BLACK)
+}
 
 /// Assigns colors to the newly generated points of `cloud`.
 ///
@@ -43,29 +79,12 @@ pub fn colorize_new_points(
     {
         let positions = cloud.positions();
         let new_colors = &mut colors[original_len..];
-        par::fill_with(new_colors, 8_192, |i| {
-            let pos = positions[original_len + i];
-            // Candidate sources: neighborhood head (already distance-ordered),
-            // falling back to the closer of the two parents.
-            let head = if i < neighborhoods.len() {
-                neighborhoods.row(i).first().map(|&j| j as usize)
-            } else {
-                None
-            };
-            let source = head.or_else(|| {
-                parents.get(i).map(|&(a, b)| {
-                    let da = low.position(a).distance_squared(pos);
-                    let db = low.position(b).distance_squared(pos);
-                    if da <= db {
-                        a
-                    } else {
-                        b
-                    }
-                })
-            });
-            source
-                .and_then(|s| low_colors.get(s).copied())
-                .unwrap_or(Color::BLACK)
+        runtime::for_each_chunk_mut(new_colors, COLOR_CHUNK, |_, start, chunk| {
+            for (offset, color) in chunk.iter_mut().enumerate() {
+                let i = start + offset;
+                let pos = positions[original_len + i];
+                *color = source_color(i, pos, low, low_colors, neighborhoods, parents);
+            }
         });
     }
     cloud
@@ -77,9 +96,9 @@ pub fn colorize_new_points(
 ///
 /// Only the tail colors listed in `ordinals` are (re)assigned — every other
 /// tail color is left exactly as it is (the temporal layer has already
-/// copied those forward from the previous frame). The per-point color
-/// choice is identical to the full pass, so running this over the fresh
-/// subset after a cached-color scatter is bit-identical to a full
+/// copied those forward from the previous frame). Both passes choose each
+/// point's color with the same `source_color` call, so running this over
+/// the fresh subset after a cached-color scatter is bit-identical to a full
 /// [`colorize_new_points`] pass.
 pub fn colorize_rows(
     cloud: &mut PointCloud,
@@ -105,25 +124,8 @@ pub fn colorize_rows(
         for &ord in ordinals {
             let i = ord as usize;
             let pos = positions[original_len + i];
-            let head = if i < neighborhoods.len() {
-                neighborhoods.row(i).first().map(|&j| j as usize)
-            } else {
-                None
-            };
-            let source = head.or_else(|| {
-                parents.get(i).map(|&(a, b)| {
-                    let da = low.position(a).distance_squared(pos);
-                    let db = low.position(b).distance_squared(pos);
-                    if da <= db {
-                        a
-                    } else {
-                        b
-                    }
-                })
-            });
-            colors[original_len + i] = source
-                .and_then(|s| low_colors.get(s).copied())
-                .unwrap_or(Color::BLACK);
+            colors[original_len + i] =
+                source_color(i, pos, low, low_colors, neighborhoods, parents);
         }
     }
     cloud
@@ -152,12 +154,18 @@ pub fn colorize_blend_parents(
     });
     colors.truncate(original_len);
     colors.resize(cloud.len(), Color::BLACK);
-    par::fill_with(&mut colors[original_len..], 8_192, |i| {
-        parents
-            .get(i)
-            .map(|&(a, b)| low_colors[a].lerp(low_colors[b], 0.5))
-            .unwrap_or(Color::BLACK)
-    });
+    runtime::for_each_chunk_mut(
+        &mut colors[original_len..],
+        COLOR_CHUNK,
+        |_, start, chunk| {
+            for (offset, color) in chunk.iter_mut().enumerate() {
+                *color = parents
+                    .get(start + offset)
+                    .map(|&(a, b)| low_colors[a].lerp(low_colors[b], 0.5))
+                    .unwrap_or(Color::BLACK);
+            }
+        },
+    );
     cloud
         .set_colors(colors)
         .expect("color array sized to the point count by construction");
@@ -166,7 +174,7 @@ pub fn colorize_blend_parents(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use volut_pointcloud::{Neighborhoods, Point3};
+    use volut_pointcloud::Neighborhoods;
 
     fn csr(rows: &[Vec<usize>]) -> Neighborhoods {
         Neighborhoods::from_nested(rows)

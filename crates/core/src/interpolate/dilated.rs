@@ -52,7 +52,7 @@ use std::time::Instant;
 use volut_pointcloud::kernels;
 use volut_pointcloud::knn::NeighborSearch;
 use volut_pointcloud::soa::SoaPositions;
-use volut_pointcloud::{par, NeighborhoodsView, Point3, PointCloud};
+use volut_pointcloud::{runtime, NeighborhoodsView, Point3, PointCloud};
 
 /// Rows per task of the self-strip copy in `dilated_frame`: a few
 /// thousand 8-entry rows, tens of microseconds of work each.
@@ -230,7 +230,7 @@ fn dilated_frame(
     let width = raw_width - 1;
     arena.dilated.clear();
     let stripped = arena.dilated.push_uniform_rows(low.len(), width);
-    par::for_each_chunk_mut(stripped, STRIP_ROWS_PER_TASK * width, |_, start, chunk| {
+    runtime::for_each_chunk_mut(stripped, STRIP_ROWS_PER_TASK * width, |_, start, chunk| {
         let first = start / width;
         for (r, dst) in chunk.chunks_exact_mut(width).enumerate() {
             let i = first + r;
@@ -284,13 +284,13 @@ fn dilated_frame(
     }
     let soa = &*soa;
     let with_hoods = config.reuse_neighbors;
-    let workers = par::worker_count(fresh_rows.len(), 2_000);
+    let workers = runtime::workers_for(fresh_rows.len(), 2_000);
     let chunk = fresh_rows.len().div_ceil(workers).max(1);
     let n_chunks = fresh_rows.len().div_ceil(chunk).max(1);
     if batches.len() < n_chunks {
         batches.resize_with(n_chunks, RowBatch::default);
     }
-    par::for_each_chunk_mut(&mut batches[..n_chunks], 1, |c, _, batch| {
+    runtime::for_each_chunk_mut(&mut batches[..n_chunks], 1, |c, _, batch| {
         let range = (c * chunk).min(fresh_rows.len())..((c + 1) * chunk).min(fresh_rows.len());
         dilated_interpolate_rows_into(
             positions,

@@ -1,13 +1,7 @@
 //! Dense (flat-array) LUT storage for the compact key scheme.
-//!
-//! Like [`super::SparseLut`], the dense table overrides [`Lut::get_batch`]
-//! with a prefetched block probe: a `b = 32`, `n = 4` table is ~6 MB, far
-//! beyond L2, so batched refinement is bounded by DRAM latency. Prefetching
-//! the occupancy word and offset triple of a whole block of keys before
-//! decoding any of them overlaps those misses.
 
 use super::f16::{f16_bits_to_f32, f32_to_f16_bits};
-use super::{prefetch_read, Lut, Offset};
+use super::{Lut, Offset};
 use crate::error::Error;
 use crate::Result;
 
@@ -84,44 +78,6 @@ impl DenseLut {
         self.key_space
     }
 
-    /// Block size of the prefetched batch probe.
-    pub const PROBE_BLOCK: usize = 16;
-
-    /// Looks up a whole block of keys, prefetching the occupancy word and
-    /// offset storage of every in-range key before reading any of them so
-    /// the cache misses overlap. `out[i]` is `Some(offset)` when `keys[i]`
-    /// is populated.
-    ///
-    /// # Panics
-    /// Panics when `out` is shorter than `keys`.
-    pub fn get_batch(&self, keys: &[u128], out: &mut [Option<Offset>]) {
-        assert!(out.len() >= keys.len(), "output buffer too short");
-        for block_start in (0..keys.len()).step_by(Self::PROBE_BLOCK) {
-            let block_end = (block_start + Self::PROBE_BLOCK).min(keys.len());
-            // Pass 1: issue prefetches for every in-range key's offsets.
-            // The occupancy bitmap is 48x smaller than the offset storage
-            // and is usually cache-resident already, so only the offset
-            // triple is worth a prefetch slot.
-            for &key in &keys[block_start..block_end] {
-                if key < self.key_space {
-                    prefetch_read(&self.offsets[key as usize * 3]);
-                }
-            }
-            // Pass 2: decode (the slots are now in flight / resident).
-            for (slot, &key) in out[block_start..block_end]
-                .iter_mut()
-                .zip(keys[block_start..block_end].iter())
-            {
-                *slot = if key < self.key_space {
-                    let idx = key as usize;
-                    self.is_occupied(idx).then(|| self.read(idx))
-                } else {
-                    None
-                };
-            }
-        }
-    }
-
     fn is_occupied(&self, idx: usize) -> bool {
         (self.occupancy[idx / 64] >> (idx % 64)) & 1 == 1
     }
@@ -178,10 +134,6 @@ impl Lut for DenseLut {
             self.populated += 1;
         }
         Ok(())
-    }
-
-    fn get_batch(&self, keys: &[u128], out: &mut [Option<Offset>]) {
-        DenseLut::get_batch(self, keys, out);
     }
 
     fn populated(&self) -> usize {
@@ -246,8 +198,7 @@ mod tests {
         for key in (0..1u128 << 12).step_by(3) {
             lut.set(key, [0.125, -0.25, 0.5]).unwrap();
         }
-        // Mix of populated, unpopulated and out-of-range keys, spanning
-        // multiple probe blocks.
+        // Mix of populated, unpopulated and out-of-range keys.
         let keys: Vec<u128> = (0..500u128).map(|i| i * 11).collect();
         let mut batch = vec![None; keys.len()];
         lut.get_batch(&keys, &mut batch);

@@ -4,13 +4,9 @@
 //! capacity) instead of `std::collections::HashMap`: the refinement stage
 //! performs one lookup per generated point (~100K per frame) over a table
 //! that is far larger than L2, so lookup cost is DRAM latency, not hashing.
-//! Owning the layout lets [`SparseLut::get_batch`] software-prefetch the
-//! probe targets of a whole block of keys before touching any of them,
-//! overlapping the cache misses instead of serializing them — the
-//! single-core analogue of the paper's batched CUDA table reads.
 
 use super::f16::{f16_bits_to_f32, f32_to_f16_bits};
-use super::{prefetch_read as prefetch, Lut, Offset};
+use super::{Lut, Offset};
 use crate::Result;
 
 /// One open-addressing slot: packed key, `float16` offsets, occupancy.
@@ -74,9 +70,6 @@ impl Default for SparseLut {
 }
 
 impl SparseLut {
-    /// Block size of the prefetched batch probe.
-    pub const PROBE_BLOCK: usize = 32;
-
     /// Creates an empty sparse LUT.
     pub fn new() -> Self {
         Self::with_capacity(16)
@@ -159,37 +152,6 @@ impl SparseLut {
             }
         }
     }
-
-    /// Looks up a whole block of keys, prefetching every probe target
-    /// before reading any of them so the cache misses overlap. `out[i]` is
-    /// `Some(offset)` when `keys[i]` is populated.
-    ///
-    /// # Panics
-    /// Panics when `out` is shorter than `keys`.
-    pub fn get_batch(&self, keys: &[u128], out: &mut [Option<Offset>]) {
-        assert!(out.len() >= keys.len(), "output buffer too short");
-        for block_start in (0..keys.len()).step_by(Self::PROBE_BLOCK) {
-            let block_end = (block_start + Self::PROBE_BLOCK).min(keys.len());
-            // Pass 1: issue prefetches for the home slot of every key.
-            for &key in &keys[block_start..block_end] {
-                prefetch(&self.entries[self.slot_of(key)]);
-            }
-            // Pass 2: probe (home slots are now in flight / resident).
-            for (i, &key) in keys[block_start..block_end].iter().enumerate() {
-                let (slot, found) = self.probe(key);
-                out[block_start + i] = if found {
-                    let e = &self.entries[slot];
-                    Some([
-                        f16_bits_to_f32(e.packed[0]),
-                        f16_bits_to_f32(e.packed[1]),
-                        f16_bits_to_f32(e.packed[2]),
-                    ])
-                } else {
-                    None
-                };
-            }
-        }
-    }
 }
 
 impl Lut for SparseLut {
@@ -205,10 +167,6 @@ impl Lut for SparseLut {
         } else {
             None
         }
-    }
-
-    fn get_batch(&self, keys: &[u128], out: &mut [Option<Offset>]) {
-        SparseLut::get_batch(self, keys, out);
     }
 
     fn set(&mut self, key: u128, offset: Offset) -> Result<()> {
@@ -335,7 +293,7 @@ mod tests {
             lut.set(i.wrapping_mul(0xDEAD_BEEF_CAFE), [0.25, -0.25, 0.0])
                 .unwrap();
         }
-        // Mix of present and absent keys, larger than one probe block.
+        // Mix of present and absent keys.
         let keys: Vec<u128> = (0..1_000u128)
             .map(|i| {
                 if i % 3 == 0 {

@@ -20,15 +20,15 @@
 //!
 //! [`refine_in_place`] is the shared driver used by [`crate::SrPipeline`]
 //! and both baselines: it splits the generated tail of a cloud into chunks,
-//! fans the chunks out across threads (with the `parallel` feature), and
-//! runs `refine_batch` on zero-copy row windows.
+//! fans the chunks out across the worker pool, and runs `refine_batch` on
+//! zero-copy row windows.
 
 use crate::encoding::{KeyScheme, PositionEncoder};
 use crate::lut::{LookupStats, Lut};
 use crate::nn::mlp::Mlp;
 use crate::Result;
 use std::sync::atomic::{AtomicU64, Ordering};
-use volut_pointcloud::{par, Neighborhoods, NeighborhoodsView, Point3, PointCloud};
+use volut_pointcloud::{runtime, Neighborhoods, NeighborhoodsView, Point3, PointCloud};
 
 /// Per-point cost description used by the device cost models and the
 /// runtime-breakdown experiments.
@@ -84,8 +84,8 @@ pub trait Refiner: Send + Sync {
 /// batch kernel can read stable centers while writing results; reusing the
 /// same buffer across frames (the pipeline passes its frame arena's, see
 /// `interpolate::FrameArena`) means steady-state refinement performs no
-/// per-frame allocation either. Chunks
-/// of the tail are processed in parallel when the `parallel` feature is on.
+/// per-frame allocation either. Chunks of the tail are refined in parallel
+/// on the current pool.
 ///
 /// # Panics
 /// Panics when `neighborhoods.len()` differs from the generated tail length.
@@ -112,9 +112,9 @@ pub fn refine_in_place(
     let centers: &[Point3] = centers_scratch;
     let view = neighborhoods.view();
 
-    let workers = par::worker_count(tail.len(), 4_096);
+    let workers = runtime::workers_for(tail.len(), 4_096);
     let chunk = tail.len().div_ceil(workers).max(1);
-    par::for_each_chunk_mut(tail, chunk, |_, start, out_chunk| {
+    runtime::for_each_chunk_mut(tail, chunk, |_, start, out_chunk| {
         let end = start + out_chunk.len();
         refiner.refine_batch(
             &centers[start..end],
@@ -180,9 +180,9 @@ pub fn refine_rows_in_place(
     subset_out.clear();
     subset_out.resize(ordinals.len(), Point3::ZERO);
 
-    let workers = par::worker_count(ordinals.len(), 4_096);
+    let workers = runtime::workers_for(ordinals.len(), 4_096);
     let chunk = ordinals.len().div_ceil(workers).max(1);
-    par::for_each_chunk_mut(subset_out.as_mut_slice(), chunk, |_, start, out_chunk| {
+    runtime::for_each_chunk_mut(subset_out.as_mut_slice(), chunk, |_, start, out_chunk| {
         let end = start + out_chunk.len();
         refiner.refine_batch(
             &centers[start..end],
@@ -310,9 +310,9 @@ impl Refiner for LutRefiner {
         debug_assert_eq!(centers.len(), out.len());
         // Block-structured: the lane-wise encoder turns a block of CSR rows
         // into keys and radii (gather → normalize → quantize over whole slot
-        // lanes), one `get_batch` resolves the block — prefetching its own
-        // probe targets — and the offsets are applied. Every buffer, the
-        // encoder's lanes included, is a fixed array on this stack.
+        // lanes), one `get_batch` resolves the block, and the offsets are
+        // applied. Every buffer, the encoder's lanes included, is a fixed
+        // array on this stack.
         const BLOCK: usize = 64;
         let mut keys = [0u128; BLOCK];
         // radius < 0 marks rows that skip refinement (empty / unencodable).

@@ -47,33 +47,34 @@
 //!
 //! # Sharding (query-leaf partition)
 //!
-//! A batch is cut along the query side of the tree: under the `parallel`
-//! feature a frontier of roughly `2 × workers` subtree roots covering the
-//! leaf-slot space end to end (greedily splitting the widest shard) is
-//! planned per batch — a single whole-tree shard when the pool has one
-//! executor or the batch holds under a couple thousand queries per worker —
-//! and each shard runs as one stealable task of the work-stealing pool
-//! ([`crate::runtime`]). A shard does everything its rows need: it fills its
-//! sub-slab of the row arena with sentinels, runs the ordinary pair
-//! traversal — its query subtree against the whole tree — and scatters its
-//! finished rows from leaf-slot order to the caller's query order, so no
-//! serial pass over the rows runs before or after the tasks. Shards are
-//! independent because all mutable state is per-shard: the row and row-bound
-//! sub-slabs of its leaf slots and a private node-bound vector drawn from a
-//! pool in [`DualTreeScratch`], so steady-state frames still allocate
-//! nothing. A shard schedules its diagonal (self) pair first and the other
+//! A batch is cut along the query side of the tree: a frontier of roughly
+//! `2 × workers` subtree roots covering the leaf-slot space end to end
+//! (greedily splitting the widest shard) is planned per batch — a single
+//! whole-tree shard when the pool has one executor or the batch is small
+//! (see `DUAL_MIN_QUERIES_PER_SHARD` for the exact rule) — and each shard
+//! runs as one stealable task of [`crate::runtime::for_each_chunk_mut`].
+//! The frontier is sorted by leaf slot, so the row and row-bound arenas split
+//! front to back into one `&mut` sub-slice per shard, and each shard also
+//! takes one pooled node-bound vector from [`DualTreeScratch`]: all mutable
+//! state is per-shard, so the shards are independent by construction and the
+//! buffers are reused across batches. A shard fills its rows with sentinels
+//! and runs the ordinary pair traversal — its query subtree against the
+//! whole tree — scheduling its diagonal (self) pair first and the other
 //! shards' subtrees nearest-first, preserving the bound-seeding property
-//! within the shard. Because bounds only *prune* pairs that provably cannot
-//! contribute and row contents are decided by the packed key semantics
-//! alone, results are **bit-identical** at every worker count
-//! (property-tested, including duplicate-heavy tie cases).
+//! within the shard. Once every shard is done, the rows are gathered from
+//! leaf-slot order back to the caller's point order, again one chunk per
+//! shard, through the inverse of the tree's slot permutation (built once per
+//! batch). Because bounds only *prune* pairs that provably cannot contribute
+//! and row contents are decided by the packed key semantics alone, results
+//! are **bit-identical** at every worker count (property-tested, including
+//! duplicate-heavy tie cases).
 //!
 //! [`KdTree::knn`]: crate::knn::NeighborSearch::knn
 
 use crate::kdtree::KdTree;
 use crate::kernels::{self, JoinRows, RefLeaf, Tier, SENTINEL};
 use crate::neighborhoods::Neighborhoods;
-use crate::par::SendPtr;
+use crate::runtime;
 
 /// The smallest self-join batch the batch policy sends to the dual tree: the
 /// bottom of the range the crossover was measured over, because no crossover
@@ -115,10 +116,14 @@ pub const DUAL_MIN_QUERIES_MONO: usize = 16;
 /// large-`k` rows blow past the slab's cache-friendly regime).
 pub const DUAL_MAX_K: usize = 32;
 
-/// Fewest queries a parallel shard is worth: below this per shard, the
-/// leaf-pair traversal is too short to repay task scheduling and the
-/// per-shard warm-up of pruning bounds, so the batch stays sequential.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
+/// Queries per worker at which a self-join starts to shard. The batch is cut
+/// for `w = runtime::workers_for(q, 2048) = min(W, q / 2048 + 1)` workers on
+/// a `W`-worker pool and planned as about `2 w` shards (slack for stealing),
+/// so a one-worker pool or a batch under 2048 queries keeps one whole-tree
+/// shard. It is where cutting starts, not a floor on shard size: on two
+/// workers a 2048-query batch is planned as four shards of about 512
+/// queries, and a 4096-query batch (every `fleet_256_lossy` tenant) as four
+/// of about 1024.
 const DUAL_MIN_QUERIES_PER_SHARD: usize = 2048;
 
 /// Reusable state of the dual-tree self-join: the flat per-query result rows
@@ -130,9 +135,12 @@ const DUAL_MIN_QUERIES_PER_SHARD: usize = 2048;
 pub struct DualTreeScratch {
     /// `stride` packed `(d2-bits, index)` keys per query, ascending, laid
     /// out in the tree's *leaf-slot* order so a leaf-pair scan touches one
-    /// small contiguous run of rows (see [`JoinRows`]); each shard scatters
-    /// its rows back to caller order when its traversal ends.
+    /// small contiguous run of rows (see [`JoinRows`]); gathered back to
+    /// caller order once every shard is done.
     rows: Vec<u64>,
+    /// Leaf slot of each point: the inverse of the tree's slot permutation,
+    /// which the gather reads.
+    slot_of_point: Vec<u32>,
     /// Per-slot pruning bound beside the row slab (see
     /// [`JoinRows::bounds`]).
     row_bounds: Vec<f32>,
@@ -162,6 +170,7 @@ impl DualTreeScratch {
     /// (repeated same-shape batches must not grow it).
     pub fn reserved_bytes(&self) -> usize {
         self.rows.capacity() * std::mem::size_of::<u64>()
+            + self.slot_of_point.capacity() * std::mem::size_of::<u32>()
             + self.row_bounds.capacity() * std::mem::size_of::<f32>()
             + self
                 .shard_bounds
@@ -177,10 +186,9 @@ impl DualTreeScratch {
 /// empty cloud and row reservation; `stride = k.min(tree len)`.
 ///
 /// The batch is cut into shards of the tree's query side (one, when the pool
-/// has a single executor or the batch is small) and everything per-row
-/// happens inside the shard tasks — sentinel fill, traversal, and the
-/// scatter from leaf-slot order back to point order — so no serial pass
-/// over the rows brackets the parallel part.
+/// has a single executor or the batch is small); each shard task fills and
+/// traverses its own rows, and a second chunked pass gathers the rows from
+/// leaf-slot order back to point order.
 pub(crate) fn self_join(
     tree: &KdTree,
     stride: usize,
@@ -192,6 +200,7 @@ pub(crate) fn self_join(
     scratch.invocations += 1;
     let DualTreeScratch {
         rows,
+        slot_of_point,
         row_bounds,
         shard_bounds,
         ..
@@ -203,30 +212,26 @@ pub(crate) fn self_join(
     if shard_bounds.len() < shards.len() {
         shard_bounds.resize_with(shards.len(), Vec::new);
     }
-    // Every row ends full (nothing prunes against a sentinel's infinite
-    // bound) and sorted by (distance, index), and exact kNN rows are
-    // stride-uniform, so each row's final location is known up front.
-    let slab = out.push_uniform_rows(n, stride);
+    // The shards tile the leaf-slot space in slot order, so cutting both
+    // row arenas front to back hands each shard exactly its own rows.
+    let (mut keys_rest, mut bounds_rest) = (rows.as_mut_slice(), row_bounds.as_mut_slice());
+    let mut work: Vec<_> = shards
+        .iter()
+        .zip(shard_bounds.iter_mut())
+        .map(|(shard, node_bounds)| {
+            let len = shard.hi - shard.lo;
+            let (keys, rest) = std::mem::take(&mut keys_rest).split_at_mut(len * stride);
+            keys_rest = rest;
+            let (bounds, rest) = std::mem::take(&mut bounds_rest).split_at_mut(len);
+            bounds_rest = rest;
+            (keys, bounds, node_bounds)
+        })
+        .collect();
     // One ISA resolution per batch; the shards inherit it.
     let tier = Tier::detect();
-    let keys_ptr = SendPtr::new(rows.as_mut_ptr());
-    let row_bounds_ptr = SendPtr::new(row_bounds.as_mut_ptr());
-    let node_bounds_ptr = SendPtr::new(shard_bounds.as_mut_ptr());
-    let slab_ptr = SendPtr::new(slab.as_mut_ptr());
-    let run_shard = |i: usize| {
+    runtime::for_each_chunk_mut(&mut work, 1, |i, _, job| {
         let shard = shards[i];
-        let len = shard.hi - shard.lo;
-        // SAFETY: shard `i` is visited by exactly one task. The shards
-        // partition the leaf-slot space, so the key and bound sub-slabs of
-        // `lo..hi` and the pooled node-bounds vector `i` are exclusively
-        // this task's; all four buffers outlive the blocking dispatch below.
-        let (keys, bounds, node_bounds) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(keys_ptr.get().add(shard.lo * stride), len * stride),
-                std::slice::from_raw_parts_mut(row_bounds_ptr.get().add(shard.lo), len),
-                &mut *node_bounds_ptr.get().add(i),
-            )
-        };
+        let (keys, bounds, node_bounds) = &mut job[0];
         keys.fill(SENTINEL);
         bounds.fill(f32::INFINITY);
         node_bounds.clear();
@@ -259,26 +264,32 @@ pub(crate) fn self_join(
         for (rn, d) in others {
             t.pair(shard.root, rn, d);
         }
-        // Rows live in leaf-slot order; the tree's permutation maps each
-        // back to its point index. The low 32 bits of a packed key are the
-        // neighbor index.
-        for (slot, &qi) in tree.order()[shard.lo..shard.hi].iter().enumerate() {
-            let src = &t.rows.keys[slot * stride..(slot + 1) * stride];
-            // SAFETY: `order` is a permutation of the point indices, so row
-            // `qi` of the output slab is written by this iteration alone.
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(slab_ptr.get().add(qi as usize * stride), stride)
-            };
-            for (d, &key) in dst.iter_mut().zip(src) {
+    });
+    // Rows live in leaf-slot order; gather each point's row from its slot,
+    // one chunk of points per shard. Every row ends full (nothing prunes
+    // against a sentinel's infinite bound) and exact kNN rows are
+    // stride-uniform, so the output block is sized up front. The low 32 bits
+    // of a packed key are the neighbor index.
+    slot_of_point.resize(n, 0);
+    for (slot, &qi) in tree.order().iter().enumerate() {
+        slot_of_point[qi as usize] = slot as u32;
+    }
+    let (rows, slot_of_point) = (&*rows, &*slot_of_point);
+    let slab = out.push_uniform_rows(n, stride);
+    let chunk_rows = n.div_ceil(shards.len());
+    runtime::for_each_chunk_mut(slab, chunk_rows * stride, |c, _, chunk| {
+        let first = c * chunk_rows;
+        for (dst, &slot) in chunk.chunks_exact_mut(stride).zip(&slot_of_point[first..]) {
+            let slot = slot as usize;
+            for (d, &key) in dst
+                .iter_mut()
+                .zip(&rows[slot * stride..(slot + 1) * stride])
+            {
                 debug_assert_ne!(key, SENTINEL, "dual-tree rows end full");
                 *d = key as u32;
             }
         }
-    };
-    #[cfg(feature = "parallel")]
-    crate::runtime::run_range(shards.len(), 1, |r| r.for_each(&run_shard));
-    #[cfg(not(feature = "parallel"))]
-    (0..shards.len()).for_each(run_shard);
+    });
 }
 
 /// One shard of the query side: a tree node whose subtree covers the
@@ -295,7 +306,6 @@ struct Shard {
 /// Leaf-slot span of `n`'s subtree. Children are allocated over contiguous
 /// slot sub-ranges at build time, so the span is (leftmost leaf's start,
 /// rightmost leaf's end) — two root-to-leaf walks, no subtree scan.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 fn subtree_span(tree: &KdTree, n: u32) -> (usize, usize) {
     let mut lo_n = n;
     let lo = loop {
@@ -322,59 +332,49 @@ fn subtree_span(tree: &KdTree, n: u32) -> (usize, usize) {
 /// Returns a single whole-tree shard when the pool has one executor or the
 /// batch is too small to repay sharding.
 fn plan_shards(tree: &KdTree, queries: usize) -> Vec<Shard> {
-    let whole = || {
-        vec![Shard {
-            root: tree.root_id(),
-            lo: 0,
-            hi: queries,
-        }]
-    };
-    #[cfg(not(feature = "parallel"))]
-    {
-        whole()
+    let mut frontier = vec![Shard {
+        root: tree.root_id(),
+        lo: 0,
+        hi: queries,
+    }];
+    let workers = runtime::workers_for(queries, DUAL_MIN_QUERIES_PER_SHARD);
+    if workers <= 1 {
+        return frontier;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let workers = crate::par::worker_count(queries, DUAL_MIN_QUERIES_PER_SHARD);
-        if workers <= 1 {
-            return whole();
-        }
-        let target = workers * 2;
-        let mut frontier: Vec<Shard> = whole();
-        while frontier.len() < target {
-            // Split the widest shard; stop when only leaves remain.
-            let Some(widest) = frontier
-                .iter()
-                .position(|s| !tree.node(s.root).is_leaf())
-                .map(|first| {
-                    frontier
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| !tree.node(s.root).is_leaf())
-                        .max_by_key(|(_, s)| s.hi - s.lo)
-                        .map_or(first, |(i, _)| i)
-                })
-            else {
-                break;
-            };
-            let shard = frontier.swap_remove(widest);
-            let (a, b) = tree.node(shard.root).children();
-            let (alo, ahi) = subtree_span(tree, a);
-            let (blo, bhi) = subtree_span(tree, b);
-            frontier.push(Shard {
-                root: a,
-                lo: alo,
-                hi: ahi,
-            });
-            frontier.push(Shard {
-                root: b,
-                lo: blo,
-                hi: bhi,
-            });
-        }
-        frontier.sort_by_key(|s| s.lo);
-        frontier
+    let target = workers * 2;
+    while frontier.len() < target {
+        // Split the widest shard; stop when only leaves remain.
+        let Some(widest) = frontier
+            .iter()
+            .position(|s| !tree.node(s.root).is_leaf())
+            .map(|first| {
+                frontier
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| !tree.node(s.root).is_leaf())
+                    .max_by_key(|(_, s)| s.hi - s.lo)
+                    .map_or(first, |(i, _)| i)
+            })
+        else {
+            break;
+        };
+        let shard = frontier.swap_remove(widest);
+        let (a, b) = tree.node(shard.root).children();
+        let (alo, ahi) = subtree_span(tree, a);
+        let (blo, bhi) = subtree_span(tree, b);
+        frontier.push(Shard {
+            root: a,
+            lo: alo,
+            hi: ahi,
+        });
+        frontier.push(Shard {
+            root: b,
+            lo: blo,
+            hi: bhi,
+        });
     }
+    frontier.sort_by_key(|s| s.lo);
+    frontier
 }
 
 /// The recursive (query-node, reference-node) pair walk of one shard. Each
@@ -715,7 +715,6 @@ mod tests {
     /// rows as the sequential one, for every worker count, with
     /// duplicate-heavy ties — and its per-shard bounds pool must reach a
     /// steady state (no growth on repeated same-shape batches).
-    #[cfg(feature = "parallel")]
     #[test]
     fn sharded_traversal_matches_sequential() {
         let mut pts = random_points(6_000, 20);
@@ -749,7 +748,6 @@ mod tests {
     }
 
     /// Shard planning partitions the leaf-slot space exactly.
-    #[cfg(feature = "parallel")]
     #[test]
     fn shard_frontier_partitions_leaf_slots() {
         let pts = random_points(10_000, 22);

@@ -14,9 +14,9 @@
 //! (`subtree_counts`). [`KdTree::build_in`] therefore sizes the node, box
 //! and leaf-box arrays up front and hands every subtree the disjoint slices
 //! it will fill, in the post-order layout a sequential build produces. Above
-//! `BUILD_TASK_GRAIN` points the two halves of a split run as a two-way
-//! [`crate::runtime::run_range`] job (nested jobs split recursively and are
-//! stolen like any other range task); at or below it a subtree builds
+//! `BUILD_TASK_GRAIN` points the two halves of a split run as a two-chunk
+//! [`crate::runtime::for_each_chunk_mut`] job (nested jobs split recursively
+//! and are stolen like any other range task); at or below it a subtree builds
 //! inline. Either way the tree is field-for-field the same at every worker
 //! count.
 
@@ -26,8 +26,8 @@ use crate::dualtree::{self, DualTreeScratch};
 use crate::kernels;
 use crate::knn::{batch_queries, finalize_candidates, BestK, Neighbor, NeighborSearch};
 use crate::neighborhoods::Neighborhoods;
-use crate::par;
 use crate::point::Point3;
+use crate::runtime;
 use crate::soa::SoaPositions;
 
 /// Maximum number of points stored in a leaf before the builder splits it.
@@ -52,7 +52,6 @@ const SWEEP_MIN_QUERIES_PER_WORKER: usize = 2_000;
 /// builds in ≈ 0.4 ms on one thread, which is the scale at which a fork
 /// (two task submissions and a wake, ≈ 15 µs) stops mattering; everything at
 /// or below it submits nothing.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 const BUILD_TASK_GRAIN: usize = 4096;
 
 /// One packed tree node (16 bytes, down from a 40-byte enum): keeping the
@@ -163,21 +162,21 @@ impl Subtree<'_> {
     /// Builds the subtree in post-order: the left subtree's nodes, the
     /// right subtree's, then the root — which is therefore the last node of
     /// the slice, with its box in the last slot of `node_aabbs`.
-    fn build(self) {
+    fn build(&mut self) {
         let count = self.order.len();
         if count <= LEAF_SIZE {
             return self.build_leaf();
         }
         let Subtree {
             points,
-            order,
-            nodes,
-            node_aabbs,
-            leaf_aabbs,
+            ref mut order,
+            ref mut nodes,
+            ref mut node_aabbs,
+            ref mut leaf_aabbs,
             slot_base,
             node_base,
             leaf_base,
-        } = self;
+        } = *self;
         // Pick the axis with the largest spread for better balance than
         // round-robin on skewed data.
         let axis = {
@@ -212,26 +211,28 @@ impl Subtree<'_> {
         let (ll, rl) = leaf_aabbs.split_at_mut(left_leaves);
         fork(
             count,
-            Subtree {
-                points,
-                order: left_order,
-                nodes: ln,
-                node_aabbs: la,
-                leaf_aabbs: ll,
-                slot_base,
-                node_base,
-                leaf_base,
-            },
-            Subtree {
-                points,
-                order: right_order,
-                nodes: rn,
-                node_aabbs: ra,
-                leaf_aabbs: rl,
-                slot_base: slot_base + half,
-                node_base: node_base + left_nodes,
-                leaf_base: leaf_base + left_leaves,
-            },
+            [
+                Subtree {
+                    points,
+                    order: left_order,
+                    nodes: ln,
+                    node_aabbs: la,
+                    leaf_aabbs: ll,
+                    slot_base,
+                    node_base,
+                    leaf_base,
+                },
+                Subtree {
+                    points,
+                    order: right_order,
+                    nodes: rn,
+                    node_aabbs: ra,
+                    leaf_aabbs: rl,
+                    slot_base: slot_base + half,
+                    node_base: node_base + left_nodes,
+                    leaf_base: leaf_base + left_leaves,
+                },
+            ],
         );
         // Tight internal box: the union of the children's, which they have
         // just written behind their own nodes.
@@ -251,7 +252,7 @@ impl Subtree<'_> {
     /// Writes the single leaf node covering this subtree's slots, recording
     /// the tight bounding box of its points and freezing the slots in Morton
     /// order (see [`sort_leaf_slots`]).
-    fn build_leaf(self) {
+    fn build_leaf(&mut self) {
         let aabb = Aabb::from_points(self.order.iter().map(|&i| self.points[i as usize]))
             .unwrap_or(Aabb::new(Point3::ZERO, Point3::ZERO));
         sort_leaf_slots(self.points, self.order, &aabb);
@@ -268,23 +269,12 @@ impl Subtree<'_> {
 
 /// Builds the two halves of a split over `count` points — as a two-way pool
 /// job when the split is big enough to repay it, inline otherwise.
-fn fork(count: usize, left: Subtree<'_>, right: Subtree<'_>) {
-    #[cfg(feature = "parallel")]
-    if count > BUILD_TASK_GRAIN && crate::runtime::current_workers() > 1 {
-        // `run_range` takes a shared closure, so each half travels to
-        // whichever worker picks it up through a take-once slot.
-        let halves = [left, right].map(|half| std::sync::Mutex::new(Some(half)));
-        crate::runtime::run_range(2, 1, |sides| {
-            for side in sides {
-                let half = halves[side].lock().expect("half slot").take();
-                half.expect("each half is built once").build();
-            }
-        });
-        return;
+fn fork(count: usize, mut halves: [Subtree<'_>; 2]) {
+    if count > BUILD_TASK_GRAIN {
+        runtime::for_each_chunk_mut(&mut halves, 1, |_, _, half| half[0].build());
+    } else {
+        halves.iter_mut().for_each(Subtree::build);
     }
-    let _ = count;
-    left.build();
-    right.build();
 }
 
 /// A far subtree deferred during kNN traversal, tagged with the squared
@@ -936,9 +926,9 @@ impl KdTree {
         let stride = k.min(self.points.len());
         debug_assert!(stride > 0);
         let slab = out.push_uniform_rows(queries.len(), stride);
-        let workers = par::worker_count(queries.len(), SWEEP_MIN_QUERIES_PER_WORKER);
+        let workers = runtime::workers_for(queries.len(), SWEEP_MIN_QUERIES_PER_WORKER);
         let run_len = queries.len().div_ceil(workers).max(1);
-        par::for_each_chunk_mut(slab, run_len * stride, |_, start, rows| {
+        runtime::for_each_chunk_mut(slab, run_len * stride, |_, start, rows| {
             let first = start / stride;
             let run = &queries[first..first + rows.len() / stride];
             let mut stack: Vec<DeferredSubtree> = Vec::with_capacity(64);
@@ -1240,7 +1230,6 @@ mod tests {
     /// its rows straight into the output block: rows must not depend on the
     /// cut — runs short of and past the Morton-reorder size included — and
     /// a batch appended behind existing rows must leave them alone.
-    #[cfg(feature = "parallel")]
     #[test]
     fn sweep_rows_do_not_depend_on_the_worker_count() {
         let pts = random_points(3_000, 23);

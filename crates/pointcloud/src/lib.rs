@@ -44,7 +44,6 @@ pub mod kernels;
 pub mod knn;
 pub mod metrics;
 pub mod neighborhoods;
-pub mod par;
 pub mod point;
 pub mod runtime;
 pub mod sampling;

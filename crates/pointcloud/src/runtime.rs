@@ -1,11 +1,15 @@
 //! Work-stealing task runtime — the engine's thread pool.
 //!
-//! The crate's data-parallel helpers ([`crate::par`]) used to fan chunks out
-//! over `std::thread::scope`, spawning one OS thread *per chunk*: a
-//! 1000-chunk job oversubscribed the machine a hundredfold, and every
-//! parallel stage paid thread spawn/join latency. This module replaces that
-//! with a real pool, hand-rolled in the style of rayon's registry (the
-//! crates.io registry is unreachable from the build environment):
+//! The engine's data-parallel stages used to fan chunks out over
+//! `std::thread::scope`, spawning one OS thread *per chunk*: a 1000-chunk
+//! job oversubscribed the machine a hundredfold, and every parallel stage
+//! paid thread spawn/join latency. This module replaces that with a real
+//! pool, hand-rolled in the style of rayon's registry (the workspace
+//! depends on no crates.io crates). Every parallel
+//! write in the engine goes through one safe primitive on top of it,
+//! [`for_each_chunk_mut`], which hands each task a disjoint `&mut`
+//! sub-slice; callers size their cut with [`workers_for`]. Running
+//! sequentially is a pool of one: `VOLUT_WORKERS=1`.
 //!
 //! * **Per-worker deques, Chase–Lev discipline.** Each worker owns a
 //!   fixed-capacity lock-free deque (`Deque`): the owner pushes and pops
@@ -58,7 +62,9 @@
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{
+    AtomicBool, AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst,
+};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Capacity of each worker's deque (power of two). Splitting pushes at most
@@ -419,7 +425,7 @@ impl Drop for Pool {
 impl Pool {
     /// Creates a pool with `workers` total executors (clamped to ≥ 1).
     /// `workers == 1` spawns no threads — every job runs inline on the
-    /// submitter, which is also the `parallel`-feature-off behavior.
+    /// submitter.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
@@ -630,6 +636,64 @@ where
         Some(pool) => pool.run_range(order.len(), grain, &|r: Range<usize>| f(&order[r])),
         None => global().run_range(order.len(), grain, |r| f(&order[r])),
     }
+}
+
+/// How many workers a workload of `items` elements is cut for:
+/// `min(current_workers(), items / min_items_per_worker + 1)`, at least 1.
+///
+/// The count scales with the workload because a full pool for a few
+/// thousand points costs more than it saves, and it is capped by the current
+/// pool ([`current_workers`], which honors `VOLUT_WORKERS` and scoped
+/// [`with_workers`] overrides). The `+ 1` means a worker's share can fall
+/// below `min_items_per_worker`: 3000 items at 1000 per worker are cut for
+/// four workers, 750 items each. The minimum is where cutting *starts*, not
+/// a floor on the share.
+pub fn workers_for(items: usize, min_items_per_worker: usize) -> usize {
+    current_workers()
+        .min(items / min_items_per_worker.max(1) + 1)
+        .max(1)
+}
+
+/// Runs `f(chunk_index, start, chunk)` over contiguous mutable chunks of
+/// `data`, `chunk_len` elements each (the last may be shorter), on the
+/// current pool; `start` is the chunk's element offset inside `data`.
+///
+/// This is the engine's one way to write in parallel: each task gets a
+/// disjoint `&mut` sub-slice, so callers hold no raw pointers — a caller with
+/// several outputs per task pre-splits them into one element per task and
+/// passes chunks of 1. At most pool-size chunks run at once however many
+/// the job has; one chunk, or a one-worker pool, runs inline on the caller.
+pub fn for_each_chunk_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, usize, &mut [T]) + Sync,
+{
+    let chunk_len = chunk_len.max(1);
+    let len = data.len();
+    let chunks = len.div_ceil(chunk_len);
+    if chunks <= 1 || current_workers() <= 1 {
+        for (c, chunk) in data.chunks_mut(chunk_len).enumerate() {
+            f(c, c * chunk_len, chunk);
+        }
+        return;
+    }
+    // `AtomicPtr` is `Send + Sync`, so the range closure can carry the base
+    // pointer to whichever worker runs a chunk.
+    let base = AtomicPtr::new(data.as_mut_ptr());
+    run_range(chunks, 1, |r| {
+        for c in r {
+            let start = c * chunk_len;
+            let end = (start + chunk_len).min(len);
+            // SAFETY: `run_range` hands out each chunk index exactly once,
+            // chunks span disjoint elements of `data`, and `data` stays
+            // mutably borrowed until the blocking `run_range` returns, so no
+            // two live slices alias; `T: Send` lets a chunk cross threads.
+            let chunk = unsafe {
+                std::slice::from_raw_parts_mut(base.load(SeqCst).add(start), end - start)
+            };
+            f(c, start, chunk);
+        }
+    });
 }
 
 /// Runs `f` with the current thread routed to a pool of exactly `workers`
@@ -902,5 +966,78 @@ mod tests {
             seen.lock().unwrap().extend_from_slice(items);
         });
         assert_eq!(seen.into_inner().unwrap(), order);
+    }
+
+    #[test]
+    fn workers_for_scales_with_items_and_is_capped_by_the_pool() {
+        assert_eq!(workers_for(0, 1000), 1);
+        assert!(workers_for(1_000_000, 1000) >= 1);
+        with_workers(2, || assert_eq!(workers_for(1_000_000, 1000), 2));
+        with_workers(8, || {
+            assert_eq!(workers_for(1_000_000, 1000), 8);
+            // Still scales down with the workload, and the `+ 1` cuts 3000
+            // items for four workers of 750.
+            assert_eq!(workers_for(3000, 1000), 4);
+        });
+    }
+
+    #[test]
+    fn for_each_chunk_mut_touches_every_element() {
+        for workers in [1, 4] {
+            let mut data = vec![0usize; 1003];
+            with_workers(workers, || {
+                for_each_chunk_mut(&mut data, 100, |c, start, chunk| {
+                    assert_eq!(start, c * 100);
+                    for (offset, v) in chunk.iter_mut().enumerate() {
+                        *v = start + offset;
+                    }
+                });
+            });
+            assert!(data.iter().enumerate().all(|(i, &v)| v == i), "{workers}");
+        }
+    }
+
+    #[test]
+    fn for_each_chunk_mut_fills_every_slot_by_index() {
+        for workers in [1, 4] {
+            let mut data = vec![0u64; 4097];
+            with_workers(workers, || {
+                for_each_chunk_mut(&mut data, 256, |_, start, chunk| {
+                    for (offset, v) in chunk.iter_mut().enumerate() {
+                        *v = (start + offset) as u64 * 3;
+                    }
+                });
+            });
+            assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64 * 3));
+        }
+    }
+
+    /// A 1000-chunk job must never run more than pool-size chunks at once,
+    /// however many chunks it is cut into.
+    #[test]
+    fn thousand_chunk_job_never_exceeds_pool_size() {
+        // Private pool, not the shared `with_workers` cache: a concurrent
+        // test waiting on that cached pool participates via work stealing
+        // and would be a legal extra executor, breaking the bound under test.
+        let workers = 4;
+        let live = AtomicIsize::new(0);
+        let peak = AtomicIsize::new(0);
+        let mut data = vec![0u8; 1000];
+        let pool = Pool::new(workers);
+        pool.install(|| {
+            for_each_chunk_mut(&mut data, 1, |_, _, chunk| {
+                let now = live.fetch_add(1, SeqCst) + 1;
+                peak.fetch_max(now, SeqCst);
+                std::thread::sleep(std::time::Duration::from_micros(20));
+                chunk[0] = 1;
+                live.fetch_sub(1, SeqCst);
+            });
+        });
+        assert!(data.iter().all(|&b| b == 1), "every chunk ran");
+        assert!(
+            peak.load(SeqCst) <= workers as isize,
+            "peak concurrency {} exceeded pool size {workers}",
+            peak.load(SeqCst)
+        );
     }
 }

@@ -18,9 +18,10 @@
 //!   session's [`DegradationLevel`] against the per-frame compute budget
 //!   using the deterministic analytic [`SrComputeModel`] (wall-clock feeds
 //!   miss counters and telemetry only, keeping outputs bit-identical across
-//!   worker counts), then dispatches the frame jobs longest-predicted-first
-//!   onto the pool via `volut_pointcloud::runtime::run_order` so heavy
-//!   tenants cannot convoy behind thousands of light ones;
+//!   worker counts), then steps the tenants longest-predicted-first, one
+//!   pool task each, through `volut_pointcloud::runtime::for_each_chunk_mut`
+//!   over their `&mut`s, so heavy tenants cannot convoy behind thousands of
+//!   light ones;
 //! * **telemetry is lock-cheap** — each tenant owns plain counters written
 //!   by exactly one worker during the parallel step; the coordinator rolls
 //!   them into the aggregate [`ServerTelemetry`] (frame-time p50/p95/p99,
@@ -702,7 +703,6 @@ pub struct SrServer {
     telemetry: ServerTelemetry,
     finished: Vec<SessionReport>,
     next_id: u64,
-    order: Vec<u32>,
     /// Monotonic tick counter (grant-queue ordering key).
     ticks: u64,
     /// Current overload level (0 = no shedding).
@@ -711,24 +711,6 @@ pub struct SrServer {
     overload_pressured: u32,
     /// Consecutive calm ticks (relaxation streak).
     overload_calm: u32,
-}
-
-/// Moves a raw tenant-slice pointer into the parallel frame step. Safety
-/// rests on `run_order` visiting each index of a permutation exactly once,
-/// so no two workers ever hold `&mut` to the same tenant.
-#[derive(Clone, Copy)]
-struct TenantsPtr(*mut Tenant);
-unsafe impl Send for TenantsPtr {}
-unsafe impl Sync for TenantsPtr {}
-
-impl TenantsPtr {
-    /// # Safety
-    /// The caller must guarantee no other live reference to tenant `ix`
-    /// (here: `run_order` over a permutation visits each index once).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn tenant(&self, ix: u32) -> &mut Tenant {
-        &mut *self.0.add(ix as usize)
-    }
 }
 
 impl SrServer {
@@ -742,7 +724,6 @@ impl SrServer {
             telemetry: ServerTelemetry::new(),
             finished: Vec::new(),
             next_id: 0,
-            order: Vec::new(),
             ticks: 0,
             overload_level: 0,
             overload_pressured: 0,
@@ -896,29 +877,18 @@ impl SrServer {
         }
         let planned_active = self.tenants.len();
 
-        // 3. LPT dispatch order: longest predicted frame first (ties by
-        // admission id) so heavy sessions start while light ones backfill.
-        self.order.clear();
-        self.order.extend(0..self.tenants.len() as u32);
-        self.order.sort_by(|&a, &b| {
-            predicted[b as usize]
-                .total_cmp(&predicted[a as usize])
-                .then(a.cmp(&b))
-        });
+        // 3. LPT dispatch order: longest predicted frame first (ties keep
+        // admission order — the sort is stable) so heavy sessions start
+        // while light ones backfill.
+        let mut lpt: Vec<(f64, &mut Tenant)> =
+            predicted.into_iter().zip(&mut self.tenants).collect();
+        lpt.sort_by(|a, b| b.0.total_cmp(&a.0));
 
-        // 4. Parallel frame step: one task per tenant, exclusive &mut via
-        // disjoint indices.
-        let base = TenantsPtr(self.tenants.as_mut_ptr());
+        // 4. Parallel frame step: one task per tenant, each holding its
+        // tenant's `&mut`. The splitter keeps the near half and pushes the
+        // far half, so earlier (heavier) tenants tend to run first.
         let config = &self.config;
-        runtime::run_order(&self.order, 1, |items| {
-            for &ix in items {
-                // SAFETY: `order` is a permutation of 0..tenants.len(), and
-                // run_order partitions it into disjoint slices, so this
-                // index is visited by exactly one worker.
-                let tenant = unsafe { base.tenant(ix) };
-                tenant.step(config, tick);
-            }
-        });
+        runtime::for_each_chunk_mut(&mut lpt, 1, |_, _, job| job[0].1.step(config, tick));
 
         // 5. Sequential roll-up in admission order (only tenants that
         // actually produced a frame this tick), then retirement.
