@@ -1,11 +1,12 @@
 //! Temporally coherent incremental kNN across streaming delta-frames.
 //!
 //! The kNN *self-join* — every frame point queries the index over the frame
-//! cloud — dominates steady-state SR frame time (≈65% at 50k points; see the
-//! `sr_stage_breakdown` bench), and volumetric streams rarely change that
-//! cloud wholesale: consecutive frames share most of their geometry, with
-//! churn arriving as spatially coherent removals and insertions (chunked
-//! delivery, moving subjects). This module exploits that coherence: the
+//! cloud — dominates a cold SR frame (the benchmark ledger's
+//! `knn.self_join_ms` row on the cold viewer workloads), and volumetric
+//! streams rarely change that cloud wholesale: consecutive frames share most
+//! of their geometry, with churn arriving as spatially coherent removals and
+//! insertions (chunked delivery, moving subjects). This module exploits that
+//! coherence: the
 //! session's [`FrameScratch`] keeps the previous frame's raw self-join rows,
 //! and a new frame only recomputes the rows the churn can actually affect.
 //! Everything else is copied forward — and the result is **bit-identical to
@@ -112,6 +113,36 @@
 //! path — e.g. for benchmarking — is one call:
 //! [`FrameScratch::set_incremental`]`(false)`.
 //!
+//! # Every pass on every worker
+//!
+//! A delta frame's copy-forward work is as parallel as its recompute sweep.
+//! The per-row passes — classifying the surviving rows (which also inverts
+//! the survivor map for the plan and compares the survivors' colors),
+//! planning the outputs, assembling the frame, and scattering the cached
+//! colors and refined tail — each cut their rows into
+//! `runtime::workers_for(rows, COPY_ROWS_PER_TASK)` chunks and hand every
+//! chunk disjoint `&mut` slices through `runtime::for_each_chunk_mut`.
+//! Survivors keep their relative order, so a chunk of old rows copies
+//! forward into one contiguous range of new rows; per-chunk lists
+//! (recompute rows, fresh rows and ordinals) are appended to the first
+//! chunk's in chunk order, which is the order one chunk would have produced.
+//! Frames below the grain — every fleet tenant — run each pass inline.
+//!
+//! Per-phase cost on `viewer_delta_50k_x2` (50k points, ratio 2, 10 %
+//! declared churn, 89 % of rows reused; 2-vCPU host, seed 1, median of
+//! three alternating runs, ms per frame):
+//!
+//! | phase                                | serial loops | chunked |
+//! |--------------------------------------|-------------:|--------:|
+//! | classify (+ inversion, color walk)   | 3.71         | 2.77    |
+//! | recompute sweep (already chunked)    | 3.40         | 3.38    |
+//! | plan                                 | 0.81         | 0.52    |
+//! | assemble                             | 1.87         | 1.10    |
+//! | color + refined-tail scatter         | 0.23         | 0.23    |
+//!
+//! About 0.85 ms of classify stays serial: the removed-point bitmap, the
+//! kd-tree over the inserted points and the zero-filled output buffers.
+//!
 //! # Cache-flush invariants
 //!
 //! The caches are only ever *consulted* after re-validation against the
@@ -144,16 +175,65 @@
 use super::arena::{FrameArena, RowBatch};
 use super::{FrameScratch, InterpolationTimings};
 use crate::config::SrConfig;
+use std::ops::Range;
+use std::sync::atomic::AtomicBool;
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 use volut_pointcloud::delta::{DeltaError, FrameDelta, REMOVED};
 use volut_pointcloud::dualtree::DualTreeScratch;
 use volut_pointcloud::kdtree::KdTree;
-use volut_pointcloud::{Color, Neighborhoods, Point3, PointCloud};
+use volut_pointcloud::{runtime, Color, Neighborhoods, Point3, PointCloud};
 
 /// Smallest fraction of surviving points for which the incremental path is
 /// attempted; below it (heavy churn) the copy-forward bookkeeping cannot
 /// beat the plain full sweep, so the engine takes the untouched cold path.
 pub const MIN_SURVIVOR_FRACTION: f64 = 0.5;
+
+/// Source rows per task of the copy-forward passes — classify, plan,
+/// assembly and the two tail scatters: each cuts its rows into
+/// `runtime::workers_for(rows, COPY_ROWS_PER_TASK)` chunks, so every frame
+/// below 8192 rows (each fleet tenant's 512 or 4096) runs as one inline
+/// chunk and submits no task.
+///
+/// Measured on the 2-vCPU host (seed 1, 10 s runs, alternating binaries,
+/// medians; "one chunk" never cuts). On 2 workers any grain up to 25k cuts
+/// a 50k-row frame in two, so the grain decides only which frames split:
+///
+/// | grain     | `viewer_delta_50k_x2` p50 | `fleet_256_lossy` p50, peak RSS |
+/// |-----------|--------------------------:|--------------------------------:|
+/// | 2048      | (two chunks, as 8192)     | 259 ms, 367 MiB (3 runs)        |
+/// | 8192      | 14.09 ms (4 runs)         | 229 ms, 267 MiB (3 runs)        |
+/// | one chunk | 15.59 ms (4 runs)         | (one chunk, as 8192)            |
+///
+/// Cutting a 4096-row tenant frame in two costs more than it saves: the
+/// other workers are already busy with other tenants, and while a split
+/// frame waits, its worker starts further tenants' frames nested on arenas
+/// of their own (the RSS jump).
+const COPY_ROWS_PER_TASK: usize = 8_192;
+
+/// How a copy-forward pass cuts `rows` rows: rows per chunk, and chunks.
+fn copy_cut(rows: usize) -> (usize, usize) {
+    let chunk = rows
+        .div_ceil(runtime::workers_for(rows, COPY_ROWS_PER_TASK))
+        .max(1);
+    (chunk, rows.div_ceil(chunk).max(1))
+}
+
+/// Runs `f` on every job of a pre-split copy-forward pass, one task per job
+/// through [`runtime::for_each_chunk_mut`]. A single job runs inline on the
+/// caller without being collected, so a one-chunk frame allocates nothing.
+fn run_jobs<J: Send>(mut jobs: impl Iterator<Item = J>, f: impl Fn(J) + Sync) {
+    let Some(first) = jobs.next() else {
+        return;
+    };
+    let Some(second) = jobs.next() else {
+        return f(first);
+    };
+    let mut jobs: Vec<Option<J>> = [first, second].into_iter().chain(jobs).map(Some).collect();
+    runtime::for_each_chunk_mut(&mut jobs, 1, |_, _, job| {
+        f(job[0].take().expect("each job runs once"));
+    });
+}
 
 /// Row-reuse counters of the incremental kNN path (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -290,6 +370,31 @@ pub(crate) struct FramePlan {
     pub(crate) colors_ok: bool,
     /// Tail length of the cached outputs (refined-reuse length guard).
     old_tail_len: usize,
+    /// The row cut of an `Incremental` plan, shared by the assembly and the
+    /// tail scatters; the first `cut` entries are this frame's.
+    chunks: Vec<PlanChunk>,
+    cut: usize,
+    /// Fresh rows and ordinals of every chunk after the first (the first
+    /// writes `fresh_rows` / `fresh_ordinals` itself), appended to those in
+    /// chunk order, which keeps them ascending.
+    later_fresh: Vec<(Vec<u32>, Vec<u32>)>,
+}
+
+/// One task's share of an `Incremental` plan: a contiguous run of new rows
+/// and the sizes the assembly needs to fill the chunk's slices of the tail
+/// without another pass.
+#[derive(Debug, Default)]
+struct PlanChunk {
+    rows: Range<usize>,
+    /// First tail ordinal of the chunk, and how many it spans.
+    ordinal_start: usize,
+    ordinals: usize,
+    /// Where the chunk's fresh ordinals start in the plan's list (and so in
+    /// the fresh batch), and how many there are.
+    fresh_start: usize,
+    fresh: usize,
+    /// Neighborhood entries of the chunk's copied-forward points.
+    reused_hood_len: usize,
 }
 
 impl FramePlan {
@@ -309,14 +414,27 @@ impl FramePlan {
         self.fresh_ordinals.clear();
         self.colors_ok = false;
         self.old_tail_len = 0;
+        self.cut = 0;
+    }
+
+    /// This frame's chunks (none unless the plan is `Incremental`).
+    fn chunks(&self) -> &[PlanChunk] {
+        &self.chunks[..self.cut]
     }
 
     pub(crate) fn reserved_bytes(&self) -> usize {
         (self.row_src.capacity()
             + self.ordinal_src.capacity()
             + self.fresh_rows.capacity()
-            + self.fresh_ordinals.capacity())
+            + self.fresh_ordinals.capacity()
+            + self
+                .later_fresh
+                .iter()
+                .map(|(rows, ordinals)| rows.capacity() + ordinals.capacity())
+                .sum::<usize>())
             * std::mem::size_of::<u32>()
+            + self.chunks.capacity() * std::mem::size_of::<PlanChunk>()
+            + self.later_fresh.capacity() * std::mem::size_of::<(Vec<u32>, Vec<u32>)>()
     }
 }
 
@@ -348,6 +466,15 @@ pub(crate) struct JoinScratch {
     pub(crate) old_to_new: Vec<u32>,
     /// Old-indexed: `true` when that row was copied forward this frame.
     row_valid: Vec<bool>,
+    /// New-indexed: the cached row a copied-forward row came from, or
+    /// `u32::MAX` (the old→new inversion [`plan_outputs`] starts from).
+    row_src: Vec<u32>,
+    /// `true` when every survivor still has the color the cached outputs
+    /// blended from (`colors_match`'s survivor walk, done while classifying).
+    survivor_colors_kept: bool,
+    /// Invalid rows found by every classify task after the first (the first
+    /// writes `recompute` itself), appended to it in chunk order.
+    later_recompute: Vec<Vec<u32>>,
 }
 
 impl JoinScratch {
@@ -360,7 +487,16 @@ impl JoinScratch {
         (self.insert_positions.capacity() + self.queries.capacity()) * std::mem::size_of::<Point3>()
             + self.removed_mark.capacity()
             + self.row_valid.capacity()
-            + (self.recompute.capacity() + self.old_to_new.capacity()) * std::mem::size_of::<u32>()
+            + (self.recompute.capacity()
+                + self.old_to_new.capacity()
+                + self.row_src.capacity()
+                + self
+                    .later_recompute
+                    .iter()
+                    .map(Vec::capacity)
+                    .sum::<usize>())
+                * std::mem::size_of::<u32>()
+            + self.later_recompute.capacity() * std::mem::size_of::<Vec<u32>>()
             + self.insert_tree.reserved_bytes()
             + self.fresh_rows.reserved_bytes()
     }
@@ -587,6 +723,7 @@ pub(crate) fn self_join(
         join,
         knn,
         positions,
+        low.colors(),
         kq,
         &delta,
         out,
@@ -611,7 +748,9 @@ pub(crate) fn note_unplanned_frame(t: &mut TemporalCache, arena: &mut FrameArena
 /// Produces the new frame's rows from the cached ones: copy-forward with
 /// index remap for rows the churn cannot affect, a bichromatic batch
 /// recompute against `tree` (the already patched index over `positions`)
-/// for the rest (see the module docs for the invalidation rule).
+/// for the rest (see the module docs for the invalidation rule). `colors`
+/// are the new frame's, checked against the cached outputs' sources on the
+/// way.
 #[allow(clippy::too_many_arguments)]
 fn incremental_rows(
     tree: &KdTree,
@@ -619,6 +758,7 @@ fn incremental_rows(
     join: &mut JoinScratch,
     knn: &mut DualTreeScratch,
     positions: &[Point3],
+    colors: Option<&[Color]>,
     kq: usize,
     delta: &FrameDelta,
     out: &mut Neighborhoods,
@@ -626,74 +766,136 @@ fn incremental_rows(
     let n = positions.len();
     let old_n = delta.old_len();
     debug_assert_eq!(t.rows.total_indices(), old_n * kq);
+    let JoinScratch {
+        removed_mark,
+        insert_positions,
+        insert_tree,
+        has_inserts,
+        recompute,
+        queries,
+        fresh_rows,
+        old_to_new: map,
+        row_valid,
+        row_src,
+        survivor_colors_kept,
+        later_recompute,
+        ..
+    } = join;
 
     // Removed-neighbor membership bitmap.
-    join.removed_mark.clear();
-    join.removed_mark.resize(old_n, false);
+    removed_mark.clear();
+    removed_mark.resize(old_n, false);
     for &i in delta.removed() {
-        join.removed_mark[i as usize] = true;
+        removed_mark[i as usize] = true;
     }
     // Ball-intersection index over the inserted points.
-    join.has_inserts = !delta.inserted().is_empty();
-    join.insert_positions.clear();
-    join.insert_positions
-        .extend(delta.inserted().iter().map(|&i| positions[i as usize]));
-    join.insert_tree.build_in(&join.insert_positions);
+    *has_inserts = !delta.inserted().is_empty();
+    insert_positions.clear();
+    insert_positions.extend(delta.inserted().iter().map(|&i| positions[i as usize]));
+    insert_tree.build_in(insert_positions);
 
-    // Classify every surviving row; copy the valid ones forward. The
-    // old→new map and the per-row validity verdicts stay on the arena:
-    // [`plan_outputs`] reuses them to classify the downstream outputs.
-    join.recompute.clear();
+    // Classify every surviving row and copy the valid ones forward, one task
+    // per chunk of old rows. Survivors keep their relative order, so a
+    // chunk's copy-forward rows land in one new-index range, ending where
+    // the next chunk's first survivor lands: the slab and `row_src` split
+    // there. The old→new map, the verdicts and `row_src` stay on the arena
+    // for [`plan_outputs`], as does whether every survivor kept the color
+    // the cached outputs blended from.
     let slab = out.push_uniform_rows(n, kq);
     let old_to_new = delta.old_to_new();
-    join.old_to_new.clear();
-    join.old_to_new.extend_from_slice(old_to_new);
-    join.row_valid.clear();
-    join.row_valid.resize(old_n, false);
-    for old_i in 0..old_n {
-        let new_i = old_to_new[old_i];
-        if new_i == REMOVED {
-            continue;
-        }
-        let row = t.rows.row(old_i);
-        let mut invalid = row.iter().any(|&j| join.removed_mark[j as usize]);
-        if !invalid && join.has_inserts {
-            // The row's kNN ball: squared distance to its k-th (worst)
-            // entry, recomputed lazily with [`Point3::distance_squared`] —
-            // the scan kernels' exact arithmetic, so the `<=` intersection
-            // test below covers distance ties precisely. Query and entry
-            // both survive (no member was removed), so the new frame holds
-            // their unchanged positions under the remapped indices.
-            let query = positions[new_i as usize];
-            let worst = positions[old_to_new[row[kq - 1] as usize] as usize];
-            invalid = join
-                .insert_tree
-                .any_within(query, query.distance_squared(worst));
-        }
-        if invalid {
-            join.recompute.push(new_i);
-        } else {
-            join.row_valid[old_i] = true;
-            let dst = &mut slab[new_i as usize * kq..(new_i as usize + 1) * kq];
-            for (d, &j) in dst.iter_mut().zip(row) {
-                *d = old_to_new[j as usize];
-            }
-        }
+    map.clear();
+    map.extend_from_slice(old_to_new);
+    row_valid.clear();
+    row_valid.resize(old_n, false);
+    row_src.clear();
+    row_src.resize(n, u32::MAX);
+    let cached_colors = t.outputs.low_colors.as_slice();
+    let colors = colors.filter(|_| t.outputs.has_colors && cached_colors.len() == old_n);
+    let (chunk, cut) = copy_cut(old_n);
+    if later_recompute.len() < cut - 1 {
+        later_recompute.resize_with(cut - 1, Vec::new);
     }
-    join.recompute.extend_from_slice(delta.inserted());
-    t.stats.rows_reused += (n - join.recompute.len()) as u64;
-    t.stats.rows_recomputed += join.recompute.len() as u64;
+    let lists = std::iter::once(&mut *recompute).chain(&mut later_recompute[..cut - 1]);
+    let (mut slab_rest, mut src_rest, mut valid_rest) =
+        (&mut *slab, row_src.as_mut_slice(), row_valid.as_mut_slice());
+    let mut new_start = 0;
+    let jobs = lists.enumerate().map(|(c, list)| {
+        let old = c * chunk..((c + 1) * chunk).min(old_n);
+        let new_end = old_to_new[old.end..]
+            .iter()
+            .find(|&&j| j != REMOVED)
+            .map_or(n, |&j| j as usize);
+        let (rows, rest) = std::mem::take(&mut slab_rest).split_at_mut((new_end - new_start) * kq);
+        slab_rest = rest;
+        let (src, rest) = std::mem::take(&mut src_rest).split_at_mut(new_end - new_start);
+        src_rest = rest;
+        let (valid, rest) = std::mem::take(&mut valid_rest).split_at_mut(old.len());
+        valid_rest = rest;
+        let job = (old, new_start, rows, src, valid, list);
+        new_start = new_end;
+        job
+    });
+    // Relaxed: the flag publishes no other data, and the job's completion
+    // orders every store before `into_inner` reads it.
+    let colors_kept = AtomicBool::new(colors.is_some());
+    let (cached_rows, removed_mark, insert_tree, has_inserts) =
+        (&t.rows, &*removed_mark, &*insert_tree, *has_inserts);
+    run_jobs(
+        jobs,
+        |(old, new_start, slab, row_src, row_valid, recompute)| {
+            recompute.clear();
+            for (old_i, valid) in old.clone().zip(row_valid.iter_mut()) {
+                let new_i = old_to_new[old_i];
+                if new_i == REMOVED {
+                    continue;
+                }
+                if colors.is_some_and(|c| c[new_i as usize] != cached_colors[old_i]) {
+                    colors_kept.store(false, Relaxed);
+                }
+                let row = cached_rows.row(old_i);
+                let mut invalid = row.iter().any(|&j| removed_mark[j as usize]);
+                if !invalid && has_inserts {
+                    // The row's kNN ball: squared distance to its k-th (worst)
+                    // entry, recomputed lazily with [`Point3::distance_squared`]
+                    // — the scan kernels' exact arithmetic, so the `<=`
+                    // intersection test below covers distance ties precisely.
+                    // Query and entry both survive (no member was removed), so
+                    // the new frame holds their unchanged positions under the
+                    // remapped indices.
+                    let query = positions[new_i as usize];
+                    let worst = positions[old_to_new[row[kq - 1] as usize] as usize];
+                    invalid = insert_tree.any_within(query, query.distance_squared(worst));
+                }
+                if invalid {
+                    recompute.push(new_i);
+                } else {
+                    *valid = true;
+                    let local = new_i as usize - new_start;
+                    row_src[local] = old_i as u32;
+                    for (d, &j) in slab[local * kq..(local + 1) * kq].iter_mut().zip(row) {
+                        *d = old_to_new[j as usize];
+                    }
+                }
+            }
+        },
+    );
+    for later in &later_recompute[..cut - 1] {
+        recompute.extend_from_slice(later);
+    }
+    recompute.extend_from_slice(delta.inserted());
+    *survivor_colors_kept = colors_kept.into_inner();
+    t.stats.rows_reused += (n - recompute.len()) as u64;
+    t.stats.rows_recomputed += recompute.len() as u64;
 
     // Recompute the dirty rows as one batch against the patched index (a
     // subset of the cloud, so it runs the warm single-tree sweep, cut across
     // the workers) and scatter them into their final slots.
-    join.queries.clear();
-    join.queries
-        .extend(join.recompute.iter().map(|&i| positions[i as usize]));
-    join.fresh_rows.clear();
-    tree.knn_batch_with(&join.queries, kq, &mut join.fresh_rows, knn);
-    for (r, &new_i) in join.recompute.iter().enumerate() {
-        let src = join.fresh_rows.row(r);
+    queries.clear();
+    queries.extend(recompute.iter().map(|&i| positions[i as usize]));
+    fresh_rows.clear();
+    tree.knn_batch_with(queries, kq, fresh_rows, knn);
+    for (r, &new_i) in recompute.iter().enumerate() {
+        let src = fresh_rows.row(r);
         slab[new_i as usize * kq..(new_i as usize + 1) * kq].copy_from_slice(src);
     }
 }
@@ -729,22 +931,19 @@ fn capture(
 
 /// Whether every source color the cached outputs blended from is unchanged
 /// in the new frame (tail colors may then copy forward bit-identically).
+/// An incremental frame's survivors were compared while classifying their
+/// rows (`survivors_kept`).
 fn colors_match(
     o: &OutputCache,
     low: &PointCloud,
     outcome: JoinOutcome,
-    old_to_new: &[u32],
+    survivors_kept: bool,
 ) -> bool {
     match (o.has_colors, low.colors()) {
         (false, None) => true,
         (true, Some(lc)) => match outcome {
             JoinOutcome::Identical => o.low_colors.as_slice() == lc,
-            JoinOutcome::Incremental => {
-                o.low_colors.len() == old_to_new.len()
-                    && old_to_new.iter().enumerate().all(|(old_i, &new_i)| {
-                        new_i == REMOVED || o.low_colors[old_i] == lc[new_i as usize]
-                    })
-            }
+            JoinOutcome::Incremental => survivors_kept,
             JoinOutcome::Cold => false,
         },
         _ => false,
@@ -805,7 +1004,7 @@ pub(crate) fn plan_outputs(
                     (0..n).all(|i| (o.offsets[i + 1] - o.offsets[i]) as usize == counts[i]),
                     "identical frame must reproduce the cached per-row counts"
                 );
-                p.colors_ok = colors_match(o, low, JoinOutcome::Identical, &[]);
+                p.colors_ok = colors_match(o, low, JoinOutcome::Identical, false);
                 p.old_tail_len = o.points.len();
                 t.stats.gen_points_reused += total as u64;
                 PlanMode::Identical
@@ -813,72 +1012,135 @@ pub(crate) fn plan_outputs(
             JoinOutcome::Incremental => {
                 let JoinScratch {
                     row_valid,
+                    row_src: copied_from,
                     removed_mark,
                     old_to_new,
                     insert_tree,
                     has_inserts,
+                    survivor_colors_kept,
                     ..
                 } = &*join;
                 let old_n = row_valid.len();
-                if o.offsets.len() != old_n + 1 || old_to_new.len() != old_n {
+                if o.offsets.len() != old_n + 1
+                    || old_to_new.len() != old_n
+                    || copied_from.len() != n
+                {
                     break 'plan PlanMode::Cold;
                 }
-                // Invert the survivor map over rows: new row -> cached row.
-                p.row_src.resize(n, u32::MAX);
-                for old_i in 0..old_n {
-                    if row_valid[old_i] {
-                        p.row_src[old_to_new[old_i] as usize] = old_i as u32;
-                    }
-                }
                 let positions = low.positions();
-                let mut new_off: u32 = 0;
-                let mut reused: u64 = 0;
-                for (new_i, &count) in counts.iter().enumerate() {
-                    let src = p.row_src[new_i];
-                    let mut ok = src != u32::MAX;
-                    if ok {
-                        let o0 = o.offsets[src as usize] as usize;
-                        let o1 = o.offsets[src as usize + 1] as usize;
-                        ok = o1 - o0 == count
-                            && match kind {
-                                // A dilated row's outputs (points, parents,
-                                // merged generated-point hoods) derive from
-                                // the source row and its partners' rows.
-                                OutputKind::Dilated => o.parents[o0..o1]
-                                    .iter()
-                                    .all(|&(_, b)| row_valid[b as usize]),
-                                // A naive generated point owns an exact kNN
-                                // row; apply the row invalidation rule to it.
-                                OutputKind::Naive => (o0..o1).all(|ord| {
-                                    let hood = o.hoods.row(ord);
-                                    !hood.is_empty()
-                                        && hood.iter().all(|&b| !removed_mark[b as usize])
-                                        && (!*has_inserts || {
-                                            let mid = o.points[ord];
-                                            let last = *hood.last().unwrap() as usize;
-                                            let r2 = mid.distance_squared(
-                                                positions[old_to_new[last] as usize],
-                                            );
-                                            !insert_tree.any_within(mid, r2)
-                                        })
-                                }),
-                            };
-                    }
-                    if ok {
-                        let o0 = o.offsets[src as usize];
-                        let o1 = o.offsets[src as usize + 1];
-                        p.ordinal_src.extend(o0..o1);
-                        reused += count as u64;
-                    } else {
-                        p.row_src[new_i] = u32::MAX;
-                        p.fresh_rows.push(new_i as u32);
-                        p.fresh_ordinals.extend(new_off..new_off + count as u32);
-                        p.ordinal_src.resize(p.ordinal_src.len() + count, u32::MAX);
-                    }
-                    new_off += count as u32;
+                // Whether cached row `src`'s outputs still hold for a new
+                // row that generates `count` points.
+                let reusable = |src: usize, count: usize| {
+                    let o0 = o.offsets[src] as usize;
+                    let o1 = o.offsets[src + 1] as usize;
+                    o1 - o0 == count
+                        && match kind {
+                            // A dilated row's outputs (points, parents,
+                            // merged generated-point hoods) derive from the
+                            // source row and its partners' rows.
+                            OutputKind::Dilated => o.parents[o0..o1]
+                                .iter()
+                                .all(|&(_, b)| row_valid[b as usize]),
+                            // A naive generated point owns an exact kNN row;
+                            // apply the row invalidation rule to it.
+                            OutputKind::Naive => (o0..o1).all(|ord| {
+                                let hood = o.hoods.row(ord);
+                                !hood.is_empty()
+                                    && hood.iter().all(|&b| !removed_mark[b as usize])
+                                    && (!*has_inserts || {
+                                        let mid = o.points[ord];
+                                        let last = *hood.last().unwrap() as usize;
+                                        let r2 = mid
+                                            .distance_squared(positions[old_to_new[last] as usize]);
+                                        !insert_tree.any_within(mid, r2)
+                                    })
+                            }),
+                        }
+                };
+                // Classify the new rows one task per chunk. Each task writes
+                // its rows' `row_src` and its ordinals' `ordinal_src` — the
+                // row cut split at the prefix counts — and lists its fresh
+                // rows and ordinals: the first chunk into the plan's lists,
+                // the later ones appended to them below in chunk order.
+                let FramePlan {
+                    row_src,
+                    ordinal_src,
+                    fresh_rows,
+                    fresh_ordinals,
+                    chunks,
+                    cut,
+                    later_fresh,
+                    ..
+                } = &mut *p;
+                row_src.resize(n, u32::MAX);
+                ordinal_src.resize(total, u32::MAX);
+                let (chunk, chunk_count) = copy_cut(n);
+                *cut = chunk_count;
+                if chunks.len() < *cut {
+                    chunks.resize_with(*cut, PlanChunk::default);
+                    later_fresh.resize_with(*cut - 1, Default::default);
                 }
-                debug_assert_eq!(new_off as usize, total);
-                p.colors_ok = colors_match(o, low, JoinOutcome::Incremental, old_to_new);
+                let lists = std::iter::once((&mut *fresh_rows, &mut *fresh_ordinals))
+                    .chain(later_fresh[..*cut - 1].iter_mut().map(|(r, o)| (r, o)));
+                let (mut src_rest, mut ord_rest) =
+                    (row_src.as_mut_slice(), ordinal_src.as_mut_slice());
+                let mut ordinal_start = 0;
+                let jobs =
+                    chunks[..*cut]
+                        .iter_mut()
+                        .zip(lists)
+                        .enumerate()
+                        .map(|(c, (part, lists))| {
+                            part.rows = c * chunk..((c + 1) * chunk).min(n);
+                            part.ordinal_start = ordinal_start;
+                            part.ordinals = counts[part.rows.clone()].iter().sum();
+                            ordinal_start += part.ordinals;
+                            let (src, rest) =
+                                std::mem::take(&mut src_rest).split_at_mut(part.rows.len());
+                            src_rest = rest;
+                            let (ords, rest) =
+                                std::mem::take(&mut ord_rest).split_at_mut(part.ordinals);
+                            ord_rest = rest;
+                            (part, src, ords, lists)
+                        });
+                let hood_ends = o.hoods.offsets();
+                run_jobs(
+                    jobs,
+                    |(part, row_src, ordinal_src, (fresh_rows, fresh_ordinals))| {
+                        fresh_rows.clear();
+                        fresh_ordinals.clear();
+                        part.reused_hood_len = 0;
+                        let mut at = 0;
+                        for (new_i, dst) in part.rows.clone().zip(row_src.iter_mut()) {
+                            let count = counts[new_i];
+                            let src = copied_from[new_i];
+                            if src != u32::MAX && reusable(src as usize, count) {
+                                let o0 = o.offsets[src as usize];
+                                let o1 = o.offsets[src as usize + 1];
+                                *dst = src;
+                                for (d, s) in ordinal_src[at..at + count].iter_mut().zip(o0..o1) {
+                                    *d = s;
+                                }
+                                part.reused_hood_len +=
+                                    (hood_ends[o1 as usize] - hood_ends[o0 as usize]) as usize;
+                            } else {
+                                let first = (part.ordinal_start + at) as u32;
+                                fresh_rows.push(new_i as u32);
+                                fresh_ordinals.extend(first..first + count as u32);
+                            }
+                            at += count;
+                        }
+                        part.fresh = fresh_ordinals.len();
+                    },
+                );
+                chunks[0].fresh_start = 0;
+                for (part, (rows, ordinals)) in chunks[1..*cut].iter_mut().zip(&*later_fresh) {
+                    part.fresh_start = fresh_ordinals.len();
+                    fresh_rows.extend_from_slice(rows);
+                    fresh_ordinals.extend_from_slice(ordinals);
+                }
+                let reused = (total - fresh_ordinals.len()) as u64;
+                p.colors_ok = colors_match(o, low, JoinOutcome::Incremental, *survivor_colors_kept);
                 p.old_tail_len = o.points.len();
                 t.stats.gen_points_reused += reused;
                 t.stats.gen_points_recomputed += total as u64 - reused;
@@ -926,43 +1188,101 @@ pub(crate) fn assemble_outputs(
             }
         }
         PlanMode::Incremental => {
-            let total: usize = counts.iter().sum();
-            parents.reserve(total);
-            if let Some(out) = hoods_out.as_deref_mut() {
-                out.reserve_rows(total, o.hoods.total_indices() + fresh.hoods.total_indices());
-            }
-            let mut fc = 0usize;
-            for (new_i, &count) in counts.iter().enumerate() {
-                let src = p.row_src[new_i];
-                if src == u32::MAX {
-                    cloud.extend_positions(&fresh.points[fc..fc + count]);
-                    parents.extend(fresh.parents_of(fc..fc + count));
-                    if let Some(out) = hoods_out.as_deref_mut() {
-                        for r in 0..count {
-                            out.push_row_u32(fresh.hoods.row(fc + r));
-                        }
+            // One task per chunk of the plan's row cut, each filling its own
+            // slices of the tail, the parents and the neighborhoods: the
+            // plan sized the copied-forward share of each chunk, the fresh
+            // batch's offsets give the rest.
+            let chunks = p.chunks();
+            let total = p.ordinal_src.len();
+            debug_assert_eq!(total, counts.iter().sum::<usize>());
+            debug_assert_eq!(p.fresh_ordinals.len(), fresh.points.len());
+            let first_parent = parents.len();
+            parents.resize(first_parent + total, (0, 0));
+            let points = cloud.extend_zeroed(total);
+            let with_hoods = hoods_out.is_some();
+            let fresh_ends = fresh.hoods.offsets();
+            let hood_len = |part: &PlanChunk| {
+                let fresh = part.fresh_start..part.fresh_start + part.fresh;
+                part.reused_hood_len + (fresh_ends[fresh.end] - fresh_ends[fresh.start]) as usize
+            };
+            let (mut hood_base, mut idx_rest, mut ends_rest): (usize, &mut [u32], &mut [u32]) =
+                match hoods_out {
+                    Some(out) => {
+                        let base = out.total_indices();
+                        let (idx, ends) =
+                            out.push_ragged_rows(total, chunks.iter().map(hood_len).sum());
+                        (base, idx, ends)
                     }
-                    fc += count;
+                    None => (0, &mut [], &mut []),
+                };
+            let (mut pts_rest, mut par_rest) = (points, &mut parents[first_parent..]);
+            let jobs = chunks.iter().map(|part| {
+                let (pts, rest) = std::mem::take(&mut pts_rest).split_at_mut(part.ordinals);
+                pts_rest = rest;
+                let (par, rest) = std::mem::take(&mut par_rest).split_at_mut(part.ordinals);
+                par_rest = rest;
+                let (hood_entries, hood_rows) = if with_hoods {
+                    (hood_len(part), part.ordinals)
                 } else {
-                    let o0 = o.offsets[src as usize] as usize;
-                    let o1 = o.offsets[src as usize + 1] as usize;
-                    cloud.extend_positions(&o.points[o0..o1]);
-                    parents.extend(o.parents[o0..o1].iter().map(|&(a, b)| {
-                        (
-                            old_to_new[a as usize] as usize,
-                            old_to_new[b as usize] as usize,
-                        )
-                    }));
-                    if let Some(out) = hoods_out.as_deref_mut() {
-                        for ord in o0..o1 {
-                            out.push_row_u32_iter(
-                                o.hoods.row(ord).iter().map(|&j| old_to_new[j as usize]),
+                    (0, 0)
+                };
+                let (idx, rest) = std::mem::take(&mut idx_rest).split_at_mut(hood_entries);
+                idx_rest = rest;
+                let (ends, rest) = std::mem::take(&mut ends_rest).split_at_mut(hood_rows);
+                ends_rest = rest;
+                let job = (part, pts, par, idx, ends, hood_base);
+                hood_base += hood_entries;
+                job
+            });
+            run_jobs(jobs, |(part, points, parents, idx, ends, hood_base)| {
+                let mut fc = part.fresh_start;
+                let (mut at, mut h) = (0, 0);
+                for new_i in part.rows.clone() {
+                    let count = counts[new_i];
+                    let src = p.row_src[new_i];
+                    let slots = at..at + count;
+                    if src == u32::MAX {
+                        points[slots.clone()].copy_from_slice(&fresh.points[fc..fc + count]);
+                        for (d, pair) in parents[slots]
+                            .iter_mut()
+                            .zip(fresh.parents_of(fc..fc + count))
+                        {
+                            *d = pair;
+                        }
+                        if with_hoods {
+                            for r in 0..count {
+                                let row = fresh.hoods.row(fc + r);
+                                idx[h..h + row.len()].copy_from_slice(row);
+                                h += row.len();
+                                ends[at + r] = (hood_base + h) as u32;
+                            }
+                        }
+                        fc += count;
+                    } else {
+                        let o0 = o.offsets[src as usize] as usize;
+                        let o1 = o.offsets[src as usize + 1] as usize;
+                        points[slots.clone()].copy_from_slice(&o.points[o0..o1]);
+                        for (d, &(a, b)) in parents[slots].iter_mut().zip(&o.parents[o0..o1]) {
+                            *d = (
+                                old_to_new[a as usize] as usize,
+                                old_to_new[b as usize] as usize,
                             );
                         }
+                        if with_hoods {
+                            for (r, ord) in (o0..o1).enumerate() {
+                                let row = o.hoods.row(ord);
+                                for (d, &j) in idx[h..h + row.len()].iter_mut().zip(row) {
+                                    *d = old_to_new[j as usize];
+                                }
+                                h += row.len();
+                                ends[at + r] = (hood_base + h) as u32;
+                            }
+                        }
                     }
+                    at += count;
                 }
-            }
-            debug_assert_eq!(fc, fresh.points.len());
+                debug_assert_eq!((at, h), (points.len(), idx.len()));
+            });
         }
     }
 }
@@ -992,19 +1312,28 @@ pub(crate) fn scatter_cached_colors(
     let mut colors = cloud.take_colors().expect("has_colors checked above");
     match p.mode {
         PlanMode::Identical => colors[original_len..].copy_from_slice(&o.colors),
-        PlanMode::Incremental => {
-            for (i, &src) in p.ordinal_src.iter().enumerate() {
-                if src != u32::MAX {
-                    colors[original_len + i] = o.colors[src as usize];
-                }
-            }
-        }
+        PlanMode::Incremental => scatter_reused(p, &o.colors, &mut colors[original_len..]),
         PlanMode::Cold => unreachable!(),
     }
     cloud
         .set_colors(colors)
         .expect("color count unchanged by scatter");
     true
+}
+
+/// Copies `cached[src]` onto `tail[i]` for every reused ordinal `i` of an
+/// `Incremental` plan (`ordinal_src[i] = src`), in as many tasks as the
+/// plan's row cut has chunks.
+fn scatter_reused<T: Copy + Send + Sync>(p: &FramePlan, cached: &[T], tail: &mut [T]) {
+    debug_assert_eq!(tail.len(), p.ordinal_src.len());
+    let chunk = tail.len().div_ceil(p.cut.max(1)).max(1);
+    runtime::for_each_chunk_mut(tail, chunk, |_, start, dst| {
+        for (d, &src) in dst.iter_mut().zip(&p.ordinal_src[start..]) {
+            if src != u32::MAX {
+                *d = cached[src as usize];
+            }
+        }
+    });
 }
 
 /// Snapshots this frame's interpolation outputs as the next frame's reuse
@@ -1128,11 +1457,7 @@ pub(crate) fn reuse_refined_into(
             t.stats.refined_points_reused += tail_len as u64;
         }
         PlanMode::Incremental => {
-            for (i, &src) in p.ordinal_src.iter().enumerate() {
-                if src != u32::MAX {
-                    tail[i] = r.points[src as usize];
-                }
-            }
+            scatter_reused(p, &r.points, tail);
             let fresh = p.fresh_ordinals.len() as u64;
             t.stats.refined_points_reused += tail_len as u64 - fresh;
             t.stats.refined_points_recomputed += fresh;

@@ -45,11 +45,14 @@ pub struct StageTimings {
     /// dual-tree leaf-pair kernel ([`volut_pointcloud::dualtree`]) over the
     /// frame arena's scratch ([`crate::interpolate::FrameArena`]), sharded
     /// across the pool's workers from inside the traversal; on a delta frame
-    /// it is the diff, the copy-forward of rows the churn cannot touch and a
-    /// single-tree sweep over the rest, cut across workers (both inside
-    /// `KdTree::knn_batch_with`). The self-strip copy that feeds the
-    /// dilated interpolator is charged here too. The `sr_stage_breakdown`
-    /// bench tracks this stage's share release-over-release.
+    /// it is the diff, the copy-forward of rows the churn cannot touch (cut
+    /// across workers by the temporal layer) and a single-tree sweep over
+    /// the rest (cut inside `KdTree::knn_batch_with`). The self-strip copy
+    /// that feeds the dilated interpolator is charged here too. The
+    /// benchmark ledger's
+    /// `knn.self_join_ms` row tracks the cold self-join; the per-phase cost
+    /// of a delta frame is tabled in the `interpolate::temporal` module
+    /// docs.
     pub knn: Duration,
     /// Midpoint generation and bookkeeping.
     pub interpolation: Duration,

@@ -1,30 +1,43 @@
+//! Allocation bounds, counted with a per-thread counting allocator.
+//!
 //! A steady-state delta frame allocates for its output cloud and, inside
 //! the kNN sweep kernel, a handful of batch-local lists — nothing in the
 //! interpolator or the pipeline: every working buffer of theirs comes from
-//! the frame arena (grown by earlier frames) or the session state. Counted
-//! with a per-thread counting allocator, on one worker so the whole frame
-//! runs on the counting thread. The LUT refiner adds nothing to the count.
+//! the frame arena (grown by earlier frames) or the session state. Frames
+//! run on one worker so the whole frame runs on the counting thread. The
+//! LUT refiner adds nothing to the count.
+//!
+//! The two decoders of untrusted bytes — `FrameMessage::decode` (the wire)
+//! and `lut::io::decode` (`.vlut` files) — allocate at most a small
+//! multiple of their input, whatever it claims: random bytes, mutated
+//! encodings and forged counts alike. Seeded from `CHAOS_SEED`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use volut::core::encoding::{KeyScheme, PositionEncoder};
-use volut::core::lut::{DenseLut, Lut};
+use volut::core::lut::io::{self, LutHeader};
+use volut::core::lut::{DenseLut, Lut, SparseLut};
 use volut::core::refine::{IdentityRefiner, LutRefiner};
 use volut::core::{SrConfig, SrPipeline};
-use volut::pointcloud::runtime;
 use volut::pointcloud::synthetic::{self, DeltaStream, DeltaStreamConfig};
+use volut::pointcloud::{runtime, PointCloud};
 use volut::stream::client::SrSession;
+use volut::stream::resilience::{DeltaServer, FrameMessage};
 
 thread_local! {
     /// Allocations (and growing reallocations) made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a reallocation counts its whole
+    /// new size).
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are torn
-    // down. The cell is const-initialized and has no destructor, so reading
-    // it here never allocates.
+    // down. The cells are const-initialized and have no destructor, so
+    // reading them here never allocates.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOCATED_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 struct Counting;
@@ -33,7 +46,7 @@ struct Counting;
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's `layout` obligations are passed through.
         unsafe { System.alloc(layout) }
     }
@@ -45,7 +58,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: as for `dealloc`, plus the caller's `new_size` obligations.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -132,4 +145,212 @@ fn steady_state_lut_refinement_allocates_nothing_more() {
         *worst <= 10,
         "steady-state LUT-refined frames allocated {per_frame:?} times"
     );
+}
+
+/// Extra seed rotated by CI (`CHAOS_SEED=<run id>`); 0 when unset, so local
+/// runs stay reproducible.
+fn chaos_seed() -> u64 {
+    std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
+}
+
+/// SplitMix64 stream for the decoder inputs.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+
+    fn bytes(&mut self, len: usize) -> Vec<u8> {
+        (0..len).map(|_| self.next() as u8).collect()
+    }
+
+    /// A bit flip, a byte overwrite or a truncation of `bytes`.
+    fn mutate(&mut self, mut bytes: Vec<u8>) -> Vec<u8> {
+        if bytes.is_empty() {
+            return bytes;
+        }
+        let at = self.below(bytes.len());
+        match self.below(3) {
+            0 => bytes[at] ^= 1 << self.below(8),
+            1 => bytes[at] = self.next() as u8,
+            _ => bytes.truncate(at),
+        }
+        bytes
+    }
+}
+
+/// What a decoder may allocate for `len` input bytes: four bytes per input
+/// byte, plus 1 KiB for the smallest table and an error message. Decoded
+/// points, colors and indices are no larger than their encoding, and a
+/// decoded `.vlut` entry takes about 3.3 times its 22 encoded bytes (the
+/// open-addressing table runs at most 7/8 full and doubles in size).
+fn decode_budget(len: usize) -> u64 {
+    4 * len as u64 + 1024
+}
+
+/// Bytes the calling thread allocates while `f` runs.
+fn bytes_allocated_by<R>(f: impl FnOnce() -> R) -> u64 {
+    let before = ALLOCATED_BYTES.with(Cell::get);
+    let result = f();
+    let after = ALLOCATED_BYTES.with(Cell::get);
+    drop(result);
+    after - before
+}
+
+/// `body` with the wire checksum (FNV-1a over the payload) appended, so a
+/// mutation reaches the decoder's length checks.
+fn checksummed(mut body: Vec<u8>) -> Vec<u8> {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in &body {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01B3);
+    }
+    body.extend_from_slice(&h.to_le_bytes());
+    body
+}
+
+/// `message` with the little-endian `value` written over `at..at + N` of its
+/// payload, re-checksummed.
+fn forged<const N: usize>(message: &[u8], at: usize, value: [u8; N]) -> Vec<u8> {
+    let mut body = message[..message.len() - 8].to_vec();
+    body[at..at + N].copy_from_slice(&value);
+    checksummed(body)
+}
+
+#[test]
+fn frame_message_decode_allocates_a_small_multiple_of_its_input() {
+    let seed = chaos_seed();
+    println!("frame message decode allocation case: CHAOS_SEED {seed}");
+    let mut mix = Mix(seed ^ 0xF4A3);
+    let mut inputs: Vec<Vec<u8>> = Vec::new();
+    for case in 0..6 {
+        let n = 1 + mix.below(400);
+        let base = synthetic::humanoid(n, 0.3, mix.next());
+        let base = if case % 2 == 0 {
+            base
+        } else {
+            PointCloud::from_positions(base.positions().to_vec())
+        };
+        let frames = synthetic::delta_frame_sequence(
+            &base,
+            4,
+            DeltaStreamConfig {
+                churn: 0.2,
+                seed: mix.next(),
+                ..DeltaStreamConfig::default()
+            },
+        );
+        let server = DeltaServer::new(frames);
+        // Counts claiming more than the message holds: far more, or just
+        // enough that a decoder trusting them over-allocates a few times.
+        let claims = |len: usize| [u32::MAX, (len / 2) as u32, (len / 12 + 1) as u32];
+        for seq in 0..4 {
+            let keyframe = server.keyframe_message(seq).unwrap();
+            // The keyframe's point count follows seq and kind.
+            for claim in claims(keyframe.len()) {
+                inputs.push(forged(&keyframe, 9, claim.to_le_bytes()));
+            }
+            inputs.push(keyframe);
+            for base in 0..seq {
+                let delta = server.delta_message(base, seq).unwrap();
+                // Old and new lengths, removed and inserted counts follow
+                // seq, kind and base seq.
+                for field in 0..4 {
+                    for claim in claims(delta.len()) {
+                        inputs.push(forged(&delta, 17 + 4 * field, claim.to_le_bytes()));
+                    }
+                }
+                inputs.push(delta);
+            }
+        }
+    }
+    for i in 0..inputs.len() {
+        for _ in 0..8 {
+            let mut body = inputs[i][..inputs[i].len() - 8].to_vec();
+            body = mix.mutate(body);
+            inputs.push(checksummed(body));
+        }
+    }
+    for _ in 0..256 {
+        let len = mix.below(2048);
+        let bytes = mix.bytes(len);
+        inputs.push(checksummed(bytes.clone()));
+        inputs.push(bytes);
+    }
+    let mut decoded = 0;
+    for bytes in &inputs {
+        let mut ok = false;
+        let used = bytes_allocated_by(|| ok = FrameMessage::decode(bytes).is_ok());
+        decoded += usize::from(ok);
+        assert!(
+            used <= decode_budget(bytes.len()),
+            "decoding {} bytes allocated {used} bytes",
+            bytes.len()
+        );
+    }
+    assert!(decoded >= 6 * 4, "the unmutated messages decode");
+}
+
+#[test]
+fn lut_decode_allocates_a_small_multiple_of_its_input() {
+    let seed = chaos_seed();
+    println!("lut decode allocation case: CHAOS_SEED {seed}");
+    let mut mix = Mix(seed ^ 0x1E7);
+    let mut inputs: Vec<Vec<u8>> = Vec::new();
+    for entries in [0, 1, 7, 100, 1000, mix.below(3000)] {
+        let mut lut = SparseLut::new();
+        for _ in 0..entries {
+            let key = u128::from(mix.next()) << 64 | u128::from(mix.next());
+            lut.set(key, [0.25, -0.5, 0.125]).unwrap();
+        }
+        let header = LutHeader {
+            scheme: KeyScheme::Full,
+            receptive_field: 4,
+            bins: 128,
+        };
+        let bytes = io::encode_sparse(&lut, header);
+        // The entry count (after magic, version bytes, bins and the
+        // reserved key space) claims more entries than the file holds.
+        for count in [u64::MAX, 1 << 62, entries as u64 + 1, 1 << 40] {
+            let mut forged = bytes.clone();
+            forged[26..34].copy_from_slice(&count.to_le_bytes());
+            inputs.push(forged);
+        }
+        for _ in 0..32 {
+            inputs.push(mix.mutate(bytes.clone()));
+        }
+        inputs.push(bytes);
+    }
+    for _ in 0..256 {
+        let len = mix.below(2048);
+        let mut bytes = mix.bytes(len);
+        if len >= 8 && mix.below(2) == 0 {
+            // Past the magic and version checks, so the count is read.
+            bytes[..8].copy_from_slice(b"VLUT\x01\x00\x00\x04");
+        }
+        inputs.push(bytes);
+    }
+    let mut decoded = 0;
+    for bytes in &inputs {
+        let mut ok = false;
+        let used = bytes_allocated_by(|| ok = io::decode(bytes).is_ok());
+        decoded += usize::from(ok);
+        assert!(
+            used <= decode_budget(bytes.len()),
+            "decoding {} bytes allocated {used} bytes",
+            bytes.len()
+        );
+    }
+    assert!(decoded >= 6, "the unmutated tables decode");
 }
