@@ -35,7 +35,7 @@ use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use volut_pointcloud::dualtree::DualTreeScratch;
-use volut_pointcloud::kdtree::PatchScratch;
+use volut_pointcloud::kdtree::IndexScratch;
 use volut_pointcloud::soa::SoaPositions;
 use volut_pointcloud::{Neighborhoods, Point3};
 
@@ -153,8 +153,10 @@ pub struct FrameArena {
     pub(crate) batches: Vec<RowBatch>,
     /// Row slab and pruning bounds of the frame's dual-tree self-join.
     pub(crate) knn: DualTreeScratch,
-    /// Traversal lists of `KdTree::patch_with`.
-    pub(crate) patch: PatchScratch,
+    /// Record, key and traversal buffers of the session index's builds and
+    /// patches (`KdTree::build_in`, `KdTree::patch_with`) and of the delta
+    /// frame's inserted-point tree.
+    pub(crate) index_scratch: IndexScratch,
     /// What the frame's self-join left for its plan and assembly.
     pub(crate) join: JoinScratch,
     /// The frame's reuse plan.
@@ -257,7 +259,7 @@ impl FrameArena {
                 .map(RowBatch::reserved_bytes)
                 .sum::<usize>()
             + self.knn.reserved_bytes()
-            + self.patch.reserved_bytes()
+            + self.index_scratch.reserved_bytes()
             + self.join.reserved_bytes()
             + self.plan.reserved_bytes()
             + (self.centers.capacity() + self.subset_out.capacity()) * P3

@@ -46,7 +46,7 @@ use serde::Serialize;
 use std::time::Duration;
 pub use temporal::TemporalStats;
 use volut_pointcloud::delta::FrameDelta;
-use volut_pointcloud::kdtree::{KdTree, PatchScratch};
+use volut_pointcloud::kdtree::{IndexScratch, KdTree};
 use volut_pointcloud::{Neighborhoods, Point3, PointCloud};
 
 /// Output of an interpolation pass.
@@ -226,8 +226,13 @@ impl IndexCache {
     }
 
     /// Rebuilds the index over `positions` in place.
-    pub(crate) fn rebuild(&mut self, positions: &[Point3], digest: u64) -> &KdTree {
-        self.tree.build_in(positions);
+    pub(crate) fn rebuild(
+        &mut self,
+        positions: &[Point3],
+        digest: u64,
+        scratch: &mut IndexScratch,
+    ) -> &KdTree {
+        self.tree.build_in(positions, scratch);
         self.built = true;
         self.built_digest = digest;
         self.patched_churn = 0;
@@ -246,15 +251,15 @@ impl IndexCache {
         positions: &[Point3],
         digest: u64,
         delta: &FrameDelta,
-        scratch: &mut PatchScratch,
+        scratch: &mut IndexScratch,
     ) -> &KdTree {
         if !self.built || self.tree.points().len() != delta.old_len() {
-            return self.rebuild(positions, digest);
+            return self.rebuild(positions, digest, scratch);
         }
         self.patched_churn += delta.removed().len().max(delta.inserted().len());
         let budget = (positions.len().max(1) as f64 * PATCH_REBUILD_FRACTION) as usize;
         if self.patched_churn > budget {
-            return self.rebuild(positions, digest);
+            return self.rebuild(positions, digest, scratch);
         }
         self.tree.patch_with(delta, positions, scratch);
         self.built_digest = digest;
@@ -273,11 +278,16 @@ impl IndexCache {
     /// Returns the cached tree for `positions`, rebuilding it only when the
     /// indexed content (digest first, then element-wise) does not match.
     /// The second element reports whether a rebuild happened.
-    pub(crate) fn get_or_build(&mut self, positions: &[Point3], digest: u64) -> (&KdTree, bool) {
+    pub(crate) fn get_or_build(
+        &mut self,
+        positions: &[Point3],
+        digest: u64,
+        scratch: &mut IndexScratch,
+    ) -> (&KdTree, bool) {
         if self.is_fresh(positions, digest) {
             (self.reuse(), false)
         } else {
-            (self.rebuild(positions, digest), true)
+            (self.rebuild(positions, digest, scratch), true)
         }
     }
 

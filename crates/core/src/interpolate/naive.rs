@@ -188,7 +188,10 @@ fn naive_frame(
     } else {
         super::temporal::note_unplanned_frame(&mut session.temporal, arena, active);
         let t0 = Instant::now();
-        let (tree, _rebuilt) = session.index.get_or_build(positions, low.geometry_digest());
+        let (tree, _rebuilt) =
+            session
+                .index
+                .get_or_build(positions, low.geometry_digest(), &mut arena.index_scratch);
         timings.index_build += t0.elapsed();
         let tq = Instant::now();
         arena.raw_hoods.clear();

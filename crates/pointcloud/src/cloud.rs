@@ -147,6 +147,11 @@ impl PointCloud {
         self.colors.take()
     }
 
+    /// Takes the cloud apart into its position and color arrays.
+    pub fn into_parts(self) -> (Vec<Point3>, Option<Vec<Color>>) {
+        (self.positions, self.colors)
+    }
+
     /// Installs a complete color array.
     ///
     /// # Errors

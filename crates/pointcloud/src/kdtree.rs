@@ -7,18 +7,61 @@
 //! Yuzu/GradPU baselines query it too; [`crate::knn::BruteForce`] is the
 //! oracle it is tested against.
 //!
+//! # The record builder
+//!
+//! One builder makes every subtree: [`KdTree::build_in`] (cold frames, the
+//! engine's periodic rebuild of a patched index, a delta frame's tree over
+//! its inserted points) and the leaves [`KdTree::patch_with`] dirties. It
+//! works on a contiguous array of `(Point3, u32)` records — position and
+//! point index — so no pass chases `points[order[i]]`:
+//!
+//! * a split node streams its records once for their box (four independent
+//!   accumulators of plain comparisons: one chain of `f32::min` made this
+//!   pass cost more than the median select), whose widest extent picks the
+//!   axis; writes one `u64` key per record (the coordinate's bits in
+//!   [`f32::total_cmp`] order above the record's position, so keys are
+//!   unique); selects the median key with `select_nth_unstable`; and
+//!   permutes its records once, in place, by swapping the left-goers right
+//!   of the middle with the right-goers left of it. The split value is the
+//!   median coordinate, so the tree's shape is what a comparator median
+//!   gives, up to where exact ties land — and every traversal is exact for
+//!   any partition with left ≤ value ≤ right;
+//! * a leaf orders its records by a `u64` Morton key over its box;
+//! * the finished records are in slot order, so `order` and the SoA lanes
+//!   are written from them in one sequential pass each.
+//!
+//! The record and key arrays are transient and belong to the caller's
+//! [`IndexScratch`]: the engine keeps one on each worker's frame arena,
+//! [`KdTree::build`] and [`KdTree::patch`] make a call-local one. A tree
+//! never holds them, so per-session state does not grow, and a warm scratch
+//! makes steady-state rebuilds allocate nothing. They cost 24 bytes per
+//! point of the largest cloud the scratch has indexed.
+//!
 //! # Parallel build
 //!
 //! With median splits and a fixed leaf size, the node and leaf counts of a
 //! subtree are a pure function of how many points it covers
 //! (`subtree_counts`). [`KdTree::build_in`] therefore sizes the node, box
 //! and leaf-box arrays up front and hands every subtree the disjoint slices
-//! it will fill, in the post-order layout a sequential build produces. Above
-//! `BUILD_TASK_GRAIN` points the two halves of a split run as a two-chunk
-//! [`crate::runtime::for_each_chunk_mut`] job (nested jobs split recursively
-//! and are stolen like any other range task); at or below it a subtree builds
-//! inline. Either way the tree is field-for-field the same at every worker
-//! count.
+//! it will fill — its records and keys included — in the post-order layout a
+//! sequential build produces. Above `BUILD_TASK_GRAIN` points the two halves
+//! of a split run as a two-chunk [`crate::runtime::for_each_chunk_mut`] job
+//! (nested jobs split recursively and are stolen like any other range task);
+//! at or below it a subtree builds inline. Either way the tree is
+//! field-for-field the same at every worker count.
+//!
+//! `build_in` on a `synthetic::humanoid` cloud, warm scratch, best of five
+//! alternating runs of 150 builds each, 2-vCPU host (ms):
+//!
+//! | points | workers | comparator select | record builder |
+//! |-------:|--------:|------------------:|---------------:|
+//! |  4 096 |       1 |              0.34 |           0.18 |
+//! | 50 000 |       1 |              6.19 |           3.50 |
+//! | 50 000 |       2 |              3.67 |           2.20 |
+//!
+//! The table leaves `BUILD_TASK_GRAIN` where it was: a 4096-point subtree
+//! still costs about twelve forks (≈ 15 µs each), so it builds inline, as
+//! every fleet tenant does.
 
 use crate::aabb::Aabb;
 use crate::delta::{FrameDelta, REMOVED};
@@ -37,7 +80,7 @@ use crate::soa::SoaPositions;
 /// tight leaf boxes, the batch path scans few extra candidates for that
 /// saving; the cold per-query path would prefer smaller leaves, but the
 /// batched sweep is the production hot path.
-const LEAF_SIZE: usize = 64;
+pub const LEAF_SIZE: usize = 64;
 
 /// `Node::tag` value marking a leaf (split nodes store their axis, 0-2).
 const LEAF_TAG: u32 = 3;
@@ -49,9 +92,9 @@ const SWEEP_MIN_QUERIES_PER_WORKER: usize = 2_000;
 
 /// Largest subtree (in points) built inline; a bigger one forks its two
 /// halves as pool tasks. A 4096-point cloud — the largest fleet tenant —
-/// builds in ≈ 0.4 ms on one thread, which is the scale at which a fork
-/// (two task submissions and a wake, ≈ 15 µs) stops mattering; everything at
-/// or below it submits nothing.
+/// builds in ≈ 0.2 ms on one thread (see the module docs), the scale at
+/// which a fork (two task submissions and a wake, ≈ 15 µs) stops mattering;
+/// everything at or below it submits nothing.
 const BUILD_TASK_GRAIN: usize = 4096;
 
 /// One packed tree node (16 bytes, down from a 40-byte enum): keeping the
@@ -113,43 +156,144 @@ fn subtree_counts(count: usize) -> (usize, usize) {
     (ln + rn + 1, ll + rl)
 }
 
-/// Morton-sorts one leaf's slots over its box `aabb` so consecutive slots
-/// are spatial neighbors: that is what makes the dual-tree leaf scan's
-/// row-to-row warm-start chain tight (see `crate::dualtree`). Visit order
-/// cannot change results — survivors and ties are decided by the packed
-/// `(distance, index)` keys — and the scan kernels stream the SoA lanes the
-/// same either way.
-fn sort_leaf_slots(points: &[Point3], slots: &mut [u32], aabb: &Aabb) {
-    let ext = aabb.extent();
-    let inv = Point3::new(
-        if ext.x > 0.0 { 1024.0 / ext.x } else { 0.0 },
-        if ext.y > 0.0 { 1024.0 / ext.y } else { 0.0 },
-        if ext.z > 0.0 { 1024.0 / ext.z } else { 0.0 },
-    );
-    // Fixed-size key buffer: leaves hold at most LEAF_SIZE points.
-    let mut keyed = [(0u32, 0u32); LEAF_SIZE];
-    let keyed = &mut keyed[..slots.len()];
-    for (slot, &i) in keyed.iter_mut().zip(slots.iter()) {
-        *slot = (
-            crate::knn::morton_code(points[i as usize], aabb.min, inv),
-            i,
-        );
-    }
-    keyed.sort_unstable();
-    for (dst, &(_, i)) in slots.iter_mut().zip(keyed.iter()) {
-        *dst = i;
+/// One point of a build in progress: its position next to its index in the
+/// indexed cloud, so every pass of the build streams one contiguous array
+/// instead of chasing `points[order[i]]`. A finished build leaves the
+/// records in slot order, from which `order` and the SoA lanes are written.
+#[derive(Debug, Clone, Copy, Default)]
+struct Record {
+    p: Point3,
+    id: u32,
+}
+
+/// Maps `v` to a `u32` whose unsigned order is [`f32::total_cmp`]'s:
+/// positive floats get the sign bit set, negative ones are bit-flipped so a
+/// larger magnitude sorts lower (and `-0.0` just below `+0.0`).
+#[inline(always)]
+fn sort_bits(v: f32) -> u32 {
+    let bits = v.to_bits();
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
     }
 }
 
-/// One subtree of a build in progress: the slot range it partitions and the
-/// slices of the tree's arrays its nodes will occupy — exactly
-/// [`subtree_counts`]`(order.len())` of each — with the absolute offsets of
-/// those slices, since nodes name children, slots and leaf boxes by absolute
-/// index. Sibling subtrees hold disjoint slices, so they can build on
-/// different workers without sharing anything mutable.
+/// The split key of the record at position `pos` of a node: the coordinate's
+/// [`sort_bits`] above the position, so keys are unique and order records by
+/// coordinate, ties by position.
+#[inline(always)]
+fn split_key(coord: f32, pos: usize) -> u64 {
+    (u64::from(sort_bits(coord)) << 32) | pos as u64
+}
+
+/// Splits `records` at their median along the axis `coord` reads and
+/// returns the split value: writes every record's [`split_key`] and selects
+/// the `len / 2`-th smallest, which leaves `keys[..len / 2]` naming exactly
+/// the records that go left. Those records permute in place by swaps: the
+/// left-goers sitting right of the middle and the right-goers sitting left
+/// of it are equally many, and are compacted out of the keys and swapped
+/// pairwise.
+fn median_split(records: &mut [Record], keys: &mut [u64], coord: impl Fn(Point3) -> f32) -> f32 {
+    for (pos, (key, r)) in keys.iter_mut().zip(records.iter()).enumerate() {
+        *key = split_key(coord(r.p), pos);
+    }
+    let half = records.len() / 2;
+    let pivot = *keys.select_nth_unstable(half).1;
+    let value = coord(records[pivot as u32 as usize].p);
+    let (left, right) = keys.split_at_mut(half);
+    let moves = compact_positions(left, |pos| pos >= half);
+    let moves_back = compact_positions(right, |pos| pos < half);
+    debug_assert_eq!(moves, moves_back);
+    for (&a, &b) in left[..moves].iter().zip(&right[..moves]) {
+        records.swap(a as usize, b as usize);
+    }
+    value
+}
+
+/// Overwrites the front of `keys` with the positions (their low halves) that
+/// `wrong_side` picks, in one branch-free pass, and returns their count.
+#[inline(always)]
+fn compact_positions(keys: &mut [u64], wrong_side: impl Fn(usize) -> bool) -> usize {
+    let mut kept = 0;
+    for r in 0..keys.len() {
+        let pos = keys[r] as u32 as usize;
+        keys[kept] = pos as u64;
+        kept += usize::from(wrong_side(pos));
+    }
+    kept
+}
+
+/// Reusable buffers of [`KdTree::build_in`] and [`KdTree::patch_with`]: the
+/// build's record and key arrays (a patch routes its insertions through the
+/// key array first), and the patch's leaf list and dirty-leaf list. Nothing
+/// in here outlives a call, so one scratch serves any number of trees (the
+/// engine keeps it on its per-worker frame arena, not on every session's
+/// tree) and steady-state builds and patches allocate nothing.
+#[derive(Debug, Default)]
+pub struct IndexScratch {
+    records: Vec<Record>,
+    keys: Vec<u64>,
+    leaves: Vec<u32>,
+    dirty: Vec<u32>,
+}
+
+impl IndexScratch {
+    /// Capacity (in bytes) currently reserved by the scratch's buffers.
+    pub fn reserved_bytes(&self) -> usize {
+        self.records.capacity() * std::mem::size_of::<Record>()
+            + self.keys.capacity() * std::mem::size_of::<u64>()
+            + (self.leaves.capacity() + self.dirty.capacity()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// The tight box of `records` in one streaming pass ([`EMPTY_LEAF_AABB`]
+/// when there are none). Four independent accumulators, so no comparison
+/// waits on the one before it, and plain comparisons, one `minss`/`maxss`
+/// each, which pass NaN over as [`f32::min`] does without its extra test.
+fn records_aabb(records: &[Record]) -> Aabb {
+    let mut lo = [[f32::INFINITY; 3]; 4];
+    let mut hi = [[f32::NEG_INFINITY; 3]; 4];
+    let mut fold = |lane: usize, r: &Record| {
+        let p = [r.p.x, r.p.y, r.p.z];
+        for axis in 0..3 {
+            let (l, h) = (&mut lo[lane][axis], &mut hi[lane][axis]);
+            *l = if p[axis] < *l { p[axis] } else { *l };
+            *h = if p[axis] > *h { p[axis] } else { *h };
+        }
+    };
+    let chunks = records.chunks_exact(4);
+    let tail = chunks.remainder();
+    for quad in chunks {
+        for (lane, r) in quad.iter().enumerate() {
+            fold(lane, r);
+        }
+    }
+    for r in tail {
+        fold(0, r);
+    }
+    let (mut min, mut max) = (lo[0], hi[0]);
+    for lane in 1..4 {
+        for axis in 0..3 {
+            min[axis] = min[axis].min(lo[lane][axis]);
+            max[axis] = max[axis].max(hi[lane][axis]);
+        }
+    }
+    Aabb {
+        min: Point3::new(min[0], min[1], min[2]),
+        max: Point3::new(max[0], max[1], max[2]),
+    }
+}
+
+/// One subtree of a build in progress: the records it partitions with a key
+/// buffer of the same length, and the slices of the tree's arrays its nodes
+/// will occupy — exactly [`subtree_counts`]`(records.len())` of each — with
+/// the absolute offsets of those slices, since nodes name children, slots
+/// and leaf boxes by absolute index. Sibling subtrees hold disjoint slices,
+/// so they can build on different workers without sharing anything mutable.
 struct Subtree<'a> {
-    points: &'a [Point3],
-    order: &'a mut [u32],
+    records: &'a mut [Record],
+    keys: &'a mut [u64],
     nodes: &'a mut [Node],
     node_aabbs: &'a mut [Aabb],
     leaf_aabbs: &'a mut [Aabb],
@@ -161,15 +305,18 @@ struct Subtree<'a> {
 impl Subtree<'_> {
     /// Builds the subtree in post-order: the left subtree's nodes, the
     /// right subtree's, then the root — which is therefore the last node of
-    /// the slice, with its box in the last slot of `node_aabbs`.
+    /// the slice, with its box in the last slot of `node_aabbs`. The records
+    /// end in slot order.
     fn build(&mut self) {
-        let count = self.order.len();
+        // One streaming pass: the box of a leaf, the split axis of a node.
+        let aabb = records_aabb(self.records);
+        let count = self.records.len();
         if count <= LEAF_SIZE {
-            return self.build_leaf();
+            return self.build_leaf(aabb);
         }
         let Subtree {
-            points,
-            ref mut order,
+            ref mut records,
+            ref mut keys,
             ref mut nodes,
             ref mut node_aabbs,
             ref mut leaf_aabbs,
@@ -179,31 +326,27 @@ impl Subtree<'_> {
         } = *self;
         // Pick the axis with the largest spread for better balance than
         // round-robin on skewed data.
-        let axis = {
-            let mut min = Point3::splat(f32::INFINITY);
-            let mut max = Point3::splat(f32::NEG_INFINITY);
-            for &i in order.iter() {
-                min = min.min(points[i as usize]);
-                max = max.max(points[i as usize]);
-            }
-            let ext = max - min;
-            if ext.x >= ext.y && ext.x >= ext.z {
-                0
-            } else if ext.y >= ext.z {
-                1
-            } else {
-                2
-            }
+        let ext = aabb.extent();
+        let axis = if ext.x >= ext.y && ext.x >= ext.z {
+            0
+        } else if ext.y >= ext.z {
+            1
+        } else {
+            2
         };
+        // The median is the `half`-th smallest key; the keys below it are
+        // exactly the `half` records that go left.
         let half = count / 2;
-        order.select_nth_unstable_by(half, |&a, &b| {
-            points[a as usize][axis].total_cmp(&points[b as usize][axis])
-        });
-        let value = points[order[half] as usize][axis];
+        let value = match axis {
+            0 => median_split(records, keys, |p| p.x),
+            1 => median_split(records, keys, |p| p.y),
+            _ => median_split(records, keys, |p| p.z),
+        };
 
         let (left_nodes, left_leaves) = subtree_counts(half);
         let child_nodes = nodes.len() - 1;
-        let (left_order, right_order) = order.split_at_mut(half);
+        let (left_records, right_records) = records.split_at_mut(half);
+        let (left_keys, right_keys) = keys.split_at_mut(half);
         let (children, root) = nodes.split_at_mut(child_nodes);
         let (child_aabbs, root_aabb) = node_aabbs.split_at_mut(child_nodes);
         let (ln, rn) = children.split_at_mut(left_nodes);
@@ -213,8 +356,8 @@ impl Subtree<'_> {
             count,
             [
                 Subtree {
-                    points,
-                    order: left_order,
+                    records: left_records,
+                    keys: left_keys,
                     nodes: ln,
                     node_aabbs: la,
                     leaf_aabbs: ll,
@@ -223,8 +366,8 @@ impl Subtree<'_> {
                     leaf_base,
                 },
                 Subtree {
-                    points,
-                    order: right_order,
+                    records: right_records,
+                    keys: right_keys,
                     nodes: rn,
                     node_aabbs: ra,
                     leaf_aabbs: rl,
@@ -234,13 +377,7 @@ impl Subtree<'_> {
                 },
             ],
         );
-        // Tight internal box: the union of the children's, which they have
-        // just written behind their own nodes.
-        let (left_box, right_box) = (child_aabbs[left_nodes - 1], child_aabbs[child_nodes - 1]);
-        root_aabb[0] = Aabb {
-            min: left_box.min.min(right_box.min),
-            max: left_box.max.max(right_box.max),
-        };
+        root_aabb[0] = aabb;
         root[0] = Node {
             tag: axis as u32,
             value,
@@ -249,20 +386,39 @@ impl Subtree<'_> {
         };
     }
 
-    /// Writes the single leaf node covering this subtree's slots, recording
-    /// the tight bounding box of its points and freezing the slots in Morton
-    /// order (see [`sort_leaf_slots`]).
-    fn build_leaf(&mut self) {
-        let aabb = Aabb::from_points(self.order.iter().map(|&i| self.points[i as usize]))
-            .unwrap_or(Aabb::new(Point3::ZERO, Point3::ZERO));
-        sort_leaf_slots(self.points, self.order, &aabb);
+    /// Writes the single leaf node covering this subtree's records, with
+    /// their tight box `aabb`, and puts the records in Morton order over
+    /// that box so consecutive slots are spatial neighbors: that is what
+    /// makes the dual-tree leaf scan's row-to-row warm-start chain tight
+    /// (see `crate::dualtree`). Visit order cannot change results —
+    /// survivors and ties are decided by the packed `(distance, index)`
+    /// keys — and the scan kernels stream the SoA lanes the same either way.
+    fn build_leaf(&mut self, aabb: Aabb) {
+        let count = self.records.len();
+        let ext = aabb.extent();
+        let inv = Point3::new(
+            if ext.x > 0.0 { 1024.0 / ext.x } else { 0.0 },
+            if ext.y > 0.0 { 1024.0 / ext.y } else { 0.0 },
+            if ext.z > 0.0 { 1024.0 / ext.z } else { 0.0 },
+        );
+        let keys = &mut self.keys[..count];
+        for (pos, (key, r)) in keys.iter_mut().zip(self.records.iter()).enumerate() {
+            *key = (u64::from(crate::knn::morton_code(r.p, aabb.min, inv)) << 32) | pos as u64;
+        }
+        keys.sort_unstable();
+        // Leaves hold at most LEAF_SIZE records.
+        let mut sorted = [Record::default(); LEAF_SIZE];
+        for (dst, &key) in sorted.iter_mut().zip(keys.iter()) {
+            *dst = self.records[key as u32 as usize];
+        }
+        self.records.copy_from_slice(&sorted[..count]);
         self.leaf_aabbs[0] = aabb;
         self.node_aabbs[0] = aabb;
         self.nodes[0] = Node {
             tag: LEAF_TAG,
             value: f32::from_bits(self.leaf_base as u32),
             a: self.slot_base as u32,
-            b: (self.slot_base + self.order.len()) as u32,
+            b: (self.slot_base + count) as u32,
         };
     }
 }
@@ -327,28 +483,6 @@ pub struct KdTree {
     root: usize,
 }
 
-/// Reusable buffers of [`KdTree::patch_with`]: the rewritten slot
-/// permutation, the routed-insertion pairs, the leaf list and the
-/// dirty-leaf list. Nothing in here outlives a patch, so one scratch serves
-/// any number of trees (the engine keeps it on its per-worker frame arena,
-/// not on every session's tree) and steady-state patches allocate nothing.
-#[derive(Debug, Default)]
-pub struct PatchScratch {
-    order: Vec<u32>,
-    routed: Vec<(u32, u32)>,
-    leaves: Vec<u32>,
-    dirty: Vec<u32>,
-}
-
-impl PatchScratch {
-    /// Capacity (in bytes) currently reserved by the scratch's buffers.
-    pub fn reserved_bytes(&self) -> usize {
-        (self.order.capacity() + self.leaves.capacity() + self.dirty.capacity())
-            * std::mem::size_of::<u32>()
-            + self.routed.capacity() * std::mem::size_of::<(u32, u32)>()
-    }
-}
-
 /// The bounding box of an emptied leaf: inverted extremes, so any distance
 /// test against it returns `+inf` (the leaf attracts no traversal) and a
 /// union with it is the identity.
@@ -366,7 +500,8 @@ impl Default for KdTree {
 }
 
 impl KdTree {
-    /// Builds a k-d tree over the given points (copied into the tree).
+    /// Builds a k-d tree over the given points (copied into the tree), with
+    /// a call-local [`IndexScratch`].
     pub fn build(points: &[Point3]) -> Self {
         let mut tree = KdTree {
             points: Vec::new(),
@@ -377,22 +512,32 @@ impl KdTree {
             node_aabbs: Vec::new(),
             root: 0,
         };
-        tree.build_in(points);
+        tree.build_in(points, &mut IndexScratch::default());
         tree
     }
 
     /// Rebuilds this tree over `points`, reusing the point, permutation and
-    /// node storage already owned by `self`. This is the streaming-session
-    /// entry point: a scratch-resident tree is rebuilt in place when the
-    /// frame geometry actually changes, so steady-state frames pay no
-    /// allocation for index (re)construction. Large clouds build their
-    /// subtrees as pool tasks (see the module docs); the result does not
-    /// depend on the worker count.
-    pub fn build_in(&mut self, points: &[Point3]) {
+    /// node storage already owned by `self` and the record and key buffers
+    /// of `scratch`. This is the streaming-session entry point: a
+    /// scratch-resident tree is rebuilt in place when the frame geometry
+    /// actually changes, so steady-state frames pay no allocation for index
+    /// (re)construction. Large clouds build their subtrees as pool tasks
+    /// (see the module docs); the result does not depend on the worker
+    /// count.
+    pub fn build_in(&mut self, points: &[Point3], scratch: &mut IndexScratch) {
         self.points.clear();
         self.points.extend_from_slice(points);
-        self.order.clear();
-        self.order.extend(0..points.len() as u32);
+        let IndexScratch { records, keys, .. } = scratch;
+        records.clear();
+        records.extend(
+            points
+                .iter()
+                .enumerate()
+                .map(|(id, &p)| Record { p, id: id as u32 }),
+        );
+        if keys.len() < points.len() {
+            keys.resize(points.len(), 0);
+        }
         let (nodes, leaves) = subtree_counts(points.len());
         self.nodes.clear();
         self.nodes.resize(nodes, Node::UNSET);
@@ -403,8 +548,8 @@ impl KdTree {
         // Post-order layout: a subtree's root is its last node.
         self.root = nodes - 1;
         Subtree {
-            points: &self.points,
-            order: &mut self.order,
+            records,
+            keys: &mut keys[..points.len()],
             nodes: &mut self.nodes,
             node_aabbs: &mut self.node_aabbs,
             leaf_aabbs: &mut self.leaf_aabbs,
@@ -413,14 +558,115 @@ impl KdTree {
             leaf_base: 0,
         }
         .build();
-        // One contiguous reordered copy: leaf ranges now address three
-        // streaming coordinate lanes instead of a permuted `Point3` gather.
-        self.soa.fill_permuted(points, &self.order);
+        self.write_slots(records);
+    }
+
+    /// Writes `order` and the SoA lanes from records in slot order, one
+    /// sequential pass each: leaf ranges then address three streaming
+    /// coordinate lanes instead of a permuted `Point3` gather.
+    fn write_slots(&mut self, records: &[Record]) {
+        self.order.clear();
+        self.order.extend(records.iter().map(|r| r.id));
+        self.soa.fill(records.iter().map(|r| &r.p));
     }
 
     /// The indexed points, in their original order.
     pub fn points(&self) -> &[Point3] {
         &self.points
+    }
+
+    /// Checks the tree's structural invariants, describing the first
+    /// violation: `order` is a permutation of the point indices, the SoA
+    /// lanes hold `points[order[i]]` bit for bit, the reachable leaves tile
+    /// the slots with at most [`LEAF_SIZE`] points each inside their leaf
+    /// box, and every point under a split lies on its side of the plane
+    /// (left ≤ value ≤ right, as floats). `O(n · depth)`; for tests.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.points.len();
+        if self.order.len() != n || self.soa.len() != n {
+            return Err(format!(
+                "{n} points, {} slots, {} SoA lanes",
+                self.order.len(),
+                self.soa.len()
+            ));
+        }
+        let mut seen = vec![false; n];
+        for (slot, &i) in self.order.iter().enumerate() {
+            if seen.get(i as usize).is_none_or(|&s| s) {
+                return Err(format!("order is no permutation: slot {slot} holds {i}"));
+            }
+            seen[i as usize] = true;
+            let p = self.points[i as usize];
+            let lanes = [
+                self.soa.xs()[slot],
+                self.soa.ys()[slot],
+                self.soa.zs()[slot],
+            ];
+            if lanes.map(f32::to_bits) != [p.x, p.y, p.z].map(f32::to_bits) {
+                return Err(format!("SoA slot {slot} is {lanes:?}, point {i} is {p:?}"));
+            }
+        }
+        let mut ranges = Vec::new();
+        let unbounded = (
+            Point3::splat(f32::NEG_INFINITY),
+            Point3::splat(f32::INFINITY),
+        );
+        self.validate_node(self.root, unbounded, &mut ranges)?;
+        ranges.sort_unstable();
+        let mut end = 0;
+        for (s, e) in ranges {
+            if s != end {
+                return Err(format!("leaf slots {s}..{e} do not start at {end}"));
+            }
+            end = e;
+        }
+        if end != n {
+            return Err(format!("leaves cover {end} of {n} slots"));
+        }
+        Ok(())
+    }
+
+    /// [`Self::validate`] below node `id`, whose points must lie inside the
+    /// inclusive `(lo, hi)` bounds its ancestors' planes set; collects the
+    /// leaves' slot ranges.
+    fn validate_node(
+        &self,
+        id: usize,
+        (lo, hi): (Point3, Point3),
+        ranges: &mut Vec<(usize, usize)>,
+    ) -> Result<(), String> {
+        let node = *self.nodes.get(id).ok_or(format!("no node {id}"))?;
+        if !node.is_leaf() {
+            let (axis, value) = (node.tag as usize, node.value);
+            let (a, b) = node.children();
+            let (mut left_hi, mut right_lo) = (hi, lo);
+            left_hi[axis] = hi[axis].min(value);
+            right_lo[axis] = lo[axis].max(value);
+            self.validate_node(a as usize, (lo, left_hi), ranges)?;
+            return self.validate_node(b as usize, (right_lo, hi), ranges);
+        }
+        let (s, e) = node.leaf_range();
+        if s > e || e > self.order.len() || e - s > LEAF_SIZE {
+            return Err(format!("leaf {id} covers slots {s}..{e}"));
+        }
+        let ordinal = node.value.to_bits() as usize;
+        let aabb = *self
+            .leaf_aabbs
+            .get(ordinal)
+            .ok_or(format!("no leaf box {ordinal}"))?;
+        for &i in &self.order[s..e] {
+            let p = self.points[i as usize];
+            if !(Aabb { min: lo, max: hi }).contains(p) {
+                return Err(format!(
+                    "point {i} {p:?} of leaf {id} is outside its planes"
+                ));
+            }
+            if !aabb.contains(p) {
+                return Err(format!("point {i} {p:?} is outside the box of leaf {id}"));
+            }
+        }
+        ranges.push((s, e));
+        Ok(())
     }
 
     // --- Internals shared with the dual-tree traversal (`crate::dualtree`).
@@ -501,41 +747,41 @@ impl KdTree {
     ///
     /// Convenience form of [`KdTree::patch_with`] with a call-local scratch.
     pub fn patch(&mut self, delta: &FrameDelta, new_points: &[Point3]) {
-        self.patch_with(delta, new_points, &mut PatchScratch::default());
+        self.patch_with(delta, new_points, &mut IndexScratch::default());
     }
 
-    /// [`KdTree::patch`] with caller-owned traversal buffers, so repeated
-    /// patches — of this tree or any other — allocate nothing.
+    /// [`KdTree::patch`] with caller-owned buffers, so repeated patches — of
+    /// this tree or any other — allocate nothing.
     pub fn patch_with(
         &mut self,
         delta: &FrameDelta,
         new_points: &[Point3],
-        scratch: &mut PatchScratch,
+        scratch: &mut IndexScratch,
     ) {
         if self.points.len() != delta.old_len()
             || new_points.len() != delta.new_len()
             || self.points.is_empty()
             || new_points.is_empty()
         {
-            self.build_in(new_points);
+            self.build_in(new_points, scratch);
             return;
         }
         if delta.is_identity() {
             // Bitwise-identical geometry: the index is already exact.
             return;
         }
-        let PatchScratch {
-            order,
-            routed,
+        let IndexScratch {
+            records,
+            keys,
             leaves,
             dirty,
         } = scratch;
 
         // Route every inserted point down the split planes to its home
         // leaf, with the same comparison the query descent uses (so the
-        // plane invariant holds for the routed points too).
-        routed.clear();
-        routed.reserve(delta.inserted().len());
+        // plane invariant holds for the routed points too), as
+        // `leaf << 32 | index` keys, sorted.
+        keys.clear();
         for &ni in delta.inserted() {
             let p = new_points[ni as usize];
             let mut id = self.root as u32;
@@ -550,14 +796,14 @@ impl KdTree {
                     n.b
                 };
             }
-            routed.push((id, ni));
+            keys.push(u64::from(id) << 32 | u64::from(ni));
         }
-        routed.sort_unstable();
+        keys.sort_unstable();
 
-        // The leaves tile `order`; rewrite it leaf by leaf in range order —
-        // survivors renumbered (relative order, and therefore the Morton
-        // slot order of clean leaves, is preserved), removed slots dropped,
-        // routed insertions appended to their leaf.
+        // The leaves tile the slots; rewrite them leaf by leaf in range
+        // order, as records — survivors renumbered (relative order, and
+        // therefore the Morton slot order of clean leaves, is preserved),
+        // removed slots dropped, routed insertions appended to their leaf.
         // The leaf and dirty lists are sized to the node table's *capacity*
         // (both counts are bounded by the node count), so they only ever
         // grow when a node table does — no late capacity bumps for the
@@ -567,85 +813,83 @@ impl KdTree {
         leaves.extend((0..self.nodes.len() as u32).filter(|&id| self.nodes[id as usize].is_leaf()));
         leaves.sort_unstable_by_key(|&id| self.nodes[id as usize].a);
         let old_to_new = delta.old_to_new();
-        order.clear();
+        let record = |id: u32| Record {
+            p: Point3::ZERO,
+            id,
+        };
+        records.clear();
         dirty.clear();
         dirty.reserve(self.nodes.capacity());
         for &leaf_id in leaves.iter() {
             let (s, e) = self.nodes[leaf_id as usize].leaf_range();
-            let new_start = order.len();
+            let new_start = records.len();
             let mut leaf_dirty = false;
             for slot in s..e {
                 match old_to_new[self.order[slot] as usize] {
                     REMOVED => leaf_dirty = true,
-                    ni => order.push(ni),
+                    ni => records.push(record(ni)),
                 }
             }
-            let lo = routed.partition_point(|&(id, _)| id < leaf_id);
-            let hi = routed.partition_point(|&(id, _)| id <= leaf_id);
-            for &(_, ni) in &routed[lo..hi] {
-                order.push(ni);
+            let lo = keys.partition_point(|&key| key >> 32 < u64::from(leaf_id));
+            let hi = keys.partition_point(|&key| key >> 32 <= u64::from(leaf_id));
+            for &key in &keys[lo..hi] {
+                records.push(record(key as u32));
                 leaf_dirty = true;
             }
             self.nodes[leaf_id as usize].a = new_start as u32;
-            self.nodes[leaf_id as usize].b = order.len() as u32;
+            self.nodes[leaf_id as usize].b = records.len() as u32;
             if leaf_dirty {
                 dirty.push(leaf_id);
             }
         }
-        debug_assert_eq!(order.len(), new_points.len());
-        // Copied, not swapped: a swap would trade buffers (and capacities)
-        // between this tree and a scratch shared with trees of other sizes.
-        self.order.clear();
-        self.order.extend_from_slice(order);
+        debug_assert_eq!(records.len(), new_points.len());
+        // Positions in one tight gather, apart from the branchy walk.
+        for r in records.iter_mut() {
+            r.p = new_points[r.id as usize];
+        }
         self.points.clear();
         self.points.extend_from_slice(new_points);
 
-        // Geometry work only where membership changed: exact box + Morton
-        // re-sort for dirty leaves, a local median-split rebuild for leaves
-        // that overflowed (the rebuilt subtree's root is copied over the old
-        // leaf node, so ancestors keep their child ids).
+        // Geometry work only where membership changed: every dirty leaf is
+        // rebuilt from its records by the builder — in place (exact box +
+        // Morton order) while it fits a leaf, as a median-split subtree
+        // appended behind the existing nodes, in the layout a full build
+        // gives a subtree of its size, once it overflows. Either way the
+        // subtree's root is copied over the old leaf node, so ancestors keep
+        // their child ids.
         for &leaf_id in dirty.iter() {
-            let (s, e) = self.nodes[leaf_id as usize].leaf_range();
-            if e - s > LEAF_SIZE {
-                // Appended behind the existing nodes, in the same layout a
-                // full build gives a subtree of this size.
-                let (node_base, leaf_base) = (self.nodes.len(), self.leaf_aabbs.len());
-                let (nodes, leaves) = subtree_counts(e - s);
-                self.nodes.resize(node_base + nodes, Node::UNSET);
-                self.node_aabbs.resize(node_base + nodes, EMPTY_LEAF_AABB);
-                self.leaf_aabbs.resize(leaf_base + leaves, EMPTY_LEAF_AABB);
-                Subtree {
-                    points: &self.points,
-                    order: &mut self.order[s..e],
-                    nodes: &mut self.nodes[node_base..],
-                    node_aabbs: &mut self.node_aabbs[node_base..],
-                    leaf_aabbs: &mut self.leaf_aabbs[leaf_base..],
-                    slot_base: s,
-                    node_base,
-                    leaf_base,
-                }
-                .build();
-                let sub = self.nodes.len() - 1;
-                self.nodes[leaf_id as usize] = self.nodes[sub];
-                self.node_aabbs[leaf_id as usize] = self.node_aabbs[sub];
-                continue;
-            }
-            let ordinal = self.nodes[leaf_id as usize].value.to_bits() as usize;
-            let aabb = if s == e {
-                EMPTY_LEAF_AABB
+            let leaf_id = leaf_id as usize;
+            let (s, e) = self.nodes[leaf_id].leaf_range();
+            let (nodes, leaves) = subtree_counts(e - s);
+            let (node_base, leaf_base) = if e - s > LEAF_SIZE {
+                let bases = (self.nodes.len(), self.leaf_aabbs.len());
+                self.nodes.resize(bases.0 + nodes, Node::UNSET);
+                self.node_aabbs.resize(bases.0 + nodes, EMPTY_LEAF_AABB);
+                self.leaf_aabbs.resize(bases.1 + leaves, EMPTY_LEAF_AABB);
+                bases
             } else {
-                let aabb =
-                    Aabb::from_points(self.order[s..e].iter().map(|&i| self.points[i as usize]))
-                        .expect("non-empty slot range");
-                sort_leaf_slots(&self.points, &mut self.order[s..e], &aabb);
-                aabb
+                (leaf_id, self.nodes[leaf_id].value.to_bits() as usize)
             };
-            self.leaf_aabbs[ordinal] = aabb;
-            self.node_aabbs[leaf_id as usize] = aabb;
+            if keys.len() < e - s {
+                keys.resize(e - s, 0);
+            }
+            Subtree {
+                records: &mut records[s..e],
+                keys: &mut keys[..e - s],
+                nodes: &mut self.nodes[node_base..node_base + nodes],
+                node_aabbs: &mut self.node_aabbs[node_base..node_base + nodes],
+                leaf_aabbs: &mut self.leaf_aabbs[leaf_base..leaf_base + leaves],
+                slot_base: s,
+                node_base,
+                leaf_base,
+            }
+            .build();
+            let root = node_base + nodes - 1;
+            self.nodes[leaf_id] = self.nodes[root];
+            self.node_aabbs[leaf_id] = self.node_aabbs[root];
         }
 
-        // One contiguous reordered copy, as in `build_in`.
-        self.soa.fill_permuted(&self.points, &self.order);
+        self.write_slots(records);
         // Internal boxes: bottom-up union refresh over the whole (shallow)
         // node tree — a few thousand nodes even at 100k points.
         self.refresh_node_aabbs(self.root as u32);
@@ -1079,11 +1323,14 @@ mod tests {
     #[test]
     fn build_in_reuses_storage_and_matches_fresh_build() {
         let mut tree = KdTree::default();
+        let mut scratch = IndexScratch::default();
         assert!(tree.is_empty());
-        for seed in [11, 12, 13] {
+        for seed in [13, 11, 12] {
+            // A scratch left over from a larger build changes nothing.
             let pts = random_points(400 + seed as usize * 37, seed);
-            tree.build_in(&pts);
+            tree.build_in(&pts, &mut scratch);
             let fresh = KdTree::build(&pts);
+            assert_same_tree(&tree, &fresh, &format!("seed {seed}"));
             for q in random_points(10, seed + 100) {
                 let a = tree.knn(q, 6);
                 let b = fresh.knn(q, 6);
@@ -1094,7 +1341,7 @@ mod tests {
             }
         }
         // Shrinking back to empty leaves a valid (empty) tree.
-        tree.build_in(&[]);
+        tree.build_in(&[], &mut scratch);
         assert!(tree.knn(Point3::ZERO, 3).is_empty());
     }
 
@@ -1179,6 +1426,7 @@ mod tests {
                 };
                 let what = format!("n {n} duplicates {duplicate_heavy}");
                 let serial = crate::runtime::with_workers(1, || KdTree::build(&pts));
+                serial.validate().unwrap_or_else(|e| panic!("{what}: {e}"));
                 let (nodes, leaves) = subtree_counts(n);
                 assert_eq!(
                     (serial.nodes.len(), serial.leaf_aabbs.len()),
@@ -1189,12 +1437,15 @@ mod tests {
                     let (delta, new_pts) = churn(&pts, case as u64 + 1);
                     let mut patched = serial.clone();
                     crate::runtime::with_workers(1, || patched.patch(&delta, &new_pts));
+                    patched
+                        .validate()
+                        .unwrap_or_else(|e| panic!("{what} patched: {e}"));
                     (delta, new_pts, patched)
                 });
                 for workers in [2usize, 4, 8] {
                     crate::runtime::with_workers(workers, || {
                         let mut tree = KdTree::default();
-                        tree.build_in(&pts);
+                        tree.build_in(&pts, &mut IndexScratch::default());
                         assert_same_tree(&tree, &serial, &format!("{what} workers {workers}"));
                         if let Some((delta, new_pts, patched)) = &patch {
                             tree.patch(delta, new_pts);

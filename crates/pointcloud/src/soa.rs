@@ -122,36 +122,20 @@ impl SoaPositions {
     }
 
     /// Rebuilds the lanes from `points` in their given order, reusing the
-    /// existing allocations.
-    pub fn fill(&mut self, points: &[Point3]) {
+    /// existing allocations. The k-d tree fills its lanes straight from its
+    /// build records, in leaf-visit order.
+    pub fn fill<'a>(
+        &mut self,
+        points: impl IntoIterator<Item = &'a Point3, IntoIter: ExactSizeIterator>,
+    ) {
+        let points = points.into_iter();
         self.reset(points.len());
         let (xs, ys, zs) = (
             self.x.as_flat_mut(),
             self.y.as_flat_mut(),
             self.z.as_flat_mut(),
         );
-        for (i, p) in points.iter().enumerate() {
-            xs[i] = p.x;
-            ys[i] = p.y;
-            zs[i] = p.z;
-        }
-    }
-
-    /// Rebuilds the lanes as the permutation `points[order[i]]` — the
-    /// "one contiguous reordered copy" the k-d tree uses to store its points
-    /// in leaf-visit order.
-    ///
-    /// # Panics
-    /// Panics when an entry of `order` is out of bounds for `points`.
-    pub fn fill_permuted(&mut self, points: &[Point3], order: &[u32]) {
-        self.reset(order.len());
-        let (xs, ys, zs) = (
-            self.x.as_flat_mut(),
-            self.y.as_flat_mut(),
-            self.z.as_flat_mut(),
-        );
-        for (i, &src) in order.iter().enumerate() {
-            let p = points[src as usize];
+        for (i, p) in points.enumerate() {
             xs[i] = p.x;
             ys[i] = p.y;
             zs[i] = p.z;
@@ -219,18 +203,6 @@ mod tests {
         assert!(soa.xs()[13..].iter().all(|&v| v == f32::INFINITY));
         assert!(soa.ys()[13..].iter().all(|&v| v == f32::INFINITY));
         assert!(soa.zs()[13..].iter().all(|&v| v == f32::INFINITY));
-    }
-
-    #[test]
-    fn fill_permuted_applies_order() {
-        let pts: Vec<Point3> = (0..6).map(|i| Point3::splat(i as f32)).collect();
-        let order = [5u32, 0, 3];
-        let mut soa = SoaPositions::default();
-        soa.fill_permuted(&pts, &order);
-        assert_eq!(soa.len(), 3);
-        assert_eq!(soa.get(0), pts[5]);
-        assert_eq!(soa.get(1), pts[0]);
-        assert_eq!(soa.get(2), pts[3]);
     }
 
     #[test]

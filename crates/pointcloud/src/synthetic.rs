@@ -362,6 +362,12 @@ impl DeltaStream {
 
     /// Advances to the next frame and returns the delta that produced it.
     pub fn advance(&mut self) -> FrameDelta {
+        self.advance_with(nearest_indices)
+    }
+
+    /// [`Self::advance`] with the churned-set selection passed in, so tests
+    /// can run a stream against a reference selection.
+    fn advance_with(&mut self, nearest: fn(&[Point3], Point3, usize) -> Vec<u32>) -> FrameDelta {
         let n = self.frame.len();
         let m = ((n as f64 * self.cfg.churn).round() as usize).min(n);
         if m == 0 {
@@ -369,23 +375,9 @@ impl DeltaStream {
                 .expect("identity delta is always consistent");
         }
         let positions = self.frame.positions();
-        // The churned set: the m nearest points around a random anchor
-        // (ties index-broken through the packed key, so selection is
-        // deterministic).
+        // The churned set: the m nearest points around a random anchor.
         let anchor = positions[self.rng.random_range(0..n)];
-        let mut keyed: Vec<(u64, u32)> = positions
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                (
-                    (u64::from(p.distance_squared(anchor).to_bits()) << 32) | i as u64,
-                    i as u32,
-                )
-            })
-            .collect();
-        keyed.sort_unstable();
-        let mut removed: Vec<u32> = keyed[..m].iter().map(|&(_, i)| i).collect();
-        removed.sort_unstable();
+        let removed = nearest(positions, anchor, m);
 
         // Replacement cluster: the removed points shifted to a drifted
         // center, with per-point jitter.
@@ -438,6 +430,24 @@ impl DeltaStream {
     }
 }
 
+/// Indices of the `m` points nearest `anchor`, ascending. Ties are
+/// index-broken through the packed `(distance, index)` key; keys are unique,
+/// so selecting the `m` smallest picks exactly the set a full sort's first
+/// `m` would, in `O(n)`.
+fn nearest_indices(positions: &[Point3], anchor: Point3, m: usize) -> Vec<u32> {
+    let mut keyed: Vec<u64> = positions
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (u64::from(p.distance_squared(anchor).to_bits()) << 32) | i as u64)
+        .collect();
+    if m < keyed.len() {
+        keyed.select_nth_unstable(m);
+    }
+    let mut nearest: Vec<u32> = keyed[..m].iter().map(|&key| key as u32).collect();
+    nearest.sort_unstable();
+    nearest
+}
+
 /// Materializes `frames` frames of a [`DeltaStream`] over `base` (frame 0 is
 /// `base` itself) — the convenience form for benches and tests that want the
 /// whole churned sequence up front.
@@ -476,6 +486,53 @@ fn gaussian(rng: &mut StdRng) -> f32 {
 mod tests {
     use super::*;
     use crate::aabb::Aabb;
+
+    /// The churned-set selection as it was before it became a select: a
+    /// full sort of the packed keys.
+    fn nearest_indices_by_sort(positions: &[Point3], anchor: Point3, m: usize) -> Vec<u32> {
+        let mut keyed: Vec<(u64, u32)> = positions
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                (
+                    (u64::from(p.distance_squared(anchor).to_bits()) << 32) | i as u64,
+                    i as u32,
+                )
+            })
+            .collect();
+        keyed.sort_unstable();
+        let mut removed: Vec<u32> = keyed[..m].iter().map(|&(_, i)| i).collect();
+        removed.sort_unstable();
+        removed
+    }
+
+    #[test]
+    fn selected_churn_matches_the_sort_based_stream() {
+        for n in [1usize, 2, 512, 4096] {
+            for churn in [0.01, 0.1, 0.5, 1.0] {
+                for seed in 0..3u64 {
+                    let cfg = DeltaStreamConfig {
+                        churn,
+                        drift: 0.05,
+                        jitter: 0.01,
+                        seed,
+                    };
+                    let base = humanoid(n, 0.2, seed + 40);
+                    let mut fast = DeltaStream::new(base.clone(), cfg);
+                    let mut reference = DeltaStream::new(base, cfg);
+                    for frame in 0..4 {
+                        let what = format!("n {n} churn {churn} seed {seed} frame {frame}");
+                        assert_eq!(
+                            fast.advance(),
+                            reference.advance_with(nearest_indices_by_sort),
+                            "{what}: delta"
+                        );
+                        assert_eq!(fast.frame(), reference.frame(), "{what}: frame");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn generators_produce_requested_counts() {

@@ -482,7 +482,11 @@ pub(super) mod tests {
         let mut receiver = ResilientReceiver::new(RetryPolicy::default(), 0);
         let mut deliver = |server: &DeltaServer, receiver: &mut ResilientReceiver, seq: u64| {
             let frame = receiver.recover(server, &mut link, seq).unwrap();
-            assert_eq!(frame.positions, f[seq as usize].positions(), "seq {seq}");
+            assert_eq!(
+                frame.cloud().positions(),
+                f[seq as usize].positions(),
+                "seq {seq}"
+            );
             receiver.commit(frame, seq);
         };
         deliver(&server, &mut receiver, 0);
@@ -517,7 +521,7 @@ pub(super) mod tests {
         for seq in 0..4u64 {
             let mut cold = ResilientReceiver::new(RetryPolicy::default(), 0);
             match cold.recover(&server, &mut link, seq) {
-                Ok(frame) => assert_eq!(frame.positions, f[seq as usize].positions()),
+                Ok(frame) => assert_eq!(frame.cloud().positions(), f[seq as usize].positions()),
                 Err(_) => assert!(cold.stats().integrity_failures > 0, "seq {seq}"),
             }
         }

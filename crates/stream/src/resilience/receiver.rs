@@ -5,11 +5,10 @@
 use rand::{Rng, SeedableRng, StdRng};
 use serde::{Deserialize, Serialize};
 use volut_core::pipeline::{SrPipeline, SrResult};
-use volut_pointcloud::cloud::geometry_digest;
 use volut_pointcloud::{Color, FrameDelta, Point3, PointCloud};
 
 use super::origin::DeltaServer;
-use super::wire::{build_cloud, FrameMessage, MessageBody};
+use super::wire::{FrameMessage, MessageBody};
 use crate::client::SrSession;
 use crate::faults::Transport;
 use crate::{Error, Result};
@@ -143,10 +142,10 @@ pub enum RecoveryKind {
 /// flushed and the frame recomputes cold.
 #[derive(Debug, Clone)]
 pub struct RecoveredFrame {
-    /// Reconstructed, digest-verified positions of the frame.
-    pub positions: Vec<Point3>,
-    /// Reconstructed colors, when the stream carries them.
-    pub colors: Option<Vec<Color>>,
+    /// The reconstructed frame (colors when the stream carries them). Its
+    /// geometry digest was computed once, to check the wire's, and stays
+    /// memoized on the cloud, so the engine reads it without rehashing.
+    cloud: PointCloud,
     /// The structural delta from the receiver's previous frame, for the
     /// incremental SR path; `None` means cold recompute.
     pub delta: Option<FrameDelta>,
@@ -155,9 +154,10 @@ pub struct RecoveredFrame {
 }
 
 impl RecoveredFrame {
-    /// Builds the point cloud for the SR engine.
+    /// The point cloud for the SR engine: a copy that keeps the verified
+    /// digest.
     pub fn cloud(&self) -> PointCloud {
-        build_cloud(self.positions.clone(), self.colors.clone())
+        self.cloud.clone()
     }
 }
 
@@ -259,26 +259,29 @@ impl ResilientReceiver {
                             self.stats.integrity_failures += 1;
                             break;
                         };
-                        if geometry_digest(&new_positions) != digest {
+                        let mut cloud = PointCloud::from_positions(new_positions);
+                        if cloud.geometry_digest() != digest {
                             self.stats.integrity_failures += 1;
                             continue;
                         }
                         // Survivor colors ride the survivor map; a color
                         // presence mismatch means base divergence.
-                        let new_colors = match (&self.colors, &inserted_colors) {
+                        match (&self.colors, &inserted_colors) {
                             (Some(base), Some(ins)) => match delta.apply(base, ins) {
-                                Some(c) => Some(c),
+                                Some(c) => cloud
+                                    .set_colors(c)
+                                    .expect("a delta's output has its new length"),
                                 None => {
                                     self.stats.integrity_failures += 1;
                                     break;
                                 }
                             },
-                            (None, None) => None,
+                            (None, None) => {}
                             _ => {
                                 self.stats.integrity_failures += 1;
                                 break;
                             }
-                        };
+                        }
                         let kind = if seq - base_seq > 1 {
                             RecoveryKind::Compose
                         } else if round > 0 {
@@ -287,8 +290,7 @@ impl ResilientReceiver {
                             RecoveryKind::Clean
                         };
                         return Ok(RecoveredFrame {
-                            positions: new_positions,
-                            colors: new_colors,
+                            cloud,
                             delta: Some(delta),
                             kind,
                         });
@@ -320,18 +322,18 @@ impl ResilientReceiver {
                         },
                     ..
                 }) => {
-                    if geometry_digest(&positions) != digest {
+                    let mut cloud = PointCloud::from_positions(positions);
+                    if cloud.geometry_digest() != digest {
                         self.stats.integrity_failures += 1;
                         continue;
                     }
-                    if colors.as_ref().is_some_and(|c| c.len() != positions.len()) {
+                    if colors.is_some_and(|c| cloud.set_colors(c).is_err()) {
                         self.stats.integrity_failures += 1;
                         continue;
                     }
                     let cold_start = self.last_seq.is_none() && seq == 0;
                     return Ok(RecoveredFrame {
-                        positions,
-                        colors,
+                        cloud,
                         delta: None,
                         kind: if cold_start {
                             RecoveryKind::Clean
@@ -367,11 +369,11 @@ impl ResilientReceiver {
         rung: Rung<'_>,
         ratio: f64,
     ) -> (PointCloud, Option<volut_core::Result<SrResult>>) {
-        let cloud = frame.cloud();
-        let (output, rejected) = sr.upsample(&cloud, frame.delta.take(), rung, ratio);
+        let (output, rejected) = sr.upsample(&frame.cloud, frame.delta.take(), rung, ratio);
         if rejected {
             self.note_poisoning();
         }
+        let cloud = frame.cloud();
         self.commit(frame, seq);
         (cloud, output)
     }
@@ -379,8 +381,7 @@ impl ResilientReceiver {
     /// Stores a frame as the new delta base, advances `last_seq`, and
     /// counts the recovery kind.
     pub fn commit(&mut self, frame: RecoveredFrame, seq: u64) {
-        self.positions = frame.positions;
-        self.colors = frame.colors;
+        (self.positions, self.colors) = frame.cloud.into_parts();
         self.last_seq = Some(seq);
         self.stats.frames += 1;
         match frame.kind {
@@ -860,7 +861,7 @@ mod tests {
         let first = receiver.recover(&server, &mut Forger, 0).unwrap();
         receiver.commit(first, 0);
         let frame = receiver.recover(&server, &mut Forger, 1).unwrap();
-        assert_eq!(frame.positions, f[1].positions());
+        assert_eq!(frame.cloud().positions(), f[1].positions());
         assert_eq!(frame.kind, RecoveryKind::Keyframe);
         assert_eq!(receiver.stats().integrity_failures, 1);
     }

@@ -14,9 +14,11 @@ use volut::core::lut::io::{decode, encode_sparse, LutHeader};
 use volut::core::lut::sparse::SparseLut;
 use volut::core::lut::Lut;
 use volut::pointcloud::dualtree::DualTreeScratch;
-use volut::pointcloud::kdtree::KdTree;
+use volut::pointcloud::kdtree::{IndexScratch, KdTree, LEAF_SIZE};
 use volut::pointcloud::knn::{BruteForce, NeighborSearch};
-use volut::pointcloud::{metrics, sampling, synthetic, Neighborhoods, Point3, PointCloud};
+use volut::pointcloud::{
+    metrics, runtime, sampling, synthetic, FrameDelta, Neighborhoods, Point3, PointCloud,
+};
 
 fn arb_point() -> impl Strategy<Value = Point3> {
     (-10.0f32..10.0, -10.0f32..10.0, -10.0f32..10.0).prop_map(|(x, y, z)| Point3::new(x, y, z))
@@ -692,6 +694,163 @@ proptest! {
             let len = mix.below(96);
             let random: Vec<u8> = (0..len).map(|_| mix.next() as u8).collect();
             prop_assert!(decode(&random).is_err() || random.starts_with(b"VLUT"));
+        }
+    }
+}
+
+/// One adversarial cloud for the k-d builder: `shape` picks the geometry,
+/// every one straddling zero with `-0.0` and `+0.0` mixed in.
+fn builder_cloud(shape: usize, n: usize, mix: &mut Mix) -> Vec<Point3> {
+    let signed_zero = |mix: &mut Mix| if mix.below(2) == 0 { 0.0 } else { -0.0 };
+    (0..n)
+        .map(|_| match shape {
+            // Uniform, with a quarter of the coordinates exactly ±0.0.
+            0 => {
+                let mut p = mix.point(1.0);
+                for axis in 0..3 {
+                    if mix.below(4) == 0 {
+                        p[axis] = signed_zero(mix);
+                    }
+                }
+                p
+            }
+            // Many ties on one axis: x takes four values.
+            1 => Point3::new([-1.0, -0.0, 0.0, 0.5][mix.below(4)], mix.unit(), mix.unit()),
+            // Two all-equal axes, differing in sign bits only.
+            2 => Point3::new(mix.unit(), signed_zero(mix), signed_zero(mix)),
+            // Collinear through the origin.
+            3 => {
+                let t = if mix.below(8) == 0 {
+                    signed_zero(mix)
+                } else {
+                    mix.unit()
+                };
+                Point3::new(t, -0.5 * t, 2.0 * t)
+            }
+            // Coplanar on z = ±0, on a coarse grid (exact ties everywhere).
+            _ => Point3::new(
+                (mix.unit() * 4.0).round() / 4.0,
+                (mix.unit() * 4.0).round() / 4.0,
+                signed_zero(mix),
+            ),
+        })
+        .collect()
+}
+
+/// The next frame of a builder cloud: about a tenth removed and more points
+/// than a leaf holds inserted at scattered indices, a third of them piled
+/// onto one surviving point so its leaf overflows.
+fn overflowing_delta(points: &[Point3], shape: usize, mix: &mut Mix) -> (FrameDelta, Vec<Point3>) {
+    let n = points.len();
+    let removed: Vec<u32> = (0..n as u32).filter(|_| mix.below(10) == 0).collect();
+    let count = LEAF_SIZE + 16 + mix.below(LEAF_SIZE);
+    let pile = points[mix.below(n)];
+    let fresh = builder_cloud(shape, count, mix);
+    let values: Vec<Point3> = (0..count)
+        .map(|i| if i % 3 == 0 { pile } else { fresh[i] })
+        .collect();
+    let new_len = n - removed.len() + count;
+    let mut slots: Vec<u32> = (0..new_len as u32).collect();
+    for i in 0..count {
+        let j = i + mix.below(new_len - i);
+        slots.swap(i, j);
+    }
+    let mut inserted = slots[..count].to_vec();
+    inserted.sort_unstable();
+    let delta = FrameDelta::from_parts(n, new_len, removed, inserted).unwrap();
+    let next = delta.apply(points, &values).unwrap();
+    (delta, next)
+}
+
+/// The oracle's rows for the checked queries of one cloud state: a batch of
+/// off-cloud and on-cloud queries, and a stride of the self-join's rows.
+struct BuilderOracle {
+    points: Vec<Point3>,
+    delta: Option<FrameDelta>,
+    queries: Vec<Point3>,
+    batch: Vec<Vec<u32>>,
+    join_stride: usize,
+    join: Vec<Vec<u32>>,
+}
+
+impl BuilderOracle {
+    fn new(points: Vec<Point3>, delta: Option<FrameDelta>, k: usize, mix: &mut Mix) -> Self {
+        let brute = BruteForce::new(&points);
+        let rows =
+            |q: &Point3| -> Vec<u32> { brute.knn(*q, k).iter().map(|n| n.index as u32).collect() };
+        let mut queries = builder_cloud(0, 24, mix);
+        queries.extend((0..24).map(|_| points[mix.below(points.len())]));
+        let join_stride = (points.len() / 400).max(1);
+        Self {
+            batch: queries.iter().map(rows).collect(),
+            join: points.iter().step_by(join_stride).map(rows).collect(),
+            queries,
+            join_stride,
+            points,
+            delta,
+        }
+    }
+
+    /// Checks `tree`, which indexes this state's points, against the oracle.
+    fn check(&self, tree: &KdTree, k: usize, what: &str) {
+        if let Err(e) = tree.validate() {
+            panic!("{what}: {e}");
+        }
+        let mut out = Neighborhoods::new();
+        tree.knn_batch(&self.queries, k, &mut out);
+        for (i, expected) in self.batch.iter().enumerate() {
+            assert_eq!(out.row(i), expected.as_slice(), "{what}: batch row {i}");
+        }
+        out.clear();
+        tree.knn_batch_with(&self.points, k, &mut out, &mut DualTreeScratch::default());
+        for (j, expected) in self.join.iter().enumerate() {
+            let i = j * self.join_stride;
+            assert_eq!(out.row(i), expected.as_slice(), "{what}: self-join row {i}");
+        }
+    }
+}
+
+/// The k-d builder on clouds built to break it — sizes around one leaf,
+/// around the parallel build's task grain and past it, on uniform,
+/// tie-heavy, sign-bit-only, collinear and coplanar geometry straddling
+/// zero: the tree is structurally valid (see `KdTree::validate`) and its
+/// batch and self-join rows equal the brute-force oracle's, at 1, 2 and 4
+/// workers, before and after a patch sequence whose insertions overflow
+/// leaves (so the builder also runs on patched subtrees). Seeded from
+/// `CHAOS_SEED`.
+#[test]
+fn kd_builder_keeps_its_invariants_on_adversarial_clouds() {
+    let seed = chaos_seed();
+    println!("k-d builder case: CHAOS_SEED {seed}");
+    for (case, n) in [1usize, 63, 64, 65, 128, 4095, 4096, 4097, 9000]
+        .into_iter()
+        .enumerate()
+    {
+        for shape in 0..5 {
+            let mut mix = Mix(seed ^ (case as u64) << 8 ^ shape as u64);
+            let k = 1 + mix.below(8);
+            let mut points = builder_cloud(shape, n, &mut mix);
+            let mut states = vec![BuilderOracle::new(points.clone(), None, k, &mut mix)];
+            for _ in 0..2 {
+                let (delta, next) = overflowing_delta(&points, shape, &mut mix);
+                states.push(BuilderOracle::new(next.clone(), Some(delta), k, &mut mix));
+                points = next;
+            }
+            for workers in [1usize, 2, 4] {
+                runtime::with_workers(workers, || {
+                    let mut scratch = IndexScratch::default();
+                    let mut tree = KdTree::default();
+                    for (round, state) in states.iter().enumerate() {
+                        match &state.delta {
+                            None => tree.build_in(&state.points, &mut scratch),
+                            Some(delta) => tree.patch_with(delta, &state.points, &mut scratch),
+                        }
+                        let what =
+                            format!("n {n} shape {shape} k {k} workers {workers} round {round}");
+                        state.check(&tree, k, &what);
+                    }
+                });
+            }
         }
     }
 }

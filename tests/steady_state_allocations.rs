@@ -67,10 +67,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// What one measured steady-state delta frame allocated, and whether its
+/// index was rebuilt rather than patched.
+#[derive(Debug, Clone, Copy)]
+struct FrameAllocations {
+    allocations: u64,
+    bytes: u64,
+    rebuilt: bool,
+}
+
 /// Allocations of each measured steady-state delta frame of `pipeline` over
 /// the test's 10 %-churn stream, on one worker so the whole frame runs on
 /// the counting thread.
-fn steady_state_allocations(pipeline: SrPipeline) -> Vec<u64> {
+fn steady_state_allocations(pipeline: SrPipeline) -> Vec<FrameAllocations> {
     runtime::with_workers(1, || {
         let mut session = SrSession::new(pipeline);
         let mut stream = DeltaStream::new(
@@ -89,12 +98,17 @@ fn steady_state_allocations(pipeline: SrPipeline) -> Vec<u64> {
         for frame_no in 0..16 {
             let delta = stream.advance();
             let frame = stream.frame().clone();
-            let before = ALLOCATIONS.with(Cell::get);
+            let rebuilds = session.index_stats().rebuilds;
+            let before = (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get));
             let result = session.upsample_frame_delta(&frame, 2.0, delta).unwrap();
-            let after = ALLOCATIONS.with(Cell::get);
+            let after = (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get));
             assert_eq!(result.cloud.len(), 2 * frame.len());
             if frame_no >= 8 {
-                per_frame.push(after - before);
+                per_frame.push(FrameAllocations {
+                    allocations: after.0 - before.0,
+                    bytes: after.1 - before.1,
+                    rebuilt: session.index_stats().rebuilds > rebuilds,
+                });
             }
         }
         per_frame
@@ -116,11 +130,39 @@ fn steady_state_delta_frames_allocate_only_their_output() {
     // accumulator). Before the frame arena the fresh point/parent/hood
     // lists, the pair lists and the parent table were allocated — and
     // grown push by push — on top of those, on every frame.
-    let worst = per_frame.iter().max().unwrap();
+    let worst = per_frame.iter().map(|f| f.allocations).max().unwrap();
     assert!(
-        *worst <= 10,
+        worst <= 10,
         "steady-state frames allocated {per_frame:?} times"
     );
+}
+
+#[test]
+fn an_index_rebuild_frame_allocates_no_more_than_a_patch_frame() {
+    // The measured window holds the stream's second patch-budget rebuild
+    // (cumulative churn past `PATCH_REBUILD_FRACTION` of the cloud): the
+    // k-d build then runs on the frame arena's record and key buffers,
+    // grown by the warm-up's first rebuild, so the frame allocates what a
+    // patch frame does — its output and the sweep's batch-local lists — and
+    // not a byte of build scratch.
+    let per_frame = steady_state_allocations(SrPipeline::new(
+        SrConfig::default(),
+        Box::new(IdentityRefiner),
+    ));
+    let (rebuilt, patched): (Vec<FrameAllocations>, Vec<FrameAllocations>) =
+        per_frame.iter().partition(|f| f.rebuilt);
+    assert!(
+        !rebuilt.is_empty() && !patched.is_empty(),
+        "the window holds rebuild and patch frames: {per_frame:?}"
+    );
+    let patch_bytes = patched.iter().map(|f| f.bytes).max().unwrap();
+    for frame in rebuilt {
+        assert!(
+            frame.bytes <= patch_bytes,
+            "a rebuild frame allocated {} bytes, patch frames at most {patch_bytes}: {per_frame:?}",
+            frame.bytes
+        );
+    }
 }
 
 #[test]
@@ -140,9 +182,9 @@ fn steady_state_lut_refinement_allocates_nothing_more() {
     }
     let refiner = LutRefiner::new(encoder, Box::new(table));
     let per_frame = steady_state_allocations(SrPipeline::new(config, Box::new(refiner)));
-    let worst = per_frame.iter().max().unwrap();
+    let worst = per_frame.iter().map(|f| f.allocations).max().unwrap();
     assert!(
-        *worst <= 10,
+        worst <= 10,
         "steady-state LUT-refined frames allocated {per_frame:?} times"
     );
 }
