@@ -12,7 +12,7 @@ use crate::encoding::{KeyScheme, PositionEncoder};
 use crate::interpolate::naive::naive_interpolate_with;
 use crate::interpolate::FrameScratch;
 use crate::nn::mlp::{BatchScratch, Mlp, MICRO_BATCH};
-use crate::pipeline::{SrResult, StageTimings};
+use crate::pipeline::SrResult;
 use crate::refine::{refine_in_place, Refiner, RefinerCost};
 use crate::Result;
 use std::time::Instant;
@@ -124,13 +124,7 @@ impl GradPuUpsampler {
         let interp = naive_interpolate_with(low, &self.config, ratio, scratch);
         let mut arena = scratch.finish_frame();
         let interp = interp?;
-        let mut timings = StageTimings {
-            index_build: interp.timings.index_build,
-            knn: interp.timings.knn,
-            interpolation: interp.timings.interpolation,
-            colorization: interp.timings.colorization,
-            refinement: std::time::Duration::ZERO,
-        };
+        let mut timings = interp.timings;
 
         let t0 = Instant::now();
         let original_len = interp.original_len;

@@ -17,7 +17,7 @@ use crate::error::Error;
 use crate::interpolate::naive::naive_interpolate_with;
 use crate::interpolate::FrameScratch;
 use crate::nn::mlp::{BatchScratch, Mlp, MICRO_BATCH};
-use crate::pipeline::{SrResult, StageTimings};
+use crate::pipeline::SrResult;
 use crate::refine::{refine_in_place, Refiner, RefinerCost};
 use crate::Result;
 use std::time::Instant;
@@ -160,13 +160,7 @@ impl YuzuUpsampler {
         let interp = naive_interpolate_with(low, &self.config, f64::from(ratio), scratch);
         let mut arena = scratch.finish_frame();
         let interp = interp?;
-        let mut timings = StageTimings {
-            index_build: interp.timings.index_build,
-            knn: interp.timings.knn,
-            interpolation: interp.timings.interpolation,
-            colorization: interp.timings.colorization,
-            refinement: std::time::Duration::ZERO,
-        };
+        let mut timings = interp.timings;
 
         let t0 = Instant::now();
         let original_len = interp.original_len;

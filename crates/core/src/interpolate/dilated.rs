@@ -40,11 +40,12 @@
 use super::arena::zip_pairs;
 use super::temporal::OutputKind;
 use super::{
-    colorize, distribute_new_points_into, FrameArena, FrameScratch, InterpolationResult,
-    InterpolationTimings, OpCounts, RowBatch,
+    colorize, distribute_new_points_into, FrameArena, FrameScratch, InterpolationResult, OpCounts,
+    RowBatch,
 };
 use crate::config::SrConfig;
 use crate::error::Error;
+use crate::pipeline::StageTimings;
 use crate::Result;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -201,7 +202,7 @@ fn dilated_frame(
     session: &mut FrameScratch,
     arena: &mut FrameArena,
 ) -> InterpolationResult {
-    let mut timings = InterpolationTimings::default();
+    let mut timings = StageTimings::default();
     let positions = low.positions();
     let dilated_k = config.dilated_neighborhood();
     let mut neighborhoods = arena.take_neighborhoods();

@@ -39,11 +39,11 @@ pub mod reuse;
 pub mod temporal;
 
 use crate::config::SrConfig;
+use crate::pipeline::StageTimings;
 use crate::Result;
 use arena::ArenaLease;
 pub use arena::{FrameArena, RowBatch};
 use serde::Serialize;
-use std::time::Duration;
 pub use temporal::TemporalStats;
 use volut_pointcloud::delta::FrameDelta;
 use volut_pointcloud::kdtree::{IndexScratch, KdTree};
@@ -69,8 +69,9 @@ pub struct InterpolationResult {
     /// container. Reused by colorization and by the LUT refinement stage so
     /// no further kNN queries (and no per-point allocations) are needed.
     pub neighborhoods: Neighborhoods,
-    /// Stage timings measured on the host.
-    pub timings: InterpolationTimings,
+    /// Stage timings measured on the host; `refinement` is left at zero
+    /// for the pipeline to fill.
+    pub timings: StageTimings,
     /// Operation counters used for reporting and cost modeling.
     pub ops: OpCounts,
 }
@@ -88,28 +89,6 @@ impl InterpolationResult {
         } else {
             self.cloud.len() as f64 / self.original_len as f64
         }
-    }
-}
-
-/// Wall-clock time spent in each sub-stage of interpolation.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct InterpolationTimings {
-    /// Time spent (re)building or validating the spatial index. Streaming
-    /// sessions with static geometry amortize this to ~zero after the first
-    /// frame thanks to the scratch-resident index cache.
-    pub index_build: Duration,
-    /// Time spent answering kNN queries against the index.
-    pub knn: Duration,
-    /// Time spent generating midpoints and bookkeeping.
-    pub interpolation: Duration,
-    /// Time spent assigning colors to the new points.
-    pub colorization: Duration,
-}
-
-impl InterpolationTimings {
-    /// Total time across all sub-stages.
-    pub fn total(&self) -> Duration {
-        self.index_build + self.knn + self.interpolation + self.colorization
     }
 }
 

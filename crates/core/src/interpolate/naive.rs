@@ -26,11 +26,12 @@
 
 use super::temporal::OutputKind;
 use super::{
-    colorize, distribute_new_points_into, FrameArena, FrameScratch, InterpolationResult,
-    InterpolationTimings, OpCounts, RowBatch,
+    colorize, distribute_new_points_into, FrameArena, FrameScratch, InterpolationResult, OpCounts,
+    RowBatch,
 };
 use crate::config::SrConfig;
 use crate::error::Error;
+use crate::pipeline::StageTimings;
 use crate::Result;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -160,7 +161,7 @@ fn naive_frame(
     arena: &mut FrameArena,
 ) -> InterpolationResult {
     let mut ops = OpCounts::default();
-    let mut timings = InterpolationTimings::default();
+    let mut timings = StageTimings::default();
     let positions = low.positions();
 
     distribute_new_points_into(low.len(), ratio, &mut arena.counts);

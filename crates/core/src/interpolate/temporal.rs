@@ -187,8 +187,9 @@
 //! [`FrameScratch::set_incremental`]: super::FrameScratch::set_incremental
 
 use super::arena::{FrameArena, RowBatch};
-use super::{FrameScratch, InterpolationTimings};
+use super::FrameScratch;
 use crate::config::SrConfig;
+use crate::pipeline::StageTimings;
 use std::ops::Range;
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::Relaxed;
@@ -623,7 +624,7 @@ pub(crate) fn self_join(
     kq: usize,
     scratch: &mut FrameScratch,
     arena: &mut FrameArena,
-    timings: &mut InterpolationTimings,
+    timings: &mut StageTimings,
 ) {
     let FrameArena {
         raw_hoods: out,

@@ -254,13 +254,7 @@ impl SrPipeline {
         let mut arena = scratch.finish_frame();
         let interp: InterpolationResult = interp?;
 
-        let mut timings = StageTimings {
-            index_build: interp.timings.index_build,
-            knn: interp.timings.knn,
-            interpolation: interp.timings.interpolation,
-            colorization: interp.timings.colorization,
-            refinement: Duration::ZERO,
-        };
+        let mut timings = interp.timings;
 
         // Refinement stage: move every generated point by its looked-up /
         // predicted offset, operating on flat slices — the CSR neighborhood

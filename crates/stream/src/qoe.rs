@@ -36,25 +36,6 @@ impl Default for QoeParams {
     }
 }
 
-/// Per-chunk QoE record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChunkQoe {
-    /// Post-SR quality in `[0, 1]` (viewed density / full density).
-    pub quality: f64,
-    /// Quality of the previous chunk (for the variation term).
-    pub previous_quality: f64,
-    /// Stall time attributed to this chunk, in seconds.
-    pub stall_s: f64,
-    /// Chunk playback duration in seconds.
-    pub duration_s: f64,
-}
-
-/// Accumulates per-chunk records into a session QoE score.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct QoeAccumulator {
-    chunks: Vec<ChunkQoe>,
-}
-
 /// Final QoE summary of a session.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QoeSummary {
@@ -73,30 +54,122 @@ pub struct QoeSummary {
     pub mean_variation: f64,
 }
 
+/// Folds a session's chunks, in push order, into its Eq. 10 score.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QoeAccumulator {
+    params: QoeParams,
+    /// Quality the next chunk's variation term is measured against.
+    previous_quality: Option<f64>,
+    chunks: u64,
+    score: f64,
+    ideal: f64,
+    quality_sum: f64,
+    stall_sum: f64,
+    variation_sum: f64,
+}
+
 impl QoeAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty fold under `params`. The first chunk's variation term is
+    /// measured against `opening_quality`; `None` measures it against the
+    /// chunk itself (no opening switch).
+    pub fn new(params: QoeParams, opening_quality: Option<f64>) -> Self {
+        Self {
+            params,
+            previous_quality: opening_quality,
+            chunks: 0,
+            score: 0.0,
+            ideal: 0.0,
+            quality_sum: 0.0,
+            stall_sum: 0.0,
+            variation_sum: 0.0,
+        }
     }
 
-    /// Records one chunk.
-    pub fn push(&mut self, chunk: ChunkQoe) {
-        self.chunks.push(chunk);
+    /// Scores one chunk of `duration_s` seconds shown at `quality` (post-SR,
+    /// clamped to `[0, 1]`) after `stall_s` seconds of stall.
+    pub fn push(&mut self, quality: f64, stall_s: f64, duration_s: f64) {
+        let params = &self.params;
+        let prev = self.previous_quality.unwrap_or(quality).clamp(0.0, 1.0);
+        self.previous_quality = Some(quality);
+        let quality = quality.clamp(0.0, 1.0);
+        let variation = (quality - prev).abs();
+        let drop_extra = if quality < prev {
+            params.drop_penalty
+        } else {
+            1.0
+        };
+        self.score += params.alpha * quality * duration_s
+            - params.beta * variation * drop_extra
+            - params.gamma * stall_s;
+        self.ideal += params.alpha * duration_s;
+        self.quality_sum += quality;
+        self.stall_sum += stall_s;
+        self.variation_sum += variation;
+        self.chunks += 1;
+    }
+
+    /// The (unclamped) quality of the last chunk pushed, or the opening
+    /// quality before the first.
+    pub fn previous_quality(&self) -> Option<f64> {
+        self.previous_quality
     }
 
     /// Number of recorded chunks.
-    pub fn len(&self) -> usize {
-        self.chunks.len()
+    pub fn len(&self) -> u64 {
+        self.chunks
     }
 
     /// Returns `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+        self.chunks == 0
     }
 
-    /// Computes the session summary under the given weights.
-    pub fn summarize(&self, params: &QoeParams) -> QoeSummary {
-        if self.chunks.is_empty() {
+    /// The session summary so far.
+    pub fn summary(&self) -> QoeSummary {
+        if self.chunks == 0 {
+            return QoeSummary {
+                score: 0.0,
+                ideal_score: 0.0,
+                normalized: 0.0,
+                mean_quality: 0.0,
+                total_stall_s: 0.0,
+                mean_variation: 0.0,
+            };
+        }
+        let n = self.chunks as f64;
+        let normalized = if self.ideal > 0.0 {
+            (self.score / self.ideal * 100.0).max(0.0)
+        } else {
+            0.0
+        };
+        QoeSummary {
+            score: self.score,
+            ideal_score: self.ideal,
+            normalized,
+            mean_quality: self.quality_sum / n,
+            total_stall_s: self.stall_sum,
+            mean_variation: self.variation_sum / n,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, SeedableRng, StdRng};
+
+    /// One chunk as the stored-vector accumulator kept it.
+    #[derive(Debug, Clone, Copy)]
+    struct ChunkQoe {
+        quality: f64,
+        previous_quality: f64,
+        stall_s: f64,
+        duration_s: f64,
+    }
+
+    /// The stored-vector summary the fold replaced: the oracle.
+    fn reference_summary(chunks: &[ChunkQoe], params: &QoeParams) -> QoeSummary {
+        if chunks.is_empty() {
             return QoeSummary {
                 score: 0.0,
                 ideal_score: 0.0,
@@ -111,7 +184,7 @@ impl QoeAccumulator {
         let mut quality_sum = 0.0;
         let mut stall_sum = 0.0;
         let mut variation_sum = 0.0;
-        for c in &self.chunks {
+        for c in chunks {
             let quality = c.quality.clamp(0.0, 1.0);
             let prev = c.previous_quality.clamp(0.0, 1.0);
             let variation = (quality - prev).abs();
@@ -128,7 +201,7 @@ impl QoeAccumulator {
             stall_sum += c.stall_s;
             variation_sum += variation;
         }
-        let n = self.chunks.len() as f64;
+        let n = chunks.len() as f64;
         let normalized = if ideal > 0.0 {
             (score / ideal * 100.0).max(0.0)
         } else {
@@ -143,28 +216,101 @@ impl QoeAccumulator {
             mean_variation: variation_sum / n,
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn bits(s: &QoeSummary) -> [u64; 6] {
+        [
+            s.score.to_bits(),
+            s.ideal_score.to_bits(),
+            s.normalized.to_bits(),
+            s.mean_quality.to_bits(),
+            s.total_stall_s.to_bits(),
+            s.mean_variation.to_bits(),
+        ]
+    }
 
-    fn chunk(q: f64, prev: f64, stall: f64) -> ChunkQoe {
-        ChunkQoe {
-            quality: q,
-            previous_quality: prev,
-            stall_s: stall,
-            duration_s: 1.0,
+    /// Extra seed rotated by CI (`CHAOS_SEED=<run id>`); 0 when unset.
+    fn chaos_seed() -> u64 {
+        std::env::var("CHAOS_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn fold_is_bit_identical_to_the_stored_vector_reference() {
+        let chaos = chaos_seed();
+        for case in 0..400u64 {
+            let seed = case ^ chaos.rotate_left(17);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let params = QoeParams {
+                alpha: rng.random_range(0.1..3.0),
+                beta: rng.random_range(0.0..3.0),
+                drop_penalty: rng.random_range(1.0..4.0),
+                gamma: rng.random_range(0.0..8.0),
+            };
+            // Sessions of 0 and 1 chunks come up every few cases.
+            let len = match case % 4 {
+                0 => (case / 4 % 2) as usize,
+                _ => rng.random_range(2..48usize),
+            };
+            // Both opening conventions: the simulator's 0.0 (or any value,
+            // in or out of [0, 1]) and the server's "against itself".
+            let opening = match case % 3 {
+                0 => None,
+                1 => Some(0.0),
+                _ => Some(rng.random_range(-0.5..1.5)),
+            };
+            let mut fold = QoeAccumulator::new(params, opening);
+            let mut chunks = Vec::with_capacity(len);
+            let mut previous = opening;
+            for _ in 0..len {
+                // Qualities outside [0, 1], sudden drops and stalls.
+                let quality = match rng.random_range(0..6u32) {
+                    0 => rng.random_range(-1.0..0.0),
+                    1 => rng.random_range(1.0..2.0),
+                    2 => 0.0,
+                    _ => rng.random_range(0.0..1.0),
+                };
+                let stall_s = if rng.random::<bool>() {
+                    0.0
+                } else {
+                    rng.random_range(0.0..3.0)
+                };
+                let duration_s = if case % 5 == 0 {
+                    1.0 / 30.0
+                } else {
+                    rng.random_range(0.0..2.0)
+                };
+                chunks.push(ChunkQoe {
+                    quality,
+                    previous_quality: previous.unwrap_or(quality),
+                    stall_s,
+                    duration_s,
+                });
+                previous = Some(quality);
+                fold.push(quality, stall_s, duration_s);
+            }
+            assert_eq!(fold.len(), len as u64);
+            assert_eq!(fold.previous_quality(), previous);
+            assert_eq!(
+                bits(&fold.summary()),
+                bits(&reference_summary(&chunks, &params)),
+                "case {case} (CHAOS_SEED {chaos}): {chunks:?}"
+            );
         }
+    }
+
+    fn session(opening: f64, qualities: &[f64], stall_s: f64) -> QoeSummary {
+        let mut acc = QoeAccumulator::new(QoeParams::default(), Some(opening));
+        for &q in qualities {
+            acc.push(q, stall_s, 1.0);
+        }
+        acc.summary()
     }
 
     #[test]
     fn perfect_session_is_normalized_100() {
-        let mut acc = QoeAccumulator::new();
-        for _ in 0..10 {
-            acc.push(chunk(1.0, 1.0, 0.0));
-        }
-        let s = acc.summarize(&QoeParams::default());
+        let s = session(1.0, &[1.0; 10], 0.0);
         assert!((s.normalized - 100.0).abs() < 1e-9);
         assert_eq!(s.total_stall_s, 0.0);
         assert_eq!(s.mean_quality, 1.0);
@@ -172,47 +318,32 @@ mod tests {
 
     #[test]
     fn stalls_reduce_qoe() {
-        let mut no_stall = QoeAccumulator::new();
-        let mut stall = QoeAccumulator::new();
-        for _ in 0..10 {
-            no_stall.push(chunk(0.8, 0.8, 0.0));
-            stall.push(chunk(0.8, 0.8, 0.2));
-        }
-        let p = QoeParams::default();
-        assert!(stall.summarize(&p).score < no_stall.summarize(&p).score);
-        assert!((stall.summarize(&p).total_stall_s - 2.0).abs() < 1e-12);
+        let no_stall = session(0.8, &[0.8; 10], 0.0);
+        let stall = session(0.8, &[0.8; 10], 0.2);
+        assert!(stall.score < no_stall.score);
+        assert!((stall.total_stall_s - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn quality_drops_penalized_more_than_rises() {
-        let p = QoeParams::default();
-        let mut rising = QoeAccumulator::new();
-        rising.push(chunk(1.0, 0.5, 0.0));
-        let mut dropping = QoeAccumulator::new();
-        dropping.push(chunk(0.5, 1.0, 0.0));
-        let rise_score = rising.summarize(&p).score;
-        let drop_score = dropping.summarize(&p).score;
+        let rise_score = session(0.5, &[1.0], 0.0).score;
+        let drop_score = session(1.0, &[0.5], 0.0).score;
         // Same |Δq| but dropping also has lower quality and a drop multiplier.
         assert!(drop_score < rise_score);
     }
 
     #[test]
     fn higher_quality_higher_qoe() {
-        let p = QoeParams::default();
-        let mut low = QoeAccumulator::new();
-        let mut high = QoeAccumulator::new();
-        for _ in 0..5 {
-            low.push(chunk(0.3, 0.3, 0.0));
-            high.push(chunk(0.9, 0.9, 0.0));
-        }
-        assert!(high.summarize(&p).normalized > low.summarize(&p).normalized);
+        let low = session(0.3, &[0.3; 5], 0.0);
+        let high = session(0.9, &[0.9; 5], 0.0);
+        assert!(high.normalized > low.normalized);
     }
 
     #[test]
     fn empty_accumulator_is_zero() {
-        let acc = QoeAccumulator::new();
+        let acc = QoeAccumulator::new(QoeParams::default(), None);
         assert!(acc.is_empty());
-        let s = acc.summarize(&QoeParams::default());
+        let s = acc.summary();
         assert_eq!(s.score, 0.0);
         assert_eq!(s.normalized, 0.0);
     }

@@ -1,12 +1,13 @@
 //! Deadline-aware graceful degradation: the five-level ladder and the
-//! hysteresis controller that walks it.
+//! per-session quality account that walks it, charges the deadline and
+//! scores QoE.
 
 use serde::{Deserialize, Serialize};
 use volut_core::device::DeviceProfile;
 
-use super::receiver::RobustnessStats;
 use crate::chunk::Chunk;
 use crate::client::SrComputeModel;
+use crate::qoe::{QoeAccumulator, QoeParams, QoeSummary};
 
 /// Graceful-degradation level, cheapest-quality-loss first. Each level
 /// drops or shrinks pipeline stages; [`DegradationLevel::quality_factor`]
@@ -27,7 +28,7 @@ pub enum DegradationLevel {
 
 impl DegradationLevel {
     /// All levels, `Full` first — index order matches
-    /// [`RobustnessStats::degradation_residency`].
+    /// [`QualityAccount::residency`].
     pub const ALL: [DegradationLevel; 5] = [
         DegradationLevel::Full,
         DegradationLevel::SkipRefinement,
@@ -119,12 +120,9 @@ impl DegradationLevel {
     }
 }
 
-/// Hysteresis parameters of the [`DegradationController`].
+/// Hysteresis parameters of a [`QualityAccount`]'s degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DegradationConfig {
-    /// Fraction of each chunk's playback duration available as compute
-    /// budget (1.0 = real-time line rate).
-    pub compute_budget_fraction: f64,
     /// Consecutive over-budget predictions before degrading.
     pub degrade_after: u32,
     /// Consecutive with-margin chunks before recovering one level.
@@ -137,7 +135,6 @@ pub struct DegradationConfig {
 impl Default for DegradationConfig {
     fn default() -> Self {
         Self {
-            compute_budget_fraction: 1.0,
             degrade_after: 1,
             recover_after: 3,
             recover_margin: 0.7,
@@ -145,22 +142,43 @@ impl Default for DegradationConfig {
     }
 }
 
-/// Deadline-aware degradation state machine: full → skip-refinement →
-/// reduced-ratio → interpolate-only → passthrough, with hysteresis (see
-/// the [module docs](super) and [`DegradationConfig`]).
+/// What [`QualityAccount::plan`] chose for the next chunk/frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Plan {
+    /// The level to serve: the ladder's choice, lowered to the floor.
+    pub level: DegradationLevel,
+    /// The ladder's own choice before the floor.
+    pub unfloored: DegradationLevel,
+    /// Predicted compute seconds of `level`.
+    pub predicted_s: f64,
+}
+
+/// One session's quality account: the hysteresis ladder (full →
+/// skip-refinement → reduced-ratio → interpolate-only → passthrough, see
+/// the [module docs](super) and [`DegradationConfig`]), the residency of
+/// served levels, the deadline-miss count and the running QoE (Eq. 10).
+/// The streaming simulator and the server plan, charge and score every
+/// chunk/frame through it.
 #[derive(Debug, Clone)]
-pub struct DegradationController {
-    config: DegradationConfig,
+pub struct QualityAccount {
+    /// `None` pins the session to [`DegradationLevel::Full`].
+    config: Option<DegradationConfig>,
     level: DegradationLevel,
     over_streak: u32,
     headroom_streak: u32,
     residency: [u64; 5],
     misses: u64,
+    qoe: QoeAccumulator,
 }
 
-impl DegradationController {
-    /// Creates a controller starting at [`DegradationLevel::Full`].
-    pub fn new(config: DegradationConfig) -> Self {
+impl QualityAccount {
+    /// An account starting at [`DegradationLevel::Full`]; see
+    /// [`QoeAccumulator::new`] for `opening_quality`.
+    pub fn new(
+        config: Option<DegradationConfig>,
+        qoe: QoeParams,
+        opening_quality: Option<f64>,
+    ) -> Self {
         Self {
             config,
             level: DegradationLevel::Full,
@@ -168,17 +186,8 @@ impl DegradationController {
             headroom_streak: 0,
             residency: [0; 5],
             misses: 0,
+            qoe: QoeAccumulator::new(qoe, opening_quality),
         }
-    }
-
-    /// The current level.
-    pub fn level(&self) -> DegradationLevel {
-        self.level
-    }
-
-    /// The compute budget for a chunk of the given playback duration.
-    pub fn budget_s(&self, chunk_duration_s: f64) -> f64 {
-        chunk_duration_s * self.config.compute_budget_fraction
     }
 
     /// Chooses the level for the next chunk/frame. `predict` maps a level
@@ -187,18 +196,31 @@ impl DegradationController {
     /// Degrades after `degrade_after` consecutive over-budget predictions
     /// (stepping down as far as needed to fit); recovers one level after
     /// `recover_after` consecutive chunks in which the higher level fits
-    /// within `recover_margin` of the budget. Records residency.
+    /// within `recover_margin` of the budget. A `floor` below the ladder's
+    /// choice (the server's overload escalation) is served instead and
+    /// resets both streaks: it is an external decision, not evidence about
+    /// this session's own budget fit. Without a ladder every plan is
+    /// `Full`, whatever the floor.
     pub fn plan(
         &mut self,
         predict: impl Fn(DegradationLevel) -> f64,
         budget_s: f64,
-    ) -> DegradationLevel {
+        floor: DegradationLevel,
+    ) -> Plan {
+        let Some(config) = self.config else {
+            let level = DegradationLevel::Full;
+            return Plan {
+                level,
+                unfloored: level,
+                predicted_s: predict(level),
+            };
+        };
         // Recovery probe: would one level up fit, with margin?
         if self.level != DegradationLevel::Full {
             let up = DegradationLevel::ALL[self.level.index() - 1];
-            if predict(up) <= self.config.recover_margin * budget_s {
+            if predict(up) <= config.recover_margin * budget_s {
                 self.headroom_streak += 1;
-                if self.headroom_streak >= self.config.recover_after {
+                if self.headroom_streak >= config.recover_after {
                     self.level = up;
                     self.headroom_streak = 0;
                 }
@@ -207,12 +229,13 @@ impl DegradationController {
             }
         }
         // Degradation: step down once the over-budget streak is long enough.
-        if predict(self.level) > budget_s {
+        let mut predicted_s = predict(self.level);
+        if predicted_s > budget_s {
             self.over_streak += 1;
-            if self.over_streak >= self.config.degrade_after {
-                while predict(self.level) > budget_s && self.level != DegradationLevel::Passthrough
-                {
+            if self.over_streak >= config.degrade_after {
+                while predicted_s > budget_s && self.level != DegradationLevel::Passthrough {
                     self.level = DegradationLevel::ALL[self.level.index() + 1];
+                    predicted_s = predict(self.level);
                 }
                 self.over_streak = 0;
                 self.headroom_streak = 0;
@@ -220,46 +243,65 @@ impl DegradationController {
         } else {
             self.over_streak = 0;
         }
-        self.residency[self.level.index()] += 1;
-        self.level
-    }
-
-    /// Server-side overload escalation: forces the level at least down to
-    /// `floor`, re-attributing the residency grain [`Self::plan`] recorded
-    /// for the current frame and resetting both hysteresis streaks (the
-    /// escalation is an external decision, not evidence about this
-    /// session's own budget fit).
-    pub fn escalate_to(&mut self, floor: DegradationLevel) {
-        if floor.index() > self.level.index() {
-            self.residency[self.level.index()] -= 1;
-            self.residency[floor.index()] += 1;
+        let unfloored = self.level;
+        if floor > self.level {
             self.level = floor;
             self.over_streak = 0;
             self.headroom_streak = 0;
+            predicted_s = predict(floor);
+        }
+        Plan {
+            level: self.level,
+            unfloored,
+            predicted_s,
         }
     }
 
-    /// Records the realized compute time against the budget.
-    pub fn observe(&mut self, actual_s: f64, budget_s: f64) {
-        if actual_s > budget_s {
-            self.misses += 1;
-        }
+    /// Charges one served chunk/frame: counts it at `level`, counts a
+    /// deadline miss when `spent_s` overran `budget_s`, and scores it at
+    /// `base_quality` priced by the level's
+    /// [`DegradationLevel::quality_factor`]. Returns whether it missed.
+    pub fn record(
+        &mut self,
+        level: DegradationLevel,
+        base_quality: f64,
+        spent_s: f64,
+        budget_s: f64,
+        stall_s: f64,
+        duration_s: f64,
+    ) -> bool {
+        self.residency[level.index()] += 1;
+        let missed = spent_s > budget_s;
+        self.misses += u64::from(missed);
+        self.qoe
+            .push(level.quality_factor() * base_quality, stall_s, duration_s);
+        missed
     }
 
-    /// Chunks/frames spent at each level, `Full` first.
+    /// The level the last plan chose (`Full` before the first).
+    pub fn level(&self) -> DegradationLevel {
+        self.level
+    }
+
+    /// Served chunks/frames at each level, `Full` first.
     pub fn residency(&self) -> [u64; 5] {
         self.residency
     }
 
-    /// Deadline misses recorded by [`Self::observe`].
+    /// Deadline misses counted by [`Self::record`].
     pub fn deadline_misses(&self) -> u64 {
         self.misses
     }
 
-    /// Folds this controller's counters into a [`RobustnessStats`].
-    pub fn fill_stats(&self, stats: &mut RobustnessStats) {
-        stats.deadline_misses = self.misses;
-        stats.degradation_residency = self.residency;
+    /// The quality the last chunk was scored at (the opening quality
+    /// before the first).
+    pub fn previous_quality(&self) -> Option<f64> {
+        self.qoe.previous_quality()
+    }
+
+    /// The session's QoE so far.
+    pub fn qoe(&self) -> QoeSummary {
+        self.qoe.summary()
     }
 }
 
@@ -267,35 +309,79 @@ impl DegradationController {
 mod tests {
     use super::*;
 
+    fn ladder(degrade_after: u32, recover_after: u32) -> QualityAccount {
+        let config = DegradationConfig {
+            degrade_after,
+            recover_after,
+            recover_margin: 0.7,
+        };
+        QualityAccount::new(Some(config), QoeParams::default(), None)
+    }
+
+    /// Cost table: Full takes 2.0 s, each level down halves it.
+    fn cost(l: DegradationLevel) -> f64 {
+        2.0 / (1u64 << l.index()) as f64
+    }
+
     #[test]
     fn degradation_controller_hysteresis() {
-        let mut ctl = DegradationController::new(DegradationConfig {
-            compute_budget_fraction: 1.0,
-            degrade_after: 2,
-            recover_after: 2,
-            recover_margin: 0.7,
-        });
-        // Cost table: Full takes 2.0 s, each level down halves it.
-        let cost = |l: DegradationLevel| 2.0 / (1u64 << l.index()) as f64;
+        let mut acct = ladder(2, 2);
+        let mut serve = |budget_s: f64| {
+            let plan = acct.plan(cost, budget_s, DegradationLevel::Full);
+            assert_eq!(plan.predicted_s, cost(plan.level));
+            acct.record(plan.level, 1.0, plan.predicted_s, budget_s, 0.0, 1.0);
+            plan.level
+        };
         // Budget 1.0: Full (2.0) is over budget, but hysteresis holds the
         // first chunk at Full.
-        assert_eq!(ctl.plan(cost, 1.0), DegradationLevel::Full);
+        assert_eq!(serve(1.0), DegradationLevel::Full);
         // Second over-budget chunk: degrade to the first level that fits
-        // (SkipRefinement at 1.0 is not < budget... it's exactly 1.0, fits).
-        assert_eq!(ctl.plan(cost, 1.0), DegradationLevel::SkipRefinement);
+        // (SkipRefinement at exactly 1.0 fits).
+        assert_eq!(serve(1.0), DegradationLevel::SkipRefinement);
         // Recovery: budget rises to 4.0; Full (2.0) fits within 0.7*4.0,
         // but only after two consecutive headroom chunks.
-        assert_eq!(ctl.plan(cost, 4.0), DegradationLevel::SkipRefinement);
-        assert_eq!(ctl.plan(cost, 4.0), DegradationLevel::Full);
-        assert_eq!(ctl.residency(), [2, 2, 0, 0, 0]);
-        // Deadline accounting.
-        ctl.observe(2.0, 1.0);
-        ctl.observe(0.5, 1.0);
-        assert_eq!(ctl.deadline_misses(), 1);
-        let mut stats = RobustnessStats::default();
-        ctl.fill_stats(&mut stats);
-        assert_eq!(stats.deadline_misses, 1);
-        assert!((stats.deadline_miss_rate() - 0.25).abs() < 1e-12);
+        assert_eq!(serve(4.0), DegradationLevel::SkipRefinement);
+        assert_eq!(serve(4.0), DegradationLevel::Full);
+        assert_eq!(acct.residency(), [2, 2, 0, 0, 0]);
+        // Only the first chunk (Full at 2.0 s against 1.0 s) missed.
+        assert_eq!(acct.deadline_misses(), 1);
+        let qoe = acct.qoe();
+        assert!((qoe.mean_quality - (2.0 + 2.0 * 0.96) / 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn residency_counts_recorded_frames_only() {
+        let mut acct = ladder(1, 3);
+        // Plans advance the ladder on frameless ticks; only records count.
+        for _ in 0..3 {
+            acct.plan(cost, 0.3, DegradationLevel::Full);
+        }
+        assert_eq!(acct.residency(), [0; 5]);
+        let plan = acct.plan(cost, 0.3, DegradationLevel::Full);
+        assert_eq!(plan.level, DegradationLevel::InterpolateOnly);
+        assert!(!acct.record(plan.level, 1.0, plan.predicted_s, 0.3, 0.0, 1.0));
+        assert_eq!(acct.residency(), [0, 0, 0, 1, 0]);
+    }
+
+    #[test]
+    fn the_floor_overrides_the_ladder_but_not_a_pinned_session() {
+        let mut acct = ladder(1, 1);
+        let plan = acct.plan(cost, 4.0, DegradationLevel::ReducedRatio);
+        assert_eq!(plan.unfloored, DegradationLevel::Full);
+        assert_eq!(plan.level, DegradationLevel::ReducedRatio);
+        assert_eq!(plan.predicted_s, cost(DegradationLevel::ReducedRatio));
+        // A floor above the ladder's choice changes nothing.
+        let plan = acct.plan(cost, 0.3, DegradationLevel::SkipRefinement);
+        assert_eq!(plan.level, DegradationLevel::InterpolateOnly);
+        assert_eq!(plan.unfloored, plan.level);
+        let mut pinned = QualityAccount::new(None, QoeParams::default(), None);
+        let plan = pinned.plan(cost, 1e-9, DegradationLevel::Passthrough);
+        assert_eq!(plan.level, DegradationLevel::Full);
+        assert_eq!(plan.unfloored, DegradationLevel::Full);
+        assert_eq!(plan.predicted_s, 2.0);
+        assert!(pinned.record(plan.level, 1.0, plan.predicted_s, 1e-9, 0.0, 1.0));
+        assert_eq!(pinned.deadline_misses(), 1);
+        assert_eq!(pinned.residency(), [1, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! graceful degradation, in four files: `wire` (the message format),
 //! `origin` (the [`DeltaServer`]), `receiver` (the recovery ladder and the
 //! one recover → upsample → commit loop) and `degradation` (the
-//! [`DegradationController`], consulted by both the streaming simulator and
-//! the multi-tenant server).
+//! [`QualityAccount`], through which both the streaming simulator and the
+//! multi-tenant server plan, charge and score every chunk/frame).
 //!
 //! # The protocol
 //!
@@ -43,15 +43,23 @@
 //!
 //! # Deadline-aware degradation
 //!
-//! [`DegradationController`] is a five-level state machine (full →
-//! skip-refinement → reduced-ratio → interpolate-only → passthrough) with
-//! hysteresis: it degrades when the [`SrComputeModel`]-predicted compute
-//! time overruns the frame budget for `degrade_after` consecutive frames,
-//! and recovers one level only after `recover_after` consecutive frames fit
-//! the *higher* level within a safety margin. The streaming simulator
-//! consults it per chunk and folds the level's quality factor into QoE, so
-//! deadline misses trade off visibly against quality instead of silently
-//! stalling playback; the server plans each tenant frame's [`Rung`] with it.
+//! [`QualityAccount`] owns one session's quality decisions. Its ladder is
+//! a five-level state machine (full → skip-refinement → reduced-ratio →
+//! interpolate-only → passthrough) with hysteresis: [`QualityAccount::plan`]
+//! degrades when the [`SrComputeModel`]-predicted compute time overruns the
+//! frame budget for `degrade_after` consecutive frames, and recovers one
+//! level only after `recover_after` consecutive frames fit the *higher*
+//! level within a safety margin; it returns the served level, the level
+//! before any server overload floor, and the served level's predicted
+//! seconds. [`QualityAccount::record`] then charges each served frame: its
+//! level's residency, a deadline miss when the spent time overran the
+//! budget, and its QoE (Eq. 10), priced by the level's quality factor. The
+//! streaming simulator plans each chunk with it and charges the predicted
+//! seconds, so deadline misses trade off visibly against quality instead of
+//! silently stalling playback; the server plans each tenant frame's
+//! [`Rung`] with it and charges measured plus ingest seconds. Residency
+//! counts served frames only: a frameless tick (parked or exhausted
+//! ingest) plans but records nothing.
 //!
 //! [`geometry_digest`]: volut_pointcloud::cloud::geometry_digest
 //! [`SrComputeModel`]: crate::client::SrComputeModel
@@ -63,7 +71,7 @@ mod origin;
 mod receiver;
 mod wire;
 
-pub use degradation::{DegradationConfig, DegradationController, DegradationLevel};
+pub use degradation::{DegradationConfig, DegradationLevel, Plan, QualityAccount};
 pub use origin::{DeltaServer, RetentionPolicy};
 pub use receiver::{
     RecoveredFrame, RecoveryKind, ResilientReceiver, ResilientSession, RetryPolicy,

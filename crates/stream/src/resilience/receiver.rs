@@ -13,8 +13,7 @@ use crate::client::SrSession;
 use crate::faults::Transport;
 use crate::{Error, Result};
 
-/// Robustness telemetry of a resilient session (and, for the last two
-/// fields, of the simulator's degradation controller).
+/// Robustness telemetry of a resilient session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RobustnessStats {
     /// Frames successfully delivered to the SR engine.
@@ -40,24 +39,9 @@ pub struct RobustnessStats {
     /// Externally declared deltas the SR engine rejected on verification —
     /// attempted cache poisonings that were detected (never served).
     pub poisonings_detected: u64,
-    /// Chunks/frames whose compute overran their deadline budget.
-    pub deadline_misses: u64,
-    /// Chunks/frames spent at each degradation level, `Full` first.
-    pub degradation_residency: [u64; 5],
 }
 
 impl RobustnessStats {
-    /// Deadline misses as a fraction of the frames/chunks processed.
-    pub fn deadline_miss_rate(&self) -> f64 {
-        let total: u64 = self.degradation_residency.iter().sum();
-        let denom = if total > 0 { total } else { self.frames };
-        if denom == 0 {
-            0.0
-        } else {
-            self.deadline_misses as f64 / denom as f64
-        }
-    }
-
     /// Total recoveries across all kinds.
     pub fn recoveries(&self) -> u64 {
         self.recovered_compose + self.recovered_retransmit + self.recovered_keyframe
@@ -78,15 +62,6 @@ impl RobustnessStats {
         self.recovered_retransmit += current.recovered_retransmit - prev.recovered_retransmit;
         self.recovered_keyframe += current.recovered_keyframe - prev.recovered_keyframe;
         self.poisonings_detected += current.poisonings_detected - prev.poisonings_detected;
-        self.deadline_misses += current.deadline_misses - prev.deadline_misses;
-        for (acc, (cur, old)) in self.degradation_residency.iter_mut().zip(
-            current
-                .degradation_residency
-                .iter()
-                .zip(prev.degradation_residency.iter()),
-        ) {
-            *acc += cur - old;
-        }
     }
 }
 

@@ -15,9 +15,10 @@
 //!   active-session capacity; overflow is *rejected and counted*, never
 //!   silently queued without bound;
 //! * **deadlines drive scheduling and degradation** — each tick plans every
-//!   session's [`DegradationLevel`] against the per-frame compute budget
-//!   using the deterministic analytic [`SrComputeModel`] (wall-clock feeds
-//!   miss counters and telemetry only, keeping outputs bit-identical across
+//!   session's [`DegradationLevel`] through its [`QualityAccount`] against
+//!   the per-frame compute budget using the deterministic analytic
+//!   [`SrComputeModel`] (wall-clock feeds the account's miss count and
+//!   telemetry only, keeping outputs bit-identical across
 //!   worker counts), then steps the tenants longest-predicted-first, one
 //!   pool task each, through `volut_pointcloud::runtime::for_each_chunk_mut`
 //!   over their `&mut`s, so heavy tenants cannot convoy behind thousands of
@@ -56,10 +57,10 @@ use volut_pointcloud::synthetic::{self, DeltaStream, DeltaStreamConfig};
 
 use crate::client::{SrComputeModel, SrSession};
 use crate::faults::{FaultConfig, OwnedFaultyLink};
-use crate::qoe::{ChunkQoe, QoeAccumulator, QoeParams, QoeSummary};
+use crate::qoe::{QoeParams, QoeSummary};
 use crate::resilience::{
-    fnv1a, DegradationConfig, DegradationController, DegradationLevel, DeltaServer,
-    ResilientReceiver, RetentionPolicy, RetryPolicy, RobustnessStats, Rung, Upsampler, FNV_OFFSET,
+    fnv1a, DegradationConfig, DegradationLevel, DeltaServer, QualityAccount, ResilientReceiver,
+    RetentionPolicy, RetryPolicy, RobustnessStats, Rung, Upsampler, FNV_OFFSET,
 };
 use crate::telemetry::{ServerTelemetry, SessionCounters, TelemetrySnapshot};
 use crate::trace::NetworkTrace;
@@ -288,13 +289,11 @@ struct Tenant {
     stream: DeltaStream,
     /// `Some` when the tenant is fed through the resilient delta protocol.
     ingest: Option<ResilientIngest>,
-    controller: Option<DegradationController>,
-    /// Level planned for the current tick (written by the coordinator).
-    planned: DegradationLevel,
+    /// Plans every tick's level (the coordinator calls `plan`); charges
+    /// and scores every served frame.
+    account: QualityAccount,
     remaining: u64,
     counters: SessionCounters,
-    qoe: QoeAccumulator,
-    prev_quality: Option<f64>,
     /// FNV-1a fold of every frame's output geometry digest — the cheap
     /// cross-run bit-identity witness.
     digest: u64,
@@ -366,12 +365,10 @@ impl Tenant {
             degraded,
             stream,
             ingest,
-            controller: config.degradation.map(DegradationController::new),
-            planned: DegradationLevel::Full,
+            // The first frame's quality switch is scored against itself.
+            account: QualityAccount::new(config.degradation, QoeParams::default(), None),
             remaining,
             counters: SessionCounters::default(),
-            qoe: QoeAccumulator::new(),
-            prev_quality: None,
             digest: FNV_OFFSET,
             frame_errors: 0,
             prev_rows_reused: 0,
@@ -382,15 +379,6 @@ impl Tenant {
             stepped: false,
             rolled_stats: RobustnessStats::default(),
         })
-    }
-
-    /// Predicted compute seconds of the next frame at `level` under the
-    /// analytic planning model (deterministic by construction).
-    fn predict(&self, level: DegradationLevel, config: &ServerConfig) -> f64 {
-        level.adjusted_model(&config.planning_model).frame_time_s(
-            self.stream.frame().len() as f64,
-            level.effective_ratio(config.ratio),
-        )
     }
 
     /// Runs one frame at the planned level. Called from the parallel step
@@ -414,7 +402,7 @@ impl Tenant {
             return;
         }
         let started = Instant::now();
-        let level = self.planned;
+        let level = self.account.level();
         let rung = match level {
             DegradationLevel::Full => Rung::Full,
             DegradationLevel::Passthrough => Rung::Passthrough,
@@ -518,20 +506,9 @@ impl Tenant {
         self.digest = fnv1a(self.digest, &(frame.len() as u64).to_le_bytes());
 
         let elapsed = started.elapsed().as_secs_f64();
-        let quality = level.quality_factor();
         self.counters.frames += 1;
         self.counters.last_frame_time_s = elapsed;
-        self.counters.last_quality = quality;
-        self.counters.total_compute_s += elapsed;
-        // Ingest recovery time (simulated link + backoff seconds —
-        // deterministic) is charged against the frame deadline alongside
-        // the measured compute, so degradation and QoE see real fault cost.
-        if elapsed + ingest_s > config.deadline_s {
-            self.counters.deadline_misses += 1;
-        }
-        if let Some(controller) = &mut self.controller {
-            controller.observe(elapsed + ingest_s, config.deadline_s);
-        }
+        self.counters.last_quality = level.quality_factor();
         let t = self.sr.session().temporal_stats();
         let frame_reused = t.rows_reused - self.prev_rows_reused;
         let frame_recomputed = t.rows_recomputed - self.prev_rows_recomputed;
@@ -548,13 +525,17 @@ impl Tenant {
         // the playback interval.
         let stall_s = self.pending_stall_s + (ingest_s - config.frame_interval_s).max(0.0);
         self.pending_stall_s = 0.0;
-        self.qoe.push(ChunkQoe {
-            quality,
-            previous_quality: self.prev_quality.unwrap_or(quality),
+        // Ingest recovery time (simulated link + backoff seconds —
+        // deterministic) is charged against the frame deadline alongside
+        // the measured compute, so the miss count sees real fault cost.
+        self.counters.last_deadline_miss = self.account.record(
+            level,
+            1.0,
+            elapsed + ingest_s,
+            config.deadline_s,
             stall_s,
-            duration_s: config.frame_interval_s,
-        });
-        self.prev_quality = Some(quality);
+            config.frame_interval_s,
+        );
         self.last_ingest_s = ingest_s;
         self.stepped = true;
         self.remaining -= 1;
@@ -600,7 +581,7 @@ pub struct SessionReport {
     /// FNV-1a fold of per-frame output digests — compare across runs to
     /// check bit-identity.
     pub digest: u64,
-    /// Frames spent at each degradation level, `Full` first.
+    /// Frames served at each degradation level, `Full` first.
     pub residency: [u64; 5],
     /// `Some` when the session was quarantined before completing its
     /// frames; the typed cause of retirement.
@@ -839,41 +820,26 @@ impl SrServer {
         // levels, so the floor itself never feeds back into the signal.
         let mut predicted: Vec<f64> = Vec::with_capacity(self.tenants.len());
         let mut below_full = 0usize;
-        let floor = self.config.overload.as_ref().map(|_| {
-            DegradationLevel::ALL
-                [(self.overload_level as usize).min(DegradationLevel::ALL.len() - 1)]
-        });
+        // No floor (`Full`) until an overload policy escalates.
+        let floor = DegradationLevel::ALL
+            [(self.overload_level as usize).min(DegradationLevel::ALL.len() - 1)];
+        let model = &self.config.planning_model;
+        let ratio = self.config.ratio;
         for tenant in &mut self.tenants {
-            let level = match &mut tenant.controller {
-                Some(controller) => {
-                    let spec_points = tenant.stream.frame().len() as f64;
-                    let model = &self.config.planning_model;
-                    let ratio = self.config.ratio;
-                    let last_ingest = tenant.last_ingest_s;
-                    let planned = controller.plan(
-                        |level| {
-                            level
-                                .adjusted_model(model)
-                                .frame_time_s(spec_points, level.effective_ratio(ratio))
-                                + last_ingest
-                        },
-                        self.config.deadline_s,
-                    );
-                    if planned != DegradationLevel::Full {
-                        below_full += 1;
-                    }
-                    match floor {
-                        Some(floor) if floor.index() > planned.index() => {
-                            controller.escalate_to(floor);
-                            floor
-                        }
-                        _ => planned,
-                    }
-                }
-                None => DegradationLevel::Full,
-            };
-            tenant.planned = level;
-            predicted.push(tenant.predict(level, &self.config) + tenant.last_ingest_s);
+            let points = tenant.stream.frame().len() as f64;
+            let last_ingest = tenant.last_ingest_s;
+            let plan = tenant.account.plan(
+                |level| {
+                    level
+                        .adjusted_model(model)
+                        .frame_time_s(points, level.effective_ratio(ratio))
+                        + last_ingest
+                },
+                self.config.deadline_s,
+                floor,
+            );
+            below_full += usize::from(plan.unfloored != DegradationLevel::Full);
+            predicted.push(plan.predicted_s);
         }
         let planned_active = self.tenants.len();
 
@@ -895,10 +861,6 @@ impl SrServer {
         for tenant in &mut self.tenants {
             if tenant.stepped {
                 self.telemetry.record_frame(&tenant.counters);
-                self.telemetry.deadline_misses += u64::from(
-                    tenant.counters.last_frame_time_s + tenant.last_ingest_s
-                        > self.config.deadline_s,
-                );
                 tenant.stepped = false;
             }
             if let Some(ingest) = &tenant.ingest {
@@ -922,14 +884,11 @@ impl SrServer {
                 content: std::mem::take(&mut tenant.spec.content),
                 seed: tenant.spec.seed,
                 frames: tenant.counters.frames,
-                deadline_misses: tenant.counters.deadline_misses,
+                deadline_misses: tenant.account.deadline_misses(),
                 frame_errors: tenant.frame_errors,
-                qoe: tenant.qoe.summarize(&QoeParams::default()),
+                qoe: tenant.account.qoe(),
                 digest: tenant.digest,
-                residency: tenant
-                    .controller
-                    .as_ref()
-                    .map_or([tenant.counters.frames, 0, 0, 0, 0], |c| c.residency()),
+                residency: tenant.account.residency(),
                 failure: tenant.failure,
                 ingest: tenant.ingest.as_ref().map(|i| i.receiver.stats()),
             });
@@ -1141,7 +1100,6 @@ mod tests {
                 degrade_after: 1,
                 recover_after: 1,
                 recover_margin: 1.0,
-                ..DegradationConfig::default()
             }),
             ..ServerConfig::default()
         };

@@ -11,10 +11,8 @@ use crate::buffer::PlaybackBuffer;
 use crate::chunk::chunk_video;
 use crate::link::SimulatedLink;
 use crate::motion::MotionTrace;
-use crate::qoe::{ChunkQoe, QoeAccumulator, QoeParams, QoeSummary};
-use crate::resilience::{
-    DegradationConfig, DegradationController, DegradationLevel, RobustnessStats,
-};
+use crate::qoe::{QoeParams, QoeSummary};
+use crate::resilience::{DegradationConfig, DegradationLevel, QualityAccount};
 use crate::systems::{SystemKind, SystemSpec};
 use crate::trace::NetworkTrace;
 use crate::video::VideoMeta;
@@ -41,8 +39,8 @@ pub struct SessionConfig {
     /// Viewport-prediction horizon used by viewport-adaptive systems.
     pub prediction_horizon_s: f64,
     /// Deadline-aware graceful degradation (see [`crate::resilience`]).
-    /// `None` (the default) disables the controller: every chunk runs the
-    /// full pipeline exactly as before.
+    /// `None` (the default) disables the ladder: every chunk runs the full
+    /// pipeline.
     pub degradation: Option<DegradationConfig>,
 }
 
@@ -106,9 +104,10 @@ pub struct SessionResult {
     pub mean_fetch_density: f64,
     /// Mean displayed (post-SR) quality across chunks.
     pub mean_displayed_quality: f64,
-    /// Robustness telemetry; present when the session ran with a
-    /// [`DegradationConfig`].
-    pub robustness: Option<RobustnessStats>,
+    /// Chunks whose predicted compute overran their playback duration.
+    pub deadline_misses: u64,
+    /// Chunks served at each [`DegradationLevel`], `Full` first.
+    pub residency: [u64; 5],
     /// Full per-chunk timeline.
     pub timeline: Vec<ChunkRecord>,
 }
@@ -196,9 +195,9 @@ impl StreamingSimulator {
             self.config.buffer_capacity_s,
             self.config.startup_threshold_s,
         );
-        let mut qoe = QoeAccumulator::new();
         let mut timeline = Vec::with_capacity(chunks.len());
-        let mut degradation = self.config.degradation.map(DegradationController::new);
+        // The first chunk's quality switch is scored against 0.0.
+        let mut account = QualityAccount::new(self.config.degradation, self.config.qoe, Some(0.0));
 
         let visibility =
             VisibilityModel::for_motion(&self.config.motion, self.config.prediction_horizon_s);
@@ -209,7 +208,6 @@ impl StreamingSimulator {
         if spec.startup_download_bytes > 0 {
             now_s += link.download_time(spec.startup_download_bytes, now_s);
         }
-        let mut prev_quality = 0.0f64;
         let mut density_sum = 0.0f64;
         let mut quality_sum = 0.0f64;
 
@@ -239,7 +237,7 @@ impl StreamingSimulator {
                 buffer_level_s: buffer.level_s(),
                 chunk_duration_s: chunk.duration_s,
                 full_chunk_bytes: chunk.encoded_bytes(1.0),
-                previous_quality: prev_quality,
+                previous_quality: account.previous_quality().unwrap_or_default(),
                 max_sr_ratio: spec.max_sr_ratio,
                 sr_seconds_per_chunk,
                 sr_quality_factor: spec.sr_quality_factor,
@@ -257,49 +255,25 @@ impl StreamingSimulator {
                 .round() as u64;
 
             let download_s = link.download_time(bytes, now_s);
-            // Deadline-aware degradation: the controller picks the cheapest
-            // level that fits the chunk's compute budget (with hysteresis)
-            // and the chunk's compute time and quality are charged at that
-            // level. Without a controller every chunk runs the full
-            // pipeline, exactly as before.
-            let (level, compute_s) = match degradation.as_mut() {
-                Some(ctl) => {
-                    let budget_s = ctl.budget_s(chunk.duration_s);
-                    let level = ctl.plan(
-                        |l| {
-                            l.chunk_time_on_device(
-                                &spec.compute,
-                                chunk,
-                                decision.fetch_density,
-                                decision.sr_ratio,
-                                &self.config.device,
-                                spec.nn_inference,
-                            )
-                        },
-                        budget_s,
-                    );
-                    let compute_s = level.chunk_time_on_device(
+            // Deadline-aware degradation: the account picks the cheapest
+            // level that fits the chunk's playback duration (with
+            // hysteresis), and the chunk's compute time is charged at that
+            // level. Without a ladder every chunk runs the full pipeline.
+            let plan = account.plan(
+                |l| {
+                    l.chunk_time_on_device(
                         &spec.compute,
                         chunk,
                         decision.fetch_density,
                         decision.sr_ratio,
                         &self.config.device,
                         spec.nn_inference,
-                    );
-                    ctl.observe(compute_s, budget_s);
-                    (level, compute_s)
-                }
-                None => (
-                    DegradationLevel::Full,
-                    spec.compute.chunk_time_on_device(
-                        chunk,
-                        decision.fetch_density,
-                        decision.sr_ratio,
-                        &self.config.device,
-                        spec.nn_inference,
-                    ),
-                ),
-            };
+                    )
+                },
+                chunk.duration_s,
+                DegradationLevel::Full,
+            );
+            let compute_s = plan.predicted_s;
             // Download and client-side SR are pipelined (the paper's client
             // overlaps fetching chunk i+1 with upsampling chunk i), plus a
             // small serial overhead for decode/protocol handling.
@@ -313,24 +287,27 @@ impl StreamingSimulator {
             buffer.add_content(chunk.duration_s);
 
             // Displayed quality: real + SR-synthesized points, with ViVo's
-            // viewport-miss model applied when relevant.
-            let displayed_quality = level.quality_factor()
-                * if spec.viewport_adaptive {
-                    visibility.effective_quality(decision.fetch_density)
-                } else {
-                    ctx.displayed_quality(decision.fetch_density, decision.sr_ratio)
-                };
+            // viewport-miss model applied when relevant; the account prices
+            // the served level into it.
+            let base_quality = if spec.viewport_adaptive {
+                visibility.effective_quality(decision.fetch_density)
+            } else {
+                ctx.displayed_quality(decision.fetch_density, decision.sr_ratio)
+            };
+            account.record(
+                plan.level,
+                base_quality,
+                compute_s,
+                chunk.duration_s,
+                stall_s,
+                chunk.duration_s,
+            );
+            let displayed_quality = account.previous_quality().unwrap_or_default();
 
             // Feed the estimator with what the transfer actually achieved.
             let observed = link.observed_throughput(bytes.max(1), now_s - ready_after);
             spec.abr.observe_throughput(observed);
 
-            qoe.push(ChunkQoe {
-                quality: displayed_quality,
-                previous_quality: prev_quality,
-                stall_s,
-                duration_s: chunk.duration_s,
-            });
             timeline.push(ChunkRecord {
                 index: chunk.index,
                 fetch_density: decision.fetch_density,
@@ -341,11 +318,10 @@ impl StreamingSimulator {
                 compute_s,
                 stall_s,
                 buffer_after_s: buffer.level_s(),
-                degradation_level: level.index(),
+                degradation_level: plan.level.index(),
             });
 
             data_bytes += bytes;
-            prev_quality = displayed_quality;
             density_sum += decision.fetch_density;
             quality_sum += displayed_quality;
         }
@@ -355,17 +331,13 @@ impl StreamingSimulator {
             system: spec.kind,
             video: video.name.clone(),
             trace: trace.name.clone(),
-            qoe: qoe.summarize(&self.config.qoe),
+            qoe: account.qoe(),
             data_bytes,
             stall_s: buffer.total_stall_s(),
             mean_fetch_density: density_sum / n,
             mean_displayed_quality: quality_sum / n,
-            robustness: degradation.map(|ctl| {
-                let mut stats = RobustnessStats::default();
-                ctl.fill_stats(&mut stats);
-                stats.frames = chunks.len() as u64;
-                stats
-            }),
+            deadline_misses: account.deadline_misses(),
+            residency: account.residency(),
             timeline,
         })
     }
@@ -498,8 +470,32 @@ mod tests {
         let r = sim
             .run(&video, &trace, SystemKind::VolutContinuous)
             .unwrap();
-        assert!(r.robustness.is_none());
+        assert_eq!(r.residency, [r.timeline.len() as u64, 0, 0, 0, 0]);
         assert!(r.timeline.iter().all(|c| c.degradation_level == 0));
+    }
+
+    #[test]
+    fn residency_counts_every_chunk_with_the_ladder_on_and_off() {
+        let video = VideoMeta::tiny(600, 100_000);
+        let trace = NetworkTrace::synthetic_lte(40.0, 15.0, 60.0, 9);
+        for degradation in [None, Some(DegradationConfig::default())] {
+            let sim = StreamingSimulator::new(SessionConfig {
+                device: DeviceProfile::orange_pi(),
+                degradation,
+                ..SessionConfig::default()
+            });
+            for system in SystemKind::all() {
+                let r = sim.run(&video, &trace, system).unwrap();
+                assert_eq!(
+                    r.residency.iter().sum::<u64>(),
+                    r.timeline.len() as u64,
+                    "{system:?} ladder {degradation:?}: {:?}",
+                    r.residency
+                );
+                let misses = r.timeline.iter().filter(|c| c.compute_s > 1.0).count();
+                assert_eq!(r.deadline_misses, misses as u64, "{system:?}");
+            }
+        }
     }
 
     #[test]
@@ -514,15 +510,15 @@ mod tests {
         let r = sim
             .run(&video, &trace, SystemKind::VolutContinuous)
             .unwrap();
-        let stats = r.robustness.expect("controller was enabled");
-        assert_eq!(stats.deadline_misses, 0);
+        assert_eq!(r.deadline_misses, 0);
         assert_eq!(
-            stats.degradation_residency[0],
+            r.residency[0],
             r.timeline.len() as u64,
-            "desktop + LUT SR has plenty of headroom: {stats:?}"
+            "desktop + LUT SR has plenty of headroom: {:?}",
+            r.residency
         );
         // At Full level the quality factor is 1.0, so enabling the
-        // controller must not change the scored outcome.
+        // ladder must not change the scored outcome.
         let baseline = StreamingSimulator::new(SessionConfig::default())
             .run(&video, &trace, SystemKind::VolutContinuous)
             .unwrap();
@@ -533,8 +529,8 @@ mod tests {
     #[test]
     fn overloaded_device_degrades_instead_of_missing_deadlines() {
         // GradPU-class neural refinement on an embedded device cannot hold
-        // the real-time line at Full; the controller must shed stages and
-        // keep the realized miss rate at zero (predictions are exact in the
+        // the real-time line at Full; the ladder must shed stages and keep
+        // the realized miss rate at zero (predictions are exact in the
         // analytic model) while actually spending time below budget.
         let config = SessionConfig {
             device: DeviceProfile::orange_pi(),
@@ -545,13 +541,17 @@ mod tests {
         let video = short_video();
         let trace = NetworkTrace::stable(50.0, 120.0);
         let r = sim.run(&video, &trace, SystemKind::DiscreteYuzuSr).unwrap();
-        let stats = r.robustness.expect("controller was enabled");
-        let degraded: u64 = stats.degradation_residency[1..].iter().sum();
-        assert!(degraded > 0, "expected shedding on orange-pi: {stats:?}");
+        let degraded: u64 = r.residency[1..].iter().sum();
         assert!(
-            stats.deadline_miss_rate() <= 0.05,
-            "miss rate {} stats {stats:?}",
-            stats.deadline_miss_rate()
+            degraded > 0,
+            "expected shedding on orange-pi: {:?}",
+            r.residency
+        );
+        let miss_rate = r.deadline_misses as f64 / r.timeline.len() as f64;
+        assert!(
+            miss_rate <= 0.05,
+            "miss rate {miss_rate} residency {:?}",
+            r.residency
         );
         // Degraded chunks must actually be cheaper than the budget they
         // were planned against.
@@ -565,7 +565,7 @@ mod tests {
                 c.degradation_level
             );
         }
-        // The same session without the controller stalls on compute.
+        // The same session without the ladder stalls on compute.
         let unmanaged = StreamingSimulator::new(SessionConfig {
             device: DeviceProfile::orange_pi(),
             ..SessionConfig::default()

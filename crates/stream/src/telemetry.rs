@@ -251,16 +251,14 @@ impl UnitHistogram {
 pub struct SessionCounters {
     /// Frames this session has produced.
     pub frames: u64,
-    /// Frames whose measured time exceeded the deadline.
-    pub deadline_misses: u64,
+    /// Whether the most recent frame missed its deadline.
+    pub last_deadline_miss: bool,
     /// Wall-clock seconds of this session's most recent frame.
     pub last_frame_time_s: f64,
     /// kNN row reuse rate of the most recent frame, in `[0, 1]`.
     pub last_reuse_rate: f64,
     /// Quality factor of the degradation level served on the last frame.
     pub last_quality: f64,
-    /// Total compute seconds across all frames.
-    pub total_compute_s: f64,
 }
 
 /// Aggregate roll-up across every session of a server run.
@@ -316,6 +314,7 @@ impl ServerTelemetry {
         self.quality.record(counters.last_quality);
         self.reuse.record(counters.last_reuse_rate);
         self.frames_total += 1;
+        self.deadline_misses += u64::from(counters.last_deadline_miss);
     }
 
     /// Summary snapshot for reports and the scaling bench.
@@ -524,11 +523,13 @@ mod tests {
             c.last_frame_time_s = 0.001 * (1.0 + i as f64 / 100.0);
             c.last_reuse_rate = 0.9;
             c.last_quality = 1.0;
+            c.last_deadline_miss = i % 10 == 0;
             agg.record_frame(&c);
         }
         agg.sessions_admitted = 1;
         let snap = agg.snapshot();
         assert_eq!(snap.frames_total, 100);
+        assert_eq!(snap.deadline_misses, 10);
         assert!(snap.frame_time_p50_ms >= 1.0 && snap.frame_time_p50_ms <= 2.1);
         assert!(snap.frame_time_p99_ms >= snap.frame_time_p50_ms);
         assert_eq!(snap.quality_histogram.counts()[9], 100);

@@ -126,7 +126,6 @@ fn degraded_sessions_stay_deterministic_across_workers() {
                     degrade_after: 1,
                     recover_after: 2,
                     recover_margin: 0.7,
-                    ..DegradationConfig::default()
                 }),
                 ..ServerConfig::default()
             };
@@ -248,6 +247,15 @@ fn run_isolation(
             }
         }
         let report = server.run(512);
+        // Residency counts served frames: a frameless tick (parked,
+        // exhausted or quarantined ingest) plans a level but serves none.
+        for s in &report.sessions {
+            assert_eq!(
+                s.residency.iter().sum::<u64>(),
+                s.frames,
+                "residency must sum to the frames served: {s:?}"
+            );
+        }
         if with_hostile {
             let dead = report
                 .sessions
