@@ -15,15 +15,15 @@
 //! Each thread keeps a short free-list of idle arenas. A frame *takes* one
 //! out of the list for its whole duration (creating one when the list is
 //! empty) and parks it again when it ends — the arena is moved, never
-//! borrowed from the thread-local. That matters because a frame is
-//! re-entrant on its own thread: a worker blocked in a nested
-//! `runtime::run_range` executes other tenants' server steps while it
-//! waits, each of which starts a frame of its own. Such a frame finds the
-//! outer frame's arena gone from the list and takes, or creates, another;
-//! the two can never alias. The list keeps at most [`KEPT_PER_THREAD`]
-//! arenas and drops any further one handed back, so a deep nest (a cold
-//! tick of large tenants) cannot leave one arena per tenant pinned to a
-//! worker.
+//! borrowed from the thread-local. The runtime never interleaves two frames
+//! on one thread: a nested parallel job runs inline, so a server worker
+//! runs one tenant's frame start to finish before it claims the next. But
+//! caller code can still start a frame from inside another on the same
+//! thread, and such a frame finds the outer frame's arena gone from the
+//! list and takes, or creates, another; the two can never alias. The list
+//! keeps at most [`KEPT_PER_THREAD`] arenas and drops any further one
+//! handed back, so however deep such a nest goes, at most that many stay
+//! pinned to a thread.
 //!
 //! Nothing in an arena may be trusted across a checkout: it last served an
 //! arbitrary frame of an arbitrary session. Every buffer is cleared before
@@ -40,9 +40,10 @@ use volut_pointcloud::soa::SoaPositions;
 use volut_pointcloud::{Neighborhoods, Point3};
 
 /// Idle arenas a thread keeps between frames; further ones are dropped when
-/// handed back. Two covers a frame plus one nested frame, the steady shape
-/// of a server worker; deeper nests only occur on cold ticks, which pay
-/// their allocations anyway.
+/// handed back. A server worker runs one frame at a time and needs one; the
+/// second covers a caller that nests one frame inside another, which would
+/// otherwise allocate a fresh arena on every nested frame. Deeper nests pay
+/// their allocations.
 pub const KEPT_PER_THREAD: usize = 2;
 
 /// This thread's idle arenas, most recently parked last. Boxed on purpose:

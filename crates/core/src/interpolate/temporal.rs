@@ -34,8 +34,8 @@
 //!   trusted across a checkout: the plan's `active` bit and the join
 //!   outcome are reset when an arena is taken, and every list is cleared
 //!   before it is filled. A frame nested inside another on the same thread
-//!   (a worker helping out from inside `run_range`) holds a different arena
-//!   — the re-entrancy rule of [`super::arena`].
+//!   (caller code may start one from inside a frame) holds a different
+//!   arena — the re-entrancy rule of [`super::arena`].
 //!
 //! # The invalidation rule
 //!

@@ -52,7 +52,7 @@
 //! (greedily splitting the widest shard) is planned per batch — a single
 //! whole-tree shard when the pool has one executor or the batch is small
 //! (see `DUAL_MIN_QUERIES_PER_SHARD` for the exact rule) — and each shard
-//! runs as one stealable task of [`crate::runtime::for_each_chunk_mut`].
+//! runs as one chunk of [`crate::runtime::for_each_chunk_mut`].
 //! The frontier is sorted by leaf slot, so the row and row-bound arenas split
 //! front to back into one `&mut` sub-slice per shard, and each shard also
 //! takes one pooled node-bound vector from [`DualTreeScratch`]: all mutable
@@ -118,7 +118,7 @@ pub const DUAL_MAX_K: usize = 32;
 
 /// Queries per worker at which a self-join starts to shard. The batch is cut
 /// for `w = runtime::workers_for(q, 2048) = min(W, q / 2048 + 1)` workers on
-/// a `W`-worker pool and planned as about `2 w` shards (slack for stealing),
+/// a `W`-worker pool and planned as about `2 w` shards (slack to balance),
 /// so a one-worker pool or a batch under 2048 queries keeps one whole-tree
 /// shard. It is where cutting starts, not a floor on shard size: on two
 /// workers a 2048-query batch is planned as four shards of about 512
@@ -328,7 +328,8 @@ fn subtree_span(tree: &KdTree, n: u32) -> (usize, usize) {
 
 /// Decides the decomposition of a batch: a frontier of tree nodes
 /// partitioning the leaf-slot space, sized to about twice the current
-/// pool's worker count (slack for stealing to balance uneven shards).
+/// pool's worker count (slack for the chunk cursor to balance uneven
+/// shards).
 /// Returns a single whole-tree shard when the pool has one executor or the
 /// batch is too small to repay sharding.
 fn plan_shards(tree: &KdTree, queries: usize) -> Vec<Shard> {

@@ -44,24 +44,43 @@
 //! (`subtree_counts`). [`KdTree::build_in`] therefore sizes the node, box
 //! and leaf-box arrays up front and hands every subtree the disjoint slices
 //! it will fill — its records and keys included — in the post-order layout a
-//! sequential build produces. Above `BUILD_TASK_GRAIN` points the two halves
-//! of a split run as a two-chunk [`crate::runtime::for_each_chunk_mut`] job
-//! (nested jobs split recursively and are stolen like any other range task);
-//! at or below it a subtree builds inline. Either way the tree is
-//! field-for-field the same at every worker count.
+//! sequential build produces. Above `BUILD_TASK_GRAIN` points on more than
+//! one worker, the top of the tree splits level by level — one flat
+//! [`crate::runtime::for_each_chunk_mut`] job per level, one subtree split
+//! per chunk — until there are at least `2 × current_workers()` subtrees or
+//! they reach the grain; that frontier then builds in one flat job, one
+//! subtree per chunk, the shape of the dual-tree's shard frontier. Siblings
+//! differ by at most a point, so the chunks of a level cost about the same.
+//! At or below the grain, on one worker, or inside a running chunk (every
+//! fleet tenant's frame) the whole tree builds inline and allocates nothing
+//! for the frontier. Either way the tree is field-for-field the same at
+//! every worker count.
 //!
-//! `build_in` on a `synthetic::humanoid` cloud, warm scratch, best of five
-//! alternating runs of 150 builds each, 2-vCPU host (ms):
+//! `build_in` on a `synthetic::humanoid` cloud, warm scratch, median of
+//! eight alternating runs of 150 builds each, on a loaded 2-vCPU host (a
+//! one-worker 50k build read 3.5 ms there when it was quiet) (ms):
 //!
-//! | points | workers | comparator select | record builder |
-//! |-------:|--------:|------------------:|---------------:|
-//! |  4 096 |       1 |              0.34 |           0.18 |
-//! | 50 000 |       1 |              6.19 |           3.50 |
-//! | 50 000 |       2 |              3.67 |           2.20 |
+//! | points | workers | recursive forks | flat levels | flat, grain 1024 |
+//! |-------:|--------:|----------------:|------------:|-----------------:|
+//! |  4 096 |       1 |            0.37 |        0.35 |             0.38 |
+//! |  4 096 |       2 |            0.38 |        0.36 |             0.27 |
+//! | 50 000 |       1 |            6.77 |        6.21 |             6.81 |
+//! | 50 000 |       2 |            4.03 |        4.16 |             4.25 |
 //!
-//! The table leaves `BUILD_TASK_GRAIN` where it was: a 4096-point subtree
-//! still costs about twelve forks (≈ 15 µs each), so it builds inline, as
-//! every fleet tenant does.
+//! "Recursive forks" is the build this replaced, which forked the two halves
+//! of every split above the grain as a nested two-chunk job; at 50 000
+//! points the grain does not change the tree's frontier, so those columns
+//! differ by host noise only. The host has two vCPUs, so frontiers above two
+//! workers (8 and 16 subtrees) are covered by the field-for-field tests
+//! only. A grain of 1024 splits a 4096-point cloud for two workers in three
+//! flat jobs (a two-chunk job costs ≈ 1–2 µs back to back, ≈ 7–10 µs when
+//! it wakes a parked worker), and a 20-pair series read 0.37 → 0.26 ms for
+//! it (an earlier series on the same host read them equal). Yet only
+//! top-level builds of 1 025–8 192 points would change: no fleet tenant,
+//! which builds inside a chunk and so inline at any grain, and in the ledger
+//! only the ≈ 5 000-point insert tree of a delta frame and the 8k cold
+//! cloud, a fraction of a millisecond per frame. `BUILD_TASK_GRAIN` stays at
+//! 4096 until a ledger row can show the difference.
 
 use crate::aabb::Aabb;
 use crate::delta::{FrameDelta, REMOVED};
@@ -90,11 +109,11 @@ const LEAF_TAG: u32 = 3;
 /// warm-start chain, so smaller batches sweep on the calling thread.
 const SWEEP_MIN_QUERIES_PER_WORKER: usize = 2_000;
 
-/// Largest subtree (in points) built inline; a bigger one forks its two
-/// halves as pool tasks. A 4096-point cloud — the largest fleet tenant —
-/// builds in ≈ 0.2 ms on one thread (see the module docs), the scale at
-/// which a fork (two task submissions and a wake, ≈ 15 µs) stops mattering;
-/// everything at or below it submits nothing.
+/// Largest tree (in points) built inline; a bigger one, on more than one
+/// worker, splits its top levels with flat jobs. A 4096-point cloud builds
+/// in ≈ 0.35 ms on one thread of a loaded 2-vCPU host; a lower grain would
+/// split it for two workers faster, but no ledger row would see it (see the
+/// module docs). Everything at or below the grain submits nothing.
 const BUILD_TASK_GRAIN: usize = 4096;
 
 /// One packed tree node (16 bytes, down from a 40-byte enum): keeping the
@@ -302,30 +321,37 @@ struct Subtree<'a> {
     leaf_base: usize,
 }
 
-impl Subtree<'_> {
-    /// Builds the subtree in post-order: the left subtree's nodes, the
-    /// right subtree's, then the root — which is therefore the last node of
-    /// the slice, with its box in the last slot of `node_aabbs`. The records
-    /// end in slot order.
-    fn build(&mut self) {
-        // One streaming pass: the box of a leaf, the split axis of a node.
-        let aabb = records_aabb(self.records);
-        let count = self.records.len();
-        if count <= LEAF_SIZE {
-            return self.build_leaf(aabb);
+impl<'a> Subtree<'a> {
+    /// Builds the subtree on the calling thread, in post-order: the left
+    /// subtree's nodes, the right subtree's, then the root — which is
+    /// therefore the last node of the slice, with its box in the last slot
+    /// of `node_aabbs`. The records end in slot order.
+    fn build(self) {
+        if self.records.len() <= LEAF_SIZE {
+            return self.build_leaf();
         }
+        for half in self.split() {
+            half.build();
+        }
+    }
+
+    /// Splits a subtree of more than [`LEAF_SIZE`] records at its median
+    /// along its widest axis, writes its root node and box, and returns the
+    /// left and right subtrees that fill the rest of its slices.
+    fn split(self) -> [Subtree<'a>; 2] {
         let Subtree {
-            ref mut records,
-            ref mut keys,
-            ref mut nodes,
-            ref mut node_aabbs,
-            ref mut leaf_aabbs,
+            records,
+            keys,
+            nodes,
+            node_aabbs,
+            leaf_aabbs,
             slot_base,
             node_base,
             leaf_base,
-        } = *self;
-        // Pick the axis with the largest spread for better balance than
-        // round-robin on skewed data.
+        } = self;
+        // One streaming pass for the box, whose widest extent picks the
+        // axis: better balance than round-robin on skewed data.
+        let aabb = records_aabb(records);
         let ext = aabb.extent();
         let axis = if ext.x >= ext.y && ext.x >= ext.z {
             0
@@ -336,7 +362,7 @@ impl Subtree<'_> {
         };
         // The median is the `half`-th smallest key; the keys below it are
         // exactly the `half` records that go left.
-        let half = count / 2;
+        let half = records.len() / 2;
         let value = match axis {
             0 => median_split(records, keys, |p| p.x),
             1 => median_split(records, keys, |p| p.y),
@@ -352,31 +378,6 @@ impl Subtree<'_> {
         let (ln, rn) = children.split_at_mut(left_nodes);
         let (la, ra) = child_aabbs.split_at_mut(left_nodes);
         let (ll, rl) = leaf_aabbs.split_at_mut(left_leaves);
-        fork(
-            count,
-            [
-                Subtree {
-                    records: left_records,
-                    keys: left_keys,
-                    nodes: ln,
-                    node_aabbs: la,
-                    leaf_aabbs: ll,
-                    slot_base,
-                    node_base,
-                    leaf_base,
-                },
-                Subtree {
-                    records: right_records,
-                    keys: right_keys,
-                    nodes: rn,
-                    node_aabbs: ra,
-                    leaf_aabbs: rl,
-                    slot_base: slot_base + half,
-                    node_base: node_base + left_nodes,
-                    leaf_base: leaf_base + left_leaves,
-                },
-            ],
-        );
         root_aabb[0] = aabb;
         root[0] = Node {
             tag: axis as u32,
@@ -384,6 +385,56 @@ impl Subtree<'_> {
             a: (node_base + left_nodes - 1) as u32,
             b: (node_base + child_nodes - 1) as u32,
         };
+        [
+            Subtree {
+                records: left_records,
+                keys: left_keys,
+                nodes: ln,
+                node_aabbs: la,
+                leaf_aabbs: ll,
+                slot_base,
+                node_base,
+                leaf_base,
+            },
+            Subtree {
+                records: right_records,
+                keys: right_keys,
+                nodes: rn,
+                node_aabbs: ra,
+                leaf_aabbs: rl,
+                slot_base: slot_base + half,
+                node_base: node_base + left_nodes,
+                leaf_base: leaf_base + left_leaves,
+            },
+        ]
+    }
+
+    /// Builds the subtree on the current pool: [`Self::build`] at or below
+    /// [`BUILD_TASK_GRAIN`] points or on one worker, else one flat job per
+    /// top level and one for the frontier (see the module docs).
+    fn build_parallel(self) {
+        let target = 2 * runtime::current_workers();
+        if target <= 2 || self.records.len() <= BUILD_TASK_GRAIN {
+            return self.build();
+        }
+        let mut frontier = vec![Some(self)];
+        while frontier.len() < target
+            && frontier
+                .iter()
+                .flatten()
+                .all(|s| s.records.len() > BUILD_TASK_GRAIN)
+        {
+            // A free slot behind every subtree takes its right half.
+            frontier = frontier.into_iter().flat_map(|s| [s, None]).collect();
+            runtime::for_each_chunk_mut(&mut frontier, 2, |_, _, pair| {
+                let [left, right] = pair[0].take().expect("a subtree").split();
+                pair[0] = Some(left);
+                pair[1] = Some(right);
+            });
+        }
+        runtime::for_each_chunk_mut(&mut frontier, 1, |_, _, s| {
+            s[0].take().expect("a subtree").build();
+        });
     }
 
     /// Writes the single leaf node covering this subtree's records, with
@@ -393,7 +444,8 @@ impl Subtree<'_> {
     /// (see `crate::dualtree`). Visit order cannot change results —
     /// survivors and ties are decided by the packed `(distance, index)`
     /// keys — and the scan kernels stream the SoA lanes the same either way.
-    fn build_leaf(&mut self, aabb: Aabb) {
+    fn build_leaf(self) {
+        let aabb = records_aabb(self.records);
         let count = self.records.len();
         let ext = aabb.extent();
         let inv = Point3::new(
@@ -420,16 +472,6 @@ impl Subtree<'_> {
             a: self.slot_base as u32,
             b: (self.slot_base + count) as u32,
         };
-    }
-}
-
-/// Builds the two halves of a split over `count` points — as a two-way pool
-/// job when the split is big enough to repay it, inline otherwise.
-fn fork(count: usize, mut halves: [Subtree<'_>; 2]) {
-    if count > BUILD_TASK_GRAIN {
-        runtime::for_each_chunk_mut(&mut halves, 1, |_, _, half| half[0].build());
-    } else {
-        halves.iter_mut().for_each(Subtree::build);
     }
 }
 
@@ -557,7 +599,7 @@ impl KdTree {
             node_base: 0,
             leaf_base: 0,
         }
-        .build();
+        .build_parallel();
         self.write_slots(records);
     }
 
@@ -1392,12 +1434,13 @@ mod tests {
         (delta, new_pts)
     }
 
-    /// The task-parallel build writes the tree a one-worker build writes,
-    /// field for field: sizes around multiples of the leaf size (where the
-    /// shape of the last levels changes) and around the task grain (where
-    /// forking starts), on distinct and duplicate-heavy clouds, at every
-    /// worker count — and a patch on top keeps them equal, including the
-    /// subtree a leaf overflow appends.
+    /// The parallel build writes the tree a one-worker build writes, field
+    /// for field: sizes around multiples of the leaf size (where the shape
+    /// of the last levels changes) and around the task grain (where the
+    /// level-by-level split starts), on distinct and duplicate-heavy clouds,
+    /// at 2, 4 and 8 workers (frontiers of up to 4, 8 and 16 subtrees; the
+    /// largest size reaches 16) — and a patch on top keeps them equal,
+    /// including the subtree a leaf overflow appends.
     #[test]
     fn parallel_build_matches_one_worker_build_field_by_field() {
         let mut sizes = vec![0usize, 1, 2];
@@ -1411,7 +1454,7 @@ mod tests {
         ] {
             sizes.extend([around - 1, around, around + 1]);
         }
-        sizes.push(20_011);
+        sizes.extend([20_011, 8 * (BUILD_TASK_GRAIN + LEAF_SIZE)]);
         for (case, &n) in sizes.iter().enumerate() {
             for duplicate_heavy in [false, true] {
                 let pts: Vec<Point3> = if duplicate_heavy {

@@ -1,5 +1,5 @@
 //! Multi-tenant SR server: thousands of streaming sessions over one shared
-//! work-stealing pool and one shared immutable model registry.
+//! thread pool and one shared immutable model registry.
 //!
 //! The paper's system claim is that LUT-based SR is cheap enough to scale
 //! volumetric streaming past per-client GPU inference. This module is the
@@ -20,9 +20,11 @@
 //!   [`SrComputeModel`] (wall-clock feeds the account's miss count and
 //!   telemetry only, keeping outputs bit-identical across
 //!   worker counts), then steps the tenants longest-predicted-first, one
-//!   pool task each, through `volut_pointcloud::runtime::for_each_chunk_mut`
+//!   chunk each, through `volut_pointcloud::runtime::for_each_chunk_mut`
 //!   over their `&mut`s, so heavy tenants cannot convoy behind thousands of
-//!   light ones;
+//!   light ones. When a tick steps more than one tenant, each frame runs
+//!   start to finish on the thread that claimed it, its own parallel
+//!   stages inline (the runtime's nesting rule);
 //! * **telemetry is lock-cheap** — each tenant owns plain counters written
 //!   by exactly one worker during the parallel step; the coordinator rolls
 //!   them into the aggregate [`ServerTelemetry`] (frame-time p50/p95/p99,
@@ -850,9 +852,11 @@ impl SrServer {
             predicted.into_iter().zip(&mut self.tenants).collect();
         lpt.sort_by(|a, b| b.0.total_cmp(&a.0));
 
-        // 4. Parallel frame step: one task per tenant, each holding its
-        // tenant's `&mut`. The splitter keeps the near half and pushes the
-        // far half, so earlier (heavier) tenants tend to run first.
+        // 4. Parallel frame step: one chunk per tenant, each holding its
+        // tenant's `&mut`. The chunk cursor hands tenants out in `lpt`
+        // order, so the heaviest start first; with more than one tenant,
+        // each frame's own parallel stages run inline on its thread (the
+        // runtime's nesting rule).
         let config = &self.config;
         runtime::for_each_chunk_mut(&mut lpt, 1, |_, _, job| job[0].1.step(config, tick));
 

@@ -4,7 +4,7 @@
 //! The example publishes a dense Compact-scheme serving LUT into a
 //! `ModelRegistry`, admits 200 churned sessions against it through the
 //! server's bounded queue (capacity 64, so admission staggers), runs them to
-//! retirement over the work-stealing pool, and prints the aggregate
+//! retirement over the shared thread pool, and prints the aggregate
 //! telemetry: throughput, frame-time percentiles from the streaming sketch,
 //! QoE and reuse-rate histograms. It then shows the two levers the server
 //! exists for: bytes/session with the registry shared vs cloned per

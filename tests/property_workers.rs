@@ -1,6 +1,6 @@
-//! Property tests for the work-stealing runtime's determinism contract:
-//! the pipeline's output must be **bit-identical at every worker count**
-//! (and therefore under every stealing schedule). Worker counts {1, 2, 4,
+//! Property tests for the runtime's determinism contract: the pipeline's
+//! output must be **bit-identical at every worker count** (and therefore
+//! under every chunk schedule). Worker counts {1, 2, 4,
 //! 8} are pinned via `runtime::with_workers` regardless of the host's core
 //! count — on a single-core machine the pool still runs real concurrent
 //! threads, so the parallel code paths (chunked interpolation,
@@ -25,7 +25,7 @@ use volut::pointcloud::synthetic::{self, DeltaStream, DeltaStreamConfig};
 use volut::pointcloud::{Color, FrameDelta, Neighborhoods, Point3, PointCloud};
 
 /// Worker counts every invariance test pins. 1 is the sequential baseline;
-/// 8 oversubscribes any CI host, maximizing steal/interleave variety.
+/// 8 oversubscribes any CI host, maximizing interleave variety.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Everything interpolation emits that the determinism contract covers.
