@@ -4,6 +4,8 @@
 
 use crate::report::Report;
 use crate::setup::{evaluation_frames, TrainedArtifacts};
+use volut_core::baselines::naive::naive_interpolate;
+use volut_core::SrConfig;
 use volut_pointcloud::{metrics, sampling, PointCloud};
 
 /// Quality of one method on one video at one ratio.
@@ -34,10 +36,7 @@ pub fn quality_sweep(artifacts: &TrainedArtifacts, points: usize, ratio: f64) ->
                 chamfer: metrics::chamfer_distance(cloud, &gt),
             });
         };
-        let k4d1 = artifacts
-            .pipeline_k4d1()
-            .upsample(&low, ratio)
-            .expect("k4d1");
+        let k4d1 = naive_interpolate(&low, &SrConfig::k4d1(), ratio).expect("k4d1");
         evaluate("K4d1", &k4d1.cloud, &mut out);
         let k4d2 = artifacts
             .pipeline_k4d2()

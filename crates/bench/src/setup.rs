@@ -12,7 +12,6 @@ use volut_core::lut::builder::LutBuilder;
 use volut_core::lut::sparse::SparseLut;
 use volut_core::nn::mlp::Mlp;
 use volut_core::nn::train::{build_training_set, RefinementTrainer, TrainConfig};
-use volut_core::pipeline::InterpolationMode;
 use volut_core::refine::{IdentityRefiner, LutRefiner};
 use volut_core::{SrConfig, SrPipeline};
 use volut_pointcloud::{synthetic, PointCloud};
@@ -133,15 +132,6 @@ impl TrainedArtifacts {
         }
     }
 
-    /// The paper's `K4d1` baseline: naive interpolation, no refinement.
-    pub fn pipeline_k4d1(&self) -> SrPipeline {
-        SrPipeline::with_mode(
-            SrConfig::k4d1(),
-            InterpolationMode::Naive,
-            Box::new(IdentityRefiner),
-        )
-    }
-
     /// The paper's `K4d2` configuration: dilated interpolation, no refinement.
     pub fn pipeline_k4d2(&self) -> SrPipeline {
         SrPipeline::new(self.config, Box::new(IdentityRefiner))
@@ -180,11 +170,7 @@ mod tests {
         assert!(artifacts.final_loss.is_finite());
         // All pipelines build and run on a small cloud.
         let low = synthetic::sphere(500, 1.0, 3);
-        for pipeline in [
-            artifacts.pipeline_k4d1(),
-            artifacts.pipeline_k4d2(),
-            artifacts.pipeline_k4d2_lut(),
-        ] {
+        for pipeline in [artifacts.pipeline_k4d2(), artifacts.pipeline_k4d2_lut()] {
             let out = pipeline.upsample(&low, 2.0).unwrap();
             assert_eq!(out.cloud.len(), 1000);
         }

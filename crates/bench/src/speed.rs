@@ -9,8 +9,10 @@
 use crate::report::Report;
 use crate::setup::TrainedArtifacts;
 use std::time::Duration;
+use volut_core::baselines::naive::naive_interpolate;
 use volut_core::device::{DeviceProfile, StageKind};
 use volut_core::pipeline::StageTimings;
+use volut_core::SrConfig;
 use volut_pointcloud::{sampling, synthetic};
 
 /// Converts host stage timings into a device total using per-stage scaling.
@@ -45,10 +47,7 @@ pub fn fig11_interpolation_fps(artifacts: &TrainedArtifacts, points: usize) -> R
     for device in &devices {
         for ratio in [2.0, 4.0, 8.0] {
             let low = sampling::random_downsample(&gt, 1.0 / ratio, 5).expect("ratio");
-            let naive = artifacts
-                .pipeline_k4d1()
-                .upsample(&low, ratio)
-                .expect("naive");
+            let naive = naive_interpolate(&low, &SrConfig::k4d1(), ratio).expect("naive");
             let dilated = artifacts
                 .pipeline_k4d2()
                 .upsample(&low, ratio)
@@ -214,8 +213,7 @@ mod tests {
         // The stage the optimization actually targets — neighbor search — must
         // be cheaper for the dilated pipeline at a high upsampling ratio.
         {
-            use volut_core::config::SrConfig;
-            use volut_core::interpolate::{dilated::dilated_interpolate, naive::naive_interpolate};
+            use volut_core::interpolate::dilated::dilated_interpolate;
             use volut_pointcloud::{sampling, synthetic};
             let gt = synthetic::humanoid(6_000, 0.4, 3);
             let low = sampling::random_downsample(&gt, 1.0 / 8.0, 5).unwrap();

@@ -7,10 +7,9 @@
 //! `iterations × network` inference, which is what makes it orders of
 //! magnitude slower than a LUT lookup (Figure 17).
 
+use super::naive::naive_interpolate;
 use crate::config::SrConfig;
 use crate::encoding::{KeyScheme, PositionEncoder};
-use crate::interpolate::naive::naive_interpolate_with;
-use crate::interpolate::FrameScratch;
 use crate::nn::mlp::{BatchScratch, Mlp, MICRO_BATCH};
 use crate::pipeline::SrResult;
 use crate::refine::{refine_in_place, Refiner, RefinerCost};
@@ -98,32 +97,12 @@ impl GradPuUpsampler {
         }
     }
 
-    /// Upsamples `low` by `ratio` (any ratio ≥ 1, like GradPU), with fresh
-    /// working buffers. Streaming/bench harnesses should prefer
-    /// [`Self::upsample_with`] with a long-lived [`FrameScratch`].
+    /// Upsamples `low` by `ratio` (any ratio ≥ 1, like GradPU).
     ///
     /// # Errors
     /// Propagates interpolation failures.
     pub fn upsample(&self, low: &PointCloud, ratio: f64) -> Result<SrResult> {
-        self.upsample_with(low, ratio, &mut FrameScratch::new())
-    }
-
-    /// [`Self::upsample`] with caller-provided scratch: the spatial index is
-    /// cached across calls (no per-call `positions().to_vec()` + rebuild for
-    /// unchanged geometry) and the refinement center buffer is reused.
-    ///
-    /// # Errors
-    /// Same as [`Self::upsample`].
-    pub fn upsample_with(
-        &self,
-        low: &PointCloud,
-        ratio: f64,
-        scratch: &mut FrameScratch,
-    ) -> Result<SrResult> {
-        scratch.begin_frame();
-        let interp = naive_interpolate_with(low, &self.config, ratio, scratch);
-        let mut arena = scratch.finish_frame();
-        let interp = interp?;
+        let interp = naive_interpolate(low, &self.config, ratio)?;
         let mut timings = interp.timings;
 
         let t0 = Instant::now();
@@ -140,10 +119,9 @@ impl GradPuUpsampler {
             original_len,
             &interp.neighborhoods,
             low.positions(),
-            &mut arena.centers,
+            &mut Vec::new(),
         );
         timings.refinement = t0.elapsed();
-        arena.recycle(interp.neighborhoods, interp.parents);
 
         Ok(SrResult {
             cloud,

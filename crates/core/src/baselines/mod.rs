@@ -1,5 +1,7 @@
 //! Baseline super-resolution systems the paper compares against.
 //!
+//! * [`naive`] — vanilla kNN midpoint interpolation (`K4d1`), one cold call
+//!   per frame; the interpolation stage of both systems below.
 //! * [`gradpu`] — GradPU-style direct neural refinement: the same two-stage
 //!   structure as VoLUT but the refinement network is executed for every
 //!   point, iteratively, at full inference cost.
@@ -8,6 +10,7 @@
 //!   state-of-the-art system VoLUT is evaluated against.
 
 pub mod gradpu;
+pub mod naive;
 pub mod yuzu;
 
 pub use gradpu::GradPuUpsampler;

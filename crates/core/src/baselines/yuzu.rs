@@ -11,11 +11,10 @@
 //!    {2, 3, 4}), which forces the ABR controller to over- or under-shoot
 //!    the network-optimal density.
 
+use super::naive::naive_interpolate;
 use crate::config::SrConfig;
 use crate::encoding::{KeyScheme, PositionEncoder};
 use crate::error::Error;
-use crate::interpolate::naive::naive_interpolate_with;
-use crate::interpolate::FrameScratch;
 use crate::nn::mlp::{BatchScratch, Mlp, MICRO_BATCH};
 use crate::pipeline::SrResult;
 use crate::refine::{refine_in_place, Refiner, RefinerCost};
@@ -119,29 +118,12 @@ impl YuzuUpsampler {
     }
 
     /// Upsamples `low` by the *discrete* ratio closest to (but not above)
-    /// `requested_ratio`, with fresh working buffers. Streaming/bench
-    /// harnesses should prefer [`Self::upsample_with`] with a long-lived
-    /// [`FrameScratch`].
+    /// `requested_ratio`.
     ///
     /// # Errors
     /// Returns [`Error::InvalidRatio`] for ratios below 1 and propagates
     /// interpolation failures.
     pub fn upsample(&self, low: &PointCloud, requested_ratio: f64) -> Result<SrResult> {
-        self.upsample_with(low, requested_ratio, &mut FrameScratch::new())
-    }
-
-    /// [`Self::upsample`] with caller-provided scratch: the spatial index is
-    /// cached across calls (no per-call `positions().to_vec()` + rebuild for
-    /// unchanged geometry) and the refinement center buffer is reused.
-    ///
-    /// # Errors
-    /// Same as [`Self::upsample`].
-    pub fn upsample_with(
-        &self,
-        low: &PointCloud,
-        requested_ratio: f64,
-        scratch: &mut FrameScratch,
-    ) -> Result<SrResult> {
         if !requested_ratio.is_finite() || requested_ratio < 1.0 {
             return Err(Error::InvalidRatio(requested_ratio));
         }
@@ -156,10 +138,7 @@ impl YuzuUpsampler {
         // Yuzu's generator: interpolation to the discrete ratio followed by a
         // single heavyweight network pass per generated point, routed through
         // the shared batch refinement helper.
-        scratch.begin_frame();
-        let interp = naive_interpolate_with(low, &self.config, f64::from(ratio), scratch);
-        let mut arena = scratch.finish_frame();
-        let interp = interp?;
+        let interp = naive_interpolate(low, &self.config, f64::from(ratio))?;
         let mut timings = interp.timings;
 
         let t0 = Instant::now();
@@ -175,10 +154,9 @@ impl YuzuUpsampler {
             original_len,
             &interp.neighborhoods,
             low.positions(),
-            &mut arena.centers,
+            &mut Vec::new(),
         );
         timings.refinement = t0.elapsed();
-        arena.recycle(interp.neighborhoods, interp.parents);
 
         Ok(SrResult {
             cloud,

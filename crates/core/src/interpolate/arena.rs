@@ -319,47 +319,52 @@ mod tests {
     use super::*;
     use crate::config::SrConfig;
     use crate::encoding::KeyScheme;
-    use crate::interpolate::{
-        DilatedInterpolator, FrameScratch, InterpolationResult, Interpolator,
-    };
+    use crate::interpolate::FrameScratch;
     use crate::nn::mlp::Mlp;
-    use crate::pipeline::{InterpolationMode, SrPipeline};
-    use crate::refine::{IdentityRefiner, NnRefiner};
+    use crate::pipeline::SrPipeline;
+    use crate::refine::{IdentityRefiner, NnRefiner, Refiner, RefinerCost};
     use std::sync::{Arc, Mutex};
     use volut_pointcloud::synthetic::{self, DeltaStreamConfig};
-    use volut_pointcloud::PointCloud;
+    use volut_pointcloud::{NeighborhoodsView, PointCloud};
 
-    /// Dilated interpolation that records which arena its frame runs on
-    /// and, when given one, runs a whole other frame first — what a worker
-    /// does when it helps out from inside a nested `run_range`.
+    /// An identity refiner that, on its first batch, upsamples a whole other
+    /// frame: caller code starting a frame from inside the refinement stage
+    /// of one in flight on the same thread.
     struct Nesting {
-        seen: Arc<Mutex<Vec<usize>>>,
-        nested: Option<(SrPipeline, PointCloud)>,
-        nested_out: Arc<Mutex<Option<PointCloud>>>,
+        nested: SrPipeline,
+        cloud: PointCloud,
+        out: Arc<Mutex<Option<PointCloud>>>,
     }
 
-    impl Interpolator for Nesting {
-        fn name(&self) -> &'static str {
+    impl Refiner for Nesting {
+        fn name(&self) -> &str {
             "nesting"
         }
 
-        fn interpolate(
+        fn refine_batch(
             &self,
-            low: &PointCloud,
-            config: &SrConfig,
-            ratio: f64,
-            scratch: &mut FrameScratch,
-        ) -> crate::Result<InterpolationResult> {
-            let arena: &FrameArena = scratch.frame.as_ref().expect("inside a pipeline frame");
-            self.seen
-                .lock()
-                .unwrap()
-                .push(arena as *const FrameArena as usize);
-            if let Some((pipeline, cloud)) = &self.nested {
-                let out = pipeline.upsample_with(cloud, ratio, &mut FrameScratch::new())?;
-                *self.nested_out.lock().unwrap() = Some(out.cloud);
+            centers: &[Point3],
+            _neighborhoods: NeighborhoodsView<'_>,
+            _source: &[Point3],
+            out: &mut [Point3],
+        ) {
+            let mut nested_out = self.out.lock().unwrap();
+            if nested_out.is_none() {
+                let r = self
+                    .nested
+                    .upsample_with(&self.cloud, 2.0, &mut FrameScratch::new())
+                    .unwrap();
+                *nested_out = Some(r.cloud);
             }
-            DilatedInterpolator.interpolate(low, config, ratio, scratch)
+            out.copy_from_slice(centers);
+        }
+
+        fn cost(&self) -> RefinerCost {
+            RefinerCost::default()
+        }
+
+        fn memory_bytes(&self) -> usize {
+            0
         }
     }
 
@@ -368,22 +373,15 @@ mod tests {
         let config = SrConfig::default();
         let outer_cloud = synthetic::humanoid(900, 0.3, 5);
         let inner_cloud = synthetic::sphere(300, 1.0, 6);
-        let seen = Arc::new(Mutex::new(Vec::new()));
         let nested_out = Arc::new(Mutex::new(None));
-        let pipeline_nesting = |nested| {
-            SrPipeline::with_interpolator(
-                config,
-                InterpolationMode::Dilated,
-                Box::new(Nesting {
-                    seen: Arc::clone(&seen),
-                    nested,
-                    nested_out: Arc::clone(&nested_out),
-                }),
-                Box::new(IdentityRefiner),
-            )
-        };
-        let inner = pipeline_nesting(None);
-        let outer = pipeline_nesting(Some((inner, inner_cloud.clone())));
+        let outer = SrPipeline::new(
+            config,
+            Box::new(Nesting {
+                nested: SrPipeline::new(config, Box::new(IdentityRefiner)),
+                cloud: inner_cloud.clone(),
+                out: Arc::clone(&nested_out),
+            }),
+        );
 
         let idle_before = FrameArena::thread_idle_count();
         let outer_out = outer
@@ -391,11 +389,9 @@ mod tests {
             .unwrap();
         let inner_out = nested_out.lock().unwrap().take().unwrap();
 
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 2, "outer frame, then the frame nested in it");
-        assert_ne!(seen[0], seen[1], "the nested frame ran on the outer arena");
-        // Both arenas are parked afterwards (none was idle before: a test
-        // thread starts with an empty list).
+        // The nested frame could not take the arena the outer frame held,
+        // so it created a second one; both are parked afterwards (none was
+        // idle before: a test thread starts with an empty list).
         assert_eq!(idle_before, 0);
         assert_eq!(FrameArena::thread_idle_count(), 2);
 
@@ -426,15 +422,11 @@ mod tests {
     /// on a thread of its own, where no other session ever touches its
     /// arena.
     fn run_sessions(
-        sessions: &[(usize, InterpolationMode, f64)],
+        sessions: &[(usize, SrConfig, f64)],
         interleaved: bool,
     ) -> Vec<Vec<PointCloud>> {
         const FRAMES: usize = 5;
-        let make = |&(points, mode, churn): &(usize, InterpolationMode, f64)| {
-            let config = match mode {
-                InterpolationMode::Naive => SrConfig::k4d1(),
-                InterpolationMode::Dilated => SrConfig::default(),
-            };
+        let make = |&(points, config, churn): &(usize, SrConfig, f64)| {
             let refiner =
                 NnRefiner::from_config(&config, KeyScheme::Full, Mlp::new(&[12, 16, 3], 41))
                     .unwrap();
@@ -449,7 +441,7 @@ mod tests {
                 },
             );
             (
-                SrPipeline::with_mode(config, mode, Box::new(refiner)),
+                SrPipeline::new(config, Box::new(refiner)),
                 FrameScratch::new(),
                 frames,
             )
@@ -492,18 +484,18 @@ mod tests {
 
     #[test]
     fn interleaved_sessions_of_different_sizes_match_private_runs() {
-        // Large, small, medium — a naive session, which keeps rows of a
-        // different stride in the same arena buffers — and a static one,
+        // Large, small, medium — a session at dilation 1, which keeps rows of
+        // a different stride in the same arena buffers — and a static one,
         // whose frames after the first generate nothing fresh and so leave
         // most of the arena as the previous session filled it. Whatever a
         // bigger or differently shaped frame left in the arena must never
         // reach another session's output.
         let sessions = [
-            (1_500, InterpolationMode::Dilated, 0.1),
-            (300, InterpolationMode::Dilated, 0.1),
-            (700, InterpolationMode::Naive, 0.1),
-            (400, InterpolationMode::Dilated, 0.0),
-            (520, InterpolationMode::Dilated, 0.3),
+            (1_500, SrConfig::default(), 0.1),
+            (300, SrConfig::default(), 0.1),
+            (700, SrConfig::k4d1(), 0.1),
+            (400, SrConfig::default(), 0.0),
+            (520, SrConfig::default(), 0.3),
         ];
         let private = run_sessions(&sessions, false);
         let shared = run_sessions(&sessions, true);

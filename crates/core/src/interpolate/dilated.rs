@@ -1,6 +1,6 @@
 //! VoLUT's enhanced dilated interpolation (§4.1).
 //!
-//! Compared to the naive baseline this stage:
+//! Compared to the naive baseline ([`crate::baselines::naive`]) this stage:
 //! * expands each point's candidate neighborhood to `k × d` neighbors
 //!   (Eq. 1) and samples interpolation partners from the *dilated* set,
 //!   which breaks the density-reinforcement artifact of vanilla kNN;
@@ -38,7 +38,6 @@
 //! between frames — the invariance the copy-forward path relies on.
 
 use super::arena::zip_pairs;
-use super::temporal::OutputKind;
 use super::{
     colorize, distribute_new_points_into, FrameArena, FrameScratch, InterpolationResult, OpCounts,
     RowBatch,
@@ -181,6 +180,18 @@ pub fn dilated_interpolate_with(
     ratio: f64,
     scratch: &mut FrameScratch,
 ) -> Result<InterpolationResult> {
+    dilated_interpolate_in(low, config, ratio, scratch, &mut FrameArena::checkout())
+}
+
+/// [`dilated_interpolate_with`] on an arena the caller checked out, so the
+/// stages after interpolation (the pipeline's refinement) can share it.
+pub(crate) fn dilated_interpolate_in(
+    low: &PointCloud,
+    config: &SrConfig,
+    ratio: f64,
+    session: &mut FrameScratch,
+    arena: &mut FrameArena,
+) -> Result<InterpolationResult> {
     config.validate()?;
     config.validate_ratio(ratio)?;
     if low.len() < 2 {
@@ -189,7 +200,10 @@ pub fn dilated_interpolate_with(
             available: low.len(),
         });
     }
-    Ok(scratch.with_arena(|session, arena| dilated_frame(low, config, ratio, session, arena)))
+    let dual_before = arena.knn.invocations();
+    let result = dilated_frame(low, config, ratio, session, arena);
+    session.temporal.dual_tree_batches += arena.knn.invocations() - dual_before;
+    Ok(result)
 }
 
 /// One validated dilated frame: `session` is what the next frame will read,
@@ -256,14 +270,7 @@ fn dilated_frame(
     // previous frame's cached outputs (Cold plans recompute everything).
     let t1 = Instant::now();
     distribute_new_points_into(low.len(), ratio, &mut arena.counts);
-    super::temporal::plan_outputs(
-        &mut session.temporal,
-        arena,
-        low,
-        config,
-        ratio,
-        OutputKind::Dilated,
-    );
+    super::temporal::plan_outputs(&mut session.temporal, arena, low, config, ratio);
 
     // --- Interpolation stage: generate only the fresh rows, as one
     // compacted batch — one arena batch per worker chunk of the fresh-row
@@ -374,7 +381,6 @@ fn dilated_frame(
         low,
         config,
         ratio,
-        OutputKind::Dilated,
         &cloud,
         &parents,
         &neighborhoods,
@@ -426,7 +432,8 @@ mod tests {
         // mirroring Figure 4 / Figures 7-10.
         let gt = synthetic::humanoid(4000, 0.3, 3);
         let low = sampling::biased_downsample(&gt, 0.25, 5).unwrap();
-        let naive = super::super::naive::naive_interpolate(&low, &SrConfig::k4d1(), 4.0).unwrap();
+        let naive =
+            crate::baselines::naive::naive_interpolate(&low, &SrConfig::k4d1(), 4.0).unwrap();
         let dilated = dilated_interpolate(&low, &SrConfig::k4d2(), 4.0).unwrap();
         let cd_naive = metrics::chamfer_distance(&naive.cloud, &gt);
         let cd_dilated = metrics::chamfer_distance(&dilated.cloud, &gt);
@@ -563,7 +570,8 @@ mod tests {
         // nearest-neighbor spacing variance proxy via mean spacing of new points.
         let gt = synthetic::sphere(3000, 1.0, 9);
         let low = sampling::biased_downsample(&gt, 0.3, 11).unwrap();
-        let naive = super::super::naive::naive_interpolate(&low, &SrConfig::k4d1(), 2.0).unwrap();
+        let naive =
+            crate::baselines::naive::naive_interpolate(&low, &SrConfig::k4d1(), 2.0).unwrap();
         let dilated = dilated_interpolate(&low, &SrConfig::k4d2(), 2.0).unwrap();
         // Hausdorff to ground truth captures coverage of sparse regions.
         let h_naive = metrics::hausdorff_distance(&naive.cloud, &gt);

@@ -1,16 +1,14 @@
 //! Stage one of the VoLUT pipeline: interpolation (§4.1).
 //!
-//! Two implementations are provided behind the [`Interpolator`] trait:
-//! * [`NaiveInterpolator`] / [`naive::naive_interpolate`] — the vanilla kNN
-//!   midpoint interpolation the paper uses as its baseline (`K4d1`, no
-//!   dilation, no reuse, fresh neighbor query per generated point);
-//! * [`DilatedInterpolator`] / [`dilated::dilated_interpolate`] — VoLUT's
-//!   enhanced interpolation with dilation (Eq. 1), a k-d tree self-join
-//!   for the neighbor search (the paper's structure is an octree; the k-d
-//!   tree is the only index this path builds), neighbor relationship reuse
-//!   (Eq. 2) and multi-threaded execution.
+//! [`dilated::dilated_interpolate`] is VoLUT's enhanced interpolation with
+//! dilation (Eq. 1), a k-d tree self-join for the neighbor search (the
+//! paper's structure is an octree; the k-d tree is the only index this path
+//! builds), neighbor relationship reuse (Eq. 2) and multi-threaded
+//! execution. It is the one interpolator on the frame path; the paper's
+//! vanilla kNN baseline (`K4d1`) is a cold one-shot function kept apart in
+//! [`crate::baselines::naive`].
 //!
-//! Both return an [`InterpolationResult`] that carries the upsampled cloud,
+//! It returns an [`InterpolationResult`] that carries the upsampled cloud,
 //! the parent/neighborhood bookkeeping that later stages reuse (as a flat
 //! CSR [`Neighborhoods`] — one allocation for the whole frame instead of
 //! one per generated point), and stage timings.
@@ -34,14 +32,12 @@
 pub mod arena;
 pub mod colorize;
 pub mod dilated;
-pub mod naive;
 pub mod reuse;
 pub mod temporal;
 
 use crate::config::SrConfig;
 use crate::pipeline::StageTimings;
 use crate::Result;
-use arena::ArenaLease;
 pub use arena::{FrameArena, RowBatch};
 use serde::Serialize;
 pub use temporal::TemporalStats;
@@ -136,7 +132,7 @@ pub struct IndexCacheStats {
     /// queries plus rows invalidated by the churn).
     pub rows_recomputed: u64,
     /// Batches answered by the dual-tree (leaf-pair) all-kNN kernel — the
-    /// self-join fast path the interpolators hit once per cold frame at
+    /// self-join fast path the interpolator hits once per cold frame at
     /// production sizes.
     pub dual_tree_batches: u64,
 }
@@ -254,22 +250,6 @@ impl IndexCache {
         &self.tree
     }
 
-    /// Returns the cached tree for `positions`, rebuilding it only when the
-    /// indexed content (digest first, then element-wise) does not match.
-    /// The second element reports whether a rebuild happened.
-    pub(crate) fn get_or_build(
-        &mut self,
-        positions: &[Point3],
-        digest: u64,
-        scratch: &mut IndexScratch,
-    ) -> (&KdTree, bool) {
-        if self.is_fresh(positions, digest) {
-            (self.reuse(), false)
-        } else {
-            (self.rebuild(positions, digest, scratch), true)
-        }
-    }
-
     /// Usage counters since this cache was created.
     pub fn stats(&self) -> IndexCacheStats {
         self.stats
@@ -324,11 +304,6 @@ pub struct FrameScratch {
     /// temporal-coherence layer that turns delta frames into `O(churn)`
     /// work (see [`temporal`]).
     pub(crate) temporal: temporal::TemporalCache,
-    /// The arena of the pipeline frame in flight, parked here between its
-    /// stages so the interpolator (reached through the arena-blind
-    /// [`Interpolator`] signature) and the refinement stage share it.
-    /// `None` between frames.
-    frame: Option<ArenaLease>,
 }
 
 impl FrameScratch {
@@ -337,51 +312,10 @@ impl FrameScratch {
         Self::default()
     }
 
-    /// Starts a multi-stage frame (interpolate, then refine): checks an
-    /// arena out and parks it where [`Self::with_arena`] finds it. Pair
-    /// with [`Self::finish_frame`].
-    pub(crate) fn begin_frame(&mut self) {
-        self.frame = Some(FrameArena::checkout());
-    }
-
-    /// Takes the frame's arena back for the stages after interpolation; it
-    /// returns to the thread's free-list when the lease drops.
-    pub(crate) fn finish_frame(&mut self) -> ArenaLease {
-        self.frame
-            .take()
-            .expect("finish_frame follows begin_frame on the same scratch")
-    }
-
-    /// Runs one interpolation with the frame's arena: the one
-    /// [`Self::begin_frame`] parked (handed back afterwards for the later
-    /// stages), or — for a bare `interpolate` call — one checked out for
-    /// just this call. The arena is *moved* out for the duration, so a
-    /// frame re-entered on this thread meanwhile can only ever take a
-    /// different one.
-    pub(crate) fn with_arena<R>(
-        &mut self,
-        f: impl FnOnce(&mut FrameScratch, &mut FrameArena) -> R,
-    ) -> R {
-        let parked = self.frame.take();
-        let in_pipeline_frame = parked.is_some();
-        let mut arena = parked.unwrap_or_else(FrameArena::checkout);
-        let dual_before = arena.knn.invocations();
-        let result = f(self, &mut arena);
-        self.temporal.dual_tree_batches += arena.knn.invocations() - dual_before;
-        if in_pipeline_frame {
-            self.frame = Some(arena);
-        }
-        result
-    }
-
-    /// Returns a result's neighborhood container for reuse: to the frame in
-    /// flight if there is one, else to the arena this thread's next frame
-    /// will check out.
+    /// Returns a result's neighborhood container for reuse, to the arena
+    /// this thread's next frame will check out.
     pub fn recycle_neighborhoods(&mut self, neighborhoods: Neighborhoods) {
-        match &mut self.frame {
-            Some(arena) => arena.neighborhoods = Some(neighborhoods),
-            None => FrameArena::adopt_neighborhoods(neighborhoods),
-        }
+        FrameArena::adopt_neighborhoods(neighborhoods);
     }
 
     /// Usage counters of the session's index cache, including the
@@ -470,8 +404,12 @@ impl FrameScratch {
     }
 }
 
-/// A strategy for the interpolation stage, unifying the naive baseline and
-/// VoLUT's dilated interpolation behind [`crate::SrPipeline`].
+/// The interpolation stage as a trait object, with one implementation,
+/// [`DilatedInterpolator`]. [`crate::SrPipeline`] calls the dilated path
+/// directly; the trait stays only because the benchmark package imports it
+/// (its shadow interpolator runs `DilatedInterpolator` through it). It is to
+/// be deleted together with that shadow path, in a change to the benchmark
+/// package.
 pub trait Interpolator: Send + Sync {
     /// Short human-readable name used in reports.
     fn name(&self) -> &'static str;
@@ -489,26 +427,6 @@ pub trait Interpolator: Send + Sync {
         ratio: f64,
         scratch: &mut FrameScratch,
     ) -> Result<InterpolationResult>;
-}
-
-/// Vanilla kNN midpoint interpolation (the paper's baseline).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NaiveInterpolator;
-
-impl Interpolator for NaiveInterpolator {
-    fn name(&self) -> &'static str {
-        "naive"
-    }
-
-    fn interpolate(
-        &self,
-        low: &PointCloud,
-        config: &SrConfig,
-        ratio: f64,
-        scratch: &mut FrameScratch,
-    ) -> Result<InterpolationResult> {
-        naive::naive_interpolate_with(low, config, ratio, scratch)
-    }
 }
 
 /// VoLUT's dilated, reuse-enabled, data-parallel interpolation.
@@ -647,21 +565,16 @@ mod tests {
     }
 
     #[test]
-    fn interpolator_objects_dispatch() {
-        use volut_pointcloud::synthetic;
-        let low = synthetic::sphere(200, 1.0, 3);
-        let mut scratch = FrameScratch::new();
-        let interpolators: Vec<Box<dyn Interpolator>> =
-            vec![Box::new(NaiveInterpolator), Box::new(DilatedInterpolator)];
-        for interp in &interpolators {
-            let cfg = if interp.name() == "naive" {
-                SrConfig::k4d1()
-            } else {
-                SrConfig::default()
-            };
-            let out = interp.interpolate(&low, &cfg, 2.0, &mut scratch).unwrap();
-            assert_eq!(out.cloud.len(), 400, "{}", interp.name());
-            assert_eq!(out.neighborhoods.len(), 200);
-        }
+    fn dilated_interpolator_object_matches_the_function() {
+        let low = volut_pointcloud::synthetic::sphere(200, 1.0, 3);
+        let cfg = SrConfig::default();
+        let interp: &dyn Interpolator = &DilatedInterpolator;
+        assert_eq!(interp.name(), "dilated");
+        let out = interp
+            .interpolate(&low, &cfg, 2.0, &mut FrameScratch::new())
+            .unwrap();
+        let want = dilated::dilated_interpolate(&low, &cfg, 2.0).unwrap();
+        assert_eq!(out.cloud, want.cloud);
+        assert_eq!(out.neighborhoods, want.neighborhoods);
     }
 }

@@ -75,9 +75,9 @@
 //!
 //! The engine falls back to the untouched full-recompute path whenever the
 //! cache cannot help: the first frame of a session, a changed `k`, clouds
-//! smaller than `k` (every row holds the whole cloud), an index that was
-//! re-built over other geometry since the rows were captured (an unplanned
-//! frame in between), survivor fractions below [`MIN_SURVIVOR_FRACTION`] (at 100% churn the only cost over the
+//! smaller than `k` (every row holds the whole cloud), an index that no
+//! longer holds the frame the rows were captured on (a flush in between),
+//! survivor fractions below [`MIN_SURVIVOR_FRACTION`] (at 100% churn the only cost over the
 //! cold path is the failed diff — one linear pass), or when incremental
 //! reuse is disabled via [`FrameScratch::set_incremental`].
 //!
@@ -91,17 +91,12 @@
 //! positions, parents, generated-point neighborhoods, colors
 //! (`OutputCache`) and the refined tail (`RefinedCache`) — and each
 //! frame `plan_outputs` classifies every new row as copy-forward or
-//! recompute (`FramePlan`):
+//! recompute (`FramePlan`): a row's outputs are reusable when the row itself
+//! and every cached partner's row were copied forward (the generated
+//! neighborhoods are derived from the parents' rows, so parent-row validity
+//! covers them).
 //!
-//! * a **dilated** row's outputs are reusable when the row itself and every
-//!   cached partner's row were copied forward (the generated neighborhoods
-//!   are derived from the parents' rows, so parent-row validity covers
-//!   them);
-//! * a **naive** row additionally checks each cached generated point's own
-//!   exact-kNN ball against the removals and the inserted-point kd-tree —
-//!   the same rule the row cache uses, applied per generated point.
-//!
-//! Both interpolators draw partners from an RNG seeded by the *source
+//! The interpolator draws partners from an RNG seeded by the *source
 //! point's position bits* (`super::row_seed`), so a copied-forward row
 //! replays the identical draw sequence under its new index and reuse stays
 //! bit-identical to a cold recompute. Colors are copied forward only when
@@ -173,8 +168,8 @@
 //! cached frame's positions (the old side of every delta), so a flushed
 //! temporal cache with a live index (or vice versa) would re-correlate
 //! state across the discontinuity. After a flush the next frame takes the cold full-recompute
-//! path, whose output depends only on that frame's bits (the interpolators
-//! seed per-row RNG from position bits, `super::row_seed`) — which is what
+//! path, whose output depends only on that frame's bits (the interpolator
+//! seeds per-row RNG from position bits, `super::row_seed`) — which is what
 //! makes post-resync output bit-identical to a never-faulted session.
 //!
 //! [`FrameScratch::flush_temporal`]: super::FrameScratch::flush_temporal
@@ -289,23 +284,11 @@ pub(crate) enum JoinOutcome {
     Incremental,
 }
 
-/// Which interpolator captured / wants the cached outputs. The per-row
-/// validity rule differs (see the module docs), so cached outputs are never
-/// served across kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OutputKind {
-    /// Dilated interpolation with neighbor-relationship reuse.
-    Dilated,
-    /// Naive baseline (exact per-generated-point kNN rows).
-    Naive,
-}
-
 /// Everything that must match before cached outputs may be consulted at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct OutputKey {
     config: SrConfig,
     ratio_bits: u64,
-    kind: OutputKind,
 }
 
 /// The previous frame's interpolation outputs, per source row: the reuse
@@ -364,9 +347,9 @@ pub(crate) enum PlanMode {
 /// frame that wrote it.
 #[derive(Debug, Default)]
 pub(crate) struct FramePlan {
-    /// `true` between [`plan_outputs`] / [`note_unplanned_frame`] and the end
-    /// of the frame ([`capture_refined`] consumes it) — the guard that keeps
-    /// refined-tail reuse from ever crossing an interpolation it did not plan.
+    /// `true` between [`plan_outputs`] and the end of the frame
+    /// ([`capture_refined`] consumes it) — the guard that keeps refined-tail
+    /// reuse from ever crossing an interpolation it did not plan.
     active: bool,
     /// `join_serial` the plan was computed for.
     serial: u64,
@@ -466,9 +449,6 @@ pub(crate) struct JoinScratch {
     insert_positions: Vec<Point3>,
     /// kd-tree over the inserted points (ball-intersection tests).
     insert_tree: KdTree,
-    /// Whether the current incremental frame had any inserted points (the
-    /// `insert_tree` is only meaningful then).
-    has_inserts: bool,
     /// New-frame indices whose rows must be recomputed.
     recompute: Vec<u32>,
     /// Query positions of `recompute`.
@@ -529,8 +509,8 @@ pub(crate) struct TemporalCache {
     pub(crate) enabled: bool,
     /// `true` when `rows` describe the last processed frame.
     valid: bool,
-    /// Row stride of the cached self-join (`k + 1` of the interpolator that
-    /// captured it); a changed stride invalidates the cache.
+    /// Row stride of the cached self-join (the dilated neighborhood plus the
+    /// self-match); a changed stride invalidates the cache.
     kq: usize,
     /// Geometry digest of the cached frame (first-pass identity check).
     digest: u64,
@@ -552,8 +532,8 @@ pub(crate) struct TemporalCache {
     pub(crate) stats: TemporalStats,
     /// Batches the dual-tree kernel answered for this session.
     pub(crate) dual_tree_batches: u64,
-    /// Bumped at every [`self_join`] / [`note_unplanned_frame`]; correlates
-    /// the caches with the frame they were captured on.
+    /// Bumped at every [`self_join`]; correlates the caches with the frame
+    /// they were captured on.
     join_serial: u64,
     /// The previous frame's interpolation outputs.
     pub(crate) outputs: OutputCache,
@@ -612,7 +592,7 @@ impl TemporalCache {
     }
 }
 
-/// The self-join kNN pass of both interpolators: fills `arena.raw_hoods`
+/// The interpolator's self-join kNN pass: fills `arena.raw_hoods`
 /// with one `kq`-wide row per point of `low`, bit-identical to
 /// [`KdTree::knn_batch_with`] over a fresh index, while reusing the session's
 /// spatial index and — when the previous frame is coherent with this one —
@@ -653,8 +633,8 @@ pub(crate) fn self_join(
     // are only usable while the tree they were joined against is still the
     // session's index — its points are then the cached frame, which is what
     // the identity check and the delta's old side read below. Anything that
-    // re-indexed in between (an unplanned frame over other geometry) sends
-    // this frame down the cold path.
+    // dropped or re-indexed the tree in between sends this frame down the
+    // cold path.
     let cache_ready = t.enabled
         && t.valid
         && t.kq == kq
@@ -750,17 +730,6 @@ pub(crate) fn self_join(
     join.outcome = JoinOutcome::Incremental;
 }
 
-/// Registers a frame that bypassed [`self_join`] (the naive interpolator's
-/// partial-prefix path): the serial bump and a `Cold` plan over the first
-/// `active` rows keep every cache from being correlated across the
-/// discontinuity.
-pub(crate) fn note_unplanned_frame(t: &mut TemporalCache, arena: &mut FrameArena, active: usize) {
-    t.join_serial += 1;
-    arena.join.outcome = JoinOutcome::Cold;
-    arena.plan.begin(t.join_serial);
-    arena.plan.fresh_rows.extend(0..active as u32);
-}
-
 /// Produces the new frame's rows from the cached ones: copy-forward with
 /// index remap for rows the churn cannot affect, a bichromatic batch
 /// recompute against `tree` (the already patched index over `positions`)
@@ -787,7 +756,6 @@ fn incremental_rows(
         removed_mark,
         insert_positions,
         insert_tree,
-        has_inserts,
         recompute,
         queries,
         fresh_rows,
@@ -806,7 +774,7 @@ fn incremental_rows(
         removed_mark[i as usize] = true;
     }
     // Ball-intersection index over the inserted points.
-    *has_inserts = !delta.inserted().is_empty();
+    let has_inserts = !delta.inserted().is_empty();
     insert_positions.clear();
     insert_positions.extend(delta.inserted().iter().map(|&i| positions[i as usize]));
     insert_tree.build_in(insert_positions, index_scratch);
@@ -855,8 +823,7 @@ fn incremental_rows(
     // Relaxed: the flag publishes no other data, and the job's completion
     // orders every store before `into_inner` reads it.
     let colors_kept = AtomicBool::new(colors.is_some());
-    let (cached_rows, removed_mark, insert_tree, has_inserts) =
-        (&t.rows, &*removed_mark, &*insert_tree, *has_inserts);
+    let (cached_rows, removed_mark, insert_tree) = (&t.rows, &*removed_mark, &*insert_tree);
     run_jobs(
         jobs,
         |(old, new_start, slab, row_src, row_valid, recompute)| {
@@ -980,7 +947,6 @@ pub(crate) fn plan_outputs(
     low: &PointCloud,
     config: &SrConfig,
     ratio: f64,
-    kind: OutputKind,
 ) -> PlanMode {
     let FrameArena {
         counts,
@@ -995,13 +961,11 @@ pub(crate) fn plan_outputs(
     let key = OutputKey {
         config: *config,
         ratio_bits: ratio.to_bits(),
-        kind,
     };
-    // Dilated outputs are only row-deterministic when neighbor reuse is on
-    // (the no-reuse path recomputes generated-point kNN globally).
-    let hood_capable = kind == OutputKind::Naive || config.reuse_neighbors;
+    // Outputs are only row-deterministic when neighbor reuse is on (the
+    // no-reuse path recomputes generated-point kNN globally).
     let eligible = t.enabled
-        && hood_capable
+        && config.reuse_neighbors
         && t.outputs.valid
         && t.outputs.serial + 1 == serial
         && t.outputs.key == Some(key);
@@ -1030,10 +994,7 @@ pub(crate) fn plan_outputs(
                 let JoinScratch {
                     row_valid,
                     row_src: copied_from,
-                    removed_mark,
                     old_to_new,
-                    insert_tree,
-                    has_inserts,
                     survivor_colors_kept,
                     ..
                 } = &*join;
@@ -1044,35 +1005,17 @@ pub(crate) fn plan_outputs(
                 {
                     break 'plan PlanMode::Cold;
                 }
-                let positions = low.positions();
                 // Whether cached row `src`'s outputs still hold for a new
-                // row that generates `count` points.
+                // row that generates `count` points: they (points, parents,
+                // merged generated-point hoods) derive from the source row
+                // and its partners' rows.
                 let reusable = |src: usize, count: usize| {
                     let o0 = o.offsets[src] as usize;
                     let o1 = o.offsets[src + 1] as usize;
                     o1 - o0 == count
-                        && match kind {
-                            // A dilated row's outputs (points, parents,
-                            // merged generated-point hoods) derive from the
-                            // source row and its partners' rows.
-                            OutputKind::Dilated => o.parents[o0..o1]
-                                .iter()
-                                .all(|&(_, b)| row_valid[b as usize]),
-                            // A naive generated point owns an exact kNN row;
-                            // apply the row invalidation rule to it.
-                            OutputKind::Naive => (o0..o1).all(|ord| {
-                                let hood = o.hoods.row(ord);
-                                !hood.is_empty()
-                                    && hood.iter().all(|&b| !removed_mark[b as usize])
-                                    && (!*has_inserts || {
-                                        let mid = o.points[ord];
-                                        let last = *hood.last().unwrap() as usize;
-                                        let r2 = mid
-                                            .distance_squared(positions[old_to_new[last] as usize]);
-                                        !insert_tree.any_within(mid, r2)
-                                    })
-                            }),
-                        }
+                        && o.parents[o0..o1]
+                            .iter()
+                            .all(|&(_, b)| row_valid[b as usize])
                 };
                 // Classify the new rows one task per chunk. Each task writes
                 // its rows' `row_src` and its ordinals' `ordinal_src` — the
@@ -1354,8 +1297,8 @@ fn scatter_reused<T: Copy + Send + Sync>(p: &FramePlan, cached: &[T], tail: &mut
 }
 
 /// Snapshots this frame's interpolation outputs as the next frame's reuse
-/// source. Ineligible frames (disabled cache, no captured rows, hood-blind
-/// dilated mode) invalidate the cache instead — never leave it stale.
+/// source. Ineligible frames (disabled cache, no captured rows, the
+/// no-reuse ablation) invalidate the cache instead — never leave it stale.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn capture_outputs(
     t: &mut TemporalCache,
@@ -1364,13 +1307,11 @@ pub(crate) fn capture_outputs(
     low: &PointCloud,
     config: &SrConfig,
     ratio: f64,
-    kind: OutputKind,
     cloud: &PointCloud,
     parents: &[(usize, usize)],
     hoods: &Neighborhoods,
 ) {
-    let hood_capable = kind == OutputKind::Naive || config.reuse_neighbors;
-    if !t.enabled || !t.valid || !hood_capable {
+    if !t.enabled || !t.valid || !config.reuse_neighbors {
         t.outputs.valid = false;
         return;
     }
@@ -1402,7 +1343,6 @@ pub(crate) fn capture_outputs(
     o.key = Some(OutputKey {
         config: *config,
         ratio_bits: ratio.to_bits(),
-        kind,
     });
     o.offsets.clear();
     o.offsets.reserve(counts.len() + 1);
@@ -1485,9 +1425,9 @@ pub(crate) fn reuse_refined_into(
 }
 
 /// Snapshots the refined tail as the next frame's reuse source and consumes
-/// the frame's plan. Runs at the end of every pipeline frame; frames whose
-/// interpolation did not plan (custom interpolators, bypassed paths)
-/// invalidate the refined cache instead.
+/// the frame's plan. Runs at the end of every pipeline frame; a plan that is
+/// not this frame's (see `FramePlan::active`) invalidates the refined cache
+/// instead.
 pub(crate) fn capture_refined(
     t: &mut TemporalCache,
     plan: &mut FramePlan,
@@ -1515,7 +1455,6 @@ mod tests {
     use super::*;
     use crate::config::SrConfig;
     use crate::interpolate::dilated::dilated_interpolate_with;
-    use crate::interpolate::naive::naive_interpolate_with;
     use volut_pointcloud::synthetic::{self, DeltaStream, DeltaStreamConfig};
     use volut_pointcloud::{Color, Point3};
 
@@ -1539,8 +1478,10 @@ mod tests {
         PointCloud::from_positions_and_colors(positions, colors).unwrap()
     }
 
-    /// Runs a churned sequence twice — incremental on vs off — through both
-    /// interpolators and asserts bit-identical outputs frame by frame.
+    /// Runs a churned sequence twice — incremental on vs off — through the
+    /// interpolator at the default config and at dilation 1 (`k4d1`, a
+    /// narrower self-join row) and asserts bit-identical outputs frame by
+    /// frame.
     fn assert_sequence_bit_identity(base: PointCloud, churn: f64, frames: usize, ratio: f64) {
         let cfg_stream = DeltaStreamConfig {
             churn,
@@ -1550,25 +1491,16 @@ mod tests {
         };
         let sequence = synthetic::delta_frame_sequence(&base, frames, cfg_stream);
         for (name, sr_cfg) in [
-            ("dilated", SrConfig::default()),
-            ("naive", SrConfig::k4d1()),
+            ("default", SrConfig::default()),
+            ("dilation one", SrConfig::k4d1()),
         ] {
             let mut on = FrameScratch::new();
             let mut off = FrameScratch::new();
             off.set_incremental(false);
             assert!(on.incremental() && !off.incremental());
             for (frame_no, frame) in sequence.iter().enumerate() {
-                let (a, b) = if name == "dilated" {
-                    (
-                        dilated_interpolate_with(frame, &sr_cfg, ratio, &mut on),
-                        dilated_interpolate_with(frame, &sr_cfg, ratio, &mut off),
-                    )
-                } else {
-                    (
-                        naive_interpolate_with(frame, &sr_cfg, ratio, &mut on),
-                        naive_interpolate_with(frame, &sr_cfg, ratio, &mut off),
-                    )
-                };
+                let a = dilated_interpolate_with(frame, &sr_cfg, ratio, &mut on);
+                let b = dilated_interpolate_with(frame, &sr_cfg, ratio, &mut off);
                 match (a, b) {
                     (Ok(a), Ok(b)) => {
                         assert_eq!(
@@ -1708,15 +1640,17 @@ mod tests {
         let b = synthetic::sphere(500, 1.0, 31);
         let mut cache = IndexCache::default();
         let mut scratch = IndexScratch::default();
-        let (_, rebuilt) = cache.get_or_build(a.positions(), a.geometry_digest(), &mut scratch);
-        assert!(rebuilt);
+        assert!(!cache.is_fresh(a.positions(), a.geometry_digest()));
+        cache.rebuild(a.positions(), a.geometry_digest(), &mut scratch);
         // Same digest + content: reuse.
-        let (_, rebuilt) = cache.get_or_build(a.positions(), a.geometry_digest(), &mut scratch);
-        assert!(!rebuilt);
-        // Different digest: rebuild without a content scan (observable only
-        // as a rebuild; the digest gate is what makes it cheap).
-        let (_, rebuilt) = cache.get_or_build(b.positions(), b.geometry_digest(), &mut scratch);
-        assert!(rebuilt);
+        assert!(cache.is_fresh(a.positions(), a.geometry_digest()));
+        assert_eq!(cache.reuse().points(), a.positions());
+        // Different digest: stale without a content scan (the digest gate is
+        // what makes the miss cheap), even against the same point count.
+        assert!(!cache.is_fresh(b.positions(), b.geometry_digest()));
+        assert!(!cache.is_fresh(a.positions(), b.geometry_digest()));
+        cache.rebuild(b.positions(), b.geometry_digest(), &mut scratch);
+        assert!(cache.is_fresh(b.positions(), b.geometry_digest()));
         assert_eq!(cache.stats().rebuilds, 2);
         assert_eq!(cache.stats().reuses, 1);
     }

@@ -1,19 +1,18 @@
 //! The end-to-end two-stage super-resolution pipeline (Figure 3).
 //!
-//! [`SrPipeline`] glues the pieces together: interpolation (naive or
-//! dilated), colorization (performed inside the interpolation stage) and
-//! per-point refinement, with per-stage wall-clock timing so the runtime
-//! breakdown of Figure 16 can be reproduced.
+//! [`SrPipeline`] glues the pieces together: dilated interpolation,
+//! colorization (performed inside the interpolation stage) and per-point
+//! refinement, with per-stage wall-clock timing so the runtime breakdown of
+//! Figure 16 can be reproduced. [`SrConfig::k4d1`] (dilation 1) runs on
+//! this same path; the paper's vanilla kNN baseline (the `K4d1` column of
+//! Figures 7–11) is a cold one-shot function in [`crate::baselines::naive`].
 
 use crate::config::SrConfig;
-use crate::interpolate::{
-    DilatedInterpolator, FrameArena, FrameScratch, InterpolationResult, Interpolator,
-    NaiveInterpolator, OpCounts,
-};
+use crate::interpolate::dilated::dilated_interpolate_in;
+use crate::interpolate::{FrameArena, FrameScratch, OpCounts};
 use crate::lut::LookupStats;
 use crate::refine::{refine_in_place, refine_rows_in_place, Refiner, RefinerCost};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use volut_pointcloud::PointCloud;
@@ -23,16 +22,6 @@ use volut_pointcloud::PointCloud;
 /// it, so two pipelines (different refiners) sharing one scratch can never
 /// cross-contaminate each other's refined tails.
 static NEXT_PIPELINE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Which interpolation implementation the pipeline uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum InterpolationMode {
-    /// Vanilla kNN midpoint interpolation (baseline).
-    Naive,
-    /// VoLUT's dilated, k-d-tree-accelerated, reuse-enabled interpolation.
-    #[default]
-    Dilated,
-}
 
 /// Wall-clock breakdown of one super-resolution pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -138,8 +127,6 @@ impl SrResult {
 /// ```
 pub struct SrPipeline {
     config: SrConfig,
-    mode: InterpolationMode,
-    interpolator: Box<dyn Interpolator>,
     refiner: Box<dyn Refiner>,
     /// Identity stamped on cached refined outputs (see [`NEXT_PIPELINE_ID`]).
     id: u64,
@@ -149,7 +136,6 @@ impl std::fmt::Debug for SrPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SrPipeline")
             .field("config", &self.config)
-            .field("mode", &self.mode)
             .field("refiner", &self.refiner.name())
             .finish()
     }
@@ -158,38 +144,8 @@ impl std::fmt::Debug for SrPipeline {
 impl SrPipeline {
     /// Creates a pipeline with dilated interpolation and the given refiner.
     pub fn new(config: SrConfig, refiner: Box<dyn Refiner>) -> Self {
-        Self::with_mode(config, InterpolationMode::Dilated, refiner)
-    }
-
-    /// Creates a pipeline with an explicit interpolation mode.
-    pub fn with_mode(config: SrConfig, mode: InterpolationMode, refiner: Box<dyn Refiner>) -> Self {
-        let interpolator: Box<dyn Interpolator> = match mode {
-            InterpolationMode::Naive => Box::new(NaiveInterpolator),
-            InterpolationMode::Dilated => Box::new(DilatedInterpolator),
-        };
         Self {
             config,
-            mode,
-            interpolator,
-            refiner,
-            id: NEXT_PIPELINE_ID.fetch_add(1, Ordering::Relaxed),
-        }
-    }
-
-    /// Creates a pipeline around a custom [`Interpolator`] implementation.
-    /// `reported_mode` is what [`Self::mode`] (and anything keyed off it in
-    /// reports) will claim this interpolator behaves like — callers state it
-    /// explicitly rather than the pipeline guessing from the name.
-    pub fn with_interpolator(
-        config: SrConfig,
-        reported_mode: InterpolationMode,
-        interpolator: Box<dyn Interpolator>,
-        refiner: Box<dyn Refiner>,
-    ) -> Self {
-        Self {
-            config,
-            mode: reported_mode,
-            interpolator,
             refiner,
             id: NEXT_PIPELINE_ID.fetch_add(1, Ordering::Relaxed),
         }
@@ -198,11 +154,6 @@ impl SrPipeline {
     /// The pipeline configuration.
     pub fn config(&self) -> &SrConfig {
         &self.config
-    }
-
-    /// The interpolation mode in use.
-    pub fn mode(&self) -> InterpolationMode {
-        self.mode
     }
 
     /// The refiner's resident memory (model weights or LUT), in bytes.
@@ -245,14 +196,9 @@ impl SrPipeline {
         ratio: f64,
         scratch: &mut FrameScratch,
     ) -> Result<SrResult> {
-        // One arena serves the whole frame: the interpolator finds it
-        // parked on the scratch, refinement takes it from there.
-        scratch.begin_frame();
-        let interp = self
-            .interpolator
-            .interpolate(low, &self.config, ratio, scratch);
-        let mut arena = scratch.finish_frame();
-        let interp: InterpolationResult = interp?;
+        // One arena serves the whole frame, interpolation and refinement.
+        let mut arena = FrameArena::checkout();
+        let interp = dilated_interpolate_in(low, &self.config, ratio, scratch, &mut arena)?;
 
         let mut timings = interp.timings;
 
@@ -353,19 +299,6 @@ mod tests {
         assert!(r.host_fps() > 0.0);
         assert_eq!(r.refiner_name, "identity");
         assert!(r.lookup_stats.is_none());
-    }
-
-    #[test]
-    fn naive_mode_works_through_pipeline() {
-        let pipeline = SrPipeline::with_mode(
-            SrConfig::k4d1(),
-            InterpolationMode::Naive,
-            Box::new(IdentityRefiner),
-        );
-        let low = synthetic::sphere(300, 1.0, 2);
-        let r = pipeline.upsample(&low, 2.0).unwrap();
-        assert_eq!(r.cloud.len(), 600);
-        assert_eq!(pipeline.mode(), InterpolationMode::Naive);
     }
 
     #[test]
@@ -497,44 +430,20 @@ mod tests {
     }
 
     #[test]
-    fn custom_interpolator_constructor_reports_mode() {
-        use crate::interpolate::{DilatedInterpolator, NaiveInterpolator};
-        let naive = SrPipeline::with_interpolator(
-            SrConfig::k4d1(),
-            InterpolationMode::Naive,
-            Box::new(NaiveInterpolator),
-            Box::new(IdentityRefiner),
-        );
-        assert_eq!(naive.mode(), InterpolationMode::Naive);
-        let dilated = SrPipeline::with_interpolator(
-            SrConfig::default(),
-            InterpolationMode::Dilated,
-            Box::new(DilatedInterpolator),
-            Box::new(IdentityRefiner),
-        );
-        assert_eq!(dilated.mode(), InterpolationMode::Dilated);
-        let low = synthetic::sphere(120, 1.0, 2);
-        assert_eq!(dilated.upsample(&low, 2.0).unwrap().cloud.len(), 240);
-    }
-
-    #[test]
     fn delta_stream_reuse_is_bit_identical_with_a_real_refiner() {
         // End-to-end property: a streaming session with temporal reuse ON
         // (interpolated outputs, colors AND refined tails replayed across
         // frames) must be bit-identical to the same session with reuse OFF.
         // The NN refiner gives every point a nontrivial, input-dependent
         // offset, so any divergence in a replayed refined tail is caught.
+        // Dilation 1 (`k4d1`) runs a narrower self-join row than the default.
         use volut_pointcloud::synthetic::{self, DeltaStreamConfig};
         let mlp = Mlp::new(&[12, 16, 3], 41);
         for churn in [0.0, 0.1, 0.5] {
-            for mode in [InterpolationMode::Dilated, InterpolationMode::Naive] {
-                let config = match mode {
-                    InterpolationMode::Naive => SrConfig::k4d1(),
-                    InterpolationMode::Dilated => SrConfig::default(),
-                };
+            for config in [SrConfig::default(), SrConfig::k4d1()] {
                 let refiner =
                     NnRefiner::from_config(&config, KeyScheme::Full, mlp.clone()).unwrap();
-                let pipeline = SrPipeline::with_mode(config, mode, Box::new(refiner));
+                let pipeline = SrPipeline::new(config, Box::new(refiner));
                 let base = synthetic::humanoid(1_200, 0.4, 3);
                 let frames = synthetic::delta_frame_sequence(
                     &base,
@@ -554,7 +463,8 @@ mod tests {
                     let b = pipeline.upsample_with(frame, 2.0, &mut off).unwrap();
                     assert_eq!(
                         a.cloud, b.cloud,
-                        "{mode:?} churn {churn} frame {frame_no}: refined clouds diverge"
+                        "dilation {} churn {churn} frame {frame_no}: refined clouds diverge",
+                        config.dilation
                     );
                 }
             }

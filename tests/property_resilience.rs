@@ -194,8 +194,8 @@ fn decode_or_reject(bytes: &[u8], base_len: usize) {
     }
 }
 
-fn session(naive: bool) -> SrSession {
-    let cfg = if naive {
+fn session(dilation_one: bool) -> SrSession {
+    let cfg = if dilation_one {
         SrConfig::k4d1()
     } else {
         SrConfig::default()
@@ -212,13 +212,13 @@ proptest! {
         churn_sel in 0usize..4,
         rate_sel in 0usize..3,
         seed in 0u64..10_000,
-        naive_sel in 0usize..2,
+        dilation_one_sel in 0usize..2,
     ) {
         let seed = seed ^ chaos_seed();
         println!("fault schedule case: seed {seed} (CHAOS_SEED {})", chaos_seed());
         let churn = [0.0, 0.05, 0.2, 0.6][churn_sel];
         let rate = [0.05, 0.15, 0.3][rate_sel];
-        let use_naive = naive_sel == 1;
+        let dilation_one = dilation_one_sel == 1;
         let frames = churned_frames(n, 6, churn, seed);
         let server = DeltaServer::new(frames.clone());
         let trace = NetworkTrace::stable(60.0, 600.0);
@@ -230,11 +230,11 @@ proptest! {
         // Deep retry budget: the property is about correctness under any
         // schedule the injector emits, not about giving up gracefully.
         let mut resilient = ResilientSession::with_policy_seeded(
-            session(use_naive),
+            session(dilation_one),
             RetryPolicy { max_retries: 12, ..RetryPolicy::default() },
             0,
         );
-        let mut clean = session(use_naive);
+        let mut clean = session(dilation_one);
         for (i, frame) in frames.iter().enumerate() {
             let a = resilient
                 .advance(&server, &mut link, i as u64, 2.0)
@@ -257,13 +257,13 @@ proptest! {
         n in 60usize..300,
         churn in 0.05f64..0.8,
         seed in 0u64..10_000,
-        naive_sel in 0usize..2,
+        dilation_one_sel in 0usize..2,
     ) {
         let seed = seed ^ chaos_seed();
-        let use_naive = naive_sel == 1;
+        let dilation_one = dilation_one_sel == 1;
         let frames = churned_frames(n, 3, churn, seed);
-        let mut poisoned = session(use_naive);
-        let mut clean = session(use_naive);
+        let mut poisoned = session(dilation_one);
+        let mut clean = session(dilation_one);
         // Warm both sessions on frames 0 and 1.
         for frame in &frames[..2] {
             poisoned.upsample_frame(frame, 2.0).unwrap();
@@ -286,7 +286,7 @@ proptest! {
         // bit-identical to a fresh session: resync fully clears the caches.
         poisoned.flush_caches();
         let again = poisoned.upsample_frame(&frames[2], 2.0).unwrap();
-        let fresh = session(use_naive).upsample_frame(&frames[2], 2.0).unwrap();
+        let fresh = session(dilation_one).upsample_frame(&frames[2], 2.0).unwrap();
         prop_assert_eq!(&again.cloud, &fresh.cloud);
     }
 

@@ -10,7 +10,6 @@
 use proptest::prelude::*;
 use volut::core::config::SrConfig;
 use volut::core::interpolate::dilated::dilated_interpolate_with;
-use volut::core::interpolate::naive::naive_interpolate_with;
 use volut::core::interpolate::FrameScratch;
 use volut::pointcloud::delta::FrameDelta;
 use volut::pointcloud::kdtree::KdTree;
@@ -45,12 +44,12 @@ proptest! {
         churn_sel in 0usize..5,
         seed in 0u64..300,
         quantized_sel in 0usize..2,
-        naive_sel in 0usize..2,
+        dilation_one_sel in 0usize..2,
         ratio in 1.2f64..3.0,
     ) {
         let churn = [0.0, 0.01, 0.1, 0.5, 1.0][churn_sel];
         let quantized = quantized_sel == 1;
-        let use_naive = naive_sel == 1;
+        let dilation_one = dilation_one_sel == 1;
         let mut base = synthetic::humanoid(n, 0.4, seed);
         if quantized {
             base = quantize(&base, 6.0);
@@ -61,22 +60,14 @@ proptest! {
             jitter: 0.006,
             seed,
         });
-        let cfg = if use_naive { SrConfig::k4d1() } else { SrConfig::default() };
+        // Dilation 1 (`k4d1`) joins a narrower row than the default config.
+        let cfg = if dilation_one { SrConfig::k4d1() } else { SrConfig::default() };
         let mut on = FrameScratch::new();
         let mut off = FrameScratch::new();
         off.set_incremental(false);
         for (frame_no, frame) in frames.iter().enumerate() {
-            let (a, b) = if use_naive {
-                (
-                    naive_interpolate_with(frame, &cfg, ratio, &mut on),
-                    naive_interpolate_with(frame, &cfg, ratio, &mut off),
-                )
-            } else {
-                (
-                    dilated_interpolate_with(frame, &cfg, ratio, &mut on),
-                    dilated_interpolate_with(frame, &cfg, ratio, &mut off),
-                )
-            };
+            let a = dilated_interpolate_with(frame, &cfg, ratio, &mut on);
+            let b = dilated_interpolate_with(frame, &cfg, ratio, &mut off);
             match (a, b) {
                 (Ok(a), Ok(b)) => {
                     prop_assert_eq!(&a.cloud, &b.cloud, "frame {} clouds diverge", frame_no);

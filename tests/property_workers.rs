@@ -18,7 +18,6 @@
 use proptest::prelude::*;
 use volut::core::config::SrConfig;
 use volut::core::interpolate::dilated::dilated_interpolate_with;
-use volut::core::interpolate::naive::naive_interpolate_with;
 use volut::core::interpolate::FrameScratch;
 use volut::pointcloud::runtime;
 use volut::pointcloud::synthetic::{self, DeltaStream, DeltaStreamConfig};
@@ -34,7 +33,8 @@ type FrameOutput = (PointCloud, Neighborhoods, Vec<(usize, usize)>);
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Both interpolators, streamed over churned delta-frames (the
+    /// The interpolator at the default config and at dilation 1 (`k4d1`, a
+    /// narrower self-join row), streamed over churned delta-frames (the
     /// temporal-reuse path: later frames recompute only invalidated rows),
     /// must produce byte-for-byte identical clouds, neighborhoods and
     /// parent tables at every worker count.
@@ -43,11 +43,11 @@ proptest! {
         n in 3_400usize..5_200,
         churn_sel in 0usize..4,
         seed in 0u64..200,
-        naive_sel in 0usize..2,
+        dilation_one_sel in 0usize..2,
         ratio in 1.5f64..2.5,
     ) {
         let churn = [0.0, 0.05, 0.3, 1.0][churn_sel];
-        let use_naive = naive_sel == 1;
+        let dilation_one = dilation_one_sel == 1;
         let base = synthetic::humanoid(n, 0.4, seed);
         let frames = synthetic::delta_frame_sequence(&base, 2, DeltaStreamConfig {
             churn,
@@ -55,19 +55,15 @@ proptest! {
             jitter: 0.006,
             seed,
         });
-        let cfg = if use_naive { SrConfig::k4d1() } else { SrConfig::default() };
+        let cfg = if dilation_one { SrConfig::k4d1() } else { SrConfig::default() };
         let run = |workers: usize| -> Vec<FrameOutput> {
             runtime::with_workers(workers, || {
                 let mut scratch = FrameScratch::new();
                 frames
                     .iter()
                     .map(|frame| {
-                        let r = if use_naive {
-                            naive_interpolate_with(frame, &cfg, ratio, &mut scratch)
-                        } else {
-                            dilated_interpolate_with(frame, &cfg, ratio, &mut scratch)
-                        }
-                        .expect("interpolation succeeds");
+                        let r = dilated_interpolate_with(frame, &cfg, ratio, &mut scratch)
+                            .expect("interpolation succeeds");
                         (r.cloud, r.neighborhoods, r.parents)
                     })
                     .collect()
@@ -199,24 +195,20 @@ fn spread_churn_frames(n: usize, frames: usize) -> Vec<(PointCloud, Option<Frame
 }
 
 /// A 24k-point colored session at 10 % churn, with declared and with diffed
-/// deltas, through both interpolators and a neural refiner: every frame must
-/// equal the one-worker run at 1, 2, 4 and 8 workers, and the one-worker run
-/// must equal a cold recompute. At 24k rows the copy-forward passes split
-/// into two or three chunks, so this pins their chunk seams.
+/// deltas, at the default config and at dilation 1, through a neural
+/// refiner: every frame must equal the one-worker run at 1, 2, 4 and 8
+/// workers, and the one-worker run must equal a cold recompute. At 24k rows
+/// the copy-forward passes split into two or three chunks, so this pins
+/// their chunk seams.
 #[test]
 fn large_delta_session_is_bit_identical_across_workers_and_to_cold() {
     use volut::core::encoding::KeyScheme;
     use volut::core::nn::mlp::Mlp;
-    use volut::core::pipeline::InterpolationMode;
     use volut::core::refine::NnRefiner;
     use volut::core::SrPipeline;
     use volut::stream::client::SrSession;
     let frames = spread_churn_frames(24_000, 4);
-    for mode in [InterpolationMode::Dilated, InterpolationMode::Naive] {
-        let config = match mode {
-            InterpolationMode::Naive => SrConfig::k4d1(),
-            InterpolationMode::Dilated => SrConfig::default(),
-        };
+    for config in [SrConfig::default(), SrConfig::k4d1()] {
         for declared in [true, false] {
             let run = |workers: usize, incremental: bool| {
                 runtime::with_workers(workers, || {
@@ -226,8 +218,7 @@ fn large_delta_session_is_bit_identical_across_workers_and_to_cold() {
                         Mlp::new(&[12, 16, 3], 41),
                     )
                     .expect("valid config");
-                    let mut session =
-                        SrSession::new(SrPipeline::with_mode(config, mode, Box::new(refiner)));
+                    let mut session = SrSession::new(SrPipeline::new(config, Box::new(refiner)));
                     session.set_incremental(incremental);
                     let clouds: Vec<PointCloud> = frames
                         .iter()
@@ -246,7 +237,7 @@ fn large_delta_session_is_bit_identical_across_workers_and_to_cold() {
                     (clouds, session.temporal_stats())
                 })
             };
-            let label = format!("{mode:?}, declared deltas: {declared}");
+            let label = format!("dilation {}, declared deltas: {declared}", config.dilation);
             let (baseline, stats) = run(1, true);
             assert_eq!(
                 stats.incremental_frames,
