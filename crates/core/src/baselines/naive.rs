@@ -139,9 +139,9 @@ fn midpoints_into(
         points,
         pair_a,
         pair_b,
-        partners,
         ..
     } = out;
+    let mut partners = Vec::new();
     for (i, row) in source_hoods.iter().enumerate() {
         let count = counts[i];
         if count == 0 {

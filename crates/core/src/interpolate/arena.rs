@@ -81,8 +81,8 @@ pub struct RowBatch {
     /// index lists the pair-midpoint kernel consumes.
     pub(crate) pair_a: Vec<u32>,
     pub(crate) pair_b: Vec<u32>,
-    /// Partner candidates of the row being drawn.
-    pub(crate) partners: Vec<u32>,
+    /// Hood slots already drawn for the row being drawn, one bit each.
+    pub(crate) drawn: Vec<u64>,
 }
 
 impl RowBatch {
@@ -117,8 +117,8 @@ impl RowBatch {
     fn reserved_bytes(&self) -> usize {
         self.points.capacity() * std::mem::size_of::<Point3>()
             + self.hoods.reserved_bytes()
-            + (self.pair_a.capacity() + self.pair_b.capacity() + self.partners.capacity())
-                * std::mem::size_of::<u32>()
+            + (self.pair_a.capacity() + self.pair_b.capacity()) * std::mem::size_of::<u32>()
+            + self.drawn.capacity() * std::mem::size_of::<u64>()
     }
 }
 

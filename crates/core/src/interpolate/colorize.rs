@@ -13,13 +13,12 @@ const COLOR_CHUNK: usize = 8_192;
 
 /// The color of new point `original_len + i` at `pos`: its neighborhood
 /// head's (rows are distance-ordered), else the closer of its two parents',
-/// else black. The one source choice both [`colorize_new_points`] and
-/// [`colorize_rows`] make.
+/// else black.
 fn source_color(
     i: usize,
     pos: Point3,
     low: &PointCloud,
-    low_colors: &[Color],
+    source_colors: &[Color],
     neighborhoods: NeighborhoodsView<'_>,
     parents: &[(usize, usize)],
 ) -> Color {
@@ -40,7 +39,7 @@ fn source_color(
         })
     });
     source
-        .and_then(|s| low_colors.get(s).copied())
+        .and_then(|s| source_colors.get(s).copied())
         .unwrap_or(Color::BLACK)
 }
 
@@ -62,7 +61,7 @@ pub fn colorize_new_points(
     neighborhoods: NeighborhoodsView<'_>,
     parents: &[(usize, usize)],
 ) {
-    let Some(low_colors) = low.colors() else {
+    let Some(source_colors) = low.colors() else {
         return;
     };
     // Mutate the cloud's existing color storage in place: no position clone,
@@ -70,7 +69,7 @@ pub fn colorize_new_points(
     // seeds it) the allocation is reused rather than rebuilt per frame.
     let mut colors = cloud.take_colors().unwrap_or_else(|| {
         let mut seeded: Vec<Color> = Vec::with_capacity(cloud.len());
-        seeded.extend_from_slice(&low_colors[..original_len.min(low_colors.len())]);
+        seeded.extend_from_slice(&source_colors[..original_len.min(source_colors.len())]);
         seeded.resize(original_len, Color::BLACK);
         seeded
     });
@@ -83,54 +82,13 @@ pub fn colorize_new_points(
             for (offset, color) in chunk.iter_mut().enumerate() {
                 let i = start + offset;
                 let pos = positions[original_len + i];
-                *color = source_color(i, pos, low, low_colors, neighborhoods, parents);
+                *color = source_color(i, pos, low, source_colors, neighborhoods, parents);
             }
         });
     }
     cloud
         .set_colors(colors)
         .expect("color array sized to the point count by construction");
-}
-
-/// [`colorize_new_points`] restricted to a subset of new-point ordinals.
-///
-/// Only the tail colors listed in `ordinals` are (re)assigned — every other
-/// tail color is left exactly as it is (the temporal layer has already
-/// copied those forward from the previous frame). Both passes choose each
-/// point's color with the same `source_color` call, so running this over
-/// the fresh subset after a cached-color scatter is bit-identical to a full
-/// [`colorize_new_points`] pass.
-pub fn colorize_rows(
-    cloud: &mut PointCloud,
-    low: &PointCloud,
-    original_len: usize,
-    neighborhoods: NeighborhoodsView<'_>,
-    parents: &[(usize, usize)],
-    ordinals: &[u32],
-) {
-    let Some(low_colors) = low.colors() else {
-        return;
-    };
-    let Some(mut colors) = cloud.take_colors() else {
-        // A colored source over an uncolored upsampled cloud does not happen
-        // in the engine's flow (the tail is seeded at extension time); fall
-        // back to the full pass, which rebuilds the array from scratch.
-        colorize_new_points(cloud, low, original_len, neighborhoods, parents);
-        return;
-    };
-    debug_assert_eq!(colors.len(), cloud.len());
-    {
-        let positions = cloud.positions();
-        for &ord in ordinals {
-            let i = ord as usize;
-            let pos = positions[original_len + i];
-            colors[original_len + i] =
-                source_color(i, pos, low, low_colors, neighborhoods, parents);
-        }
-    }
-    cloud
-        .set_colors(colors)
-        .expect("color array length unchanged by the subset pass");
 }
 
 /// Blended variant: averages the colors of the two parents instead of
@@ -143,12 +101,12 @@ pub fn colorize_blend_parents(
     original_len: usize,
     parents: &[(usize, usize)],
 ) {
-    let Some(low_colors) = low.colors() else {
+    let Some(source_colors) = low.colors() else {
         return;
     };
     let mut colors = cloud.take_colors().unwrap_or_else(|| {
         let mut seeded: Vec<Color> = Vec::with_capacity(cloud.len());
-        seeded.extend_from_slice(&low_colors[..original_len.min(low_colors.len())]);
+        seeded.extend_from_slice(&source_colors[..original_len.min(source_colors.len())]);
         seeded.resize(original_len, Color::BLACK);
         seeded
     });
@@ -161,7 +119,7 @@ pub fn colorize_blend_parents(
             for (offset, color) in chunk.iter_mut().enumerate() {
                 *color = parents
                     .get(start + offset)
-                    .map(|&(a, b)| low_colors[a].lerp(low_colors[b], 0.5))
+                    .map(|&(a, b)| source_colors[a].lerp(source_colors[b], 0.5))
                     .unwrap_or(Color::BLACK);
             }
         },
@@ -240,47 +198,6 @@ mod tests {
         colorize_new_points(&mut up, &low, 2, hoods.view(), &[(0, 1)]);
         assert_eq!(up.color(0), Some(Color::new(255, 0, 0)));
         assert_eq!(up.color(1), Some(Color::new(0, 0, 255)));
-    }
-
-    #[test]
-    fn subset_pass_matches_full_pass() {
-        let n = 300;
-        let low = PointCloud::from_positions_and_colors(
-            (0..n).map(|i| Point3::new(i as f32, 0.0, 0.0)).collect(),
-            (0..n)
-                .map(|i| Color::new((i % 256) as u8, (i / 2 % 256) as u8, 7))
-                .collect(),
-        )
-        .unwrap();
-        let mut hoods = Neighborhoods::new();
-        let mut parents = Vec::new();
-        let mut up = low.clone();
-        for i in 0..n {
-            up.push(Point3::new(i as f32 + 0.3, 0.5, 0.0), None);
-            // Every third row empty to exercise the parent fallback.
-            if i % 3 == 0 {
-                hoods.push_row([0usize; 0]);
-            } else {
-                hoods.push_row([i]);
-            }
-            parents.push((i, (i + 1) % n));
-        }
-        let mut full = up.clone();
-        colorize_new_points(&mut full, &low, n, hoods.view(), &parents);
-        // Corrupt a subset of the full result, then repair exactly that
-        // subset with the row-restricted pass: bit-identical to the full
-        // pass everywhere.
-        let mut partial = full.clone();
-        let ordinals: Vec<u32> = (0..n as u32).filter(|o| o % 5 != 2).collect();
-        {
-            let mut colors = partial.take_colors().unwrap();
-            for &o in &ordinals {
-                colors[n + o as usize] = Color::new(1, 2, 3);
-            }
-            partial.set_colors(colors).unwrap();
-        }
-        colorize_rows(&mut partial, &low, n, hoods.view(), &parents, &ordinals);
-        assert_eq!(partial.colors(), full.colors());
     }
 
     #[test]

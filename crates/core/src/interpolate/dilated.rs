@@ -30,7 +30,8 @@
 //!   subset runs as one compacted batch through
 //!   [`dilated_interpolate_rows_into`] (midpoints via the SIMD SoA kernel
 //!   [`volut_pointcloud::kernels::pair_midpoints_into`]), and everything
-//!   else is copied forward index-remapped and bit-identically.
+//!   else is rebuilt from the cached partners and neighborhoods,
+//!   index-remapped and bit-identically.
 //!
 //! Interpolation partners are drawn from a small RNG seeded per *source
 //! point* by the point's position bits (`super::row_seed`), so the output
@@ -118,7 +119,7 @@ pub fn dilated_interpolate_rows_into(
         hoods,
         pair_a,
         pair_b,
-        partners: used,
+        drawn,
     } = out;
     for &row in rows {
         let i = row as usize;
@@ -138,18 +139,20 @@ pub fn dilated_interpolate_rows_into(
         // generated point — drawn *without replacement* (a repeated partner
         // would duplicate a midpoint and add no coverage), falling back to
         // repeats only once the neighborhood is exhausted. The hood holds
-        // distinct indices, so rejection always terminates.
-        used.clear();
-        for _ in 0..count {
-            let mut j = hood[rng.random_range(0..hood.len())];
-            if used.len() < hood.len() {
-                while used.contains(&j) {
-                    j = hood[rng.random_range(0..hood.len())];
+        // distinct indices, so a drawn slot is a drawn partner, and
+        // rejection always terminates.
+        drawn.clear();
+        drawn.resize(hood.len().div_ceil(64), 0);
+        for taken in 0..count {
+            let mut s = rng.random_range(0..hood.len());
+            if taken < hood.len() {
+                while drawn[s / 64] >> (s % 64) & 1 != 0 {
+                    s = rng.random_range(0..hood.len());
                 }
+                drawn[s / 64] |= 1 << (s % 64);
             }
-            used.push(j);
             pair_a.push(row);
-            pair_b.push(j);
+            pair_b.push(hood[s]);
         }
     }
     points.resize(pair_a.len(), Point3::ZERO);
@@ -270,7 +273,7 @@ fn dilated_frame(
     // previous frame's cached outputs (Cold plans recompute everything).
     let t1 = Instant::now();
     distribute_new_points_into(low.len(), ratio, &mut arena.counts);
-    super::temporal::plan_outputs(&mut session.temporal, arena, low, config, ratio);
+    super::temporal::plan_outputs(&mut session.temporal, arena, config, ratio);
 
     // --- Interpolation stage: generate only the fresh rows, as one
     // compacted batch — one arena batch per worker chunk of the fresh-row
@@ -319,18 +322,20 @@ fn dilated_frame(
     }
     let fresh = &*fresh;
 
-    // --- Assemble: interleave copied-forward (index-remapped) and fresh
-    // outputs into final frame order.
+    // --- Assemble: interleave copied-forward (rebuilt from the cached
+    // partners and neighborhoods) and fresh outputs into final frame order.
     let mut cloud = low.clone();
     super::temporal::assemble_outputs(
         &session.temporal.outputs,
         plan,
         &join.old_to_new,
+        positions,
         counts,
+        config.k,
         fresh,
         &mut cloud,
         &mut parents,
-        config.reuse_neighbors.then_some(&mut neighborhoods),
+        &mut neighborhoods,
     );
     ops.points_generated = (cloud.len() - low.len()) as u64;
     if config.reuse_neighbors {
@@ -350,26 +355,10 @@ fn dilated_frame(
         ops.candidates_examined += fresh.points.len() as u64 * config.k as u64 * 4;
     }
 
-    // --- Colorization stage: copy cached tail colors forward when every
-    // source color is unchanged, blending only the fresh ordinals.
+    // --- Colorization stage: every generated point takes its neighborhood
+    // head's color, recomputed each frame rather than held as session state.
     let t2 = Instant::now();
-    if super::temporal::scatter_cached_colors(
-        &session.temporal.outputs,
-        plan,
-        &mut cloud,
-        low.len(),
-    ) {
-        colorize::colorize_rows(
-            &mut cloud,
-            low,
-            low.len(),
-            neighborhoods.view(),
-            &parents,
-            &plan.fresh_ordinals,
-        );
-    } else {
-        colorize::colorize_new_points(&mut cloud, low, low.len(), neighborhoods.view(), &parents);
-    }
+    colorize::colorize_new_points(&mut cloud, low, low.len(), neighborhoods.view(), &parents);
     timings.colorization += t2.elapsed();
 
     // --- Capture this frame's outputs as the next frame's reuse source.
@@ -377,11 +366,9 @@ fn dilated_frame(
     super::temporal::capture_outputs(
         &mut session.temporal,
         plan,
-        counts,
         low,
         config,
         ratio,
-        &cloud,
         &parents,
         &neighborhoods,
     );

@@ -269,8 +269,8 @@ pub struct SessionStateBytes {
     pub index: usize,
     /// The previous frame's self-join rows.
     pub rows: usize,
-    /// The previous frame's interpolation outputs (generated positions,
-    /// parents, neighborhoods, colors).
+    /// The previous frame's interpolation outputs (each generated point's
+    /// partner and neighborhood).
     pub outputs: usize,
     /// The previous frame's refined tail.
     pub refined: usize,
@@ -449,19 +449,47 @@ impl Interpolator for DilatedInterpolator {
     }
 }
 
-/// Computes how many new points must be generated to reach `ratio`, and how
-/// they are distributed over the source points (round-robin, earlier points
-/// first). Fills `counts` (cleared first) with one entry per source point.
-pub(crate) fn distribute_new_points_into(n: usize, ratio: f64, counts: &mut Vec<usize>) {
-    counts.clear();
-    if n == 0 {
-        return;
+/// How the new points of an `n`-point frame at `ratio` are distributed over
+/// its source points (round-robin, earlier points first): every row
+/// generates `base`, the first `extra` rows one more. Closed form, so a
+/// row's tail offset needs no prefix-sum array.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PointSplit {
+    base: usize,
+    extra: usize,
+}
+
+impl PointSplit {
+    pub(crate) fn new(n: usize, ratio: f64) -> Self {
+        if n == 0 {
+            return Self { base: 0, extra: 0 };
+        }
+        let new_total = ((n as f64 * ratio).round() as usize).saturating_sub(n);
+        Self {
+            base: new_total / n,
+            extra: new_total % n,
+        }
     }
-    let target_total = (n as f64 * ratio).round() as usize;
-    let new_total = target_total.saturating_sub(n);
-    let base = new_total / n;
-    let extra = new_total % n;
-    counts.extend((0..n).map(|i| base + usize::from(i < extra)));
+
+    /// Points row `r` generates.
+    pub(crate) fn count(self, r: usize) -> usize {
+        self.base + usize::from(r < self.extra)
+    }
+
+    /// Tail ordinal of row `r`'s first generated point (for `r = n`, the
+    /// tail length).
+    pub(crate) fn offset(self, r: usize) -> usize {
+        r * self.base + r.min(self.extra)
+    }
+}
+
+/// Computes how many new points must be generated to reach `ratio`, and how
+/// they are distributed over the source points ([`PointSplit`]). Fills
+/// `counts` (cleared first) with one entry per source point.
+pub(crate) fn distribute_new_points_into(n: usize, ratio: f64, counts: &mut Vec<usize>) {
+    let split = PointSplit::new(n, ratio);
+    counts.clear();
+    counts.extend((0..n).map(|r| split.count(r)));
 }
 
 /// Per-row RNG seed derived from the session seed and the source point's
@@ -515,6 +543,27 @@ mod tests {
         let min = d.iter().min().unwrap();
         let max = d.iter().max().unwrap();
         assert!(max - min <= 1);
+    }
+
+    #[test]
+    fn split_offsets_are_the_prefix_sums_of_the_counts() {
+        for (n, ratio) in [
+            (100, 2.0),
+            (7, 3.3),
+            (512, 2.0),
+            (10, 2.35),
+            (9, 1.0),
+            (1, 8.0),
+        ] {
+            let split = PointSplit::new(n, ratio);
+            let counts = distribute_new_points(n, ratio);
+            let mut at = 0;
+            for (r, &count) in counts.iter().enumerate() {
+                assert_eq!(split.offset(r), at, "n {n} ratio {ratio} row {r}");
+                at += count;
+            }
+            assert_eq!(split.offset(n), at, "n {n} ratio {ratio}: tail length");
+        }
     }
 
     #[test]

@@ -84,23 +84,43 @@
 //! # Downstream output reuse (churn-proportional interpolation)
 //!
 //! Row reuse propagates past the kNN stage: an interpolated point, its
-//! blended color and its refined position depend only on the source row's
-//! neighborhood and the neighbor positions/colors, all of which are bitwise
+//! neighborhood and its refined position depend only on the source row's
+//! neighborhood and the neighbor positions, all of which are bitwise
 //! unchanged for a row that was copied forward. The cache therefore also
-//! snapshots the previous frame's *outputs* per source row — generated
-//! positions, parents, generated-point neighborhoods, colors
-//! (`OutputCache`) and the refined tail (`RefinedCache`) — and each
-//! frame `plan_outputs` classifies every new row as copy-forward or
-//! recompute (`FramePlan`): a row's outputs are reusable when the row itself
-//! and every cached partner's row were copied forward (the generated
-//! neighborhoods are derived from the parents' rows, so parent-row validity
-//! covers them).
+//! keeps the previous frame's *outputs*, but only the ones that cost real
+//! work to rebuild: each generated point's partner (the draw) and its
+//! merged-and-pruned neighborhood (`OutputCache`), and the refined tail (a
+//! LUT probe per point, `RefinedCache`). Each frame `plan_outputs`
+//! classifies every new row as copy-forward or recompute (`FramePlan`): a
+//! row's outputs are reusable when the row itself and every cached
+//! partner's row were copied forward (the generated neighborhoods are
+//! derived from the parents' rows, so parent-row validity covers them).
+//!
+//! Everything else is derived each frame, bit-identically:
+//!
+//! * a source row's tail offset is closed-form (`r·base + min(r, extra)`
+//!   for the cached frame's point count and the ratio), so no offset array
+//!   is kept;
+//! * a point's first parent is its source row (the draw pairs every partner
+//!   with its row), so only the partner is kept;
+//! * a reused point's unrefined position is the midpoint of its parents,
+//!   read from the new frame — both survived with their bits — by
+//!   [`Point3::midpoint`], which the batch kernel that generated it matches
+//!   bit for bit;
+//! * colors are not cached at all: a generated point takes its
+//!   neighborhood head's color, so the colorizer recolors the whole tail
+//!   every frame, and a survivor that changed color (or a frame that drops
+//!   or restores colors) needs no check.
+//!
+//! A cached frame has more points than its self-join row, so every
+//! self-join row is `kq` wide and every generated neighborhood exactly `k`:
+//! both caches are flat arrays with a fixed stride, and a capture that does
+//! not fit that shape invalidates the cache instead.
 //!
 //! The interpolator draws partners from an RNG seeded by the *source
 //! point's position bits* (`super::row_seed`), so a copied-forward row
 //! replays the identical draw sequence under its new index and reuse stays
-//! bit-identical to a cold recompute. Colors are copied forward only when
-//! every survivor's color is unchanged (`colors_ok`); refined positions
+//! bit-identical to a cold recompute. Refined positions are copied forward
 //! only when the same pipeline (by id) refined the previous frame. Staleness
 //! is guarded by a per-`self_join` serial: outputs must have been captured
 //! by the join immediately preceding the current one, otherwise the plan
@@ -112,9 +132,8 @@
 //!
 //! A delta frame's copy-forward work is as parallel as its recompute sweep.
 //! The per-row passes — classifying the surviving rows (which also inverts
-//! the survivor map for the plan and compares the survivors' colors),
-//! planning the outputs, assembling the frame, and scattering the cached
-//! colors and refined tail — each cut their rows into
+//! the survivor map for the plan), planning the outputs, assembling the
+//! frame, and scattering the refined tail — each cut their rows into
 //! `runtime::workers_for(rows, COPY_ROWS_PER_TASK)` chunks and hand every
 //! chunk disjoint `&mut` slices through `runtime::for_each_chunk_mut`.
 //! Survivors keep their relative order, so a chunk of old rows copies
@@ -129,11 +148,16 @@
 //!
 //! | phase                                | serial loops | chunked |
 //! |--------------------------------------|-------------:|--------:|
-//! | classify (+ inversion, color walk)   | 3.71         | 2.77    |
+//! | classify (+ inversion, color walk¹)  | 3.71         | 2.77    |
 //! | recompute sweep (already chunked)    | 3.40         | 3.38    |
 //! | plan                                 | 0.81         | 0.52    |
 //! | assemble                             | 1.87         | 1.10    |
-//! | color + refined-tail scatter         | 0.23         | 0.23    |
+//! | color¹ + refined-tail scatter        | 0.23         | 0.23    |
+//!
+//! ¹ Retired since colors are derived: classify no longer compares the
+//! survivors' colors and no cached color is scattered; the colorizer
+//! recolors the whole tail instead, 0.15 → 0.31 ms on these frames at two
+//! workers.
 //!
 //! About 0.85 ms of classify stays serial: the removed-point bitmap, the
 //! kd-tree over the inserted points and the zero-filled output buffers.
@@ -182,17 +206,15 @@
 //! [`FrameScratch::set_incremental`]: super::FrameScratch::set_incremental
 
 use super::arena::{FrameArena, RowBatch};
-use super::FrameScratch;
+use super::{FrameScratch, PointSplit};
 use crate::config::SrConfig;
 use crate::pipeline::StageTimings;
 use std::ops::Range;
-use std::sync::atomic::AtomicBool;
-use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 use volut_pointcloud::delta::{DeltaError, FrameDelta, REMOVED};
 use volut_pointcloud::dualtree::DualTreeScratch;
 use volut_pointcloud::kdtree::{IndexScratch, KdTree};
-use volut_pointcloud::{runtime, Color, Neighborhoods, Point3, PointCloud};
+use volut_pointcloud::{runtime, Neighborhoods, Point3, PointCloud};
 
 /// Smallest fraction of surviving points for which the incremental path is
 /// attempted; below it (heavy churn) the copy-forward bookkeeping cannot
@@ -200,7 +222,7 @@ use volut_pointcloud::{runtime, Color, Neighborhoods, Point3, PointCloud};
 pub const MIN_SURVIVOR_FRACTION: f64 = 0.5;
 
 /// Source rows per task of the copy-forward passes — classify, plan,
-/// assembly and the two tail scatters: each cuts its rows into
+/// assembly and the refined-tail scatter: each cuts its rows into
 /// `runtime::workers_for(rows, COPY_ROWS_PER_TASK)` chunks, so every frame
 /// below 8192 rows (each fleet tenant's 512 or 4096) runs as one inline
 /// chunk and submits no task.
@@ -291,9 +313,13 @@ struct OutputKey {
     ratio_bits: u64,
 }
 
-/// The previous frame's interpolation outputs, per source row: the reuse
-/// source for positions, parents, generated-point neighborhoods and colors.
-/// All buffers are cleared + refilled per capture (capacity is monotone).
+/// The previous frame's interpolation outputs, per tail point: only what
+/// costs real work to rebuild. Everything else is derived from the new frame
+/// (see *Downstream output reuse* in the module docs): a source row's tail
+/// offset is closed-form ([`PointSplit`] of `sources` at the key's ratio),
+/// a point's first parent is its source row, its position the midpoint of
+/// its parents, its color its neighborhood head's. Buffers are cleared and
+/// refilled per capture (capacity is monotone).
 #[derive(Debug, Default)]
 pub(crate) struct OutputCache {
     valid: bool,
@@ -301,20 +327,14 @@ pub(crate) struct OutputCache {
     /// trusts them when that was the join immediately before the current one.
     serial: u64,
     key: Option<OutputKey>,
-    /// Per-source-row prefix sums into the tail arrays (`old_n + 1` entries).
-    pub(crate) offsets: Vec<u32>,
-    /// Generated positions (the previous frame's tail, in output order).
-    pub(crate) points: Vec<Point3>,
-    /// Parent pairs (old indices; `.0` is the source row).
-    pub(crate) parents: Vec<(u32, u32)>,
-    /// Generated-point neighborhoods (old indices), one row per tail point.
-    pub(crate) hoods: Neighborhoods,
-    /// Whether the captured frame carried colors.
-    has_colors: bool,
-    /// Colors of the generated tail.
-    pub(crate) colors: Vec<Color>,
-    /// Colors of the captured frame's source points (survivor-change check).
-    low_colors: Vec<Color>,
+    /// Source points of the captured frame.
+    sources: usize,
+    /// Second parent of every tail point, in output order (old indices).
+    partner: Vec<u32>,
+    /// Generated-point neighborhoods (old indices): `k` entries per tail
+    /// point, flat — a cached frame has more points than its self-join row,
+    /// so every merged row is exactly `k` wide.
+    hoods: Vec<u32>,
 }
 
 /// The previous frame's refined tail, owned by the pipeline that produced it.
@@ -341,10 +361,10 @@ pub(crate) enum PlanMode {
 }
 
 /// The per-frame reuse plan produced by [`plan_outputs`] and consumed by the
-/// interpolator's assembly, the colorizer and the pipeline's refinement
-/// stage. Frame-scoped: it lives on the [`FrameArena`] and is deactivated
-/// whenever an arena is checked out, so a plan is only ever consulted by the
-/// frame that wrote it.
+/// interpolator's assembly and the pipeline's refinement stage.
+/// Frame-scoped: it lives on the [`FrameArena`] and is deactivated whenever
+/// an arena is checked out, so a plan is only ever consulted by the frame
+/// that wrote it.
 #[derive(Debug, Default)]
 pub(crate) struct FramePlan {
     /// `true` between [`plan_outputs`] and the end of the frame
@@ -361,15 +381,12 @@ pub(crate) struct FramePlan {
     pub(crate) ordinal_src: Vec<u32>,
     /// New rows to generate fresh, ascending. All rows in `Cold` mode.
     pub(crate) fresh_rows: Vec<u32>,
-    /// New tail ordinals to colorize/refine fresh, ascending.
+    /// New tail ordinals to refine fresh, ascending.
     pub(crate) fresh_ordinals: Vec<u32>,
-    /// `true` when every survivor's color is unchanged, so cached tail
-    /// colors may be copied forward.
-    pub(crate) colors_ok: bool,
     /// Tail length of the cached outputs (refined-reuse length guard).
     old_tail_len: usize,
     /// The row cut of an `Incremental` plan, shared by the assembly and the
-    /// tail scatters; the first `cut` entries are this frame's.
+    /// refined-tail scatter; the first `cut` entries are this frame's.
     chunks: Vec<PlanChunk>,
     cut: usize,
     /// Fresh rows and ordinals of every chunk after the first (the first
@@ -388,11 +405,8 @@ struct PlanChunk {
     ordinal_start: usize,
     ordinals: usize,
     /// Where the chunk's fresh ordinals start in the plan's list (and so in
-    /// the fresh batch), and how many there are.
+    /// the fresh batch).
     fresh_start: usize,
-    fresh: usize,
-    /// Neighborhood entries of the chunk's copied-forward points.
-    reused_hood_len: usize,
 }
 
 impl FramePlan {
@@ -410,7 +424,6 @@ impl FramePlan {
         self.ordinal_src.clear();
         self.fresh_rows.clear();
         self.fresh_ordinals.clear();
-        self.colors_ok = false;
         self.old_tail_len = 0;
         self.cut = 0;
     }
@@ -464,9 +477,6 @@ pub(crate) struct JoinScratch {
     /// New-indexed: the cached row a copied-forward row came from, or
     /// `u32::MAX` (the old→new inversion [`plan_outputs`] starts from).
     row_src: Vec<u32>,
-    /// `true` when every survivor still has the color the cached outputs
-    /// blended from (`colors_match`'s survivor walk, done while classifying).
-    survivor_colors_kept: bool,
     /// Invalid rows found by every classify task after the first (the first
     /// writes `recompute` itself), appended to it in chunk order.
     later_recompute: Vec<Vec<u32>>,
@@ -518,9 +528,10 @@ pub(crate) struct TemporalCache {
     /// were captured: while it still matches, the tree's points *are* the
     /// cached frame (the delta's old side, the identity check's reference).
     index_version: u64,
-    /// The cached raw self-join rows (uniform stride `kq`, ascending
-    /// `(distance, index)` within each row).
-    rows: Neighborhoods,
+    /// The cached raw self-join rows, flat: `kq` entries per point (a cached
+    /// frame has more than `kq` points, so every row is full), ascending
+    /// `(distance, index)` within each row.
+    rows: Vec<u32>,
     /// Delta supplied explicitly by the streaming layer for the next frame
     /// (verified before use; wrong deltas fall back to the bitwise diff).
     pub(crate) pending_delta: Option<FrameDelta>,
@@ -549,7 +560,7 @@ impl Default for TemporalCache {
             kq: 0,
             digest: 0,
             index_version: 0,
-            rows: Neighborhoods::new(),
+            rows: Vec::new(),
             pending_delta: None,
             last_delta_error: None,
             stats: TemporalStats::default(),
@@ -573,17 +584,13 @@ impl TemporalCache {
 
     /// Capacity (bytes) reserved by the cached self-join rows.
     pub(crate) fn rows_bytes(&self) -> usize {
-        self.rows.reserved_bytes()
+        self.rows.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Capacity (bytes) reserved by the cached interpolation outputs.
     pub(crate) fn outputs_bytes(&self) -> usize {
-        let o = &self.outputs;
-        o.offsets.capacity() * std::mem::size_of::<u32>()
-            + o.points.capacity() * std::mem::size_of::<Point3>()
-            + o.parents.capacity() * std::mem::size_of::<(u32, u32)>()
-            + o.hoods.reserved_bytes()
-            + (o.colors.capacity() + o.low_colors.capacity()) * std::mem::size_of::<Color>()
+        (self.outputs.partner.capacity() + self.outputs.hoods.capacity())
+            * std::mem::size_of::<u32>()
     }
 
     /// Capacity (bytes) reserved by the cached refined tail.
@@ -635,12 +642,7 @@ pub(crate) fn self_join(
     // the identity check and the delta's old side read below. Anything that
     // dropped or re-indexed the tree in between sends this frame down the
     // cold path.
-    let cache_ready = t.enabled
-        && t.valid
-        && t.kq == kq
-        && index.holds(t.index_version)
-        && t.rows.len() > kq
-        && n > kq;
+    let cache_ready = t.enabled && t.valid && t.kq == kq && index.holds(t.index_version) && n > kq;
 
     // --- Unchanged frame: cached index, and (when available) every cached
     // row reused wholesale.
@@ -651,7 +653,7 @@ pub(crate) fn self_join(
         let t1 = Instant::now();
         if cache_ready && t.digest == digest && index.cached_tree().points() == positions {
             let slab = out.push_uniform_rows(n, kq);
-            slab.copy_from_slice(t.rows.indices());
+            slab.copy_from_slice(&t.rows);
             t.stats.rows_reused += n as u64;
             t.stats.incremental_frames += 1;
             join.outcome = JoinOutcome::Identical;
@@ -719,7 +721,6 @@ pub(crate) fn self_join(
         knn,
         index_scratch,
         positions,
-        low.colors(),
         kq,
         &delta,
         out,
@@ -733,9 +734,7 @@ pub(crate) fn self_join(
 /// Produces the new frame's rows from the cached ones: copy-forward with
 /// index remap for rows the churn cannot affect, a bichromatic batch
 /// recompute against `tree` (the already patched index over `positions`)
-/// for the rest (see the module docs for the invalidation rule). `colors`
-/// are the new frame's, checked against the cached outputs' sources on the
-/// way.
+/// for the rest (see the module docs for the invalidation rule).
 #[allow(clippy::too_many_arguments)]
 fn incremental_rows(
     tree: &KdTree,
@@ -744,14 +743,13 @@ fn incremental_rows(
     knn: &mut DualTreeScratch,
     index_scratch: &mut IndexScratch,
     positions: &[Point3],
-    colors: Option<&[Color]>,
     kq: usize,
     delta: &FrameDelta,
     out: &mut Neighborhoods,
 ) {
     let n = positions.len();
     let old_n = delta.old_len();
-    debug_assert_eq!(t.rows.total_indices(), old_n * kq);
+    debug_assert_eq!(t.rows.len(), old_n * kq);
     let JoinScratch {
         removed_mark,
         insert_positions,
@@ -762,7 +760,6 @@ fn incremental_rows(
         old_to_new: map,
         row_valid,
         row_src,
-        survivor_colors_kept,
         later_recompute,
         ..
     } = join;
@@ -784,8 +781,7 @@ fn incremental_rows(
     // chunk's copy-forward rows land in one new-index range, ending where
     // the next chunk's first survivor lands: the slab and `row_src` split
     // there. The old→new map, the verdicts and `row_src` stay on the arena
-    // for [`plan_outputs`], as does whether every survivor kept the color
-    // the cached outputs blended from.
+    // for [`plan_outputs`].
     let slab = out.push_uniform_rows(n, kq);
     let old_to_new = delta.old_to_new();
     map.clear();
@@ -794,8 +790,6 @@ fn incremental_rows(
     row_valid.resize(old_n, false);
     row_src.clear();
     row_src.resize(n, u32::MAX);
-    let cached_colors = t.outputs.low_colors.as_slice();
-    let colors = colors.filter(|_| t.outputs.has_colors && cached_colors.len() == old_n);
     let (chunk, cut) = copy_cut(old_n);
     if later_recompute.len() < cut - 1 {
         later_recompute.resize_with(cut - 1, Vec::new);
@@ -820,9 +814,6 @@ fn incremental_rows(
         new_start = new_end;
         job
     });
-    // Relaxed: the flag publishes no other data, and the job's completion
-    // orders every store before `into_inner` reads it.
-    let colors_kept = AtomicBool::new(colors.is_some());
     let (cached_rows, removed_mark, insert_tree) = (&t.rows, &*removed_mark, &*insert_tree);
     run_jobs(
         jobs,
@@ -833,10 +824,7 @@ fn incremental_rows(
                 if new_i == REMOVED {
                     continue;
                 }
-                if colors.is_some_and(|c| c[new_i as usize] != cached_colors[old_i]) {
-                    colors_kept.store(false, Relaxed);
-                }
-                let row = cached_rows.row(old_i);
+                let row = &cached_rows[old_i * kq..(old_i + 1) * kq];
                 let mut invalid = row.iter().any(|&j| removed_mark[j as usize]);
                 if !invalid && has_inserts {
                     // The row's kNN ball: squared distance to its k-th (worst)
@@ -867,7 +855,6 @@ fn incremental_rows(
         recompute.extend_from_slice(later);
     }
     recompute.extend_from_slice(delta.inserted());
-    *survivor_colors_kept = colors_kept.into_inner();
     t.stats.rows_reused += (n - recompute.len()) as u64;
     t.stats.rows_recomputed += recompute.len() as u64;
 
@@ -909,29 +896,8 @@ fn capture(
     t.digest = digest;
     t.index_version = index_version;
     t.rows.clear();
-    t.rows.append(out);
+    t.rows.extend_from_slice(out.indices());
     t.valid = true;
-}
-
-/// Whether every source color the cached outputs blended from is unchanged
-/// in the new frame (tail colors may then copy forward bit-identically).
-/// An incremental frame's survivors were compared while classifying their
-/// rows (`survivors_kept`).
-fn colors_match(
-    o: &OutputCache,
-    low: &PointCloud,
-    outcome: JoinOutcome,
-    survivors_kept: bool,
-) -> bool {
-    match (o.has_colors, low.colors()) {
-        (false, None) => true,
-        (true, Some(lc)) => match outcome {
-            JoinOutcome::Identical => o.low_colors.as_slice() == lc,
-            JoinOutcome::Incremental => survivors_kept,
-            JoinOutcome::Cold => false,
-        },
-        _ => false,
-    }
 }
 
 /// Classifies every new source row as copy-forward or recompute against the
@@ -944,7 +910,6 @@ fn colors_match(
 pub(crate) fn plan_outputs(
     t: &mut TemporalCache,
     arena: &mut FrameArena,
-    low: &PointCloud,
     config: &SrConfig,
     ratio: f64,
 ) -> PlanMode {
@@ -970,87 +935,76 @@ pub(crate) fn plan_outputs(
         && t.outputs.serial + 1 == serial
         && t.outputs.key == Some(key);
     let o = &t.outputs;
+    // The cached frame's tail offsets, in closed form.
+    let split = PointSplit::new(o.sources, ratio);
 
-    let mode = 'plan: {
-        if !eligible {
-            break 'plan PlanMode::Cold;
-        }
-        match join.outcome {
-            JoinOutcome::Cold => PlanMode::Cold,
-            JoinOutcome::Identical => {
-                if o.offsets.len() != n + 1 || o.offsets[n] as usize != total {
-                    break 'plan PlanMode::Cold;
-                }
-                debug_assert!(
-                    (0..n).all(|i| (o.offsets[i + 1] - o.offsets[i]) as usize == counts[i]),
-                    "identical frame must reproduce the cached per-row counts"
-                );
-                p.colors_ok = colors_match(o, low, JoinOutcome::Identical, false);
-                p.old_tail_len = o.points.len();
-                t.stats.gen_points_reused += total as u64;
-                PlanMode::Identical
+    let mode =
+        'plan: {
+            if !eligible {
+                break 'plan PlanMode::Cold;
             }
-            JoinOutcome::Incremental => {
-                let JoinScratch {
-                    row_valid,
-                    row_src: copied_from,
-                    old_to_new,
-                    survivor_colors_kept,
-                    ..
-                } = &*join;
-                let old_n = row_valid.len();
-                if o.offsets.len() != old_n + 1
-                    || old_to_new.len() != old_n
-                    || copied_from.len() != n
-                {
-                    break 'plan PlanMode::Cold;
+            match join.outcome {
+                JoinOutcome::Cold => PlanMode::Cold,
+                JoinOutcome::Identical => {
+                    if o.sources != n || o.partner.len() != total {
+                        break 'plan PlanMode::Cold;
+                    }
+                    p.old_tail_len = total;
+                    t.stats.gen_points_reused += total as u64;
+                    PlanMode::Identical
                 }
-                // Whether cached row `src`'s outputs still hold for a new
-                // row that generates `count` points: they (points, parents,
-                // merged generated-point hoods) derive from the source row
-                // and its partners' rows.
-                let reusable = |src: usize, count: usize| {
-                    let o0 = o.offsets[src] as usize;
-                    let o1 = o.offsets[src + 1] as usize;
-                    o1 - o0 == count
-                        && o.parents[o0..o1]
-                            .iter()
-                            .all(|&(_, b)| row_valid[b as usize])
-                };
-                // Classify the new rows one task per chunk. Each task writes
-                // its rows' `row_src` and its ordinals' `ordinal_src` — the
-                // row cut split at the prefix counts — and lists its fresh
-                // rows and ordinals: the first chunk into the plan's lists,
-                // the later ones appended to them below in chunk order.
-                let FramePlan {
-                    row_src,
-                    ordinal_src,
-                    fresh_rows,
-                    fresh_ordinals,
-                    chunks,
-                    cut,
-                    later_fresh,
-                    ..
-                } = &mut *p;
-                row_src.resize(n, u32::MAX);
-                ordinal_src.resize(total, u32::MAX);
-                let (chunk, chunk_count) = copy_cut(n);
-                *cut = chunk_count;
-                if chunks.len() < *cut {
-                    chunks.resize_with(*cut, PlanChunk::default);
-                    later_fresh.resize_with(*cut - 1, Default::default);
-                }
-                let lists = std::iter::once((&mut *fresh_rows, &mut *fresh_ordinals))
-                    .chain(later_fresh[..*cut - 1].iter_mut().map(|(r, o)| (r, o)));
-                let (mut src_rest, mut ord_rest) =
-                    (row_src.as_mut_slice(), ordinal_src.as_mut_slice());
-                let mut ordinal_start = 0;
-                let jobs =
-                    chunks[..*cut]
-                        .iter_mut()
-                        .zip(lists)
-                        .enumerate()
-                        .map(|(c, (part, lists))| {
+                JoinOutcome::Incremental => {
+                    let JoinScratch {
+                        row_valid,
+                        row_src: copied_from,
+                        old_to_new,
+                        ..
+                    } = &*join;
+                    let old_n = row_valid.len();
+                    if o.sources != old_n || old_to_new.len() != old_n || copied_from.len() != n {
+                        break 'plan PlanMode::Cold;
+                    }
+                    // Whether cached row `src`'s outputs still hold for a new
+                    // row that generates `count` points: they (partners, merged
+                    // generated-point hoods) derive from the source row and its
+                    // partners' rows.
+                    let reusable = |src: usize, count: usize| {
+                        let o0 = split.offset(src);
+                        split.count(src) == count
+                            && o.partner[o0..o0 + count]
+                                .iter()
+                                .all(|&b| row_valid[b as usize])
+                    };
+                    // Classify the new rows one task per chunk. Each task writes
+                    // its rows' `row_src` and its ordinals' `ordinal_src` — the
+                    // row cut split at the prefix counts — and lists its fresh
+                    // rows and ordinals: the first chunk into the plan's lists,
+                    // the later ones appended to them below in chunk order.
+                    let FramePlan {
+                        row_src,
+                        ordinal_src,
+                        fresh_rows,
+                        fresh_ordinals,
+                        chunks,
+                        cut,
+                        later_fresh,
+                        ..
+                    } = &mut *p;
+                    row_src.resize(n, u32::MAX);
+                    ordinal_src.resize(total, u32::MAX);
+                    let (chunk, chunk_count) = copy_cut(n);
+                    *cut = chunk_count;
+                    if chunks.len() < *cut {
+                        chunks.resize_with(*cut, PlanChunk::default);
+                        later_fresh.resize_with(*cut - 1, Default::default);
+                    }
+                    let lists = std::iter::once((&mut *fresh_rows, &mut *fresh_ordinals))
+                        .chain(later_fresh[..*cut - 1].iter_mut().map(|(r, o)| (r, o)));
+                    let (mut src_rest, mut ord_rest) =
+                        (row_src.as_mut_slice(), ordinal_src.as_mut_slice());
+                    let mut ordinal_start = 0;
+                    let jobs = chunks[..*cut].iter_mut().zip(lists).enumerate().map(
+                        |(c, (part, lists))| {
                             part.rows = c * chunk..((c + 1) * chunk).min(n);
                             part.ordinal_start = ordinal_start;
                             part.ordinals = counts[part.rows.clone()].iter().sum();
@@ -1062,52 +1016,46 @@ pub(crate) fn plan_outputs(
                                 std::mem::take(&mut ord_rest).split_at_mut(part.ordinals);
                             ord_rest = rest;
                             (part, src, ords, lists)
-                        });
-                let hood_ends = o.hoods.offsets();
-                run_jobs(
-                    jobs,
-                    |(part, row_src, ordinal_src, (fresh_rows, fresh_ordinals))| {
-                        fresh_rows.clear();
-                        fresh_ordinals.clear();
-                        part.reused_hood_len = 0;
-                        let mut at = 0;
-                        for (new_i, dst) in part.rows.clone().zip(row_src.iter_mut()) {
-                            let count = counts[new_i];
-                            let src = copied_from[new_i];
-                            if src != u32::MAX && reusable(src as usize, count) {
-                                let o0 = o.offsets[src as usize];
-                                let o1 = o.offsets[src as usize + 1];
-                                *dst = src;
-                                for (d, s) in ordinal_src[at..at + count].iter_mut().zip(o0..o1) {
-                                    *d = s;
+                        },
+                    );
+                    run_jobs(
+                        jobs,
+                        |(part, row_src, ordinal_src, (fresh_rows, fresh_ordinals))| {
+                            fresh_rows.clear();
+                            fresh_ordinals.clear();
+                            let mut at = 0;
+                            for (new_i, dst) in part.rows.clone().zip(row_src.iter_mut()) {
+                                let count = counts[new_i];
+                                let src = copied_from[new_i];
+                                if src != u32::MAX && reusable(src as usize, count) {
+                                    let o0 = split.offset(src as usize) as u32;
+                                    *dst = src;
+                                    for (d, s) in ordinal_src[at..at + count].iter_mut().zip(o0..) {
+                                        *d = s;
+                                    }
+                                } else {
+                                    let first = (part.ordinal_start + at) as u32;
+                                    fresh_rows.push(new_i as u32);
+                                    fresh_ordinals.extend(first..first + count as u32);
                                 }
-                                part.reused_hood_len +=
-                                    (hood_ends[o1 as usize] - hood_ends[o0 as usize]) as usize;
-                            } else {
-                                let first = (part.ordinal_start + at) as u32;
-                                fresh_rows.push(new_i as u32);
-                                fresh_ordinals.extend(first..first + count as u32);
+                                at += count;
                             }
-                            at += count;
-                        }
-                        part.fresh = fresh_ordinals.len();
-                    },
-                );
-                chunks[0].fresh_start = 0;
-                for (part, (rows, ordinals)) in chunks[1..*cut].iter_mut().zip(&*later_fresh) {
-                    part.fresh_start = fresh_ordinals.len();
-                    fresh_rows.extend_from_slice(rows);
-                    fresh_ordinals.extend_from_slice(ordinals);
+                        },
+                    );
+                    chunks[0].fresh_start = 0;
+                    for (part, (rows, ordinals)) in chunks[1..*cut].iter_mut().zip(&*later_fresh) {
+                        part.fresh_start = fresh_ordinals.len();
+                        fresh_rows.extend_from_slice(rows);
+                        fresh_ordinals.extend_from_slice(ordinals);
+                    }
+                    let reused = (total - fresh_ordinals.len()) as u64;
+                    p.old_tail_len = o.partner.len();
+                    t.stats.gen_points_reused += reused;
+                    t.stats.gen_points_recomputed += total as u64 - reused;
+                    PlanMode::Incremental
                 }
-                let reused = (total - fresh_ordinals.len()) as u64;
-                p.colors_ok = colors_match(o, low, JoinOutcome::Incremental, *survivor_colors_kept);
-                p.old_tail_len = o.points.len();
-                t.stats.gen_points_reused += reused;
-                t.stats.gen_points_recomputed += total as u64 - reused;
-                PlanMode::Incremental
             }
-        }
-    };
+        };
     if mode == PlanMode::Cold {
         p.fresh_rows.extend(0..n as u32);
         t.stats.gen_points_recomputed += total as u64;
@@ -1116,92 +1064,87 @@ pub(crate) fn plan_outputs(
     mode
 }
 
-/// Interleaves cached (index-remapped) and fresh outputs into the final
-/// frame order dictated by `counts`, appending to `cloud`/`parents` and —
-/// when requested — `hoods_out`. `fresh` holds the outputs of the plan's
-/// `fresh_rows`, compacted in row order; `old_to_new` is the join's survivor
-/// map.
+/// Interleaves copied-forward and fresh outputs into the final frame order
+/// dictated by `counts`, appending to `cloud`, `parents` and `hoods_out`.
+/// `fresh` holds the outputs of the plan's `fresh_rows`, compacted in row
+/// order; `old_to_new` is the join's survivor map. A copied-forward point is
+/// rebuilt from the cache: its parents are its new source row and its
+/// remapped partner, its position their midpoint in `positions` (the new
+/// frame, where both survivors kept their bits), its `k`-wide neighborhood
+/// the cached one remapped.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_outputs(
     o: &OutputCache,
     p: &FramePlan,
     old_to_new: &[u32],
+    positions: &[Point3],
     counts: &[usize],
+    k: usize,
     fresh: &RowBatch,
     cloud: &mut PointCloud,
     parents: &mut Vec<(usize, usize)>,
-    mut hoods_out: Option<&mut Neighborhoods>,
+    hoods_out: &mut Neighborhoods,
 ) {
+    let total = counts.iter().sum::<usize>();
     match p.mode {
         PlanMode::Cold => {
             cloud.extend_positions(&fresh.points);
             parents.extend(fresh.parents());
-            if let Some(out) = hoods_out.as_deref_mut() {
-                out.append(&fresh.hoods);
-            }
+            hoods_out.append(&fresh.hoods);
         }
         PlanMode::Identical => {
-            cloud.extend_positions(&o.points);
-            parents.extend(o.parents.iter().map(|&(a, b)| (a as usize, b as usize)));
-            if let Some(out) = hoods_out.as_deref_mut() {
-                out.append(&o.hoods);
+            let rows = counts
+                .iter()
+                .enumerate()
+                .flat_map(|(row, &count)| std::iter::repeat_n(row, count));
+            let tail = cloud.extend_zeroed(total);
+            for ((d, a), &b) in tail.iter_mut().zip(rows).zip(&o.partner) {
+                *d = positions[a].midpoint(positions[b as usize]);
+                parents.push((a, b as usize));
             }
+            hoods_out
+                .push_uniform_rows(total, k)
+                .copy_from_slice(&o.hoods);
         }
         PlanMode::Incremental => {
             // One task per chunk of the plan's row cut, each filling its own
-            // slices of the tail, the parents and the neighborhoods: the
-            // plan sized the copied-forward share of each chunk, the fresh
-            // batch's offsets give the rest.
-            let chunks = p.chunks();
-            let total = p.ordinal_src.len();
-            debug_assert_eq!(total, counts.iter().sum::<usize>());
+            // slices of the tail, the parents and the neighborhoods. Every
+            // neighborhood is `k` wide (the frame has more points than its
+            // self-join row), so the slices split at `k` per ordinal.
+            debug_assert_eq!(total, p.ordinal_src.len());
             debug_assert_eq!(p.fresh_ordinals.len(), fresh.points.len());
+            assert_eq!(
+                fresh.hoods.total_indices(),
+                fresh.points.len() * k,
+                "fresh neighborhoods of an incremental frame are k wide"
+            );
+            let fresh_hoods = fresh.hoods.indices();
             let first_parent = parents.len();
             parents.resize(first_parent + total, (0, 0));
             let points = cloud.extend_zeroed(total);
-            let with_hoods = hoods_out.is_some();
-            let fresh_ends = fresh.hoods.offsets();
-            let hood_len = |part: &PlanChunk| {
-                let fresh = part.fresh_start..part.fresh_start + part.fresh;
-                part.reused_hood_len + (fresh_ends[fresh.end] - fresh_ends[fresh.start]) as usize
-            };
-            let (mut hood_base, mut idx_rest, mut ends_rest): (usize, &mut [u32], &mut [u32]) =
-                match hoods_out {
-                    Some(out) => {
-                        let base = out.total_indices();
-                        let (idx, ends) =
-                            out.push_ragged_rows(total, chunks.iter().map(hood_len).sum());
-                        (base, idx, ends)
-                    }
-                    None => (0, &mut [], &mut []),
-                };
-            let (mut pts_rest, mut par_rest) = (points, &mut parents[first_parent..]);
-            let jobs = chunks.iter().map(|part| {
+            let hoods = hoods_out.push_uniform_rows(total, k);
+            let (mut pts_rest, mut par_rest, mut hood_rest) =
+                (points, &mut parents[first_parent..], hoods);
+            let jobs = p.chunks().iter().map(|part| {
                 let (pts, rest) = std::mem::take(&mut pts_rest).split_at_mut(part.ordinals);
                 pts_rest = rest;
                 let (par, rest) = std::mem::take(&mut par_rest).split_at_mut(part.ordinals);
                 par_rest = rest;
-                let (hood_entries, hood_rows) = if with_hoods {
-                    (hood_len(part), part.ordinals)
-                } else {
-                    (0, 0)
-                };
-                let (idx, rest) = std::mem::take(&mut idx_rest).split_at_mut(hood_entries);
-                idx_rest = rest;
-                let (ends, rest) = std::mem::take(&mut ends_rest).split_at_mut(hood_rows);
-                ends_rest = rest;
-                let job = (part, pts, par, idx, ends, hood_base);
-                hood_base += hood_entries;
-                job
+                let (idx, rest) = std::mem::take(&mut hood_rest).split_at_mut(part.ordinals * k);
+                hood_rest = rest;
+                (part, pts, par, idx)
             });
-            run_jobs(jobs, |(part, points, parents, idx, ends, hood_base)| {
+            run_jobs(jobs, |(part, points, parents, idx)| {
                 let mut fc = part.fresh_start;
-                let (mut at, mut h) = (0, 0);
+                let mut at = 0;
                 for new_i in part.rows.clone() {
                     let count = counts[new_i];
-                    let src = p.row_src[new_i];
+                    if count == 0 {
+                        continue;
+                    }
                     let slots = at..at + count;
-                    if src == u32::MAX {
+                    let hood_slots = at * k..(at + count) * k;
+                    if p.row_src[new_i] == u32::MAX {
                         points[slots.clone()].copy_from_slice(&fresh.points[fc..fc + count]);
                         for (d, pair) in parents[slots]
                             .iter_mut()
@@ -1209,82 +1152,39 @@ pub(crate) fn assemble_outputs(
                         {
                             *d = pair;
                         }
-                        if with_hoods {
-                            for r in 0..count {
-                                let row = fresh.hoods.row(fc + r);
-                                idx[h..h + row.len()].copy_from_slice(row);
-                                h += row.len();
-                                ends[at + r] = (hood_base + h) as u32;
-                            }
-                        }
+                        idx[hood_slots].copy_from_slice(&fresh_hoods[fc * k..(fc + count) * k]);
                         fc += count;
                     } else {
-                        let o0 = o.offsets[src as usize] as usize;
-                        let o1 = o.offsets[src as usize + 1] as usize;
-                        points[slots.clone()].copy_from_slice(&o.points[o0..o1]);
-                        for (d, &(a, b)) in parents[slots].iter_mut().zip(&o.parents[o0..o1]) {
-                            *d = (
-                                old_to_new[a as usize] as usize,
-                                old_to_new[b as usize] as usize,
-                            );
+                        let o0 = p.ordinal_src[part.ordinal_start + at] as usize;
+                        let a = positions[new_i];
+                        for ((d, pair), &b) in points[slots.clone()]
+                            .iter_mut()
+                            .zip(&mut parents[slots])
+                            .zip(&o.partner[o0..o0 + count])
+                        {
+                            let b = old_to_new[b as usize] as usize;
+                            *d = a.midpoint(positions[b]);
+                            *pair = (new_i, b);
                         }
-                        if with_hoods {
-                            for (r, ord) in (o0..o1).enumerate() {
-                                let row = o.hoods.row(ord);
-                                for (d, &j) in idx[h..h + row.len()].iter_mut().zip(row) {
-                                    *d = old_to_new[j as usize];
-                                }
-                                h += row.len();
-                                ends[at + r] = (hood_base + h) as u32;
-                            }
+                        for (d, &j) in idx[hood_slots]
+                            .iter_mut()
+                            .zip(&o.hoods[o0 * k..(o0 + count) * k])
+                        {
+                            *d = old_to_new[j as usize];
                         }
                     }
                     at += count;
                 }
-                debug_assert_eq!((at, h), (points.len(), idx.len()));
+                debug_assert_eq!(at, points.len());
             });
         }
     }
 }
 
-/// Copies the cached tail colors forward for every reused ordinal (fresh
-/// ordinals keep their placeholder and must be colorized by the caller).
-/// Returns `false` — leaving the cloud untouched — unless the plan vouched
-/// for the source colors (`colors_ok`) and every length lines up.
-pub(crate) fn scatter_cached_colors(
-    o: &OutputCache,
-    p: &FramePlan,
-    cloud: &mut PointCloud,
-    original_len: usize,
-) -> bool {
-    if !p.colors_ok || p.mode == PlanMode::Cold || !o.has_colors || !cloud.has_colors() {
-        return false;
-    }
-    let tail_len = cloud.len() - original_len;
-    let len_ok = match p.mode {
-        PlanMode::Identical => o.colors.len() == tail_len,
-        PlanMode::Incremental => p.ordinal_src.len() == tail_len,
-        PlanMode::Cold => false,
-    };
-    if !len_ok {
-        return false;
-    }
-    let mut colors = cloud.take_colors().expect("has_colors checked above");
-    match p.mode {
-        PlanMode::Identical => colors[original_len..].copy_from_slice(&o.colors),
-        PlanMode::Incremental => scatter_reused(p, &o.colors, &mut colors[original_len..]),
-        PlanMode::Cold => unreachable!(),
-    }
-    cloud
-        .set_colors(colors)
-        .expect("color count unchanged by scatter");
-    true
-}
-
 /// Copies `cached[src]` onto `tail[i]` for every reused ordinal `i` of an
 /// `Incremental` plan (`ordinal_src[i] = src`), in as many tasks as the
 /// plan's row cut has chunks.
-fn scatter_reused<T: Copy + Send + Sync>(p: &FramePlan, cached: &[T], tail: &mut [T]) {
+fn scatter_reused(p: &FramePlan, cached: &[Point3], tail: &mut [Point3]) {
     debug_assert_eq!(tail.len(), p.ordinal_src.len());
     let chunk = tail.len().div_ceil(p.cut.max(1)).max(1);
     runtime::for_each_chunk_mut(tail, chunk, |_, start, dst| {
@@ -1297,17 +1197,16 @@ fn scatter_reused<T: Copy + Send + Sync>(p: &FramePlan, cached: &[T], tail: &mut
 }
 
 /// Snapshots this frame's interpolation outputs as the next frame's reuse
-/// source. Ineligible frames (disabled cache, no captured rows, the
-/// no-reuse ablation) invalidate the cache instead — never leave it stale.
-#[allow(clippy::too_many_arguments)]
+/// source: each tail point's partner and `k`-wide neighborhood. Ineligible
+/// frames (disabled cache, no captured rows, the no-reuse ablation, a tail
+/// that is not `k` wide) invalidate the cache instead — never leave it stale
+/// or store ragged rows.
 pub(crate) fn capture_outputs(
     t: &mut TemporalCache,
     plan: &FramePlan,
-    counts: &[usize],
     low: &PointCloud,
     config: &SrConfig,
     ratio: f64,
-    cloud: &PointCloud,
     parents: &[(usize, usize)],
     hoods: &Neighborhoods,
 ) {
@@ -1315,66 +1214,43 @@ pub(crate) fn capture_outputs(
         t.outputs.valid = false;
         return;
     }
-    let original_len = low.len();
     // Identical frames already have this tail captured bit-exactly: refresh
-    // the serial (and colors, if those drifted) without the bulk copies.
+    // the serial without the bulk copies.
     if plan.active
         && plan.serial == t.join_serial
         && plan.mode == PlanMode::Identical
         && t.outputs.valid
     {
         t.outputs.serial = t.join_serial;
-        if !plan.colors_ok {
-            capture_colors(&mut t.outputs, low, cloud, original_len);
-        }
         return;
     }
-    debug_assert_eq!(counts.len(), low.len());
-    debug_assert_eq!(hoods.len(), parents.len());
-    // The offsets below are derived from `counts`; a tail that does not add
-    // up (degenerate inputs) must not be captured as a reuse source.
-    let total: usize = counts.iter().sum();
-    if cloud.len() - original_len != total || parents.len() != total {
+    // The plan derives tail offsets from the point count and the ratio, and
+    // neighborhood rows from the stride `k`; a tail that does not match them
+    // (degenerate inputs) must not be captured as a reuse source.
+    let split = PointSplit::new(low.len(), ratio);
+    let total = split.offset(low.len());
+    if parents.len() != total || hoods.len() != total || hoods.total_indices() != total * config.k {
         t.outputs.valid = false;
         return;
     }
+    // A point's first parent is its source row, so only the partner is kept.
+    debug_assert!((0..low.len()).all(|r| {
+        parents[split.offset(r)..split.offset(r + 1)]
+            .iter()
+            .all(|&(a, _)| a == r)
+    }));
     let o = &mut t.outputs;
     o.serial = t.join_serial;
     o.key = Some(OutputKey {
         config: *config,
         ratio_bits: ratio.to_bits(),
     });
-    o.offsets.clear();
-    o.offsets.reserve(counts.len() + 1);
-    let mut acc = 0u32;
-    o.offsets.push(0);
-    for &c in counts {
-        acc += c as u32;
-        o.offsets.push(acc);
-    }
-    o.points.clear();
-    o.points
-        .extend_from_slice(&cloud.positions()[original_len..]);
-    o.parents.clear();
-    o.parents
-        .extend(parents.iter().map(|&(a, b)| (a as u32, b as u32)));
+    o.sources = low.len();
+    o.partner.clear();
+    o.partner.extend(parents.iter().map(|&(_, b)| b as u32));
     o.hoods.clear();
-    o.hoods.append(hoods);
-    capture_colors(o, low, cloud, original_len);
+    o.hoods.extend_from_slice(hoods.indices());
     o.valid = true;
-}
-
-/// Captures the tail + source colors the output cache needs for `colors_ok`.
-fn capture_colors(o: &mut OutputCache, low: &PointCloud, cloud: &PointCloud, original_len: usize) {
-    o.colors.clear();
-    o.low_colors.clear();
-    if let (Some(cc), Some(lc)) = (cloud.colors(), low.colors()) {
-        o.colors.extend_from_slice(&cc[original_len..]);
-        o.low_colors.extend_from_slice(lc);
-        o.has_colors = true;
-    } else {
-        o.has_colors = false;
-    }
 }
 
 /// Copies cached refined positions onto the tail for every reused ordinal.
@@ -1530,6 +1406,15 @@ mod tests {
     }
 
     #[test]
+    fn fractional_ratios_with_empty_rows_stay_bit_identical() {
+        // Below ratio 2 some rows generate nothing; a reused row may then
+        // sit at the very end of the tail.
+        for ratio in [1.5, 1.01, 2.7] {
+            assert_sequence_bit_identity(synthetic::humanoid(900, 0.4, 43), 0.1, 4, ratio);
+        }
+    }
+
+    #[test]
     fn incremental_is_bit_identical_on_tie_heavy_quantized_clouds() {
         for churn in [0.05, 0.3] {
             assert_sequence_bit_identity(quantized(1_200, 5), churn, 4, 2.0);
@@ -1631,6 +1516,119 @@ mod tests {
             scratch.recycle_neighborhoods(reused.neighborhoods);
             stream.advance();
         }
+    }
+
+    #[test]
+    fn session_state_keeps_only_partners_hoods_and_flat_rows() {
+        // A fleet tenant's shape: 512 points at ratio 2, ten declared-delta
+        // frames. The output cache holds one partner and `k` neighbors per
+        // generated point, the row cache `kq` entries per point — no
+        // positions, colors or offset arrays.
+        let config = SrConfig::default();
+        let n = 512;
+        let mut stream = DeltaStream::new(
+            synthetic::humanoid(n, 0.3, 37),
+            DeltaStreamConfig::default(),
+        );
+        let mut scratch = FrameScratch::new();
+        let mut generated = 0;
+        for frame_no in 0..=10 {
+            if frame_no > 0 {
+                scratch.set_frame_delta(stream.advance());
+            }
+            let r = dilated_interpolate_with(stream.frame(), &config, 2.0, &mut scratch).unwrap();
+            generated = r.new_points();
+            scratch.recycle_neighborhoods(r.neighborhoods);
+        }
+        let stats = scratch.temporal_stats();
+        assert_eq!(stats.incremental_frames, 10, "{stats:?}");
+        assert!(stats.gen_points_reused > 0, "{stats:?}");
+        assert!(scratch.last_delta_error().is_none());
+        let bytes = scratch.state_bytes();
+        let (k, kq) = (config.k, config.dilated_neighborhood() + 1);
+        let outputs_cap = 1.1 * (generated * (4 + 4 * k)) as f64;
+        let rows_cap = 1.1 * (n * kq * 4) as f64;
+        assert!(
+            bytes.outputs > 0 && bytes.outputs as f64 <= outputs_cap,
+            "{bytes:?}"
+        );
+        assert!(bytes.rows as f64 <= rows_cap, "{bytes:?}");
+    }
+
+    /// Upsamples `frame` on the session `scratch` and asserts the result
+    /// equals a cold recompute: positions, colors, parents, neighborhoods.
+    fn assert_matches_cold(frame: &PointCloud, scratch: &mut FrameScratch, what: &str) {
+        let config = SrConfig::default();
+        let warm = dilated_interpolate_with(frame, &config, 2.0, scratch).unwrap();
+        let cold = dilated_interpolate_with(frame, &config, 2.0, &mut FrameScratch::new()).unwrap();
+        assert_eq!(warm.cloud.positions(), cold.cloud.positions(), "{what}");
+        assert_eq!(warm.cloud.colors(), cold.cloud.colors(), "{what}");
+        assert_eq!(warm.parents, cold.parents, "{what}");
+        assert_eq!(warm.neighborhoods, cold.neighborhoods, "{what}");
+        scratch.recycle_neighborhoods(warm.neighborhoods);
+    }
+
+    /// `frame`'s positions with `colors` (none when `None`).
+    fn recolored(frame: &PointCloud, colors: Option<Vec<Color>>) -> PointCloud {
+        let positions = frame.positions().to_vec();
+        match colors {
+            Some(c) => PointCloud::from_positions_and_colors(positions, c).unwrap(),
+            None => PointCloud::from_positions(positions),
+        }
+    }
+
+    #[test]
+    fn color_changes_through_reused_outputs_match_a_cold_recompute() {
+        let mut stream = DeltaStream::new(
+            synthetic::humanoid(1_200, 0.3, 41),
+            DeltaStreamConfig::default(),
+        );
+        let mut scratch = FrameScratch::new();
+        assert_matches_cold(stream.frame(), &mut scratch, "first frame");
+
+        // Survivors change color, positions stay put (declared delta).
+        let delta = stream.advance();
+        let shifted: Vec<Color> = (0..stream.frame().len())
+            .map(|i| Color::new(i as u8, (i / 3) as u8, 200))
+            .collect();
+        scratch.set_frame_delta(delta);
+        assert_matches_cold(
+            &recolored(stream.frame(), Some(shifted)),
+            &mut scratch,
+            "survivors recolored",
+        );
+
+        // Colors dropped, then restored (declared deltas both ways).
+        scratch.set_frame_delta(stream.advance());
+        assert_matches_cold(
+            &recolored(stream.frame(), None),
+            &mut scratch,
+            "colors dropped",
+        );
+        scratch.set_frame_delta(stream.advance());
+        assert_matches_cold(stream.frame(), &mut scratch, "colors restored");
+
+        // Identical geometry carrying new colors (the wholesale path).
+        let inverted = stream
+            .frame()
+            .colors()
+            .unwrap()
+            .iter()
+            .map(|c| Color::new(255 - c.r, 255 - c.g, 255 - c.b))
+            .collect();
+        assert_matches_cold(
+            &recolored(stream.frame(), Some(inverted)),
+            &mut scratch,
+            "identical geometry, new colors",
+        );
+
+        let stats = scratch.temporal_stats();
+        assert_eq!(stats.incremental_frames, 4, "{stats:?}");
+        assert!(scratch.last_delta_error().is_none());
+        assert!(
+            stats.gen_points_reused > stats.gen_points_recomputed,
+            "the color cases must run through reused outputs: {stats:?}"
+        );
     }
 
     #[test]

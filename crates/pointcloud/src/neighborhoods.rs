@@ -126,29 +126,6 @@ impl Neighborhoods {
         &mut self.indices[base..]
     }
 
-    /// Appends `rows` rows holding `total_indices` entries overall and
-    /// returns their zero-filled index storage together with their end
-    /// offsets, for the caller to fill — in parallel, split at row
-    /// boundaries it sized beforehand. Each end offset is absolute: row `r`'s
-    /// entries end at `ends[r]`, the ends must not decrease, and the last
-    /// must be the new [`Self::total_indices`] (every end starts out at that
-    /// value).
-    ///
-    /// # Panics
-    /// Panics when the resulting index count overflows `u32`.
-    pub fn push_ragged_rows(
-        &mut self,
-        rows: usize,
-        total_indices: usize,
-    ) -> (&mut [u32], &mut [u32]) {
-        let base = self.indices.len();
-        let end = u32::try_from(base + total_indices).expect("index count fits in u32");
-        self.indices.resize(base + total_indices, 0);
-        let first = self.offsets.len();
-        self.offsets.resize(first + rows, end);
-        (&mut self.indices[base..], &mut self.offsets[first..])
-    }
-
     /// Appends `rows` rows of at most `stride` entries each, written in place
     /// by `fill`: it receives the row's ordinal and a `stride`-wide slot at
     /// the row's final location and returns how many leading entries it kept.
@@ -408,19 +385,6 @@ mod tests {
             "offsets must be monotone"
         );
         assert_eq!(offsets.len(), n.len() + 1);
-    }
-
-    #[test]
-    fn ragged_rows_filled_in_place_match_pushed_rows() {
-        let mut filled = sample();
-        let (indices, ends) = filled.push_ragged_rows(2, 3);
-        indices.copy_from_slice(&[9, 8, 7]);
-        ends[0] = 6;
-        assert_eq!(ends[1], 8, "ends start at the new total");
-        let mut pushed = sample();
-        pushed.push_row([9usize]);
-        pushed.push_row([8usize, 7]);
-        assert_eq!(filled, pushed);
     }
 
     #[test]
