@@ -1,11 +1,11 @@
 //! Experiment report formatting and persistence.
 
-use serde::{Deserialize, Serialize};
+use serde::{Serialize, Value};
 use std::fs;
 use std::path::Path;
 
 /// A table of results corresponding to one paper table or figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// Experiment identifier, e.g. "table1" or "fig12".
     pub id: String,
@@ -97,6 +97,19 @@ impl Report {
     }
 }
 
+/// A JSON object with the fields in declaration order.
+impl Serialize for Report {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("id".to_string(), self.id.to_value()),
+            ("title".to_string(), self.title.to_value()),
+            ("headers".to_string(), self.headers.to_value()),
+            ("rows".to_string(), self.rows.to_value()),
+            ("notes".to_string(), self.notes.to_value()),
+        ])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,9 +134,44 @@ mod tests {
         let dir = std::env::temp_dir().join("volut_bench_report_test");
         r.write_json(&dir).unwrap();
         let text = std::fs::read_to_string(dir.join("t.json")).unwrap();
-        let back: Report = serde_json::from_str(&text).unwrap();
-        assert_eq!(back.id, "t");
-        assert_eq!(back.rows.len(), 1);
+        let back: Value = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, r.to_value());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Pins the exact bytes `write_json` writes: the experiments' JSON
+    /// files must not change with the serializer.
+    #[test]
+    fn write_json_bytes_are_pinned() {
+        let mut r = Report::new("fig0", "Demo", &["a", "b"]);
+        r.push_row(vec!["1".into(), "x".into()]);
+        r.push_row(vec!["2".into(), "y".into()]);
+        r.push_note("paper: \"42 FPS\"");
+        let dir = std::env::temp_dir().join("volut_bench_report_pin_test");
+        r.write_json(&dir).unwrap();
+        let text = std::fs::read_to_string(dir.join("fig0.json")).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let expected = r#"{
+  "id": "fig0",
+  "title": "Demo",
+  "headers": [
+    "a",
+    "b"
+  ],
+  "rows": [
+    [
+      "1",
+      "x"
+    ],
+    [
+      "2",
+      "y"
+    ]
+  ],
+  "notes": [
+    "paper: \"42 FPS\""
+  ]
+}"#;
+        assert_eq!(text, expected);
     }
 }

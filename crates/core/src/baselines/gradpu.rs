@@ -12,7 +12,7 @@ use crate::config::SrConfig;
 use crate::encoding::{KeyScheme, PositionEncoder};
 use crate::nn::mlp::{BatchScratch, Mlp, MICRO_BATCH};
 use crate::pipeline::SrResult;
-use crate::refine::{refine_in_place, Refiner, RefinerCost};
+use crate::refine::{refine_in_place, Refiner};
 use crate::Result;
 use std::time::Instant;
 use volut_pointcloud::{NeighborhoodsView, Point3, PointCloud};
@@ -36,10 +36,6 @@ impl std::fmt::Debug for GradPuUpsampler {
 }
 
 impl GradPuUpsampler {
-    /// Default number of refinement iterations (GradPU uses an iterative
-    /// gradient-descent-style adjustment).
-    pub const DEFAULT_ITERATIONS: usize = 4;
-
     /// Creates a GradPU baseline that reuses an already-trained refinement
     /// network (the same network VoLUT distills into its LUT), applied
     /// iteratively at full inference cost.
@@ -54,18 +50,6 @@ impl GradPuUpsampler {
             network,
             iterations: iterations.max(1),
         })
-    }
-
-    /// Creates a GradPU baseline with a freshly initialized (untrained)
-    /// network of the paper-scale width — useful for runtime benchmarks
-    /// where only the cost matters.
-    ///
-    /// # Errors
-    /// Returns an error when the configuration is invalid.
-    pub fn untrained(config: SrConfig, seed: u64) -> Result<Self> {
-        let input = config.receptive_field * 3;
-        let network = Mlp::new(&[input, 256, 256, 3], seed);
-        Self::from_network(config, network, Self::DEFAULT_ITERATIONS)
     }
 
     /// The refinement network.
@@ -87,14 +71,6 @@ impl GradPuUpsampler {
         // Activations: every layer output for every point in the batch.
         let activation_floats: usize = self.network.dims().iter().sum::<usize>() * points_per_frame;
         weights + activation_floats * 4
-    }
-
-    /// Per-point refinement cost.
-    pub fn cost(&self) -> RefinerCost {
-        RefinerCost {
-            lut_lookups_per_point: 0,
-            nn_flops_per_point: self.network.flops_per_inference() * self.iterations as u64,
-        }
     }
 
     /// Upsamples `low` by `ratio` (any ratio ≥ 1, like GradPU).
@@ -128,7 +104,6 @@ impl GradPuUpsampler {
             input_points: low.len(),
             timings,
             ops: interp.ops,
-            refiner_cost: self.cost(),
             lookup_stats: None,
             refiner_name: "gradpu".to_string(),
         })
@@ -243,13 +218,6 @@ impl Refiner for IterativeNnRefiner<'_> {
         }
     }
 
-    fn cost(&self) -> RefinerCost {
-        RefinerCost {
-            lut_lookups_per_point: 0,
-            nn_flops_per_point: self.network.flops_per_inference() * self.iterations as u64,
-        }
-    }
-
     fn memory_bytes(&self) -> usize {
         self.network.parameter_count() * 4
     }
@@ -260,14 +228,21 @@ mod tests {
     use super::*;
     use volut_pointcloud::{metrics, sampling, synthetic};
 
+    /// A freshly initialized network of the paper-scale width, refined in
+    /// four iterations.
+    fn untrained(seed: u64) -> GradPuUpsampler {
+        let config = SrConfig::default();
+        let network = Mlp::new(&[config.receptive_field * 3, 256, 256, 3], seed);
+        GradPuUpsampler::from_network(config, network, 4).unwrap()
+    }
+
     #[test]
     fn untrained_gradpu_runs_and_reaches_ratio() {
-        let up = GradPuUpsampler::untrained(SrConfig::default(), 1).unwrap();
+        let up = untrained(1);
         let low = synthetic::sphere(300, 1.0, 2);
         let r = up.upsample(&low, 2.0).unwrap();
         assert_eq!(r.cloud.len(), 600);
         assert_eq!(r.refiner_name, "gradpu");
-        assert!(r.refiner_cost.nn_flops_per_point > 100_000);
         assert!(r.timings.refinement > std::time::Duration::ZERO);
     }
 
@@ -304,7 +279,7 @@ mod tests {
 
     #[test]
     fn memory_model_scales_with_batch() {
-        let up = GradPuUpsampler::untrained(SrConfig::default(), 7).unwrap();
+        let up = untrained(7);
         let small = up.memory_bytes(1_000);
         let large = up.memory_bytes(100_000);
         assert!(large > small * 50);

@@ -17,7 +17,7 @@ use crate::encoding::{KeyScheme, PositionEncoder};
 use crate::error::Error;
 use crate::nn::mlp::{BatchScratch, Mlp, MICRO_BATCH};
 use crate::pipeline::SrResult;
-use crate::refine::{refine_in_place, Refiner, RefinerCost};
+use crate::refine::{refine_in_place, Refiner};
 use crate::Result;
 use std::time::Instant;
 use volut_pointcloud::{NeighborhoodsView, Point3, PointCloud};
@@ -103,20 +103,6 @@ impl YuzuUpsampler {
         weights + act * 4
     }
 
-    /// Per-point SR cost for a given ratio.
-    pub fn cost(&self, ratio: u32) -> RefinerCost {
-        let flops = self
-            .networks
-            .iter()
-            .find(|(r, _)| *r == ratio)
-            .map(|(_, m)| m.flops_per_inference())
-            .unwrap_or(0);
-        RefinerCost {
-            lut_lookups_per_point: 0,
-            nn_flops_per_point: flops,
-        }
-    }
-
     /// Upsamples `low` by the *discrete* ratio closest to (but not above)
     /// `requested_ratio`.
     ///
@@ -163,7 +149,6 @@ impl YuzuUpsampler {
             input_points: low.len(),
             timings,
             ops: interp.ops,
-            refiner_cost: self.cost(ratio),
             lookup_stats: None,
             refiner_name: "yuzu-sr".to_string(),
         })
@@ -246,13 +231,6 @@ impl Refiner for ClampedNnRefiner<'_> {
         }
     }
 
-    fn cost(&self) -> RefinerCost {
-        RefinerCost {
-            lut_lookups_per_point: 0,
-            nn_flops_per_point: self.network.flops_per_inference(),
-        }
-    }
-
     fn memory_bytes(&self) -> usize {
         self.network.parameter_count() * 4
     }
@@ -282,7 +260,6 @@ mod tests {
         // Requested 2.7 but only x2 is available below it.
         assert_eq!(r.cloud.len(), 600);
         assert_eq!(r.refiner_name, "yuzu-sr");
-        assert!(r.refiner_cost.nn_flops_per_point > 100_000);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::error::Error;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Configuration shared by the interpolation and refinement stages.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.dilation, 2);
 /// assert!(cfg.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SrConfig {
     /// Number of neighbors `k` used when generating each interpolated point.
     pub k: usize,

@@ -9,14 +9,13 @@
 //! cross-device *ratios* — which is what the figures compare — are preserved
 //! even though absolute numbers depend on the host.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// The pipeline stage a duration belongs to; different stages scale
 /// differently across devices (e.g. a GPU accelerates the embarrassingly
 /// parallel kNN/interpolation far more than it accelerates a table lookup
 /// bound by memory latency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageKind {
     /// Neighbor search (octree / k-d tree traversal).
     Knn,
@@ -33,7 +32,7 @@ pub enum StageKind {
 }
 
 /// A device latency/memory model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable device name.
     pub name: String,
@@ -76,30 +75,6 @@ impl DeviceProfile {
             nn_scale: 9.0,
             serial_scale: 2.5,
             memory_gib: 8.0,
-        }
-    }
-
-    /// The paper's server: Intel Xeon Gold 6230.
-    pub fn xeon_server() -> Self {
-        Self {
-            name: "Server (Xeon Gold 6230)".to_string(),
-            parallel_scale: 0.9,
-            lookup_scale: 1.0,
-            nn_scale: 1.0,
-            serial_scale: 1.0,
-            memory_gib: 32.0,
-        }
-    }
-
-    /// The host this code is actually running on (identity scaling).
-    pub fn host() -> Self {
-        Self {
-            name: "Host (measured)".to_string(),
-            parallel_scale: 1.0,
-            lookup_scale: 1.0,
-            nn_scale: 1.0,
-            serial_scale: 1.0,
-            memory_gib: 16.0,
         }
     }
 
@@ -172,10 +147,6 @@ mod tests {
         let host = Duration::from_millis(10);
         let scaled = pi.scale_duration(StageKind::Knn, host);
         assert!((scaled.as_secs_f64() - 0.010 * pi.parallel_scale).abs() < 1e-9);
-        assert_eq!(
-            DeviceProfile::host().scale_duration(StageKind::Knn, host),
-            host
-        );
     }
 
     #[test]

@@ -25,11 +25,10 @@
 use crate::config::SrConfig;
 use crate::error::Error;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use volut_pointcloud::{NeighborhoodsView, Point3};
 
 /// How receptive-field points are mapped to table keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KeyScheme {
     /// Per-coordinate quantization: `b^(3n)` possible keys (paper Eq. 5).
     Full,
@@ -92,7 +91,7 @@ impl Default for EncodeScratch {
 /// let e = enc.encode(center, &neighbors).unwrap();
 /// assert!(e.radius > 0.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PositionEncoder {
     /// Receptive field size `n` (center + `n-1` neighbors).
     receptive_field: usize,
@@ -225,38 +224,6 @@ impl PositionEncoder {
                 None => Point3::ZERO,
             }
         }
-    }
-
-    /// Allocation-free variant of [`Self::encode`]: returns only the packed
-    /// key and the neighborhood radius. This is the hot path of batched LUT
-    /// refinement — it must not touch the heap.
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidConfig`] when `neighbors` is empty.
-    pub fn encode_key(&self, center: Point3, neighbors: &[Point3]) -> Result<(u128, f32)> {
-        if neighbors.is_empty() {
-            return Err(Error::InvalidConfig(
-                "cannot encode a neighborhood with no neighbors".into(),
-            ));
-        }
-        let radius = Self::radius_of(center, neighbors);
-        let inv_radius = 1.0 / radius;
-        let bits = bits_for(usize::from(self.bins)) as u32;
-        let mut key: u128 = 0;
-        for slot in 0..self.receptive_field {
-            let p = Self::normalized_slot(center, neighbors, inv_radius, slot);
-            match self.scheme {
-                KeyScheme::Full => {
-                    key = (key << bits) | u128::from(self.quantize_value(p.x));
-                    key = (key << bits) | u128::from(self.quantize_value(p.y));
-                    key = (key << bits) | u128::from(self.quantize_value(p.z));
-                }
-                KeyScheme::Compact => {
-                    key = (key << bits) | u128::from(self.compact_code(p));
-                }
-            }
-        }
-        Ok((key, radius))
     }
 
     /// Block encoder of the batched LUT refiner: encodes `centers.len()`
@@ -511,32 +478,6 @@ impl PositionEncoder {
         }
     }
 
-    /// Inverse of [`Self::key_from_features`] for the [`KeyScheme::Full`]
-    /// layout: unpacks a key into the dequantized feature vector at the bin
-    /// centers. Used to enumerate small dense LUTs exhaustively.
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidConfig`] when called on a compact-scheme
-    /// encoder (the compact code is lossy and cannot be inverted).
-    pub fn features_from_key(&self, key: u128) -> Result<Vec<f32>> {
-        if self.scheme != KeyScheme::Full {
-            return Err(Error::InvalidConfig(
-                "features_from_key is only defined for the full key scheme".into(),
-            ));
-        }
-        let bits = bits_for(usize::from(self.bins)) as u32;
-        let values = self.receptive_field * 3;
-        let mask = (1u128 << bits) - 1;
-        let mut out = vec![0.0f32; values];
-        let mut k = key;
-        for i in (0..values).rev() {
-            let q = (k & mask) as u16;
-            out[i] = self.dequantize_value(q.min(self.bins - 1));
-            k >>= bits;
-        }
-        Ok(out)
-    }
-
     /// Per-point compact code: 3 octant bits plus the remaining bits encode
     /// the quantized radial distance from the center.
     fn compact_code(&self, p: Point3) -> u16 {
@@ -773,27 +714,12 @@ mod tests {
                     })
                     .collect();
                 let reference = enc.encode(center, &neighbors).unwrap();
-                let (key, radius) = enc.encode_key(center, &neighbors).unwrap();
-                assert_eq!(key, reference.key);
-                assert_eq!(radius, reference.radius);
-                // Wide-bin configs exercise slot words beyond 32 bits (the
-                // key would silently truncate if packed in u32).
-                let wide = SrConfig {
-                    receptive_field: 2,
-                    bins: 4096,
-                    ..SrConfig::default()
-                };
-                let wide_enc = PositionEncoder::new(&wide, scheme).unwrap();
-                let wide_ref = wide_enc.encode(center, &neighbors).unwrap();
-                let (wk, _) = wide_enc.encode_key(center, &neighbors).unwrap();
-                assert_eq!(wk, wide_ref.key, "wide-bin encode_key diverged");
                 let r2 = enc
                     .encode_features_into(center, &neighbors, &mut features)
                     .unwrap();
                 assert_eq!(r2, reference.radius);
                 assert_eq!(features, enc.features(&reference));
             }
-            assert!(enc.encode_key(Point3::ZERO, &[]).is_err());
             assert!(enc
                 .encode_features_into(Point3::ZERO, &[], &mut features)
                 .is_err());

@@ -322,7 +322,7 @@ mod tests {
     use crate::interpolate::FrameScratch;
     use crate::nn::mlp::Mlp;
     use crate::pipeline::SrPipeline;
-    use crate::refine::{IdentityRefiner, NnRefiner, Refiner, RefinerCost};
+    use crate::refine::{IdentityRefiner, NnRefiner, Refiner};
     use std::sync::{Arc, Mutex};
     use volut_pointcloud::synthetic::{self, DeltaStreamConfig};
     use volut_pointcloud::{NeighborhoodsView, PointCloud};
@@ -357,10 +357,6 @@ mod tests {
                 *nested_out = Some(r.cloud);
             }
             out.copy_from_slice(centers);
-        }
-
-        fn cost(&self) -> RefinerCost {
-            RefinerCost::default()
         }
 
         fn memory_bytes(&self) -> usize {

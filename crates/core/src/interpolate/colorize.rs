@@ -91,44 +91,6 @@ pub fn colorize_new_points(
         .expect("color array sized to the point count by construction");
 }
 
-/// Blended variant: averages the colors of the two parents instead of
-/// copying the nearest one. Used by the Yuzu baseline, which interpolates
-/// attributes jointly with geometry. Chunked across workers like
-/// [`colorize_new_points`].
-pub fn colorize_blend_parents(
-    cloud: &mut PointCloud,
-    low: &PointCloud,
-    original_len: usize,
-    parents: &[(usize, usize)],
-) {
-    let Some(source_colors) = low.colors() else {
-        return;
-    };
-    let mut colors = cloud.take_colors().unwrap_or_else(|| {
-        let mut seeded: Vec<Color> = Vec::with_capacity(cloud.len());
-        seeded.extend_from_slice(&source_colors[..original_len.min(source_colors.len())]);
-        seeded.resize(original_len, Color::BLACK);
-        seeded
-    });
-    colors.truncate(original_len);
-    colors.resize(cloud.len(), Color::BLACK);
-    runtime::for_each_chunk_mut(
-        &mut colors[original_len..],
-        COLOR_CHUNK,
-        |_, start, chunk| {
-            for (offset, color) in chunk.iter_mut().enumerate() {
-                *color = parents
-                    .get(start + offset)
-                    .map(|&(a, b)| source_colors[a].lerp(source_colors[b], 0.5))
-                    .unwrap_or(Color::BLACK);
-            }
-        },
-    );
-    cloud
-        .set_colors(colors)
-        .expect("color array sized to the point count by construction");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,17 +138,6 @@ mod tests {
         let hoods = csr(&[vec![0]]);
         colorize_new_points(&mut up, &low, 2, hoods.view(), &[(0, 1)]);
         assert!(!up.has_colors());
-    }
-
-    #[test]
-    fn blend_averages_parent_colors() {
-        let low = two_point_cloud();
-        let mut up = low.clone();
-        up.push(Point3::new(1.0, 0.0, 0.0), None);
-        colorize_blend_parents(&mut up, &low, 2, &[(0, 1)]);
-        let c = up.color(2).unwrap();
-        assert!(c.r > 100 && c.r < 160);
-        assert!(c.b > 100 && c.b < 160);
     }
 
     #[test]

@@ -39,7 +39,6 @@ use crate::config::SrConfig;
 use crate::pipeline::StageTimings;
 use crate::Result;
 pub use arena::{FrameArena, RowBatch};
-use serde::Serialize;
 pub use temporal::TemporalStats;
 use volut_pointcloud::delta::FrameDelta;
 use volut_pointcloud::kdtree::{IndexScratch, KdTree};
@@ -100,18 +99,6 @@ pub struct OpCounts {
     pub points_generated: u64,
     /// Number of neighbor lists produced by reuse instead of a fresh query.
     pub reused_neighborhoods: u64,
-}
-
-impl OpCounts {
-    /// Component-wise sum of two counters.
-    pub fn combine(self, other: OpCounts) -> OpCounts {
-        OpCounts {
-            knn_queries: self.knn_queries + other.knn_queries,
-            candidates_examined: self.candidates_examined + other.candidates_examined,
-            points_generated: self.points_generated + other.points_generated,
-            reused_neighborhoods: self.reused_neighborhoods + other.reused_neighborhoods,
-        }
-    }
 }
 
 /// Usage counters of the scratch-resident spatial index and the temporal
@@ -263,7 +250,7 @@ impl IndexCache {
 
 /// Bytes of cross-frame state a session holds, by component (capacities,
 /// not lengths — what the allocator was asked for).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStateBytes {
     /// The cached spatial index (points, permutation, SoA lanes, nodes).
     pub index: usize,
@@ -574,27 +561,6 @@ mod tests {
         assert_eq!(counts.iter().sum::<usize>(), 5);
         distribute_new_points_into(0, 2.0, &mut counts);
         assert!(counts.is_empty());
-    }
-
-    #[test]
-    fn op_counts_combine() {
-        let a = OpCounts {
-            knn_queries: 1,
-            candidates_examined: 10,
-            points_generated: 5,
-            reused_neighborhoods: 2,
-        };
-        let b = OpCounts {
-            knn_queries: 2,
-            candidates_examined: 20,
-            points_generated: 1,
-            reused_neighborhoods: 0,
-        };
-        let c = a.combine(b);
-        assert_eq!(c.knn_queries, 3);
-        assert_eq!(c.candidates_examined, 30);
-        assert_eq!(c.points_generated, 6);
-        assert_eq!(c.reused_neighborhoods, 2);
     }
 
     #[test]

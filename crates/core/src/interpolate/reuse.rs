@@ -158,17 +158,6 @@ pub fn merge_and_prune_rows(
     });
 }
 
-/// Measures how well [`merge_and_prune`] approximates an exact kNN result:
-/// returns the recall (fraction of exact neighbors present in the
-/// approximation). Used by tests and the ablation benchmarks.
-pub fn reuse_recall(approx: &[usize], exact: &[usize]) -> f64 {
-    if exact.is_empty() {
-        return 1.0;
-    }
-    let hits = exact.iter().filter(|i| approx.contains(i)).count();
-    hits as f64 / exact.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +215,9 @@ mod tests {
             let mid = p.midpoint(q);
             let approx = merge_and_prune(mid, &np, &nq, cloud.positions(), k);
             let exact: Vec<usize> = tree.knn(mid, k).iter().map(|n| n.index).collect();
-            total_recall += reuse_recall(&approx, &exact);
+            // Recall: the fraction of exact neighbors the approximation kept.
+            let hits = exact.iter().filter(|i| approx.contains(i)).count();
+            total_recall += hits as f64 / exact.len() as f64;
             samples += 1;
         }
         let mean_recall = total_recall / samples as f64;
@@ -303,13 +294,5 @@ mod tests {
             merge_and_prune_into(p, np, nq, cloud.positions(), k, &mut expected);
         }
         assert_eq!(batched, expected);
-    }
-
-    #[test]
-    fn recall_helper_edge_cases() {
-        assert_eq!(reuse_recall(&[1, 2], &[]), 1.0);
-        assert_eq!(reuse_recall(&[1, 2], &[1, 2]), 1.0);
-        assert_eq!(reuse_recall(&[], &[1, 2]), 0.0);
-        assert_eq!(reuse_recall(&[1], &[1, 2]), 0.5);
     }
 }

@@ -1,7 +1,6 @@
 //! LUT construction: transferring the trained refinement network into a
 //! lookup table (Eq. 6).
 
-use super::dense::DenseLut;
 use super::sparse::SparseLut;
 use super::Lut;
 use crate::config::SrConfig;
@@ -14,15 +13,11 @@ use std::collections::HashMap;
 
 /// Builds LUTs from a trained refinement network.
 ///
-/// Two construction modes are supported:
-/// * **Distillation** from observed samples ([`LutBuilder::distill_sparse`] /
-///   [`LutBuilder::distill_dense`]): every neighborhood seen in the training
-///   data is encoded, run through the network, and the resulting offset is
-///   stored under that key (duplicate keys average their offsets). This is
-///   how large-key-space configurations stay practical.
-/// * **Exhaustive enumeration** ([`LutBuilder::enumerate_dense`]): for small
-///   key spaces every possible key is materialized — the exact construction
-///   of Eq. 6.
+/// Distillation from observed samples ([`LutBuilder::distill_sparse`]):
+/// every neighborhood seen in the training data is encoded, run through the
+/// network, and the resulting offset is stored under that key (duplicate
+/// keys average their offsets). This is how large-key-space configurations
+/// stay practical.
 #[derive(Debug, Clone)]
 pub struct LutBuilder {
     encoder: PositionEncoder,
@@ -110,58 +105,6 @@ impl LutBuilder {
         }
         Ok(lut)
     }
-
-    /// Distills the network into a dense LUT (compact key scheme
-    /// recommended) using the neighborhoods observed in `samples`.
-    ///
-    /// # Errors
-    /// Fails when the key space exceeds `byte_budget`, the network shape is
-    /// wrong, or `samples` is empty.
-    pub fn distill_dense(
-        &self,
-        mlp: &Mlp,
-        samples: &TrainingSet,
-        byte_budget: u128,
-    ) -> Result<DenseLut> {
-        let acc = self.accumulate(mlp, samples)?;
-        let mut lut = DenseLut::with_budget(self.encoder.key_space(), byte_budget)?;
-        for (key, (sum, count)) in acc {
-            let n = f64::from(count);
-            lut.set(
-                key,
-                [
-                    (sum[0] / n) as f32,
-                    (sum[1] / n) as f32,
-                    (sum[2] / n) as f32,
-                ],
-            )?;
-        }
-        Ok(lut)
-    }
-
-    /// Exhaustively enumerates every key of a full-scheme encoder and stores
-    /// the network's prediction for each — the literal construction of
-    /// Eq. 6. Only permitted when the dense table fits in `byte_budget`.
-    ///
-    /// # Errors
-    /// Fails for compact-scheme encoders, oversized key spaces, or a
-    /// mismatched network.
-    pub fn enumerate_dense(&self, mlp: &Mlp, byte_budget: u128) -> Result<DenseLut> {
-        self.check_network(mlp)?;
-        if self.encoder.scheme() != KeyScheme::Full {
-            return Err(Error::InvalidConfig(
-                "exhaustive enumeration requires the full key scheme".into(),
-            ));
-        }
-        let space = self.encoder.key_space();
-        let mut lut = DenseLut::with_budget(space, byte_budget)?;
-        for key in 0..space {
-            let features = self.encoder.features_from_key(key)?;
-            let out = mlp.forward(&features);
-            lut.set(key, [out[0], out[1], out[2]])?;
-        }
-        Ok(lut)
-    }
 }
 
 #[cfg(test)]
@@ -193,71 +136,6 @@ mod tests {
         // Every key stored came from a sample; look one up.
         let key = builder.encoder().key_from_features(&set.inputs[0]).unwrap();
         assert!(lut.get(key).is_some());
-    }
-
-    #[test]
-    fn distill_dense_with_compact_scheme() {
-        let config = SrConfig {
-            bins: 16,
-            ..SrConfig::default()
-        };
-        let gt = synthetic::sphere(800, 1.0, 2);
-        let set = build_training_set(&gt, 0.5, &config, KeyScheme::Compact, 5).unwrap();
-        let mut trainer = RefinementTrainer::new(
-            &config,
-            TrainConfig {
-                epochs: 2,
-                ..TrainConfig::default()
-            },
-        )
-        .unwrap();
-        trainer.train(&set).unwrap();
-        let mlp = trainer.into_network();
-        let builder = LutBuilder::new(&config, KeyScheme::Compact).unwrap();
-        // 16^4 = 65536 entries * 6 bytes fits easily.
-        let lut = builder
-            .distill_dense(&mlp, &set, DenseLut::DEFAULT_BYTE_BUDGET)
-            .unwrap();
-        assert!(lut.populated() > 0);
-        assert_eq!(lut.key_space(), 16u128.pow(4));
-    }
-
-    #[test]
-    fn enumerate_dense_covers_whole_key_space() {
-        // Tiny configuration: n = 2, b = 4 -> 4^6 = 4096 keys.
-        let config = SrConfig {
-            receptive_field: 2,
-            bins: 4,
-            ..SrConfig::default()
-        };
-        let mlp = Mlp::new(&[6, 8, 3], 1);
-        let builder = LutBuilder::new(&config, KeyScheme::Full).unwrap();
-        let lut = builder
-            .enumerate_dense(&mlp, DenseLut::DEFAULT_BYTE_BUDGET)
-            .unwrap();
-        assert_eq!(lut.populated() as u128, builder.encoder().key_space());
-        assert!(lut.get(0).is_some());
-        assert!(lut.get(builder.encoder().key_space() - 1).is_some());
-    }
-
-    #[test]
-    fn enumerate_rejects_compact_scheme_and_big_spaces() {
-        let config = SrConfig {
-            receptive_field: 2,
-            bins: 4,
-            ..SrConfig::default()
-        };
-        let mlp = Mlp::new(&[6, 8, 3], 1);
-        let builder = LutBuilder::new(&config, KeyScheme::Compact).unwrap();
-        assert!(builder
-            .enumerate_dense(&mlp, DenseLut::DEFAULT_BYTE_BUDGET)
-            .is_err());
-        let big = SrConfig::default();
-        let big_mlp = Mlp::new(&[12, 8, 3], 1);
-        let builder = LutBuilder::new(&big, KeyScheme::Full).unwrap();
-        assert!(builder
-            .enumerate_dense(&big_mlp, DenseLut::DEFAULT_BYTE_BUDGET)
-            .is_err());
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! quantities are exposed here, and [`table1_rows`] reproduces the table
 //! using the accounting that matches its published numbers.
 
-use serde::{Deserialize, Serialize};
-
 /// Memory model for a dense LUT configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryModel {
     /// Receptive-field size `n`.
     pub receptive_field: usize,
@@ -50,11 +48,6 @@ impl MemoryModel {
             .saturating_mul(Self::bytes_per_entry())
     }
 
-    /// Total bytes of a dense full LUT (`full_entries × 6`).
-    pub fn full_bytes(&self) -> u128 {
-        self.full_entries().saturating_mul(Self::bytes_per_entry())
-    }
-
     /// Human-friendly size string (B/KB/MB/GB/TB with one decimal).
     pub fn format_bytes(bytes: u128) -> String {
         const UNITS: [&str; 6] = ["B", "KB", "MB", "GB", "TB", "PB"];
@@ -73,7 +66,7 @@ impl MemoryModel {
 }
 
 /// One row of the paper's Table 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryRow {
     /// Receptive-field size `n`.
     pub receptive_field: usize,
@@ -178,7 +171,6 @@ mod tests {
     fn saturation_does_not_overflow() {
         let m = MemoryModel::new(20, 65536);
         assert_eq!(m.full_entries(), u128::MAX);
-        assert_eq!(m.full_bytes(), u128::MAX);
     }
 
     #[test]

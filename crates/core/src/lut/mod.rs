@@ -27,15 +27,13 @@ pub use dense::DenseLut;
 pub use memory::{table1_rows, MemoryModel, MemoryRow};
 pub use sparse::SparseLut;
 
-use serde::{Deserialize, Serialize};
-
 /// A 3D refinement offset retrieved from a LUT, in the normalized
 /// neighborhood coordinate frame (multiply by the neighborhood radius to get
 /// a world-space displacement).
 pub type Offset = [f32; 3];
 
 /// Statistics describing how a LUT is being used at run time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LookupStats {
     /// Number of lookups that found a populated entry.
     pub hits: u64,

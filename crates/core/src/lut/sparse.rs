@@ -132,26 +132,6 @@ impl SparseLut {
             )
         })
     }
-
-    /// Merges another sparse LUT into this one; on key collisions the two
-    /// offsets are averaged (multi-LUT fusion, §6).
-    pub fn fuse(&mut self, other: &SparseLut) {
-        for (key, offset) in other.iter() {
-            match self.get(key) {
-                Some(existing) => {
-                    let merged = [
-                        (existing[0] + offset[0]) * 0.5,
-                        (existing[1] + offset[1]) * 0.5,
-                        (existing[2] + offset[2]) * 0.5,
-                    ];
-                    let _ = self.set(key, merged);
-                }
-                None => {
-                    let _ = self.set(key, offset);
-                }
-            }
-        }
-    }
 }
 
 impl Lut for SparseLut {
@@ -260,21 +240,6 @@ mod tests {
             lut.set(i, [0.0; 3]).unwrap();
         }
         assert!(lut.memory_bytes() > before);
-    }
-
-    #[test]
-    fn fuse_averages_collisions() {
-        let mut a = SparseLut::new();
-        a.set(5, [1.0, 0.0, 0.0]).unwrap();
-        a.set(6, [0.5, 0.5, 0.5]).unwrap();
-        let mut b = SparseLut::new();
-        b.set(5, [0.0, 1.0, 0.0]).unwrap();
-        b.set(7, [0.25, 0.25, 0.25]).unwrap();
-        a.fuse(&b);
-        assert_eq!(a.populated(), 3);
-        let merged = a.get(5).unwrap();
-        assert!((merged[0] - 0.5).abs() < 1e-3);
-        assert!((merged[1] - 0.5).abs() < 1e-3);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The Adam optimizer used to train the refinement network.
 
 use super::mlp::Mlp;
-use serde::{Deserialize, Serialize};
 
 /// Adam optimizer state for an [`Mlp`].
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// mlp.backward_mse(&[0.5, -0.5], &[1.0]);
 /// adam.step(&mut mlp);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     learning_rate: f32,
     beta1: f32,
@@ -47,16 +46,6 @@ impl Adam {
             moment1,
             moment2,
         }
-    }
-
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.learning_rate
-    }
-
-    /// Overrides the learning rate (e.g. for simple schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.learning_rate = lr;
     }
 
     /// Applies one Adam update using the gradients currently accumulated in
@@ -142,15 +131,6 @@ mod tests {
             "loss did not decrease: {first_loss} -> {last_loss}"
         );
         assert!(last_loss < 0.05);
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mlp = Mlp::new(&[2, 2, 1], 1);
-        let mut adam = Adam::new(&mlp, 1e-3);
-        assert_eq!(adam.learning_rate(), 1e-3);
-        adam.set_learning_rate(5e-4);
-        assert_eq!(adam.learning_rate(), 5e-4);
     }
 
     #[test]

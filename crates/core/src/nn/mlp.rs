@@ -2,10 +2,9 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// A fully connected layer `y = W x + b`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     /// Row-major weights with shape `(out_dim, in_dim)`.
     pub weights: Vec<f32>,
@@ -16,10 +15,8 @@ pub struct Linear {
     /// Output dimension.
     pub out_dim: usize,
     /// Accumulated weight gradients (same layout as `weights`).
-    #[serde(skip)]
     pub grad_weights: Vec<f32>,
     /// Accumulated bias gradients.
-    #[serde(skip)]
     pub grad_bias: Vec<f32>,
 }
 
@@ -167,7 +164,7 @@ pub struct BatchScratch {
 /// let y = mlp.forward(&[0.1, -0.2, 0.3, 0.4]);
 /// assert_eq!(y.len(), 2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
     dims: Vec<usize>,
@@ -216,12 +213,6 @@ impl Mlp {
     /// Total number of trainable parameters.
     pub fn parameter_count(&self) -> usize {
         self.layers.iter().map(Linear::parameter_count).sum()
-    }
-
-    /// Approximate multiply-accumulate count of one forward pass; used by the
-    /// device cost models to compare NN inference against LUT lookup.
-    pub fn flops_per_inference(&self) -> u64 {
-        self.dims.windows(2).map(|w| (w[0] * w[1] * 2) as u64).sum()
     }
 
     /// Forward pass for a single input vector.
@@ -305,22 +296,6 @@ impl Mlp {
         }
     }
 
-    /// Allocating convenience wrapper around [`Self::forward_batch_into`].
-    ///
-    /// # Panics
-    /// Panics when `inputs.len()` is not a multiple of the input dimension.
-    pub fn forward_batch(&self, inputs: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            inputs.len() % self.input_dim(),
-            0,
-            "inputs must hold whole rows"
-        );
-        let n = inputs.len() / self.input_dim();
-        let mut out = Vec::new();
-        self.forward_batch_into(inputs, n, &mut out, &mut BatchScratch::default());
-        out
-    }
-
     /// Forward pass that keeps every intermediate activation (pre-ReLU
     /// outputs are clamped in place, so activations[i] is the *input* to
     /// layer i). Needed for backpropagation.
@@ -400,7 +375,6 @@ mod tests {
         assert_eq!(mlp.input_dim(), 3);
         assert_eq!(mlp.output_dim(), 2);
         assert_eq!(mlp.parameter_count(), 3 * 5 + 5 + 5 * 2 + 2);
-        assert_eq!(mlp.flops_per_inference(), (3 * 5 * 2 + 5 * 2 * 2) as u64);
     }
 
     #[test]
@@ -491,21 +465,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn forward_batch_wrapper_validates_shape() {
-        let mlp = Mlp::new(&[3, 4, 2], 1);
-        let out = mlp.forward_batch(&[0.1; 6]);
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[..2], mlp.forward(&[0.1; 3])[..]);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole rows")]
-    fn forward_batch_rejects_ragged_input() {
-        let mlp = Mlp::new(&[3, 4, 2], 1);
-        let _ = mlp.forward_batch(&[0.0; 7]);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use crate::interpolate::dilated::dilated_interpolate;
 use crate::Result;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use volut_pointcloud::kdtree::KdTree;
 use volut_pointcloud::knn::NeighborSearch;
 use volut_pointcloud::{sampling, Neighborhoods, Point3, PointCloud};
@@ -51,7 +50,7 @@ impl TrainingSet {
 }
 
 /// Hyperparameters of the refinement-network training loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training set.
     pub epochs: usize,
@@ -78,7 +77,7 @@ impl Default for TrainConfig {
 }
 
 /// Per-epoch record of the training run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainingReport {
     /// Mean MSE loss after each epoch.
     pub epoch_losses: Vec<f32>,

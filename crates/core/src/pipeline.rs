@@ -11,7 +11,7 @@ use crate::config::SrConfig;
 use crate::interpolate::dilated::dilated_interpolate_in;
 use crate::interpolate::{FrameArena, FrameScratch, OpCounts};
 use crate::lut::LookupStats;
-use crate::refine::{refine_in_place, refine_rows_in_place, Refiner, RefinerCost};
+use crate::refine::{refine_in_place, refine_rows_in_place, Refiner};
 use crate::Result;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -56,16 +56,6 @@ impl StageTimings {
     pub fn total(&self) -> Duration {
         self.index_build + self.knn + self.interpolation + self.colorization + self.refinement
     }
-
-    /// Fraction of total time spent in a stage; returns 0 for an all-zero breakdown.
-    pub fn fraction(&self, stage: Duration) -> f64 {
-        let total = self.total().as_secs_f64();
-        if total <= 0.0 {
-            0.0
-        } else {
-            stage.as_secs_f64() / total
-        }
-    }
 }
 
 /// Result of one super-resolution pass.
@@ -79,34 +69,10 @@ pub struct SrResult {
     pub timings: StageTimings,
     /// Interpolation operation counters.
     pub ops: OpCounts,
-    /// Per-point refinement cost of the configured refiner.
-    pub refiner_cost: RefinerCost,
     /// LUT hit/miss statistics when the refiner is table-based.
     pub lookup_stats: Option<LookupStats>,
     /// Name of the refiner that produced this result.
     pub refiner_name: String,
-}
-
-impl SrResult {
-    /// Achieved upsampling ratio.
-    pub fn achieved_ratio(&self) -> f64 {
-        if self.input_points == 0 {
-            1.0
-        } else {
-            self.cloud.len() as f64 / self.input_points as f64
-        }
-    }
-
-    /// Super-resolution throughput in frames per second implied by the
-    /// host-measured total time.
-    pub fn host_fps(&self) -> f64 {
-        let t = self.timings.total().as_secs_f64();
-        if t <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / t
-        }
-    }
 }
 
 /// The two-stage super-resolution pipeline.
@@ -271,7 +237,6 @@ impl SrPipeline {
             input_points: low.len(),
             timings,
             ops: interp.ops,
-            refiner_cost: self.refiner.cost(),
             lookup_stats: self.refiner.lookup_stats(),
             refiner_name: self.refiner.name().to_string(),
         })
@@ -294,9 +259,7 @@ mod tests {
         let low = synthetic::sphere(500, 1.0, 1);
         let r = pipeline.upsample(&low, 3.0).unwrap();
         assert_eq!(r.cloud.len(), 1500);
-        assert!((r.achieved_ratio() - 3.0).abs() < 1e-9);
         assert!(r.timings.total() > Duration::ZERO);
-        assert!(r.host_fps() > 0.0);
         assert_eq!(r.refiner_name, "identity");
         assert!(r.lookup_stats.is_none());
     }
@@ -375,24 +338,8 @@ mod tests {
         );
         let nn_result = nn_pipeline.upsample(&low, 2.0).unwrap();
         let lut_result = lut_pipeline.upsample(&low, 2.0).unwrap();
-        assert!(nn_result.refiner_cost.nn_flops_per_point > 0);
-        assert_eq!(lut_result.refiner_cost.lut_lookups_per_point, 1);
         // Refinement-by-lookup must not be slower than NN inference.
         assert!(lut_result.timings.refinement <= nn_result.timings.refinement * 3);
-    }
-
-    #[test]
-    fn stage_fraction_sums_to_one() {
-        let pipeline = SrPipeline::new(SrConfig::default(), Box::new(IdentityRefiner));
-        let low = synthetic::sphere(400, 1.0, 9);
-        let r = pipeline.upsample(&low, 2.0).unwrap();
-        let t = r.timings;
-        let sum = t.fraction(t.index_build)
-            + t.fraction(t.knn)
-            + t.fraction(t.interpolation)
-            + t.fraction(t.colorization)
-            + t.fraction(t.refinement);
-        assert!((sum - 1.0).abs() < 1e-9);
     }
 
     #[test]

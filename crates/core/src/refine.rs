@@ -30,16 +30,6 @@ use crate::Result;
 use std::sync::atomic::{AtomicU64, Ordering};
 use volut_pointcloud::{runtime, Neighborhoods, NeighborhoodsView, Point3, PointCloud};
 
-/// Per-point cost description used by the device cost models and the
-/// runtime-breakdown experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RefinerCost {
-    /// Table lookups performed per refined point.
-    pub lut_lookups_per_point: u64,
-    /// Multiply-accumulate operations per refined point.
-    pub nn_flops_per_point: u64,
-}
-
 /// A refinement function over batches of generated points.
 pub trait Refiner: Send + Sync {
     /// Short human-readable name used in reports.
@@ -63,9 +53,6 @@ pub trait Refiner: Send + Sync {
         source: &[Point3],
         out: &mut [Point3],
     );
-
-    /// Per-point cost description.
-    fn cost(&self) -> RefinerCost;
 
     /// Resident memory required by the refiner (model weights or LUT), in
     /// bytes. This is the quantity compared in Figure 15.
@@ -215,10 +202,6 @@ impl Refiner for IdentityRefiner {
         out.copy_from_slice(centers);
     }
 
-    fn cost(&self) -> RefinerCost {
-        RefinerCost::default()
-    }
-
     fn memory_bytes(&self) -> usize {
         0
     }
@@ -349,13 +332,6 @@ impl Refiner for LutRefiner {
         self.stats.add(hits, misses);
     }
 
-    fn cost(&self) -> RefinerCost {
-        RefinerCost {
-            lut_lookups_per_point: 1,
-            nn_flops_per_point: 0,
-        }
-    }
-
     fn memory_bytes(&self) -> usize {
         self.lut.memory_bytes()
     }
@@ -453,13 +429,6 @@ impl Refiner for NnRefiner {
         }
     }
 
-    fn cost(&self) -> RefinerCost {
-        RefinerCost {
-            lut_lookups_per_point: 0,
-            nn_flops_per_point: self.mlp.flops_per_inference(),
-        }
-    }
-
     fn memory_bytes(&self) -> usize {
         // f32 weights resident in memory.
         self.mlp.parameter_count() * 4
@@ -503,7 +472,6 @@ mod tests {
         let (c, n) = neighborhood();
         assert_eq!(refine_one(&IdentityRefiner, c, &n), c);
         assert_eq!(IdentityRefiner.memory_bytes(), 0);
-        assert_eq!(IdentityRefiner.cost(), RefinerCost::default());
         assert!(IdentityRefiner.lookup_stats().is_none());
     }
 
@@ -531,11 +499,10 @@ mod tests {
         assert_eq!(refine_one(&refiner, c, &[]), c);
         let stats = refiner.lookup_stats().unwrap();
         assert_eq!(stats.misses, 1);
-        assert_eq!(refiner.cost().lut_lookups_per_point, 1);
     }
 
     #[test]
-    fn nn_refiner_moves_points_and_reports_cost() {
+    fn nn_refiner_moves_points() {
         let (c, n) = neighborhood();
         let mlp = Mlp::new(&[12, 16, 3], 5);
         let refiner = NnRefiner::new(encoder(), mlp);
@@ -543,7 +510,6 @@ mod tests {
         // A randomly initialized network almost surely produces a non-zero offset.
         assert_ne!(refined, c);
         assert_eq!(refine_one(&refiner, c, &[]), c);
-        assert!(refiner.cost().nn_flops_per_point > 0);
         assert!(refiner.memory_bytes() > 0);
     }
 

@@ -226,17 +226,6 @@ impl ContentModel {
     pub fn identity_pipeline(&self) -> SrPipeline {
         SrPipeline::new(self.config, Box::new(IdentityRefiner))
     }
-
-    /// Probe statistics accumulated by shared-table refiners cannot be read
-    /// back through the table (stats live in each session's refiner); this
-    /// helper documents that the *table itself* is stateless. Returns the
-    /// populated-entry count as the only table-level observable.
-    pub fn table_entries(&self) -> usize {
-        match &self.table {
-            Table::Sparse(t) => t.populated(),
-            Table::Dense(t) => t.populated(),
-        }
-    }
 }
 
 /// Name → [`ContentModel`] table, mapped read-only by every session of a

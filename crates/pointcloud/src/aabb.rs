@@ -1,7 +1,6 @@
 //! Axis-aligned bounding boxes.
 
 use crate::point::Point3;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned bounding box in 3D.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b.extent(), Point3::new(2.0, 4.0, 6.0));
 /// assert!(b.contains(Point3::new(1.0, 1.0, 1.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     /// Minimum corner.
     pub min: Point3,
@@ -87,12 +86,6 @@ impl Aabb {
             && p.z <= self.max.z
     }
 
-    /// Grows the box so that it also contains `p`.
-    pub fn expand(&mut self, p: Point3) {
-        self.min = self.min.min(p);
-        self.max = self.max.max(p);
-    }
-
     /// Squared distance from `p` to the closest point of the box
     /// (zero when `p` is inside). Used for k-d tree pruning.
     #[inline]
@@ -149,12 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_expand() {
-        let mut b = Aabb::new(Point3::ZERO, Point3::ONE);
+    fn contains() {
+        let b = Aabb::new(Point3::ZERO, Point3::ONE);
         assert!(b.contains(Point3::splat(0.5)));
         assert!(!b.contains(Point3::splat(1.5)));
-        b.expand(Point3::splat(2.0));
-        assert!(b.contains(Point3::splat(1.5)));
     }
 
     #[test]

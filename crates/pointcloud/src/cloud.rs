@@ -5,7 +5,6 @@ use crate::aabb::Aabb;
 use crate::error::Error;
 use crate::point::{Color, Point3};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// A point cloud stored as a structure of arrays.
 ///
@@ -25,14 +24,13 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cloud.len(), 2);
 /// assert!(cloud.has_colors());
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PointCloud {
     positions: Vec<Point3>,
     colors: Option<Vec<Color>>,
     /// Memoized [`geometry_digest`] of `positions`; reset by every mutating
-    /// accessor so a stale digest can never be observed. Skipped by serde
-    /// (recomputed on demand after deserialization) and ignored by equality.
-    #[serde(skip)]
+    /// accessor so a stale digest can never be observed. Ignored by
+    /// equality.
     digest: std::sync::OnceLock<u64>,
 }
 
@@ -278,28 +276,11 @@ impl PointCloud {
         Aabb::from_points(self.positions.iter().copied())
     }
 
-    /// Centroid of the cloud, or `None` when empty.
-    pub fn centroid(&self) -> Option<Point3> {
-        if self.is_empty() {
-            return None;
-        }
-        let sum = self.positions.iter().fold(Point3::ZERO, |acc, &p| acc + p);
-        Some(sum / self.len() as f32)
-    }
-
     /// Translates every point by `offset`.
     pub fn translate(&mut self, offset: Point3) {
         self.digest = std::sync::OnceLock::new();
         for p in &mut self.positions {
             *p += offset;
-        }
-    }
-
-    /// Uniformly scales every point about the origin.
-    pub fn scale(&mut self, factor: f32) {
-        self.digest = std::sync::OnceLock::new();
-        for p in &mut self.positions {
-            *p = *p * factor;
         }
     }
 
@@ -458,14 +439,12 @@ mod tests {
     }
 
     #[test]
-    fn bounds_and_centroid() {
+    fn bounds() {
         let c = colored_cloud();
         let b = c.bounds().unwrap();
         assert_eq!(b.min, Point3::ZERO);
         assert_eq!(b.max, Point3::new(1.0, 2.0, 4.0));
-        let centroid = c.centroid().unwrap();
-        assert!((centroid.x - 0.25).abs() < 1e-6);
-        assert!(PointCloud::new().centroid().is_none());
+        assert!(PointCloud::new().bounds().is_none());
     }
 
     #[test]
@@ -479,12 +458,10 @@ mod tests {
     }
 
     #[test]
-    fn translate_and_scale() {
+    fn translate() {
         let mut c = PointCloud::from_positions(vec![Point3::ONE]);
         c.translate(Point3::new(1.0, 0.0, 0.0));
         assert_eq!(c.position(0), Point3::new(2.0, 1.0, 1.0));
-        c.scale(0.5);
-        assert_eq!(c.position(0), Point3::new(1.0, 0.5, 0.5));
     }
 
     #[test]
@@ -519,14 +496,11 @@ mod tests {
         a.translate(Point3::new(1.0, 0.0, 0.0));
         let d1 = a.geometry_digest();
         assert_ne!(d1, d0);
-        a.scale(2.0);
+        a.push(Point3::ZERO, None);
         assert_ne!(a.geometry_digest(), d1);
         let d2 = a.geometry_digest();
-        a.push(Point3::ZERO, None);
-        assert_ne!(a.geometry_digest(), d2);
-        let d3 = a.geometry_digest();
         a.positions_mut()[0].x += 1.0;
-        assert_ne!(a.geometry_digest(), d3);
+        assert_ne!(a.geometry_digest(), d2);
         // Order and sign-of-zero sensitivity.
         let fwd = PointCloud::from_positions(vec![Point3::ZERO, Point3::ONE]);
         let rev = PointCloud::from_positions(vec![Point3::ONE, Point3::ZERO]);
@@ -552,7 +526,6 @@ mod tests {
                 c.merge(&PointCloud::from_positions(vec![Point3::splat(5.0)]));
             }),
             ("translate", |c| c.translate(Point3::new(0.5, 0.0, 0.0))),
-            ("scale", |c| c.scale(3.0)),
             ("normalize_unit_cube", |c| {
                 c.normalize_unit_cube().unwrap();
             }),

@@ -38,14 +38,6 @@ pub struct Neighbor {
     pub distance_squared: f32,
 }
 
-impl Neighbor {
-    /// Euclidean (non-squared) distance from the query point.
-    #[inline]
-    pub fn distance(&self) -> f32 {
-        self.distance_squared.sqrt()
-    }
-}
-
 /// Common interface of the k-d tree and its brute-force oracle.
 ///
 /// Implementations index a fixed point set at construction time and answer
@@ -536,15 +528,6 @@ mod tests {
         assert_eq!(within.len(), 4);
         assert_eq!(within[0].index, 0);
         assert_eq!(within[0].distance_squared, 0.0);
-    }
-
-    #[test]
-    fn neighbor_distance_accessor() {
-        let n = Neighbor {
-            index: 0,
-            distance_squared: 4.0,
-        };
-        assert_eq!(n.distance(), 2.0);
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Quality metrics used in the paper's evaluation (§7.1): point-to-point
-//! Chamfer distance, geometric PSNR, color PSNR, Hausdorff distance and a
-//! density-aware Chamfer variant.
+//! Chamfer distance, geometric PSNR, color PSNR and Hausdorff distance.
 
 use crate::cloud::PointCloud;
 use crate::kdtree::KdTree;
 use crate::knn::NeighborSearch;
-use crate::point::Point3;
 
 /// Mean squared distance from every point of `from` to its nearest neighbor
 /// in `to`. Returns 0 when `from` is empty and `f32::INFINITY` when only
@@ -40,36 +38,6 @@ pub fn one_sided_chamfer(from: &PointCloud, to: &PointCloud) -> f64 {
 /// ```
 pub fn chamfer_distance(a: &PointCloud, b: &PointCloud) -> f64 {
     one_sided_chamfer(a, b) + one_sided_chamfer(b, a)
-}
-
-/// Density-aware Chamfer distance (Wu et al.): like the Chamfer distance but
-/// each nearest-neighbor term is weighted by `1 - exp(-n_hits)` where
-/// `n_hits` counts how many query points selected the same target point.
-/// Penalizes clumpy reconstructions that reuse a few target points.
-pub fn density_aware_chamfer(a: &PointCloud, b: &PointCloud) -> f64 {
-    fn one_side(from: &PointCloud, to: &PointCloud) -> f64 {
-        if from.is_empty() {
-            return 0.0;
-        }
-        if to.is_empty() {
-            return f64::INFINITY;
-        }
-        let tree = KdTree::build(to.positions());
-        let mut hits = vec![0u32; to.len()];
-        let mut pairs = Vec::with_capacity(from.len());
-        for &p in from.positions() {
-            let nn = tree.knn(p, 1)[0];
-            hits[nn.index] += 1;
-            pairs.push((nn.index, f64::from(nn.distance_squared)));
-        }
-        let mut total = 0.0;
-        for (idx, d2) in pairs {
-            let w = 1.0 - (-f64::from(hits[idx])).exp();
-            total += w * d2 + (1.0 - w) * d2 * 2.0;
-        }
-        total / from.len() as f64
-    }
-    one_side(a, b) + one_side(b, a)
 }
 
 /// Hausdorff distance: the maximum over both directions of the distance from
@@ -137,84 +105,6 @@ pub fn color_psnr(reconstructed: &PointCloud, ground_truth: &PointCloud) -> Opti
     } else {
         Some(10.0 * (1.0 / mse).log10())
     }
-}
-
-/// Viewport-rendered PSNR proxy.
-///
-/// The paper renders viewports as 2D images and computes image PSNR; here we
-/// approximate that by splatting luma onto a `resolution × resolution`
-/// orthographic grid viewed along `view_dir` and comparing grids. Empty
-/// cells in either image are skipped.
-pub fn rendered_psnr(
-    reconstructed: &PointCloud,
-    ground_truth: &PointCloud,
-    view_dir: Point3,
-    resolution: usize,
-) -> Option<f64> {
-    let img_a = splat_luma(reconstructed, view_dir, resolution)?;
-    let img_b = splat_luma(ground_truth, view_dir, resolution)?;
-    let mut mse = 0.0f64;
-    let mut count = 0usize;
-    for (a, b) in img_a.iter().zip(img_b.iter()) {
-        match (a, b) {
-            (Some(x), Some(y)) => {
-                let d = f64::from(x - y);
-                mse += d * d;
-                count += 1;
-            }
-            (None, None) => {}
-            // A cell covered in one image but not the other is a structural
-            // error: count it at full scale.
-            _ => {
-                mse += 1.0;
-                count += 1;
-            }
-        }
-    }
-    if count == 0 {
-        return None;
-    }
-    mse /= count as f64;
-    Some(if mse <= 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (1.0 / mse).log10()
-    })
-}
-
-fn splat_luma(cloud: &PointCloud, view_dir: Point3, resolution: usize) -> Option<Vec<Option<f32>>> {
-    if cloud.is_empty() || resolution == 0 {
-        return None;
-    }
-    let dir = view_dir.normalized()?;
-    // Build an orthonormal basis (u, v) perpendicular to the view direction.
-    let helper = if dir.x.abs() < 0.9 {
-        Point3::new(1.0, 0.0, 0.0)
-    } else {
-        Point3::new(0.0, 1.0, 0.0)
-    };
-    let u = dir.cross(helper).normalized()?;
-    let v = dir.cross(u).normalized()?;
-    let bounds = cloud.bounds()?;
-    let center = bounds.center();
-    let scale = bounds.half_diagonal().max(1e-6);
-    let mut img: Vec<Option<(f32, f32)>> = vec![None; resolution * resolution]; // (depth, luma)
-    for (i, &p) in cloud.positions().iter().enumerate() {
-        let rel = (p - center) / scale;
-        let x = ((rel.dot(u) + 1.0) * 0.5 * (resolution - 1) as f32).round() as isize;
-        let y = ((rel.dot(v) + 1.0) * 0.5 * (resolution - 1) as f32).round() as isize;
-        if x < 0 || y < 0 || x as usize >= resolution || y as usize >= resolution {
-            continue;
-        }
-        let depth = rel.dot(dir);
-        let luma = cloud.color(i).map_or(0.5, |c| c.luma());
-        let cell = &mut img[y as usize * resolution + x as usize];
-        match cell {
-            Some((d, _)) if *d <= depth => {}
-            _ => *cell = Some((depth, luma)),
-        }
-    }
-    Some(img.into_iter().map(|c| c.map(|(_, l)| l)).collect())
 }
 
 /// A bundle of the per-frame quality metrics reported in the paper.
@@ -298,28 +188,6 @@ mod tests {
         assert!(color_psnr(&c, &c).unwrap().is_infinite());
         let no_colors = PointCloud::from_positions(c.positions().to_vec());
         assert!(color_psnr(&no_colors, &c).is_none());
-    }
-
-    #[test]
-    fn density_aware_chamfer_penalizes_clumps() {
-        let gt = synthetic::sphere(1000, 1.0, 8);
-        let uniform = sampling::random_downsample_exact(&gt, 250, 1).unwrap();
-        // Clumpy reconstruction: 250 copies of a small patch of the sphere.
-        let patch = gt.select(&(0..250).map(|i| i % 25).collect::<Vec<_>>());
-        let d_uniform = density_aware_chamfer(&uniform, &gt);
-        let d_clumpy = density_aware_chamfer(&patch, &gt);
-        assert!(d_clumpy > d_uniform);
-    }
-
-    #[test]
-    fn rendered_psnr_sane() {
-        let gt = synthetic::sphere(2000, 1.0, 9);
-        let low = sampling::random_downsample(&gt, 0.3, 2).unwrap();
-        let p = rendered_psnr(&low, &gt, Point3::new(0.0, 0.0, 1.0), 32).unwrap();
-        assert!(p > 0.0);
-        let self_p = rendered_psnr(&gt, &gt, Point3::new(0.0, 0.0, 1.0), 32).unwrap();
-        assert!(self_p >= p);
-        assert!(rendered_psnr(&PointCloud::new(), &gt, Point3::new(0.0, 0.0, 1.0), 32).is_none());
     }
 
     #[test]

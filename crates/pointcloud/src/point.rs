@@ -1,6 +1,5 @@
 //! Geometric primitives: 3D points/vectors and RGB colors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
@@ -18,7 +17,7 @@ use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// assert_eq!(a.distance(b), 2.0);
 /// assert_eq!(a.midpoint(b), Point3::new(1.0, 1.0, 3.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point3 {
     /// X coordinate.
     pub x: f32,
@@ -104,26 +103,10 @@ impl Point3 {
         )
     }
 
-    /// Linear interpolation: `self * (1 - t) + other * t`.
-    #[inline]
-    pub fn lerp(self, other: Point3, t: f32) -> Point3 {
-        self + (other - self) * t
-    }
-
     /// Dot product.
     #[inline]
     pub fn dot(self, other: Point3) -> f32 {
         self.x * other.x + self.y * other.y + self.z * other.z
-    }
-
-    /// Cross product.
-    #[inline]
-    pub fn cross(self, other: Point3) -> Point3 {
-        Point3::new(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
     }
 
     /// Returns the unit-length vector pointing in the same direction, or
@@ -287,10 +270,10 @@ impl Neg for Point3 {
 ///
 /// ```
 /// use volut_pointcloud::Color;
-/// let mid = Color::new(0, 0, 0).lerp(Color::new(255, 255, 255), 0.5);
-/// assert_eq!(mid, Color::new(128, 128, 128));
+/// let red = Color::new(255, 0, 0);
+/// assert_eq!(red.to_f32(), [1.0, 0.0, 0.0]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Color {
     /// Red channel.
     pub r: u8,
@@ -316,12 +299,6 @@ impl Color {
         Self { r, g, b }
     }
 
-    /// Creates a gray color with all channels equal to `v`.
-    #[inline]
-    pub const fn gray(v: u8) -> Self {
-        Self { r: v, g: v, b: v }
-    }
-
     /// Returns the channels as floats in `[0, 1]`.
     #[inline]
     pub fn to_f32(self) -> [f32; 3] {
@@ -337,25 +314,6 @@ impl Color {
     pub fn from_f32(rgb: [f32; 3]) -> Self {
         let q = |v: f32| (v.clamp(0.0, 1.0) * 255.0).round() as u8;
         Self::new(q(rgb[0]), q(rgb[1]), q(rgb[2]))
-    }
-
-    /// Linear interpolation between two colors.
-    #[inline]
-    pub fn lerp(self, other: Color, t: f32) -> Color {
-        let a = self.to_f32();
-        let b = other.to_f32();
-        Color::from_f32([
-            a[0] + (b[0] - a[0]) * t,
-            a[1] + (b[1] - a[1]) * t,
-            a[2] + (b[2] - a[2]) * t,
-        ])
-    }
-
-    /// Rec.601 luma of the color in `[0, 1]`; used by the color PSNR metric.
-    #[inline]
-    pub fn luma(self) -> f32 {
-        let [r, g, b] = self.to_f32();
-        0.299 * r + 0.587 * g + 0.114 * b
     }
 }
 
@@ -399,16 +357,14 @@ mod tests {
         assert_eq!(a.distance(b), 5.0);
         assert_eq!(a.distance_squared(b), 25.0);
         assert_eq!(a.midpoint(b), Point3::new(1.5, 2.0, 0.0));
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
     }
 
     #[test]
-    fn point_dot_cross() {
+    fn point_dot() {
         let x = Point3::new(1.0, 0.0, 0.0);
         let y = Point3::new(0.0, 1.0, 0.0);
         assert_eq!(x.dot(y), 0.0);
-        assert_eq!(x.cross(y), Point3::new(0.0, 0.0, 1.0));
+        assert_eq!(x.dot(x), 1.0);
     }
 
     #[test]
@@ -462,14 +418,6 @@ mod tests {
         assert_eq!(c, back);
         let arr: [u8; 3] = c.into();
         assert_eq!(Color::from(arr), c);
-    }
-
-    #[test]
-    fn color_lerp_and_luma() {
-        assert_eq!(Color::BLACK.lerp(Color::WHITE, 0.0), Color::BLACK);
-        assert_eq!(Color::BLACK.lerp(Color::WHITE, 1.0), Color::WHITE);
-        assert!((Color::WHITE.luma() - 1.0).abs() < 1e-6);
-        assert!(Color::BLACK.luma().abs() < 1e-6);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Sampling operators: random downsampling (the paper's server-side
-//! operator, §5.2), voxel-grid downsampling, and farthest point sampling
-//! (the expensive alternative the paper rejects in §4.1).
+//! operator, §5.2) and farthest point sampling (the expensive alternative
+//! the paper rejects in §4.1).
 
 use crate::cloud::PointCloud;
 use crate::error::Error;
@@ -8,7 +8,6 @@ use crate::point::Point3;
 use crate::Result;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::collections::HashMap;
 
 /// Randomly keeps each point with probability `ratio` (paper Eq. in §5.2:
 /// `P_select(p_i) = r`). The result therefore contains *approximately*
@@ -52,102 +51,6 @@ pub fn random_downsample_exact(cloud: &PointCloud, target: usize, seed: u64) -> 
     indices.truncate(target);
     indices.sort_unstable();
     Ok(cloud.select(&indices))
-}
-
-/// Keeps one representative point per occupied voxel of edge length
-/// `voxel_size` (the representative is the first point encountered, which is
-/// deterministic for a fixed input order).
-///
-/// # Errors
-/// Returns [`Error::InvalidArgument`] when `voxel_size` is not positive.
-pub fn voxel_downsample(cloud: &PointCloud, voxel_size: f32) -> Result<PointCloud> {
-    if voxel_size <= 0.0 || !voxel_size.is_finite() {
-        return Err(Error::InvalidArgument(
-            "voxel_size must be positive and finite".into(),
-        ));
-    }
-    let mut seen: HashMap<(i32, i32, i32), usize> = HashMap::new();
-    let mut keep: Vec<usize> = Vec::new();
-    for (i, &p) in cloud.positions().iter().enumerate() {
-        let key = (
-            (p.x / voxel_size).floor() as i32,
-            (p.y / voxel_size).floor() as i32,
-            (p.z / voxel_size).floor() as i32,
-        );
-        if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(key) {
-            e.insert(i);
-            keep.push(i);
-        }
-    }
-    Ok(cloud.select(&keep))
-}
-
-/// Farthest point sampling (FPS): iteratively selects the point farthest
-/// from the already-selected set until `target` points are chosen.
-///
-/// This is the geometry-preserving but slow alternative discussed in §4.1
-/// (the paper measures ≥5 minutes for 200K→100K on a desktop); it is
-/// included as a baseline for the sampling benchmarks.
-///
-/// # Errors
-/// Returns [`Error::InvalidArgument`] when `target` is zero or larger than
-/// the cloud, or [`Error::EmptyCloud`] for an empty input.
-pub fn farthest_point_sampling(cloud: &PointCloud, target: usize, seed: u64) -> Result<PointCloud> {
-    if cloud.is_empty() {
-        return Err(Error::EmptyCloud("farthest_point_sampling".into()));
-    }
-    if target == 0 || target > cloud.len() {
-        return Err(Error::InvalidArgument(format!(
-            "target {target} must be in 1..={}",
-            cloud.len()
-        )));
-    }
-    let positions = cloud.positions();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let first = rng.random_range(0..positions.len());
-    let mut selected = Vec::with_capacity(target);
-    selected.push(first);
-    // dist[i] = distance from point i to the nearest selected point.
-    let mut dist: Vec<f32> = positions
-        .iter()
-        .map(|&p| p.distance_squared(positions[first]))
-        .collect();
-    while selected.len() < target {
-        let (next, _) =
-            dist.iter()
-                .enumerate()
-                .fold((0usize, f32::NEG_INFINITY), |acc, (i, &d)| {
-                    if d > acc.1 {
-                        (i, d)
-                    } else {
-                        acc
-                    }
-                });
-        selected.push(next);
-        let np = positions[next];
-        for (i, d) in dist.iter_mut().enumerate() {
-            let nd = positions[i].distance_squared(np);
-            if nd < *d {
-                *d = nd;
-            }
-        }
-    }
-    selected.sort_unstable();
-    Ok(cloud.select(&selected))
-}
-
-/// Deterministically splits a cloud into `parts` interleaved subsets
-/// (round-robin by index). Useful for building train/validation pairs from a
-/// single synthetic frame.
-pub fn interleave_split(cloud: &PointCloud, parts: usize) -> Vec<PointCloud> {
-    if parts == 0 {
-        return Vec::new();
-    }
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for i in 0..cloud.len() {
-        groups[i % parts].push(i);
-    }
-    groups.into_iter().map(|g| cloud.select(&g)).collect()
 }
 
 /// Selects the `target` points whose positions are closest to a set of
@@ -226,58 +129,6 @@ mod tests {
         let low = random_downsample_exact(&cloud, 137, 1).unwrap();
         assert_eq!(low.len(), 137);
         assert!(random_downsample_exact(&cloud, 2000, 1).is_err());
-    }
-
-    #[test]
-    fn voxel_downsample_reduces_density() {
-        let cloud = synthetic::sphere(3000, 1.0, 9);
-        let low = voxel_downsample(&cloud, 0.2).unwrap();
-        assert!(low.len() < cloud.len());
-        assert!(!low.is_empty());
-        assert!(voxel_downsample(&cloud, 0.0).is_err());
-    }
-
-    #[test]
-    fn fps_spreads_points() {
-        let cloud = synthetic::sphere(600, 1.0, 13);
-        let fps = farthest_point_sampling(&cloud, 50, 1).unwrap();
-        assert_eq!(fps.len(), 50);
-        // FPS should cover the sphere: bounding box similar to the original.
-        let ob = cloud.bounds().unwrap();
-        let fb = fps.bounds().unwrap();
-        assert!(fb.extent().norm() > 0.8 * ob.extent().norm());
-        assert!(farthest_point_sampling(&cloud, 0, 1).is_err());
-        assert!(farthest_point_sampling(&PointCloud::new(), 5, 1).is_err());
-    }
-
-    #[test]
-    fn fps_better_coverage_than_biased_random() {
-        // FPS minimum pairwise distance should exceed that of a biased sample.
-        let cloud = synthetic::sphere(800, 1.0, 17);
-        let fps = farthest_point_sampling(&cloud, 40, 2).unwrap();
-        let biased = biased_downsample(&cloud, 0.05, 2).unwrap();
-        let min_pairwise = |c: &PointCloud| {
-            let mut best = f32::INFINITY;
-            for i in 0..c.len() {
-                for j in (i + 1)..c.len() {
-                    best = best.min(c.position(i).distance(c.position(j)));
-                }
-            }
-            best
-        };
-        if biased.len() >= 2 {
-            assert!(min_pairwise(&fps) >= min_pairwise(&biased));
-        }
-    }
-
-    #[test]
-    fn interleave_split_partitions() {
-        let cloud = synthetic::sphere(100, 1.0, 19);
-        let parts = interleave_split(&cloud, 4);
-        assert_eq!(parts.len(), 4);
-        let total: usize = parts.iter().map(PointCloud::len).sum();
-        assert_eq!(total, cloud.len());
-        assert!(interleave_split(&cloud, 0).is_empty());
     }
 
     #[test]

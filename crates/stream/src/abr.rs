@@ -10,7 +10,6 @@
 
 use crate::qoe::QoeParams;
 use crate::throughput::HarmonicMeanEstimator;
-use serde::{Deserialize, Serialize};
 
 /// Information available to the controller when deciding the next chunk.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,22 +48,12 @@ impl AbrContext {
 }
 
 /// The `{to-be-fetched point density, SR ratio}` pair selected for a chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbrDecision {
     /// Fraction of full point density to download, in `(0, 1]`.
     pub fetch_density: f64,
     /// Client-side upsampling ratio (≥ 1).
     pub sr_ratio: f64,
-}
-
-impl AbrDecision {
-    /// Full-density passthrough (no downsampling, no SR).
-    pub fn full() -> Self {
-        Self {
-            fetch_density: 1.0,
-            sr_ratio: 1.0,
-        }
-    }
 }
 
 /// An adaptive-bitrate controller.

@@ -5,10 +5,8 @@
 //! an empty buffer during playback is a stall (rebuffering), the `S(r)` term
 //! of the QoE objective.
 
-use serde::{Deserialize, Serialize};
-
 /// A playback buffer measured in seconds of content.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlaybackBuffer {
     level_s: f64,
     capacity_s: f64,
@@ -38,16 +36,6 @@ impl PlaybackBuffer {
     /// Accumulated stall (rebuffering) time, excluding initial startup delay.
     pub fn total_stall_s(&self) -> f64 {
         self.total_stall_s
-    }
-
-    /// Whether playback has started.
-    pub fn playback_started(&self) -> bool {
-        self.started
-    }
-
-    /// Seconds of headroom before the buffer is full.
-    pub fn headroom_s(&self) -> f64 {
-        (self.capacity_s - self.level_s).max(0.0)
     }
 
     /// Adds `content_s` seconds of downloaded content (clamped to capacity).
@@ -88,9 +76,7 @@ mod tests {
     #[test]
     fn fills_and_drains() {
         let mut b = PlaybackBuffer::new(10.0, 1.0);
-        assert!(!b.playback_started());
         b.add_content(2.0);
-        assert!(b.playback_started());
         assert_eq!(b.level_s(), 2.0);
         let stall = b.advance(1.5);
         assert_eq!(stall, 0.0);
@@ -111,7 +97,6 @@ mod tests {
     fn no_drain_before_playback_starts() {
         let mut b = PlaybackBuffer::new(10.0, 5.0);
         b.add_content(1.0);
-        assert!(!b.playback_started());
         assert_eq!(b.advance(2.0), 0.0);
         assert_eq!(b.level_s(), 1.0);
         assert_eq!(b.total_stall_s(), 0.0);
@@ -122,9 +107,9 @@ mod tests {
         let mut b = PlaybackBuffer::new(4.0, 1.0);
         b.add_content(10.0);
         assert_eq!(b.level_s(), 4.0);
-        assert_eq!(b.headroom_s(), 0.0);
         b.advance(1.0);
-        assert!((b.headroom_s() - 1.0).abs() < 1e-12);
+        b.add_content(10.0);
+        assert_eq!(b.level_s(), 4.0);
     }
 
     #[test]

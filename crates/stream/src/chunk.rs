@@ -4,10 +4,9 @@
 //! chunk at the point density requested by the client's ABR controller.
 
 use crate::video::{wire_bytes_per_point, VideoMeta};
-use serde::{Deserialize, Serialize};
 
 /// Description of one fixed-length chunk of a video.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Chunk {
     /// Zero-based chunk index.
     pub index: usize,
@@ -33,15 +32,6 @@ impl Chunk {
     pub fn encoded_bytes(&self, density_ratio: f64) -> u64 {
         let ratio = density_ratio.clamp(0.0, 1.0);
         (self.full_points() as f64 * ratio * wire_bytes_per_point()).round() as u64
-    }
-
-    /// Bitrate in Mbps needed to stream this chunk at `density_ratio` in
-    /// real time (i.e. within its own playback duration).
-    pub fn bitrate_mbps(&self, density_ratio: f64) -> f64 {
-        if self.duration_s <= 0.0 {
-            return 0.0;
-        }
-        self.encoded_bytes(density_ratio) as f64 * 8.0 / 1e6 / self.duration_s
     }
 }
 
@@ -123,7 +113,7 @@ mod tests {
     fn bitrate_matches_compressed_estimate() {
         let meta = VideoMeta::long_dress();
         let chunk = chunk_video(&meta, 1.0)[0];
-        let mbps = chunk.bitrate_mbps(1.0);
+        let mbps = chunk.encoded_bytes(1.0) as f64 * 8.0 / 1e6 / chunk.duration_s;
         assert!((mbps - meta.compressed_bitrate_mbps()).abs() < 1.0);
         assert!(meta.raw_bitrate_mbps() > mbps);
     }

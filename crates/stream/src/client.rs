@@ -10,11 +10,11 @@
 //! The streaming simulator additionally needs to know how long the client
 //! spends upsampling each chunk without actually running super-resolution on
 //! every frame of a multi-minute session. [`SrComputeModel`] captures the
-//! per-point cost of each pipeline stage; defaults are provided for the
-//! three SR back-ends compared in the paper and can be re-calibrated from
-//! actual [`volut_core::SrPipeline`] measurements.
+//! per-point cost of each pipeline stage; defaults are provided for the SR
+//! back-ends the simulator compares, and
+//! [`SrSession::calibrate_model_churned`] re-calibrates one from a live
+//! session.
 
-use serde::{Deserialize, Serialize};
 use volut_core::device::{DeviceProfile, StageKind};
 use volut_core::interpolate::FrameScratch;
 use volut_core::pipeline::{SrPipeline, SrResult};
@@ -40,7 +40,6 @@ use crate::chunk::Chunk;
 ///     let result = session.upsample_frame(&frame, 2.0)?;
 ///     assert_eq!(result.cloud.len(), 1000);
 /// }
-/// assert_eq!(session.frames_upsampled(), 3);
 /// # Ok(())
 /// # }
 /// ```
@@ -48,7 +47,6 @@ use crate::chunk::Chunk;
 pub struct SrSession {
     pipeline: SrPipeline,
     scratch: FrameScratch,
-    frames: u64,
 }
 
 impl SrSession {
@@ -57,7 +55,6 @@ impl SrSession {
         Self {
             pipeline,
             scratch: FrameScratch::new(),
-            frames: 0,
         }
     }
 
@@ -103,14 +100,7 @@ impl SrSession {
         if let Some(delta) = delta {
             self.scratch.set_frame_delta(delta);
         }
-        let result = pipeline.upsample_with(low, ratio, &mut self.scratch)?;
-        self.frames += 1;
-        Ok(result)
-    }
-
-    /// Number of frames upsampled so far.
-    pub fn frames_upsampled(&self) -> u64 {
-        self.frames
+        pipeline.upsample_with(low, ratio, &mut self.scratch)
     }
 
     /// Upsamples one received frame as the session's next frame.
@@ -123,9 +113,7 @@ impl SrSession {
     /// # Errors
     /// Propagates pipeline failures (invalid ratio, insufficient points).
     pub fn upsample_frame(&mut self, low: &PointCloud, ratio: f64) -> volut_core::Result<SrResult> {
-        let result = self.pipeline.upsample_with(low, ratio, &mut self.scratch)?;
-        self.frames += 1;
-        Ok(result)
+        self.pipeline.upsample_with(low, ratio, &mut self.scratch)
     }
 
     /// [`Self::upsample_frame`] for a delta-frame whose change from the
@@ -192,24 +180,8 @@ impl SrSession {
         &self.scratch
     }
 
-    /// Calibrates an [`SrComputeModel`] from this session by measuring one
-    /// representative frame.
-    ///
-    /// # Errors
-    /// Propagates pipeline failures.
-    pub fn calibrate_model(
-        &mut self,
-        representative_frame: &PointCloud,
-        ratio: f64,
-    ) -> volut_core::Result<SrComputeModel> {
-        let name = self.pipeline.refiner_name().to_string();
-        let result = self.upsample_frame(representative_frame, ratio)?;
-        Ok(SrComputeModel::calibrate(&name, &result))
-    }
-
     /// Calibrates an [`SrComputeModel`] by driving a churned delta-frame
-    /// sequence live through this session — the temporally coherent
-    /// counterpart of [`Self::calibrate_model`]. A single cold frame prices
+    /// sequence live through this session. A single cold frame would price
     /// every chunk as if its geometry were brand new; real volumetric
     /// streams churn only a fraction of each frame, and the engine's
     /// incremental kNN reuse makes steady-state frames far cheaper. The
@@ -260,7 +232,7 @@ impl SrSession {
 
 /// Per-point compute cost of a super-resolution back-end, in microseconds on
 /// the reference host.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SrComputeModel {
     /// Name used in reports.
     pub name: String,
@@ -296,17 +268,6 @@ impl SrComputeModel {
             interp_us_per_output_point: 0.45,
             colorize_us_per_output_point: 0.05,
             refine_us_per_output_point: 8.0,
-        }
-    }
-
-    /// GradPU's iterative neural refinement (multiple passes per point).
-    pub fn gradpu_nn() -> Self {
-        Self {
-            name: "gradpu".into(),
-            knn_us_per_input_point: 3.5,
-            interp_us_per_output_point: 0.45,
-            colorize_us_per_output_point: 0.05,
-            refine_us_per_output_point: 180.0,
         }
     }
 
@@ -350,13 +311,6 @@ impl SrComputeModel {
             / 1e6
     }
 
-    /// Host-time (seconds) to upsample an entire chunk fetched at
-    /// `fetch_density` and upsampled by `sr_ratio`.
-    pub fn chunk_time_s(&self, chunk: &Chunk, fetch_density: f64, sr_ratio: f64) -> f64 {
-        let input_per_frame = chunk.points_per_frame as f64 * fetch_density.clamp(0.0, 1.0);
-        self.frame_time_s(input_per_frame, sr_ratio) * chunk.frame_count as f64
-    }
-
     /// Device-time (seconds) for the same chunk on a specific device profile:
     /// each stage is scaled by the profile's per-stage factor. The
     /// `nn_inference` flag controls whether refinement scales like NN
@@ -388,30 +342,6 @@ impl SrComputeModel {
             * device.scale_for(refine_kind);
         (knn + interp + colorize + refine) * frames
     }
-
-    /// Sustained super-resolution frame rate (FPS) on a device for frames of
-    /// `input_points` upsampled by `sr_ratio`.
-    pub fn device_fps(
-        &self,
-        input_points: f64,
-        sr_ratio: f64,
-        device: &DeviceProfile,
-        nn_inference: bool,
-    ) -> f64 {
-        let chunk = Chunk {
-            index: 0,
-            first_frame: 0,
-            frame_count: 1,
-            duration_s: 1.0 / 30.0,
-            points_per_frame: input_points as usize,
-        };
-        let t = self.chunk_time_on_device(&chunk, 1.0, sr_ratio, device, nn_inference);
-        if t <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / t
-        }
-    }
 }
 
 #[cfg(test)]
@@ -425,15 +355,12 @@ mod tests {
     }
 
     #[test]
-    fn volut_is_faster_than_yuzu_and_gradpu() {
-        let c = chunk();
-        let volut = SrComputeModel::volut_lut().chunk_time_s(&c, 0.25, 4.0);
-        let yuzu = SrComputeModel::yuzu_nn().chunk_time_s(&c, 0.25, 4.0);
-        let gradpu = SrComputeModel::gradpu_nn().chunk_time_s(&c, 0.25, 4.0);
+    fn volut_is_faster_than_yuzu() {
+        let volut = SrComputeModel::volut_lut().frame_time_s(25_000.0, 4.0);
+        let yuzu = SrComputeModel::yuzu_nn().frame_time_s(25_000.0, 4.0);
         assert!(volut < yuzu);
-        assert!(yuzu < gradpu);
         assert!(volut > 0.0);
-        assert_eq!(SrComputeModel::none().chunk_time_s(&c, 0.25, 4.0), 0.0);
+        assert_eq!(SrComputeModel::none().frame_time_s(25_000.0, 4.0), 0.0);
     }
 
     #[test]
@@ -469,10 +396,15 @@ mod tests {
     #[test]
     fn volut_hits_line_rate_on_orange_pi() {
         // The headline claim: 30+ FPS SR on mobile for 100K-point output.
+        // A quarter of a 100K-point frame, upsampled x4.
+        let c = chunk();
         let m = SrComputeModel::volut_lut();
-        let fps = m.device_fps(25_000.0, 4.0, &DeviceProfile::orange_pi(), false);
+        let fps_on = |device: &DeviceProfile| {
+            c.frame_count as f64 / m.chunk_time_on_device(&c, 0.25, 4.0, device, false)
+        };
+        let fps = fps_on(&DeviceProfile::orange_pi());
         assert!(fps > 5.0, "orange pi fps {fps}");
-        let desktop_fps = m.device_fps(25_000.0, 4.0, &DeviceProfile::desktop_3080ti(), false);
+        let desktop_fps = fps_on(&DeviceProfile::desktop_3080ti());
         assert!(desktop_fps > 30.0, "desktop fps {desktop_fps}");
         assert!(desktop_fps > fps);
     }
@@ -792,9 +724,10 @@ mod tests {
             let got = session.upsample_frame(&frame, 2.5).unwrap();
             assert_eq!(expected.cloud, got.cloud, "frame {seed}");
         }
-        assert_eq!(session.frames_upsampled(), 4);
         let frame = synthetic::sphere(600, 1.0, 9);
-        let model = session.calibrate_model(&frame, 2.0).unwrap();
+        let model = session
+            .calibrate_model_churned(&frame, 2.0, 0.1, 2)
+            .unwrap();
         assert_eq!(model.name, "identity");
         assert!(model.frame_time_s(600.0, 2.0) >= 0.0);
     }

@@ -5,11 +5,10 @@
 //! behaviours (orbiting the content, standing still and inspecting, walking
 //! past). The ViVo baseline's visibility adaptation consumes these poses.
 
-use serde::{Deserialize, Serialize};
 use volut_pointcloud::Point3;
 
 /// A viewer pose: position plus view direction (unit vector).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pose {
     /// Viewer position in world coordinates.
     pub position: Point3,
@@ -18,7 +17,7 @@ pub struct Pose {
 }
 
 /// The behaviour pattern of a synthetic viewer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MotionKind {
     /// Slow orbit around the content at constant radius.
     Orbit,
@@ -29,7 +28,7 @@ pub enum MotionKind {
 }
 
 /// A deterministic 6DoF motion trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MotionTrace {
     /// The behaviour pattern.
     pub kind: MotionKind,
@@ -65,11 +64,6 @@ impl MotionTrace {
             radius: 3.0,
             speed: 1.2,
         }
-    }
-
-    /// The multi-user trace set used by the evaluation.
-    pub fn evaluation_set() -> Vec<MotionTrace> {
-        vec![Self::orbit(), Self::inspect(), Self::walk_by()]
     }
 
     /// Pose at time `t` seconds, looking at the content centered at `target`.
@@ -121,7 +115,11 @@ mod tests {
 
     #[test]
     fn poses_have_unit_directions() {
-        for trace in MotionTrace::evaluation_set() {
+        for trace in [
+            MotionTrace::orbit(),
+            MotionTrace::inspect(),
+            MotionTrace::walk_by(),
+        ] {
             for i in 0..20 {
                 let pose = trace.pose_at(i as f64 * 0.5, Point3::ZERO);
                 assert!((pose.direction.norm() - 1.0).abs() < 1e-4);

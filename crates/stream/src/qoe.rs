@@ -7,10 +7,8 @@
 //!   more heavily for quality drops (which viewers notice more);
 //! * `S` — stall (rebuffering) time in seconds.
 
-use serde::{Deserialize, Serialize};
-
 /// Weights of the QoE objective.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QoeParams {
     /// Weight of the quality term.
     pub alpha: f64,
@@ -37,7 +35,7 @@ impl Default for QoeParams {
 }
 
 /// Final QoE summary of a session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QoeSummary {
     /// Raw QoE score (Eq. 10).
     pub score: f64,

@@ -2,7 +2,6 @@
 //! per-session quality account that walks it, charges the deadline and
 //! scores QoE.
 
-use serde::{Deserialize, Serialize};
 use volut_core::device::DeviceProfile;
 
 use crate::chunk::Chunk;
@@ -12,7 +11,7 @@ use crate::qoe::{QoeAccumulator, QoeParams, QoeSummary};
 /// Graceful-degradation level, cheapest-quality-loss first. Each level
 /// drops or shrinks pipeline stages; [`DegradationLevel::quality_factor`]
 /// is the QoE-side price.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradationLevel {
     /// The full pipeline at the requested ratio.
     Full,
@@ -121,7 +120,7 @@ impl DegradationLevel {
 }
 
 /// Hysteresis parameters of a [`QualityAccount`]'s degradation ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationConfig {
     /// Consecutive over-budget predictions before degrading.
     pub degrade_after: u32,

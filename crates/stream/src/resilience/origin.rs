@@ -3,7 +3,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use volut_pointcloud::{Color, FrameDelta, Point3, PointCloud};
 
 use super::wire::{build_cloud, DeltaParts, FrameMessage, MessageBody};
@@ -15,7 +14,7 @@ use super::wire::{build_cloud, DeltaParts, FrameMessage, MessageBody};
 /// [`DeltaServer::delta_message`], which the recovery ladder answers with
 /// a keyframe resync — retention never breaks recovery, it only changes
 /// which rung serves it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetentionPolicy {
     /// Maximum number of retained frames (at least 1 is always kept).
     pub max_frames: usize,
@@ -361,10 +360,10 @@ impl DeltaServer {
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
-    use crate::faults::{FaultConfig, FaultyLink};
-    use crate::link::SimulatedLink;
+    use crate::faults::{FaultConfig, OwnedFaultyLink};
     use crate::resilience::{ResilientReceiver, RetryPolicy};
     use crate::trace::NetworkTrace;
+    use std::sync::Arc;
     use volut_pointcloud::synthetic::{self, DeltaStreamConfig};
 
     /// `frames` churned frames of a `n_points` humanoid.
@@ -473,8 +472,8 @@ pub(super) mod tests {
         let digest_of = |msg: Vec<u8>| match FrameMessage::decode(&msg).unwrap().body {
             MessageBody::Keyframe { digest, .. } | MessageBody::Delta { digest, .. } => digest,
         };
-        let trace = NetworkTrace::stable(80.0, 120.0);
-        let mut link = FaultyLink::new(SimulatedLink::new(&trace), FaultConfig::lossless(), 1);
+        let trace = Arc::new(NetworkTrace::stable(80.0, 120.0));
+        let mut link = OwnedFaultyLink::new(Arc::clone(&trace), FaultConfig::lossless(), 1);
 
         // A paced receiver: frames 0 and 1 arrive clean, frame 2 only
         // through the keyframe rung, frame 3 clean again.

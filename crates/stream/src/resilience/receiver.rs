@@ -3,7 +3,6 @@
 //! ([`ResilientReceiver::deliver`]).
 
 use rand::{Rng, SeedableRng, StdRng};
-use serde::{Deserialize, Serialize};
 use volut_core::pipeline::{SrPipeline, SrResult};
 use volut_pointcloud::{Color, FrameDelta, Point3, PointCloud};
 
@@ -14,7 +13,7 @@ use crate::faults::Transport;
 use crate::{Error, Result};
 
 /// Robustness telemetry of a resilient session.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RobustnessStats {
     /// Frames successfully delivered to the SR engine.
     pub frames: u64,
@@ -66,7 +65,7 @@ impl RobustnessStats {
 }
 
 /// Retry/backoff/timeout policy of the resilient session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Retransmission rounds per rung of the recovery ladder.
     pub max_retries: u32,
@@ -534,11 +533,6 @@ impl ResilientSession {
         self.receiver.clock_s()
     }
 
-    /// Sequence number of the last committed frame.
-    pub fn last_seq(&self) -> Option<u64> {
-        self.receiver.last_seq()
-    }
-
     /// Fetches frame `seq` over the (faulty) link and upsamples it,
     /// climbing the recovery ladder as needed (see the module docs): one
     /// [`ResilientReceiver::recover`] and one [`ResilientReceiver::deliver`]
@@ -567,12 +561,12 @@ impl ResilientSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultConfig, FaultyLink};
-    use crate::link::SimulatedLink;
+    use crate::faults::{FaultConfig, OwnedFaultyLink};
     use crate::resilience::origin::tests::frames;
     use crate::resilience::wire::tests::identity_delta_bytes;
     use crate::resilience::RetentionPolicy;
     use crate::trace::NetworkTrace;
+    use std::sync::Arc;
     use volut_core::refine::IdentityRefiner;
     use volut_core::SrConfig;
 
@@ -587,8 +581,8 @@ mod tests {
     fn clean_link_session_matches_plain_session_bitwise() {
         let f = frames(800, 6, 0.12, 21);
         let server = DeltaServer::new(f.clone());
-        let trace = NetworkTrace::stable(80.0, 120.0);
-        let mut link = FaultyLink::new(SimulatedLink::new(&trace), FaultConfig::lossless(), 1);
+        let trace = Arc::new(NetworkTrace::stable(80.0, 120.0));
+        let mut link = OwnedFaultyLink::new(Arc::clone(&trace), FaultConfig::lossless(), 1);
         let mut resilient = ResilientSession::new(make_session());
         let mut plain = make_session();
         for (i, frame) in f.iter().enumerate() {
@@ -610,8 +604,8 @@ mod tests {
     fn dropped_deltas_recover_via_compose_and_stay_bit_identical() {
         let f = frames(600, 8, 0.1, 33);
         let server = DeltaServer::new(f.clone());
-        let trace = NetworkTrace::stable(80.0, 120.0);
-        let mut link = FaultyLink::new(SimulatedLink::new(&trace), FaultConfig::lossless(), 1);
+        let trace = Arc::new(NetworkTrace::stable(80.0, 120.0));
+        let mut link = OwnedFaultyLink::new(Arc::clone(&trace), FaultConfig::lossless(), 1);
         let mut resilient = ResilientSession::new(make_session());
         let mut clean = make_session();
         // Frames 0..3 delivered; frames 4 and 5 never requested (viewer
@@ -634,12 +628,8 @@ mod tests {
     fn lossy_session_recovers_and_converges_to_clean_output() {
         let f = frames(500, 10, 0.1, 41);
         let server = DeltaServer::new(f.clone());
-        let trace = NetworkTrace::stable(60.0, 300.0);
-        let mut link = FaultyLink::new(
-            SimulatedLink::new(&trace),
-            FaultConfig::chaos(0.25),
-            0xC0FFEE,
-        );
+        let trace = Arc::new(NetworkTrace::stable(60.0, 300.0));
+        let mut link = OwnedFaultyLink::new(Arc::clone(&trace), FaultConfig::chaos(0.25), 0xC0FFEE);
         // Chaos at 25% with 4-frame bursts can blank several consecutive
         // rounds; give the ladder enough retransmissions to outlast them.
         let mut resilient = ResilientSession::with_policy_seeded(
@@ -672,8 +662,8 @@ mod tests {
         let f = frames(150, 12, 0.1, 23);
         let mut server =
             DeltaServer::with_retention(f[..3].to_vec(), RetentionPolicy::last_frames(3));
-        let trace = NetworkTrace::stable(80.0, 120.0);
-        let mut link = FaultyLink::new(SimulatedLink::new(&trace), FaultConfig::lossless(), 1);
+        let trace = Arc::new(NetworkTrace::stable(80.0, 120.0));
+        let mut link = OwnedFaultyLink::new(Arc::clone(&trace), FaultConfig::lossless(), 1);
         let mut resilient = ResilientSession::new(make_session());
         for i in 0..3u64 {
             resilient.advance(&server, &mut link, i, 2.0).unwrap();
@@ -698,7 +688,7 @@ mod tests {
     fn jittered_backoff_is_reproducible_and_stays_in_bounds() {
         let f = frames(100, 2, 0.1, 3);
         let server = DeltaServer::new(f);
-        let trace = NetworkTrace::stable(50.0, 60.0);
+        let trace = Arc::new(NetworkTrace::stable(50.0, 60.0));
         let all_drops = FaultConfig {
             drop: 1.0,
             ..FaultConfig::default()
@@ -711,7 +701,7 @@ mod tests {
                 jitter,
                 ..RetryPolicy::default()
             };
-            let mut link = FaultyLink::new(SimulatedLink::new(&trace), all_drops.clone(), 1);
+            let mut link = OwnedFaultyLink::new(Arc::clone(&trace), all_drops.clone(), 1);
             let mut rx = ResilientReceiver::new(policy, seed);
             assert!(matches!(
                 rx.recover(&server, &mut link, 0),
@@ -741,8 +731,8 @@ mod tests {
         // carries it like any other frame.
         f[2] = f[2].select(&[0]);
         let server = DeltaServer::new(f.clone());
-        let trace = NetworkTrace::stable(80.0, 120.0);
-        let mut link = FaultyLink::new(SimulatedLink::new(&trace), FaultConfig::lossless(), 1);
+        let trace = Arc::new(NetworkTrace::stable(80.0, 120.0));
+        let mut link = OwnedFaultyLink::new(Arc::clone(&trace), FaultConfig::lossless(), 1);
         let mut resilient = ResilientSession::new(make_session());
         for (i, frame) in f.iter().enumerate() {
             let result = resilient.advance(&server, &mut link, i as u64, 2.0);
@@ -772,8 +762,8 @@ mod tests {
     fn a_wrong_declared_delta_is_counted_once_and_flushed() {
         let f = frames(300, 6, 0.15, 47);
         let server = DeltaServer::new(f.clone());
-        let trace = NetworkTrace::stable(80.0, 120.0);
-        let mut link = FaultyLink::new(SimulatedLink::new(&trace), FaultConfig::lossless(), 1);
+        let trace = Arc::new(NetworkTrace::stable(80.0, 120.0));
+        let mut link = OwnedFaultyLink::new(Arc::clone(&trace), FaultConfig::lossless(), 1);
         let mut receiver = ResilientReceiver::new(RetryPolicy::default(), 0);
         let mut sr = Upsampler::new(make_session());
         let degraded = SrPipeline::new(SrConfig::default(), Box::new(IdentityRefiner));

@@ -51,7 +51,6 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use serde::Serialize;
 use volut_core::registry::{ContentModel, ModelRegistry};
 use volut_core::SrPipeline;
 use volut_pointcloud::runtime;
@@ -123,7 +122,7 @@ impl Default for ServerConfig {
 /// floor) sits below [`DegradationLevel::Full`] — never wall-clock — so
 /// overload decisions replay identically across worker counts and
 /// admission orderings.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OverloadPolicy {
     /// Pressure at or above this fraction counts the tick as overloaded.
     pub pressure_threshold: f64,
@@ -164,21 +163,8 @@ pub enum IngestSource {
     Resilient(IngestConfig),
 }
 
-// The serde shim's derive handles unit-variant enums only; render the
-// data-carrying variant by hand as a one-entry tagged map.
-impl Serialize for IngestSource {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            IngestSource::Local => serde::Value::Str("local".to_string()),
-            IngestSource::Resilient(cfg) => {
-                serde::Value::Map(vec![("resilient".to_string(), cfg.to_value())])
-            }
-        }
-    }
-}
-
 /// Configuration of one tenant's resilient ingest path.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IngestConfig {
     /// Fault profile of the tenant's ingest link.
     pub faults: FaultConfig,
@@ -222,7 +208,7 @@ impl Default for IngestConfig {
 /// Why a tenant was retired before completing its frames. A quarantined
 /// tenant is counted, reported, and never served again — and never takes
 /// the tick (or any co-tenant) down with it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuarantineCause {
     /// The recovery ladder exhausted every rung and retry for several
     /// consecutive ticks: the ingest link is effectively down.
@@ -235,7 +221,7 @@ pub enum QuarantineCause {
 
 /// One session request: which content to stream and how the synthetic
 /// client behaves.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SessionSpec {
     /// Registry name of the content item to serve.
     pub content: String,
@@ -563,7 +549,7 @@ impl Tenant {
 }
 
 /// Final report of one completed session.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SessionReport {
     /// Admission-order id.
     pub id: u64,
@@ -596,7 +582,7 @@ pub struct SessionReport {
 /// Per-session resident bytes by component, summed over the sessions
 /// measured. The components add up to
 /// [`ServerMemoryStats::session_bytes_total`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionMemory {
     /// Cached spatial index of the previous frame.
     pub index: usize,
@@ -643,7 +629,7 @@ impl SessionMemory {
 /// The benchmark ledger reports `bytes_per_session` as
 /// `server.bytes_per_session`; `examples/multi_tenant_server.rs` prints the
 /// split by component.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ServerMemoryStats {
     /// Active sessions measured.
     pub sessions: usize,
@@ -663,7 +649,7 @@ pub struct ServerMemoryStats {
 }
 
 /// Aggregate report of a full [`SrServer::run`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ServerReport {
     /// Aggregate telemetry snapshot (percentiles, histograms, counters).
     pub telemetry: TelemetrySnapshot,

@@ -18,11 +18,10 @@ use crate::trace::NetworkTrace;
 use crate::video::VideoMeta;
 use crate::viewport::VisibilityModel;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use volut_core::device::{DeviceProfile, StageKind};
 
 /// Static configuration of a streaming session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// Chunk duration in seconds.
     pub chunk_duration_s: f64,
@@ -60,7 +59,7 @@ impl Default for SessionConfig {
 }
 
 /// Per-chunk record of the session timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChunkRecord {
     /// Chunk index.
     pub index: usize,
@@ -86,7 +85,7 @@ pub struct ChunkRecord {
 }
 
 /// Outcome of one simulated session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SessionResult {
     /// System variant that was simulated.
     pub system: SystemKind,

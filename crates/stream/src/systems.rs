@@ -12,10 +12,9 @@
 use crate::abr::{AbrController, ContinuousMpcAbr, DiscreteMpcAbr, RateBasedAbr};
 use crate::client::SrComputeModel;
 use crate::qoe::QoeParams;
-use serde::{Deserialize, Serialize};
 
 /// The system variants reproduced from the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// H1: VoLUT with continuous ABR and LUT-based SR.
     VolutContinuous,

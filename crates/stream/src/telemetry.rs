@@ -14,8 +14,6 @@
 //! the coordinator merges them into the aggregate between ticks. That keeps
 //! the hot path free of atomics and locks while the roll-up stays exact.
 
-use serde::Serialize;
-
 use crate::resilience::RobustnessStats;
 
 /// Lowest binade recorded distinctly: values below `2^MIN_EXP` (≈ 0.95 µs
@@ -177,17 +175,6 @@ impl PercentileSketch {
         }
         self.max()
     }
-
-    /// Adds every sample of `other` into `self` (element-wise; exact).
-    pub fn merge(&mut self, other: &Self) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Number of buckets in a [`UnitHistogram`].
@@ -196,7 +183,7 @@ pub const UNIT_BUCKETS: usize = 10;
 /// Fixed 10-bucket histogram over `[0, 1]` for bounded ratios (QoE quality,
 /// per-frame reuse rate). Bucket `i` covers `[i/10, (i+1)/10)`; 1.0 lands in
 /// the last bucket.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct UnitHistogram {
     counts: [u64; UNIT_BUCKETS],
     total: u64,
@@ -233,14 +220,6 @@ impl UnitHistogram {
         } else {
             self.counts[i] as f64 / self.total as f64
         }
-    }
-
-    /// Adds every sample of `other` into `self`.
-    pub fn merge(&mut self, other: &Self) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
     }
 }
 
@@ -344,7 +323,7 @@ impl ServerTelemetry {
 }
 
 /// Serializable summary of a [`ServerTelemetry`] roll-up.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TelemetrySnapshot {
     /// Total frames produced across all sessions.
     pub frames_total: u64,
@@ -473,31 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn sketch_merge_equals_combined_stream() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let a_samples: Vec<f64> = (0..500).map(|_| rng.random_range(0.001f64..1.0)).collect();
-        let b_samples: Vec<f64> = (0..700).map(|_| rng.random_range(0.001f64..1.0)).collect();
-        let mut a = PercentileSketch::new();
-        let mut b = PercentileSketch::new();
-        let mut combined = PercentileSketch::new();
-        for &s in &a_samples {
-            a.record(s);
-            combined.record(s);
-        }
-        for &s in &b_samples {
-            b.record(s);
-            combined.record(s);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), combined.count());
-        for &q in &[0.5, 0.95, 0.99] {
-            assert_eq!(a.percentile(q), combined.percentile(q));
-        }
-        assert_eq!(a.min(), combined.min());
-        assert_eq!(a.max(), combined.max());
-    }
-
-    #[test]
     fn unit_histogram_buckets_and_fractions() {
         let mut h = UnitHistogram::new();
         for v in [0.0, 0.05, 0.95, 1.0, 2.0, -1.0] {
@@ -507,11 +461,6 @@ mod tests {
         assert_eq!(h.counts()[0], 3); // 0.0, 0.05, -1.0 (clamped)
         assert_eq!(h.counts()[9], 3); // 0.95, 1.0, 2.0 (clamped)
         assert!((h.fraction(0) - 0.5).abs() < 1e-12);
-        let mut other = UnitHistogram::new();
-        other.record(0.55);
-        h.merge(&other);
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.counts()[5], 1);
     }
 
     #[test]

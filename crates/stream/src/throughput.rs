@@ -48,11 +48,6 @@ impl HarmonicMeanEstimator {
         Some(self.samples.len() as f64 / denom)
     }
 
-    /// The estimate, falling back to `default_mbps` before any observation.
-    pub fn estimate_or(&self, default_mbps: f64) -> f64 {
-        self.estimate().unwrap_or(default_mbps)
-    }
-
     /// Number of samples currently in the window.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -100,9 +95,8 @@ mod tests {
         est.observe(0.0);
         est.observe(f64::NAN);
         assert!(est.estimate().is_none());
-        assert_eq!(est.estimate_or(25.0), 25.0);
         est.observe(50.0);
-        assert_eq!(est.estimate_or(25.0), 50.0);
+        assert_eq!(est.estimate(), Some(50.0));
     }
 
     #[test]

@@ -12,10 +12,9 @@ use crate::error::Error;
 use crate::Result;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant bandwidth trace sampled at 1-second intervals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkTrace {
     /// Human-readable name (e.g. "stable-50", "lte-32.5").
     pub name: String,
@@ -119,11 +118,6 @@ impl NetworkTrace {
             / self.samples.len() as f64;
         var.sqrt()
     }
-
-    /// The raw samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
 }
 
 fn gaussian(rng: &mut StdRng) -> f64 {
@@ -156,7 +150,7 @@ mod tests {
             "std {}",
             t.std_mbps()
         );
-        assert!(t.samples().iter().all(|&s| s >= 1.0));
+        assert!(t.samples.iter().all(|&s| s >= 1.0));
         assert!((t.rtt_s - 0.05).abs() < 1e-9);
     }
 

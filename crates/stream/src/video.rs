@@ -3,8 +3,6 @@
 //! stand-ins for the paper's four test videos, and the byte model that
 //! prices a frame on the wire.
 
-use serde::{Deserialize, Serialize};
-
 /// Average bytes per point before compression (12 B position + 3 B color).
 pub const BYTES_PER_POINT: f64 = 15.0;
 
@@ -21,7 +19,7 @@ pub fn wire_bytes_per_point() -> f64 {
 }
 
 /// Lightweight metadata describing a volumetric video.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoMeta {
     /// Human-readable name.
     pub name: String,

@@ -6,11 +6,10 @@
 //! the prediction horizon can track (prediction misses).
 
 use crate::motion::{MotionTrace, Pose};
-use serde::{Deserialize, Serialize};
 use volut_pointcloud::{Point3, PointCloud};
 
 /// A simple symmetric viewing frustum described by its half field-of-view.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Viewport {
     /// Half field-of-view angle in radians (both axes).
     pub half_fov_rad: f32,
@@ -54,18 +53,10 @@ impl Viewport {
         }
         visible as f64 / total as f64
     }
-
-    /// Selects the subset of `cloud` visible from `pose`.
-    pub fn cull(&self, pose: &Pose, cloud: &PointCloud) -> PointCloud {
-        let indices: Vec<usize> = (0..cloud.len())
-            .filter(|&i| self.contains(pose, cloud.position(i)))
-            .collect();
-        cloud.select(&indices)
-    }
 }
 
 /// Model of ViVo's viewport prediction behaviour over a chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VisibilityModel {
     /// Fraction of the scene inside a static viewport (bandwidth saving).
     pub visible_fraction: f64,
@@ -130,14 +121,17 @@ mod tests {
     }
 
     #[test]
-    fn visible_fraction_and_cull_agree() {
+    fn visible_fraction_agrees_with_contains() {
         let cloud = synthetic::sphere(2000, 1.0, 3);
         let vp = Viewport::default();
         let pose = look_at_origin();
         let frac = vp.visible_fraction(&pose, &cloud, 2000);
-        let culled = vp.cull(&pose, &cloud);
-        let cull_frac = culled.len() as f64 / cloud.len() as f64;
-        assert!((frac - cull_frac).abs() < 0.05);
+        let inside = cloud
+            .positions()
+            .iter()
+            .filter(|&&p| vp.contains(&pose, p))
+            .count();
+        assert!((frac - inside as f64 / cloud.len() as f64).abs() < 0.05);
         assert!(
             frac > 0.5,
             "a sphere in front of the camera should be mostly visible"

@@ -11,14 +11,14 @@
 //! cargo run --release --example streaming_session
 //! ```
 
+use std::sync::Arc;
 use volut::core::refine::IdentityRefiner;
 use volut::core::{SrConfig, SrPipeline};
 use volut::pointcloud::synthetic;
 use volut::pointcloud::synthetic::DeltaStreamConfig;
 use volut::stream::chunk::chunk_video;
 use volut::stream::client::SrSession;
-use volut::stream::faults::{FaultConfig, FaultyLink};
-use volut::stream::link::SimulatedLink;
+use volut::stream::faults::{FaultConfig, OwnedFaultyLink};
 use volut::stream::resilience::{DeltaServer, ResilientSession};
 use volut::stream::simulator::{SessionConfig, StreamingSimulator};
 use volut::stream::systems::SystemKind;
@@ -84,7 +84,7 @@ fn lossy_delta_session() -> Result<(), Box<dyn std::error::Error>> {
         },
     );
     let server = DeltaServer::new(frames);
-    let trace = NetworkTrace::stable(60.0, 600.0);
+    let trace = Arc::new(NetworkTrace::stable(60.0, 600.0));
     let make_session = || {
         ResilientSession::new(SrSession::new(SrPipeline::new(
             SrConfig::default(),
@@ -93,12 +93,9 @@ fn lossy_delta_session() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     println!("\nlossy delta streaming: 60 frames, 10% churn, 2% burst loss");
-    let mut lossy_link = FaultyLink::new(
-        SimulatedLink::new(&trace),
-        FaultConfig::bursty_loss(0.02),
-        16,
-    );
-    let mut clean_link = FaultyLink::new(SimulatedLink::new(&trace), FaultConfig::lossless(), 16);
+    let mut lossy_link =
+        OwnedFaultyLink::new(Arc::clone(&trace), FaultConfig::bursty_loss(0.02), 16);
+    let mut clean_link = OwnedFaultyLink::new(trace, FaultConfig::lossless(), 16);
     let mut lossy = make_session();
     let mut clean = make_session();
     let mut identical = 0usize;

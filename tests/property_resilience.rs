@@ -13,14 +13,14 @@
 //! scalar and SIMD kernels.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use volut::core::refine::IdentityRefiner;
 use volut::core::{SrConfig, SrPipeline};
 use volut::pointcloud::delta::FrameDelta;
 use volut::pointcloud::synthetic::{self, DeltaStreamConfig};
 use volut::pointcloud::{Color, Point3, PointCloud};
 use volut::stream::client::SrSession;
-use volut::stream::faults::{FaultConfig, FaultyLink};
-use volut::stream::link::SimulatedLink;
+use volut::stream::faults::{FaultConfig, OwnedFaultyLink};
 use volut::stream::resilience::{
     DeltaServer, FrameMessage, MessageBody, ResilientSession, RetentionPolicy, RetryPolicy,
 };
@@ -221,9 +221,8 @@ proptest! {
         let dilation_one = dilation_one_sel == 1;
         let frames = churned_frames(n, 6, churn, seed);
         let server = DeltaServer::new(frames.clone());
-        let trace = NetworkTrace::stable(60.0, 600.0);
-        let mut link = FaultyLink::new(
-            SimulatedLink::new(&trace),
+        let mut link = OwnedFaultyLink::new(
+            Arc::new(NetworkTrace::stable(60.0, 600.0)),
             FaultConfig::chaos(rate),
             seed.wrapping_mul(0x9E3779B97F4A7C15),
         );
