@@ -126,10 +126,9 @@ impl Refiner for IterativeNnRefiner<'_> {
 
     fn refine_batch(
         &self,
-        centers: &[Point3],
+        points: &mut [Point3],
         neighborhoods: NeighborhoodsView<'_>,
         source: &[Point3],
-        out: &mut [Point3],
     ) {
         // Blocked iterative refinement: rows are independent, so running one
         // GEMM-style micro-batched forward per *iteration* over the whole
@@ -152,20 +151,20 @@ impl Refiner for IterativeNnRefiner<'_> {
         let mut radii: Vec<f32> = Vec::new(); // radius per packed feature row
         let mut outputs: Vec<f32> = Vec::new();
         let mut scratch = BatchScratch::default();
-        for block_start in (0..centers.len()).step_by(BLOCK) {
-            let block_len = BLOCK.min(centers.len() - block_start);
+        for block_start in (0..points.len()).step_by(BLOCK) {
+            let block_len = BLOCK.min(points.len() - block_start);
             gather.clear();
             seg.clear();
             current.clear();
-            for i in block_start..block_start + block_len {
+            let block = &points[block_start..block_start + block_len];
+            for (i, &center) in (block_start..).zip(block) {
                 let row = neighborhoods.row(i);
                 if row.is_empty() {
-                    out[i] = centers[i];
                     continue;
                 }
                 gather.extend(row.iter().map(|&j| source[j as usize]));
                 seg.push((i, gather.len() as u32));
-                current.push(centers[i]);
+                current.push(center);
             }
             active.clear();
             active.extend(0..seg.len());
@@ -212,8 +211,8 @@ impl Refiner for IterativeNnRefiner<'_> {
                 }
                 std::mem::swap(&mut active, &mut packed);
             }
-            for (slot, &(i, _)) in seg.iter().enumerate() {
-                out[i] = current[slot];
+            for (&(i, _), &refined) in seg.iter().zip(&current) {
+                points[i] = refined;
             }
         }
     }

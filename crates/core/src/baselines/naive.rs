@@ -21,9 +21,7 @@
 
 use crate::config::SrConfig;
 use crate::error::Error;
-use crate::interpolate::{
-    colorize, distribute_new_points_into, row_seed, InterpolationResult, OpCounts, RowBatch,
-};
+use crate::interpolate::{colorize, row_seed, InterpolationResult, OpCounts, PointSplit};
 use crate::pipeline::StageTimings;
 use crate::Result;
 use rand::prelude::*;
@@ -70,11 +68,12 @@ pub fn naive_interpolate(
     }
     let mut timings = StageTimings::default();
     let positions = low.positions();
-    let mut counts = Vec::new();
-    distribute_new_points_into(low.len(), ratio, &mut counts);
+    let split = PointSplit::new(low.len(), ratio);
     // Counts are distributed round-robin with the remainder on the earliest
     // points, so the sources that generate anything form a prefix.
-    let active = counts.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
+    let active = (0..low.len())
+        .rposition(|r| split.count(r) > 0)
+        .map_or(0, |i| i + 1);
 
     // --- Source queries: one batched (k+1)-NN pass over the active prefix
     // (the whole cloud, so a self-join, from ratio 2 up).
@@ -87,32 +86,31 @@ pub fn naive_interpolate(
     timings.knn = t1.elapsed();
 
     let t2 = Instant::now();
-    let mut batch = RowBatch::default();
-    midpoints_into(positions, &source_hoods, config, &counts, &mut batch);
+    let (points, parents) = midpoints(positions, &source_hoods, config, split);
     timings.interpolation = t2.elapsed();
 
     // --- New-point queries: every generated point re-derives its own
     // neighborhood.
     let t3 = Instant::now();
-    tree.knn_batch(&batch.points, config.k, &mut batch.hoods);
+    let mut hoods = Neighborhoods::new();
+    tree.knn_batch(&points, config.k, &mut hoods);
     timings.knn += t3.elapsed();
 
     let t4 = Instant::now();
     let mut cloud = low.clone();
-    cloud.extend_positions(&batch.points);
-    let parents: Vec<(usize, usize)> = batch.parents().collect();
+    cloud.extend_positions(&points);
     timings.interpolation += t4.elapsed();
     let t5 = Instant::now();
-    colorize::colorize_new_points(&mut cloud, low, low.len(), batch.hoods.view(), &parents);
+    colorize::colorize_new_points(&mut cloud, low, low.len(), hoods.view(), &parents);
     timings.colorization = t5.elapsed();
 
-    let generated = batch.points.len() as u64;
+    let generated = points.len() as u64;
     let queries = active as u64 + generated;
     Ok(InterpolationResult {
         cloud,
         original_len: low.len(),
         parents,
-        neighborhoods: batch.hoods,
+        neighborhoods: hoods,
         timings,
         ops: OpCounts {
             knn_queries: queries,
@@ -123,27 +121,20 @@ pub fn naive_interpolate(
     })
 }
 
-/// Draws `counts[i]` partners for every source row `i` of `source_hoods`
-/// (the `(k+1)`-NN row of source point `i`, self-match included and
-/// stripped here) and writes the midpoints and parent pairs into `out`,
+/// Draws `split.count(i)` partners for every source row `i` of
+/// `source_hoods` (the `(k+1)`-NN row of source point `i`, self-match
+/// included and stripped here) and returns the midpoints and parent pairs,
 /// in row order.
-fn midpoints_into(
+fn midpoints(
     positions: &[Point3],
     source_hoods: &Neighborhoods,
     config: &SrConfig,
-    counts: &[usize],
-    out: &mut RowBatch,
-) {
-    out.clear();
-    let RowBatch {
-        points,
-        pair_a,
-        pair_b,
-        ..
-    } = out;
+    split: PointSplit,
+) -> (Vec<Point3>, Vec<(usize, usize)>) {
+    let (mut pair_a, mut pair_b) = (Vec::new(), Vec::new());
     let mut partners = Vec::new();
     for (i, row) in source_hoods.iter().enumerate() {
-        let count = counts[i];
+        let count = split.count(i);
         if count == 0 {
             continue;
         }
@@ -161,8 +152,14 @@ fn midpoints_into(
     }
     let mut soa = SoaPositions::default();
     soa.fill(positions);
-    points.resize(pair_a.len(), Point3::ZERO);
-    kernels::pair_midpoints_into(&soa, pair_a, pair_b, points);
+    let mut points = vec![Point3::ZERO; pair_a.len()];
+    kernels::pair_midpoints_into(&soa, &pair_a, &pair_b, &mut points);
+    let parents = pair_a
+        .iter()
+        .zip(&pair_b)
+        .map(|(&a, &b)| (a as usize, b as usize))
+        .collect();
+    (points, parents)
 }
 
 #[cfg(test)]
@@ -306,14 +303,9 @@ mod tests {
         let positions = low.positions();
         let mut source_hoods = Neighborhoods::new();
         KdTree::build(positions).knn_batch(positions, cfg.k + 1, &mut source_hoods);
-        let mut counts = Vec::new();
-        distribute_new_points_into(low.len(), ratio, &mut counts);
-        let mut batch = RowBatch::default();
-        midpoints_into(positions, &source_hoods, &cfg, &counts, &mut batch);
-        assert_eq!(
-            batch.points.as_slice(),
-            &full.cloud.positions()[low.len()..]
-        );
-        assert_eq!(batch.parents().collect::<Vec<_>>(), full.parents);
+        let split = PointSplit::new(low.len(), ratio);
+        let (points, parents) = midpoints(positions, &source_hoods, &cfg, split);
+        assert_eq!(points.as_slice(), &full.cloud.positions()[low.len()..]);
+        assert_eq!(parents, full.parents);
     }
 }

@@ -170,10 +170,9 @@ impl Refiner for ClampedNnRefiner<'_> {
 
     fn refine_batch(
         &self,
-        centers: &[Point3],
+        points: &mut [Point3],
         neighborhoods: NeighborhoodsView<'_>,
         source: &[Point3],
-        out: &mut [Point3],
     ) {
         // Same packing as `NnRefiner::refine_batch`: encode feature rows per
         // block, run one GEMM-style micro-batched forward (bit-identical to
@@ -187,28 +186,24 @@ impl Refiner for ClampedNnRefiner<'_> {
         let mut packed: Vec<(usize, f32)> = Vec::new();
         let mut outputs: Vec<f32> = Vec::new();
         let mut scratch = BatchScratch::default();
-        for block_start in (0..centers.len()).step_by(BLOCK) {
-            let block_len = BLOCK.min(centers.len() - block_start);
+        for block_start in (0..points.len()).step_by(BLOCK) {
+            let block_len = BLOCK.min(points.len() - block_start);
             features.clear();
             packed.clear();
-            for i in block_start..block_start + block_len {
-                let center = centers[i];
+            let block = &points[block_start..block_start + block_len];
+            for (i, &center) in (block_start..).zip(block) {
                 let row = neighborhoods.row(i);
                 if row.is_empty() {
-                    out[i] = center;
                     continue;
                 }
                 gather.clear();
                 gather.extend(row.iter().map(|&j| source[j as usize]));
-                match self
-                    .encoder
-                    .encode_features_into(center, &gather, &mut feature_row)
+                if let Ok(radius) =
+                    self.encoder
+                        .encode_features_into(center, &gather, &mut feature_row)
                 {
-                    Ok(radius) => {
-                        features.extend_from_slice(&feature_row);
-                        packed.push((i, radius));
-                    }
-                    Err(_) => out[i] = center,
+                    features.extend_from_slice(&feature_row);
+                    packed.push((i, radius));
                 }
             }
             if packed.is_empty() {
@@ -226,7 +221,7 @@ impl Refiner for ClampedNnRefiner<'_> {
                     o[1].clamp(-0.25, 0.25),
                     o[2].clamp(-0.25, 0.25),
                 );
-                out[i] = centers[i] + offset * radius;
+                points[i] += offset * radius;
             }
         }
     }

@@ -28,9 +28,6 @@ pub struct SrConfig {
     pub receptive_field: usize,
     /// Number of quantization bins `b` per encoded value (Eq. 4).
     pub bins: usize,
-    /// Whether the interpolation stage reuses neighbor relationships for new
-    /// points (Eq. 2) instead of running fresh kNN queries.
-    pub reuse_neighbors: bool,
     /// Seed for the deterministic pseudo-random choices inside interpolation.
     pub seed: u64,
 }
@@ -42,7 +39,6 @@ impl Default for SrConfig {
             dilation: 2,
             receptive_field: 4,
             bins: 128,
-            reuse_neighbors: true,
             seed: 0,
         }
     }
@@ -116,7 +112,6 @@ mod tests {
         assert_eq!(c.dilation, 2);
         assert_eq!(c.receptive_field, 4);
         assert_eq!(c.bins, 128);
-        assert!(c.reuse_neighbors);
         assert_eq!(c.dilated_neighborhood(), 8);
     }
 

@@ -5,10 +5,13 @@
 //! the cached self-join rows, the previous frame's outputs — is read by the
 //! next frame and lives on the session's [`FrameScratch`](super::FrameScratch).
 //! Everything else is *transient*: raw kNN rows, the dilated lists, the
-//! reuse plan, the dual-tree slab, the kd-tree patch lists, the fresh-row
-//! batch, the refinement gather buffers. A frame clears each of those
-//! before writing it and nothing reads them afterwards, so `workers` copies
-//! serve a process as well as `tenants` copies would. They live here.
+//! join's row verdicts and old→new map, the dual-tree slab, the k-d build
+//! and patch buffers, and the result containers handed back for reuse. The
+//! frame pass that generates, colours and refines the output writes
+//! straight into the output cloud and those containers, so it needs no
+//! buffer of its own here. A frame clears each buffer before writing it and
+//! nothing reads them afterwards, so `workers` copies serve a process as
+//! well as `tenants` copies would. They live here.
 //!
 //! # Checkout and the re-entrancy rule
 //!
@@ -27,17 +30,16 @@
 //!
 //! Nothing in an arena may be trusted across a checkout: it last served an
 //! arbitrary frame of an arbitrary session. Every buffer is cleared before
-//! use, and the two flags a later stage keys off — the plan's `active` bit
-//! and the join outcome — are reset when the arena is taken.
+//! use, and the one flag a later stage keys off — the join outcome — is
+//! reset when the arena is taken.
 
-use super::temporal::{FramePlan, JoinScratch};
+use super::temporal::JoinScratch;
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use volut_pointcloud::dualtree::DualTreeScratch;
 use volut_pointcloud::kdtree::IndexScratch;
-use volut_pointcloud::soa::SoaPositions;
-use volut_pointcloud::{Neighborhoods, Point3};
+use volut_pointcloud::Neighborhoods;
 
 /// Idle arenas a thread keeps between frames; further ones are dropped when
 /// handed back. A server worker runs one frame at a time and needs one; the
@@ -67,69 +69,6 @@ thread_local! {
 /// updates, no data is published through it).
 static IDLE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
-/// The outputs of one fresh-row batch of an interpolator (see
-/// [`super::dilated::dilated_interpolate_rows_into`]): generated positions,
-/// their parent pairs and, optionally, their neighborhoods.
-#[derive(Debug, Default)]
-pub struct RowBatch {
-    /// Generated positions, in row order.
-    pub points: Vec<Point3>,
-    /// One neighborhood row per generated point (empty when the batch was
-    /// asked for none).
-    pub hoods: Neighborhoods,
-    /// Parent pair of every generated point: `(pair_a[i], pair_b[i])`, the
-    /// index lists the pair-midpoint kernel consumes.
-    pub(crate) pair_a: Vec<u32>,
-    pub(crate) pair_b: Vec<u32>,
-    /// Hood slots already drawn for the row being drawn, one bit each.
-    pub(crate) drawn: Vec<u64>,
-}
-
-impl RowBatch {
-    /// The parent pair of every generated point, in row order.
-    pub fn parents(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + Clone + '_ {
-        self.parents_of(0..self.pair_a.len())
-    }
-
-    /// The parent pairs of the generated points `range`.
-    pub(crate) fn parents_of(
-        &self,
-        range: std::ops::Range<usize>,
-    ) -> impl ExactSizeIterator<Item = (usize, usize)> + Clone + '_ {
-        zip_pairs(&self.pair_a[range.clone()], &self.pair_b[range])
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.points.clear();
-        self.hoods.clear();
-        self.pair_a.clear();
-        self.pair_b.clear();
-    }
-
-    /// Appends another batch's outputs (chunk partials, in chunk order).
-    pub(crate) fn append(&mut self, part: &RowBatch) {
-        self.points.extend_from_slice(&part.points);
-        self.hoods.append(&part.hoods);
-        self.pair_a.extend_from_slice(&part.pair_a);
-        self.pair_b.extend_from_slice(&part.pair_b);
-    }
-
-    fn reserved_bytes(&self) -> usize {
-        self.points.capacity() * std::mem::size_of::<Point3>()
-            + self.hoods.reserved_bytes()
-            + (self.pair_a.capacity() + self.pair_b.capacity()) * std::mem::size_of::<u32>()
-            + self.drawn.capacity() * std::mem::size_of::<u64>()
-    }
-}
-
-/// Parent pairs `(a[i], b[i])` from the two index lists of a batch.
-pub(crate) fn zip_pairs<'a>(
-    a: &'a [u32],
-    b: &'a [u32],
-) -> impl ExactSizeIterator<Item = (usize, usize)> + Clone + 'a {
-    a.iter().zip(b).map(|(&a, &b)| (a as usize, b as usize))
-}
-
 /// The transient buffers of one frame (see the module docs). Frames check
 /// one out themselves; the type is public only for its byte accounting.
 #[derive(Debug, Default)]
@@ -145,30 +84,14 @@ pub struct FrameArena {
     pub(crate) raw_hoods: Neighborhoods,
     /// Self-match-stripped dilated lists, one row per source point.
     pub(crate) dilated: Neighborhoods,
-    /// Per-source-point generation counts.
-    pub(crate) counts: Vec<usize>,
-    /// SoA mirror of the frame positions for the pair-midpoint kernel.
-    pub(crate) soa: SoaPositions,
-    /// The frame's freshly generated rows: one batch per worker chunk while
-    /// they are generated, then all appended to the first.
-    pub(crate) batches: Vec<RowBatch>,
     /// Row slab and pruning bounds of the frame's dual-tree self-join.
     pub(crate) knn: DualTreeScratch,
     /// Record, key and traversal buffers of the session index's builds and
     /// patches (`KdTree::build_in`, `KdTree::patch_with`) and of the delta
     /// frame's inserted-point tree.
     pub(crate) index_scratch: IndexScratch,
-    /// What the frame's self-join left for its plan and assembly.
+    /// What the frame's self-join left for its plan.
     pub(crate) join: JoinScratch,
-    /// The frame's reuse plan.
-    pub(crate) plan: FramePlan,
-    /// Copy of the pre-refinement tail (see [`crate::refine::refine_in_place`]).
-    pub(crate) centers: Vec<Point3>,
-    /// Compacted CSR over the fresh ordinals handed to
-    /// [`crate::refine::refine_rows_in_place`].
-    pub(crate) subset_hoods: Neighborhoods,
-    /// Refined positions of the fresh subset before scatter-back.
-    pub(crate) subset_out: Vec<Point3>,
     /// `reserved_bytes()` when this arena was last parked (what
     /// `IDLE_BYTES` holds on its behalf).
     parked_bytes: usize,
@@ -186,7 +109,6 @@ impl FrameArena {
         let mut arena = idle.unwrap_or_default();
         IDLE_BYTES.fetch_sub(arena.parked_bytes, Ordering::Relaxed);
         arena.parked_bytes = 0;
-        arena.plan.deactivate();
         arena.join.reset();
         ArenaLease(Some(arena))
     }
@@ -245,26 +167,15 @@ impl FrameArena {
 
     /// Capacity (bytes) currently reserved by every buffer of this arena.
     pub fn reserved_bytes(&self) -> usize {
-        const P3: usize = std::mem::size_of::<Point3>();
         self.neighborhoods
             .as_ref()
             .map_or(0, Neighborhoods::reserved_bytes)
             + self.parents.capacity() * std::mem::size_of::<(usize, usize)>()
             + self.dilated.reserved_bytes()
             + self.raw_hoods.reserved_bytes()
-            + self.counts.capacity() * std::mem::size_of::<usize>()
-            + self.soa.reserved_bytes()
-            + self
-                .batches
-                .iter()
-                .map(RowBatch::reserved_bytes)
-                .sum::<usize>()
             + self.knn.reserved_bytes()
             + self.index_scratch.reserved_bytes()
             + self.join.reserved_bytes()
-            + self.plan.reserved_bytes()
-            + (self.centers.capacity() + self.subset_out.capacity()) * P3
-            + self.subset_hoods.reserved_bytes()
     }
 
     /// Bytes reserved by the idle arenas of **every** thread — what the
@@ -325,7 +236,7 @@ mod tests {
     use crate::refine::{IdentityRefiner, NnRefiner, Refiner};
     use std::sync::{Arc, Mutex};
     use volut_pointcloud::synthetic::{self, DeltaStreamConfig};
-    use volut_pointcloud::{NeighborhoodsView, PointCloud};
+    use volut_pointcloud::{NeighborhoodsView, Point3, PointCloud};
 
     /// An identity refiner that, on its first batch, upsamples a whole other
     /// frame: caller code starting a frame from inside the refinement stage
@@ -343,10 +254,9 @@ mod tests {
 
         fn refine_batch(
             &self,
-            centers: &[Point3],
+            _points: &mut [Point3],
             _neighborhoods: NeighborhoodsView<'_>,
             _source: &[Point3],
-            out: &mut [Point3],
         ) {
             let mut nested_out = self.out.lock().unwrap();
             if nested_out.is_none() {
@@ -356,7 +266,6 @@ mod tests {
                     .unwrap();
                 *nested_out = Some(r.cloud);
             }
-            out.copy_from_slice(centers);
         }
 
         fn memory_bytes(&self) -> usize {

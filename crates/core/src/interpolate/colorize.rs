@@ -5,6 +5,11 @@
 //! that no additional neighbor searches are required. The per-point color
 //! assignment is embarrassingly parallel and runs in chunks across the
 //! worker pool.
+//!
+//! [`colorize_new_points`] colors a finished interpolation, as the naive
+//! baseline produces one. The frame path applies the same head-color rule
+//! inside its one frame pass ([`super::dilated`]), where every
+//! neighborhood is non-empty.
 
 use volut_pointcloud::{runtime, Color, NeighborhoodsView, Point3, PointCloud};
 

@@ -15,49 +15,62 @@
 //!   dual-tree leaf-pair kernel of [`volut_pointcloud::dualtree`] at
 //!   production sizes;
 //! * derives each new point's neighborhood via neighbor-relationship reuse
-//!   (Eq. 2): [`super::reuse::merge_and_prune_rows`] runs every generated
-//!   point of a batch through the branch-free kernel
-//!   [`volut_pointcloud::kernels::merge_prune_row`] — `2k` distances, `2k`
-//!   sorted inserts, no tree query. At `ratio` 8 this loop, not the
+//!   (Eq. 2): the branch-free kernel
+//!   [`volut_pointcloud::kernels::merge_prune_row`] merges the parents'
+//!   heads — `2k` distances, `2k` sorted inserts, no tree query — straight
+//!   into the point's slot of the output. At `ratio` 8 this loop, not the
 //!   self-join, is the largest block of the frame;
-//! * runs the per-point work in parallel across CPU threads (the stand-in
-//!   for the paper's CUDA kernels), storing all neighbor lists in flat CSR
-//!   [`volut_pointcloud::Neighborhoods`] buffers of the frame's [`super::FrameArena`], which
-//!   the next frame on the same worker reuses;
+//! * writes every generated point in one pass over the source rows, the
+//!   stand-in for the paper's one GPU kernel per stage: a range of rows owns
+//!   its slices of the output positions, colors, parents and neighborhoods
+//!   (the tail split is closed-form, `super::PointSplit`), and each row
+//!   draws its partners, takes their midpoints, merges their neighborhoods,
+//!   colors its points by their neighborhood heads and — in a pipeline frame
+//!   — refines them in place, with no handoff buffer between the stages.
+//!   The ranges are cut by generated points and run across the CPU workers;
 //! * on delta frames, generates only the rows the churn invalidated: the
-//!   temporal layer classifies every source row against the previous
-//!   frame's cached outputs (`super::temporal::plan_outputs`), the fresh
-//!   subset runs as one compacted batch through
-//!   [`dilated_interpolate_rows_into`] (midpoints via the SIMD SoA kernel
-//!   [`volut_pointcloud::kernels::pair_midpoints_into`]), and everything
-//!   else is rebuilt from the cached partners and neighborhoods,
-//!   index-remapped and bit-identically.
+//!   temporal layer's plan (`super::temporal::plan_outputs`) tells the pass,
+//!   row by row, which rows copy their outputs forward from the previous
+//!   frame — partners, neighborhoods and refined positions, index-remapped
+//!   and bit-identical — and only the rest are drawn and refined.
 //!
 //! Interpolation partners are drawn from a small RNG seeded per *source
 //! point* by the point's position bits (`super::row_seed`), so the output
-//! is bit-identical regardless of worker count, chunking, or how rows moved
+//! is bit-identical regardless of worker count, range cut, or how rows moved
 //! between frames — the invariance the copy-forward path relies on.
 
-use super::arena::zip_pairs;
-use super::{
-    colorize, distribute_new_points_into, FrameArena, FrameScratch, InterpolationResult, OpCounts,
-    RowBatch,
-};
+use super::reuse::merge_parent_heads;
+use super::temporal::{self, FramePlan};
+use super::{row_seed, PointSplit};
+use super::{run_jobs, take_front, FrameArena, FrameScratch, InterpolationResult, OpCounts};
 use crate::config::SrConfig;
 use crate::error::Error;
 use crate::pipeline::StageTimings;
+use crate::refine::Refiner;
 use crate::Result;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::time::Instant;
-use volut_pointcloud::kernels;
-use volut_pointcloud::knn::NeighborSearch;
-use volut_pointcloud::soa::SoaPositions;
-use volut_pointcloud::{runtime, NeighborhoodsView, Point3, PointCloud};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+use volut_pointcloud::{runtime, Color, NeighborhoodsView, Point3, PointCloud};
 
 /// Rows per task of the self-strip copy in `dilated_frame`: a few
 /// thousand 8-entry rows, tens of microseconds of work each.
 const STRIP_ROWS_PER_TASK: usize = 4096;
+
+/// Generated points per task of the frame pass: the pass cuts its source
+/// rows into ranges that generate about this many points each, so a frame
+/// at ratio 8 splits as finely as one at ratio 2, and a frame has several
+/// ranges per worker for the runtime's cursor to balance (the fresh rows of
+/// a delta frame cluster in space, and so in a few ranges). On one worker —
+/// including every frame nested in a server tenant's task — the pass runs
+/// as one inline range.
+const PASS_POINTS_PER_TASK: usize = 4_096;
+
+/// Source rows per block of the frame pass: each stage (generate, colour,
+/// refine) reads the clock once per block.
+const BLOCK_ROWS: usize = 64;
 
 /// Upsamples `low` to roughly `ratio ×` its point count using dilated
 /// interpolation with neighbor reuse.
@@ -87,91 +100,6 @@ pub fn dilated_interpolate(
     dilated_interpolate_with(low, config, ratio, &mut FrameScratch::new())
 }
 
-/// Generates the interpolated outputs of a *subset* of source rows into
-/// `out` (cleared first): positions, parent pairs and — when `with_hoods` —
-/// one Eq. 2 merged-and-pruned neighborhood row per generated point.
-///
-/// `rows` lists the source rows to generate, ascending; `counts[i]` is the
-/// per-row generation count (see `super::distribute_new_points_into`);
-/// `soa` must mirror `positions` ([`SoaPositions::fill`]). Calling this over
-/// the full row set is bit-identical to the legacy whole-frame batch — the
-/// partial-batch entry exists so the temporal layer can recompute *only*
-/// churn-invalidated rows. Midpoints are computed by the SIMD SoA kernel
-/// [`kernels::pair_midpoints_into`] (scalar fallback bit-identical). A
-/// reused `out` makes the call allocation-free.
-#[allow(clippy::too_many_arguments)]
-pub fn dilated_interpolate_rows_into(
-    positions: &[Point3],
-    soa: &SoaPositions,
-    dilated: NeighborhoodsView<'_>,
-    config: &SrConfig,
-    counts: &[usize],
-    rows: &[u32],
-    with_hoods: bool,
-    out: &mut RowBatch,
-) {
-    // (An empty batch never reads `soa`: the caller skips the mirror fill,
-    // and on a shared arena it then still describes some other frame.)
-    debug_assert!(rows.is_empty() || soa.len() == positions.len());
-    out.clear();
-    let RowBatch {
-        points,
-        hoods,
-        pair_a,
-        pair_b,
-        drawn,
-    } = out;
-    for &row in rows {
-        let i = row as usize;
-        let count = counts[i];
-        if count == 0 {
-            continue;
-        }
-        let hood = dilated.row(i);
-        debug_assert!(!hood.is_empty(), "stripped dilated row {i} is empty");
-        if hood.is_empty() {
-            continue;
-        }
-        // Seeding per source point — by position bits — keeps the draw
-        // sequence independent of chunking *and* of the row's index.
-        let mut rng = StdRng::seed_from_u64(super::row_seed(config.seed, positions[i]));
-        // Random subset S_i of the dilated neighborhood, one partner per
-        // generated point — drawn *without replacement* (a repeated partner
-        // would duplicate a midpoint and add no coverage), falling back to
-        // repeats only once the neighborhood is exhausted. The hood holds
-        // distinct indices, so a drawn slot is a drawn partner, and
-        // rejection always terminates.
-        drawn.clear();
-        drawn.resize(hood.len().div_ceil(64), 0);
-        for taken in 0..count {
-            let mut s = rng.random_range(0..hood.len());
-            if taken < hood.len() {
-                while drawn[s / 64] >> (s % 64) & 1 != 0 {
-                    s = rng.random_range(0..hood.len());
-                }
-                drawn[s / 64] |= 1 << (s % 64);
-            }
-            pair_a.push(row);
-            pair_b.push(hood[s]);
-        }
-    }
-    points.resize(pair_a.len(), Point3::ZERO);
-    kernels::pair_midpoints_into(soa, pair_a, pair_b, points);
-    if with_hoods {
-        // Derive every generated point's neighborhood in one batched
-        // merge-and-prune pass (Eq. 2): the k-nearest subsets (heads of the
-        // dilated lists) serve as the parents' neighbor lists for reuse.
-        super::reuse::merge_and_prune_rows(
-            points,
-            zip_pairs(pair_a, pair_b),
-            dilated,
-            positions,
-            config.k,
-            hoods,
-        );
-    }
-}
-
 /// [`dilated_interpolate`] with caller-provided session state (reused
 /// across frames of a streaming session).
 ///
@@ -183,17 +111,34 @@ pub fn dilated_interpolate_with(
     ratio: f64,
     scratch: &mut FrameScratch,
 ) -> Result<InterpolationResult> {
-    dilated_interpolate_in(low, config, ratio, scratch, &mut FrameArena::checkout())
+    dilated_interpolate_in(
+        low,
+        config,
+        ratio,
+        scratch,
+        &mut FrameArena::checkout(),
+        None,
+    )
 }
 
-/// [`dilated_interpolate_with`] on an arena the caller checked out, so the
-/// stages after interpolation (the pipeline's refinement) can share it.
+/// The refinement a pipeline frame runs inside the frame pass: its refiner,
+/// and the pipeline id its refined tail is cached under.
+#[derive(Clone, Copy)]
+pub(crate) struct Refine<'a> {
+    pub(crate) refiner: &'a dyn Refiner,
+    pub(crate) owner: u64,
+}
+
+/// [`dilated_interpolate_with`] on an arena the caller checked out, refining
+/// the generated points in the same pass when `refine` is given (the
+/// pipeline's frame).
 pub(crate) fn dilated_interpolate_in(
     low: &PointCloud,
     config: &SrConfig,
     ratio: f64,
     session: &mut FrameScratch,
     arena: &mut FrameArena,
+    refine: Option<Refine<'_>>,
 ) -> Result<InterpolationResult> {
     config.validate()?;
     config.validate_ratio(ratio)?;
@@ -204,7 +149,7 @@ pub(crate) fn dilated_interpolate_in(
         });
     }
     let dual_before = arena.knn.invocations();
-    let result = dilated_frame(low, config, ratio, session, arena);
+    let result = dilated_frame(low, config, ratio, session, arena, refine);
     session.temporal.dual_tree_batches += arena.knn.invocations() - dual_before;
     Ok(result)
 }
@@ -218,9 +163,11 @@ fn dilated_frame(
     ratio: f64,
     session: &mut FrameScratch,
     arena: &mut FrameArena,
+    refine: Option<Refine<'_>>,
 ) -> InterpolationResult {
     let mut timings = StageTimings::default();
     let positions = low.positions();
+    let n = low.len();
     let dilated_k = config.dilated_neighborhood();
     let mut neighborhoods = arena.take_neighborhoods();
     let mut parents = arena.take_parents();
@@ -233,7 +180,7 @@ fn dilated_frame(
     // previous frame instead of recomputed (bit-identical either way — see
     // [`super::temporal`]). Cold frames run the full dual-tree /
     // single-tree batch machinery exactly as before.
-    super::temporal::self_join(low, dilated_k + 1, session, arena, &mut timings);
+    temporal::self_join(low, dilated_k + 1, session, arena, &mut timings);
 
     // Strip the self-match from each row and cap at the dilated size. Raw
     // rows are uniform — `min(dilated_k + 1, n)` entries — and a row either
@@ -243,11 +190,11 @@ fn dilated_frame(
     // no serial pass behind the join.
     let t0 = Instant::now();
     let raw = arena.raw_hoods.indices();
-    let raw_width = raw.len() / low.len();
+    let raw_width = raw.len() / n;
     debug_assert!(arena.raw_hoods.iter().all(|row| row.len() == raw_width));
     let width = raw_width - 1;
     arena.dilated.clear();
-    let stripped = arena.dilated.push_uniform_rows(low.len(), width);
+    let stripped = arena.dilated.push_uniform_rows(n, width);
     runtime::for_each_chunk_mut(stripped, STRIP_ROWS_PER_TASK * width, |_, start, chunk| {
         let first = start / width;
         for (r, dst) in chunk.chunks_exact_mut(width).enumerate() {
@@ -262,125 +209,339 @@ fn dilated_frame(
     });
     timings.knn += t0.elapsed();
 
-    let mut ops = OpCounts {
-        knn_queries: low.len() as u64,
-        candidates_examined: arena.dilated.total_indices() as u64 * 4,
-        points_generated: 0,
-        reused_neighborhoods: 0,
-    };
-
-    // --- Plan: classify every row as copy-forward or recompute against the
-    // previous frame's cached outputs (Cold plans recompute everything).
+    // --- The frame pass: the output is sized once, and every range of
+    // source rows writes its generated points' positions, colors, parents
+    // and neighborhoods — and, in a pipeline frame, their refined positions
+    // — straight into its own slices of it.
     let t1 = Instant::now();
-    distribute_new_points_into(low.len(), ratio, &mut arena.counts);
-    super::temporal::plan_outputs(&mut session.temporal, arena, config, ratio);
-
-    // --- Interpolation stage: generate only the fresh rows, as one
-    // compacted batch — one arena batch per worker chunk of the fresh-row
-    // list (a single one on one worker), the later ones appended to the
-    // first in chunk order.
-    let FrameArena {
-        counts,
-        dilated,
-        soa,
-        batches,
-        join,
-        plan,
-        ..
-    } = arena;
-    let counts = counts.as_slice();
-    let fresh_rows = plan.fresh_rows.as_slice();
-    if !fresh_rows.is_empty() {
-        soa.fill(positions);
-    }
-    let soa = &*soa;
-    let with_hoods = config.reuse_neighbors;
-    let workers = runtime::workers_for(fresh_rows.len(), 2_000);
-    let chunk = fresh_rows.len().div_ceil(workers).max(1);
-    let n_chunks = fresh_rows.len().div_ceil(chunk).max(1);
-    if batches.len() < n_chunks {
-        batches.resize_with(n_chunks, RowBatch::default);
-    }
-    runtime::for_each_chunk_mut(&mut batches[..n_chunks], 1, |c, _, batch| {
-        let range = (c * chunk).min(fresh_rows.len())..((c + 1) * chunk).min(fresh_rows.len());
-        dilated_interpolate_rows_into(
-            positions,
-            soa,
-            dilated.view(),
-            config,
-            counts,
-            &fresh_rows[range],
-            with_hoods,
-            &mut batch[0],
-        );
+    let split = PointSplit::new(n, ratio);
+    let total = split.offset(n);
+    let hood_width = config.k.min(n);
+    let mut points = Vec::with_capacity(n + total);
+    points.extend_from_slice(positions);
+    points.resize(n + total, Point3::ZERO);
+    let mut colors = low.colors().map(|source| {
+        let mut colors = Vec::with_capacity(n + total);
+        colors.extend_from_slice(source);
+        colors.resize(n + total, Color::BLACK);
+        colors
     });
-    let (fresh, rest) = batches[..n_chunks]
-        .split_first_mut()
-        .expect("at least one batch");
-    for part in rest.iter() {
-        fresh.append(part);
-    }
-    let fresh = &*fresh;
-
-    // --- Assemble: interleave copied-forward (rebuilt from the cached
-    // partners and neighborhoods) and fresh outputs into final frame order.
-    let mut cloud = low.clone();
-    super::temporal::assemble_outputs(
-        &session.temporal.outputs,
-        plan,
-        &join.old_to_new,
-        positions,
-        counts,
-        config.k,
-        fresh,
-        &mut cloud,
-        &mut parents,
-        &mut neighborhoods,
-    );
-    ops.points_generated = (cloud.len() - low.len()) as u64;
-    if config.reuse_neighbors {
-        ops.reused_neighborhoods = ops.points_generated;
-    }
-    timings.interpolation += t1.elapsed();
-    if !config.reuse_neighbors {
-        // No-reuse ablation: exact batched queries for every generated point
-        // (the plan is always Cold here, so `fresh.points` is all of them).
-        let t = Instant::now();
-        session
-            .index
-            .cached_tree()
-            .knn_batch(&fresh.points, config.k, &mut neighborhoods);
-        timings.knn += t.elapsed();
-        ops.knn_queries += fresh.points.len() as u64;
-        ops.candidates_examined += fresh.points.len() as u64 * config.k as u64 * 4;
-    }
-
-    // --- Colorization stage: every generated point takes its neighborhood
-    // head's color, recomputed each frame rather than held as session state.
-    let t2 = Instant::now();
-    colorize::colorize_new_points(&mut cloud, low, low.len(), neighborhoods.view(), &parents);
-    timings.colorization += t2.elapsed();
-
-    // --- Capture this frame's outputs as the next frame's reuse source.
-    let t3 = Instant::now();
-    super::temporal::capture_outputs(
-        &mut session.temporal,
-        plan,
-        low,
+    parents.resize(total, (0, 0));
+    neighborhoods.push_uniform_rows(total, hood_width);
+    let (hoods, offsets) = neighborhoods.parts_mut();
+    let plan = temporal::plan_outputs(
+        &session.temporal,
+        &arena.join,
         config,
         ratio,
-        &parents,
-        &neighborhoods,
+        n,
+        refine.map(|r| r.owner),
     );
-    timings.interpolation += t3.elapsed();
+    let (mode, refined_replayed) = (plan.mode, plan.refined.is_some());
+    let pass = FramePass {
+        positions,
+        colors: low.colors(),
+        dilated: arena.dilated.view(),
+        seed: config.seed,
+        split,
+        width: hood_width,
+        offsets,
+        plan,
+        refine,
+        tally: Tally::default(),
+    };
+    let ranges = if runtime::current_workers() > 1 {
+        total.div_ceil(PASS_POINTS_PER_TASK).clamp(1, n)
+    } else {
+        1
+    };
+    let rows_per_range = n.div_ceil(ranges);
+    let (mut tail, mut tail_colors) =
+        (&mut points[n..], colors.as_deref_mut().map(|c| &mut c[n..]));
+    let (mut tail_parents, mut tail_hoods) = (parents.as_mut_slice(), hoods);
+    let jobs = (0..ranges).map(|c| {
+        let rows = (c * rows_per_range).min(n)..((c + 1) * rows_per_range).min(n);
+        let len = split.offset(rows.end) - split.offset(rows.start);
+        RangeOut {
+            rows,
+            points: take_front(&mut tail, len),
+            colors: tail_colors.as_mut().map(|c| take_front(c, len)),
+            parents: take_front(&mut tail_parents, len),
+            hoods: take_front(&mut tail_hoods, len * hood_width),
+        }
+    });
+    let setup = t1.elapsed();
+    // Ranges holding a delta frame's fresh rows start first.
+    let weight = |out: &RangeOut<'_>| pass.plan.recomputed_rows(out.rows.clone());
+    run_jobs(jobs, weight, |out| pass.run(out));
+    let tally = pass.tally;
 
+    // --- Record the reuse and capture this frame's outputs (and refined
+    // tail) as the next frame's reuse source.
+    let t2 = Instant::now();
+    let reused = tally.reused.load(Ordering::Relaxed) as usize;
+    let refined = refine.map(|_| refined_replayed);
+    let t = &mut session.temporal;
+    temporal::record_outputs(t, total, reused, refined);
+    temporal::capture_outputs(t, mode, low, config, ratio, &parents, &neighborhoods);
+    timings.interpolation += setup + t2.elapsed() + tally.generate.elapsed();
+    timings.colorization += tally.color.elapsed();
+    let t3 = Instant::now();
+    if let Some(r) = refine {
+        temporal::capture_refined(t, r.owner, &points[n..]);
+    }
+    timings.refinement += tally.refine.elapsed() + t3.elapsed();
+
+    let cloud = match colors {
+        Some(colors) => PointCloud::from_positions_and_colors(points, colors)
+            .expect("colors sized to the points"),
+        None => PointCloud::from_positions(points),
+    };
     InterpolationResult {
         cloud,
-        original_len: low.len(),
+        original_len: n,
         parents,
         neighborhoods,
         timings,
-        ops,
+        ops: OpCounts {
+            knn_queries: n as u64,
+            candidates_examined: arena.dilated.total_indices() as u64 * 4,
+            points_generated: total as u64,
+            reused_neighborhoods: total as u64,
+        },
+    }
+}
+
+/// Worker time of one stage of the frame pass, summed over its ranges.
+#[derive(Debug, Default)]
+struct StageClock(AtomicU64);
+
+impl StageClock {
+    fn add(&self, time: Duration) {
+        self.0.fetch_add(time.as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    fn elapsed(&self) -> Duration {
+        Duration::from_nanos(self.0.load(Ordering::Relaxed))
+    }
+}
+
+/// What the ranges of a frame pass report back.
+#[derive(Debug, Default)]
+struct Tally {
+    generate: StageClock,
+    color: StageClock,
+    refine: StageClock,
+    /// Generated points copied forward from the previous frame.
+    reused: AtomicU64,
+}
+
+/// One range of source rows and its disjoint slices of the output: the tail
+/// positions, colors, parents and neighborhoods (`width` entries per point)
+/// its rows generate.
+struct RangeOut<'a> {
+    rows: Range<usize>,
+    points: &'a mut [Point3],
+    colors: Option<&'a mut [Color]>,
+    parents: &'a mut [(usize, usize)],
+    hoods: &'a mut [u32],
+}
+
+/// What every range of a frame pass reads.
+struct FramePass<'a> {
+    positions: &'a [Point3],
+    colors: Option<&'a [Color]>,
+    /// Self-match-stripped dilated rows of the source points.
+    dilated: NeighborhoodsView<'a>,
+    seed: u64,
+    split: PointSplit,
+    /// Entries per generated neighborhood: `min(k, n)`. Every generated
+    /// point's Eq. 2 row merges its parents' heads, each `min(k, n - 1)`
+    /// distinct points that exclude that parent, so the union holds at least
+    /// `min(k, n)` points — a cloud of at most `k` points fills a uniform
+    /// slab with rows of the whole cloud.
+    width: usize,
+    /// Offsets of the output neighborhoods, for views of the rows a range
+    /// has filled.
+    offsets: &'a [u32],
+    plan: FramePlan<'a>,
+    refine: Option<Refine<'a>>,
+    tally: Tally,
+}
+
+impl FramePass<'_> {
+    /// Fills one range's outputs, a block of [`BLOCK_ROWS`] rows at a time:
+    /// every row's points are copied forward or drawn (generate), coloured
+    /// by their neighborhood head (colour), then refined in place, or given
+    /// their cached refined positions (refine).
+    fn run(&self, out: RangeOut<'_>) {
+        let RangeOut {
+            rows,
+            points,
+            mut colors,
+            parents,
+            hoods,
+        } = out;
+        let (w, base) = (self.width, self.split.offset(rows.start));
+        let at = |r: usize| self.split.offset(r) - base;
+        let (mut generate, mut color, mut refine) =
+            (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+        let mut reused = 0;
+        let mut clock = Instant::now();
+        for first in rows.clone().step_by(BLOCK_ROWS) {
+            let block = first..(first + BLOCK_ROWS).min(rows.end);
+            // Per row of the block: the cached ordinal it copies forward.
+            let mut copied = [None; BLOCK_ROWS];
+            for r in block.clone() {
+                let slots = at(r)..at(r + 1);
+                if slots.is_empty() {
+                    continue;
+                }
+                let source = self.plan.source(r, slots.len());
+                let row_hoods = &mut hoods[slots.start * w..slots.end * w];
+                match source {
+                    Some(o) => {
+                        reused += slots.len();
+                        self.derive(
+                            r,
+                            o,
+                            &mut points[slots.clone()],
+                            &mut parents[slots],
+                            row_hoods,
+                        );
+                    }
+                    None => self.draw(
+                        r,
+                        &mut points[slots.clone()],
+                        &mut parents[slots],
+                        row_hoods,
+                    ),
+                }
+                copied[r - first] = source;
+            }
+            let now = Instant::now();
+            generate += now - clock;
+            clock = now;
+
+            let span = at(block.start)..at(block.end);
+            if let (Some(colors), Some(source)) = (colors.as_deref_mut(), self.colors) {
+                // A generated point takes its neighborhood head's color.
+                let heads = hoods[span.start * w..span.end * w].chunks_exact(w);
+                for (c, row) in colors[span.clone()].iter_mut().zip(heads) {
+                    *c = source[row[0] as usize];
+                }
+                let now = Instant::now();
+                color += now - clock;
+                clock = now;
+            }
+
+            if let Some(Refine { refiner, .. }) = self.refine {
+                // Fresh rows are refined in runs; rows copied forward take
+                // their cached refined positions when the plan has them.
+                let mut run = span.start;
+                if let Some(refined) = self.plan.refined {
+                    for (r, o) in block.clone().zip(copied) {
+                        let Some(o) = o else { continue };
+                        let slots = at(r)..at(r + 1);
+                        self.refine_run(refiner, points, hoods, base, run..slots.start);
+                        points[slots.clone()].copy_from_slice(&refined[o..o + slots.len()]);
+                        run = slots.end;
+                    }
+                }
+                self.refine_run(refiner, points, hoods, base, run..span.end);
+                let now = Instant::now();
+                refine += now - clock;
+                clock = now;
+            }
+        }
+        let tally = &self.tally;
+        tally.generate.add(generate);
+        tally.color.add(color);
+        tally.refine.add(refine);
+        tally.reused.fetch_add(reused as u64, Ordering::Relaxed);
+    }
+
+    /// Copies row `r`'s outputs forward from cached ordinal `o` on: each
+    /// point's parents are the row and its remapped cached partner, its
+    /// position their midpoint in the new frame (where both kept their
+    /// bits), its neighborhood the cached one remapped.
+    fn derive(
+        &self,
+        r: usize,
+        o: usize,
+        points: &mut [Point3],
+        parents: &mut [(usize, usize)],
+        hoods: &mut [u32],
+    ) {
+        let a = self.positions[r];
+        let rows = hoods.chunks_exact_mut(self.width);
+        for (((p, pair), hood), o) in points.iter_mut().zip(parents).zip(rows).zip(o..) {
+            let b = self.plan.partner(o);
+            *p = a.midpoint(self.positions[b]);
+            *pair = (r, b);
+            self.plan.hood_into(o, hood);
+        }
+    }
+
+    /// Generates row `r`'s points fresh: a random subset of its dilated row
+    /// as partners, each point the midpoint of the row and its partner, its
+    /// neighborhood the Eq. 2 merge of the two parents' heads.
+    fn draw(
+        &self,
+        r: usize,
+        points: &mut [Point3],
+        parents: &mut [(usize, usize)],
+        hoods: &mut [u32],
+    ) {
+        let hood = self.dilated.row(r);
+        let a = self.positions[r];
+        // Seeding per source point — by position bits — keeps the draw
+        // sequence independent of the range cut *and* of the row's index.
+        let mut rng = StdRng::seed_from_u64(row_seed(self.seed, a));
+        for taken in 0..points.len() {
+            // One partner per generated point, drawn *without replacement*
+            // (a repeated partner would duplicate a midpoint and add no
+            // coverage), falling back to repeats only once the neighborhood
+            // is exhausted. The hood holds distinct indices, so a slot was
+            // drawn exactly when its index already is one of this row's
+            // partners, and rejection always terminates.
+            let mut s = rng.random_range(0..hood.len());
+            if taken < hood.len() {
+                while parents[..taken].iter().any(|&(_, b)| b == hood[s] as usize) {
+                    s = rng.random_range(0..hood.len());
+                }
+            }
+            let b = hood[s] as usize;
+            let p = a.midpoint(self.positions[b]);
+            (points[taken], parents[taken]) = (p, (r, b));
+            let dst = &mut hoods[taken * self.width..(taken + 1) * self.width];
+            let kept = merge_parent_heads(p, hood, self.dilated.row(b), self.positions, dst);
+            debug_assert_eq!(
+                kept, self.width,
+                "generated neighborhoods are min(k, n) wide"
+            );
+        }
+    }
+
+    /// Refines the range's tail points `run` (range-relative; the range
+    /// starts at tail ordinal `base`) in place.
+    fn refine_run(
+        &self,
+        refiner: &dyn Refiner,
+        points: &mut [Point3],
+        hoods: &[u32],
+        base: usize,
+        run: Range<usize>,
+    ) {
+        if run.is_empty() {
+            return;
+        }
+        let w = self.width;
+        let view = NeighborhoodsView::from_raw(
+            &hoods[run.start * w..run.end * w],
+            &self.offsets[base + run.start..=base + run.end],
+        );
+        refiner.refine_batch(&mut points[run], view, self.positions);
     }
 }
 
@@ -445,18 +606,38 @@ mod tests {
     }
 
     #[test]
-    fn reuse_disabled_still_produces_neighborhoods() {
-        let low = synthetic::sphere(200, 1.0, 5);
-        let cfg = SrConfig {
-            reuse_neighbors: false,
-            ..SrConfig::default()
-        };
-        let out = dilated_interpolate(&low, &cfg, 2.0).unwrap();
-        assert_eq!(out.neighborhoods.len(), out.new_points());
-        for hood in out.neighborhoods.iter() {
-            assert!(!hood.is_empty());
+    fn generated_neighborhoods_are_min_k_n_wide() {
+        // Clouds around `k` points, at both dilations: every generated
+        // neighborhood holds `min(k, n)` distinct source points (a cloud of
+        // at most `k` points gives every generated point the whole cloud),
+        // and a session's frames — repeated, then moved — equal a cold
+        // recompute.
+        for config in [SrConfig::default(), SrConfig::k4d1()] {
+            let k = config.k;
+            for n in [2, 3, k, k + 1, k + 2] {
+                let low = synthetic::sphere(n, 1.0, n as u64);
+                let mut moved = low.clone();
+                moved.translate(Point3::new(0.25, 0.0, 0.0));
+                let mut scratch = FrameScratch::new();
+                for (frame_no, frame) in [&low, &low, &moved].into_iter().enumerate() {
+                    let out = dilated_interpolate_with(frame, &config, 3.0, &mut scratch).unwrap();
+                    let what = format!("dilation {} n {n} frame {frame_no}", config.dilation);
+                    assert_eq!(out.neighborhoods.len(), out.new_points(), "{what}");
+                    for hood in out.neighborhoods.iter() {
+                        assert_eq!(hood.len(), k.min(n), "{what}");
+                        let mut distinct = hood.to_vec();
+                        distinct.sort_unstable();
+                        distinct.dedup();
+                        assert_eq!(distinct.len(), hood.len(), "{what}");
+                        assert!(hood.iter().all(|&i| (i as usize) < n), "{what}");
+                    }
+                    let cold = dilated_interpolate(frame, &config, 3.0).unwrap();
+                    assert_eq!(out.cloud, cold.cloud, "{what}");
+                    assert_eq!(out.parents, cold.parents, "{what}");
+                    assert_eq!(out.neighborhoods, cold.neighborhoods, "{what}");
+                }
+            }
         }
-        assert_eq!(out.ops.reused_neighborhoods, 0);
     }
 
     #[test]
@@ -497,58 +678,6 @@ mod tests {
         assert_eq!(a.cloud, b.cloud);
         assert_eq!(a.neighborhoods, b.neighborhoods);
         assert_eq!(a.parents, b.parents);
-    }
-
-    #[test]
-    fn rows_into_over_full_set_matches_whole_frame_batch() {
-        // The partial-batch entry over the complete row list must reproduce
-        // the legacy whole-frame output bit for bit.
-        let low = synthetic::humanoid(900, 0.35, 21);
-        let cfg = SrConfig::default();
-        let ratio = 2.4;
-        let full = dilated_interpolate(&low, &cfg, ratio).unwrap();
-
-        // Rebuild the inputs the partial entry needs: the self-join rows,
-        // self-match stripped and capped at the dilated size.
-        let positions = low.positions();
-        let dilated_k = cfg.dilated_neighborhood();
-        let mut raw = volut_pointcloud::Neighborhoods::new();
-        volut_pointcloud::kdtree::KdTree::build(positions).knn_batch(
-            positions,
-            dilated_k + 1,
-            &mut raw,
-        );
-        let mut dilated = volut_pointcloud::Neighborhoods::new();
-        for (i, row) in raw.iter().enumerate() {
-            dilated.push_row_u32_iter(
-                row.iter()
-                    .copied()
-                    .filter(|&j| j as usize != i)
-                    .take(dilated_k),
-            );
-        }
-        let mut soa = SoaPositions::default();
-        soa.fill(positions);
-        let mut counts = Vec::new();
-        distribute_new_points_into(low.len(), ratio, &mut counts);
-        let rows: Vec<u32> = (0..low.len() as u32).collect();
-        let mut batch = RowBatch::default();
-        dilated_interpolate_rows_into(
-            positions,
-            &soa,
-            dilated.view(),
-            &cfg,
-            &counts,
-            &rows,
-            true,
-            &mut batch,
-        );
-        assert_eq!(
-            batch.points.as_slice(),
-            &full.cloud.positions()[low.len()..]
-        );
-        assert_eq!(batch.parents().collect::<Vec<_>>(), full.parents);
-        assert_eq!(batch.hoods, full.neighborhoods);
     }
 
     #[test]

@@ -21,13 +21,13 @@
 //! and refined tail, the counters and serials, a pending declared delta.
 //! Passing the same scratch to every `upsample` call of a streaming session
 //! is what makes delta frames cost `O(churn)`. Everything a frame clears,
-//! fills and forgets — raw and dilated neighbor lists, the reuse plan, the
-//! dual-tree slab, kd-tree patch lists, fresh-row batches, refinement gather
-//! buffers — lives on a [`FrameArena`] instead, checked out from a
-//! per-thread free-list for the duration of one frame, so a process holds
-//! about one arena per worker however many sessions it serves. The
-//! re-entrancy rule (a frame nested inside another on the same thread gets
-//! its own arena) is spelled out in [`arena`].
+//! fills and forgets — raw and dilated neighbor lists, the join's row
+//! verdicts, the dual-tree slab, kd-tree build and patch buffers, the
+//! recycled result containers — lives on a [`FrameArena`] instead, checked
+//! out from a per-thread free-list for the duration of one frame, so a
+//! process holds about one arena per worker however many sessions it
+//! serves. The re-entrancy rule (a frame nested inside another on the same
+//! thread gets its own arena) is spelled out in [`arena`].
 
 pub mod arena;
 pub mod colorize;
@@ -38,11 +38,11 @@ pub mod temporal;
 use crate::config::SrConfig;
 use crate::pipeline::StageTimings;
 use crate::Result;
-pub use arena::{FrameArena, RowBatch};
+pub use arena::FrameArena;
 pub use temporal::TemporalStats;
 use volut_pointcloud::delta::FrameDelta;
 use volut_pointcloud::kdtree::{IndexScratch, KdTree};
-use volut_pointcloud::{Neighborhoods, Point3, PointCloud};
+use volut_pointcloud::{runtime, Neighborhoods, Point3, PointCloud};
 
 /// Output of an interpolation pass.
 ///
@@ -61,11 +61,13 @@ pub struct InterpolationResult {
     pub parents: Vec<(usize, usize)>,
     /// For each new point, the (approximate) `k` nearest original-point
     /// indices ordered by increasing distance, stored as one flat CSR
-    /// container. Reused by colorization and by the LUT refinement stage so
-    /// no further kNN queries (and no per-point allocations) are needed.
+    /// container. Every row holds `min(k, n)` entries for an `n`-point
+    /// input. Reused by colorization and by the LUT refinement stage so no
+    /// further kNN queries (and no per-point allocations) are needed.
     pub neighborhoods: Neighborhoods,
-    /// Stage timings measured on the host; `refinement` is left at zero
-    /// for the pipeline to fill.
+    /// Stage timings measured on the host (see [`StageTimings`] for which
+    /// fields are summed worker time); `refinement` is zero unless a
+    /// pipeline refined the frame.
     pub timings: StageTimings,
     /// Operation counters used for reporting and cost modeling.
     pub ops: OpCounts,
@@ -322,22 +324,6 @@ impl FrameScratch {
         self.temporal.stats
     }
 
-    /// Enables or disables incremental (temporal) kNN reuse for subsequent
-    /// frames. Enabled by default; disabling also drops the cached frame,
-    /// so re-enabling starts cold. Results are bit-identical either way —
-    /// this is the ablation/benchmark switch.
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.temporal.enabled = enabled;
-        if !enabled {
-            self.temporal.invalidate();
-        }
-    }
-
-    /// Whether incremental (temporal) kNN reuse is enabled.
-    pub fn incremental(&self) -> bool {
-        self.temporal.enabled
-    }
-
     /// Declares the exact delta from the previous upsampled frame to the
     /// next one, sparing the engine its bitwise diff. The delta is verified
     /// against both frames before use (one linear pass); a delta that does
@@ -470,13 +456,35 @@ impl PointSplit {
     }
 }
 
-/// Computes how many new points must be generated to reach `ratio`, and how
-/// they are distributed over the source points ([`PointSplit`]). Fills
-/// `counts` (cleared first) with one entry per source point.
-pub(crate) fn distribute_new_points_into(n: usize, ratio: f64, counts: &mut Vec<usize>) {
-    let split = PointSplit::new(n, ratio);
-    counts.clear();
-    counts.extend((0..n).map(|r| split.count(r)));
+/// Runs `f` on every job of a pre-split pass, one task per job through
+/// [`runtime::for_each_chunk_mut`], heaviest `weight` first (ties in job
+/// order): the runtime starts tasks in order, so a heavy job started last
+/// would finish alone. A single job runs inline on the caller without being
+/// collected, so a one-job frame allocates nothing.
+pub(crate) fn run_jobs<J: Send>(
+    mut jobs: impl Iterator<Item = J>,
+    weight: impl Fn(&J) -> usize,
+    f: impl Fn(J) + Sync,
+) {
+    let Some(first) = jobs.next() else {
+        return;
+    };
+    let Some(second) = jobs.next() else {
+        return f(first);
+    };
+    let mut jobs: Vec<Option<J>> = [first, second].into_iter().chain(jobs).map(Some).collect();
+    jobs.sort_by_key(|job| std::cmp::Reverse(job.as_ref().map_or(0, &weight)));
+    runtime::for_each_chunk_mut(&mut jobs, 1, |_, _, job| {
+        f(job[0].take().expect("each job runs once"));
+    });
+}
+
+/// Splits the first `len` elements off `slice`: how a pass hands each of its
+/// jobs a disjoint `&mut` window of an output.
+pub(crate) fn take_front<'a, T>(slice: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (front, rest) = std::mem::take(slice).split_at_mut(len);
+    *slice = rest;
+    front
 }
 
 /// Per-row RNG seed derived from the session seed and the source point's
@@ -496,37 +504,35 @@ pub(crate) fn row_seed(seed: u64, p: Point3) -> u64 {
     mix(h.wrapping_add(u64::from(p.z.to_bits())))
 }
 
-/// Allocating convenience wrapper around [`distribute_new_points_into`].
-#[cfg(test)]
-pub(crate) fn distribute_new_points(n: usize, ratio: f64) -> Vec<usize> {
-    let mut counts = Vec::new();
-    distribute_new_points_into(n, ratio, &mut counts);
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn distribution_reaches_target() {
-        let d = distribute_new_points(100, 2.0);
-        assert_eq!(d.iter().sum::<usize>(), 100);
-        let d = distribute_new_points(100, 2.5);
-        assert_eq!(d.iter().sum::<usize>(), 150);
-        let d = distribute_new_points(7, 3.3);
-        assert_eq!(d.iter().sum::<usize>(), (7.0f64 * 3.3).round() as usize - 7);
+    /// Per-row counts of `split` over `n` rows.
+    fn counts(n: usize, ratio: f64) -> Vec<usize> {
+        let split = PointSplit::new(n, ratio);
+        (0..n).map(|r| split.count(r)).collect()
     }
 
     #[test]
-    fn distribution_handles_identity_and_empty() {
-        assert_eq!(distribute_new_points(10, 1.0).iter().sum::<usize>(), 0);
-        assert!(distribute_new_points(0, 4.0).is_empty());
+    fn split_reaches_target() {
+        assert_eq!(counts(100, 2.0).iter().sum::<usize>(), 100);
+        assert_eq!(counts(100, 2.5).iter().sum::<usize>(), 150);
+        assert_eq!(
+            counts(7, 3.3).iter().sum::<usize>(),
+            (7.0f64 * 3.3).round() as usize - 7
+        );
     }
 
     #[test]
-    fn distribution_is_balanced() {
-        let d = distribute_new_points(10, 2.35);
+    fn split_handles_identity_and_empty() {
+        assert_eq!(counts(10, 1.0).iter().sum::<usize>(), 0);
+        assert_eq!(PointSplit::new(0, 4.0).offset(0), 0);
+    }
+
+    #[test]
+    fn split_is_balanced() {
+        let d = counts(10, 2.35);
         let min = d.iter().min().unwrap();
         let max = d.iter().max().unwrap();
         assert!(max - min <= 1);
@@ -543,24 +549,13 @@ mod tests {
             (1, 8.0),
         ] {
             let split = PointSplit::new(n, ratio);
-            let counts = distribute_new_points(n, ratio);
             let mut at = 0;
-            for (r, &count) in counts.iter().enumerate() {
+            for (r, count) in counts(n, ratio).into_iter().enumerate() {
                 assert_eq!(split.offset(r), at, "n {n} ratio {ratio} row {r}");
                 at += count;
             }
             assert_eq!(split.offset(n), at, "n {n} ratio {ratio}: tail length");
         }
-    }
-
-    #[test]
-    fn distribution_into_reuses_buffer() {
-        let mut counts = vec![99; 3];
-        distribute_new_points_into(5, 2.0, &mut counts);
-        assert_eq!(counts.len(), 5);
-        assert_eq!(counts.iter().sum::<usize>(), 5);
-        distribute_new_points_into(0, 2.0, &mut counts);
-        assert!(counts.is_empty());
     }
 
     #[test]

@@ -139,23 +139,34 @@ pub fn merge_and_prune_rows(
         parents.len(),
         "one parent pair per generated point"
     );
-    let head = |i: usize| {
-        let list = hoods.row(i);
-        &list[..list.len().min(k)]
-    };
     out.push_bounded_rows(new_points.len(), k, |i, dst| {
         let (a, b) = parents.next().expect("length checked above");
-        let (a, b) = (head(a), head(b));
-        // Same kernel, constant width: full heads of the pipeline's `k`.
-        match (
-            <&[u32; FIXED_K]>::try_from(a),
-            <&[u32; FIXED_K]>::try_from(b),
-            <&mut [u32; FIXED_K]>::try_from(&mut *dst),
-        ) {
-            (Ok(a), Ok(b), Ok(dst)) => merge_prune_row(new_points[i], a, b, positions, dst),
-            _ => merge_prune_row(new_points[i], a, b, positions, dst),
-        }
+        merge_parent_heads(new_points[i], hoods.row(a), hoods.row(b), positions, dst)
     });
+}
+
+/// One generated point's Eq. 2 row: the `dst.len()`-nearest heads of its
+/// parents' neighbor rows merged, re-ranked by distance to `p_new` and
+/// pruned into `dst`; returns how many entries it kept. The paper's `k`
+/// takes the kernel's constant-width call. Rows must hold distinct indices.
+#[inline]
+pub(crate) fn merge_parent_heads(
+    p_new: Point3,
+    row_a: &[u32],
+    row_b: &[u32],
+    positions: &[Point3],
+    dst: &mut [u32],
+) -> usize {
+    let k = dst.len();
+    let (a, b) = (&row_a[..row_a.len().min(k)], &row_b[..row_b.len().min(k)]);
+    match (
+        <&[u32; FIXED_K]>::try_from(a),
+        <&[u32; FIXED_K]>::try_from(b),
+        <&mut [u32; FIXED_K]>::try_from(&mut *dst),
+    ) {
+        (Ok(a), Ok(b), Ok(dst)) => merge_prune_row(p_new, a, b, positions, dst),
+        _ => merge_prune_row(p_new, a, b, positions, dst),
+    }
 }
 
 #[cfg(test)]

@@ -25,17 +25,18 @@
 //!   duplicated here — while the rows are usable the session's index tree
 //!   still holds exactly those points (`IndexCache::version` says so), and
 //!   the diff/verify pass reads them from the tree **before** patching it.
-//! * **Frame transients** (`JoinScratch`, `FramePlan`, on the
-//!   [`FrameArena`]) are written and consumed inside one frame: the
-//!   removed-neighbor bitmap, the kd-tree over inserted points, the
-//!   recompute list and its fresh rows, the old→new map and per-row
-//!   verdicts `plan_outputs` reads, and the plan itself. An arena serves
-//!   whatever session's frame its worker runs next, so nothing here is
-//!   trusted across a checkout: the plan's `active` bit and the join
-//!   outcome are reset when an arena is taken, and every list is cleared
-//!   before it is filled. A frame nested inside another on the same thread
-//!   (caller code may start one from inside a frame) holds a different
-//!   arena — the re-entrancy rule of [`super::arena`].
+//! * **Frame transients** (`JoinScratch`, on the [`FrameArena`]) are
+//!   written and consumed inside one frame: the removed-neighbor bitmap,
+//!   the kd-tree over inserted points, the recompute list and its fresh
+//!   rows, and the old→new map and per-row verdicts `plan_outputs` reads.
+//!   An arena serves whatever session's frame its worker runs next, so
+//!   nothing here is trusted across a checkout: the join outcome is reset
+//!   when an arena is taken, and every list is cleared before it is filled.
+//!   The plan itself (`FramePlan`) is a view that borrows these and the
+//!   session's caches for the one frame that computed it. A frame nested
+//!   inside another on the same thread (caller code may start one from
+//!   inside a frame) holds a different arena — the re-entrancy rule of
+//!   [`super::arena`].
 //!
 //! # The invalidation rule
 //!
@@ -77,9 +78,10 @@
 //! cache cannot help: the first frame of a session, a changed `k`, clouds
 //! smaller than `k` (every row holds the whole cloud), an index that no
 //! longer holds the frame the rows were captured on (a flush in between),
-//! survivor fractions below [`MIN_SURVIVOR_FRACTION`] (at 100% churn the only cost over the
-//! cold path is the failed diff — one linear pass), or when incremental
-//! reuse is disabled via [`FrameScratch::set_incremental`].
+//! survivor fractions below [`MIN_SURVIVOR_FRACTION`] (at 100% churn the
+//! only cost over the cold path is the failed diff — one linear pass). A
+//! session flushed before a frame ([`FrameScratch::flush_temporal`]) takes
+//! that path too, which is how the tests build their cold oracle.
 //!
 //! # Downstream output reuse (churn-proportional interpolation)
 //!
@@ -90,77 +92,73 @@
 //! keeps the previous frame's *outputs*, but only the ones that cost real
 //! work to rebuild: each generated point's partner (the draw) and its
 //! merged-and-pruned neighborhood (`OutputCache`), and the refined tail (a
-//! LUT probe per point, `RefinedCache`). Each frame `plan_outputs`
-//! classifies every new row as copy-forward or recompute (`FramePlan`): a
-//! row's outputs are reusable when the row itself and every cached
-//! partner's row were copied forward (the generated neighborhoods are
-//! derived from the parents' rows, so parent-row validity covers them).
-//!
-//! Everything else is derived each frame, bit-identically:
+//! LUT probe per point, `RefinedCache`). `plan_outputs` decides per frame
+//! how much of them may apply (`PlanMode`), and the frame pass asks the
+//! resulting `FramePlan` about each row as it reaches it
+//! (`FramePlan::source`): a row's outputs copy forward when the row itself
+//! and every cached partner's row were copied forward by the join (the
+//! generated neighborhoods are derived from the parents' rows, so
+//! parent-row validity covers them). Such a row's outputs are then
+//! *derived* straight into their final slots of the frame, bit-identically:
 //!
 //! * a source row's tail offset is closed-form (`r·base + min(r, extra)`
 //!   for the cached frame's point count and the ratio), so no offset array
 //!   is kept;
 //! * a point's first parent is its source row (the draw pairs every partner
-//!   with its row), so only the partner is kept;
+//!   with its row), so only the partner is kept, and is remapped;
 //! * a reused point's unrefined position is the midpoint of its parents,
 //!   read from the new frame — both survived with their bits — by
-//!   [`Point3::midpoint`], which the batch kernel that generated it matches
-//!   bit for bit;
+//!   [`Point3::midpoint`], the arithmetic that generated it;
+//! * its neighborhood is the cached one, remapped;
 //! * colors are not cached at all: a generated point takes its
-//!   neighborhood head's color, so the colorizer recolors the whole tail
-//!   every frame, and a survivor that changed color (or a frame that drops
-//!   or restores colors) needs no check.
+//!   neighborhood head's color, so the pass recolors every point it
+//!   writes, and a survivor that changed color (or a frame that drops or
+//!   restores colors) needs no check;
+//! * its refined position is the cached one when the refined tail belongs
+//!   to the pipeline refining this frame (by id) and to the frame the
+//!   outputs come from; otherwise the point is refined like a fresh one.
 //!
-//! A cached frame has more points than its self-join row, so every
+//! Every other row is drawn, merged, colored and refined fresh in the same
+//! pass. A cached frame has more points than its self-join row, so every
 //! self-join row is `kq` wide and every generated neighborhood exactly `k`:
 //! both caches are flat arrays with a fixed stride, and a capture that does
-//! not fit that shape invalidates the cache instead.
+//! not fit that shape invalidates the cache instead. The captures run after
+//! the pass, as copies into the session's one buffer of each kind.
 //!
 //! The interpolator draws partners from an RNG seeded by the *source
 //! point's position bits* (`super::row_seed`), so a copied-forward row
 //! replays the identical draw sequence under its new index and reuse stays
-//! bit-identical to a cold recompute. Refined positions are copied forward
-//! only when the same pipeline (by id) refined the previous frame. Staleness
-//! is guarded by a per-`self_join` serial: outputs must have been captured
+//! bit-identical to a cold recompute. Staleness is guarded by a
+//! per-`self_join` serial: outputs and refined tail must have been captured
 //! by the join immediately preceding the current one, otherwise the plan
-//! degrades to a cold recompute (never to wrong output). Forcing the cold
-//! path — e.g. for benchmarking — is one call:
-//! [`FrameScratch::set_incremental`]`(false)`.
+//! degrades to a cold recompute (never to wrong output).
 //!
 //! # Every pass on every worker
 //!
 //! A delta frame's copy-forward work is as parallel as its recompute sweep.
-//! The per-row passes — classifying the surviving rows (which also inverts
-//! the survivor map for the plan), planning the outputs, assembling the
-//! frame, and scattering the refined tail — each cut their rows into
-//! `runtime::workers_for(rows, COPY_ROWS_PER_TASK)` chunks and hand every
-//! chunk disjoint `&mut` slices through `runtime::for_each_chunk_mut`.
-//! Survivors keep their relative order, so a chunk of old rows copies
-//! forward into one contiguous range of new rows; per-chunk lists
-//! (recompute rows, fresh rows and ordinals) are appended to the first
-//! chunk's in chunk order, which is the order one chunk would have produced.
-//! Frames below the grain — every fleet tenant — run each pass inline.
+//! Two passes touch every row: classify (the join's copy-forward of the
+//! surviving rows, which also inverts the survivor map for the plan) and
+//! the frame pass (generation, color and refinement, in
+//! [`super::dilated`]). Classify cuts its old rows into
+//! `runtime::workers_for(rows, COPY_ROWS_PER_TASK)` chunks and hands every
+//! chunk disjoint `&mut` slices through `runtime::for_each_chunk_mut`:
+//! survivors keep their relative order, so a chunk of old rows copies
+//! forward into one contiguous range of new rows, and the per-chunk
+//! recompute lists are appended to the first chunk's in chunk order, which
+//! is the order one chunk would have produced. The frame pass cuts the new
+//! rows by the points they generate, and each range owns its slice of the
+//! output. Frames below the grains — every fleet tenant — run inline.
 //!
-//! Per-phase cost on `viewer_delta_50k_x2` (50k points, ratio 2, 10 %
-//! declared churn, 89 % of rows reused; 2-vCPU host, seed 1, median of
-//! three alternating runs, ms per frame):
-//!
-//! | phase                                | serial loops | chunked |
-//! |--------------------------------------|-------------:|--------:|
-//! | classify (+ inversion, color walk¹)  | 3.71         | 2.77    |
-//! | recompute sweep (already chunked)    | 3.40         | 3.38    |
-//! | plan                                 | 0.81         | 0.52    |
-//! | assemble                             | 1.87         | 1.10    |
-//! | color¹ + refined-tail scatter        | 0.23         | 0.23    |
-//!
-//! ¹ Retired since colors are derived: classify no longer compares the
-//! survivors' colors and no cached color is scattered; the colorizer
-//! recolors the whole tail instead, 0.15 → 0.31 ms on these frames at two
-//! workers.
-//!
-//! About 0.85 ms of classify stays serial: the removed-point bitmap, the
-//! kd-tree over the inserted points and the zero-filled output buffers.
+//! *Retired table.* The per-phase cost of these frames was once tabled here
+//! for the separate plan, assembly, color and refined-tail scatter passes
+//! (`viewer_delta_50k_x2`, 2-vCPU host: plan 0.52, assemble 1.10, color
+//! and scatter 0.23 ms per frame at two workers). Those passes are now
+//! rows of one pass whose stage times are summed worker time
+//! ([`crate::pipeline::StageTimings`]), so no per-phase wall time of theirs
+//! exists to table any more; classify read 2.77 and the recompute sweep
+//! 3.38 ms in the same runs. About 0.85 ms of classify stays serial: the
+//! removed-point bitmap, the kd-tree over the inserted points and the
+//! zero-filled output buffers.
 //!
 //! The index phases of the same frames, before and after the k-d record
 //! builder (`volut_pointcloud::kdtree`): the engine alone on that content,
@@ -203,10 +201,9 @@
 //! [`KdTree::any_within`]: volut_pointcloud::kdtree::KdTree::any_within
 //! [`FrameScratch`]: super::FrameScratch
 //! [`FrameArena`]: super::FrameArena
-//! [`FrameScratch::set_incremental`]: super::FrameScratch::set_incremental
 
-use super::arena::{FrameArena, RowBatch};
-use super::{FrameScratch, PointSplit};
+use super::arena::FrameArena;
+use super::{run_jobs, take_front, FrameScratch, PointSplit};
 use crate::config::SrConfig;
 use crate::pipeline::StageTimings;
 use std::ops::Range;
@@ -221,15 +218,16 @@ use volut_pointcloud::{runtime, Neighborhoods, Point3, PointCloud};
 /// beat the plain full sweep, so the engine takes the untouched cold path.
 pub const MIN_SURVIVOR_FRACTION: f64 = 0.5;
 
-/// Source rows per task of the copy-forward passes — classify, plan,
-/// assembly and the refined-tail scatter: each cuts its rows into
+/// Source rows per task of the classify pass: it cuts its rows into
 /// `runtime::workers_for(rows, COPY_ROWS_PER_TASK)` chunks, so every frame
 /// below 8192 rows (each fleet tenant's 512 or 4096) runs as one inline
 /// chunk and submits no task.
 ///
 /// Measured on the 2-vCPU host (seed 1, 10 s runs, alternating binaries,
-/// medians; "one chunk" never cuts). On 2 workers any grain up to 25k cuts
-/// a 50k-row frame in two, so the grain decides only which frames split:
+/// medians; "one chunk" never cuts), when this grain also cut the plan,
+/// assembly and refined-tail scatter passes the frame pass has since
+/// replaced. On 2 workers any grain up to 25k cuts a 50k-row frame in two,
+/// so the grain decides only which frames split:
 ///
 /// | grain     | `viewer_delta_50k_x2` p50 | `fleet_256_lossy` p50, peak RSS |
 /// |-----------|--------------------------:|--------------------------------:|
@@ -242,30 +240,6 @@ pub const MIN_SURVIVOR_FRACTION: f64 = 0.5;
 /// frame waits, its worker starts further tenants' frames nested on arenas
 /// of their own (the RSS jump).
 const COPY_ROWS_PER_TASK: usize = 8_192;
-
-/// How a copy-forward pass cuts `rows` rows: rows per chunk, and chunks.
-fn copy_cut(rows: usize) -> (usize, usize) {
-    let chunk = rows
-        .div_ceil(runtime::workers_for(rows, COPY_ROWS_PER_TASK))
-        .max(1);
-    (chunk, rows.div_ceil(chunk).max(1))
-}
-
-/// Runs `f` on every job of a pre-split copy-forward pass, one task per job
-/// through [`runtime::for_each_chunk_mut`]. A single job runs inline on the
-/// caller without being collected, so a one-chunk frame allocates nothing.
-fn run_jobs<J: Send>(mut jobs: impl Iterator<Item = J>, f: impl Fn(J) + Sync) {
-    let Some(first) = jobs.next() else {
-        return;
-    };
-    let Some(second) = jobs.next() else {
-        return f(first);
-    };
-    let mut jobs: Vec<Option<J>> = [first, second].into_iter().chain(jobs).map(Some).collect();
-    runtime::for_each_chunk_mut(&mut jobs, 1, |_, _, job| {
-        f(job[0].take().expect("each job runs once"));
-    });
-}
 
 /// Row-reuse counters of the incremental kNN path (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -356,102 +330,96 @@ pub(crate) enum PlanMode {
     Cold,
     /// The frame equals the cached one: every output copies forward wholesale.
     Identical,
-    /// Per-row: `row_src` maps reusable new rows to their cached source row.
+    /// Per row: a row copied forward by the join whose cached partners' rows
+    /// were copied forward too reuses its cached outputs.
     Incremental,
 }
 
-/// The per-frame reuse plan produced by [`plan_outputs`] and consumed by the
-/// interpolator's assembly and the pipeline's refinement stage.
-/// Frame-scoped: it lives on the [`FrameArena`] and is deactivated whenever
-/// an arena is checked out, so a plan is only ever consulted by the frame
-/// that wrote it.
-#[derive(Debug, Default)]
-pub(crate) struct FramePlan {
-    /// `true` between [`plan_outputs`] and the end of the frame
-    /// ([`capture_refined`] consumes it) — the guard that keeps refined-tail
-    /// reuse from ever crossing an interpolation it did not plan.
-    active: bool,
-    /// `join_serial` the plan was computed for.
-    serial: u64,
+/// The current frame's view of the previous frame's outputs, from
+/// [`plan_outputs`]: the frame pass asks it, row by row, whether a row's
+/// outputs copy forward ([`FramePlan::source`]) and reads them through it,
+/// remapped to the new frame's indices. Frame-local: it borrows the session's
+/// caches and the join's old→new relation, and nothing of it outlives the
+/// frame.
+#[derive(Debug)]
+pub(crate) struct FramePlan<'a> {
     pub(crate) mode: PlanMode,
-    /// Per new row: cached source row, or `u32::MAX` to recompute
-    /// (`Incremental` mode only).
-    pub(crate) row_src: Vec<u32>,
-    /// Per new tail ordinal: cached source ordinal, or `u32::MAX` if fresh.
-    pub(crate) ordinal_src: Vec<u32>,
-    /// New rows to generate fresh, ascending. All rows in `Cold` mode.
-    pub(crate) fresh_rows: Vec<u32>,
-    /// New tail ordinals to refine fresh, ascending.
-    pub(crate) fresh_ordinals: Vec<u32>,
-    /// Tail length of the cached outputs (refined-reuse length guard).
-    old_tail_len: usize,
-    /// The row cut of an `Incremental` plan, shared by the assembly and the
-    /// refined-tail scatter; the first `cut` entries are this frame's.
-    chunks: Vec<PlanChunk>,
-    cut: usize,
-    /// Fresh rows and ordinals of every chunk after the first (the first
-    /// writes `fresh_rows` / `fresh_ordinals` itself), appended to those in
-    /// chunk order, which keeps them ascending.
-    later_fresh: Vec<(Vec<u32>, Vec<u32>)>,
+    outputs: &'a OutputCache,
+    /// The cached frame's tail split (`sources` points at the key's ratio).
+    split: PointSplit,
+    /// The join's old→new survivor map, and per new row the cached row it
+    /// was copied from (`u32::MAX` when recomputed); `Incremental` only.
+    old_to_new: &'a [u32],
+    copied_from: &'a [u32],
+    /// Old-indexed: `true` when that row was copied forward this frame.
+    row_valid: &'a [bool],
+    /// The previous refined tail, when it belongs to the refining pipeline
+    /// and to the frame the outputs come from; reused rows take their
+    /// refined positions from it.
+    pub(crate) refined: Option<&'a [Point3]>,
 }
 
-/// One task's share of an `Incremental` plan: a contiguous run of new rows
-/// and the sizes the assembly needs to fill the chunk's slices of the tail
-/// without another pass.
-#[derive(Debug, Default)]
-struct PlanChunk {
-    rows: Range<usize>,
-    /// First tail ordinal of the chunk, and how many it spans.
-    ordinal_start: usize,
-    ordinals: usize,
-    /// Where the chunk's fresh ordinals start in the plan's list (and so in
-    /// the fresh batch).
-    fresh_start: usize,
-}
-
-impl FramePlan {
-    /// Forgets whatever frame last planned with these buffers.
-    pub(crate) fn deactivate(&mut self) {
-        self.active = false;
-    }
-
-    /// Starts a `Cold` plan for the join numbered `serial`.
-    fn begin(&mut self, serial: u64) {
-        self.active = true;
-        self.serial = serial;
-        self.mode = PlanMode::Cold;
-        self.row_src.clear();
-        self.ordinal_src.clear();
-        self.fresh_rows.clear();
-        self.fresh_ordinals.clear();
-        self.old_tail_len = 0;
-        self.cut = 0;
-    }
-
-    /// This frame's chunks (none unless the plan is `Incremental`).
-    fn chunks(&self) -> &[PlanChunk] {
-        &self.chunks[..self.cut]
-    }
-
-    pub(crate) fn reserved_bytes(&self) -> usize {
-        (self.row_src.capacity()
-            + self.ordinal_src.capacity()
-            + self.fresh_rows.capacity()
-            + self.fresh_ordinals.capacity()
-            + self
-                .later_fresh
+impl FramePlan<'_> {
+    /// Tail ordinal of the first cached output new row `r` (which generates
+    /// `count` points) copies forward, or `None` when the row is generated
+    /// fresh. Outputs hold when the row itself was copied forward and so was
+    /// every cached partner's row: the partners are drawn from the row, and
+    /// the generated neighborhoods derive from the parents' rows.
+    pub(crate) fn source(&self, r: usize, count: usize) -> Option<usize> {
+        let src = match self.mode {
+            PlanMode::Cold => return None,
+            PlanMode::Identical => return Some(self.split.offset(r)),
+            PlanMode::Incremental => match self.copied_from[r] {
+                u32::MAX => return None,
+                src => src as usize,
+            },
+        };
+        let o0 = self.split.offset(src);
+        (self.split.count(src) == count
+            && self.outputs.partner[o0..o0 + count]
                 .iter()
-                .map(|(rows, ordinals)| rows.capacity() + ordinals.capacity())
-                .sum::<usize>())
-            * std::mem::size_of::<u32>()
-            + self.chunks.capacity() * std::mem::size_of::<PlanChunk>()
-            + self.later_fresh.capacity() * std::mem::size_of::<(Vec<u32>, Vec<u32>)>()
+                .all(|&b| self.row_valid[b as usize]))
+        .then_some(o0)
+    }
+
+    /// Rows of `rows` the join recomputed, which the frame pass therefore
+    /// generates fresh: a range's share of the pass's heavy rows (fresh
+    /// rows cluster where the churn was). Zero when no row copies forward.
+    pub(crate) fn recomputed_rows(&self, rows: Range<usize>) -> usize {
+        match self.mode {
+            PlanMode::Incremental => self.copied_from[rows]
+                .iter()
+                .filter(|&&src| src == u32::MAX)
+                .count(),
+            _ => 0,
+        }
+    }
+
+    /// Cached output `o`'s partner, as a new-frame index.
+    pub(crate) fn partner(&self, o: usize) -> usize {
+        self.remap(self.outputs.partner[o]) as usize
+    }
+
+    /// Cached output `o`'s `k`-wide neighborhood, written into `dst` in
+    /// new-frame indices.
+    pub(crate) fn hood_into(&self, o: usize, dst: &mut [u32]) {
+        let k = dst.len();
+        for (d, &j) in dst.iter_mut().zip(&self.outputs.hoods[o * k..(o + 1) * k]) {
+            *d = self.remap(j);
+        }
+    }
+
+    fn remap(&self, j: u32) -> u32 {
+        match self.mode {
+            PlanMode::Incremental => self.old_to_new[j as usize],
+            _ => j,
+        }
     }
 }
 
 /// What a frame's [`self_join`] leaves behind for the same frame's
-/// [`plan_outputs`] / [`assemble_outputs`], plus the buffers the incremental
-/// update works in. Frame-scoped: it lives on the [`FrameArena`].
+/// [`plan_outputs`], plus the buffers the incremental update works in.
+/// Frame-scoped: it lives on the [`FrameArena`].
 #[derive(Debug, Default)]
 pub(crate) struct JoinScratch {
     /// How the current frame's self-join was answered.
@@ -471,7 +439,7 @@ pub(crate) struct JoinScratch {
     fresh_rows: Neighborhoods,
     /// Copy of the frame delta's old→new survivor map (`Incremental`
     /// frames only; old-indexed, [`REMOVED`] for removals).
-    pub(crate) old_to_new: Vec<u32>,
+    old_to_new: Vec<u32>,
     /// Old-indexed: `true` when that row was copied forward this frame.
     row_valid: Vec<bool>,
     /// New-indexed: the cached row a copied-forward row came from, or
@@ -512,11 +480,8 @@ impl JoinScratch {
 /// previous frame's *positions* are not kept here: whenever the rows are
 /// usable the session's index tree still holds them (`index_version`
 /// records which build or patch of the tree the rows belong to).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct TemporalCache {
-    /// `false` forces the engine onto the full-recompute path (and stops
-    /// capturing) — the ablation/bench switch.
-    pub(crate) enabled: bool,
     /// `true` when `rows` describe the last processed frame.
     valid: bool,
     /// Row stride of the cached self-join (the dilated neighborhood plus the
@@ -547,29 +512,9 @@ pub(crate) struct TemporalCache {
     /// they were captured on.
     join_serial: u64,
     /// The previous frame's interpolation outputs.
-    pub(crate) outputs: OutputCache,
+    outputs: OutputCache,
     /// The previous frame's refined tail.
     refined: RefinedCache,
-}
-
-impl Default for TemporalCache {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            valid: false,
-            kq: 0,
-            digest: 0,
-            index_version: 0,
-            rows: Vec::new(),
-            pending_delta: None,
-            last_delta_error: None,
-            stats: TemporalStats::default(),
-            dual_tree_batches: 0,
-            join_serial: 0,
-            outputs: OutputCache::default(),
-            refined: RefinedCache::default(),
-        }
-    }
 }
 
 impl TemporalCache {
@@ -642,7 +587,7 @@ pub(crate) fn self_join(
     // the identity check and the delta's old side read below. Anything that
     // dropped or re-indexed the tree in between sends this frame down the
     // cold path.
-    let cache_ready = t.enabled && t.valid && t.kq == kq && index.holds(t.index_version) && n > kq;
+    let cache_ready = t.valid && t.kq == kq && index.holds(t.index_version) && n > kq;
 
     // --- Unchanged frame: cached index, and (when available) every cached
     // row reused wholesale.
@@ -790,7 +735,10 @@ fn incremental_rows(
     row_valid.resize(old_n, false);
     row_src.clear();
     row_src.resize(n, u32::MAX);
-    let (chunk, cut) = copy_cut(old_n);
+    let chunk = old_n
+        .div_ceil(runtime::workers_for(old_n, COPY_ROWS_PER_TASK))
+        .max(1);
+    let cut = old_n.div_ceil(chunk).max(1);
     if later_recompute.len() < cut - 1 {
         later_recompute.resize_with(cut - 1, Vec::new);
     }
@@ -804,12 +752,9 @@ fn incremental_rows(
             .iter()
             .find(|&&j| j != REMOVED)
             .map_or(n, |&j| j as usize);
-        let (rows, rest) = std::mem::take(&mut slab_rest).split_at_mut((new_end - new_start) * kq);
-        slab_rest = rest;
-        let (src, rest) = std::mem::take(&mut src_rest).split_at_mut(new_end - new_start);
-        src_rest = rest;
-        let (valid, rest) = std::mem::take(&mut valid_rest).split_at_mut(old.len());
-        valid_rest = rest;
+        let rows = take_front(&mut slab_rest, (new_end - new_start) * kq);
+        let src = take_front(&mut src_rest, new_end - new_start);
+        let valid = take_front(&mut valid_rest, old.len());
         let job = (old, new_start, rows, src, valid, list);
         new_start = new_end;
         job
@@ -817,6 +762,7 @@ fn incremental_rows(
     let (cached_rows, removed_mark, insert_tree) = (&t.rows, &*removed_mark, &*insert_tree);
     run_jobs(
         jobs,
+        |_| 0,
         |(old, new_start, slab, row_src, row_valid, recompute)| {
             recompute.clear();
             for (old_i, valid) in old.clone().zip(row_valid.iter_mut()) {
@@ -883,9 +829,6 @@ fn capture(
     kq: usize,
     out: &Neighborhoods,
 ) {
-    if !t.enabled {
-        return;
-    }
     if kq == 0 || n <= kq {
         t.valid = false;
         return;
@@ -900,327 +843,103 @@ fn capture(
     t.valid = true;
 }
 
-/// Classifies every new source row as copy-forward or recompute against the
-/// cached outputs, filling the arena's [`FramePlan`]. Must run directly after
-/// the frame's [`self_join`] on the same arena (it keys off the join outcome
-/// and the row-validity scratch that join left there). `arena.counts[i]` is
-/// the number of points the interpolator will generate for row `i`. Any
-/// doubt degrades the plan to `Cold` — wrong reuse is never an outcome, only
-/// missed reuse.
-pub(crate) fn plan_outputs(
-    t: &mut TemporalCache,
-    arena: &mut FrameArena,
+/// How much of the cached outputs the current frame may copy forward, as
+/// the view the frame pass reads them through. Must run directly after the
+/// frame's [`self_join`] on the same arena (it keys off the join outcome and
+/// the row verdicts that join left in `join`). `n` is the frame's point
+/// count; `owner` the id of the pipeline that refines this frame, if one
+/// does. Any doubt degrades the plan to `Cold` — wrong reuse is never an
+/// outcome, only missed reuse.
+pub(crate) fn plan_outputs<'a>(
+    t: &'a TemporalCache,
+    join: &'a JoinScratch,
     config: &SrConfig,
     ratio: f64,
-) -> PlanMode {
-    let FrameArena {
-        counts,
-        join,
-        plan: p,
-        ..
-    } = arena;
-    let n = counts.len();
-    let total: usize = counts.iter().sum();
-    let serial = t.join_serial;
-    p.begin(serial);
+    n: usize,
+    owner: Option<u64>,
+) -> FramePlan<'a> {
+    let o = &t.outputs;
     let key = OutputKey {
         config: *config,
         ratio_bits: ratio.to_bits(),
     };
-    // Outputs are only row-deterministic when neighbor reuse is on (the
-    // no-reuse path recomputes generated-point kNN globally).
-    let eligible = t.enabled
-        && config.reuse_neighbors
-        && t.outputs.valid
-        && t.outputs.serial + 1 == serial
-        && t.outputs.key == Some(key);
-    let o = &t.outputs;
-    // The cached frame's tail offsets, in closed form.
-    let split = PointSplit::new(o.sources, ratio);
-
-    let mode =
-        'plan: {
-            if !eligible {
-                break 'plan PlanMode::Cold;
-            }
-            match join.outcome {
-                JoinOutcome::Cold => PlanMode::Cold,
-                JoinOutcome::Identical => {
-                    if o.sources != n || o.partner.len() != total {
-                        break 'plan PlanMode::Cold;
-                    }
-                    p.old_tail_len = total;
-                    t.stats.gen_points_reused += total as u64;
-                    PlanMode::Identical
-                }
-                JoinOutcome::Incremental => {
-                    let JoinScratch {
-                        row_valid,
-                        row_src: copied_from,
-                        old_to_new,
-                        ..
-                    } = &*join;
-                    let old_n = row_valid.len();
-                    if o.sources != old_n || old_to_new.len() != old_n || copied_from.len() != n {
-                        break 'plan PlanMode::Cold;
-                    }
-                    // Whether cached row `src`'s outputs still hold for a new
-                    // row that generates `count` points: they (partners, merged
-                    // generated-point hoods) derive from the source row and its
-                    // partners' rows.
-                    let reusable = |src: usize, count: usize| {
-                        let o0 = split.offset(src);
-                        split.count(src) == count
-                            && o.partner[o0..o0 + count]
-                                .iter()
-                                .all(|&b| row_valid[b as usize])
-                    };
-                    // Classify the new rows one task per chunk. Each task writes
-                    // its rows' `row_src` and its ordinals' `ordinal_src` — the
-                    // row cut split at the prefix counts — and lists its fresh
-                    // rows and ordinals: the first chunk into the plan's lists,
-                    // the later ones appended to them below in chunk order.
-                    let FramePlan {
-                        row_src,
-                        ordinal_src,
-                        fresh_rows,
-                        fresh_ordinals,
-                        chunks,
-                        cut,
-                        later_fresh,
-                        ..
-                    } = &mut *p;
-                    row_src.resize(n, u32::MAX);
-                    ordinal_src.resize(total, u32::MAX);
-                    let (chunk, chunk_count) = copy_cut(n);
-                    *cut = chunk_count;
-                    if chunks.len() < *cut {
-                        chunks.resize_with(*cut, PlanChunk::default);
-                        later_fresh.resize_with(*cut - 1, Default::default);
-                    }
-                    let lists = std::iter::once((&mut *fresh_rows, &mut *fresh_ordinals))
-                        .chain(later_fresh[..*cut - 1].iter_mut().map(|(r, o)| (r, o)));
-                    let (mut src_rest, mut ord_rest) =
-                        (row_src.as_mut_slice(), ordinal_src.as_mut_slice());
-                    let mut ordinal_start = 0;
-                    let jobs = chunks[..*cut].iter_mut().zip(lists).enumerate().map(
-                        |(c, (part, lists))| {
-                            part.rows = c * chunk..((c + 1) * chunk).min(n);
-                            part.ordinal_start = ordinal_start;
-                            part.ordinals = counts[part.rows.clone()].iter().sum();
-                            ordinal_start += part.ordinals;
-                            let (src, rest) =
-                                std::mem::take(&mut src_rest).split_at_mut(part.rows.len());
-                            src_rest = rest;
-                            let (ords, rest) =
-                                std::mem::take(&mut ord_rest).split_at_mut(part.ordinals);
-                            ord_rest = rest;
-                            (part, src, ords, lists)
-                        },
-                    );
-                    run_jobs(
-                        jobs,
-                        |(part, row_src, ordinal_src, (fresh_rows, fresh_ordinals))| {
-                            fresh_rows.clear();
-                            fresh_ordinals.clear();
-                            let mut at = 0;
-                            for (new_i, dst) in part.rows.clone().zip(row_src.iter_mut()) {
-                                let count = counts[new_i];
-                                let src = copied_from[new_i];
-                                if src != u32::MAX && reusable(src as usize, count) {
-                                    let o0 = split.offset(src as usize) as u32;
-                                    *dst = src;
-                                    for (d, s) in ordinal_src[at..at + count].iter_mut().zip(o0..) {
-                                        *d = s;
-                                    }
-                                } else {
-                                    let first = (part.ordinal_start + at) as u32;
-                                    fresh_rows.push(new_i as u32);
-                                    fresh_ordinals.extend(first..first + count as u32);
-                                }
-                                at += count;
-                            }
-                        },
-                    );
-                    chunks[0].fresh_start = 0;
-                    for (part, (rows, ordinals)) in chunks[1..*cut].iter_mut().zip(&*later_fresh) {
-                        part.fresh_start = fresh_ordinals.len();
-                        fresh_rows.extend_from_slice(rows);
-                        fresh_ordinals.extend_from_slice(ordinals);
-                    }
-                    let reused = (total - fresh_ordinals.len()) as u64;
-                    p.old_tail_len = o.partner.len();
-                    t.stats.gen_points_reused += reused;
-                    t.stats.gen_points_recomputed += total as u64 - reused;
-                    PlanMode::Incremental
-                }
-            }
-        };
-    if mode == PlanMode::Cold {
-        p.fresh_rows.extend(0..n as u32);
-        t.stats.gen_points_recomputed += total as u64;
+    // Cached neighborhoods are `k` wide, as this frame's are when it has
+    // more than `k` points.
+    let eligible = o.valid && o.serial + 1 == t.join_serial && o.key == Some(key) && n > config.k;
+    let mode = match join.outcome {
+        _ if !eligible => PlanMode::Cold,
+        JoinOutcome::Cold => PlanMode::Cold,
+        JoinOutcome::Identical
+            if o.sources == n && o.partner.len() == PointSplit::new(n, ratio).offset(n) =>
+        {
+            PlanMode::Identical
+        }
+        JoinOutcome::Incremental
+            if o.sources == join.row_valid.len()
+                && join.old_to_new.len() == o.sources
+                && join.row_src.len() == n =>
+        {
+            PlanMode::Incremental
+        }
+        _ => PlanMode::Cold,
+    };
+    let r = &t.refined;
+    let refined = (mode != PlanMode::Cold
+        && r.valid
+        && Some(r.owner) == owner
+        && r.serial + 1 == t.join_serial
+        && r.points.len() == o.partner.len())
+    .then_some(r.points.as_slice());
+    FramePlan {
+        mode,
+        outputs: o,
+        split: PointSplit::new(o.sources, ratio),
+        old_to_new: &join.old_to_new,
+        copied_from: &join.row_src,
+        row_valid: &join.row_valid,
+        refined,
     }
-    p.mode = mode;
-    mode
 }
 
-/// Interleaves copied-forward and fresh outputs into the final frame order
-/// dictated by `counts`, appending to `cloud`, `parents` and `hoods_out`.
-/// `fresh` holds the outputs of the plan's `fresh_rows`, compacted in row
-/// order; `old_to_new` is the join's survivor map. A copied-forward point is
-/// rebuilt from the cache: its parents are its new source row and its
-/// remapped partner, its position their midpoint in `positions` (the new
-/// frame, where both survivors kept their bits), its `k`-wide neighborhood
-/// the cached one remapped.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_outputs(
-    o: &OutputCache,
-    p: &FramePlan,
-    old_to_new: &[u32],
-    positions: &[Point3],
-    counts: &[usize],
-    k: usize,
-    fresh: &RowBatch,
-    cloud: &mut PointCloud,
-    parents: &mut Vec<(usize, usize)>,
-    hoods_out: &mut Neighborhoods,
+/// Counts a frame pass's outputs: `reused` of its `total` generated points
+/// copied forward, and — when the frame was refined — whether their refined
+/// positions came from the refined cache too.
+pub(crate) fn record_outputs(
+    t: &mut TemporalCache,
+    total: usize,
+    reused: usize,
+    refined: Option<bool>,
 ) {
-    let total = counts.iter().sum::<usize>();
-    match p.mode {
-        PlanMode::Cold => {
-            cloud.extend_positions(&fresh.points);
-            parents.extend(fresh.parents());
-            hoods_out.append(&fresh.hoods);
-        }
-        PlanMode::Identical => {
-            let rows = counts
-                .iter()
-                .enumerate()
-                .flat_map(|(row, &count)| std::iter::repeat_n(row, count));
-            let tail = cloud.extend_zeroed(total);
-            for ((d, a), &b) in tail.iter_mut().zip(rows).zip(&o.partner) {
-                *d = positions[a].midpoint(positions[b as usize]);
-                parents.push((a, b as usize));
-            }
-            hoods_out
-                .push_uniform_rows(total, k)
-                .copy_from_slice(&o.hoods);
-        }
-        PlanMode::Incremental => {
-            // One task per chunk of the plan's row cut, each filling its own
-            // slices of the tail, the parents and the neighborhoods. Every
-            // neighborhood is `k` wide (the frame has more points than its
-            // self-join row), so the slices split at `k` per ordinal.
-            debug_assert_eq!(total, p.ordinal_src.len());
-            debug_assert_eq!(p.fresh_ordinals.len(), fresh.points.len());
-            assert_eq!(
-                fresh.hoods.total_indices(),
-                fresh.points.len() * k,
-                "fresh neighborhoods of an incremental frame are k wide"
-            );
-            let fresh_hoods = fresh.hoods.indices();
-            let first_parent = parents.len();
-            parents.resize(first_parent + total, (0, 0));
-            let points = cloud.extend_zeroed(total);
-            let hoods = hoods_out.push_uniform_rows(total, k);
-            let (mut pts_rest, mut par_rest, mut hood_rest) =
-                (points, &mut parents[first_parent..], hoods);
-            let jobs = p.chunks().iter().map(|part| {
-                let (pts, rest) = std::mem::take(&mut pts_rest).split_at_mut(part.ordinals);
-                pts_rest = rest;
-                let (par, rest) = std::mem::take(&mut par_rest).split_at_mut(part.ordinals);
-                par_rest = rest;
-                let (idx, rest) = std::mem::take(&mut hood_rest).split_at_mut(part.ordinals * k);
-                hood_rest = rest;
-                (part, pts, par, idx)
-            });
-            run_jobs(jobs, |(part, points, parents, idx)| {
-                let mut fc = part.fresh_start;
-                let mut at = 0;
-                for new_i in part.rows.clone() {
-                    let count = counts[new_i];
-                    if count == 0 {
-                        continue;
-                    }
-                    let slots = at..at + count;
-                    let hood_slots = at * k..(at + count) * k;
-                    if p.row_src[new_i] == u32::MAX {
-                        points[slots.clone()].copy_from_slice(&fresh.points[fc..fc + count]);
-                        for (d, pair) in parents[slots]
-                            .iter_mut()
-                            .zip(fresh.parents_of(fc..fc + count))
-                        {
-                            *d = pair;
-                        }
-                        idx[hood_slots].copy_from_slice(&fresh_hoods[fc * k..(fc + count) * k]);
-                        fc += count;
-                    } else {
-                        let o0 = p.ordinal_src[part.ordinal_start + at] as usize;
-                        let a = positions[new_i];
-                        for ((d, pair), &b) in points[slots.clone()]
-                            .iter_mut()
-                            .zip(&mut parents[slots])
-                            .zip(&o.partner[o0..o0 + count])
-                        {
-                            let b = old_to_new[b as usize] as usize;
-                            *d = a.midpoint(positions[b]);
-                            *pair = (new_i, b);
-                        }
-                        for (d, &j) in idx[hood_slots]
-                            .iter_mut()
-                            .zip(&o.hoods[o0 * k..(o0 + count) * k])
-                        {
-                            *d = old_to_new[j as usize];
-                        }
-                    }
-                    at += count;
-                }
-                debug_assert_eq!(at, points.len());
-            });
-        }
+    let s = &mut t.stats;
+    s.gen_points_reused += reused as u64;
+    s.gen_points_recomputed += (total - reused) as u64;
+    if let Some(replayed) = refined {
+        let refined_reused = if replayed { reused } else { 0 };
+        s.refined_points_reused += refined_reused as u64;
+        s.refined_points_recomputed += (total - refined_reused) as u64;
     }
-}
-
-/// Copies `cached[src]` onto `tail[i]` for every reused ordinal `i` of an
-/// `Incremental` plan (`ordinal_src[i] = src`), in as many tasks as the
-/// plan's row cut has chunks.
-fn scatter_reused(p: &FramePlan, cached: &[Point3], tail: &mut [Point3]) {
-    debug_assert_eq!(tail.len(), p.ordinal_src.len());
-    let chunk = tail.len().div_ceil(p.cut.max(1)).max(1);
-    runtime::for_each_chunk_mut(tail, chunk, |_, start, dst| {
-        for (d, &src) in dst.iter_mut().zip(&p.ordinal_src[start..]) {
-            if src != u32::MAX {
-                *d = cached[src as usize];
-            }
-        }
-    });
 }
 
 /// Snapshots this frame's interpolation outputs as the next frame's reuse
 /// source: each tail point's partner and `k`-wide neighborhood. Ineligible
-/// frames (disabled cache, no captured rows, the no-reuse ablation, a tail
-/// that is not `k` wide) invalidate the cache instead — never leave it stale
-/// or store ragged rows.
+/// frames (no captured rows, a tail that is not `k` wide) invalidate the
+/// cache instead — never leave it stale or store ragged rows.
 pub(crate) fn capture_outputs(
     t: &mut TemporalCache,
-    plan: &FramePlan,
+    mode: PlanMode,
     low: &PointCloud,
     config: &SrConfig,
     ratio: f64,
     parents: &[(usize, usize)],
     hoods: &Neighborhoods,
 ) {
-    if !t.enabled || !t.valid || !config.reuse_neighbors {
+    if !t.valid {
         t.outputs.valid = false;
         return;
     }
     // Identical frames already have this tail captured bit-exactly: refresh
     // the serial without the bulk copies.
-    if plan.active
-        && plan.serial == t.join_serial
-        && plan.mode == PlanMode::Identical
-        && t.outputs.valid
-    {
+    if mode == PlanMode::Identical && t.outputs.valid {
         t.outputs.serial = t.join_serial;
         return;
     }
@@ -1253,74 +972,12 @@ pub(crate) fn capture_outputs(
     o.valid = true;
 }
 
-/// Copies cached refined positions onto the tail for every reused ordinal.
-/// Returns `false` (tail untouched, caller refines in full) unless the
-/// refined cache belongs to this pipeline (`owner`), covers exactly the
-/// frame the current plan reuses from, and every length lines up. On `true`
-/// the caller must still refine `plan.fresh_ordinals`.
-pub(crate) fn reuse_refined_into(
-    t: &mut TemporalCache,
-    p: &FramePlan,
-    owner: u64,
-    cloud: &mut PointCloud,
-    original_len: usize,
-) -> bool {
-    let tail_len = cloud.len() - original_len;
-    let r = &t.refined;
-    let ok = t.enabled
-        && p.active
-        && p.serial == t.join_serial
-        && r.valid
-        && r.owner == owner
-        && r.serial + 1 == t.join_serial
-        && r.points.len() == p.old_tail_len
-        && match p.mode {
-            PlanMode::Identical => tail_len == p.old_tail_len,
-            PlanMode::Incremental => p.ordinal_src.len() == tail_len,
-            PlanMode::Cold => false,
-        };
-    if !ok {
-        t.stats.refined_points_recomputed += tail_len as u64;
-        return false;
-    }
-    let tail = &mut cloud.positions_mut()[original_len..];
-    match p.mode {
-        PlanMode::Identical => {
-            tail.copy_from_slice(&r.points);
-            t.stats.refined_points_reused += tail_len as u64;
-        }
-        PlanMode::Incremental => {
-            scatter_reused(p, &r.points, tail);
-            let fresh = p.fresh_ordinals.len() as u64;
-            t.stats.refined_points_reused += tail_len as u64 - fresh;
-            t.stats.refined_points_recomputed += fresh;
-        }
-        PlanMode::Cold => unreachable!(),
-    }
-    true
-}
-
-/// Snapshots the refined tail as the next frame's reuse source and consumes
-/// the frame's plan. Runs at the end of every pipeline frame; a plan that is
-/// not this frame's (see `FramePlan::active`) invalidates the refined cache
-/// instead.
-pub(crate) fn capture_refined(
-    t: &mut TemporalCache,
-    plan: &mut FramePlan,
-    owner: u64,
-    cloud: &PointCloud,
-    original_len: usize,
-) {
-    let plan_ok = plan.active && plan.serial == t.join_serial;
-    plan.active = false;
-    if !t.enabled || !plan_ok {
-        t.refined.valid = false;
-        return;
-    }
+/// Snapshots the refined tail as the next frame's reuse source, stamped with
+/// the refining pipeline's id. Runs at the end of every pipeline frame.
+pub(crate) fn capture_refined(t: &mut TemporalCache, owner: u64, tail: &[Point3]) {
     let r = &mut t.refined;
     r.points.clear();
-    r.points
-        .extend_from_slice(&cloud.positions()[original_len..]);
+    r.points.extend_from_slice(tail);
     r.owner = owner;
     r.serial = t.join_serial;
     r.valid = true;
@@ -1354,7 +1011,8 @@ mod tests {
         PointCloud::from_positions_and_colors(positions, colors).unwrap()
     }
 
-    /// Runs a churned sequence twice — incremental on vs off — through the
+    /// Runs a churned sequence twice — on a warm session, and on one
+    /// flushed before every frame (the cold oracle) — through the
     /// interpolator at the default config and at dilation 1 (`k4d1`, a
     /// narrower self-join row) and asserts bit-identical outputs frame by
     /// frame.
@@ -1372,10 +1030,9 @@ mod tests {
         ] {
             let mut on = FrameScratch::new();
             let mut off = FrameScratch::new();
-            off.set_incremental(false);
-            assert!(on.incremental() && !off.incremental());
             for (frame_no, frame) in sequence.iter().enumerate() {
                 let a = dilated_interpolate_with(frame, &sr_cfg, ratio, &mut on);
+                off.flush_temporal();
                 let b = dilated_interpolate_with(frame, &sr_cfg, ratio, &mut off);
                 match (a, b) {
                     (Ok(a), Ok(b)) => {

@@ -1,20 +1,20 @@
 //! The end-to-end two-stage super-resolution pipeline (Figure 3).
 //!
 //! [`SrPipeline`] glues the pieces together: dilated interpolation,
-//! colorization (performed inside the interpolation stage) and per-point
-//! refinement, with per-stage wall-clock timing so the runtime breakdown of
-//! Figure 16 can be reproduced. [`SrConfig::k4d1`] (dilation 1) runs on
+//! colorization and per-point refinement, run as one write-in-place pass
+//! over the frame's source rows, with per-stage timing so the runtime
+//! breakdown of Figure 16 can be reproduced. [`SrConfig::k4d1`] (dilation 1) runs on
 //! this same path; the paper's vanilla kNN baseline (the `K4d1` column of
 //! Figures 7–11) is a cold one-shot function in [`crate::baselines::naive`].
 
 use crate::config::SrConfig;
-use crate::interpolate::dilated::dilated_interpolate_in;
+use crate::interpolate::dilated::{dilated_interpolate_in, Refine};
 use crate::interpolate::{FrameArena, FrameScratch, OpCounts};
 use crate::lut::LookupStats;
-use crate::refine::{refine_in_place, refine_rows_in_place, Refiner};
+use crate::refine::Refiner;
 use crate::Result;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use volut_pointcloud::PointCloud;
 
 /// Monotonic source of pipeline identities: the refined-output cache in a
@@ -23,7 +23,16 @@ use volut_pointcloud::PointCloud;
 /// cross-contaminate each other's refined tails.
 static NEXT_PIPELINE_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Wall-clock breakdown of one super-resolution pass.
+/// Time breakdown of one super-resolution pass.
+///
+/// `index_build` and `knn` are wall-clock time. `interpolation`,
+/// `colorization` and `refinement` are the stages of the one frame pass,
+/// which runs its ranges of source rows on every worker: each range adds the
+/// time it spent in each stage (one clock read per 64-row block per stage),
+/// so those three fields are summed worker time — on `w` busy workers they
+/// add up to about `w ×` the pass's wall time — plus the serial setup and
+/// capture around the pass. [`Self::total`] is then worker time, not
+/// frame latency.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Spatial-index (re)build / validation time. Amortized to ~zero on
@@ -38,21 +47,22 @@ pub struct StageTimings {
     /// across workers by the temporal layer) and a single-tree sweep over
     /// the rest (cut inside `KdTree::knn_batch_with`). The self-strip copy
     /// that feeds the dilated interpolator is charged here too. The
-    /// benchmark ledger's
-    /// `knn.self_join_ms` row tracks the cold self-join; the per-phase cost
-    /// of a delta frame is tabled in the `interpolate::temporal` module
-    /// docs.
+    /// benchmark ledger's `knn.self_join_ms` row tracks the cold self-join.
     pub knn: Duration,
-    /// Midpoint generation and bookkeeping.
+    /// Midpoint generation — drawn, or copied forward from the previous
+    /// frame — and its bookkeeping (output sizing, the reuse plan, the
+    /// output capture): summed worker time.
     pub interpolation: Duration,
-    /// Color assignment.
+    /// Color assignment: summed worker time.
     pub colorization: Duration,
-    /// Per-point refinement (LUT lookups or NN inference).
+    /// Per-point refinement (LUT lookups or NN inference, or the replayed
+    /// refined positions of points copied forward), plus the refined-tail
+    /// capture: summed worker time.
     pub refinement: Duration,
 }
 
 impl StageTimings {
-    /// Total time across all stages.
+    /// Total time across all stages (worker time; see the type docs).
     pub fn total(&self) -> Duration {
         self.index_build + self.knn + self.interpolation + self.colorization + self.refinement
     }
@@ -65,7 +75,7 @@ pub struct SrResult {
     pub cloud: PointCloud,
     /// Number of input points.
     pub input_points: usize,
-    /// Per-stage wall-clock timings measured on the host.
+    /// Per-stage timings measured on the host (see [`StageTimings`]).
     pub timings: StageTimings,
     /// Interpolation operation counters.
     pub ops: OpCounts,
@@ -148,7 +158,7 @@ impl SrPipeline {
     /// state `scratch` holds: the cached index, rows and outputs of the
     /// previous frame are reused where the geometry allows, and refreshed
     /// for the frame after. The frame's transient buffers (neighborhood
-    /// CSRs, dilated lists, refinement center copy, …) come from the
+    /// CSRs, dilated lists, k-d build buffers, …) come from the
     /// calling thread's [`crate::interpolate::FrameArena`], so repeated
     /// calls allocate nothing but the output cloud once buffers reach
     /// steady-state size.
@@ -162,71 +172,19 @@ impl SrPipeline {
         ratio: f64,
         scratch: &mut FrameScratch,
     ) -> Result<SrResult> {
-        // One arena serves the whole frame, interpolation and refinement.
+        // One arena serves the whole frame. The frame pass generates,
+        // colours and refines every point in place: a point copied forward
+        // from the previous frame takes the refined position this pipeline
+        // cached for it (index-remapped, bit-identical), so only the points
+        // generated fresh run the refiner.
         let mut arena = FrameArena::checkout();
-        let interp = dilated_interpolate_in(low, &self.config, ratio, scratch, &mut arena)?;
-
-        let mut timings = interp.timings;
-
-        // Refinement stage: move every generated point by its looked-up /
-        // predicted offset, operating on flat slices — the CSR neighborhood
-        // rows index straight into `low`'s position array, so the whole
-        // stage performs zero per-point heap allocations. Original points
-        // are left untouched.
-        //
-        // On delta frames the temporal layer first replays the previous
-        // frame's refined tail for every generated point it copied forward
-        // (index-remapped, bit-identical — the cached positions ARE the
-        // previous refined outputs), so only the churn-invalidated subset
-        // runs the refiner. The refined tail is then captured as the next
-        // frame's replay source, stamped with this pipeline's identity.
-        let t0 = Instant::now();
-        let original_len = interp.original_len;
-        let mut cloud = interp.cloud;
-        let temporal = &mut scratch.temporal;
-        let FrameArena {
-            plan,
-            centers,
-            subset_hoods,
-            subset_out,
-            ..
-        } = &mut *arena;
-        if crate::interpolate::temporal::reuse_refined_into(
-            temporal,
-            plan,
-            self.id,
-            &mut cloud,
-            original_len,
-        ) {
-            refine_rows_in_place(
-                self.refiner.as_ref(),
-                &mut cloud,
-                original_len,
-                &interp.neighborhoods,
-                low.positions(),
-                &plan.fresh_ordinals,
-                centers,
-                subset_hoods,
-                subset_out,
-            );
-        } else {
-            refine_in_place(
-                self.refiner.as_ref(),
-                &mut cloud,
-                original_len,
-                &interp.neighborhoods,
-                low.positions(),
-                centers,
-            );
-        }
-        crate::interpolate::temporal::capture_refined(
-            temporal,
-            plan,
-            self.id,
-            &cloud,
-            original_len,
-        );
-        timings.refinement = t0.elapsed();
+        let refine = Refine {
+            refiner: self.refiner.as_ref(),
+            owner: self.id,
+        };
+        let interp =
+            dilated_interpolate_in(low, &self.config, ratio, scratch, &mut arena, Some(refine))?;
+        let (cloud, timings, ops) = (interp.cloud, interp.timings, interp.ops);
 
         // Hand the result containers back so the arena's next frame reuses
         // their allocations.
@@ -236,7 +194,7 @@ impl SrPipeline {
             cloud,
             input_points: low.len(),
             timings,
-            ops: interp.ops,
+            ops,
             lookup_stats: self.refiner.lookup_stats(),
             refiner_name: self.refiner.name().to_string(),
         })
@@ -380,7 +338,8 @@ mod tests {
     fn delta_stream_reuse_is_bit_identical_with_a_real_refiner() {
         // End-to-end property: a streaming session with temporal reuse ON
         // (interpolated outputs, colors AND refined tails replayed across
-        // frames) must be bit-identical to the same session with reuse OFF.
+        // frames) must be bit-identical to a session flushed before every
+        // frame.
         // The NN refiner gives every point a nontrivial, input-dependent
         // offset, so any divergence in a replayed refined tail is caught.
         // Dilation 1 (`k4d1`) runs a narrower self-join row than the default.
@@ -404,9 +363,9 @@ mod tests {
                 );
                 let mut on = FrameScratch::new();
                 let mut off = FrameScratch::new();
-                off.set_incremental(false);
                 for (frame_no, frame) in frames.iter().enumerate() {
                     let a = pipeline.upsample_with(frame, 2.0, &mut on).unwrap();
+                    off.flush_temporal();
                     let b = pipeline.upsample_with(frame, 2.0, &mut off).unwrap();
                     assert_eq!(
                         a.cloud, b.cloud,
@@ -502,6 +461,127 @@ mod tests {
             assert_eq!(a.cloud, id_cold.cloud);
             let b = nn_pipe.upsample_with(&frame, 2.0, &mut scratch).unwrap();
             assert_eq!(b.cloud, nn_cold.cloud);
+        }
+    }
+
+    /// A LUT refiner over a dense Compact table (32 bins) whose every key
+    /// holds a small offset, so every refined point moves.
+    fn dense_lut_refiner(config: &SrConfig, table: &crate::lut::DenseLut) -> LutRefiner {
+        LutRefiner::from_config(config, KeyScheme::Compact, Box::new(table.clone())).unwrap()
+    }
+
+    #[test]
+    fn fused_frame_equals_interpolate_then_refine_in_place() {
+        // The frame pass generates, colours and refines in one write-in-place
+        // pass; the two-step path — the interpolator, then `refine_in_place`
+        // over the finished tail — is its oracle, frame by frame on a
+        // declared-delta stream. Frame 2 runs on a second ("degraded")
+        // pipeline sharing the session, so frame 3 finds interpolation
+        // outputs to copy forward but a refined tail it does not own. At
+        // ratio 8 the 700-point frames generate 4 900 points, two ranges of
+        // the pass at two workers. The LUT needs a 32-bin Compact key, the
+        // only change to the two configurations.
+        use crate::encoding::PositionEncoder;
+        use crate::interpolate::{DilatedInterpolator, Interpolator};
+        use crate::lut::{DenseLut, Lut};
+        use crate::refine::refine_in_place;
+        use volut_pointcloud::runtime;
+        use volut_pointcloud::synthetic::{DeltaStream, DeltaStreamConfig};
+        let configs = [SrConfig::default(), SrConfig::k4d1()].map(|c| SrConfig { bins: 32, ..c });
+        let encoder = PositionEncoder::new(&configs[0], KeyScheme::Compact).unwrap();
+        let mut table = DenseLut::new(encoder.key_space()).unwrap();
+        for key in 0..encoder.key_space() {
+            let tiny = (key % 17) as f32 * 1e-3;
+            table.set(key, [tiny, -tiny, 0.5 * tiny]).unwrap();
+        }
+        let refiner = |kind: &str, config: &SrConfig| -> Box<dyn Refiner> {
+            match kind {
+                "identity" => Box::new(IdentityRefiner),
+                "lut" => Box::new(dense_lut_refiner(config, &table)),
+                _ => Box::new(
+                    NnRefiner::from_config(config, KeyScheme::Full, Mlp::new(&[12, 16, 3], 41))
+                        .unwrap(),
+                ),
+            }
+        };
+        for workers in [1, 2] {
+            for config in configs {
+                for ratio in [1.5, 2.0, 8.0] {
+                    for kind in ["identity", "lut", "nn"] {
+                        for churn in [0.0, 0.1, 1.0] {
+                            runtime::with_workers(workers, || {
+                                let pipeline = SrPipeline::new(config, refiner(kind, &config));
+                                let degraded =
+                                    SrPipeline::new(config, refiner("identity", &config));
+                                let oracle = refiner(kind, &config);
+                                let mut stream = DeltaStream::new(
+                                    synthetic::humanoid(700, 0.3, 5),
+                                    DeltaStreamConfig {
+                                        churn,
+                                        ..DeltaStreamConfig::default()
+                                    },
+                                );
+                                let mut session = FrameScratch::new();
+                                let mut two_step = FrameScratch::new();
+                                for frame_no in 0..4 {
+                                    if frame_no > 0 {
+                                        let delta = stream.advance();
+                                        session.set_frame_delta(delta.clone());
+                                        two_step.set_frame_delta(delta);
+                                    }
+                                    let frame = stream.frame();
+                                    let (via, refine_with) = match frame_no {
+                                        2 => (&degraded, &IdentityRefiner as &dyn Refiner),
+                                        _ => (&pipeline, oracle.as_ref()),
+                                    };
+                                    let before = session.temporal_stats();
+                                    let fused =
+                                        via.upsample_with(frame, ratio, &mut session).unwrap();
+                                    let after = session.temporal_stats();
+                                    let mut want = DilatedInterpolator
+                                        .interpolate(frame, &config, ratio, &mut two_step)
+                                        .unwrap();
+                                    refine_in_place(
+                                        refine_with,
+                                        &mut want.cloud,
+                                        want.original_len,
+                                        &want.neighborhoods,
+                                        frame.positions(),
+                                        &mut Vec::new(),
+                                    );
+                                    let what = format!(
+                                        "{workers} workers, dilation {}, ratio {ratio}, {kind}, \
+                                         churn {churn}, frame {frame_no}",
+                                        config.dilation
+                                    );
+                                    assert_eq!(
+                                        fused.cloud.positions(),
+                                        want.cloud.positions(),
+                                        "{what}"
+                                    );
+                                    assert_eq!(fused.cloud.colors(), want.cloud.colors(), "{what}");
+                                    assert!(session.last_delta_error().is_none(), "{what}");
+                                    if frame_no == 3 && churn < 1.0 {
+                                        // Outputs copy forward; the refined tail
+                                        // is the degraded pipeline's, so none of
+                                        // it is replayed.
+                                        assert!(
+                                            after.gen_points_reused > before.gen_points_reused
+                                                && after.refined_points_reused
+                                                    == before.refined_points_reused,
+                                            "{what}: {after:?}"
+                                        );
+                                    }
+                                }
+                                if churn < 1.0 {
+                                    let stats = session.temporal_stats();
+                                    assert!(stats.refined_points_reused > 0, "{stats:?}");
+                                }
+                            });
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -1,32 +1,40 @@
 //! Stage two of the VoLUT pipeline: refinement.
 //!
 //! A [`Refiner`] moves interpolated points onto (an estimate of) the true
-//! surface. The trait is **batch-first**: the primary entry point
-//! [`Refiner::refine_batch`] processes a whole slice of generated points
-//! against a flat CSR [`NeighborhoodsView`], so implementations gather
-//! neighbor positions into reusable buffers instead of allocating a
-//! `Vec<Point3>` per point, and statistics are accumulated once per batch
-//! instead of behind a per-point lock.
+//! surface. The trait is **batch-first and in place**: the one entry point
+//! [`Refiner::refine_batch`] takes a slice of generated points and their
+//! rows of a flat CSR [`NeighborhoodsView`], reads each point as the center
+//! of its row and overwrites it with the refined position. A refiner reads
+//! row `i`'s center before it writes row `i` (the rows are independent), so
+//! no copy of the centers exists on the pipeline path; gather buffers are
+//! reused per batch instead of allocated per point, and statistics are
+//! accumulated once per batch instead of behind a per-point lock. Batching
+//! never shows in the output: a batch over N points equals N one-row calls,
+//! bit for bit, which is what lets the pipeline refine any run of rows it
+//! has just generated.
 //!
 //! Three implementations are provided:
 //! * [`LutRefiner`] — VoLUT's contribution: a table lookup keyed by the
 //!   quantized neighborhood (§4.2). Per block of 64 rows: the lane-wise
 //!   [`PositionEncoder::encode_keys_block`], one [`Lut::get_batch`], then
-//!   the offsets applied — in fixed stack arrays, so nothing is allocated;
+//!   the offsets applied — in fixed stack arrays and a per-thread set of
+//!   encoder lanes, so nothing is allocated;
 //! * [`NnRefiner`] — runs the refinement network directly (the GradPU-style
 //!   path the LUT replaces);
 //! * [`IdentityRefiner`] — no refinement; isolates the interpolation stage
 //!   in ablations.
 //!
-//! [`refine_in_place`] is the shared driver used by [`crate::SrPipeline`]
-//! and both baselines: it splits the generated tail of a cloud into chunks,
-//! fans the chunks out across the worker pool, and runs `refine_batch` on
-//! zero-copy row windows.
+//! [`crate::SrPipeline`] calls `refine_batch` from inside its one frame pass,
+//! on the runs of rows it generated fresh (see `interpolate::dilated`).
+//! [`refine_in_place`] is the stand-alone driver the baselines use on a
+//! finished interpolation: it fans the generated tail of a cloud out across
+//! the worker pool in chunks.
 
-use crate::encoding::{KeyScheme, PositionEncoder};
+use crate::encoding::{EncodeScratch, KeyScheme, PositionEncoder};
 use crate::lut::{LookupStats, Lut};
 use crate::nn::mlp::Mlp;
 use crate::Result;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use volut_pointcloud::{runtime, Neighborhoods, NeighborhoodsView, Point3, PointCloud};
 
@@ -35,23 +43,24 @@ pub trait Refiner: Send + Sync {
     /// Short human-readable name used in reports.
     fn name(&self) -> &str;
 
-    /// Refines `centers[i]` given neighborhood row `i` (indices into
-    /// `source`, closest first) and writes the result to `out[i]`. Rows may
-    /// be empty, in which case the center passes through unchanged.
+    /// Refines every `points[i]` in place: the point is the center of
+    /// neighborhood row `i` (indices into `source`, closest first) and is
+    /// overwritten with its refined position. Row `i`'s center is read
+    /// before row `i` is written. Rows may be empty, in which case the point
+    /// stays where it is.
     ///
     /// Implementations must not allocate per point: gather and feature
     /// buffers are amortized per batch call, which is what makes the
     /// pipeline's refinement stage allocation-free per generated point.
     ///
     /// # Panics
-    /// Implementations may panic when `centers`, `neighborhoods` and `out`
-    /// disagree in length.
+    /// Implementations may panic when `points` and `neighborhoods` disagree
+    /// in length.
     fn refine_batch(
         &self,
-        centers: &[Point3],
+        points: &mut [Point3],
         neighborhoods: NeighborhoodsView<'_>,
         source: &[Point3],
-        out: &mut [Point3],
     );
 
     /// Resident memory required by the refiner (model weights or LUT), in
@@ -67,12 +76,11 @@ pub trait Refiner: Send + Sync {
 /// Refines the generated tail of `cloud` (points `original_len..`) in place
 /// using `refiner`, reading neighbor positions from `source`.
 ///
-/// `centers_scratch` receives a copy of the pre-refinement tail so the
-/// batch kernel can read stable centers while writing results; reusing the
-/// same buffer across frames (the pipeline passes its frame arena's, see
-/// `interpolate::FrameArena`) means steady-state refinement performs no
-/// per-frame allocation either. Chunks of the tail are refined in parallel
-/// on the current pool.
+/// `centers_scratch` receives a copy of the pre-refinement tail, for callers
+/// that read the centers the refiner encoded after the call; reusing the
+/// same buffer across frames keeps steady-state refinement free of
+/// per-frame allocation. Chunks of the tail are refined in parallel on the
+/// current pool.
 ///
 /// # Panics
 /// Panics when `neighborhoods.len()` differs from the generated tail length.
@@ -84,103 +92,22 @@ pub fn refine_in_place(
     source: &[Point3],
     centers_scratch: &mut Vec<Point3>,
 ) {
-    let positions = cloud.positions_mut();
-    let tail = &mut positions[original_len..];
+    let tail = &mut cloud.positions_mut()[original_len..];
     assert_eq!(
         neighborhoods.len(),
         tail.len(),
         "one neighborhood row per generated point"
     );
-    if tail.is_empty() {
-        return;
-    }
     centers_scratch.clear();
     centers_scratch.extend_from_slice(tail);
-    let centers: &[Point3] = centers_scratch;
     let view = neighborhoods.view();
-
-    let workers = runtime::workers_for(tail.len(), 4_096);
-    let chunk = tail.len().div_ceil(workers).max(1);
-    runtime::for_each_chunk_mut(tail, chunk, |_, start, out_chunk| {
-        let end = start + out_chunk.len();
-        refiner.refine_batch(
-            &centers[start..end],
-            view.slice_rows(start, end),
-            source,
-            out_chunk,
-        );
+    let chunk = tail
+        .len()
+        .div_ceil(runtime::workers_for(tail.len(), 4_096))
+        .max(1);
+    runtime::for_each_chunk_mut(tail, chunk, |_, start, points| {
+        refiner.refine_batch(points, view.slice_rows(start, start + points.len()), source);
     });
-}
-
-/// [`refine_in_place`] restricted to a subset of generated-point ordinals.
-///
-/// Only tail points `original_len + ordinals[i]` are refined — every other
-/// tail position is left untouched (the temporal layer has already copied
-/// those forward from the previous frame's refined output). The subset is
-/// compacted into `subset_hoods` / `centers_scratch`, refined as one dense
-/// batch, and scattered back, so a frame's refinement cost is proportional
-/// to its churn rather than its size. Because every refiner's batch kernel
-/// is row-independent (and batching is bit-identical to the per-point
-/// path), the refined subset matches what a full [`refine_in_place`] pass
-/// would have produced for those rows, bit for bit.
-///
-/// All three scratch buffers are caller-owned and reused across frames
-/// (the pipeline passes its frame arena's), keeping the steady state
-/// allocation-free.
-///
-/// # Panics
-/// Panics when `neighborhoods.len()` differs from the generated tail length
-/// or an ordinal is out of range.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_rows_in_place(
-    refiner: &dyn Refiner,
-    cloud: &mut PointCloud,
-    original_len: usize,
-    neighborhoods: &Neighborhoods,
-    source: &[Point3],
-    ordinals: &[u32],
-    centers_scratch: &mut Vec<Point3>,
-    subset_hoods: &mut Neighborhoods,
-    subset_out: &mut Vec<Point3>,
-) {
-    let positions = cloud.positions_mut();
-    let tail = &mut positions[original_len..];
-    assert_eq!(
-        neighborhoods.len(),
-        tail.len(),
-        "one neighborhood row per generated point"
-    );
-    if ordinals.is_empty() {
-        return;
-    }
-    centers_scratch.clear();
-    centers_scratch.reserve(ordinals.len());
-    subset_hoods.clear();
-    subset_hoods.reserve_rows(ordinals.len(), 0);
-    for &ord in ordinals {
-        let i = ord as usize;
-        centers_scratch.push(tail[i]);
-        subset_hoods.push_row_u32(neighborhoods.row(i));
-    }
-    let centers: &[Point3] = centers_scratch;
-    let view = subset_hoods.view();
-    subset_out.clear();
-    subset_out.resize(ordinals.len(), Point3::ZERO);
-
-    let workers = runtime::workers_for(ordinals.len(), 4_096);
-    let chunk = ordinals.len().div_ceil(workers).max(1);
-    runtime::for_each_chunk_mut(subset_out.as_mut_slice(), chunk, |_, start, out_chunk| {
-        let end = start + out_chunk.len();
-        refiner.refine_batch(
-            &centers[start..end],
-            view.slice_rows(start, end),
-            source,
-            out_chunk,
-        );
-    });
-    for (slot, &ord) in ordinals.iter().enumerate() {
-        tail[ord as usize] = subset_out[slot];
-    }
 }
 
 /// No-op refiner: returns the interpolated position unchanged.
@@ -194,12 +121,10 @@ impl Refiner for IdentityRefiner {
 
     fn refine_batch(
         &self,
-        centers: &[Point3],
+        _points: &mut [Point3],
         _neighborhoods: NeighborhoodsView<'_>,
         _source: &[Point3],
-        out: &mut [Point3],
     ) {
-        out.copy_from_slice(centers);
     }
 
     fn memory_bytes(&self) -> usize {
@@ -230,6 +155,18 @@ impl AtomicLookupStats {
             misses: self.misses.load(Ordering::Relaxed),
         }
     }
+}
+
+thread_local! {
+    /// The LUT refiner's encoder lanes, one set per thread. The pipeline
+    /// calls [`LutRefiner::refine_batch`] once per run of freshly generated
+    /// points — a few points each on a delta frame, about 19 runs in a
+    /// 512-point fleet frame at 10 % churn — and zero-filling 14 KB of lanes
+    /// per call cost about 2 % of a cache-cold fleet frame (2048 sessions of
+    /// 512 points, one worker, 2-vCPU host). The encoder writes every lane it
+    /// reads, so a set serves any call; a call never re-enters another on
+    /// the same thread.
+    static ENCODE_SCRATCH: RefCell<EncodeScratch> = RefCell::new(EncodeScratch::default());
 }
 
 /// LUT-based refiner (the paper's contribution).
@@ -284,51 +221,49 @@ impl Refiner for LutRefiner {
 
     fn refine_batch(
         &self,
-        centers: &[Point3],
+        points: &mut [Point3],
         neighborhoods: NeighborhoodsView<'_>,
         source: &[Point3],
-        out: &mut [Point3],
     ) {
-        debug_assert_eq!(centers.len(), neighborhoods.len());
-        debug_assert_eq!(centers.len(), out.len());
+        debug_assert_eq!(points.len(), neighborhoods.len());
         // Block-structured: the lane-wise encoder turns a block of CSR rows
         // into keys and radii (gather → normalize → quantize over whole slot
         // lanes), one `get_batch` resolves the block, and the offsets are
-        // applied. Every buffer, the encoder's lanes included, is a fixed
-        // array on this stack.
+        // applied. Keys, radii and results are fixed arrays on this stack,
+        // the encoder's lanes this thread's (see [`ENCODE_SCRATCH`]).
         const BLOCK: usize = 64;
         let mut keys = [0u128; BLOCK];
         // radius < 0 marks rows that skip refinement (empty / unencodable).
         let mut radii = [-1.0f32; BLOCK];
         let mut results: [Option<crate::lut::Offset>; BLOCK] = [None; BLOCK];
-        let mut encode_scratch = crate::encoding::EncodeScratch::default();
         let (mut hits, mut misses) = (0u64, 0u64);
-        for block_start in (0..centers.len()).step_by(BLOCK) {
-            let block_len = BLOCK.min(centers.len() - block_start);
-            self.encoder.encode_keys_block(
-                &centers[block_start..block_start + block_len],
-                neighborhoods,
-                block_start,
-                source,
-                &mut keys[..block_len],
-                &mut radii[..block_len],
-                &mut encode_scratch,
-            );
-            self.lut
-                .get_batch(&keys[..block_len], &mut results[..block_len]);
-            for b in 0..block_len {
-                let i = block_start + b;
-                out[i] = centers[i];
-                match results[b] {
-                    _ if radii[b] < 0.0 => {}
-                    Some([x, y, z]) => {
-                        hits += 1;
-                        out[i] = centers[i] + Point3::new(x, y, z) * radii[b];
+        ENCODE_SCRATCH.with_borrow_mut(|encode_scratch| {
+            for block_start in (0..points.len()).step_by(BLOCK) {
+                let block_len = BLOCK.min(points.len() - block_start);
+                let block = &mut points[block_start..block_start + block_len];
+                self.encoder.encode_keys_block(
+                    block,
+                    neighborhoods,
+                    block_start,
+                    source,
+                    &mut keys[..block_len],
+                    &mut radii[..block_len],
+                    encode_scratch,
+                );
+                self.lut
+                    .get_batch(&keys[..block_len], &mut results[..block_len]);
+                for (b, point) in block.iter_mut().enumerate() {
+                    match results[b] {
+                        _ if radii[b] < 0.0 => {}
+                        Some([x, y, z]) => {
+                            hits += 1;
+                            *point += Point3::new(x, y, z) * radii[b];
+                        }
+                        None => misses += 1,
                     }
-                    None => misses += 1,
                 }
             }
-        }
+        });
         self.stats.add(hits, misses);
     }
 
@@ -375,13 +310,11 @@ impl Refiner for NnRefiner {
 
     fn refine_batch(
         &self,
-        centers: &[Point3],
+        points: &mut [Point3],
         neighborhoods: NeighborhoodsView<'_>,
         source: &[Point3],
-        out: &mut [Point3],
     ) {
-        debug_assert_eq!(centers.len(), neighborhoods.len());
-        debug_assert_eq!(centers.len(), out.len());
+        debug_assert_eq!(points.len(), neighborhoods.len());
         // Feature rows are packed per block and pushed through the GEMM-style
         // micro-batched forward; `forward_batch_into` is bit-identical to the
         // per-point pass, so batching is invisible in the output.
@@ -393,28 +326,24 @@ impl Refiner for NnRefiner {
         let mut packed: Vec<(usize, f32)> = Vec::new();
         let mut outputs: Vec<f32> = Vec::new();
         let mut scratch = crate::nn::mlp::BatchScratch::default();
-        for block_start in (0..centers.len()).step_by(BLOCK) {
-            let block_len = BLOCK.min(centers.len() - block_start);
+        for block_start in (0..points.len()).step_by(BLOCK) {
+            let block_len = BLOCK.min(points.len() - block_start);
             features.clear();
             packed.clear();
-            for i in block_start..block_start + block_len {
-                let center = centers[i];
+            let block = &points[block_start..block_start + block_len];
+            for (i, &center) in (block_start..).zip(block) {
                 let row = neighborhoods.row(i);
                 if row.is_empty() {
-                    out[i] = center;
                     continue;
                 }
                 gather.clear();
                 gather.extend(row.iter().map(|&j| source[j as usize]));
-                match self
-                    .encoder
-                    .encode_features_into(center, &gather, &mut feature_row)
+                if let Ok(radius) =
+                    self.encoder
+                        .encode_features_into(center, &gather, &mut feature_row)
                 {
-                    Ok(radius) => {
-                        features.extend_from_slice(&feature_row);
-                        packed.push((i, radius));
-                    }
-                    Err(_) => out[i] = center,
+                    features.extend_from_slice(&feature_row);
+                    packed.push((i, radius));
                 }
             }
             if packed.is_empty() {
@@ -424,7 +353,7 @@ impl Refiner for NnRefiner {
                 .forward_batch_into(&features, packed.len(), &mut outputs, &mut scratch);
             for (slot, &(i, radius)) in packed.iter().enumerate() {
                 let o = &outputs[slot * out_dim..(slot + 1) * out_dim];
-                out[i] = centers[i] + Point3::new(o[0], o[1], o[2]) * radius;
+                points[i] += Point3::new(o[0], o[1], o[2]) * radius;
             }
         }
     }
@@ -451,9 +380,9 @@ mod tests {
         let indices: Vec<u32> = (0..neighbors.len() as u32).collect();
         let offsets = [0u32, neighbors.len() as u32];
         let view = NeighborhoodsView::from_raw(&indices, &offsets);
-        let mut out = [center];
-        refiner.refine_batch(&[center], view, neighbors, &mut out);
-        out[0]
+        let mut point = [center];
+        refiner.refine_batch(&mut point, view, neighbors);
+        point[0]
     }
 
     fn neighborhood() -> (Point3, Vec<Point3>) {
@@ -543,8 +472,8 @@ mod tests {
             let len = i % 5; // 0..=4 neighbors, row 0 empty
             hoods.push_row((0..len).map(|k| (i + k + 1) % source.len()));
         }
-        let mut batch_out = vec![Point3::ZERO; centers.len()];
-        refiner.refine_batch(&centers, hoods.view(), &source, &mut batch_out);
+        let mut batch_out = centers.clone();
+        refiner.refine_batch(&mut batch_out, hoods.view(), &source);
         for (i, &expected) in batch_out.iter().enumerate() {
             let neighbors: Vec<Point3> = hoods.row(i).iter().map(|&j| source[j as usize]).collect();
             let single = refine_one(refiner, centers[i], &neighbors);
@@ -575,79 +504,6 @@ mod tests {
     fn nn_batch_parity() {
         let refiner = NnRefiner::new(encoder(), Mlp::new(&[12, 32, 32, 3], 9));
         batch_matches_per_point(&refiner);
-    }
-
-    #[test]
-    fn subset_refinement_matches_full_pass() {
-        // A jittered-grid cloud with a generated tail of 50 points.
-        let source: Vec<Point3> = (0..64)
-            .map(|i| {
-                let f = i as f32;
-                Point3::new(f.sin(), (f * 0.7).cos(), f * 0.01)
-            })
-            .collect();
-        let original_len = source.len();
-        let mut cloud = PointCloud::from_positions(source.clone());
-        let mut hoods = Neighborhoods::new();
-        for i in 0..50 {
-            cloud.push(source[i] + Point3::new(0.01, -0.02, 0.005), None);
-            let len = i % 5; // 0..=4 neighbors, some rows empty
-            hoods.push_row((0..len).map(|k| (i + k + 1) % source.len()));
-        }
-        let refiner = NnRefiner::new(encoder(), Mlp::new(&[12, 16, 3], 11));
-
-        let mut full = cloud.clone();
-        let mut scratch = Vec::new();
-        refine_in_place(
-            &refiner,
-            &mut full,
-            original_len,
-            &hoods,
-            &source,
-            &mut scratch,
-        );
-
-        // Refine a strict subset: the chosen rows must match the full pass
-        // bit for bit, the rest must remain at their pre-refinement values.
-        let ordinals: Vec<u32> = (0..50u32).filter(|o| o % 3 != 1).collect();
-        let mut partial = cloud.clone();
-        let mut subset_hoods = Neighborhoods::new();
-        let mut subset_out = Vec::new();
-        refine_rows_in_place(
-            &refiner,
-            &mut partial,
-            original_len,
-            &hoods,
-            &source,
-            &ordinals,
-            &mut scratch,
-            &mut subset_hoods,
-            &mut subset_out,
-        );
-        let in_subset = |o: u32| o % 3 != 1;
-        for o in 0..50u32 {
-            let i = original_len + o as usize;
-            if in_subset(o) {
-                assert_eq!(partial.position(i), full.position(i), "ordinal {o}");
-            } else {
-                assert_eq!(partial.position(i), cloud.position(i), "ordinal {o}");
-            }
-        }
-        // Over the complete ordinal list the subset pass IS the full pass.
-        let mut all = cloud.clone();
-        let every: Vec<u32> = (0..50u32).collect();
-        refine_rows_in_place(
-            &refiner,
-            &mut all,
-            original_len,
-            &hoods,
-            &source,
-            &every,
-            &mut scratch,
-            &mut subset_hoods,
-            &mut subset_out,
-        );
-        assert_eq!(all, full);
     }
 
     #[test]

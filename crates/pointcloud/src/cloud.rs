@@ -214,20 +214,6 @@ impl PointCloud {
         }
     }
 
-    /// Appends `count` points at the origin (black in a colored cloud) and
-    /// returns their positions for the caller to overwrite — the in-place
-    /// form of [`Self::extend_positions`] for writers that fill the tail in
-    /// parallel.
-    pub fn extend_zeroed(&mut self, count: usize) -> &mut [Point3] {
-        self.digest = std::sync::OnceLock::new();
-        let start = self.positions.len();
-        self.positions.resize(start + count, Point3::ZERO);
-        if let Some(colors) = &mut self.colors {
-            colors.resize(start + count, Color::BLACK);
-        }
-        &mut self.positions[start..]
-    }
-
     /// Iterator over `(position, optional color)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (Point3, Option<Color>)> + '_ {
         self.positions
@@ -570,22 +556,6 @@ mod tests {
         let d = plain.geometry_digest();
         plain.extend_positions(&[]);
         assert_eq!(plain.geometry_digest(), d);
-    }
-
-    #[test]
-    fn extend_zeroed_matches_extend_positions() {
-        let tail = [Point3::splat(4.0), Point3::splat(5.0)];
-        for mut zeroed in [
-            colored_cloud(),
-            PointCloud::from_positions(vec![Point3::ZERO]),
-        ] {
-            let mut extended = zeroed.clone();
-            let d = zeroed.geometry_digest();
-            zeroed.extend_zeroed(2).copy_from_slice(&tail);
-            extended.extend_positions(&tail);
-            assert_eq!(zeroed, extended);
-            assert_ne!(zeroed.geometry_digest(), d, "the digest follows the tail");
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   point through the same packed keys and the same sorted insert as the
 //!   join's rows;
 //! * [`pair_midpoints_into`] — gathered pair-midpoint generation over
-//!   [`SoaPositions`], exported for the interpolators' recomputed-row batch.
+//!   [`SoaPositions`], exported for the naive baseline's batch.
 //!
 //! With the default-on `simd` feature the kernels run at the widest
 //! instruction tier the CPU offers (`Tier`: AVX-512, AVX2 or scalar) with an
@@ -756,10 +756,11 @@ pub(crate) fn scan_radius_ids(
 
 /// Midpoints of gathered index pairs: `out[i] = midpoint(soa[a[i]], soa[b[i]])`.
 ///
-/// This is the generation kernel behind the interpolators' recomputed-row
-/// batch: partner pairs for every row that must be recomputed are drawn up
-/// front, then one call produces the new points with 8-wide AVX2 index
-/// gathers over the SoA coordinate lanes. The scalar fallback performs
+/// This is the generation kernel of the naive `K4d1` baseline's batch:
+/// partner pairs for every row are drawn up front, then one call produces
+/// the new points with 8-wide AVX2 index gathers over the SoA coordinate
+/// lanes. (The SR frame path computes each midpoint in place with
+/// [`Point3::midpoint`] instead.) The scalar fallback performs
 /// exactly [`Point3::midpoint`]'s arithmetic — `0.5 * (a + b)` per component;
 /// IEEE-754 multiplication is commutative, so the vector form `(a + b) * 0.5`
 /// is bit-identical — making the `simd` feature invisible to interpolation

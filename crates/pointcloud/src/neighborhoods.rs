@@ -228,6 +228,14 @@ impl Neighborhoods {
     pub fn offsets(&self) -> &[u32] {
         &self.offsets
     }
+
+    /// The flat index array, writable, beside the offsets: a writer that
+    /// sized its rows up front ([`Self::push_uniform_rows`]) fills them in
+    /// place and reads views of the rows it has filled
+    /// ([`NeighborhoodsView::from_raw`]).
+    pub fn parts_mut(&mut self) -> (&mut [u32], &[u32]) {
+        (&mut self.indices, &self.offsets)
+    }
 }
 
 impl<'a> IntoIterator for &'a Neighborhoods {

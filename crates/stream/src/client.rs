@@ -150,12 +150,6 @@ impl SrSession {
         self.scratch.temporal_stats()
     }
 
-    /// Enables or disables incremental (temporal) kNN reuse for subsequent
-    /// frames (enabled by default; bit-identical results either way).
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.scratch.set_incremental(enabled);
-    }
-
     /// Why the engine rejected the most recent externally declared
     /// [`FrameDelta`] (see [`Self::upsample_frame_delta`]), or `None` when
     /// it verified. A rejection never corrupts output — the engine falls
@@ -520,8 +514,8 @@ mod tests {
             ))
         };
         let mut incremental = make_session();
+        // The cold oracle: a session flushed before every frame.
         let mut full = make_session();
-        full.set_incremental(false);
         let base = volut_pointcloud::synthetic::humanoid(3_000, 0.4, 23);
         let mut stream = DeltaStream::new(
             base,
@@ -535,6 +529,7 @@ mod tests {
         for frame_no in 0..6 {
             let frame = stream.frame().clone();
             let a = incremental.upsample_frame(&frame, 2.0).unwrap();
+            full.flush_caches();
             let b = full.upsample_frame(&frame, 2.0).unwrap();
             assert_eq!(a.cloud, b.cloud, "frame {frame_no}: bit-identical");
             stream.advance();
@@ -568,7 +563,7 @@ mod tests {
             t.refined_points_reused > t.refined_points_recomputed,
             "refined-point reuse should dominate at 10% coherent churn: {t:?}"
         );
-        // The disabled session did all-full frames.
+        // The flushed session did all-full frames.
         let t_full = full.temporal_stats();
         assert_eq!(t_full.rows_reused, 0);
         assert_eq!(t_full.incremental_frames, 0);
@@ -652,8 +647,8 @@ mod tests {
         };
         let mut keyed = make_session();
         let mut diffed = make_session();
+        // The cold oracle: a session flushed before every frame.
         let mut full = make_session();
-        full.set_incremental(false);
         let base = volut_pointcloud::synthetic::sphere(2_500, 1.0, 31);
         let cfg = DeltaStreamConfig {
             churn: 0.15,
@@ -670,6 +665,7 @@ mod tests {
             let frame = stream.frame().clone();
             let a = keyed.upsample_frame_delta(&frame, 2.0, delta).unwrap();
             let b = diffed.upsample_frame(&frame, 2.0).unwrap();
+            full.flush_caches();
             let c = full.upsample_frame(&frame, 2.0).unwrap();
             assert_eq!(a.cloud, b.cloud);
             assert_eq!(a.cloud, c.cloud);

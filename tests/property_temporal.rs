@@ -62,11 +62,12 @@ proptest! {
         });
         // Dilation 1 (`k4d1`) joins a narrower row than the default config.
         let cfg = if dilation_one { SrConfig::k4d1() } else { SrConfig::default() };
+        // The cold oracle: a session flushed before every frame.
         let mut on = FrameScratch::new();
         let mut off = FrameScratch::new();
-        off.set_incremental(false);
         for (frame_no, frame) in frames.iter().enumerate() {
             let a = dilated_interpolate_with(frame, &cfg, ratio, &mut on);
+            off.flush_temporal();
             let b = dilated_interpolate_with(frame, &cfg, ratio, &mut off);
             match (a, b) {
                 (Ok(a), Ok(b)) => {

@@ -210,6 +210,8 @@ fn large_delta_session_is_bit_identical_across_workers_and_to_cold() {
     let frames = spread_churn_frames(24_000, 4);
     for config in [SrConfig::default(), SrConfig::k4d1()] {
         for declared in [true, false] {
+            // `incremental: false` is the cold oracle: the session is
+            // flushed before every frame, and every frame is undeclared.
             let run = |workers: usize, incremental: bool| {
                 runtime::with_workers(workers, || {
                     let refiner = NnRefiner::from_config(
@@ -219,11 +221,13 @@ fn large_delta_session_is_bit_identical_across_workers_and_to_cold() {
                     )
                     .expect("valid config");
                     let mut session = SrSession::new(SrPipeline::new(config, Box::new(refiner)));
-                    session.set_incremental(incremental);
                     let clouds: Vec<PointCloud> = frames
                         .iter()
                         .map(|(frame, delta)| {
-                            match (declared, delta) {
+                            if !incremental {
+                                session.flush_caches();
+                            }
+                            match (declared && incremental, delta) {
                                 (true, Some(d)) => {
                                     session.upsample_frame_delta(frame, 2.0, d.clone())
                                 }

@@ -121,9 +121,9 @@ fn steady_state_delta_frames_allocate_only_their_output() {
         SrConfig::default(),
         Box::new(IdentityRefiner),
     ));
-    // Ten, none of them in the interpolator or the pipeline: five for
-    // the output (the input cloned — positions, colors — one growth step
-    // for each when the generated tail is appended, and the result's
+    // At most ten, none of them in the interpolator or the pipeline. A
+    // frame makes eight: three for the output (positions and colors, each
+    // sized once for input and generated tail, and the result's
     // refiner-name string) and five batch-local lists inside the
     // single-tree kNN sweep that recomputes the invalidated rows
     // (`KdTree::knn_batch_with`: traversal stack, descent path, best-k
@@ -168,8 +168,9 @@ fn an_index_rebuild_frame_allocates_no_more_than_a_patch_frame() {
 #[test]
 fn steady_state_lut_refinement_allocates_nothing_more() {
     // The same stream refined through a dense Compact table: the refiner's
-    // key lanes, keys, radii and probe results are fixed arrays on its
-    // stack, so the LUT path holds the identity path's bound.
+    // keys, radii and probe results are fixed arrays on its stack and its
+    // key lanes a per-thread scratch, so the LUT path holds the identity
+    // path's bound.
     let config = SrConfig {
         bins: 32,
         ..SrConfig::default()
