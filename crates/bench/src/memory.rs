@@ -110,7 +110,7 @@ pub fn fig15_memory(artifacts: &TrainedArtifacts) -> Report {
         ("VoLUT dense LUT (paper config n=4, b=128)", dense_bytes),
         ("VoLUT sparse LUT (this reproduction)", sparse_bytes),
     ] {
-        report.push_row(vec![
+        report.add_row(vec![
             name.to_string(),
             bytes.to_string(),
             MemoryModel::format_bytes(bytes),

@@ -94,7 +94,7 @@ fn fill_rows(report: &mut Report, points: &[QualityPoint], fmt: impl Fn(&Quality
                 .unwrap_or_else(|| "-".to_string());
             row.push(cell);
         }
-        report.push_row(row);
+        report.add_row(row);
     }
 }
 

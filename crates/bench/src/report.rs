@@ -32,7 +32,7 @@ impl Report {
     }
 
     /// Appends a data row.
-    pub fn push_row(&mut self, row: Vec<String>) {
+    pub fn add_row(&mut self, row: Vec<String>) {
         self.rows.push(row);
     }
 
@@ -117,8 +117,8 @@ mod tests {
     #[test]
     fn render_contains_headers_rows_and_notes() {
         let mut r = Report::new("figX", "Example", &["a", "bb"]);
-        r.push_row(vec!["1".into(), "2".into()]);
-        r.push_row(vec!["333".into(), "4".into()]);
+        r.add_row(vec!["1".into(), "2".into()]);
+        r.add_row(vec!["333".into(), "4".into()]);
         r.push_note("synthetic data");
         let text = r.render();
         assert!(text.contains("figX"));
@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let mut r = Report::new("t", "T", &["x"]);
-        r.push_row(vec!["y".into()]);
+        r.add_row(vec!["y".into()]);
         let dir = std::env::temp_dir().join("volut_bench_report_test");
         r.write_json(&dir).unwrap();
         let text = std::fs::read_to_string(dir.join("t.json")).unwrap();
@@ -144,8 +144,8 @@ mod tests {
     #[test]
     fn write_json_bytes_are_pinned() {
         let mut r = Report::new("fig0", "Demo", &["a", "b"]);
-        r.push_row(vec!["1".into(), "x".into()]);
-        r.push_row(vec!["2".into(), "y".into()]);
+        r.add_row(vec!["1".into(), "x".into()]);
+        r.add_row(vec!["2".into(), "y".into()]);
         r.push_note("paper: \"42 FPS\"");
         let dir = std::env::temp_dir().join("volut_bench_report_pin_test");
         r.write_json(&dir).unwrap();

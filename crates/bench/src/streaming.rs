@@ -80,7 +80,7 @@ pub fn fig12_qoe(points: &[StreamingPoint]) -> Report {
         &["Trace", "System", "Normalized QoE", "Stall (s)"],
     );
     for p in points {
-        report.push_row(vec![
+        report.add_row(vec![
             p.trace.clone(),
             p.system.label().to_string(),
             format!("{:.1}", p.normalized_qoe),
@@ -99,7 +99,7 @@ pub fn fig13_data_usage(points: &[StreamingPoint]) -> Report {
         &["Trace", "System", "Data fraction"],
     );
     for p in points {
-        report.push_row(vec![
+        report.add_row(vec![
             p.trace.clone(),
             p.system.label().to_string(),
             format!("{:.3}", p.data_fraction),
@@ -134,7 +134,7 @@ pub fn fig14_ablation(session_seconds: f64) -> Report {
                 sessions += 1.0;
             }
         }
-        report.push_row(vec![
+        report.add_row(vec![
             system.label().to_string(),
             format!("{:.1}", qoe / sessions),
             format!("{:.3}", data / sessions),

@@ -13,7 +13,7 @@ pub fn run() -> Report {
     );
     let paper = ["12 MB", "1.5 MB", "1.61 GB", "100 MB", "201 GB", "6.25 GB"];
     for (row, paper_size) in table1_rows().iter().zip(paper.iter()) {
-        report.push_row(vec![
+        report.add_row(vec![
             row.receptive_field.to_string(),
             row.bins.to_string(),
             row.entries.to_string(),

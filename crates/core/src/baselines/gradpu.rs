@@ -103,7 +103,6 @@ impl GradPuUpsampler {
             cloud,
             input_points: low.len(),
             timings,
-            ops: interp.ops,
             lookup_stats: None,
             refiner_name: "gradpu".to_string(),
         })

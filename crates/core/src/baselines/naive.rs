@@ -13,24 +13,22 @@
 //! own k-d tree and buffers and keeps nothing for a next frame. The paper
 //! figures, [`super::YuzuUpsampler`] and [`super::GradPuUpsampler`] call it.
 //! Partner draws use the frame path's per-row seed (from the source point's
-//! position bits) and midpoints run through the SIMD SoA kernel
-//! [`kernels::pair_midpoints_into`]. Both kNN passes return exact rows with
+//! position bits) and midpoints are [`Point3::midpoint`], as on the frame
+//! path. Both kNN passes return exact rows with
 //! ties broken by index, so the output does not depend on which traversal
 //! the tree picks (dual-tree self-join or single-tree sweep) or on the
 //! worker count.
 
 use crate::config::SrConfig;
 use crate::error::Error;
-use crate::interpolate::{colorize, row_seed, InterpolationResult, OpCounts, PointSplit};
+use crate::interpolate::{colorize, row_seed, InterpolationResult, PointSplit};
 use crate::pipeline::StageTimings;
 use crate::Result;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::time::Instant;
 use volut_pointcloud::kdtree::KdTree;
-use volut_pointcloud::kernels;
 use volut_pointcloud::knn::NeighborSearch;
-use volut_pointcloud::soa::SoaPositions;
 use volut_pointcloud::{Neighborhoods, Point3, PointCloud};
 
 /// Upsamples `low` to roughly `ratio ×` its point count using vanilla kNN
@@ -104,20 +102,12 @@ pub fn naive_interpolate(
     colorize::colorize_new_points(&mut cloud, low, low.len(), hoods.view(), &parents);
     timings.colorization = t5.elapsed();
 
-    let generated = points.len() as u64;
-    let queries = active as u64 + generated;
     Ok(InterpolationResult {
         cloud,
         original_len: low.len(),
         parents,
         neighborhoods: hoods,
         timings,
-        ops: OpCounts {
-            knn_queries: queries,
-            candidates_examined: queries * low.len().min(64) as u64,
-            points_generated: generated,
-            reused_neighborhoods: 0,
-        },
     })
 }
 
@@ -131,7 +121,7 @@ fn midpoints(
     config: &SrConfig,
     split: PointSplit,
 ) -> (Vec<Point3>, Vec<(usize, usize)>) {
-    let (mut pair_a, mut pair_b) = (Vec::new(), Vec::new());
+    let mut parents = Vec::new();
     let mut partners = Vec::new();
     for (i, row) in source_hoods.iter().enumerate() {
         let count = split.count(i);
@@ -146,18 +136,12 @@ fn midpoints(
         }
         let mut rng = StdRng::seed_from_u64(row_seed(config.seed, positions[i]));
         for _ in 0..count {
-            pair_a.push(i as u32);
-            pair_b.push(partners[rng.random_range(0..partners.len())]);
+            parents.push((i, partners[rng.random_range(0..partners.len())] as usize));
         }
     }
-    let mut soa = SoaPositions::default();
-    soa.fill(positions);
-    let mut points = vec![Point3::ZERO; pair_a.len()];
-    kernels::pair_midpoints_into(&soa, &pair_a, &pair_b, &mut points);
-    let parents = pair_a
+    let points = parents
         .iter()
-        .zip(&pair_b)
-        .map(|(&a, &b)| (a as usize, b as usize))
+        .map(|&(a, b)| positions[a].midpoint(positions[b]))
         .collect();
     (points, parents)
 }

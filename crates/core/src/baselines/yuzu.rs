@@ -148,7 +148,6 @@ impl YuzuUpsampler {
             cloud,
             input_points: low.len(),
             timings,
-            ops: interp.ops,
             lookup_stats: None,
             refiner_name: "yuzu-sr".to_string(),
         })

@@ -2,6 +2,7 @@
 
 use crate::error::Error;
 use crate::Result;
+use volut_pointcloud::kernels::MERGE_MAX_K;
 
 /// Configuration shared by the interpolation and refinement stages.
 ///
@@ -71,6 +72,12 @@ impl SrConfig {
         if self.k == 0 {
             return Err(Error::InvalidConfig("k must be at least 1".into()));
         }
+        // Eq. 2 ranks a generated point's row in a fixed-size array.
+        if self.k > MERGE_MAX_K {
+            return Err(Error::InvalidConfig(format!(
+                "k must be at most {MERGE_MAX_K}"
+            )));
+        }
         if self.dilation == 0 {
             return Err(Error::InvalidConfig("dilation must be at least 1".into()));
         }
@@ -129,6 +136,14 @@ mod tests {
         }
         .validate()
         .is_err());
+        for (k, ok) in [(MERGE_MAX_K, true), (MERGE_MAX_K + 1, false), (40, false)] {
+            let result = SrConfig {
+                k,
+                ..SrConfig::default()
+            }
+            .validate();
+            assert_eq!(result.is_ok(), ok, "k {k}");
+        }
         assert!(SrConfig {
             dilation: 0,
             ..SrConfig::default()

@@ -19,8 +19,8 @@
 //!
 //! [`PositionEncoder::encode`] is the allocating reference (offline use, and
 //! the oracle of the property tests); [`PositionEncoder::encode_keys_block`]
-//! is the run-time encoder, a lane-wise kernel over a block of CSR rows
-//! whose keys and radii equal the reference's bit for bit.
+//! is the run-time encoder, a lane-wise kernel over a block of fixed-width
+//! neighborhood rows whose keys and radii equal the reference's bit for bit.
 
 use crate::config::SrConfig;
 use crate::error::Error;
@@ -227,9 +227,9 @@ impl PositionEncoder {
     }
 
     /// Block encoder of the batched LUT refiner: encodes `centers.len()`
-    /// consecutive CSR rows (`rows.row(row_base + b)` for center `b`) into
-    /// packed keys and neighborhood radii, bit-identical to [`Self::encode`]
-    /// row by row. `radii[b] < 0` marks a row that cannot be encoded (no
+    /// consecutive neighborhood rows (`rows.row(row_base + b)` for center
+    /// `b`) into packed keys and neighborhood radii, bit-identical to
+    /// [`Self::encode`] row by row. `radii[b] < 0` marks a row that cannot be encoded (no
     /// neighbors); its key slot is set to 0 and should be ignored.
     ///
     /// Lane-wise: a gather pass writes each row's first `n − 1`
@@ -751,12 +751,23 @@ mod tests {
                 )
             })
             .collect();
-        let mut hoods = Neighborhoods::new();
-        for i in 0..centers.len() {
-            // Rows of 0..=6 neighbors, including empty ones.
-            let len = i % 7;
-            hoods.push_row((0..len).map(|k| (i * 3 + k) % source.len()));
+        // One container per row width: 0..=6 neighbors, including none.
+        for len in 0..7 {
+            let mut hoods = Neighborhoods::new();
+            let slab = hoods.push_rows(centers.len(), len);
+            for (s, slot) in slab.iter_mut().enumerate() {
+                let (i, k) = (s / len, s % len);
+                *slot = ((i * 3 + k) % source.len()) as u32;
+            }
+            check_block_against_reference(&centers, hoods.view(), &source);
         }
+    }
+
+    fn check_block_against_reference(
+        centers: &[Point3],
+        hoods: NeighborhoodsView<'_>,
+        source: &[Point3],
+    ) {
         for scheme in [KeyScheme::Full, KeyScheme::Compact] {
             let enc = encoder(scheme);
             let mut keys = vec![0u128; centers.len()];
@@ -766,18 +777,18 @@ mod tests {
             let split = 33;
             enc.encode_keys_block(
                 &centers[..split],
-                hoods.view(),
+                hoods,
                 0,
-                &source,
+                source,
                 &mut keys[..split],
                 &mut radii[..split],
                 &mut scratch,
             );
             enc.encode_keys_block(
                 &centers[split..],
-                hoods.view(),
+                hoods,
                 split,
-                &source,
+                source,
                 &mut keys[split..],
                 &mut radii[split..],
                 &mut scratch,

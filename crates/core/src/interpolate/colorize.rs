@@ -101,8 +101,12 @@ mod tests {
     use super::*;
     use volut_pointcloud::Neighborhoods;
 
-    fn csr(rows: &[Vec<usize>]) -> Neighborhoods {
-        Neighborhoods::from_nested(rows)
+    /// One neighborhood row per generated point.
+    fn hoods(rows: usize, indices: &[u32]) -> Neighborhoods {
+        let mut out = Neighborhoods::new();
+        out.push_rows(rows, indices.len() / rows)
+            .copy_from_slice(indices);
+        out
     }
 
     fn two_point_cloud() -> PointCloud {
@@ -119,7 +123,7 @@ mod tests {
         let mut up = low.clone();
         // New point close to the first original point.
         up.push(Point3::new(0.4, 0.0, 0.0), None);
-        let hoods = csr(&[vec![0, 1]]);
+        let hoods = hoods(1, &[0, 1]);
         colorize_new_points(&mut up, &low, 2, hoods.view(), &[(0, 1)]);
         assert_eq!(up.color(2), Some(Color::new(255, 0, 0)));
     }
@@ -130,7 +134,7 @@ mod tests {
         let mut up = low.clone();
         up.push(Point3::new(1.8, 0.0, 0.0), None);
         // Empty neighborhood forces the parent fallback; parent 1 is closer.
-        let hoods = csr(&[vec![]]);
+        let hoods = hoods(1, &[]);
         colorize_new_points(&mut up, &low, 2, hoods.view(), &[(0, 1)]);
         assert_eq!(up.color(2), Some(Color::new(0, 0, 255)));
     }
@@ -140,7 +144,7 @@ mod tests {
         let low = PointCloud::from_positions(vec![Point3::ZERO, Point3::ONE]);
         let mut up = low.clone();
         up.push(Point3::splat(0.5), None);
-        let hoods = csr(&[vec![0]]);
+        let hoods = hoods(1, &[0]);
         colorize_new_points(&mut up, &low, 2, hoods.view(), &[(0, 1)]);
         assert!(!up.has_colors());
     }
@@ -150,7 +154,7 @@ mod tests {
         let low = two_point_cloud();
         let mut up = low.clone();
         up.push(Point3::splat(0.1), None);
-        let hoods = csr(&[vec![1]]);
+        let hoods = hoods(1, &[1]);
         colorize_new_points(&mut up, &low, 2, hoods.view(), &[(0, 1)]);
         assert_eq!(up.color(0), Some(Color::new(255, 0, 0)));
         assert_eq!(up.color(1), Some(Color::new(0, 0, 255)));
@@ -166,13 +170,12 @@ mod tests {
         )
         .unwrap();
         let mut up = low.clone();
-        let mut hoods = Neighborhoods::new();
         let mut parents = Vec::new();
         for i in 0..n {
             up.push(Point3::new(i as f32 + 0.1, 0.0, 0.0), None);
-            hoods.push_row([i]);
             parents.push((i, (i + 1) % n));
         }
+        let hoods = hoods(n, &(0..n as u32).collect::<Vec<_>>());
         colorize_new_points(&mut up, &low, n, hoods.view(), &parents);
         for i in 0..n {
             assert_eq!(up.color(n + i), Some(Color::new((i % 256) as u8, 0, 0)));

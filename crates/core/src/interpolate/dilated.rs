@@ -42,7 +42,7 @@
 use super::reuse::merge_parent_heads;
 use super::temporal::{self, FramePlan};
 use super::{row_seed, PointSplit};
-use super::{run_jobs, take_front, FrameArena, FrameScratch, InterpolationResult, OpCounts};
+use super::{run_jobs, take_front, FrameArena, FrameScratch, InterpolationResult};
 use crate::config::SrConfig;
 use crate::error::Error;
 use crate::pipeline::StageTimings;
@@ -190,11 +190,10 @@ fn dilated_frame(
     // no serial pass behind the join.
     let t0 = Instant::now();
     let raw = arena.raw_hoods.indices();
-    let raw_width = raw.len() / n;
-    debug_assert!(arena.raw_hoods.iter().all(|row| row.len() == raw_width));
+    let raw_width = arena.raw_hoods.width();
     let width = raw_width - 1;
     arena.dilated.clear();
-    let stripped = arena.dilated.push_uniform_rows(n, width);
+    let stripped = arena.dilated.push_rows(n, width);
     runtime::for_each_chunk_mut(stripped, STRIP_ROWS_PER_TASK * width, |_, start, chunk| {
         let first = start / width;
         for (r, dst) in chunk.chunks_exact_mut(width).enumerate() {
@@ -227,8 +226,7 @@ fn dilated_frame(
         colors
     });
     parents.resize(total, (0, 0));
-    neighborhoods.push_uniform_rows(total, hood_width);
-    let (hoods, offsets) = neighborhoods.parts_mut();
+    let hoods = neighborhoods.push_rows(total, hood_width);
     let plan = temporal::plan_outputs(
         &session.temporal,
         &arena.join,
@@ -245,7 +243,6 @@ fn dilated_frame(
         seed: config.seed,
         split,
         width: hood_width,
-        offsets,
         plan,
         refine,
         tally: Tally::default(),
@@ -303,12 +300,6 @@ fn dilated_frame(
         parents,
         neighborhoods,
         timings,
-        ops: OpCounts {
-            knn_queries: n as u64,
-            candidates_examined: arena.dilated.total_indices() as u64 * 4,
-            points_generated: total as u64,
-            reused_neighborhoods: total as u64,
-        },
     }
 }
 
@@ -361,9 +352,6 @@ struct FramePass<'a> {
     /// `min(k, n)` points — a cloud of at most `k` points fills a uniform
     /// slab with rows of the whole cloud.
     width: usize,
-    /// Offsets of the output neighborhoods, for views of the rows a range
-    /// has filled.
-    offsets: &'a [u32],
     plan: FramePlan<'a>,
     refine: Option<Refine<'a>>,
     tally: Tally,
@@ -443,12 +431,12 @@ impl FramePass<'_> {
                     for (r, o) in block.clone().zip(copied) {
                         let Some(o) = o else { continue };
                         let slots = at(r)..at(r + 1);
-                        self.refine_run(refiner, points, hoods, base, run..slots.start);
+                        self.refine_run(refiner, points, hoods, run..slots.start);
                         points[slots.clone()].copy_from_slice(&refined[o..o + slots.len()]);
                         run = slots.end;
                     }
                 }
-                self.refine_run(refiner, points, hoods, base, run..span.end);
+                self.refine_run(refiner, points, hoods, run..span.end);
                 let now = Instant::now();
                 refine += now - clock;
                 clock = now;
@@ -523,24 +511,19 @@ impl FramePass<'_> {
         }
     }
 
-    /// Refines the range's tail points `run` (range-relative; the range
-    /// starts at tail ordinal `base`) in place.
+    /// Refines the range's tail points `run` (range-relative) in place.
     fn refine_run(
         &self,
         refiner: &dyn Refiner,
         points: &mut [Point3],
         hoods: &[u32],
-        base: usize,
         run: Range<usize>,
     ) {
         if run.is_empty() {
             return;
         }
         let w = self.width;
-        let view = NeighborhoodsView::from_raw(
-            &hoods[run.start * w..run.end * w],
-            &self.offsets[base + run.start..=base + run.end],
-        );
+        let view = NeighborhoodsView::from_raw(&hoods[run.start * w..run.end * w], run.len());
         refiner.refine_batch(&mut points[run], view, self.positions);
     }
 }
@@ -602,7 +585,6 @@ mod tests {
             assert!(hood.len() <= cfg.k);
             assert!(hood.iter().all(|&i| (i as usize) < low.len()));
         }
-        assert!(out.ops.reused_neighborhoods > 0);
     }
 
     #[test]
@@ -661,7 +643,6 @@ mod tests {
         let low = synthetic::sphere(500, 1.0, 8);
         let out = dilated_interpolate(&low, &SrConfig::default(), 2.0).unwrap();
         assert!(out.timings.total() > std::time::Duration::ZERO);
-        assert_eq!(out.ops.knn_queries, 500);
     }
 
     #[test]

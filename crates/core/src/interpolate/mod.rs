@@ -9,9 +9,9 @@
 //! [`crate::baselines::naive`].
 //!
 //! It returns an [`InterpolationResult`] that carries the upsampled cloud,
-//! the parent/neighborhood bookkeeping that later stages reuse (as a flat
-//! CSR [`Neighborhoods`] — one allocation for the whole frame instead of
-//! one per generated point), and stage timings.
+//! the parent/neighborhood bookkeeping that later stages reuse (as one flat
+//! fixed-width [`Neighborhoods`] slab — one allocation for the whole frame
+//! instead of one per generated point), and stage timings.
 //!
 //! # Session state vs frame arena
 //!
@@ -60,17 +60,16 @@ pub struct InterpolationResult {
     /// points whose midpoint generated it.
     pub parents: Vec<(usize, usize)>,
     /// For each new point, the (approximate) `k` nearest original-point
-    /// indices ordered by increasing distance, stored as one flat CSR
-    /// container. Every row holds `min(k, n)` entries for an `n`-point
-    /// input. Reused by colorization and by the LUT refinement stage so no
-    /// further kNN queries (and no per-point allocations) are needed.
+    /// indices ordered by increasing distance, stored as one flat
+    /// fixed-width container. Every row holds `min(k, n)` entries for an
+    /// `n`-point input. Reused by colorization and by the LUT refinement
+    /// stage so no further kNN queries (and no per-point allocations) are
+    /// needed.
     pub neighborhoods: Neighborhoods,
     /// Stage timings measured on the host (see [`StageTimings`] for which
     /// fields are summed worker time); `refinement` is zero unless a
     /// pipeline refined the frame.
     pub timings: StageTimings,
-    /// Operation counters used for reporting and cost modeling.
-    pub ops: OpCounts,
 }
 
 impl InterpolationResult {
@@ -87,20 +86,6 @@ impl InterpolationResult {
             self.cloud.len() as f64 / self.original_len as f64
         }
     }
-}
-
-/// Counters describing how much work an interpolation pass performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpCounts {
-    /// Number of kNN queries issued against a spatial index.
-    pub knn_queries: u64,
-    /// Number of candidate points examined across all queries
-    /// (an upper bound proxy for distance evaluations).
-    pub candidates_examined: u64,
-    /// Number of interpolated points generated.
-    pub points_generated: u64,
-    /// Number of neighbor lists produced by reuse instead of a fresh query.
-    pub reused_neighborhoods: u64,
 }
 
 /// Usage counters of the scratch-resident spatial index and the temporal
@@ -565,7 +550,7 @@ mod tests {
         let mut scratch = FrameScratch::new();
         drop(FrameArena::checkout());
         let mut n = Neighborhoods::new();
-        n.push_row([1usize, 2]);
+        n.push_rows(1, 2).copy_from_slice(&[1, 2]);
         let reserved = n.reserved_bytes();
         scratch.recycle_neighborhoods(n);
         let mut arena = FrameArena::checkout();

@@ -8,12 +8,12 @@
 //! traversal.
 //!
 //! [`merge_and_prune`] is the allocating reference; production rows come
-//! from [`merge_and_prune_rows`], the batch entry over the branch-free kernel
-//! [`volut_pointcloud::kernels::merge_prune_row`], and
-//! [`merge_and_prune_into`] is that kernel's one-row call.
+//! from [`merge_parent_heads`], which the frame pass calls once per
+//! generated point to write its row in place through the branch-free
+//! kernel [`volut_pointcloud::kernels::merge_prune_row`].
 
-use volut_pointcloud::kernels::{merge_prune_row, MERGE_MAX_K};
-use volut_pointcloud::{Neighborhoods, NeighborhoodsView, Point3};
+use volut_pointcloud::kernels::merge_prune_row;
+use volut_pointcloud::Point3;
 
 /// Merges the neighbor index lists of the two parent points, re-ranks them
 /// by distance to the interpolated point `p_new`, removes duplicates and
@@ -71,86 +71,20 @@ pub fn merge_and_prune(
 /// run the kernel with compile-time trip counts.
 const FIXED_K: usize = 4;
 
-/// Allocation-free [`merge_and_prune`] of one generated point: the one-row
-/// call of the production kernel,
-/// [`volut_pointcloud::kernels::merge_prune_row`], appending the pruned
-/// result to `out` as a new row.
-///
-/// The kernel looks for duplicates only *across* its two heads (kNN rows
-/// are distinct by construction), so this entry — which takes arbitrary
-/// lists — first drops the repeats within each. Results are identical to
-/// [`merge_and_prune`] for lists of at most 32 entries and `k ≤ 32` (the
-/// pipeline's documented domain).
+/// One generated point's Eq. 2 row, allocation-free: the `k`-nearest heads
+/// of its parents' neighbor rows (`k = dst.len()`) merged, re-ranked by
+/// distance to `p_new` and pruned into `dst`; returns how many entries it
+/// kept, the rest of `dst` being padding. The kept entries equal
+/// [`merge_and_prune`] of the two heads. The paper's `k` takes the kernel's
+/// constant-width call. Each row must hold distinct indices, as kNN rows do;
+/// indices outside `positions` are skipped.
 ///
 /// # Panics
-/// Debug-panics when `k > 32`; release builds cut `k` and each list at 32
-/// entries.
-pub fn merge_and_prune_into(
-    p_new: Point3,
-    neighbors_p: &[u32],
-    neighbors_q: &[u32],
-    positions: &[Point3],
-    k: usize,
-    out: &mut Neighborhoods,
-) {
-    let distinct = |list: &[u32]| {
-        let (mut kept, mut len) = ([0u32; MERGE_MAX_K], 0);
-        for &i in list.iter().take(MERGE_MAX_K) {
-            if !kept[..len].contains(&i) {
-                kept[len] = i;
-                len += 1;
-            }
-        }
-        (kept, len)
-    };
-    let ((p, p_len), (q, q_len)) = (distinct(neighbors_p), distinct(neighbors_q));
-    out.push_bounded_rows(1, k, |_, dst| {
-        merge_prune_row(p_new, &p[..p_len], &q[..q_len], positions, dst)
-    });
-}
-
-/// Batched neighbor-relationship reuse: derives one neighborhood row per
-/// generated point from the dilated lists of its two parents.
-///
-/// For each `i`, row `i` of `out` receives
-/// `merge_and_prune(new_points[i], head_k(hoods[parents[i].0]),
-/// head_k(hoods[parents[i].1]), positions, k)` — the `k`-nearest heads of
-/// the parents' dilated rows merged, re-ranked by distance to the new point
-/// and pruned to `k` (Eq. 2) — by the fixed-trip, branch-free kernel
-/// [`volut_pointcloud::kernels::merge_prune_row`], written straight into
-/// the row's final CSR slot: no heap allocation, push or data-dependent
-/// branch per generated point. Each row of `hoods` must hold distinct
-/// indices, as kNN rows do.
-///
-/// # Panics
-/// Panics when `new_points` and `parents` disagree in length, or when a
-/// parent index has no row in `hoods`. Debug-panics when `k > 32`; release
-/// builds cut `k` at 32.
-pub fn merge_and_prune_rows(
-    new_points: &[Point3],
-    mut parents: impl ExactSizeIterator<Item = (usize, usize)>,
-    hoods: NeighborhoodsView<'_>,
-    positions: &[Point3],
-    k: usize,
-    out: &mut Neighborhoods,
-) {
-    assert_eq!(
-        new_points.len(),
-        parents.len(),
-        "one parent pair per generated point"
-    );
-    out.push_bounded_rows(new_points.len(), k, |i, dst| {
-        let (a, b) = parents.next().expect("length checked above");
-        merge_parent_heads(new_points[i], hoods.row(a), hoods.row(b), positions, dst)
-    });
-}
-
-/// One generated point's Eq. 2 row: the `dst.len()`-nearest heads of its
-/// parents' neighbor rows merged, re-ranked by distance to `p_new` and
-/// pruned into `dst`; returns how many entries it kept. The paper's `k`
-/// takes the kernel's constant-width call. Rows must hold distinct indices.
+/// Debug-panics when `k` exceeds
+/// [`volut_pointcloud::kernels::MERGE_MAX_K`], which `SrConfig::validate`
+/// rules out.
 #[inline]
-pub(crate) fn merge_parent_heads(
+pub fn merge_parent_heads(
     p_new: Point3,
     row_a: &[u32],
     row_b: &[u32],
@@ -239,71 +173,59 @@ mod tests {
     fn into_variant_matches_allocating_variant() {
         let cloud = synthetic::torus(800, 1.0, 0.3, 4);
         let tree = KdTree::build(cloud.positions());
-        let k = 4;
-        let mut csr = volut_pointcloud::Neighborhoods::new();
-        let mut expected_rows = Vec::new();
-        for i in (0..cloud.len()).step_by(37) {
-            let p = cloud.position(i);
-            let np: Vec<usize> = tree
-                .knn(p, k + 1)
-                .iter()
-                .map(|n| n.index)
-                .filter(|&j| j != i)
-                .collect();
-            if np.is_empty() {
-                continue;
+        for k in [1usize, 4, 6] {
+            for i in (0..cloud.len()).step_by(37) {
+                let row = |i: usize| -> Vec<u32> {
+                    let nn = tree.knn(cloud.position(i), k + 1);
+                    nn.iter()
+                        .map(|n| n.index as u32)
+                        .filter(|&j| j as usize != i)
+                        .collect()
+                };
+                let np = row(i);
+                let nq = row(np[0] as usize);
+                let mid = cloud.position(i).midpoint(cloud.position(np[0] as usize));
+                let as_usize = |l: &[u32]| l.iter().map(|&v| v as usize).collect::<Vec<_>>();
+                let expected =
+                    merge_and_prune(mid, &as_usize(&np), &as_usize(&nq), cloud.positions(), k);
+                let mut dst = vec![0u32; k];
+                let kept = merge_parent_heads(mid, &np, &nq, cloud.positions(), &mut dst);
+                assert_eq!(as_usize(&dst[..kept]), expected, "k {k} point {i}");
             }
-            let j = np[0];
-            let nq: Vec<usize> = tree
-                .knn(cloud.position(j), k + 1)
-                .iter()
-                .map(|n| n.index)
-                .filter(|&x| x != j)
-                .collect();
-            let mid = p.midpoint(cloud.position(j));
-            expected_rows.push(merge_and_prune(mid, &np, &nq, cloud.positions(), k));
-            let np32: Vec<u32> = np.iter().map(|&v| v as u32).collect();
-            let nq32: Vec<u32> = nq.iter().map(|&v| v as u32).collect();
-            merge_and_prune_into(mid, &np32, &nq32, cloud.positions(), k, &mut csr);
         }
-        assert_eq!(csr.to_nested(), expected_rows);
-        // k = 0 appends an empty row instead of skipping.
-        let before = csr.len();
-        merge_and_prune_into(Point3::ZERO, &[0], &[1], cloud.positions(), 0, &mut csr);
-        assert_eq!(csr.len(), before + 1);
-        assert!(csr.row(before).is_empty());
     }
 
     #[test]
     fn batched_rows_match_per_point_kernel() {
+        // The frame pass writes every generated point's row in place; each
+        // must equal the kernel run on the heads of its parents' dilated
+        // (self-match-stripped) rows.
         let cloud = synthetic::sphere(500, 1.0, 6);
-        let tree = KdTree::build(cloud.positions());
-        let k = 4;
-        // Dilated-style per-source rows.
+        let config = crate::SrConfig::default();
+        let out = crate::interpolate::dilated::dilated_interpolate(&cloud, &config, 3.0).unwrap();
         let mut hoods = volut_pointcloud::Neighborhoods::new();
-        tree.knn_batch(cloud.positions(), k + 1, &mut hoods);
-        let mut new_points = Vec::new();
-        let mut parents = Vec::new();
-        for i in (0..cloud.len()).step_by(11) {
-            let j = (i + 7) % cloud.len();
-            new_points.push(cloud.position(i).midpoint(cloud.position(j)));
-            parents.push((i, j));
+        let dilated_k = config.dilated_neighborhood();
+        KdTree::build(cloud.positions()).knn_batch(cloud.positions(), dilated_k + 1, &mut hoods);
+        let dilated = |r: usize| -> Vec<u32> {
+            hoods
+                .row(r)
+                .iter()
+                .copied()
+                .filter(|&j| j as usize != r)
+                .take(dilated_k)
+                .collect()
+        };
+        assert_eq!(out.neighborhoods.len(), out.parents.len());
+        for (i, &(a, b)) in out.parents.iter().enumerate() {
+            let p = out.cloud.position(out.original_len + i);
+            let mut dst = vec![0u32; config.k];
+            let kept = merge_parent_heads(p, &dilated(a), &dilated(b), cloud.positions(), &mut dst);
+            assert_eq!(kept, config.k);
+            assert_eq!(
+                out.neighborhoods.row(i),
+                dst.as_slice(),
+                "generated point {i}"
+            );
         }
-        let mut batched = volut_pointcloud::Neighborhoods::new();
-        merge_and_prune_rows(
-            &new_points,
-            parents.iter().copied(),
-            hoods.view(),
-            cloud.positions(),
-            k,
-            &mut batched,
-        );
-        let mut expected = volut_pointcloud::Neighborhoods::new();
-        for (&p, &(i, j)) in new_points.iter().zip(parents.iter()) {
-            let np = &hoods.row(i)[..hoods.row(i).len().min(k)];
-            let nq = &hoods.row(j)[..hoods.row(j).len().min(k)];
-            merge_and_prune_into(p, np, nq, cloud.positions(), k, &mut expected);
-        }
-        assert_eq!(batched, expected);
     }
 }

@@ -597,7 +597,7 @@ pub(crate) fn self_join(
         timings.index_build += t0.elapsed();
         let t1 = Instant::now();
         if cache_ready && t.digest == digest && index.cached_tree().points() == positions {
-            let slab = out.push_uniform_rows(n, kq);
+            let slab = out.push_rows(n, kq);
             slab.copy_from_slice(&t.rows);
             t.stats.rows_reused += n as u64;
             t.stats.incremental_frames += 1;
@@ -727,7 +727,7 @@ fn incremental_rows(
     // the next chunk's first survivor lands: the slab and `row_src` split
     // there. The old→new map, the verdicts and `row_src` stay on the arena
     // for [`plan_outputs`].
-    let slab = out.push_uniform_rows(n, kq);
+    let slab = out.push_rows(n, kq);
     let old_to_new = delta.old_to_new();
     map.clear();
     map.extend_from_slice(old_to_new);

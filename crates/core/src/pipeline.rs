@@ -9,7 +9,7 @@
 
 use crate::config::SrConfig;
 use crate::interpolate::dilated::{dilated_interpolate_in, Refine};
-use crate::interpolate::{FrameArena, FrameScratch, OpCounts};
+use crate::interpolate::{FrameArena, FrameScratch};
 use crate::lut::LookupStats;
 use crate::refine::Refiner;
 use crate::Result;
@@ -77,8 +77,6 @@ pub struct SrResult {
     pub input_points: usize,
     /// Per-stage timings measured on the host (see [`StageTimings`]).
     pub timings: StageTimings,
-    /// Interpolation operation counters.
-    pub ops: OpCounts,
     /// LUT hit/miss statistics when the refiner is table-based.
     pub lookup_stats: Option<LookupStats>,
     /// Name of the refiner that produced this result.
@@ -158,7 +156,7 @@ impl SrPipeline {
     /// state `scratch` holds: the cached index, rows and outputs of the
     /// previous frame are reused where the geometry allows, and refreshed
     /// for the frame after. The frame's transient buffers (neighborhood
-    /// CSRs, dilated lists, k-d build buffers, …) come from the
+    /// slabs, dilated lists, k-d build buffers, …) come from the
     /// calling thread's [`crate::interpolate::FrameArena`], so repeated
     /// calls allocate nothing but the output cloud once buffers reach
     /// steady-state size.
@@ -184,7 +182,7 @@ impl SrPipeline {
         };
         let interp =
             dilated_interpolate_in(low, &self.config, ratio, scratch, &mut arena, Some(refine))?;
-        let (cloud, timings, ops) = (interp.cloud, interp.timings, interp.ops);
+        let (cloud, timings) = (interp.cloud, interp.timings);
 
         // Hand the result containers back so the arena's next frame reuses
         // their allocations.
@@ -194,7 +192,6 @@ impl SrPipeline {
             cloud,
             input_points: low.len(),
             timings,
-            ops,
             lookup_stats: self.refiner.lookup_stats(),
             refiner_name: self.refiner.name().to_string(),
         })

@@ -3,7 +3,7 @@
 //! A [`Refiner`] moves interpolated points onto (an estimate of) the true
 //! surface. The trait is **batch-first and in place**: the one entry point
 //! [`Refiner::refine_batch`] takes a slice of generated points and their
-//! rows of a flat CSR [`NeighborhoodsView`], reads each point as the center
+//! rows of a flat fixed-width [`NeighborhoodsView`], reads each point as the center
 //! of its row and overwrites it with the refined position. A refiner reads
 //! row `i`'s center before it writes row `i` (the rows are independent), so
 //! no copy of the centers exists on the pipeline path; gather buffers are
@@ -226,7 +226,7 @@ impl Refiner for LutRefiner {
         source: &[Point3],
     ) {
         debug_assert_eq!(points.len(), neighborhoods.len());
-        // Block-structured: the lane-wise encoder turns a block of CSR rows
+        // Block-structured: the lane-wise encoder turns a block of rows
         // into keys and radii (gather → normalize → quantize over whole slot
         // lanes), one `get_batch` resolves the block, and the offsets are
         // applied. Keys, radii and results are fixed arrays on this stack,
@@ -378,8 +378,7 @@ mod tests {
     /// positions: a one-row [`Refiner::refine_batch`].
     fn refine_one(refiner: &dyn Refiner, center: Point3, neighbors: &[Point3]) -> Point3 {
         let indices: Vec<u32> = (0..neighbors.len() as u32).collect();
-        let offsets = [0u32, neighbors.len() as u32];
-        let view = NeighborhoodsView::from_raw(&indices, &offsets);
+        let view = NeighborhoodsView::from_raw(&indices, 1);
         let mut point = [center];
         refiner.refine_batch(&mut point, view, neighbors);
         point[0]
@@ -463,21 +462,24 @@ mod tests {
                 Point3::new(f.sin(), (f * 0.7).cos(), f * 0.01)
             })
             .collect();
-        // Centers with varying-size (including empty) neighborhoods.
         let centers: Vec<Point3> = (0..40)
             .map(|i| source[i] + Point3::new(0.01, -0.02, 0.005))
             .collect();
-        let mut hoods = Neighborhoods::new();
-        for i in 0..centers.len() {
-            let len = i % 5; // 0..=4 neighbors, row 0 empty
-            hoods.push_row((0..len).map(|k| (i + k + 1) % source.len()));
-        }
-        let mut batch_out = centers.clone();
-        refiner.refine_batch(&mut batch_out, hoods.view(), &source);
-        for (i, &expected) in batch_out.iter().enumerate() {
-            let neighbors: Vec<Point3> = hoods.row(i).iter().map(|&j| source[j as usize]).collect();
-            let single = refine_one(refiner, centers[i], &neighbors);
-            assert_eq!(single, expected, "row {i} diverged");
+        // One batch per neighborhood width, empty rows included.
+        for width in 0..=4 {
+            let mut hoods = Neighborhoods::new();
+            let slab = hoods.push_rows(centers.len(), width);
+            for (s, slot) in slab.iter_mut().enumerate() {
+                *slot = ((s / width.max(1) + s % width.max(1) + 1) % source.len()) as u32;
+            }
+            let mut batch_out = centers.clone();
+            refiner.refine_batch(&mut batch_out, hoods.view(), &source);
+            for (i, &expected) in batch_out.iter().enumerate() {
+                let neighbors: Vec<Point3> =
+                    hoods.row(i).iter().map(|&j| source[j as usize]).collect();
+                let single = refine_one(refiner, centers[i], &neighbors);
+                assert_eq!(single, expected, "width {width} row {i} diverged");
+            }
         }
     }
 
@@ -513,8 +515,7 @@ mod tests {
         cloud.push(Point3::new(0.4, 0.5, 0.0), None);
         cloud.push(Point3::new(1.6, -0.5, 0.0), None);
         let mut hoods = Neighborhoods::new();
-        hoods.push_row([0usize, 1]);
-        hoods.push_row([1usize, 2]);
+        hoods.push_rows(2, 2).copy_from_slice(&[0, 1, 1, 2]);
         let before_head = cloud.positions()[..10].to_vec();
         let mut scratch = Vec::new();
         let refiner = NnRefiner::new(encoder(), Mlp::new(&[12, 8, 3], 3));

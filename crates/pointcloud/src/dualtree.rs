@@ -182,8 +182,8 @@ impl DualTreeScratch {
 
 /// Runs the dual-tree self-join: appends one `stride`-wide row per indexed
 /// point to `out`, in point order, bit-identical to the per-query path. The
-/// caller ([`KdTree::knn_batch_with`]) has already handled `k == 0`, an
-/// empty cloud and row reservation; `stride = k.min(tree len)`.
+/// caller ([`KdTree::knn_batch_with`]) has already handled `k == 0` and an
+/// empty cloud; `stride = k.min(tree len)`.
 ///
 /// The batch is cut into shards of the tree's query side (one, when the pool
 /// has a single executor or the batch is small); each shard task fills and
@@ -275,7 +275,7 @@ pub(crate) fn self_join(
         slot_of_point[qi as usize] = slot as u32;
     }
     let (rows, slot_of_point) = (&*rows, &*slot_of_point);
-    let slab = out.push_uniform_rows(n, stride);
+    let slab = out.push_rows(n, stride);
     let chunk_rows = n.div_ceil(shards.len());
     runtime::for_each_chunk_mut(slab, chunk_rows * stride, |c, _, chunk| {
         let first = c * chunk_rows;

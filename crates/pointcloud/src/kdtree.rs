@@ -86,7 +86,7 @@ use crate::aabb::Aabb;
 use crate::delta::{FrameDelta, REMOVED};
 use crate::dualtree::{self, DualTreeScratch};
 use crate::kernels;
-use crate::knn::{batch_queries, finalize_candidates, BestK, Neighbor, NeighborSearch};
+use crate::knn::{batch_queries, BestK, Neighbor, NeighborSearch};
 use crate::neighborhoods::Neighborhoods;
 use crate::point::Point3;
 use crate::runtime;
@@ -1187,11 +1187,8 @@ impl KdTree {
         scratch: &mut DualTreeScratch,
     ) {
         let stride = k.min(self.points.len());
-        out.reserve_rows(queries.len(), queries.len() * stride);
         if stride == 0 {
-            for _ in queries {
-                out.push_row(std::iter::empty());
-            }
+            out.push_rows(queries.len(), 0);
         } else if self.auto_selects_dual_tree(queries, k) {
             dualtree::self_join(self, stride, out, scratch);
         } else {
@@ -1201,7 +1198,7 @@ impl KdTree {
 
     /// The single-tree batch sweep: one warm-started traversal per query,
     /// appending one `k.min(len)`-wide row per query to `out`. Exact kNN
-    /// rows are stride-uniform, so the whole CSR block is reserved up front
+    /// rows are stride-uniform, so the whole row block is reserved up front
     /// and the query list is cut into one contiguous run per worker, each
     /// writing its rows straight into place. A run shares one traversal
     /// stack, one cached descent path and one best list across its queries
@@ -1211,7 +1208,7 @@ impl KdTree {
     pub(crate) fn sweep(&self, queries: &[Point3], k: usize, out: &mut Neighborhoods) {
         let stride = k.min(self.points.len());
         debug_assert!(stride > 0);
-        let slab = out.push_uniform_rows(queries.len(), stride);
+        let slab = out.push_rows(queries.len(), stride);
         let workers = runtime::workers_for(queries.len(), SWEEP_MIN_QUERIES_PER_WORKER);
         let run_len = queries.len().div_ceil(workers).max(1);
         runtime::for_each_chunk_mut(slab, run_len * stride, |_, start, rows| {
@@ -1237,29 +1234,6 @@ impl KdTree {
             && queries.len() >= dualtree::DUAL_MIN_QUERIES_MONO
             && queries == self.points
     }
-
-    fn radius_recurse(&self, node: usize, query: Point3, r2: f32, out: &mut Vec<Neighbor>) {
-        let n = self.nodes[node];
-        if n.tag == LEAF_TAG {
-            kernels::scan_radius_ids(
-                &self.soa,
-                &self.order,
-                n.a as usize,
-                n.b as usize,
-                query,
-                r2,
-                out,
-            );
-            return;
-        }
-        let axis = n.tag as usize;
-        let diff = query[axis] - n.value;
-        let (near, far) = if diff < 0.0 { (n.a, n.b) } else { (n.b, n.a) };
-        self.radius_recurse(near as usize, query, r2, out);
-        if diff * diff <= r2 {
-            self.radius_recurse(far as usize, query, r2, out);
-        }
-    }
 }
 
 impl NeighborSearch for KdTree {
@@ -1275,16 +1249,6 @@ impl NeighborSearch for KdTree {
         let mut stack: Vec<DeferredSubtree> = Vec::new();
         self.knn_into(query, k, &mut best, &mut stack);
         best.sorted()
-    }
-
-    fn radius(&self, query: Point3, radius: f32) -> Vec<Neighbor> {
-        if self.points.is_empty() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        self.radius_recurse(self.root, query, radius * radius, &mut out);
-        let len = out.len();
-        finalize_candidates(out, len)
     }
 
     fn knn_batch(&self, queries: &[Point3], k: usize, out: &mut Neighborhoods) {
@@ -1333,26 +1297,10 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_brute_force_radius() {
-        let pts = random_points(300, 3);
-        let tree = KdTree::build(&pts);
-        let bf = BruteForce::new(&pts);
-        for q in random_points(10, 4) {
-            let a = tree.radius(q, 2.5);
-            let b = bf.radius(q, 2.5);
-            assert_eq!(
-                a.iter().map(|n| n.index).collect::<Vec<_>>(),
-                b.iter().map(|n| n.index).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
     fn empty_and_degenerate_inputs() {
         let tree = KdTree::build(&[]);
         assert!(tree.is_empty());
         assert!(tree.knn(Point3::ZERO, 4).is_empty());
-        assert!(tree.radius(Point3::ZERO, 1.0).is_empty());
 
         // All points identical: still returns k results.
         let pts = vec![Point3::ONE; 40];
@@ -1523,7 +1471,8 @@ mod tests {
     /// The sweep cuts a long batch into one run per worker, each writing
     /// its rows straight into the output block: rows must not depend on the
     /// cut — runs short of and past the Morton-reorder size included — and
-    /// a batch appended behind existing rows must leave them alone.
+    /// a batch appended behind existing rows of its width must leave them
+    /// alone.
     #[test]
     fn sweep_rows_do_not_depend_on_the_worker_count() {
         let pts = random_points(3_000, 23);
@@ -1533,14 +1482,14 @@ mod tests {
             let sweep = |workers: usize| {
                 crate::runtime::with_workers(workers, || {
                     let mut out = crate::Neighborhoods::new();
-                    out.push_row([7usize, 8, 9]);
+                    out.push_rows(1, k).fill(7);
                     tree.knn_batch(&queries, k, &mut out);
                     out
                 })
             };
             let one = sweep(1);
             assert_eq!(one.len(), queries.len() + 1);
-            assert_eq!(one.row(0), &[7, 8, 9]);
+            assert!(one.row(0).iter().all(|&i| i == 7));
             for (i, &q) in queries.iter().enumerate().step_by(101) {
                 let expected: Vec<u32> = tree.knn(q, k).iter().map(|n| n.index as u32).collect();
                 assert_eq!(one.row(i + 1), expected.as_slice(), "k {k} query {i}");

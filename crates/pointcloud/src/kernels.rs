@@ -11,13 +11,10 @@
 //!   query leaf box-tested 16 at a time against one reference leaf, the
 //!   survivors scanned through the same candidate kernel (see
 //!   [`crate::dualtree`]);
-//! * `scan_radius_ids` — radius-query variant collecting [`Neighbor`]s;
 //! * [`merge_prune_row`] — the interpolators' per-generated-point kernel
 //!   (paper Eq. 2): the two parents' neighbor heads re-ranked around the new
 //!   point through the same packed keys and the same sorted insert as the
-//!   join's rows;
-//! * [`pair_midpoints_into`] — gathered pair-midpoint generation over
-//!   [`SoaPositions`], exported for the naive baseline's batch.
+//!   join's rows.
 //!
 //! With the default-on `simd` feature the kernels run at the widest
 //! instruction tier the CPU offers (`Tier`: AVX-512, AVX2 or scalar) with an
@@ -27,7 +24,7 @@
 //! the feature flag can never change results.
 
 use crate::aabb::Aabb;
-use crate::knn::{insert_sorted, pack_key, Neighbor};
+use crate::knn::{insert_sorted, pack_key};
 use crate::point::Point3;
 use crate::soa::SoaPositions;
 
@@ -89,13 +86,6 @@ impl Tier {
             }
         }
         Tier(Isa::Scalar)
-    }
-
-    /// `true` when the AVX2 forms of the lane kernels may run.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
-    fn has_avx2(self) -> bool {
-        self.0 >= Isa::Avx2
     }
 }
 
@@ -725,125 +715,6 @@ pub fn merge_prune_row(
     live.min(row.len())
 }
 
-/// Radius-query variant of [`scan_ids`]: appends every slot in
-/// `start..end` with squared distance `<= r2` to `out`, in slot order.
-pub(crate) fn scan_radius_ids(
-    soa: &SoaPositions,
-    ids: &[u32],
-    start: usize,
-    end: usize,
-    q: Point3,
-    r2: f32,
-    out: &mut Vec<Neighbor>,
-) {
-    debug_assert!(end <= soa.len() && end <= ids.len());
-    let (xs, ys, zs) = (soa.xs(), soa.ys(), soa.zs());
-    let mut i = start;
-    while i < end {
-        let d2 = dist2_block(window(xs, i), window(ys, i), window(zs, i), q);
-        let m = LANES.min(end - i);
-        for (j, &d) in d2.iter().enumerate().take(m) {
-            if d <= r2 {
-                out.push(Neighbor {
-                    index: ids[i + j] as usize,
-                    distance_squared: d,
-                });
-            }
-        }
-        i += LANES;
-    }
-}
-
-/// Midpoints of gathered index pairs: `out[i] = midpoint(soa[a[i]], soa[b[i]])`.
-///
-/// This is the generation kernel of the naive `K4d1` baseline's batch:
-/// partner pairs for every row are drawn up front, then one call produces
-/// the new points with 8-wide AVX2 index gathers over the SoA coordinate
-/// lanes. (The SR frame path computes each midpoint in place with
-/// [`Point3::midpoint`] instead.) The scalar fallback performs
-/// exactly [`Point3::midpoint`]'s arithmetic — `0.5 * (a + b)` per component;
-/// IEEE-754 multiplication is commutative, so the vector form `(a + b) * 0.5`
-/// is bit-identical — making the `simd` feature invisible to interpolation
-/// results.
-///
-/// # Panics
-/// Panics when `a`, `b` and `out` differ in length, or when any index is out
-/// of bounds for `soa`.
-pub fn pair_midpoints_into(soa: &SoaPositions, a: &[u32], b: &[u32], out: &mut [Point3]) {
-    assert!(
-        a.len() == b.len() && a.len() == out.len(),
-        "pair_midpoints_into: mismatched pair/output lengths"
-    );
-    let n = soa.len() as u32;
-    assert!(
-        a.iter().chain(b.iter()).all(|&i| i < n),
-        "pair_midpoints_into: pair index out of range"
-    );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if Tier::detect().has_avx2() {
-        // SAFETY: the detected tier includes AVX2, and every gather index
-        // was bounds-checked against the SoA length.
-        unsafe { pair_midpoints_avx2(soa, a, b, out) };
-        return;
-    }
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = soa.get(a[i] as usize).midpoint(soa.get(b[i] as usize));
-    }
-}
-
-/// AVX2 pair-midpoint kernel: 8 pairs per iteration via 32-bit index gathers
-/// from the coordinate lanes, then one add + mul per lane.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn pair_midpoints_avx2(soa: &SoaPositions, a: &[u32], b: &[u32], out: &mut [Point3]) {
-    use std::arch::x86_64::*;
-    let (xs, ys, zs) = (soa.xs(), soa.ys(), soa.zs());
-    let half = _mm256_set1_ps(0.5);
-    let n = out.len();
-    let mut i = 0;
-    while i + LANES <= n {
-        let ia = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-        let ib = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-        // Explicit add then mul (NOT fmadd): `(a + b) * 0.5` matches the
-        // scalar `midpoint` bit-for-bit (IEEE mul is commutative).
-        let mx = _mm256_mul_ps(
-            _mm256_add_ps(
-                _mm256_i32gather_ps::<4>(xs.as_ptr(), ia),
-                _mm256_i32gather_ps::<4>(xs.as_ptr(), ib),
-            ),
-            half,
-        );
-        let my = _mm256_mul_ps(
-            _mm256_add_ps(
-                _mm256_i32gather_ps::<4>(ys.as_ptr(), ia),
-                _mm256_i32gather_ps::<4>(ys.as_ptr(), ib),
-            ),
-            half,
-        );
-        let mz = _mm256_mul_ps(
-            _mm256_add_ps(
-                _mm256_i32gather_ps::<4>(zs.as_ptr(), ia),
-                _mm256_i32gather_ps::<4>(zs.as_ptr(), ib),
-            ),
-            half,
-        );
-        let mut lx = [0.0f32; LANES];
-        let mut ly = [0.0f32; LANES];
-        let mut lz = [0.0f32; LANES];
-        _mm256_storeu_ps(lx.as_mut_ptr(), mx);
-        _mm256_storeu_ps(ly.as_mut_ptr(), my);
-        _mm256_storeu_ps(lz.as_mut_ptr(), mz);
-        for j in 0..LANES {
-            out[i + j] = Point3::new(lx[j], ly[j], lz[j]);
-        }
-        i += LANES;
-    }
-    while i < n {
-        out[i] = soa.get(a[i] as usize).midpoint(soa.get(b[i] as usize));
-        i += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -992,63 +863,6 @@ mod tests {
         assert_eq!(idx, vec![0, 1, 2, 3, 4, 5]);
     }
 
-    #[test]
-    fn radius_scan_matches_reference() {
-        let pts = random_points(70, 11);
-        let mut soa = SoaPositions::default();
-        soa.fill(&pts);
-        let ids: Vec<u32> = (0..pts.len() as u32).collect();
-        let q = Point3::new(0.5, -0.5, 0.25);
-        let r2 = 4.0f32;
-        let mut got = Vec::new();
-        scan_radius_ids(&soa, &ids, 0, pts.len(), q, r2, &mut got);
-        let want: Vec<(usize, f32)> = pts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &p)| {
-                let d2 = p.distance_squared(q);
-                (d2 <= r2).then_some((i, d2))
-            })
-            .collect();
-        assert_eq!(
-            got.iter()
-                .map(|n| (n.index, n.distance_squared))
-                .collect::<Vec<_>>(),
-            want
-        );
-    }
-
-    /// Whatever paths are compiled in, the pair-midpoint kernel must agree
-    /// bit-for-bit with a scalar `Point3::midpoint` loop — including
-    /// duplicate pairs, self-pairs, and ragged (non-lane-multiple) lengths.
-    #[test]
-    fn pair_midpoints_match_scalar_reference_bitwise() {
-        let pts = random_points(200, 21);
-        let mut soa = SoaPositions::default();
-        soa.fill(&pts);
-        let mut rng = StdRng::seed_from_u64(22);
-        for n in [0usize, 1, 7, 8, 9, 64, 131] {
-            let a: Vec<u32> = (0..n)
-                .map(|_| rng.random_range(0..pts.len() as u32))
-                .collect();
-            let mut b: Vec<u32> = (0..n)
-                .map(|_| rng.random_range(0..pts.len() as u32))
-                .collect();
-            if n > 2 {
-                b[0] = a[0]; // self-pair
-                b[1] = b[2]; // duplicate partner
-            }
-            let mut got = vec![Point3::ZERO; n];
-            pair_midpoints_into(&soa, &a, &b, &mut got);
-            for i in 0..n {
-                let want = pts[a[i] as usize].midpoint(pts[b[i] as usize]);
-                assert_eq!(got[i].x.to_bits(), want.x.to_bits(), "pair {i} of {n}");
-                assert_eq!(got[i].y.to_bits(), want.y.to_bits(), "pair {i} of {n}");
-                assert_eq!(got[i].z.to_bits(), want.z.to_bits(), "pair {i} of {n}");
-            }
-        }
-    }
-
     /// The merge kernel's row contract: the closest distinct in-range
     /// indices first (ties by index), the count returned, padding behind —
     /// the same whether the widths are compile-time constants or not.
@@ -1093,14 +907,5 @@ mod tests {
             merge_prune_row(Point3::ZERO, &[0], &[1], &[], &mut [0; 2]),
             0
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "pair index out of range")]
-    fn pair_midpoints_reject_out_of_range_indices() {
-        let mut soa = SoaPositions::default();
-        soa.fill(&[Point3::ZERO, Point3::ONE]);
-        let mut out = vec![Point3::ZERO; 1];
-        pair_midpoints_into(&soa, &[0], &[2], &mut out);
     }
 }

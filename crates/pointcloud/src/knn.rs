@@ -6,10 +6,11 @@
 //! it against. Both implement [`NeighborSearch`].
 //!
 //! The trait is **batch-first**: [`NeighborSearch::knn_batch`] answers a
-//! whole slice of queries into a flat CSR [`Neighborhoods`] container with
-//! zero per-query allocation, which is what the SR interpolation hot path
-//! consumes; the per-query [`NeighborSearch::knn`] remains for one-off
-//! lookups and as the oracle the batch parity tests compare against.
+//! whole slice of queries into a flat fixed-width [`Neighborhoods`]
+//! container with zero per-query allocation, which is what the SR
+//! interpolation hot path consumes; the per-query [`NeighborSearch::knn`]
+//! remains for one-off lookups and as the oracle the batch parity tests
+//! compare against.
 //!
 //! The k-d tree answers a batch with one of **two algorithms**, chosen once
 //! per batch by a measured policy (see [`crate::dualtree`]):
@@ -41,9 +42,8 @@ pub struct Neighbor {
 /// Common interface of the k-d tree and its brute-force oracle.
 ///
 /// Implementations index a fixed point set at construction time and answer
-/// `knn` / `radius` queries against it. Results are sorted by increasing
-/// distance and ties are broken by index so the index and the oracle agree
-/// exactly.
+/// kNN queries against it. Results are sorted by increasing distance and
+/// ties are broken by index so the index and the oracle agree exactly.
 pub trait NeighborSearch: Send + Sync {
     /// Number of points indexed by this structure.
     fn len(&self) -> usize;
@@ -58,13 +58,10 @@ pub trait NeighborSearch: Send + Sync {
     /// set is smaller than `k`; returns an empty vector when `k == 0`.
     fn knn(&self, query: Point3, k: usize) -> Vec<Neighbor>;
 
-    /// Returns all indexed points within `radius` of `query`, sorted by
-    /// increasing distance (then index).
-    fn radius(&self, query: Point3, radius: f32) -> Vec<Neighbor>;
-
     /// Answers one kNN query per element of `queries`, **appending** one row
     /// of neighbor indices (sorted by increasing distance, ties broken by
-    /// index) per query to `out`.
+    /// index) per query to `out`. Every row is `k.min(self.len())` wide, so
+    /// `out` must be empty or already hold rows of that width.
     ///
     /// Rows mirror [`NeighborSearch::knn`] exactly: row `i` holds the same
     /// indices, in the same order, as `self.knn(queries[i], k)` — including
@@ -72,24 +69,21 @@ pub trait NeighborSearch: Send + Sync {
     /// `k == 0` or an empty index. The default implementation delegates to
     /// the per-query path; the k-d tree overrides it with shared-scratch
     /// implementations that allocate nothing per query.
+    ///
+    /// # Panics
+    /// Panics when `out` holds rows of another width.
     fn knn_batch(&self, queries: &[Point3], k: usize, out: &mut Neighborhoods) {
-        out.reserve_rows(queries.len(), queries.len() * k.min(self.len()));
-        for &q in queries {
-            let nn = self.knn(q, k);
-            out.push_row(nn.into_iter().map(|n| n.index));
+        let stride = k.min(self.len());
+        let slab = out.push_rows(queries.len(), stride);
+        if stride == 0 {
+            return;
+        }
+        for (&q, row) in queries.iter().zip(slab.chunks_exact_mut(stride)) {
+            for (d, n) in row.iter_mut().zip(self.knn(q, k)) {
+                *d = n.index as u32;
+            }
         }
     }
-}
-
-/// Sorts neighbor candidates by `(distance, index)` and truncates to `k`.
-pub(crate) fn finalize_candidates(mut cands: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
-    cands.sort_by(|a, b| {
-        a.distance_squared
-            .total_cmp(&b.distance_squared)
-            .then(a.index.cmp(&b.index))
-    });
-    cands.truncate(k);
-    cands
 }
 
 /// Bounded best-`k` accumulator behind every per-query kNN scan.
@@ -243,7 +237,7 @@ impl BestK {
     }
 
     /// The packed keys, sorted by `(distance, index)`; the low 32 bits of
-    /// each key are the neighbor index, which is all the batched CSR
+    /// each key are the neighbor index, which is all the batched row
     /// emission needs (no unpacking, no sort — the list is always sorted).
     pub(crate) fn sorted_keys(&self) -> &[u64] {
         &self.keys
@@ -344,8 +338,8 @@ fn morton_buckets(queries: &[Point3], bucket_bits: u32) -> Vec<u32> {
 /// Drives the single-tree sweep over one run of queries: calls `query_fn`
 /// once per query (filling a best list of exactly `stride =
 /// k.min(indexed_len)` entries) and writes query `i`'s neighbor indices to
-/// `rows[i * stride..][..stride]` — the caller's slice of the output CSR
-/// block, whose layout is known up front because exact kNN rows are
+/// `rows[i * stride..][..stride]` — the caller's slice of the output
+/// slab, whose layout is known up front because exact kNN rows are
 /// stride-uniform.
 ///
 /// Large runs are visited in Morton order — spatially adjacent queries walk
@@ -457,22 +451,6 @@ impl NeighborSearch for BruteForce {
         crate::kernels::scan_ids(&self.soa, &self.ids, 0, self.ids.len(), query, &mut best);
         best.sorted()
     }
-
-    fn radius(&self, query: Point3, radius: f32) -> Vec<Neighbor> {
-        let r2 = radius * radius;
-        let mut cands = Vec::new();
-        crate::kernels::scan_radius_ids(
-            &self.soa,
-            &self.ids,
-            0,
-            self.ids.len(),
-            query,
-            r2,
-            &mut cands,
-        );
-        let len = cands.len();
-        finalize_candidates(cands, len)
-    }
 }
 
 #[cfg(test)]
@@ -520,17 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn radius_query_filters_correctly() {
-        let pts = grid_points();
-        let bf = BruteForce::new(&pts);
-        let within = bf.radius(Point3::new(0.0, 0.0, 0.0), 1.0);
-        // Origin plus its three axis neighbors at distance exactly 1.
-        assert_eq!(within.len(), 4);
-        assert_eq!(within[0].index, 0);
-        assert_eq!(within[0].distance_squared, 0.0);
-    }
-
-    #[test]
     fn default_knn_batch_matches_per_query_loop() {
         let pts = grid_points();
         let bf = BruteForce::new(&pts);
@@ -546,10 +513,11 @@ mod tests {
             let expected: Vec<u32> = bf.knn(q, 5).iter().map(|n| n.index as u32).collect();
             assert_eq!(batch.row(i), expected.as_slice(), "query {i}");
         }
-        // Appending semantics: a second batch extends the container.
-        bf.knn_batch(&queries[..1], 2, &mut batch);
+        // Appending semantics: a second batch of the same width extends the
+        // container.
+        bf.knn_batch(&queries[..1], 5, &mut batch);
         assert_eq!(batch.len(), queries.len() + 1);
-        assert_eq!(batch.row(3).len(), 2);
+        assert_eq!(batch.row(3), batch.row(0));
     }
 
     #[test]
@@ -561,13 +529,20 @@ mod tests {
         assert!(out.row(0).is_empty() && out.row(1).is_empty());
 
         let two = BruteForce::new(&[Point3::ZERO, Point3::ONE]);
-        let mut out = Neighborhoods::new();
         // k = 0 appends empty rows; k > len returns all points.
+        let mut out = Neighborhoods::new();
         two.knn_batch(&[Point3::ZERO], 0, &mut out);
-        two.knn_batch(&[Point3::ZERO], 10, &mut out);
-        assert_eq!(out.len(), 2);
+        assert_eq!(out.len(), 1);
         assert!(out.row(0).is_empty());
-        assert_eq!(out.row(1), &[0, 1]);
+        let mut out = Neighborhoods::new();
+        two.knn_batch(&[Point3::ZERO], 10, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out.row(0), &[0, 1]);
+        // Rows of another width behind them are refused.
+        let behind = std::panic::catch_unwind(move || {
+            two.knn_batch(&[Point3::ZERO], 1, &mut out);
+        });
+        assert!(behind.is_err());
     }
 
     /// The insert network against sort-and-truncate, for every stride up to

@@ -4,12 +4,11 @@
 //! the requested ratio, and the `.vlut` decoder survives arbitrary bytes.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use volut::core::config::SrConfig;
 use volut::core::encoding::{EncodeScratch, KeyScheme, PositionEncoder};
 use volut::core::interpolate::dilated::dilated_interpolate;
-use volut::core::interpolate::reuse::{
-    merge_and_prune, merge_and_prune_into, merge_and_prune_rows,
-};
+use volut::core::interpolate::reuse::{merge_and_prune, merge_parent_heads};
 use volut::core::lut::io::{decode, encode_sparse, LutHeader};
 use volut::core::lut::sparse::SparseLut;
 use volut::core::lut::Lut;
@@ -376,71 +375,61 @@ proptest! {
 
     #[test]
     fn neighborhoods_csr_invariants_and_roundtrip(
-        rows in prop::collection::vec(prop::collection::vec(0usize..5000, 0..9), 0..60),
+        width in 0usize..9,
+        rows in 0usize..60,
+        seed in 0u64..10_000,
     ) {
-        let csr = Neighborhoods::from_nested(&rows);
-        // Shape invariants.
-        prop_assert_eq!(csr.len(), rows.len());
-        let offsets = csr.offsets();
-        prop_assert_eq!(offsets.len(), rows.len() + 1);
-        prop_assert_eq!(offsets[0], 0u32);
-        prop_assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must be monotone");
-        prop_assert_eq!(*offsets.last().unwrap() as usize, csr.indices().len());
-        prop_assert_eq!(csr.total_indices(), rows.iter().map(Vec::len).sum::<usize>());
-        // Per-row agreement and nested round-trip.
-        for (i, row) in rows.iter().enumerate() {
-            let got: Vec<usize> = csr.row(i).iter().map(|&v| v as usize).collect();
-            prop_assert_eq!(&got, row, "row {}", i);
-        }
-        prop_assert_eq!(csr.to_nested(), rows.clone());
-        // Sliced views agree with the owner on every sub-range boundary.
-        if !rows.is_empty() {
-            let mid = rows.len() / 2;
-            let tail = csr.view().slice_rows(mid, rows.len());
-            for (k, row) in rows[mid..].iter().enumerate() {
-                let got: Vec<usize> = tail.row(k).iter().map(|&v| v as usize).collect();
-                prop_assert_eq!(&got, row, "sliced row {}", k);
+        // Fixed-width rows against a `Vec<Vec<u32>>` model: rows pushed in
+        // two batches read back through `row`, `iter` and every tail
+        // `slice_rows` window; rows of another width are refused behind
+        // them; `clear` forgets the width.
+        let mut mix = Mix(seed);
+        let model: Vec<Vec<u32>> = (0..rows)
+            .map(|_| (0..width).map(|_| mix.below(5000) as u32).collect())
+            .collect();
+        let mut hoods = Neighborhoods::new();
+        let split = mix.below(rows + 1);
+        for batch in [&model[..split], &model[split..]] {
+            let slab = hoods.push_rows(batch.len(), width);
+            for (dst, row) in slab.chunks_exact_mut(width.max(1)).zip(batch) {
+                dst.copy_from_slice(row);
             }
         }
-        // Append after a round-trip preserves every original row.
-        let mut doubled = csr.clone();
-        doubled.append(&csr);
-        prop_assert_eq!(doubled.len(), rows.len() * 2);
-        prop_assert_eq!(doubled.total_indices(), csr.total_indices() * 2);
-    }
-
-    #[test]
-    fn merge_and_prune_into_is_bit_identical_to_the_reference(
-        raw in prop::collection::vec(arb_point(), 4..60),
-        p_new in arb_point(),
-        // Parent lists drawn from a range wider than the cloud (out-of-range
-        // entries must be skipped) and narrower than their length suggests
-        // (duplicates within and across the two lists).
-        list_p in prop::collection::vec(0u32..80, 0..33),
-        list_q in prop::collection::vec(0u32..80, 0..33),
-        k in 0usize..33,
-        grid in 0usize..3,
-    ) {
-        // grid 0: raw floats; 1 and 2: quantized to 1.0 / 4.0 steps, so
-        // many candidates sit at exactly the same distance and only the
-        // index tie-break orders them.
-        let step = [0.0f32, 1.0, 4.0][grid];
-        let quantize = |p: Point3| if step > 0.0 {
-            Point3::new(
-                (p.x / step).round() * step,
-                (p.y / step).round() * step,
-                (p.z / step).round() * step,
-            )
-        } else {
-            p
-        };
-        let positions: Vec<Point3> = raw.iter().copied().map(quantize).collect();
-        let p_new = quantize(p_new);
-        let as_usize = |l: &[u32]| l.iter().map(|&i| i as usize).collect::<Vec<_>>();
-        let expected = merge_and_prune(p_new, &as_usize(&list_p), &as_usize(&list_q), &positions, k);
-        let mut out = Neighborhoods::new();
-        merge_and_prune_into(p_new, &list_p, &list_q, &positions, k, &mut out);
-        prop_assert_eq!(out.to_nested(), vec![expected]);
+        // Shape invariants.
+        prop_assert_eq!(hoods.len(), rows);
+        prop_assert_eq!(hoods.is_empty(), rows == 0);
+        prop_assert_eq!(hoods.width(), if rows == 0 { 0 } else { width });
+        prop_assert_eq!(hoods.total_indices(), rows * width);
+        // Per-row agreement, by index and by iteration.
+        for (i, row) in model.iter().enumerate() {
+            prop_assert_eq!(hoods.row(i), row.as_slice(), "row {}", i);
+        }
+        prop_assert!(hoods.iter().eq(model.iter().map(Vec::as_slice)));
+        // Sliced views agree with the model on every sub-range boundary.
+        let view = hoods.view();
+        for lo in 0..=rows {
+            let tail = view.slice_rows(lo, rows);
+            prop_assert_eq!(tail.len(), rows - lo);
+            prop_assert!(tail.iter().eq(model[lo..].iter().map(Vec::as_slice)), "tail {}", lo);
+            let hi = lo + mix.below(rows - lo + 1);
+            let window = tail.slice_rows(0, hi - lo);
+            prop_assert!(window.iter().eq(model[lo..hi].iter().map(Vec::as_slice)), "window {}..{}", lo, hi);
+        }
+        // Rows of another width are refused behind non-empty rows; no rows
+        // are a no-op at any width.
+        let other = width + 1 + mix.below(3);
+        let mut behind = hoods.clone();
+        prop_assert!(behind.push_rows(0, other).is_empty());
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            behind.push_rows(1, other);
+        }));
+        prop_assert_eq!(refused.is_err(), rows > 0);
+        // `clear` forgets the width: a new one is taken.
+        hoods.clear();
+        prop_assert!(hoods.is_empty());
+        hoods.push_rows(2, other).fill(7);
+        prop_assert_eq!(hoods.width(), other);
+        prop_assert_eq!(hoods.row(1), vec![7u32; other].as_slice());
     }
 
     #[test]
@@ -450,13 +439,14 @@ proptest! {
         n_sel in 0usize..3,
         grid in 0usize..3,
     ) {
-        // The production batch kernel against the allocating reference, one
-        // generated point per (position in head a, position in head b) pair
-        // holding a shared index, plus points with disjoint heads — over
-        // clouds of 2..=k points (heads shorter than k), duplicate-heavy
-        // clouds on a coarse grid (exact distance ties, index-broken), rows
-        // longer than k (only the k-head counts), out-of-range indices, and
-        // a container that already holds rows.
+        // The production Eq. 2 entry, `merge_parent_heads`, called once per
+        // generated point as the frame pass calls it, against the allocating
+        // reference: one generated point per (position in head a, position
+        // in head b) pair holding a shared index, plus points with disjoint
+        // heads — over clouds of 2..=k points (heads shorter than k),
+        // duplicate-heavy clouds on a coarse grid (exact distance ties,
+        // index-broken), rows longer than k (only the k-head counts) and
+        // out-of-range indices. Entries past the kept count are padding.
         let seed = seed ^ chaos_seed();
         println!("merge kernel case: seed {seed} k {k} (CHAOS_SEED {})", chaos_seed());
         let mut mix = Mix(seed);
@@ -487,15 +477,13 @@ proptest! {
             ids.truncate(len.min(pool));
             ids
         };
-        let mut hoods = Neighborhoods::new();
-        let mut new_points = Vec::new();
-        let mut parents = Vec::new();
         let width = k.min(pool);
         let mut cases: Vec<Option<(usize, usize)>> = (0..width)
             .flat_map(|s| (0..width).map(move |t| Some((s, t))))
             .collect();
         cases.extend([None; 8]);
-        for shared in cases {
+        let head = |row: &[u32]| -> Vec<usize> { row.iter().take(k).map(|&j| j as usize).collect() };
+        for (i, shared) in cases.into_iter().enumerate() {
             // Dilated-style rows: up to twice k long, sometimes shorter than k.
             let len_a = 1 + mix.below(2 * k);
             let len_b = 1 + mix.below(2 * k);
@@ -506,27 +494,14 @@ proptest! {
                     b[t] = a[s];
                 }
             }
-            parents.push((hoods.len(), hoods.len() + 1));
-            hoods.push_row_u32(&a);
-            hoods.push_row_u32(&b);
-            new_points.push(snap(mix.point(3.0)));
-        }
-        let mut out = Neighborhoods::new();
-        out.push_row_u32(&[7, 7, 7]);
-        out.push_row_u32(&[]);
-        merge_and_prune_rows(&new_points, parents.iter().copied(), hoods.view(), &positions, k, &mut out);
-        prop_assert_eq!(out.len(), 2 + new_points.len());
-        prop_assert_eq!(out.row(0), &[7, 7, 7]);
-        prop_assert!(out.row(1).is_empty());
-        for (i, (&p_new, &(a, b))) in new_points.iter().zip(&parents).enumerate() {
-            let head = |r: usize| -> Vec<usize> {
-                hoods.row(r).iter().take(k).map(|&j| j as usize).collect()
-            };
-            let expected: Vec<u32> = merge_and_prune(p_new, &head(a), &head(b), &positions, k)
+            let p_new = snap(mix.point(3.0));
+            let mut dst = vec![0u32; k];
+            let kept = merge_parent_heads(p_new, &a, &b, &positions, &mut dst);
+            let expected: Vec<u32> = merge_and_prune(p_new, &head(&a), &head(&b), &positions, k)
                 .into_iter()
                 .map(|j| j as u32)
                 .collect();
-            prop_assert_eq!(out.row(2 + i), expected.as_slice(), "generated point {}", i);
+            prop_assert_eq!(&dst[..kept], expected.as_slice(), "generated point {}", i);
         }
     }
 
@@ -562,19 +537,25 @@ proptest! {
             let enc = PositionEncoder::new(&config, scheme).unwrap();
             let slots = receptive_field - 1;
             let mut source: Vec<Point3> = (0..64).map(|_| mix.point(2.0)).collect();
-            let mut centers = Vec::new();
-            let mut hoods = Neighborhoods::new();
+            // Rows grouped by length: each group is one fixed-width view.
+            let mut groups: BTreeMap<usize, (Vec<Point3>, Neighborhoods)> = BTreeMap::new();
             let mut push = |source: &mut Vec<Point3>, center: Point3, neighbors: &[Point3]| {
-                let first = source.len();
+                let first = source.len() as u32;
                 source.extend_from_slice(neighbors);
+                let (centers, hoods) = groups.entry(neighbors.len()).or_default();
                 centers.push(center);
-                hoods.push_row(first..first + neighbors.len());
+                for (d, j) in hoods.push_rows(1, neighbors.len()).iter_mut().zip(first..) {
+                    *d = j;
+                }
             };
-            // Random rows of every length around the slot count.
+            // Random rows of every length around the slot count, several
+            // per length so each group has rows behind its row base.
             for len in [0, 1, slots.saturating_sub(1), slots, slots + 1, slots + 5, 2 * slots] {
-                let center = mix.point(2.0);
-                let neighbors: Vec<Point3> = (0..len).map(|_| center + mix.point(0.3)).collect();
-                push(&mut source, center, &neighbors);
+                for _ in 0..6 {
+                    let center = mix.point(2.0);
+                    let neighbors: Vec<Point3> = (0..len).map(|_| center + mix.point(0.3)).collect();
+                    push(&mut source, center, &neighbors);
+                }
             }
             // Coincident neighbors; signed zeros on either side of the subtraction.
             let c = mix.point(2.0);
@@ -604,34 +585,37 @@ proptest! {
                     }
                 }
             }
-            // One call over every row, behind a non-zero row base, long
-            // enough to span several passes at wide receptive fields.
-            let base = 3.min(centers.len());
-            let mut keys = vec![u128::MAX; centers.len() - base];
-            let mut radii = vec![0.0f32; centers.len() - base];
-            enc.encode_keys_block(
-                &centers[base..],
-                hoods.view(),
-                base,
-                &source,
-                &mut keys,
-                &mut radii,
-                &mut EncodeScratch::default(),
-            );
-            for (i, &center) in centers.iter().enumerate().skip(base) {
-                let neighbors: Vec<Point3> = hoods.row(i).iter().map(|&j| source[j as usize]).collect();
-                match enc.encode(center, &neighbors) {
-                    Ok(reference) => {
-                        prop_assert_eq!(keys[i - base], reference.key, "n {} row {}", receptive_field, i);
-                        prop_assert_eq!(
-                            radii[i - base].to_bits(),
-                            reference.radius.to_bits(),
-                            "n {} row {}", receptive_field, i
-                        );
-                    }
-                    Err(_) => {
-                        prop_assert!(neighbors.is_empty());
-                        prop_assert!(radii[i - base] < 0.0, "n {} row {}", receptive_field, i);
+            // Two calls per row length: one over every row at row base 0,
+            // and one behind a non-zero row base. The width-2 group
+            // (coincident, signed-zero and rounding rows) is long enough to
+            // span several passes at wide receptive fields.
+            for (width, (centers, hoods)) in &groups {
+                for base in [0, 3.min(centers.len() - 1)] {
+                    let mut keys = vec![u128::MAX; centers.len() - base];
+                    let mut radii = vec![0.0f32; centers.len() - base];
+                    enc.encode_keys_block(
+                        &centers[base..],
+                        hoods.view(),
+                        base,
+                        &source,
+                        &mut keys,
+                        &mut radii,
+                        &mut EncodeScratch::default(),
+                    );
+                    for (i, &center) in centers.iter().enumerate().skip(base) {
+                        let neighbors: Vec<Point3> = hoods.row(i).iter().map(|&j| source[j as usize]).collect();
+                        prop_assert_eq!(neighbors.len(), *width);
+                        let at = format!("n {receptive_field} width {width} base {base} row {i}");
+                        match enc.encode(center, &neighbors) {
+                            Ok(reference) => {
+                                prop_assert_eq!(keys[i - base], reference.key, "{}", at);
+                                prop_assert_eq!(radii[i - base].to_bits(), reference.radius.to_bits(), "{}", at);
+                            }
+                            Err(_) => {
+                                prop_assert!(neighbors.is_empty());
+                                prop_assert!(radii[i - base] < 0.0, "{}", at);
+                            }
+                        }
                     }
                 }
             }
