@@ -10,27 +10,27 @@
 use super::naive::naive_interpolate;
 use crate::config::SrConfig;
 use crate::encoding::{KeyScheme, PositionEncoder};
-use crate::nn::mlp::{BatchScratch, Mlp, MICRO_BATCH};
+use crate::lut::LookupStats;
+use crate::nn::mlp::Mlp;
 use crate::pipeline::SrResult;
-use crate::refine::{refine_in_place, Refiner};
+use crate::refine::{refine_in_place, NnRefiner};
 use crate::Result;
 use std::time::Instant;
-use volut_pointcloud::{NeighborhoodsView, Point3, PointCloud};
+use volut_pointcloud::PointCloud;
 
 /// GradPU-style upsampler: naive interpolation + iterative neural refinement.
 pub struct GradPuUpsampler {
     config: SrConfig,
-    encoder: PositionEncoder,
-    network: Mlp,
-    iterations: usize,
+    /// The refinement network, run as an iterative [`NnRefiner`].
+    refiner: NnRefiner,
 }
 
 impl std::fmt::Debug for GradPuUpsampler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GradPuUpsampler")
             .field("config", &self.config)
-            .field("iterations", &self.iterations)
-            .field("network_params", &self.network.parameter_count())
+            .field("iterations", &self.iterations())
+            .field("network_params", &self.network().parameter_count())
             .finish()
     }
 }
@@ -43,23 +43,19 @@ impl GradPuUpsampler {
     /// # Errors
     /// Returns an error when the configuration is invalid.
     pub fn from_network(config: SrConfig, network: Mlp, iterations: usize) -> Result<Self> {
-        let encoder = PositionEncoder::new(&config, KeyScheme::Full)?;
-        Ok(Self {
-            config,
-            encoder,
-            network,
-            iterations: iterations.max(1),
-        })
+        let mut refiner = NnRefiner::new(PositionEncoder::new(&config, KeyScheme::Full)?, network);
+        refiner.iterations = iterations.max(1);
+        Ok(Self { config, refiner })
     }
 
     /// The refinement network.
     pub fn network(&self) -> &Mlp {
-        &self.network
+        self.refiner.network()
     }
 
     /// Number of refinement iterations per point.
     pub fn iterations(&self) -> usize {
-        self.iterations
+        self.refiner.iterations
     }
 
     /// Resident memory of the model (f32 weights plus activation workspace),
@@ -67,9 +63,10 @@ impl GradPuUpsampler {
     /// per-point activation tensors for the whole batch alive, which is why
     /// its footprint is far larger than just its weights.
     pub fn memory_bytes(&self, points_per_frame: usize) -> usize {
-        let weights = self.network.parameter_count() * 4;
+        let weights = self.network().parameter_count() * 4;
         // Activations: every layer output for every point in the batch.
-        let activation_floats: usize = self.network.dims().iter().sum::<usize>() * points_per_frame;
+        let activation_floats: usize =
+            self.network().dims().iter().sum::<usize>() * points_per_frame;
         weights + activation_floats * 4
     }
 
@@ -84,13 +81,8 @@ impl GradPuUpsampler {
         let t0 = Instant::now();
         let original_len = interp.original_len;
         let mut cloud = interp.cloud;
-        let refiner = IterativeNnRefiner {
-            encoder: &self.encoder,
-            network: &self.network,
-            iterations: self.iterations,
-        };
         refine_in_place(
-            &refiner,
+            &self.refiner,
             &mut cloud,
             original_len,
             &interp.neighborhoods,
@@ -103,121 +95,9 @@ impl GradPuUpsampler {
             cloud,
             input_points: low.len(),
             timings,
-            lookup_stats: None,
+            lookup_stats: LookupStats::default(),
             refiner_name: "gradpu".to_string(),
         })
-    }
-}
-
-/// GradPU's refinement step as a [`Refiner`]: several damped
-/// network-predicted position updates per point, re-encoding the (moving)
-/// center against its fixed neighborhood each iteration.
-struct IterativeNnRefiner<'a> {
-    encoder: &'a PositionEncoder,
-    network: &'a Mlp,
-    iterations: usize,
-}
-
-impl Refiner for IterativeNnRefiner<'_> {
-    fn name(&self) -> &str {
-        "gradpu"
-    }
-
-    fn refine_batch(
-        &self,
-        points: &mut [Point3],
-        neighborhoods: NeighborhoodsView<'_>,
-        source: &[Point3],
-    ) {
-        // Blocked iterative refinement: rows are independent, so running one
-        // GEMM-style micro-batched forward per *iteration* over the whole
-        // block (instead of `iterations` per-point passes row by row) keeps
-        // the exact per-row arithmetic — `forward_batch_into` is
-        // bit-identical to `forward_into` — while streaming each weight row
-        // once per block instead of once per point.
-        const BLOCK: usize = 4 * MICRO_BATCH;
-        let out_dim = self.network.output_dim();
-        let step = 1.0 / self.iterations as f32;
-        // Per-block gather of all neighborhoods (CSR-style, `seg` holds
-        // exclusive end offsets) so every iteration re-reads them in place.
-        let mut gather: Vec<Point3> = Vec::new();
-        let mut seg: Vec<(usize, u32)> = Vec::new(); // (center index, gather end)
-        let mut feature_row: Vec<f32> = Vec::new();
-        let mut features: Vec<f32> = Vec::new();
-        let mut active: Vec<usize> = Vec::new(); // slots of `seg` still iterating
-        let mut current: Vec<Point3> = Vec::new(); // moving center per `seg` slot
-        let mut packed: Vec<usize> = Vec::new(); // seg slot per packed feature row
-        let mut radii: Vec<f32> = Vec::new(); // radius per packed feature row
-        let mut outputs: Vec<f32> = Vec::new();
-        let mut scratch = BatchScratch::default();
-        for block_start in (0..points.len()).step_by(BLOCK) {
-            let block_len = BLOCK.min(points.len() - block_start);
-            gather.clear();
-            seg.clear();
-            current.clear();
-            let block = &points[block_start..block_start + block_len];
-            for (i, &center) in (block_start..).zip(block) {
-                let row = neighborhoods.row(i);
-                if row.is_empty() {
-                    continue;
-                }
-                gather.extend(row.iter().map(|&j| source[j as usize]));
-                seg.push((i, gather.len() as u32));
-                current.push(center);
-            }
-            active.clear();
-            active.extend(0..seg.len());
-            for _ in 0..self.iterations {
-                if active.is_empty() {
-                    break;
-                }
-                features.clear();
-                packed.clear();
-                radii.clear();
-                // Re-encode every still-active row against its (moving)
-                // center; a row whose encode fails stops iterating, exactly
-                // like the per-point loop's `break`.
-                for &slot in &active {
-                    let start = if slot == 0 {
-                        0
-                    } else {
-                        seg[slot - 1].1 as usize
-                    };
-                    let end = seg[slot].1 as usize;
-                    if let Ok(radius) = self.encoder.encode_features_into(
-                        current[slot],
-                        &gather[start..end],
-                        &mut feature_row,
-                    ) {
-                        features.extend_from_slice(&feature_row);
-                        packed.push(slot);
-                        radii.push(radius);
-                    }
-                }
-                if packed.is_empty() {
-                    break;
-                }
-                self.network.forward_batch_into(
-                    &features,
-                    packed.len(),
-                    &mut outputs,
-                    &mut scratch,
-                );
-                for (p, &slot) in packed.iter().enumerate() {
-                    let o = &outputs[p * out_dim..(p + 1) * out_dim];
-                    // Damped update, mimicking GradPU's gradient-descent steps.
-                    current[slot] += Point3::new(o[0], o[1], o[2]) * (radii[p] * step);
-                }
-                std::mem::swap(&mut active, &mut packed);
-            }
-            for (&(i, _), &refined) in seg.iter().zip(&current) {
-                points[i] = refined;
-            }
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.network.parameter_count() * 4
     }
 }
 
@@ -232,6 +112,63 @@ mod tests {
         let config = SrConfig::default();
         let network = Mlp::new(&[config.receptive_field * 3, 256, 256, 3], seed);
         GradPuUpsampler::from_network(config, network, 4).unwrap()
+    }
+
+    /// FNV-1a over a byte stream.
+    fn checksum(bytes: impl Iterator<Item = u8>) -> u64 {
+        bytes.fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn output_is_pinned() {
+        // Point count, geometry digest and a checksum of the refined tail's
+        // position bits at 1 and 4 iterations of a fixed-seed network,
+        // recorded when the iterative refinement had its own batch loop.
+        let cases = [
+            (
+                synthetic::humanoid(600, 0.4, 3),
+                1,
+                [1_500, 10_995_040_888_921_962_921, 5_920_272_605_159_412_166],
+            ),
+            (
+                synthetic::humanoid(600, 0.4, 3),
+                4,
+                [1_500, 5_420_991_625_951_551_543, 17_480_425_789_589_314_705],
+            ),
+            (
+                synthetic::torus(500, 1.0, 0.3, 5),
+                1,
+                [1_250, 8_597_025_321_424_492_013, 6_595_260_732_059_399_322],
+            ),
+            (
+                synthetic::torus(500, 1.0, 0.3, 5),
+                4,
+                [
+                    1_250,
+                    11_271_840_491_238_826_871,
+                    11_634_815_908_220_468_807,
+                ],
+            ),
+        ];
+        for (low, iterations, want) in cases {
+            let config = SrConfig::default();
+            let network = Mlp::new(&[config.receptive_field * 3, 64, 64, 3], 13);
+            let up = GradPuUpsampler::from_network(config, network, iterations).unwrap();
+            let out = up.upsample(&low, 2.5).unwrap();
+            let tail = &out.cloud.positions()[low.len()..];
+            let got = [
+                out.cloud.len() as u64,
+                out.cloud.geometry_digest(),
+                checksum(
+                    tail.iter()
+                        .flat_map(|p| [p.x, p.y, p.z])
+                        .flat_map(|c| c.to_bits().to_le_bytes()),
+                ),
+            ];
+            assert_eq!(got, want, "{iterations} iterations");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::config::SrConfig;
 use crate::error::Error;
-use crate::interpolate::{colorize, row_seed, InterpolationResult, PointSplit};
+use crate::interpolate::{row_seed, InterpolationResult, PointSplit};
 use crate::pipeline::StageTimings;
 use crate::Result;
 use rand::prelude::*;
@@ -98,8 +98,17 @@ pub fn naive_interpolate(
     let mut cloud = low.clone();
     cloud.extend_positions(&points);
     timings.interpolation += t4.elapsed();
+    // A generated point takes its neighborhood head's color, as on the frame
+    // path: rows are distance-ordered and `min(k, n) ≥ 1` wide.
     let t5 = Instant::now();
-    colorize::colorize_new_points(&mut cloud, low, low.len(), hoods.view(), &parents);
+    if let (Some(source), Some(mut colors)) = (low.colors(), cloud.take_colors()) {
+        for (c, row) in colors[low.len()..].iter_mut().zip(hoods.iter()) {
+            *c = source[row[0] as usize];
+        }
+        cloud
+            .set_colors(colors)
+            .expect("colors sized to the points");
+    }
     timings.colorization = t5.elapsed();
 
     Ok(InterpolationResult {
@@ -221,6 +230,63 @@ mod tests {
             ];
             assert_eq!(got, want, "ratio {ratio}");
         }
+    }
+
+    #[test]
+    fn generated_points_take_their_head_color() {
+        // Every generated point takes the color of its neighborhood head,
+        // which is a nearest source point.
+        let low = synthetic::humanoid(400, 0.4, 3);
+        let out = naive_interpolate(&low, &SrConfig::k4d1(), 2.0).unwrap();
+        let (source, colors) = (low.colors().unwrap(), out.cloud.colors().unwrap());
+        let generated = &out.cloud.positions()[low.len()..];
+        for ((p, c), row) in generated
+            .iter()
+            .zip(&colors[low.len()..])
+            .zip(out.neighborhoods.iter())
+        {
+            let head = row[0] as usize;
+            let nearest = low.positions().iter().map(|q| p.distance_squared(*q));
+            assert_eq!(
+                nearest.fold(f32::INFINITY, f32::min),
+                p.distance_squared(low.positions()[head])
+            );
+            assert_eq!(*c, source[head]);
+        }
+    }
+
+    #[test]
+    fn original_colors_are_preserved() {
+        let low = synthetic::humanoid(500, 0.4, 8);
+        let out = naive_interpolate(&low, &SrConfig::k4d1(), 3.0).unwrap();
+        assert_eq!(&out.cloud.positions()[..low.len()], low.positions());
+        assert_eq!(
+            &out.cloud.colors().unwrap()[..low.len()],
+            low.colors().unwrap()
+        );
+    }
+
+    #[test]
+    fn large_batch_is_colored_consistently() {
+        // 9000 generated points: each takes its head's color, and a second
+        // run colors them identically.
+        let low = synthetic::humanoid(3_000, 0.4, 3);
+        let out = naive_interpolate(&low, &SrConfig::k4d1(), 4.0).unwrap();
+        assert_eq!(out.new_points(), 9_000);
+        let (source, colors) = (low.colors().unwrap(), out.cloud.colors().unwrap());
+        for (c, row) in colors[low.len()..].iter().zip(out.neighborhoods.iter()) {
+            assert_eq!(*c, source[row[0] as usize]);
+        }
+        let again = naive_interpolate(&low, &SrConfig::k4d1(), 4.0).unwrap();
+        assert_eq!(again.cloud.colors().unwrap(), colors);
+    }
+
+    #[test]
+    fn uncolored_input_stays_uncolored() {
+        let low = PointCloud::from_positions(synthetic::sphere(200, 1.0, 4).positions().to_vec());
+        let out = naive_interpolate(&low, &SrConfig::k4d1(), 2.0).unwrap();
+        assert_eq!(out.cloud.len(), 400);
+        assert!(!out.cloud.has_colors());
     }
 
     #[test]

@@ -15,19 +15,24 @@ use super::naive::naive_interpolate;
 use crate::config::SrConfig;
 use crate::encoding::{KeyScheme, PositionEncoder};
 use crate::error::Error;
-use crate::nn::mlp::{BatchScratch, Mlp, MICRO_BATCH};
+use crate::lut::LookupStats;
+use crate::nn::mlp::Mlp;
 use crate::pipeline::SrResult;
-use crate::refine::{refine_in_place, Refiner};
+use crate::refine::{refine_in_place, NnRefiner};
 use crate::Result;
 use std::time::Instant;
-use volut_pointcloud::{NeighborhoodsView, Point3, PointCloud};
+use volut_pointcloud::PointCloud;
+
+/// Bound on each component of Yuzu's predicted offset, in neighborhood
+/// radii: it keeps the (possibly untrained) baseline geometrically sane.
+const OFFSET_CLAMP: f32 = 0.25;
 
 /// Yuzu-style neural upsampler with discrete ratio support.
 pub struct YuzuUpsampler {
     config: SrConfig,
-    encoder: PositionEncoder,
-    /// One network per supported ratio (the paper trains per-ratio models).
-    networks: Vec<(u32, Mlp)>,
+    /// One network per supported ratio (the paper trains per-ratio models),
+    /// each run as a clamped [`NnRefiner`].
+    refiners: Vec<(u32, NnRefiner)>,
 }
 
 impl std::fmt::Debug for YuzuUpsampler {
@@ -50,26 +55,22 @@ impl YuzuUpsampler {
     pub fn new(config: SrConfig, seed: u64) -> Result<Self> {
         let encoder = PositionEncoder::new(&config, KeyScheme::Full)?;
         let input = config.receptive_field * 3;
-        let networks = Self::SUPPORTED_RATIOS
+        let refiners = Self::SUPPORTED_RATIOS
             .iter()
             .enumerate()
             .map(|(i, &r)| {
-                (
-                    r,
-                    Mlp::new(&[input, 512, 512, 3], seed.wrapping_add(i as u64)),
-                )
+                let network = Mlp::new(&[input, 512, 512, 3], seed.wrapping_add(i as u64));
+                let mut refiner = NnRefiner::new(encoder.clone(), network);
+                refiner.offset_clamp = OFFSET_CLAMP;
+                (r, refiner)
             })
             .collect();
-        Ok(Self {
-            config,
-            encoder,
-            networks,
-        })
+        Ok(Self { config, refiners })
     }
 
     /// The discrete ratios this model can produce.
     pub fn supported_ratios(&self) -> Vec<u32> {
-        self.networks.iter().map(|(r, _)| *r).collect()
+        self.refiners.iter().map(|(r, _)| *r).collect()
     }
 
     /// The largest supported ratio not exceeding `requested`, or the
@@ -91,14 +92,14 @@ impl YuzuUpsampler {
     /// mirroring the frozen-model C++ deployment the paper measures.
     pub fn memory_bytes(&self, points_per_frame: usize) -> usize {
         let weights: usize = self
-            .networks
+            .refiners
             .iter()
-            .map(|(_, m)| m.parameter_count() * 4)
+            .map(|(_, r)| r.network().parameter_count() * 4)
             .sum();
         let act: usize = self
-            .networks
+            .refiners
             .first()
-            .map(|(_, m)| m.dims().iter().sum::<usize>() * points_per_frame / 8)
+            .map(|(_, r)| r.network().dims().iter().sum::<usize>() * points_per_frame / 8)
             .unwrap_or(0);
         weights + act * 4
     }
@@ -114,28 +115,23 @@ impl YuzuUpsampler {
             return Err(Error::InvalidRatio(requested_ratio));
         }
         let ratio = self.quantize_ratio(requested_ratio);
-        let network = &self
-            .networks
+        let refiner = &self
+            .refiners
             .iter()
             .find(|(r, _)| *r == ratio)
             .expect("quantize_ratio returns a supported ratio")
             .1;
 
         // Yuzu's generator: interpolation to the discrete ratio followed by a
-        // single heavyweight network pass per generated point, routed through
-        // the shared batch refinement helper.
+        // single heavyweight, clamped network pass per generated point.
         let interp = naive_interpolate(low, &self.config, f64::from(ratio))?;
         let mut timings = interp.timings;
 
         let t0 = Instant::now();
         let original_len = interp.original_len;
         let mut cloud = interp.cloud;
-        let refiner = ClampedNnRefiner {
-            encoder: &self.encoder,
-            network,
-        };
         refine_in_place(
-            &refiner,
+            refiner,
             &mut cloud,
             original_len,
             &interp.neighborhoods,
@@ -148,85 +144,9 @@ impl YuzuUpsampler {
             cloud,
             input_points: low.len(),
             timings,
-            lookup_stats: None,
+            lookup_stats: LookupStats::default(),
             refiner_name: "yuzu-sr".to_string(),
         })
-    }
-}
-
-/// Yuzu's refinement step as a [`Refiner`]: one network pass per point with
-/// the output offset clamped so the (possibly untrained) baseline stays
-/// geometrically sane.
-struct ClampedNnRefiner<'a> {
-    encoder: &'a PositionEncoder,
-    network: &'a Mlp,
-}
-
-impl Refiner for ClampedNnRefiner<'_> {
-    fn name(&self) -> &str {
-        "yuzu-sr"
-    }
-
-    fn refine_batch(
-        &self,
-        points: &mut [Point3],
-        neighborhoods: NeighborhoodsView<'_>,
-        source: &[Point3],
-    ) {
-        // Same packing as `NnRefiner::refine_batch`: encode feature rows per
-        // block, run one GEMM-style micro-batched forward (bit-identical to
-        // the per-point pass — Yuzu's heavyweight nets are exactly where the
-        // per-weight-row memory traffic of per-point inference hurt most).
-        const BLOCK: usize = 4 * MICRO_BATCH;
-        let out_dim = self.network.output_dim();
-        let mut gather: Vec<Point3> = Vec::new();
-        let mut feature_row: Vec<f32> = Vec::new();
-        let mut features: Vec<f32> = Vec::new();
-        let mut packed: Vec<(usize, f32)> = Vec::new();
-        let mut outputs: Vec<f32> = Vec::new();
-        let mut scratch = BatchScratch::default();
-        for block_start in (0..points.len()).step_by(BLOCK) {
-            let block_len = BLOCK.min(points.len() - block_start);
-            features.clear();
-            packed.clear();
-            let block = &points[block_start..block_start + block_len];
-            for (i, &center) in (block_start..).zip(block) {
-                let row = neighborhoods.row(i);
-                if row.is_empty() {
-                    continue;
-                }
-                gather.clear();
-                gather.extend(row.iter().map(|&j| source[j as usize]));
-                if let Ok(radius) =
-                    self.encoder
-                        .encode_features_into(center, &gather, &mut feature_row)
-                {
-                    features.extend_from_slice(&feature_row);
-                    packed.push((i, radius));
-                }
-            }
-            if packed.is_empty() {
-                continue;
-            }
-            self.network
-                .forward_batch_into(&features, packed.len(), &mut outputs, &mut scratch);
-            for (slot, &(i, radius)) in packed.iter().enumerate() {
-                let o = &outputs[slot * out_dim..(slot + 1) * out_dim];
-                // Bound the untrained network's output so the baseline stays
-                // geometrically sane: offsets are clamped to a fraction of
-                // the neighborhood radius.
-                let offset = Point3::new(
-                    o[0].clamp(-0.25, 0.25),
-                    o[1].clamp(-0.25, 0.25),
-                    o[2].clamp(-0.25, 0.25),
-                );
-                points[i] += offset * radius;
-            }
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.network.parameter_count() * 4
     }
 }
 
@@ -234,6 +154,57 @@ impl Refiner for ClampedNnRefiner<'_> {
 mod tests {
     use super::*;
     use volut_pointcloud::{metrics, sampling, synthetic};
+
+    /// FNV-1a over a byte stream.
+    fn checksum(bytes: impl Iterator<Item = u8>) -> u64 {
+        bytes.fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn output_is_pinned() {
+        // Point count, geometry digest and a checksum of the refined tail's
+        // position bits at ratios 2 and 3 (two different networks), recorded
+        // when the clamped refinement had its own batch loop.
+        let yuzu = YuzuUpsampler::new(SrConfig::default(), 7).unwrap();
+        let cases = [
+            (
+                synthetic::humanoid(400, 0.4, 3),
+                2.0,
+                [800, 4_882_232_550_742_017_259, 16_279_798_385_371_347_624],
+            ),
+            (
+                synthetic::humanoid(400, 0.4, 3),
+                3.0,
+                [1_200, 1_804_899_032_337_384_229, 2_598_668_992_991_980_719],
+            ),
+            (
+                synthetic::torus(300, 1.0, 0.3, 5),
+                2.0,
+                [600, 5_557_944_184_425_470_836, 15_832_214_753_376_404_176],
+            ),
+            (
+                synthetic::torus(300, 1.0, 0.3, 5),
+                3.0,
+                [900, 3_304_840_507_154_721_906, 7_682_827_173_765_276_625],
+            ),
+        ];
+        for (low, ratio, want) in cases {
+            let out = yuzu.upsample(&low, ratio).unwrap();
+            let tail = &out.cloud.positions()[low.len()..];
+            let got = [
+                out.cloud.len() as u64,
+                out.cloud.geometry_digest(),
+                checksum(
+                    tail.iter()
+                        .flat_map(|p| [p.x, p.y, p.z])
+                        .flat_map(|c| c.to_bits().to_le_bytes()),
+                ),
+            ];
+            assert_eq!(got, want, "ratio {ratio}");
+        }
+    }
 
     #[test]
     fn ratio_quantization() {

@@ -231,6 +231,7 @@ mod tests {
     use crate::config::SrConfig;
     use crate::encoding::KeyScheme;
     use crate::interpolate::FrameScratch;
+    use crate::lut::LookupStats;
     use crate::nn::mlp::Mlp;
     use crate::pipeline::SrPipeline;
     use crate::refine::{IdentityRefiner, NnRefiner, Refiner};
@@ -257,7 +258,7 @@ mod tests {
             _points: &mut [Point3],
             _neighborhoods: NeighborhoodsView<'_>,
             _source: &[Point3],
-        ) {
+        ) -> LookupStats {
             let mut nested_out = self.out.lock().unwrap();
             if nested_out.is_none() {
                 let r = self
@@ -266,6 +267,7 @@ mod tests {
                     .unwrap();
                 *nested_out = Some(r.cloud);
             }
+            LookupStats::default()
         }
 
         fn memory_bytes(&self) -> usize {

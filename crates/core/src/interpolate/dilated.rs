@@ -45,6 +45,7 @@ use super::{row_seed, PointSplit};
 use super::{run_jobs, take_front, FrameArena, FrameScratch, InterpolationResult};
 use crate::config::SrConfig;
 use crate::error::Error;
+use crate::lut::LookupStats;
 use crate::pipeline::StageTimings;
 use crate::refine::Refiner;
 use crate::Result;
@@ -119,6 +120,7 @@ pub fn dilated_interpolate_with(
         &mut FrameArena::checkout(),
         None,
     )
+    .map(|(result, _)| result)
 }
 
 /// The refinement a pipeline frame runs inside the frame pass: its refiner,
@@ -131,7 +133,7 @@ pub(crate) struct Refine<'a> {
 
 /// [`dilated_interpolate_with`] on an arena the caller checked out, refining
 /// the generated points in the same pass when `refine` is given (the
-/// pipeline's frame).
+/// pipeline's frame). Returns the frame's table lookups beside the result.
 pub(crate) fn dilated_interpolate_in(
     low: &PointCloud,
     config: &SrConfig,
@@ -139,7 +141,7 @@ pub(crate) fn dilated_interpolate_in(
     session: &mut FrameScratch,
     arena: &mut FrameArena,
     refine: Option<Refine<'_>>,
-) -> Result<InterpolationResult> {
+) -> Result<(InterpolationResult, LookupStats)> {
     config.validate()?;
     config.validate_ratio(ratio)?;
     if low.len() < 2 {
@@ -150,13 +152,14 @@ pub(crate) fn dilated_interpolate_in(
     }
     let dual_before = arena.knn.invocations();
     let result = dilated_frame(low, config, ratio, session, arena, refine);
-    session.temporal.dual_tree_batches += arena.knn.invocations() - dual_before;
+    session.temporal.stats.dual_tree_batches += arena.knn.invocations() - dual_before;
     Ok(result)
 }
 
 /// One validated dilated frame: `session` is what the next frame will read,
 /// `arena` everything this frame clears, fills and forgets. Apart from the
-/// output cloud, a steady-state frame allocates nothing.
+/// output cloud, a steady-state frame allocates nothing. Returns the frame's
+/// table lookups beside the result.
 fn dilated_frame(
     low: &PointCloud,
     config: &SrConfig,
@@ -164,7 +167,7 @@ fn dilated_frame(
     session: &mut FrameScratch,
     arena: &mut FrameArena,
     refine: Option<Refine<'_>>,
-) -> InterpolationResult {
+) -> (InterpolationResult, LookupStats) {
     let mut timings = StageTimings::default();
     let positions = low.positions();
     let n = low.len();
@@ -294,13 +297,18 @@ fn dilated_frame(
             .expect("colors sized to the points"),
         None => PointCloud::from_positions(points),
     };
-    InterpolationResult {
+    let lookups = LookupStats {
+        hits: tally.hits.load(Ordering::Relaxed),
+        misses: tally.misses.load(Ordering::Relaxed),
+    };
+    let result = InterpolationResult {
         cloud,
         original_len: n,
         parents,
         neighborhoods,
         timings,
-    }
+    };
+    (result, lookups)
 }
 
 /// Worker time of one stage of the frame pass, summed over its ranges.
@@ -325,6 +333,9 @@ struct Tally {
     refine: StageClock,
     /// Generated points copied forward from the previous frame.
     reused: AtomicU64,
+    /// Table lookups of the refiner's batches.
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 /// One range of source rows and its disjoint slices of the output: the tail
@@ -375,6 +386,7 @@ impl FramePass<'_> {
         let (mut generate, mut color, mut refine) =
             (Duration::ZERO, Duration::ZERO, Duration::ZERO);
         let mut reused = 0;
+        let mut lookups = LookupStats::default();
         let mut clock = Instant::now();
         for first in rows.clone().step_by(BLOCK_ROWS) {
             let block = first..(first + BLOCK_ROWS).min(rows.end);
@@ -431,12 +443,12 @@ impl FramePass<'_> {
                     for (r, o) in block.clone().zip(copied) {
                         let Some(o) = o else { continue };
                         let slots = at(r)..at(r + 1);
-                        self.refine_run(refiner, points, hoods, run..slots.start);
+                        self.refine_run(refiner, points, hoods, run..slots.start, &mut lookups);
                         points[slots.clone()].copy_from_slice(&refined[o..o + slots.len()]);
                         run = slots.end;
                     }
                 }
-                self.refine_run(refiner, points, hoods, run..span.end);
+                self.refine_run(refiner, points, hoods, run..span.end, &mut lookups);
                 let now = Instant::now();
                 refine += now - clock;
                 clock = now;
@@ -447,6 +459,8 @@ impl FramePass<'_> {
         tally.color.add(color);
         tally.refine.add(refine);
         tally.reused.fetch_add(reused as u64, Ordering::Relaxed);
+        tally.hits.fetch_add(lookups.hits, Ordering::Relaxed);
+        tally.misses.fetch_add(lookups.misses, Ordering::Relaxed);
     }
 
     /// Copies row `r`'s outputs forward from cached ordinal `o` on: each
@@ -511,20 +525,24 @@ impl FramePass<'_> {
         }
     }
 
-    /// Refines the range's tail points `run` (range-relative) in place.
+    /// Refines the range's tail points `run` (range-relative) in place,
+    /// adding the batch's table lookups to `lookups`.
     fn refine_run(
         &self,
         refiner: &dyn Refiner,
         points: &mut [Point3],
         hoods: &[u32],
         run: Range<usize>,
+        lookups: &mut LookupStats,
     ) {
         if run.is_empty() {
             return;
         }
         let w = self.width;
         let view = NeighborhoodsView::from_raw(&hoods[run.start * w..run.end * w], run.len());
-        refiner.refine_batch(&mut points[run], view, self.positions);
+        let batch = refiner.refine_batch(&mut points[run], view, self.positions);
+        lookups.hits += batch.hits;
+        lookups.misses += batch.misses;
     }
 }
 

@@ -30,7 +30,6 @@
 //! thread gets its own arena) is spelled out in [`arena`].
 
 pub mod arena;
-pub mod colorize;
 pub mod dilated;
 pub mod reuse;
 pub mod temporal;
@@ -88,29 +87,6 @@ impl InterpolationResult {
     }
 }
 
-/// Usage counters of the scratch-resident spatial index and the temporal
-/// (delta-frame) reuse layer built on top of it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexCacheStats {
-    /// Frames that paid a full index rebuild.
-    pub rebuilds: u64,
-    /// Frames served from the cached index (matched content).
-    pub reuses: u64,
-    /// Frames whose index was incrementally patched for a frame delta
-    /// ([`KdTree::patch`]) instead of rebuilt.
-    pub patches: u64,
-    /// kNN self-join rows copied forward from the previous frame by the
-    /// incremental path (see [`temporal`]).
-    pub rows_reused: u64,
-    /// kNN self-join rows recomputed by the incremental path (inserted
-    /// queries plus rows invalidated by the churn).
-    pub rows_recomputed: u64,
-    /// Batches answered by the dual-tree (leaf-pair) all-kNN kernel — the
-    /// self-join fast path the interpolator hits once per cold frame at
-    /// production sizes.
-    pub dual_tree_batches: u64,
-}
-
 /// Scratch-resident spatial index shared by the interpolation stages of
 /// consecutive frames.
 ///
@@ -144,7 +120,6 @@ pub struct IndexCache {
     /// temporal layer can tell whether the tree still holds the frame its
     /// cached rows were joined against.
     version: u64,
-    stats: IndexCacheStats,
 }
 
 /// Cumulative patched churn (fraction of the cloud) that forces the next
@@ -168,53 +143,47 @@ impl IndexCache {
         self.built && self.version == version
     }
 
-    /// Counts a cache hit and returns the cached tree.
-    pub(crate) fn reuse(&mut self) -> &KdTree {
-        self.stats.reuses += 1;
-        &self.tree
-    }
-
     /// Rebuilds the index over `positions` in place.
     pub(crate) fn rebuild(
         &mut self,
         positions: &[Point3],
         digest: u64,
         scratch: &mut IndexScratch,
-    ) -> &KdTree {
+    ) {
         self.tree.build_in(positions, scratch);
         self.built = true;
         self.built_digest = digest;
         self.patched_churn = 0;
         self.version += 1;
-        self.stats.rebuilds += 1;
-        &self.tree
     }
 
     /// Incrementally patches the cached index for a frame delta, falling
     /// back to a full rebuild when the cache is cold, the delta's old side
     /// does not match the indexed cloud, or cumulative patched churn
-    /// crosses [`PATCH_REBUILD_FRACTION`]. The caller guarantees `delta`
-    /// describes the change from the indexed points to `positions`.
+    /// crosses [`PATCH_REBUILD_FRACTION`]; `true` when it patched. The
+    /// caller guarantees `delta` describes the change from the indexed
+    /// points to `positions`.
     pub(crate) fn patch(
         &mut self,
         positions: &[Point3],
         digest: u64,
         delta: &FrameDelta,
         scratch: &mut IndexScratch,
-    ) -> &KdTree {
+    ) -> bool {
         if !self.built || self.tree.points().len() != delta.old_len() {
-            return self.rebuild(positions, digest, scratch);
+            self.rebuild(positions, digest, scratch);
+            return false;
         }
         self.patched_churn += delta.removed().len().max(delta.inserted().len());
         let budget = (positions.len().max(1) as f64 * PATCH_REBUILD_FRACTION) as usize;
         if self.patched_churn > budget {
-            return self.rebuild(positions, digest, scratch);
+            self.rebuild(positions, digest, scratch);
+            return false;
         }
         self.tree.patch_with(delta, positions, scratch);
         self.built_digest = digest;
         self.version += 1;
-        self.stats.patches += 1;
-        &self.tree
+        true
     }
 
     /// The cached tree. Only meaningful after a `reuse`/`rebuild`/`patch`
@@ -222,11 +191,6 @@ impl IndexCache {
     pub(crate) fn cached_tree(&self) -> &KdTree {
         debug_assert!(self.built, "cached_tree before any build");
         &self.tree
-    }
-
-    /// Usage counters since this cache was created.
-    pub fn stats(&self) -> IndexCacheStats {
-        self.stats
     }
 
     /// Drops the cached index (the next frame rebuilds unconditionally).
@@ -292,19 +256,10 @@ impl FrameScratch {
         FrameArena::adopt_neighborhoods(neighborhoods);
     }
 
-    /// Usage counters of the session's index cache, including the
-    /// incremental row-reuse counters of the temporal layer and how many of
-    /// this session's batches ran through the dual-tree kernel.
-    pub fn index_stats(&self) -> IndexCacheStats {
-        let mut stats = self.index.stats();
-        stats.dual_tree_batches = self.temporal.dual_tree_batches;
-        stats.rows_reused = self.temporal.stats.rows_reused;
-        stats.rows_recomputed = self.temporal.stats.rows_recomputed;
-        stats
-    }
-
-    /// Frame- and row-level counters of the temporal (delta-frame) reuse
-    /// layer.
+    /// The session's counters: how its index was rebuilt, reused or
+    /// patched, how many batches ran through the dual-tree kernel, and the
+    /// frame-, row- and point-level counters of the temporal (delta-frame)
+    /// reuse layer.
     pub fn temporal_stats(&self) -> TemporalStats {
         self.temporal.stats
     }

@@ -77,8 +77,9 @@ pub struct SrResult {
     pub input_points: usize,
     /// Per-stage timings measured on the host (see [`StageTimings`]).
     pub timings: StageTimings,
-    /// LUT hit/miss statistics when the refiner is table-based.
-    pub lookup_stats: Option<LookupStats>,
+    /// This frame's table lookups: hits and misses of a table-based
+    /// refiner over the points it refined fresh, zero otherwise.
+    pub lookup_stats: LookupStats,
     /// Name of the refiner that produced this result.
     pub refiner_name: String,
 }
@@ -180,7 +181,7 @@ impl SrPipeline {
             refiner: self.refiner.as_ref(),
             owner: self.id,
         };
-        let interp =
+        let (interp, lookup_stats) =
             dilated_interpolate_in(low, &self.config, ratio, scratch, &mut arena, Some(refine))?;
         let (cloud, timings) = (interp.cloud, interp.timings);
 
@@ -192,7 +193,7 @@ impl SrPipeline {
             cloud,
             input_points: low.len(),
             timings,
-            lookup_stats: self.refiner.lookup_stats(),
+            lookup_stats,
             refiner_name: self.refiner.name().to_string(),
         })
     }
@@ -216,7 +217,7 @@ mod tests {
         assert_eq!(r.cloud.len(), 1500);
         assert!(r.timings.total() > Duration::ZERO);
         assert_eq!(r.refiner_name, "identity");
-        assert!(r.lookup_stats.is_none());
+        assert_eq!(r.lookup_stats, LookupStats::default());
     }
 
     #[test]
@@ -260,8 +261,7 @@ mod tests {
             "lut ({cd_lut}) should not be much worse than interpolation ({cd_id})"
         );
         // The LUT should actually be hit most of the time on in-distribution data.
-        let stats = lut_result.lookup_stats.unwrap();
-        assert!(stats.hits > 0);
+        assert!(lut_result.lookup_stats.hits > 0);
     }
 
     #[test]
@@ -311,7 +311,7 @@ mod tests {
             let cached = pipeline.upsample_with(low, 2.0, &mut scratch).unwrap();
             assert_eq!(fresh.cloud, cached.cloud);
         }
-        let stats = scratch.index_stats();
+        let stats = scratch.temporal_stats();
         // Frames 1, 3 and 4 rebuild (new/changed geometry), 2 and 5 hit.
         assert_eq!(stats.rebuilds, 3, "stats {stats:?}");
         assert_eq!(stats.reuses, 2, "stats {stats:?}");
@@ -465,6 +465,38 @@ mod tests {
     /// holds a small offset, so every refined point moves.
     fn dense_lut_refiner(config: &SrConfig, table: &crate::lut::DenseLut) -> LutRefiner {
         LutRefiner::from_config(config, KeyScheme::Compact, Box::new(table.clone())).unwrap()
+    }
+
+    #[test]
+    fn lookup_stats_count_this_frames_fresh_points() {
+        // Every key of the dense table is populated, so a cold frame hits
+        // once per generated point, summed over the pass's ranges (4 900
+        // points, two ranges at two workers); a repeated frame replays its
+        // refined tail and looks nothing up.
+        use crate::encoding::PositionEncoder;
+        use crate::lut::{DenseLut, Lut};
+        use volut_pointcloud::runtime;
+        let config = SrConfig {
+            bins: 32,
+            ..SrConfig::default()
+        };
+        let encoder = PositionEncoder::new(&config, KeyScheme::Compact).unwrap();
+        let mut table = DenseLut::new(encoder.key_space()).unwrap();
+        for key in 0..encoder.key_space() {
+            table.set(key, [1e-3, 0.0, 0.0]).unwrap();
+        }
+        let pipeline = SrPipeline::new(config, Box::new(dense_lut_refiner(&config, &table)));
+        let frame = synthetic::humanoid(700, 0.3, 5);
+        for workers in [1, 2] {
+            runtime::with_workers(workers, || {
+                let mut session = FrameScratch::new();
+                let cold = pipeline.upsample_with(&frame, 8.0, &mut session).unwrap();
+                let hits = (cold.cloud.len() - frame.len()) as u64;
+                assert_eq!(cold.lookup_stats, LookupStats { hits, misses: 0 });
+                let warm = pipeline.upsample_with(&frame, 8.0, &mut session).unwrap();
+                assert_eq!(warm.lookup_stats, LookupStats::default());
+            });
+        }
     }
 
     #[test]

@@ -1,26 +1,29 @@
 //! Stage two of the VoLUT pipeline: refinement.
 //!
 //! A [`Refiner`] moves interpolated points onto (an estimate of) the true
-//! surface. The trait is **batch-first and in place**: the one entry point
-//! [`Refiner::refine_batch`] takes a slice of generated points and their
-//! rows of a flat fixed-width [`NeighborhoodsView`], reads each point as the center
-//! of its row and overwrites it with the refined position. A refiner reads
-//! row `i`'s center before it writes row `i` (the rows are independent), so
-//! no copy of the centers exists on the pipeline path; gather buffers are
-//! reused per batch instead of allocated per point, and statistics are
-//! accumulated once per batch instead of behind a per-point lock. Batching
-//! never shows in the output: a batch over N points equals N one-row calls,
-//! bit for bit, which is what lets the pipeline refine any run of rows it
-//! has just generated.
+//! surface. The trait is **batch-first, in place and stateless**: the one
+//! entry point [`Refiner::refine_batch`] takes a slice of generated points
+//! and their rows of a flat fixed-width [`NeighborhoodsView`], reads each
+//! point as the center of its row, overwrites it with the refined position
+//! and returns the batch's [`LookupStats`]. A refiner reads row `i`'s center
+//! before it writes row `i` (the rows are independent), so no copy of the
+//! centers exists on the pipeline path; gather buffers are reused per batch
+//! instead of allocated per point. A refiner keeps no counters: the caller
+//! sums what its batches return. Batching never shows in the output: a
+//! batch over N points equals N one-row calls, bit for bit, which is what
+//! lets the pipeline refine any run of rows it has just generated.
 //!
 //! Three implementations are provided:
 //! * [`LutRefiner`] — VoLUT's contribution: a table lookup keyed by the
 //!   quantized neighborhood (§4.2). Per block of 64 rows: the lane-wise
 //!   [`PositionEncoder::encode_keys_block`], one [`Lut::get_batch`], then
-//!   the offsets applied — in fixed stack arrays and a per-thread set of
-//!   encoder lanes, so nothing is allocated;
-//! * [`NnRefiner`] — runs the refinement network directly (the GradPU-style
-//!   path the LUT replaces);
+//!   the offsets applied — in a per-thread set of encoder lanes and block
+//!   buffers, so nothing is allocated or zero-filled per call;
+//! * [`NnRefiner`] — runs the refinement network directly, one batched
+//!   forward pass per block of rows. It is the one neural refiner: direct
+//!   inference (the path the LUT replaces), and, with the crate-private
+//!   iteration count and offset clamp, the refinement stage of the GradPU
+//!   and Yuzu baselines ([`crate::baselines`]);
 //! * [`IdentityRefiner`] — no refinement; isolates the interpolation stage
 //!   in ablations.
 //!
@@ -31,11 +34,10 @@
 //! the worker pool in chunks.
 
 use crate::encoding::{EncodeScratch, KeyScheme, PositionEncoder};
-use crate::lut::{LookupStats, Lut};
-use crate::nn::mlp::Mlp;
+use crate::lut::{LookupStats, Lut, Offset};
+use crate::nn::mlp::{BatchScratch, Mlp, MICRO_BATCH};
 use crate::Result;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use volut_pointcloud::{runtime, Neighborhoods, NeighborhoodsView, Point3, PointCloud};
 
 /// A refinement function over batches of generated points.
@@ -47,7 +49,8 @@ pub trait Refiner: Send + Sync {
     /// neighborhood row `i` (indices into `source`, closest first) and is
     /// overwritten with its refined position. Row `i`'s center is read
     /// before row `i` is written. Rows may be empty, in which case the point
-    /// stays where it is.
+    /// stays where it is. Returns the batch's table lookups — hits and
+    /// misses — which are zero for a refiner without a table.
     ///
     /// Implementations must not allocate per point: gather and feature
     /// buffers are amortized per batch call, which is what makes the
@@ -61,16 +64,11 @@ pub trait Refiner: Send + Sync {
         points: &mut [Point3],
         neighborhoods: NeighborhoodsView<'_>,
         source: &[Point3],
-    );
+    ) -> LookupStats;
 
     /// Resident memory required by the refiner (model weights or LUT), in
     /// bytes. This is the quantity compared in Figure 15.
     fn memory_bytes(&self) -> usize;
-
-    /// Lookup statistics, when the refiner is table-based.
-    fn lookup_stats(&self) -> Option<LookupStats> {
-        None
-    }
 }
 
 /// Refines the generated tail of `cloud` (points `original_len..`) in place
@@ -124,7 +122,8 @@ impl Refiner for IdentityRefiner {
         _points: &mut [Point3],
         _neighborhoods: NeighborhoodsView<'_>,
         _source: &[Point3],
-    ) {
+    ) -> LookupStats {
+        LookupStats::default()
     }
 
     fn memory_bytes(&self) -> usize {
@@ -132,48 +131,40 @@ impl Refiner for IdentityRefiner {
     }
 }
 
-/// Lock-free hit/miss counters shared across refinement workers.
-#[derive(Debug, Default)]
-struct AtomicLookupStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+/// Rows per block of [`LutRefiner::refine_batch`].
+const LUT_BLOCK: usize = 64;
 
-impl AtomicLookupStats {
-    fn add(&self, hits: u64, misses: u64) {
-        if hits > 0 {
-            self.hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if misses > 0 {
-            self.misses.fetch_add(misses, Ordering::Relaxed);
-        }
-    }
-
-    fn snapshot(&self) -> LookupStats {
-        LookupStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
+/// The LUT refiner's per-thread buffers: the encoder's lanes and one
+/// block's keys, radii and probe results. The pipeline calls
+/// [`LutRefiner::refine_batch`] once per run of freshly generated points —
+/// a few points each on a delta frame, about 900 runs on a 50k-point frame
+/// at 10 % churn, about 19 in a 512-point fleet frame — and zero-filling
+/// 14 KB of lanes per call cost about 2 % of a cache-cold fleet frame (2048
+/// sessions of 512 points, one worker, 2-vCPU host); the 2.3 KB of block
+/// buffers live here for the same reason. The encoder writes every lane,
+/// key and radius it reads and [`Lut::get_batch`] every result, so one set
+/// serves any call; a call never re-enters another on the same thread.
+struct LutScratch {
+    lanes: EncodeScratch,
+    keys: [u128; LUT_BLOCK],
+    /// `radius < 0` marks rows that skip refinement (empty rows).
+    radii: [f32; LUT_BLOCK],
+    results: [Option<Offset>; LUT_BLOCK],
 }
 
 thread_local! {
-    /// The LUT refiner's encoder lanes, one set per thread. The pipeline
-    /// calls [`LutRefiner::refine_batch`] once per run of freshly generated
-    /// points — a few points each on a delta frame, about 19 runs in a
-    /// 512-point fleet frame at 10 % churn — and zero-filling 14 KB of lanes
-    /// per call cost about 2 % of a cache-cold fleet frame (2048 sessions of
-    /// 512 points, one worker, 2-vCPU host). The encoder writes every lane it
-    /// reads, so a set serves any call; a call never re-enters another on
-    /// the same thread.
-    static ENCODE_SCRATCH: RefCell<EncodeScratch> = RefCell::new(EncodeScratch::default());
+    static LUT_SCRATCH: RefCell<LutScratch> = RefCell::new(LutScratch {
+        lanes: EncodeScratch::default(),
+        keys: [0; LUT_BLOCK],
+        radii: [-1.0; LUT_BLOCK],
+        results: [None; LUT_BLOCK],
+    });
 }
 
 /// LUT-based refiner (the paper's contribution).
 pub struct LutRefiner {
     encoder: PositionEncoder,
     lut: Box<dyn Lut>,
-    stats: AtomicLookupStats,
 }
 
 impl std::fmt::Debug for LutRefiner {
@@ -189,11 +180,7 @@ impl std::fmt::Debug for LutRefiner {
 impl LutRefiner {
     /// Creates a refiner from a position encoder and a populated LUT.
     pub fn new(encoder: PositionEncoder, lut: Box<dyn Lut>) -> Self {
-        Self {
-            encoder,
-            lut,
-            stats: AtomicLookupStats::default(),
-        }
+        Self { encoder, lut }
     }
 
     /// Convenience constructor from an [`crate::SrConfig`], key scheme and LUT.
@@ -224,22 +211,22 @@ impl Refiner for LutRefiner {
         points: &mut [Point3],
         neighborhoods: NeighborhoodsView<'_>,
         source: &[Point3],
-    ) {
+    ) -> LookupStats {
         debug_assert_eq!(points.len(), neighborhoods.len());
         // Block-structured: the lane-wise encoder turns a block of rows
         // into keys and radii (gather → normalize → quantize over whole slot
         // lanes), one `get_batch` resolves the block, and the offsets are
-        // applied. Keys, radii and results are fixed arrays on this stack,
-        // the encoder's lanes this thread's (see [`ENCODE_SCRATCH`]).
-        const BLOCK: usize = 64;
-        let mut keys = [0u128; BLOCK];
-        // radius < 0 marks rows that skip refinement (empty / unencodable).
-        let mut radii = [-1.0f32; BLOCK];
-        let mut results: [Option<crate::lut::Offset>; BLOCK] = [None; BLOCK];
-        let (mut hits, mut misses) = (0u64, 0u64);
-        ENCODE_SCRATCH.with_borrow_mut(|encode_scratch| {
-            for block_start in (0..points.len()).step_by(BLOCK) {
-                let block_len = BLOCK.min(points.len() - block_start);
+        // applied, all in this thread's buffers (see [`LutScratch`]).
+        let mut stats = LookupStats::default();
+        LUT_SCRATCH.with_borrow_mut(|scratch| {
+            let LutScratch {
+                lanes,
+                keys,
+                radii,
+                results,
+            } = scratch;
+            for block_start in (0..points.len()).step_by(LUT_BLOCK) {
+                let block_len = LUT_BLOCK.min(points.len() - block_start);
                 let block = &mut points[block_start..block_start + block_len];
                 self.encoder.encode_keys_block(
                     block,
@@ -248,7 +235,7 @@ impl Refiner for LutRefiner {
                     source,
                     &mut keys[..block_len],
                     &mut radii[..block_len],
-                    encode_scratch,
+                    lanes,
                 );
                 self.lut
                     .get_batch(&keys[..block_len], &mut results[..block_len]);
@@ -256,37 +243,50 @@ impl Refiner for LutRefiner {
                     match results[b] {
                         _ if radii[b] < 0.0 => {}
                         Some([x, y, z]) => {
-                            hits += 1;
+                            stats.hits += 1;
                             *point += Point3::new(x, y, z) * radii[b];
                         }
-                        None => misses += 1,
+                        None => stats.misses += 1,
                     }
                 }
             }
         });
-        self.stats.add(hits, misses);
+        stats
     }
 
     fn memory_bytes(&self) -> usize {
         self.lut.memory_bytes()
     }
-
-    fn lookup_stats(&self) -> Option<LookupStats> {
-        Some(self.stats.snapshot())
-    }
 }
 
 /// Neural refiner: runs the refinement MLP directly for every point.
+///
+/// Each point takes `iterations` damped steps: its row is encoded against
+/// the point's current position, the network predicts an offset, each
+/// component is clamped to `±offset_clamp` and the point moves by the offset
+/// times `radius / iterations`. The defaults — one step, no clamp — are
+/// direct inference; GradPU's iterative refinement and Yuzu's clamped pass
+/// ([`crate::baselines`]) set the two crate-private fields.
 #[derive(Debug, Clone)]
 pub struct NnRefiner {
     encoder: PositionEncoder,
     mlp: Mlp,
+    /// Network passes per point, at least 1.
+    pub(crate) iterations: usize,
+    /// Bound on each offset component, in neighborhood radii; infinite
+    /// (the default) leaves every offset as the network predicts it.
+    pub(crate) offset_clamp: f32,
 }
 
 impl NnRefiner {
     /// Creates a refiner that evaluates `mlp` per point.
     pub fn new(encoder: PositionEncoder, mlp: Mlp) -> Self {
-        Self { encoder, mlp }
+        Self {
+            encoder,
+            mlp,
+            iterations: 1,
+            offset_clamp: f32::INFINITY,
+        }
     }
 
     /// Convenience constructor from an [`crate::SrConfig`] and key scheme.
@@ -313,49 +313,59 @@ impl Refiner for NnRefiner {
         points: &mut [Point3],
         neighborhoods: NeighborhoodsView<'_>,
         source: &[Point3],
-    ) {
+    ) -> LookupStats {
         debug_assert_eq!(points.len(), neighborhoods.len());
-        // Feature rows are packed per block and pushed through the GEMM-style
-        // micro-batched forward; `forward_batch_into` is bit-identical to the
-        // per-point pass, so batching is invisible in the output.
-        const BLOCK: usize = 4 * crate::nn::mlp::MICRO_BATCH;
+        // Rows share one width; empty rows leave their points in place.
+        let width = neighborhoods.iter().next().map_or(0, <[u32]>::len);
+        if width == 0 {
+            return LookupStats::default();
+        }
+        // Blocked: a block's neighbors are gathered once, then every step
+        // packs the block's feature rows and runs one GEMM-style
+        // micro-batched forward over them. `forward_batch_into` is
+        // bit-identical to the per-point pass, so batching is invisible in
+        // the output, while each weight row streams once per block instead
+        // of once per point. At one step `radius * 1.0 == radius`, and an
+        // infinite clamp returns every `f32` unchanged.
+        const BLOCK: usize = 4 * MICRO_BATCH;
         let out_dim = self.mlp.output_dim();
+        let step = 1.0 / self.iterations as f32;
+        let bound = self.offset_clamp;
         let mut gather: Vec<Point3> = Vec::new();
         let mut feature_row: Vec<f32> = Vec::new();
         let mut features: Vec<f32> = Vec::new();
-        let mut packed: Vec<(usize, f32)> = Vec::new();
+        let mut radii: Vec<f32> = Vec::new();
         let mut outputs: Vec<f32> = Vec::new();
-        let mut scratch = crate::nn::mlp::BatchScratch::default();
-        for block_start in (0..points.len()).step_by(BLOCK) {
-            let block_len = BLOCK.min(points.len() - block_start);
-            features.clear();
-            packed.clear();
-            let block = &points[block_start..block_start + block_len];
-            for (i, &center) in (block_start..).zip(block) {
-                let row = neighborhoods.row(i);
-                if row.is_empty() {
-                    continue;
-                }
-                gather.clear();
-                gather.extend(row.iter().map(|&j| source[j as usize]));
-                if let Ok(radius) =
-                    self.encoder
-                        .encode_features_into(center, &gather, &mut feature_row)
-                {
+        let mut scratch = BatchScratch::default();
+        for (b, block) in points.chunks_mut(BLOCK).enumerate() {
+            let rows = neighborhoods.slice_rows(b * BLOCK, b * BLOCK + block.len());
+            gather.clear();
+            gather.extend(rows.iter().flatten().map(|&j| source[j as usize]));
+            for _ in 0..self.iterations {
+                features.clear();
+                radii.clear();
+                for (&center, hood) in block.iter().zip(gather.chunks_exact(width)) {
+                    let radius = self
+                        .encoder
+                        .encode_features_into(center, hood, &mut feature_row)
+                        .expect("a non-empty row encodes");
                     features.extend_from_slice(&feature_row);
-                    packed.push((i, radius));
+                    radii.push(radius);
                 }
-            }
-            if packed.is_empty() {
-                continue;
-            }
-            self.mlp
-                .forward_batch_into(&features, packed.len(), &mut outputs, &mut scratch);
-            for (slot, &(i, radius)) in packed.iter().enumerate() {
-                let o = &outputs[slot * out_dim..(slot + 1) * out_dim];
-                points[i] += Point3::new(o[0], o[1], o[2]) * radius;
+                self.mlp
+                    .forward_batch_into(&features, block.len(), &mut outputs, &mut scratch);
+                let offsets = outputs.chunks_exact(out_dim);
+                for ((point, o), &radius) in block.iter_mut().zip(offsets).zip(&radii) {
+                    let offset = Point3::new(
+                        o[0].clamp(-bound, bound),
+                        o[1].clamp(-bound, bound),
+                        o[2].clamp(-bound, bound),
+                    );
+                    *point += offset * (radius * step);
+                }
             }
         }
+        LookupStats::default()
     }
 
     fn memory_bytes(&self) -> usize {
@@ -377,11 +387,20 @@ mod tests {
     /// Refines one center whose neighborhood is given directly as
     /// positions: a one-row [`Refiner::refine_batch`].
     fn refine_one(refiner: &dyn Refiner, center: Point3, neighbors: &[Point3]) -> Point3 {
+        refine_one_counted(refiner, center, neighbors).0
+    }
+
+    /// [`refine_one`] with the call's table lookups.
+    fn refine_one_counted(
+        refiner: &dyn Refiner,
+        center: Point3,
+        neighbors: &[Point3],
+    ) -> (Point3, LookupStats) {
         let indices: Vec<u32> = (0..neighbors.len() as u32).collect();
         let view = NeighborhoodsView::from_raw(&indices, 1);
         let mut point = [center];
-        refiner.refine_batch(&mut point, view, neighbors);
-        point[0]
+        let stats = refiner.refine_batch(&mut point, view, neighbors);
+        (point[0], stats)
     }
 
     fn neighborhood() -> (Point3, Vec<Point3>) {
@@ -398,9 +417,10 @@ mod tests {
     #[test]
     fn identity_refiner_is_a_noop() {
         let (c, n) = neighborhood();
-        assert_eq!(refine_one(&IdentityRefiner, c, &n), c);
+        let (refined, stats) = refine_one_counted(&IdentityRefiner, c, &n);
+        assert_eq!(refined, c);
+        assert_eq!(stats, LookupStats::default());
         assert_eq!(IdentityRefiner.memory_bytes(), 0);
-        assert!(IdentityRefiner.lookup_stats().is_none());
     }
 
     #[test]
@@ -412,21 +432,22 @@ mod tests {
         let mut lut = SparseLut::new();
         lut.set(key, [0.5, 0.0, 0.0]).unwrap();
         let refiner = LutRefiner::new(enc, Box::new(lut));
-        let refined = refine_one(&refiner, c, &n);
+        let (refined, stats) = refine_one_counted(&refiner, c, &n);
         assert!((refined.x - 0.5 * radius).abs() < 1e-3);
-        let stats = refiner.lookup_stats().unwrap();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 0);
+        assert_eq!(stats, LookupStats { hits: 1, misses: 0 });
     }
 
     #[test]
     fn lut_refiner_miss_returns_center_and_counts() {
         let (c, n) = neighborhood();
         let refiner = LutRefiner::new(encoder(), Box::new(SparseLut::new()));
-        assert_eq!(refine_one(&refiner, c, &n), c);
-        assert_eq!(refine_one(&refiner, c, &[]), c);
-        let stats = refiner.lookup_stats().unwrap();
-        assert_eq!(stats.misses, 1);
+        let (refined, stats) = refine_one_counted(&refiner, c, &n);
+        assert_eq!(refined, c);
+        assert_eq!(stats, LookupStats { hits: 0, misses: 1 });
+        // An empty row is not a lookup.
+        let (refined, stats) = refine_one_counted(&refiner, c, &[]);
+        assert_eq!(refined, c);
+        assert_eq!(stats, LookupStats::default());
     }
 
     #[test]
@@ -453,8 +474,9 @@ mod tests {
     }
 
     /// A batch call over N points must agree bit-for-bit with N one-row
-    /// calls (the parity contract of the batched trait redesign).
-    fn batch_matches_per_point(refiner: &dyn Refiner) {
+    /// calls (the parity contract of the batched trait redesign), and its
+    /// table lookups with theirs summed. Returns the lookups of all batches.
+    fn batch_matches_per_point(refiner: &dyn Refiner) -> LookupStats {
         // Source cloud: points on a jittered grid.
         let source: Vec<Point3> = (0..64)
             .map(|i| {
@@ -465,6 +487,7 @@ mod tests {
         let centers: Vec<Point3> = (0..40)
             .map(|i| source[i] + Point3::new(0.01, -0.02, 0.005))
             .collect();
+        let mut total = LookupStats::default();
         // One batch per neighborhood width, empty rows included.
         for width in 0..=4 {
             let mut hoods = Neighborhoods::new();
@@ -473,14 +496,21 @@ mod tests {
                 *slot = ((s / width.max(1) + s % width.max(1) + 1) % source.len()) as u32;
             }
             let mut batch_out = centers.clone();
-            refiner.refine_batch(&mut batch_out, hoods.view(), &source);
+            let batch_stats = refiner.refine_batch(&mut batch_out, hoods.view(), &source);
+            let mut summed = LookupStats::default();
             for (i, &expected) in batch_out.iter().enumerate() {
                 let neighbors: Vec<Point3> =
                     hoods.row(i).iter().map(|&j| source[j as usize]).collect();
-                let single = refine_one(refiner, centers[i], &neighbors);
+                let (single, stats) = refine_one_counted(refiner, centers[i], &neighbors);
                 assert_eq!(single, expected, "width {width} row {i} diverged");
+                summed.hits += stats.hits;
+                summed.misses += stats.misses;
             }
+            assert_eq!(batch_stats, summed, "width {width}");
+            total.hits += summed.hits;
+            total.misses += summed.misses;
         }
+        total
     }
 
     #[test]
@@ -497,14 +527,29 @@ mod tests {
         let key = enc.encode(Point3::ZERO, &[source]).unwrap().key;
         lut.set(key, [0.1, -0.2, 0.3]).unwrap();
         let refiner = LutRefiner::new(enc, Box::new(lut));
-        batch_matches_per_point(&refiner);
-        let stats = refiner.lookup_stats().unwrap();
+        let stats = batch_matches_per_point(&refiner);
         assert!(stats.hits + stats.misses > 0);
     }
 
     #[test]
     fn nn_batch_parity() {
         let refiner = NnRefiner::new(encoder(), Mlp::new(&[12, 32, 32, 3], 9));
+        batch_matches_per_point(&refiner);
+    }
+
+    #[test]
+    fn iterative_nn_batch_parity() {
+        // GradPU's damped steps: every step re-encodes the moving center.
+        let mut refiner = NnRefiner::new(encoder(), Mlp::new(&[12, 32, 32, 3], 9));
+        refiner.iterations = 3;
+        batch_matches_per_point(&refiner);
+    }
+
+    #[test]
+    fn clamped_nn_batch_parity() {
+        // Yuzu's clamp, tight enough that most offset components hit it.
+        let mut refiner = NnRefiner::new(encoder(), Mlp::new(&[12, 32, 32, 3], 9));
+        refiner.offset_clamp = 0.01;
         batch_matches_per_point(&refiner);
     }
 

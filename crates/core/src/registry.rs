@@ -320,7 +320,7 @@ mod tests {
         let b = private.upsample(&low, 2.0).unwrap();
         assert_eq!(a.cloud, b.cloud, "sharing must be bit-transparent");
         // Some probes actually hit so the parity covers the offset path.
-        let stats = a.lookup_stats.unwrap();
+        let stats = a.lookup_stats;
         assert!(stats.hits + stats.misses > 0);
     }
 

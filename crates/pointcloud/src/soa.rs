@@ -84,7 +84,7 @@ impl Lane {
 /// let mut soa = SoaPositions::default();
 /// soa.fill(&pts);
 /// assert_eq!(soa.len(), 2);
-/// assert_eq!(soa.get(1), pts[1]);
+/// assert_eq!((soa.xs()[1], soa.ys()[1], soa.zs()[1]), (4.0, 5.0, 6.0));
 /// assert!(soa.xs().len() >= soa.len() + 8);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -167,20 +167,6 @@ impl SoaPositions {
         (self.x.blocks.capacity() + self.y.blocks.capacity() + self.z.blocks.capacity())
             * std::mem::size_of::<LaneBlock>()
     }
-
-    /// Reassembles the point at slot `i`.
-    ///
-    /// # Panics
-    /// Panics when `i >= self.len()`.
-    #[inline]
-    pub fn get(&self, i: usize) -> Point3 {
-        assert!(i < self.len, "SoaPositions index out of range: {i}");
-        Point3::new(
-            self.x.as_flat()[i],
-            self.y.as_flat()[i],
-            self.z.as_flat()[i],
-        )
-    }
 }
 
 #[cfg(test)]
@@ -196,7 +182,7 @@ mod tests {
         soa.fill(&pts);
         assert_eq!(soa.len(), 13);
         for (i, &p) in pts.iter().enumerate() {
-            assert_eq!(soa.get(i), p);
+            assert_eq!((soa.xs()[i], soa.ys()[i], soa.zs()[i]), (p.x, p.y, p.z));
         }
         // Padding: at least two full blocks past len, all +inf.
         assert!(soa.xs().len() >= 13 + 2 * LANES);

@@ -72,51 +72,6 @@ pub fn plane(n: usize, width: f32, height: f32, noise: f32, seed: u64) -> PointC
     PointCloud::from_positions_and_colors(positions, colors).expect("lengths match")
 }
 
-/// Samples `n` points on the surface of an axis-aligned box.
-pub fn box_surface(n: usize, extent: Point3, seed: u64) -> PointCloud {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let half = extent * 0.5;
-    let areas = [
-        extent.y * extent.z,
-        extent.y * extent.z,
-        extent.x * extent.z,
-        extent.x * extent.z,
-        extent.x * extent.y,
-        extent.x * extent.y,
-    ];
-    let total: f32 = areas.iter().sum();
-    let mut positions = Vec::with_capacity(n);
-    let mut colors = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut pick = rng.random_range(0.0..total.max(f32::EPSILON));
-        let mut face = 0usize;
-        for (i, a) in areas.iter().enumerate() {
-            if pick < *a {
-                face = i;
-                break;
-            }
-            pick -= a;
-        }
-        let u: f32 = rng.random_range(-1.0..1.0);
-        let v: f32 = rng.random_range(-1.0..1.0);
-        let p = match face {
-            0 => Point3::new(half.x, u * half.y, v * half.z),
-            1 => Point3::new(-half.x, u * half.y, v * half.z),
-            2 => Point3::new(u * half.x, half.y, v * half.z),
-            3 => Point3::new(u * half.x, -half.y, v * half.z),
-            4 => Point3::new(u * half.x, v * half.y, half.z),
-            _ => Point3::new(u * half.x, v * half.y, -half.z),
-        };
-        positions.push(p);
-        colors.push(Color::from_f32([
-            (face as f32 + 1.0) / 6.0,
-            0.5,
-            1.0 - (face as f32) / 6.0,
-        ]));
-    }
-    PointCloud::from_positions_and_colors(positions, colors).expect("lengths match")
-}
-
 /// A crude articulated humanoid built from ellipsoid and cylinder parts.
 ///
 /// `pose_phase` (radians) swings the arms/legs so that a sequence of
@@ -269,22 +224,6 @@ pub fn room_scene(n: usize, phase: f32, seed: u64) -> PointCloud {
     scene.merge(&person_a);
     scene.merge(&person_b);
     scene
-}
-
-/// Uniform random noise inside a cube — worst case for any surface prior.
-pub fn uniform_noise(n: usize, half_extent: f32, seed: u64) -> PointCloud {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let positions = (0..n)
-        .map(|_| {
-            Point3::new(
-                rng.random_range(-half_extent..half_extent),
-                rng.random_range(-half_extent..half_extent),
-                rng.random_range(-half_extent..half_extent),
-            )
-        })
-        .collect::<Vec<_>>();
-    let colors = positions.iter().map(|p| angular_color(*p)).collect();
-    PointCloud::from_positions_and_colors(positions, colors).expect("lengths match")
 }
 
 /// Configuration of a [`DeltaStream`] — the synthetic stand-in for a
@@ -539,10 +478,8 @@ mod tests {
         assert_eq!(sphere(100, 1.0, 1).len(), 100);
         assert_eq!(torus(200, 1.0, 0.3, 1).len(), 200);
         assert_eq!(plane(50, 2.0, 2.0, 0.0, 1).len(), 50);
-        assert_eq!(box_surface(150, Point3::ONE, 1).len(), 150);
         assert_eq!(humanoid(300, 0.0, 1).len(), 300);
         assert_eq!(gaussian_blobs(120, 4, 1.0, 1).len(), 120);
-        assert_eq!(uniform_noise(80, 1.0, 1).len(), 80);
         assert_eq!(room_scene(400, 0.0, 1).len(), 400);
     }
 
@@ -552,10 +489,8 @@ mod tests {
             sphere(100, 1.0, 2),
             torus(100, 1.0, 0.3, 2),
             plane(100, 1.0, 1.0, 0.05, 2),
-            box_surface(100, Point3::new(1.0, 2.0, 3.0), 2),
             humanoid(100, 0.3, 2),
             gaussian_blobs(100, 3, 1.0, 2),
-            uniform_noise(100, 1.0, 2),
             room_scene(100, 0.3, 2),
         ];
         for c in clouds {

@@ -108,7 +108,7 @@ impl SrSession {
     /// The session's spatial index is cached across frames: when the frame
     /// geometry is unchanged (static chunks, repeated frames) the index
     /// (re)build cost is amortized to a content check after frame 1 — see
-    /// [`Self::index_stats`] and the `index_build` stage timing.
+    /// [`Self::temporal_stats`] and the `index_build` stage timing.
     ///
     /// # Errors
     /// Propagates pipeline failures (invalid ratio, insufficient points).
@@ -137,15 +137,9 @@ impl SrSession {
         self.upsample_frame(low, ratio)
     }
 
-    /// Rebuild/reuse counters of the session's cached index, including the
-    /// temporal layer's row-reuse counters and how many of the session's
-    /// batches ran through the dual-tree all-kNN kernel.
-    pub fn index_stats(&self) -> volut_core::interpolate::IndexCacheStats {
-        self.scratch.index_stats()
-    }
-
-    /// Frame- and row-level counters of the temporal (delta-frame) reuse
-    /// layer.
+    /// The session's counters: index rebuilds, reuses and patches,
+    /// dual-tree batches, and the frame-, row- and point-level counters of
+    /// the temporal (delta-frame) reuse layer.
     pub fn temporal_stats(&self) -> volut_core::interpolate::TemporalStats {
         self.scratch.temporal_stats()
     }
@@ -434,7 +428,7 @@ mod tests {
             assert_eq!(r.cloud, first.cloud);
             later_builds += r.timings.index_build;
         }
-        let stats = session.index_stats();
+        let stats = session.temporal_stats();
         assert_eq!(stats.rebuilds, 1, "stats {stats:?}");
         assert_eq!(stats.reuses, 4, "stats {stats:?}");
         // The content check is linear; the rebuild is O(n log n) plus a
@@ -478,7 +472,7 @@ mod tests {
             let r = session.upsample_frame(&frame, 2.0).unwrap();
             assert_eq!(r.cloud, first.cloud);
         }
-        let stats = session.index_stats();
+        let stats = session.temporal_stats();
         // Identical geometry: exactly one index rebuild, every later frame
         // served from the cache...
         assert_eq!(stats.rebuilds, 1, "stats {stats:?}");
@@ -534,16 +528,15 @@ mod tests {
             assert_eq!(a.cloud, b.cloud, "frame {frame_no}: bit-identical");
             stream.advance();
         }
-        let stats = incremental.index_stats();
-        assert!(stats.rows_reused > 0, "stats {stats:?}");
-        assert!(stats.rows_recomputed > 0, "stats {stats:?}");
+        let t = incremental.temporal_stats();
+        assert!(t.rows_reused > 0, "stats {t:?}");
+        assert!(t.rows_recomputed > 0, "stats {t:?}");
         // Frame 1 rebuilds; later frames are patched or (rarely, once the
         // churn budget is crossed) rebuilt — never content-reused, since
         // every frame differs.
-        assert_eq!(stats.reuses, 0, "stats {stats:?}");
-        assert_eq!(stats.rebuilds + stats.patches, 6, "stats {stats:?}");
-        assert!(stats.patches >= 3, "stats {stats:?}");
-        let t = incremental.temporal_stats();
+        assert_eq!(t.reuses, 0, "stats {t:?}");
+        assert_eq!(t.rebuilds + t.patches, 6, "stats {t:?}");
+        assert!(t.patches >= 3, "stats {t:?}");
         assert_eq!(t.incremental_frames, 5, "stats {t:?}");
         assert_eq!(t.full_frames, 1, "stats {t:?}");
         // At 10% spatially-coherent churn, most rows must be copied

@@ -47,15 +47,14 @@ fn live_churned_calibration() -> Result<volut::stream::client::SrComputeModel, v
         Box::new(IdentityRefiner),
     ));
     let measured = session.calibrate_model_churned(&base, 2.0, churn, frames)?;
-    let stats = session.index_stats();
     let t = session.temporal_stats();
     println!(
         "  index: {} rebuilt / {} patched; rows: {} reused / {} recomputed ({:.0}% reused)",
-        stats.rebuilds,
-        stats.patches,
-        stats.rows_reused,
-        stats.rows_recomputed,
-        100.0 * stats.rows_reused as f64 / (stats.rows_reused + stats.rows_recomputed) as f64,
+        t.rebuilds,
+        t.patches,
+        t.rows_reused,
+        t.rows_recomputed,
+        100.0 * t.rows_reused as f64 / (t.rows_reused + t.rows_recomputed) as f64,
     );
     let mut model = volut::stream::client::SrComputeModel::volut_lut();
     println!(

@@ -100,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.cloud.len(),
         quality.psnr_db,
         quality.chamfer,
-        result.lookup_stats.map(|s| s.hit_rate() * 100.0).unwrap_or(0.0)
+        result.lookup_stats.hit_rate() * 100.0
     );
     std::fs::remove_file(&path).ok();
     Ok(())

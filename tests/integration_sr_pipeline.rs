@@ -71,7 +71,7 @@ fn offline_to_online_roundtrip_through_disk() {
     assert_eq!(result.cloud.len(), 2 * low.len());
     assert!(result.cloud.has_colors());
     // The LUT must actually be consulted on in-distribution content.
-    let stats = result.lookup_stats.unwrap();
+    let stats = result.lookup_stats;
     assert!(stats.hits > 0, "expected lut hits, got {stats:?}");
     // Quality: coverage of the ground truth improves versus the received cloud.
     assert!(

@@ -98,7 +98,7 @@ fn steady_state_allocations(pipeline: SrPipeline) -> Vec<FrameAllocations> {
         for frame_no in 0..16 {
             let delta = stream.advance();
             let frame = stream.frame().clone();
-            let rebuilds = session.index_stats().rebuilds;
+            let rebuilds = session.temporal_stats().rebuilds;
             let before = (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get));
             let result = session.upsample_frame_delta(&frame, 2.0, delta).unwrap();
             let after = (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get));
@@ -107,7 +107,7 @@ fn steady_state_allocations(pipeline: SrPipeline) -> Vec<FrameAllocations> {
                 per_frame.push(FrameAllocations {
                     allocations: after.0 - before.0,
                     bytes: after.1 - before.1,
-                    rebuilt: session.index_stats().rebuilds > rebuilds,
+                    rebuilt: session.temporal_stats().rebuilds > rebuilds,
                 });
             }
         }
