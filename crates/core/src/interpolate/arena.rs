@@ -30,8 +30,8 @@
 //!
 //! Nothing in an arena may be trusted across a checkout: it last served an
 //! arbitrary frame of an arbitrary session. Every buffer is cleared before
-//! use, and the one flag a later stage keys off — the join outcome — is
-//! reset when the arena is taken.
+//! use, and no flag lives here: the self-join returns its verdict, and the
+//! plan reads the join's buffers only on that verdict, in the same frame.
 
 use super::temporal::JoinScratch;
 use std::cell::RefCell;
@@ -109,7 +109,6 @@ impl FrameArena {
         let mut arena = idle.unwrap_or_default();
         IDLE_BYTES.fetch_sub(arena.parked_bytes, Ordering::Relaxed);
         arena.parked_bytes = 0;
-        arena.join.reset();
         ArenaLease(Some(arena))
     }
 

@@ -8,7 +8,7 @@
 //!   generated point, against a k-d tree (the paper's spatial structure is
 //!   an octree; on CPU the k-d tree answers the same queries faster and is
 //!   the only index the production path builds). The tree is session state
-//!   (see [`super::IndexCache`]): frames whose geometry is unchanged skip
+//!   (see [`super::temporal`]): frames whose geometry is unchanged skip
 //!   the rebuild entirely, and the queries go through
 //!   `KdTree::knn_batch_with` with the frame arena's scratch — a *self-join*
 //!   of the frame cloud against itself, which the tree answers with the
@@ -171,7 +171,8 @@ fn dilated_frame(
     let mut timings = StageTimings::default();
     let positions = low.positions();
     let n = low.len();
-    let dilated_k = config.dilated_neighborhood();
+    // Self-join row width: the dilated neighborhood plus the self-match.
+    let kq = config.dilated_neighborhood() + 1;
     let mut neighborhoods = arena.take_neighborhoods();
     let mut parents = arena.take_parents();
 
@@ -183,14 +184,14 @@ fn dilated_frame(
     // previous frame instead of recomputed (bit-identical either way — see
     // [`super::temporal`]). Cold frames run the full dual-tree /
     // single-tree batch machinery exactly as before.
-    temporal::self_join(low, dilated_k + 1, session, arena, &mut timings);
+    let reuse = temporal::self_join(low, kq, &mut session.temporal, arena, &mut timings);
 
     // Strip the self-match from each row and cap at the dilated size. Raw
-    // rows are uniform — `min(dilated_k + 1, n)` entries — and a row either
-    // holds its own point or (behind that many lower-indexed duplicates of
-    // it) is cut by the cap, so every stripped row is exactly one shorter:
-    // the output slab is sized up front and filled as range tasks, leaving
-    // no serial pass behind the join.
+    // rows are uniform — `min(kq, n)` entries — and a row either holds its
+    // own point or (behind that many lower-indexed duplicates of it) is cut
+    // by the cap, so every stripped row is exactly one shorter: the output
+    // slab is sized up front and filled as range tasks, leaving no serial
+    // pass behind the join.
     let t0 = Instant::now();
     let raw = arena.raw_hoods.indices();
     let raw_width = arena.raw_hoods.width();
@@ -233,9 +234,9 @@ fn dilated_frame(
     let plan = temporal::plan_outputs(
         &session.temporal,
         &arena.join,
+        reuse,
         config,
         ratio,
-        n,
         refine.map(|r| r.owner),
     );
     let (mode, refined_replayed) = (plan.mode, plan.refined.is_some());
@@ -287,9 +288,7 @@ fn dilated_frame(
     timings.interpolation += setup + t2.elapsed() + tally.generate.elapsed();
     timings.colorization += tally.color.elapsed();
     let t3 = Instant::now();
-    if let Some(r) = refine {
-        temporal::capture_refined(t, r.owner, &points[n..]);
-    }
+    temporal::capture_refined(t, refine.map(|r| r.owner), &points[n..]);
     timings.refinement += tally.refine.elapsed() + t3.elapsed();
 
     let cloud = match colors {

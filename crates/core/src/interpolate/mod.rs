@@ -18,7 +18,8 @@
 //! A frame's memory is split by lifetime. [`FrameScratch`] is **session
 //! state**: what the *next* frame of the same session reads — the cached
 //! spatial index, the previous frame's self-join rows, interpolation outputs
-//! and refined tail, the counters and serials, a pending declared delta.
+//! and refined tail (one record of the previous frame, which every frame
+//! rewrites or clears), the counters, a pending declared delta.
 //! Passing the same scratch to every `upsample` call of a streaming session
 //! is what makes delta frames cost `O(churn)`. Everything a frame clears,
 //! fills and forgets — raw and dilated neighbor lists, the join's row
@@ -40,7 +41,6 @@ use crate::Result;
 pub use arena::FrameArena;
 pub use temporal::TemporalStats;
 use volut_pointcloud::delta::FrameDelta;
-use volut_pointcloud::kdtree::{IndexScratch, KdTree};
 use volut_pointcloud::{runtime, Neighborhoods, Point3, PointCloud};
 
 /// Output of an interpolation pass.
@@ -87,117 +87,10 @@ impl InterpolationResult {
     }
 }
 
-/// Scratch-resident spatial index shared by the interpolation stages of
-/// consecutive frames.
-///
-/// Streaming sessions repeatedly upsample frames whose geometry is often
-/// unchanged (static chunks, paused playback, repeated calibration frames).
-/// The cache keeps the k-d tree built for the previous frame and revalidates
-/// it per frame by content: the cached tree's own point copy is compared
-/// against the frame positions (a linear memcmp-speed scan, two orders of
-/// magnitude cheaper than the O(n log n) rebuild it avoids).
-///
-/// A hit skips both the `positions().to_vec()` clone and the rebuild. The
-/// content check is two-tier: a memoized 64-bit
-/// geometry digest ([`PointCloud::geometry_digest`]) is compared first, so
-/// mismatched frames short-circuit without scanning the cloud, and only a
-/// digest match pays the element-wise verify (which also guards against
-/// digest collisions). A miss either rebuilds in place via
-/// [`KdTree::build_in`] or — when the temporal layer hands it a frame delta
-/// — incrementally patches the tree via [`KdTree::patch`], with a full
-/// rebuild forced once cumulative patched churn crosses
-/// [`PATCH_REBUILD_FRACTION`] of the cloud (stale split planes and bloated
-/// node boxes degrade query time, and an occasional rebuild is cheaper than
-/// slowly losing the tree's quality).
-#[derive(Debug, Default)]
-pub struct IndexCache {
-    tree: KdTree,
-    built: bool,
-    built_digest: u64,
-    /// Cumulative churn absorbed by patches since the last full build.
-    patched_churn: usize,
-    /// Bumped whenever the indexed points change (rebuild or patch), so the
-    /// temporal layer can tell whether the tree still holds the frame its
-    /// cached rows were joined against.
-    version: u64,
-}
-
 /// Cumulative patched churn (fraction of the cloud) that forces the next
-/// delta frame onto a full rebuild instead of another patch.
+/// delta frame onto a full rebuild of the session's k-d tree instead of
+/// another patch.
 pub const PATCH_REBUILD_FRACTION: f64 = 0.5;
-
-impl IndexCache {
-    /// `true` when the cached tree already indexes `positions`, by
-    /// digest-then-content comparison.
-    pub(crate) fn is_fresh(&self, positions: &[Point3], digest: u64) -> bool {
-        self.built && self.built_digest == digest && self.tree.points() == positions
-    }
-
-    /// Identifies the current content of the tree (see the field docs).
-    pub(crate) fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// `true` when the tree is live and unchanged since `version`.
-    pub(crate) fn holds(&self, version: u64) -> bool {
-        self.built && self.version == version
-    }
-
-    /// Rebuilds the index over `positions` in place.
-    pub(crate) fn rebuild(
-        &mut self,
-        positions: &[Point3],
-        digest: u64,
-        scratch: &mut IndexScratch,
-    ) {
-        self.tree.build_in(positions, scratch);
-        self.built = true;
-        self.built_digest = digest;
-        self.patched_churn = 0;
-        self.version += 1;
-    }
-
-    /// Incrementally patches the cached index for a frame delta, falling
-    /// back to a full rebuild when the cache is cold, the delta's old side
-    /// does not match the indexed cloud, or cumulative patched churn
-    /// crosses [`PATCH_REBUILD_FRACTION`]; `true` when it patched. The
-    /// caller guarantees `delta` describes the change from the indexed
-    /// points to `positions`.
-    pub(crate) fn patch(
-        &mut self,
-        positions: &[Point3],
-        digest: u64,
-        delta: &FrameDelta,
-        scratch: &mut IndexScratch,
-    ) -> bool {
-        if !self.built || self.tree.points().len() != delta.old_len() {
-            self.rebuild(positions, digest, scratch);
-            return false;
-        }
-        self.patched_churn += delta.removed().len().max(delta.inserted().len());
-        let budget = (positions.len().max(1) as f64 * PATCH_REBUILD_FRACTION) as usize;
-        if self.patched_churn > budget {
-            self.rebuild(positions, digest, scratch);
-            return false;
-        }
-        self.tree.patch_with(delta, positions, scratch);
-        self.built_digest = digest;
-        self.version += 1;
-        true
-    }
-
-    /// The cached tree. Only meaningful after a `reuse`/`rebuild`/`patch`
-    /// established it for the current frame.
-    pub(crate) fn cached_tree(&self) -> &KdTree {
-        debug_assert!(self.built, "cached_tree before any build");
-        &self.tree
-    }
-
-    /// Drops the cached index (the next frame rebuilds unconditionally).
-    pub fn invalidate(&mut self) {
-        self.built = false;
-    }
-}
 
 /// Bytes of cross-frame state a session holds, by component (capacities,
 /// not lengths — what the allocator was asked for).
@@ -228,18 +121,16 @@ impl SessionStateBytes {
 /// mostly repeats. A `FrameScratch` owned by the session (see
 /// `volut_stream::client::SrSession`) is threaded through
 /// [`crate::SrPipeline::upsample_with`] and carries exactly what the next
-/// frame reads: the spatial index ([`IndexCache`]), the previous frame's
-/// self-join rows, interpolation outputs and refined tail ([`temporal`]),
+/// frame reads: one record of the previous frame — its spatial index,
+/// self-join rows, interpolation outputs and refined tail ([`temporal`]) —
 /// the reuse counters, and a declared delta waiting for its frame. It owns
 /// no buffer that a frame clears before use — those live on the
 /// [`FrameArena`] a frame checks out — so its footprint is what a resident
 /// tenant costs between frames.
 #[derive(Debug, Default)]
 pub struct FrameScratch {
-    /// Cached spatial index, revalidated per frame.
-    pub(crate) index: IndexCache,
-    /// The previous frame's self-join rows and downstream outputs — the
-    /// temporal-coherence layer that turns delta frames into `O(churn)`
+    /// The previous frame's index, self-join rows and downstream outputs —
+    /// the temporal-coherence layer that turns delta frames into `O(churn)`
     /// work (see [`temporal`]).
     pub(crate) temporal: temporal::TemporalCache,
 }
@@ -274,17 +165,15 @@ impl FrameScratch {
         self.temporal.pending_delta = Some(delta);
     }
 
-    /// Flushes every cross-frame cache: the temporal layer (cached rows,
-    /// interpolation outputs, refined tail, any pending delta) and the
-    /// spatial-index cache, together. The next frame recomputes cold, so
-    /// its output depends only on that frame's bits — the resync primitive
-    /// of fault-tolerant streaming sessions whose cached state may no
+    /// Flushes the record of the previous frame — its spatial index, cached
+    /// rows, interpolation outputs and refined tail — and any pending delta,
+    /// together. The next frame recomputes cold, so its output depends only
+    /// on that frame's bits — the resync primitive of fault-tolerant streaming sessions whose cached state may no
     /// longer describe a frame that was actually processed (see the
     /// cache-flush invariants in [`temporal`]'s module docs). Buffers keep
     /// their capacity; incremental reuse re-arms on the following frame.
     pub fn flush_temporal(&mut self) {
-        self.temporal.invalidate();
-        self.index.invalidate();
+        self.temporal.clear();
     }
 
     /// Why the most recent externally supplied frame delta
@@ -299,12 +188,7 @@ impl FrameScratch {
 
     /// Capacity (bytes) reserved by the session state, by component.
     pub fn state_bytes(&self) -> SessionStateBytes {
-        SessionStateBytes {
-            index: self.index.tree.reserved_bytes(),
-            rows: self.temporal.rows_bytes(),
-            outputs: self.temporal.outputs_bytes(),
-            refined: self.temporal.refined_bytes(),
-        }
+        self.temporal.state_bytes()
     }
 
     /// Capacity (bytes) reserved by the session state — everything this

@@ -17,26 +17,35 @@
 //! The layer's memory is split by lifetime (see *session state vs frame
 //! arena* in the [parent module](super)):
 //!
-//! * **Session state** (`TemporalCache`, on [`FrameScratch`]) is what the
-//!   *next* frame reads: the self-join rows, the interpolation outputs
-//!   (`OutputCache`), the refined tail (`RefinedCache`), the digest and
-//!   serials that correlate them, the counters, and a declared delta
-//!   waiting for its frame. The previous frame's *positions* are not
-//!   duplicated here — while the rows are usable the session's index tree
-//!   still holds exactly those points (`IndexCache::version` says so), and
-//!   the diff/verify pass reads them from the tree **before** patching it.
+//! * **Session state** (`TemporalCache`, on [`FrameScratch`]) is one record
+//!   of the previous frame, which the *next* frame reads: the k-d tree over
+//!   its points (the session's spatial index, the old side of every delta
+//!   and the identity check's reference — its positions are kept nowhere
+//!   else), its digest, its self-join rows, its interpolation outputs
+//!   (`OutputCache`) and its refined tail (`RefinedCache`); beside the
+//!   record sit the counters and a declared delta waiting for its frame.
+//!   One rule keeps the record coherent: **every frame rewrites or clears
+//!   every part of it before it returns.** Every path of `self_join`
+//!   leaves the tree holding the frame and recaptures or drops the rows;
+//!   the frame pass then captures or drops the outputs, and refreshes the
+//!   refined tail — or, in a frame that does not refine, drops it. So each
+//!   part describes the frame before the current one, or is empty, and none
+//!   needs a serial or a version to say so. Only the outputs' key (config
+//!   and ratio) and the refined tail's owner (the pipeline id) are checked,
+//!   because pipelines and ratios do alternate on one session.
 //! * **Frame transients** (`JoinScratch`, on the [`FrameArena`]) are
 //!   written and consumed inside one frame: the removed-neighbor bitmap,
 //!   the kd-tree over inserted points, the recompute list and its fresh
 //!   rows, and the old→new map and per-row verdicts `plan_outputs` reads.
 //!   An arena serves whatever session's frame its worker runs next, so
-//!   nothing here is trusted across a checkout: the join outcome is reset
-//!   when an arena is taken, and every list is cleared before it is filled.
-//!   The plan itself (`FramePlan`) is a view that borrows these and the
-//!   session's caches for the one frame that computed it. A frame nested
-//!   inside another on the same thread (caller code may start one from
-//!   inside a frame) holds a different arena — the re-entrancy rule of
-//!   [`super::arena`].
+//!   nothing here is trusted across a checkout: every list is cleared
+//!   before it is filled, and the join's verdict (`Reuse`) is not stored
+//!   at all — `self_join` returns it, and `plan_outputs` reads the join's
+//!   buffers only on that verdict, in the same frame. The plan itself
+//!   (`FramePlan`) is a view that borrows these and the session's record
+//!   for the one frame that computed it. A frame nested inside another on
+//!   the same thread (caller code may start one from inside a frame) holds a
+//!   different arena — the re-entrancy rule of [`super::arena`].
 //!
 //! # The invalidation rule
 //!
@@ -76,10 +85,9 @@
 //!
 //! The engine falls back to the untouched full-recompute path whenever the
 //! cache cannot help: the first frame of a session, a changed `k`, clouds
-//! smaller than `k` (every row holds the whole cloud), an index that no
-//! longer holds the frame the rows were captured on (a flush in between),
-//! survivor fractions below [`MIN_SURVIVOR_FRACTION`] (at 100% churn the
-//! only cost over the cold path is the failed diff — one linear pass). A
+//! smaller than `k` (every row holds the whole cloud), survivor fractions
+//! below [`MIN_SURVIVOR_FRACTION`] (at 100% churn the only cost over the
+//! cold path is the failed diff — one linear pass). A
 //! session flushed before a frame ([`FrameScratch::flush_temporal`]) takes
 //! that path too, which is how the tests build their cold oracle.
 //!
@@ -93,9 +101,9 @@
 //! work to rebuild: each generated point's partner (the draw) and its
 //! merged-and-pruned neighborhood (`OutputCache`), and the refined tail (a
 //! LUT probe per point, `RefinedCache`). `plan_outputs` decides per frame
-//! how much of them may apply (`PlanMode`), and the frame pass asks the
-//! resulting `FramePlan` about each row as it reaches it
-//! (`FramePlan::source`): a row's outputs copy forward when the row itself
+//! how much of them may apply (the join's `Reuse` verdict, or `Cold`),
+//! and the frame pass asks the resulting `FramePlan` about each row as it
+//! reaches it (`FramePlan::source`): a row's outputs copy forward when the row itself
 //! and every cached partner's row were copied forward by the join (the
 //! generated neighborhoods are derived from the parents' rows, so
 //! parent-row validity covers them). Such a row's outputs are then
@@ -114,24 +122,25 @@
 //!   neighborhood head's color, so the pass recolors every point it
 //!   writes, and a survivor that changed color (or a frame that drops or
 //!   restores colors) needs no check;
-//! * its refined position is the cached one when the refined tail belongs
-//!   to the pipeline refining this frame (by id) and to the frame the
-//!   outputs come from; otherwise the point is refined like a fresh one.
+//! * its refined position is the cached one when the previous frame was
+//!   refined, by the pipeline refining this one (by id); otherwise the
+//!   point is refined like a fresh one.
 //!
 //! Every other row is drawn, merged, colored and refined fresh in the same
 //! pass. A cached frame has more points than its self-join row, so every
 //! self-join row is `kq` wide and every generated neighborhood exactly `k`:
 //! both caches are flat arrays with a fixed stride, and a capture that does
-//! not fit that shape invalidates the cache instead. The captures run after
+//! not fit that shape drops the cache instead. The captures run after
 //! the pass, as copies into the session's one buffer of each kind.
 //!
 //! The interpolator draws partners from an RNG seeded by the *source
 //! point's position bits* (`super::row_seed`), so a copied-forward row
 //! replays the identical draw sequence under its new index and reuse stays
-//! bit-identical to a cold recompute. Staleness is guarded by a
-//! per-`self_join` serial: outputs and refined tail must have been captured
-//! by the join immediately preceding the current one, otherwise the plan
-//! degrades to a cold recompute (never to wrong output).
+//! bit-identical to a cold recompute. Stale outputs cannot reach a frame:
+//! the record holds only what the frame before wrote (see *What survives a
+//! frame*), and the plan starts from the verdict this frame's join
+//! returned, lowered to a cold recompute when the outputs were generated
+//! under another config or ratio (never to wrong output).
 //!
 //! # Every pass on every worker
 //!
@@ -176,20 +185,22 @@
 //!
 //! # Cache-flush invariants
 //!
-//! The caches are only ever *consulted* after re-validation against the
+//! The record is only ever *consulted* after re-validation against the
 //! current frame (digest + bitwise position compare, or a verified /
 //! re-diffed [`FrameDelta`]), so a stale entry can cost time but never
-//! correctness — **provided the cached state actually describes a frame the
+//! correctness — **provided the record actually describes a frame the
 //! session once processed**. A transport layer that feeds the session
 //! reconstructed geometry (delta streaming with loss recovery) must uphold
 //! that provenance; when it cannot — a gap it could not splice, a checksum
 //! mismatch, any doubt about what the previous frame really was — it flushes
-//! via [`FrameScratch::flush_temporal`], which drops the temporal cache
-//! (rows, outputs, refined tail, any pending delta) *and* the spatial index
-//! cache together. The two must fall together: the index tree *is* the
-//! cached frame's positions (the old side of every delta), so a flushed
-//! temporal cache with a live index (or vice versa) would re-correlate
-//! state across the discontinuity. After a flush the next frame takes the cold full-recompute
+//! via [`FrameScratch::flush_temporal`], which clears the whole record (the
+//! tree, rows, outputs and refined tail) and any pending delta. Its parts
+//! fall together because they are one record: the tree *is* the previous
+//! frame's positions (the old side of every delta), so rows or outputs that
+//! outlived it would re-correlate state across the discontinuity. A frame
+//! that unwinds (a panicking refiner) returns before the rule above is
+//! met, so a caller that catches the panic and keeps the session flushes it
+//! first. After a flush the next frame takes the cold full-recompute
 //! path, whose output depends only on that frame's bits (the interpolator
 //! seeds per-row RNG from position bits, `super::row_seed`) — which is what
 //! makes post-resync output bit-identical to a never-faulted session.
@@ -203,7 +214,7 @@
 //! [`FrameArena`]: super::FrameArena
 
 use super::arena::FrameArena;
-use super::{run_jobs, take_front, FrameScratch, PointSplit};
+use super::{run_jobs, take_front, PointSplit, SessionStateBytes, PATCH_REBUILD_FRACTION};
 use crate::config::SrConfig;
 use crate::pipeline::StageTimings;
 use std::ops::Range;
@@ -278,17 +289,19 @@ pub struct TemporalStats {
     pub refined_points_recomputed: u64,
 }
 
-/// How [`self_join`] answered the current frame — the anchor for every
-/// downstream reuse decision of the same frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum JoinOutcome {
+/// How a frame reuses the previous one: the verdict [`self_join`] returns,
+/// which [`plan_outputs`] may lower to `Cold` for the frame's outputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reuse {
     /// Full recompute: nothing about the previous frame applies.
-    #[default]
     Cold,
-    /// The frame is bitwise identical to the cached one.
+    /// The frame is bitwise identical to the previous one: every row and
+    /// output copies forward wholesale.
     Identical,
-    /// The frame was answered through the incremental row machinery;
-    /// `old_to_new_buf` / `row_valid` describe the old→new relation.
+    /// The frame was answered through the incremental row machinery; the
+    /// join's `old_to_new` / `row_valid` / `row_src` describe the old→new
+    /// relation, and a row copied forward whose cached partners' rows were
+    /// copied forward too reuses its cached outputs.
     Incremental,
 }
 
@@ -308,10 +321,8 @@ struct OutputKey {
 /// refilled per capture (capacity is monotone).
 #[derive(Debug, Default)]
 pub(crate) struct OutputCache {
-    valid: bool,
-    /// `join_serial` of the frame that captured these outputs; a plan only
-    /// trusts them when that was the join immediately before the current one.
-    serial: u64,
+    /// Config and ratio the outputs were generated under; `None` when the
+    /// previous frame left no outputs to reuse.
     key: Option<OutputKey>,
     /// Source points of the captured frame.
     sources: usize,
@@ -326,25 +337,10 @@ pub(crate) struct OutputCache {
 /// The previous frame's refined tail, owned by the pipeline that produced it.
 #[derive(Debug, Default)]
 pub(crate) struct RefinedCache {
-    valid: bool,
-    /// Id of the [`crate::SrPipeline`] that refined it (refiners differ).
-    owner: u64,
-    /// `join_serial` of the frame whose tail this is.
-    serial: u64,
+    /// Id of the [`crate::SrPipeline`] that refined it (refiners differ);
+    /// `None` when the previous frame was not refined.
+    owner: Option<u64>,
     points: Vec<Point3>,
-}
-
-/// How much of the cached outputs the current frame may copy forward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum PlanMode {
-    /// Recompute everything (no cache, staleness, key mismatch, heavy churn).
-    #[default]
-    Cold,
-    /// The frame equals the cached one: every output copies forward wholesale.
-    Identical,
-    /// Per row: a row copied forward by the join whose cached partners' rows
-    /// were copied forward too reuses its cached outputs.
-    Incremental,
 }
 
 /// The current frame's view of the previous frame's outputs, from
@@ -355,7 +351,7 @@ pub(crate) enum PlanMode {
 /// frame.
 #[derive(Debug)]
 pub(crate) struct FramePlan<'a> {
-    pub(crate) mode: PlanMode,
+    pub(crate) mode: Reuse,
     outputs: &'a OutputCache,
     /// The cached frame's tail split (`sources` points at the key's ratio).
     split: PointSplit,
@@ -379,9 +375,9 @@ impl FramePlan<'_> {
     /// the generated neighborhoods derive from the parents' rows.
     pub(crate) fn source(&self, r: usize, count: usize) -> Option<usize> {
         let src = match self.mode {
-            PlanMode::Cold => return None,
-            PlanMode::Identical => return Some(self.split.offset(r)),
-            PlanMode::Incremental => match self.copied_from[r] {
+            Reuse::Cold => return None,
+            Reuse::Identical => return Some(self.split.offset(r)),
+            Reuse::Incremental => match self.copied_from[r] {
                 u32::MAX => return None,
                 src => src as usize,
             },
@@ -399,7 +395,7 @@ impl FramePlan<'_> {
     /// rows cluster where the churn was). Zero when no row copies forward.
     pub(crate) fn recomputed_rows(&self, rows: Range<usize>) -> usize {
         match self.mode {
-            PlanMode::Incremental => self.copied_from[rows]
+            Reuse::Incremental => self.copied_from[rows]
                 .iter()
                 .filter(|&&src| src == u32::MAX)
                 .count(),
@@ -423,7 +419,7 @@ impl FramePlan<'_> {
 
     fn remap(&self, j: u32) -> u32 {
         match self.mode {
-            PlanMode::Incremental => self.old_to_new[j as usize],
+            Reuse::Incremental => self.old_to_new[j as usize],
             _ => j,
         }
     }
@@ -434,8 +430,6 @@ impl FramePlan<'_> {
 /// Frame-scoped: it lives on the [`FrameArena`].
 #[derive(Debug, Default)]
 pub(crate) struct JoinScratch {
-    /// How the current frame's self-join was answered.
-    outcome: JoinOutcome,
     /// Removed-id membership bitmap over old indices.
     removed_mark: Vec<bool>,
     /// Gathered positions of the inserted points.
@@ -463,11 +457,6 @@ pub(crate) struct JoinScratch {
 }
 
 impl JoinScratch {
-    /// Forgets whatever frame last joined with these buffers.
-    pub(crate) fn reset(&mut self) {
-        self.outcome = JoinOutcome::Cold;
-    }
-
     pub(crate) fn reserved_bytes(&self) -> usize {
         (self.insert_positions.capacity() + self.queries.capacity()) * std::mem::size_of::<Point3>()
             + self.removed_mark.capacity()
@@ -487,24 +476,26 @@ impl JoinScratch {
     }
 }
 
-/// The previous frame's self-join rows and downstream outputs — the
-/// cross-frame half of the temporal layer, owned by [`FrameScratch`]. The
-/// previous frame's *positions* are not kept here: whenever the rows are
-/// usable the session's index tree still holds them (`index_version`
-/// records which build or patch of the tree the rows belong to).
+/// One record of the previous frame — the cross-frame half of the temporal
+/// layer, owned by [`FrameScratch`]: the k-d tree over its points, its
+/// digest, its self-join rows, interpolation outputs and refined tail. Every
+/// frame rewrites or clears every part of it before it returns (see *What
+/// survives a frame* in the module docs), so each part describes the frame
+/// before the current one, or is empty.
 #[derive(Debug, Default)]
 pub(crate) struct TemporalCache {
-    /// `true` when `rows` describe the last processed frame.
-    valid: bool,
+    /// k-d tree over the previous frame's points: the session's spatial
+    /// index, the old side of every delta and the identity check's
+    /// reference.
+    tree: KdTree,
+    /// Geometry digest of the frame the tree holds; `None` when it holds
+    /// none (a new or flushed session).
+    digest: Option<u64>,
+    /// Cumulative churn absorbed by patches since the last full build.
+    patched_churn: usize,
     /// Row stride of the cached self-join (the dilated neighborhood plus the
-    /// self-match); a changed stride invalidates the cache.
-    kq: usize,
-    /// Geometry digest of the cached frame (first-pass identity check).
-    digest: u64,
-    /// [`IndexCache::version`](super::IndexCache) of the tree when the rows
-    /// were captured: while it still matches, the tree's points *are* the
-    /// cached frame (the delta's old side, the identity check's reference).
-    index_version: u64,
+    /// self-match); `None` when no rows are cached.
+    kq: Option<usize>,
     /// The cached raw self-join rows, flat: `kq` entries per point (a cached
     /// frame has more than `kq` points, so every row is full), ascending
     /// `(distance, index)` within each row.
@@ -518,9 +509,6 @@ pub(crate) struct TemporalCache {
     /// frame whose delta it did not trust.
     pub(crate) last_delta_error: Option<DeltaError>,
     pub(crate) stats: TemporalStats,
-    /// Bumped at every [`self_join`]; correlates the caches with the frame
-    /// they were captured on.
-    join_serial: u64,
     /// The previous frame's interpolation outputs.
     outputs: OutputCache,
     /// The previous frame's refined tail.
@@ -528,29 +516,65 @@ pub(crate) struct TemporalCache {
 }
 
 impl TemporalCache {
-    /// Drops the cached frame and every downstream output cache (the next
-    /// frame recomputes in full).
-    pub(crate) fn invalidate(&mut self) {
-        self.valid = false;
+    /// Drops the whole record and any pending delta (the next frame
+    /// recomputes cold); buffers keep their capacity.
+    pub(crate) fn clear(&mut self) {
+        self.digest = None;
+        self.kq = None;
+        self.outputs.key = None;
+        self.refined.owner = None;
         self.pending_delta = None;
-        self.outputs.valid = false;
-        self.refined.valid = false;
     }
 
-    /// Capacity (bytes) reserved by the cached self-join rows.
-    pub(crate) fn rows_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<u32>()
+    /// `true` when the tree already indexes `positions`, by digest-then-
+    /// content comparison: a mismatched digest short-circuits without
+    /// scanning the cloud, and a match pays the element-wise verify (which
+    /// also guards against digest collisions).
+    fn is_fresh(&self, positions: &[Point3], digest: u64) -> bool {
+        self.digest == Some(digest) && self.tree.points() == positions
     }
 
-    /// Capacity (bytes) reserved by the cached interpolation outputs.
-    pub(crate) fn outputs_bytes(&self) -> usize {
-        (self.outputs.partner.capacity() + self.outputs.hoods.capacity())
-            * std::mem::size_of::<u32>()
+    /// Rebuilds the tree over `positions` in place.
+    fn rebuild(&mut self, positions: &[Point3], digest: u64, scratch: &mut IndexScratch) {
+        self.tree.build_in(positions, scratch);
+        self.digest = Some(digest);
+        self.patched_churn = 0;
     }
 
-    /// Capacity (bytes) reserved by the cached refined tail.
-    pub(crate) fn refined_bytes(&self) -> usize {
-        self.refined.points.capacity() * std::mem::size_of::<Point3>()
+    /// Incrementally patches the tree for `delta` (from the indexed points
+    /// to `positions`), falling back to a full rebuild once cumulative
+    /// patched churn crosses [`PATCH_REBUILD_FRACTION`] of the cloud (stale
+    /// split planes and bloated node boxes degrade query time, and an
+    /// occasional rebuild is cheaper than slowly losing the tree's quality);
+    /// `true` when it patched.
+    fn patch(
+        &mut self,
+        positions: &[Point3],
+        digest: u64,
+        delta: &FrameDelta,
+        scratch: &mut IndexScratch,
+    ) -> bool {
+        debug_assert_eq!(self.tree.points().len(), delta.old_len());
+        self.patched_churn += delta.removed().len().max(delta.inserted().len());
+        let budget = (positions.len().max(1) as f64 * PATCH_REBUILD_FRACTION) as usize;
+        if self.patched_churn > budget {
+            self.rebuild(positions, digest, scratch);
+            return false;
+        }
+        self.tree.patch_with(delta, positions, scratch);
+        self.digest = Some(digest);
+        true
+    }
+
+    /// Capacity (bytes) reserved by the record, by component.
+    pub(crate) fn state_bytes(&self) -> SessionStateBytes {
+        SessionStateBytes {
+            index: self.tree.reserved_bytes(),
+            rows: self.rows.capacity() * std::mem::size_of::<u32>(),
+            outputs: (self.outputs.partner.capacity() + self.outputs.hoods.capacity())
+                * std::mem::size_of::<u32>(),
+            refined: self.refined.points.capacity() * std::mem::size_of::<Point3>(),
+        }
     }
 }
 
@@ -558,16 +582,17 @@ impl TemporalCache {
 /// with one `kq`-wide row per point of `low`, bit-identical to
 /// [`KdTree::knn_batch_with`] over a fresh index, while reusing the session's
 /// spatial index and — when the previous frame is coherent with this one —
-/// the previous frame's rows. Updates `timings.index_build` (index
-/// validation, patch or rebuild) and `timings.knn` (diff, invalidation,
-/// copy-forward and recompute).
+/// the previous frame's rows. Every path leaves the tree holding `low` and
+/// the rows recaptured (or dropped), and returns how it answered the frame.
+/// Updates `timings.index_build` (index validation, patch or rebuild) and
+/// `timings.knn` (diff, invalidation, copy-forward and recompute).
 pub(crate) fn self_join(
     low: &PointCloud,
     kq: usize,
-    scratch: &mut FrameScratch,
+    t: &mut TemporalCache,
     arena: &mut FrameArena,
     timings: &mut StageTimings,
-) {
+) -> Reuse {
     let FrameArena {
         raw_hoods: out,
         knn,
@@ -579,47 +604,37 @@ pub(crate) fn self_join(
     let positions = low.positions();
     let n = positions.len();
     let digest = low.geometry_digest();
-    let FrameScratch {
-        index, temporal: t, ..
-    } = scratch;
     let pending = t.pending_delta.take();
     if pending.is_some() {
         // A fresh external delta resets the rejection record; a rejection
         // below re-arms it for the streaming layer to inspect.
         t.last_delta_error = None;
     }
-    t.join_serial += 1;
-    join.outcome = JoinOutcome::Cold;
 
-    // Eligibility of the cached rows (not yet of this specific frame). They
-    // are only usable while the tree they were joined against is still the
-    // session's index — its points are then the cached frame, which is what
-    // the identity check and the delta's old side read below. Anything that
-    // dropped or re-indexed the tree in between sends this frame down the
-    // cold path.
-    let cache_ready = t.valid && t.kq == kq && index.holds(t.index_version) && n > kq;
+    // Eligibility of the cached rows (not yet of this specific frame). The
+    // frame that captured them left the tree holding its points, so they
+    // are the identity check's and the delta's old side below.
+    let cache_ready = t.kq == Some(kq) && n > kq;
 
     // --- Unchanged frame: cached index, and (when available) every cached
     // row reused wholesale.
     let t0 = Instant::now();
-    if index.is_fresh(positions, digest) {
+    if t.is_fresh(positions, digest) {
         t.stats.reuses += 1;
         timings.index_build += t0.elapsed();
         let t1 = Instant::now();
-        if cache_ready && t.digest == digest && index.cached_tree().points() == positions {
-            let slab = out.push_rows(n, kq);
-            slab.copy_from_slice(&t.rows);
+        if cache_ready {
+            out.push_rows(n, kq).copy_from_slice(&t.rows);
             t.stats.rows_reused += n as u64;
             t.stats.incremental_frames += 1;
-            join.outcome = JoinOutcome::Identical;
             timings.knn += t1.elapsed();
-            return;
+            return Reuse::Identical;
         }
-        index.cached_tree().knn_batch_with(positions, kq, out, knn);
+        t.tree.knn_batch_with(positions, kq, out, knn);
         timings.knn += t1.elapsed();
-        capture(t, index.version(), positions.len(), digest, kq, out);
+        capture(t, kq, out);
         t.stats.full_frames += 1;
-        return;
+        return Reuse::Cold;
     }
     timings.index_build += t0.elapsed();
 
@@ -629,7 +644,7 @@ pub(crate) fn self_join(
     // diff walk on top of the cold path it then takes.
     let t1 = Instant::now();
     let delta = if cache_ready {
-        let old = index.cached_tree().points();
+        let old = t.tree.points();
         let min_survivors = (old.len().max(n) as f64 * MIN_SURVIVOR_FRACTION).ceil() as usize;
         let external = pending.and_then(|d| match d.verify(old, positions) {
             Ok(()) => Some(d),
@@ -654,19 +669,19 @@ pub(crate) fn self_join(
     let Some(delta) = delta else {
         // The untouched cold path: full rebuild, full sweep.
         let t2 = Instant::now();
-        index.rebuild(positions, digest, index_scratch);
+        t.rebuild(positions, digest, index_scratch);
         t.stats.rebuilds += 1;
         timings.index_build += t2.elapsed();
         let t3 = Instant::now();
-        index.cached_tree().knn_batch_with(positions, kq, out, knn);
+        t.tree.knn_batch_with(positions, kq, out, knn);
         timings.knn += t3.elapsed();
-        capture(t, index.version(), positions.len(), digest, kq, out);
+        capture(t, kq, out);
         t.stats.full_frames += 1;
-        return;
+        return Reuse::Cold;
     };
 
     let t2 = Instant::now();
-    if index.patch(positions, digest, &delta, index_scratch) {
+    if t.patch(positions, digest, &delta, index_scratch) {
         t.stats.patches += 1;
     } else {
         t.stats.rebuilds += 1;
@@ -674,30 +689,19 @@ pub(crate) fn self_join(
     timings.index_build += t2.elapsed();
 
     let t3 = Instant::now();
-    incremental_rows(
-        index.cached_tree(),
-        t,
-        join,
-        knn,
-        index_scratch,
-        positions,
-        kq,
-        &delta,
-        out,
-    );
+    incremental_rows(t, join, knn, index_scratch, positions, kq, &delta, out);
     timings.knn += t3.elapsed();
-    capture(t, index.version(), positions.len(), digest, kq, out);
+    capture(t, kq, out);
     t.stats.incremental_frames += 1;
-    join.outcome = JoinOutcome::Incremental;
+    Reuse::Incremental
 }
 
 /// Produces the new frame's rows from the cached ones: copy-forward with
 /// index remap for rows the churn cannot affect, a bichromatic batch
-/// recompute against `tree` (the already patched index over `positions`)
+/// recompute against the session's tree (already patched to `positions`)
 /// for the rest (see the module docs for the invalidation rule).
 #[allow(clippy::too_many_arguments)]
 fn incremental_rows(
-    tree: &KdTree,
     t: &mut TemporalCache,
     join: &mut JoinScratch,
     knn: &mut DualTreeScratch,
@@ -825,52 +829,41 @@ fn incremental_rows(
     queries.clear();
     queries.extend(recompute.iter().map(|&i| positions[i as usize]));
     fresh_rows.clear();
-    tree.knn_batch_with(queries, kq, fresh_rows, knn);
+    t.tree.knn_batch_with(queries, kq, fresh_rows, knn);
     for (r, &new_i) in recompute.iter().enumerate() {
         let src = fresh_rows.row(r);
         slab[new_i as usize * kq..(new_i as usize + 1) * kq].copy_from_slice(src);
     }
 }
 
-/// Snapshots this frame's rows as the next frame's reuse source, tagged
-/// with the index version they were joined against. Frames the cache cannot
-/// describe (tiny clouds whose rows are shorter than `kq`) invalidate it
-/// instead.
-fn capture(
-    t: &mut TemporalCache,
-    index_version: u64,
-    n: usize,
-    digest: u64,
-    kq: usize,
-    out: &Neighborhoods,
-) {
-    if kq == 0 || n <= kq {
-        t.valid = false;
+/// Snapshots this frame's rows as the next frame's reuse source. Frames the
+/// cache cannot describe (tiny clouds whose rows are shorter than `kq`)
+/// drop the cached rows instead.
+fn capture(t: &mut TemporalCache, kq: usize, out: &Neighborhoods) {
+    let n = out.len();
+    t.rows.clear();
+    if n <= kq {
+        t.kq = None;
         return;
     }
-    debug_assert_eq!(out.len(), n);
     debug_assert_eq!(out.total_indices(), n * kq);
-    t.kq = kq;
-    t.digest = digest;
-    t.index_version = index_version;
-    t.rows.clear();
+    t.kq = Some(kq);
     t.rows.extend_from_slice(out.indices());
-    t.valid = true;
 }
 
 /// How much of the cached outputs the current frame may copy forward, as
-/// the view the frame pass reads them through. Must run directly after the
-/// frame's [`self_join`] on the same arena (it keys off the join outcome and
-/// the row verdicts that join left in `join`). `n` is the frame's point
-/// count; `owner` the id of the pipeline that refines this frame, if one
-/// does. Any doubt degrades the plan to `Cold` — wrong reuse is never an
-/// outcome, only missed reuse.
+/// the view the frame pass reads them through. `reuse` is the verdict of
+/// the frame's [`self_join`], which left its row verdicts in `join`; it is
+/// lowered to `Cold` when the previous frame's outputs were generated under
+/// another config or ratio, or not kept. `owner` is the id of the pipeline
+/// that refines this frame, if one does. Any doubt degrades the plan to
+/// `Cold` — wrong reuse is never an outcome, only missed reuse.
 pub(crate) fn plan_outputs<'a>(
     t: &'a TemporalCache,
     join: &'a JoinScratch,
+    reuse: Reuse,
     config: &SrConfig,
     ratio: f64,
-    n: usize,
     owner: Option<u64>,
 ) -> FramePlan<'a> {
     let o = &t.outputs;
@@ -878,33 +871,16 @@ pub(crate) fn plan_outputs<'a>(
         config: *config,
         ratio_bits: ratio.to_bits(),
     };
-    // Cached neighborhoods are `k` wide, as this frame's are when it has
-    // more than `k` points.
-    let eligible = o.valid && o.serial + 1 == t.join_serial && o.key == Some(key) && n > config.k;
-    let mode = match join.outcome {
-        _ if !eligible => PlanMode::Cold,
-        JoinOutcome::Cold => PlanMode::Cold,
-        JoinOutcome::Identical
-            if o.sources == n && o.partner.len() == PointSplit::new(n, ratio).offset(n) =>
-        {
-            PlanMode::Identical
-        }
-        JoinOutcome::Incremental
-            if o.sources == join.row_valid.len()
-                && join.old_to_new.len() == o.sources
-                && join.row_src.len() == n =>
-        {
-            PlanMode::Incremental
-        }
-        _ => PlanMode::Cold,
+    let mode = if o.key == Some(key) {
+        reuse
+    } else {
+        Reuse::Cold
     };
+    debug_assert!(mode != Reuse::Incremental || join.old_to_new.len() == o.sources);
     let r = &t.refined;
-    let refined = (mode != PlanMode::Cold
-        && r.valid
-        && Some(r.owner) == owner
-        && r.serial + 1 == t.join_serial
-        && r.points.len() == o.partner.len())
-    .then_some(r.points.as_slice());
+    let refined =
+        (mode != Reuse::Cold && owner.is_some() && r.owner == owner).then_some(r.points.as_slice());
+    debug_assert!(refined.is_none_or(|p| p.len() == o.partner.len()));
     FramePlan {
         mode,
         outputs: o,
@@ -937,34 +913,34 @@ pub(crate) fn record_outputs(
 
 /// Snapshots this frame's interpolation outputs as the next frame's reuse
 /// source: each tail point's partner and `k`-wide neighborhood. Ineligible
-/// frames (no captured rows, a tail that is not `k` wide) invalidate the
-/// cache instead — never leave it stale or store ragged rows.
+/// frames (no captured rows, a tail that is not `k` wide) drop the cached
+/// outputs instead — never leave them stale or store ragged rows.
 pub(crate) fn capture_outputs(
     t: &mut TemporalCache,
-    mode: PlanMode,
+    mode: Reuse,
     low: &PointCloud,
     config: &SrConfig,
     ratio: f64,
     parents: &[(usize, usize)],
     hoods: &Neighborhoods,
 ) {
-    if !t.valid {
-        t.outputs.valid = false;
+    // An identical frame's tail is already captured bit-exactly.
+    if mode == Reuse::Identical {
         return;
     }
-    // Identical frames already have this tail captured bit-exactly: refresh
-    // the serial without the bulk copies.
-    if mode == PlanMode::Identical && t.outputs.valid {
-        t.outputs.serial = t.join_serial;
-        return;
-    }
-    // The plan derives tail offsets from the point count and the ratio, and
-    // neighborhood rows from the stride `k`; a tail that does not match them
-    // (degenerate inputs) must not be captured as a reuse source.
+    // Without rows the next frame is cold. The plan derives tail offsets
+    // from the point count and the ratio, and neighborhood rows from the
+    // stride `k`; a tail that does not match them (degenerate inputs) must
+    // not be captured as a reuse source.
     let split = PointSplit::new(low.len(), ratio);
     let total = split.offset(low.len());
-    if parents.len() != total || hoods.len() != total || hoods.total_indices() != total * config.k {
-        t.outputs.valid = false;
+    let o = &mut t.outputs;
+    o.key = None;
+    if t.kq.is_none()
+        || parents.len() != total
+        || hoods.len() != total
+        || hoods.total_indices() != total * config.k
+    {
         return;
     }
     // A point's first parent is its source row, so only the partner is kept.
@@ -973,29 +949,27 @@ pub(crate) fn capture_outputs(
             .iter()
             .all(|&(a, _)| a == r)
     }));
-    let o = &mut t.outputs;
-    o.serial = t.join_serial;
-    o.key = Some(OutputKey {
-        config: *config,
-        ratio_bits: ratio.to_bits(),
-    });
     o.sources = low.len();
     o.partner.clear();
     o.partner.extend(parents.iter().map(|&(_, b)| b as u32));
     o.hoods.clear();
     o.hoods.extend_from_slice(hoods.indices());
-    o.valid = true;
+    o.key = Some(OutputKey {
+        config: *config,
+        ratio_bits: ratio.to_bits(),
+    });
 }
 
 /// Snapshots the refined tail as the next frame's reuse source, stamped with
-/// the refining pipeline's id. Runs at the end of every pipeline frame.
-pub(crate) fn capture_refined(t: &mut TemporalCache, owner: u64, tail: &[Point3]) {
+/// the refining pipeline's id — or, for a frame that did not refine
+/// (`owner` is `None`), drops it. Runs at the end of every frame.
+pub(crate) fn capture_refined(t: &mut TemporalCache, owner: Option<u64>, tail: &[Point3]) {
     let r = &mut t.refined;
-    r.points.clear();
-    r.points.extend_from_slice(tail);
     r.owner = owner;
-    r.serial = t.join_serial;
-    r.valid = true;
+    r.points.clear();
+    if owner.is_some() {
+        r.points.extend_from_slice(tail);
+    }
 }
 
 #[cfg(test)]
@@ -1003,6 +977,7 @@ mod tests {
     use super::*;
     use crate::config::SrConfig;
     use crate::interpolate::dilated::dilated_interpolate_with;
+    use crate::interpolate::FrameScratch;
     use volut_pointcloud::synthetic::{self, DeltaStream, DeltaStreamConfig};
     use volut_pointcloud::{Color, Point3};
 
@@ -1305,16 +1280,15 @@ mod tests {
 
     #[test]
     fn index_cache_digest_short_circuits_mismatches() {
-        use crate::interpolate::IndexCache;
         let a = synthetic::sphere(500, 1.0, 29);
         let b = synthetic::sphere(500, 1.0, 31);
-        let mut cache = IndexCache::default();
+        let mut cache = TemporalCache::default();
         let mut scratch = IndexScratch::default();
         assert!(!cache.is_fresh(a.positions(), a.geometry_digest()));
         cache.rebuild(a.positions(), a.geometry_digest(), &mut scratch);
         // Same digest + content: reuse.
         assert!(cache.is_fresh(a.positions(), a.geometry_digest()));
-        assert_eq!(cache.cached_tree().points(), a.positions());
+        assert_eq!(cache.tree.points(), a.positions());
         // Different digest: stale without a content scan (the digest gate is
         // what makes the miss cheap), even against the same point count.
         assert!(!cache.is_fresh(b.positions(), b.geometry_digest()));

@@ -461,6 +461,57 @@ mod tests {
         }
     }
 
+    /// A pipeline frame on `frames[0]`, a non-refining frame on `frames[1]`,
+    /// then a pipeline frame on `frames[2]`, all on one scratch: the last
+    /// frame must equal the pipeline's cold output. The middle frame leaves
+    /// no refined tail, so the first frame's tail must not be replayed onto
+    /// outputs the middle frame captured.
+    fn assert_last_frame_matches_cold(frames: [&PointCloud; 3], what: &str) {
+        let config = SrConfig::default();
+        let refiner =
+            NnRefiner::from_config(&config, KeyScheme::Full, Mlp::new(&[12, 16, 3], 43)).unwrap();
+        let pipeline = SrPipeline::new(config, Box::new(refiner));
+        let mut scratch = FrameScratch::new();
+        pipeline
+            .upsample_with(frames[0], 2.0, &mut scratch)
+            .unwrap();
+        let middle = crate::interpolate::dilated::dilated_interpolate_with(
+            frames[1],
+            &config,
+            2.0,
+            &mut scratch,
+        )
+        .unwrap();
+        scratch.recycle_neighborhoods(middle.neighborhoods);
+        let warm = pipeline
+            .upsample_with(frames[2], 2.0, &mut scratch)
+            .unwrap();
+        let cold = pipeline.upsample(frames[2], 2.0).unwrap();
+        assert_eq!(warm.cloud, cold.cloud, "{what}");
+        let t = scratch.temporal_stats();
+        assert_eq!(t.incremental_frames, 2, "{what}: {t:?}");
+        assert!(t.gen_points_reused > 0, "{what}: {t:?}");
+    }
+
+    #[test]
+    fn an_unrefined_frame_between_pipeline_frames_replays_no_refined_tail() {
+        use volut_pointcloud::synthetic::DeltaStreamConfig;
+        let frames = synthetic::delta_frame_sequence(
+            &synthetic::humanoid(1_500, 0.3, 71),
+            3,
+            DeltaStreamConfig {
+                churn: 0.05,
+                seed: 73,
+                ..DeltaStreamConfig::default()
+            },
+        );
+        assert_last_frame_matches_cold([&frames[0], &frames[1], &frames[2]], "delta middle frame");
+        assert_last_frame_matches_cold(
+            [&frames[0], &frames[0], &frames[1]],
+            "identical middle frame",
+        );
+    }
+
     /// A LUT refiner over a dense Compact table (32 bins) whose every key
     /// holds a small offset, so every refined point moves.
     fn dense_lut_refiner(config: &SrConfig, table: &crate::lut::DenseLut) -> LutRefiner {

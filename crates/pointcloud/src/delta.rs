@@ -295,23 +295,29 @@ impl FrameDelta {
             return FrameDelta::from_parts(old.len(), new.len(), Vec::new(), Vec::new());
         }
         // Sampled survivor ceiling: an old position absent from the new
-        // frame's membership set certainly cannot survive (membership is a
-        // superset of survival — collisions only produce false *positives*),
-        // so a low sampled hit rate proves the bound unreachable long before
-        // the walk would. The factor-of-two slack makes a spurious abort of
-        // a genuinely eligible frame a multi-sigma sampling event; even then
-        // the caller merely falls back to a full recompute.
+        // frame certainly cannot survive (a folded-key match is a superset
+        // of survival — collisions only produce false *positives*), so a low
+        // sampled hit rate proves the bound unreachable long before the walk
+        // would. The samples' key counts are taken off as `new` is walked
+        // once (stopping once the bound is reachable), so the cost is at most
+        // one pass over `new` against a 32 KB table, kept at load 1/8 so
+        // that most of a scene cut's misses stop at their first probe. The
+        // factor-of-two slack makes a spurious abort of a genuinely eligible
+        // frame a multi-sigma sampling event; even then the caller merely
+        // falls back to a full recompute.
         if min_survivors > 0 && old.len() >= 1024 {
-            let new_members = KeySet::over(new);
             let samples = 512usize;
             let step = old.len() / samples;
-            let hits = old
-                .iter()
-                .step_by(step)
-                .take(samples)
-                .filter(|&&p| new_members.contains(position_key(p)))
-                .count();
-            if 2 * hits * old.len() < min_survivors * samples {
+            let mut counts = KeyCounts::over(old.iter().step_by(step).take(samples), 8);
+            let reachable = |hits: usize| 2 * hits * old.len() >= min_survivors * samples;
+            let mut hits = 0usize;
+            for &p in new {
+                hits += counts.take(position_key(p)) as usize;
+                if reachable(hits) {
+                    break;
+                }
+            }
+            if !reachable(hits) {
                 return None;
             }
         }
@@ -340,8 +346,9 @@ impl FrameDelta {
                 j += 1;
                 continue;
             }
-            let (old_counts, new_counts) = counts
-                .get_or_insert_with(|| (KeyCounts::over(&old[i..]), KeyCounts::over(&new[j..])));
+            let (old_counts, new_counts) = counts.get_or_insert_with(|| {
+                (KeyCounts::over(&old[i..], 2), KeyCounts::over(&new[j..], 2))
+            });
             let old_can_still_match = new_counts.remaining(oi) > 0;
             let new_can_still_match = old_counts.remaining(nj) > 0;
             if !old_can_still_match {
@@ -526,7 +533,7 @@ fn position_key(p: Point3) -> u128 {
 }
 
 /// Folds a 96-bit position key into the nonzero 32-bit slot key the
-/// membership set stores (splitmix-style avalanche; `0` is reserved as the
+/// key counts store (splitmix-style avalanche; `0` is reserved as the
 /// empty-slot marker, so a folded `0` is remapped to `1`).
 #[inline]
 fn fold_key(key: u128) -> u32 {
@@ -537,65 +544,9 @@ fn fold_key(key: u128) -> u32 {
     folded.max(1)
 }
 
-/// Open-addressing membership set over folded position keys — the side
-/// structure of [`FrameDelta::diff_bounded`]'s sampled survivor ceiling.
-///
-/// Folding to 32 bits means two distinct positions *can* share a slot key,
-/// which is deliberately safe here: membership is a superset of survival
-/// (collisions only produce false positives), so the sampled hit rate the
-/// ceiling computes from this set can only *over*-estimate how many points
-/// survive — an abort is still certain. The mismatch classification of the
-/// walk itself uses the multiset-aware [`KeyCounts`] below instead.
-struct KeySet {
-    /// Folded keys; `0` marks an empty slot.
-    slots: Vec<u32>,
-    mask: usize,
-}
-
-impl KeySet {
-    /// Builds the set (load factor kept at or below one half).
-    fn over(points: &[Point3]) -> KeySet {
-        let capacity = (points.len() * 2).next_power_of_two().max(8);
-        let mut set = KeySet {
-            slots: vec![0; capacity],
-            mask: capacity - 1,
-        };
-        for &p in points {
-            let key = fold_key(position_key(p));
-            let mut s = key as usize & set.mask;
-            loop {
-                if set.slots[s] == 0 {
-                    set.slots[s] = key;
-                    break;
-                }
-                if set.slots[s] == key {
-                    break;
-                }
-                s = (s + 1) & set.mask;
-            }
-        }
-        set
-    }
-
-    /// `true` when the (folded) key is present.
-    #[inline]
-    fn contains(&self, position: u128) -> bool {
-        let key = fold_key(position);
-        let mut s = key as usize & self.mask;
-        loop {
-            if self.slots[s] == 0 {
-                return false;
-            }
-            if self.slots[s] == key {
-                return true;
-            }
-            s = (s + 1) & self.mask;
-        }
-    }
-}
-
 /// Open-addressing *multiset counts* over folded position keys — the
-/// side structure of [`FrameDelta::diff`]'s mismatch classification.
+/// side structure of [`FrameDelta::diff`]'s mismatch classification and of
+/// [`FrameDelta::diff_bounded`]'s sampled survivor ceiling.
 ///
 /// Unlike a plain membership set, counts make duplicate-heavy frames (e.g.
 /// quantized scans that store the same position many times) classify
@@ -616,9 +567,14 @@ struct KeyCounts {
 }
 
 impl KeyCounts {
-    /// Builds the counts (load factor kept at or below one half).
-    fn over(points: &[Point3]) -> KeyCounts {
-        let capacity = (points.len() * 2).next_power_of_two().max(8);
+    /// Builds the counts, with `slack` slots per point or more (a load
+    /// factor of at most `1 / slack`).
+    fn over<'a>(
+        points: impl IntoIterator<Item = &'a Point3, IntoIter: ExactSizeIterator>,
+        slack: usize,
+    ) -> Self {
+        let points = points.into_iter();
+        let capacity = (points.len() * slack).next_power_of_two().max(8);
         let mut counts = KeyCounts {
             slots: vec![(0, 0); capacity],
             mask: capacity - 1,
@@ -672,6 +628,25 @@ impl KeyCounts {
             if k == key {
                 self.slots[s].1 = n.saturating_sub(1);
                 return;
+            }
+            s = (s + 1) & self.mask;
+        }
+    }
+
+    /// Takes every remaining occurrence of the (folded) position key:
+    /// returns its count and zeroes it.
+    #[inline]
+    fn take(&mut self, position: u128) -> u32 {
+        let key = fold_key(position);
+        let mut s = key as usize & self.mask;
+        loop {
+            let (k, n) = self.slots[s];
+            if k == 0 {
+                return 0;
+            }
+            if k == key {
+                self.slots[s].1 = 0;
+                return n;
             }
             s = (s + 1) & self.mask;
         }
@@ -822,6 +797,55 @@ mod tests {
         assert!(FrameDelta::diff_bounded(&old, &old, 5).is_none());
         // Zero bound never aborts.
         assert!(FrameDelta::diff_bounded(&old, &new, 0).is_some());
+    }
+
+    /// The sampled survivor ceiling runs from 1024 old points on: a scene
+    /// cut aborts, and a 10%-churn pair under a 50% bound returns exactly
+    /// the unbounded diff — on a smooth cloud and on a duplicate-heavy
+    /// quantized one (every position about 8 times).
+    #[test]
+    fn diff_bounded_sampled_ceiling_matches_diff() {
+        let n = 4096;
+        let smooth: Vec<Point3> = (0..n)
+            .map(|i| {
+                let t = i as f32 * 0.01;
+                Point3::new(t.sin(), t.cos(), t * 0.1)
+            })
+            .collect();
+        let quantized: Vec<Point3> = (0..n)
+            .map(|i| {
+                let g = (i % 512) as f32;
+                Point3::new(g % 8.0, (g / 8.0).floor() % 8.0, (g / 64.0).floor())
+            })
+            .collect();
+        for (name, old) in [("smooth", &smooth), ("quantized", &quantized)] {
+            let bound = n / 2;
+            // Scene cut: nothing of `old` is left.
+            let cut: Vec<Point3> = old
+                .iter()
+                .map(|&p| p + Point3::new(100.0, 0.0, 0.0))
+                .collect();
+            assert!(
+                FrameDelta::diff_bounded(old, &cut, bound).is_none(),
+                "{name}: a scene cut must abort"
+            );
+            // 10% churn: every 10th point replaced by a fresh one at its slot.
+            let churned: Vec<Point3> = old
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| {
+                    if i % 10 == 0 {
+                        Point3::new(-50.0 - i as f32, 0.5, 0.5)
+                    } else {
+                        p
+                    }
+                })
+                .collect();
+            let bounded = FrameDelta::diff_bounded(old, &churned, bound);
+            let full = FrameDelta::diff(old, &churned);
+            assert!(full.survivors() >= bound, "{name}: {}", full.survivors());
+            assert_eq!(bounded, Some(full), "{name}: bounded diff differs");
+        }
     }
 
     #[test]
