@@ -113,6 +113,14 @@ pub fn fig16_runtime_breakdown(artifacts: &TrainedArtifacts, points: usize) -> R
 
 /// Figure 17: single-frame SR runtime on the commodity GPU (desktop) for
 /// VoLUT, Yuzu and GradPU, plus the implied speedups.
+///
+/// The reproduction ranks them VoLUT < GradPU < Yuzu, and that ranking is
+/// set by the network sizes, not by the methods: GradPU runs the small
+/// trained refinement network for 3 steps per point, while Yuzu runs one
+/// pass of an untrained `[12, 512, 512, 3]` network. The paper has GradPU
+/// slowest by orders of magnitude (its published time includes unoptimized
+/// PyTorch inference). ROADMAP.md lists this as a named gap of the paper
+/// record.
 pub fn fig17_sr_runtime_desktop(artifacts: &TrainedArtifacts, points: usize) -> Report {
     let mut report = Report::new(
         "fig17",

@@ -34,9 +34,9 @@
 //!   and ratio) and the refined tail's owner (the pipeline id) are checked,
 //!   because pipelines and ratios do alternate on one session.
 //! * **Frame transients** (`JoinScratch`, on the [`FrameArena`]) are
-//!   written and consumed inside one frame: the removed-neighbor bitmap,
-//!   the kd-tree over inserted points, the recompute list and its fresh
-//!   rows, and the old→new map and per-row verdicts `plan_outputs` reads.
+//!   written and consumed inside one frame: the kd-tree over inserted
+//!   points, the recompute list and its fresh rows, and the old→new map
+//!   and per-row verdicts `plan_outputs` reads.
 //!   An arena serves whatever session's frame its worker runs next, so
 //!   nothing here is trusted across a checkout: every list is cleared
 //!   before it is filled, and the join's verdict (`Reuse`) is not stored
@@ -54,7 +54,9 @@
 //! explicitly through `SrSession::upsample_frame_delta`), a surviving
 //! query's cached row must be recomputed when — and only when — one of:
 //!
-//! 1. the row references a removed neighbor (a member of its k-set is gone);
+//! 1. the row references a removed neighbor (a member of its k-set is gone:
+//!    its entry maps to `REMOVED` through the delta's old→new map, which
+//!    classify applies to the row before it tests it);
 //! 2. an inserted point lies within the row's kNN ball: squared distance
 //!    `<=` the row's k-th (worst) distance, the `<=` covering distance ties,
 //!    tested exactly against an arena-resident kd-tree over the inserted
@@ -165,9 +167,10 @@
 //! rows of one pass whose stage times are summed worker time
 //! ([`crate::pipeline::StageTimings`]), so no per-phase wall time of theirs
 //! exists to table any more; classify read 2.77 and the recompute sweep
-//! 3.38 ms in the same runs. About 0.85 ms of classify stays serial: the
-//! removed-point bitmap, the kd-tree over the inserted points and the
-//! zero-filled output buffers.
+//! 3.38 ms in the same runs. About 0.85 ms of classify stayed serial: a
+//! removed-point bitmap (gone since: a removal is read off the old→new
+//! map), the kd-tree over the inserted points and the zero-filled output
+//! buffers.
 //!
 //! The index phases of the same frames, before and after the k-d record
 //! builder (`volut_pointcloud::kdtree`): the engine alone on that content,
@@ -430,8 +433,6 @@ impl FramePlan<'_> {
 /// Frame-scoped: it lives on the [`FrameArena`].
 #[derive(Debug, Default)]
 pub(crate) struct JoinScratch {
-    /// Removed-id membership bitmap over old indices.
-    removed_mark: Vec<bool>,
     /// Gathered positions of the inserted points.
     insert_positions: Vec<Point3>,
     /// kd-tree over the inserted points (ball-intersection tests).
@@ -459,7 +460,6 @@ pub(crate) struct JoinScratch {
 impl JoinScratch {
     pub(crate) fn reserved_bytes(&self) -> usize {
         (self.insert_positions.capacity() + self.queries.capacity()) * std::mem::size_of::<Point3>()
-            + self.removed_mark.capacity()
             + self.row_valid.capacity()
             + (self.recompute.capacity()
                 + self.old_to_new.capacity()
@@ -715,7 +715,6 @@ fn incremental_rows(
     let old_n = delta.old_len();
     debug_assert_eq!(t.rows.len(), old_n * kq);
     let JoinScratch {
-        removed_mark,
         insert_positions,
         insert_tree,
         recompute,
@@ -728,12 +727,6 @@ fn incremental_rows(
         ..
     } = join;
 
-    // Removed-neighbor membership bitmap.
-    removed_mark.clear();
-    removed_mark.resize(old_n, false);
-    for &i in delta.removed() {
-        removed_mark[i as usize] = true;
-    }
     // Ball-intersection index over the inserted points.
     let has_inserts = !delta.inserted().is_empty();
     insert_positions.clear();
@@ -778,7 +771,7 @@ fn incremental_rows(
         new_start = new_end;
         job
     });
-    let (cached_rows, removed_mark, insert_tree) = (&t.rows, &*removed_mark, &*insert_tree);
+    let (cached_rows, insert_tree) = (&t.rows, &*insert_tree);
     run_jobs(
         jobs,
         |_| 0,
@@ -789,8 +782,22 @@ fn incremental_rows(
                 if new_i == REMOVED {
                     continue;
                 }
-                let row = &cached_rows[old_i * kq..(old_i + 1) * kq];
-                let mut invalid = row.iter().any(|&j| removed_mark[j as usize]);
+                // Remap the cached row into its slot first, stopping at a
+                // removed neighbor (it maps to `REMOVED`). An invalid row's
+                // slot is overwritten by the recompute scatter below.
+                let local = new_i as usize - new_start;
+                let row = &mut slab[local * kq..(local + 1) * kq];
+                let mut invalid = false;
+                for (d, &j) in row
+                    .iter_mut()
+                    .zip(&cached_rows[old_i * kq..(old_i + 1) * kq])
+                {
+                    *d = old_to_new[j as usize];
+                    if *d == REMOVED {
+                        invalid = true;
+                        break;
+                    }
+                }
                 if !invalid && has_inserts {
                     // The row's kNN ball: squared distance to its k-th (worst)
                     // entry, recomputed lazily with [`Point3::distance_squared`]
@@ -800,18 +807,14 @@ fn incremental_rows(
                     // the new frame holds their unchanged positions under the
                     // remapped indices.
                     let query = positions[new_i as usize];
-                    let worst = positions[old_to_new[row[kq - 1] as usize] as usize];
+                    let worst = positions[row[kq - 1] as usize];
                     invalid = insert_tree.any_within(query, query.distance_squared(worst));
                 }
                 if invalid {
                     recompute.push(new_i);
                 } else {
                     *valid = true;
-                    let local = new_i as usize - new_start;
                     row_src[local] = old_i as u32;
-                    for (d, &j) in slab[local * kq..(local + 1) * kq].iter_mut().zip(row) {
-                        *d = old_to_new[j as usize];
-                    }
                 }
             }
         },

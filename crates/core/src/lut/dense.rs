@@ -25,8 +25,8 @@ use crate::Result;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DenseLut {
-    /// `float16` bit patterns, 3 per entry.
-    offsets: Vec<u16>,
+    /// `float16` bit patterns, one `[x, y, z]` per entry.
+    offsets: Vec<[u16; 3]>,
     /// One bit per entry marking populated slots.
     occupancy: Vec<u64>,
     key_space: u128,
@@ -66,7 +66,7 @@ impl DenseLut {
         }
         let n = key_space as usize;
         Ok(Self {
-            offsets: vec![0u16; n * 3],
+            offsets: vec![[0u16; 3]; n],
             occupancy: vec![0u64; n.div_ceil(64)],
             key_space,
             populated: 0,
@@ -78,12 +78,9 @@ impl DenseLut {
         self.key_space
     }
 
+    #[inline]
     fn is_occupied(&self, idx: usize) -> bool {
         (self.occupancy[idx / 64] >> (idx % 64)) & 1 == 1
-    }
-
-    fn mark_occupied(&mut self, idx: usize) {
-        self.occupancy[idx / 64] |= 1 << (idx % 64);
     }
 
     /// Iterates over `(key, offset)` pairs of populated entries.
@@ -97,16 +94,26 @@ impl DenseLut {
         })
     }
 
+    #[inline]
     fn read(&self, idx: usize) -> Offset {
-        [
-            f16_bits_to_f32(self.offsets[idx * 3]),
-            f16_bits_to_f32(self.offsets[idx * 3 + 1]),
-            f16_bits_to_f32(self.offsets[idx * 3 + 2]),
-        ]
+        let [x, y, z] = self.offsets[idx];
+        [f16_bits_to_f32(x), f16_bits_to_f32(y), f16_bits_to_f32(z)]
     }
 }
 
+/// The error of a `set` outside the key space, kept out of line so that
+/// `set` stays small enough to inline.
+#[cold]
+#[inline(never)]
+fn key_outside(key: u128, key_space: u128) -> Error {
+    Error::LutFormat(format!("key {key} outside dense lut key space {key_space}"))
+}
+
+// `get` and `set` are `#[inline]` so that a per-entry fill or probe loop in
+// another crate (the e2e ledger's content build fills 2²⁰ entries) inlines
+// the f16 codec instead of calling it three times per entry.
 impl Lut for DenseLut {
+    #[inline]
     fn get(&self, key: u128) -> Option<Offset> {
         if key >= self.key_space {
             return None;
@@ -118,21 +125,18 @@ impl Lut for DenseLut {
         Some(self.read(idx))
     }
 
+    #[inline]
     fn set(&mut self, key: u128, offset: Offset) -> Result<()> {
         if key >= self.key_space {
-            return Err(Error::LutFormat(format!(
-                "key {key} outside dense lut key space {}",
-                self.key_space
-            )));
+            return Err(key_outside(key, self.key_space));
         }
         let idx = key as usize;
-        self.offsets[idx * 3] = f32_to_f16_bits(offset[0]);
-        self.offsets[idx * 3 + 1] = f32_to_f16_bits(offset[1]);
-        self.offsets[idx * 3 + 2] = f32_to_f16_bits(offset[2]);
-        if !self.is_occupied(idx) {
-            self.mark_occupied(idx);
-            self.populated += 1;
-        }
+        // Three explicit calls: `array::map` does not inline here.
+        let [x, y, z] = offset;
+        self.offsets[idx] = [f32_to_f16_bits(x), f32_to_f16_bits(y), f32_to_f16_bits(z)];
+        let (word, bit) = (&mut self.occupancy[idx / 64], 1u64 << (idx % 64));
+        self.populated += usize::from(*word & bit == 0);
+        *word |= bit;
         Ok(())
     }
 
@@ -141,7 +145,7 @@ impl Lut for DenseLut {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.offsets.len() * 2 + self.occupancy.len() * 8
+        self.offsets.len() * 6 + self.occupancy.len() * 8
     }
 
     fn backend_name(&self) -> &'static str {

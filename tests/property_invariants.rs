@@ -65,6 +65,55 @@ fn nudge(v: f32, ulps: i32) -> f32 {
     f32::from_bits((v.to_bits() as i32 + ulps) as u32)
 }
 
+/// `PointCloud::mean_spacing` as a plain loop: the oracle of its kernel scan.
+fn mean_spacing_reference(points: &[Point3], samples: usize) -> Option<f32> {
+    if points.len() < 2 {
+        return None;
+    }
+    let stride = (points.len() / samples.max(1)).max(1);
+    let mut total = 0.0f64;
+    let mut count = 0usize;
+    for i in (0..points.len()).step_by(stride) {
+        let mut best = f32::INFINITY;
+        for (j, &q) in points.iter().enumerate() {
+            let d = points[i].distance_squared(q);
+            if i != j && d < best {
+                best = d;
+            }
+        }
+        total += f64::from(best.sqrt());
+        count += 1;
+    }
+    Some((total / count as f64) as f32)
+}
+
+#[test]
+fn mean_spacing_matches_the_plain_loop_on_tiny_and_degenerate_clouds() {
+    let p = Point3::new(0.5, -1.0, 2.0);
+    let q = Point3::new(0.5, 2.0, -2.0);
+    let nan = Point3::new(f32::NAN, 0.0, 0.0);
+    for points in [
+        vec![],
+        vec![p],
+        vec![nan],
+        vec![p, q],
+        vec![p, p],
+        vec![p, nan],
+        vec![nan, nan],
+        vec![p, p, q, nan, q],
+    ] {
+        for samples in [0, 1, 2, 3, 64] {
+            let got = PointCloud::from_positions(points.clone()).mean_spacing(samples);
+            let want = mean_spacing_reference(&points, samples);
+            assert_eq!(
+                got.map(f32::to_bits),
+                want.map(f32::to_bits),
+                "{points:?} at {samples} samples"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -371,6 +420,34 @@ proptest! {
         let bounds = cloud.bounds().unwrap();
         prop_assert!(bounds.min.min_element() >= -1.0 - 1e-4);
         prop_assert!(bounds.max.max_element() <= 1.0 + 1e-4);
+    }
+
+    #[test]
+    fn mean_spacing_matches_the_plain_loop(
+        n in 1usize..600,
+        samples in 0usize..80,
+        seed in 0u64..1000,
+        duplicate_sel in 0usize..2,
+        nan_sel in 0usize..3,
+    ) {
+        let duplicates = duplicate_sel == 1;
+        let mut mix = Mix(seed);
+        // Duplicates: every point drawn from a pool of about n / 4 positions.
+        let pool: Vec<Point3> = (0..if duplicates { n / 4 + 1 } else { n })
+            .map(|_| mix.point(2.0))
+            .collect();
+        let mut points: Vec<Point3> = (0..n)
+            .map(|i| if duplicates { pool[mix.below(pool.len())] } else { pool[i] })
+            .collect();
+        // NaN coordinates: none, on about one point in eight, or on all.
+        for p in &mut points {
+            if nan_sel == 2 || (nan_sel == 1 && mix.below(8) == 0) {
+                p.y = f32::NAN;
+            }
+        }
+        let got = PointCloud::from_positions(points.clone()).mean_spacing(samples);
+        let want = mean_spacing_reference(&points, samples);
+        prop_assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits));
     }
 
     #[test]

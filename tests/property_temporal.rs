@@ -35,6 +35,69 @@ fn quantize(cloud: &PointCloud, steps: f32) -> PointCloud {
     )
 }
 
+/// One session of three delta frames against its cold oracle (the same
+/// frames, the session flushed before each): clouds, rows and parents must
+/// be bit-identical.
+fn check_incremental_matches_full_recompute(
+    n: usize,
+    churn_sel: usize,
+    seed: u64,
+    quantized_sel: usize,
+    dilation_one_sel: usize,
+    ratio: f64,
+) {
+    let churn = [0.0, 0.01, 0.1, 0.5, 1.0][churn_sel];
+    let quantized = quantized_sel == 1;
+    let dilation_one = dilation_one_sel == 1;
+    let mut base = synthetic::humanoid(n, 0.4, seed);
+    if quantized {
+        base = quantize(&base, 6.0);
+    }
+    let frames = synthetic::delta_frame_sequence(
+        &base,
+        3,
+        DeltaStreamConfig {
+            churn,
+            drift: 0.04,
+            jitter: 0.006,
+            seed,
+        },
+    );
+    // Dilation 1 (`k4d1`) joins a narrower row than the default config.
+    let cfg = if dilation_one {
+        SrConfig::k4d1()
+    } else {
+        SrConfig::default()
+    };
+    // The cold oracle: a session flushed before every frame.
+    let mut on = FrameScratch::new();
+    let mut off = FrameScratch::new();
+    for (frame_no, frame) in frames.iter().enumerate() {
+        let a = dilated_interpolate_with(frame, &cfg, ratio, &mut on);
+        off.flush_temporal();
+        let b = dilated_interpolate_with(frame, &cfg, ratio, &mut off);
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(&a.cloud, &b.cloud, "frame {} clouds diverge", frame_no);
+                assert_eq!(
+                    &a.neighborhoods, &b.neighborhoods,
+                    "frame {} neighborhoods diverge",
+                    frame_no
+                );
+                assert_eq!(&a.parents, &b.parents);
+                on.recycle_neighborhoods(a.neighborhoods);
+                off.recycle_neighborhoods(b.neighborhoods);
+            }
+            (Err(_), Err(_)) => {}
+            (a, b) => panic!(
+                "one path errored: incremental ok={} full ok={}",
+                a.is_ok(),
+                b.is_ok()
+            ),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -47,47 +110,9 @@ proptest! {
         dilation_one_sel in 0usize..2,
         ratio in 1.2f64..3.0,
     ) {
-        let churn = [0.0, 0.01, 0.1, 0.5, 1.0][churn_sel];
-        let quantized = quantized_sel == 1;
-        let dilation_one = dilation_one_sel == 1;
-        let mut base = synthetic::humanoid(n, 0.4, seed);
-        if quantized {
-            base = quantize(&base, 6.0);
-        }
-        let frames = synthetic::delta_frame_sequence(&base, 3, DeltaStreamConfig {
-            churn,
-            drift: 0.04,
-            jitter: 0.006,
-            seed,
-        });
-        // Dilation 1 (`k4d1`) joins a narrower row than the default config.
-        let cfg = if dilation_one { SrConfig::k4d1() } else { SrConfig::default() };
-        // The cold oracle: a session flushed before every frame.
-        let mut on = FrameScratch::new();
-        let mut off = FrameScratch::new();
-        for (frame_no, frame) in frames.iter().enumerate() {
-            let a = dilated_interpolate_with(frame, &cfg, ratio, &mut on);
-            off.flush_temporal();
-            let b = dilated_interpolate_with(frame, &cfg, ratio, &mut off);
-            match (a, b) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(&a.cloud, &b.cloud, "frame {} clouds diverge", frame_no);
-                    prop_assert_eq!(
-                        &a.neighborhoods, &b.neighborhoods,
-                        "frame {} neighborhoods diverge", frame_no
-                    );
-                    prop_assert_eq!(&a.parents, &b.parents);
-                    on.recycle_neighborhoods(a.neighborhoods);
-                    off.recycle_neighborhoods(b.neighborhoods);
-                }
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!(
-                    "one path errored: incremental ok={} full ok={}",
-                    a.is_ok(),
-                    b.is_ok()
-                ),
-            }
-        }
+        check_incremental_matches_full_recompute(
+            n, churn_sel, seed, quantized_sel, dilation_one_sel, ratio,
+        );
     }
 
     #[test]
@@ -141,6 +166,33 @@ proptest! {
                 let b: Vec<usize> = fresh.knn(q, k).iter().map(|x| x.index).collect();
                 prop_assert_eq!(a, b, "query {} diverged after patch", qi);
             }
+        }
+    }
+}
+
+/// The same property on clouds of 1 024..12 000 points: past
+/// `FrameDelta::diff_bounded`'s 1 024-point sampled survivor ceiling and,
+/// from 8 192 points at two or more workers, past classify's chunk grain,
+/// so the incremental rows are also assembled from several classify chunks.
+/// Six cases take about 5 s in a debug build on a 2-vCPU host.
+mod large_clouds {
+    use super::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn incremental_interpolation_matches_full_recompute_on_large_clouds(
+            n in 1_024usize..12_000,
+            churn_sel in 0usize..5,
+            seed in 0u64..300,
+            quantized_sel in 0usize..2,
+            dilation_one_sel in 0usize..2,
+            ratio in 1.2f64..3.0,
+        ) {
+            check_incremental_matches_full_recompute(
+                n, churn_sel, seed, quantized_sel, dilation_one_sel, ratio,
+            );
         }
     }
 }
