@@ -98,17 +98,17 @@ pub fn fig15_memory(artifacts: &TrainedArtifacts) -> Report {
 
     let gradpu_bytes = artifacts.gradpu().memory_bytes(points_per_frame) as u128;
     let yuzu_bytes = artifacts.yuzu().memory_bytes(points_per_frame) as u128;
-    // VoLUT ships the dense deployed LUT (n=4, b=128) in the paper; the
-    // distilled sparse LUT used by this reproduction is far smaller. Report
-    // both so the comparison against the paper's 1.6 GB figure is explicit.
-    let dense_bytes = MemoryModel::new(4, 128).compact_bytes();
-    let sparse_bytes = artifacts.lut.memory_bytes() as u128;
+    // The paper ships an n=4, b=128 table; this reproduction's is the same
+    // layout at 32 bins. Report both so the comparison against the paper's
+    // 1.6 GB figure is explicit.
+    let paper_bytes = MemoryModel::new(4, 128).compact_bytes();
+    let table_bytes = artifacts.lut.memory_bytes() as u128;
 
     for (name, bytes) in [
         ("GradPU (activations + weights)", gradpu_bytes),
         ("Yuzu-SR (frozen per-ratio models)", yuzu_bytes),
-        ("VoLUT dense LUT (paper config n=4, b=128)", dense_bytes),
-        ("VoLUT sparse LUT (this reproduction)", sparse_bytes),
+        ("VoLUT dense LUT (paper config n=4, b=128)", paper_bytes),
+        ("VoLUT dense LUT (this reproduction, b=32)", table_bytes),
     ] {
         report.add_row(vec![
             name.to_string(),
@@ -143,12 +143,15 @@ mod tests {
             bytes[0],
             bytes[1]
         );
-        // The sparse reproduction LUT is far smaller than the dense paper LUT
-        // and far smaller than GradPU's working set.
+        // The reproduction's 32-bin table is far smaller than the paper's
+        // 128-bin one, and at most 14% of GradPU's working set (the paper:
+        // VoLUT improves GPU memory usage by 86% vs GradPU).
         assert!(bytes[3] < bytes[2]);
         assert!(
-            bytes[3] * 10 < bytes[0],
-            "sparse lut should be well below gradpu"
+            bytes[3] * 100 <= bytes[0] * 14,
+            "lut {} should be at most 14% of gradpu {}",
+            bytes[3],
+            bytes[0]
         );
         // Everything the client actually deploys fits a Quest-3-class device.
         assert_eq!(r.rows[3][3], "yes");

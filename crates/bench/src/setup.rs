@@ -9,7 +9,8 @@
 use volut_core::baselines::{GradPuUpsampler, YuzuUpsampler};
 use volut_core::encoding::KeyScheme;
 use volut_core::lut::builder::LutBuilder;
-use volut_core::lut::sparse::SparseLut;
+use volut_core::lut::dense::DenseLut;
+use volut_core::lut::Lut as _;
 use volut_core::nn::mlp::Mlp;
 use volut_core::nn::train::{build_training_set, RefinementTrainer, TrainConfig};
 use volut_core::refine::{IdentityRefiner, LutRefiner};
@@ -61,12 +62,12 @@ pub fn evaluation_frames(points: usize) -> Vec<(&'static str, PointCloud)> {
 
 /// Everything trained offline once and reused across experiments.
 pub struct TrainedArtifacts {
-    /// The SR configuration (paper defaults: k=4, d=2, n=4, b=128).
+    /// The SR configuration: the paper's k=4, d=2, n=4, at b=32 bins.
     pub config: SrConfig,
     /// The trained refinement network.
     pub network: Mlp,
     /// The LUT distilled from the network.
-    pub lut: SparseLut,
+    pub lut: DenseLut,
     /// Final training loss.
     pub final_loss: f32,
     /// Number of LUT entries populated during distillation.
@@ -75,31 +76,22 @@ pub struct TrainedArtifacts {
 
 impl TrainedArtifacts {
     /// Trains the refinement network on humanoid ("Long Dress") frames and
-    /// distills it into a sparse LUT, mirroring §7.1.
+    /// distills it into a LUT, mirroring §7.1.
     ///
-    /// The sparse LUT uses 32 quantization bins so that entries distilled
-    /// from the training video are actually hit on the other evaluation
-    /// videos; the paper's b = 128 setting belongs to the dense compact-key
-    /// table whose footprint Table 1 analyzes.
+    /// The LUT uses 32 quantization bins (2²⁰ entries, 6 MiB): the paper's
+    /// b = 128 table, whose footprint Table 1 analyzes, needs 1.5 GiB.
     pub fn train(points: usize, epochs: usize) -> Self {
         let config = SrConfig {
             bins: 32,
             ..SrConfig::default()
         };
-        let mut set = build_training_set(
-            &synthetic::humanoid(points, 0.0, 11),
-            0.5,
-            &config,
-            KeyScheme::Full,
-            1,
-        )
-        .expect("training set");
+        let mut set = build_training_set(&synthetic::humanoid(points, 0.0, 11), 0.5, &config, 1)
+            .expect("training set");
         for (i, phase) in [0.7f32, 1.4].iter().enumerate() {
             if let Ok(more) = build_training_set(
                 &synthetic::humanoid(points, *phase, 11),
                 0.25,
                 &config,
-                KeyScheme::Full,
                 2 + i as u64,
             ) {
                 set.extend(more);
@@ -115,14 +107,10 @@ impl TrainedArtifacts {
         .expect("trainer");
         let report = trainer.train(&set).expect("training succeeds");
         let network = trainer.into_network();
-        let builder = LutBuilder::new(&config, KeyScheme::Full).expect("builder");
-        let lut = builder
-            .distill_sparse(&network, &set)
+        let lut = LutBuilder::new(&config)
+            .and_then(|builder| builder.distill(&network, &set))
             .expect("distillation");
-        let lut_entries = {
-            use volut_core::lut::Lut as _;
-            lut.populated()
-        };
+        let lut_entries = lut.populated();
         Self {
             config,
             network,
@@ -141,7 +129,7 @@ impl TrainedArtifacts {
     /// (`K4d2-lut` in Figures 7–10).
     pub fn pipeline_k4d2_lut(&self) -> SrPipeline {
         let refiner =
-            LutRefiner::from_config(&self.config, KeyScheme::Full, Box::new(self.lut.clone()))
+            LutRefiner::from_config(&self.config, KeyScheme::Compact, Box::new(self.lut.clone()))
                 .expect("valid config");
         SrPipeline::new(self.config, Box::new(refiner))
     }

@@ -3,8 +3,9 @@
 //! FPS across upsampling ratios on the Orange Pi (Figure 18).
 //!
 //! Host wall-clock measurements from the actual Rust pipelines are converted
-//! to per-device numbers with the [`DeviceProfile`] cost models (see
-//! DESIGN.md §2 for the substitution rationale).
+//! to per-device numbers with the [`DeviceProfile`] cost models: the paper's
+//! hardware is not available, and the figures compare ratios between
+//! methods, which the models preserve.
 
 use crate::report::Report;
 use crate::setup::TrainedArtifacts;

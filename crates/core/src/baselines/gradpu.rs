@@ -9,7 +9,6 @@
 
 use super::naive::naive_interpolate;
 use crate::config::SrConfig;
-use crate::encoding::{KeyScheme, PositionEncoder};
 use crate::lut::LookupStats;
 use crate::nn::mlp::Mlp;
 use crate::pipeline::SrResult;
@@ -43,7 +42,7 @@ impl GradPuUpsampler {
     /// # Errors
     /// Returns an error when the configuration is invalid.
     pub fn from_network(config: SrConfig, network: Mlp, iterations: usize) -> Result<Self> {
-        let mut refiner = NnRefiner::new(PositionEncoder::new(&config, KeyScheme::Full)?, network);
+        let mut refiner = NnRefiner::from_config(&config, network)?;
         refiner.iterations = iterations.max(1);
         Ok(Self { config, refiner })
     }
@@ -188,7 +187,7 @@ mod tests {
         use crate::nn::train::{build_training_set, RefinementTrainer, TrainConfig};
         let config = SrConfig::default();
         let gt = synthetic::sphere(2000, 1.0, 3);
-        let set = build_training_set(&gt, 0.5, &config, KeyScheme::Full, 5).unwrap();
+        let set = build_training_set(&gt, 0.5, &config, 5).unwrap();
         let mut trainer = RefinementTrainer::new(
             &config,
             TrainConfig {

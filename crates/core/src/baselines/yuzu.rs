@@ -13,7 +13,6 @@
 
 use super::naive::naive_interpolate;
 use crate::config::SrConfig;
-use crate::encoding::{KeyScheme, PositionEncoder};
 use crate::error::Error;
 use crate::lut::LookupStats;
 use crate::nn::mlp::Mlp;
@@ -53,18 +52,17 @@ impl YuzuUpsampler {
     /// # Errors
     /// Returns an error when the configuration is invalid.
     pub fn new(config: SrConfig, seed: u64) -> Result<Self> {
-        let encoder = PositionEncoder::new(&config, KeyScheme::Full)?;
         let input = config.receptive_field * 3;
         let refiners = Self::SUPPORTED_RATIOS
             .iter()
             .enumerate()
             .map(|(i, &r)| {
                 let network = Mlp::new(&[input, 512, 512, 3], seed.wrapping_add(i as u64));
-                let mut refiner = NnRefiner::new(encoder.clone(), network);
+                let mut refiner = NnRefiner::from_config(&config, network)?;
                 refiner.offset_clamp = OFFSET_CLAMP;
-                (r, refiner)
+                Ok((r, refiner))
             })
-            .collect();
+            .collect::<Result<_>>()?;
         Ok(Self { config, refiners })
     }
 

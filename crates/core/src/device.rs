@@ -5,9 +5,9 @@
 //! that hardware is available to this reproduction, so per-device latency is
 //! *modeled*: a [`DeviceProfile`] converts host-measured stage durations into
 //! simulated durations via per-stage scale factors calibrated to the
-//! relative throughput of the paper's hardware (see DESIGN.md §2). The
-//! cross-device *ratios* — which is what the figures compare — are preserved
-//! even though absolute numbers depend on the host.
+//! relative throughput of the paper's hardware. The cross-device *ratios* —
+//! which is what the figures compare — are preserved even though absolute
+//! numbers depend on the host.
 
 use std::time::Duration;
 

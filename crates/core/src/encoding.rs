@@ -6,16 +6,13 @@
 //! them relative to the center point and neighborhood radius (b, Eq. 3), and
 //! quantize each normalized value into `b` bins (c, Eq. 4).
 //!
-//! Two key layouts are supported, matching the two ways the paper counts
-//! LUT entries:
-//! * [`KeyScheme::Full`] — every coordinate of every receptive-field point
-//!   contributes `log2(b)` bits, giving `b^(3n)` possible keys (the text's
-//!   Eq. 5). This space is far too large to materialize densely and is used
-//!   with the sparse LUT.
-//! * [`KeyScheme::Compact`] — each receptive-field point is encoded as a
-//!   single `b`-bin code (octant + quantized radial distance), giving `b^n`
-//!   possible keys. This matches the byte counts of Table 1 and is what the
-//!   dense LUT uses.
+//! The key packs one `b`-bin code per receptive-field point (octant plus
+//! quantized radial distance), giving `b^n` possible keys: the count whose
+//! byte figures Table 1 reports, and the index of the dense table. (The
+//! text's Eq. 5 counts `b^(3n)` per-coordinate keys; a table over that space
+//! cannot be stored densely, and one stored sparsely hit no key of a frame
+//! it was not trained on.) The network paths read the per-coordinate bins
+//! ([`EncodedNeighborhood::indices`]), never the key.
 //!
 //! [`PositionEncoder::encode`] is the allocating reference (offline use, and
 //! the oracle of the property tests); [`PositionEncoder::encode_keys_block`]
@@ -27,11 +24,13 @@ use crate::error::Error;
 use crate::Result;
 use volut_pointcloud::{NeighborhoodsView, Point3};
 
-/// How receptive-field points are mapped to table keys.
+/// How receptive-field points are mapped to table keys. There is one
+/// layout; the enum is kept only because [`PositionEncoder::new`],
+/// [`crate::refine::LutRefiner::from_config`] and
+/// [`crate::registry::ContentModel::from_dense`] take it, and all three
+/// ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KeyScheme {
-    /// Per-coordinate quantization: `b^(3n)` possible keys (paper Eq. 5).
-    Full,
     /// Per-point scalar code (octant ⊕ radial bin): `b^n` possible keys
     /// (matches the sizes reported in Table 1).
     Compact,
@@ -54,7 +53,7 @@ pub struct EncodedNeighborhood {
 const ENCODE_LANES: usize = 512;
 
 /// Fixed-size working lanes of [`PositionEncoder::encode_keys_block`]: the
-/// center-relative neighbor offsets of one pass of rows and their quantized
+/// center-relative neighbor offsets of one pass of rows and their point
 /// codes, slot-major (slot `s` of row `b` at `s · rows + b`) so the
 /// normalize-and-quantize loops sweep them at vector width. No heap: a
 /// refiner keeps one on its stack for a whole batch.
@@ -62,16 +61,15 @@ const ENCODE_LANES: usize = 512;
 pub struct EncodeScratch {
     /// Offsets, one lane array per axis, then the reciprocal radius per row.
     lanes: [[f32; ENCODE_LANES]; 4],
-    /// Bin index per axis ([`KeyScheme::Full`]) or, in the first array only,
-    /// the point code ([`KeyScheme::Compact`]).
-    codes: [[u32; ENCODE_LANES]; 3],
+    /// The point code of every slot lane.
+    codes: [u32; ENCODE_LANES],
 }
 
 impl Default for EncodeScratch {
     fn default() -> Self {
         Self {
             lanes: [[0.0; ENCODE_LANES]; 4],
-            codes: [[0; ENCODE_LANES]; 3],
+            codes: [0; ENCODE_LANES],
         }
     }
 }
@@ -97,33 +95,27 @@ pub struct PositionEncoder {
     receptive_field: usize,
     /// Number of quantization bins `b`.
     bins: u16,
-    /// Key layout.
-    scheme: KeyScheme,
 }
 
 impl PositionEncoder {
-    /// Creates an encoder from an [`SrConfig`].
+    /// Creates an encoder from an [`SrConfig`]; the [`KeyScheme`] is
+    /// ignored.
     ///
     /// # Errors
     /// Returns [`Error::InvalidConfig`] when the configuration is invalid or
     /// when the resulting key would not fit in 128 bits.
-    pub fn new(config: &SrConfig, scheme: KeyScheme) -> Result<Self> {
+    pub fn new(config: &SrConfig, _scheme: KeyScheme) -> Result<Self> {
         config.validate()?;
         let bits_per_value = bits_for(config.bins);
-        let values = match scheme {
-            KeyScheme::Full => config.receptive_field * 3,
-            KeyScheme::Compact => config.receptive_field,
-        };
-        if bits_per_value * values > 128 {
+        if bits_per_value * config.receptive_field > 128 {
             return Err(Error::InvalidConfig(format!(
                 "key of {} values x {} bits does not fit in 128 bits",
-                values, bits_per_value
+                config.receptive_field, bits_per_value
             )));
         }
         Ok(Self {
             receptive_field: config.receptive_field,
             bins: config.bins as u16,
-            scheme,
         })
     }
 
@@ -137,23 +129,13 @@ impl PositionEncoder {
         self.bins
     }
 
-    /// Key scheme in use.
-    pub fn scheme(&self) -> KeyScheme {
-        self.scheme
-    }
-
     /// Total number of addressable keys of the packed representation:
-    /// `(2^ceil(log2 b))^n` per value (equal to `b^n` / `b^(3n)` when `b` is
-    /// a power of two, as in all paper configurations). Saturates at
-    /// `u128::MAX`.
+    /// `(2^ceil(log2 b))^n` (equal to `b^n` when `b` is a power of two, as in
+    /// all paper configurations). Saturates at `u128::MAX`.
     pub fn key_space(&self) -> u128 {
-        let values = match self.scheme {
-            KeyScheme::Full => self.receptive_field * 3,
-            KeyScheme::Compact => self.receptive_field,
-        };
         let per_value = 1u128 << bits_for(usize::from(self.bins));
         let mut total: u128 = 1;
-        for _ in 0..values {
+        for _ in 0..self.receptive_field {
             total = total.saturating_mul(per_value);
         }
         total
@@ -235,7 +217,7 @@ impl PositionEncoder {
     /// Lane-wise: a gather pass writes each row's first `n − 1`
     /// center-relative offsets into fixed slot lanes (zero-padded, which
     /// encodes exactly like the center) and takes the radius over the *whole*
-    /// row; then normalize → quantize runs over whole lanes — multiply by the
+    /// row; then normalize → code runs over whole lanes — multiply by the
     /// reciprocal radius, octant from three sign compares, `sqrt`,
     /// `/ 3f32.sqrt()`, clamp, and round-half-away as `floor + (frac ≥ 0.5)`
     /// (not `floor(x + 0.5)`, which differs at `0.49999997`). Every step is
@@ -244,7 +226,7 @@ impl PositionEncoder {
     /// a `u64` when they fit.
     ///
     /// Measured on the 2-vCPU AVX-512 host (56 000 rows of 4 neighbors,
-    /// Compact, 32 bins, blocks of 64, one thread): 18 ns per row — gather
+    /// 32 bins, blocks of 64, one thread): 18 ns per row — gather
     /// 9.5, lanes 5.4, assembly 3 — against 56 for the per-slot scalar loop
     /// this replaces (`sqrt`, divide and a libm `roundf` per slot). Under
     /// `#[target_feature(enable = "avx2")]` the lane loops read 4.4 (6.2
@@ -269,13 +251,8 @@ impl PositionEncoder {
         assert_eq!(centers.len(), radii.len(), "one radius slot per center");
         let slots = self.receptive_field - 1;
         let bits = bits_for(usize::from(self.bins)) as u32;
-        let (center_code, axes) = match self.scheme {
-            KeyScheme::Full => (self.quantize_value(0.0), 3),
-            KeyScheme::Compact => (self.compact_code(Point3::ZERO), 1),
-        };
-        let center_word = (0..axes).fold(0u64, |w, _| (w << bits) | u64::from(center_code));
-        let word_bits = bits * axes as u32;
-        let narrow = word_bits as usize * self.receptive_field <= 64;
+        let center_word = u64::from(self.compact_code(Point3::ZERO));
+        let narrow = bits as usize * self.receptive_field <= 64;
         let EncodeScratch {
             lanes: [dx, dy, dz, inv],
             codes,
@@ -306,36 +283,21 @@ impl PositionEncoder {
                 };
                 inv[b] = 1.0 / radii[b];
             }
-            // Normalize and quantize, one slot lane at a time.
+            // Normalize and code, one slot lane at a time.
             for at in (0..slots).map(|s| s * m..(s + 1) * m) {
                 let d = [&dx[at.clone()], &dy[at.clone()], &dz[at.clone()]];
-                match self.scheme {
-                    KeyScheme::Full => {
-                        for (d, q) in d.into_iter().zip(codes.iter_mut()) {
-                            quantize_lanes(
-                                d,
-                                &inv[..m],
-                                f32::from(self.bins) - 1.0,
-                                &mut q[at.clone()],
-                            );
-                        }
-                    }
-                    KeyScheme::Compact => compact_lanes(d, &inv[..m], bits, &mut codes[0][at]),
-                }
+                compact_lanes(d, &inv[..m], bits, &mut codes[at]);
             }
-            // Assemble: the center's constant word first, then the slots'.
+            // Assemble: the center's constant code first, then the slots'.
             for (b, key) in keys[first..first + m].iter_mut().enumerate() {
-                let word = |s: usize| {
-                    let codes = codes[..axes].iter();
-                    codes.fold(0u64, |w, q| (w << bits) | u64::from(q[s * m + b]))
-                };
+                let code = |s: usize| u64::from(codes[s * m + b]);
                 *key = if radii[b] < 0.0 {
                     0
                 } else if narrow {
-                    u128::from((0..slots).fold(center_word, |k, s| (k << word_bits) | word(s)))
+                    u128::from((0..slots).fold(center_word, |k, s| (k << bits) | code(s)))
                 } else {
                     let center = u128::from(center_word);
-                    (0..slots).fold(center, |k, s| (k << word_bits) | u128::from(word(s)))
+                    (0..slots).fold(center, |k, s| (k << bits) | u128::from(code(s)))
                 };
             }
         }
@@ -404,24 +366,10 @@ impl PositionEncoder {
             indices.push(self.quantize_value(p.z));
         }
 
-        let key = match self.scheme {
-            KeyScheme::Full => {
-                let bits = bits_for(usize::from(self.bins)) as u32;
-                let mut key: u128 = 0;
-                for &q in &indices {
-                    key = (key << bits) | u128::from(q);
-                }
-                key
-            }
-            KeyScheme::Compact => {
-                let bits = bits_for(usize::from(self.bins)) as u32;
-                let mut key: u128 = 0;
-                for p in &slots {
-                    key = (key << bits) | u128::from(self.compact_code(*p));
-                }
-                key
-            }
-        };
+        let bits = bits_for(usize::from(self.bins)) as u32;
+        let key = slots.iter().fold(0u128, |key, &p| {
+            (key << bits) | u128::from(self.compact_code(p))
+        });
 
         Ok(EncodedNeighborhood {
             key,
@@ -459,23 +407,9 @@ impl PositionEncoder {
             )));
         }
         let bits = bits_for(usize::from(self.bins)) as u32;
-        match self.scheme {
-            KeyScheme::Full => {
-                let mut key: u128 = 0;
-                for &v in features {
-                    key = (key << bits) | u128::from(self.quantize_value(v));
-                }
-                Ok(key)
-            }
-            KeyScheme::Compact => {
-                let mut key: u128 = 0;
-                for chunk in features.chunks_exact(3) {
-                    let p = Point3::new(chunk[0], chunk[1], chunk[2]);
-                    key = (key << bits) | u128::from(self.compact_code(p));
-                }
-                Ok(key)
-            }
-        }
+        Ok(features.chunks_exact(3).fold(0u128, |key, c| {
+            (key << bits) | u128::from(self.compact_code(Point3::new(c[0], c[1], c[2])))
+        }))
     }
 
     /// Per-point compact code: 3 octant bits plus the remaining bits encode
@@ -502,30 +436,21 @@ fn bits_for(bins: usize) -> usize {
     (usize::BITS - (bins - 1).leading_zeros()) as usize
 }
 
-/// `v` (`0 ≤ v < 2²²`; NaN reads 0, as `NaN as u16` does) floored — or, with
-/// `round`, rounded half away from zero — to an integer, in exact float
-/// operations: adding and subtracting `2²³` rounds to the nearest integer,
-/// one step back where that went up is the floor, and the integer is read
-/// out of the mantissa of `whole + 2²³`. (A float→int cast compiles to one
-/// scalar convert, with NaN and range fix-up branches, per lane.)
+/// `v` (`0 ≤ v < 2²²`; NaN reads 0, as `NaN as u16` does) rounded half
+/// away from zero to an integer, in exact float operations: adding and
+/// subtracting `2²³` rounds to the nearest integer, one step back where that
+/// went up is the floor, a step up from the floor where the fraction is at
+/// least one half is the rounded value, and the integer is read out of the
+/// mantissa of `whole + 2²³`. (A float→int cast compiles to one scalar
+/// convert, with NaN and range fix-up branches, per lane.)
 #[inline(always)]
-fn lane_to_int(v: f32, round: bool) -> u32 {
+fn lane_round(v: f32) -> u32 {
     const MANTISSA_ONE: f32 = 8_388_608.0;
     let near = (v + MANTISSA_ONE) - MANTISSA_ONE;
     let floor = near - if near > v { 1.0 } else { 0.0 };
-    let whole = floor + if round & (v - floor >= 0.5) { 1.0 } else { 0.0 };
+    let whole = floor + if v - floor >= 0.5 { 1.0 } else { 0.0 };
     let valid = if v.is_nan() { 0 } else { u32::MAX };
     (whole + MANTISSA_ONE).to_bits() & 0x7F_FFFF & valid
-}
-
-/// [`PositionEncoder::quantize_value`] of every lane's normalized
-/// coordinate `d · inv`. `scale` is `bins − 1`; the scaled operand cannot
-/// exceed it, so the scalar form's final `min` has nothing to cut.
-fn quantize_lanes(d: &[f32], inv: &[f32], scale: f32, codes: &mut [u32]) {
-    for i in 0..codes.len() {
-        let scaled = ((d[i] * inv[i]).clamp(-1.0, 1.0) + 1.0) / 2.0 * scale;
-        codes[i] = lane_to_int(scaled, false);
-    }
 }
 
 /// [`PositionEncoder::compact_code`] of every lane's normalized offset:
@@ -542,7 +467,7 @@ fn compact_lanes(d: [&[f32]; 3], inv: &[f32], bits: u32, codes: &mut [u32]) {
         let scaled = ((x * x + y * y + z * z).sqrt() / 3.0f32.sqrt()).clamp(0.0, 1.0) * levels;
         // With three bits or fewer there is no radial field and the octant
         // itself is cut to the key width.
-        codes[i] = ((octant << radial_bits) | lane_to_int(scaled, true)) & keep;
+        codes[i] = ((octant << radial_bits) | lane_round(scaled)) & keep;
     }
 }
 
@@ -552,8 +477,8 @@ mod tests {
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
-    fn encoder(scheme: KeyScheme) -> PositionEncoder {
-        PositionEncoder::new(&SrConfig::default(), scheme).unwrap()
+    fn encoder() -> PositionEncoder {
+        PositionEncoder::new(&SrConfig::default(), KeyScheme::Compact).unwrap()
     }
 
     #[test]
@@ -566,7 +491,7 @@ mod tests {
 
     #[test]
     fn normalization_puts_points_in_unit_cube() {
-        let enc = encoder(KeyScheme::Full);
+        let enc = encoder();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..50 {
             let center = Point3::new(
@@ -596,7 +521,7 @@ mod tests {
 
     #[test]
     fn quantization_roundtrip_stays_in_bin() {
-        let enc = encoder(KeyScheme::Full);
+        let enc = encoder();
         for q in [0u16, 1, 50, 126, 127] {
             let v = enc.dequantize_value(q);
             assert_eq!(enc.quantize_value(v), q);
@@ -609,28 +534,36 @@ mod tests {
 
     #[test]
     fn key_space_matches_paper_formulas() {
-        let full = encoder(KeyScheme::Full);
-        assert_eq!(full.key_space(), 128u128.pow(12));
-        let compact = encoder(KeyScheme::Compact);
-        assert_eq!(compact.key_space(), 128u128.pow(4));
+        assert_eq!(encoder().key_space(), 128u128.pow(4));
+        // Bins are packed a whole number of bits per point: 24 bins take 5.
+        let cfg = SrConfig {
+            bins: 24,
+            ..SrConfig::default()
+        };
+        let enc = PositionEncoder::new(&cfg, KeyScheme::Compact).unwrap();
+        assert_eq!(enc.key_space(), 32u128.pow(4));
     }
 
     #[test]
     fn rejects_configs_whose_keys_overflow() {
-        // Full scheme with n = 8, b = 65535 would need 8*3*16 = 384 bits.
+        // n = 9, b = 65535 would need 9 * 16 = 144 bits.
         let cfg = SrConfig {
-            receptive_field: 8,
+            receptive_field: 9,
             bins: 65_535,
             ..SrConfig::default()
         };
-        assert!(PositionEncoder::new(&cfg, KeyScheme::Full).is_err());
-        // Compact scheme with the same config fits (8 * 16 = 128 bits).
+        assert!(PositionEncoder::new(&cfg, KeyScheme::Compact).is_err());
+        // One point fewer fits exactly (8 * 16 = 128 bits).
+        let cfg = SrConfig {
+            receptive_field: 8,
+            ..cfg
+        };
         assert!(PositionEncoder::new(&cfg, KeyScheme::Compact).is_ok());
     }
 
     #[test]
     fn encode_is_deterministic_and_translation_invariant() {
-        let enc = encoder(KeyScheme::Full);
+        let enc = encoder();
         let center = Point3::new(1.0, 2.0, 3.0);
         let neighbors = vec![
             Point3::new(1.5, 2.0, 3.0),
@@ -649,7 +582,7 @@ mod tests {
 
     #[test]
     fn encode_scale_invariant_key_but_radius_tracks_scale() {
-        let enc = encoder(KeyScheme::Full);
+        let enc = encoder();
         let center = Point3::ZERO;
         let neighbors = vec![
             Point3::new(0.1, 0.0, 0.0),
@@ -665,7 +598,7 @@ mod tests {
 
     #[test]
     fn encode_pads_and_truncates_neighbors() {
-        let enc = encoder(KeyScheme::Full);
+        let enc = encoder();
         let center = Point3::ZERO;
         let one = enc.encode(center, &[Point3::new(1.0, 0.0, 0.0)]).unwrap();
         assert_eq!(one.indices.len(), 4 * 3);
@@ -679,7 +612,7 @@ mod tests {
 
     #[test]
     fn features_have_expected_length_and_range() {
-        let enc = encoder(KeyScheme::Full);
+        let enc = encoder();
         let e = enc
             .encode(
                 Point3::ZERO,
@@ -694,36 +627,34 @@ mod tests {
     #[test]
     fn alloc_free_paths_match_encode() {
         let mut rng = StdRng::seed_from_u64(5);
-        for scheme in [KeyScheme::Full, KeyScheme::Compact] {
-            let enc = encoder(scheme);
-            let mut features = Vec::new();
-            for neighbors_len in 1..6 {
-                let center = Point3::new(
-                    rng.random_range(-5.0f32..5.0),
-                    rng.random_range(-5.0f32..5.0),
-                    rng.random_range(-5.0f32..5.0),
-                );
-                let neighbors: Vec<Point3> = (0..neighbors_len)
-                    .map(|_| {
-                        center
-                            + Point3::new(
-                                rng.random_range(-0.4f32..0.4),
-                                rng.random_range(-0.4f32..0.4),
-                                rng.random_range(-0.4f32..0.4),
-                            )
-                    })
-                    .collect();
-                let reference = enc.encode(center, &neighbors).unwrap();
-                let r2 = enc
-                    .encode_features_into(center, &neighbors, &mut features)
-                    .unwrap();
-                assert_eq!(r2, reference.radius);
-                assert_eq!(features, enc.features(&reference));
-            }
-            assert!(enc
-                .encode_features_into(Point3::ZERO, &[], &mut features)
-                .is_err());
+        let enc = encoder();
+        let mut features = Vec::new();
+        for neighbors_len in 1..6 {
+            let center = Point3::new(
+                rng.random_range(-5.0f32..5.0),
+                rng.random_range(-5.0f32..5.0),
+                rng.random_range(-5.0f32..5.0),
+            );
+            let neighbors: Vec<Point3> = (0..neighbors_len)
+                .map(|_| {
+                    center
+                        + Point3::new(
+                            rng.random_range(-0.4f32..0.4),
+                            rng.random_range(-0.4f32..0.4),
+                            rng.random_range(-0.4f32..0.4),
+                        )
+                })
+                .collect();
+            let reference = enc.encode(center, &neighbors).unwrap();
+            let r2 = enc
+                .encode_features_into(center, &neighbors, &mut features)
+                .unwrap();
+            assert_eq!(r2, reference.radius);
+            assert_eq!(features, enc.features(&reference));
         }
+        assert!(enc
+            .encode_features_into(Point3::ZERO, &[], &mut features)
+            .is_err());
     }
 
     /// The lane-wise block encoder must agree bit-for-bit with the
@@ -768,8 +699,13 @@ mod tests {
         hoods: NeighborhoodsView<'_>,
         source: &[Point3],
     ) {
-        for scheme in [KeyScheme::Full, KeyScheme::Compact] {
-            let enc = encoder(scheme);
+        // Keys of 28 bits, assembled in a `u64`, and of 70, in a `u128`.
+        for receptive_field in [4, 10] {
+            let config = SrConfig {
+                receptive_field,
+                ..SrConfig::default()
+            };
+            let enc = PositionEncoder::new(&config, KeyScheme::Compact).unwrap();
             let mut keys = vec![0u128; centers.len()];
             let mut radii = vec![0.0f32; centers.len()];
             let mut scratch = EncodeScratch::default();
@@ -798,18 +734,21 @@ mod tests {
                     hoods.row(i).iter().map(|&j| source[j as usize]).collect();
                 match enc.encode(center, &neighbors) {
                     Ok(reference) => {
-                        assert_eq!(keys[i], reference.key, "{scheme:?} row {i}");
-                        assert_eq!(radii[i], reference.radius, "{scheme:?} row {i}");
+                        assert_eq!(keys[i], reference.key, "n {receptive_field} row {i}");
+                        assert_eq!(radii[i], reference.radius, "n {receptive_field} row {i}");
                     }
-                    Err(_) => assert!(radii[i] < 0.0, "{scheme:?} row {i} should be marked"),
+                    Err(_) => assert!(
+                        radii[i] < 0.0,
+                        "n {receptive_field} row {i} should be marked"
+                    ),
                 }
             }
         }
     }
 
-    /// The float-only floor / round-half-away / integer read-out of the lane
-    /// kernels against `floor`, `round` and `as u16` at every integer and
-    /// half-integer boundary of their domain, one ulp either side, and the
+    /// The float-only floor, round-half-away and integer read-out of the
+    /// lane kernel against `round` and `as u16` at every integer and
+    /// half-integer boundary of its domain, one ulp either side, and the
     /// value `floor(x + 0.5)` gets wrong.
     #[test]
     fn lane_rounding_matches_floor_round_and_cast() {
@@ -822,18 +761,13 @@ mod tests {
             }
         }
         for v in probes {
-            assert_eq!(lane_to_int(v, false), u32::from(v as u16), "floor of {v}");
-            assert_eq!(
-                lane_to_int(v, true),
-                u32::from(v.round() as u16),
-                "round of {v}"
-            );
+            assert_eq!(lane_round(v), u32::from(v.round() as u16), "round of {v}");
         }
     }
 
     #[test]
     fn compact_scheme_produces_distinct_keys_for_distinct_shapes() {
-        let enc = encoder(KeyScheme::Compact);
+        let enc = encoder();
         let a = enc
             .encode(
                 Point3::ZERO,

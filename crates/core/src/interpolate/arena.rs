@@ -228,7 +228,6 @@ impl Drop for ArenaLease {
 mod tests {
     use super::*;
     use crate::config::SrConfig;
-    use crate::encoding::KeyScheme;
     use crate::interpolate::FrameScratch;
     use crate::lut::LookupStats;
     use crate::nn::mlp::Mlp;
@@ -333,9 +332,7 @@ mod tests {
     ) -> Vec<Vec<PointCloud>> {
         const FRAMES: usize = 5;
         let make = |&(points, config, churn): &(usize, SrConfig, f64)| {
-            let refiner =
-                NnRefiner::from_config(&config, KeyScheme::Full, Mlp::new(&[12, 16, 3], 41))
-                    .unwrap();
+            let refiner = NnRefiner::from_config(&config, Mlp::new(&[12, 16, 3], 41)).unwrap();
             let frames = synthetic::delta_frame_sequence(
                 &synthetic::humanoid(points, 0.3, points as u64),
                 FRAMES,

@@ -1,7 +1,7 @@
 //! LUT construction: transferring the trained refinement network into a
 //! lookup table (Eq. 6).
 
-use super::sparse::SparseLut;
+use super::dense::DenseLut;
 use super::Lut;
 use crate::config::SrConfig;
 use crate::encoding::{KeyScheme, PositionEncoder};
@@ -13,24 +13,24 @@ use std::collections::HashMap;
 
 /// Builds LUTs from a trained refinement network.
 ///
-/// Distillation from observed samples ([`LutBuilder::distill_sparse`]):
-/// every neighborhood seen in the training data is encoded, run through the
+/// Distillation from observed samples ([`LutBuilder::distill`]): every
+/// neighborhood seen in the training data is encoded, run through the
 /// network, and the resulting offset is stored under that key (duplicate
-/// keys average their offsets). This is how large-key-space configurations
-/// stay practical.
+/// keys average their offsets) in a table covering the encoder's whole key
+/// space.
 #[derive(Debug, Clone)]
 pub struct LutBuilder {
     encoder: PositionEncoder,
 }
 
 impl LutBuilder {
-    /// Creates a builder for the given configuration and key scheme.
+    /// Creates a builder for the given configuration.
     ///
     /// # Errors
     /// Returns [`Error::InvalidConfig`] when the configuration is invalid.
-    pub fn new(config: &SrConfig, scheme: KeyScheme) -> Result<Self> {
+    pub fn new(config: &SrConfig) -> Result<Self> {
         Ok(Self {
-            encoder: PositionEncoder::new(config, scheme)?,
+            encoder: PositionEncoder::new(config, KeyScheme::Compact)?,
         })
     }
 
@@ -83,15 +83,16 @@ impl LutBuilder {
         Ok(acc)
     }
 
-    /// Distills the network into a sparse LUT using the neighborhoods
-    /// observed in `samples`.
+    /// Distills the network into a dense LUT sized by the encoder's
+    /// [`PositionEncoder::key_space`], populated at the keys of the
+    /// neighborhoods observed in `samples`.
     ///
     /// # Errors
-    /// Fails when the network shape does not match the encoder or `samples`
-    /// is empty.
-    pub fn distill_sparse(&self, mlp: &Mlp, samples: &TrainingSet) -> Result<SparseLut> {
+    /// Fails when the network shape does not match the encoder, `samples`
+    /// is empty, or the table exceeds [`DenseLut::DEFAULT_BYTE_BUDGET`].
+    pub fn distill(&self, mlp: &Mlp, samples: &TrainingSet) -> Result<DenseLut> {
+        let mut lut = DenseLut::new(self.encoder.key_space())?;
         let acc = self.accumulate(mlp, samples)?;
-        let mut lut = SparseLut::with_capacity(acc.len());
         for (key, (sum, count)) in acc {
             let n = f64::from(count);
             lut.set(
@@ -113,9 +114,17 @@ mod tests {
     use crate::nn::train::{build_training_set, RefinementTrainer, TrainConfig};
     use volut_pointcloud::synthetic;
 
+    /// Tables are trained at 32 bins (a 128-bin table is over budget).
+    fn config() -> SrConfig {
+        SrConfig {
+            bins: 32,
+            ..SrConfig::default()
+        }
+    }
+
     fn trained_network(config: &SrConfig) -> (Mlp, TrainingSet) {
         let gt = synthetic::sphere(1200, 1.0, 1);
-        let set = build_training_set(&gt, 0.5, config, KeyScheme::Full, 3).unwrap();
+        let set = build_training_set(&gt, 0.5, config, 3).unwrap();
         let train_cfg = TrainConfig {
             epochs: 3,
             ..TrainConfig::default()
@@ -126,11 +135,12 @@ mod tests {
     }
 
     #[test]
-    fn distill_sparse_produces_populated_lut() {
-        let config = SrConfig::default();
+    fn distill_produces_populated_lut() {
+        let config = config();
         let (mlp, set) = trained_network(&config);
-        let builder = LutBuilder::new(&config, KeyScheme::Full).unwrap();
-        let lut = builder.distill_sparse(&mlp, &set).unwrap();
+        let builder = LutBuilder::new(&config).unwrap();
+        let lut = builder.distill(&mlp, &set).unwrap();
+        assert_eq!(lut.key_space(), builder.encoder().key_space());
         assert!(lut.populated() > 0);
         assert!(lut.populated() <= set.len());
         // Every key stored came from a sample; look one up.
@@ -140,24 +150,27 @@ mod tests {
 
     #[test]
     fn mismatched_network_is_rejected() {
-        let config = SrConfig::default();
-        let (_, set) = trained_network(&config);
+        let config = config();
+        let (mlp, set) = trained_network(&config);
         let wrong = Mlp::new(&[9, 8, 3], 1);
-        let builder = LutBuilder::new(&config, KeyScheme::Full).unwrap();
-        assert!(builder.distill_sparse(&wrong, &set).is_err());
+        let builder = LutBuilder::new(&config).unwrap();
+        assert!(builder.distill(&wrong, &set).is_err());
         let wrong_out = Mlp::new(&[12, 8, 2], 1);
-        assert!(builder.distill_sparse(&wrong_out, &set).is_err());
+        assert!(builder.distill(&wrong_out, &set).is_err());
         assert!(builder
-            .distill_sparse(&Mlp::new(&[12, 8, 3], 1), &TrainingSet::default())
+            .distill(&Mlp::new(&[12, 8, 3], 1), &TrainingSet::default())
             .is_err());
+        // The default 128 bins ask for a table over the byte budget.
+        let over = LutBuilder::new(&SrConfig::default()).unwrap();
+        assert!(over.distill(&mlp, &set).is_err());
     }
 
     #[test]
     fn distilled_offsets_match_network_predictions_for_unique_keys() {
-        let config = SrConfig::default();
+        let config = config();
         let (mlp, set) = trained_network(&config);
-        let builder = LutBuilder::new(&config, KeyScheme::Full).unwrap();
-        let lut = builder.distill_sparse(&mlp, &set).unwrap();
+        let builder = LutBuilder::new(&config).unwrap();
+        let lut = builder.distill(&mlp, &set).unwrap();
         // For a key that appears exactly once, the stored offset equals the
         // network output (up to f16 rounding).
         let mut key_counts = std::collections::HashMap::new();

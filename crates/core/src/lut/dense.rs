@@ -1,4 +1,4 @@
-//! Dense (flat-array) LUT storage for the compact key scheme.
+//! Dense (flat-array) LUT storage.
 
 use super::f16::{f16_bits_to_f32, f32_to_f16_bits};
 use super::{Lut, Offset};
@@ -9,9 +9,8 @@ use crate::Result;
 /// each, plus an occupancy bitmap.
 ///
 /// This is the storage layout whose footprint Table 1 analyzes. Because a
-/// `b = 128`, `n = 4` table needs ~1.6 GB, dense storage is only allowed up
-/// to a configurable byte budget; larger configurations should use
-/// [`super::SparseLut`].
+/// `b = 128`, `n = 4` table needs 1.5 GiB, a table is only allowed up to a
+/// byte budget; larger configurations need fewer bins.
 ///
 /// # Example
 ///
@@ -61,7 +60,7 @@ impl DenseLut {
         let bytes = key_space.saturating_mul(6);
         if bytes > byte_budget {
             return Err(Error::LutFormat(format!(
-                "dense lut of {key_space} entries needs {bytes} bytes, exceeding the budget of {byte_budget}; use a sparse lut or fewer bins"
+                "dense lut of {key_space} entries needs {bytes} bytes, exceeding the budget of {byte_budget}; use fewer bins"
             )));
         }
         let n = key_space as usize;
@@ -147,10 +146,6 @@ impl Lut for DenseLut {
     fn memory_bytes(&self) -> usize {
         self.offsets.len() * 6 + self.occupancy.len() * 8
     }
-
-    fn backend_name(&self) -> &'static str {
-        "dense"
-    }
 }
 
 #[cfg(test)]
@@ -193,7 +188,6 @@ mod tests {
     fn memory_accounting_matches_layout() {
         let lut = DenseLut::new(1024).unwrap();
         assert_eq!(lut.memory_bytes(), 1024 * 6 + (1024 / 64) * 8);
-        assert_eq!(lut.backend_name(), "dense");
     }
 
     #[test]

@@ -2,45 +2,43 @@
 //!
 //! The paper stores its LUT as an `.npy` file; here we use an equally
 //! language-neutral little-endian binary layout (documented below) with the
-//! extension `.vlut`:
+//! extension `.vlut`. The file lists the populated entries of a
+//! [`DenseLut`]:
 //!
 //! ```text
 //! magic "VLUT"            4 bytes
-//! version                 u8  (currently 1)
-//! backend                 u8  (0 = sparse, the only backend)
-//! scheme                  u8  (0 = full, 1 = compact)
+//! version                 u8  (currently 2)
 //! receptive_field         u8
 //! bins                    u16 LE
-//! key_space               u128 LE   (reserved; written as 0, ignored)
 //! entry_count             u64 LE
 //! entries                 entry_count × (key u128 LE, 3 × f16 LE)
 //! ```
 //!
-//! [`decode`] is bounded by its input: the entries must fill the buffer
-//! exactly, so a header can never ask for more table than its bytes hold.
+//! [`decode`] sizes the table from the header's receptive field and bins,
+//! which must form a valid encoder configuration, so the memory it
+//! allocates is bounded by [`DenseLut::DEFAULT_BYTE_BUDGET`]; the entries
+//! must fill the buffer exactly and every key must lie in the key space.
 
+use super::dense::DenseLut;
 use super::f16::{f16_bits_to_f32, f32_to_f16_bits};
-use super::sparse::SparseLut;
 use super::Lut;
-use crate::encoding::KeyScheme;
+use crate::config::SrConfig;
+use crate::encoding::{KeyScheme, PositionEncoder};
 use crate::error::Error;
 use crate::Result;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"VLUT";
-const VERSION: u8 = 1;
-const BACKEND_SPARSE: u8 = 0;
-/// Magic, four header bytes, bins, key space and entry count.
-const HEADER_BYTES: usize = 4 + 4 + 2 + 16 + 8;
+const VERSION: u8 = 2;
+/// Magic, version, receptive field, bins and entry count.
+const HEADER_BYTES: usize = 4 + 1 + 1 + 2 + 8;
 /// One serialized entry: a `u128` key and three `f16` offset components.
 const ENTRY_BYTES: usize = 16 + 3 * 2;
 
 /// Metadata describing how a serialized LUT was built; stored in the file
-/// header so the client can reconstruct a compatible [`crate::encoding::PositionEncoder`].
+/// header so the client can reconstruct a compatible [`PositionEncoder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LutHeader {
-    /// Key scheme the LUT was built with.
-    pub scheme: KeyScheme,
     /// Receptive-field size `n`.
     pub receptive_field: usize,
     /// Quantization bins `b`.
@@ -53,22 +51,7 @@ pub struct LoadedLut {
     /// Header metadata.
     pub header: LutHeader,
     /// The table itself.
-    pub lut: SparseLut,
-}
-
-fn scheme_byte(s: KeyScheme) -> u8 {
-    match s {
-        KeyScheme::Full => 0,
-        KeyScheme::Compact => 1,
-    }
-}
-
-fn scheme_from_byte(b: u8) -> Result<KeyScheme> {
-    match b {
-        0 => Ok(KeyScheme::Full),
-        1 => Ok(KeyScheme::Compact),
-        other => Err(Error::LutFormat(format!("unknown key scheme byte {other}"))),
-    }
+    pub lut: DenseLut,
 }
 
 /// Cursor over a received buffer; a read past the end is a format error.
@@ -95,18 +78,12 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Serializes a sparse LUT.
-pub fn encode_sparse(lut: &SparseLut, header: LutHeader) -> Vec<u8> {
+/// Serializes the populated entries of a LUT.
+pub fn encode(lut: &DenseLut, header: LutHeader) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_BYTES + lut.populated() * ENTRY_BYTES);
     buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&[
-        VERSION,
-        BACKEND_SPARSE,
-        scheme_byte(header.scheme),
-        header.receptive_field as u8,
-    ]);
+    buf.extend_from_slice(&[VERSION, header.receptive_field as u8]);
     buf.extend_from_slice(&(header.bins as u16).to_le_bytes());
-    buf.extend_from_slice(&0u128.to_le_bytes());
     buf.extend_from_slice(&(lut.populated() as u64).to_le_bytes());
     for (key, offset) in lut.iter() {
         buf.extend_from_slice(&key.to_le_bytes());
@@ -117,31 +94,35 @@ pub fn encode_sparse(lut: &SparseLut, header: LutHeader) -> Vec<u8> {
     buf
 }
 
-/// Deserializes a LUT produced by [`encode_sparse`].
+/// Deserializes a LUT produced by [`encode`].
 ///
 /// # Errors
-/// Returns [`Error::LutFormat`] for truncated or malformed input, an
-/// unknown backend, or an entry count that does not fill the buffer
-/// exactly.
+/// Returns [`Error::LutFormat`] for truncated or malformed input, a header
+/// that is not a valid encoder configuration or whose table exceeds the
+/// byte budget, an entry count that does not fill the buffer exactly, or a
+/// key outside the key space.
 pub fn decode(data: &[u8]) -> Result<LoadedLut> {
     let mut r = Reader { data };
     let magic = r.take(MAGIC.len())?;
     if magic != MAGIC {
         return Err(Error::LutFormat(format!("bad magic {magic:?}")));
     }
-    let [version, backend, scheme, receptive_field] = r.array()?;
+    let [version, receptive_field] = r.array()?;
     if version != VERSION {
         return Err(Error::LutFormat(format!("unsupported version {version}")));
     }
-    if backend != BACKEND_SPARSE {
-        return Err(Error::LutFormat(format!("unknown backend byte {backend}")));
-    }
     let header = LutHeader {
-        scheme: scheme_from_byte(scheme)?,
         receptive_field: usize::from(receptive_field),
         bins: usize::from(u16::from_le_bytes(r.array()?)),
     };
-    r.take(16)?; // key_space, reserved
+    let config = SrConfig {
+        receptive_field: header.receptive_field,
+        bins: header.bins,
+        ..SrConfig::default()
+    };
+    let key_space = PositionEncoder::new(&config, KeyScheme::Compact)
+        .map_err(|e| Error::LutFormat(format!("header: {e}")))?
+        .key_space();
     let count = u64::from_le_bytes(r.array()?);
     if count.checked_mul(ENTRY_BYTES as u64) != Some(r.data.len() as u64) {
         return Err(Error::LutFormat(format!(
@@ -149,7 +130,7 @@ pub fn decode(data: &[u8]) -> Result<LoadedLut> {
             r.data.len()
         )));
     }
-    let mut lut = SparseLut::with_capacity(count as usize);
+    let mut lut = DenseLut::new(key_space)?;
     for _ in 0..count {
         let key = u128::from_le_bytes(r.array()?);
         let mut offset = [0.0; 3];
@@ -161,16 +142,16 @@ pub fn decode(data: &[u8]) -> Result<LoadedLut> {
     Ok(LoadedLut { header, lut })
 }
 
-/// Writes a sparse LUT to a `.vlut` file.
+/// Writes a LUT to a `.vlut` file.
 ///
 /// # Errors
 /// Propagates any underlying I/O error.
-pub fn write_sparse<P: AsRef<Path>>(lut: &SparseLut, header: LutHeader, path: P) -> Result<()> {
-    std::fs::write(path, encode_sparse(lut, header))?;
+pub fn write<P: AsRef<Path>>(lut: &DenseLut, header: LutHeader, path: P) -> Result<()> {
+    std::fs::write(path, encode(lut, header))?;
     Ok(())
 }
 
-/// Reads a `.vlut` file written by [`write_sparse`].
+/// Reads a `.vlut` file written by [`write()`].
 ///
 /// # Errors
 /// Propagates I/O errors and format errors.
@@ -184,46 +165,52 @@ mod tests {
 
     fn header() -> LutHeader {
         LutHeader {
-            scheme: KeyScheme::Full,
             receptive_field: 4,
-            bins: 128,
+            bins: 16,
         }
     }
 
-    /// A header of the given backend, key space and entry count, followed
+    /// An empty table of [`header`]'s key space, 16⁴ keys.
+    fn table() -> DenseLut {
+        DenseLut::new(1 << 16).unwrap()
+    }
+
+    /// A header of the given receptive field, bins and entry count, followed
     /// by `tail` bytes of entry data.
-    fn crafted(backend: u8, key_space: u128, count: u64, tail: usize) -> Vec<u8> {
+    fn crafted(receptive_field: u8, bins: u16, count: u64, tail: usize) -> Vec<u8> {
         let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&[VERSION, backend, 0, 4]);
-        bytes.extend_from_slice(&128u16.to_le_bytes());
-        bytes.extend_from_slice(&key_space.to_le_bytes());
+        bytes.extend_from_slice(&[VERSION, receptive_field]);
+        bytes.extend_from_slice(&bins.to_le_bytes());
         bytes.extend_from_slice(&count.to_le_bytes());
         bytes.resize(bytes.len() + tail, 0);
         bytes
     }
 
+    /// The file lists only the populated keys: a sparse entry list of a
+    /// dense table, loaded back into a table of the header's key space.
     #[test]
     fn sparse_roundtrip() {
-        let mut lut = SparseLut::new();
+        let mut lut = table();
         lut.set(1, [0.5, -0.5, 0.25]).unwrap();
-        lut.set(u128::MAX / 2, [0.0, 1.0, 0.0]).unwrap();
-        let loaded = decode(&encode_sparse(&lut, header())).unwrap();
+        lut.set((1 << 16) - 1, [0.0, 1.0, 0.0]).unwrap();
+        let loaded = decode(&encode(&lut, header())).unwrap();
         assert_eq!(loaded.header, header());
+        assert_eq!(loaded.lut.key_space(), lut.key_space());
         assert_eq!(loaded.lut.populated(), 2);
         assert_eq!(loaded.lut.get(1), Some([0.5, -0.5, 0.25]));
-        assert_eq!(loaded.lut.get(u128::MAX / 2), Some([0.0, 1.0, 0.0]));
+        assert_eq!(loaded.lut.get((1 << 16) - 1), Some([0.0, 1.0, 0.0]));
     }
 
     #[test]
     fn file_roundtrip() {
-        let mut lut = SparseLut::new();
+        let mut lut = table();
         for i in 0..50u128 {
             lut.set(i * 7, [i as f32 * 0.01, 0.0, -0.25]).unwrap();
         }
         let dir = std::env::temp_dir().join("volut_lut_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("table.vlut");
-        write_sparse(&lut, header(), &path).unwrap();
+        write(&lut, header(), &path).unwrap();
         let loaded = read_lut(&path).unwrap();
         assert_eq!(loaded.lut.populated(), 50);
         std::fs::remove_file(&path).ok();
@@ -232,9 +219,9 @@ mod tests {
     #[test]
     fn decode_rejects_malformed() {
         assert!(decode(b"short").is_err());
-        let mut lut = SparseLut::new();
+        let mut lut = table();
         lut.set(1, [0.0; 3]).unwrap();
-        let bytes = encode_sparse(&lut, header());
+        let bytes = encode(&lut, header());
         // Corrupt the magic.
         let mut bad = bytes.clone();
         bad[0] = b'X';
@@ -245,33 +232,43 @@ mod tests {
         let mut bad = bytes.clone();
         bad.push(0);
         assert!(decode(&bad).is_err());
-        // Corrupt the backend byte; 1 was the retired dense backend.
-        for backend in [1, 9] {
-            let mut bad = bytes.clone();
-            bad[5] = backend;
-            assert!(decode(&bad).is_err());
+        // Version 1 carried backend and scheme bytes.
+        let mut bad = bytes.clone();
+        bad[4] = 1;
+        assert!(decode(&bad).is_err());
+        // A key outside the 16⁴-key space.
+        let mut bad = bytes.clone();
+        bad[HEADER_BYTES + 2] = 1;
+        assert!(decode(&bad).is_err());
+        // Headers that are no encoder configuration: too few bins or
+        // points, or a key wider than 128 bits (9 points × 16 bits).
+        for (receptive_field, bins) in [(4, 0), (4, 1), (1, 16), (0, 16), (9, u16::MAX)] {
+            let bytes = crafted(receptive_field, bins, 0, 0);
+            assert!(decode(&bytes).is_err(), "n {receptive_field} b {bins}");
         }
     }
 
-    /// A 40-byte file whose entry count times 22 wraps to the 6 bytes that
+    /// A 22-byte file whose entry count times 22 wraps to the 6 bytes that
     /// follow the header: rejected before any table is allocated. An
-    /// unchecked multiply would pass the length check and size a 2^60-slot
-    /// table.
+    /// unchecked multiply would pass the length check and read 2^60 entries.
     #[test]
     fn decode_rejects_an_entry_count_that_overflows() {
         let count = u64::MAX / ENTRY_BYTES as u64 + 1;
-        assert_eq!(count.wrapping_mul(ENTRY_BYTES as u64), 6);
-        let bytes = crafted(BACKEND_SPARSE, 0, count, 6);
+        let tail = count.wrapping_mul(ENTRY_BYTES as u64) as usize;
+        assert_eq!(tail, 6);
+        let bytes = crafted(4, 16, count, tail);
         assert_eq!(bytes.len(), HEADER_BYTES + 6);
         assert!(decode(&bytes).is_err());
     }
 
-    /// A 34-byte file in the retired dense backend claiming a 2^40-key
-    /// space: rejected as an unknown backend, not sized as a 6 TiB table.
+    /// A 16-byte header whose key space is over the byte budget — 128⁴ keys
+    /// (1.5 GiB), and 2¹²⁸ saturated — is rejected, not allocated.
     #[test]
     fn decode_rejects_a_dense_header_without_allocating_its_key_space() {
-        let bytes = crafted(1, 1 << 40, 0, 0);
-        assert_eq!(bytes.len(), HEADER_BYTES);
-        assert!(decode(&bytes).is_err());
+        for (receptive_field, bins) in [(4, 128), (8, u16::MAX)] {
+            let bytes = crafted(receptive_field, bins, 0, 0);
+            assert_eq!(bytes.len(), HEADER_BYTES);
+            assert!(decode(&bytes).is_err(), "n {receptive_field} b {bins}");
+        }
     }
 }

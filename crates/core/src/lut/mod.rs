@@ -6,26 +6,20 @@
 //! (2 bytes/offset, Eq. 7). At run time refinement is then a single table
 //! lookup instead of a network inference.
 //!
-//! Two storage backends are provided:
-//! * [`DenseLut`] — a flat array indexed directly by the compact key
-//!   (`b^n` entries, the layout whose byte counts Table 1 reports);
-//! * [`SparseLut`] — a hash map keyed by the full per-coordinate key
-//!   (`b^(3n)` key space), storing only the entries actually observed
-//!   during distillation. This is the engineering substitution that lets the
-//!   `b = 128`, `n = 4` configuration run on hosts without 1.6 GB of free
-//!   memory (see DESIGN.md §2).
+//! The table is a [`DenseLut`]: a flat array indexed directly by the key
+//! (`b^n` entries, the layout whose byte counts Table 1 reports). Trained
+//! tables use 32 bins or fewer instead of the paper's `b = 128`, whose
+//! `n = 4` table needs 1.5 GiB, over [`DenseLut::DEFAULT_BYTE_BUDGET`].
 
 pub mod builder;
 pub mod dense;
 pub mod f16;
 pub mod io;
 pub mod memory;
-pub mod sparse;
 
 pub use builder::LutBuilder;
 pub use dense::DenseLut;
 pub use memory::{table1_rows, MemoryModel, MemoryRow};
-pub use sparse::SparseLut;
 
 /// A 3D refinement offset retrieved from a LUT, in the normalized
 /// neighborhood coordinate frame (multiply by the neighborhood radius to get
@@ -53,7 +47,8 @@ impl LookupStats {
     }
 }
 
-/// Common interface of the LUT storage backends.
+/// The table interface the refiner probes: a [`DenseLut`], or a read-only
+/// [`crate::registry::SharedLut`] view of one.
 pub trait Lut: Send + Sync {
     /// Returns the stored offset for `key`, or `None` when the entry has not
     /// been populated.
@@ -85,9 +80,6 @@ pub trait Lut: Send + Sync {
 
     /// Resident memory consumed by the table's storage, in bytes.
     fn memory_bytes(&self) -> usize;
-
-    /// Human-readable backend name for reports ("dense" / "sparse").
-    fn backend_name(&self) -> &'static str;
 }
 
 #[cfg(test)]

@@ -106,10 +106,9 @@ pub fn build_training_set(
     ground_truth: &PointCloud,
     keep_ratio: f64,
     config: &SrConfig,
-    scheme: KeyScheme,
     seed: u64,
 ) -> Result<TrainingSet> {
-    let encoder = PositionEncoder::new(config, scheme)?;
+    let encoder = PositionEncoder::new(config, KeyScheme::Compact)?;
     let low = sampling::random_downsample(ground_truth, keep_ratio, seed)?;
     if low.len() < 2 {
         return Err(Error::Training(
@@ -259,7 +258,7 @@ mod tests {
     #[test]
     fn training_set_construction() {
         let gt = synthetic::sphere(1500, 1.0, 1);
-        let set = build_training_set(&gt, 0.5, &SrConfig::default(), KeyScheme::Full, 7).unwrap();
+        let set = build_training_set(&gt, 0.5, &SrConfig::default(), 7).unwrap();
         assert!(!set.is_empty());
         assert_eq!(set.inputs.len(), set.targets.len());
         assert!(set.inputs.iter().all(|i| i.len() == 12));
@@ -270,7 +269,7 @@ mod tests {
     #[test]
     fn training_reduces_loss() {
         let gt = synthetic::torus(1500, 1.0, 0.3, 2);
-        let set = build_training_set(&gt, 0.5, &SrConfig::default(), KeyScheme::Full, 3).unwrap();
+        let set = build_training_set(&gt, 0.5, &SrConfig::default(), 3).unwrap();
         let cfg = TrainConfig {
             epochs: 8,
             ..TrainConfig::default()
@@ -304,8 +303,8 @@ mod tests {
     #[test]
     fn training_set_extend() {
         let gt = synthetic::sphere(800, 1.0, 5);
-        let mut a = build_training_set(&gt, 0.5, &SrConfig::default(), KeyScheme::Full, 1).unwrap();
-        let b = build_training_set(&gt, 0.5, &SrConfig::default(), KeyScheme::Full, 2).unwrap();
+        let mut a = build_training_set(&gt, 0.5, &SrConfig::default(), 1).unwrap();
+        let b = build_training_set(&gt, 0.5, &SrConfig::default(), 2).unwrap();
         let before = a.len();
         let b_len = b.len();
         a.extend(b);

@@ -225,9 +225,12 @@ mod tests {
         // Train on one "video" (sphere), evaluate on the same content type:
         // the LUT-refined result should be at least as good as interpolation
         // alone, and both better than the raw downsampled input.
-        let config = SrConfig::default();
+        let config = SrConfig {
+            bins: 32,
+            ..SrConfig::default()
+        };
         let gt = synthetic::sphere(3000, 1.0, 7);
-        let set = build_training_set(&gt, 0.5, &config, KeyScheme::Full, 11).unwrap();
+        let set = build_training_set(&gt, 0.5, &config, 11).unwrap();
         let mut trainer = RefinementTrainer::new(
             &config,
             TrainConfig {
@@ -238,9 +241,9 @@ mod tests {
         .unwrap();
         trainer.train(&set).unwrap();
         let mlp = trainer.into_network();
-        let builder = LutBuilder::new(&config, KeyScheme::Full).unwrap();
-        let lut = builder.distill_sparse(&mlp, &set).unwrap();
-        let refiner = LutRefiner::from_config(&config, KeyScheme::Full, Box::new(lut)).unwrap();
+        let builder = LutBuilder::new(&config).unwrap();
+        let lut = builder.distill(&mlp, &set).unwrap();
+        let refiner = LutRefiner::from_config(&config, KeyScheme::Compact, Box::new(lut)).unwrap();
 
         let low = sampling::random_downsample_exact(&gt, 1500, 3).unwrap();
         let lut_pipeline = SrPipeline::new(config, Box::new(refiner));
@@ -266,9 +269,12 @@ mod tests {
 
     #[test]
     fn nn_refiner_pipeline_runs_and_is_slower_than_lut() {
-        let config = SrConfig::default();
+        let config = SrConfig {
+            bins: 32,
+            ..SrConfig::default()
+        };
         let gt = synthetic::torus(1500, 1.0, 0.3, 5);
-        let set = build_training_set(&gt, 0.5, &config, KeyScheme::Full, 2).unwrap();
+        let set = build_training_set(&gt, 0.5, &config, 2).unwrap();
         let mut trainer = RefinementTrainer::new(
             &config,
             TrainConfig {
@@ -279,17 +285,17 @@ mod tests {
         .unwrap();
         trainer.train(&set).unwrap();
         let mlp = trainer.into_network();
-        let builder = LutBuilder::new(&config, KeyScheme::Full).unwrap();
-        let lut = builder.distill_sparse(&mlp, &set).unwrap();
+        let builder = LutBuilder::new(&config).unwrap();
+        let lut = builder.distill(&mlp, &set).unwrap();
 
         let low = sampling::random_downsample_exact(&gt, 700, 1).unwrap();
         let nn_pipeline = SrPipeline::new(
             config,
-            Box::new(NnRefiner::from_config(&config, KeyScheme::Full, mlp).unwrap()),
+            Box::new(NnRefiner::from_config(&config, mlp).unwrap()),
         );
         let lut_pipeline = SrPipeline::new(
             config,
-            Box::new(LutRefiner::from_config(&config, KeyScheme::Full, Box::new(lut)).unwrap()),
+            Box::new(LutRefiner::from_config(&config, KeyScheme::Compact, Box::new(lut)).unwrap()),
         );
         let nn_result = nn_pipeline.upsample(&low, 2.0).unwrap();
         let lut_result = lut_pipeline.upsample(&low, 2.0).unwrap();
@@ -344,8 +350,7 @@ mod tests {
         let mlp = Mlp::new(&[12, 16, 3], 41);
         for churn in [0.0, 0.1, 0.5] {
             for config in [SrConfig::default(), SrConfig::k4d1()] {
-                let refiner =
-                    NnRefiner::from_config(&config, KeyScheme::Full, mlp.clone()).unwrap();
+                let refiner = NnRefiner::from_config(&config, mlp.clone()).unwrap();
                 let pipeline = SrPipeline::new(config, Box::new(refiner));
                 let base = synthetic::humanoid(1_200, 0.4, 3);
                 let frames = synthetic::delta_frame_sequence(
@@ -442,12 +447,7 @@ mod tests {
         let nn_pipe = SrPipeline::new(
             SrConfig::default(),
             Box::new(
-                NnRefiner::from_config(
-                    &SrConfig::default(),
-                    KeyScheme::Full,
-                    Mlp::new(&[12, 8, 3], 5),
-                )
-                .unwrap(),
+                NnRefiner::from_config(&SrConfig::default(), Mlp::new(&[12, 8, 3], 5)).unwrap(),
             ),
         );
         let id_cold = id_pipe.upsample(&frame, 2.0).unwrap();
@@ -468,8 +468,7 @@ mod tests {
     /// outputs the middle frame captured.
     fn assert_last_frame_matches_cold(frames: [&PointCloud; 3], what: &str) {
         let config = SrConfig::default();
-        let refiner =
-            NnRefiner::from_config(&config, KeyScheme::Full, Mlp::new(&[12, 16, 3], 43)).unwrap();
+        let refiner = NnRefiner::from_config(&config, Mlp::new(&[12, 16, 3], 43)).unwrap();
         let pipeline = SrPipeline::new(config, Box::new(refiner));
         let mut scratch = FrameScratch::new();
         pipeline
@@ -578,10 +577,7 @@ mod tests {
             match kind {
                 "identity" => Box::new(IdentityRefiner),
                 "lut" => Box::new(dense_lut_refiner(config, &table)),
-                _ => Box::new(
-                    NnRefiner::from_config(config, KeyScheme::Full, Mlp::new(&[12, 16, 3], 41))
-                        .unwrap(),
-                ),
+                _ => Box::new(NnRefiner::from_config(config, Mlp::new(&[12, 16, 3], 41)).unwrap()),
             }
         };
         for workers in [1, 2] {

@@ -172,7 +172,6 @@ impl std::fmt::Debug for LutRefiner {
         f.debug_struct("LutRefiner")
             .field("encoder", &self.encoder)
             .field("populated", &self.lut.populated())
-            .field("backend", &self.lut.backend_name())
             .finish()
     }
 }
@@ -183,7 +182,8 @@ impl LutRefiner {
         Self { encoder, lut }
     }
 
-    /// Convenience constructor from an [`crate::SrConfig`], key scheme and LUT.
+    /// Convenience constructor from an [`crate::SrConfig`] and a LUT; the
+    /// [`KeyScheme`] is ignored.
     ///
     /// # Errors
     /// Returns an error when the configuration is invalid.
@@ -289,12 +289,15 @@ impl NnRefiner {
         }
     }
 
-    /// Convenience constructor from an [`crate::SrConfig`] and key scheme.
+    /// Convenience constructor from an [`crate::SrConfig`].
     ///
     /// # Errors
     /// Returns an error when the configuration is invalid.
-    pub fn from_config(config: &crate::SrConfig, scheme: KeyScheme, mlp: Mlp) -> Result<Self> {
-        Ok(Self::new(PositionEncoder::new(config, scheme)?, mlp))
+    pub fn from_config(config: &crate::SrConfig, mlp: Mlp) -> Result<Self> {
+        Ok(Self::new(
+            PositionEncoder::new(config, KeyScheme::Compact)?,
+            mlp,
+        ))
     }
 
     /// The wrapped network.
@@ -377,11 +380,20 @@ impl Refiner for NnRefiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lut::sparse::SparseLut;
+    use crate::lut::DenseLut;
     use crate::SrConfig;
 
+    /// An encoder at 16 bins: its table has 16⁴ keys.
     fn encoder() -> PositionEncoder {
-        PositionEncoder::new(&SrConfig::default(), KeyScheme::Full).unwrap()
+        let config = SrConfig {
+            bins: 16,
+            ..SrConfig::default()
+        };
+        PositionEncoder::new(&config, KeyScheme::Compact).unwrap()
+    }
+
+    fn empty_table() -> DenseLut {
+        DenseLut::new(encoder().key_space()).unwrap()
     }
 
     /// Refines one center whose neighborhood is given directly as
@@ -429,7 +441,7 @@ mod tests {
         let enc = encoder();
         let key = enc.encode(c, &n).unwrap().key;
         let radius = enc.encode(c, &n).unwrap().radius;
-        let mut lut = SparseLut::new();
+        let mut lut = empty_table();
         lut.set(key, [0.5, 0.0, 0.0]).unwrap();
         let refiner = LutRefiner::new(enc, Box::new(lut));
         let (refined, stats) = refine_one_counted(&refiner, c, &n);
@@ -440,7 +452,7 @@ mod tests {
     #[test]
     fn lut_refiner_miss_returns_center_and_counts() {
         let (c, n) = neighborhood();
-        let refiner = LutRefiner::new(encoder(), Box::new(SparseLut::new()));
+        let refiner = LutRefiner::new(encoder(), Box::new(empty_table()));
         let (refined, stats) = refine_one_counted(&refiner, c, &n);
         assert_eq!(refined, c);
         assert_eq!(stats, LookupStats { hits: 0, misses: 1 });
@@ -468,7 +480,7 @@ mod tests {
         assert_send_sync::<dyn Refiner>();
         let boxed: Vec<Box<dyn Refiner>> = vec![
             Box::new(IdentityRefiner),
-            Box::new(LutRefiner::new(encoder(), Box::new(SparseLut::new()))),
+            Box::new(LutRefiner::new(encoder(), Box::new(empty_table()))),
         ];
         assert_eq!(boxed.len(), 2);
     }
@@ -521,7 +533,7 @@ mod tests {
     #[test]
     fn lut_batch_parity() {
         let enc = encoder();
-        let mut lut = SparseLut::new();
+        let mut lut = empty_table();
         // Populate a handful of keys so both hit and miss paths are exercised.
         let source = Point3::new(0.3, 0.1, -0.2);
         let key = enc.encode(Point3::ZERO, &[source]).unwrap().key;

@@ -16,7 +16,7 @@
 //!   typed error: tables are built *before* they are published and are
 //!   immutable afterwards. One allocation serves every session.
 //! * [`ContentModel`] — one content item's immutable artifacts (SR config,
-//!   key scheme, LUT, optional refinement MLP) behind `Arc`s, with
+//!   LUT, optional refinement MLP) behind `Arc`s, with
 //!   the per-session pipeline constructor [`ContentModel::pipeline`], which
 //!   probes the shared table (bytes/session ≈ scratch only). What a
 //!   per-session copy would cost is `bytes_per_session +`
@@ -34,7 +34,6 @@ use std::sync::Arc;
 use crate::config::SrConfig;
 use crate::encoding::KeyScheme;
 use crate::lut::dense::DenseLut;
-use crate::lut::sparse::SparseLut;
 use crate::lut::{Lut, Offset};
 use crate::nn::mlp::Mlp;
 use crate::pipeline::SrPipeline;
@@ -66,7 +65,6 @@ impl SharedLut {
 impl std::fmt::Debug for SharedLut {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedLut")
-            .field("backend", &self.inner.backend_name())
             .field("populated", &self.inner.populated())
             .field("refs", &Arc::strong_count(&self.inner))
             .finish()
@@ -97,33 +95,6 @@ impl Lut for SharedLut {
     fn memory_bytes(&self) -> usize {
         self.inner.memory_bytes()
     }
-
-    fn backend_name(&self) -> &'static str {
-        self.inner.backend_name()
-    }
-}
-
-/// The concrete table behind a [`ContentModel`].
-#[derive(Debug, Clone)]
-enum Table {
-    Sparse(Arc<SparseLut>),
-    Dense(Arc<DenseLut>),
-}
-
-impl Table {
-    fn as_shared(&self) -> Arc<dyn Lut> {
-        match self {
-            Table::Sparse(t) => Arc::clone(t) as Arc<dyn Lut>,
-            Table::Dense(t) => Arc::clone(t) as Arc<dyn Lut>,
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            Table::Sparse(t) => t.memory_bytes(),
-            Table::Dense(t) => t.memory_bytes(),
-        }
-    }
 }
 
 /// One content item's immutable serving artifacts, shared by every session
@@ -132,43 +103,24 @@ impl Table {
 pub struct ContentModel {
     name: String,
     config: SrConfig,
-    scheme: KeyScheme,
-    table: Table,
+    table: Arc<DenseLut>,
     network: Option<Arc<Mlp>>,
 }
 
 impl ContentModel {
-    /// Publishes a content model around a populated sparse LUT.
-    pub fn from_sparse(
-        name: impl Into<String>,
-        config: SrConfig,
-        scheme: KeyScheme,
-        lut: SparseLut,
-        network: Option<Mlp>,
-    ) -> Self {
-        Self {
-            name: name.into(),
-            config,
-            scheme,
-            table: Table::Sparse(Arc::new(lut)),
-            network: network.map(Arc::new),
-        }
-    }
-
-    /// Publishes a content model around a populated dense LUT (the paper's
-    /// deployed-table configuration).
+    /// Publishes a content model around a populated LUT; the [`KeyScheme`]
+    /// is ignored.
     pub fn from_dense(
         name: impl Into<String>,
         config: SrConfig,
-        scheme: KeyScheme,
+        _scheme: KeyScheme,
         lut: DenseLut,
         network: Option<Mlp>,
     ) -> Self {
         Self {
             name: name.into(),
             config,
-            scheme,
-            table: Table::Dense(Arc::new(lut)),
+            table: Arc::new(lut),
             network: network.map(Arc::new),
         }
     }
@@ -181,11 +133,6 @@ impl ContentModel {
     /// The SR configuration every session of this item runs.
     pub fn config(&self) -> &SrConfig {
         &self.config
-    }
-
-    /// The key scheme the table was built under.
-    pub fn scheme(&self) -> KeyScheme {
-        self.scheme
     }
 
     /// The shared refinement network, when one was published.
@@ -209,13 +156,13 @@ impl ContentModel {
     /// state only, never a table copy.
     ///
     /// # Errors
-    /// Returns an error when the stored configuration is invalid for the
-    /// stored key scheme (never for registry-built models).
+    /// Returns an error when the stored configuration is invalid (never for
+    /// registry-built models).
     pub fn pipeline(&self) -> Result<SrPipeline> {
         let refiner = LutRefiner::from_config(
             &self.config,
-            self.scheme,
-            Box::new(SharedLut::new(self.table.as_shared())),
+            KeyScheme::Compact,
+            Box::new(SharedLut::new(Arc::clone(&self.table) as Arc<dyn Lut>)),
         )?;
         Ok(SrPipeline::new(self.config, Box::new(refiner)))
     }
@@ -284,10 +231,13 @@ mod tests {
     use volut_pointcloud::synthetic;
 
     /// A small content model and a private copy of its table.
-    fn toy_model_and_table() -> (ContentModel, SparseLut) {
-        let config = SrConfig::default();
-        let encoder = crate::encoding::PositionEncoder::new(&config, KeyScheme::Full).unwrap();
-        let mut lut = SparseLut::new();
+    fn toy_model_and_table() -> (ContentModel, DenseLut) {
+        let config = SrConfig {
+            bins: 16,
+            ..SrConfig::default()
+        };
+        let encoder = crate::encoding::PositionEncoder::new(&config, KeyScheme::Compact).unwrap();
+        let mut lut = DenseLut::new(encoder.key_space()).unwrap();
         // Populate keys that real spheres actually hit, so the parity test
         // exercises the hit path, not just misses.
         let cloud = synthetic::sphere(300, 1.0, 7);
@@ -298,7 +248,7 @@ mod tests {
                 let _ = lut.set(encoded.key, [0.05, -0.02, 0.01]);
             }
         }
-        let model = ContentModel::from_sparse("toy", config, KeyScheme::Full, lut.clone(), None);
+        let model = ContentModel::from_dense("toy", config, KeyScheme::Compact, lut.clone(), None);
         (model, lut)
     }
 
@@ -313,7 +263,7 @@ mod tests {
         let (model, table) = toy_model_and_table();
         let shared = model.pipeline().unwrap();
         let refiner =
-            LutRefiner::from_config(model.config(), model.scheme(), Box::new(table)).unwrap();
+            LutRefiner::from_config(model.config(), KeyScheme::Compact, Box::new(table)).unwrap();
         let private = SrPipeline::new(*model.config(), Box::new(refiner));
         let low = synthetic::sphere(400, 1.0, 3);
         let a = shared.upsample(&low, 2.0).unwrap();
@@ -340,7 +290,7 @@ mod tests {
     #[test]
     fn shared_lut_refuses_mutation() {
         let model = toy_model();
-        let mut shared = SharedLut::new(model.table.as_shared());
+        let mut shared = SharedLut::new(Arc::clone(&model.table) as Arc<dyn Lut>);
         let before = shared.populated();
         assert!(shared.set(42, [0.0, 0.0, 0.0]).is_err());
         assert_eq!(shared.populated(), before);

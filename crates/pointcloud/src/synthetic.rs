@@ -4,7 +4,8 @@
 //! Haggle, Lab) that are not redistributable; this module generates
 //! procedural stand-ins with comparable characteristics: surface-like
 //! distributions, local density variation, curvature, fine detail and smooth
-//! per-point color fields. See DESIGN.md §2 for the substitution rationale.
+//! per-point color fields — the properties the interpolation, refinement and
+//! quality metrics respond to.
 
 use crate::cloud::PointCloud;
 use crate::delta::FrameDelta;

@@ -979,18 +979,18 @@ impl SrServer {
 mod tests {
     use super::*;
     use volut_core::encoding::KeyScheme;
-    use volut_core::lut::sparse::SparseLut;
+    use volut_core::lut::DenseLut;
     use volut_core::SrConfig;
 
     fn test_registry() -> Arc<ModelRegistry> {
         let mut registry = ModelRegistry::new();
         use volut_core::lut::Lut;
-        let mut lut = SparseLut::new();
+        let mut lut = DenseLut::new(1 << 12).unwrap();
         lut.set(7, [0.01, 0.0, -0.01]).unwrap();
-        registry.publish(ContentModel::from_sparse(
+        registry.publish(ContentModel::from_dense(
             "demo",
             SrConfig::default(),
-            KeyScheme::Full,
+            KeyScheme::Compact,
             lut,
             None,
         ));

@@ -6,7 +6,8 @@
 //! redistributable, so [`NetworkTrace::synthetic_lte`] generates a bounded
 //! AR(1) process matched to a requested mean/standard deviation, which
 //! preserves the first/second moments and the temporal burstiness the ABR
-//! reacts to (see DESIGN.md §2).
+//! reacts to: the ABR comparisons depend on those, not on the traces
+//! themselves.
 
 use crate::error::Error;
 use crate::Result;

@@ -18,9 +18,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("ground truth: {} points", ground_truth.len());
 
     // 2. Offline: train the refinement network on downsampled/original pairs
-    //    and distill it into a lookup table.
-    let config = SrConfig::default();
-    let training_set = build_training_set(&ground_truth, 0.5, &config, KeyScheme::Full, 7)?;
+    //    and distill it into a lookup table (32 bins: 2^20 entries, 6 MiB).
+    let config = SrConfig {
+        bins: 32,
+        ..SrConfig::default()
+    };
+    let training_set = build_training_set(&ground_truth, 0.5, &config, 7)?;
     let mut trainer = RefinementTrainer::new(
         &config,
         TrainConfig {
@@ -35,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.final_loss().unwrap_or(f32::NAN)
     );
     let network = trainer.into_network();
-    let lut = LutBuilder::new(&config, KeyScheme::Full)?.distill_sparse(&network, &training_set)?;
+    let lut = LutBuilder::new(&config)?.distill(&network, &training_set)?;
 
     // 3. Online: the server randomly downsamples the frame (here to 50%),
     //    the client interpolates + LUT-refines it back to full density.
@@ -44,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config,
         Box::new(LutRefiner::from_config(
             &config,
-            KeyScheme::Full,
+            KeyScheme::Compact,
             Box::new(lut),
         )?),
     );

@@ -8,16 +8,20 @@
 
 use volut::core::encoding::KeyScheme;
 use volut::core::lut::builder::LutBuilder;
-use volut::core::lut::io::{read_lut, write_sparse, LutHeader};
+use volut::core::lut::io::{read_lut, write, LutHeader};
 use volut::core::lut::memory::{table1_rows, MemoryModel};
-use volut::core::lut::Lut as _;
+use volut::core::lut::{DenseLut, Lut as _};
 use volut::core::nn::train::{build_training_set, RefinementTrainer, TrainConfig};
 use volut::core::refine::LutRefiner;
 use volut::core::{SrConfig, SrPipeline};
 use volut::pointcloud::{metrics, sampling, synthetic};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = SrConfig::default();
+    // The deployed table of this reproduction: 32 bins, 2^20 entries.
+    let config = SrConfig {
+        bins: 32,
+        ..SrConfig::default()
+    };
 
     // Table 1: what a dense LUT would cost for different configurations.
     println!("dense LUT memory model (paper Table 1):");
@@ -28,23 +32,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "deployed configuration n=4, b=128 -> {}",
-        MemoryModel::format_bytes(MemoryModel::new(4, 128).compact_bytes())
+        "paper configuration n=4, b=128 -> {}, over the {} table budget; this table uses b={}",
+        MemoryModel::format_bytes(MemoryModel::new(4, 128).compact_bytes()),
+        MemoryModel::format_bytes(DenseLut::DEFAULT_BYTE_BUDGET),
+        config.bins
     );
 
     // Train on several animation phases of the "Long Dress" stand-in.
-    let mut set = build_training_set(
-        &synthetic::humanoid(6_000, 0.0, 1),
-        0.5,
-        &config,
-        KeyScheme::Full,
-        1,
-    )?;
+    let mut set = build_training_set(&synthetic::humanoid(6_000, 0.0, 1), 0.5, &config, 1)?;
     set.extend(build_training_set(
         &synthetic::humanoid(6_000, 0.9, 1),
         0.25,
         &config,
-        KeyScheme::Full,
         2,
     )?);
     let mut trainer = RefinementTrainer::new(
@@ -64,30 +63,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Distill and persist.
     let network = trainer.into_network();
-    let lut = LutBuilder::new(&config, KeyScheme::Full)?.distill_sparse(&network, &set)?;
+    let lut = LutBuilder::new(&config)?.distill(&network, &set)?;
     println!(
-        "distilled sparse LUT: {} entries, {} bytes resident",
+        "distilled dense LUT (b={}): {} of {} entries populated, {} bytes resident",
+        config.bins,
         lut.populated(),
+        lut.key_space(),
         lut.memory_bytes()
     );
     let header = LutHeader {
-        scheme: KeyScheme::Full,
         receptive_field: config.receptive_field,
         bins: config.bins,
     };
     let path = std::env::temp_dir().join("volut_example.vlut");
-    write_sparse(&lut, header, &path)?;
-    println!("wrote {}", path.display());
+    write(&lut, header, &path)?;
+    println!(
+        "wrote {} ({} bytes)",
+        path.display(),
+        std::fs::metadata(&path)?.len()
+    );
 
     // Reload and use on unseen content (the "Loot" stand-in) to check
     // generalization, like the paper's cross-video evaluation.
     let loaded = read_lut(&path)?;
     println!(
-        "reloaded LUT: {} entries, scheme {:?}",
+        "reloaded LUT: {} entries, n={} b={}",
         loaded.lut.populated(),
-        loaded.header.scheme
+        loaded.header.receptive_field,
+        loaded.header.bins
     );
-    let refiner = LutRefiner::from_config(&config, loaded.header.scheme, Box::new(loaded.lut))?;
+    let refiner = LutRefiner::from_config(&config, KeyScheme::Compact, Box::new(loaded.lut))?;
     let pipeline = SrPipeline::new(config, Box::new(refiner));
 
     let unseen = synthetic::humanoid(8_000, 2.0, 99);

@@ -9,9 +9,8 @@ use volut::core::config::SrConfig;
 use volut::core::encoding::{EncodeScratch, KeyScheme, PositionEncoder};
 use volut::core::interpolate::dilated::dilated_interpolate;
 use volut::core::interpolate::reuse::{merge_and_prune, merge_parent_heads};
-use volut::core::lut::io::{decode, encode_sparse, LutHeader};
-use volut::core::lut::sparse::SparseLut;
-use volut::core::lut::Lut;
+use volut::core::lut::io::{decode, encode, LutHeader};
+use volut::core::lut::{DenseLut, Lut};
 use volut::pointcloud::dualtree::DualTreeScratch;
 use volut::pointcloud::kdtree::{IndexScratch, KdTree, LEAF_SIZE};
 use volut::pointcloud::knn::{BruteForce, NeighborSearch};
@@ -124,16 +123,14 @@ proptest! {
         bins in 4usize..64,
     ) {
         let config = SrConfig { bins, ..SrConfig::default() };
-        for scheme in [KeyScheme::Full, KeyScheme::Compact] {
-            let enc = PositionEncoder::new(&config, scheme).unwrap();
-            let e = enc.encode(center, &neighbors).unwrap();
-            prop_assert!(e.key < enc.key_space());
-            prop_assert!(e.radius > 0.0);
-            // Every quantized index is a valid bin.
-            prop_assert!(e.indices.iter().all(|&q| (q as usize) < bins));
-            // Features are inside the normalized cube.
-            prop_assert!(enc.features(&e).iter().all(|v| v.abs() <= 1.0 + 1e-5));
-        }
+        let enc = PositionEncoder::new(&config, KeyScheme::Compact).unwrap();
+        let e = enc.encode(center, &neighbors).unwrap();
+        prop_assert!(e.key < enc.key_space());
+        prop_assert!(e.radius > 0.0);
+        // Every quantized index is a valid bin.
+        prop_assert!(e.indices.iter().all(|&q| (q as usize) < bins));
+        // Features are inside the normalized cube.
+        prop_assert!(enc.features(&e).iter().all(|v| v.abs() <= 1.0 + 1e-5));
     }
 
     #[test]
@@ -586,7 +583,6 @@ proptest! {
     fn encode_keys_block_is_bit_identical_to_the_reference(
         seed in 0u64..10_000,
         bins_sel in 0usize..8,
-        scheme_sel in 0usize..2,
     ) {
         // The lane-wise block encoder against the allocating per-row
         // reference, key and radius bit for bit: every bin count whose code
@@ -599,19 +595,17 @@ proptest! {
         // boundary and a few ulps either side of it.
         let seed = seed ^ chaos_seed();
         let bins = [2usize, 3, 8, 9, 32, 100, 128, 65_535][bins_sel];
-        let scheme = [KeyScheme::Full, KeyScheme::Compact][scheme_sel];
-        println!("block encoder case: seed {seed} bins {bins} {scheme:?} (CHAOS_SEED {})", chaos_seed());
+        println!("block encoder case: seed {seed} bins {bins} (CHAOS_SEED {})", chaos_seed());
         let mut mix = Mix(seed);
         let bits = (usize::BITS - (bins - 1).leading_zeros()) as usize;
-        let values_per_point = if scheme == KeyScheme::Full { 3 } else { 1 };
-        let widest = 128 / (bits * values_per_point);
+        let widest = 128 / bits;
         let mut fields = vec![2, widest];
         if widest > 2 {
             fields.push(2 + mix.below(widest - 1));
         }
         for receptive_field in fields {
             let config = SrConfig { bins, receptive_field, ..SrConfig::default() };
-            let enc = PositionEncoder::new(&config, scheme).unwrap();
+            let enc = PositionEncoder::new(&config, KeyScheme::Compact).unwrap();
             let slots = receptive_field - 1;
             let mut source: Vec<Point3> = (0..64).map(|_| mix.point(2.0)).collect();
             // Rows grouped by length: each group is one fixed-width view.
@@ -640,21 +634,13 @@ proptest! {
             let zero = Point3::new(0.0, -0.0, 0.0);
             push(&mut source, zero, &[Point3::new(-0.0, 0.0, 1.0), Point3::new(-0.0, -0.0, -1.0)]);
             // Rounding boundaries: one far neighbor pins the radius at 1, the
-            // other sits where the quantizer's operand is `q` (Full: the
-            // floor steps) or `q + 0.5` (Compact: the rounding steps).
+            // other sits where the radial code's operand is `q + 0.5`.
             let origin = Point3::ZERO;
             let far = Point3::new(0.0, 1.0, 0.0);
-            let steps = match scheme {
-                KeyScheme::Full => bins - 1,
-                KeyScheme::Compact => (1usize << bits.saturating_sub(3)) - 1,
-            };
+            let steps = (1usize << bits.saturating_sub(3)) - 1;
             for q in [0, 1, steps / 2, steps.saturating_sub(1)] {
-                let target = match scheme {
-                    // (v + 1) / 2 · (bins − 1) = q
-                    KeyScheme::Full => 2.0 * q as f32 / steps.max(1) as f32 - 1.0,
-                    // |v| / √3 · levels = q + 0.5
-                    KeyScheme::Compact => (q as f32 + 0.5) / steps.max(1) as f32 * 3.0f32.sqrt(),
-                };
+                // |v| / √3 · levels = q + 0.5
+                let target = (q as f32 + 0.5) / steps.max(1) as f32 * 3.0f32.sqrt();
                 for ulps in -3..=3 {
                     let v = if target == 0.0 { target } else { target.signum() * nudge(target.abs(), ulps) };
                     if v.abs() <= 1.0 {
@@ -712,29 +698,34 @@ proptest! {
         let seed = seed ^ chaos_seed();
         println!("lut decoder case: seed {seed} entries {entries} (CHAOS_SEED {})", chaos_seed());
         let mut mix = Mix(seed);
+        // Every encoder configuration whose table is at most 2²⁰ keys.
         let header = LutHeader {
-            scheme: [KeyScheme::Full, KeyScheme::Compact][mix.below(2)],
-            receptive_field: mix.below(256),
-            bins: mix.below(1 << 16),
+            receptive_field: 2 + mix.below(3),
+            bins: 2 + mix.below(31),
         };
-        let mut lut = SparseLut::new();
-        let mut offsets = Vec::new();
+        let config = SrConfig {
+            receptive_field: header.receptive_field,
+            bins: header.bins,
+            ..SrConfig::default()
+        };
+        let key_space = PositionEncoder::new(&config, KeyScheme::Compact).unwrap().key_space();
+        let mut lut = DenseLut::new(key_space).unwrap();
+        // A key drawn twice keeps its last offset.
+        let mut offsets = BTreeMap::new();
         for _ in 0..entries {
-            let key = u128::from(mix.next()) << 64 | u128::from(mix.next());
+            let key = u128::from(mix.next()) % key_space;
             let offset = [mix.unit() * 4.0, mix.unit(), mix.unit() * 1e-3];
             lut.set(key, offset).unwrap();
-            offsets.push((key, offset));
+            offsets.insert(key, offset);
         }
-        let sorted = |lut: &SparseLut| {
-            let mut set: Vec<(u128, [u32; 3])> =
-                lut.iter().map(|(k, o)| (k, o.map(f32::to_bits))).collect();
-            set.sort_unstable();
-            set
+        let entries = |lut: &DenseLut| -> Vec<(u128, [u32; 3])> {
+            lut.iter().map(|(k, o)| (k, o.map(f32::to_bits))).collect()
         };
-        let bytes = encode_sparse(&lut, header);
+        let bytes = encode(&lut, header);
         let loaded = decode(&bytes).unwrap();
         prop_assert_eq!(loaded.header, header);
-        prop_assert_eq!(sorted(&loaded.lut), sorted(&lut));
+        prop_assert_eq!(loaded.lut.key_space(), key_space);
+        prop_assert_eq!(entries(&loaded.lut), entries(&lut));
         for (key, offset) in offsets {
             let back = loaded.lut.get(key).unwrap();
             for (b, o) in back.iter().zip(offset) {

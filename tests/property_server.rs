@@ -11,8 +11,7 @@ use std::sync::Arc;
 
 use volut::core::config::SrConfig;
 use volut::core::encoding::KeyScheme;
-use volut::core::lut::sparse::SparseLut;
-use volut::core::lut::Lut;
+use volut::core::lut::{DenseLut, Lut};
 use volut::core::registry::{ContentModel, ModelRegistry};
 use volut::pointcloud::runtime;
 use volut::stream::faults::FaultConfig;
@@ -25,15 +24,19 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn registry() -> Arc<ModelRegistry> {
     let mut registry = ModelRegistry::new();
-    let mut lut = SparseLut::new();
-    // A handful of deterministic entries so the LUT path is live.
-    for key in 0..64u128 {
-        lut.set(key * 7919, [0.01, -0.005, 0.002]).unwrap();
+    // Every seventh key of a 16-bin table, so the LUT path is live.
+    let config = SrConfig {
+        bins: 16,
+        ..SrConfig::default()
+    };
+    let mut lut = DenseLut::new(1 << 16).unwrap();
+    for key in (0..1 << 16).step_by(7) {
+        lut.set(key, [0.01, -0.005, 0.002]).unwrap();
     }
-    registry.publish(ContentModel::from_sparse(
+    registry.publish(ContentModel::from_dense(
         "demo",
-        SrConfig::default(),
-        KeyScheme::Full,
+        config,
+        KeyScheme::Compact,
         lut,
         None,
     ));

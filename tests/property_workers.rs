@@ -202,7 +202,6 @@ fn spread_churn_frames(n: usize, frames: usize) -> Vec<(PointCloud, Option<Frame
 /// their chunk seams.
 #[test]
 fn large_delta_session_is_bit_identical_across_workers_and_to_cold() {
-    use volut::core::encoding::KeyScheme;
     use volut::core::nn::mlp::Mlp;
     use volut::core::refine::NnRefiner;
     use volut::core::SrPipeline;
@@ -214,12 +213,8 @@ fn large_delta_session_is_bit_identical_across_workers_and_to_cold() {
             // flushed before every frame, and every frame is undeclared.
             let run = |workers: usize, incremental: bool| {
                 runtime::with_workers(workers, || {
-                    let refiner = NnRefiner::from_config(
-                        &config,
-                        KeyScheme::Full,
-                        Mlp::new(&[12, 16, 3], 41),
-                    )
-                    .expect("valid config");
+                    let refiner = NnRefiner::from_config(&config, Mlp::new(&[12, 16, 3], 41))
+                        .expect("valid config");
                     let mut session = SrSession::new(SrPipeline::new(config, Box::new(refiner)));
                     let clouds: Vec<PointCloud> = frames
                         .iter()

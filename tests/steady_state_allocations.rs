@@ -10,13 +10,15 @@
 //! The two decoders of untrusted bytes — `FrameMessage::decode` (the wire)
 //! and `lut::io::decode` (`.vlut` files) — allocate at most a small
 //! multiple of their input, whatever it claims: random bytes, mutated
-//! encodings and forged counts alike. Seeded from `CHAOS_SEED`.
+//! encodings and forged counts alike. The `.vlut` decoder adds the table its
+//! header names, and only when that table fits the byte budget. Seeded from
+//! `CHAOS_SEED`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use volut::core::encoding::{KeyScheme, PositionEncoder};
 use volut::core::lut::io::{self, LutHeader};
-use volut::core::lut::{DenseLut, Lut, SparseLut};
+use volut::core::lut::{DenseLut, Lut};
 use volut::core::refine::{IdentityRefiner, LutRefiner};
 use volut::core::{SrConfig, SrPipeline};
 use volut::pointcloud::synthetic::{self, DeltaStream, DeltaStreamConfig};
@@ -345,29 +347,47 @@ fn frame_message_decode_allocates_a_small_multiple_of_its_input() {
     assert!(decoded >= 6 * 4, "the unmutated messages decode");
 }
 
+/// Bytes of the table a `.vlut` header names, when it is a valid encoder
+/// configuration whose table fits the byte budget; 0 otherwise.
+fn header_table_bytes(bytes: &[u8]) -> u64 {
+    if bytes.len() < 8 || !bytes.starts_with(b"VLUT\x02") {
+        return 0;
+    }
+    let config = SrConfig {
+        receptive_field: usize::from(bytes[5]),
+        bins: usize::from(u16::from_le_bytes([bytes[6], bytes[7]])),
+        ..SrConfig::default()
+    };
+    PositionEncoder::new(&config, KeyScheme::Compact)
+        .ok()
+        .and_then(|encoder| DenseLut::new(encoder.key_space()).ok())
+        .map_or(0, |table| table.memory_bytes() as u64)
+}
+
+/// Beside the table its header names, when that table fits the budget,
+/// decoding allocates a small multiple of its input.
 #[test]
 fn lut_decode_allocates_a_small_multiple_of_its_input() {
     let seed = chaos_seed();
     println!("lut decode allocation case: CHAOS_SEED {seed}");
     let mut mix = Mix(seed ^ 0x1E7);
     let mut inputs: Vec<Vec<u8>> = Vec::new();
+    let header = LutHeader {
+        receptive_field: 4,
+        bins: 16,
+    };
     for entries in [0, 1, 7, 100, 1000, mix.below(3000)] {
-        let mut lut = SparseLut::new();
+        let mut lut = DenseLut::new(1 << 16).unwrap();
         for _ in 0..entries {
-            let key = u128::from(mix.next()) << 64 | u128::from(mix.next());
-            lut.set(key, [0.25, -0.5, 0.125]).unwrap();
+            lut.set(u128::from(mix.next()) % (1 << 16), [0.25, -0.5, 0.125])
+                .unwrap();
         }
-        let header = LutHeader {
-            scheme: KeyScheme::Full,
-            receptive_field: 4,
-            bins: 128,
-        };
-        let bytes = io::encode_sparse(&lut, header);
-        // The entry count (after magic, version bytes, bins and the
-        // reserved key space) claims more entries than the file holds.
-        for count in [u64::MAX, 1 << 62, entries as u64 + 1, 1 << 40] {
+        let bytes = io::encode(&lut, header);
+        // The entry count (after magic, version, receptive field and bins)
+        // claims more entries than the file holds.
+        for count in [u64::MAX, 1 << 62, lut.populated() as u64 + 1, 1 << 40] {
             let mut forged = bytes.clone();
-            forged[26..34].copy_from_slice(&count.to_le_bytes());
+            forged[8..16].copy_from_slice(&count.to_le_bytes());
             inputs.push(forged);
         }
         for _ in 0..32 {
@@ -375,23 +395,34 @@ fn lut_decode_allocates_a_small_multiple_of_its_input() {
         }
         inputs.push(bytes);
     }
+    // Headers whose table is over the budget: 128⁴ keys, and a saturated
+    // 2¹²⁸.
+    for (receptive_field, bins) in [(4u8, 128u16), (8, u16::MAX)] {
+        let mut bytes = b"VLUT\x02".to_vec();
+        bytes.push(receptive_field);
+        bytes.extend_from_slice(&bins.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(header_table_bytes(&bytes), 0);
+        inputs.push(bytes);
+    }
     for _ in 0..256 {
         let len = mix.below(2048);
         let mut bytes = mix.bytes(len);
         if len >= 8 && mix.below(2) == 0 {
-            // Past the magic and version checks, so the count is read.
-            bytes[..8].copy_from_slice(b"VLUT\x01\x00\x00\x04");
+            // Past the magic, version and header checks, so the count is read.
+            bytes[..8].copy_from_slice(b"VLUT\x02\x04\x10\x00");
         }
         inputs.push(bytes);
     }
     let mut decoded = 0;
     for bytes in &inputs {
+        let table = header_table_bytes(bytes);
         let mut ok = false;
         let used = bytes_allocated_by(|| ok = io::decode(bytes).is_ok());
         decoded += usize::from(ok);
         assert!(
-            used <= decode_budget(bytes.len()),
-            "decoding {} bytes allocated {used} bytes",
+            used <= decode_budget(bytes.len()) + table,
+            "decoding {} bytes allocated {used} bytes beside a {table}-byte table",
             bytes.len()
         );
     }
