@@ -475,13 +475,11 @@ impl FramePass<'_> {
         hoods: &mut [u32],
     ) {
         let a = self.positions[r];
-        let rows = hoods.chunks_exact_mut(self.width);
-        for (((p, pair), hood), o) in points.iter_mut().zip(parents).zip(rows).zip(o..) {
-            let b = self.plan.partner(o);
+        self.plan.parents_into(o, r, parents);
+        for (p, &(_, b)) in points.iter_mut().zip(&*parents) {
             *p = a.midpoint(self.positions[b]);
-            *pair = (r, b);
-            self.plan.hood_into(o, hood);
         }
+        self.plan.hoods_into(o, self.width, hoods);
     }
 
     /// Generates row `r`'s points fresh: a random subset of its dilated row

@@ -93,15 +93,18 @@ impl InterpolationResult {
 pub const PATCH_REBUILD_FRACTION: f64 = 0.5;
 
 /// Bytes of cross-frame state a session holds, by component (capacities,
-/// not lengths — what the allocator was asked for).
+/// not lengths — what the allocator was asked for). The cached indices
+/// (`rows` and `outputs`) count at their stored width: two bytes an entry
+/// when the previous frame had at most 65 536 points, four above (see
+/// [`temporal`]'s *Downstream output reuse*).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStateBytes {
     /// The cached spatial index (points, permutation, SoA lanes, nodes).
     pub index: usize,
-    /// The previous frame's self-join rows.
+    /// The previous frame's self-join rows: `kq` indices per point.
     pub rows: usize,
     /// The previous frame's interpolation outputs (each generated point's
-    /// partner and neighborhood).
+    /// partner and `k`-wide neighborhood, as indices).
     pub outputs: usize,
     /// The previous frame's refined tail.
     pub refined: usize,

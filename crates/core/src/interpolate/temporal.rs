@@ -135,6 +135,21 @@
 //! not fit that shape drops the cache instead. The captures run after
 //! the pass, as copies into the session's one buffer of each kind.
 //!
+//! The three index caches — rows, partners and neighborhoods — are stored
+//! at the narrowest width that holds an index into the captured frame:
+//! `u16` when it has at most 65 536 points (every index is below the point
+//! count), `u32` above. The capture picks the width from the frame's own
+//! point count and narrows; the readers (the identical-frame copy,
+//! classify, `FramePlan`) widen back to `u32`, matching on the width once
+//! per pass or row and running a loop generic over the element type. Only
+//! the cache narrows: the join, the sweep, the merge kernel and the
+//! arena's slabs stay `u32`. Narrow entries halve what a resident tenant
+//! keeps between frames (a 512-point fleet tenant's rows and outputs,
+//! 28 672 → 14 336 bytes). Both widths stay because a session may carry
+//! more than 65 536 points (the paper downsamples captures of 10⁵–10⁶
+//! points), and a `u16`-only cache would drop temporal reuse for such
+//! sessions without any output showing it.
+//!
 //! The interpolator draws partners from an RNG seeded by the *source
 //! point's position bits* (`super::row_seed`), so a copied-forward row
 //! replays the identical draw sequence under its new index and reuse stays
@@ -308,6 +323,101 @@ pub(crate) enum Reuse {
     Incremental,
 }
 
+/// Largest captured frame whose cached indices are stored as `u16`: every
+/// index into it is below its point count, so at most `u16::MAX`.
+const NARROW_MAX_POINTS: usize = u16::MAX as usize + 1;
+
+/// Indices into a captured frame, as the session keeps them between frames:
+/// `u16` when the frame has at most [`NARROW_MAX_POINTS`] points, `u32`
+/// otherwise (see *Downstream output reuse* in the module docs). Only
+/// [`Self::capture`] narrows; readers widen to `u32` through a loop
+/// generic over the element type, after one match on the width.
+#[derive(Debug)]
+enum FrameIndices {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+impl Default for FrameIndices {
+    fn default() -> Self {
+        Self::Narrow(Vec::new())
+    }
+}
+
+impl FrameIndices {
+    /// Replaces the contents with `src`, indices into a frame of `n` points,
+    /// at the width `n` allows. A buffer of the same width keeps its
+    /// capacity; a width change drops it.
+    fn capture(&mut self, n: usize, src: impl Iterator<Item = u32>) {
+        let narrow = n <= NARROW_MAX_POINTS;
+        match self {
+            Self::Narrow(v) if narrow => {
+                // Every index is below `n`; the OR of all of them shows that
+                // none loses bits to the cast.
+                let mut bits = 0;
+                v.clear();
+                v.extend(src.map(|j| {
+                    bits |= j;
+                    j as u16
+                }));
+                assert!(bits <= u32::from(u16::MAX), "an index exceeds its frame");
+            }
+            Self::Wide(v) if !narrow => {
+                v.clear();
+                v.extend(src);
+            }
+            _ => {
+                *self = if narrow {
+                    Self::Narrow(Vec::new())
+                } else {
+                    Self::Wide(Vec::new())
+                };
+                self.capture(n, src);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Self::Narrow(v) => v.len(),
+            Self::Wide(v) => v.len(),
+        }
+    }
+
+    /// Capacity in bytes, at the stored width.
+    fn bytes(&self) -> usize {
+        match self {
+            Self::Narrow(v) => v.capacity() * std::mem::size_of::<u16>(),
+            Self::Wide(v) => v.capacity() * std::mem::size_of::<u32>(),
+        }
+    }
+
+    /// Writes `f` of the entries from `at` on into `dst`, one per slot.
+    fn map_into<D>(&self, at: usize, dst: &mut [D], f: impl Fn(u32) -> D) {
+        fn run<T: Copy, D>(src: &[T], dst: &mut [D], f: impl Fn(u32) -> D)
+        where
+            u32: From<T>,
+        {
+            for (d, &j) in dst.iter_mut().zip(src) {
+                *d = f(u32::from(j));
+            }
+        }
+        let range = at..at + dst.len();
+        match self {
+            Self::Narrow(v) => run(&v[range], dst, f),
+            Self::Wide(v) => run(&v[range], dst, f),
+        }
+    }
+
+    /// `true` when `f` holds for every entry of `range`.
+    fn all(&self, range: Range<usize>, f: impl Fn(u32) -> bool) -> bool {
+        match self {
+            Self::Narrow(v) => v[range].iter().all(|&j| f(u32::from(j))),
+            Self::Wide(v) => v[range].iter().all(|&j| f(j)),
+        }
+    }
+}
+
 /// Everything that must match before cached outputs may be consulted at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct OutputKey {
@@ -321,7 +431,8 @@ struct OutputKey {
 /// offset is closed-form ([`PointSplit`] of `sources` at the key's ratio),
 /// a point's first parent is its source row, its position the midpoint of
 /// its parents, its color its neighborhood head's. Buffers are cleared and
-/// refilled per capture (capacity is monotone).
+/// refilled per capture (capacity is monotone while the width holds), at
+/// the captured frame's index width (`u16` up to 65 536 points).
 #[derive(Debug, Default)]
 pub(crate) struct OutputCache {
     /// Config and ratio the outputs were generated under; `None` when the
@@ -329,12 +440,14 @@ pub(crate) struct OutputCache {
     key: Option<OutputKey>,
     /// Source points of the captured frame.
     sources: usize,
-    /// Second parent of every tail point, in output order (old indices).
-    partner: Vec<u32>,
-    /// Generated-point neighborhoods (old indices): `k` entries per tail
-    /// point, flat — a cached frame has more points than its self-join row,
-    /// so every merged row is exactly `k` wide.
-    hoods: Vec<u32>,
+    /// Second parent of every tail point, in output order (old indices, at
+    /// the captured frame's width).
+    partner: FrameIndices,
+    /// Generated-point neighborhoods (old indices, at the captured frame's
+    /// width): `k` entries per tail point, flat — a cached frame has more
+    /// points than its self-join row, so every merged row is exactly `k`
+    /// wide.
+    hoods: FrameIndices,
 }
 
 /// The previous frame's refined tail, owned by the pipeline that produced it.
@@ -387,9 +500,10 @@ impl FramePlan<'_> {
         };
         let o0 = self.split.offset(src);
         (self.split.count(src) == count
-            && self.outputs.partner[o0..o0 + count]
-                .iter()
-                .all(|&b| self.row_valid[b as usize]))
+            && self
+                .outputs
+                .partner
+                .all(o0..o0 + count, |b| self.row_valid[b as usize]))
         .then_some(o0)
     }
 
@@ -406,18 +520,19 @@ impl FramePlan<'_> {
         }
     }
 
-    /// Cached output `o`'s partner, as a new-frame index.
-    pub(crate) fn partner(&self, o: usize) -> usize {
-        self.remap(self.outputs.partner[o]) as usize
+    /// The parents of the cached outputs from `o` on, one per slot of `dst`,
+    /// for new row `r`: the row itself and the cached partner, as new-frame
+    /// indices.
+    pub(crate) fn parents_into(&self, o: usize, r: usize, dst: &mut [(usize, usize)]) {
+        self.outputs
+            .partner
+            .map_into(o, dst, |b| (r, self.remap(b) as usize));
     }
 
-    /// Cached output `o`'s `k`-wide neighborhood, written into `dst` in
-    /// new-frame indices.
-    pub(crate) fn hood_into(&self, o: usize, dst: &mut [u32]) {
-        let k = dst.len();
-        for (d, &j) in dst.iter_mut().zip(&self.outputs.hoods[o * k..(o + 1) * k]) {
-            *d = self.remap(j);
-        }
+    /// The `k`-wide neighborhoods of the cached outputs from `o` on, written
+    /// into `dst` (`k` entries per output) in new-frame indices.
+    pub(crate) fn hoods_into(&self, o: usize, k: usize, dst: &mut [u32]) {
+        self.outputs.hoods.map_into(o * k, dst, |j| self.remap(j));
     }
 
     fn remap(&self, j: u32) -> u32 {
@@ -498,8 +613,8 @@ pub(crate) struct TemporalCache {
     kq: Option<usize>,
     /// The cached raw self-join rows, flat: `kq` entries per point (a cached
     /// frame has more than `kq` points, so every row is full), ascending
-    /// `(distance, index)` within each row.
-    rows: Vec<u32>,
+    /// `(distance, index)` within each row, at the frame's width.
+    rows: FrameIndices,
     /// Delta supplied explicitly by the streaming layer for the next frame
     /// (verified before use; wrong deltas fall back to the bitwise diff).
     pub(crate) pending_delta: Option<FrameDelta>,
@@ -570,9 +685,8 @@ impl TemporalCache {
     pub(crate) fn state_bytes(&self) -> SessionStateBytes {
         SessionStateBytes {
             index: self.tree.reserved_bytes(),
-            rows: self.rows.capacity() * std::mem::size_of::<u32>(),
-            outputs: (self.outputs.partner.capacity() + self.outputs.hoods.capacity())
-                * std::mem::size_of::<u32>(),
+            rows: self.rows.bytes(),
+            outputs: self.outputs.partner.bytes() + self.outputs.hoods.bytes(),
             refined: self.refined.points.capacity() * std::mem::size_of::<Point3>(),
         }
     }
@@ -624,7 +738,7 @@ pub(crate) fn self_join(
         timings.index_build += t0.elapsed();
         let t1 = Instant::now();
         if cache_ready {
-            out.push_rows(n, kq).copy_from_slice(&t.rows);
+            t.rows.map_into(0, out.push_rows(n, kq), |j| j);
             t.stats.rows_reused += n as u64;
             t.stats.incremental_frames += 1;
             timings.knn += t1.elapsed();
@@ -694,6 +808,84 @@ pub(crate) fn self_join(
     capture(t, kq, out);
     t.stats.incremental_frames += 1;
     Reuse::Incremental
+}
+
+/// One classify job: a chunk of old rows, the first new row its survivors
+/// land on, and its windows of the slab, `row_src` and `row_valid`, and its
+/// recompute list.
+type ClassifyJob<'a> = (
+    Range<usize>,
+    usize,
+    &'a mut [u32],
+    &'a mut [u32],
+    &'a mut [bool],
+    &'a mut Vec<u32>,
+);
+
+/// What every classify job reads: the delta's old→new map, the new frame,
+/// the tree over the inserted points and the row stride.
+struct Classify<'a> {
+    old_to_new: &'a [u32],
+    positions: &'a [Point3],
+    insert_tree: &'a KdTree,
+    has_inserts: bool,
+    kq: usize,
+}
+
+impl Classify<'_> {
+    /// Classifies the cached rows of `job`'s old chunk (`cached` holds every
+    /// old row, at its stored width) and copies the valid ones forward.
+    fn chunk<T: Copy>(&self, cached: &[T], job: ClassifyJob<'_>)
+    where
+        u32: From<T>,
+    {
+        let (old, new_start, slab, row_src, row_valid, recompute) = job;
+        let Self {
+            old_to_new,
+            positions,
+            insert_tree,
+            has_inserts,
+            kq,
+        } = *self;
+        recompute.clear();
+        for (old_i, valid) in old.zip(row_valid.iter_mut()) {
+            let new_i = old_to_new[old_i];
+            if new_i == REMOVED {
+                continue;
+            }
+            // Remap the cached row into its slot first, stopping at a
+            // removed neighbor (it maps to `REMOVED`). An invalid row's
+            // slot is overwritten by the recompute scatter below.
+            let local = new_i as usize - new_start;
+            let row = &mut slab[local * kq..(local + 1) * kq];
+            let mut invalid = false;
+            for (d, &j) in row.iter_mut().zip(&cached[old_i * kq..(old_i + 1) * kq]) {
+                *d = old_to_new[u32::from(j) as usize];
+                if *d == REMOVED {
+                    invalid = true;
+                    break;
+                }
+            }
+            if !invalid && has_inserts {
+                // The row's kNN ball: squared distance to its k-th (worst)
+                // entry, recomputed lazily with [`Point3::distance_squared`]
+                // — the scan kernels' exact arithmetic, so the `<=`
+                // intersection test below covers distance ties precisely.
+                // Query and entry both survive (no member was removed), so
+                // the new frame holds their unchanged positions under the
+                // remapped indices.
+                let query = positions[new_i as usize];
+                let worst = positions[row[kq - 1] as usize];
+                invalid = insert_tree.any_within(query, query.distance_squared(worst));
+            }
+            if invalid {
+                recompute.push(new_i);
+            } else {
+                *valid = true;
+                row_src[local] = old_i as u32;
+            }
+        }
+    }
 }
 
 /// Produces the new frame's rows from the cached ones: copy-forward with
@@ -771,52 +963,21 @@ fn incremental_rows(
         new_start = new_end;
         job
     });
-    let (cached_rows, insert_tree) = (&t.rows, &*insert_tree);
+    // One match on the cached rows' width per chunk; the loop is generic.
+    let classify = Classify {
+        old_to_new,
+        positions,
+        insert_tree: &*insert_tree,
+        has_inserts,
+        kq,
+    };
+    let cached_rows = &t.rows;
     run_jobs(
         jobs,
         |_| 0,
-        |(old, new_start, slab, row_src, row_valid, recompute)| {
-            recompute.clear();
-            for (old_i, valid) in old.clone().zip(row_valid.iter_mut()) {
-                let new_i = old_to_new[old_i];
-                if new_i == REMOVED {
-                    continue;
-                }
-                // Remap the cached row into its slot first, stopping at a
-                // removed neighbor (it maps to `REMOVED`). An invalid row's
-                // slot is overwritten by the recompute scatter below.
-                let local = new_i as usize - new_start;
-                let row = &mut slab[local * kq..(local + 1) * kq];
-                let mut invalid = false;
-                for (d, &j) in row
-                    .iter_mut()
-                    .zip(&cached_rows[old_i * kq..(old_i + 1) * kq])
-                {
-                    *d = old_to_new[j as usize];
-                    if *d == REMOVED {
-                        invalid = true;
-                        break;
-                    }
-                }
-                if !invalid && has_inserts {
-                    // The row's kNN ball: squared distance to its k-th (worst)
-                    // entry, recomputed lazily with [`Point3::distance_squared`]
-                    // — the scan kernels' exact arithmetic, so the `<=`
-                    // intersection test below covers distance ties precisely.
-                    // Query and entry both survive (no member was removed), so
-                    // the new frame holds their unchanged positions under the
-                    // remapped indices.
-                    let query = positions[new_i as usize];
-                    let worst = positions[row[kq - 1] as usize];
-                    invalid = insert_tree.any_within(query, query.distance_squared(worst));
-                }
-                if invalid {
-                    recompute.push(new_i);
-                } else {
-                    *valid = true;
-                    row_src[local] = old_i as u32;
-                }
-            }
+        |job| match cached_rows {
+            FrameIndices::Narrow(rows) => classify.chunk(rows, job),
+            FrameIndices::Wide(rows) => classify.chunk(rows, job),
         },
     );
     for later in &later_recompute[..cut - 1] {
@@ -844,14 +1005,13 @@ fn incremental_rows(
 /// drop the cached rows instead.
 fn capture(t: &mut TemporalCache, kq: usize, out: &Neighborhoods) {
     let n = out.len();
-    t.rows.clear();
     if n <= kq {
         t.kq = None;
         return;
     }
     debug_assert_eq!(out.total_indices(), n * kq);
     t.kq = Some(kq);
-    t.rows.extend_from_slice(out.indices());
+    t.rows.capture(n, out.indices().iter().copied());
 }
 
 /// How much of the cached outputs the current frame may copy forward, as
@@ -953,10 +1113,9 @@ pub(crate) fn capture_outputs(
             .all(|&(a, _)| a == r)
     }));
     o.sources = low.len();
-    o.partner.clear();
-    o.partner.extend(parents.iter().map(|&(_, b)| b as u32));
-    o.hoods.clear();
-    o.hoods.extend_from_slice(hoods.indices());
+    o.partner
+        .capture(low.len(), parents.iter().map(|&(_, b)| b as u32));
+    o.hoods.capture(low.len(), hoods.indices().iter().copied());
     o.key = Some(OutputKey {
         config: *config,
         ratio_bits: ratio.to_bits(),
@@ -1173,7 +1332,8 @@ mod tests {
         // A fleet tenant's shape: 512 points at ratio 2, ten declared-delta
         // frames. The output cache holds one partner and `k` neighbors per
         // generated point, the row cache `kq` entries per point — no
-        // positions, colors or offset arrays.
+        // positions, colors or offset arrays — and a frame this small stores
+        // every index in two bytes.
         let config = SrConfig::default();
         let n = 512;
         let mut stream = DeltaStream::new(
@@ -1196,8 +1356,8 @@ mod tests {
         assert!(scratch.last_delta_error().is_none());
         let bytes = scratch.state_bytes();
         let (k, kq) = (config.k, config.dilated_neighborhood() + 1);
-        let outputs_cap = 1.1 * (generated * (4 + 4 * k)) as f64;
-        let rows_cap = 1.1 * (n * kq * 4) as f64;
+        let outputs_cap = 1.1 * (generated * (2 + 2 * k)) as f64;
+        let rows_cap = 1.1 * (n * kq * 2) as f64;
         assert!(
             bytes.outputs > 0 && bytes.outputs as f64 <= outputs_cap,
             "{bytes:?}"
@@ -1216,6 +1376,54 @@ mod tests {
         assert_eq!(warm.parents, cold.parents, "{what}");
         assert_eq!(warm.neighborhoods, cold.neighborhoods, "{what}");
         scratch.recycle_neighborhoods(warm.neighborhoods);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "65 536-point frames; runs under --release")]
+    fn index_width_follows_the_point_count_across_65536() {
+        // Declared deltas of one point take the session across the `u16`
+        // threshold both ways: 65 536 → 65 537 (one insert) → 65 536 (one
+        // removal) → 65 537. Each frame reads rows and outputs captured at
+        // the other width, and must equal a cold recompute.
+        let n = 65_536;
+        let base = synthetic::humanoid(n + 2, 0.3, 53);
+        let p = base.positions();
+        let a = PointCloud::from_positions(p[..n].to_vec());
+        let b = PointCloud::from_positions(p[..=n].to_vec());
+        let mut c_points = p[..=n].to_vec();
+        c_points.remove(100);
+        let c = PointCloud::from_positions(c_points.clone());
+        c_points.insert(30_000, p[n + 1]);
+        let d = PointCloud::from_positions(c_points);
+        let deltas = [
+            FrameDelta::from_parts(n, n + 1, vec![], vec![n as u32]),
+            FrameDelta::from_parts(n + 1, n, vec![100], vec![]),
+            FrameDelta::from_parts(n, n + 1, vec![], vec![30_000]),
+        ];
+        let config = SrConfig::default();
+        let kq = config.dilated_neighborhood() + 1;
+        for workers in [1, 2] {
+            runtime::with_workers(workers, || {
+                let mut scratch = FrameScratch::new();
+                for (i, frame) in [&a, &b, &c, &d].into_iter().enumerate() {
+                    if i > 0 {
+                        scratch.set_frame_delta(deltas[i - 1].clone().unwrap());
+                    }
+                    let what = format!("{workers} workers, frame {i} ({} points)", frame.len());
+                    assert_matches_cold(frame, &mut scratch, &what);
+                    let width = if frame.len() <= n { 2 } else { 4 };
+                    let bytes = scratch.state_bytes();
+                    assert_eq!(bytes.rows, frame.len() * kq * width, "{what}");
+                }
+                let stats = scratch.temporal_stats();
+                assert_eq!(stats.incremental_frames, 3, "{stats:?}");
+                assert!(scratch.last_delta_error().is_none());
+                assert!(
+                    stats.gen_points_reused > stats.gen_points_recomputed,
+                    "{stats:?}"
+                );
+            });
+        }
     }
 
     /// `frame`'s positions with `colors` (none when `None`).

@@ -186,6 +186,16 @@ impl ResilientReceiver {
         self.last_seq
     }
 
+    /// Capacity (bytes) of the delta base: the last committed frame's
+    /// positions and colors, resident between frames.
+    pub fn base_bytes(&self) -> usize {
+        self.positions.capacity() * std::mem::size_of::<Point3>()
+            + self
+                .colors
+                .as_ref()
+                .map_or(0, |c| c.capacity() * std::mem::size_of::<Color>())
+    }
+
     /// Fetches frame `seq` over the (faulty) link, climbing the recovery
     /// ladder as needed (see the module docs), and returns the verified
     /// frame for [`Self::deliver`].

@@ -543,6 +543,7 @@ impl Tenant {
                 .ingest
                 .as_ref()
                 .map_or(0, |i| i.delta_server.retained_bytes() as usize),
+            delta_base: self.ingest.as_ref().map_or(0, |i| i.receiver.base_bytes()),
             fixed: std::mem::size_of::<Self>(),
         }
     }
@@ -598,6 +599,10 @@ pub struct SessionMemory {
     /// newest frame plus one undo step per older retained frame
     /// ([`DeltaServer::retained_bytes`]).
     pub retention: usize,
+    /// What a resilient-ingest receiver holds as the base of the next
+    /// delta: the last delivered frame's positions and colors
+    /// ([`ResilientReceiver::base_bytes`]).
+    pub delta_base: usize,
     /// The tenant record itself.
     pub fixed: usize,
 }
@@ -611,6 +616,7 @@ impl SessionMemory {
             + self.refined
             + self.frame_cloud
             + self.retention
+            + self.delta_base
             + self.fixed
     }
 
@@ -621,6 +627,7 @@ impl SessionMemory {
         self.refined += other.refined;
         self.frame_cloud += other.frame_cloud;
         self.retention += other.retention;
+        self.delta_base += other.delta_base;
         self.fixed += other.fixed;
     }
 }
@@ -636,7 +643,7 @@ pub struct ServerMemoryStats {
     /// Bytes held once for all sessions (registry tables + networks).
     pub registry_bytes: usize,
     /// Total bytes across per-session state (cached index/rows/outputs,
-    /// frame clouds, origin retention).
+    /// frame clouds, origin retention, receiver delta bases).
     pub session_bytes_total: usize,
     /// `session_bytes_total / sessions` (0 when idle).
     pub bytes_per_session: f64,
@@ -953,7 +960,7 @@ impl SrServer {
 
     /// Memory accounting across the currently active sessions: what is held
     /// once (registry), once per worker (frame arenas) and per session
-    /// (cached previous-frame state, frame clouds, retention).
+    /// (cached previous-frame state, frame clouds, retention, delta bases).
     pub fn memory_stats(&self) -> ServerMemoryStats {
         let mut session_bytes = SessionMemory::default();
         for tenant in &self.tenants {
@@ -1153,6 +1160,52 @@ mod tests {
             assert_eq!(stats.poisonings_detected, 0);
         }
         assert!(local_report.sessions.iter().all(|s| s.ingest.is_none()));
+    }
+
+    #[test]
+    fn fleet_tenants_cache_half_width_rows_and_outputs() {
+        // 64 local 512-point tenants at ratio 2: a frame this small caches
+        // `u16` indices, so the rows (9 entries per point) and the outputs
+        // (a partner and 4 neighbors per generated point) take 9 216 and
+        // 5 120 bytes per session.
+        let mut server = SrServer::new(test_registry(), undegraded());
+        for seed in 0..64 {
+            server.enqueue(SessionSpec {
+                points: 512,
+                frames: 8,
+                ..spec(seed)
+            });
+        }
+        for _ in 0..3 {
+            server.tick();
+        }
+        let m = server.memory_stats();
+        assert_eq!(m.sessions, 64);
+        let per_session = (m.session_bytes.rows + m.session_bytes.outputs) / m.sessions;
+        assert!(per_session <= 14_336, "{:?}", m.session_bytes);
+    }
+
+    #[test]
+    fn resilient_tenant_counts_its_delta_base() {
+        // The receiver keeps the last delivered frame (positions and
+        // colors) as the next delta's base; a local tenant keeps none.
+        let mut server = SrServer::new(test_registry(), undegraded());
+        server.enqueue(SessionSpec {
+            points: 512,
+            ..resilient_spec(5, IngestConfig::default())
+        });
+        server.tick();
+        server.tick();
+        let bytes = server.memory_stats().session_bytes;
+        assert_eq!(bytes.delta_base, 512 * 12 + 512 * 3, "{bytes:?}");
+
+        let mut local = SrServer::new(test_registry(), undegraded());
+        local.enqueue(SessionSpec {
+            points: 512,
+            ..spec(5)
+        });
+        local.tick();
+        assert_eq!(local.memory_stats().session_bytes.delta_base, 0);
     }
 
     #[test]

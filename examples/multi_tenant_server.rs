@@ -156,13 +156,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let b = &m.session_bytes;
     println!(
         "           per session: index {} | rows {} | outputs {} | refined {} | \
-         frame cloud {} | retention {} | fixed {}",
+         frame cloud {} | retention {} | delta base {} | fixed {}",
         per(b.index),
         per(b.rows),
         per(b.outputs),
         per(b.refined),
         per(b.frame_cloud),
         per(b.retention),
+        per(b.delta_base),
         per(b.fixed),
     );
     println!(
