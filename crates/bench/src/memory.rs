@@ -18,24 +18,22 @@ use volut_stream::server::{ServerConfig, ServerMemoryStats, SessionSpec, SrServe
 /// Name of the content item published by [`serving_registry`].
 pub const SERVING_CONTENT: &str = "serving-demo";
 
-/// One deployment-scale content item: a Compact-scheme dense LUT (the
-/// paper's runtime-table configuration) sized by the encoder's packed key
-/// space — [`PositionEncoder::key_space`], `(2^ceil(log2 bins))^n`, *not*
-/// `bins^n`: keys are packed a whole number of bits per slot, so a table
-/// sized `bins^n` misses every probe whose high slots are set — one-third
-/// populated so probes exercise both hit and miss paths. At the default
-/// `bins = 24` that is 32⁴ keys, ~6 MiB — the quantity a per-session clone
-/// multiplies by the session count.
+/// One deployment-scale content item: a dense LUT over the encoder's
+/// [`PositionEncoder::reachable_keys`] — the keys a probe can carry, `1/P`
+/// of the packed key space `(P = 2^ceil(log2 bins))^n` — one-third
+/// populated so probes exercise both hit and miss paths. At the paper's
+/// `bins = 128` that is 2²¹ entries, ~12.3 MiB — the quantity a
+/// per-session clone multiplies by the session count.
 pub fn serving_registry(bins: usize) -> Arc<ModelRegistry> {
     let config = SrConfig {
         bins,
         ..SrConfig::default()
     };
-    let key_space = PositionEncoder::new(&config, KeyScheme::Compact)
+    let keys = PositionEncoder::new(&config, KeyScheme::Compact)
         .expect("valid serving config")
-        .key_space();
-    let mut lut = DenseLut::new(key_space).expect("serving table within budget");
-    for key in (0..key_space).step_by(3) {
+        .reachable_keys();
+    let mut lut = DenseLut::over(keys.clone()).expect("serving table within budget");
+    for key in keys.step_by(3) {
         lut.set(key, [0.01, -0.004, 0.002]).expect("in-range key");
     }
     let mut registry = ModelRegistry::new();
@@ -163,7 +161,7 @@ mod tests {
         // must undercut the cloned baseline (shared + one table) by at least
         // 4× at any session count; the ledger's `server.bytes_per_session`
         // and `server.registry_bytes` rows read the same split at N = 2048.
-        let registry = serving_registry(24);
+        let registry = serving_registry(128);
         let table = registry.shared_bytes();
         assert!(table > 1_000_000, "deployment-scale table, got {table}");
         let shared = measure_server_memory(&registry, 6, 400, 2);
@@ -179,9 +177,9 @@ mod tests {
 
     #[test]
     fn served_frames_hit_the_serving_table() {
-        // The table must cover the encoder's packed key space: sized
-        // `bins^n` it sat below every Compact key the pipeline produces and
-        // served frames never applied a LUT offset.
+        // The table must cover the keys the encoder emits: sized `bins^n`
+        // it once sat below every key the pipeline produces and served
+        // frames never applied a LUT offset. 24 bins pack into 5 bits.
         use volut_pointcloud::synthetic;
         use volut_stream::client::SrSession;
         let registry = serving_registry(24);

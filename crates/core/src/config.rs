@@ -30,10 +30,15 @@ pub struct SrConfig {
     /// Number of quantization bins `b` per encoded value (Eq. 4).
     ///
     /// The default, the paper's 128, sets the networks' feature
-    /// quantization. A table at 128 bins needs 2²⁸ entries (1.5 GiB), over
-    /// [`crate::lut::DenseLut::DEFAULT_BYTE_BUDGET`], so tables are trained
-    /// at 32 bins or fewer (2²⁰ entries, 6 MiB, at 32). On frames it was not
-    /// trained on, the 16-bin table of `tests/integration_sr_pipeline.rs`
+    /// quantization. A table holds only the keys the encoder can emit
+    /// ([`crate::encoding::PositionEncoder::reachable_keys`], `1/b` of the
+    /// `b^n` key space): 2²¹ entries (12.3 MiB) at 128 bins, inside
+    /// [`crate::lut::DenseLut::DEFAULT_BYTE_BUDGET`], and 2¹⁵ (196 KiB) at
+    /// 32. Tables are trained at 32 bins or fewer, where they hit: a
+    /// held-out frame hits about a third of a 128-bin table's probes and
+    /// 87 % of a 32-bin one's (the `train_and_build_lut` example). On
+    /// frames it was not trained on, the 16-bin table of
+    /// `tests/integration_sr_pipeline.rs`
     /// hits 77 % and 76 % of its probes and gains +0.28 and +0.22 dB PSNR at
     /// ×2 (its network: +0.56 and +0.48 dB); the harness's 32-bin table
     /// gains 0.14–0.20 dB on Fig 7's four videos.

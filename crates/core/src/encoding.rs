@@ -22,6 +22,7 @@
 use crate::config::SrConfig;
 use crate::error::Error;
 use crate::Result;
+use std::ops::Range;
 use volut_pointcloud::{NeighborhoodsView, Point3};
 
 /// How receptive-field points are mapped to table keys. There is one
@@ -141,6 +142,26 @@ impl PositionEncoder {
         total
     }
 
+    /// The keys [`Self::encode`] and [`Self::encode_keys_block`] emit for a
+    /// non-empty row. The centre normalizes to the origin, so every key
+    /// starts with the origin's code `c`, and the `n − 1` neighbour codes
+    /// below it span `P^(n−1)` keys (`P = 2^ceil(log2 b)`): the range is
+    /// `c · P^(n−1) .. (c + 1) · P^(n−1)`, `1/P` of [`Self::key_space`]. A
+    /// table over it answers every probe one over the whole key space
+    /// does. Like [`Self::key_space`], the end saturates at `u128::MAX`
+    /// when the key is a full 128 bits and `c` is the top code (2 or 4
+    /// bins), so that one all-ones key lies past the end.
+    pub fn reachable_keys(&self) -> Range<u128> {
+        let tail_bits = bits_for(usize::from(self.bins)) * (self.receptive_field - 1);
+        let start = u128::from(self.center_code()) << tail_bits;
+        start..start.saturating_add(1 << tail_bits)
+    }
+
+    /// The code of the centre's slot, the same in every key.
+    fn center_code(&self) -> u16 {
+        self.compact_code(Point3::ZERO)
+    }
+
     /// Normalizes the neighborhood relative to the center (Eq. 3): returns
     /// the normalized points (center first) and the neighborhood radius `R`.
     /// All returned coordinates lie inside `[-1, 1]`.
@@ -251,7 +272,7 @@ impl PositionEncoder {
         assert_eq!(centers.len(), radii.len(), "one radius slot per center");
         let slots = self.receptive_field - 1;
         let bits = bits_for(usize::from(self.bins)) as u32;
-        let center_word = u64::from(self.compact_code(Point3::ZERO));
+        let center_word = u64::from(self.center_code());
         let narrow = bits as usize * self.receptive_field <= 64;
         let EncodeScratch {
             lanes: [dx, dy, dz, inv],
@@ -542,6 +563,30 @@ mod tests {
         };
         let enc = PositionEncoder::new(&cfg, KeyScheme::Compact).unwrap();
         assert_eq!(enc.key_space(), 32u128.pow(4));
+    }
+
+    #[test]
+    fn reachable_keys_are_the_centre_codes_slice_of_the_key_space() {
+        // 32 bins: the centre's code 0b11100 heads every key, so 2¹⁵ of
+        // the 2²⁰ keys are reachable.
+        let cfg = SrConfig {
+            bins: 32,
+            ..SrConfig::default()
+        };
+        let enc = PositionEncoder::new(&cfg, KeyScheme::Compact).unwrap();
+        assert_eq!(enc.reachable_keys(), 28 << 15..29 << 15);
+        // 128 bins: 2²¹ of 2²⁸.
+        let reachable = encoder().reachable_keys();
+        assert_eq!(reachable.end - reachable.start, 1 << 21);
+        assert!(reachable.end <= encoder().key_space());
+        // A full 128-bit key whose centre code is the top code saturates.
+        let cfg = SrConfig {
+            bins: 2,
+            receptive_field: 128,
+            ..SrConfig::default()
+        };
+        let enc = PositionEncoder::new(&cfg, KeyScheme::Compact).unwrap();
+        assert_eq!(enc.reachable_keys(), 1 << 127..u128::MAX);
     }
 
     #[test]

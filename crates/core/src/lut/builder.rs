@@ -16,8 +16,8 @@ use std::collections::HashMap;
 /// Distillation from observed samples ([`LutBuilder::distill`]): every
 /// neighborhood seen in the training data is encoded, run through the
 /// network, and the resulting offset is stored under that key (duplicate
-/// keys average their offsets) in a table covering the encoder's whole key
-/// space.
+/// keys average their offsets) in a table covering the keys the encoder
+/// can emit.
 #[derive(Debug, Clone)]
 pub struct LutBuilder {
     encoder: PositionEncoder,
@@ -83,15 +83,17 @@ impl LutBuilder {
         Ok(acc)
     }
 
-    /// Distills the network into a dense LUT sized by the encoder's
-    /// [`PositionEncoder::key_space`], populated at the keys of the
+    /// Distills the network into a dense LUT over the encoder's
+    /// [`PositionEncoder::reachable_keys`], populated at the keys of the
     /// neighborhoods observed in `samples`.
     ///
     /// # Errors
     /// Fails when the network shape does not match the encoder, `samples`
-    /// is empty, or the table exceeds [`DenseLut::DEFAULT_BYTE_BUDGET`].
+    /// is empty, the table exceeds [`DenseLut::DEFAULT_BYTE_BUDGET`], or a
+    /// sample keys outside the reachable range, which no feature vector of
+    /// an encoded neighborhood does.
     pub fn distill(&self, mlp: &Mlp, samples: &TrainingSet) -> Result<DenseLut> {
-        let mut lut = DenseLut::new(self.encoder.key_space())?;
+        let mut lut = DenseLut::over(self.encoder.reachable_keys())?;
         let acc = self.accumulate(mlp, samples)?;
         for (key, (sum, count)) in acc {
             let n = f64::from(count);
@@ -140,7 +142,7 @@ mod tests {
         let (mlp, set) = trained_network(&config);
         let builder = LutBuilder::new(&config).unwrap();
         let lut = builder.distill(&mlp, &set).unwrap();
-        assert_eq!(lut.key_space(), builder.encoder().key_space());
+        assert_eq!(lut.keys(), builder.encoder().reachable_keys());
         assert!(lut.populated() > 0);
         assert!(lut.populated() <= set.len());
         // Every key stored came from a sample; look one up.
@@ -151,7 +153,7 @@ mod tests {
     #[test]
     fn mismatched_network_is_rejected() {
         let config = config();
-        let (mlp, set) = trained_network(&config);
+        let (_, set) = trained_network(&config);
         let wrong = Mlp::new(&[9, 8, 3], 1);
         let builder = LutBuilder::new(&config).unwrap();
         assert!(builder.distill(&wrong, &set).is_err());
@@ -160,9 +162,29 @@ mod tests {
         assert!(builder
             .distill(&Mlp::new(&[12, 8, 3], 1), &TrainingSet::default())
             .is_err());
-        // The default 128 bins ask for a table over the byte budget.
-        let over = LutBuilder::new(&SrConfig::default()).unwrap();
-        assert!(over.distill(&mlp, &set).is_err());
+        // Five points at 128 bins ask for a table over the byte budget.
+        let over = LutBuilder::new(&SrConfig {
+            receptive_field: 5,
+            ..SrConfig::default()
+        })
+        .unwrap();
+        assert!(over.distill(&Mlp::new(&[15, 8, 3], 1), &set).is_err());
+    }
+
+    /// The paper's configuration, n = 4 and b = 128, distills inside the
+    /// default budget: its table covers the 2²¹ reachable keys, 12.3 MiB,
+    /// where the whole 2²⁸-key space needs 1.5 GiB.
+    #[test]
+    fn distill_at_the_paper_configuration_fits_the_budget() {
+        let config = SrConfig::default();
+        let (mlp, set) = trained_network(&config);
+        let builder = LutBuilder::new(&config).unwrap();
+        let lut = builder.distill(&mlp, &set).unwrap();
+        assert_eq!(lut.memory_bytes(), (1 << 21) * 6 + (1 << 21) / 8);
+        for input in &set.inputs {
+            let key = builder.encoder().key_from_features(input).unwrap();
+            assert!(lut.get(key).is_some(), "every training key is stored");
+        }
     }
 
     #[test]

@@ -4,31 +4,44 @@ use super::f16::{f16_bits_to_f32, f32_to_f16_bits};
 use super::{Lut, Offset};
 use crate::error::Error;
 use crate::Result;
+use std::ops::Range;
 
-/// Dense LUT: a flat array of `key_space` entries, three `float16` offsets
-/// each, plus an occupancy bitmap.
+/// Dense LUT: a flat array over one contiguous range of keys, three
+/// `float16` offsets per entry, plus an occupancy bitmap.
 ///
-/// This is the storage layout whose footprint Table 1 analyzes. Because a
-/// `b = 128`, `n = 4` table needs 1.5 GiB, a table is only allowed up to a
-/// byte budget; larger configurations need fewer bins.
+/// This is the storage layout whose footprint Table 1 analyzes. A table
+/// over a whole `b^n` key space is what [`DenseLut::new`] builds; a table
+/// that is served or distilled covers only
+/// [`crate::encoding::PositionEncoder::reachable_keys`], the `1/b` of the
+/// key space that the constant centre code leaves reachable
+/// ([`DenseLut::over`], [`DenseLut::narrowed`]). Keys stay absolute: `get`,
+/// `set` and `iter` take and yield the encoder's own keys. A table is only
+/// allowed up to a byte budget on its range length: the paper's `b = 128`,
+/// `n = 4` configuration needs 1.5 GiB over the whole key space and
+/// 12.3 MiB over its reachable range.
 ///
 /// # Example
 ///
 /// ```
 /// use volut_core::lut::{dense::DenseLut, Lut};
-/// let mut lut = DenseLut::new(1 << 12).unwrap();
-/// lut.set(42, [0.1, -0.2, 0.05]).unwrap();
-/// let got = lut.get(42).unwrap();
+/// let mut lut = DenseLut::over(1000..1100).unwrap();
+/// lut.set(1042, [0.1, -0.2, 0.05]).unwrap();
+/// let got = lut.get(1042).unwrap();
 /// assert!((got[0] - 0.1).abs() < 1e-3);
-/// assert!(lut.get(43).is_none());
+/// assert!(lut.get(1043).is_none());
+/// assert!(lut.get(42).is_none());
+/// assert!(lut.set(42, [0.0; 3]).is_err());
 /// ```
 #[derive(Debug, Clone)]
 pub struct DenseLut {
-    /// `float16` bit patterns, one `[x, y, z]` per entry.
+    /// `float16` bit patterns, one `[x, y, z]` per entry; entry `i` holds
+    /// key `start + i`.
     offsets: Vec<[u16; 3]>,
-    /// One bit per entry marking populated slots.
+    /// One bit per entry marking populated slots. Key `key` sits at bit
+    /// `key % 64` of its word, so the words of two tables over different
+    /// ranges line up and a narrowed copy is one slice.
     occupancy: Vec<u64>,
-    key_space: u128,
+    start: u128,
     populated: usize,
 }
 
@@ -36,61 +49,104 @@ impl DenseLut {
     /// Default maximum allowed allocation: 256 MiB of offset storage.
     pub const DEFAULT_BYTE_BUDGET: u128 = 256 * 1024 * 1024;
 
-    /// Creates an empty dense LUT covering `key_space` keys, enforcing the
-    /// default byte budget.
+    /// Creates an empty dense LUT over the keys `0..key_space`.
     ///
     /// # Errors
-    /// Returns [`Error::LutFormat`] when the table would exceed the budget.
+    /// Returns [`Error::LutFormat`] when `key_space` is zero or the table
+    /// would exceed [`Self::DEFAULT_BYTE_BUDGET`].
     pub fn new(key_space: u128) -> Result<Self> {
-        Self::with_budget(key_space, Self::DEFAULT_BYTE_BUDGET)
-    }
-
-    /// Creates an empty dense LUT with an explicit byte budget for the
-    /// offset storage.
-    ///
-    /// # Errors
-    /// Returns [`Error::LutFormat`] when `key_space` is zero or the required
-    /// storage exceeds `byte_budget`.
-    pub fn with_budget(key_space: u128, byte_budget: u128) -> Result<Self> {
         if key_space == 0 {
             return Err(Error::LutFormat(
                 "dense lut key space must be non-zero".into(),
             ));
         }
-        let bytes = key_space.saturating_mul(6);
-        if bytes > byte_budget {
+        Self::over(0..key_space)
+    }
+
+    /// Creates an empty dense LUT over the keys in `keys` (empty when
+    /// `keys` is).
+    ///
+    /// # Errors
+    /// Returns [`Error::LutFormat`] when the range's offset storage would
+    /// exceed [`Self::DEFAULT_BYTE_BUDGET`].
+    pub fn over(keys: Range<u128>) -> Result<Self> {
+        let len = keys.end.saturating_sub(keys.start);
+        let bytes = len.saturating_mul(6);
+        let budget = Self::DEFAULT_BYTE_BUDGET;
+        if bytes > budget {
             return Err(Error::LutFormat(format!(
-                "dense lut of {key_space} entries needs {bytes} bytes, exceeding the budget of {byte_budget}; use fewer bins"
+                "dense lut of {len} entries needs {bytes} bytes, exceeding the budget of {budget}; use fewer bins"
             )));
         }
-        let n = key_space as usize;
+        let len = len as usize;
+        let lead = (keys.start % 64) as usize;
         Ok(Self {
-            offsets: vec![[0u16; 3]; n],
-            occupancy: vec![0u64; n.div_ceil(64)],
-            key_space,
+            offsets: vec![[0u16; 3]; len],
+            occupancy: vec![0u64; words(lead, len).len()],
+            start: keys.start,
             populated: 0,
         })
     }
 
-    /// The number of addressable keys.
-    pub fn key_space(&self) -> u128 {
-        self.key_space
+    /// The keys this table covers.
+    pub fn keys(&self) -> Range<u128> {
+        self.start..self.start + self.offsets.len() as u128
+    }
+
+    /// The entries whose keys lie in `keys`, in a table over the overlap of
+    /// `keys` with [`Self::keys`] (empty when they do not meet). This
+    /// table's storage is freed: publishing a table built over a whole key
+    /// space keeps only its reachable range.
+    pub fn narrowed(self, keys: Range<u128>) -> Self {
+        let own = self.keys();
+        let lo = keys.start.clamp(own.start, own.end);
+        let hi = keys.end.clamp(lo, own.end);
+        let (a, b) = ((lo - self.start) as usize, (hi - self.start) as usize);
+        // Bits sit at `key % 64` in both tables: the overlap's words are
+        // one slice, with the bits of keys outside it cleared at the edges.
+        let lead = (self.start % 64) as usize;
+        let (first, last) = (a + lead, b + lead);
+        let mut occupancy = self.occupancy[words(first, b - a)].to_vec();
+        if let Some(word) = occupancy.first_mut() {
+            *word &= u64::MAX << (first % 64);
+        }
+        if let (Some(word), tail @ 1..) = (occupancy.last_mut(), last % 64) {
+            *word &= u64::MAX >> (64 - tail);
+        }
+        Self {
+            offsets: self.offsets[a..b].to_vec(),
+            populated: occupancy.iter().map(|w| w.count_ones() as usize).sum(),
+            occupancy,
+            start: lo,
+        }
+    }
+
+    /// Entry index of `key`, when it lies in the table's range.
+    #[inline]
+    fn index(&self, key: u128) -> Option<usize> {
+        let idx = key.wrapping_sub(self.start);
+        (idx < self.offsets.len() as u128).then_some(idx as usize)
+    }
+
+    /// Word and bit mask of entry `idx` in the occupancy bitmap.
+    #[inline]
+    fn bit(&self, idx: usize) -> (usize, u64) {
+        let at = idx + (self.start % 64) as usize;
+        (at / 64, 1u64 << (at % 64))
     }
 
     #[inline]
     fn is_occupied(&self, idx: usize) -> bool {
-        (self.occupancy[idx / 64] >> (idx % 64)) & 1 == 1
+        let (word, bit) = self.bit(idx);
+        self.occupancy[word] & bit != 0
     }
 
-    /// Iterates over `(key, offset)` pairs of populated entries.
+    /// Iterates over `(key, offset)` pairs of populated entries, in key
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (u128, Offset)> + '_ {
-        (0..self.key_space as usize).filter_map(move |i| {
-            if self.is_occupied(i) {
-                Some((i as u128, self.read(i)))
-            } else {
-                None
-            }
-        })
+        (0..self.offsets.len())
+            .filter(move |&i| self.is_occupied(i))
+            .map(move |i| (self.start + i as u128, self.read(i)))
     }
 
     #[inline]
@@ -100,12 +156,21 @@ impl DenseLut {
     }
 }
 
-/// The error of a `set` outside the key space, kept out of line so that
+/// The occupancy words holding bits `first..first + len`: none when the
+/// range is empty.
+fn words(first: usize, len: usize) -> Range<usize> {
+    match len {
+        0 => 0..0,
+        _ => first / 64..(first + len).div_ceil(64),
+    }
+}
+
+/// The error of a `set` outside the key range, kept out of line so that
 /// `set` stays small enough to inline.
 #[cold]
 #[inline(never)]
-fn key_outside(key: u128, key_space: u128) -> Error {
-    Error::LutFormat(format!("key {key} outside dense lut key space {key_space}"))
+fn key_outside(key: u128, keys: Range<u128>) -> Error {
+    Error::LutFormat(format!("key {key} outside dense lut key range {keys:?}"))
 }
 
 // `get` and `set` are `#[inline]` so that a per-entry fill or probe loop in
@@ -114,26 +179,20 @@ fn key_outside(key: u128, key_space: u128) -> Error {
 impl Lut for DenseLut {
     #[inline]
     fn get(&self, key: u128) -> Option<Offset> {
-        if key >= self.key_space {
-            return None;
-        }
-        let idx = key as usize;
-        if !self.is_occupied(idx) {
-            return None;
-        }
-        Some(self.read(idx))
+        let idx = self.index(key)?;
+        self.is_occupied(idx).then(|| self.read(idx))
     }
 
     #[inline]
     fn set(&mut self, key: u128, offset: Offset) -> Result<()> {
-        if key >= self.key_space {
-            return Err(key_outside(key, self.key_space));
-        }
-        let idx = key as usize;
+        let Some(idx) = self.index(key) else {
+            return Err(key_outside(key, self.keys()));
+        };
         // Three explicit calls: `array::map` does not inline here.
         let [x, y, z] = offset;
         self.offsets[idx] = [f32_to_f16_bits(x), f32_to_f16_bits(y), f32_to_f16_bits(z)];
-        let (word, bit) = (&mut self.occupancy[idx / 64], 1u64 << (idx % 64));
+        let (word, bit) = self.bit(idx);
+        let word = &mut self.occupancy[word];
         self.populated += usize::from(*word & bit == 0);
         *word |= bit;
         Ok(())
@@ -178,10 +237,72 @@ mod tests {
 
     #[test]
     fn budget_is_enforced() {
-        // 128^4 entries * 6 bytes ≈ 1.6 GB exceeds the default budget.
+        // 128^4 entries * 6 bytes ≈ 1.6 GB exceeds the default budget; the
+        // budget is on the range's length, not on where it starts.
         assert!(DenseLut::new(128u128.pow(4)).is_err());
-        assert!(DenseLut::with_budget(1 << 20, 10 * 1024 * 1024).is_ok());
+        assert!(DenseLut::over(1 << 100..(1 << 100) + (1 << 20)).is_ok());
+        assert!(DenseLut::over(1 << 100..(1 << 100) + 128u128.pow(4)).is_err());
         assert!(DenseLut::new(0).is_err());
+        assert_eq!(DenseLut::over(5..5).unwrap().memory_bytes(), 0);
+    }
+
+    /// A table over `keys` with every third key populated, each with its
+    /// own offset.
+    fn every_third(keys: Range<u128>) -> DenseLut {
+        let mut lut = DenseLut::over(keys.clone()).unwrap();
+        for key in keys.step_by(3) {
+            lut.set(key, [key as f32 * 1e-3, 0.5, -0.25]).unwrap();
+        }
+        lut
+    }
+
+    #[test]
+    fn a_range_table_takes_absolute_keys() {
+        let lut = every_third(70..200);
+        assert_eq!(lut.keys(), 70..200);
+        assert_eq!(lut.populated(), 44);
+        assert!(lut.iter().map(|(key, _)| key).eq((70..200).step_by(3)));
+        assert_eq!(lut.get(73).map(|[_, y, z]| [y, z]), Some([0.5, -0.25]));
+        assert!(lut.get(69).is_none() && lut.get(200).is_none() && lut.get(74).is_none());
+        // 130 entries whose bits start at bit 6 of the first word: three words.
+        assert_eq!(lut.memory_bytes(), 130 * 6 + 3 * 8);
+    }
+
+    /// Narrowing keeps exactly the entries inside the range, for ranges on
+    /// and off a word boundary, inside, across either edge of and outside
+    /// the table's own range.
+    #[test]
+    fn narrowing_keeps_the_overlap() {
+        for own in [0..1000u128, 64..640, 70..1001] {
+            let full = every_third(own.clone());
+            for keys in [
+                128..512u128,
+                100..131,
+                3..67,
+                900..5000,
+                0..5000,
+                2000..3000,
+                300..300,
+            ] {
+                let narrow = full.clone().narrowed(keys.clone());
+                let lo = keys.start.clamp(own.start, own.end);
+                assert_eq!(
+                    narrow.keys(),
+                    lo..keys.end.clamp(lo, own.end),
+                    "{own:?} ∩ {keys:?}"
+                );
+                let expect: Vec<_> = full.iter().filter(|(key, _)| keys.contains(key)).collect();
+                assert!(
+                    narrow.iter().eq(expect.iter().copied()),
+                    "{own:?} ∩ {keys:?}"
+                );
+                assert_eq!(narrow.populated(), expect.len());
+                for key in 0..1100 {
+                    let want = full.get(key).filter(|_| keys.contains(&key));
+                    assert_eq!(narrow.get(key), want, "key {key}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,10 +14,14 @@
 //! entries                 entry_count × (key u128 LE, 3 × f16 LE)
 //! ```
 //!
-//! [`decode`] sizes the table from the header's receptive field and bins,
-//! which must form a valid encoder configuration, so the memory it
-//! allocates is bounded by [`DenseLut::DEFAULT_BYTE_BUDGET`]; the entries
-//! must fill the buffer exactly and every key must lie in the key space.
+//! Keys are absolute, as the encoder emits them. [`decode`] sizes the
+//! table from the header's receptive field and bins, which must form a
+//! valid encoder configuration: the table covers the encoder's
+//! [`PositionEncoder::reachable_keys`], so the memory it allocates is
+//! bounded by [`DenseLut::DEFAULT_BYTE_BUDGET`] on that range. The entries
+//! must fill the buffer exactly and every key must lie in the key space;
+//! a key inside the key space that no probe can reach is dropped, as
+//! [`crate::registry::ContentModel::from_dense`] drops it.
 
 use super::dense::DenseLut;
 use super::f16::{f16_bits_to_f32, f32_to_f16_bits};
@@ -99,8 +103,8 @@ pub fn encode(lut: &DenseLut, header: LutHeader) -> Vec<u8> {
 /// # Errors
 /// Returns [`Error::LutFormat`] for truncated or malformed input, a header
 /// that is not a valid encoder configuration or whose table exceeds the
-/// byte budget, an entry count that does not fill the buffer exactly, or a
-/// key outside the key space.
+/// byte budget on its reachable range, an entry count that does not fill
+/// the buffer exactly, or a key outside the key space.
 pub fn decode(data: &[u8]) -> Result<LoadedLut> {
     let mut r = Reader { data };
     let magic = r.take(MAGIC.len())?;
@@ -120,9 +124,9 @@ pub fn decode(data: &[u8]) -> Result<LoadedLut> {
         bins: header.bins,
         ..SrConfig::default()
     };
-    let key_space = PositionEncoder::new(&config, KeyScheme::Compact)
-        .map_err(|e| Error::LutFormat(format!("header: {e}")))?
-        .key_space();
+    let encoder = PositionEncoder::new(&config, KeyScheme::Compact)
+        .map_err(|e| Error::LutFormat(format!("header: {e}")))?;
+    let (key_space, reachable) = (encoder.key_space(), encoder.reachable_keys());
     let count = u64::from_le_bytes(r.array()?);
     if count.checked_mul(ENTRY_BYTES as u64) != Some(r.data.len() as u64) {
         return Err(Error::LutFormat(format!(
@@ -130,14 +134,21 @@ pub fn decode(data: &[u8]) -> Result<LoadedLut> {
             r.data.len()
         )));
     }
-    let mut lut = DenseLut::new(key_space)?;
+    let mut lut = DenseLut::over(reachable.clone())?;
     for _ in 0..count {
         let key = u128::from_le_bytes(r.array()?);
         let mut offset = [0.0; 3];
         for c in &mut offset {
             *c = f16_bits_to_f32(u16::from_le_bytes(r.array()?));
         }
-        lut.set(key, offset)?;
+        if key >= key_space {
+            return Err(Error::LutFormat(format!(
+                "key {key} outside the key space {key_space}"
+            )));
+        }
+        if reachable.contains(&key) {
+            lut.set(key, offset)?;
+        }
     }
     Ok(LoadedLut { header, lut })
 }
@@ -170,10 +181,13 @@ mod tests {
         }
     }
 
-    /// An empty table of [`header`]'s key space, 16⁴ keys.
+    /// An empty table of [`header`]'s whole key space, 16⁴ keys.
     fn table() -> DenseLut {
         DenseLut::new(1 << 16).unwrap()
     }
+
+    /// [`header`]'s reachable keys: the centre's code 0b1110 heads each.
+    const REACHABLE: std::ops::Range<u128> = 14 << 12..15 << 12;
 
     /// A header of the given receptive field, bins and entry count, followed
     /// by `tail` bytes of entry data.
@@ -187,25 +201,57 @@ mod tests {
     }
 
     /// The file lists only the populated keys: a sparse entry list of a
-    /// dense table, loaded back into a table of the header's key space.
+    /// dense table, loaded back into a table of the header's reachable
+    /// keys. A key the encoder cannot emit is dropped.
     #[test]
     fn sparse_roundtrip() {
         let mut lut = table();
-        lut.set(1, [0.5, -0.5, 0.25]).unwrap();
-        lut.set((1 << 16) - 1, [0.0, 1.0, 0.0]).unwrap();
+        lut.set(REACHABLE.start, [0.5, -0.5, 0.25]).unwrap();
+        lut.set(REACHABLE.end - 1, [0.0, 1.0, 0.0]).unwrap();
+        lut.set(1, [1.0, 1.0, 1.0]).unwrap();
         let loaded = decode(&encode(&lut, header())).unwrap();
         assert_eq!(loaded.header, header());
-        assert_eq!(loaded.lut.key_space(), lut.key_space());
+        assert_eq!(loaded.lut.keys(), REACHABLE);
         assert_eq!(loaded.lut.populated(), 2);
-        assert_eq!(loaded.lut.get(1), Some([0.5, -0.5, 0.25]));
-        assert_eq!(loaded.lut.get((1 << 16) - 1), Some([0.0, 1.0, 0.0]));
+        assert_eq!(loaded.lut.get(REACHABLE.start), Some([0.5, -0.5, 0.25]));
+        assert_eq!(loaded.lut.get(REACHABLE.end - 1), Some([0.0, 1.0, 0.0]));
+        assert_eq!(loaded.lut.get(1), None);
+    }
+
+    /// A table over the reachable keys round-trips exactly at the ledger's
+    /// 32 bins and the paper's 128, whose whole key space is over budget.
+    #[test]
+    fn reachable_roundtrip_at_32_and_128_bins() {
+        for bins in [32, 128] {
+            let header = LutHeader {
+                receptive_field: 4,
+                bins,
+            };
+            let config = SrConfig {
+                bins,
+                ..SrConfig::default()
+            };
+            let keys = PositionEncoder::new(&config, KeyScheme::Compact)
+                .unwrap()
+                .reachable_keys();
+            let mut lut = DenseLut::over(keys.clone()).unwrap();
+            for key in keys.clone().step_by(997).chain([keys.end - 1]) {
+                lut.set(key, [key as f32 * 1e-9, -0.125, 0.5]).unwrap();
+            }
+            let loaded = decode(&encode(&lut, header)).unwrap();
+            assert_eq!(loaded.header, header);
+            assert_eq!(loaded.lut.keys(), keys);
+            assert_eq!(loaded.lut.populated(), lut.populated());
+            assert!(loaded.lut.iter().eq(lut.iter()), "b {bins}");
+        }
     }
 
     #[test]
     fn file_roundtrip() {
         let mut lut = table();
         for i in 0..50u128 {
-            lut.set(i * 7, [i as f32 * 0.01, 0.0, -0.25]).unwrap();
+            lut.set(REACHABLE.start + i * 7, [i as f32 * 0.01, 0.0, -0.25])
+                .unwrap();
         }
         let dir = std::env::temp_dir().join("volut_lut_io_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -261,11 +307,12 @@ mod tests {
         assert!(decode(&bytes).is_err());
     }
 
-    /// A 16-byte header whose key space is over the byte budget — 128⁴ keys
-    /// (1.5 GiB), and 2¹²⁸ saturated — is rejected, not allocated.
+    /// A 16-byte header whose reachable range is over the byte budget —
+    /// 128⁴ keys at n = 5 (1.5 GiB), and 2¹¹² at n = 8, b = 65 535 — is
+    /// rejected, not allocated.
     #[test]
     fn decode_rejects_a_dense_header_without_allocating_its_key_space() {
-        for (receptive_field, bins) in [(4, 128), (8, u16::MAX)] {
+        for (receptive_field, bins) in [(5, 128), (8, u16::MAX)] {
             let bytes = crafted(receptive_field, bins, 0, 0);
             assert_eq!(bytes.len(), HEADER_BYTES);
             assert!(decode(&bytes).is_err(), "n {receptive_field} b {bins}");

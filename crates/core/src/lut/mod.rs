@@ -6,10 +6,15 @@
 //! (2 bytes/offset, Eq. 7). At run time refinement is then a single table
 //! lookup instead of a network inference.
 //!
-//! The table is a [`DenseLut`]: a flat array indexed directly by the key
-//! (`b^n` entries, the layout whose byte counts Table 1 reports). Trained
-//! tables use 32 bins or fewer instead of the paper's `b = 128`, whose
-//! `n = 4` table needs 1.5 GiB, over [`DenseLut::DEFAULT_BYTE_BUDGET`].
+//! The table is a [`DenseLut`]: a flat array indexed directly by the key.
+//! Over the whole key space it holds `b^n` entries, the layout whose byte
+//! counts Table 1 reports. Every key starts with the centre's code, which
+//! is the same constant in every key, so only `b^(n−1)` of them can be
+//! probed ([`crate::encoding::PositionEncoder::reachable_keys`]). A
+//! distilled, decoded or published table covers only that range: the
+//! paper's `n = 4`, `b = 128` table takes 12.3 MiB instead of 1.5 GiB and
+//! fits [`DenseLut::DEFAULT_BYTE_BUDGET`], and the 32-bin table the ledger
+//! and harness train takes 196 KiB instead of 6 MiB.
 
 pub mod builder;
 pub mod dense;
@@ -72,7 +77,7 @@ pub trait Lut: Send + Sync {
     ///
     /// # Errors
     /// Returns [`crate::Error::LutFormat`] when the key is outside the
-    /// table's key space.
+    /// table's key range.
     fn set(&mut self, key: u128, offset: Offset) -> crate::Result<()>;
 
     /// Number of populated entries.

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::config::SrConfig;
-use crate::encoding::KeyScheme;
+use crate::encoding::{KeyScheme, PositionEncoder};
 use crate::lut::dense::DenseLut;
 use crate::lut::{Lut, Offset};
 use crate::nn::mlp::Mlp;
@@ -109,7 +109,10 @@ pub struct ContentModel {
 
 impl ContentModel {
     /// Publishes a content model around a populated LUT; the [`KeyScheme`]
-    /// is ignored.
+    /// is ignored. Only the keys `config`'s encoder can emit are ever
+    /// probed, so the published table keeps the entries in
+    /// [`PositionEncoder::reachable_keys`] and `lut`'s storage is freed: a
+    /// table over the whole key space shrinks `b`-fold.
     pub fn from_dense(
         name: impl Into<String>,
         config: SrConfig,
@@ -117,10 +120,16 @@ impl ContentModel {
         lut: DenseLut,
         network: Option<Mlp>,
     ) -> Self {
+        // An invalid configuration keeps the table as given: `pipeline`
+        // refuses it anyway.
+        let table = match PositionEncoder::new(&config, KeyScheme::Compact) {
+            Ok(encoder) => lut.narrowed(encoder.reachable_keys()),
+            Err(_) => lut,
+        };
         Self {
             name: name.into(),
             config,
-            table: Arc::new(lut),
+            table: Arc::new(table),
             network: network.map(Arc::new),
         }
     }
@@ -301,13 +310,20 @@ mod tests {
         let mut registry = ModelRegistry::new();
         assert!(registry.is_empty());
         registry.publish(toy_model());
+        // 8 bins: a table over all 8⁴ keys publishes its 8³ reachable ones.
         let dense = DenseLut::new(1 << 12).unwrap();
+        let config = SrConfig {
+            bins: 8,
+            ..SrConfig::default()
+        };
+        let network = Mlp::new(&[12, 16, 3], 9);
+        let network_bytes = network.parameter_count() * 4;
         registry.publish(ContentModel::from_dense(
             "dense-item",
-            SrConfig::default(),
+            config,
             KeyScheme::Compact,
             dense,
-            Some(Mlp::new(&[12, 16, 3], 9)),
+            Some(network),
         ));
         assert_eq!(registry.len(), 2);
         let toy = registry.get("toy").unwrap();
@@ -315,7 +331,10 @@ mod tests {
         assert!(registry.get("missing").is_none());
         // Shared bytes sum both tables plus the network weights.
         let dense_model = registry.get("dense-item").unwrap();
-        assert!(dense_model.shared_bytes() > (1 << 12) * 6);
+        assert_eq!(
+            dense_model.shared_bytes(),
+            (1 << 9) * 6 + (1 << 9) / 8 + network_bytes
+        );
         assert_eq!(
             registry.shared_bytes(),
             toy.shared_bytes() + dense_model.shared_bytes()
@@ -323,6 +342,49 @@ mod tests {
         // Admission is an Arc clone of the same allocation.
         let again = registry.get("toy").unwrap();
         assert!(Arc::ptr_eq(&toy, &again));
+    }
+
+    /// Publishing keeps `get` equal on every reachable key and answers
+    /// `None` on every other, for tables that cover the reachable range,
+    /// cross either end of it, or miss it, at a start on a 64-key word
+    /// boundary (8 bins) and off one (2 bins).
+    #[test]
+    fn publishing_keeps_exactly_the_reachable_keys() {
+        for bins in [8, 2] {
+            let config = SrConfig {
+                bins,
+                ..SrConfig::default()
+            };
+            let encoder = PositionEncoder::new(&config, KeyScheme::Compact).unwrap();
+            let (space, reachable) = (encoder.key_space(), encoder.reachable_keys());
+            let half = (reachable.end - reachable.start) / 2;
+            for own in [
+                0..space,
+                reachable.start - 1..reachable.start + half,
+                reachable.start + 1..space,
+                0..reachable.start,
+            ] {
+                let mut lut = DenseLut::over(own.clone()).unwrap();
+                for key in own.clone().step_by(3) {
+                    lut.set(key, [key as f32 * 1e-4, 0.5, -0.5]).unwrap();
+                }
+                let model =
+                    ContentModel::from_dense("t", config, KeyScheme::Compact, lut.clone(), None);
+                let at = format!("b {bins} table {own:?}");
+                for key in 0..space + 70 {
+                    let want = lut.get(key).filter(|_| reachable.contains(&key));
+                    assert_eq!(model.table.get(key), want, "{at} key {key}");
+                }
+                let kept = lut.iter().filter(|(key, _)| reachable.contains(key));
+                assert_eq!(model.table.populated(), kept.count(), "{at}");
+                let lo = reachable.start.clamp(own.start, own.end);
+                assert_eq!(
+                    model.table.keys(),
+                    lo..reachable.end.clamp(lo, own.end),
+                    "{at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -34,9 +34,10 @@ use volut::stream::telemetry::UNIT_BUCKETS;
 
 const CONTENT: &str = "long-dress";
 
-/// One serving-scale content item: a dense Compact LUT over bins = 16
-/// (16^4 = 65 536 keys, ~0.4 MiB), one-third populated.
-fn registry() -> Arc<ModelRegistry> {
+/// One serving-scale content item: a dense LUT over all 16^4 = 65 536 keys
+/// of bins = 16, one-third populated, and the bytes of that table.
+/// Publishing keeps only the 16^3 keys the encoder can emit.
+fn registry() -> (Arc<ModelRegistry>, usize) {
     let config = SrConfig {
         bins: 16,
         ..SrConfig::default()
@@ -46,6 +47,7 @@ fn registry() -> Arc<ModelRegistry> {
     for key in (0..key_space).step_by(3) {
         lut.set(key, [0.01, -0.004, 0.002]).expect("in-range key");
     }
+    let built_bytes = lut.memory_bytes();
     let mut reg = ModelRegistry::new();
     reg.publish(ContentModel::from_dense(
         CONTENT,
@@ -54,7 +56,7 @@ fn registry() -> Arc<ModelRegistry> {
         lut,
         None,
     ));
-    Arc::new(reg)
+    (Arc::new(reg), built_bytes)
 }
 
 fn specs(n: usize) -> Vec<SessionSpec> {
@@ -80,7 +82,7 @@ fn histogram_line(counts: &[u64; UNIT_BUCKETS]) -> String {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let registry = registry();
+    let (registry, built_bytes) = registry();
     let sessions = 200;
 
     // --- 1. The serving run: bounded admission, shared registry. ---------
@@ -128,50 +130,67 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 2. What sharing the registry buys. ------------------------------
     println!("\n== bytes/session: shared registry vs per-session clones ==");
-    let mut s = SrServer::new(
-        Arc::clone(&registry),
-        ServerConfig {
-            capacity: 32,
-            queue_limit: 32,
-            ..ServerConfig::default()
-        },
+    println!(
+        "  table  : {} bytes served, of the {built_bytes} bytes built over the whole key space",
+        registry.shared_bytes()
     );
-    for spec in specs(32) {
-        s.enqueue(spec);
+    // A local group, and one fed through the resilient delta protocol,
+    // whose tenants also hold the origin's retention and the receiver's
+    // delta base.
+    let groups = [
+        ("local", IngestSource::Local),
+        (
+            "resilient",
+            IngestSource::Resilient(IngestConfig::default()),
+        ),
+    ];
+    for (group, ingest) in groups {
+        let mut s = SrServer::new(
+            Arc::clone(&registry),
+            ServerConfig {
+                capacity: 32,
+                queue_limit: 32,
+                ..ServerConfig::default()
+            },
+        );
+        for mut spec in specs(32) {
+            spec.ingest = ingest.clone();
+            s.enqueue(spec);
+        }
+        s.tick();
+        s.tick();
+        let m = s.memory_stats();
+        println!(
+            "  {group} group, shared : {:>10.0} bytes/session ({} sessions; table {} bytes held once)",
+            m.bytes_per_session, m.sessions, m.registry_bytes,
+        );
+        println!(
+            "  {group} group, cloned : {:>10.0} bytes/session (shared + one table copy per session)",
+            m.bytes_per_session + m.registry_bytes as f64,
+        );
+        // What a resident tenant keeps between frames, by component — and
+        // what it does not: per-frame scratch is held per worker.
+        let per = |bytes: usize| bytes / m.sessions.max(1);
+        let b = &m.session_bytes;
+        println!(
+            "           per session: index {} | rows {} | outputs {} | refined {} | \
+             frame cloud {} | retention {} | delta base {} | fixed {}",
+            per(b.index),
+            per(b.rows),
+            per(b.outputs),
+            per(b.refined),
+            per(b.frame_cloud),
+            per(b.retention),
+            per(b.delta_base),
+            per(b.fixed),
+        );
+        println!(
+            "           frame arenas: {} bytes, held once per worker ({} workers), \
+             not per session",
+            m.arena_bytes,
+            volut::pointcloud::runtime::current_workers(),
+        );
     }
-    s.tick();
-    s.tick();
-    let m = s.memory_stats();
-    println!(
-        "  shared : {:>10.0} bytes/session ({} sessions; table {} bytes held once)",
-        m.bytes_per_session, m.sessions, m.registry_bytes,
-    );
-    println!(
-        "  cloned : {:>10.0} bytes/session (shared + one table copy per session)",
-        m.bytes_per_session + m.registry_bytes as f64,
-    );
-    // What a resident tenant keeps between frames, by component — and what
-    // it does not: per-frame scratch is held per worker.
-    let per = |bytes: usize| bytes / m.sessions.max(1);
-    let b = &m.session_bytes;
-    println!(
-        "           per session: index {} | rows {} | outputs {} | refined {} | \
-         frame cloud {} | retention {} | delta base {} | fixed {}",
-        per(b.index),
-        per(b.rows),
-        per(b.outputs),
-        per(b.refined),
-        per(b.frame_cloud),
-        per(b.retention),
-        per(b.delta_base),
-        per(b.fixed),
-    );
-    println!(
-        "           frame arenas: {} bytes, held once per worker ({} workers), \
-         not per session",
-        m.arena_bytes,
-        volut::pointcloud::runtime::current_workers(),
-    );
 
     // --- 3. The deadline ladder under an impossible budget. ---------------
     println!("\n== same workload, 50 us frame deadline: explicit degradation ==");

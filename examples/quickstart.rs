@@ -18,7 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("ground truth: {} points", ground_truth.len());
 
     // 2. Offline: train the refinement network on downsampled/original pairs
-    //    and distill it into a lookup table (32 bins: 2^20 entries, 6 MiB).
+    //    and distill it into a lookup table (32 bins: 2^15 reachable
+    //    entries, 196 KiB).
     let config = SrConfig {
         bins: 32,
         ..SrConfig::default()

@@ -1,27 +1,108 @@
 //! Offline path: train the refinement network, distill it into a LUT, save
 //! the LUT to disk, reload it and use it for super-resolution — the workflow
-//! a deployment would run once per content library.
+//! a deployment would run once per content library. The network is
+//! distilled twice: into this reproduction's 32-bin table and into the
+//! paper's n = 4, b = 128 one, which is buildable because a table keeps
+//! only the keys the encoder can emit. The example fails when the 128-bin
+//! table is refused or covers more than those keys.
 //!
 //! ```text
 //! cargo run --release --example train_and_build_lut
 //! ```
 
-use volut::core::encoding::KeyScheme;
+use volut::core::encoding::{KeyScheme, PositionEncoder};
 use volut::core::lut::builder::LutBuilder;
 use volut::core::lut::io::{read_lut, write, LutHeader};
 use volut::core::lut::memory::{table1_rows, MemoryModel};
 use volut::core::lut::{DenseLut, Lut as _};
-use volut::core::nn::train::{build_training_set, RefinementTrainer, TrainConfig};
+use volut::core::nn::mlp::Mlp;
+use volut::core::nn::train::{build_training_set, RefinementTrainer, TrainConfig, TrainingSet};
 use volut::core::refine::LutRefiner;
 use volut::core::{SrConfig, SrPipeline};
 use volut::pointcloud::{metrics, sampling, synthetic};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The deployed table of this reproduction: 32 bins, 2^20 entries.
+type Error = Box<dyn std::error::Error>;
+
+/// The training set at `config`'s bins: several animation phases of the
+/// "Long Dress" stand-in.
+fn training_set(config: &SrConfig) -> Result<TrainingSet, Error> {
+    let mut set = build_training_set(&synthetic::humanoid(6_000, 0.0, 1), 0.5, config, 1)?;
+    set.extend(build_training_set(
+        &synthetic::humanoid(6_000, 0.9, 1),
+        0.25,
+        config,
+        2,
+    )?);
+    Ok(set)
+}
+
+/// Distills `network` at `config`'s bins, writes the table to a `.vlut`
+/// file, reloads it and runs ×4 SR on unseen content (the "Loot" stand-in),
+/// like the paper's cross-video evaluation. Returns the table's bytes and
+/// its hit rate there.
+fn distill_and_serve(config: SrConfig, network: &Mlp) -> Result<(usize, f64), Error> {
+    let builder = LutBuilder::new(&config)?;
+    let lut = builder.distill(network, &training_set(&config)?)?;
+    let reachable = builder.encoder().reachable_keys();
+    println!(
+        "distilled dense LUT (b={}): {} of {} reachable keys populated ({} keys in all), {} bytes resident",
+        config.bins,
+        lut.populated(),
+        reachable.end - reachable.start,
+        builder.encoder().key_space(),
+        lut.memory_bytes()
+    );
+    if lut.keys() != reachable {
+        return Err(format!(
+            "b={} table covers {:?}, not the reachable keys {reachable:?}",
+            config.bins,
+            lut.keys()
+        )
+        .into());
+    }
+    let header = LutHeader {
+        receptive_field: config.receptive_field,
+        bins: config.bins,
+    };
+    let path = std::env::temp_dir().join("volut_example.vlut");
+    write(&lut, header, &path)?;
+    let file_bytes = std::fs::metadata(&path)?.len();
+    let loaded = read_lut(&path);
+    std::fs::remove_file(&path).ok();
+    let loaded = loaded?;
+    println!(
+        "wrote and reloaded {} ({file_bytes} bytes): {} entries, n={} b={}",
+        path.display(),
+        loaded.lut.populated(),
+        loaded.header.receptive_field,
+        loaded.header.bins
+    );
+    let refiner = LutRefiner::from_config(&config, KeyScheme::Compact, Box::new(loaded.lut))?;
+    let pipeline = SrPipeline::new(config, Box::new(refiner));
+    let unseen = synthetic::humanoid(8_000, 2.0, 99);
+    let low = sampling::random_downsample(&unseen, 0.25, 5)?;
+    let result = pipeline.upsample(&low, 4.0)?;
+    let quality = metrics::quality_report(&result.cloud, &unseen);
+    let hit_rate = result.lookup_stats.hit_rate();
+    println!(
+        "x4 SR on unseen content (b={}): {} -> {} points, psnr {:.2} dB, chamfer {:.6}, lut hit rate {:.1}%",
+        config.bins,
+        low.len(),
+        result.cloud.len(),
+        quality.psnr_db,
+        quality.chamfer,
+        hit_rate * 100.0
+    );
+    Ok((lut.memory_bytes(), hit_rate))
+}
+
+fn main() -> Result<(), Error> {
+    // The deployed table of this reproduction: 32 bins, 2^15 reachable keys.
     let config = SrConfig {
         bins: 32,
         ..SrConfig::default()
     };
+    let paper = SrConfig::default();
 
     // Table 1: what a dense LUT would cost for different configurations.
     println!("dense LUT memory model (paper Table 1):");
@@ -31,21 +112,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             row.receptive_field, row.bins, row.entries, row.formatted
         );
     }
+    let paper_encoder = PositionEncoder::new(&paper, KeyScheme::Compact)?;
+    let reachable = paper_encoder.reachable_keys();
     println!(
-        "paper configuration n=4, b=128 -> {}, over the {} table budget; this table uses b={}",
+        "paper configuration n=4, b=128 -> {} over all {} keys, over the {} table budget; {} over its {} reachable keys",
         MemoryModel::format_bytes(MemoryModel::new(4, 128).compact_bytes()),
+        paper_encoder.key_space(),
         MemoryModel::format_bytes(DenseLut::DEFAULT_BYTE_BUDGET),
-        config.bins
+        MemoryModel::format_bytes((reachable.end - reachable.start) * 6),
+        reachable.end - reachable.start
     );
 
-    // Train on several animation phases of the "Long Dress" stand-in.
-    let mut set = build_training_set(&synthetic::humanoid(6_000, 0.0, 1), 0.5, &config, 1)?;
-    set.extend(build_training_set(
-        &synthetic::humanoid(6_000, 0.9, 1),
-        0.25,
-        &config,
-        2,
-    )?);
+    // One network, trained on 32-bin inputs, is distilled at both bin
+    // counts: a table's hit rate depends only on its keys.
+    let set = training_set(&config)?;
     let mut trainer = RefinementTrainer::new(
         &config,
         TrainConfig {
@@ -60,53 +140,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.epoch_losses.first(),
         report.final_loss()
     );
-
-    // Distill and persist.
     let network = trainer.into_network();
-    let lut = LutBuilder::new(&config)?.distill(&network, &set)?;
-    println!(
-        "distilled dense LUT (b={}): {} of {} entries populated, {} bytes resident",
-        config.bins,
-        lut.populated(),
-        lut.key_space(),
-        lut.memory_bytes()
-    );
-    let header = LutHeader {
-        receptive_field: config.receptive_field,
-        bins: config.bins,
-    };
-    let path = std::env::temp_dir().join("volut_example.vlut");
-    write(&lut, header, &path)?;
-    println!(
-        "wrote {} ({} bytes)",
-        path.display(),
-        std::fs::metadata(&path)?.len()
-    );
 
-    // Reload and use on unseen content (the "Loot" stand-in) to check
-    // generalization, like the paper's cross-video evaluation.
-    let loaded = read_lut(&path)?;
-    println!(
-        "reloaded LUT: {} entries, n={} b={}",
-        loaded.lut.populated(),
-        loaded.header.receptive_field,
-        loaded.header.bins
-    );
-    let refiner = LutRefiner::from_config(&config, KeyScheme::Compact, Box::new(loaded.lut))?;
-    let pipeline = SrPipeline::new(config, Box::new(refiner));
-
-    let unseen = synthetic::humanoid(8_000, 2.0, 99);
-    let low = sampling::random_downsample(&unseen, 0.25, 5)?;
-    let result = pipeline.upsample(&low, 4.0)?;
-    let quality = metrics::quality_report(&result.cloud, &unseen);
-    println!(
-        "x4 SR on unseen content: {} -> {} points, psnr {:.2} dB, chamfer {:.6}, lut hit rate {:.1}%",
-        low.len(),
-        result.cloud.len(),
-        quality.psnr_db,
-        quality.chamfer,
-        result.lookup_stats.hit_rate() * 100.0
-    );
-    std::fs::remove_file(&path).ok();
+    let (bytes_32, hits_32) = distill_and_serve(config, &network)?;
+    let (bytes_128, hits_128) = distill_and_serve(paper, &network)?;
+    println!("table  bytes       held-out hit rate");
+    println!("b=32   {bytes_32:<10}  {:.1}%", hits_32 * 100.0);
+    println!("b=128  {bytes_128:<10}  {:.1}%", hits_128 * 100.0);
     Ok(())
 }

@@ -114,7 +114,7 @@ fn continuous_ratios_are_supported_end_to_end() {
 fn lut_refinement_does_not_degrade_interpolation_quality() {
     let config = test_config();
     let (network, lut) = trained();
-    let mut zero = DenseLut::new(lut.key_space()).unwrap();
+    let mut zero = DenseLut::over(lut.keys()).unwrap();
     for (key, _) in lut.iter() {
         zero.set(key, [0.0; 3]).unwrap();
     }

@@ -686,6 +686,72 @@ proptest! {
     }
 
     #[test]
+    fn every_emitted_key_lies_in_the_reachable_range(seed in 0u64..10_000) {
+        // `PositionEncoder::reachable_keys` against both encoders: every key
+        // the reference and the block encoder emit for a non-empty row lies
+        // in it, for bin counts with and without a radial field, odd and
+        // even, up to the widest 16-bit codes, at every receptive field the
+        // 128-bit key admits, on random, short, long and duplicate rows.
+        // At a full 128-bit key whose centre code is the top code the range
+        // end saturates, and the all-ones key lies just past it.
+        let seed = seed ^ chaos_seed();
+        println!("reachable keys case: seed {seed} (CHAOS_SEED {})", chaos_seed());
+        let mut mix = Mix(seed);
+        for bins in [2usize, 3, 8, 16, 24, 32, 128, 65_535] {
+            let bits = (usize::BITS - (bins - 1).leading_zeros()) as usize;
+            for receptive_field in 2..=128 / bits {
+                let config = SrConfig { bins, receptive_field, ..SrConfig::default() };
+                let enc = PositionEncoder::new(&config, KeyScheme::Compact).unwrap();
+                let reachable = enc.reachable_keys();
+                prop_assert!(reachable.start < reachable.end && reachable.end <= enc.key_space());
+                let inside = |key: u128| {
+                    reachable.contains(&key) || (key == u128::MAX && reachable.end == u128::MAX)
+                };
+                let slots = receptive_field - 1;
+                for width in [1, slots.saturating_sub(1).max(1), slots, slots + 2] {
+                    let mut source: Vec<Point3> = Vec::new();
+                    let mut centers = Vec::new();
+                    let mut hoods = Neighborhoods::default();
+                    for row in 0..8 {
+                        let center = mix.point(3.0);
+                        let first = source.len() as u32;
+                        let twin = center + mix.point(0.2);
+                        source.extend((0..width).map(|_| match row {
+                            // Every neighbour the same point, or the centre itself.
+                            0 => twin,
+                            1 => center,
+                            _ => center + mix.point(0.2),
+                        }));
+                        centers.push(center);
+                        for (d, j) in hoods.push_rows(1, width).iter_mut().zip(first..) {
+                            *d = j;
+                        }
+                    }
+                    let mut keys = vec![0u128; centers.len()];
+                    let mut radii = vec![0.0f32; centers.len()];
+                    enc.encode_keys_block(
+                        &centers,
+                        hoods.view(),
+                        0,
+                        &source,
+                        &mut keys,
+                        &mut radii,
+                        &mut EncodeScratch::default(),
+                    );
+                    for (i, &center) in centers.iter().enumerate() {
+                        let neighbors: Vec<Point3> =
+                            hoods.row(i).iter().map(|&j| source[j as usize]).collect();
+                        let at = format!("b {bins} n {receptive_field} width {width} row {i}");
+                        let reference = enc.encode(center, &neighbors).unwrap().key;
+                        prop_assert!(inside(reference), "{} key {:#x} outside {:?}", at, reference, reachable);
+                        prop_assert!(inside(keys[i]), "{} key {:#x} outside {:?}", at, keys[i], reachable);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn lut_decode_never_panics_and_roundtrips(
         seed in 0u64..10_000,
         entries in 0usize..40,
@@ -693,8 +759,9 @@ proptest! {
         // `.vlut` decoding against arbitrary input: random bytes, and bit
         // flips, byte overwrites and truncations of encoded random tables.
         // Nothing panics, and an unmutated encoding decodes to its header
-        // and its exact (key, offset) set — the offsets already carry their
-        // one f16 rounding, taken when the table stored them.
+        // and the (key, offset) set of its reachable keys, exactly — the
+        // offsets already carry their one f16 rounding, taken when the
+        // table stored them — with the keys the encoder cannot emit dropped.
         let seed = seed ^ chaos_seed();
         println!("lut decoder case: seed {seed} entries {entries} (CHAOS_SEED {})", chaos_seed());
         let mut mix = Mix(seed);
@@ -708,12 +775,17 @@ proptest! {
             bins: header.bins,
             ..SrConfig::default()
         };
-        let key_space = PositionEncoder::new(&config, KeyScheme::Compact).unwrap().key_space();
+        let encoder = PositionEncoder::new(&config, KeyScheme::Compact).unwrap();
+        let (key_space, reachable) = (encoder.key_space(), encoder.reachable_keys());
         let mut lut = DenseLut::new(key_space).unwrap();
-        // A key drawn twice keeps its last offset.
+        // A key drawn twice keeps its last offset. Half the keys are drawn
+        // from the reachable range, half from the whole key space.
         let mut offsets = BTreeMap::new();
         for _ in 0..entries {
-            let key = u128::from(mix.next()) % key_space;
+            let key = match mix.below(2) {
+                0 => reachable.start + u128::from(mix.next()) % (reachable.end - reachable.start),
+                _ => u128::from(mix.next()) % key_space,
+            };
             let offset = [mix.unit() * 4.0, mix.unit(), mix.unit() * 1e-3];
             lut.set(key, offset).unwrap();
             offsets.insert(key, offset);
@@ -724,9 +796,15 @@ proptest! {
         let bytes = encode(&lut, header);
         let loaded = decode(&bytes).unwrap();
         prop_assert_eq!(loaded.header, header);
-        prop_assert_eq!(loaded.lut.key_space(), key_space);
-        prop_assert_eq!(entries(&loaded.lut), entries(&lut));
+        prop_assert_eq!(loaded.lut.keys(), reachable.clone());
+        let mut kept = entries(&lut);
+        kept.retain(|(key, _)| reachable.contains(key));
+        prop_assert_eq!(entries(&loaded.lut), kept);
         for (key, offset) in offsets {
+            if !reachable.contains(&key) {
+                prop_assert!(loaded.lut.get(key).is_none());
+                continue;
+            }
             let back = loaded.lut.get(key).unwrap();
             for (b, o) in back.iter().zip(offset) {
                 prop_assert!((b - o).abs() <= o.abs() * 1e-3 + 1e-4, "{} vs {}", b, o);

@@ -124,12 +124,12 @@ fn steady_state_delta_frames_allocate_only_their_output() {
         Box::new(IdentityRefiner),
     ));
     // At most ten, none of them in the interpolator or the pipeline. A
-    // frame makes eight: three for the output (positions and colors, each
+    // frame makes nine: three for the output (positions and colors, each
     // sized once for input and generated tail, and the result's
-    // refiner-name string) and five batch-local lists inside the
+    // refiner-name string) and six batch-local lists inside the
     // single-tree kNN sweep that recomputes the invalidated rows
     // (`KdTree::knn_batch_with`: traversal stack, descent path, best-k
-    // accumulator). Before the frame arena the fresh point/parent/hood
+    // accumulator, Morton visit order). Before the frame arena the fresh point/parent/hood
     // lists, the pair lists and the parent table were allocated — and
     // grown push by push — on top of those, on every frame.
     let worst = per_frame.iter().map(|f| f.allocations).max().unwrap();
@@ -347,8 +347,9 @@ fn frame_message_decode_allocates_a_small_multiple_of_its_input() {
     assert!(decoded >= 6 * 4, "the unmutated messages decode");
 }
 
-/// Bytes of the table a `.vlut` header names, when it is a valid encoder
-/// configuration whose table fits the byte budget; 0 otherwise.
+/// Bytes of the table a `.vlut` header names — one over the encoder's
+/// reachable keys — when it is a valid encoder configuration whose table
+/// fits the byte budget; 0 otherwise.
 fn header_table_bytes(bytes: &[u8]) -> u64 {
     if bytes.len() < 8 || !bytes.starts_with(b"VLUT\x02") {
         return 0;
@@ -360,7 +361,7 @@ fn header_table_bytes(bytes: &[u8]) -> u64 {
     };
     PositionEncoder::new(&config, KeyScheme::Compact)
         .ok()
-        .and_then(|encoder| DenseLut::new(encoder.key_space()).ok())
+        .and_then(|encoder| DenseLut::over(encoder.reachable_keys()).ok())
         .map_or(0, |table| table.memory_bytes() as u64)
 }
 
@@ -395,9 +396,9 @@ fn lut_decode_allocates_a_small_multiple_of_its_input() {
         }
         inputs.push(bytes);
     }
-    // Headers whose table is over the budget: 128⁴ keys, and a saturated
-    // 2¹²⁸.
-    for (receptive_field, bins) in [(4u8, 128u16), (8, u16::MAX)] {
+    // Headers whose table is over the budget: 128⁴ reachable keys at five
+    // points, and 2¹¹² at eight points of 16 bits.
+    for (receptive_field, bins) in [(5u8, 128u16), (8, u16::MAX)] {
         let mut bytes = b"VLUT\x02".to_vec();
         bytes.push(receptive_field);
         bytes.extend_from_slice(&bins.to_le_bytes());
