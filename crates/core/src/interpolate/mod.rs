@@ -90,6 +90,25 @@ impl InterpolationResult {
 /// Cumulative patched churn (fraction of the cloud) that forces the next
 /// delta frame onto a full rebuild of the session's k-d tree instead of
 /// another patch.
+///
+/// One frame's `KdTree::patch_with` against a `KdTree::build_in` of the same
+/// frame (ms), `synthetic::humanoid` content and a `DeltaStream` delta at
+/// each churn, warm scratch, median of six alternating rounds of 20 on the
+/// shared 2-vCPU host (the rebuild column spans the three frames):
+///
+/// | points | workers | patch 2 % | patch 10 % | patch 30 % | rebuild |
+/// |-------:|--------:|----------:|-----------:|-----------:|--------:|
+/// |    512 |       1 |     0.006 |      0.011 |      0.020 | 0.016–0.018 |
+/// |  4 096 |       1 |     0.055 |      0.061 |      0.148 | 0.098–0.123 |
+/// | 50 000 |       1 |      0.85 |       1.37 |       2.26 |   1.81–2.00 |
+/// | 50 000 |       2 |      0.87 |       1.32 |       2.72 |   1.95–2.14 |
+///
+/// A single frame's patch is the cheaper step up to about 20–25 % churn at
+/// every size; against the median-select builder's 4.2 ms rebuild the
+/// crossover read near 35 %. The constant bounds *cumulative* churn, which
+/// decides how stale the split planes get, not what one frame costs; at
+/// the ledger's 10 % a patch still costs 0.6–0.7× a rebuild, so the table
+/// gives no reason to move it.
 pub const PATCH_REBUILD_FRACTION: f64 = 0.5;
 
 /// Bytes of cross-frame state a session holds, by component (capacities,

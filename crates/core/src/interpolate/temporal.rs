@@ -187,19 +187,23 @@
 //! map), the kd-tree over the inserted points and the zero-filled output
 //! buffers.
 //!
-//! The index phases of the same frames, before and after the k-d record
-//! builder (`volut_pointcloud::kdtree`): the engine alone on that content,
-//! instrumented, 150 frames, median of three alternating runs (ms in a
-//! frame that runs the phase):
+//! The index phases of the same frames under the three k-d builders the
+//! crate has had (`volut_pointcloud::kdtree`), in ms in a frame that runs
+//! the phase. The first two columns are the engine alone on that content,
+//! instrumented, 150 frames, median of three alternating runs; the Morton
+//! cut's column is the same calls on the same shape (50k humanoid, 10 %
+//! churn, two workers) timed against the record builder in one process,
+//! median of 6–8 alternating rounds, which read the record builder at 1.52
+//! (patch), 3.49 (rebuild) and 0.28 (insert tree):
 //!
-//! | phase                                  | frames | comparator select | record builder |
-//! |----------------------------------------|-------:|------------------:|---------------:|
-//! | index patch                            | 5 in 6 | 1.21              | 1.19           |
-//! | index rebuild (patch budget spent)     | 1 in 6 | 5.53              | 3.22           |
-//! | insert tree (in classify's serial head)| all    | 0.52              | 0.34           |
+//! | phase                                  | frames | comparator select | record builder | Morton cut |
+//! |----------------------------------------|-------:|------------------:|---------------:|-----------:|
+//! | index patch                            | 5 in 6 | 1.21              | 1.19           | 1.32       |
+//! | index rebuild (patch budget spent)     | 1 in 6 | 5.53              | 3.22           | 1.95       |
+//! | insert tree (in classify's serial head)| all    | 0.52              | 0.34           | 0.16       |
 //!
 //! The rebuild frames are the p90 frames; the engine's frame p90 went from
-//! 13.9 to 12.1 ms in the same runs.
+//! 13.9 to 12.1 ms in the same runs as the record builder's.
 //!
 //! # Cache-flush invariants
 //!

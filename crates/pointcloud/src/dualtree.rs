@@ -71,10 +71,11 @@
 //!
 //! [`KdTree::knn`]: crate::knn::NeighborSearch::knn
 
-use crate::kdtree::KdTree;
+use crate::kdtree::{KdTree, SweepScratch};
 use crate::kernels::{self, JoinRows, RefLeaf, Tier, SENTINEL};
 use crate::neighborhoods::Neighborhoods;
 use crate::runtime;
+use std::sync::{Mutex, PoisonError};
 
 /// The smallest self-join batch the batch policy sends to the dual tree: the
 /// bottom of the range the crossover was measured over, because no crossover
@@ -126,11 +127,12 @@ pub const DUAL_MAX_K: usize = 32;
 /// of about 1024.
 const DUAL_MIN_QUERIES_PER_SHARD: usize = 2048;
 
-/// Reusable state of the dual-tree self-join: the flat per-query result rows
-/// and the pruning bounds. Owned by the caller and tied to no particular
-/// tree: nothing in it outlives a batch, so the SR engine keeps one per
-/// worker (on its frame arena), not one per session, and repeated frames
-/// perform **zero** allocations here at steady state.
+/// Reusable state of a kNN batch: the dual-tree self-join's flat per-query
+/// result rows and pruning bounds, and the single-tree sweep's per-run
+/// buffers. Owned by the caller and tied to no particular tree: nothing in
+/// it outlives a batch, so the SR engine keeps one per worker (on its frame
+/// arena), not one per session, and repeated frames perform **zero**
+/// allocations here at steady state.
 #[derive(Debug, Default)]
 pub struct DualTreeScratch {
     /// `stride` packed `(d2-bits, index)` keys per query, ascending, laid
@@ -150,6 +152,9 @@ pub struct DualTreeScratch {
     /// its own subtree. Pooled here so steady-state batches allocate
     /// nothing.
     shard_bounds: Vec<Vec<f32>>,
+    /// The single-tree sweep's buffers, one per run (see `KdTree::sweep`).
+    /// A run locks only its own, so the lock is never contended.
+    pub(crate) sweep_runs: Vec<Mutex<SweepScratch>>,
     /// How many batches ran through the dual-tree kernel with this scratch.
     invocations: u64,
 }
@@ -165,9 +170,9 @@ impl DualTreeScratch {
         self.invocations
     }
 
-    /// Total capacity (in bytes) of the scratch's buffers — the row slab and
-    /// the bounds — observable by tests asserting steady-state reuse
-    /// (repeated same-shape batches must not grow it).
+    /// Total capacity (in bytes) of the scratch's buffers — the row slab,
+    /// the bounds and the sweep's runs — observable by tests asserting
+    /// steady-state reuse (repeated same-shape batches must not grow it).
     pub fn reserved_bytes(&self) -> usize {
         self.rows.capacity() * std::mem::size_of::<u64>()
             + self.slot_of_point.capacity() * std::mem::size_of::<u32>()
@@ -176,6 +181,15 @@ impl DualTreeScratch {
                 .shard_bounds
                 .iter()
                 .map(|b| b.capacity() * std::mem::size_of::<f32>())
+                .sum::<usize>()
+            + self
+                .sweep_runs
+                .iter()
+                .map(|run| {
+                    run.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .reserved_bytes()
+                })
                 .sum::<usize>()
     }
 }
@@ -494,11 +508,13 @@ impl Traversal<'_> {
     ///
     /// Rows that have not yet filled (their first scan — the leaf's first
     /// surviving pair, which is its diagonal self-pair) are warm-started
-    /// there exactly like [`BestK::begin_warm`]. Leaf slots are
-    /// Morton-sorted at build time, making consecutive rows spatial
-    /// neighbors and the cap tight from the first block of the very first
-    /// tile scan; results are unaffected (candidates are only skipped when
-    /// strictly beyond the bound, ties still pass).
+    /// there exactly like [`BestK::begin_warm`]. Leaf slots are in Morton
+    /// order — the build sorts the whole cloud by code before it cuts, and
+    /// a patch re-sorts each dirty leaf by code over its own box — making
+    /// consecutive rows spatial neighbors and the cap tight from the first
+    /// block of the very first tile scan; results are unaffected
+    /// (candidates are only skipped when strictly beyond the bound, ties
+    /// still pass).
     ///
     /// [`BestK::begin_warm`]: crate::knn::BestK::begin_warm
     fn scan_pair(&mut self, qn: u32, rn: u32) {
@@ -563,7 +579,7 @@ mod tests {
         let tree = KdTree::build(points);
         let joined = join_rows(&tree, k, &mut DualTreeScratch::new());
         let mut swept = Neighborhoods::new();
-        tree.sweep(points, k, &mut swept);
+        tree.sweep(points, k, &mut swept, &mut Vec::new());
         assert_eq!(joined.len(), points.len());
         assert_eq!(swept.len(), points.len());
         for (i, &q) in points.iter().enumerate() {

@@ -27,6 +27,7 @@
 //! ordering decides survivors and ties everywhere — so the choice is
 //! invisible in the output.
 
+use crate::aabb::Aabb;
 use crate::neighborhoods::Neighborhoods;
 use crate::point::Point3;
 
@@ -283,7 +284,10 @@ impl crate::kernels::ScanSink for BestK {
 ///
 /// An earlier round on a quieter host read the same order (512 : 100 at
 /// 32.0 µs reordered against 37.4 not). Below 64 queries the sort costs
-/// about what it saves.
+/// about what it saves. The table was read when the order was one bucket
+/// pass over a code's top bits; the full [`sort_by_code`] order that
+/// replaced it swept the 4 096- and 50 000-point delta batches at 0.95 and
+/// 0.97× that time (16 alternating rounds).
 const REORDER_MIN_QUERIES: usize = 64;
 
 /// Expands the low 10 bits of `v` so they occupy every third bit.
@@ -297,68 +301,122 @@ fn expand_bits_10(v: u32) -> u32 {
     x
 }
 
-/// 30-bit Morton code of `p` quantized to a 1024³ grid over `[min, max]`.
-/// Shared with the k-d tree's leaf-internal spatial sort (see
-/// [`crate::kdtree`]), which wants consecutive leaf slots to be near
-/// neighbors for the dual-tree warm-start chain.
-#[inline]
+/// 30-bit Morton code of `p` on the 1024³ grid that starts at `min` with
+/// `inv_extent` cells per unit ([`morton_scale`]): bit `3 l + a` is bit `l`
+/// of the cell coordinate on axis `a` (x = 0). Each coordinate's
+/// quantization is monotone, which is what makes every code cut of the k-d
+/// build an axis-aligned plane (see [`crate::kdtree`]).
+#[inline(always)]
 pub(crate) fn morton_code(p: Point3, min: Point3, inv_extent: Point3) -> u32 {
+    // The cell is the floor of the clamped offset (NaN reads 0), taken in
+    // exact float operations — adding and subtracting 2²³ rounds to the
+    // nearest integer, one step back where that went up is the floor — and
+    // read out of the mantissa of `floor + 2²³`: a float→int cast compiles
+    // to one scalar convert with fix-up branches per lane, and this loop
+    // runs over every point of a build.
+    const MANTISSA_ONE: f32 = 8_388_608.0;
     let q = |v: f32, lo: f32, inv: f32| -> u32 {
-        let t = ((v - lo) * inv).clamp(0.0, 1023.0);
-        // NaN clamps to 0 via the comparison chain below.
-        if t.is_finite() {
-            t as u32
-        } else {
-            0
-        }
+        let t = (v - lo) * inv;
+        let t = if t > 0.0 { t } else { 0.0 };
+        let t = if t < 1023.0 { t } else { 1023.0 };
+        let near = (t + MANTISSA_ONE) - MANTISSA_ONE;
+        let floor = near - if near > t { 1.0 } else { 0.0 };
+        (floor + MANTISSA_ONE).to_bits() & 0x3FF
     };
     expand_bits_10(q(p.x, min.x, inv_extent.x))
         | (expand_bits_10(q(p.y, min.y, inv_extent.y)) << 1)
         | (expand_bits_10(q(p.z, min.z, inv_extent.z)) << 2)
 }
 
-/// Morton-bucket ordering of a query batch: the query indices grouped by
-/// spatial bucket (one linear counting sort over the top `bucket_bits` of
-/// each query's Morton code). Grouping at this granularity captures the
-/// locality that matters (buckets are finer than the index regions whose
-/// cache reuse pays) at a fraction of a full sort's cost.
-fn morton_buckets(queries: &[Point3], bucket_bits: u32) -> Vec<u32> {
-    debug_assert!((1..=24).contains(&bucket_bits));
-    let mut min = Point3::splat(f32::INFINITY);
-    let mut max = Point3::splat(f32::NEG_INFINITY);
-    for &q in queries {
-        min = min.min(q);
-        max = max.max(q);
+/// The scale [`morton_code`] takes over `aabb`: one uniform `1024 / longest
+/// edge` on all three axes, so grid cells are cubes (cells that follow the
+/// box's aspect made the self-join 1.12–1.20× slower at 512–8 000 points
+/// on the 2-vCPU host).
+/// Zero for a box without extent; a longest edge that overflows to infinity
+/// counts as `f32::MAX`, so distinct points still get distinct codes on it.
+#[inline]
+pub(crate) fn morton_scale(aabb: &Aabb) -> Point3 {
+    let edge = aabb.longest_edge();
+    Point3::splat(if edge > 0.0 {
+        1024.0 / edge.min(f32::MAX)
+    } else {
+        0.0
+    })
+}
+
+/// Sorts `keys` stably by their high halves — the `code << 32 | id` keys
+/// every Morton order of the crate is made of — with `spare` (at least as
+/// long) as the second buffer: least significant digit first, one counting
+/// pass per digit, over only the code bits that differ across the keys.
+/// Digits are about `log2(len)` bits wide (at most 11), so a 512-key sort
+/// takes three passes over 1 024 entries, as a 50 000-point cloud does: a
+/// pass has a fixed cost, and 512 keys sorted in 6.5 µs so against 7.2 in
+/// four passes and 9.2 in five (random 30-bit codes, 2-vCPU host; the
+/// standard library's unstable sort read 7.8). The one sort of the k-d
+/// build, of a patch's dirty leaves and insert routing, and of the sweep's
+/// query visit order.
+pub(crate) fn sort_by_code(keys: &mut [u64], spare: &mut [u64]) {
+    let n = keys.len();
+    if n < 2 {
+        return;
     }
-    let ext = max - min;
-    let inv = Point3::new(
-        if ext.x > 0.0 { 1024.0 / ext.x } else { 0.0 },
-        if ext.y > 0.0 { 1024.0 / ext.y } else { 0.0 },
-        if ext.z > 0.0 { 1024.0 / ext.z } else { 0.0 },
+    let (any, all) = keys
+        .iter()
+        .fold((0u64, u64::MAX), |(any, all), &k| (any | k, all & k));
+    let differ = ((any ^ all) >> 32) as u32;
+    if differ == 0 {
+        return;
+    }
+    let bits = u32::BITS - differ.leading_zeros();
+    let passes = bits.div_ceil((usize::BITS - n.leading_zeros()).min(11));
+    let width = bits.div_ceil(passes);
+    let mut small = [0u32; 1 << 6];
+    let mut large;
+    let counts: &mut [u32] = if width <= 6 {
+        &mut small[..1 << width]
+    } else {
+        large = [0u32; 1 << 11];
+        &mut large[..1 << width]
+    };
+    let (mut src, mut dst) = (keys, &mut spare[..n]);
+    for pass in 0..passes {
+        let shift = 32 + pass * width;
+        let digit = |k: u64| (k >> shift) as usize & ((1 << width) - 1);
+        counts.fill(0);
+        for &k in src.iter() {
+            counts[digit(k)] += 1;
+        }
+        let mut start = 0;
+        for c in counts.iter_mut() {
+            (*c, start) = (start, start + *c);
+        }
+        for &k in src.iter() {
+            let slot = &mut counts[digit(k)];
+            dst[*slot as usize] = k;
+            *slot += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    if passes % 2 == 1 {
+        dst.copy_from_slice(src);
+    }
+}
+
+/// Fills `keys` with the Morton order of `points` over their own box:
+/// `code << 32 | index`, sorted by [`sort_by_code`] (so equal codes keep
+/// index order), with `spare` as its second buffer. Both buffers are reused.
+fn morton_order(points: &[Point3], keys: &mut Vec<u64>, spare: &mut Vec<u64>) {
+    let aabb = Aabb::from_points(points.iter().copied()).unwrap_or(crate::kdtree::EMPTY_LEAF_AABB);
+    let inv = morton_scale(&aabb);
+    keys.clear();
+    keys.extend(
+        points
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| u64::from(morton_code(p, aabb.min, inv)) << 32 | i as u64),
     );
-    // One allocation, cut into the visit order, the codes and the bucket
-    // table: a session's delta frame reorders its recompute batch, and
-    // its steady state allocates little more than its output.
-    let n = queries.len();
-    let mut buf = vec![0u32; 2 * n + (1usize << bucket_bits) + 1];
-    let (visit, rest) = buf.split_at_mut(n);
-    let (codes, bucket_starts) = rest.split_at_mut(n);
-    for (code, &q) in codes.iter_mut().zip(queries) {
-        *code = morton_code(q, min, inv) >> (30 - bucket_bits);
-    }
-    for &c in codes.iter() {
-        bucket_starts[c as usize + 1] += 1;
-    }
-    for b in 1..bucket_starts.len() {
-        bucket_starts[b] += bucket_starts[b - 1];
-    }
-    for (i, &c) in codes.iter().enumerate() {
-        let slot = &mut bucket_starts[c as usize];
-        visit[*slot as usize] = i as u32;
-        *slot += 1;
-    }
-    buf.truncate(n);
-    buf
+    spare.resize(points.len(), 0);
+    sort_by_code(keys, spare);
 }
 
 /// Drives the single-tree sweep over one run of queries: calls `query_fn`
@@ -377,20 +435,24 @@ fn morton_buckets(queries: &[Point3], bucket_bits: u32) -> Vec<u32> {
 /// ties.
 ///
 /// `query_fn` starts each query with [`BestK::begin_warm`], and the driver
-/// hands every query of a run the *same* accumulator: the previous,
+/// hands every query of a run the *same* accumulator, `best`: the previous,
 /// Morton-adjacent query's survivors give a tight warm-start pruning cap
 /// for `k` point loads — a batch-only advantage (the cold per-query path
-/// has no previous query) with bit-identical results.
+/// has no previous query) with bit-identical results. `best`, `keys` and
+/// `spare` are the caller's reused buffers; `best` must not hold a row of
+/// another cloud (`BestK::begin(0)` clears it).
 pub(crate) fn batch_queries(
     queries: &[Point3],
     stride: usize,
     rows: &mut [u32],
+    best: &mut BestK,
+    keys: &mut Vec<u64>,
+    spare: &mut Vec<u64>,
     mut query_fn: impl FnMut(Point3, &mut BestK),
 ) {
     debug_assert_eq!(rows.len(), queries.len() * stride);
-    let mut best = BestK::default();
     let mut answer = |qi: usize, rows: &mut [u32]| {
-        query_fn(queries[qi], &mut best);
+        query_fn(queries[qi], best);
         let row = best.sorted_keys();
         debug_assert_eq!(row.len(), stride, "exact kNN rows are stride-uniform");
         // The low 32 bits of a packed key ARE the neighbor index.
@@ -402,19 +464,14 @@ pub(crate) fn batch_queries(
         (0..queries.len()).for_each(|qi| answer(qi, rows));
         return;
     }
-    // Bucket granularity scales with the run so the counting table stays
-    // proportionate (roughly one bucket per query — effectively a full
-    // spatial sort), capped at 18 bits: a 1 MB table amortizes fine at
-    // 100k+ queries but would dominate the smallest reordered runs.
-    let bits = (usize::BITS - queries.len().leading_zeros() + 1).min(18);
-    let visit = morton_buckets(queries, bits);
-    for (pos, &qi) in visit.iter().enumerate() {
+    morton_order(queries, keys, spare);
+    for (pos, &key) in keys.iter().enumerate() {
         // Pull the upcoming queries' cache lines in while this one runs —
         // the visit permutation makes them non-sequential loads.
-        if let Some(&next) = visit.get(pos + 8) {
-            crate::kernels::prefetch_read(&queries[next as usize]);
+        if let Some(&next) = keys.get(pos + 8) {
+            crate::kernels::prefetch_read(&queries[next as u32 as usize]);
         }
-        answer(qi as usize, rows);
+        answer(key as u32 as usize, rows);
     }
 }
 
@@ -612,6 +669,33 @@ mod tests {
                     reference.truncate(stride);
                     assert_eq!(row, reference, "stride {stride} shape {shape}");
                 }
+            }
+        }
+    }
+
+    /// The counting sort against a stable comparison sort by the high
+    /// halves, over lengths on both sides of every digit width: random
+    /// 30-bit codes, few distinct codes (long equal runs keep their input
+    /// order) and a constant code.
+    #[test]
+    fn sort_by_code_is_a_stable_sort_by_the_high_halves() {
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        let mut rng = StdRng::seed_from_u64(3);
+        for n in [
+            0usize, 1, 2, 3, 7, 63, 64, 65, 127, 128, 2_047, 2_048, 2_049, 50_000,
+        ] {
+            for distinct in [1u64 << 30, 5, 1] {
+                let keys: Vec<u64> = (0..n as u64)
+                    .map(|i| {
+                        rng.random_range(0..distinct) << 32 | rng.random_range(0..1u64 << 32) ^ i
+                    })
+                    .collect();
+                let mut expected = keys.clone();
+                expected.sort_by_key(|&k| k >> 32);
+                let mut sorted = keys;
+                sort_by_code(&mut sorted, &mut vec![0; n]);
+                assert_eq!(sorted, expected, "n {n} distinct {distinct}");
             }
         }
     }

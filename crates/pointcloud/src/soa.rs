@@ -122,8 +122,7 @@ impl SoaPositions {
     }
 
     /// Rebuilds the lanes from `points` in their given order, reusing the
-    /// existing allocations. The k-d tree fills its lanes straight from its
-    /// build records, in leaf-visit order.
+    /// existing allocations.
     pub fn fill<'a>(
         &mut self,
         points: impl IntoIterator<Item = &'a Point3, IntoIter: ExactSizeIterator>,
@@ -140,6 +139,13 @@ impl SoaPositions {
             ys[i] = p.y;
             zs[i] = p.z;
         }
+    }
+
+    /// The three lanes cut to [`Self::len`], writable in place: the k-d tree
+    /// rewrites the slot range a re-sort permutes.
+    pub(crate) fn lanes_mut(&mut self) -> [&mut [f32]; 3] {
+        let len = self.len;
+        [&mut self.x, &mut self.y, &mut self.z].map(|lane| &mut lane.as_flat_mut()[..len])
     }
 
     /// The x lane including padding (length ≥ `len + LANES`, 32-byte aligned).

@@ -828,12 +828,15 @@ proptest! {
     }
 }
 
-/// One adversarial cloud for the k-d builder: `shape` picks the geometry,
-/// every one straddling zero with `-0.0` and `+0.0` mixed in.
+/// One adversarial cloud for the k-d builder: `shape` picks the geometry.
+/// Shapes 0–4 straddle zero with `-0.0` and `+0.0` mixed in; shape 5 puts
+/// most points inside one cell of the builder's 1024³ Morton grid (the
+/// re-sort fallback) and shape 6 every point on a cell face.
 fn builder_cloud(shape: usize, n: usize, mix: &mut Mix) -> Vec<Point3> {
     let signed_zero = |mix: &mut Mix| if mix.below(2) == 0 { 0.0 } else { -0.0 };
+    let cluster = Point3::splat(0.25);
     (0..n)
-        .map(|_| match shape {
+        .map(|i| match shape {
             // Uniform, with a quarter of the coordinates exactly ±0.0.
             0 => {
                 let mut p = mix.point(1.0);
@@ -858,11 +861,33 @@ fn builder_cloud(shape: usize, n: usize, mix: &mut Mix) -> Vec<Point3> {
                 Point3::new(t, -0.5 * t, 2.0 * t)
             }
             // Coplanar on z = ±0, on a coarse grid (exact ties everywhere).
-            _ => Point3::new(
+            4 => Point3::new(
                 (mix.unit() * 4.0).round() / 4.0,
                 (mix.unit() * 4.0).round() / 4.0,
                 signed_zero(mix),
             ),
+            // The box [-512, 512]³ (its corners come first), so grid cells
+            // are unit cubes on integer faces; a sixteenth far outliers and
+            // the rest a cluster inside the cell [0, 1)³, a quarter of it
+            // on one point.
+            5 => match i {
+                0 => Point3::splat(-512.0),
+                1 => Point3::splat(512.0),
+                _ if i % 16 == 0 => mix.point(512.0),
+                _ if i % 4 == 0 => cluster,
+                _ => cluster + mix.point(1e-3),
+            },
+            // The unit box (its corners come first), every coordinate a
+            // multiple of 1/1024: every point sits on cell faces.
+            _ => match i {
+                0 => Point3::ZERO,
+                1 => Point3::ONE,
+                _ => Point3::new(
+                    mix.below(1025) as f32 / 1024.0,
+                    mix.below(1025) as f32 / 1024.0,
+                    mix.below(1025) as f32 / 1024.0,
+                ),
+            },
         })
         .collect()
 }
@@ -940,10 +965,11 @@ impl BuilderOracle {
     }
 }
 
-/// The k-d builder on clouds built to break it — sizes around one leaf,
-/// around the parallel build's task grain and past it, on uniform,
-/// tie-heavy, sign-bit-only, collinear and coplanar geometry straddling
-/// zero: the tree is structurally valid (see `KdTree::validate`) and its
+/// The k-d builder on clouds built to break it — sizes around one and two
+/// leaves, around 2 048 points and past them, on uniform, tie-heavy,
+/// sign-bit-only, collinear and coplanar geometry straddling zero, a
+/// cluster inside one Morton grid cell of a wide box and points on cell
+/// faces: the tree is structurally valid (see `KdTree::validate`) and its
 /// batch and self-join rows equal the brute-force oracle's, at 1, 2 and 4
 /// workers, before and after a patch sequence whose insertions overflow
 /// leaves (so the builder also runs on patched subtrees). Seeded from
@@ -952,11 +978,11 @@ impl BuilderOracle {
 fn kd_builder_keeps_its_invariants_on_adversarial_clouds() {
     let seed = chaos_seed();
     println!("k-d builder case: CHAOS_SEED {seed}");
-    for (case, n) in [1usize, 63, 64, 65, 128, 4095, 4096, 4097, 9000]
+    for (case, n) in [1usize, 63, 64, 65, 127, 128, 129, 2047, 2048, 2049, 9000]
         .into_iter()
         .enumerate()
     {
-        for shape in 0..5 {
+        for shape in 0..7 {
             let mut mix = Mix(seed ^ (case as u64) << 8 ^ shape as u64);
             let k = 1 + mix.below(8);
             let mut points = builder_cloud(shape, n, &mut mix);

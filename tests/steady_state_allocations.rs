@@ -1,9 +1,9 @@
 //! Allocation bounds, counted with a per-thread counting allocator.
 //!
-//! A steady-state delta frame allocates for its output cloud and, inside
-//! the kNN sweep kernel, a handful of batch-local lists — nothing in the
-//! interpolator or the pipeline: every working buffer of theirs comes from
-//! the frame arena (grown by earlier frames) or the session state. Frames
+//! A steady-state delta frame allocates for its output cloud and nothing
+//! else: every working buffer of the interpolator, the pipeline and the kNN
+//! sweep comes from the frame arena (grown by earlier frames) or the
+//! session state. Frames
 //! run on one worker so the whole frame runs on the counting thread. The
 //! LUT refiner adds nothing to the count.
 //!
@@ -123,18 +123,18 @@ fn steady_state_delta_frames_allocate_only_their_output() {
         SrConfig::default(),
         Box::new(IdentityRefiner),
     ));
-    // At most ten, none of them in the interpolator or the pipeline. A
-    // frame makes nine: three for the output (positions and colors, each
-    // sized once for input and generated tail, and the result's
-    // refiner-name string) and six batch-local lists inside the
+    // Three, all for the output: positions and colors, each sized once for
+    // input and generated tail, and the result's refiner-name string. The
     // single-tree kNN sweep that recomputes the invalidated rows
-    // (`KdTree::knn_batch_with`: traversal stack, descent path, best-k
-    // accumulator, Morton visit order). Before the frame arena the fresh point/parent/hood
+    // (`KdTree::knn_batch_with`) keeps its traversal stack, descent path,
+    // best-k accumulator and Morton visit keys on the arena's kNN scratch,
+    // one set per run; it allocated six times a frame when they were
+    // batch-local. Before the frame arena the fresh point/parent/hood
     // lists, the pair lists and the parent table were allocated — and
     // grown push by push — on top of those, on every frame.
     let worst = per_frame.iter().map(|f| f.allocations).max().unwrap();
     assert!(
-        worst <= 10,
+        worst <= 3,
         "steady-state frames allocated {per_frame:?} times"
     );
 }
@@ -143,10 +143,9 @@ fn steady_state_delta_frames_allocate_only_their_output() {
 fn an_index_rebuild_frame_allocates_no_more_than_a_patch_frame() {
     // The measured window holds the stream's second patch-budget rebuild
     // (cumulative churn past `PATCH_REBUILD_FRACTION` of the cloud): the
-    // k-d build then runs on the frame arena's record and key buffers,
-    // grown by the warm-up's first rebuild, so the frame allocates what a
-    // patch frame does — its output and the sweep's batch-local lists — and
-    // not a byte of build scratch.
+    // k-d build then runs on the frame arena's key buffers, grown by the
+    // warm-up's first rebuild, so the frame allocates what a patch frame
+    // does — its output — and not a byte of build scratch.
     let per_frame = steady_state_allocations(SrPipeline::new(
         SrConfig::default(),
         Box::new(IdentityRefiner),
@@ -172,7 +171,7 @@ fn steady_state_lut_refinement_allocates_nothing_more() {
     // The same stream refined through a dense Compact table: the refiner's
     // keys, radii and probe results are fixed arrays on its stack and its
     // key lanes a per-thread scratch, so the LUT path holds the identity
-    // path's bound.
+    // path's three allocations.
     let config = SrConfig {
         bins: 32,
         ..SrConfig::default()
@@ -187,7 +186,7 @@ fn steady_state_lut_refinement_allocates_nothing_more() {
     let per_frame = steady_state_allocations(SrPipeline::new(config, Box::new(refiner)));
     let worst = per_frame.iter().map(|f| f.allocations).max().unwrap();
     assert!(
-        worst <= 10,
+        worst <= 3,
         "steady-state LUT-refined frames allocated {per_frame:?} times"
     );
 }
