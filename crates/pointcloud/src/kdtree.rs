@@ -61,8 +61,9 @@
 //! | 50 000 | 1 | 1 024 → 1 276 | 3.98 → 1.58 | 20.2 → 20.3 | 24.9 → 21.6 | 1.15 → 1.02 | 3.42 → 3.58 |
 //! | 50 000 | 2 | 1 024 → 1 276 | 3.24 → 1.63 | 14.0 → 12.5 | 17.0 → 14.1 | 1.41 → 1.08 | 2.48 → 2.62 |
 //!
-//! Build plus self-join is never slower, the join alone reads 0.90–1.05×,
-//! the patch 0.77–1.05× and the sweep 0.92–1.06×. The cut makes more,
+//! Build plus self-join is never slower (0.82–0.98×), the join alone reads
+//! 0.90–1.05×, the patch 0.77–1.05× and the sweep 0.92–1.06× (ratios of the
+//! unrounded medians). The cut makes more,
 //! smaller leaves, so the sweep visits more of them per query.
 
 use crate::aabb::Aabb;
@@ -1277,13 +1278,15 @@ mod tests {
     /// The counting pass sizes the node arrays: on a cloud of distinct
     /// points no range falls back to a re-sort, so a fresh tree has room
     /// for exactly the nodes the cut made and half as many again, and a
-    /// rebuild that fits reallocates nothing.
+    /// rebuild that fits reallocates nothing. The build's scratch is its
+    /// two key buffers, 16 bytes per point.
     #[test]
     fn build_reserves_the_nodes_it_cuts_and_half_again() {
         for n in [1usize, 64, 65, 512, 4_096, 9_000] {
             let mut tree = KdTree::default();
             let mut scratch = IndexScratch::default();
             tree.build_in(&random_points(n, 80 + n as u64), &mut scratch);
+            assert!(scratch.reserved_bytes() <= 16 * n.max(4), "n {n}");
             let room = tree.nodes.len() + tree.nodes.len() / 2;
             assert_eq!(tree.nodes.capacity(), room, "n {n}");
             assert_eq!(tree.node_aabbs.capacity(), room, "n {n}");
