@@ -100,7 +100,7 @@ pub fn fig15_memory(artifacts: &TrainedArtifacts) -> Report {
     // layout at 32 bins. Report both so the comparison against the paper's
     // 1.6 GB figure is explicit.
     let paper_bytes = MemoryModel::new(4, 128).compact_bytes();
-    let table_bytes = artifacts.lut.memory_bytes() as u128;
+    let table_bytes = artifacts.trained.lut.memory_bytes() as u128;
 
     for (name, bytes) in [
         ("GradPU (activations + weights)", gradpu_bytes),

@@ -8,11 +8,7 @@
 
 use volut_core::baselines::{GradPuUpsampler, YuzuUpsampler};
 use volut_core::encoding::KeyScheme;
-use volut_core::lut::builder::LutBuilder;
-use volut_core::lut::dense::DenseLut;
-use volut_core::lut::Lut as _;
-use volut_core::nn::mlp::Mlp;
-use volut_core::nn::train::{build_training_set, RefinementTrainer, TrainConfig};
+use volut_core::nn::train::{Recipe, Trained, TrainingFrame};
 use volut_core::refine::{IdentityRefiner, LutRefiner};
 use volut_core::{SrConfig, SrPipeline};
 use volut_pointcloud::{synthetic, PointCloud};
@@ -64,14 +60,9 @@ pub fn evaluation_frames(points: usize) -> Vec<(&'static str, PointCloud)> {
 pub struct TrainedArtifacts {
     /// The SR configuration: the paper's k=4, d=2, n=4, at b=32 bins.
     pub config: SrConfig,
-    /// The trained refinement network.
-    pub network: Mlp,
-    /// The LUT distilled from the network.
-    pub lut: DenseLut,
-    /// Final training loss.
-    pub final_loss: f32,
-    /// Number of LUT entries populated during distillation.
-    pub lut_entries: usize,
+    /// The trained refinement network, the LUT distilled from it and the
+    /// training report.
+    pub trained: Trained,
 }
 
 impl TrainedArtifacts {
@@ -81,44 +72,27 @@ impl TrainedArtifacts {
     /// The LUT uses 32 quantization bins (2¹⁵ reachable entries, 196 KiB),
     /// where a held-out frame hits most probes: the paper's b = 128 table
     /// fits in 12.3 MiB but hits about a third of them.
+    ///
+    /// # Panics
+    /// Panics when the recipe fails, e.g. a frame yields no training samples.
     pub fn train(points: usize, epochs: usize) -> Self {
         let config = SrConfig {
             bins: 32,
             ..SrConfig::default()
         };
-        let mut set = build_training_set(&synthetic::humanoid(points, 0.0, 11), 0.5, &config, 1)
-            .expect("training set");
-        for (i, phase) in [0.7f32, 1.4].iter().enumerate() {
-            if let Ok(more) = build_training_set(
-                &synthetic::humanoid(points, *phase, 11),
-                0.25,
-                &config,
-                2 + i as u64,
-            ) {
-                set.extend(more);
-            }
-        }
-        let mut trainer = RefinementTrainer::new(
-            &config,
-            TrainConfig {
-                epochs,
-                ..TrainConfig::default()
-            },
-        )
-        .expect("trainer");
-        let report = trainer.train(&set).expect("training succeeds");
-        let network = trainer.into_network();
-        let lut = LutBuilder::new(&config)
-            .and_then(|builder| builder.distill(&network, &set))
-            .expect("distillation");
-        let lut_entries = lut.populated();
-        Self {
+        let frame = |phase: f32, keep_ratio: f64, seed: u64| TrainingFrame {
+            cloud: synthetic::humanoid(points, phase, 11),
+            keep_ratio,
+            seed,
+        };
+        let trained = Recipe {
             config,
-            network,
-            lut,
-            final_loss: report.final_loss().unwrap_or(f32::NAN),
-            lut_entries,
+            frames: vec![frame(0.0, 0.5, 1), frame(0.7, 0.25, 2), frame(1.4, 0.25, 3)],
+            epochs,
         }
+        .run()
+        .expect("training");
+        Self { config, trained }
     }
 
     /// The paper's `K4d2` configuration: dilated interpolation, no refinement.
@@ -129,16 +103,20 @@ impl TrainedArtifacts {
     /// The full VoLUT pipeline: dilated interpolation + LUT refinement
     /// (`K4d2-lut` in Figures 7–10).
     pub fn pipeline_k4d2_lut(&self) -> SrPipeline {
-        let refiner =
-            LutRefiner::from_config(&self.config, KeyScheme::Compact, Box::new(self.lut.clone()))
-                .expect("valid config");
+        let refiner = LutRefiner::from_config(
+            &self.config,
+            KeyScheme::Compact,
+            Box::new(self.trained.lut.clone()),
+        )
+        .expect("valid config");
         SrPipeline::new(self.config, Box::new(refiner))
     }
 
     /// The GradPU baseline sharing the trained network, applied at full
     /// neural inference cost.
     pub fn gradpu(&self) -> GradPuUpsampler {
-        GradPuUpsampler::from_network(self.config, self.network.clone(), 3).expect("valid config")
+        GradPuUpsampler::from_network(self.config, self.trained.network.clone(), 3)
+            .expect("valid config")
     }
 
     /// The Yuzu baseline (untrained paper-scale networks; used for runtime
@@ -151,12 +129,13 @@ impl TrainedArtifacts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use volut_core::lut::Lut as _;
 
     #[test]
     fn training_produces_usable_artifacts() {
         let artifacts = TrainedArtifacts::train(2_000, 2);
-        assert!(artifacts.lut_entries > 0);
-        assert!(artifacts.final_loss.is_finite());
+        assert!(artifacts.trained.lut.populated() > 0);
+        assert!(artifacts.trained.report.final_loss().unwrap().is_finite());
         // All pipelines build and run on a small cloud.
         let low = synthetic::sphere(500, 1.0, 3);
         for pipeline in [artifacts.pipeline_k4d2(), artifacts.pipeline_k4d2_lut()] {

@@ -184,20 +184,22 @@ mod tests {
     fn trained_gradpu_does_not_hurt_quality_much() {
         // With the network VoLUT would distill, GradPU refinement should not
         // dramatically degrade interpolation quality (damped updates).
-        use crate::nn::train::{build_training_set, RefinementTrainer, TrainConfig};
+        use crate::nn::train::{Recipe, TrainingFrame};
         let config = SrConfig::default();
         let gt = synthetic::sphere(2000, 1.0, 3);
-        let set = build_training_set(&gt, 0.5, &config, 5).unwrap();
-        let mut trainer = RefinementTrainer::new(
-            &config,
-            TrainConfig {
-                epochs: 5,
-                ..TrainConfig::default()
-            },
-        )
-        .unwrap();
-        trainer.train(&set).unwrap();
-        let up = GradPuUpsampler::from_network(config, trainer.into_network(), 3).unwrap();
+        let network = Recipe {
+            config,
+            frames: vec![TrainingFrame {
+                cloud: gt.clone(),
+                keep_ratio: 0.5,
+                seed: 5,
+            }],
+            epochs: 5,
+        }
+        .run()
+        .unwrap()
+        .network;
+        let up = GradPuUpsampler::from_network(config, network, 3).unwrap();
 
         let low = sampling::random_downsample_exact(&gt, 1000, 1).unwrap();
         let r = up.upsample(&low, 2.0).unwrap();

@@ -9,8 +9,8 @@
 //! The typical offline → online flow is:
 //!
 //! 1. Offline: train a small refinement MLP on (downsampled, ground-truth)
-//!    frame pairs ([`nn::train`]), then distill it into a lookup table
-//!    ([`lut::LutBuilder`]).
+//!    frame pairs and distill it into a lookup table, one
+//!    [`nn::train::Recipe`].
 //! 2. Online: run [`pipeline::SrPipeline`] on each received low-resolution
 //!    frame — dilated interpolation, colorization, then per-point LUT
 //!    refinement.

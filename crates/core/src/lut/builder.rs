@@ -1,5 +1,11 @@
 //! LUT construction: transferring the trained refinement network into a
 //! lookup table (Eq. 6).
+//!
+//! Distillation from observed samples: every neighborhood seen in the
+//! training data is encoded, run through the network, and the resulting
+//! offset is stored under that key (duplicate keys average their offsets)
+//! in a table covering the keys the encoder can emit.
+//! [`crate::nn::train::Recipe`] is its one caller.
 
 use super::dense::DenseLut;
 use super::Lut;
@@ -11,109 +17,52 @@ use crate::nn::train::TrainingSet;
 use crate::Result;
 use std::collections::HashMap;
 
-/// Builds LUTs from a trained refinement network.
+/// Distills the network into a dense LUT over `config`'s
+/// [`PositionEncoder::reachable_keys`], populated at the keys of the
+/// neighborhoods observed in `samples`.
 ///
-/// Distillation from observed samples ([`LutBuilder::distill`]): every
-/// neighborhood seen in the training data is encoded, run through the
-/// network, and the resulting offset is stored under that key (duplicate
-/// keys average their offsets) in a table covering the keys the encoder
-/// can emit.
-#[derive(Debug, Clone)]
-pub struct LutBuilder {
-    encoder: PositionEncoder,
-}
-
-impl LutBuilder {
-    /// Creates a builder for the given configuration.
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidConfig`] when the configuration is invalid.
-    pub fn new(config: &SrConfig) -> Result<Self> {
-        Ok(Self {
-            encoder: PositionEncoder::new(config, KeyScheme::Compact)?,
-        })
+/// # Errors
+/// Fails when the configuration is invalid, the table exceeds
+/// [`DenseLut::DEFAULT_BYTE_BUDGET`], the network does not map
+/// `receptive_field × 3` inputs to 3 outputs, `samples` is empty, or a
+/// sample keys outside the reachable range, which no feature vector of an
+/// encoded neighborhood does.
+pub(crate) fn distill(config: &SrConfig, mlp: &Mlp, samples: &TrainingSet) -> Result<DenseLut> {
+    let encoder = PositionEncoder::new(config, KeyScheme::Compact)?;
+    let mut lut = DenseLut::over(encoder.reachable_keys())?;
+    if mlp.input_dim() != config.receptive_field * 3 || mlp.output_dim() != 3 {
+        return Err(Error::InvalidConfig(format!(
+            "network dimensions {:?} do not map receptive field {} x 3 to 3 offsets",
+            mlp.dims(),
+            config.receptive_field
+        )));
     }
-
-    /// The position encoder used for keying.
-    pub fn encoder(&self) -> &PositionEncoder {
-        &self.encoder
+    if samples.is_empty() {
+        return Err(Error::Training(
+            "cannot distill a lut from an empty sample set".into(),
+        ));
     }
-
-    /// Checks that `mlp`'s input dimension matches the encoder.
-    fn check_network(&self, mlp: &Mlp) -> Result<()> {
-        let expected = self.encoder.receptive_field() * 3;
-        if mlp.input_dim() != expected {
-            return Err(Error::InvalidConfig(format!(
-                "network input dimension {} does not match receptive field {} x 3",
-                mlp.input_dim(),
-                self.encoder.receptive_field()
-            )));
+    // Per key, the sum and count of the network's offsets.
+    let mut acc: HashMap<u128, ([f64; 3], u32)> = HashMap::new();
+    for input in &samples.inputs {
+        let key = encoder.key_from_features(input)?;
+        let entry = acc.entry(key).or_insert(([0.0; 3], 0));
+        for (slot, &v) in entry.0.iter_mut().zip(&mlp.forward(input)) {
+            *slot += f64::from(v);
         }
-        if mlp.output_dim() != 3 {
-            return Err(Error::InvalidConfig(format!(
-                "refinement network must output 3 values, found {}",
-                mlp.output_dim()
-            )));
-        }
-        Ok(())
+        entry.1 += 1;
     }
-
-    /// Runs the network over every sample and accumulates per-key mean offsets.
-    fn accumulate(
-        &self,
-        mlp: &Mlp,
-        samples: &TrainingSet,
-    ) -> Result<HashMap<u128, ([f64; 3], u32)>> {
-        self.check_network(mlp)?;
-        if samples.is_empty() {
-            return Err(Error::Training(
-                "cannot distill a lut from an empty sample set".into(),
-            ));
-        }
-        let mut acc: HashMap<u128, ([f64; 3], u32)> = HashMap::new();
-        for input in &samples.inputs {
-            let key = self.encoder.key_from_features(input)?;
-            let out = mlp.forward(input);
-            let entry = acc.entry(key).or_insert(([0.0; 3], 0));
-            for (slot, &v) in entry.0.iter_mut().zip(out.iter()) {
-                *slot += f64::from(v);
-            }
-            entry.1 += 1;
-        }
-        Ok(acc)
+    for (key, (sum, count)) in acc {
+        let n = f64::from(count);
+        lut.set(key, sum.map(|s| (s / n) as f32))?;
     }
-
-    /// Distills the network into a dense LUT over the encoder's
-    /// [`PositionEncoder::reachable_keys`], populated at the keys of the
-    /// neighborhoods observed in `samples`.
-    ///
-    /// # Errors
-    /// Fails when the network shape does not match the encoder, `samples`
-    /// is empty, the table exceeds [`DenseLut::DEFAULT_BYTE_BUDGET`], or a
-    /// sample keys outside the reachable range, which no feature vector of
-    /// an encoded neighborhood does.
-    pub fn distill(&self, mlp: &Mlp, samples: &TrainingSet) -> Result<DenseLut> {
-        let mut lut = DenseLut::over(self.encoder.reachable_keys())?;
-        let acc = self.accumulate(mlp, samples)?;
-        for (key, (sum, count)) in acc {
-            let n = f64::from(count);
-            lut.set(
-                key,
-                [
-                    (sum[0] / n) as f32,
-                    (sum[1] / n) as f32,
-                    (sum[2] / n) as f32,
-                ],
-            )?;
-        }
-        Ok(lut)
-    }
+    Ok(lut)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nn::train::{build_training_set, RefinementTrainer, TrainConfig};
+    use crate::nn::train::{Recipe, Trained, TrainingFrame};
     use volut_pointcloud::synthetic;
 
     /// Tables are trained at 32 bins (a 128-bin table is over budget).
@@ -124,51 +73,57 @@ mod tests {
         }
     }
 
-    fn trained_network(config: &SrConfig) -> (Mlp, TrainingSet) {
-        let gt = synthetic::sphere(1200, 1.0, 1);
-        let set = build_training_set(&gt, 0.5, config, 3).unwrap();
-        let train_cfg = TrainConfig {
+    fn recipe(config: &SrConfig) -> Recipe {
+        Recipe {
+            config: *config,
+            frames: vec![TrainingFrame {
+                cloud: synthetic::sphere(1200, 1.0, 1),
+                keep_ratio: 0.5,
+                seed: 3,
+            }],
             epochs: 3,
-            ..TrainConfig::default()
-        };
-        let mut trainer = RefinementTrainer::new(config, train_cfg).unwrap();
-        trainer.train(&set).unwrap();
-        (trainer.into_network(), set)
+        }
+    }
+
+    /// The recipe's network and table, the samples that keyed the table and
+    /// the encoder that keyed them.
+    fn trained(config: &SrConfig) -> (Trained, TrainingSet, PositionEncoder) {
+        let recipe = recipe(config);
+        let encoder = PositionEncoder::new(config, KeyScheme::Compact).unwrap();
+        (
+            recipe.run().unwrap(),
+            recipe.training_set().unwrap(),
+            encoder,
+        )
     }
 
     #[test]
     fn distill_produces_populated_lut() {
-        let config = config();
-        let (mlp, set) = trained_network(&config);
-        let builder = LutBuilder::new(&config).unwrap();
-        let lut = builder.distill(&mlp, &set).unwrap();
-        assert_eq!(lut.keys(), builder.encoder().reachable_keys());
+        let (trained, set, encoder) = trained(&config());
+        let lut = &trained.lut;
+        assert_eq!(lut.keys(), encoder.reachable_keys());
         assert!(lut.populated() > 0);
         assert!(lut.populated() <= set.len());
         // Every key stored came from a sample; look one up.
-        let key = builder.encoder().key_from_features(&set.inputs[0]).unwrap();
+        let key = encoder.key_from_features(&set.inputs[0]).unwrap();
         assert!(lut.get(key).is_some());
     }
 
     #[test]
     fn mismatched_network_is_rejected() {
         let config = config();
-        let (_, set) = trained_network(&config);
-        let wrong = Mlp::new(&[9, 8, 3], 1);
-        let builder = LutBuilder::new(&config).unwrap();
-        assert!(builder.distill(&wrong, &set).is_err());
+        let recipe = recipe(&config);
+        assert!(recipe.distill(&Mlp::new(&[9, 8, 3], 1)).is_err());
+        let set = recipe.training_set().unwrap();
         let wrong_out = Mlp::new(&[12, 8, 2], 1);
-        assert!(builder.distill(&wrong_out, &set).is_err());
-        assert!(builder
-            .distill(&Mlp::new(&[12, 8, 3], 1), &TrainingSet::default())
-            .is_err());
+        assert!(distill(&config, &wrong_out, &set).is_err());
+        assert!(distill(&config, &Mlp::new(&[12, 8, 3], 1), &TrainingSet::default()).is_err());
         // Five points at 128 bins ask for a table over the byte budget.
-        let over = LutBuilder::new(&SrConfig {
+        let over = SrConfig {
             receptive_field: 5,
             ..SrConfig::default()
-        })
-        .unwrap();
-        assert!(over.distill(&Mlp::new(&[15, 8, 3], 1), &set).is_err());
+        };
+        assert!(distill(&over, &Mlp::new(&[15, 8, 3], 1), &set).is_err());
     }
 
     /// The paper's configuration, n = 4 and b = 128, distills inside the
@@ -176,37 +131,32 @@ mod tests {
     /// where the whole 2²⁸-key space needs 1.5 GiB.
     #[test]
     fn distill_at_the_paper_configuration_fits_the_budget() {
-        let config = SrConfig::default();
-        let (mlp, set) = trained_network(&config);
-        let builder = LutBuilder::new(&config).unwrap();
-        let lut = builder.distill(&mlp, &set).unwrap();
+        let (trained, set, encoder) = trained(&SrConfig::default());
+        let lut = &trained.lut;
         assert_eq!(lut.memory_bytes(), (1 << 21) * 6 + (1 << 21) / 8);
         for input in &set.inputs {
-            let key = builder.encoder().key_from_features(input).unwrap();
+            let key = encoder.key_from_features(input).unwrap();
             assert!(lut.get(key).is_some(), "every training key is stored");
         }
     }
 
     #[test]
     fn distilled_offsets_match_network_predictions_for_unique_keys() {
-        let config = config();
-        let (mlp, set) = trained_network(&config);
-        let builder = LutBuilder::new(&config).unwrap();
-        let lut = builder.distill(&mlp, &set).unwrap();
+        let (trained, set, encoder) = trained(&config());
         // For a key that appears exactly once, the stored offset equals the
         // network output (up to f16 rounding).
         let mut key_counts = std::collections::HashMap::new();
         for input in &set.inputs {
             *key_counts
-                .entry(builder.encoder().key_from_features(input).unwrap())
+                .entry(encoder.key_from_features(input).unwrap())
                 .or_insert(0u32) += 1;
         }
         let mut checked = 0;
         for input in &set.inputs {
-            let key = builder.encoder().key_from_features(input).unwrap();
+            let key = encoder.key_from_features(input).unwrap();
             if key_counts[&key] == 1 {
-                let expected = mlp.forward(input);
-                let stored = lut.get(key).unwrap();
+                let expected = trained.network.forward(input);
+                let stored = trained.lut.get(key).unwrap();
                 for c in 0..3 {
                     assert!((stored[c] - expected[c]).abs() < 5e-3);
                 }

@@ -16,13 +16,12 @@
 //! fits [`DenseLut::DEFAULT_BYTE_BUDGET`], and the 32-bin table the ledger
 //! and harness train takes 196 KiB instead of 6 MiB.
 
-pub mod builder;
+pub(crate) mod builder;
 pub mod dense;
 pub mod f16;
 pub mod io;
 pub mod memory;
 
-pub use builder::LutBuilder;
 pub use dense::DenseLut;
 pub use memory::{table1_rows, MemoryModel, MemoryRow};
 

@@ -5,8 +5,8 @@
 //! *distills it into a LUT*; the network is never executed on the client.
 //! This module provides the minimal pieces needed to reproduce that offline
 //! path in pure Rust: dense layers, a ReLU MLP with backpropagation, the
-//! Adam optimizer and the training-set construction / training loop
-//! ([`train`]).
+//! Adam optimizer and the one training recipe that builds the training set,
+//! trains the network and distills it ([`train::Recipe`]).
 
 pub mod adam;
 pub mod mlp;
@@ -14,4 +14,4 @@ pub mod train;
 
 pub use adam::Adam;
 pub use mlp::{BatchScratch, ForwardScratch, Linear, Mlp, MICRO_BATCH};
-pub use train::{build_training_set, RefinementTrainer, TrainConfig, TrainingReport, TrainingSet};
+pub use train::{Recipe, Trained, TrainingFrame, TrainingReport};

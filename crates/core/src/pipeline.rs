@@ -203,9 +203,8 @@ impl SrPipeline {
 mod tests {
     use super::*;
     use crate::encoding::KeyScheme;
-    use crate::lut::builder::LutBuilder;
     use crate::nn::mlp::Mlp;
-    use crate::nn::train::{build_training_set, RefinementTrainer, TrainConfig};
+    use crate::nn::train::{Recipe, TrainingFrame};
     use crate::refine::{IdentityRefiner, LutRefiner, NnRefiner};
     use volut_pointcloud::{metrics, sampling, synthetic};
 
@@ -230,19 +229,18 @@ mod tests {
             ..SrConfig::default()
         };
         let gt = synthetic::sphere(3000, 1.0, 7);
-        let set = build_training_set(&gt, 0.5, &config, 11).unwrap();
-        let mut trainer = RefinementTrainer::new(
-            &config,
-            TrainConfig {
-                epochs: 10,
-                ..TrainConfig::default()
-            },
-        )
-        .unwrap();
-        trainer.train(&set).unwrap();
-        let mlp = trainer.into_network();
-        let builder = LutBuilder::new(&config).unwrap();
-        let lut = builder.distill(&mlp, &set).unwrap();
+        let lut = Recipe {
+            config,
+            frames: vec![TrainingFrame {
+                cloud: gt.clone(),
+                keep_ratio: 0.5,
+                seed: 11,
+            }],
+            epochs: 10,
+        }
+        .run()
+        .unwrap()
+        .lut;
         let refiner = LutRefiner::from_config(&config, KeyScheme::Compact, Box::new(lut)).unwrap();
 
         let low = sampling::random_downsample_exact(&gt, 1500, 3).unwrap();
@@ -274,19 +272,18 @@ mod tests {
             ..SrConfig::default()
         };
         let gt = synthetic::torus(1500, 1.0, 0.3, 5);
-        let set = build_training_set(&gt, 0.5, &config, 2).unwrap();
-        let mut trainer = RefinementTrainer::new(
-            &config,
-            TrainConfig {
-                epochs: 2,
-                ..TrainConfig::default()
-            },
-        )
+        let trained = Recipe {
+            config,
+            frames: vec![TrainingFrame {
+                cloud: gt.clone(),
+                keep_ratio: 0.5,
+                seed: 2,
+            }],
+            epochs: 2,
+        }
+        .run()
         .unwrap();
-        trainer.train(&set).unwrap();
-        let mlp = trainer.into_network();
-        let builder = LutBuilder::new(&config).unwrap();
-        let lut = builder.distill(&mlp, &set).unwrap();
+        let (mlp, lut) = (trained.network, trained.lut);
 
         let low = sampling::random_downsample_exact(&gt, 700, 1).unwrap();
         let nn_pipeline = SrPipeline::new(

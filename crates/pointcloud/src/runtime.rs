@@ -13,8 +13,7 @@
 //! [`current_workers`] reports 1. A nested site therefore takes exactly the
 //! path `VOLUT_WORKERS=1` tests, and no thread runs another job's chunks
 //! while it waits: a server tenant's frame runs start to finish on the
-//! thread that claimed it, so its step clock times that frame alone. The
-//! k-d build splits its top levels with flat jobs instead of recursing.
+//! thread that claimed it, so its step clock times that frame alone.
 //!
 //! **The pool.** `W` executors are `W - 1` spawned workers plus the thread
 //! that submits a job. The submitter pins its job on its stack, posts a

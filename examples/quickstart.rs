@@ -6,8 +6,7 @@
 //! ```
 
 use volut::core::encoding::KeyScheme;
-use volut::core::lut::builder::LutBuilder;
-use volut::core::nn::train::{build_training_set, RefinementTrainer, TrainConfig};
+use volut::core::nn::train::{Recipe, TrainingFrame};
 use volut::core::refine::{IdentityRefiner, LutRefiner};
 use volut::core::{SrConfig, SrPipeline};
 use volut::pointcloud::{metrics, sampling, synthetic};
@@ -24,22 +23,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bins: 32,
         ..SrConfig::default()
     };
-    let training_set = build_training_set(&ground_truth, 0.5, &config, 7)?;
-    let mut trainer = RefinementTrainer::new(
-        &config,
-        TrainConfig {
-            epochs: 6,
-            ..TrainConfig::default()
-        },
-    )?;
-    let report = trainer.train(&training_set)?;
+    let trained = Recipe {
+        config,
+        frames: vec![TrainingFrame {
+            cloud: ground_truth.clone(),
+            keep_ratio: 0.5,
+            seed: 7,
+        }],
+        epochs: 6,
+    }
+    .run()?;
     println!(
         "trained refinement network on {} samples, final loss {:.5}",
-        report.samples,
-        report.final_loss().unwrap_or(f32::NAN)
+        trained.report.samples,
+        trained.report.final_loss().unwrap_or(f32::NAN)
     );
-    let network = trainer.into_network();
-    let lut = LutBuilder::new(&config)?.distill(&network, &training_set)?;
 
     // 3. Online: the server randomly downsamples the frame (here to 50%),
     //    the client interpolates + LUT-refines it back to full density.
@@ -49,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(LutRefiner::from_config(
             &config,
             KeyScheme::Compact,
-            Box::new(lut),
+            Box::new(trained.lut),
         )?),
     );
     let interp_only = SrPipeline::new(config, Box::new(IdentityRefiner));

@@ -11,45 +11,44 @@
 //! ```
 
 use volut::core::encoding::{KeyScheme, PositionEncoder};
-use volut::core::lut::builder::LutBuilder;
 use volut::core::lut::io::{read_lut, write, LutHeader};
 use volut::core::lut::memory::{table1_rows, MemoryModel};
 use volut::core::lut::{DenseLut, Lut as _};
-use volut::core::nn::mlp::Mlp;
-use volut::core::nn::train::{build_training_set, RefinementTrainer, TrainConfig, TrainingSet};
+use volut::core::nn::train::{Recipe, TrainingFrame};
 use volut::core::refine::LutRefiner;
 use volut::core::{SrConfig, SrPipeline};
 use volut::pointcloud::{metrics, sampling, synthetic};
 
 type Error = Box<dyn std::error::Error>;
 
-/// The training set at `config`'s bins: several animation phases of the
-/// "Long Dress" stand-in.
-fn training_set(config: &SrConfig) -> Result<TrainingSet, Error> {
-    let mut set = build_training_set(&synthetic::humanoid(6_000, 0.0, 1), 0.5, config, 1)?;
-    set.extend(build_training_set(
-        &synthetic::humanoid(6_000, 0.9, 1),
-        0.25,
+/// Eight epochs on several animation phases of the "Long Dress" stand-in,
+/// at `config`'s bins.
+fn recipe(config: SrConfig) -> Recipe {
+    let frame = |phase: f32, keep_ratio: f64, seed: u64| TrainingFrame {
+        cloud: synthetic::humanoid(6_000, phase, 1),
+        keep_ratio,
+        seed,
+    };
+    Recipe {
         config,
-        2,
-    )?);
-    Ok(set)
+        frames: vec![frame(0.0, 0.5, 1), frame(0.9, 0.25, 2)],
+        epochs: 8,
+    }
 }
 
-/// Distills `network` at `config`'s bins, writes the table to a `.vlut`
-/// file, reloads it and runs ×4 SR on unseen content (the "Loot" stand-in),
-/// like the paper's cross-video evaluation. Returns the table's bytes and
-/// its hit rate there.
-fn distill_and_serve(config: SrConfig, network: &Mlp) -> Result<(usize, f64), Error> {
-    let builder = LutBuilder::new(&config)?;
-    let lut = builder.distill(network, &training_set(&config)?)?;
-    let reachable = builder.encoder().reachable_keys();
+/// Writes a table distilled at `config`'s bins to a `.vlut` file, reloads
+/// it and runs ×4 SR on unseen content (the "Loot" stand-in), like the
+/// paper's cross-video evaluation. Returns the table's bytes and its hit
+/// rate there.
+fn serve(config: SrConfig, lut: DenseLut) -> Result<(usize, f64), Error> {
+    let encoder = PositionEncoder::new(&config, KeyScheme::Compact)?;
+    let reachable = encoder.reachable_keys();
     println!(
         "distilled dense LUT (b={}): {} of {} reachable keys populated ({} keys in all), {} bytes resident",
         config.bins,
         lut.populated(),
         reachable.end - reachable.start,
-        builder.encoder().key_space(),
+        encoder.key_space(),
         lut.memory_bytes()
     );
     if lut.keys() != reachable {
@@ -125,25 +124,16 @@ fn main() -> Result<(), Error> {
 
     // One network, trained on 32-bin inputs, is distilled at both bin
     // counts: a table's hit rate depends only on its keys.
-    let set = training_set(&config)?;
-    let mut trainer = RefinementTrainer::new(
-        &config,
-        TrainConfig {
-            epochs: 8,
-            ..TrainConfig::default()
-        },
-    )?;
-    let report = trainer.train(&set)?;
+    let trained = recipe(config).run()?;
     println!(
         "trained on {} samples, loss {:?} -> {:?}",
-        set.len(),
-        report.epoch_losses.first(),
-        report.final_loss()
+        trained.report.samples,
+        trained.report.epoch_losses.first(),
+        trained.report.final_loss()
     );
-    let network = trainer.into_network();
 
-    let (bytes_32, hits_32) = distill_and_serve(config, &network)?;
-    let (bytes_128, hits_128) = distill_and_serve(paper, &network)?;
+    let (bytes_32, hits_32) = serve(config, trained.lut)?;
+    let (bytes_128, hits_128) = serve(paper, recipe(paper).distill(&trained.network)?)?;
     println!("table  bytes       held-out hit rate");
     println!("b=32   {bytes_32:<10}  {:.1}%", hits_32 * 100.0);
     println!("b=128  {bytes_128:<10}  {:.1}%", hits_128 * 100.0);

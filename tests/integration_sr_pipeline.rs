@@ -4,11 +4,9 @@
 
 use std::sync::OnceLock;
 use volut::core::encoding::KeyScheme;
-use volut::core::lut::builder::LutBuilder;
 use volut::core::lut::io::{read_lut, write, LutHeader};
 use volut::core::lut::{DenseLut, Lut as _};
-use volut::core::nn::mlp::Mlp;
-use volut::core::nn::train::{build_training_set, RefinementTrainer, TrainConfig};
+use volut::core::nn::train::{Recipe, Trained, TrainingFrame};
 use volut::core::refine::{IdentityRefiner, LutRefiner, NnRefiner, Refiner};
 use volut::core::{SrConfig, SrPipeline};
 use volut::pointcloud::{metrics, sampling, synthetic};
@@ -23,34 +21,27 @@ fn test_config() -> SrConfig {
 
 /// A small network and the table distilled from it, trained once for the
 /// tests in this file.
-fn trained() -> &'static (Mlp, DenseLut) {
-    static TRAINED: OnceLock<(Mlp, DenseLut)> = OnceLock::new();
+fn trained() -> &'static Trained {
+    static TRAINED: OnceLock<Trained> = OnceLock::new();
     TRAINED.get_or_init(|| {
-        let config = test_config();
-        let gt = synthetic::humanoid(4_000, 0.2, 3);
-        let set = build_training_set(&gt, 0.5, &config, 5).unwrap();
-        let mut trainer = RefinementTrainer::new(
-            &config,
-            TrainConfig {
-                epochs: 4,
-                ..TrainConfig::default()
-            },
-        )
-        .unwrap();
-        trainer.train(&set).unwrap();
-        let network = trainer.into_network();
-        let lut = LutBuilder::new(&config)
-            .unwrap()
-            .distill(&network, &set)
-            .unwrap();
-        (network, lut)
+        Recipe {
+            config: test_config(),
+            frames: vec![TrainingFrame {
+                cloud: synthetic::humanoid(4_000, 0.2, 3),
+                keep_ratio: 0.5,
+                seed: 5,
+            }],
+            epochs: 4,
+        }
+        .run()
+        .unwrap()
     })
 }
 
 #[test]
 fn offline_to_online_roundtrip_through_disk() {
     let config = test_config();
-    let lut = &trained().1;
+    let lut = &trained().lut;
     assert!(lut.populated() > 100);
 
     // Persist and reload the LUT like a deployment would.
@@ -113,7 +104,7 @@ fn continuous_ratios_are_supported_end_to_end() {
 #[test]
 fn lut_refinement_does_not_degrade_interpolation_quality() {
     let config = test_config();
-    let (network, lut) = trained();
+    let Trained { network, lut, .. } = trained();
     let mut zero = DenseLut::over(lut.keys()).unwrap();
     for (key, _) in lut.iter() {
         zero.set(key, [0.0; 3]).unwrap();
