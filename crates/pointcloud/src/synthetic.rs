@@ -13,6 +13,7 @@ use crate::point::{Color, Point3};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::f32::consts::PI;
+use std::sync::Arc;
 
 /// Uniformly samples `n` points on a sphere of radius `radius`, colored by a
 /// smooth angular color field.
@@ -267,6 +268,11 @@ impl Default for DeltaStreamConfig {
 /// and bitwise positions, so the deltas uphold the order invariant the
 /// incremental kNN consumers rely on (see [`crate::delta`]).
 ///
+/// The current frame is an `Arc`: every frame is built whole by
+/// [`DeltaStream::advance`] and never mutated after, so a consumer that
+/// keeps it (a streaming origin's head) shares it through
+/// [`DeltaStream::shared_frame`] instead of copying it.
+///
 /// # Example
 ///
 /// ```
@@ -280,7 +286,7 @@ impl Default for DeltaStreamConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeltaStream {
-    frame: PointCloud,
+    frame: Arc<PointCloud>,
     cfg: DeltaStreamConfig,
     rng: StdRng,
 }
@@ -290,7 +296,7 @@ impl DeltaStream {
     pub fn new(base: PointCloud, cfg: DeltaStreamConfig) -> Self {
         Self {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xD3_17A5),
-            frame: base,
+            frame: Arc::new(base),
             cfg,
         }
     }
@@ -298,6 +304,13 @@ impl DeltaStream {
     /// The current frame.
     pub fn frame(&self) -> &PointCloud {
         &self.frame
+    }
+
+    /// The current frame as a shared handle: the stream's own allocation,
+    /// not a copy. The next [`Self::advance`] replaces the stream's handle
+    /// and leaves this one as it was.
+    pub fn shared_frame(&self) -> Arc<PointCloud> {
+        Arc::clone(&self.frame)
     }
 
     /// Advances to the next frame and returns the delta that produced it.
@@ -361,11 +374,11 @@ impl DeltaStream {
         let inserted: Vec<u32> = ((n - m) as u32..n as u32).collect();
         let delta = FrameDelta::from_parts(n, n, removed, inserted)
             .expect("constructed counts are consistent");
-        self.frame = match new_colors {
+        self.frame = Arc::new(match new_colors {
             Some(c) => PointCloud::from_positions_and_colors(new_positions, c)
                 .expect("lengths match by construction"),
             None => PointCloud::from_positions(new_positions),
-        };
+        });
         delta
     }
 }

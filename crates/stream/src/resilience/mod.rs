@@ -74,7 +74,7 @@ mod wire;
 pub use degradation::{DegradationConfig, DegradationLevel, Plan, QualityAccount};
 pub use origin::{DeltaServer, RetentionPolicy};
 pub use receiver::{
-    RecoveredFrame, RecoveryKind, ResilientReceiver, ResilientSession, RetryPolicy,
+    Delivered, RecoveredFrame, RecoveryKind, ResilientReceiver, ResilientSession, RetryPolicy,
     RobustnessStats, Rung, Upsampler,
 };
 pub(crate) use wire::{fnv1a, FNV_OFFSET};

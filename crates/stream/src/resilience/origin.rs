@@ -2,6 +2,7 @@
 //! its newest frame whole and undo steps behind it.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use volut_pointcloud::{Color, FrameDelta, Point3, PointCloud};
 
@@ -139,15 +140,19 @@ impl Step {
 /// undo step behind it: the transition's delta parts plus the positions and
 /// colors of the points it removed, so undoing steps back from the head
 /// rebuilds any retained frame bit for bit. Paced callers only ever ask
-/// for the head, which is served directly. Every frame's digest is
+/// for the head, which is served directly. The head is an `Arc`, so a
+/// producer that keeps its current frame (a
+/// [`DeltaStream`](volut_pointcloud::synthetic::DeltaStream)) and pushes it
+/// here shares one allocation with the origin. Every frame's digest is
 /// recorded when it is pushed and carried by every message for it, never
 /// recomputed from a rebuilt frame. History is bounded by a
 /// [`RetentionPolicy`]: frames older than the window are dropped and any
 /// delta request based on them falls back to a keyframe.
 #[derive(Debug, Clone)]
 pub struct DeltaServer {
-    /// The newest frame, whole (`None` until the first push).
-    head: Option<PointCloud>,
+    /// The newest frame, whole (`None` until the first push); possibly
+    /// shared with the producer that pushed it.
+    head: Option<Arc<PointCloud>>,
     /// `steps[i]`: frame `base_seq + i` → frame `base_seq + i + 1`.
     steps: VecDeque<Step>,
     /// Digest of the oldest retained frame, recorded when it was pushed.
@@ -185,8 +190,10 @@ impl DeltaServer {
     }
 
     /// Appends the next frame, diffing it against the current newest one,
-    /// then enforces the retention bound.
-    pub fn push_frame(&mut self, frame: PointCloud) {
+    /// then enforces the retention bound. An `Arc` is kept as it is, not
+    /// copied.
+    pub fn push_frame(&mut self, frame: impl Into<Arc<PointCloud>>) {
+        let frame = frame.into();
         let delta = self
             .head
             .as_ref()
@@ -202,12 +209,12 @@ impl DeltaServer {
     /// pushed frame here, at push time — older frames are rebuilt through
     /// the stored deltas, and a digest recomputed from such a rebuild would
     /// vouch for whatever the wrong delta produced.
-    pub fn push_frame_with_delta(&mut self, frame: PointCloud, delta: FrameDelta) {
+    pub fn push_frame_with_delta(&mut self, frame: impl Into<Arc<PointCloud>>, delta: FrameDelta) {
         let delta = self.head.as_ref().map(|_| delta);
-        self.push_frame_inner(frame, delta);
+        self.push_frame_inner(frame.into(), delta);
     }
 
-    fn push_frame_inner(&mut self, frame: PointCloud, delta: Option<FrameDelta>) {
+    fn push_frame_inner(&mut self, frame: Arc<PointCloud>, delta: Option<FrameDelta>) {
         let digest = frame.geometry_digest();
         match (self.head.take(), delta) {
             (Some(old), Some(delta)) => {
@@ -257,6 +264,19 @@ impl DeltaServer {
     /// [`RetentionPolicy::max_bytes`] caps.
     pub fn retained_bytes(&self) -> u64 {
         self.head.as_ref().map_or(0, |h| h.byte_size() as u64) + self.step_bytes
+    }
+
+    /// Bytes of the undo steps alone: [`Self::retained_bytes`] without the
+    /// head, for a caller that counts a head it shares elsewhere.
+    pub fn step_bytes(&self) -> u64 {
+        self.step_bytes
+    }
+
+    /// The newest frame, as the shared handle the origin keeps (`None`
+    /// before the first push).
+    #[cfg(test)]
+    pub(crate) fn head(&self) -> Option<&Arc<PointCloud>> {
+        self.head.as_ref()
     }
 
     /// Offset of `seq` into the window, `None` outside it.

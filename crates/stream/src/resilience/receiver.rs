@@ -135,6 +135,17 @@ impl RecoveredFrame {
     }
 }
 
+/// What [`ResilientReceiver::deliver`] reports of the frame it committed.
+/// The frame itself becomes the receiver's delta base, so it is not
+/// handed back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Delivered {
+    /// The frame's geometry digest, verified against the wire's.
+    pub digest: u64,
+    /// Points in the frame.
+    pub points: usize,
+}
+
 /// Receiver-side protocol state of the resilient delta stream: the last
 /// good sequence number, the reconstructed current frame (the delta base),
 /// the session clock (link time + backoff + timeouts), the seeded backoff
@@ -343,8 +354,9 @@ impl ResilientReceiver {
     /// `rung` ([`Upsampler::upsample`]), counts a rejected declared delta as
     /// a detected poisoning, and commits the frame. It is committed even
     /// when the engine fails on it: the protocol verified it, and the
-    /// failure only leaves the next frame undeclared. Returns the frame as
-    /// the engine saw it and the engine's output (`None`: passed through).
+    /// failure only leaves the next frame undeclared. Returns the committed
+    /// frame's digest and size and the engine's output (`None`: passed
+    /// through).
     pub fn deliver(
         &mut self,
         mut frame: RecoveredFrame,
@@ -352,14 +364,17 @@ impl ResilientReceiver {
         sr: &mut Upsampler,
         rung: Rung<'_>,
         ratio: f64,
-    ) -> (PointCloud, Option<volut_core::Result<SrResult>>) {
+    ) -> (Delivered, Option<volut_core::Result<SrResult>>) {
         let (output, rejected) = sr.upsample(&frame.cloud, frame.delta.take(), rung, ratio);
         if rejected {
             self.note_poisoning();
         }
-        let cloud = frame.cloud();
+        let delivered = Delivered {
+            digest: frame.cloud.geometry_digest(),
+            points: frame.cloud.len(),
+        };
         self.commit(frame, seq);
-        (cloud, output)
+        (delivered, output)
     }
 
     /// Stores a frame as the new delta base, advances `last_seq`, and
@@ -789,15 +804,22 @@ mod tests {
                 5 => Rung::Degraded(&degraded),
                 _ => Rung::Full,
             };
-            let (cloud, output) = receiver.deliver(frame, seq, &mut sr, rung, 2.0);
-            assert_eq!(&cloud, &f[seq as usize]);
+            let (delivered, output) = receiver.deliver(frame, seq, &mut sr, rung, 2.0);
+            let cloud = &f[seq as usize];
+            assert_eq!(
+                delivered,
+                Delivered {
+                    digest: cloud.geometry_digest(),
+                    points: cloud.len(),
+                }
+            );
             let expected = match rung {
                 Rung::Passthrough => {
                     assert!(output.is_none());
                     continue;
                 }
-                Rung::Degraded(pipeline) => pipeline.upsample(&cloud, 2.0),
-                Rung::Full => make_session().upsample_frame(&cloud, 2.0),
+                Rung::Degraded(pipeline) => pipeline.upsample(cloud, 2.0),
+                Rung::Full => make_session().upsample_frame(cloud, 2.0),
             };
             let output = output.expect("the engine ran").unwrap();
             assert_eq!(output.cloud, expected.unwrap().cloud, "frame {seq}");

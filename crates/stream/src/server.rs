@@ -60,8 +60,8 @@ use crate::client::{SrComputeModel, SrSession};
 use crate::faults::{FaultConfig, OwnedFaultyLink};
 use crate::qoe::{QoeParams, QoeSummary};
 use crate::resilience::{
-    fnv1a, DegradationConfig, DegradationLevel, DeltaServer, QualityAccount, ResilientReceiver,
-    RetentionPolicy, RetryPolicy, RobustnessStats, Rung, Upsampler, FNV_OFFSET,
+    fnv1a, DegradationConfig, DegradationLevel, Delivered, DeltaServer, QualityAccount,
+    ResilientReceiver, RetentionPolicy, RetryPolicy, RobustnessStats, Rung, Upsampler, FNV_OFFSET,
 };
 use crate::telemetry::{ServerTelemetry, SessionCounters, TelemetrySnapshot};
 use crate::trace::NetworkTrace;
@@ -181,6 +181,18 @@ pub struct IngestConfig {
     pub shared_fault_seed: Option<u64>,
     /// Retention bound of the tenant's origin history; gap requests behind
     /// the window fall back to a keyframe resync.
+    ///
+    /// The default keeps two frames. The origin is paced: a tick pushes
+    /// frames only up to the receiver's next sequence number, and the
+    /// recovery ladder asks only for a delta from the receiver's base to
+    /// that frame or for that frame's keyframe. The head and the base
+    /// answer every such request, so a longer window holds undo steps no
+    /// request can reach. The 32-frame window it replaces kept 30 of them,
+    /// about 9 KB each on a 4096-point tenant: with it and the origin's own
+    /// copy of the generator's frame, `fleet_256_lossy` (256 such tenants,
+    /// seed 1, 2-vCPU host) read 736 KB per session and 192.6 MiB peak
+    /// RSS, against 426 KB and 119.8 MiB with two frames and one shared
+    /// copy.
     pub retention: RetentionPolicy,
     /// Consecutive ticks of full recovery-ladder exhaustion before the
     /// tenant is quarantined with [`QuarantineCause::RetryExhausted`].
@@ -198,7 +210,7 @@ impl Default for IngestConfig {
             retry: RetryPolicy::default(),
             link_mbps: 80.0,
             shared_fault_seed: None,
-            retention: RetentionPolicy::last_frames(32),
+            retention: RetentionPolicy::last_frames(2),
             quarantine_after_exhaustions: 2,
             quarantine_after_integrity: 8,
         }
@@ -397,12 +409,16 @@ impl Tenant {
             _ => Rung::Degraded(&self.degraded),
         };
         let ratio = level.effective_ratio(config.ratio);
-        let (frame, output, ingest_s) = match &mut self.ingest {
+        let (input, output, ingest_s) = match &mut self.ingest {
             None => {
                 let delta = (self.counters.frames > 0).then(|| self.stream.advance());
-                let frame = self.stream.frame().clone();
-                let (output, _) = self.sr.upsample(&frame, delta, rung, ratio);
-                (frame, output, 0.0)
+                let frame = self.stream.frame();
+                let (output, _) = self.sr.upsample(frame, delta, rung, ratio);
+                let input = Delivered {
+                    digest: frame.geometry_digest(),
+                    points: frame.len(),
+                };
+                (input, output, 0.0)
             }
             Some(ingest) => {
                 if ingest.parked && !ingest.granted {
@@ -413,18 +429,33 @@ impl Tenant {
                 }
                 // Pace the origin: produce exactly the frames the client
                 // consumes, so the served sequence — and therefore the
-                // digest — is identical to a clean-link run's.
+                // digest — is identical to a clean-link run's. The origin's
+                // head is the generator's frame itself, not a copy.
                 let seq = ingest.receiver.last_seq().map_or(0, |s| s + 1);
                 while ingest.delta_server.frame_count() as u64 <= seq {
                     if ingest.delta_server.frame_count() == 0 {
-                        ingest.delta_server.push_frame(self.stream.frame().clone());
+                        ingest.delta_server.push_frame(self.stream.shared_frame());
                     } else {
                         let d = self.stream.advance();
                         ingest
                             .delta_server
-                            .push_frame_with_delta(self.stream.frame().clone(), d);
+                            .push_frame_with_delta(self.stream.shared_frame(), d);
                     }
                 }
+                // Pacing keeps the head one frame past the receiver's base,
+                // so any window of two or more frames holds that base: every
+                // request `recover` makes is a delta from it or a keyframe
+                // of the head.
+                debug_assert!(
+                    ingest.delta_server.retained_frames() < 2
+                        || ingest
+                            .receiver
+                            .last_seq()
+                            .is_none_or(|base| base >= ingest.delta_server.base_seq()),
+                    "receiver base {:?} is behind the origin's window at {}",
+                    ingest.receiver.last_seq(),
+                    ingest.delta_server.base_seq()
+                );
                 let clock0 = ingest.receiver.clock_s();
                 let recovered =
                     ingest
@@ -460,7 +491,7 @@ impl Tenant {
                 }
                 ingest.transport_streak = 0;
                 let ingest_s = ingest.receiver.clock_s() - clock0;
-                let (frame, output) =
+                let (input, output) =
                     ingest
                         .receiver
                         .deliver(frame, seq, &mut self.sr, rung, ratio);
@@ -475,23 +506,23 @@ impl Tenant {
                     ingest.integrity_streak = 0;
                 }
                 ingest.prev_integrity = integrity;
-                (frame, output, ingest_s)
+                (input, output, ingest_s)
             }
         };
         let output_digest = match output {
             Some(Ok(result)) => result.cloud.geometry_digest(),
             // Passthrough serves the received points untouched.
-            None => frame.geometry_digest(),
+            None => input.digest,
             Some(Err(_)) => {
                 // Degenerate frame (e.g. churned below the neighborhood
                 // minimum): serve the input untouched, count it, keep going.
                 self.frame_errors += 1;
-                frame.geometry_digest()
+                input.digest
             }
         };
         self.digest = fnv1a(self.digest, &self.counters.frames.to_le_bytes());
         self.digest = fnv1a(self.digest, &output_digest.to_le_bytes());
-        self.digest = fnv1a(self.digest, &(frame.len() as u64).to_le_bytes());
+        self.digest = fnv1a(self.digest, &(input.points as u64).to_le_bytes());
 
         let elapsed = started.elapsed().as_secs_f64();
         self.counters.frames += 1;
@@ -531,6 +562,8 @@ impl Tenant {
 
     /// What this tenant keeps resident between frames, by component.
     /// The shared table is not in here: it is counted once, registry-side.
+    /// The origin's head is the generator's frame, so it is counted once,
+    /// as `frame_cloud`.
     fn memory(&self) -> SessionMemory {
         let state = self.sr.session().scratch().state_bytes();
         SessionMemory {
@@ -542,7 +575,7 @@ impl Tenant {
             retention: self
                 .ingest
                 .as_ref()
-                .map_or(0, |i| i.delta_server.retained_bytes() as usize),
+                .map_or(0, |i| i.delta_server.step_bytes() as usize),
             delta_base: self.ingest.as_ref().map_or(0, |i| i.receiver.base_bytes()),
             fixed: std::mem::size_of::<Self>(),
         }
@@ -593,11 +626,12 @@ pub struct SessionMemory {
     pub outputs: usize,
     /// Cached refined tail of the previous frame.
     pub refined: usize,
-    /// The session's current input frame.
+    /// The session's current input frame. A resilient-ingest tenant's
+    /// origin keeps this same allocation as its newest frame.
     pub frame_cloud: usize,
-    /// What a resilient-ingest origin holds for catch-up deltas: its
-    /// newest frame plus one undo step per older retained frame
-    /// ([`DeltaServer::retained_bytes`]).
+    /// What a resilient-ingest origin holds for catch-up deltas besides
+    /// its newest frame (counted in `frame_cloud`): one undo step per older
+    /// retained frame ([`DeltaServer::step_bytes`]).
     pub retention: usize,
     /// What a resilient-ingest receiver holds as the base of the next
     /// delta: the last delivered frame's positions and colors
@@ -1206,6 +1240,43 @@ mod tests {
         });
         local.tick();
         assert_eq!(local.memory_stats().session_bytes.delta_base, 0);
+    }
+
+    #[test]
+    fn resilient_footprint_is_flat_over_a_session() {
+        // A paced origin keeps its head, which is the generator's frame
+        // itself, and one undo step, so a tenant holds as much at tick 40
+        // as at tick 5.
+        let mut server = SrServer::new(test_registry(), undegraded());
+        for seed in [6, 19] {
+            server.enqueue(SessionSpec {
+                points: 4096,
+                frames: 48,
+                ..resilient_spec(seed, IngestConfig::default())
+            });
+        }
+        let mut readings = Vec::new();
+        for tick in 1..=40 {
+            server.tick();
+            for tenant in &server.tenants {
+                let ingest = tenant.ingest.as_ref().expect("resilient tenant");
+                let head = ingest.delta_server.head().expect("a pushed frame");
+                assert!(
+                    Arc::ptr_eq(head, &tenant.stream.shared_frame()),
+                    "tick {tick}: the origin copied the generator's frame"
+                );
+            }
+            if tick == 5 || tick == 40 {
+                readings.push(server.memory_stats());
+            }
+        }
+        let (early, late) = (readings[0], readings[1]);
+        assert_eq!(late.sessions, 2);
+        assert_eq!(
+            early.bytes_per_session, late.bytes_per_session,
+            "tick 5 {:?}, tick 40 {:?}",
+            early.session_bytes, late.session_bytes
+        );
     }
 
     #[test]

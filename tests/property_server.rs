@@ -15,7 +15,7 @@ use volut::core::lut::{DenseLut, Lut};
 use volut::core::registry::{ContentModel, ModelRegistry};
 use volut::pointcloud::runtime;
 use volut::stream::faults::FaultConfig;
-use volut::stream::resilience::DegradationConfig;
+use volut::stream::resilience::{DegradationConfig, RetentionPolicy, RobustnessStats};
 use volut::stream::server::{
     IngestConfig, IngestSource, QuarantineCause, ServerConfig, SessionSpec, SrServer,
 };
@@ -322,4 +322,65 @@ fn resilient_ingest_is_deterministic_across_workers_and_orderings() {
         assert_eq!(baseline, run_isolation(workers, &forward, false));
     }
     assert_eq!(baseline, run_isolation(2, &reverse, false));
+}
+
+// ---------------------------------------------------------------------------
+// Origin retention under loss
+// ---------------------------------------------------------------------------
+
+/// One lossy session's served output: seed, digest, frames, quarantine
+/// verdict and ingest stats.
+type LossyRow = (u64, u64, u64, Option<QuarantineCause>, RobustnessStats);
+
+/// Enough tenant frames (24 × 24 requests at 5 % loss, in bursts of about
+/// four) that a seed whose link never drops is vanishingly rare.
+const LOSSY_TENANTS: u64 = 24;
+
+/// Runs lossy resilient tenants with the given origin retention and returns
+/// their rows, by seed.
+fn run_lossy(retention: RetentionPolicy) -> Vec<LossyRow> {
+    let base_seed = chaos_seed().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut server = SrServer::new(registry(), ServerConfig::default());
+    for i in 0..LOSSY_TENANTS {
+        assert!(server.enqueue(SessionSpec {
+            content: "demo".into(),
+            seed: base_seed.wrapping_add(i),
+            points: 300 + (i as usize % 3) * 100,
+            churn: 0.1,
+            frames: 24,
+            ingest: IngestSource::Resilient(IngestConfig {
+                faults: FaultConfig::bursty_loss(0.05),
+                retention,
+                ..IngestConfig::default()
+            }),
+        }));
+    }
+    let report = server.run(512);
+    assert_eq!(report.telemetry.sessions_retired, LOSSY_TENANTS);
+    let mut rows: Vec<LossyRow> = report
+        .sessions
+        .iter()
+        .map(|s| {
+            let stats = s.ingest.expect("resilient sessions report ingest stats");
+            (s.seed, s.digest, s.frames, s.failure, stats)
+        })
+        .collect();
+    rows.sort_by_key(|row| row.0);
+    rows
+}
+
+#[test]
+fn origin_retention_never_changes_what_is_served() {
+    // The server's origin is paced, so every request the recovery ladder
+    // makes is answered from the head and the receiver's base: the default
+    // two-frame window must serve exactly what an unbounded one does, down
+    // to every retry, drop and recovery count.
+    println!("retention case: CHAOS_SEED {}", chaos_seed());
+    let paced = run_lossy(IngestConfig::default().retention);
+    assert_eq!(paced, run_lossy(RetentionPolicy::unbounded()));
+    let retries: u64 = paced.iter().map(|row| row.4.retries).sum();
+    assert!(
+        retries > 0,
+        "5 % bursty loss must exercise the ladder: {paced:?}"
+    );
 }
