@@ -3,7 +3,8 @@
 
 use crate::aabb::Aabb;
 use crate::error::Error;
-use crate::kernels::{scan_ids, ScanSink};
+use crate::kernels::{scan_ids, Tier};
+use crate::knn::{key_d2, BestK};
 use crate::point::{Color, Point3};
 use crate::soa::SoaPositions;
 use crate::Result;
@@ -328,46 +329,31 @@ impl PointCloud {
             return None;
         }
         // Each sample is one full scan of the shared SoA kernel, the
-        // brute-force kNN oracle's pass, with a nearest-other sink.
+        // brute-force kNN oracle's pass, into a two-key row: at most one of
+        // the two closest keys is the sample itself, so the first other one
+        // is the nearest other point. NaN distances never enter a row (the
+        // scan's `<=` filter drops them, as a plain `if d < best` loop
+        // does), and a sentinel key reads `+inf`.
         let mut soa = SoaPositions::default();
         soa.fill(&self.positions);
         let ids: Vec<u32> = (0..n as u32).collect();
+        let tier = Tier::detect();
+        let mut keys = [0u64; 2];
         let stride = (n / samples.max(1)).max(1);
         let mut total = 0.0f64;
         let mut count = 0usize;
         for i in (0..n).step_by(stride) {
-            let mut nearest = NearestOther {
-                skip: i,
-                d2: f32::INFINITY,
+            let mut row = BestK::new(&mut keys);
+            scan_ids(tier, &soa, &ids, 0, n, self.positions[i], &mut row);
+            let other = if keys[0] as u32 as usize == i {
+                keys[1]
+            } else {
+                keys[0]
             };
-            scan_ids(&soa, &ids, 0, n, self.positions[i], &mut nearest);
-            total += f64::from(nearest.d2.sqrt());
+            total += f64::from(key_d2(other).sqrt());
             count += 1;
         }
         Some((total / count as f64) as f32)
-    }
-}
-
-/// [`PointCloud::mean_spacing`]'s scan sink: the strict minimum squared
-/// distance over every index but `skip`. The kernel offers only distances
-/// `<=` the current best, so NaN distances never arrive: the same ones a
-/// plain `if d < best` loop skips.
-struct NearestOther {
-    skip: usize,
-    d2: f32,
-}
-
-impl ScanSink for NearestOther {
-    #[inline(always)]
-    fn worst_d2(&self) -> f32 {
-        self.d2
-    }
-
-    #[inline(always)]
-    fn push(&mut self, index: usize, d2: f32) {
-        if index != self.skip && d2 < self.d2 {
-            self.d2 = d2;
-        }
     }
 }
 

@@ -5,11 +5,12 @@
 //! interpolation is ≥70% of upsampling time, and nearly all of it is these
 //! queries). The single-tree batch sweep answers them one query at a time
 //! and pays a root-to-leaf descent, a deferred-subtree stack and a fresh
-//! accumulator for each (≈ 600 ns/query on a 50k-point frame, one thread).
+//! row for each (≈ 480 ns/query on a 50k-point humanoid frame at `k = 9`,
+//! one thread, AVX-512, medians on the shared 2-vCPU host).
 //! This module removes that per-query bookkeeping *algorithmically*: the
 //! queries are the indexed points, so the tree is its own query tree and is
 //! traversed **against itself**, making traversal decisions once per *node
-//! pair* instead of once per query (≈ 360 ns/query on the same frame, and
+//! pair* instead of once per query (≈ 300 ns/query on the same frame, and
 //! the traversal shards across workers):
 //!
 //! * every query leaf carries a shared pruning bound — the max over its
@@ -30,10 +31,11 @@
 //!   (scalar / AVX2 / AVX-512, resolved once per batch) as every other
 //!   traversal;
 //! * per-query results accumulate in a flat slab of packed
-//!   `(distance-bits, index)` `u64` keys, kept sorted by the branch-free
-//!   insert network `BestK`'s full list uses (`crate::knn::insert_sorted`),
-//!   so survivors — and index-broken distance ties — are **bit-identical**
-//!   to per-query [`KdTree::knn`] for any traversal order.
+//!   `(distance-bits, index)` `u64` keys, one sentinel-padded `BestK` row
+//!   per query filled by the same scan — and the same insert network,
+//!   `crate::knn::insert_sorted` — as every other traversal, so survivors —
+//!   and index-broken distance ties — are **bit-identical** to per-query
+//!   [`KdTree::knn`] for any traversal order.
 //!
 //! # Which batches come here
 //!
@@ -72,7 +74,8 @@
 //! [`KdTree::knn`]: crate::knn::NeighborSearch::knn
 
 use crate::kdtree::{KdTree, SweepScratch};
-use crate::kernels::{self, JoinRows, RefLeaf, Tier, SENTINEL};
+use crate::kernels::{self, JoinRows, RefLeaf, Tier};
+use crate::knn::SENTINEL;
 use crate::neighborhoods::Neighborhoods;
 use crate::runtime;
 use std::sync::{Mutex, PoisonError};
@@ -81,23 +84,27 @@ use std::sync::{Mutex, PoisonError};
 /// bottom of the range the crossover was measured over, because no crossover
 /// turned up inside it. Humanoid clouds, self-join, medians of 20–2000
 /// batches on the 2-vCPU reference host (AVX-512), single-tree time over
-/// dual-tree time:
+/// dual-tree time. The first three columns were read when every row insert
+/// ran in memory; the last two after the AVX-512 scan began holding rows in
+/// registers, which speeds both sides (medians of five interleaved rounds,
+/// one worker, humanoid phase 0.3, seed 7):
 ///
-/// | points | k = 5 | k = 9 | k = 9, 2 workers |
-/// |-------:|------:|------:|-----------------:|
-/// |     16 |  1.18 |  1.14 |                — |
-/// |     64 |  1.48 |  1.44 |                — |
-/// |    128 |  1.73 |  1.56 |             1.69 |
-/// |    512 |  1.96 |  1.75 |             1.76 |
-/// |  1 024 |  1.72 |  1.53 |             1.51 |
-/// |  4 096 |  1.71 |  1.55 |             2.03 |
-/// |  8 192 |  1.71 |  1.55 |             2.65 |
+/// | points | k = 5 | k = 9 | k = 9, 2 workers | k = 5, registers | k = 9, registers |
+/// |-------:|------:|------:|-----------------:|-----------------:|-----------------:|
+/// |     16 |  1.18 |  1.14 |                — |                — |             1.09 |
+/// |     64 |  1.48 |  1.44 |                — |                — |             1.31 |
+/// |    128 |  1.73 |  1.56 |             1.69 |                — |             1.23 |
+/// |    512 |  1.96 |  1.75 |             1.76 |             1.54 |             1.56 |
+/// |  1 024 |  1.72 |  1.53 |             1.51 |                — |                — |
+/// |  4 096 |  1.71 |  1.55 |             2.03 |             1.56 |             1.51 |
+/// |  8 192 |  1.71 |  1.55 |             2.65 |             1.58 |             1.53 |
 ///
-/// (512 points at k = 9: 161 µs against 282 µs. The 2-worker column leaves
-/// the sweep on one thread; chunked across both, as the engine runs it from
-/// about 4 000 queries up, it roughly halves and still trails.) Clouds
-/// smaller than the table's first row were not measured and stay on the
-/// sweep.
+/// (512 points at k = 9: 161 µs against 282 µs in memory, 88 µs against
+/// 139 µs in registers. The 2-worker column leaves the sweep on one thread;
+/// chunked across both, as the engine runs it from about 4 000 queries up,
+/// it roughly halves and still trails.) The register scan left the join
+/// ahead at every size, so the threshold stays. Clouds smaller than the
+/// table's first row were not measured and stay on the sweep.
 ///
 /// Only self-joins come here. A *bichromatic* join — a second k-d tree built
 /// over an arbitrary query set and walked against this one — existed until
@@ -113,8 +120,9 @@ use std::sync::{Mutex, PoisonError};
 pub const DUAL_MIN_QUERIES_MONO: usize = 16;
 
 /// Largest `k` the batch policy sends to the dual tree (the row insert is an
-/// `O(k)` fixed-trip network per offered candidate, same as `BestK`, but
-/// large-`k` rows blow past the slab's cache-friendly regime).
+/// `O(k)` fixed-trip network per offered candidate, as on every traversal —
+/// held in registers only up to 16 keys — and large-`k` rows blow past the
+/// slab's cache-friendly regime).
 pub const DUAL_MAX_K: usize = 32;
 
 /// Queries per worker at which a self-join starts to shard. The batch is cut
@@ -788,18 +796,13 @@ mod tests {
         });
     }
 
-    /// Every kernel tier this host can execute — scalar, AVX2, AVX-512 —
-    /// must emit the scalar tier's rows, across strides on both sides of a
-    /// 16-row pre-filter block and a 16-lane scan block, on a cloud with a
-    /// duplicate cluster and (after a patch) emptied leaves, at one worker
-    /// and sharded.
-    #[test]
-    fn every_kernel_tier_matches_the_scalar_tier() {
-        use crate::kernels::tier_override::{available, with_tier};
+    /// A 5 040-point cloud with a duplicate cluster, and its tree after a
+    /// patch that emptied a spatial corner (so traversals meet emptied
+    /// leaves); returns the tree and the surviving points.
+    fn patched_cloud() -> (KdTree, Vec<Point3>) {
         let mut pts = random_points(5_000, 30);
         pts.extend(vec![Point3::ONE; 40]);
         let mut tree = KdTree::build(&pts);
-        // Empty a spatial corner so the self-join meets emptied leaves.
         let removed: Vec<u32> = (0..pts.len() as u32)
             .filter(|&i| pts[i as usize].x > 6.0 && pts[i as usize].y > 0.0)
             .collect();
@@ -811,13 +814,25 @@ mod tests {
             .map(|i| pts[i])
             .collect();
         tree.patch(&delta, &pts);
+        (tree, pts)
+    }
+
+    /// Every kernel tier this host can execute — scalar, AVX2, AVX-512 —
+    /// must emit the scalar tier's rows, across strides on both sides of a
+    /// 16-row pre-filter block, a 16-lane scan block and the AVX-512 scan's
+    /// two 8-key row registers, on a cloud with a duplicate cluster and
+    /// (after a patch) emptied leaves, at one worker and sharded.
+    #[test]
+    fn every_kernel_tier_matches_the_scalar_tier() {
+        use crate::kernels::tier_override::{available, with_tier};
+        let (tree, pts) = patched_cloud();
         let join = |workers: usize, k: usize| {
             crate::runtime::with_workers(workers, || {
                 join_rows(&tree, k, &mut DualTreeScratch::new())
             })
         };
         let tiers = available();
-        for k in [1usize, 7, 9, 16, 17, 33] {
+        for k in [1usize, 7, 8, 9, 15, 16, 17, 33] {
             let scalar = with_tier(tiers[0], || join(1, k));
             for (i, &q) in pts.iter().enumerate().step_by(37) {
                 let expected: Vec<u32> = tree.knn(q, k).iter().map(|n| n.index as u32).collect();
@@ -830,6 +845,52 @@ mod tests {
             for &tier in &tiers {
                 for workers in [1usize, 2] {
                     let got = with_tier(tier, || join(workers, k));
+                    assert_eq!(got, scalar, "{tier:?} k {k} workers {workers}");
+                }
+            }
+        }
+    }
+
+    /// The sweep's counterpart: a subset batch (every other surviving point
+    /// and as many jittered off-cloud queries, long enough to be visited in
+    /// Morton order and cut into two runs) through
+    /// [`KdTree::knn_batch_with`] at every tier, at one and two workers,
+    /// must emit the scalar tier's rows — and the scalar tier the per-query
+    /// rows. The sweep resolves its tier once per batch on the calling
+    /// thread, so the forced tier reaches both runs.
+    #[test]
+    fn every_kernel_tier_sweeps_like_the_scalar_tier() {
+        use crate::kernels::tier_override::{available, with_tier};
+        let (tree, pts) = patched_cloud();
+        let queries: Vec<Point3> = pts
+            .iter()
+            .step_by(2)
+            .flat_map(|&p| [p, p + Point3::splat(0.05)])
+            .collect();
+        assert!(queries.len() >= 4_000, "two sweep runs at two workers");
+        let sweep = |workers: usize, k: usize| {
+            crate::runtime::with_workers(workers, || {
+                let mut out = Neighborhoods::new();
+                let mut scratch = DualTreeScratch::new();
+                tree.knn_batch_with(&queries, k, &mut out, &mut scratch);
+                assert_eq!(scratch.invocations(), 0, "a subset batch sweeps");
+                out
+            })
+        };
+        let tiers = available();
+        for k in [1usize, 8, 9, 15, 16, 17, 33] {
+            let scalar = with_tier(tiers[0], || sweep(1, k));
+            for (i, &q) in queries.iter().enumerate().step_by(41) {
+                let expected: Vec<u32> = tree.knn(q, k).iter().map(|n| n.index as u32).collect();
+                assert_eq!(
+                    scalar.row(i),
+                    expected.as_slice(),
+                    "scalar tier k {k} query {i}"
+                );
+            }
+            for &tier in &tiers {
+                for workers in [1usize, 2] {
+                    let got = with_tier(tier, || sweep(workers, k));
                     assert_eq!(got, scalar, "{tier:?} k {k} workers {workers}");
                 }
             }

@@ -72,6 +72,7 @@ use crate::dualtree::{self, DualTreeScratch};
 use crate::kernels;
 use crate::knn::{
     batch_queries, morton_code, morton_scale, sort_by_code, BestK, Neighbor, NeighborSearch,
+    SENTINEL,
 };
 use crate::neighborhoods::Neighborhoods;
 use crate::point::Point3;
@@ -210,21 +211,21 @@ fn lane_bounds(lane: &[f32]) -> (f32, f32) {
 }
 
 /// One run's reusable buffers of the single-tree sweep: its traversal
-/// stack, cached descent path, best list and Morton visit keys. The caller's
+/// stack, cached descent path, best-`k` row and Morton visit keys. The caller's
 /// [`DualTreeScratch`] keeps one per run, so a steady-state sweep allocates
 /// nothing.
 #[derive(Debug, Default)]
 pub(crate) struct SweepScratch {
     stack: Vec<DeferredSubtree>,
     path: Vec<(u32, Node)>,
-    best: BestK,
+    row: Vec<u64>,
     keys: Vec<u64>,
     spare: Vec<u64>,
 }
 
 impl SweepScratch {
-    /// Capacity (in bytes) reserved by the run's buffers (the best list's
-    /// few keys aside).
+    /// Capacity (in bytes) reserved by the run's buffers (the best-`k`
+    /// row's few keys aside).
     pub(crate) fn reserved_bytes(&self) -> usize {
         self.stack.capacity() * std::mem::size_of::<DeferredSubtree>()
             + self.path.capacity() * std::mem::size_of::<(u32, Node)>()
@@ -807,9 +808,10 @@ impl KdTree {
         self.any_within_rec(first, query, r2) || self.any_within_rec(second, query, r2)
     }
 
-    /// Allocation-free exact kNN: results land in `best` (cleared first,
-    /// sorted by `(distance, index)`), `stack` is the reused traversal stack
-    /// of deferred far subtrees tagged with their distance lower bound.
+    /// Allocation-free exact kNN: results land in the row `best`, whose
+    /// width is `k.min(len)` (cleared first, sorted by `(distance, index)`),
+    /// `stack` is the reused traversal stack of deferred far subtrees tagged
+    /// with their distance lower bound; leaves are scanned at `tier`.
     ///
     /// Deferred subtrees carry the *incremental* squared distance from the
     /// query to their region (Arya & Mount): the per-axis offset vector is
@@ -818,21 +820,21 @@ impl KdTree {
     /// just the last split's. The tighter bound prunes whole subtrees the
     /// single-axis formulation would still descend into; results are
     /// identical because the bound remains a true lower bound and equality
-    /// still visits (distance ties are index-broken by [`push_best`]).
+    /// still visits (distance ties are index-broken by the row insert).
     ///
     /// This is the kernel behind both [`NeighborSearch::knn`] and the tuned
     /// [`NeighborSearch::knn_batch`]; one batch call reuses the same two
     /// buffers for every query, which also warm-starts each query's pruning
     /// bound from the previous one's result (see [`BestK::begin_warm`];
-    /// results are unaffected, a fresh accumulator simply starts cold).
+    /// results are unaffected, a fresh row simply starts cold).
     pub(crate) fn knn_into(
         &self,
+        tier: kernels::Tier,
         query: Point3,
-        k: usize,
-        best: &mut BestK,
+        best: &mut BestK<'_>,
         stack: &mut Vec<DeferredSubtree>,
     ) {
-        self.knn_into_with_path(query, k, best, stack, None);
+        self.knn_into_with_path(tier, query, best, stack, None);
     }
 
     /// [`KdTree::knn_into`] with an optional cached root-descent path: the
@@ -845,9 +847,9 @@ impl KdTree {
     /// so results are bit-identical; `None` runs the plain descent.
     pub(crate) fn knn_into_with_path(
         &self,
+        tier: kernels::Tier,
         query: Point3,
-        k: usize,
-        best: &mut BestK,
+        best: &mut BestK<'_>,
         stack: &mut Vec<DeferredSubtree>,
         mut path: Option<&mut Vec<(u32, Node)>>,
     ) {
@@ -866,8 +868,8 @@ impl KdTree {
                 }
             }
         }
-        best.begin_warm(k, query, &self.points);
-        if k == 0 || self.points.is_empty() {
+        best.begin_warm(query, &self.points);
+        if best.keys.is_empty() {
             return;
         }
         stack.clear();
@@ -896,7 +898,7 @@ impl KdTree {
             };
             level += 1;
             if n.tag == LEAF_TAG {
-                self.scan_leaf(node, n, query, best);
+                self.scan_leaf(tier, node, n, query, best);
                 break;
             }
             node = self.split_step(n, query, Point3::ZERO, best, stack);
@@ -911,14 +913,14 @@ impl KdTree {
             off,
         }) = stack.pop()
         {
-            if bound > best.worst_d2() {
+            if bound > best.bound {
                 continue;
             }
             let mut node = deferred;
             loop {
                 let n = self.nodes[node as usize];
                 if n.tag == LEAF_TAG {
-                    self.scan_leaf(node, n, query, best);
+                    self.scan_leaf(tier, node, n, query, best);
                     break;
                 }
                 node = self.split_step(n, query, off, best, stack);
@@ -932,9 +934,17 @@ impl KdTree {
     /// the cost of one box distance instead of a full scan. Equality still
     /// scans (index-broken ties).
     #[inline(always)]
-    fn scan_leaf(&self, id: u32, n: Node, query: Point3, best: &mut BestK) {
-        if self.node_aabbs[id as usize].distance_squared_to(query) <= best.worst_d2() {
+    fn scan_leaf(
+        &self,
+        tier: kernels::Tier,
+        id: u32,
+        n: Node,
+        query: Point3,
+        best: &mut BestK<'_>,
+    ) {
+        if self.node_aabbs[id as usize].distance_squared_to(query) <= best.bound {
             kernels::scan_ids(
+                tier,
                 &self.soa,
                 &self.order,
                 n.a as usize,
@@ -955,7 +965,7 @@ impl KdTree {
         n: Node,
         query: Point3,
         off: Point3,
-        best: &mut BestK,
+        best: &BestK<'_>,
         stack: &mut Vec<DeferredSubtree>,
     ) -> u32 {
         let axis = n.tag as usize;
@@ -964,7 +974,7 @@ impl KdTree {
         let mut far_off = off;
         far_off[axis] = diff.abs();
         let far_bound = far_off.norm_squared();
-        if far_bound <= best.worst_d2() {
+        if far_bound <= best.bound {
             // Pull the deferred node in ahead of its (likely) pop.
             kernels::prefetch_read(&self.nodes[far as usize]);
             stack.push(DeferredSubtree {
@@ -1012,7 +1022,7 @@ impl KdTree {
     /// rows are stride-uniform, so the whole row block is reserved up front
     /// and the query list is cut into one contiguous run per worker, each
     /// writing its rows straight into place. A run shares one traversal
-    /// stack, one cached descent path and one best list across its queries
+    /// stack, one cached descent path and one best-`k` row across its queries
     /// and visits them in Morton order when it is long enough to repay the
     /// sort (see `batch_queries`); those buffers are `runs[run]`, kept by
     /// the caller, so a steady-state sweep allocates nothing. The caller has
@@ -1033,6 +1043,8 @@ impl KdTree {
             runs.resize_with(workers, Mutex::default);
         }
         let runs = &*runs;
+        // One ISA resolution per batch; the runs inherit it.
+        let tier = kernels::Tier::detect();
         runtime::for_each_chunk_mut(slab, run_len * stride, |c, start, rows| {
             let first = start / stride;
             let run = &queries[first..first + rows.len() / stride];
@@ -1042,15 +1054,16 @@ impl KdTree {
             let SweepScratch {
                 stack,
                 path,
-                best,
+                row,
                 keys,
                 spare,
             } = &mut *scratch;
             // The last batch's descent path and row belong to another tree.
             path.clear();
-            best.begin(0);
-            batch_queries(run, stride, rows, best, keys, spare, |q, best| {
-                self.knn_into_with_path(q, k, best, stack, Some(&mut *path));
+            row.resize(stride, SENTINEL);
+            let mut best = BestK::new(row);
+            batch_queries(run, stride, rows, &mut best, keys, spare, |q, best| {
+                self.knn_into_with_path(tier, q, best, stack, Some(&mut *path));
             });
         });
     }
@@ -1078,9 +1091,10 @@ impl NeighborSearch for KdTree {
         if k == 0 || self.points.is_empty() {
             return Vec::new();
         }
-        let mut best = BestK::default();
+        let mut keys = vec![SENTINEL; k.min(self.points.len())];
+        let mut best = BestK::new(&mut keys);
         let mut stack: Vec<DeferredSubtree> = Vec::new();
-        self.knn_into(query, k, &mut best, &mut stack);
+        self.knn_into(kernels::Tier::detect(), query, &mut best, &mut stack);
         best.sorted()
     }
 

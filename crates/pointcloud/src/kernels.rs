@@ -5,8 +5,13 @@
 //! here (array-of-structs loads keep the compiler from vectorizing the hot
 //! loop):
 //!
-//! * `scan_ids` — kNN candidate scan into a `BestK` accumulator (the
-//!   kernel behind `knn`/`knn_batch`);
+//! * `scan_ids` — kNN candidate scan into one `BestK` row, the fixed-width,
+//!   sentinel-padded result row of every traversal (the kernel behind
+//!   `knn`/`knn_batch`). At the AVX-512 tier a row of up to 16 keys stays
+//!   in two registers for the whole scan and takes each candidate through
+//!   `knn::insert_sorted`'s network lane-parallel; the scalar and AVX2
+//!   tiers (AVX2 has no unsigned 64-bit min/max) and wider rows insert in
+//!   memory;
 //! * `join_leaf_pair` — the dual-tree self-join's base case: the rows of one
 //!   query leaf box-tested 16 at a time against one reference leaf, the
 //!   survivors scanned through the same candidate kernel (see
@@ -24,27 +29,11 @@
 //! the feature flag can never change results.
 
 use crate::aabb::Aabb;
-use crate::knn::{insert_sorted, pack_key};
+use crate::knn::{insert_sorted, pack_key, BestK, SENTINEL};
 use crate::point::Point3;
 use crate::soa::SoaPositions;
 
 pub use crate::soa::LANES;
-
-/// The accumulator interface of the candidate scans: anything that exposes a
-/// current worst (k-th best) squared distance and accepts `(index, d2)`
-/// offers. [`crate::knn::BestK`] implements it for the per-query and
-/// single-tree batch paths; the dual-tree join's `RowSink` implements it over
-/// flat per-query key rows. The scans are generic over this trait so **one**
-/// kernel (scalar / AVX2 / AVX-512) serves every traversal — the
-/// accumulators monomorphize away and the arithmetic stays bit-identical
-/// across paths by construction.
-pub(crate) trait ScanSink {
-    /// Squared distance of the current worst entry (the universal prune /
-    /// pre-filter bound; `INFINITY` until the accumulator has `k` entries).
-    fn worst_d2(&self) -> f32;
-    /// Offers candidate `index` at squared distance `d2`.
-    fn push(&mut self, index: usize, d2: f32);
-}
 
 /// Instruction tier the kernels run at. Values only come from
 /// [`Tier::detect`], so holding an AVX tier proves the CPU supports it — the
@@ -63,8 +52,8 @@ enum Isa {
 
 impl Tier {
     /// The widest tier this build and CPU support. One cached feature probe
-    /// per call: per-query paths call it per scan, the dual-tree join once
-    /// per batch.
+    /// per call: the per-query paths call it per query, the sweep and the
+    /// dual-tree join once per batch.
     #[inline]
     pub(crate) fn detect() -> Tier {
         #[cfg(test)]
@@ -93,7 +82,7 @@ impl Tier {
 /// kernels side by side on whatever host executes it (without it an AVX-512
 /// host never runs the AVX2 code, and the reverse). The override is
 /// per-thread and read by [`Tier::detect`] on the calling thread only, which
-/// is where the join resolves its tier for the whole batch.
+/// is where the join and the sweep resolve their tier for the whole batch.
 #[cfg(test)]
 pub(crate) mod tier_override {
     use super::{Isa, Tier};
@@ -170,31 +159,32 @@ pub(crate) fn prefetch_read<T>(p: *const T) {
     let _ = p;
 }
 
-/// Scans slots `start..end` of `soa`, offering every candidate whose squared
-/// distance can still matter to `best`; `ids[slot]` maps a slot back to the
-/// original point index. This is the shared scan of the k-d tree's leaves
-/// and the brute-force oracle's whole cloud.
+/// Scans slots `start..end` of `soa` into the row `best`, offering every
+/// candidate whose squared distance can still matter; `ids[slot]` maps a
+/// slot back to the original point index. This is the shared scan of the
+/// k-d tree's leaves, the dual-tree join's tiles and the brute-force
+/// oracle's whole cloud, at the `tier` its caller resolved.
 ///
-/// Candidates are pre-filtered with `d2 <= best.worst_d2()` (equality passes
-/// through so index-broken ties behave exactly like [`BestK::push`] alone);
-/// the filter only skips candidates `push` would reject anyway, so results
-/// are identical to an unfiltered scan for any non-NaN input.
-///
-/// [`BestK::push`]: crate::knn::BestK::push
+/// Candidates are pre-filtered with `d2 <= best.bound` (equality passes
+/// through so index-broken ties behave exactly like an unfiltered insert);
+/// the filter only skips candidates the insert would reject anyway, so
+/// results are identical to an unfiltered scan for any non-NaN input.
 #[inline]
-pub(crate) fn scan_ids<S: ScanSink>(
+pub(crate) fn scan_ids(
+    tier: Tier,
     soa: &SoaPositions,
     ids: &[u32],
     start: usize,
     end: usize,
     q: Point3,
-    best: &mut S,
+    best: &mut BestK<'_>,
 ) {
     debug_assert!(end <= soa.len() && end <= ids.len());
+    debug_assert!(!best.keys.is_empty(), "callers early-out on k == 0");
     if start >= end {
         return;
     }
-    match Tier::detect().0 {
+    match tier.0 {
         // SAFETY (both arms): a `Tier` naming an ISA proves the CPU has it.
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         Isa::Avx512 => unsafe { scan_ids_avx512(soa, ids, start, end, q, best) },
@@ -205,13 +195,13 @@ pub(crate) fn scan_ids<S: ScanSink>(
 }
 
 #[inline]
-fn scan_ids_scalar<S: ScanSink>(
+fn scan_ids_scalar(
     soa: &SoaPositions,
     ids: &[u32],
     start: usize,
     end: usize,
     q: Point3,
-    best: &mut S,
+    best: &mut BestK<'_>,
 ) {
     let (xs, ys, zs) = (soa.xs(), soa.ys(), soa.zs());
     let mut i = start;
@@ -219,7 +209,7 @@ fn scan_ids_scalar<S: ScanSink>(
         let d2 = dist2_block(window(xs, i), window(ys, i), window(zs, i), q);
         let m = LANES.min(end - i);
         for (j, &d) in d2.iter().enumerate().take(m) {
-            if d <= best.worst_d2() {
+            if d <= best.bound {
                 best.push(ids[i + j] as usize, d);
             }
         }
@@ -228,20 +218,21 @@ fn scan_ids_scalar<S: ScanSink>(
 }
 
 /// AVX2 scan: 8 candidate distances per iteration, with a vector compare
-/// against the current k-th best so blocks with no viable candidate cost a
-/// single mask test. Lanes surviving the mask are pushed in lane order (the
-/// sink rejects any the tightening bound has since ruled out) — bit-identical
-/// to the scalar path.
+/// against the row's bound so blocks with no viable candidate cost a single
+/// mask test. Lanes surviving the mask are pushed in lane order (the insert
+/// rejects any the tightening bound has since ruled out) — bit-identical to
+/// the scalar path. AVX2 has no unsigned 64-bit min/max, so the row stays in
+/// memory and each push is [`insert_sorted`]'s scalar network.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn scan_ids_avx2<S: ScanSink>(
+unsafe fn scan_ids_avx2(
     soa: &SoaPositions,
     ids: &[u32],
     start: usize,
     end: usize,
     q: Point3,
-    best: &mut S,
+    best: &mut BestK<'_>,
 ) {
     use std::arch::x86_64::*;
     let (xs, ys, zs) = (soa.xs(), soa.ys(), soa.zs());
@@ -260,15 +251,15 @@ unsafe fn scan_ids_avx2<S: ScanSink>(
             _mm256_mul_ps(dz, dz),
         );
         let m = LANES.min(end - i);
-        let wd = _mm256_set1_ps(best.worst_d2());
+        let wd = _mm256_set1_ps(best.bound);
         let le = _mm256_cmp_ps::<_CMP_LE_OQ>(d2v, wd);
         let mut bits = (_mm256_movemask_ps(le) as u32) & ((1u32 << m) - 1);
         if bits != 0 {
             let mut d2 = [0.0f32; LANES];
             _mm256_storeu_ps(d2.as_mut_ptr(), d2v);
-            // No re-test against the tightening worst: a lane that stopped
-            // qualifying since the vector compare is a no-op inside `push`,
-            // which costs less than a branch on the data.
+            // No re-test against the tightening bound: a lane that stopped
+            // qualifying since the vector compare is a no-op inside the
+            // insert, which costs less than a branch on the data.
             while bits != 0 {
                 let j = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -280,27 +271,65 @@ unsafe fn scan_ids_avx2<S: ScanSink>(
 }
 
 /// AVX-512 scan: 16 candidate distances per iteration with a native
-/// compare-to-mask against the current k-th best. Same explicit mul + add
-/// arithmetic and same ascending-lane push order as the scalar path — the
-/// SoA store guarantees `2 × LANES` of padding, so the 16-wide loads are
-/// always in bounds.
+/// compare-to-mask against the row's bound, and the row itself held in two
+/// registers for the whole scan. Same explicit mul + add arithmetic and
+/// same ascending-lane insert order as the scalar path.
+///
+/// A row of up to 16 keys is loaded once (lanes past `k` read
+/// [`SENTINEL`]) as `a` (keys 0..8) and `b` (keys 8..16), and every
+/// surviving lane runs [`insert_sorted`]'s network lane-parallel:
+/// `a' = max(a shifted up one lane with 0 entering, min(a, key))` and
+/// `b' = max(b shifted up one lane with a's last entering, min(b, key))`.
+/// Lanes past `k` only ever receive keys shifted out of the row, and
+/// nothing flows back down, so they never touch the first `k`. The bound
+/// folds in the k-th key once per 16-lane block, after the block's inserts:
+/// the block's mask was fixed before them (no re-test), so the next block
+/// compares against exactly the bound a per-insert refresh would leave. The
+/// row is stored once, at the end. Rows wider than 16 keys stay in memory
+/// and take [`insert_sorted`] per push.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[target_feature(enable = "avx512f")]
 #[inline]
-unsafe fn scan_ids_avx512<S: ScanSink>(
+unsafe fn scan_ids_avx512(
     soa: &SoaPositions,
     ids: &[u32],
     start: usize,
     end: usize,
     q: Point3,
-    best: &mut S,
+    best: &mut BestK<'_>,
 ) {
+    use crate::knn::key_d2;
     use std::arch::x86_64::*;
     const W: usize = 2 * LANES;
     let (xs, ys, zs) = (soa.xs(), soa.ys(), soa.zs());
+    // The 16-wide loads below read up to `W - 1` lanes past `end`: the SoA
+    // store's two blocks of padding past its length cover them.
+    debug_assert!(end + W <= xs.len().min(ys.len()).min(zs.len()));
     let qx = _mm512_set1_ps(q.x);
     let qy = _mm512_set1_ps(q.y);
     let qz = _mm512_set1_ps(q.z);
+    let k = best.keys.len();
+    let in_registers = k <= W;
+    let (lo_mask, hi_mask) = if in_registers {
+        (
+            ((1u32 << k.min(8)) - 1) as __mmask8,
+            ((1u32 << k.saturating_sub(8)) - 1) as __mmask8,
+        )
+    } else {
+        (0, 0)
+    };
+    // `k.min(8)` keeps the high half's address inside the row (one past its
+    // end when `k < 8`, where the mask loads and stores nothing).
+    let (lo_ptr, hi_ptr) = {
+        let row = best.keys.as_mut_ptr().cast::<i64>();
+        (row, row.add(k.min(8)))
+    };
+    let pad = _mm512_set1_epi64(SENTINEL as i64);
+    let mut a = _mm512_mask_loadu_epi64(pad, lo_mask, lo_ptr);
+    let mut b = _mm512_mask_loadu_epi64(pad, hi_mask, hi_ptr);
+    let kth_lane = _mm512_set1_epi64(k.saturating_sub(1) as i64);
+    let zero = _mm512_setzero_si512();
+    let mut bound = best.bound;
     let mut i = start;
     while i < end {
         // Explicit mul + add (NOT fmadd): keeps the arithmetic bit-identical
@@ -313,23 +342,40 @@ unsafe fn scan_ids_avx512<S: ScanSink>(
             _mm512_mul_ps(dz, dz),
         );
         let m = W.min(end - i);
-        let wd = _mm512_set1_ps(best.worst_d2());
-        let le: u16 = _mm512_cmp_ps_mask::<_CMP_LE_OQ>(d2v, wd);
+        let le: u16 = _mm512_cmp_ps_mask::<_CMP_LE_OQ>(d2v, _mm512_set1_ps(bound));
         let mut bits = (le as u32) & (((1u32 << (m - 1)) << 1) - 1);
         if bits != 0 {
             let mut d2 = [0.0f32; W];
             _mm512_storeu_ps(d2.as_mut_ptr(), d2v);
-            // No re-test against the tightening worst: a lane that stopped
-            // qualifying since the vector compare is a no-op inside `push`,
-            // which costs less than a branch on the data.
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                best.push(ids[i + j] as usize, d2[j]);
+            // No re-test against the tightening bound: a lane that stopped
+            // qualifying since the vector compare is a no-op inside the
+            // insert, which costs less than a branch on the data.
+            if in_registers {
+                while bits != 0 {
+                    let j = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let key = _mm512_set1_epi64(pack_key(ids[i + j] as usize, d2[j]) as i64);
+                    let a_left = _mm512_alignr_epi64::<7>(a, zero);
+                    let b_left = _mm512_alignr_epi64::<7>(b, a);
+                    a = _mm512_max_epu64(a_left, _mm512_min_epu64(a, key));
+                    b = _mm512_max_epu64(b_left, _mm512_min_epu64(b, key));
+                }
+                let kth = _mm512_permutex2var_epi64(a, kth_lane, b);
+                bound = bound.min(key_d2(_mm_cvtsi128_si64(_mm512_castsi512_si128(kth)) as u64));
+            } else {
+                while bits != 0 {
+                    let j = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    best.push(ids[i + j] as usize, d2[j]);
+                }
+                bound = best.bound;
             }
         }
         i += W;
     }
+    _mm512_mask_storeu_epi64(lo_ptr, lo_mask, a);
+    _mm512_mask_storeu_epi64(hi_ptr, hi_mask, b);
+    best.bound = bound;
 }
 
 // --- Dual-tree join base case: one query leaf against one reference leaf.
@@ -337,27 +383,19 @@ unsafe fn scan_ids_avx512<S: ScanSink>(
 /// Query rows box-tested per pre-filter step (one AVX-512 register).
 const BOX_BLOCK: usize = 2 * LANES;
 
-/// Sentinel key padding not-yet-filled row slots: squared distance `+inf`
-/// with the largest index. Any real candidate's packed key compares below
-/// it (real indices are `< u32::MAX` and real distances either `< +inf` or
-/// tie at `+inf` with a smaller index), so a sentinel-padded row behaves
-/// exactly like a [`BestK`] that is not yet full — its worst distance is
-/// `+inf`, every candidate is accepted, and the sentinel is shifted out.
-///
-/// [`BestK`]: crate::knn::BestK
-pub(crate) const SENTINEL: u64 = (f32::INFINITY.to_bits() as u64) << 32 | u32::MAX as u64;
-
 /// The mutable side of a dual-tree traversal: the result rows and pruning
 /// bounds of a contiguous range of query leaf slots (the whole batch, or one
 /// parallel shard's share of it).
 pub(crate) struct JoinRows<'a> {
     /// `stride` packed `(d2-bits, index)` keys per slot, ascending at all
-    /// times, [`SENTINEL`]-padded until `stride` candidates have arrived.
+    /// times, [`SENTINEL`]-padded until `stride` candidates have arrived:
+    /// each slot's window is the keys of one [`BestK`] row.
     pub(crate) keys: &'a mut [u64],
-    /// Per-slot upper bound on the row's *final* k-th squared distance: the
-    /// current k-th key once the row is full, tightened by every warm-start
-    /// cap the row has been handed (see `warm_cap`). It sits beside the key
-    /// slab so a whole block of rows is box-tested from one contiguous load.
+    /// Per-slot [`BestK::bound`]: an upper bound on the row's *final* k-th
+    /// squared distance, the current k-th key's tightened by every
+    /// warm-start cap the row has been handed (see `warm_cap`). It sits
+    /// beside the key slab so a whole block of rows is box-tested from one
+    /// contiguous load.
     pub(crate) bounds: &'a mut [f32],
     /// Keys per row.
     pub(crate) stride: usize,
@@ -380,36 +418,6 @@ pub(crate) struct RefLeaf<'a> {
     pub(crate) start: usize,
     pub(crate) end: usize,
     pub(crate) aabb: Aabb,
-}
-
-/// One query's result row as a [`ScanSink`]: `stride` packed keys kept
-/// sorted ascending by the branch-free [`insert_sorted`] network — which
-/// *is* [`BestK::push`]'s full-list insert, the only branch a
-/// sentinel-padded row ever needs — so the surviving key set, and therefore
-/// every index-broken tie, matches the per-query accumulator exactly.
-///
-/// `bound` carries the row's entry of [`JoinRows::bounds`] through the scan
-/// in a register; every insert folds the new k-th key into it.
-///
-/// [`BestK::push`]: crate::knn::BestK::push
-struct RowSink<'a> {
-    keys: &'a mut [u64],
-    bound: f32,
-}
-
-impl ScanSink for RowSink<'_> {
-    #[inline(always)]
-    fn worst_d2(&self) -> f32 {
-        self.bound
-    }
-
-    #[inline(always)]
-    fn push(&mut self, index: usize, d2: f32) {
-        insert_sorted(self.keys, pack_key(index, d2));
-        // A sentinel k-th key reads +inf and leaves the cap in charge.
-        let kth = self.keys[self.keys.len() - 1];
-        self.bound = self.bound.min(f32::from_bits((kth >> 32) as u32));
-    }
 }
 
 /// [`BestK::begin_warm`]'s bound for the join: the largest squared distance
@@ -572,12 +580,12 @@ macro_rules! join_leaf_pair_tier {
                         // Not yet full: warm-start like `BestK::begin_warm`.
                         bound = bound.min(warm_cap(rows, r.points, query));
                     }
-                    let mut sink = RowSink {
+                    let mut row = BestK {
                         keys: &mut rows.keys[local * stride..(local + 1) * stride],
                         bound,
                     };
-                    $scan(r.soa, r.ids, r.start, r.end, query, &mut sink);
-                    rows.bounds[local] = sink.bound;
+                    $scan(r.soa, r.ids, r.start, r.end, query, &mut row);
+                    rows.bounds[local] = row.bound;
                     rows.prev = slot;
                 }
                 for &b in &rows.bounds[local..local + m] {
@@ -669,8 +677,11 @@ pub const MERGE_MAX_K: usize = 32;
 /// to the nanosecond (the loads are scalar gathers either way), so the
 /// kernel takes the array its one-row callers already hold. The same body
 /// under `#[target_feature(enable = "avx2")]` read 49 and under `avx512f`
-/// 50: the insert network is `u64` compare-selects that wider registers do
-/// not touch, so no per-`Tier` instance is kept.
+/// 50, so no per-`Tier` instance is kept. That holds for this kernel's
+/// unrolled constant-width rows (`k = 4`, eight offers each), which live in
+/// scalar registers at every tier. It does not hold for scan rows: the
+/// AVX-512 scan (`scan_ids`) keeps its row in two vector registers and runs
+/// the same network lane-parallel, about 1.5× faster per kNN query.
 #[inline(always)]
 pub fn merge_prune_row(
     p_new: Point3,
@@ -718,7 +729,7 @@ pub fn merge_prune_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::BestK;
+    use crate::knn::key_d2;
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
@@ -735,38 +746,91 @@ mod tests {
             .collect()
     }
 
-    /// At every tier this host can execute, the scan must agree bit-for-bit
-    /// with a plain `distance_squared` loop through the same `BestK` — the
-    /// contract that makes the `simd` feature invisible to everything built
-    /// on this kernel.
+    /// The scan's contract, spelled out: every candidate of `start..end`
+    /// in slot order, offered when its squared distance is at or below the
+    /// row's bound, through a plain [`insert_sorted`], with the bound
+    /// refolded after each insert.
+    fn reference_scan(
+        pts: &[Point3],
+        (start, end): (usize, usize),
+        q: Point3,
+        row: &mut [u64],
+        mut bound: f32,
+    ) -> f32 {
+        for (i, p) in pts.iter().enumerate().take(end).skip(start) {
+            let d = p.distance_squared(q);
+            if d <= bound {
+                insert_sorted(row, pack_key(i, d));
+                bound = bound.min(key_d2(row[row.len() - 1]));
+            }
+        }
+        bound
+    }
+
+    /// At every tier this host can execute, the scan must leave the same
+    /// row and bound, bit for bit, as [`reference_scan`] — the contract
+    /// that makes the `simd` feature invisible to everything built on this
+    /// kernel. Widths straddle the AVX-512 scan's two 8-key registers and
+    /// its 16-key limit (wider rows stay in memory); rows enter the scan
+    /// empty, partly filled under a warm cap, or full; and half the cloud
+    /// sits on a coarse grid with duplicates, so distances tie each other,
+    /// the cap and the row's entries.
     #[test]
     fn scan_matches_scalar_reference_bitwise_at_every_tier() {
-        let pts = random_points(100, 9);
+        let mut pts = random_points(70, 9);
+        let mut rng = StdRng::seed_from_u64(11);
+        pts.extend((0..70).map(|_| {
+            let mut c = || f32::from(rng.random_range(0u8..5)) - 2.0;
+            Point3::new(c(), c(), c())
+        }));
         let mut soa = SoaPositions::default();
         soa.fill(&pts);
         let ids: Vec<u32> = (0..pts.len() as u32).collect();
+        let mut queries = random_points(8, 10);
+        queries.extend([Point3::ZERO, Point3::ONE, Point3::new(1.0, -1.0, 0.0)]);
+        let ranges = [(0usize, pts.len()), (5, 9), (7, 63), (60, 140), (137, 140)];
         for tier in tier_override::available() {
-            tier_override::with_tier(tier, || {
-                for (qi, &q) in random_points(20, 10).iter().enumerate() {
-                    for k in [1usize, 3, 8] {
-                        for (start, end) in [(0usize, pts.len()), (5, 9), (7, 63), (97, 100)] {
-                            let mut best = BestK::default();
-                            best.begin(k);
-                            scan_ids(&soa, &ids, start, end, q, &mut best);
-                            let mut reference = BestK::default();
-                            reference.begin(k);
-                            for (i, &p) in pts.iter().enumerate().take(end).skip(start) {
-                                reference.push(i, p.distance_squared(q));
+            for (qi, &q) in queries.iter().enumerate() {
+                let dist: Vec<f32> = pts.iter().map(|p| p.distance_squared(q)).collect();
+                for k in [1usize, 7, 8, 9, 15, 16, 17, 32, 33] {
+                    for (ri, &(start, end)) in ranges.iter().enumerate() {
+                        for entry in 0..3 {
+                            // Entry keys carry indices no slot maps to, at
+                            // distances drawn from the cloud's own, so they
+                            // tie real candidates on both sides of them.
+                            let filled = [0, k / 2, k][entry];
+                            let mut row = vec![SENTINEL; k];
+                            for _ in 0..filled {
+                                let d = dist[rng.random_range(0..dist.len())];
+                                let index = 1000 + rng.random_range(0..500usize);
+                                insert_sorted(&mut row, pack_key(index, d));
                             }
-                            assert_eq!(
-                                best.sorted(),
-                                reference.sorted(),
-                                "{tier:?} query {qi} k {k} range {start}..{end}"
-                            );
+                            // A warm cap on the partly filled row: one of the
+                            // range's own distances, so candidates tie it.
+                            let cap = match entry {
+                                1 => dist[start + rng.random_range(0..end - start)],
+                                _ => f32::INFINITY,
+                            };
+                            let bound = cap.min(key_d2(row[k - 1]));
+                            let mut want = row.clone();
+                            let want_bound =
+                                reference_scan(&pts, (start, end), q, &mut want, bound);
+                            let mut got = row;
+                            let mut best = BestK {
+                                keys: &mut got,
+                                bound,
+                            };
+                            tier_override::with_tier(tier, || {
+                                scan_ids(Tier::detect(), &soa, &ids, start, end, q, &mut best);
+                            });
+                            let got_bound = best.bound;
+                            let at = format!("{tier:?} query {qi} k {k} range {ri} entry {entry}");
+                            assert_eq!(got, want, "{at}");
+                            assert_eq!(got_bound.to_bits(), want_bound.to_bits(), "{at}");
                         }
                     }
                 }
-            });
+            }
         }
     }
 
@@ -856,11 +920,13 @@ mod tests {
         let mut soa = SoaPositions::default();
         soa.fill(&pts);
         let ids: Vec<u32> = (0..20).collect();
-        let mut best = BestK::default();
-        best.begin(6);
-        scan_ids(&soa, &ids, 0, 20, Point3::ZERO, &mut best);
-        let idx: Vec<usize> = best.sorted().iter().map(|n| n.index).collect();
-        assert_eq!(idx, vec![0, 1, 2, 3, 4, 5]);
+        for tier in tier_override::available() {
+            let mut keys = [0; 6];
+            let mut best = BestK::new(&mut keys);
+            scan_ids(tier, &soa, &ids, 0, 20, Point3::ZERO, &mut best);
+            let idx: Vec<usize> = best.sorted().iter().map(|n| n.index).collect();
+            assert_eq!(idx, vec![0, 1, 2, 3, 4, 5], "{tier:?}");
+        }
     }
 
     /// The merge kernel's row contract: the closest distinct in-range

@@ -1,5 +1,5 @@
 //! Nearest-neighbor search: the [`NeighborSearch`] interface, the shared
-//! best-`k` accumulator and the brute-force oracle.
+//! best-`k` row and the brute-force oracle.
 //!
 //! The crate has one spatial index, [`crate::kdtree::KdTree`], and one
 //! reference implementation, [`BruteForce`], which the property tests compare
@@ -87,44 +87,49 @@ pub trait NeighborSearch: Send + Sync {
     }
 }
 
-/// Bounded best-`k` accumulator behind every per-query kNN scan.
+/// One query's best-`k` row: the one result row every candidate scan fills,
+/// for the per-query path, the single-tree sweep and the dual-tree join
+/// alike (the join's rows are windows of its slab).
 ///
-/// The candidate list is a sorted array of packed `u64` keys (see the
-/// `keys` field): at the SR pipeline's single-digit `k` a fixed-trip
-/// branch-free insert beats both a heap and a replace-max rescan, and it
-/// leaves the result ready to emit with **no per-query sort**. Ordering by
-/// the packed key is ordering by `(distance, index)`, so distance ties are
-/// broken by smaller index exactly like the seed's sorted formulation, and
-/// the surviving set — and emitted order — is identical for every traversal
-/// order.
+/// The row is a fixed-width array of packed `u64` keys (see the `keys`
+/// field), kept sorted at all times and [`SENTINEL`]-padded until `k`
+/// candidates have arrived: at the SR pipeline's single-digit `k` a
+/// fixed-trip branch-free insert beats both a heap and a replace-max
+/// rescan, and it leaves the result ready to emit with **no per-query
+/// sort**. Ordering by the packed key is ordering by `(distance, index)`,
+/// so distance ties are broken by smaller index exactly like the seed's
+/// sorted formulation, and the surviving set — and emitted order — is
+/// identical for every traversal order.
 #[derive(Debug)]
-pub(crate) struct BestK {
+pub(crate) struct BestK<'a> {
     /// Packed candidates: high 32 bits are the squared distance's IEEE bits,
     /// low 32 the point index. Squared distances are never negative (each
     /// term is a square, `-0.0 * -0.0 == +0.0`), so the unsigned `u64`
     /// ordering is *exactly* the `(distance, index)` ordering — one compare
     /// replaces the two-field tie-break chain, and NaN distances sort after
-    /// `+inf` just like `f32::total_cmp`. Sorted ascending at all times.
-    keys: Vec<u64>,
-    k: usize,
-    /// Pruning cap: a proven upper bound on the final k-th squared distance
-    /// (see [`BestK::begin_warm`]); `INFINITY` for unseeded queries.
-    cap: f32,
+    /// `+inf` just like `f32::total_cmp`. Sorted ascending at all times;
+    /// slots no candidate has reached yet hold [`SENTINEL`], which every
+    /// real key sorts below, so a filling row takes the same insert as a
+    /// full one.
+    pub(crate) keys: &'a mut [u64],
+    /// The row's pruning bound: `min(cap, d2(keys[k - 1]))`, where the cap
+    /// is a proven upper bound on the final k-th squared distance (see
+    /// [`BestK::begin_warm`]; `INFINITY` for unseeded rows) and a sentinel
+    /// k-th key reads `+inf`. `d2 > bound` is the universal prune test (and
+    /// passes equality through for index-broken ties).
+    pub(crate) bound: f32,
 }
+
+/// Sentinel key padding not-yet-filled row slots: squared distance `+inf`
+/// with the largest index. Any real candidate's packed key compares below
+/// it (real indices are `< u32::MAX` and real distances either `< +inf` or
+/// tie at `+inf` with a smaller index), so every candidate a filling row is
+/// offered shifts one sentinel out, and a sentinel k-th key reads `+inf`.
+pub(crate) const SENTINEL: u64 = (f32::INFINITY.to_bits() as u64) << 32 | u32::MAX as u64;
 
 /// Longest previous result [`BestK::begin_warm`] derives a cap from; queries
 /// with `k` beyond this run cold (the SR pipeline's `k` is single-digit).
 const WARM_TRACK: usize = 32;
-
-impl Default for BestK {
-    fn default() -> Self {
-        Self {
-            keys: Vec::new(),
-            k: 0,
-            cap: f32::INFINITY,
-        }
-    }
-}
 
 /// Packs `(d2, index)` into the order-preserving `u64` key.
 #[inline(always)]
@@ -132,12 +137,18 @@ pub(crate) fn pack_key(index: usize, d2: f32) -> u64 {
     (u64::from(d2.to_bits()) << 32) | index as u64
 }
 
+/// The squared distance a packed key carries (`+inf` for [`SENTINEL`]).
+#[inline(always)]
+pub(crate) fn key_d2(key: u64) -> f32 {
+    f32::from_bits((key >> 32) as u32)
+}
+
 /// Unpacks a key back into a [`Neighbor`] (exact `f32` bit roundtrip).
 #[inline(always)]
 fn unpack_key(key: u64) -> Neighbor {
     Neighbor {
         index: key as u32 as usize,
-        distance_squared: f32::from_bits((key >> 32) as u32),
+        distance_squared: key_d2(key),
     }
 }
 
@@ -149,9 +160,9 @@ fn unpack_key(key: u64) -> Neighbor {
 /// picks `key`, which is at least the left neighbour), and every later entry
 /// receives its left neighbour — no rank scan, no `memmove`, no branch on
 /// the data. A key at or above the last entry changes nothing, so callers
-/// need no separate reject test. This is the one sorted insert of
-/// [`BestK::push`]'s full-list branch and of the dual-tree join's rows, which
-/// is what keeps their survivors — and index-broken ties — identical.
+/// need no separate reject test. This is [`BestK::push`]'s insert, the
+/// network the AVX-512 scan runs lane-parallel on rows it holds in
+/// registers, and the merge kernel's row insert.
 #[inline(always)]
 pub(crate) fn insert_sorted(keys: &mut [u64], key: u64) {
     let mut left = 0u64;
@@ -162,103 +173,69 @@ pub(crate) fn insert_sorted(keys: &mut [u64], key: u64) {
     }
 }
 
-impl BestK {
-    /// Starts a new query wanting `k` neighbors (allocation reused).
+impl<'a> BestK<'a> {
+    /// An empty, cold row over `keys`, which sets `k` (every slot becomes
+    /// [`SENTINEL`]).
     #[inline]
-    pub(crate) fn begin(&mut self, k: usize) {
-        self.keys.clear();
-        self.k = k;
-        self.cap = f32::INFINITY;
+    pub(crate) fn new(keys: &'a mut [u64]) -> Self {
+        keys.fill(SENTINEL);
+        Self {
+            keys,
+            bound: f32::INFINITY,
+        }
     }
 
-    /// Starts a new query wanting `k` neighbors, warm-started from the
-    /// accumulator's *previous* query against the same index, whose points
-    /// are `points`: the largest squared distance from `query` to the
-    /// previous result's points is a true upper bound on this query's final
-    /// k-th distance (they are `k` distinct indexed points — or the entire
-    /// cloud when it holds fewer than `k`), so it becomes the initial
-    /// pruning cap. The batched sweeps visit queries in Morton order, making
-    /// consecutive queries spatial neighbors and the cap tight from the very
-    /// first node.
+    /// Starts a new query, warm-started from the row's *previous* query
+    /// against the same index, whose points are `points`: the largest
+    /// squared distance from `query` to the previous result's points (its
+    /// non-sentinel entries) is a true upper bound on this query's final
+    /// k-th distance (they are `k` distinct indexed points — or every point
+    /// a query can reach when the cloud holds fewer than `k`), so it becomes
+    /// the initial pruning cap. The batched sweeps visit queries in Morton
+    /// order, making consecutive queries spatial neighbors and the cap tight
+    /// from the very first node.
     ///
-    /// The cap makes [`BestK::worst_d2`] — and therefore every traversal
-    /// prune and scan filter built on it — tight before `k` candidates have
-    /// been found. Results are **identical** to a cold query: a region or
+    /// The cap makes [`BestK::bound`] — and therefore every traversal prune
+    /// and scan filter built on it — tight before `k` candidates have been
+    /// found. Results are **identical** to a cold query: a region or
     /// candidate is only skipped when strictly beyond the cap, and anything
     /// strictly beyond an upper bound of the k-th distance cannot appear in
-    /// the result (ties at the cap still pass and are index-broken by
-    /// [`BestK::push`] as usual). Callers must reuse one accumulator per
-    /// (index, `k`) sweep — a fresh [`BestK`] starts cold.
+    /// the result (ties at the cap still pass and are index-broken by the
+    /// insert as usual). Callers must reuse one row per (index, `k`) sweep
+    /// — a fresh [`BestK::new`] row starts cold.
     #[inline]
-    pub(crate) fn begin_warm(&mut self, k: usize, query: Point3, points: &[Point3]) {
+    pub(crate) fn begin_warm(&mut self, query: Point3, points: &[Point3]) {
         let mut cap = f32::NEG_INFINITY;
-        // The previous entries are a valid bound source only if they were a
-        // complete result row for the same `k`.
-        if self.k == k && self.keys.len() <= WARM_TRACK {
-            for &key in &self.keys {
+        if self.keys.len() <= WARM_TRACK {
+            for &key in self.keys.iter().filter(|&&key| key != SENTINEL) {
                 cap = cap.max(points[key as u32 as usize].distance_squared(query));
             }
         }
-        self.begin(k);
-        if cap.is_finite() {
-            self.cap = cap;
-        }
+        self.keys.fill(SENTINEL);
+        self.bound = if cap.is_finite() { cap } else { f32::INFINITY };
     }
 
-    /// Squared distance of the current worst entry; until `k` entries exist
-    /// this is the warm-start cap (`INFINITY` when cold), so
-    /// `bound > worst_d2()` is the universal prune test (and passes equality
-    /// through for index-broken ties).
-    #[inline]
-    pub(crate) fn worst_d2(&self) -> f32 {
-        if self.keys.len() == self.k {
-            f32::from_bits((self.keys[self.k - 1] >> 32) as u32)
-        } else {
-            self.cap
-        }
-    }
-
-    /// Offers a candidate.
-    ///
-    /// The key list is kept *sorted* at all times, so the worst entry is
-    /// `keys[len - 1]` and result emission is a plain borrow — there is no
-    /// per-query sort at all. A full list takes the candidate through the
-    /// branch-free [`insert_sorted`] network; while the list is still
-    /// filling (the first `k` offers of a query) a rank count places it.
+    /// Offers a candidate: one [`insert_sorted`] (a filling row shifts a
+    /// sentinel out, a full one its k-th key, and a key at or above the
+    /// k-th changes nothing), then the new k-th key folds into the bound.
     #[inline(always)]
     pub(crate) fn push(&mut self, index: usize, d2: f32) {
-        debug_assert!(self.k > 0, "callers early-out on k == 0");
-        let key = pack_key(index, d2);
-        if self.keys.len() == self.k {
-            insert_sorted(&mut self.keys, key);
-            return;
-        }
-        let rank: usize = self.keys.iter().map(|&a| usize::from(a < key)).sum();
-        self.keys.insert(rank, key);
+        insert_sorted(self.keys, pack_key(index, d2));
+        self.bound = self.bound.min(key_d2(self.keys[self.keys.len() - 1]));
     }
 
-    /// The packed keys, sorted by `(distance, index)`; the low 32 bits of
-    /// each key are the neighbor index, which is all the batched row
-    /// emission needs (no unpacking, no sort — the list is always sorted).
+    /// The packed keys that hold candidates, sorted by `(distance, index)`
+    /// (the sentinel tail of a row that never filled is left out); the low
+    /// 32 bits of each key are the neighbor index, which is all the batched
+    /// row emission needs (no unpacking, no sort — the row is always
+    /// sorted).
     pub(crate) fn sorted_keys(&self) -> &[u64] {
-        &self.keys
+        &self.keys[..self.keys.partition_point(|&key| key < SENTINEL)]
     }
 
     /// Unpacks the (already sorted) entries — the per-query convenience path.
-    pub(crate) fn sorted(&mut self) -> Vec<Neighbor> {
-        self.keys.iter().map(|&k| unpack_key(k)).collect()
-    }
-}
-
-impl crate::kernels::ScanSink for BestK {
-    #[inline(always)]
-    fn worst_d2(&self) -> f32 {
-        BestK::worst_d2(self)
-    }
-
-    #[inline(always)]
-    fn push(&mut self, index: usize, d2: f32) {
-        BestK::push(self, index, d2);
+    pub(crate) fn sorted(&self) -> Vec<Neighbor> {
+        self.sorted_keys().iter().map(|&k| unpack_key(k)).collect()
     }
 }
 
@@ -288,6 +265,26 @@ impl crate::kernels::ScanSink for BestK {
 /// pass over a code's top bits; the full [`sort_by_code`] order that
 /// replaced it swept the 4 096- and 50 000-point delta batches at 0.95 and
 /// 0.97× that time (16 alternating rounds).
+///
+/// Both sides changed once the AVX-512 scan held each row in registers: a
+/// query got about 1.5× cheaper, and with it what locality saves. Re-read
+/// then on the same host while it was busier (humanoid phase 0.3, seed 7,
+/// batch seed 5; medians of nine rounds that interleave the candidates):
+///
+/// | points : batch | 16 | 64 | 256 | 1 024 |
+/// |---|---:|---:|---:|---:|
+/// | 512 : 64 | 17.3 | 17.2 | 17.0 | 16.9 |
+/// | 512 : 100 | 35.7 | 36.6 | 35.3 | 34.8 |
+/// | 4 096 : 200 | 68.7 | 95.6 | 69.6 | 68.9 |
+/// | 4 096 : 540 | 343.8 | 339.6 | 348.7 | 327.4 |
+/// | 50 000 : 6 000 | 4 936 | 4 716 | 4 942 | 4 795 |
+///
+/// A repeat read 512 : 100 at 37.1, 36.8, 36.3, 36.2 and 4 096 : 540 at
+/// 327.0, 342.8, 336.2, 337.0. The memory-network code, run alternately
+/// with it, still read 53.4 µs reordered against 60.4 not at 512 : 100.
+/// Now no column separates from another beyond the spread of the repeats:
+/// at fleet-tenant sizes the sort costs about what it saves. The constant
+/// stays, since moving it would change nothing measurable.
 const REORDER_MIN_QUERIES: usize = 64;
 
 /// Expands the low 10 bits of `v` so they occupy every third bit.
@@ -435,20 +432,20 @@ fn morton_order(points: &[Point3], keys: &mut Vec<u64>, spare: &mut Vec<u64>) {
 /// ties.
 ///
 /// `query_fn` starts each query with [`BestK::begin_warm`], and the driver
-/// hands every query of a run the *same* accumulator, `best`: the previous,
+/// hands every query of a run the *same* row, `best`: the previous,
 /// Morton-adjacent query's survivors give a tight warm-start pruning cap
 /// for `k` point loads — a batch-only advantage (the cold per-query path
 /// has no previous query) with bit-identical results. `best`, `keys` and
 /// `spare` are the caller's reused buffers; `best` must not hold a row of
-/// another cloud (`BestK::begin(0)` clears it).
+/// another cloud ([`BestK::new`] clears it).
 pub(crate) fn batch_queries(
     queries: &[Point3],
     stride: usize,
     rows: &mut [u32],
-    best: &mut BestK,
+    best: &mut BestK<'_>,
     keys: &mut Vec<u64>,
     spare: &mut Vec<u64>,
-    mut query_fn: impl FnMut(Point3, &mut BestK),
+    mut query_fn: impl FnMut(Point3, &mut BestK<'_>),
 ) {
     debug_assert_eq!(rows.len(), queries.len() * stride);
     let mut answer = |qi: usize, rows: &mut [u32]| {
@@ -526,12 +523,21 @@ impl NeighborSearch for BruteForce {
         if k == 0 || self.points.is_empty() {
             return Vec::new();
         }
-        // Bounded best-k accumulator: for the small k used by the SR
-        // pipeline (k <= 32) this beats both a BinaryHeap and full sorts;
-        // the candidate sweep is one streaming pass of the shared kernel.
-        let mut best = BestK::default();
-        best.begin(k);
-        crate::kernels::scan_ids(&self.soa, &self.ids, 0, self.ids.len(), query, &mut best);
+        // Bounded best-k row: for the small k used by the SR pipeline
+        // (k <= 32) this beats both a BinaryHeap and full sorts; the
+        // candidate sweep is one streaming pass of the shared kernel.
+        let mut keys = vec![SENTINEL; k.min(self.points.len())];
+        let mut best = BestK::new(&mut keys);
+        let tier = crate::kernels::Tier::detect();
+        crate::kernels::scan_ids(
+            tier,
+            &self.soa,
+            &self.ids,
+            0,
+            self.ids.len(),
+            query,
+            &mut best,
+        );
         best.sorted()
     }
 }
@@ -635,7 +641,6 @@ mod tests {
     /// and rows still padded with the join's `+inf` sentinel.
     #[test]
     fn insert_sorted_matches_sort_and_truncate() {
-        use crate::kernels::SENTINEL;
         use rand::prelude::*;
         use rand::rngs::StdRng;
         let mut rng = StdRng::seed_from_u64(5);
