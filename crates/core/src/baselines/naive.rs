@@ -20,7 +20,6 @@
 //! worker count.
 
 use crate::config::SrConfig;
-use crate::error::Error;
 use crate::interpolate::{row_seed, InterpolationResult, PointSplit};
 use crate::pipeline::StageTimings;
 use crate::Result;
@@ -36,7 +35,7 @@ use volut_pointcloud::{Neighborhoods, Point3, PointCloud};
 ///
 /// # Errors
 /// Returns an error when the configuration or ratio is invalid, or when the
-/// input has fewer than two points.
+/// input has fewer than two points or a NaN or infinite coordinate.
 ///
 /// # Example
 ///
@@ -56,14 +55,7 @@ pub fn naive_interpolate(
     config: &SrConfig,
     ratio: f64,
 ) -> Result<InterpolationResult> {
-    config.validate()?;
-    config.validate_ratio(ratio)?;
-    if low.len() < 2 {
-        return Err(Error::InsufficientPoints {
-            required: 2,
-            available: low.len(),
-        });
-    }
+    crate::interpolate::validate_frame(low, config, ratio)?;
     let mut timings = StageTimings::default();
     let positions = low.positions();
     let split = PointSplit::new(low.len(), ratio);
@@ -331,6 +323,24 @@ mod tests {
             ..SrConfig::default()
         };
         assert!(naive_interpolate(&low, &bad_cfg, 2.0).is_err());
+        // A non-finite coordinate fails the frame in every build.
+        for (axis, bad) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            let mut frame = low.clone();
+            frame.positions_mut()[3][axis] = bad;
+            let err = naive_interpolate(&frame, &SrConfig::k4d1(), 2.0).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(crate::Error::PointCloud(
+                        volut_pointcloud::Error::InvalidArgument(_)
+                    ))
+                ),
+                "{bad} on axis {axis}: {err:?}"
+            );
+        }
     }
 
     #[test]

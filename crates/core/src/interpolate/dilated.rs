@@ -44,7 +44,6 @@ use super::temporal::{self, FramePlan};
 use super::{row_seed, PointSplit};
 use super::{run_jobs, take_front, FrameArena, FrameScratch, InterpolationResult};
 use crate::config::SrConfig;
-use crate::error::Error;
 use crate::lut::LookupStats;
 use crate::pipeline::StageTimings;
 use crate::refine::Refiner;
@@ -78,7 +77,7 @@ const BLOCK_ROWS: usize = 64;
 ///
 /// # Errors
 /// Returns an error when the configuration or ratio is invalid, or when the
-/// input has fewer than two points.
+/// input has fewer than two points or a NaN or infinite coordinate.
 ///
 /// # Example
 ///
@@ -142,14 +141,7 @@ pub(crate) fn dilated_interpolate_in(
     arena: &mut FrameArena,
     refine: Option<Refine<'_>>,
 ) -> Result<(InterpolationResult, LookupStats)> {
-    config.validate()?;
-    config.validate_ratio(ratio)?;
-    if low.len() < 2 {
-        return Err(Error::InsufficientPoints {
-            required: 2,
-            available: low.len(),
-        });
-    }
+    super::validate_frame(low, config, ratio)?;
     let dual_before = arena.knn.invocations();
     let result = dilated_frame(low, config, ratio, session, arena, refine);
     session.temporal.stats.dual_tree_batches += arena.knn.invocations() - dual_before;
@@ -651,6 +643,37 @@ mod tests {
         assert!(dilated_interpolate(&low, &SrConfig::default(), 0.2).is_err());
         let tiny = volut_pointcloud::PointCloud::from_positions(vec![Point3::ZERO]);
         assert!(dilated_interpolate(&tiny, &SrConfig::default(), 2.0).is_err());
+        // A non-finite coordinate fails the frame, cold and behind a warm
+        // session frame, and through the pipeline, in every build: its kNN
+        // row would never fill.
+        let pipeline = crate::pipeline::SrPipeline::new(
+            SrConfig::default(),
+            Box::new(crate::refine::IdentityRefiner),
+        );
+        for (axis, bad) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            let mut frame = low.clone();
+            frame.positions_mut()[17][axis] = bad;
+            let mut scratch = FrameScratch::new();
+            dilated_interpolate_with(&low, &SrConfig::default(), 2.0, &mut scratch).unwrap();
+            for err in [
+                dilated_interpolate(&frame, &SrConfig::default(), 2.0).err(),
+                dilated_interpolate_with(&frame, &SrConfig::default(), 2.0, &mut scratch).err(),
+                pipeline.upsample(&frame, 2.0).err(),
+            ] {
+                assert!(
+                    matches!(
+                        err,
+                        Some(crate::Error::PointCloud(
+                            volut_pointcloud::Error::InvalidArgument(_)
+                        ))
+                    ),
+                    "{bad} on axis {axis}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

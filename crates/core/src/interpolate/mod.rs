@@ -37,7 +37,7 @@ pub mod temporal;
 
 use crate::config::SrConfig;
 use crate::pipeline::StageTimings;
-use crate::Result;
+use crate::{Error, Result};
 pub use arena::FrameArena;
 pub use temporal::TemporalStats;
 use volut_pointcloud::delta::FrameDelta;
@@ -238,7 +238,7 @@ pub trait Interpolator: Send + Sync {
     ///
     /// # Errors
     /// Returns an error when the configuration or ratio is invalid, or when
-    /// the input has fewer than two points.
+    /// the input has fewer than two points or a non-finite coordinate.
     fn interpolate(
         &self,
         low: &PointCloud,
@@ -300,6 +300,37 @@ impl PointSplit {
     pub(crate) fn offset(self, r: usize) -> usize {
         r * self.base + r.min(self.extra)
     }
+}
+
+/// The checks both interpolation entry points ([`dilated`]'s and
+/// [`crate::baselines::naive`]'s) make before any work: the configuration
+/// and the ratio are valid, the cloud holds at least two points, and every
+/// coordinate is finite. A NaN coordinate's packed distance keys sort above
+/// a row's padding, so its kNN row would never fill; a frame that arrives
+/// intact from the wire can still carry one, and the k-d tree's batches
+/// take finite queries only.
+///
+/// # Errors
+/// [`SrConfig::validate`]'s and [`SrConfig::validate_ratio`]'s errors,
+/// [`Error::InsufficientPoints`] below two points, and
+/// [`volut_pointcloud::Error::InvalidArgument`] (as [`Error::PointCloud`])
+/// naming the first point with a NaN or infinite coordinate.
+pub(crate) fn validate_frame(low: &PointCloud, config: &SrConfig, ratio: f64) -> Result<()> {
+    config.validate()?;
+    config.validate_ratio(ratio)?;
+    if low.len() < 2 {
+        return Err(Error::InsufficientPoints {
+            required: 2,
+            available: low.len(),
+        });
+    }
+    if let Some(i) = low.positions().iter().position(|p| !p.is_finite()) {
+        return Err(volut_pointcloud::Error::InvalidArgument(format!(
+            "point {i} has a non-finite coordinate"
+        ))
+        .into());
+    }
+    Ok(())
 }
 
 /// Runs `f` on every job of a pre-split pass, one task per job through

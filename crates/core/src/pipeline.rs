@@ -148,7 +148,7 @@ impl SrPipeline {
     ///
     /// # Errors
     /// Propagates interpolation failures (invalid configuration/ratio,
-    /// insufficient points).
+    /// insufficient points, a non-finite coordinate).
     pub fn upsample(&self, low: &PointCloud, ratio: f64) -> Result<SrResult> {
         self.upsample_with(low, ratio, &mut FrameScratch::new())
     }
@@ -164,7 +164,7 @@ impl SrPipeline {
     ///
     /// # Errors
     /// Propagates interpolation failures (invalid configuration/ratio,
-    /// insufficient points).
+    /// insufficient points, a non-finite coordinate).
     pub fn upsample_with(
         &self,
         low: &PointCloud,

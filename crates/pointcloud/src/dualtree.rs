@@ -516,7 +516,7 @@ impl Traversal<'_> {
     ///
     /// Rows that have not yet filled (their first scan — the leaf's first
     /// surviving pair, which is its diagonal self-pair) are warm-started
-    /// there exactly like [`BestK::begin_warm`]. Leaf slots are in Morton
+    /// there from the previous row ([`warm_cap`]). Leaf slots are in Morton
     /// order — the build sorts the whole cloud by code before it cuts, and
     /// a patch re-sorts each dirty leaf by code over its own box — making
     /// consecutive rows spatial neighbors and the cap tight from the first
@@ -524,7 +524,7 @@ impl Traversal<'_> {
     /// (candidates are only skipped when strictly beyond the bound, ties
     /// still pass).
     ///
-    /// [`BestK::begin_warm`]: crate::knn::BestK::begin_warm
+    /// [`warm_cap`]: crate::kernels::warm_cap
     fn scan_pair(&mut self, qn: u32, rn: u32) {
         let (qs, qe) = self.tree.node(qn).leaf_range();
         let (rs, re) = self.tree.node(rn).leaf_range();
@@ -852,8 +852,8 @@ mod tests {
     }
 
     /// The sweep's counterpart: a subset batch (every other surviving point
-    /// and as many jittered off-cloud queries, long enough to be visited in
-    /// Morton order and cut into two runs) through
+    /// and as many jittered off-cloud queries, long enough to be cut into
+    /// two runs) through
     /// [`KdTree::knn_batch_with`] at every tier, at one and two workers,
     /// must emit the scalar tier's rows — and the scalar tier the per-query
     /// rows. The sweep resolves its tier once per batch on the calling

@@ -71,8 +71,7 @@ use crate::delta::{FrameDelta, REMOVED};
 use crate::dualtree::{self, DualTreeScratch};
 use crate::kernels;
 use crate::knn::{
-    batch_queries, morton_code, morton_scale, sort_by_code, BestK, Neighbor, NeighborSearch,
-    SENTINEL,
+    morton_code, morton_scale, sort_by_code, BestK, Neighbor, NeighborSearch, SENTINEL,
 };
 use crate::neighborhoods::Neighborhoods;
 use crate::point::Point3;
@@ -81,20 +80,37 @@ use crate::soa::SoaPositions;
 use std::sync::{Mutex, PoisonError};
 
 /// Maximum number of points stored in a leaf before the builder splits it.
-/// Sized for the batched SoA sweep: 64 points are four 16-wide kernel
-/// blocks, and the fat leaves cut two levels of node traversal and their
-/// deferred far-subtree bookkeeping. With a warm-started bound plus the
-/// tight leaf boxes, the batch path scans few extra candidates for that
-/// saving; the cold per-query path would prefer smaller leaves, but the
-/// batched sweep is the production hot path.
+/// Sized for the SoA scan kernel: 64 points are four 16-wide kernel blocks,
+/// and the fat leaves cut two levels of node traversal and their deferred
+/// far-subtree bookkeeping. The tight leaf boxes keep a query from scanning
+/// a leaf its bound already excludes, which is what keeps the extra
+/// candidates a fat leaf offers few.
 pub const LEAF_SIZE: usize = 64;
 
 /// `Node::tag` value marking a leaf (split nodes store their axis, 0-2).
 const LEAF_TAG: u32 = 3;
 
-/// Fewest queries per worker the single-tree sweep is cut into: below this a
-/// chunk is too short to repay a task submission and the cold start of its
-/// warm-start chain, so smaller batches sweep on the calling thread.
+/// Fewest queries per worker the single-tree sweep is cut into
+/// ([`runtime::workers_for`]): below this a run is too short to repay a
+/// task submission, so smaller batches sweep on the calling thread. On two
+/// workers every batch of 2 000 queries or more is cut into two runs. One
+/// run (a one-worker pool) against two, µs per batch at `k = 9` over
+/// `synthetic::humanoid(50_000, 0.3, 7)`, index-ordered random subset
+/// batches (seed 5), each cell the median of 11 rounds, three repeats, on
+/// the shared 2-vCPU AVX-512 host:
+///
+/// | batch | one run | two runs |
+/// |---:|---|---|
+/// | 2 000 | 909, 909, 909 | 701, 769, 788 |
+/// | 4 000 | 1 836, 1 843, 1 837 | 1 479, 1 553, 1 906 |
+/// | 6 000 | 2 775, 2 778, 2 772 | 2 236, 2 339, 2 914 |
+/// | 8 000 | 3 706, 3 698, 3 701 | 2 960, 3 121, 3 849 |
+///
+/// Two runs read 0.77–0.87× one run in the first two repeats at every size.
+/// In the third the other vCPU was busy: two runs read 1.04× at 4 000–8 000,
+/// and the 2 000 cell's rounds spread from 477 to 950 µs. So the batches
+/// this value already cuts gain from the cut, and nothing here argues for
+/// moving it; batches below 2 000 were not read. The value stays.
 const SWEEP_MIN_QUERIES_PER_WORKER: usize = 2_000;
 
 /// One packed tree node (16 bytes, down from a 40-byte enum): keeping the
@@ -210,26 +226,20 @@ fn lane_bounds(lane: &[f32]) -> (f32, f32) {
     )
 }
 
-/// One run's reusable buffers of the single-tree sweep: its traversal
-/// stack, cached descent path, best-`k` row and Morton visit keys. The caller's
-/// [`DualTreeScratch`] keeps one per run, so a steady-state sweep allocates
-/// nothing.
+/// One run's reusable buffers of the single-tree sweep: its traversal stack
+/// and its best-`k` row. The caller's [`DualTreeScratch`] keeps one per run,
+/// so a steady-state sweep allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct SweepScratch {
     stack: Vec<DeferredSubtree>,
-    path: Vec<(u32, Node)>,
     row: Vec<u64>,
-    keys: Vec<u64>,
-    spare: Vec<u64>,
 }
 
 impl SweepScratch {
-    /// Capacity (in bytes) reserved by the run's buffers (the best-`k`
-    /// row's few keys aside).
+    /// Capacity (in bytes) reserved by the run's traversal stack (the
+    /// best-`k` row's few keys aside).
     pub(crate) fn reserved_bytes(&self) -> usize {
         self.stack.capacity() * std::mem::size_of::<DeferredSubtree>()
-            + self.path.capacity() * std::mem::size_of::<(u32, Node)>()
-            + (self.keys.capacity() + self.spare.capacity()) * std::mem::size_of::<u64>()
     }
 }
 
@@ -277,14 +287,6 @@ pub struct KdTree {
     node_aabbs: Vec<Aabb>,
     root: usize,
 }
-
-/// The bounding box of an emptied leaf: inverted extremes, so any distance
-/// test against it returns `+inf` (the leaf attracts no traversal) and a
-/// union with it is the identity.
-pub(crate) const EMPTY_LEAF_AABB: Aabb = Aabb {
-    min: Point3::splat(f32::INFINITY),
-    max: Point3::splat(f32::NEG_INFINITY),
-};
 
 impl Default for KdTree {
     /// An empty tree (no points indexed); [`KdTree::build_in`] turns it into
@@ -350,8 +352,9 @@ impl KdTree {
     /// sorts them (with `spare`), and rewrites `order` and the SoA lanes of
     /// the range from the sorted keys, the lanes in one gather from
     /// `points`. A range that fits a leaf is never cut, and its order only
-    /// keeps the scans' warm start tight: it sorts by the code's top 12
-    /// bits (a 16³ grid over its box), two counting passes instead of five.
+    /// keeps the join's row-to-row warm start tight: it sorts by the code's
+    /// top 12 bits (a 16³ grid over its box), two counting passes instead
+    /// of five.
     fn sort_slots(&mut self, s: usize, e: usize, keys: &mut [u64], spare: &mut [u64]) -> Aabb {
         let aabb = self.slots_aabb(s, e);
         let [xs, ys, zs] = self.soa.lanes_mut();
@@ -413,8 +416,10 @@ impl KdTree {
         self.push_node(split, aabb)
     }
 
-    /// The tight box of slots `s..e` ([`EMPTY_LEAF_AABB`] when empty), one
-    /// pass over each SoA lane.
+    /// The tight box of slots `s..e`, one pass over each SoA lane. An empty
+    /// range (an emptied leaf) gets inverted extremes, so any distance test
+    /// against its box returns `+inf` (the leaf attracts no traversal) and a
+    /// union with it is the identity.
     fn slots_aabb(&self, s: usize, e: usize) -> Aabb {
         let (x0, x1) = lane_bounds(&self.soa.xs()[s..e]);
         let (y0, y1) = lane_bounds(&self.soa.ys()[s..e]);
@@ -808,10 +813,11 @@ impl KdTree {
         self.any_within_rec(first, query, r2) || self.any_within_rec(second, query, r2)
     }
 
-    /// Allocation-free exact kNN: results land in the row `best`, whose
-    /// width is `k.min(len)` (cleared first, sorted by `(distance, index)`),
-    /// `stack` is the reused traversal stack of deferred far subtrees tagged
-    /// with their distance lower bound; leaves are scanned at `tier`.
+    /// Allocation-free exact kNN: results land in the row `best`, which must
+    /// be cold ([`BestK::new`]: every slot [`SENTINEL`], bound `+inf`) and
+    /// `k.min(len)` wide, sorted by `(distance, index)`; `stack` is the
+    /// reused traversal stack of deferred far subtrees tagged with their
+    /// distance lower bound; leaves are scanned at `tier`.
     ///
     /// Deferred subtrees carry the *incremental* squared distance from the
     /// query to their region (Arya & Mount): the per-axis offset vector is
@@ -822,11 +828,8 @@ impl KdTree {
     /// identical because the bound remains a true lower bound and equality
     /// still visits (distance ties are index-broken by the row insert).
     ///
-    /// This is the kernel behind both [`NeighborSearch::knn`] and the tuned
-    /// [`NeighborSearch::knn_batch`]; one batch call reuses the same two
-    /// buffers for every query, which also warm-starts each query's pruning
-    /// bound from the previous one's result (see [`BestK::begin_warm`];
-    /// results are unaffected, a fresh row simply starts cold).
+    /// The one per-query traversal: [`NeighborSearch::knn`] runs it once,
+    /// the sweep behind [`KdTree::knn_batch_with`] once per query.
     pub(crate) fn knn_into(
         &self,
         tier: kernels::Tier,
@@ -834,79 +837,18 @@ impl KdTree {
         best: &mut BestK<'_>,
         stack: &mut Vec<DeferredSubtree>,
     ) {
-        self.knn_into_with_path(tier, query, best, stack, None);
-    }
-
-    /// [`KdTree::knn_into`] with an optional cached root-descent path: the
-    /// batched sweep passes a scratch that remembers the previous query's
-    /// root→leaf chain of `(node id, node)` pairs. Morton-consecutive
-    /// queries share almost their entire descent, so the replay serves node
-    /// data out of a small sequential buffer instead of re-chasing the node
-    /// array, diverging (and refilling the tail) only where the paths
-    /// split. Every visit decision is recomputed from the same node values,
-    /// so results are bit-identical; `None` runs the plain descent.
-    pub(crate) fn knn_into_with_path(
-        &self,
-        tier: kernels::Tier,
-        query: Point3,
-        best: &mut BestK<'_>,
-        stack: &mut Vec<DeferredSubtree>,
-        mut path: Option<&mut Vec<(u32, Node)>>,
-    ) {
-        // Morton-consecutive queries usually land in the same leaf as their
-        // predecessor: start pulling its coordinate lanes in now, overlapped
-        // with the cap computation and the descent (harmless when the leaf
-        // differs — the descent just fetches the right one).
-        if let Some(p) = path.as_deref() {
-            if let Some(&(_, n)) = p.last() {
-                if n.tag == LEAF_TAG {
-                    let s = n.a as usize;
-                    kernels::prefetch_read(&self.soa.xs()[s]);
-                    kernels::prefetch_read(&self.soa.ys()[s]);
-                    kernels::prefetch_read(&self.soa.zs()[s]);
-                    kernels::prefetch_read(&self.order[s.min(self.order.len().saturating_sub(1))]);
-                }
-            }
-        }
-        best.begin_warm(query, &self.points);
-        if best.keys.is_empty() {
-            return;
-        }
+        debug_assert!(!best.keys.is_empty());
         stack.clear();
-        // Root descent (the long chain — with path replay when available).
-        let mut node = self.root as u32;
-        let mut level = 0usize;
-        loop {
-            let n = match path.as_deref_mut() {
-                Some(p) => {
-                    if let Some(&(id, cached)) = p.get(level) {
-                        if id == node {
-                            cached
-                        } else {
-                            p.truncate(level);
-                            let n = self.nodes[node as usize];
-                            p.push((node, n));
-                            n
-                        }
-                    } else {
-                        let n = self.nodes[node as usize];
-                        p.push((node, n));
-                        n
-                    }
-                }
-                None => self.nodes[node as usize],
-            };
-            level += 1;
-            if n.tag == LEAF_TAG {
-                self.scan_leaf(tier, node, n, query, best);
-                break;
-            }
-            node = self.split_step(n, query, Point3::ZERO, best, stack);
-        }
-        // Backtracking: process deferred far subtrees (short chains, plain
-        // loads). The bound was computed when the subtree was deferred; the
-        // best list has only tightened since, so this prune is at least as
-        // strong as the recursive formulation's.
+        stack.push(DeferredSubtree {
+            node: self.root as u32,
+            bound: 0.0,
+            off: Point3::ZERO,
+        });
+        // Each popped subtree runs its near-side chain down to a leaf,
+        // deferring the far sides; the root is the first. A deferred bound
+        // was computed when its subtree was deferred and the row has only
+        // tightened since, so this prune is at least as strong as the
+        // recursive formulation's.
         while let Some(DeferredSubtree {
             node: deferred,
             bound,
@@ -999,7 +941,9 @@ impl KdTree {
     /// hand batches over whole. Rows are **bit-identical** either way, at
     /// every worker count, and to the per-query [`NeighborSearch::knn`]
     /// loop: both algorithms decide survivors and distance ties with the
-    /// same packed `(distance, index)` keys.
+    /// same packed `(distance, index)` keys. Queries (and, for the join, the
+    /// indexed points) must be finite, as [`NeighborSearch::knn_batch`]
+    /// states.
     pub fn knn_batch_with(
         &self,
         queries: &[Point3],
@@ -1017,16 +961,48 @@ impl KdTree {
         }
     }
 
-    /// The single-tree batch sweep: one warm-started traversal per query,
-    /// appending one `k.min(len)`-wide row per query to `out`. Exact kNN
-    /// rows are stride-uniform, so the whole row block is reserved up front
-    /// and the query list is cut into one contiguous run per worker, each
-    /// writing its rows straight into place. A run shares one traversal
-    /// stack, one cached descent path and one best-`k` row across its queries
-    /// and visits them in Morton order when it is long enough to repay the
-    /// sort (see `batch_queries`); those buffers are `runs[run]`, kept by
-    /// the caller, so a steady-state sweep allocates nothing. The caller has
-    /// handled `k == 0` and the empty cloud.
+    /// The single-tree batch sweep: one cold [`KdTree::knn_into`] per
+    /// query, in the caller's order, appending one `k.min(len)`-wide row per
+    /// query to `out`. Exact kNN rows are stride-uniform, so the whole row
+    /// block is reserved up front and the query list is cut into one
+    /// contiguous run per worker, each writing its rows straight into place.
+    /// A run shares one traversal stack and one best-`k` row across its
+    /// queries; those buffers are `runs[run]`, kept by the caller, so a
+    /// steady-state sweep allocates nothing. The caller has handled
+    /// `k == 0` and the empty cloud.
+    ///
+    /// The sweep once visited a run in Morton order, capped each query's
+    /// bound from the previous query's row and replayed its descent path.
+    /// ns per query of the sweep with those → without (this code),
+    /// at `k = 9` over `synthetic::humanoid(points, 0.3, 7)` with an
+    /// index-ordered random subset batch (seed 5), each tier forced; the
+    /// median of four alternating processes, each the median of 7 rounds,
+    /// on the 2-vCPU AVX-512 host (50 000 : 6 000 is two runs at 2 workers):
+    ///
+    /// | tier | points : queries | 1 worker | 2 workers |
+    /// |---|---|---|---|
+    /// | scalar | 512 : 100 | 320 → 328 | 318 → 326 |
+    /// | scalar | 4 096 : 540 | 646 → 583 | 648 → 574 |
+    /// | scalar | 50 000 : 6 000 | 745 → 710 | 425 → 408 |
+    /// | AVX2 | 512 : 100 | 330 → 366 | 328 → 365 |
+    /// | AVX2 | 4 096 : 540 | 516 → 516 | 509 → 511 |
+    /// | AVX2 | 50 000 : 6 000 | 648 → 658 | 388 → 337 |
+    /// | AVX-512 | 512 : 100 | 203 → 187 | 203 → 187 |
+    /// | AVX-512 | 4 096 : 540 | 357 → 295 | 354 → 288 |
+    /// | AVX-512 | 50 000 : 6 000 | 476 → 462 | 291 → 238 |
+    ///
+    /// AVX2 at 512 points reads 1.11× slower, scalar at 512 points and AVX2
+    /// at 50 000 on one worker 1.02×; every other cell is as fast or faster.
+    /// The AVX2 scan inserts into the row in memory, where the warm cap's
+    /// fewer inserts were likely worth more than to the register-held
+    /// AVX-512 rows (not isolated). Large, spatially incoherent batches lost
+    /// locality: the K4d1 baseline's kNN stage on a 100 000-point humanoid
+    /// at ratio 2 read 1.12–1.22× its earlier time, and the e2e
+    /// `viewer_delta_50k_x2` workload, whose delta frames sweep ≈ 5 600
+    /// recomputed rows in index order, 1.06× its CPU time per frame (ten
+    /// alternating pairs). A Morton order alone, without the cap and the
+    /// replay, won back about half of the latter and cost
+    /// `fleet_2048_local` ≈ 1.03×.
     pub(crate) fn sweep(
         &self,
         queries: &[Point3],
@@ -1046,25 +1022,22 @@ impl KdTree {
         // One ISA resolution per batch; the runs inherit it.
         let tier = kernels::Tier::detect();
         runtime::for_each_chunk_mut(slab, run_len * stride, |c, start, rows| {
-            let first = start / stride;
-            let run = &queries[first..first + rows.len() / stride];
             // Each run locks only its own buffers; a panic elsewhere leaves
-            // nothing in them that the resets below do not clear.
+            // nothing in them that `BestK::new` and `knn_into` do not reset.
             let mut scratch = runs[c].lock().unwrap_or_else(PoisonError::into_inner);
-            let SweepScratch {
-                stack,
-                path,
-                row,
-                keys,
-                spare,
-            } = &mut *scratch;
-            // The last batch's descent path and row belong to another tree.
-            path.clear();
+            let SweepScratch { stack, row } = &mut *scratch;
             row.resize(stride, SENTINEL);
-            let mut best = BestK::new(row);
-            batch_queries(run, stride, rows, &mut best, keys, spare, |q, best| {
-                self.knn_into_with_path(tier, q, best, stack, Some(&mut *path));
-            });
+            let run = &queries[start / stride..];
+            for (&query, out) in run.iter().zip(rows.chunks_exact_mut(stride)) {
+                let mut best = BestK::new(row);
+                self.knn_into(tier, query, &mut best, stack);
+                let keys = best.sorted_keys();
+                debug_assert_eq!(keys.len(), stride, "exact kNN rows are stride-uniform");
+                // The low 32 bits of a packed key ARE the neighbor index.
+                for (d, &key) in out.iter_mut().zip(keys) {
+                    *d = key as u32;
+                }
+            }
         });
     }
 
@@ -1330,9 +1303,8 @@ mod tests {
 
     /// The sweep cuts a long batch into one run per worker, each writing
     /// its rows straight into the output block: rows must not depend on the
-    /// cut — runs short of and past the Morton-reorder size included — and
-    /// a batch appended behind existing rows of its width must leave them
-    /// alone.
+    /// cut, and a batch appended behind existing rows of its width must
+    /// leave them alone.
     #[test]
     fn sweep_rows_do_not_depend_on_the_worker_count() {
         let pts = random_points(3_000, 23);

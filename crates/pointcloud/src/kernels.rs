@@ -420,17 +420,15 @@ pub(crate) struct RefLeaf<'a> {
     pub(crate) aabb: Aabb,
 }
 
-/// [`BestK::begin_warm`]'s bound for the join: the largest squared distance
-/// from `q` to the entries of the previously scanned row (they are `stride`
-/// distinct reference points, or the whole cloud when it is smaller than
-/// `k`, so `q`'s final k-th distance cannot exceed it). `INFINITY` when no
+/// The join's row-to-row warm start: the largest squared distance from `q`
+/// to the entries of the previously scanned row (they are `stride` distinct
+/// reference points, or the whole cloud when it is smaller than `k`, so
+/// `q`'s final k-th distance cannot exceed it). `INFINITY` when no
 /// previous row exists or it is not yet complete. Exact distances to real
 /// candidates — the same arithmetic the scan kernels use — so no rounding
 /// slack is needed, and like every cap it cannot change results: a candidate
 /// or region is only skipped when strictly beyond an upper bound of the
 /// final k-th distance, and ties at the cap still pass.
-///
-/// [`BestK::begin_warm`]: crate::knn::BestK::begin_warm
 #[inline(always)]
 fn warm_cap(rows: &JoinRows<'_>, points: &[Point3], q: Point3) -> f32 {
     if rows.prev == usize::MAX {
@@ -577,7 +575,7 @@ macro_rules! join_leaf_pair_tier {
                     let query = Point3::new(qxs[slot], qys[slot], qzs[slot]);
                     let mut bound = rows.bounds[local];
                     if rows.keys[(local + 1) * stride - 1] == SENTINEL {
-                        // Not yet full: warm-start like `BestK::begin_warm`.
+                        // Not yet full: warm-start from the previous row.
                         bound = bound.min(warm_cap(rows, r.points, query));
                     }
                     let mut row = BestK {
@@ -897,9 +895,13 @@ mod tests {
                 }
                 assert_eq!(mask >> BOX_BLOCK, 0);
 
-                // An emptied leaf reads +inf from everywhere: no finite
-                // bound, however large, lets a row through.
-                let empty = crate::kdtree::EMPTY_LEAF_AABB;
+                // An emptied leaf's box (inverted extremes) reads +inf from
+                // everywhere: no finite bound, however large, lets a row
+                // through.
+                let empty = Aabb {
+                    min: Point3::splat(f32::INFINITY),
+                    max: Point3::splat(f32::NEG_INFINITY),
+                };
                 assert!(pts
                     .iter()
                     .all(|&p| empty.distance_squared_to(p) == f32::INFINITY));

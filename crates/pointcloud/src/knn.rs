@@ -19,9 +19,10 @@
 //!   is walked against itself so whole (query-leaf, reference-node) pairs
 //!   are pruned with one AABB–AABB distance test, and surviving leaf pairs
 //!   run tile-vs-tile candidate scans;
-//! * the *single-tree sweep* — one warm-started traversal per query, in
-//!   Morton order with shared scratch (this module's `batch_queries`
-//!   driver), for every other batch: any other query set, and large `k`.
+//! * the *single-tree sweep* — one cold root descent per query, in the
+//!   caller's order, over one stack and one row per run
+//!   ([`crate::kdtree::KdTree::knn_batch_with`]), for every other batch:
+//!   any other query set, and large `k`.
 //!
 //! Both produce bit-identical rows — the same packed `(distance, index)` key
 //! ordering decides survivors and ties everywhere — so the choice is
@@ -71,6 +72,12 @@ pub trait NeighborSearch: Send + Sync {
     /// the per-query path; the k-d tree overrides it with shared-scratch
     /// implementations that allocate nothing per query.
     ///
+    /// Queries must be finite. A NaN query's distance keys sort above a
+    /// row's padding, so its row never fills: `knn` returns it short, and a
+    /// batch leaves its fixed-width row unwritten. Callers with coordinates
+    /// from outside the program check them first, as the SR engine's entry
+    /// points do.
+    ///
     /// # Panics
     /// Panics when `out` holds rows of another width.
     fn knn_batch(&self, queries: &[Point3], k: usize, out: &mut Neighborhoods) {
@@ -113,10 +120,11 @@ pub(crate) struct BestK<'a> {
     /// full one.
     pub(crate) keys: &'a mut [u64],
     /// The row's pruning bound: `min(cap, d2(keys[k - 1]))`, where the cap
-    /// is a proven upper bound on the final k-th squared distance (see
-    /// [`BestK::begin_warm`]; `INFINITY` for unseeded rows) and a sentinel
-    /// k-th key reads `+inf`. `d2 > bound` is the universal prune test (and
-    /// passes equality through for index-broken ties).
+    /// is a proven upper bound on the final k-th squared distance (the
+    /// join's row-to-row warm start, `kernels::warm_cap`; `INFINITY` for
+    /// every other row) and a sentinel k-th key reads `+inf`. `d2 > bound`
+    /// is the universal prune test (and passes equality through for
+    /// index-broken ties).
     pub(crate) bound: f32,
 }
 
@@ -126,10 +134,6 @@ pub(crate) struct BestK<'a> {
 /// tie at `+inf` with a smaller index), so every candidate a filling row is
 /// offered shifts one sentinel out, and a sentinel k-th key reads `+inf`.
 pub(crate) const SENTINEL: u64 = (f32::INFINITY.to_bits() as u64) << 32 | u32::MAX as u64;
-
-/// Longest previous result [`BestK::begin_warm`] derives a cap from; queries
-/// with `k` beyond this run cold (the SR pipeline's `k` is single-digit).
-const WARM_TRACK: usize = 32;
 
 /// Packs `(d2, index)` into the order-preserving `u64` key.
 #[inline(always)]
@@ -185,36 +189,6 @@ impl<'a> BestK<'a> {
         }
     }
 
-    /// Starts a new query, warm-started from the row's *previous* query
-    /// against the same index, whose points are `points`: the largest
-    /// squared distance from `query` to the previous result's points (its
-    /// non-sentinel entries) is a true upper bound on this query's final
-    /// k-th distance (they are `k` distinct indexed points — or every point
-    /// a query can reach when the cloud holds fewer than `k`), so it becomes
-    /// the initial pruning cap. The batched sweeps visit queries in Morton
-    /// order, making consecutive queries spatial neighbors and the cap tight
-    /// from the very first node.
-    ///
-    /// The cap makes [`BestK::bound`] — and therefore every traversal prune
-    /// and scan filter built on it — tight before `k` candidates have been
-    /// found. Results are **identical** to a cold query: a region or
-    /// candidate is only skipped when strictly beyond the cap, and anything
-    /// strictly beyond an upper bound of the k-th distance cannot appear in
-    /// the result (ties at the cap still pass and are index-broken by the
-    /// insert as usual). Callers must reuse one row per (index, `k`) sweep
-    /// — a fresh [`BestK::new`] row starts cold.
-    #[inline]
-    pub(crate) fn begin_warm(&mut self, query: Point3, points: &[Point3]) {
-        let mut cap = f32::NEG_INFINITY;
-        if self.keys.len() <= WARM_TRACK {
-            for &key in self.keys.iter().filter(|&&key| key != SENTINEL) {
-                cap = cap.max(points[key as u32 as usize].distance_squared(query));
-            }
-        }
-        self.keys.fill(SENTINEL);
-        self.bound = if cap.is_finite() { cap } else { f32::INFINITY };
-    }
-
     /// Offers a candidate: one [`insert_sorted`] (a filling row shifts a
     /// sentinel out, a full one its k-th key, and a key at or above the
     /// k-th changes nothing), then the new k-th key folds into the bound.
@@ -238,54 +212,6 @@ impl<'a> BestK<'a> {
         self.sorted_keys().iter().map(|&k| unpack_key(k)).collect()
     }
 }
-
-/// Runs below this size skip the Morton reorder: the locality win cannot
-/// amortize the sort. A session's recompute list is ordered by index, not
-/// by space, so a fleet tenant's batch (≈ 100 rows at 512 points, ≈ 540 at
-/// 4 096) gains from the reorder. Median µs of one sweep at `k = 9` on one
-/// worker, over a humanoid cloud and an index-ordered random batch, for
-/// each candidate value; medians of five interleaved rounds on the shared
-/// 2-vCPU host (the 50k batch is reordered at every value and shows the
-/// noise floor):
-///
-/// | points : batch | 16 | 64 | 256 | 1 024 |
-/// |---|---:|---:|---:|---:|
-/// | 512 : 16 | 9.3 | 8.6 | 8.9 | 8.7 |
-/// | 512 : 32 | 18.0 | 18.6 | 19.4 | 18.5 |
-/// | 512 : 64 | 30.6 | 30.8 | 34.7 | 37.0 |
-/// | 512 : 100 | 47.2 | 47.1 | 58.8 | 58.2 |
-/// | 4 096 : 64 | 43.6 | 43.3 | 49.3 | 47.0 |
-/// | 4 096 : 200 | 122.1 | 122.6 | 151.4 | 147.4 |
-/// | 4 096 : 540 | 394.7 | 405.3 | 411.9 | 470.1 |
-/// | 50 000 : 6 000 | 5 507 | 5 750 | 5 874 | 5 765 |
-///
-/// An earlier round on a quieter host read the same order (512 : 100 at
-/// 32.0 µs reordered against 37.4 not). Below 64 queries the sort costs
-/// about what it saves. The table was read when the order was one bucket
-/// pass over a code's top bits; the full [`sort_by_code`] order that
-/// replaced it swept the 4 096- and 50 000-point delta batches at 0.95 and
-/// 0.97× that time (16 alternating rounds).
-///
-/// Both sides changed once the AVX-512 scan held each row in registers: a
-/// query got about 1.5× cheaper, and with it what locality saves. Re-read
-/// then on the same host while it was busier (humanoid phase 0.3, seed 7,
-/// batch seed 5; medians of nine rounds that interleave the candidates):
-///
-/// | points : batch | 16 | 64 | 256 | 1 024 |
-/// |---|---:|---:|---:|---:|
-/// | 512 : 64 | 17.3 | 17.2 | 17.0 | 16.9 |
-/// | 512 : 100 | 35.7 | 36.6 | 35.3 | 34.8 |
-/// | 4 096 : 200 | 68.7 | 95.6 | 69.6 | 68.9 |
-/// | 4 096 : 540 | 343.8 | 339.6 | 348.7 | 327.4 |
-/// | 50 000 : 6 000 | 4 936 | 4 716 | 4 942 | 4 795 |
-///
-/// A repeat read 512 : 100 at 37.1, 36.8, 36.3, 36.2 and 4 096 : 540 at
-/// 327.0, 342.8, 336.2, 337.0. The memory-network code, run alternately
-/// with it, still read 53.4 µs reordered against 60.4 not at 512 : 100.
-/// Now no column separates from another beyond the spread of the repeats:
-/// at fleet-tenant sizes the sort costs about what it saves. The constant
-/// stays, since moving it would change nothing measurable.
-const REORDER_MIN_QUERIES: usize = 64;
 
 /// Expands the low 10 bits of `v` so they occupy every third bit.
 #[inline]
@@ -350,8 +276,7 @@ pub(crate) fn morton_scale(aabb: &Aabb) -> Point3 {
 /// pass has a fixed cost, and 512 keys sorted in 6.5 µs so against 7.2 in
 /// four passes and 9.2 in five (random 30-bit codes, 2-vCPU host; the
 /// standard library's unstable sort read 7.8). The one sort of the k-d
-/// build, of a patch's dirty leaves and insert routing, and of the sweep's
-/// query visit order.
+/// build and of a patch's dirty leaves and insert routing.
 pub(crate) fn sort_by_code(keys: &mut [u64], spare: &mut [u64]) {
     let n = keys.len();
     if n < 2 {
@@ -396,79 +321,6 @@ pub(crate) fn sort_by_code(keys: &mut [u64], spare: &mut [u64]) {
     }
     if passes % 2 == 1 {
         dst.copy_from_slice(src);
-    }
-}
-
-/// Fills `keys` with the Morton order of `points` over their own box:
-/// `code << 32 | index`, sorted by [`sort_by_code`] (so equal codes keep
-/// index order), with `spare` as its second buffer. Both buffers are reused.
-fn morton_order(points: &[Point3], keys: &mut Vec<u64>, spare: &mut Vec<u64>) {
-    let aabb = Aabb::from_points(points.iter().copied()).unwrap_or(crate::kdtree::EMPTY_LEAF_AABB);
-    let inv = morton_scale(&aabb);
-    keys.clear();
-    keys.extend(
-        points
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| u64::from(morton_code(p, aabb.min, inv)) << 32 | i as u64),
-    );
-    spare.resize(points.len(), 0);
-    sort_by_code(keys, spare);
-}
-
-/// Drives the single-tree sweep over one run of queries: calls `query_fn`
-/// once per query (filling a best list of exactly `stride =
-/// k.min(indexed_len)` entries) and writes query `i`'s neighbor indices to
-/// `rows[i * stride..][..stride]` — the caller's slice of the output
-/// slab, whose layout is known up front because exact kNN rows are
-/// stride-uniform.
-///
-/// Large runs are visited in Morton order — spatially adjacent queries walk
-/// near-identical index regions, so the index's working set stays
-/// cache-resident between consecutive queries instead of being re-fetched
-/// for every random-order query. Rows land in the caller's order either way,
-/// and their contents are decided by the packed `(distance, index)` keys
-/// alone, so the reordering is invisible in the output even under distance
-/// ties.
-///
-/// `query_fn` starts each query with [`BestK::begin_warm`], and the driver
-/// hands every query of a run the *same* row, `best`: the previous,
-/// Morton-adjacent query's survivors give a tight warm-start pruning cap
-/// for `k` point loads — a batch-only advantage (the cold per-query path
-/// has no previous query) with bit-identical results. `best`, `keys` and
-/// `spare` are the caller's reused buffers; `best` must not hold a row of
-/// another cloud ([`BestK::new`] clears it).
-pub(crate) fn batch_queries(
-    queries: &[Point3],
-    stride: usize,
-    rows: &mut [u32],
-    best: &mut BestK<'_>,
-    keys: &mut Vec<u64>,
-    spare: &mut Vec<u64>,
-    mut query_fn: impl FnMut(Point3, &mut BestK<'_>),
-) {
-    debug_assert_eq!(rows.len(), queries.len() * stride);
-    let mut answer = |qi: usize, rows: &mut [u32]| {
-        query_fn(queries[qi], best);
-        let row = best.sorted_keys();
-        debug_assert_eq!(row.len(), stride, "exact kNN rows are stride-uniform");
-        // The low 32 bits of a packed key ARE the neighbor index.
-        for (d, &key) in rows[qi * stride..(qi + 1) * stride].iter_mut().zip(row) {
-            *d = key as u32;
-        }
-    };
-    if queries.len() < REORDER_MIN_QUERIES {
-        (0..queries.len()).for_each(|qi| answer(qi, rows));
-        return;
-    }
-    morton_order(queries, keys, spare);
-    for (pos, &key) in keys.iter().enumerate() {
-        // Pull the upcoming queries' cache lines in while this one runs —
-        // the visit permutation makes them non-sequential loads.
-        if let Some(&next) = keys.get(pos + 8) {
-            crate::kernels::prefetch_read(&queries[next as u32 as usize]);
-        }
-        answer(key as u32 as usize, rows);
     }
 }
 

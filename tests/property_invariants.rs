@@ -828,6 +828,65 @@ proptest! {
     }
 }
 
+/// Its own module: a `proptest!` block sets one case count for its tests.
+mod sweep_run_cut {
+    use super::*;
+
+    proptest! {
+        // Each case answers ≈ 4 000 queries three times in a debug build, so a
+        // few cases suffice: the size draw is what this property adds.
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// `knn_batch_is_bit_identical_to_per_query_loop` across the sweep's run
+        /// cut: a delta frame's recompute list — 4 001..4 500 distinct points of
+        /// the indexed cloud, drawn at random and listed in index order, so on
+        /// two workers the batch is cut into two runs of over 2 000 queries and
+        /// on one it is a single run — must give the per-query rows, exact
+        /// distance ties (duplicated points) included.
+        #[test]
+        fn knn_batch_is_bit_identical_to_per_query_loop_across_the_run_cut(
+            seed in 0u64..1 << 32,
+            queries_len in 4_001usize..4_501,
+            extra in 1usize..2_000,
+            k in 1usize..17,
+        ) {
+            let mut mix = Mix(seed ^ chaos_seed());
+            let n = queries_len + extra;
+            let mut points: Vec<Point3> = (0..n).map(|_| mix.point(10.0)).collect();
+            for i in (7..n).step_by(7) {
+                points[i] = points[mix.below(i)];
+            }
+            let mut ids: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                ids.swap(i, mix.below(i + 1));
+            }
+            ids.truncate(queries_len);
+            ids.sort_unstable();
+            let queries: Vec<Point3> = ids.iter().map(|&i| points[i]).collect();
+            let tree = KdTree::build(&points);
+            for workers in [1usize, 2] {
+                let (batch, joins) = runtime::with_workers(workers, || {
+                    let mut out = Neighborhoods::new();
+                    let mut scratch = DualTreeScratch::new();
+                    tree.knn_batch_with(&queries, k, &mut out, &mut scratch);
+                    (out, scratch.invocations())
+                });
+                prop_assert_eq!(joins, 0, "a subset batch sweeps");
+                prop_assert_eq!(batch.len(), queries.len());
+                for (i, &q) in queries.iter().enumerate() {
+                    let expected: Vec<u32> = tree.knn(q, k).iter().map(|n| n.index as u32).collect();
+                    prop_assert_eq!(
+                        batch.row(i),
+                        expected.as_slice(),
+                        "workers {} k {} query {} (seed {})",
+                        workers, k, i, seed
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// One adversarial cloud for the k-d builder: `shape` picks the geometry.
 /// Shapes 0–4 straddle zero with `-0.0` and `+0.0` mixed in; shape 5 puts
 /// most points inside one cell of the builder's 1024³ Morton grid (the

@@ -126,12 +126,12 @@ fn steady_state_delta_frames_allocate_only_their_output() {
     // Three, all for the output: positions and colors, each sized once for
     // input and generated tail, and the result's refiner-name string. The
     // single-tree kNN sweep that recomputes the invalidated rows
-    // (`KdTree::knn_batch_with`) keeps its traversal stack, descent path,
-    // best-k accumulator and Morton visit keys on the arena's kNN scratch,
-    // one set per run; it allocated six times a frame when they were
-    // batch-local. Before the frame arena the fresh point/parent/hood
-    // lists, the pair lists and the parent table were allocated — and
-    // grown push by push — on top of those, on every frame.
+    // (`KdTree::knn_batch_with`) keeps its traversal stack and best-k row
+    // on the arena's kNN scratch, one pair per run; it allocated six times
+    // a frame when its buffers were batch-local. Before the frame arena the
+    // fresh point/parent/hood lists, the pair lists and the parent table
+    // were allocated — and grown push by push — on top of those, on every
+    // frame.
     let worst = per_frame.iter().map(|f| f.allocations).max().unwrap();
     assert!(
         worst <= 3,
