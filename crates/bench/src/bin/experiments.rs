@@ -43,7 +43,7 @@ fn main() {
     .any(|id| wants(id));
     let artifacts = if needs_artifacts {
         eprintln!("[experiments] training refinement network and distilling LUT ({points} points per frame)...");
-        Some(TrainedArtifacts::train(points, 8))
+        Some(TrainedArtifacts::train(points))
     } else {
         None
     };

@@ -113,12 +113,12 @@ pub fn run_all(artifacts: &TrainedArtifacts, points: usize) -> Vec<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setup::TrainedArtifacts;
+    use crate::setup::test_artifacts;
 
     #[test]
     fn quality_sweep_produces_expected_shape() {
-        let artifacts = TrainedArtifacts::train(2_000, 2);
-        let points = quality_sweep(&artifacts, 2_000, 2.0);
+        let artifacts = test_artifacts();
+        let points = quality_sweep(artifacts, 2_000, 2.0);
         // 4 videos x 4 methods.
         assert_eq!(points.len(), 16);
         assert!(points.iter().all(|p| p.psnr_db > 0.0 && p.chamfer >= 0.0));

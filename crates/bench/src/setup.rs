@@ -3,12 +3,12 @@
 //!
 //! The paper trains GradPU on the Long Dress video only and applies the
 //! distilled LUT to all four videos; [`TrainedArtifacts::train`] mirrors
-//! that: it trains on humanoid frames and the resulting LUT is reused for
-//! every evaluation video.
+//! that with [`Recipe::paper`]: eight epochs on three humanoid frames, and
+//! the resulting LUT is reused for every evaluation video.
 
 use volut_core::baselines::{GradPuUpsampler, YuzuUpsampler};
 use volut_core::encoding::KeyScheme;
-use volut_core::nn::train::{Recipe, Trained, TrainingFrame};
+use volut_core::nn::train::{Recipe, Trained};
 use volut_core::refine::{IdentityRefiner, LutRefiner};
 use volut_core::{SrConfig, SrPipeline};
 use volut_pointcloud::{synthetic, PointCloud};
@@ -66,8 +66,9 @@ pub struct TrainedArtifacts {
 }
 
 impl TrainedArtifacts {
-    /// Trains the refinement network on humanoid ("Long Dress") frames and
-    /// distills it into a LUT, mirroring §7.1.
+    /// Trains the refinement network on `points`-point humanoid ("Long
+    /// Dress") frames with [`Recipe::paper`] and distills it into a LUT,
+    /// mirroring §7.1.
     ///
     /// The LUT uses 32 quantization bins (2¹⁵ reachable entries, 196 KiB),
     /// where a held-out frame hits most probes: the paper's b = 128 table
@@ -75,24 +76,19 @@ impl TrainedArtifacts {
     ///
     /// # Panics
     /// Panics when the recipe fails, e.g. a frame yields no training samples.
-    pub fn train(points: usize, epochs: usize) -> Self {
+    pub fn train(points: usize) -> Self {
         let config = SrConfig {
             bins: 32,
             ..SrConfig::default()
         };
-        let frame = |phase: f32, keep_ratio: f64, seed: u64| TrainingFrame {
-            cloud: synthetic::humanoid(points, phase, 11),
-            keep_ratio,
-            seed,
-        };
-        let trained = Recipe {
-            config,
-            frames: vec![frame(0.0, 0.5, 1), frame(0.7, 0.25, 2), frame(1.4, 0.25, 3)],
-            epochs,
+        Self::from_recipe(&Recipe::paper(config, points))
+    }
+
+    fn from_recipe(recipe: &Recipe) -> Self {
+        Self {
+            config: recipe.config(),
+            trained: recipe.run().expect("training"),
         }
-        .run()
-        .expect("training");
-        Self { config, trained }
     }
 
     /// The paper's `K4d2` configuration: dilated interpolation, no refinement.
@@ -126,6 +122,13 @@ impl TrainedArtifacts {
     }
 }
 
+/// [`Recipe::test`]'s artifacts, trained once for the harness's tests.
+#[cfg(test)]
+pub(crate) fn test_artifacts() -> &'static TrainedArtifacts {
+    static ARTIFACTS: std::sync::OnceLock<TrainedArtifacts> = std::sync::OnceLock::new();
+    ARTIFACTS.get_or_init(|| TrainedArtifacts::from_recipe(&Recipe::test()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,7 +136,7 @@ mod tests {
 
     #[test]
     fn training_produces_usable_artifacts() {
-        let artifacts = TrainedArtifacts::train(2_000, 2);
+        let artifacts = test_artifacts();
         assert!(artifacts.trained.lut.populated() > 0);
         assert!(artifacts.trained.report.final_loss().unwrap().is_finite());
         // All pipelines build and run on a small cloud.

@@ -16,23 +16,36 @@ use volut_core::pipeline::StageTimings;
 use volut_core::SrConfig;
 use volut_pointcloud::{sampling, synthetic};
 
-/// Converts host stage timings into a device total using per-stage scaling.
+/// Converts host stage timings into per-stage device times, in the order
+/// kNN (index build included), interpolation, colorization, refinement.
 /// `nn_refinement` selects whether the refinement stage scales like NN
 /// inference or like a table lookup.
-pub fn device_total(
+fn device_stages(
     timings: &StageTimings,
     device: &DeviceProfile,
     nn_refinement: bool,
-) -> Duration {
+) -> [Duration; 4] {
     let refine_kind = if nn_refinement {
         StageKind::NnInference
     } else {
         StageKind::LutLookup
     };
-    device.scale_duration(StageKind::Knn, timings.index_build + timings.knn)
-        + device.scale_duration(StageKind::Interpolation, timings.interpolation)
-        + device.scale_duration(StageKind::Colorization, timings.colorization)
-        + device.scale_duration(refine_kind, timings.refinement)
+    [
+        device.scale_duration(StageKind::Knn, timings.index_build + timings.knn),
+        device.scale_duration(StageKind::Interpolation, timings.interpolation),
+        device.scale_duration(StageKind::Colorization, timings.colorization),
+        device.scale_duration(refine_kind, timings.refinement),
+    ]
+}
+
+/// Converts host stage timings into a device total: the sum of the
+/// per-stage device times Figure 16 breaks down.
+pub fn device_total(
+    timings: &StageTimings,
+    device: &DeviceProfile,
+    nn_refinement: bool,
+) -> Duration {
+    device_stages(timings, device, nn_refinement).iter().sum()
 }
 
 /// Figure 11: interpolation FPS, vanilla vs VoLUT, on the Orange Pi and the
@@ -91,22 +104,15 @@ pub fn fig16_runtime_breakdown(artifacts: &TrainedArtifacts, points: usize) -> R
         .upsample(&low, 4.0)
         .expect("sr");
     for device in [DeviceProfile::desktop_3080ti(), DeviceProfile::orange_pi()] {
-        let knn = device.scale_duration(
-            StageKind::Knn,
-            result.timings.index_build + result.timings.knn,
+        let stages = device_stages(&result.timings, &device, false);
+        let total = stages.iter().sum::<Duration>().as_secs_f64().max(1e-12);
+        let mut row = vec![device.name.clone()];
+        row.extend(
+            stages
+                .iter()
+                .map(|d| format!("{:.1}%", d.as_secs_f64() / total * 100.0)),
         );
-        let interp = device.scale_duration(StageKind::Interpolation, result.timings.interpolation);
-        let colorize = device.scale_duration(StageKind::Colorization, result.timings.colorization);
-        let refine = device.scale_duration(StageKind::LutLookup, result.timings.refinement);
-        let total = (knn + interp + colorize + refine).as_secs_f64().max(1e-12);
-        let pct = |d: Duration| format!("{:.1}%", d.as_secs_f64() / total * 100.0);
-        report.add_row(vec![
-            device.name.clone(),
-            pct(knn),
-            pct(interp),
-            pct(colorize),
-            pct(refine),
-        ]);
+        report.add_row(row);
     }
     report.push_note("paper: kNN search dominates, LUT refinement consumes the least time");
     report
@@ -205,11 +211,12 @@ pub fn run_all(artifacts: &TrainedArtifacts, points: usize) -> Vec<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::test_artifacts;
 
     #[test]
     fn runtime_reports_have_expected_shape() {
-        let artifacts = TrainedArtifacts::train(1_500, 1);
-        let fig11 = fig11_interpolation_fps(&artifacts, 6_000);
+        let artifacts = test_artifacts();
+        let fig11 = fig11_interpolation_fps(artifacts, 6_000);
         assert_eq!(fig11.rows.len(), 6);
         // At the small cloud sizes used by unit tests (and in unoptimized
         // builds) the end-to-end FPS of the two methods is comparable; the
@@ -235,7 +242,7 @@ mod tests {
                 naive.timings.knn
             );
         }
-        let fig17 = fig17_sr_runtime_desktop(&artifacts, 2_000);
+        let fig17 = fig17_sr_runtime_desktop(artifacts, 2_000);
         assert_eq!(fig17.rows.len(), 3);
         let volut_ms: f64 = fig17.rows[0][1].parse().unwrap();
         let gradpu_ms: f64 = fig17.rows[2][1].parse().unwrap();
@@ -243,9 +250,9 @@ mod tests {
             gradpu_ms > volut_ms,
             "gradpu {gradpu_ms} should be slower than volut {volut_ms}"
         );
-        let fig18 = fig18_sr_fps_orange_pi(&artifacts, 2_000);
+        let fig18 = fig18_sr_fps_orange_pi(artifacts, 2_000);
         assert_eq!(fig18.rows.len(), 4);
-        let fig16 = fig16_runtime_breakdown(&artifacts, 2_000);
+        let fig16 = fig16_runtime_breakdown(artifacts, 2_000);
         assert_eq!(fig16.rows.len(), 2);
     }
 }

@@ -184,21 +184,10 @@ mod tests {
     fn trained_gradpu_does_not_hurt_quality_much() {
         // With the network VoLUT would distill, GradPU refinement should not
         // dramatically degrade interpolation quality (damped updates).
-        use crate::nn::train::{Recipe, TrainingFrame};
-        let config = SrConfig::default();
+        use crate::nn::train::{test_trained, Recipe};
+        let config = Recipe::test().config();
         let gt = synthetic::sphere(2000, 1.0, 3);
-        let network = Recipe {
-            config,
-            frames: vec![TrainingFrame {
-                cloud: gt.clone(),
-                keep_ratio: 0.5,
-                seed: 5,
-            }],
-            epochs: 5,
-        }
-        .run()
-        .unwrap()
-        .network;
+        let network = test_trained().network.clone();
         let up = GradPuUpsampler::from_network(config, network, 3).unwrap();
 
         let low = sampling::random_downsample_exact(&gt, 1000, 1).unwrap();

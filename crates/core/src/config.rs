@@ -34,14 +34,15 @@ pub struct SrConfig {
     /// ([`crate::encoding::PositionEncoder::reachable_keys`], `1/b` of the
     /// `b^n` key space): 2²¹ entries (12.3 MiB) at 128 bins, inside
     /// [`crate::lut::DenseLut::DEFAULT_BYTE_BUDGET`], and 2¹⁵ (196 KiB) at
-    /// 32. Tables are trained at 32 bins or fewer, where they hit: a
-    /// held-out frame hits about a third of a 128-bin table's probes and
-    /// 87 % of a 32-bin one's (the `train_and_build_lut` example). On
-    /// frames it was not trained on, the 16-bin table of
-    /// `tests/integration_sr_pipeline.rs`
-    /// hits 77 % and 76 % of its probes and gains +0.28 and +0.22 dB PSNR at
-    /// ×2 (its network: +0.56 and +0.48 dB); the harness's 32-bin table
-    /// gains 0.14–0.20 dB on Fig 7's four videos.
+    /// 32. Tables are trained at 32 bins or fewer, where they hit: one
+    /// network of [`crate::nn::train::Recipe::paper`] at 4 000 points hits
+    /// 31.5 % of a held-out frame's probes distilled at 128 bins and 87.0 %
+    /// at 32 (the `train_and_build_lut` example), and its 32-bin table gains
+    /// 0.14–0.20 dB PSNR over interpolation alone on Fig 7's four videos.
+    /// On frames it was not trained on, the 16-bin table of
+    /// [`crate::nn::train::Recipe::test`] hits 77 % and 76 % of its probes
+    /// and gains +0.28 and +0.22 dB PSNR at ×2 (its network: +0.56 and
+    /// +0.48 dB; `tests/integration_sr_pipeline.rs`).
     pub bins: usize,
     /// Seed for the deterministic pseudo-random choices inside interpolation.
     pub seed: u64,

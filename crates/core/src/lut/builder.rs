@@ -62,44 +62,19 @@ pub(crate) fn distill(config: &SrConfig, mlp: &Mlp, samples: &TrainingSet) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nn::train::{Recipe, Trained, TrainingFrame};
-    use volut_pointcloud::synthetic;
+    use crate::nn::train::{test_trained, Recipe, Trained};
 
-    /// Tables are trained at 32 bins (a 128-bin table is over budget).
-    fn config() -> SrConfig {
-        SrConfig {
-            bins: 32,
-            ..SrConfig::default()
-        }
-    }
-
-    fn recipe(config: &SrConfig) -> Recipe {
-        Recipe {
-            config: *config,
-            frames: vec![TrainingFrame {
-                cloud: synthetic::sphere(1200, 1.0, 1),
-                keep_ratio: 0.5,
-                seed: 3,
-            }],
-            epochs: 3,
-        }
-    }
-
-    /// The recipe's network and table, the samples that keyed the table and
-    /// the encoder that keyed them.
-    fn trained(config: &SrConfig) -> (Trained, TrainingSet, PositionEncoder) {
-        let recipe = recipe(config);
-        let encoder = PositionEncoder::new(config, KeyScheme::Compact).unwrap();
-        (
-            recipe.run().unwrap(),
-            recipe.training_set().unwrap(),
-            encoder,
-        )
+    /// The test recipe's network and table, the samples that keyed the
+    /// table and the encoder that keyed them.
+    fn trained() -> (&'static Trained, TrainingSet, PositionEncoder) {
+        let recipe = Recipe::test();
+        let encoder = PositionEncoder::new(&recipe.config(), KeyScheme::Compact).unwrap();
+        (test_trained(), recipe.training_set().unwrap(), encoder)
     }
 
     #[test]
     fn distill_produces_populated_lut() {
-        let (trained, set, encoder) = trained(&config());
+        let (trained, set, encoder) = trained();
         let lut = &trained.lut;
         assert_eq!(lut.keys(), encoder.reachable_keys());
         assert!(lut.populated() > 0);
@@ -111,8 +86,8 @@ mod tests {
 
     #[test]
     fn mismatched_network_is_rejected() {
-        let config = config();
-        let recipe = recipe(&config);
+        let recipe = Recipe::test();
+        let config = recipe.config();
         assert!(recipe.distill(&Mlp::new(&[9, 8, 3], 1)).is_err());
         let set = recipe.training_set().unwrap();
         let wrong_out = Mlp::new(&[12, 8, 2], 1);
@@ -131,8 +106,10 @@ mod tests {
     /// where the whole 2²⁸-key space needs 1.5 GiB.
     #[test]
     fn distill_at_the_paper_configuration_fits_the_budget() {
-        let (trained, set, encoder) = trained(&SrConfig::default());
-        let lut = &trained.lut;
+        let recipe = Recipe::paper(SrConfig::default(), 1_200);
+        let set = recipe.training_set().unwrap();
+        let encoder = PositionEncoder::new(&recipe.config(), KeyScheme::Compact).unwrap();
+        let lut = distill(&recipe.config(), &test_trained().network, &set).unwrap();
         assert_eq!(lut.memory_bytes(), (1 << 21) * 6 + (1 << 21) / 8);
         for input in &set.inputs {
             let key = encoder.key_from_features(input).unwrap();
@@ -142,7 +119,7 @@ mod tests {
 
     #[test]
     fn distilled_offsets_match_network_predictions_for_unique_keys() {
-        let (trained, set, encoder) = trained(&config());
+        let (trained, set, encoder) = trained();
         // For a key that appears exactly once, the stored offset equals the
         // network output (up to f16 rounding).
         let mut key_counts = std::collections::HashMap::new();

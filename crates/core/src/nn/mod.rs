@@ -14,4 +14,4 @@ pub mod train;
 
 pub use adam::Adam;
 pub use mlp::{BatchScratch, ForwardScratch, Linear, Mlp, MICRO_BATCH};
-pub use train::{Recipe, Trained, TrainingFrame, TrainingReport};
+pub use train::{Recipe, Trained, TrainingReport};

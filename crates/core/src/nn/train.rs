@@ -22,7 +22,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use volut_pointcloud::kdtree::KdTree;
 use volut_pointcloud::knn::NeighborSearch;
-use volut_pointcloud::{sampling, Neighborhoods, Point3, PointCloud};
+use volut_pointcloud::{sampling, synthetic, Neighborhoods, Point3, PointCloud};
 
 /// Adam learning rate.
 const LEARNING_RATE: f32 = 2e-3;
@@ -37,27 +37,27 @@ const SEED: u64 = 0;
 /// One ground-truth frame of a [`Recipe`]: its training pairs come from
 /// downsampling `cloud` to `keep_ratio` (e.g. 0.5 for ×2 pairs) with `seed`.
 #[derive(Debug, Clone)]
-pub struct TrainingFrame {
-    /// The ground-truth cloud.
-    pub cloud: PointCloud,
-    /// Fraction of points the downsampled input keeps.
-    pub keep_ratio: f64,
-    /// Seed of the random downsample.
-    pub seed: u64,
+struct TrainingFrame {
+    cloud: PointCloud,
+    keep_ratio: f64,
+    seed: u64,
 }
 
-/// The offline job: train the refinement network on `frames` for `epochs`
-/// passes and distill it into a table at `config`'s receptive field and
-/// bins. Every run of one recipe gives the same network and table bits, at
-/// any worker count.
+/// The offline job: train the refinement network on ground-truth frames for
+/// a number of epochs and distill it into a table at the recipe's receptive
+/// field and bins. Every run of one recipe gives the same network and table
+/// bits, at any worker count.
+///
+/// There are two: [`Recipe::paper`], the paper's offline step, and
+/// [`Recipe::test`], small enough for a debug build.
 #[derive(Debug, Clone)]
 pub struct Recipe {
     /// Receptive field and bins of the network's inputs and of the table.
-    pub config: SrConfig,
+    config: SrConfig,
     /// Ground-truth frames; their training pairs are concatenated in order.
-    pub frames: Vec<TrainingFrame>,
+    frames: Vec<TrainingFrame>,
     /// Number of passes over the training set.
-    pub epochs: usize,
+    epochs: usize,
 }
 
 /// What a [`Recipe`] yields.
@@ -88,6 +88,50 @@ impl TrainingReport {
 }
 
 impl Recipe {
+    /// The paper's offline step (§4.2.2, §7.1): one network trained once on
+    /// the "Long Dress" stand-in and applied to every video. Eight epochs
+    /// over three animation phases (0, 0.7 and 1.4) of a `points`-point
+    /// humanoid, downsampled to ½, ¼ and ¼ with seeds 1, 2 and 3, so the
+    /// set holds ×2 and ×4 pairs. `config` gives the receptive field and
+    /// bins of the network's inputs and of the table; the harness and the
+    /// examples train at 32 bins.
+    pub fn paper(config: SrConfig, points: usize) -> Self {
+        let frame = |phase: f32, keep_ratio: f64, seed: u64| TrainingFrame {
+            cloud: synthetic::humanoid(points, phase, 11),
+            keep_ratio,
+            seed,
+        };
+        Self {
+            config,
+            frames: vec![frame(0.0, 0.5, 1), frame(0.7, 0.25, 2), frame(1.4, 0.25, 3)],
+            epochs: 8,
+        }
+    }
+
+    /// The tests' recipe: four epochs of ×2 pairs from one 4 000-point
+    /// humanoid, keyed at 16 bins (2¹² reachable keys). A debug build trains
+    /// it in seconds, and its table still refines held-out frames
+    /// (`tests/integration_sr_pipeline.rs`).
+    pub fn test() -> Self {
+        Self {
+            config: SrConfig {
+                bins: 16,
+                ..SrConfig::default()
+            },
+            frames: vec![TrainingFrame {
+                cloud: synthetic::humanoid(4_000, 0.2, 3),
+                keep_ratio: 0.5,
+                seed: 5,
+            }],
+            epochs: 4,
+        }
+    }
+
+    /// Receptive field and bins of the network's inputs and of the table.
+    pub fn config(&self) -> SrConfig {
+        self.config
+    }
+
     /// Builds the training set, trains the network on it and distills the
     /// network at the keys of the set's neighborhoods.
     ///
@@ -284,11 +328,20 @@ fn gaussian(rng: &mut StdRng) -> f32 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
+/// [`Recipe::test`] trained once per test binary, on two workers.
+#[cfg(test)]
+pub(crate) fn test_trained() -> &'static Trained {
+    static TRAINED: std::sync::OnceLock<Trained> = std::sync::OnceLock::new();
+    TRAINED.get_or_init(|| {
+        volut_pointcloud::runtime::with_workers(2, || Recipe::test().run().expect("test recipe"))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lut::Lut as _;
-    use volut_pointcloud::{runtime, synthetic};
+    use volut_pointcloud::runtime;
 
     fn frame(cloud: PointCloud, seed: u64) -> TrainingFrame {
         TrainingFrame {
@@ -363,31 +416,36 @@ mod tests {
         assert_eq!(set.targets[a.len()..], b.targets[..]);
     }
 
-    /// Training and distillation give the same network bits and table
-    /// entries on one worker and on two.
+    /// FNV-1a over the network's weight and bias bits, then every table
+    /// entry's key and offset bits.
+    fn digest(trained: &Trained) -> u64 {
+        let weights = trained
+            .network
+            .layers()
+            .iter()
+            .flat_map(|l| l.weights.iter().chain(&l.bias))
+            .flat_map(|v| v.to_bits().to_le_bytes());
+        let entries = trained.lut.iter().flat_map(|(key, offset)| {
+            key.to_le_bytes()
+                .into_iter()
+                .chain(offset.into_iter().flat_map(|v| v.to_bits().to_le_bytes()))
+        });
+        weights.chain(entries).fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    /// Training and distillation give [`Recipe::test`] the same network bits
+    /// and table entries on one worker and on two, pinned to the bits the
+    /// integration gate's hand-written recipe had before it became a preset.
     #[test]
     fn recipe_is_bit_identical_across_worker_counts() {
-        let recipe = Recipe {
-            config: SrConfig {
-                bins: 16,
-                ..SrConfig::default()
-            },
-            frames: vec![frame(synthetic::sphere(1_200, 1.0, 1), 3)],
-            epochs: 2,
-        };
-        let one = runtime::with_workers(1, || recipe.run().unwrap());
-        let two = runtime::with_workers(2, || recipe.run().unwrap());
-        let bits = |t: &Trained| -> Vec<u32> {
-            t.network
-                .layers()
-                .iter()
-                .flat_map(|l| l.weights.iter().chain(&l.bias))
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        assert_eq!(bits(&one), bits(&two));
+        const PINNED: u64 = 15_074_671_187_215_494_468;
+        let one = runtime::with_workers(1, || Recipe::test().run().unwrap());
+        let two = test_trained();
         assert!(one.lut.populated() > 0);
-        assert!(one.lut.iter().eq(two.lut.iter()));
         assert_eq!(one.report.epoch_losses, two.report.epoch_losses);
+        assert_eq!(digest(&one), PINNED);
+        assert_eq!(digest(two), PINNED);
     }
 }

@@ -204,7 +204,7 @@ mod tests {
     use super::*;
     use crate::encoding::KeyScheme;
     use crate::nn::mlp::Mlp;
-    use crate::nn::train::{Recipe, TrainingFrame};
+    use crate::nn::train::{test_trained, Recipe};
     use crate::refine::{IdentityRefiner, LutRefiner, NnRefiner};
     use volut_pointcloud::{metrics, sampling, synthetic};
 
@@ -221,26 +221,12 @@ mod tests {
 
     #[test]
     fn lut_pipeline_improves_quality_over_identity() {
-        // Train on one "video" (sphere), evaluate on the same content type:
+        // The test recipe's table, trained on a humanoid, refines a sphere:
         // the LUT-refined result should be at least as good as interpolation
         // alone, and both better than the raw downsampled input.
-        let config = SrConfig {
-            bins: 32,
-            ..SrConfig::default()
-        };
+        let config = Recipe::test().config();
         let gt = synthetic::sphere(3000, 1.0, 7);
-        let lut = Recipe {
-            config,
-            frames: vec![TrainingFrame {
-                cloud: gt.clone(),
-                keep_ratio: 0.5,
-                seed: 11,
-            }],
-            epochs: 10,
-        }
-        .run()
-        .unwrap()
-        .lut;
+        let lut = test_trained().lut.clone();
         let refiner = LutRefiner::from_config(&config, KeyScheme::Compact, Box::new(lut)).unwrap();
 
         let low = sampling::random_downsample_exact(&gt, 1500, 3).unwrap();
@@ -261,29 +247,16 @@ mod tests {
             cd_lut <= cd_id * 1.10,
             "lut ({cd_lut}) should not be much worse than interpolation ({cd_id})"
         );
-        // The LUT should actually be hit most of the time on in-distribution data.
+        // The LUT must actually be consulted on content it was not trained on.
         assert!(lut_result.lookup_stats.hits > 0);
     }
 
     #[test]
     fn nn_refiner_pipeline_runs_and_is_slower_than_lut() {
-        let config = SrConfig {
-            bins: 32,
-            ..SrConfig::default()
-        };
+        let config = Recipe::test().config();
         let gt = synthetic::torus(1500, 1.0, 0.3, 5);
-        let trained = Recipe {
-            config,
-            frames: vec![TrainingFrame {
-                cloud: gt.clone(),
-                keep_ratio: 0.5,
-                seed: 2,
-            }],
-            epochs: 2,
-        }
-        .run()
-        .unwrap();
-        let (mlp, lut) = (trained.network, trained.lut);
+        let trained = test_trained();
+        let (mlp, lut) = (trained.network.clone(), trained.lut.clone());
 
         let low = sampling::random_downsample_exact(&gt, 700, 1).unwrap();
         let nn_pipeline = SrPipeline::new(

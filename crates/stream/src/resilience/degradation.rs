@@ -19,7 +19,11 @@ pub enum DegradationLevel {
     SkipRefinement,
     /// Halve the upsampling factor (and still skip refinement).
     ReducedRatio,
-    /// Interpolation only: no refinement, no colorization, halved ratio.
+    /// Halved ratio without refinement, priced lower than `ReducedRatio`.
+    /// The server runs it exactly like `ReducedRatio` (the same
+    /// refinement-free pipeline at the same ratio, colorization included);
+    /// only [`Self::adjusted_model`] drops colorization, and
+    /// [`Self::quality_factor`] prices it at 0.65 against 0.85.
     InterpolateOnly,
     /// Pass the received points through untouched (no SR compute at all).
     Passthrough,
@@ -70,9 +74,11 @@ impl DegradationLevel {
         }
     }
 
-    /// The compute model actually executed at this level: dropped stages
-    /// are zeroed, so the live [`SrComputeModel`] budget arithmetic stays
-    /// exact.
+    /// The compute model planned at this level: dropped stages are zeroed.
+    /// It matches the pipeline the server runs at every level but
+    /// `InterpolateOnly`: there it zeroes colorization, which the server
+    /// still runs (as at `ReducedRatio`), so that level's planned time is
+    /// short by the colorization cost.
     pub fn adjusted_model(self, model: &SrComputeModel) -> SrComputeModel {
         let mut m = model.clone();
         match self {

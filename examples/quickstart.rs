@@ -1,15 +1,19 @@
-//! Quickstart: downsample a synthetic frame, upsample it back with the
-//! two-stage VoLUT pipeline, and report quality metrics.
+//! Quickstart: train a lookup table offline, then downsample a synthetic
+//! frame the table was not trained on, upsample it back with the two-stage
+//! VoLUT pipeline, and report quality metrics.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
 use volut::core::encoding::KeyScheme;
-use volut::core::nn::train::{Recipe, TrainingFrame};
+use volut::core::nn::train::Recipe;
 use volut::core::refine::{IdentityRefiner, LutRefiner};
 use volut::core::{SrConfig, SrPipeline};
 use volut::pointcloud::{metrics, sampling, synthetic};
+
+/// Points per training frame of the paper preset.
+const TRAINING_POINTS: usize = 1_500;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. "Capture" a ground-truth frame (stand-in for a Long Dress frame).
@@ -17,22 +21,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("ground truth: {} points", ground_truth.len());
 
     // 2. Offline: train the refinement network on downsampled/original pairs
+    //    of other frames (the paper preset: three poses of another humanoid)
     //    and distill it into a lookup table (32 bins: 2^15 reachable
     //    entries, 196 KiB).
     let config = SrConfig {
         bins: 32,
         ..SrConfig::default()
     };
-    let trained = Recipe {
-        config,
-        frames: vec![TrainingFrame {
-            cloud: ground_truth.clone(),
-            keep_ratio: 0.5,
-            seed: 7,
-        }],
-        epochs: 6,
-    }
-    .run()?;
+    let trained = Recipe::paper(config, TRAINING_POINTS).run()?;
     println!(
         "trained refinement network on {} samples, final loss {:.5}",
         trained.report.samples,

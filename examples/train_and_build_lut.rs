@@ -1,10 +1,11 @@
 //! Offline path: train the refinement network, distill it into a LUT, save
 //! the LUT to disk, reload it and use it for super-resolution — the workflow
-//! a deployment would run once per content library. The network is
-//! distilled twice: into this reproduction's 32-bin table and into the
-//! paper's n = 4, b = 128 one, which is buildable because a table keeps
-//! only the keys the encoder can emit. The example fails when the 128-bin
-//! table is refused or covers more than those keys.
+//! a deployment would run once per content library. The paper preset
+//! (`Recipe::paper`) trains the network, which is distilled twice: into
+//! this reproduction's 32-bin table and into the paper's n = 4, b = 128
+//! one, which is buildable because a table keeps only the keys the encoder
+//! can emit. The example fails when the 128-bin table is refused or covers
+//! more than those keys.
 //!
 //! ```text
 //! cargo run --release --example train_and_build_lut
@@ -14,27 +15,16 @@ use volut::core::encoding::{KeyScheme, PositionEncoder};
 use volut::core::lut::io::{read_lut, write, LutHeader};
 use volut::core::lut::memory::{table1_rows, MemoryModel};
 use volut::core::lut::{DenseLut, Lut as _};
-use volut::core::nn::train::{Recipe, TrainingFrame};
+use volut::core::nn::train::Recipe;
 use volut::core::refine::LutRefiner;
 use volut::core::{SrConfig, SrPipeline};
 use volut::pointcloud::{metrics, sampling, synthetic};
 
 type Error = Box<dyn std::error::Error>;
 
-/// Eight epochs on several animation phases of the "Long Dress" stand-in,
-/// at `config`'s bins.
-fn recipe(config: SrConfig) -> Recipe {
-    let frame = |phase: f32, keep_ratio: f64, seed: u64| TrainingFrame {
-        cloud: synthetic::humanoid(6_000, phase, 1),
-        keep_ratio,
-        seed,
-    };
-    Recipe {
-        config,
-        frames: vec![frame(0.0, 0.5, 1), frame(0.9, 0.25, 2)],
-        epochs: 8,
-    }
-}
+/// Points per training frame: at 4 000, [`Recipe::paper`] trains the same
+/// 32-bin table as CI's Fig 7 step (`VOLUT_EXPERIMENT_POINTS=4000`).
+const TRAINING_POINTS: usize = 4_000;
 
 /// Writes a table distilled at `config`'s bins to a `.vlut` file, reloads
 /// it and runs ×4 SR on unseen content (the "Loot" stand-in), like the
@@ -124,7 +114,7 @@ fn main() -> Result<(), Error> {
 
     // One network, trained on 32-bin inputs, is distilled at both bin
     // counts: a table's hit rate depends only on its keys.
-    let trained = recipe(config).run()?;
+    let trained = Recipe::paper(config, TRAINING_POINTS).run()?;
     println!(
         "trained on {} samples, loss {:?} -> {:?}",
         trained.report.samples,
@@ -133,7 +123,10 @@ fn main() -> Result<(), Error> {
     );
 
     let (bytes_32, hits_32) = serve(config, trained.lut)?;
-    let (bytes_128, hits_128) = serve(paper, recipe(paper).distill(&trained.network)?)?;
+    let (bytes_128, hits_128) = serve(
+        paper,
+        Recipe::paper(paper, TRAINING_POINTS).distill(&trained.network)?,
+    )?;
     println!("table  bytes       held-out hit rate");
     println!("b=32   {bytes_32:<10}  {:.1}%", hits_32 * 100.0);
     println!("b=128  {bytes_128:<10}  {:.1}%", hits_128 * 100.0);

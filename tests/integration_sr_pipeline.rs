@@ -6,36 +6,21 @@ use std::sync::OnceLock;
 use volut::core::encoding::KeyScheme;
 use volut::core::lut::io::{read_lut, write, LutHeader};
 use volut::core::lut::{DenseLut, Lut as _};
-use volut::core::nn::train::{Recipe, Trained, TrainingFrame};
+use volut::core::nn::train::{Recipe, Trained};
 use volut::core::refine::{IdentityRefiner, LutRefiner, NnRefiner, Refiner};
 use volut::core::{SrConfig, SrPipeline};
 use volut::pointcloud::{metrics, sampling, synthetic};
 
-/// Configuration used by these tests: a 16-bin table, 16⁴ keys.
+/// The test recipe's configuration: a 16-bin table, 16³ reachable keys.
 fn test_config() -> SrConfig {
-    SrConfig {
-        bins: 16,
-        ..SrConfig::default()
-    }
+    Recipe::test().config()
 }
 
-/// A small network and the table distilled from it, trained once for the
-/// tests in this file.
+/// The test recipe's network and the table distilled from it, trained once
+/// for the tests in this file.
 fn trained() -> &'static Trained {
     static TRAINED: OnceLock<Trained> = OnceLock::new();
-    TRAINED.get_or_init(|| {
-        Recipe {
-            config: test_config(),
-            frames: vec![TrainingFrame {
-                cloud: synthetic::humanoid(4_000, 0.2, 3),
-                keep_ratio: 0.5,
-                seed: 5,
-            }],
-            epochs: 4,
-        }
-        .run()
-        .unwrap()
-    })
+    TRAINED.get_or_init(|| Recipe::test().run().unwrap())
 }
 
 #[test]
